@@ -13,6 +13,18 @@ tuple to the composed, ranked answers:
 * the output node applies residual predicates and composes the global
   ranking.
 
+Rows travel through all of it in one representation — a
+:class:`~repro.execution.results.SlotLayout` shared per node plus a
+value tuple (:mod:`repro.execution.results`): each service node is
+compiled once against its feed layout into a
+:class:`~repro.execution.slots.ServiceBinding` that the eager loop,
+the lazy page sources and the thread-pool row tasks share, joins merge
+value tuples through a :class:`~repro.execution.slots.SlotJoinPlan`,
+and no node boundary decodes or re-encodes anything.  The dict-row
+plan interpreter the engine is tested against lives in
+:mod:`repro.testing.reference` and is imported by tests and benches
+only.
+
 Time is *virtual*: services report per-fetch latencies and the engine
 aggregates them according to the scheduling mode —
 
@@ -76,16 +88,18 @@ from repro.execution.resilience import (
     resilient_fetch,
 )
 from repro.execution.results import ResultTable, Row, compose_ranking
-from repro.execution.slots import SlotLayout, compile_predicates, layout_for_rows
+from repro.execution.slots import (
+    ExecutionError,
+    LayoutMemo,
+    ServiceBinding,
+    compile_predicates,
+    service_bindings,
+)
 from repro.execution.stats import ExecutionStats
-from repro.model.terms import Constant, Variable
+from repro.model.terms import Variable
 from repro.plans.dag import QueryPlan
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, PlanNode, ServiceNode
 from repro.services.registry import ServiceRegistry
-
-
-class ExecutionError(RuntimeError):
-    """Raised when a plan cannot be executed (unbound inputs, etc.)."""
 
 
 class ExecutionMode(Enum):
@@ -192,7 +206,6 @@ class ExecutionEngine:
         thread_overhead: float = 0.05,
         shuffle_seed: int = 17,
         lazy_streaming: bool = True,
-        slot_rows: bool = True,
         resilience: ResilienceConfig | None = None,
         row_provenance: bool = False,
         drift_monitor: DriftMonitor | None = None,
@@ -238,10 +251,6 @@ class ExecutionEngine:
         #: remote fetches) — the baseline the lazy bench measures
         #: against.
         self._lazy_streaming = lazy_streaming
-        #: Slot-indexed inner loops (``repro.execution.slots``); False
-        #: forces the dict-row oracle everywhere — the "before" side of
-        #: the hotpaths bench and the differential tests.
-        self._slot_rows = slot_rows
         #: Opt-in per-row audit trail: every row produced by a service
         #: node carries a ``(service, input key, page)`` record
         #: (:data:`~repro.execution.results.ProvenanceRecord`), and
@@ -323,7 +332,7 @@ class ExecutionEngine:
                 try:
                     for node in plan.topological_order():
                         if isinstance(node, InputNode):
-                            outputs[node.node_id] = [Row(bindings={})]
+                            outputs[node.node_id] = [Row()]
                             busy[node.node_id] = 0.0
                         elif isinstance(node, ServiceNode):
                             if node.node_id in lazy_candidates:
@@ -354,8 +363,13 @@ class ExecutionEngine:
                             outputs[node.node_id] = rows
                             busy[node.node_id] = node.response_time
                         elif isinstance(node, OutputNode):
-                            rows = self._run_output_node(plan, node, outputs)
-                            outputs[node.node_id] = rows
+                            # A streamed join already applied the
+                            # residual predicates inside its walk.
+                            outputs[node.node_id] = (
+                                outputs[streaming_join.node_id]
+                                if streaming_join is not None
+                                else self._run_output_node(plan, node, outputs)
+                            )
                             busy[node.node_id] = 0.0
                         else:
                             raise ExecutionError(
@@ -590,14 +604,15 @@ class ExecutionEngine:
         cache: LogicalCache,
         stats: ExecutionStats,
         rng: random.Random,
+        bindings: LayoutMemo | None = None,
     ) -> tuple[list[Row], float]:
-        assert node.atom is not None and node.pattern is not None
-        predecessors = plan.predecessors(node)
-        if len(predecessors) != 1:
-            raise ExecutionError(
-                f"service node {node.label} must have exactly one predecessor"
-            )
-        feed = list(outputs[predecessors[0].node_id])
+        """Invoke *node* once per feed row; ``(rows, busy time)``.
+
+        *bindings* lets a caller that runs the node row by row (the
+        thread-pool executor) compile the node once instead of per
+        call.
+        """
+        feed = list(outputs[self._feed_node(plan, node).node_id])
         if self._mode is ExecutionMode.MULTITHREADED:
             rng.shuffle(feed)
         service = self._registry.service(node.service_name)
@@ -608,52 +623,13 @@ class ExecutionEngine:
         # objects above, bit-identically to the static engine.
         routing = self._routing_active()
         monitor = self._drift_monitor
-        # Per-node layout, hoisted out of the per-tuple loop: the input
-        # positions (with constants resolved) and the output terms are
-        # the same for every row, and building the cache key from the
-        # position-sorted spec replaces a sort per incoming tuple.
-        input_spec, output_terms = self._node_layout(node)
-        pattern_code = node.pattern.code
-        # Slot fast path (``repro.execution.slots``): the feed is
-        # encoded once (after the MULTITHREADED shuffle, so fetch order
-        # is untouched) and the per-tuple binding/predicate work runs
-        # over value tuples; any misfit — heterogeneous feed, an input
-        # variable the feed does not bind, an uncompilable predicate —
-        # falls back wholesale to the dict loop below, which raises the
-        # documented errors itself.
-        slot = (
-            self._service_slot_state(node, input_spec, output_terms, feed)
-            if self._slot_rows
-            else None
-        )
-        arity = len(output_terms)
-        node_id = node.node_id
+        if bindings is None:
+            bindings = service_bindings(node)
         latencies: list[float] = []
         produced: list[Row] = []
-        for row_index, row in enumerate(feed):
-            if slot is not None:
-                feed_values = slot.feed_values[row_index]
-                inputs = {
-                    position: (
-                        constant_value
-                        if slot_index is None
-                        else feed_values[slot_index]
-                    )
-                    for position, constant_value, slot_index in slot.input_spec
-                }
-            else:
-                bindings = row.bindings
-                inputs = {}
-                for position, constant_value, term in input_spec:
-                    if term is None:
-                        inputs[position] = constant_value
-                    else:
-                        if term not in bindings:
-                            raise ExecutionError(
-                                f"unbound input variable {term} at {node.label}"
-                            )
-                        inputs[position] = bindings[term]
-            input_key = (pattern_code, tuple(inputs.items()))
+        for row in feed:
+            binding = bindings[row.layout]
+            inputs, input_key = binding.unit(row.values)
             if self._masked(node.service_name, input_key):
                 # A demoted unit contributes nothing: no rows, no
                 # calls, no hits (the certificate records the drop).
@@ -668,7 +644,6 @@ class ExecutionEngine:
             else:
                 serving_name = node.service_name
                 row_service, row_stats = service, service_stats
-            pages: list = []
             issued_remote = False
             for page in range(node.fetches):
                 cached = cache.lookup(serving_name, input_key, page)
@@ -695,187 +670,30 @@ class ExecutionEngine:
                             node.service_name, node.profile, result.latency
                         )
                 stats.tuples_processed += len(result.tuples)
-                pages.append(result)
+                produced.extend(
+                    binding.bind_page(
+                        row, result,
+                        (serving_name, input_key, page)
+                        if self._row_provenance
+                        else None,
+                    )
+                )
                 if not result.has_more:
                     break
             if issued_remote:
                 row_stats.calls += 1
             else:
                 row_stats.cache_hits += 1
-            if slot is not None:
-                bind = slot.bind
-                predicates = slot.predicates
-                merged_variables = slot.variables
-                row_ranks = row.ranks
-                row_provenance = row.provenance
-                for page_index, result in enumerate(pages):
-                    ranks = result.ranks or (None,) * len(result.tuples)
-                    provenance = (
-                        row_provenance
-                        + ((serving_name, input_key, page_index),)
-                        if self._row_provenance
-                        else row_provenance
-                    )
-                    for values, rank in zip(result.tuples, ranks):
-                        if len(values) < arity:
-                            raise ExecutionError(
-                                f"service returned a tuple of arity "
-                                f"{len(values)}, expected {arity}"
-                            )
-                        merged = bind(feed_values, values)
-                        if merged is None:
-                            continue
-                        if not all(holds(merged) for holds in predicates):
-                            continue
-                        produced.append(
-                            Row(
-                                bindings=dict(zip(merged_variables, merged)),
-                                ranks=(
-                                    row_ranks
-                                    if rank is None
-                                    else row_ranks + ((node_id, rank),)
-                                ),
-                                provenance=provenance,
-                            )
-                        )
-                continue
-            for page_index, result in enumerate(pages):
-                ranks = result.ranks or (None,) * len(result.tuples)
-                for values, rank in zip(result.tuples, ranks):
-                    merged = self._bind_outputs(row, values, output_terms)
-                    if merged is None:
-                        continue
-                    if rank is not None:
-                        merged = merged.with_rank(node.node_id, rank)
-                    if self._row_provenance:
-                        merged = merged.with_provenance(
-                            (serving_name, input_key, page_index)
-                        )
-                    if all(p.holds(merged.bindings) for p in node.predicates):
-                        produced.append(merged)
-        node_busy = self._node_busy(latencies)
-        return produced, node_busy
-
-    def _node_layout(
-        self, node: ServiceNode
-    ) -> tuple[list[tuple[int, object, Variable | None]], list]:
-        """Resolve a service node's term layout once per execution.
-
-        Returns the input spec — ``(position, constant value, None)``
-        for constant inputs, ``(position, None, variable)`` for bound
-        ones, in ascending position order — and the full term list used
-        to bind output tuples.
-        """
-        assert node.atom is not None and node.pattern is not None
-        input_spec: list[tuple[int, object, Variable | None]] = []
-        for position in node.pattern.input_positions:
-            term = node.atom.term_at(position)
-            if isinstance(term, Constant):
-                input_spec.append((position, term.value, None))
-            else:
-                input_spec.append((position, None, term))
-        output_terms = [
-            node.atom.term_at(position) for position in range(node.atom.arity)
-        ]
-        return input_spec, output_terms
-
-    def _service_slot_state(
-        self,
-        node: ServiceNode,
-        input_spec: list[tuple[int, object, Variable | None]],
-        output_terms: list,
-        feed: Sequence[Row],
-    ) -> "_ServiceSlotState | None":
-        """Compiled slot state for *node* over *feed*; None on fallback.
-
-        Encodes the feed rows against the feed's layout, resolves the
-        input spec's variables to feed slots, compiles the output terms
-        into :meth:`_bind_outputs`-equivalent slot operations, and
-        compiles the node predicates against the merged layout (feed
-        variables followed by fresh output variables in first-occurrence
-        order — exactly the binding order ``_bind_outputs`` produces).
-        """
-        layout = layout_for_rows(feed)
-        if layout is None:
-            return None
-        feed_values = layout.encode_rows(feed)
-        if feed_values is None:
-            return None
-        slot_spec: list[tuple[int, object, int | None]] = []
-        for position, constant_value, term in input_spec:
-            if term is None:
-                slot_spec.append((position, constant_value, None))
-            else:
-                slot_index = layout.index.get(term)
-                if slot_index is None:
-                    return None  # dict path raises the documented error
-                slot_spec.append((position, None, slot_index))
-        bind_ops: list[tuple[int, object]] = []
-        fresh_variables: list[Variable] = []
-        fresh_index: dict[Variable, int] = {}
-        for term in output_terms:
-            if isinstance(term, Constant):
-                bind_ops.append((_ServiceSlotState.CONST, term.value))
-            elif term in fresh_index:
-                bind_ops.append((_ServiceSlotState.DUP, fresh_index[term]))
-            elif term in layout.index:
-                bind_ops.append((_ServiceSlotState.CHECK, layout.index[term]))
-            else:
-                bind_ops.append(
-                    (_ServiceSlotState.FRESH, len(fresh_variables))
-                )
-                fresh_index[term] = len(fresh_variables)
-                fresh_variables.append(term)
-        merged_layout = SlotLayout(layout.variables + tuple(fresh_variables))
-        predicates = compile_predicates(node.predicates, merged_layout)
-        if predicates is None:
-            return None
-        return _ServiceSlotState(
-            feed_values, slot_spec, bind_ops, merged_layout.variables,
-            predicates,
-        )
+        return produced, self._node_busy(latencies)
 
     @staticmethod
-    def _bind_outputs(row: Row, values: tuple, terms: list) -> Row | None:
-        """Extend *row* with a service result tuple; None on mismatch.
-
-        Output positions holding constants act as selections; output
-        variables already bound upstream must agree (equi-join on the
-        pipe), and repeated variables within the atom must unify.  A
-        tuple that binds nothing new reuses the row's mapping instead
-        of copying it — the common case when every output variable was
-        already bound upstream.
-        """
-        if len(values) < len(terms):
+    def _feed_node(plan: QueryPlan, node: ServiceNode) -> PlanNode:
+        predecessors = plan.predecessors(node)
+        if len(predecessors) != 1:
             raise ExecutionError(
-                f"service returned a tuple of arity {len(values)}, "
-                f"expected {len(terms)}"
+                f"service node {node.label} must have exactly one predecessor"
             )
-        bindings = row.bindings
-        fresh: dict | None = None
-        for term, value in zip(terms, values):
-            if isinstance(term, Constant):
-                if value != term.value:
-                    return None
-            elif fresh is not None and term in fresh:
-                if fresh[term] != value:
-                    return None
-            elif term in bindings:
-                if bindings[term] != value:
-                    return None
-            elif fresh is None:
-                fresh = {term: value}
-            else:
-                fresh[term] = value
-        if fresh is None:
-            return Row(
-                bindings=bindings, ranks=row.ranks, provenance=row.provenance
-            )
-        return Row(
-            bindings={**bindings, **fresh},
-            ranks=row.ranks,
-            provenance=row.provenance,
-        )
+        return predecessors[0]
 
     def _run_join_node(
         self,
@@ -884,10 +702,7 @@ class ExecutionEngine:
         outputs: dict[str, list[Row]],
     ) -> list[Row]:
         left, right = self._join_inputs(plan, node, outputs)
-        return execute_join_hashed(
-            node.method, left, right, node.predicates,
-            slot_rows=self._slot_rows,
-        )
+        return execute_join_hashed(node.method, left, right, node.predicates)
 
     def _open_join_stream(
         self,
@@ -916,7 +731,6 @@ class ExecutionEngine:
             right,
             node.predicates,
             residual_predicates=plan.output_node.residual_predicates,
-            slot_rows=self._slot_rows,
         )
 
     @staticmethod
@@ -964,15 +778,13 @@ class ExecutionEngine:
         drain of the offending block) — no input shape falls back to
         eager materialization anymore.
         """
-        predecessors = plan.predecessors(node)
-        if len(predecessors) != 1:
-            raise ExecutionError(
-                f"service node {node.label} must have exactly one predecessor"
-            )
-        feed = outputs[predecessors[0].node_id]
+        feed = outputs[self._feed_node(plan, node).node_id]
+        bindings = service_bindings(node)
         cursors = []
         for row in feed:
-            source = _LazyServicePageSource(self, node, row, cache, stats)
+            source = _LazyServicePageSource(
+                self, node, row, bindings[row.layout], cache, stats
+            )
             if self._masked(node.service_name, source.input_key):
                 # A demoted block is exhausted from birth: it places no
                 # rows, issues no fetch, and its infinite floor lets
@@ -1030,10 +842,15 @@ class ExecutionEngine:
         if len(predecessors) != 1:
             raise ExecutionError("output node must have exactly one predecessor")
         rows = outputs[predecessors[0].node_id]
+        if not node.residual_predicates:
+            return list(rows)
+        residual = LayoutMemo(
+            lambda layout: compile_predicates(node.residual_predicates, layout)
+        )
         return [
             row
             for row in rows
-            if all(p.holds(row.bindings) for p in node.residual_predicates)
+            if all(holds(row.values) for holds in residual[row.layout])
         ]
 
     # -- timing ---------------------------------------------------------------
@@ -1056,54 +873,6 @@ class ExecutionEngine:
             )
             finish[node.node_id] = start + busy[node.node_id]
         return finish[plan.output_node.node_id]
-
-
-class _ServiceSlotState:
-    """Compiled slot-path state of one service node (see ``slots``).
-
-    ``bind_ops`` is the output-term binding program, one operation per
-    term position (applied in term order, like ``_bind_outputs``'s
-    ``zip``): ``CONST`` rejects tuples whose value differs from the
-    constant (selection), ``CHECK`` rejects on disagreement with the
-    feed slot (the equi-join on the pipe), ``FRESH`` appends the first
-    occurrence of a new variable, ``DUP`` rejects repeated occurrences
-    that fail to unify.  The merged value tuple is the feed tuple plus
-    the fresh values, aligned with ``variables``.
-    """
-
-    CONST, CHECK, FRESH, DUP = range(4)
-
-    __slots__ = ("feed_values", "input_spec", "bind_ops", "variables", "predicates")
-
-    def __init__(
-        self,
-        feed_values: list[tuple],
-        input_spec: list[tuple[int, object, int | None]],
-        bind_ops: list[tuple[int, object]],
-        variables: tuple[Variable, ...],
-        predicates: list,
-    ) -> None:
-        self.feed_values = feed_values
-        self.input_spec = input_spec
-        self.bind_ops = bind_ops
-        self.variables = variables
-        self.predicates = predicates
-
-    def bind(self, feed_values: tuple, values: tuple) -> tuple | None:
-        """Merged value tuple for one service result; None on mismatch."""
-        fresh: list = []
-        for (op, aux), value in zip(self.bind_ops, values):
-            if op == 2:  # FRESH
-                fresh.append(value)
-            elif op == 1:  # CHECK
-                if feed_values[aux] != value:
-                    return None
-            elif op == 0:  # CONST
-                if value != aux:
-                    return None
-            elif fresh[aux] != value:  # DUP
-                return None
-        return feed_values + tuple(fresh)
 
 
 class _LazyServicePageSource:
@@ -1129,28 +898,16 @@ class _LazyServicePageSource:
         engine: ExecutionEngine,
         node: ServiceNode,
         feed_row: Row,
+        binding: ServiceBinding,
         cache: LogicalCache,
         stats: ExecutionStats,
     ) -> None:
-        assert node.pattern is not None
         self._node = node
         self._feed_row = feed_row
+        self._binding = binding
         self._cache = cache
         self._stats = stats
-        input_spec, self._output_terms = engine._node_layout(node)
-        bindings = feed_row.bindings
-        inputs: dict[int, object] = {}
-        for position, constant_value, term in input_spec:
-            if term is None:
-                inputs[position] = constant_value
-            else:
-                if term not in bindings:
-                    raise ExecutionError(
-                        f"unbound input variable {term} at {node.label}"
-                    )
-                inputs[position] = bindings[term]
-        self._inputs = inputs
-        self.input_key = (node.pattern.code, tuple(inputs.items()))
+        self._inputs, self.input_key = binding.unit(feed_row.values)
         self._engine = engine
         # Routed once at construction: a reroute installed mid-stream
         # takes effect on the next restart, never mid-block (a block's
@@ -1213,22 +970,12 @@ class _LazyServicePageSource:
         self._epoch_pages += 1
         self._stats.tuples_processed += len(result.tuples)
 
-        rows: list[Row] = []
-        ranks = result.ranks or (None,) * len(result.tuples)
-        for values, rank in zip(result.tuples, ranks):
-            merged = ExecutionEngine._bind_outputs(
-                self._feed_row, values, self._output_terms
-            )
-            if merged is None:
-                continue
-            if rank is not None:
-                merged = merged.with_rank(node.node_id, rank)
-            if self._engine._row_provenance:
-                merged = merged.with_provenance(
-                    (self._serving_name, self.input_key, page)
-                )
-            if all(p.holds(merged.bindings) for p in node.predicates):
-                rows.append(merged)
+        rows = self._binding.bind_page(
+            self._feed_row, result,
+            (name, self.input_key, page)
+            if self._engine._row_provenance
+            else None,
+        )
         if result.ranks:
             self._rank_floor = max(self._rank_floor, result.ranks[-1] + 1)
         return FetchedPage(

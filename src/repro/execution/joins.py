@@ -19,11 +19,13 @@ dominates ``(i', j')`` (``i <= i'``, ``j <= j'``, at least one strict),
 it is emitted first.  This is the property tested by the hypothesis
 suite.
 
-:func:`execute_join` scans the full plane and is kept as the reference
-oracle; :func:`execute_join_hashed` partitions the plane by the
-shared-variable key first (only same-key cells can join) and visits
-the surviving cells in the same global rank order, so the engine pays
-per *matching* pair instead of per cell.
+:func:`execute_join` scans the full plane with the dict-semantics
+``Row.merged_with`` and is kept as the reference oracle (it shares no
+code with the compiled merge plans of :mod:`repro.execution.slots`);
+:func:`execute_join_hashed` partitions the plane by the shared-variable
+key first (only same-key cells can join) and visits the surviving
+cells in the same global rank order over the rows' value tuples, so
+the engine pays per *matching* pair instead of per cell.
 
 :class:`JoinStream` is the streaming early-exit pipeline on top of the
 same visit orders: it walks the plane lazily, stage by stage, and
@@ -41,15 +43,9 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 from repro.execution.lazy import MaterializedCursor, RowCursor
-from repro.execution.results import Row
-from repro.execution.slots import (
-    SlotJoinPlan,
-    SlotLayout,
-    compile_predicates,
-    layout_for_rows,
-)
+from repro.execution.results import Row, SlotLayout
+from repro.execution.slots import LayoutMemo, SlotJoinPlan, compile_predicates
 from repro.model.predicates import Comparison
-from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
 
 
@@ -175,27 +171,9 @@ def execute_join(
     return output
 
 
-def _shared_key_variables(
-    left: Sequence[Row], right: Sequence[Row]
-) -> tuple[Variable, ...]:
-    """Variables bound in *every* row of both inputs, deterministically.
-
-    Only such variables can partition the plane: a row lacking a
-    variable would have to appear in every bucket.  Variables bound on
-    one side only never cause a merge conflict, so ignoring them is
-    safe — the per-pair merge still checks the full bindings.
-    """
-
-    def common(rows: Iterable[Row]) -> set[Variable]:
-        iterator = iter(rows)
-        shared = set(next(iterator).bindings.keys())
-        for row in iterator:
-            if not shared:
-                break
-            shared &= row.bindings.keys()
-        return shared
-
-    return tuple(sorted(common(left) & common(right), key=lambda v: v.name))
+def _shares_layout(rows: Sequence[Row], layout: SlotLayout) -> bool:
+    """True when every row of *rows* is laid out as *layout*."""
+    return all(row.layout is layout or row.layout == layout for row in rows)
 
 
 def execute_join_hashed(
@@ -203,50 +181,46 @@ def execute_join_hashed(
     left: Sequence[Row],
     right: Sequence[Row],
     predicates: Sequence[Comparison] = (),
-    slot_rows: bool = True,
 ) -> list[Row]:
     """Hash-accelerated :func:`execute_join` with identical results.
 
     Instead of scanning the whole ``n × m`` candidate plane, both sides
-    are bucketed once by their shared-variable key; only cells whose
-    key values agree on both axes can survive the natural-join merge,
-    so all other cells are skipped without being visited.  The
-    surviving cells are then traversed in the strategy's global rank
-    order (NL: lexicographic ``(i, j)``; MS: diagonal ``(i + j, i)``) —
-    the exact relative order :func:`join_order` would visit them in —
-    which preserves the documented domination property across buckets,
-    not just inside each one.
+    are bucketed once by the values of the slots their layouts share;
+    only cells whose key values agree on both axes can survive the
+    natural-join merge, so all other cells are skipped without being
+    visited (with no shared variable every cell lands in the one empty
+    key's bucket — the full plane, as it must be).  The surviving cells
+    are then traversed in the strategy's global rank order (NL:
+    lexicographic ``(i, j)``; MS: diagonal ``(i + j, i)``) — the exact
+    relative order :func:`join_order` would visit them in — which
+    preserves the documented domination property across buckets, not
+    just inside each one.  Merge and predicates run on the rows' value
+    tuples through one :class:`~repro.execution.slots.SlotJoinPlan`;
+    every emitted row shares its ``merged`` layout.
 
-    ``slot_rows`` enables the slot-indexed fast path
-    (:mod:`repro.execution.slots`): when both sides are homogeneous and
-    every predicate compiles against the merged layout, bucketing and
-    the surviving-cell loop run on fixed-width value tuples instead of
-    per-row dict merges — results identical, a representation change
-    only.  ``False`` forces the dict-row loop (the bench's "before"
-    ablation and the differential suite's oracle).
-
-    Falls back to the reference scan when no variable is shared by all
-    rows of both sides, or when a binding value is unhashable.  The
-    reference :func:`execute_join` is kept unchanged as the oracle for
-    the hypothesis suite.
+    Falls back to the reference scan for inputs no engine node
+    produces: a side whose rows do not all share one layout, or a key
+    value that is unhashable.
     """
     if not left or not right:
         return []
-    if slot_rows:
-        output = _hashed_join_slot_path(method, left, right, predicates)
-        if output is not None:
-            return output
-    key_variables = _shared_key_variables(left, right)
-    if not key_variables:
+    left_layout, right_layout = left[0].layout, right[0].layout
+    if not (
+        _shares_layout(left, left_layout) and _shares_layout(right, right_layout)
+    ):
         return execute_join(method, left, right, predicates)
+    plan = SlotJoinPlan(left_layout, right_layout)
+    compiled = compile_predicates(predicates, plan.merged)
     try:
         right_buckets: dict[tuple, list[int]] = {}
         for j, row in enumerate(right):
-            key = tuple(row.bindings[v] for v in key_variables)
+            values = row.values
+            key = tuple(values[slot] for _, slot in plan.shared)
             right_buckets.setdefault(key, []).append(j)
         cells: list[tuple[int, int]] = []
         for i, row in enumerate(left):
-            key = tuple(row.bindings[v] for v in key_variables)
+            values = row.values
+            key = tuple(values[slot] for slot, _ in plan.shared)
             matches = right_buckets.get(key)
             if matches:
                 cells.extend((i, j) for j in matches)
@@ -254,118 +228,25 @@ def execute_join_hashed(
         return execute_join(method, left, right, predicates)
     if method is not JoinMethod.NESTED_LOOP:
         cells.sort(key=lambda cell: (cell[0] + cell[1], cell[0]))
-    output = []
-    for i, j in cells:
-        merged = left[i].merged_with(right[j])
-        if merged is None:
-            continue
-        if all(p.holds(merged.bindings) for p in predicates):
-            output.append(merged)
-    return output
-
-
-def _hashed_join_slot_path(
-    method: JoinMethod,
-    left: Sequence[Row],
-    right: Sequence[Row],
-    predicates: Sequence[Comparison],
-) -> list[Row] | None:
-    """Slot-indexed hashed join; None sends the caller to the dict path.
-
-    Requires homogeneous sides (every row binds its side's layout) and
-    predicates that compile against the merged layout.  Key variables
-    are the two layouts' intersection sorted by name — identical to
-    :func:`_shared_key_variables` on homogeneous inputs — so bucket
-    keys, surviving cells, and visit order match the dict path exactly;
-    an empty intersection or an unhashable key defers to the caller,
-    which reproduces the documented full-scan fallback.
-    """
-    left_layout = layout_for_rows(left)
-    right_layout = layout_for_rows(right)
-    if left_layout is None or right_layout is None:
-        return None
-    shared_names = set(left_layout.index) & set(right_layout.index)
-    if not shared_names:
-        return None  # dict path falls back to the reference scan
-    left_values = left_layout.encode_rows(left)
-    right_values = right_layout.encode_rows(right)
-    if left_values is None or right_values is None:
-        return None
-    plan = SlotJoinPlan(left_layout, right_layout)
-    compiled = compile_predicates(predicates, plan.merged)
-    if compiled is None:
-        return None
-    key_variables = sorted(shared_names, key=lambda v: v.name)
-    left_key = [left_layout.index[v] for v in key_variables]
-    right_key = [right_layout.index[v] for v in key_variables]
-    try:
-        right_buckets: dict[tuple, list[int]] = {}
-        for j, values in enumerate(right_values):
-            key = tuple(values[slot] for slot in right_key)
-            right_buckets.setdefault(key, []).append(j)
-        cells: list[tuple[int, int]] = []
-        for i, values in enumerate(left_values):
-            key = tuple(values[slot] for slot in left_key)
-            matches = right_buckets.get(key)
-            if matches:
-                cells.extend((i, j) for j in matches)
-    except TypeError:  # unhashable binding value: cannot bucket
-        return None
-    if method is not JoinMethod.NESTED_LOOP:
-        cells.sort(key=lambda cell: (cell[0] + cell[1], cell[0]))
     merge = plan.merge
-    merged_variables = plan.merged.variables
+    merged_layout = plan.merged
     output: list[Row] = []
     for i, j in cells:
-        merged = merge(left_values[i], right_values[j])
+        left_row, right_row = left[i], right[j]
+        merged = merge(left_row.values, right_row.values)
         if merged is None:
             continue
-        if all(holds(merged) for holds in compiled):
-            output.append(
-                Row(
-                    bindings=dict(zip(merged_variables, merged)),
-                    ranks=left[i].ranks + right[j].ranks,
-                    provenance=left[i].provenance + right[j].provenance,
-                )
+        if compiled and not all(holds(merged) for holds in compiled):
+            continue
+        output.append(
+            Row(
+                layout=merged_layout,
+                values=merged,
+                ranks=left_row.ranks + right_row.ranks,
+                provenance=left_row.provenance + right_row.provenance,
             )
+        )
     return output
-
-
-class _StreamSlotState:
-    """Slot-path state of a :class:`JoinStream` (see ``execution.slots``).
-
-    Holds the join plan and compiled predicates plus *mirrors* of the
-    two cursors' fetched rows as encoded value tuples; :meth:`sync`
-    grows the mirrors incrementally as the lazy cursors pull more rows,
-    so each row is encoded exactly once over the stream's lifetime.
-    """
-
-    __slots__ = ("plan", "predicates", "residual", "left_values", "right_values")
-
-    def __init__(
-        self,
-        plan: SlotJoinPlan,
-        predicates: list,
-        residual: list,
-    ) -> None:
-        self.plan = plan
-        self.predicates = predicates
-        self.residual = residual
-        self.left_values: list[tuple] = []
-        self.right_values: list[tuple] = []
-
-    def sync(self, left_rows: Sequence[Row], right_rows: Sequence[Row]) -> bool:
-        """Grow the mirrors to *left_rows*/*right_rows*; False on misfit."""
-        for mirror, layout, rows in (
-            (self.left_values, self.plan.left, left_rows),
-            (self.right_values, self.plan.right, right_rows),
-        ):
-            for row in rows[len(mirror):]:
-                values = layout.encode(row)
-                if values is None:
-                    return False
-                mirror.append(values)
-        return True
 
 
 class JoinStream:
@@ -424,15 +305,14 @@ class JoinStream:
         right: Sequence[Row] | RowCursor,
         predicates: Sequence[Comparison] = (),
         residual_predicates: Sequence[Comparison] = (),
-        slot_rows: bool = True,
     ) -> None:
         self._method = method
         self._left = left if isinstance(left, RowCursor) else MaterializedCursor(left)
         self._right = (
             right if isinstance(right, RowCursor) else MaterializedCursor(right)
         )
-        self._predicates = tuple(predicates)
-        self._residual = tuple(residual_predicates)
+        join_predicates = tuple(predicates)
+        residual = tuple(residual_predicates)
         self._stage = 0
         #: (composed rank, arrival index, row) — arrival indexes are the
         #: candidate's position in the full-scan emission order, making
@@ -440,12 +320,22 @@ class JoinStream:
         self._candidates: list[tuple[int, int, Row]] = []
         self._join_rows_emitted = 0
         self.cells_visited = 0
-        #: Slot fast path (``repro.execution.slots``): lazily built the
-        #: first time both sides hold a row, and abandoned permanently
-        #: (``_slot_failed``) on heterogeneous rows or uncompilable
-        #: predicates — the dict-row loop below is the behavior oracle.
-        self._slot: _StreamSlotState | None = None
-        self._slot_failed = not slot_rows
+
+        def compile_pair(layouts: tuple[SlotLayout, SlotLayout]) -> tuple:
+            plan = SlotJoinPlan(*layouts)
+            return (
+                plan,
+                compile_predicates(join_predicates, plan.merged),
+                compile_predicates(residual, plan.merged),
+            )
+
+        #: ``(merge plan, join predicates, residual predicates)`` per
+        #: (left layout, right layout) pair met by the walk.  Engine
+        #: inputs have exactly one pair; a hand-built row with another
+        #: layout selects another entry of the same loop.  (The closure
+        #: must not capture ``self``: a suspended stream would then sit
+        #: in a reference cycle and outlive its session until a GC run.)
+        self._compiled = LayoutMemo(compile_pair)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -582,79 +472,34 @@ class JoinStream:
             cells = ((i, stage - i) for i in range(start, stop + 1))
         left_rows, right_rows = left.rows, right.rows
         left_ranks, right_ranks = left.ranks, right.ranks
-        slot = self._slot_state()
-        if slot is not None:
-            left_values, right_values = slot.left_values, slot.right_values
-            merge = slot.plan.merge
-            merged_variables = slot.plan.merged.variables
-            for i, j in cells:
-                self.cells_visited += 1
-                merged = merge(left_values[i], right_values[j])
-                if merged is None:
-                    continue
-                if not all(holds(merged) for holds in slot.predicates):
-                    continue
-                self._join_rows_emitted += 1
-                if not all(holds(merged) for holds in slot.residual):
-                    continue
-                rank = left_ranks[i] + right_ranks[j]
-                row = Row(
-                    bindings=dict(zip(merged_variables, merged)),
-                    ranks=left_rows[i].ranks + right_rows[j].ranks,
-                    provenance=(
-                        left_rows[i].provenance + right_rows[j].provenance
-                    ),
-                )
-                self._candidates.append((rank, len(self._candidates), row))
-            self._stage += 1
-            return
+        left_layout = right_layout = None
         for i, j in cells:
             self.cells_visited += 1
-            merged = left_rows[i].merged_with(right_rows[j])
+            left_row, right_row = left_rows[i], right_rows[j]
+            if left_row.layout is not left_layout or (
+                right_row.layout is not right_layout
+            ):
+                left_layout, right_layout = left_row.layout, right_row.layout
+                plan, predicates, residual = self._compiled[
+                    left_layout, right_layout
+                ]
+            merged = plan.merge(left_row.values, right_row.values)
             if merged is None:
                 continue
-            if not all(p.holds(merged.bindings) for p in self._predicates):
+            if predicates and not all(holds(merged) for holds in predicates):
                 continue
             self._join_rows_emitted += 1
-            if not all(p.holds(merged.bindings) for p in self._residual):
+            if residual and not all(holds(merged) for holds in residual):
                 continue
             rank = left_ranks[i] + right_ranks[j]
-            self._candidates.append((rank, len(self._candidates), merged))
+            row = Row(
+                layout=plan.merged,
+                values=merged,
+                ranks=left_row.ranks + right_row.ranks,
+                provenance=left_row.provenance + right_row.provenance,
+            )
+            self._candidates.append((rank, len(self._candidates), row))
         self._stage += 1
-
-    def _slot_state(self) -> "_StreamSlotState | None":
-        """The live slot state, building or syncing it; None on fallback.
-
-        Built the first time both sides hold a row (layouts come from
-        the first rows); on every stage the encoded-value mirrors are
-        grown to match the cursors' fetched rows.  Any failure — a row
-        that does not fit its side's layout, a predicate mentioning a
-        variable outside the merged layout — abandons the slot path for
-        the stream's remaining lifetime, so the dict loop (which raises
-        the documented errors itself) takes over mid-walk without
-        revisiting any cell.
-        """
-        if self._slot_failed:
-            return None
-        slot = self._slot
-        if slot is None:
-            left_rows, right_rows = self._left.rows, self._right.rows
-            if not left_rows or not right_rows:
-                return None  # nothing to visit yet; retry next stage
-            left_layout = layout_for_rows(left_rows)
-            right_layout = layout_for_rows(right_rows)
-            plan = SlotJoinPlan(left_layout, right_layout)
-            predicates = compile_predicates(self._predicates, plan.merged)
-            residual = compile_predicates(self._residual, plan.merged)
-            if predicates is None or residual is None:
-                self._slot_failed = True
-                return None
-            slot = self._slot = _StreamSlotState(plan, predicates, residual)
-        if not slot.sync(self._left.rows, self._right.rows):
-            self._slot_failed = True
-            self._slot = None
-            return None
-        return slot
 
     def _remaining_lower_bound(self) -> float:
         """Lower bound on the composed rank of every unvisited cell.

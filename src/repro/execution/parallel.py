@@ -69,6 +69,7 @@ from repro.execution.engine import (
 )
 from repro.execution.resilience import ResilienceConfig, UnresponsiveService
 from repro.execution.results import ResultTable, Row, compose_ranking
+from repro.execution.slots import LayoutMemo, service_bindings
 from repro.execution.stats import ExecutionStats
 from repro.model.terms import Variable
 from repro.plans.dag import QueryPlan
@@ -84,7 +85,6 @@ class ParallelExecutor:
         cache_setting: CacheSetting = CacheSetting.NO_CACHE,
         workers: int = 4,
         thread_overhead: float = 0.05,
-        slot_rows: bool = True,
         resilience: ResilienceConfig | None = None,
         row_provenance: bool = False,
     ) -> None:
@@ -104,7 +104,6 @@ class ParallelExecutor:
             cache_setting=cache_setting,
             mode=ExecutionMode.PARALLEL,
             thread_overhead=thread_overhead,
-            slot_rows=slot_rows,
             resilience=resilience,
             row_provenance=row_provenance,
         )
@@ -191,7 +190,7 @@ class ParallelExecutor:
                                 order.remove(node)
                                 continue
                             if isinstance(node, InputNode):
-                                outputs[node.node_id] = [Row(bindings={})]
+                                outputs[node.node_id] = [Row()]
                                 busy[node.node_id] = 0.0
                             elif isinstance(node, JoinNode):
                                 outputs[node.node_id] = (
@@ -282,23 +281,25 @@ class ParallelExecutor:
         cache: ThreadSafeCache,
         pool: ThreadPoolExecutor,
     ) -> list:
-        """One pool task per feed row, in feed order."""
-        predecessors = plan.predecessors(node)
-        if len(predecessors) != 1:
-            raise ExecutionError(
-                f"service node {node.label} must have exactly one predecessor"
+        """One pool task per feed row, in feed order.
+
+        Each row's unit key is resolved here, on the scheduling thread,
+        which also compiles the node against every layout the feed
+        holds (one, for engine-produced feeds) — the row tasks only
+        ever read the shared bindings.
+        """
+        feed_id = self._engine._feed_node(plan, node).node_id
+        bindings = service_bindings(node)
+        futures = []
+        for row in outputs[feed_id]:
+            _, input_key = bindings[row.layout].unit(row.values)
+            futures.append(
+                pool.submit(
+                    self._service_row_task,
+                    plan, node, feed_id, row, input_key, cache, bindings,
+                )
             )
-        feed = list(outputs[predecessors[0].node_id])
-        feed_id = predecessors[0].node_id
-        input_spec, _ = self._engine._node_layout(node)
-        pattern_code = node.pattern.code
-        return [
-            pool.submit(
-                self._service_row_task,
-                plan, node, feed_id, row, cache, input_spec, pattern_code,
-            )
-            for row in feed
-        ]
+        return futures
 
     def _service_row_task(
         self,
@@ -306,9 +307,9 @@ class ParallelExecutor:
         node: ServiceNode,
         feed_id: str,
         row: Row,
+        input_key: tuple,
         cache: ThreadSafeCache,
-        input_spec: list,
-        pattern_code: str,
+        bindings: LayoutMemo,
     ) -> tuple[list[Row], float, int, ExecutionStats]:
         """Resolve one feed row against *node* (runs on a pool worker).
 
@@ -319,23 +320,12 @@ class ParallelExecutor:
         Returns the produced rows, the row's remote busy time, whether
         it issued a remote call, and its task-local statistics.
         """
-        bindings = row.bindings
-        inputs: dict[int, object] = {}
-        for position, constant_value, term in input_spec:
-            if term is None:
-                inputs[position] = constant_value
-            else:
-                if term not in bindings:
-                    raise ExecutionError(
-                        f"unbound input variable {term} at {node.label}"
-                    )
-                inputs[position] = bindings[term]
-        input_key = (pattern_code, tuple(inputs.items()))
         local = ExecutionStats()
         with cache.key_lock(node.service_name, input_key):
             produced, row_busy = self._engine._run_service_node(
                 plan, node, {feed_id: [row]}, cache, local,
                 random.Random(0),  # unused: PARALLEL mode never shuffles
+                bindings,
             )
         # The task touches exactly one logical unit, so the total is
         # that unit's calls no matter which service (the node's own or

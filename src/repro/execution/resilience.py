@@ -58,12 +58,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping
 
+from repro.execution.slots import (
+    InputSpec,
+    LayoutMemo,
+    compile_input_spec,
+    unit_input_key,
+)
 from repro.services.base import InvocationResult, TransientServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.execution.results import Row
     from repro.execution.stats import ExecutionStats
     from repro.plans.dag import QueryPlan
+    from repro.plans.nodes import ServiceNode
     from repro.services.profile import ServiceProfile
 
 #: Exception types the retry layer treats as transient.  Anything else
@@ -571,7 +578,7 @@ class PartialResultCertificate:
 
 
 def _answer_units(
-    plan: "QueryPlan",
+    input_specs: "list[tuple[ServiceNode, InputSpec]]",
     row: "Row",
     substituted: Mapping[tuple[str, tuple], str] = {},
 ) -> tuple[str, ...]:
@@ -579,22 +586,15 @@ def _answer_units(
 
     Every answer satisfies every service atom of the plan, and the
     input setting of each service node *for this answer* is recoverable
-    from the answer's own bindings (constants resolve directly, bound
-    variables from the row) — so attribution needs no execution-time
-    bookkeeping at all.  A unit rerouted onto a sibling attributes to
-    the *replacement* service's token: the answer really came from it.
+    from the answer's own values through the node's input spec compiled
+    against the answer layout (*input_specs*) — so attribution needs no
+    execution-time bookkeeping at all.  A unit rerouted onto a sibling
+    attributes to the *replacement* service's token: the answer really
+    came from it.
     """
     tokens = []
-    for node in plan.service_nodes:
-        assert node.atom is not None and node.pattern is not None
-        items = []
-        for position in node.pattern.input_positions:
-            term = node.atom.term_at(position)
-            value = getattr(term, "value", None)
-            if value is None:
-                value = row.bindings.get(term)
-            items.append((position, value))
-        input_key = (node.pattern.code, tuple(items))
+    for node, input_spec in input_specs:
+        _, input_key = unit_input_key(node.pattern.code, input_spec, row.values)
         serving = node.service_name
         if substituted:
             serving = substituted.get((serving, input_key), serving)
@@ -611,6 +611,12 @@ def build_certificate(
     """The partial-result certificate for one finished execution."""
     plan_services = sorted(
         {node.service_name for node in plan.service_nodes}
+    )
+    input_specs = LayoutMemo(
+        lambda layout: [
+            (node, compile_input_spec(node, layout))
+            for node in plan.service_nodes
+        ]
     )
     dropped = tuple(
         DroppedUnit(
@@ -643,7 +649,8 @@ def build_certificate(
         responsive_services=responsive,
         dropped_services=tuple(dropped_services),
         answer_units=tuple(
-            _answer_units(plan, row, substituted) for row in rows
+            _answer_units(input_specs[row.layout], row, substituted)
+            for row in rows
         ),
         substituted=substitutions,
     )

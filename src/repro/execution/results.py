@@ -1,8 +1,26 @@
 """Result rows and ranking composition.
 
-Rows flowing through a plan carry a *binding* of query variables to
-values plus, for every search-service node traversed, the rank index
-(0-based) the contributing tuple had in that service's result list.
+A :class:`Row` is the one row representation of the engine: a
+:class:`SlotLayout` shared by every row a plan node emits (an ordered
+variable tuple with a variable → slot index) plus this row's value
+tuple aligned with it.  Rows stay in that form from the service node
+that binds them, through every pipe and parallel join, to the answer
+table — no node decodes them into per-row dicts and none re-encodes
+them.  ``ranks`` carries, for every search-service node traversed, the
+rank index (0-based) the contributing tuple had in that service's
+result list; ``provenance`` is the opt-in audit trail riding beside the
+values.
+
+Layouts are created in exactly three places: by a service node
+compiled against its feed layout
+(:class:`~repro.execution.slots.ServiceBinding`: feed variables, then
+the atom's fresh output variables), by a join's merge plan
+(:class:`~repro.execution.slots.SlotJoinPlan`: left variables, then the
+right-only ones), and by ``Row(bindings=...)`` for hand-built rows
+(tests, the reference interpreter in :mod:`repro.testing.reference`).
+Layouts compare by their variable tuple, so hand-built rows over the
+same variables run through the same production loops as engine rows.
+
 The final answer list is presented in a *composed* global ranking that
 is a good composition of the partial rankings: rows are ordered by the
 sum of their per-service rank indexes (ties broken by arrival order,
@@ -14,7 +32,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.model.terms import Variable
 
@@ -27,32 +46,108 @@ from repro.model.terms import Variable
 ProvenanceRecord = tuple[str, tuple, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Row:
-    """One tuple of bindings with ranking provenance.
+class SlotLayout:
+    """An ordered variable set with variable → slot index resolution.
 
-    ``slots=True`` shrinks the per-row footprint and speeds attribute
-    access — rows are the unit of work of every hot loop, and the
-    engine's high-volume paths additionally carry them as slot-indexed
-    value tuples (see ``repro.execution.slots``) between node
-    boundaries.
+    One layout object is shared by every row a plan node emits; the
+    rows' value tuples are aligned with ``variables``.  Layouts are
+    immutable and compare (and hash) by their variable tuple, so two
+    nodes — or two hand-built rows — binding the same variables in the
+    same order are interchangeable wherever a layout keys a compiled
+    plan.
+    """
+
+    __slots__ = ("variables", "index", "_hash")
+
+    def __init__(self, variables: Iterable[Hashable]) -> None:
+        self.variables = tuple(variables)
+        self.index = {v: i for i, v in enumerate(self.variables)}
+        self._hash = hash(self.variables)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, SlotLayout):
+            return NotImplemented
+        return self.variables == other.variables
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        names = ", ".join(str(v) for v in self.variables)
+        return f"<SlotLayout [{names}]>"
+
+
+class Row:
+    """One tuple of bound values with ranking provenance.
+
+    ``values`` is aligned with ``layout.variables``.  The engine builds
+    rows with ``Row(layout=..., values=...)``; ``Row(bindings=...)``
+    derives a private layout from the mapping's key order and is what
+    hand-built rows use.  Rows are immutable by convention: every
+    ``with_*``/merge method returns a new row.
 
     ``provenance`` holds one :data:`ProvenanceRecord` per contributing
     service page pull, in contribution order.  It is populated only
     when the engine runs with ``row_provenance=True``; the default
-    stays the empty tuple everywhere, so disabled executions build
-    byte-identical rows to the historical ones.  Provenance never
-    participates in :meth:`rank_key`, equality of bindings, or any
-    join/ordering decision — it is an audit trail riding along.
+    stays the empty tuple everywhere.  Provenance never participates in
+    :meth:`rank_key` or any join/ordering decision — it is an audit
+    trail riding along.
+
+    Equality is by content: the same variable → value mapping (slot
+    order is irrelevant), the same ranks, the same provenance.
     """
 
-    bindings: Mapping[Variable, object]
-    ranks: tuple[tuple[str, int], ...] = ()
-    provenance: tuple[ProvenanceRecord, ...] = ()
+    __slots__ = ("layout", "values", "ranks", "provenance")
 
-    def value(self, variable: Variable) -> object:
+    def __init__(
+        self,
+        bindings: Mapping[Hashable, object] | None = None,
+        ranks: tuple[tuple[str, int], ...] = (),
+        provenance: tuple[ProvenanceRecord, ...] = (),
+        *,
+        layout: SlotLayout | None = None,
+        values: tuple = (),
+    ) -> None:
+        if layout is None:
+            bindings = bindings or {}
+            layout = SlotLayout(bindings)
+            values = tuple(bindings.values())
+        self.layout = layout
+        self.values = values
+        self.ranks = ranks
+        self.provenance = provenance
+
+    @property
+    def bindings(self) -> Mapping[Hashable, object]:
+        """Read-only variable → value view, derived on every access.
+
+        For tests, the reference interpreter and renderers; the engine
+        itself never builds it.
+        """
+        return MappingProxyType(dict(zip(self.layout.variables, self.values)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Row):
+            return NotImplemented
+        if self.ranks != other.ranks or self.provenance != other.provenance:
+            return False
+        if self.layout == other.layout:
+            return self.values == other.values
+        return dict(self.bindings) == dict(other.bindings)
+
+    __hash__ = None  # type: ignore[assignment]  # values may be unhashable
+
+    def __repr__(self) -> str:
+        return (
+            f"Row(bindings={dict(self.bindings)!r}, ranks={self.ranks!r}, "
+            f"provenance={self.provenance!r})"
+        )
+
+    def value(self, variable: Hashable) -> object:
         """The value bound to *variable*."""
-        return self.bindings[variable]
+        return self.values[self.layout.index[variable]]
 
     def rank_key(self) -> int:
         """Aggregated rank: the sum of per-service rank indexes."""
@@ -61,7 +156,8 @@ class Row:
     def with_rank(self, node_id: str, rank: int) -> "Row":
         """Copy of the row with one more rank annotation."""
         return Row(
-            bindings=self.bindings,
+            layout=self.layout,
+            values=self.values,
             ranks=self.ranks + ((node_id, rank),),
             provenance=self.provenance,
         )
@@ -69,7 +165,8 @@ class Row:
     def with_provenance(self, record: ProvenanceRecord) -> "Row":
         """Copy of the row with one more provenance record."""
         return Row(
-            bindings=self.bindings,
+            layout=self.layout,
+            values=self.values,
             ranks=self.ranks,
             provenance=self.provenance + (record,),
         )
@@ -77,35 +174,29 @@ class Row:
     def merged_with(self, other: "Row") -> "Row | None":
         """Natural-join merge: None when shared variables disagree.
 
-        Conflicts are detected before anything is copied, and when the
-        other row adds no new variables (branches recombining after a
-        fork bind the same set) this row's mapping is reused as-is.
+        The dict-semantics reference merge behind
+        :func:`~repro.execution.joins.execute_join`: it resolves every
+        variable by name per call and shares no code with the compiled
+        merge plans of :mod:`repro.execution.slots`, which is what makes
+        it a usable oracle for them.
         """
-        mine = self.bindings
-        fresh: dict | None = None
-        for variable, value in other.bindings.items():
-            if variable in mine:
-                if mine[variable] != value:
-                    return None
-            elif fresh is None:
-                fresh = {variable: value}
-            else:
-                fresh[variable] = value
-        if fresh is None:
-            return Row(
-                bindings=mine,
-                ranks=self.ranks + other.ranks,
-                provenance=self.provenance + other.provenance,
-            )
+        merged = dict(zip(self.layout.variables, self.values))
+        for variable, value in zip(other.layout.variables, other.values):
+            if variable not in merged:
+                merged[variable] = value
+            elif merged[variable] != value:
+                return None
         return Row(
-            bindings={**mine, **fresh},
+            bindings=merged,
             ranks=self.ranks + other.ranks,
             provenance=self.provenance + other.provenance,
         )
 
-    def project(self, head: Sequence[Variable]) -> tuple:
+    def project(self, head: Sequence[Hashable]) -> tuple:
         """The output tuple for the query head."""
-        return tuple(self.bindings[v] for v in head)
+        index = self.layout.index
+        values = self.values
+        return tuple(values[index[v]] for v in head)
 
 
 def compose_ranking(rows: Sequence[Row], k: int | None = None) -> list[Row]:

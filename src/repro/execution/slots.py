@@ -1,136 +1,93 @@
-"""Slot-indexed row representation for the execution hot paths.
+"""Everything the engine compiles against a slot layout.
 
-The engine's inner loops — the per-cell merge of the join strategies,
-the per-tuple output binding of service nodes — historically worked on
-:class:`~repro.execution.results.Row` bindings, i.e. per-row dicts.
-Every visited candidate cell paid a dict merge (hash lookups, copies)
-even when the cell was immediately discarded, and every predicate
-evaluation re-resolved its variables by hashing.
+Rows are a shared :class:`~repro.execution.results.SlotLayout` plus a
+value tuple (see :mod:`repro.execution.results`); this module resolves
+variables to **slot indices once per node** so the inner loops — the
+per-cell merge of the join strategies, the per-tuple output binding of
+service nodes, every predicate — run on tuple indexing instead of
+hashing variable names per row:
 
-This module resolves variables to **slot indices once per node** and
-lets the hot loops run on fixed-width value tuples instead:
-
-* :class:`SlotLayout` — an ordered variable set with a variable → slot
-  index; encodes homogeneous rows into value tuples and decodes tuples
-  back into :class:`Row` bindings at the result boundary;
 * :class:`SlotJoinPlan` — the natural-join merge between two layouts,
   precomputed into shared-slot conflict pairs and right-only slot
-  picks, so a candidate cell costs a few tuple indexings instead of a
-  dict merge;
+  picks; its ``merged`` layout is the layout of every row the join
+  emits;
 * :func:`compile_comparison` / :func:`compile_predicates` — predicates
   compiled into closures over value tuples, replicating
-  :meth:`~repro.model.predicates.Comparison.holds` exactly (including
-  the :class:`~repro.model.predicates.PredicateError` raised when a
-  comparison hits non-comparable values).
+  :meth:`~repro.model.predicates.Comparison.holds` exactly, including
+  both :class:`~repro.model.predicates.PredicateError` cases: operands
+  that cannot be compared, and a variable the layout does not bind
+  (the closure raises on *evaluation*, like ``holds``, never at compile
+  time — a join that emits no candidate never trips it);
+* :func:`compile_input_spec` / :func:`unit_input_key` — a service
+  node's input positions resolved against a layout, and the one place
+  the ``(pattern code, ((position, value), ...))`` unit key (logical
+  cache, demotion mask, provenance, certificates) is built;
+* :class:`LayoutMemo` — the per-layout cache those compiled objects
+  live in for the duration of one node run;
+* :class:`ServiceBinding` — one service node compiled against its feed
+  layout: input spec, output-term binding program, output layout and
+  node predicates.  The eager page loop, the lazy page source and the
+  thread-pool row tasks all bind result pages through the same object.
 
-**Equivalence contract.**  Slot execution is a *pure representation
-change*: every consumer (hashed join, join stream, engine service
-nodes) derives the layout from the rows it actually holds and falls
-back to the dict-row path whenever the rows are heterogeneous, a
-binding value is missing, or a predicate mentions a variable outside
-the layout — so results are bit-identical (rows, ranks, emission
-order) to the dict path by construction, which
-``tests/test_slots.py`` checks differentially.  Within the engine all
-node outputs are homogeneous (a node binds the same variable set into
-every row it emits), so the fallback only fires for hand-built
-heterogeneous inputs.
+Nothing here falls back to another representation: compilation cannot
+fail, and inputs whose layouts differ row by row (hand-built only —
+every engine node emits one layout) simply select another compiled
+entry of the same loop.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.execution.results import Row
+from repro.execution.results import ProvenanceRecord, Row, SlotLayout
 from repro.model.predicates import (
-    _ARITH,
-    _OPERATORS,
+    ARITHMETIC_OPERATORS,
+    COMPARISON_OPERATORS,
     BinaryExpression,
     Comparison,
     Expression,
     PredicateError,
 )
-from repro.model.terms import Constant, Variable
+from repro.model.terms import Constant
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.plans.nodes import ServiceNode
+    from repro.services.base import InvocationResult
 
 #: A compiled expression/predicate evaluates against one value tuple.
 SlotExpression = Callable[[tuple], object]
 SlotPredicate = Callable[[tuple], bool]
 
+#: ``(position, constant value, None)`` for a constant input,
+#: ``(position, None, slot)`` for one read from the feed row, in
+#: ascending position order.
+InputSpec = Sequence[tuple[int, object, "int | None"]]
 
-class SlotLayout:
-    """An ordered variable set with variable → slot index resolution.
 
-    The layout of a node is derived once (from its first row, or from
-    its term structure) and shared by every row the node emits; rows
-    then travel as plain value tuples aligned with ``variables``.
+#: Opcodes of a :class:`ServiceBinding` output-term binding program.
+_CONST, _CHECK, _FRESH, _DUP = range(4)
+
+
+class ExecutionError(RuntimeError):
+    """Raised when a plan cannot be executed (unbound inputs, etc.)."""
+
+
+class LayoutMemo(dict):
+    """Per-layout compiled state, built by *compile* on first lookup.
+
+    Keys are layouts (or tuples of layouts).  Every engine node emits
+    one layout, so a memo normally holds a single entry; rows laid out
+    differently (hand-built inputs) get their own entry instead of a
+    different code path.
     """
 
-    __slots__ = ("variables", "index")
+    def __init__(self, compile: Callable) -> None:
+        super().__init__()
+        self._compile = compile
 
-    def __init__(self, variables: Sequence[Variable]) -> None:
-        self.variables = tuple(variables)
-        self.index = {v: i for i, v in enumerate(self.variables)}
-
-    @classmethod
-    def for_row(cls, row: Row) -> "SlotLayout":
-        """The layout implied by one row's bindings (insertion order)."""
-        return cls(tuple(row.bindings.keys()))
-
-    def encode(self, row: Row) -> tuple | None:
-        """*row* as a value tuple, or None when it does not fit.
-
-        A row fits only when it binds *exactly* the layout's variables;
-        anything else (extra, missing, different set) signals a
-        heterogeneous input and the caller must fall back to dict rows.
-        """
-        bindings = row.bindings
-        if len(bindings) != len(self.variables):
-            return None
-        try:
-            return tuple(bindings[v] for v in self.variables)
-        except KeyError:
-            return None
-
-    def encode_rows(self, rows: Sequence[Row]) -> list[tuple] | None:
-        """All of *rows* as value tuples, or None when any fails."""
-        encoded: list[tuple] = []
-        for row in rows:
-            values = self.encode(row)
-            if values is None:
-                return None
-            encoded.append(values)
-        return encoded
-
-    def decode(
-        self,
-        values: tuple,
-        ranks: tuple[tuple[str, int], ...] = (),
-        provenance: tuple = (),
-    ) -> Row:
-        """A :class:`Row` over this layout (the result boundary)."""
-        return Row(
-            bindings=dict(zip(self.variables, values)),
-            ranks=ranks,
-            provenance=provenance,
-        )
-
-    def __len__(self) -> int:
-        return len(self.variables)
-
-    def __repr__(self) -> str:
-        names = ", ".join(v.name for v in self.variables)
-        return f"<SlotLayout [{names}]>"
-
-
-def layout_for_rows(rows: Sequence[Row]) -> SlotLayout | None:
-    """The shared layout of *rows*, or None when they are heterogeneous.
-
-    Derived from the first row; the check that every row fits happens
-    during :meth:`SlotLayout.encode_rows` (callers encode right after),
-    so this only rejects the trivially-empty case.
-    """
-    if not rows:
-        return None
-    return SlotLayout.for_row(rows[0])
+    def __missing__(self, key):
+        compiled = self[key] = self._compile(key)
+        return compiled
 
 
 class SlotJoinPlan:
@@ -141,7 +98,7 @@ class SlotJoinPlan:
     ``right_extra`` the right slots appended to the left tuple on a
     successful merge.  ``merged`` is the output layout: the left
     variables followed by the right-only variables in right order —
-    the same variable set ``Row.merged_with`` produces.
+    the same variable order ``Row.merged_with`` produces.
     """
 
     __slots__ = ("left", "right", "shared", "right_extra", "merged")
@@ -159,8 +116,10 @@ class SlotJoinPlan:
                 shared.append((i, j))
         self.shared = tuple(shared)
         self.right_extra = tuple(extra)
-        self.merged = SlotLayout(
-            left.variables + tuple(right.variables[j] for j in extra)
+        self.merged = (
+            SlotLayout(left.variables + tuple(right.variables[j] for j in extra))
+            if extra
+            else left
         )
 
     def merge(self, left_values: tuple, right_values: tuple) -> tuple | None:
@@ -173,39 +132,36 @@ class SlotJoinPlan:
         return left_values + tuple(right_values[j] for j in self.right_extra)
 
 
-def compile_expression(
-    expression: Expression, layout: SlotLayout
-) -> SlotExpression | None:
-    """*expression* as a closure over value tuples; None if uncompilable.
+def compile_expression(expression: Expression, layout: SlotLayout) -> SlotExpression:
+    """*expression* as a closure over value tuples.
 
-    Returns None when the expression mentions a variable outside the
-    layout — the dict path then reproduces the exact unbound-variable
-    :class:`PredicateError` on evaluation.  Arithmetic ``TypeError``s
-    propagate raw, exactly as :func:`~repro.model.predicates.
-    evaluate_expression` lets them.
+    A variable outside the layout compiles to a closure raising the
+    unbound-variable :class:`PredicateError` of
+    :func:`~repro.model.predicates.evaluate_expression` when evaluated.
+    Arithmetic ``TypeError``s propagate raw, exactly as there.
     """
     if isinstance(expression, Constant):
         value = expression.value
         return lambda values: value
-    if isinstance(expression, Variable):
-        slot = layout.index.get(expression)
-        if slot is None:
-            return None
-        return lambda values: values[slot]
     if isinstance(expression, BinaryExpression):
         left = compile_expression(expression.left, layout)
         right = compile_expression(expression.right, layout)
-        if left is None or right is None:
-            return None
-        operation = _ARITH[expression.op]
+        operation = ARITHMETIC_OPERATORS[expression.op]
         return lambda values: operation(left(values), right(values))
-    return None
+    slot = layout.index.get(expression)
+    if slot is not None:
+        return lambda values: values[slot]
+
+    def unbound(values: tuple) -> object:
+        raise PredicateError(
+            f"unbound variable {expression} in predicate expression"
+        )
+
+    return unbound
 
 
-def compile_comparison(
-    predicate: Comparison, layout: SlotLayout
-) -> SlotPredicate | None:
-    """*predicate* as a closure over value tuples; None if uncompilable.
+def compile_comparison(predicate: Comparison, layout: SlotLayout) -> SlotPredicate:
+    """*predicate* as a closure over value tuples.
 
     The closure replicates :meth:`Comparison.holds` bit for bit,
     including the :class:`PredicateError` message raised when the two
@@ -213,9 +169,7 @@ def compile_comparison(
     """
     left = compile_expression(predicate.left, layout)
     right = compile_expression(predicate.right, layout)
-    if left is None or right is None:
-        return None
-    operation = _OPERATORS[predicate.op]
+    operation = COMPARISON_OPERATORS[predicate.op]
     operator_name = predicate.op
 
     def holds(values: tuple) -> bool:
@@ -234,17 +188,173 @@ def compile_comparison(
 
 def compile_predicates(
     predicates: Sequence[Comparison], layout: SlotLayout
-) -> list[SlotPredicate] | None:
-    """Compile all of *predicates*, or None when any is uncompilable.
+) -> list[SlotPredicate]:
+    """All of *predicates* compiled against *layout*, in order."""
+    return [compile_comparison(predicate, layout) for predicate in predicates]
 
-    All-or-nothing: a single uncompilable predicate sends the caller to
-    the dict path wholesale, so evaluation-order side effects (which
-    predicate raises first) stay identical.
+
+def compile_input_spec(node: "ServiceNode", layout: SlotLayout) -> InputSpec:
+    """*node*'s input positions resolved against *layout*.
+
+    Raises :class:`ExecutionError` when an input variable is not bound
+    by the layout — no row over it could ever invoke the service.
     """
-    compiled: list[SlotPredicate] = []
-    for predicate in predicates:
-        holds = compile_comparison(predicate, layout)
-        if holds is None:
-            return None
-        compiled.append(holds)
-    return compiled
+    assert node.atom is not None and node.pattern is not None
+    spec: list[tuple[int, object, int | None]] = []
+    for position in node.pattern.input_positions:
+        term = node.atom.term_at(position)
+        if isinstance(term, Constant):
+            spec.append((position, term.value, None))
+            continue
+        slot = layout.index.get(term)
+        if slot is None:
+            raise ExecutionError(
+                f"unbound input variable {term} at {node.label}"
+            )
+        spec.append((position, None, slot))
+    return spec
+
+
+def unit_input_key(
+    pattern_code: str, input_spec: InputSpec, values: tuple
+) -> tuple[dict[int, object], tuple]:
+    """The service inputs of one row and the unit key they form.
+
+    Returns ``(inputs, (pattern code, ((position, value), ...)))``: the
+    position → value mapping handed to ``service.invoke`` and the key
+    under which the logical cache, the demotion mask, provenance
+    records and partial-result certificates all name this
+    ``(service, input setting)`` unit.
+    """
+    inputs = {
+        position: constant if slot is None else values[slot]
+        for position, constant, slot in input_spec
+    }
+    return inputs, (pattern_code, tuple(inputs.items()))
+
+
+class ServiceBinding:
+    """One service node compiled against the layout of its feed rows.
+
+    ``bind_ops`` is the output-term binding program, one operation per
+    term position: ``CONST`` rejects tuples whose value differs from
+    the constant (selection), ``CHECK`` rejects on disagreement with
+    the feed slot (the equi-join on the pipe), ``FRESH`` appends the
+    first occurrence of a new variable, ``DUP`` rejects repeated
+    occurrences that fail to unify.  ``layout`` — the feed variables
+    followed by the fresh ones in first-occurrence order — is shared by
+    every row the node emits for this feed layout.
+    """
+
+    __slots__ = (
+        "node_id", "pattern_code", "input_spec", "bind_ops", "layout",
+        "predicates",
+    )
+
+    def __init__(self, node: "ServiceNode", feed_layout: SlotLayout) -> None:
+        assert node.atom is not None and node.pattern is not None
+        self.node_id = node.node_id
+        self.pattern_code = node.pattern.code
+        self.input_spec = compile_input_spec(node, feed_layout)
+        bind_ops: list[tuple[int, object]] = []
+        fresh: dict = {}
+        for position in range(node.atom.arity):
+            term = node.atom.term_at(position)
+            if isinstance(term, Constant):
+                bind_ops.append((_CONST, term.value))
+            elif term in fresh:
+                bind_ops.append((_DUP, fresh[term]))
+            elif term in feed_layout.index:
+                bind_ops.append((_CHECK, feed_layout.index[term]))
+            else:
+                bind_ops.append((_FRESH, len(fresh)))
+                fresh[term] = len(fresh)
+        self.bind_ops = tuple(bind_ops)
+        self.layout = (
+            SlotLayout(feed_layout.variables + tuple(fresh))
+            if fresh
+            else feed_layout
+        )
+        self.predicates = compile_predicates(node.predicates, self.layout)
+
+    def unit(self, feed_values: tuple) -> tuple[dict[int, object], tuple]:
+        """``(inputs, input key)`` of the unit one feed row addresses."""
+        return unit_input_key(self.pattern_code, self.input_spec, feed_values)
+
+    def bind(self, feed_values: tuple, values: tuple) -> tuple | None:
+        """Merged value tuple for one service result; None on mismatch."""
+        fresh: list = []
+        for (op, aux), value in zip(self.bind_ops, values):
+            if op == _FRESH:
+                fresh.append(value)
+            elif op == _CHECK:
+                if feed_values[aux] != value:
+                    return None
+            elif op == _CONST:
+                if value != aux:
+                    return None
+            elif fresh[aux] != value:  # DUP
+                return None
+        return feed_values + tuple(fresh) if fresh else feed_values
+
+    def bind_page(
+        self,
+        feed_row: Row,
+        result: "InvocationResult",
+        record: ProvenanceRecord | None = None,
+    ) -> list[Row]:
+        """The rows one fetched page contributes for *feed_row*.
+
+        Binds every result tuple against the feed values, annotates the
+        service rank, filters by the node predicates; *record* (when
+        row provenance is on) is appended to the feed row's trail.
+        """
+        arity = len(self.bind_ops)
+        bind = self.bind
+        layout = self.layout
+        predicates = self.predicates
+        node_id = self.node_id
+        feed_values = feed_row.values
+        feed_ranks = feed_row.ranks
+        provenance = (
+            feed_row.provenance
+            if record is None
+            else feed_row.provenance + (record,)
+        )
+        rows: list[Row] = []
+        for values, rank in zip(
+            result.tuples, result.ranks or (None,) * len(result.tuples)
+        ):
+            if len(values) < arity:
+                raise ExecutionError(
+                    f"service returned a tuple of arity {len(values)}, "
+                    f"expected {arity}"
+                )
+            merged = bind(feed_values, values)
+            if merged is None:
+                continue
+            if predicates and not all(holds(merged) for holds in predicates):
+                continue
+            rows.append(
+                Row(
+                    layout=layout,
+                    values=merged,
+                    ranks=(
+                        feed_ranks
+                        if rank is None
+                        else feed_ranks + ((node_id, rank),)
+                    ),
+                    provenance=provenance,
+                )
+            )
+        return rows
+
+
+def service_bindings(node: "ServiceNode") -> LayoutMemo:
+    """*node*'s :class:`ServiceBinding` per feed layout.
+
+    One memo serves one run of the node: the eager loop, every lazy
+    page source of a multi-feed cursor, or all row tasks of the
+    thread-pool executor — so all rows the node emits share one layout.
+    """
+    return LayoutMemo(lambda layout: ServiceBinding(node, layout))

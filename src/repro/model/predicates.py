@@ -38,7 +38,9 @@ DEFAULT_SELECTIVITY: dict[str, float] = {
     ">=": 1.0 / 3.0,
 }
 
-_OPERATORS: dict[str, Callable[[object, object], bool]] = {
+#: Comparison operator symbols -> their two-argument implementations;
+#: shared with the compiled predicates of ``repro.execution.slots``.
+COMPARISON_OPERATORS: dict[str, Callable[[object, object], bool]] = {
     "==": operator.eq,
     "!=": operator.ne,
     "<": operator.lt,
@@ -47,7 +49,8 @@ _OPERATORS: dict[str, Callable[[object, object], bool]] = {
     ">=": operator.ge,
 }
 
-_ARITH: dict[str, Callable[[object, object], object]] = {
+#: Arithmetic operator symbols of :class:`BinaryExpression`.
+ARITHMETIC_OPERATORS: dict[str, Callable[[object, object], object]] = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
@@ -63,7 +66,7 @@ class BinaryExpression:
     right: "Expression"
 
     def __post_init__(self) -> None:
-        if self.op not in _ARITH:
+        if self.op not in ARITHMETIC_OPERATORS:
             raise PredicateError(f"unknown arithmetic operator {self.op!r}")
 
     def __str__(self) -> str:
@@ -92,7 +95,7 @@ def evaluate_expression(expr: Expression, binding: Mapping[Variable, object]) ->
         return binding[expr]
     left = evaluate_expression(expr.left, binding)
     right = evaluate_expression(expr.right, binding)
-    return _ARITH[expr.op](left, right)
+    return ARITHMETIC_OPERATORS[expr.op](left, right)
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ class Comparison:
     selectivity: float | None = None
 
     def __post_init__(self) -> None:
-        if self.op not in _OPERATORS:
+        if self.op not in COMPARISON_OPERATORS:
             raise PredicateError(f"unknown comparison operator {self.op!r}")
         if self.selectivity is not None and not 0.0 <= self.selectivity <= 1.0:
             raise PredicateError(
@@ -132,7 +135,7 @@ class Comparison:
         left = evaluate_expression(self.left, binding)
         right = evaluate_expression(self.right, binding)
         try:
-            return bool(_OPERATORS[self.op](left, right))
+            return bool(COMPARISON_OPERATORS[self.op](left, right))
         except TypeError as exc:
             raise PredicateError(
                 f"cannot compare {left!r} {self.op} {right!r}: {exc}"

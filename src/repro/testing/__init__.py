@@ -1,8 +1,10 @@
-"""Importable test instrumentation (fault injection, flaky wrappers).
+"""Importable test instrumentation: references and fault injection.
 
-Promoted out of ``tests/`` so benchmarks, the serving suites, and
-downstream experiments can inject deterministic faults without path
-hacks.
+What tests, benchmarks and downstream experiments import without path
+hacks — the dict-row reference plan interpreter the engine is checked
+against (:mod:`repro.testing.reference`) and the deterministic
+fault-injection kit (:mod:`repro.testing.faults`).  Production modules
+under ``src/repro/`` never import this package.
 """
 
 from repro.testing.faults import (
@@ -12,11 +14,14 @@ from repro.testing.faults import (
     InjectedFault,
     wrap_registry_flaky,
 )
+from repro.testing.reference import ReferenceResult, reference_execute
 
 __all__ = [
     "FAULT_KINDS",
     "FaultSchedule",
     "FlakyService",
     "InjectedFault",
+    "ReferenceResult",
+    "reference_execute",
     "wrap_registry_flaky",
 ]

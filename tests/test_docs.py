@@ -11,10 +11,17 @@ Keeps README.md, docs/ARCHITECTURE.md, and ROADMAP.md honest:
 
 Runs in tier-1, and CI executes it as an explicit docs-check step, so
 a doc can't silently outlive the code it describes.
+
+The same static style guards two structural promises the docs make:
+the reference implementations under ``src/repro/testing/`` are imported
+by tests and benches only, and the engine never reads rows back as
+dicts (``Row.bindings``) outside ``Row`` itself and the reference
+``execute_join``.
 """
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 
@@ -106,3 +113,54 @@ def test_architecture_covers_the_subsystems():
         "Certificate invariant",
     ):
         assert anchor in architecture, f"ARCHITECTURE.md lost anchor: {anchor}"
+
+
+# -- source-tree guards ------------------------------------------------------
+
+SRC = REPO / "src" / "repro"
+
+
+def _enclosing_scopes(tree: ast.AST):
+    """``(node, names of the classes/functions around it)`` for a module."""
+    stack: list[tuple[ast.AST, tuple[str, ...]]] = [(tree, ())]
+    while stack:
+        node, scopes = stack.pop()
+        yield node, scopes
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scopes = scopes + (node.name,)
+        stack.extend((child, scopes) for child in ast.iter_child_nodes(node))
+
+
+def test_production_code_never_imports_the_testing_package():
+    offenders = []
+    for path in SRC.rglob("*.py"):
+        if SRC / "testing" in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            modules = []
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            if any(m == "repro.testing" or m.startswith("repro.testing.") for m in modules):
+                offenders.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert not offenders, f"production modules importing repro.testing: {offenders}"
+
+
+def test_rows_are_read_as_dicts_only_by_row_and_the_reference_join():
+    allowed = {
+        ("execution/results.py", "Row"),
+        ("execution/joins.py", "execute_join"),
+    }
+    offenders = []
+    for package in ("execution", "serving"):
+        for path in (SRC / package).rglob("*.py"):
+            relative = path.relative_to(SRC).as_posix()
+            text = path.read_text()
+            if "dict(zip(" in text and relative != "execution/results.py":
+                offenders.append(f"{relative}: builds a dict row with dict(zip(")
+            for node, scopes in _enclosing_scopes(ast.parse(text)):
+                if isinstance(node, ast.Attribute) and node.attr == "bindings":
+                    if (relative, scopes[0] if scopes else "") not in allowed:
+                        offenders.append(f"{relative}:{node.lineno} reads .bindings")
+    assert not offenders, offenders

@@ -3,7 +3,10 @@
 Optimizes and executes each showcase query under each primary metric
 and checks the fundamental contracts: the chosen plan is executable,
 the expected answers meet k, execution respects the query semantics,
-and the branch-and-bound optimum matches the exhaustive oracle.
+and the branch-and-bound optimum matches the exhaustive oracle.  A
+second matrix — every domain's optimized plan × every execution mode ×
+every cache setting — pins the engine's rows against the dict-row
+reference interpreter (``repro.testing.reference``).
 """
 
 import pytest
@@ -12,8 +15,10 @@ from repro.baselines.exhaustive import exhaustive_optimize
 from repro.costs.sum_cost import RequestResponseMetric, SumCostMetric
 from repro.costs.time_cost import BottleneckMetric, ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import execute_plan
+from repro.execution.engine import ExecutionEngine, ExecutionMode, execute_plan
+from repro.execution.results import compose_ranking
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
+from repro.testing.reference import reference_execute
 
 _DOMAINS = {}
 
@@ -104,3 +109,55 @@ def test_secondary_metrics_on_travel(metric_name):
         OptimizerConfig(k=k, cache_setting=CacheSetting.ONE_CALL),
     ).optimize(query)
     assert best.expected_answers >= k
+
+
+_REFERENCES = {}
+
+
+def _optimized_plan_and_reference(domain):
+    """The domain's optimized plan and the reference's answer to it."""
+    if domain not in _REFERENCES:
+        registry, query, k = _domain(domain)
+        plan = Optimizer(
+            registry, ExecutionTimeMetric(), OptimizerConfig(k=k)
+        ).optimize(query).plan
+        _REFERENCES[domain] = (plan, reference_execute(plan, registry))
+    return _REFERENCES[domain]
+
+
+def _ranked_signature(rows, head):
+    return [(row.project(head), row.ranks) for row in rows]
+
+
+@pytest.mark.parametrize("domain", ["travel", "bio", "biblio", "weekend", "news"])
+@pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("cache_setting", list(CacheSetting), ids=lambda c: c.value)
+def test_engine_rows_equal_the_reference_interpreter(domain, mode, cache_setting):
+    registry, query, k = _domain(domain)
+    head = tuple(query.head)
+    plan, reference = _optimized_plan_and_reference(domain)
+    assert reference.rows  # a vacuous comparison would pin nothing
+    result = ExecutionEngine(
+        registry, cache_setting=cache_setting, mode=mode
+    ).execute(plan, head=head, k=k)
+    produced = _ranked_signature(result.rows, head)
+    if mode is ExecutionMode.STREAMED:
+        expected = _ranked_signature(compose_ranking(reference.rows, k), head)
+        assert produced == expected
+    elif mode is ExecutionMode.MULTITHREADED:
+        # The seeded feed shuffle reorders rows of equal composed rank.
+        expected = _ranked_signature(reference.rows, head)
+        assert sorted(produced, key=repr) == sorted(expected, key=repr)
+        assert [row.rank_key() for row in result.rows] == [
+            row.rank_key() for row in reference.rows
+        ]
+    else:
+        assert produced == _ranked_signature(reference.rows, head)
+        assert [dict(r.bindings) for r in result.rows] == [
+            dict(r.bindings) for r in reference.rows
+        ]
+    if mode is ExecutionMode.PARALLEL:
+        assert result.node_output_sizes == reference.node_output_sizes
+    # One layout object for the whole answer, covering the head.
+    assert all(row.layout is result.rows[0].layout for row in result.rows)
+    assert set(head) <= set(result.rows[0].layout.variables)

@@ -9,8 +9,10 @@ from repro.execution.engine import (
     ExecutionMode,
     execute_plan,
 )
-from repro.model.terms import Variable
+from repro.model.predicates import Comparison
+from repro.model.terms import Constant, Variable
 from repro.plans.builder import PlanBuilder, chain_poset
+from repro.services.registry import JoinMethod
 from repro.sources.travel import (
     FLIGHT_ATOM,
     HOTEL_ATOM,
@@ -162,3 +164,52 @@ class TestErrors:
         engine = ExecutionEngine(tiny_registry)
         with pytest.raises(ExecutionError):
             engine.execute(plan)
+
+
+class _CountingBound(int):
+    """An int that counts how often ``value < bound`` is evaluated."""
+
+    evaluations = 0
+
+    def __gt__(self, other):  # ``value < bound`` tries the subclass first
+        type(self).evaluations += 1
+        return int.__gt__(self, other)
+
+    __hash__ = int.__hash__
+
+
+class TestResidualPredicatesRunOncePerRow:
+    """Regression: under STREAMED with a k budget the residual
+    predicates ran inside the ``JoinStream`` walk *and again* in the
+    output node, on the rows the stream had already filtered."""
+
+    def _plan_with_residual(self):
+        from tests.test_property_streaming import _random_table_plan
+
+        registry, query, plan = _random_table_plan(
+            [0, 1, 0, 1, 0], [0, 0, 1, 1, 0], JoinMethod.MERGE_SCAN
+        )
+        _CountingBound.evaluations = 0
+        plan.output_node.residual_predicates = (
+            Comparison(Variable("L"), "<", Constant(_CountingBound(3))),
+        )
+        return registry, query, plan
+
+    def test_streamed_join_rows_pass_the_output_node_untouched(self):
+        registry, query, plan = self._plan_with_residual()
+        streamed = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
+            plan, head=query.head, k=3
+        )
+        assert len(streamed.rows) == 3
+        assert _CountingBound.evaluations == streamed.stream.join_rows_emitted
+        streamed.stream.top(None)  # a resume evaluates only the new cells
+        assert _CountingBound.evaluations == streamed.stream.join_rows_emitted
+
+    def test_full_materialization_evaluates_once_per_join_row(self):
+        registry, query, plan = self._plan_with_residual()
+        full = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
+            plan, head=query.head
+        )
+        (join,) = plan.join_nodes
+        assert _CountingBound.evaluations == full.node_output_sizes[join.node_id]
+        assert all(row.value(Variable("L")) < 3 for row in full.rows)

@@ -1,15 +1,18 @@
-"""Differential suite for slot-indexed row execution.
+"""Differential suite for the slot-tuple row representation.
 
-Slot execution (``repro.execution.slots``) is a pure representation
-change: the hashed join, the join stream, and the engine's service
-nodes carry rows as fixed-width value tuples through their inner loops
-and decode them back to :class:`Row` bindings at node boundaries.
-Everything here checks **bit-identity** against the dict-row path —
-the ``slot_rows=False`` oracle — across random inputs, methods, k, and
-whole-plan executions, plus the documented fallbacks: heterogeneous
-rows, unhashable key values, and predicates over unbound variables
-must take the dict path and reproduce its exact behavior (including
-its exceptions).
+Rows are a shared :class:`SlotLayout` plus a value tuple, and every
+production loop — the hashed join, the join stream, the engine's
+service and output nodes — runs on those tuples through state compiled
+by ``repro.execution.slots``.  Everything here checks **bit-identity**
+(rows, ranks, emission order) of that single production path against
+the dict-row references — the full-scan ``execute_join`` over
+``Row.merged_with`` and the plan interpreter of
+``repro.testing.reference`` — across random inputs, methods, k, resumes
+and whole-plan executions, plus the documented corner cases:
+heterogeneous sides and unhashable keys (the hashed join's fallback to
+the reference scan), predicates and inputs over unbound variables and
+short service tuples (same exceptions, same text), and a row with a
+misfit layout showing up in the middle of a resumed stream.
 """
 
 from __future__ import annotations
@@ -18,25 +21,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.execution.joins import (
-    JoinStream,
-    _hashed_join_slot_path,
-    execute_join,
-    execute_join_hashed,
-)
-from repro.execution.results import Row, compose_ranking
+from repro.execution.engine import ExecutionEngine, ExecutionError, ExecutionMode
+from repro.execution.joins import JoinStream, execute_join, execute_join_hashed
+from repro.execution.lazy import LazyServiceCursor, ListPageSource
+from repro.execution.results import Row, SlotLayout, compose_ranking
 from repro.execution.slots import (
     SlotJoinPlan,
-    SlotLayout,
     compile_comparison,
     compile_expression,
     compile_predicates,
-    layout_for_rows,
 )
+from repro.model.atoms import Atom
 from repro.model.predicates import BinaryExpression, Comparison, PredicateError
+from repro.model.query import ConjunctiveQuery
+from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
-from repro.services.registry import JoinMethod
+from repro.services.base import InvocationResult
+from repro.plans.builder import PlanBuilder, chain_poset
+from repro.services.profile import exact_profile, search_profile
+from repro.services.registry import JoinMethod, ServiceRegistry
+from repro.services.table import TableExactService, TableSearchService
+from repro.testing.reference import reference_execute
 
 from tests.test_property_streaming import (
     _random_table_plan,
@@ -47,169 +52,181 @@ from tests.test_property_streaming import (
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
 K, L, R = Variable("K"), Variable("L"), Variable("R")
+X, Y = Variable("X"), Variable("Y")
 
 _keys = st.lists(st.integers(0, 3), min_size=0, max_size=6)
 _ranks = st.lists(st.integers(0, 9), min_size=6, max_size=6)
 _k = st.one_of(st.none(), st.integers(0, 40))
 
+_SUM_BELOW_5 = Comparison(BinaryExpression("+", L, R), "<", Constant(5))
+
+
+def _share_one_layout(rows):
+    return all(row.layout is rows[0].layout for row in rows)
+
 
 class TestSlotLayout:
-    def test_encode_decode_roundtrip(self):
+    def test_hand_built_row_is_a_layout_plus_values(self):
         row = Row(bindings={K: 1, L: "x"}, ranks=(("s", 2),))
-        layout = SlotLayout.for_row(row)
-        values = layout.encode(row)
-        assert values == (1, "x")
-        decoded = layout.decode(values, ranks=row.ranks)
-        assert decoded == row
+        assert row.layout.variables == (K, L)
+        assert row.values == (1, "x")
+        assert row == Row(layout=SlotLayout((K, L)), values=(1, "x"), ranks=row.ranks)
+        assert dict(row.bindings) == {K: 1, L: "x"}
 
-    def test_encode_rejects_heterogeneous_rows(self):
-        layout = SlotLayout((K, L))
-        assert layout.encode(Row(bindings={K: 1})) is None  # missing L
-        assert layout.encode(Row(bindings={K: 1, R: 2})) is None  # wrong set
-        assert layout.encode(Row(bindings={K: 1, L: 2, R: 3})) is None  # extra
+    def test_layouts_compare_by_variable_tuple(self):
+        assert SlotLayout((K, L)) == SlotLayout((K, L))
+        assert hash(SlotLayout((K, L))) == hash(SlotLayout((K, L)))
+        assert SlotLayout((K, L)) != SlotLayout((L, K))
+        assert SlotLayout((K, L)) != SlotLayout((K,))
 
-    def test_layout_for_rows_empty(self):
-        assert layout_for_rows([]) is None
+    def test_row_equality_is_by_content_not_slot_order(self):
+        assert Row(bindings={K: 1, L: 2}) == Row(bindings={L: 2, K: 1})
+        assert Row(bindings={K: 1, L: 2}) != Row(bindings={K: 1, L: 3})
+        assert Row(bindings={K: 1}) != Row(bindings={K: 1}, ranks=(("s", 0),))
+
+    def test_reprs_name_variables_and_values(self):
+        row = Row(bindings={K: 1}, ranks=(("s", 0),))
+        assert repr(row.layout) == "<SlotLayout [K]>"
+        assert repr(row) == (
+            "Row(bindings={Variable('K'): 1}, ranks=(('s', 0),), provenance=())"
+        )
+        assert row != "not a row" and row.layout != (K,)
+
+    def test_bindings_is_a_read_only_view(self):
+        row = Row(bindings={K: 1})
+        with pytest.raises(TypeError):
+            row.bindings[K] = 2
+        assert row.value(K) == 1
 
     def test_join_plan_merge_matches_merged_with(self):
         left = Row(bindings={K: 1, L: 2})
         right_match = Row(bindings={K: 1, R: 3})
         right_clash = Row(bindings={K: 9, R: 3})
-        plan = SlotJoinPlan(
-            SlotLayout.for_row(left), SlotLayout.for_row(right_match)
-        )
-        merged = plan.merge(
-            plan.left.encode(left), plan.right.encode(right_match)
-        )
+        plan = SlotJoinPlan(left.layout, right_match.layout)
+        merged = plan.merge(left.values, right_match.values)
         expected = left.merged_with(right_match)
-        assert plan.merged.decode(merged) == expected
-        assert tuple(plan.merged.variables) == tuple(expected.bindings)
-        assert (
-            plan.merge(plan.left.encode(left), plan.right.encode(right_clash))
-            is None
-        )
+        assert Row(layout=plan.merged, values=merged) == expected
+        assert plan.merged == expected.layout
+        assert plan.merge(left.values, right_clash.values) is None
         assert left.merged_with(right_clash) is None
 
 
 class TestCompiledPredicates:
     def test_compiled_comparison_matches_holds(self):
         layout = SlotLayout((L, R))
-        predicate = Comparison(
-            BinaryExpression("+", L, R), "<", Constant(5)
-        )
-        holds = compile_comparison(predicate, layout)
+        holds = compile_comparison(_SUM_BELOW_5, layout)
         for pair in [(1, 2), (4, 4), (2, 3)]:
             row = Row(bindings={L: pair[0], R: pair[1]})
-            assert holds(layout.encode(row)) == predicate.holds(row.bindings)
+            assert holds(row.values) == _SUM_BELOW_5.holds(row.bindings)
 
     def test_compiled_comparison_raises_identical_error(self):
-        layout = SlotLayout((L,))
         predicate = Comparison(L, "<", Constant(5))
-        holds = compile_comparison(predicate, layout)
+        holds = compile_comparison(predicate, SlotLayout((L,)))
         with pytest.raises(PredicateError) as compiled_error:
-            holds(layout.encode(Row(bindings={L: "text"})))
+            holds(("text",))
         with pytest.raises(PredicateError) as dict_error:
             predicate.holds({L: "text"})
         assert str(compiled_error.value) == str(dict_error.value)
 
-    def test_unbound_variable_is_uncompilable(self):
+    def test_unbound_variable_raises_on_evaluation_not_compilation(self):
         layout = SlotLayout((L,))
-        assert compile_expression(R, layout) is None
-        assert compile_comparison(Comparison(R, "<", Constant(1)), layout) is None
-        assert (
-            compile_predicates(
-                [Comparison(L, "<", Constant(1)), Comparison(R, "<", Constant(1))],
-                layout,
-            )
-            is None
-        )  # all-or-nothing
+        predicate = Comparison(BinaryExpression("+", L, R), "<", Constant(1))
+        compiled = compile_predicates(
+            [Comparison(L, "<", Constant(1)), predicate], layout
+        )
+        assert compiled[0]((0,)) is True
+        for evaluate in (compile_expression(R, layout), compiled[1]):
+            with pytest.raises(PredicateError) as compiled_error:
+                evaluate((0,))
+            with pytest.raises(PredicateError) as dict_error:
+                predicate.holds({L: 0})
+            assert str(compiled_error.value) == str(dict_error.value)
 
 
 class TestHashedJoinSlotPath:
     @given(_keys, _keys, _ranks, _ranks)
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_dict_path(self, lk, rk, lr, rr):
+        """The dict path is the reference scan ``execute_join``."""
         left = _ranked_side(lk, lr, "L")
         right = _ranked_side(rk, rr, "R")
-        predicate = Comparison(
-            BinaryExpression("+", L, R), "<", Constant(5)
-        )
         for method in METHODS:
-            for predicates in ((), (predicate,)):
-                slot = execute_join_hashed(
-                    method, left, right, predicates, slot_rows=True
-                )
-                oracle = execute_join_hashed(
-                    method, left, right, predicates, slot_rows=False
-                )
-                assert _signature(slot) == _signature(oracle)
+            for predicates in ((), (_SUM_BELOW_5,)):
+                hashed = execute_join_hashed(method, left, right, predicates)
+                oracle = execute_join(method, left, right, predicates)
+                assert _signature(hashed) == _signature(oracle)
 
     def test_slot_path_engages_on_homogeneous_rows(self):
+        # Every hand-built row owns its layout object; they compare
+        # equal, so the compiled loop runs and stamps one shared layout.
         left = _ranked_side([0, 1, 0], [1, 2, 3, 0, 0, 0], "L")
         right = _ranked_side([0, 1, 1], [3, 2, 1, 0, 0, 0], "R")
-        assert _hashed_join_slot_path(
-            JoinMethod.MERGE_SCAN, left, right, ()
-        ) is not None
+        assert not _share_one_layout(left)
+        rows = execute_join_hashed(JoinMethod.MERGE_SCAN, left, right)
+        assert rows and _share_one_layout(rows)
+        assert rows[0].layout.variables == (K, L, R)
+
+    def test_no_shared_variable_is_the_full_plane(self):
+        left = [Row(bindings={L: i}, ranks=(("L", i),)) for i in range(3)]
+        right = [Row(bindings={R: j}, ranks=(("R", j),)) for j in range(2)]
+        for method in METHODS:
+            rows = execute_join_hashed(method, left, right, (_SUM_BELOW_5,))
+            assert len(rows) == 6 and _share_one_layout(rows)
+            assert _signature(rows) == _signature(
+                execute_join(method, left, right, (_SUM_BELOW_5,))
+            )
 
     def test_heterogeneous_rows_fall_back(self):
         left = [Row(bindings={K: 0, L: 0}), Row(bindings={K: 0})]
         right = [Row(bindings={K: 0, R: 1})]
-        assert _hashed_join_slot_path(JoinMethod.NESTED_LOOP, left, right, ()) is None
-        assert _signature(
-            execute_join_hashed(JoinMethod.NESTED_LOOP, left, right)
-        ) == _signature(execute_join(JoinMethod.NESTED_LOOP, left, right))
+        rows = execute_join_hashed(JoinMethod.NESTED_LOOP, left, right)
+        assert _signature(rows) == _signature(
+            execute_join(JoinMethod.NESTED_LOOP, left, right)
+        )
+        assert [r.layout.variables for r in rows] == [(K, L, R), (K, R)]
 
     def test_unhashable_keys_fall_back(self):
         left = [Row(bindings={K: [1], L: 0})]
         right = [Row(bindings={K: [1], R: 0})]
-        assert _hashed_join_slot_path(JoinMethod.NESTED_LOOP, left, right, ()) is None
         assert _signature(
             execute_join_hashed(JoinMethod.NESTED_LOOP, left, right)
         ) == _signature(execute_join(JoinMethod.NESTED_LOOP, left, right))
 
     def test_uncompilable_predicate_falls_back_to_dict_error(self):
+        """Name kept from when a predicate over an unbound variable was
+        "uncompilable" and sent the join to the dict loop; today it
+        compiles to a closure raising the reference's error."""
         left = [Row(bindings={K: 0, L: 0})]
         right = [Row(bindings={K: 0, R: 0})]
         unbound = Comparison(Variable("Missing"), "<", Constant(1))
-        assert (
-            _hashed_join_slot_path(
-                JoinMethod.NESTED_LOOP, left, right, (unbound,)
-            )
-            is None
-        )
-        with pytest.raises(PredicateError) as slot_error:
-            execute_join_hashed(
-                JoinMethod.NESTED_LOOP, left, right, (unbound,), slot_rows=True
-            )
-        with pytest.raises(PredicateError) as dict_error:
-            execute_join_hashed(
-                JoinMethod.NESTED_LOOP, left, right, (unbound,), slot_rows=False
-            )
-        assert str(slot_error.value) == str(dict_error.value)
+        with pytest.raises(PredicateError) as hashed_error:
+            execute_join_hashed(JoinMethod.NESTED_LOOP, left, right, (unbound,))
+        with pytest.raises(PredicateError) as reference_error:
+            execute_join(JoinMethod.NESTED_LOOP, left, right, (unbound,))
+        assert str(hashed_error.value) == str(reference_error.value)
+        # ... and, like the reference, only once a cell reaches it.
+        clash = [Row(bindings={K: 1, R: 0})]
+        assert execute_join_hashed(
+            JoinMethod.NESTED_LOOP, left, clash, (unbound,)
+        ) == []
 
 
 class TestJoinStreamSlotPath:
     @given(_keys, _keys, _ranks, _ranks, _k)
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_dict_stream(self, lk, rk, lr, rr, k):
+        """The dict side is ``compose_ranking(execute_join(...), k)``."""
         left = _ranked_side(lk, lr, "L")
         right = _ranked_side(rk, rr, "R")
-        predicate = Comparison(
-            BinaryExpression("+", L, R), "<", Constant(5)
-        )
         for method in METHODS:
-            slot_stream = JoinStream(
-                method, left, right, (predicate,), slot_rows=True
+            stream = JoinStream(method, left, right, (_SUM_BELOW_5,))
+            oracle = execute_join(method, left, right, (_SUM_BELOW_5,))
+            assert _signature(stream.top(k)) == _signature(
+                compose_ranking(oracle, k)
             )
-            dict_stream = JoinStream(
-                method, left, right, (predicate,), slot_rows=False
+            assert stream.cells_visited + stream.cells_skipped == len(left) * len(
+                right
             )
-            assert _signature(slot_stream.top(k)) == _signature(
-                dict_stream.top(k)
-            )
-            # identical walk, not just identical answers
-            assert slot_stream.cells_visited == dict_stream.cells_visited
-            assert slot_stream.cells_skipped == dict_stream.cells_skipped
 
     @given(_keys, _keys, _ranks, _ranks, st.integers(0, 6), st.integers(0, 30))
     @settings(max_examples=60, deadline=None)
@@ -219,34 +236,60 @@ class TestJoinStreamSlotPath:
         left = _ranked_side(lk, lr, "L")
         right = _ranked_side(rk, rr, "R")
         for method in METHODS:
-            slot_stream = JoinStream(method, left, right, slot_rows=True)
-            dict_stream = JoinStream(method, left, right, slot_rows=False)
-            assert _signature(slot_stream.top(k1)) == _signature(
-                dict_stream.top(k1)
+            # Residual predicates are applied inside the walk: the
+            # reference filters by them before composing.
+            stream = JoinStream(
+                method, left, right, residual_predicates=(_SUM_BELOW_5,)
             )
-            k2 = k1 + k2_extra
-            assert _signature(slot_stream.top(k2)) == _signature(
-                dict_stream.top(k2)
-            )
+            oracle = execute_join(method, left, right, (_SUM_BELOW_5,))
+            for k in (k1, k1 + k2_extra):
+                assert _signature(stream.top(k)) == _signature(
+                    compose_ranking(oracle, k)
+                )
 
     def test_heterogeneous_input_falls_back_mid_walk(self):
+        """Name kept from when a misfit row made the stream abandon its
+        slot state for a dict loop; today nothing falls back."""
         left = [
             Row(bindings={K: 0, L: 0}, ranks=(("L", 0),)),
             Row(bindings={K: 0}, ranks=(("L", 1),)),  # misfit row
         ]
         right = _ranked_side([0, 0], [0, 1, 0, 0, 0, 0], "R")
-        slot_stream = JoinStream(JoinMethod.NESTED_LOOP, left, right)
-        dict_stream = JoinStream(
-            JoinMethod.NESTED_LOOP, left, right, slot_rows=False
+        stream = JoinStream(JoinMethod.NESTED_LOOP, left, right)
+        assert _signature(stream.top(None)) == _signature(
+            compose_ranking(execute_join(JoinMethod.NESTED_LOOP, left, right))
         )
-        assert _signature(slot_stream.top(None)) == _signature(
-            dict_stream.top(None)
-        )
-        assert slot_stream._slot_failed  # the fallback actually fired
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_misfit_layout_row_mid_walk_in_a_resumed_stream(self, method):
+        """A lazily fetched left side whose second page holds a row
+        laid out differently: the resumed walk compiles a second merge
+        plan for it and carries on in the same loop."""
+        pages = [
+            [Row(bindings={K: 0, L: 0}, ranks=(("L", 0),))],
+            [
+                Row(bindings={K: 0}, ranks=(("L", 1),)),  # misfit layout
+                Row(bindings={K: 0, L: 2}, ranks=(("L", 2),)),
+            ],
+        ]
+        left = LazyServiceCursor(ListPageSource(pages=pages))
+        right = _ranked_side([0, 0, 1], [0, 1, 2, 0, 0, 0], "R")
+        full = execute_join(method, [row for page in pages for row in page], right)
+        stream = JoinStream(method, left, right)
+        for k in (1, 3, None):
+            assert _signature(stream.top(k)) == _signature(compose_ranking(full, k))
+            assert (
+                stream.cells_visited + stream.cells_skipped == stream.plane_cells
+            )
+        assert stream.plane_cells == 9
+        assert {row.layout.variables for row in stream.top(None)} == {
+            (K, L, R),
+            (K, R),
+        }
 
 
 class TestEngineSlotPath:
-    """Whole-plan slot execution vs the dict-row engine."""
+    """Whole-plan execution vs ``repro.testing.reference``."""
 
     @given(
         st.lists(st.integers(0, 2), min_size=1, max_size=6),
@@ -258,29 +301,142 @@ class TestEngineSlotPath:
     def test_engine_bit_identical_across_modes(self, lk, rk, k, method):
         registry, query, plan = _random_table_plan(lk, rk, method)
         head = tuple(query.head)
-        for mode in (ExecutionMode.PARALLEL, ExecutionMode.STREAMED):
-            slot = ExecutionEngine(registry, mode=mode, slot_rows=True).execute(
-                plan, head=head, k=k
-            )
-            oracle = ExecutionEngine(
-                registry, mode=mode, slot_rows=False
-            ).execute(plan, head=head, k=k)
-            assert _signature(slot.rows) == _signature(oracle.rows)
-            assert slot.complete == oracle.complete
-            assert slot.stats.summary() == oracle.stats.summary()
-            assert slot.node_output_sizes == oracle.node_output_sizes
+        reference = reference_execute(plan, registry)
+        full = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
+            plan, head=head, k=k
+        )
+        assert _signature(full.rows) == _signature(reference.rows)
+        assert full.node_output_sizes == reference.node_output_sizes
+        streamed = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
+            plan, head=head, k=k
+        )
+        assert _signature(streamed.rows) == _signature(
+            compose_ranking(reference.rows, k)
+        )
+        if streamed.complete:
+            assert len(streamed.rows) == len(reference.rows)
+        for result in (full, streamed):
+            assert _share_one_layout(result.rows)
+            assert all(set(head) <= set(r.layout.variables) for r in result.rows)
 
     def test_full_scan_agrees_with_compose_ranking_oracle(self):
         registry, query, plan = _random_table_plan(
             [0, 1, 2, 0], [2, 1, 0, 0], JoinMethod.MERGE_SCAN
         )
-        head = tuple(query.head)
-        result = ExecutionEngine(
-            registry, mode=ExecutionMode.PARALLEL, slot_rows=True
-        ).execute(plan, head=head)
-        oracle = ExecutionEngine(
-            registry, mode=ExecutionMode.PARALLEL, slot_rows=False
-        ).execute(plan, head=head)
-        assert _signature(result.rows) == _signature(
-            compose_ranking(oracle.rows)
+        result = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
+            plan, head=tuple(query.head)
         )
+        assert result.rows and _signature(result.rows) == _signature(
+            reference_execute(plan, registry).rows
+        )
+
+
+class TestOutputBindingProgram:
+    """Every opcode of ``ServiceBinding`` against the reference's dict
+    binder: constant selection at an output position, an output
+    variable already bound upstream, a variable repeated in the atom."""
+
+    def _registry(self):
+        registry = ServiceRegistry()
+        registry.register(
+            TableExactService(
+                signature("src", ["Q", "X"], ["io"]),
+                exact_profile(erspi=3.0, response_time=1.0),
+                [("q", 1), ("q", 2), ("q", 3)],
+            )
+        )
+        registry.register(
+            TableExactService(
+                signature("triples", ["X", "Y", "Z"], ["ioo"]),
+                exact_profile(erspi=3.0, response_time=1.0),
+                [(1, 5, 5), (1, 5, 6), (2, 7, 7), (2, "c", 2), (3, "c", 9), (3, 3, 3)],
+            )
+        )
+        return registry
+
+    @pytest.mark.parametrize(
+        "terms, expected",
+        [
+            ((X, Y, Y), {(1, 5), (2, 7), (3, 3)}),  # DUP
+            ((X, Constant("c"), Y), {(2, 2), (3, 9)}),  # CONST
+            ((X, Y, X), {(2, "c"), (3, 3)}),  # CHECK
+            ((X, X, X), {(3, 3)}),  # CHECK twice, nothing fresh
+        ],
+    )
+    def test_engine_binds_like_the_reference(self, terms, expected):
+        registry = self._registry()
+        query = ConjunctiveQuery(
+            name="bind",
+            head=(X, Y) if Y in terms else (X, X),
+            atoms=(Atom("src", (Constant("q"), X)), Atom("triples", terms)),
+            predicates=(),
+        )
+        plan = PlanBuilder(query, registry).build(
+            (
+                registry.signature("src").pattern("io"),
+                registry.signature("triples").pattern("ioo"),
+            ),
+            chain_poset(2, [0, 1]),
+        )
+        reference = reference_execute(plan, registry)
+        result = ExecutionEngine(registry).execute(plan, head=query.head)
+        assert _signature(result.rows) == _signature(reference.rows)
+        assert result.node_output_sizes == reference.node_output_sizes
+        assert set(result.answers()) == expected
+        assert _share_one_layout(result.rows)
+
+
+class _ShortTupleService(TableSearchService):
+    """Returns tuples one position short of the signature's arity."""
+
+    def invoke(self, pattern, inputs, page=0):
+        result = super().invoke(pattern, inputs, page)
+        return InvocationResult(
+            tuples=tuple(values[:-1] for values in result.tuples),
+            latency=result.latency,
+            has_more=result.has_more,
+            ranks=result.ranks,
+        )
+
+
+class TestExecutionErrorsMatchTheReference:
+    def _error_of(self, run):
+        with pytest.raises(ExecutionError) as error:
+            run()
+        return str(error.value)
+
+    def _assert_same_error_everywhere(self, plan, registry, head):
+        expected = self._error_of(lambda: reference_execute(plan, registry))
+        for mode, k in (
+            (ExecutionMode.PARALLEL, None),
+            (ExecutionMode.STREAMED, 2),  # the lazy page source
+        ):
+            engine = ExecutionEngine(registry, mode=mode)
+            assert self._error_of(
+                lambda: engine.execute(plan, head=head, k=k)
+            ) == expected
+        return expected
+
+    def test_unbound_input_variable(self):
+        registry, query, plan = _random_table_plan(
+            [0, 1], [1, 0], JoinMethod.MERGE_SCAN
+        )
+        # Re-point the left service's input position at a variable no
+        # upstream node binds.
+        node = next(n for n in plan.service_nodes if n.service_name == "lefts")
+        node.atom = Atom("lefts", (Variable("Nowhere"), K, L))
+        message = self._assert_same_error_everywhere(plan, registry, query.head)
+        assert message == f"unbound input variable Nowhere at {node.label}"
+
+    def test_short_service_tuples(self):
+        registry, query, plan = _random_table_plan(
+            [0, 1], [1, 0], JoinMethod.MERGE_SCAN
+        )
+        registry._services["lefts"] = _ShortTupleService(
+            signature("lefts", ["Q", "K", "L"], ["ioo"]),
+            search_profile(chunk_size=4, response_time=1.0),
+            [("q", 0, 0)],
+            score=lambda row: 0.0,
+        )
+        message = self._assert_same_error_everywhere(plan, registry, query.head)
+        assert message == "service returned a tuple of arity 2, expected 3"
