@@ -9,7 +9,12 @@ directories are collected in one pytest invocation.
 
 from __future__ import annotations
 
+import datetime
+import json
 import os
+import pathlib
+import platform
+import subprocess
 
 #: ``run_bench.py --quick`` sets BENCH_QUICK=1: CI smoke runs that only
 #: check the bench code still executes, on shrunken workloads.
@@ -32,3 +37,36 @@ def bench_out_name(base: str) -> str:
         return base
     stem, _, extension = base.rpartition(".")
     return f"{stem}.quick.{extension}" if stem else f"{base}.quick"
+
+
+def env_stamp() -> dict:
+    """Where and when a trajectory entry was measured."""
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
+            text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+        "git_sha": sha,
+        "quick": QUICK,
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"
+        ),
+    }
+
+
+def append_history(path: pathlib.Path, entry: dict) -> None:
+    """Append *entry* to a trajectory file: ``{"history": [oldest, ...,
+    entry]}`` — a trajectory accumulates instead of being overwritten."""
+    history = []
+    if path.exists():
+        history = json.loads(path.read_text())["history"]
+    path.write_text(
+        json.dumps({"history": history + [entry]}, indent=2, sort_keys=True) + "\n"
+    )

@@ -18,7 +18,6 @@ from repro.optimizer.fetches import FetchContext, exhaustive_assignment
 from repro.optimizer.optimizer import OptimizedPlan
 from repro.optimizer.patterns import permissible_sequences
 from repro.optimizer.topology import TopologyEnumerator
-from repro.plans.annotate import annotate
 from repro.plans.builder import PlanBuilder
 from repro.plans.dag import PlanError
 from repro.services.registry import ServiceRegistry
@@ -58,8 +57,8 @@ def exhaustive_optimize(
             stats.fetch_evaluations += 1
             stats.plans_completed += 1
             context.apply(fetch_result.fetches)
-            annotation = annotate(plan, cache_setting)
-            cost = metric.cost(plan, annotation)
+            annotation = context.annotate(fetch_result.fetches)
+            cost = fetch_result.cost
             candidate = OptimizedPlan(
                 plan=plan,
                 annotation=annotation,

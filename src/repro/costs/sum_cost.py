@@ -42,7 +42,7 @@ class SumCostMetric(CostMetric):
         for node in plan.service_nodes:
             assert node.profile is not None
             per_call = node.profile.cost_per_call
-            total += per_call * annotation.calls(node) * node.fetches
+            total += per_call * annotation.calls(node) * annotation.fetches(node)
         if self._include_join_cost:
             for join in plan.join_nodes:
                 total += join.cost_per_tuple * annotation.tuples_in(join)
@@ -63,7 +63,7 @@ class RequestResponseMetric(CostMetric):
     def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
         total = 0.0
         for node in plan.service_nodes:
-            fetches = node.fetches if self._count_fetches else 1
+            fetches = annotation.fetches(node) if self._count_fetches else 1
             total += annotation.calls(node) * fetches
         return total
 

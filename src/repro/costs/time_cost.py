@@ -35,13 +35,44 @@ def _tau(node: PlanNode) -> float:
     return 0.0
 
 
-def _work(node: PlanNode, annotation: PlanAnnotation) -> float:
-    """Total busy time of a node: F · t_in · τ."""
-    if isinstance(node, ServiceNode):
-        return node.fetches * annotation.calls(node) * _tau(node)
-    if isinstance(node, JoinNode):
-        return node.response_time
-    return 0.0
+def _timing(plan: QueryPlan):
+    """What the time metrics need of *plan*, derived once per plan.
+
+    ``(taus, idle, services, paths)``: τ of every node by position (in
+    ``plan.nodes`` order); the busy time of every node whose busy time
+    does not depend on the annotation (a join's τ, 0 for IN/OUT and,
+    as a placeholder, for services); the service nodes with their
+    positions; and every input → output path as a tuple of positions.
+    """
+    return plan.derived(_timing, _derive_timing)
+
+
+def _derive_timing(plan: QueryPlan):
+    nodes = plan.nodes
+    position = {node.node_id: index for index, node in enumerate(nodes)}
+    taus = tuple(_tau(node) for node in nodes)
+    idle = tuple(
+        0.0 if isinstance(node, ServiceNode) else tau
+        for node, tau in zip(nodes, taus)
+    )
+    services = tuple(
+        (index, node) for index, node in enumerate(nodes)
+        if isinstance(node, ServiceNode)
+    )
+    paths = tuple(
+        tuple(position[node.node_id] for node in path) for path in plan.paths()
+    )
+    return taus, idle, services, paths
+
+
+def _works(timing: tuple, annotation: PlanAnnotation) -> list[float]:
+    """Total busy time of every node, by position: F · t_in · τ for a
+    service, τ for a join, 0 for IN/OUT."""
+    taus, idle, services, _ = timing
+    works = list(idle)
+    for index, node in services:
+        works[index] = annotation.fetches(node) * annotation.calls(node) * taus[index]
+    return works
 
 
 class ExecutionTimeMetric(CostMetric):
@@ -50,18 +81,13 @@ class ExecutionTimeMetric(CostMetric):
     name = "execution-time"
 
     def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
+        timing = taus, _, _, paths = _timing(plan)
+        works = _works(timing, annotation)
         worst = 0.0
-        for path in plan.paths():
-            works = [_work(node, annotation) for node in path]
-            if not works:
-                continue
-            bottleneck_index = max(range(len(works)), key=works.__getitem__)
-            others = sum(
-                _tau(node)
-                for index, node in enumerate(path)
-                if index != bottleneck_index
-            )
-            worst = max(worst, works[bottleneck_index] + others)
+        for path in paths:
+            bottleneck = max(path, key=works.__getitem__)
+            others = sum(taus[index] for index in path if index != bottleneck)
+            worst = max(worst, works[bottleneck] + others)
         return worst
 
 
@@ -76,10 +102,7 @@ class BottleneckMetric(CostMetric):
     name = "bottleneck"
 
     def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
-        return max(
-            (_work(node, annotation) for node in plan.nodes),
-            default=0.0,
-        )
+        return max(_works(_timing(plan), annotation), default=0.0)
 
 
 class TimeToScreenMetric(CostMetric):
@@ -93,7 +116,8 @@ class TimeToScreenMetric(CostMetric):
 
     def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
         del annotation
+        taus, _, _, paths = _timing(plan)
         worst = 0.0
-        for path in plan.paths():
-            worst = max(worst, sum(_tau(node) for node in path))
+        for path in paths:
+            worst = max(worst, sum(taus[index] for index in path))
         return worst

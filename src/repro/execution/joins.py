@@ -314,10 +314,14 @@ class JoinStream:
         join_predicates = tuple(predicates)
         residual = tuple(residual_predicates)
         self._stage = 0
-        #: (composed rank, arrival index, row) — arrival indexes are the
-        #: candidate's position in the full-scan emission order, making
-        #: tuple comparison the documented (rank, arrival) tie order.
-        self._candidates: list[tuple[int, int, Row]] = []
+        #: (composed rank, arrival index, left row, right row) — arrival
+        #: indexes are the candidate's position in the full-scan
+        #: emission order, making tuple comparison the documented
+        #: (rank, arrival) tie order (arrivals are distinct, so the rows
+        #: are never compared).  The merged row is built when a
+        #: candidate is emitted (:meth:`_row`): a suspended stream keeps
+        #: every candidate for its session's lifetime but emits k.
+        self._candidates: list[tuple[float, int, Row, Row]] = []
         self._join_rows_emitted = 0
         self.cells_visited = 0
 
@@ -491,15 +495,22 @@ class JoinStream:
             self._join_rows_emitted += 1
             if residual and not all(holds(merged) for holds in residual):
                 continue
-            rank = left_ranks[i] + right_ranks[j]
-            row = Row(
-                layout=plan.merged,
-                values=merged,
-                ranks=left_row.ranks + right_row.ranks,
-                provenance=left_row.provenance + right_row.provenance,
+            self._candidates.append(
+                (left_ranks[i] + right_ranks[j], len(self._candidates),
+                 left_row, right_row)
             )
-            self._candidates.append((rank, len(self._candidates), row))
         self._stage += 1
+
+    def _row(self, candidate: tuple) -> Row:
+        """The merged row of a candidate, built when it is emitted."""
+        _, _, left_row, right_row = candidate
+        plan = self._compiled[left_row.layout, right_row.layout][0]
+        return Row(
+            layout=plan.merged,
+            values=plan.merge(left_row.values, right_row.values),
+            ranks=left_row.ranks + right_row.ranks,
+            provenance=left_row.provenance + right_row.provenance,
+        )
 
     def _remaining_lower_bound(self) -> float:
         """Lower bound on the composed rank of every unvisited cell.
@@ -562,24 +573,24 @@ class JoinStream:
         if k is None:
             while not self.exhausted:
                 self._advance_stage()
-            return [row for _, _, row in sorted(self._candidates)]
+            return [self._row(candidate) for candidate in sorted(self._candidates)]
         # Max-heap (negated keys) of the k smallest (rank, arrival).
         worst_first = [
             (-rank, -arrival)
-            for rank, arrival, _ in heapq.nsmallest(k, self._candidates)
+            for rank, arrival, _, _ in heapq.nsmallest(k, self._candidates)
         ]
         heapq.heapify(worst_first)
         while not self.exhausted and not self._certified(worst_first, k):
             seen = len(self._candidates)
             self._advance_stage()
-            for rank, arrival, _ in self._candidates[seen:]:
+            for rank, arrival, _, _ in self._candidates[seen:]:
                 key = (-rank, -arrival)
                 if len(worst_first) < k:
                     heapq.heappush(worst_first, key)
                 elif key > worst_first[0]:
                     heapq.heappushpop(worst_first, key)
         selected = sorted((-rank, -arrival) for rank, arrival in worst_first)
-        return [self._candidates[arrival][2] for _, arrival in selected]
+        return [self._row(self._candidates[arrival]) for _, arrival in selected]
 
     def _certified(self, worst_first: list[tuple[int, int]], k: int) -> bool:
         """True when no unvisited cell can still enter the top-*k*.

@@ -8,6 +8,7 @@ An atom for a schema ``S`` is an expression ``s(t1, ..., tn)`` where
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.model.schema import AccessPattern, Schema, SchemaError, ServiceSignature
 from repro.model.terms import Constant, Term, Variable
@@ -40,10 +41,16 @@ class Atom:
         """Variables in argument order (with duplicates)."""
         return tuple(t for t in self.terms if isinstance(t, Variable))
 
-    @property
+    @cached_property
     def variable_set(self) -> frozenset[Variable]:
-        """The set of distinct variables of the atom."""
-        return frozenset(self.variables)
+        """The set of distinct variables of the atom.
+
+        Computed once per atom (``cached_property`` stores into the
+        instance dict, which a frozen dataclass leaves writable): the
+        optimizer asks for it on every callability check, plan build
+        and annotation.
+        """
+        return frozenset(t for t in self.terms if isinstance(t, Variable))
 
     @property
     def constants(self) -> tuple[Constant, ...]:

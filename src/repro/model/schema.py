@@ -35,6 +35,14 @@ class AccessPattern:
     """
 
     code: str
+    #: Zero-based positions of input (bound) arguments.
+    input_positions: tuple[int, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    #: Zero-based positions of output (free) arguments.
+    output_positions: tuple[int, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.code:
@@ -44,21 +52,17 @@ class AccessPattern:
             raise SchemaError(
                 f"access pattern may only contain 'i' and 'o', got {self.code!r}"
             )
+        # Derived from ``code`` once: the optimizer asks for them on
+        # every callability check and plan build.
+        for name, symbol in (("input_positions", "i"), ("output_positions", "o")):
+            object.__setattr__(
+                self, name, tuple(k for k, c in enumerate(self.code) if c == symbol)
+            )
 
     @property
     def arity(self) -> int:
         """Number of arguments the pattern adorns."""
         return len(self.code)
-
-    @property
-    def input_positions(self) -> tuple[int, ...]:
-        """Zero-based positions of input (bound) arguments."""
-        return tuple(k for k, c in enumerate(self.code) if c == "i")
-
-    @property
-    def output_positions(self) -> tuple[int, ...]:
-        """Zero-based positions of output (free) arguments."""
-        return tuple(k for k, c in enumerate(self.code) if c == "o")
 
     def is_input(self, position: int) -> bool:
         """True if *position* is an input argument under this pattern."""

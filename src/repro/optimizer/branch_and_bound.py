@@ -27,8 +27,22 @@ class SearchStats:
     The ``memo_*`` counters trace the search-memoization subsystem
     (:mod:`repro.optimizer.memo`): bound entries cache partial lower
     bounds per topology state, plan entries cache whole phase-2/3
-    evaluations.  ``annotate_calls`` counts the plan annotations the
-    optimizer actually performed — every memo hit avoids at least one.
+    evaluations.
+
+    Three counters account for the estimation work
+    (:mod:`repro.plans.annotate`).  ``annotate_calls`` counts the
+    annotations the *search* asks for — one per partial lower bound
+    computed, one per plan completed by phase 3, one for materializing
+    the winner; every memo hit avoids at least one.  It does not see
+    inside phase 3, which is where most estimates are computed:
+    ``fetch_vectors_evaluated`` counts the distinct fetch vectors
+    phase 3 ran through a plan's annotation program (the completed
+    plan's annotation is one of them, served from the phase's memo),
+    and ``programs_compiled`` the programs compiled — one per plan
+    phase 3 worked on, per partial bound and per materialization
+    (today that is one per ``annotate_calls``: what the pair shows is
+    how many vectors share a program).  Estimates evaluated in total:
+    ``fetch_vectors_evaluated`` plus one per bound and materialization.
     """
 
     pattern_sequences_considered: int = 0
@@ -39,6 +53,8 @@ class SearchStats:
     fetch_evaluations: int = 0
     incumbent_updates: int = 0
     annotate_calls: int = 0
+    fetch_vectors_evaluated: int = 0
+    programs_compiled: int = 0
     memo_bound_hits: int = 0
     memo_bound_misses: int = 0
     memo_plan_hits: int = 0
@@ -64,6 +80,8 @@ class SearchStats:
             f" plans completed={self.plans_completed},"
             f" incumbent updates={self.incumbent_updates},"
             f" annotate calls={self.annotate_calls},"
+            f" fetch vectors={self.fetch_vectors_evaluated},"
+            f" programs={self.programs_compiled},"
             f" memo hits={self.memo_hits}"
             f" (misses {self.memo_misses})"
         )

@@ -26,13 +26,14 @@ provided and exercised against the exhaustive search in tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from repro.costs.base import CostMetric
 from repro.execution.cache import CacheSetting
-from repro.plans.annotate import PlanAnnotation, annotate
+from repro.plans.annotate import AnnotationProgram, PlanAnnotation
 from repro.plans.dag import QueryPlan
 from repro.plans.nodes import ServiceNode
 
@@ -63,8 +64,11 @@ class FetchContext:
     """Evaluates fetch assignments on a fixed plan.
 
     The plan's structure does not depend on the fetching factors, so
-    the context mutates the chunked nodes' ``fetches`` in place and
-    re-annotates; callers receive plain numbers.
+    the context compiles the plan's estimates once
+    (:class:`~repro.plans.annotate.AnnotationProgram`) and runs every
+    trial vector through that program; callers receive plain numbers.
+    Trials leave the plan untouched — only :meth:`apply` and
+    :meth:`evaluate` write factors to the plan nodes.
     """
 
     def __init__(
@@ -75,31 +79,35 @@ class FetchContext:
     ) -> None:
         self._plan = plan
         self._metric = metric
-        self._cache_setting = cache_setting
         self._chunked: dict[int, ServiceNode] = {
             node.atom_index: node for node in plan.chunked_service_nodes
         }
+        self._program = AnnotationProgram(plan, cache_setting)
+        self._atoms = self._program.chunked_atoms
         # The annotation depends only on the fetch vector, and the
         # heuristics re-evaluate many neighboring vectors: memoize.
-        self._annotation_memo: dict[tuple[tuple[int, int], ...], PlanAnnotation] = {}
-        self._cost_memo: dict[tuple[tuple[int, int], ...], float] = {}
+        self._annotation_memo: dict[tuple[int, ...], PlanAnnotation] = {}
+        self._cost_memo: dict[tuple[int, ...], float] = {}
         self._base_output: float | None = None
 
-    def _key(self, fetches: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (atom_index, int(fetches.get(atom_index, 1)))
-            for atom_index in sorted(self._chunked)
-        )
+    def _vector(self, fetches: Mapping[int, int]) -> tuple[int, ...]:
+        """*fetches* in the program's layout (missing atoms fetch once)."""
+        return tuple([int(fetches.get(atom_index, 1)) for atom_index in self._atoms])
 
     @property
     def plan(self) -> QueryPlan:
-        """The underlying plan (fetches reflect the last evaluation)."""
+        """The underlying plan (fetches reflect the last apply/evaluate)."""
         return self._plan
 
     @property
     def chunked_atoms(self) -> tuple[int, ...]:
         """Atom indices of the chunked services, sorted."""
-        return tuple(sorted(self._chunked))
+        return self._atoms
+
+    @property
+    def vectors_evaluated(self) -> int:
+        """Distinct fetch vectors run through the plan's program so far."""
+        return len(self._annotation_memo)
 
     def cap(self, atom_index: int) -> int:
         """Decay-implied upper bound on the factor (or the hard cap)."""
@@ -137,14 +145,12 @@ class FetchContext:
 
     def annotate(self, fetches: Mapping[int, int]) -> PlanAnnotation:
         """Annotation of the plan under *fetches* (memoized)."""
-        key = self._key(fetches)
-        cached = self._annotation_memo.get(key)
+        return self._annotation(self._vector(fetches))
+
+    def _annotation(self, vector: tuple[int, ...]) -> PlanAnnotation:
+        cached = self._annotation_memo.get(vector)
         if cached is None:
-            self.apply(fetches)
-            cached = annotate(self._plan, self._cache_setting)
-            self._annotation_memo[key] = cached
-        else:
-            self.apply(fetches)
+            cached = self._annotation_memo[vector] = self._program.run(vector)
         return cached
 
     def output_size(self, fetches: Mapping[int, int]) -> float:
@@ -157,8 +163,7 @@ class FetchContext:
         tests against the full annotation).
         """
         if self._base_output is None:
-            self.apply(all_ones(self))
-            self._base_output = annotate(self._plan, self._cache_setting).output_size
+            self._base_output = self.annotate({}).output_size
         result = self._base_output
         for atom_index in self._chunked:
             result *= int(fetches.get(atom_index, 1))
@@ -166,20 +171,23 @@ class FetchContext:
 
     def cost(self, fetches: Mapping[int, int]) -> float:
         """Metric cost of the plan under *fetches* (memoized)."""
-        key = self._key(fetches)
-        cached = self._cost_memo.get(key)
+        vector = self._vector(fetches)
+        cached = self._cost_memo.get(vector)
         if cached is None:
-            annotation = self.annotate(fetches)
-            cached = self._metric.cost(self._plan, annotation)
-            self._cost_memo[key] = cached
+            cached = self._cost_memo[vector] = self._metric.cost(
+                self._plan, self._annotation(vector)
+            )
         return cached
 
     def evaluate(self, fetches: Mapping[int, int], k: int) -> FetchResult:
-        """Package an assignment with feasibility, h, and cost."""
-        annotation = self.annotate(fetches)
-        output_size = annotation.output_size
+        """Package an assignment with feasibility, h, and cost.
+
+        The assignment is also applied to the plan.
+        """
+        self.apply(fetches)
+        output_size = self.annotate(fetches).output_size
         return FetchResult(
-            fetches={i: int(fetches.get(i, 1)) for i in self.chunked_atoms},
+            fetches={i: int(fetches.get(i, 1)) for i in self._atoms},
             feasible=output_size >= k,
             output_size=output_size,
             cost=self.cost(fetches),
@@ -348,37 +356,28 @@ def exhaustive_assignment(
                 return seeded
         return greedy_assignment(context, k)
     best: FetchResult | None = None
-    feasible_minimals: list[dict[int, int]] = []
+    feasible_minimals: list[tuple[int, ...]] = []
     if start is not None:
         candidate = context.evaluate(start, k)
         if candidate.feasible:
             best = candidate
-            feasible_minimals.append(dict(candidate.fetches))
-
-    def dominated(vector: dict[int, int]) -> bool:
-        return any(
-            all(vector[i] >= other[i] for i in atoms) and vector != other
+            feasible_minimals.append(tuple(candidate.fetches[i] for i in atoms))
+    # A flat loop, first atom outermost (no recursive closure: a closure
+    # that calls itself is a reference cycle, which would keep the
+    # context and every annotation it memoized alive until the next
+    # collection).
+    for factors in itertools.product(*(range(1, bounds[i] + 1) for i in atoms)):
+        if any(
+            factors != other and all(f >= o for f, o in zip(factors, other))
             for other in feasible_minimals
-        )
-
-    def recurse(prefix: dict[int, int], position: int) -> None:
-        nonlocal best
-        if position == len(atoms):
-            if dominated(prefix):
-                return
-            result = context.evaluate(prefix, k)
-            if result.feasible:
-                feasible_minimals.append(dict(prefix))
-                if best is None or result.cost < best.cost:
-                    best = result
-            return
-        atom_index = atoms[position]
-        for factor in range(1, bounds[atom_index] + 1):
-            prefix[atom_index] = factor
-            recurse(prefix, position + 1)
-        del prefix[atom_index]
-
-    recurse({}, 0)
+        ):
+            continue  # dominated: can only cost more
+        vector = dict(zip(atoms, factors))
+        if context.annotate(vector).output_size < k:
+            continue
+        feasible_minimals.append(factors)
+        if best is None or context.cost(vector) < best.cost:
+            best = context.evaluate(vector, k)
     if best is not None:
         return best
     # k unreachable: report the maximal-output assignment (the paper

@@ -276,6 +276,7 @@ class Optimizer:
                 )
             return
         context = FetchContext(plan, self._metric, config.cache_setting)
+        stats.programs_compiled += 1
         fetch_result = assign_fetches(
             context,
             config.k,
@@ -284,10 +285,13 @@ class Optimizer:
         )
         stats.fetch_evaluations += 1
         stats.plans_completed += 1
+        # The chosen vector was evaluated by phase 3: its annotation and
+        # cost come out of the context's memo, the plan gets its factors.
         context.apply(fetch_result.fetches)
-        annotation = annotate(plan, config.cache_setting)
+        annotation = context.annotate(fetch_result.fetches)
         stats.annotate_calls += 1
-        cost = self._metric.cost(plan, annotation)
+        stats.fetch_vectors_evaluated += context.vectors_evaluated
+        cost = fetch_result.cost
         candidate = _Candidate(
             plan=plan,
             annotation=annotation,
@@ -332,6 +336,7 @@ class Optimizer:
         )
         annotation = annotate(plan, self._config.cache_setting)
         stats.annotate_calls += 1
+        stats.programs_compiled += 1
         return replace(candidate, plan=plan, annotation=annotation)
 
     def _partial_lower_bound(
@@ -399,6 +404,7 @@ class Optimizer:
             return None
         annotation = annotate(plan, self._config.cache_setting)
         stats.annotate_calls += 1
+        stats.programs_compiled += 1
         return self._metric.cost(plan, annotation)
 
     def _pattern_lower_bound(

@@ -1,6 +1,7 @@
 """Query plans: DAG representation, builder, annotation, rendering."""
 
 from repro.plans.annotate import (
+    AnnotationProgram,
     NodeEstimate,
     PlanAnnotation,
     annotate,
@@ -13,6 +14,7 @@ from repro.plans.render import render_ascii, render_dot, summarize
 from repro.plans.spec import PlanSpec
 
 __all__ = [
+    "AnnotationProgram",
     "InputNode",
     "JoinNode",
     "NodeEstimate",

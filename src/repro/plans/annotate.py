@@ -21,11 +21,23 @@ Implements Section 3.4 and Section 5.2 of the paper:
 
 Selection predicates assigned to a node multiply its output by their
 selectivity (the paper folds selections into the notion of erspi).
+
+The estimates depend on the fetching factors only through ``cs · F``,
+and phase 3 of the optimizer tries many factor vectors on one fixed
+topology, so the work is split in two (docs/ARCHITECTURE.md, "Plan
+estimation"): :class:`AnnotationProgram` *compiles* a plan once —
+topological order, folded selectivities, the Eq. 2 candidate sets —
+into one flat op per node, and :meth:`AnnotationProgram.run`
+*evaluates* the ops for a fetch vector in a single loop.
+:func:`annotate` is one compile plus one run.  The per-definition
+derivation the program is checked against lives in
+:mod:`repro.testing.reference` (``reference_annotate``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from repro.execution.cache import CacheSetting
 from repro.model.terms import Variable
@@ -46,29 +58,115 @@ class NodeEstimate:
             raise PlanError("estimates must be non-negative")
 
 
-@dataclass(frozen=True)
 class PlanAnnotation:
-    """Estimates for every node of a plan, plus the overall output size."""
+    """Estimates for every node of a plan, plus the overall output size.
 
-    cache_setting: CacheSetting
-    estimates: dict[str, NodeEstimate]
-    output_size: float
+    A thin view over three parallel float lists (``tuples_in``,
+    ``tuples_out``, ``calls``, one entry per node) and the fetching
+    factors the estimates were computed under.  The program hands its
+    lists over as they are; :class:`NodeEstimate` objects exist only
+    for the nodes somebody asks about (:meth:`of`, :attr:`estimates`).
+    Constructing one directly, from a dict of estimates, is for tests
+    and hand-built examples: it carries no factors, so
+    :meth:`fetches` reads them off the plan nodes.
+    """
+
+    __slots__ = (
+        "cache_setting", "output_size", "_position", "_tuples_in",
+        "_tuples_out", "_calls", "_slots", "_fetches", "_estimates",
+    )
+
+    def __init__(
+        self,
+        cache_setting: CacheSetting,
+        estimates: Mapping[str, NodeEstimate],
+        output_size: float,
+    ) -> None:
+        self.cache_setting = cache_setting
+        self.output_size = output_size
+        self._position = {node_id: i for i, node_id in enumerate(estimates)}
+        self._tuples_in = [e.tuples_in for e in estimates.values()]
+        self._tuples_out = [e.tuples_out for e in estimates.values()]
+        self._calls = [e.calls for e in estimates.values()]
+        self._slots: Mapping[str, int] = {}
+        self._fetches: Sequence[int] = ()
+        self._estimates: dict[str, NodeEstimate] | None = dict(estimates)
+
+    @classmethod
+    def _over(
+        cls,
+        cache_setting: CacheSetting,
+        output_size: float,
+        position: Mapping[str, int],
+        tuples_in: list[float],
+        tuples_out: list[float],
+        calls: list[float],
+        slots: Mapping[str, int],
+        fetches: Sequence[int],
+    ) -> "PlanAnnotation":
+        """The view an :class:`AnnotationProgram` run returns."""
+        view = cls.__new__(cls)
+        view.cache_setting = cache_setting
+        view.output_size = output_size
+        view._position = position
+        view._tuples_in = tuples_in
+        view._tuples_out = tuples_out
+        view._calls = calls
+        view._slots = slots
+        view._fetches = fetches
+        view._estimates = None
+        return view
+
+    @property
+    def estimates(self) -> dict[str, NodeEstimate]:
+        """Node id → :class:`NodeEstimate`, in topological order."""
+        if self._estimates is None:
+            self._estimates = {
+                node_id: NodeEstimate(
+                    self._tuples_in[i], self._tuples_out[i], self._calls[i]
+                )
+                for node_id, i in self._position.items()
+            }
+        return self._estimates
 
     def of(self, node: PlanNode) -> NodeEstimate:
         """Estimate for *node*."""
-        return self.estimates[node.node_id]
+        i = self._position[node.node_id]
+        return NodeEstimate(self._tuples_in[i], self._tuples_out[i], self._calls[i])
 
     def calls(self, node: PlanNode) -> float:
         """Expected number of invocations of *node*."""
-        return self.estimates[node.node_id].calls
+        return self._calls[self._position[node.node_id]]
 
     def tuples_out(self, node: PlanNode) -> float:
         """Expected output size of *node*."""
-        return self.estimates[node.node_id].tuples_out
+        return self._tuples_out[self._position[node.node_id]]
 
     def tuples_in(self, node: PlanNode) -> float:
         """Expected input size of *node*."""
-        return self.estimates[node.node_id].tuples_in
+        return self._tuples_in[self._position[node.node_id]]
+
+    def fetches(self, node: ServiceNode) -> int:
+        """The fetching factor of *node* these estimates assume."""
+        slot = self._slots.get(node.node_id)
+        return node.fetches if slot is None else self._fetches[slot]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PlanAnnotation):
+            return NotImplemented
+        return (
+            self.cache_setting is other.cache_setting
+            and self.output_size == other.output_size
+            and self.estimates == other.estimates
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"PlanAnnotation({self.cache_setting.name}, {len(self._position)} "
+            f"nodes, output_size={self.output_size:g})"
+        )
 
 
 #: Selectivity charged per *output* position that is constrained after
@@ -100,163 +198,224 @@ def _selectivity_of(
     return result
 
 
-def _upstream_variables(plan: QueryPlan, node: ServiceNode) -> frozenset[Variable]:
-    """Variables bound by the service nodes strictly preceding *node*."""
-    bound: set[Variable] = set()
-    for ancestor in plan.upstream_service_nodes(node):
-        assert ancestor.atom is not None
-        bound |= ancestor.atom.variable_set
-    return frozenset(bound)
+# Op kinds of a compiled program; an op is a tuple led by its kind.
+_INPUT, _EXACT, _CHUNKED, _JOIN, _OUTPUT = range(5)
+
+
+class AnnotationProgram:
+    """The estimates of one plan: compiled once, run per fetch vector.
+
+    Compilation fixes everything that does not depend on the fetching
+    factors: one op per node in topological order, holding the
+    positions it reads (its feed, or a join's two sides), its
+    selectivity with predicates and constrained output positions
+    folded in, ``erspi`` or ``chunk_size``, and — under a cache — the
+    Eq. 2 *candidate groups*: per input variable, the positions of the
+    nodes that can bound its distinct values (providers and everything
+    between a provider and the node), in the order ties are broken.
+
+    :meth:`run` is then a single loop over the ops that appends to
+    three float lists.  It performs the float operations of the
+    definition in the definition's order, so its results are
+    bit-identical to ``reference_annotate`` — which is also why the
+    Eq. 2 product has a *defined* order (ascending topological
+    position of the minimizers), not the iteration order of a set.
+
+    A program is bound to the structure its plan had when compiled:
+    after an ``add_node``/``add_arc`` on the plan, :meth:`run` raises
+    :class:`PlanError`.  The factors are an argument of ``run``, never
+    read from the program, so no state leaks from one run to the next.
+    """
+
+    def __init__(self, plan: QueryPlan, cache_setting: CacheSetting) -> None:
+        self._plan = plan
+        self._version = plan.structure_version
+        self.cache_setting = cache_setting
+        cached = cache_setting is not CacheSetting.NO_CACHE
+        order = plan.topological_order()
+        position = {node.node_id: i for i, node in enumerate(order)}
+        self._position = position
+        self._chunked = sorted(
+            (n for n in order if isinstance(n, ServiceNode) and n.is_chunked),
+            key=lambda n: n.atom_index,
+        )
+        self._slots = {n.node_id: slot for slot, n in enumerate(self._chunked)}
+
+        # Bit sets over positions: ancestors[i] has bit j set iff node j
+        # is a strict ancestor of node i; providers[X] marks the service
+        # nodes with X among their outputs.  bound[i] is every variable
+        # a service node at or above position i binds.
+        ancestors: list[int] = []
+        bound: list[frozenset[Variable]] = []
+        providers: dict[Variable, int] = {}
+        ops: list[tuple] = []
+        for i, node in enumerate(order):
+            feeds = [position[p.node_id] for p in plan.predecessors(node)]
+            above = 0
+            upstream: frozenset[Variable] = frozenset()
+            for feed in feeds:
+                above |= ancestors[feed] | (1 << feed)
+                upstream |= bound[feed]
+            ancestors.append(above)
+            if isinstance(node, InputNode):
+                ops.append((_INPUT,))
+            elif isinstance(node, ServiceNode):
+                assert node.atom is not None and node.profile is not None
+                feed = self._single_feed(node, feeds)
+                selectivity = _selectivity_of(node, upstream)
+                groups = (
+                    self._candidate_groups(node, order, above, ancestors, providers)
+                    if cached
+                    else None
+                )
+                if node.profile.is_chunked:
+                    ops.append((
+                        _CHUNKED, feed, node.profile.chunk_size, selectivity,
+                        groups, self._slots[node.node_id],
+                    ))
+                else:
+                    ops.append(
+                        (_EXACT, feed, node.profile.erspi, selectivity, groups)
+                    )
+                for variable in node.output_variables:
+                    providers[variable] = providers.get(variable, 0) | (1 << i)
+                upstream |= node.atom.variable_set
+            elif isinstance(node, JoinNode):
+                if len(feeds) != 2:
+                    raise PlanError(
+                        f"join {node.node_id!r} must have two predecessors"
+                    )
+                ops.append((_JOIN, feeds[0], feeds[1], node.selectivity))
+            elif isinstance(node, OutputNode):
+                ops.append(
+                    (_OUTPUT, self._single_feed(node, feeds), _selectivity_of(node))
+                )
+            else:
+                raise PlanError(f"unknown node type: {type(node).__name__}")
+            bound.append(upstream)
+        self._ops = tuple(ops)
+        self._output = position[plan.output_node.node_id]
+
+    @staticmethod
+    def _single_feed(node: PlanNode, feeds: list[int]) -> int:
+        if len(feeds) != 1:
+            raise PlanError(
+                f"node {node.node_id!r} expected exactly one predecessor, "
+                f"got {len(feeds)}"
+            )
+        return feeds[0]
+
+    @staticmethod
+    def _candidate_groups(
+        node: ServiceNode,
+        order: tuple[PlanNode, ...],
+        above: int,
+        ancestors: list[int],
+        providers: dict[Variable, int],
+    ) -> tuple[tuple[int, ...], ...]:
+        """Eq. 2: per input variable of *node*, who may bound it.
+
+        The candidates for ``X`` are the ancestors of *node* that
+        provide ``X`` or have a provider of ``X`` above them (the
+        input node has neither, the output node is nobody's ancestor).
+        A variable without candidates is bound by constants or the
+        user input and drops out; variables sharing a candidate set
+        share a minimizer, so the set is kept once.  Within a group
+        the positions are ordered by node id, the tie-break among
+        equal ``t_out``.
+        """
+        groups: dict[tuple[int, ...], None] = {}
+        for variable in sorted(node.input_variables, key=lambda v: v.name):
+            provided = providers.get(variable, 0)
+            candidates = [
+                j
+                for j in range(len(ancestors))
+                if above >> j & 1
+                and (provided >> j & 1 or ancestors[j] & provided)
+            ]
+            if candidates:
+                candidates.sort(key=lambda j: order[j].node_id)
+                groups[tuple(candidates)] = None
+        return tuple(groups)
+
+    @property
+    def chunked_atoms(self) -> tuple[int, ...]:
+        """Atom indices of the chunked services: the layout of a fetch vector."""
+        return tuple(node.atom_index for node in self._chunked)
+
+    def run(self, fetches: Sequence[int] | None = None) -> PlanAnnotation:
+        """Estimates under *fetches* (one factor per :attr:`chunked_atoms`).
+
+        ``None`` reads the factors currently set on the plan nodes.
+        """
+        if self._plan.structure_version != self._version:
+            raise PlanError(
+                "plan structure changed after its annotation program was compiled"
+            )
+        if fetches is None:
+            fetches = tuple(node.fetches for node in self._chunked)
+        elif len(fetches) != len(self._chunked):
+            raise ValueError(
+                f"expected {len(self._chunked)} fetching factors, got {len(fetches)}"
+            )
+        tuples_in: list[float] = []
+        tuples_out: list[float] = []
+        calls: list[float] = []
+        for op in self._ops:
+            kind = op[0]
+            if kind == _EXACT or kind == _CHUNKED:
+                arriving = tuples_out[op[1]]
+                if kind == _EXACT:
+                    produced = arriving * op[2] * op[3]
+                else:
+                    produced = arriving * (op[2] * fetches[op[5]]) * op[3]
+                groups = op[4]
+                if groups is None:
+                    needed = arriving
+                else:
+                    # Eq. 2: one minimizer of t_out per group; N(n) is
+                    # the *set* of minimizers, multiplied in ascending
+                    # position.
+                    minimizers = set()
+                    for group in groups:
+                        best = group[0]
+                        least = tuples_out[best]
+                        for candidate in group[1:]:
+                            if tuples_out[candidate] < least:
+                                best = candidate
+                                least = tuples_out[candidate]
+                        minimizers.add(best)
+                    distinct = 1.0
+                    for minimizer in sorted(minimizers):
+                        distinct *= tuples_out[minimizer]
+                    needed = min(arriving, distinct)
+                tuples_in.append(arriving)
+                tuples_out.append(produced)
+                calls.append(needed)
+            elif kind == _JOIN:
+                pairs = tuples_out[op[1]] * tuples_out[op[2]]
+                tuples_in.append(pairs)
+                tuples_out.append(pairs * op[3])
+                calls.append(0.0)
+            elif kind == _OUTPUT:
+                arriving = tuples_out[op[1]]
+                tuples_in.append(arriving)
+                tuples_out.append(arriving * op[2])
+                calls.append(0.0)
+            else:
+                # The user always injects one single input tuple (Sec. 3.4).
+                tuples_in.append(1.0)
+                tuples_out.append(1.0)
+                calls.append(0.0)
+        return PlanAnnotation._over(
+            self.cache_setting, tuples_out[self._output], self._position,
+            tuples_in, tuples_out, calls, self._slots, fetches,
+        )
 
 
 def annotate(plan: QueryPlan, cache_setting: CacheSetting) -> PlanAnnotation:
-    """Compute :class:`NodeEstimate` for every node of *plan*."""
-    estimates: dict[str, NodeEstimate] = {}
-    order = plan.topological_order()
-
-    for node in order:
-        if isinstance(node, InputNode):
-            # The user always injects one single input tuple (Sec. 3.4).
-            estimates[node.node_id] = NodeEstimate(
-                tuples_in=1.0, tuples_out=1.0, calls=0.0
-            )
-        elif isinstance(node, ServiceNode):
-            estimates[node.node_id] = _estimate_service(
-                plan, node, estimates, cache_setting
-            )
-        elif isinstance(node, JoinNode):
-            estimates[node.node_id] = _estimate_join(plan, node, estimates)
-        elif isinstance(node, OutputNode):
-            estimates[node.node_id] = _estimate_output(plan, node, estimates)
-        else:
-            raise PlanError(f"unknown node type: {type(node).__name__}")
-
-    output_estimate = estimates[plan.output_node.node_id]
-    return PlanAnnotation(
-        cache_setting=cache_setting,
-        estimates=estimates,
-        output_size=output_estimate.tuples_out,
-    )
-
-
-def _feed_size(plan: QueryPlan, node: PlanNode, estimates: dict[str, NodeEstimate]) -> float:
-    predecessors = plan.predecessors(node)
-    if len(predecessors) != 1:
-        raise PlanError(
-            f"node {node.node_id!r} expected exactly one predecessor, "
-            f"got {len(predecessors)}"
-        )
-    return estimates[predecessors[0].node_id].tuples_out
-
-
-def _estimate_service(
-    plan: QueryPlan,
-    node: ServiceNode,
-    estimates: dict[str, NodeEstimate],
-    cache_setting: CacheSetting,
-) -> NodeEstimate:
-    assert node.profile is not None
-    tuples_in = _feed_size(plan, node, estimates)
-    selectivity = _selectivity_of(node, _upstream_variables(plan, node))
-    if node.profile.is_chunked:
-        per_input = node.profile.chunk_size * node.fetches  # type: ignore[operator]
-        tuples_out = tuples_in * per_input * selectivity
-    else:
-        tuples_out = tuples_in * node.profile.erspi * selectivity
-    if cache_setting is CacheSetting.NO_CACHE:
-        calls = tuples_in
-    else:
-        calls = min(tuples_in, _cached_calls(plan, node, estimates))
-    return NodeEstimate(tuples_in=tuples_in, tuples_out=tuples_out, calls=calls)
-
-
-def _cached_calls(
-    plan: QueryPlan, node: ServiceNode, estimates: dict[str, NodeEstimate]
-) -> float:
-    """Equation (2): product of the minimal contributions per input var.
-
-    For each input variable ``X`` of *node*, the candidate bounding
-    nodes are the providers of ``X`` (upstream service nodes with ``X``
-    among their outputs) and every node lying between a provider and
-    *node*; the minimal ``t_out`` among them bounds the number of
-    distinct bindings of ``X``.  ``N(node)`` is the *set* of chosen
-    minimizers (one per variable, deduplicated), and the estimate is
-    the product of their ``t_out`` values.
-    """
-    input_variables = node.input_variables
-    if not input_variables:
-        # All inputs are constants: a single invocation covers every
-        # block once any cache is present.
-        return 1.0
-    ancestors = plan.ancestors(node)
-    minimizers: set[str] = set()
-    for variable in sorted(input_variables, key=lambda v: v.name):
-        candidates = _bounding_nodes(plan, node, variable, ancestors)
-        if not candidates:
-            # No upstream provider: the variable must be bound by the
-            # atom's own constants or is supplied by the user input.
-            continue
-        best = min(candidates, key=lambda nid: (estimates[nid].tuples_out, nid))
-        minimizers.add(best)
-    if not minimizers:
-        return 1.0
-    calls = 1.0
-    for node_id in minimizers:
-        calls *= estimates[node_id].tuples_out
-    return calls
-
-
-def _bounding_nodes(
-    plan: QueryPlan,
-    node: ServiceNode,
-    variable: Variable,
-    ancestors: frozenset[str],
-) -> set[str]:
-    """Ids of nodes bounding the distinct values of *variable* at *node*."""
-    bounding: set[str] = set()
-    for candidate in plan.nodes:
-        if candidate.node_id not in ancestors:
-            continue
-        if isinstance(candidate, ServiceNode):
-            if variable in candidate.output_variables:
-                # A provider of the variable.
-                bounding.add(candidate.node_id)
-                continue
-        # Intermediaries: nodes strictly between some provider and
-        # *node*.  A node m is such an intermediary iff some provider
-        # is an ancestor of m (and m is an ancestor of node, which we
-        # already know).
-        if isinstance(candidate, (ServiceNode, JoinNode)):
-            candidate_ancestors = plan.ancestors(candidate)
-            for provider in plan.nodes:
-                if (
-                    isinstance(provider, ServiceNode)
-                    and provider.node_id in candidate_ancestors
-                    and variable in provider.output_variables
-                ):
-                    bounding.add(candidate.node_id)
-                    break
-    return bounding
-
-
-def _estimate_join(
-    plan: QueryPlan, node: JoinNode, estimates: dict[str, NodeEstimate]
-) -> NodeEstimate:
-    predecessors = plan.predecessors(node)
-    if len(predecessors) != 2:
-        raise PlanError(f"join {node.node_id!r} must have two predecessors")
-    left, right = predecessors
-    pairs = estimates[left.node_id].tuples_out * estimates[right.node_id].tuples_out
-    tuples_out = pairs * node.selectivity
-    return NodeEstimate(tuples_in=pairs, tuples_out=tuples_out, calls=0.0)
-
-
-def _estimate_output(
-    plan: QueryPlan, node: OutputNode, estimates: dict[str, NodeEstimate]
-) -> NodeEstimate:
-    tuples_in = _feed_size(plan, node, estimates)
-    tuples_out = tuples_in * _selectivity_of(node)
-    return NodeEstimate(tuples_in=tuples_in, tuples_out=tuples_out, calls=0.0)
+    """Estimates for every node of *plan* at its current fetching factors."""
+    return AnnotationProgram(plan, cache_setting).run()
 
 
 def bulk_erspi(plan: QueryPlan) -> float:

@@ -24,6 +24,7 @@ after* its strict predecessors in the chosen order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from repro.model.atoms import Atom
@@ -55,7 +56,11 @@ class Poset:
                 raise PlanError(f"reflexive pair ({i}, {j}) in poset")
 
     def closure(self) -> frozenset[tuple[int, int]]:
-        """The transitive closure; raises on cycles."""
+        """The transitive closure (computed once); raises on cycles."""
+        return self._closure
+
+    @cached_property
+    def _closure(self) -> frozenset[tuple[int, int]]:
         reach: dict[int, set[int]] = {i: set() for i in range(self.n)}
         for i, j in self.pairs:
             reach[i].add(j)

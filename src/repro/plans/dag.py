@@ -9,9 +9,12 @@ by any directed path are invoked in parallel.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, PlanNode, ServiceNode
+
+
+T = TypeVar("T")
 
 
 class PlanError(ValueError):
@@ -27,7 +30,12 @@ class QueryPlan:
         self._pred: dict[str, list[str]] = {}
         self._input: InputNode | None = None
         self._output: OutputNode | None = None
-        self._ancestors_memo: dict[str, frozenset[str]] = {}
+        # Answers to structural queries (ancestor sets, topological
+        # order, paths, what callers derive from them) live here until
+        # the next mutation.  ``_version`` counts mutations, so anything
+        # compiled from the plan can tell that it went stale.
+        self._memo: dict[object, object] = {}
+        self._version = 0
 
     # -- construction ---------------------------------------------------
 
@@ -46,6 +54,7 @@ class QueryPlan:
         self._nodes[node.node_id] = node
         self._succ[node.node_id] = []
         self._pred[node.node_id] = []
+        self._structure_changed()
         return node
 
     def add_arc(self, origin: PlanNode, destination: PlanNode) -> None:
@@ -57,7 +66,25 @@ class QueryPlan:
             return
         self._succ[origin.node_id].append(destination.node_id)
         self._pred[destination.node_id].append(origin.node_id)
-        self._ancestors_memo.clear()
+        self._structure_changed()
+
+    def _structure_changed(self) -> None:
+        self._memo.clear()
+        self._version += 1
+
+    def derived(self, key: object, derive: Callable[[QueryPlan], T]) -> T:
+        """``derive(self)``, computed once until the structure next changes.
+
+        For read-only summaries of the plan's structure that a caller
+        needs again and again — the cost metrics keep their paths with
+        per-node response times here (*key*: any hashable the caller
+        owns).  ``add_node``/``add_arc`` drop every remembered value.
+        """
+        try:
+            return self._memo[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._memo[key] = derive(self)
+            return value
 
     # -- basic accessors -------------------------------------------------
 
@@ -76,6 +103,11 @@ class QueryPlan:
         return self._output
 
     @property
+    def structure_version(self) -> int:
+        """Number of structural mutations (``add_node``/``add_arc``) so far."""
+        return self._version
+
+    @property
     def nodes(self) -> tuple[PlanNode, ...]:
         """All nodes, in insertion order."""
         return tuple(self._nodes.values())
@@ -89,13 +121,19 @@ class QueryPlan:
 
     @property
     def service_nodes(self) -> tuple[ServiceNode, ...]:
-        """All service nodes, in insertion order."""
-        return tuple(n for n in self._nodes.values() if isinstance(n, ServiceNode))
+        """All service nodes, in insertion order (memoized)."""
+        return self.derived(
+            "service_nodes",
+            lambda plan: tuple(n for n in plan if isinstance(n, ServiceNode)),
+        )
 
     @property
     def join_nodes(self) -> tuple[JoinNode, ...]:
-        """All parallel-join nodes, in insertion order."""
-        return tuple(n for n in self._nodes.values() if isinstance(n, JoinNode))
+        """All parallel-join nodes, in insertion order (memoized)."""
+        return self.derived(
+            "join_nodes",
+            lambda plan: tuple(n for n in plan if isinstance(n, JoinNode)),
+        )
 
     @property
     def chunked_service_nodes(self) -> tuple[ServiceNode, ...]:
@@ -120,23 +158,30 @@ class QueryPlan:
     # -- graph algorithms --------------------------------------------------
 
     def topological_order(self) -> tuple[PlanNode, ...]:
-        """Nodes in a topological order; raises :class:`PlanError` on cycles."""
+        """Nodes in a topological order (memoized); raises :class:`PlanError` on cycles."""
+        return self.derived("topological_order", QueryPlan._topological_order)
+
+    def _topological_order(self) -> tuple[PlanNode, ...]:
         in_degree = {i: len(self._pred[i]) for i in self._nodes}
-        frontier = [i for i, d in in_degree.items() if d == 0]
-        order: list[PlanNode] = []
-        while frontier:
-            current = frontier.pop(0)
-            order.append(self._nodes[current])
-            for nxt in self._succ[current]:
+        # The frontier is consumed first-in first-out; ``order`` doubles
+        # as the queue (everything past ``head`` is still to be expanded).
+        order = [i for i, d in in_degree.items() if d == 0]
+        head = 0
+        while head < len(order):
+            for nxt in self._succ[order[head]]:
                 in_degree[nxt] -= 1
                 if in_degree[nxt] == 0:
-                    frontier.append(nxt)
+                    order.append(nxt)
+            head += 1
         if len(order) != len(self._nodes):
             raise PlanError("plan graph contains a cycle")
-        return tuple(order)
+        return tuple(self._nodes[i] for i in order)
 
     def paths(self) -> tuple[tuple[PlanNode, ...], ...]:
-        """All simple paths from the input node to the output node."""
+        """All simple paths from the input node to the output node (memoized)."""
+        return self.derived("paths", QueryPlan._paths)
+
+    def _paths(self) -> tuple[tuple[PlanNode, ...], ...]:
         result: list[tuple[PlanNode, ...]] = []
         stack: list[tuple[str, tuple[str, ...]]] = [
             (self.input_node.node_id, (self.input_node.node_id,))
@@ -153,9 +198,10 @@ class QueryPlan:
 
     def ancestors(self, node: PlanNode) -> frozenset[str]:
         """Ids of all strict ancestors of *node* (memoized)."""
-        cached = self._ancestors_memo.get(node.node_id)
+        key = ("ancestors", node.node_id)
+        cached = self._memo.get(key)
         if cached is not None:
-            return cached
+            return cached  # type: ignore[return-value]
         seen: set[str] = set()
         stack = list(self._pred[node.node_id])
         while stack:
@@ -164,8 +210,7 @@ class QueryPlan:
                 continue
             seen.add(current)
             stack.extend(self._pred[current])
-        result = frozenset(seen)
-        self._ancestors_memo[node.node_id] = result
+        result = self._memo[key] = frozenset(seen)
         return result
 
     def descendants(self, node: PlanNode) -> frozenset[str]:

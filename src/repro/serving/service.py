@@ -182,6 +182,11 @@ class ServingStats:
     continuations: int = 0
     optimizer_runs: int = 0
     optimizer_annotate_calls: int = 0
+    #: Phase-3 fetch vectors run through annotation programs, and the
+    #: programs compiled (``SearchStats``): the estimation work
+    #: ``optimizer_annotate_calls`` does not see.
+    optimizer_fetch_vectors_evaluated: int = 0
+    optimizer_programs_compiled: int = 0
     prefetches: int = 0
     #: Mid-run plan splices performed by adaptive executions.
     replans: int = 0
@@ -193,6 +198,10 @@ class ServingStats:
             "continuations": self.continuations,
             "optimizer_runs": self.optimizer_runs,
             "optimizer_annotate_calls": self.optimizer_annotate_calls,
+            "optimizer_fetch_vectors_evaluated": (
+                self.optimizer_fetch_vectors_evaluated
+            ),
+            "optimizer_programs_compiled": self.optimizer_programs_compiled,
             "prefetches": self.prefetches,
             "replans": self.replans,
         }
@@ -537,10 +546,17 @@ class QueryService:
                 plan = optimized.plan
                 cost = optimized.cost
                 provenance = "optimized"
-                annotate_calls = optimized.stats.annotate_calls
+                search = optimized.stats
+                annotate_calls = search.annotate_calls
                 with self._stats_lock:
                     self.stats.optimizer_runs += 1
                     self.stats.optimizer_annotate_calls += annotate_calls
+                    self.stats.optimizer_fetch_vectors_evaluated += (
+                        search.fetch_vectors_evaluated
+                    )
+                    self.stats.optimizer_programs_compiled += (
+                        search.programs_compiled
+                    )
                 self.plan_cache.store(
                     key, PlanSpec.from_optimized(optimized), cost,
                     self.metric.name, epoch,

@@ -2,7 +2,8 @@
 
 What tests, benchmarks and downstream experiments import without path
 hacks — the dict-row reference plan interpreter the engine is checked
-against (:mod:`repro.testing.reference`) and the deterministic
+against and the per-definition plan estimates the annotation program
+is checked against (:mod:`repro.testing.reference`), and the deterministic
 fault-injection kit (:mod:`repro.testing.faults`).  Production modules
 under ``src/repro/`` never import this package.
 """
@@ -14,7 +15,11 @@ from repro.testing.faults import (
     InjectedFault,
     wrap_registry_flaky,
 )
-from repro.testing.reference import ReferenceResult, reference_execute
+from repro.testing.reference import (
+    ReferenceResult,
+    reference_annotate,
+    reference_execute,
+)
 
 __all__ = [
     "FAULT_KINDS",
@@ -22,6 +27,7 @@ __all__ = [
     "FlakyService",
     "InjectedFault",
     "ReferenceResult",
+    "reference_annotate",
     "reference_execute",
     "wrap_registry_flaky",
 ]

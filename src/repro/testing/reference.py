@@ -1,8 +1,12 @@
-"""Dict-row reference interpreter for query plans (tests and benches).
+"""References the production paths are checked against (tests and benches).
+
+Two small, obviously correct things: a dict-row plan *interpreter*
+(:func:`reference_execute`) for the engine's compiled loops, and the
+per-definition plan *estimates* (:func:`reference_annotate`) for the
+compiled annotation program of :mod:`repro.plans.annotate`.
 
 The engine carries rows as slot tuples through compiled loops
-(:mod:`repro.execution.slots`); this module is the small, obviously
-correct thing those loops are checked against.  It walks a plan node
+(:mod:`repro.execution.slots`); the interpreter walks a plan node
 by node over per-row ``dict`` bindings, resolving every variable by
 name on every row: services are invoked directly (no cache, no
 resilience, no laziness), output tuples are bound with
@@ -11,8 +15,10 @@ resilience, no laziness), output tuples are bound with
 predicates are evaluated with :meth:`Comparison.holds`, and the answer
 is ``compose_ranking`` over everything produced.  It shares no code
 with the compiled path beyond the :class:`Row` container itself.
+The estimates likewise share only the result containers and the
+equality-selectivity constant with the program.
 
-Only ``tests/`` and ``benchmarks/`` import it (``tests/test_docs.py``
+Only ``tests/`` and ``benchmarks/`` import this module (``tests/test_docs.py``
 guards that); nothing under ``src/repro/`` outside this package may.
 """
 
@@ -20,11 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.execution.cache import CacheSetting
 from repro.execution.joins import execute_join
 from repro.execution.results import Row, compose_ranking
 from repro.execution.slots import ExecutionError
-from repro.model.terms import Constant
-from repro.plans.dag import QueryPlan
+from repro.model.terms import Constant, Variable
+from repro.plans.annotate import (
+    EQUALITY_OUTPUT_SELECTIVITY,
+    NodeEstimate,
+    PlanAnnotation,
+)
+from repro.plans.dag import PlanError, QueryPlan
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, ServiceNode
 from repro.services.registry import ServiceRegistry
 
@@ -128,3 +140,163 @@ def reference_execute(plan: QueryPlan, registry: ServiceRegistry) -> ReferenceRe
         rows=compose_ranking(outputs[plan.output_node.node_id]),
         node_output_sizes={node_id: len(rows) for node_id, rows in outputs.items()},
     )
+
+
+# -- plan estimates, per definition (Sections 3.4 and 5.2) --------------------
+
+
+def reference_annotate(plan: QueryPlan, cache_setting: CacheSetting) -> PlanAnnotation:
+    """:class:`NodeEstimate` for every node of *plan*, derived from scratch.
+
+    Walks the plan in topological order and, at every service node,
+    re-derives the upstream-bound variables and the Eq. 2 bounding
+    sets from the graph by their definitions.  Every float operation
+    happens in the order the compiled
+    :class:`~repro.plans.annotate.AnnotationProgram` uses, so the two
+    must agree bit for bit (``tests/test_annotate_program.py``).
+    """
+    order = plan.topological_order()
+    position = {node.node_id: index for index, node in enumerate(order)}
+    estimates: dict[str, NodeEstimate] = {}
+    for node in order:
+        if isinstance(node, InputNode):
+            # The user always injects one single input tuple (Sec. 3.4).
+            estimate = NodeEstimate(tuples_in=1.0, tuples_out=1.0, calls=0.0)
+        elif isinstance(node, ServiceNode):
+            estimate = _estimate_service(plan, node, estimates, cache_setting, position)
+        elif isinstance(node, JoinNode):
+            predecessors = plan.predecessors(node)
+            if len(predecessors) != 2:
+                raise PlanError(f"join {node.node_id!r} must have two predecessors")
+            left, right = predecessors
+            pairs = estimates[left.node_id].tuples_out * estimates[right.node_id].tuples_out
+            estimate = NodeEstimate(
+                tuples_in=pairs, tuples_out=pairs * node.selectivity, calls=0.0
+            )
+        elif isinstance(node, OutputNode):
+            tuples_in = _feed_size(plan, node, estimates)
+            selectivity = 1.0
+            for predicate in node.residual_predicates:
+                selectivity *= predicate.estimated_selectivity()
+            estimate = NodeEstimate(
+                tuples_in=tuples_in, tuples_out=tuples_in * selectivity, calls=0.0
+            )
+        else:
+            raise PlanError(f"unknown node type: {type(node).__name__}")
+        estimates[node.node_id] = estimate
+    return PlanAnnotation(
+        cache_setting=cache_setting,
+        estimates=estimates,
+        output_size=estimates[plan.output_node.node_id].tuples_out,
+    )
+
+
+def _feed_size(plan: QueryPlan, node, estimates: dict[str, NodeEstimate]) -> float:
+    predecessors = plan.predecessors(node)
+    if len(predecessors) != 1:
+        raise PlanError(
+            f"node {node.node_id!r} expected exactly one predecessor, "
+            f"got {len(predecessors)}"
+        )
+    return estimates[predecessors[0].node_id].tuples_out
+
+
+def _service_selectivity(plan: QueryPlan, node: ServiceNode) -> float:
+    """Predicates, then one equality charge per constrained output field."""
+    assert node.atom is not None and node.pattern is not None
+    bound_upstream: set[Variable] = set()
+    for ancestor in plan.upstream_service_nodes(node):
+        assert ancestor.atom is not None
+        bound_upstream |= ancestor.atom.variable_set
+    selectivity = 1.0
+    for predicate in node.predicates:
+        selectivity *= predicate.estimated_selectivity()
+    for field_position in node.pattern.output_positions:
+        term = node.atom.term_at(field_position)
+        if not isinstance(term, Variable) or term in bound_upstream:
+            selectivity *= EQUALITY_OUTPUT_SELECTIVITY
+    return selectivity
+
+
+def _estimate_service(
+    plan: QueryPlan,
+    node: ServiceNode,
+    estimates: dict[str, NodeEstimate],
+    cache_setting: CacheSetting,
+    position: dict[str, int],
+) -> NodeEstimate:
+    assert node.profile is not None
+    tuples_in = _feed_size(plan, node, estimates)
+    selectivity = _service_selectivity(plan, node)
+    if node.profile.is_chunked:
+        per_input = node.profile.chunk_size * node.fetches  # type: ignore[operator]
+        tuples_out = tuples_in * per_input * selectivity
+    else:
+        tuples_out = tuples_in * node.profile.erspi * selectivity
+    if cache_setting is CacheSetting.NO_CACHE:
+        calls = tuples_in
+    else:
+        calls = min(tuples_in, _cached_calls(plan, node, estimates, position))
+    return NodeEstimate(tuples_in=tuples_in, tuples_out=tuples_out, calls=calls)
+
+
+def _cached_calls(
+    plan: QueryPlan,
+    node: ServiceNode,
+    estimates: dict[str, NodeEstimate],
+    position: dict[str, int],
+) -> float:
+    """Equation (2): product of the minimal contributions per input var.
+
+    For each input variable ``X`` of *node*, the candidate bounding
+    nodes are the providers of ``X`` (upstream service nodes with ``X``
+    among their outputs) and every node lying between a provider and
+    *node*; the minimal ``t_out`` among them (ties: smallest node id)
+    bounds the number of distinct bindings of ``X``.  ``N(node)`` is
+    the *set* of chosen minimizers (one per variable, deduplicated),
+    and the estimate is the product of their ``t_out`` values, taken in
+    topological order so that the float result is defined.
+    """
+    ancestors = plan.ancestors(node)
+    minimizers: set[str] = set()
+    for variable in node.input_variables:
+        candidates = _bounding_nodes(plan, variable, ancestors)
+        if not candidates:
+            # No upstream provider: the variable is bound by the atom's
+            # own constants or is supplied by the user input.
+            continue
+        minimizers.add(
+            min(candidates, key=lambda nid: (estimates[nid].tuples_out, nid))
+        )
+    # No input variables, or none with a provider: a single invocation
+    # covers every block once any cache is present.
+    calls = 1.0
+    for node_id in sorted(minimizers, key=position.__getitem__):
+        calls *= estimates[node_id].tuples_out
+    return calls
+
+
+def _bounding_nodes(
+    plan: QueryPlan, variable: Variable, ancestors: frozenset[str]
+) -> set[str]:
+    """Ids of the nodes among *ancestors* bounding the values of *variable*."""
+    bounding: set[str] = set()
+    for candidate in plan.nodes:
+        if candidate.node_id not in ancestors:
+            continue
+        if isinstance(candidate, ServiceNode) and variable in candidate.output_variables:
+            bounding.add(candidate.node_id)  # a provider of the variable
+            continue
+        # Intermediaries: a node m lies strictly between some provider
+        # and the annotated node iff a provider is an ancestor of m (m
+        # being an ancestor of the annotated node is already known).
+        if isinstance(candidate, (ServiceNode, JoinNode)):
+            candidate_ancestors = plan.ancestors(candidate)
+            if any(
+                isinstance(provider, ServiceNode)
+                and provider.node_id in candidate_ancestors
+                and variable in provider.output_variables
+                for provider in plan.nodes
+            ):
+                bounding.add(candidate.node_id)
+    return bounding

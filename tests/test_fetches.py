@@ -56,6 +56,30 @@ class TestContext:
             exact = context_o.annotate(fetches).output_size
             assert fast == pytest.approx(exact)
 
+    def test_trials_leave_the_plan_untouched(self, context_o):
+        """cost/annotate/output_size take the vector; only apply and
+        evaluate write factors to the plan nodes."""
+        trial = {FLIGHT_ATOM: 3, HOTEL_ATOM: 4}
+        context_o.cost(trial)
+        context_o.annotate(trial)
+        context_o.output_size(trial)
+        assert all(node.fetches == 1 for node in context_o.plan.service_nodes)
+        context_o.evaluate(trial, k=10)
+        plan = context_o.plan
+        assert plan.service_node_for_atom(FLIGHT_ATOM).fetches == 3
+        assert plan.service_node_for_atom(HOTEL_ATOM).fetches == 4
+        context_o.apply({FLIGHT_ATOM: 2})
+        assert plan.service_node_for_atom(FLIGHT_ATOM).fetches == 2
+        assert plan.service_node_for_atom(HOTEL_ATOM).fetches == 1
+
+    def test_all_ones_is_annotated_once(self, context_o):
+        """output_size's base annotation goes through the memo."""
+        ones = {FLIGHT_ATOM: 1, HOTEL_ATOM: 1}
+        context_o.output_size({FLIGHT_ATOM: 5, HOTEL_ATOM: 7})
+        context_o.cost(ones)
+        context_o.evaluate(ones, k=1)
+        assert context_o.vectors_evaluated == 1
+
     def test_invalid_factor_rejected(self, context_o):
         with pytest.raises(ValueError):
             context_o.apply({FLIGHT_ATOM: 0})

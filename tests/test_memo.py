@@ -11,6 +11,7 @@ every query profile the benchmark suite exercises.
 
 import pytest
 
+import golden_plans
 from repro.costs.sum_cost import SumCostMetric
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.optimizer.memo import MISSING, PlanEntry, PlanMemo, bound_key, plan_key
@@ -91,6 +92,19 @@ class TestMemoEquivalence:
         assert warm.stats.annotate_calls == 1
         assert warm.stats.memo_misses == 0
         assert warm.stats.memo_hits == cold.stats.memo_hits + cold.stats.memo_misses
+
+
+@pytest.mark.parametrize(
+    "case, profile, metric, config", list(golden_plans.cases()),
+    ids=[case for case, *_ in golden_plans.cases()],
+)
+def test_warm_search_counters_equal_the_parent_commits(
+    case, profile, metric, config
+):
+    """Golden trajectory of the re-run on a warm memo (its decision is
+    asserted equal to the cold run's inside ``run_case``)."""
+    observed = golden_plans.run_case(profile, metric, config)
+    assert observed["warm_stats"] == golden_plans.load()[case]["warm_stats"]
 
 
 class TestMemoLifecycle:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import golden_plans
 from repro.costs.sum_cost import RequestResponseMetric
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
@@ -149,3 +150,34 @@ class TestErrors:
         )
         text = best.describe()
         assert "cost=" in text and "plan:" in text
+
+
+def test_estimation_work_is_accounted(registry, travel_query):
+    """``annotate_calls`` is the search's view; phase 3 evaluates most
+    estimates, one program per plan, and says so."""
+    optimizer = Optimizer(registry, ExecutionTimeMetric(), OptimizerConfig(k=10))
+    cold = optimizer.optimize(travel_query).stats
+    # One program per search-level annotation: bound, completed plan,
+    # materialization — and phase 3 reuses its plan's program across
+    # every vector it tries.
+    assert cold.programs_compiled == cold.annotate_calls
+    assert cold.fetch_vectors_evaluated > cold.fetch_evaluations > 0
+    assert "fetch vectors=" in cold.summary() and "programs=" in cold.summary()
+    warm = optimizer.optimize(travel_query).stats
+    assert (warm.programs_compiled, warm.fetch_vectors_evaluated) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "case, profile, metric, config", list(golden_plans.cases()),
+    ids=[case for case, *_ in golden_plans.cases()],
+)
+def test_the_search_decides_what_the_parent_commit_decided(
+    case, profile, metric, config
+):
+    """Golden plans: patterns, poset, fetches, ``cost.hex()``, every node
+    estimate and every parent-era ``SearchStats`` counter equal what the
+    commit before the annotation program produced (tests/golden_plans.py)."""
+    golden = dict(golden_plans.load()[case])
+    observed = dict(golden_plans.run_case(profile, metric, config))
+    del golden["warm_stats"], observed["warm_stats"]  # test_memo.py
+    assert observed == golden

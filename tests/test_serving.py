@@ -289,6 +289,13 @@ class TestTenantQuota:
         assert service.stats.optimizer_runs == 2
         assert cache.stats.quota_rejections == 2
         assert cache.stats.stores == 0
+        # The estimation work of both runs is in the snapshot, next to
+        # the search-level annotate count that does not see phase 3.
+        serving = service.snapshot()["serving"]
+        assert serving["optimizer_programs_compiled"] == (
+            serving["optimizer_annotate_calls"]
+        )
+        assert serving["optimizer_fetch_vectors_evaluated"] > 0
 
 
 # -- SessionManager ---------------------------------------------------------
