@@ -42,6 +42,7 @@ from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.services.sqlite import fts5_available
 from repro.sources.biblio import PUBSEARCH_CHUNK, biblio_registry, experts_query, generate_corpus
+from repro.testing import eager_streamed_engine
 
 pytestmark = pytest.mark.bench
 
@@ -133,8 +134,10 @@ def _demand_vs_drain(corpus, n_papers: int) -> dict:
             for node in plan.chunked_service_nodes:
                 if node.service_name == "pubsearch":
                     node.fetches = max(node.fetches, budget)
-        engine = ExecutionEngine(
-            registry, mode=ExecutionMode.STREAMED, lazy_streaming=not drain
+        engine = (
+            eager_streamed_engine(registry)
+            if drain
+            else ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
         )
         result, wall_s = _timed(
             lambda: engine.execute(plan, head=query.head, k=K)

@@ -26,8 +26,9 @@ Three engines run each plan:
 
 * **oracle** — ``ExecutionMode.PARALLEL`` full materialization +
   ``compose_ranking`` (the equivalence reference);
-* **eager** — ``ExecutionMode.STREAMED`` with ``lazy_streaming=False``:
-  early exit on the join walk, eager service materialization;
+* **eager** — ``repro.testing.eager_streamed_engine``: early exit on
+  the join walk, eager service materialization (the PR 2 engine, kept
+  as a reference fixture);
 * **lazy** — ``ExecutionMode.STREAMED`` (default): the final join
   pulls its single-feed inputs through lazy cursors.
 
@@ -55,6 +56,7 @@ from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
+from repro.testing import eager_streamed_engine
 
 pytestmark = pytest.mark.bench
 
@@ -196,11 +198,7 @@ class TestLazyFetchTrajectory:
                 ).execute(plan, head=head)
                 expected = compose_ranking(oracle.rows, k)
                 eager = _measure(
-                    ExecutionEngine(
-                        registry,
-                        mode=ExecutionMode.STREAMED,
-                        lazy_streaming=False,
-                    ),
+                    eager_streamed_engine(registry),
                     plan, head, k,
                 )
                 lazy = _measure(
@@ -236,11 +234,7 @@ class TestLazyFetchTrajectory:
                 ).execute(plan, head=head)
                 expected = compose_ranking(oracle.rows, k)
                 eager = _measure(
-                    ExecutionEngine(
-                        registry,
-                        mode=ExecutionMode.STREAMED,
-                        lazy_streaming=False,
-                    ),
+                    eager_streamed_engine(registry),
                     plan, head, k,
                 )
                 lazy = _measure(
@@ -278,8 +272,8 @@ class TestLazyFetchTrajectory:
                 "chunk_size": CHUNK,
                 "fetch_budget_pages": FETCHES,
                 "k_values": list(KS),
-                "baselines": "eager_streamed = ExecutionMode.STREAMED with "
-                "lazy_streaming=False (PR 2 behavior); both paths checked "
+                "baselines": "eager_streamed = repro.testing.eager_streamed_engine "
+                "(PR 2 behavior); both paths checked "
                 "bit-identical to compose_ranking over PARALLEL execution",
             },
             "per_method": per_method,

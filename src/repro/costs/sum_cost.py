@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.costs.base import CostMetric
 from repro.plans.annotate import PlanAnnotation
 from repro.plans.dag import QueryPlan
-from repro.plans.nodes import JoinNode
 
 
 class SumCostMetric(CostMetric):
@@ -75,7 +74,3 @@ class MonetaryCostMetric(SumCostMetric):
 
     def __init__(self) -> None:
         super().__init__(include_join_cost=False)
-
-
-def _is_join(node: object) -> bool:
-    return isinstance(node, JoinNode)

@@ -22,10 +22,10 @@ Soundness of the splice rests on three invariants:
 * **No lost work** — the aborted attempt's statistics ride on the
   ``PlanDrift`` and become an explicit aborted pseudo-round, so the
   session's accounting keeps every fetch the drifted attempt paid for;
-* **No lost state** — the replacement engine adopts the aborted
-  engine's demotions and substitutions
-  (:meth:`~repro.execution.engine.ExecutionEngine.adopt_adaptive_state`),
-  so a re-plan can never resurrect a unit already proven bad;
+* **No lost state** — every inner engine routes through the *same*
+  :class:`~repro.execution.fetch.UnitRouting` object, so a re-plan
+  can never resurrect a unit already proven bad: there is nothing to
+  carry over;
 * **No livelock** — the replacement monitor exempts every service
   whose drift was already absorbed (its cost *is* the observed one
   now), and ``max_replans`` bounds the splice count before the run
@@ -39,7 +39,7 @@ static :class:`ProgressiveExecutor` over the same plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from repro.execution.cache import CacheSetting, LogicalCache, make_cache
@@ -70,14 +70,7 @@ class DriftEvent:
 
     def to_dict(self) -> dict:
         """JSON-serializable snapshot."""
-        return {
-            "service": self.service,
-            "observed": self.observed,
-            "expected": self.expected,
-            "fetches": self.fetches,
-            "replanned": self.replanned,
-            "substituted_with": self.substituted_with,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -86,9 +79,8 @@ class AdaptiveExecutor:
 
     A drop-in :class:`ProgressiveExecutor` replacement (``run`` /
     ``more`` / ``rounds`` / ``fetch_vector``) whose inner executor is
-    rebuilt — over the same shared cache and with all engine
-    demotion/reroute state carried over — every time a
-    :class:`PlanDrift` fires.
+    rebuilt — over the same shared cache and the same demotion/reroute
+    tables — every time a :class:`PlanDrift` fires.
 
     ``replan`` maps the observed mean response times (service name →
     virtual seconds, cumulative across all drifts so far) to a
@@ -102,7 +94,6 @@ class AdaptiveExecutor:
     mode: ExecutionMode = ExecutionMode.PARALLEL
     cache_setting: CacheSetting = CacheSetting.OPTIMAL
     max_rounds: int = 8
-    lazy_streaming: bool = True
     shared_cache: LogicalCache | None = None
     reset_remote: bool = True
     resilience: ResilienceConfig | None = None
@@ -149,11 +140,11 @@ class AdaptiveExecutor:
             try:
                 result = inner.run(k)
             except PlanDrift as drift:
-                self._absorb_rounds(inner, before)
+                self.rounds.extend(inner.rounds[before:])
                 self._record_aborted_round(inner, drift)
                 self._adapt(drift)
                 continue
-            self._absorb_rounds(inner, before)
+            self.rounds.extend(inner.rounds[before:])
             self._last = result
             return result
 
@@ -171,7 +162,9 @@ class AdaptiveExecutor:
         allowed; past ``max_replans`` the run finishes un-monitored.
         Later inners never reset the remote caches — the run is in
         flight, and wiping the servers' own caches mid-splice would
-        change what the un-spliced execution observed.
+        change what the un-spliced execution observed — and they
+        route through the first inner's ``UnitRouting``, which is how
+        demotions and substitutions survive the splice.
         """
         monitoring = self.replans < self.drift.max_replans
         monitor = (
@@ -179,24 +172,22 @@ class AdaptiveExecutor:
             if monitoring
             else None
         )
-        return ProgressiveExecutor(
+        inner = ProgressiveExecutor(
             registry=self.registry,
             plan=self.plan,
             head=self.head,
             mode=self.mode,
             cache_setting=self.cache_setting,
             max_rounds=self.max_rounds,
-            lazy_streaming=self.lazy_streaming,
             shared_cache=self._cache,
             reset_remote=self.reset_remote if first else False,
             resilience=self.resilience,
             row_provenance=self.row_provenance,
             drift_monitor=monitor,
         )
-
-    def _absorb_rounds(self, inner: ProgressiveExecutor, before: int) -> None:
-        """Adopt the inner executor's new rounds into the adaptive log."""
-        self.rounds.extend(inner.rounds[before:])
+        if not first:
+            inner.engine.routing = self._inner.engine.routing
+        return inner
 
     def _record_aborted_round(
         self, inner: ProgressiveExecutor, drift: PlanDrift
@@ -248,11 +239,9 @@ class AdaptiveExecutor:
                 substituted_with=substituted_with,
             )
         )
-        previous_engine = self._inner.engine
         self._inner = self._build_inner(first=False)
-        self._inner.engine.adopt_adaptive_state(previous_engine)
         if substituted_with is not None:
-            self._inner.engine.substitute_service(
+            self._inner.engine.routing.substitute_service(
                 drift.service, substituted_with
             )
         # The suspended stream (if any) belongs to the aborted plan;

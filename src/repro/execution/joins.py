@@ -45,6 +45,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.execution.lazy import MaterializedCursor, RowCursor
 from repro.execution.results import Row, SlotLayout
 from repro.execution.slots import LayoutMemo, SlotJoinPlan, compile_predicates
+from repro.execution.stats import ExecutionStats
 from repro.model.predicates import Comparison
 from repro.services.registry import JoinMethod
 
@@ -387,10 +388,7 @@ class JoinStream:
     @property
     def lazy_tuples_fetched(self) -> int:
         """Raw service tuples pulled through lazy input cursors so far."""
-        return sum(
-            getattr(cursor, "tuples_fetched", 0)
-            for cursor in (self._left, self._right)
-        )
+        return self._left.tuples_fetched + self._right.tuples_fetched
 
     @property
     def lazy_pages_saved(self) -> int:
@@ -400,39 +398,31 @@ class JoinStream:
         further pages — re-read it after each :meth:`top` call for the
         current figure.
         """
-        total = 0
-        for cursor in (self._left, self._right):
-            saved = getattr(cursor, "pages_saved", None)
-            if saved is not None:
-                total += saved()
-        return total
+        return self._left.pages_saved() + self._right.pages_saved()
 
-    @property
-    def lazy_blocks(self) -> int:
-        """Per-feed blocks behind the stream's lazy input cursors."""
-        return sum(
-            getattr(cursor, "block_count", 0)
-            for cursor in (self._left, self._right)
-        )
+    def trace(
+        self, stats: ExecutionStats, fetched_before: int = 0,
+        saved_before: int = 0,
+    ) -> None:
+        """Write the walk's bookkeeping onto one round's *stats*.
 
-    @property
-    def lazy_blocks_untouched(self) -> int:
-        """Lazy blocks that have not issued a single page fetch yet."""
-        return sum(
-            getattr(cursor, "blocks_untouched", 0)
-            for cursor in (self._left, self._right)
-        )
-
-    def rebind_stats(self, stats: object) -> None:
-        """Point lazy input accounting at *stats* (resumed rounds).
-
-        Fetches demanded after an execution returned (a progressive
-        "ask for more" resuming the suspended stream) must be recorded
-        on the resuming round's statistics, not silently mutate the
-        round that created the stream.  No-op for materialized inputs.
+        The tuples and pages-saved counters are cumulative on the
+        stream, and earlier rounds already reported their share: a
+        resumed round passes the totals it started from and reports
+        only the *change* its own pulls caused (a negative
+        ``lazy_calls_saved`` when the grown demand fetched pages an
+        earlier round had counted as saved), so the per-round values
+        sum to the stream's true current totals.
         """
-        self._left.swap_stats(stats)
-        self._right.swap_stats(stats)
+        left, right = self._left, self._right
+        stats.streamed_cells_visited = self.cells_visited
+        stats.early_exit_cells_skipped = self.cells_skipped
+        stats.lazy_tuples_fetched = self.lazy_tuples_fetched - fetched_before
+        stats.lazy_calls_saved = self.lazy_pages_saved - saved_before
+        stats.lazy_blocks = left.block_count + right.block_count
+        stats.lazy_blocks_untouched = (
+            left.blocks_untouched + right.blocks_untouched
+        )
 
     @property
     def join_rows_emitted(self) -> int:

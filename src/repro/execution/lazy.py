@@ -19,8 +19,8 @@ This module provides the cursor abstraction that makes that sound:
 * :class:`MaterializedCursor` — wraps an already-materialized list of
   rows (what eager execution produces); everything is known up front;
 * :class:`LazyServiceCursor` — wraps a service invocation (through a
-  :class:`PageSource` owned by the execution engine) and fetches pages
-  only when the walk demands deeper rows.
+  :class:`PageSource`: a unit of the engine's fetch seam) and fetches
+  pages only when the walk demands deeper rows.
 
 **Soundness of the certificate with partially fetched inputs.**  The
 streamed join suspends when a lower bound on the composed rank of every
@@ -92,13 +92,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from repro.execution.results import Row
 
 
-@dataclass(frozen=True)
-class FetchedPage:
+class FetchedPage(NamedTuple):
     """One page pulled through a :class:`PageSource`.
 
     ``rows`` are the *produced* rows of the page: service tuples bound
@@ -112,7 +111,7 @@ class FetchedPage:
     remote fetch happened).
     """
 
-    rows: tuple[Row, ...]
+    rows: Sequence[Row]
     raw_tuples: int
     has_more: bool
     rank_floor: int = 0
@@ -122,20 +121,19 @@ class FetchedPage:
 class PageSource(Protocol):
     """What a :class:`LazyServiceCursor` pulls pages from.
 
-    The execution engine implements this over a service node: one
-    ``fetch(page)`` performs the cache lookup, the remote invocation,
-    the statistics accounting, and the output binding for that page.
-    ``budget`` is the node's fetching factor ``F`` — the cursor never
-    requests a page beyond it.  ``swap_stats`` rebinds the accounting
-    sink, so fetches demanded by a *resumed* stream are recorded on the
-    resuming round's statistics instead of mutating an older round's.
+    The engine's implementation is the fetch seam's
+    :class:`~repro.execution.fetch.UnitSource`: one ``fetch(page)``
+    performs the cache lookup, the remote invocation, the statistics
+    accounting, and the output binding for that page.  ``budget`` is
+    the node's fetching factor ``F`` — the cursor never requests a
+    page beyond it.  Where the accounting lands is the source's own
+    business (the seam's units share one rebindable cell), so cursors
+    and streams carry no statistics plumbing at all.
     """
 
     budget: int
 
     def fetch(self, page: int) -> FetchedPage: ...
-
-    def swap_stats(self, stats: object) -> None: ...
 
 
 class RowCursor:
@@ -151,6 +149,16 @@ class RowCursor:
 
     rows: list[Row]
     ranks: list[int]
+    #: Lazy-fetch bookkeeping (all zero for materialized rows): raw
+    #: tuples pulled, per-feed blocks behind the cursor, blocks that
+    #: never issued a page fetch.
+    tuples_fetched = 0
+    block_count = 0
+    blocks_untouched = 0
+
+    def pages_saved(self) -> int:
+        """Budgeted page fetches never issued."""
+        return 0
 
     @property
     def exhausted(self) -> bool:
@@ -171,10 +179,6 @@ class RowCursor:
         Covers unfetched rows too; ``+inf`` when no such row exists.
         """
         raise NotImplementedError
-
-    def swap_stats(self, stats: object) -> None:
-        """Rebind statistics accounting (no-op for materialized rows)."""
-        return None
 
 
 def _suffix_minima(values: Sequence[int]) -> list[float]:
@@ -246,7 +250,7 @@ class MaterializedCursor(RowCursor):
 class LazyServiceCursor(RowCursor):
     """Demand-driven cursor over one service node's paged results.
 
-    Pages are pulled from the engine-owned :class:`PageSource` only
+    Pages are pulled from the :class:`PageSource` only
     when the streamed walk demands rows that are not yet fetched; the
     universe (at most ``source.budget`` pages, stopping early when the
     service runs dry) is identical to eager materialization, so results
@@ -267,6 +271,8 @@ class LazyServiceCursor(RowCursor):
     would have run dry mid-budget, exact otherwise — eager execution
     stops at the same ``has_more`` signals the cursor observes).
     """
+
+    block_count = 1  # one feed tuple, one block
 
     def __init__(self, source: PageSource, base_rank: int = 0) -> None:
         self._source = source
@@ -308,11 +314,6 @@ class LazyServiceCursor(RowCursor):
         return self._base_rank + self._rank_floor
 
     @property
-    def block_count(self) -> int:
-        """Feed blocks behind this cursor (1: one feed tuple)."""
-        return 1
-
-    @property
     def blocks_untouched(self) -> int:
         """Blocks that never issued a single page fetch."""
         return 0 if self.pages_fetched else 1
@@ -352,11 +353,7 @@ class LazyServiceCursor(RowCursor):
             # An observed violation means the source's rank sequence is
             # untrustworthy; drain to the exact suffix minima instead.
             self.ensure_all()
-        floor = (
-            math.inf
-            if self.exhausted
-            else self._base_rank + self._rank_floor
-        )
+        floor = self.floor
         if start < len(self.ranks):
             # Indexes >= start span both fetched rows (exact suffix
             # minima) and every unfetched row (bounded by the floor —
@@ -364,9 +361,6 @@ class LazyServiceCursor(RowCursor):
             # participate while rows may still arrive).
             return min(self._suffix[start], floor)
         return floor
-
-    def swap_stats(self, stats: object) -> None:
-        self._source.swap_stats(stats)
 
     def _fetch_next(self) -> None:
         page = self._source.fetch(self.pages_fetched)
@@ -506,16 +500,8 @@ class MultiFeedCursor(RowCursor):
 
     def ensure_all(self) -> None:
         for block in self._blocks:
-            if block.exhausted:
-                continue
-            tuples_before = block.tuples_fetched
-            saved_before = block.pages_saved()
-            untouched = block.pages_fetched == 0
-            block.ensure_all()
-            self._tuples_fetched += block.tuples_fetched - tuples_before
-            self._pages_saved += block.pages_saved() - saved_before
-            if untouched and block.pages_fetched:
-                self._untouched -= 1
+            if not block.exhausted:
+                self._pull(block, block.ensure_all)
         # Every block is exhausted: nothing is left to pull and once
         # placement catches up the unplaced bound is +inf for good.
         self._floor_heap.clear()
@@ -533,10 +519,6 @@ class MultiFeedCursor(RowCursor):
             # always participate while rows may still arrive).
             return min(self._suffix[start], bound)
         return bound
-
-    def swap_stats(self, stats: object) -> None:
-        for block in self._blocks:
-            block.swap_stats(stats)
 
     # -- internals ----------------------------------------------------------
 
@@ -591,23 +573,30 @@ class MultiFeedCursor(RowCursor):
             self._pull_block(index, block)
             return
 
-    def _pull_block(self, index: int, block: LazyServiceCursor) -> None:
-        """Pull one page from *block*, maintaining counters and heaps.
+    def _pull(self, block: LazyServiceCursor, pull) -> None:
+        """Run *pull* on an unexhausted *block*, keeping the counters.
 
-        A single :meth:`LazyServiceCursor.pull_page` may drain many
-        pages (the non-monotone fallback), so the counters are updated
-        by before/after deltas rather than fixed increments.  The fresh
-        bound entry pushed at the end restores the bound-heap invariant
-        even when the drain *lowered* the block's candidate.
+        One pull may drain many pages (``ensure_all``, or the
+        non-monotone fallback of ``pull_page``), so the counters move
+        by before/after deltas rather than fixed increments.
         """
         tuples_before = block.tuples_fetched
         saved_before = block.pages_saved()
         untouched = block.pages_fetched == 0
-        block.pull_page()
+        pull()
         self._tuples_fetched += block.tuples_fetched - tuples_before
         self._pages_saved += block.pages_saved() - saved_before
         if untouched:
             self._untouched -= 1
+
+    def _pull_block(self, index: int, block: LazyServiceCursor) -> None:
+        """Pull one page from *block*, maintaining counters and heaps.
+
+        The fresh bound entry pushed at the end restores the bound-heap
+        invariant even when a non-monotone drain *lowered* the block's
+        candidate.
+        """
+        self._pull(block, block.pull_page)
         if not block.exhausted:
             heapq.heappush(self._floor_heap, (block.floor, index))
         self._bound_cache = None
@@ -675,29 +664,3 @@ class ListPageSource:
             has_more=page + 1 < len(self.pages),
             rank_floor=floor,
         )
-
-    def swap_stats(self, stats: object) -> None:
-        return None
-
-
-@dataclass
-class NullPageSource:
-    """The page source of a demoted (unresponsive) feed block.
-
-    Partial-results mode (:mod:`repro.execution.resilience`) masks a
-    demoted unit by giving its lazy cursor a zero-budget source: the
-    cursor is exhausted from birth, produces no rows, and never issues
-    a fetch — the block contributes nothing to answers, calls, or
-    cache accounting.  (It still registers as an *untouched* lazy
-    block in the statistics: it issued no page fetch, which is
-    literally true — the certificate, not the lazy counters, records
-    why.)
-    """
-
-    budget: int = 0
-
-    def fetch(self, page: int) -> FetchedPage:  # pragma: no cover - guard
-        raise AssertionError("a demoted block must never be fetched")
-
-    def swap_stats(self, stats: object) -> None:
-        return None

@@ -26,9 +26,10 @@ observable depends on it:
   invoke → store page loop, so exactly one worker resolves each
   distinct input setting and call/hit counts match sequential
   execution (no double-counted remote calls);
-* per-row statistics are accumulated into task-local
-  :class:`~repro.execution.stats.ExecutionStats` and merged after the
-  node completes — all counters are sums, so merge order is
+* per-row statistics are accumulated into a task-local
+  :class:`~repro.execution.stats.ExecutionStats` (the task's own
+  accounting cell) and folded in with ``ExecutionStats.merge`` after
+  the node completes — all counters are sums, so merge order is
   irrelevant;
 * the one-call cache is inherently order-dependent (its hit pattern
   depends on which call came *last*), so under
@@ -50,7 +51,6 @@ the hotpaths bench sweeps.
 
 from __future__ import annotations
 
-import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
@@ -67,9 +67,9 @@ from repro.execution.engine import (
     ExecutionMode,
     ExecutionResult,
 )
+from repro.execution.fetch import Accounting, NodeFetch
 from repro.execution.resilience import ResilienceConfig, UnresponsiveService
-from repro.execution.results import ResultTable, Row, compose_ranking
-from repro.execution.slots import LayoutMemo, service_bindings
+from repro.execution.results import Row, compose_ranking
 from repro.execution.stats import ExecutionStats
 from repro.model.terms import Variable
 from repro.plans.dag import QueryPlan
@@ -92,13 +92,12 @@ class ParallelExecutor:
         self._cache_setting = cache_setting
         self._workers = max(1, workers)
         self._thread_overhead = thread_overhead
-        self._resilience = resilience
         #: Join/output/binding logic is delegated to a composed engine
         #: (PARALLEL mode: no feed shuffle, critical-path timing), so
         #: the two execution paths cannot drift apart.  The resilience
-        #: config rides along: every row task's page loop runs through
-        #: the same retry/hedge seam the sequential engine uses, and
-        #: demotions accumulate on the composed engine's mask.
+        #: config rides along: every row task drains its unit through
+        #: the fetch seam the sequential engine uses, and demotions
+        #: accumulate on the composed engine's routing.
         self._engine = ExecutionEngine(
             registry,
             cache_setting=cache_setting,
@@ -249,27 +248,11 @@ class ParallelExecutor:
                 # Reroute-or-demote; stale failures (the unit already
                 # moved to a sibling on an earlier iteration of this
                 # drain) are dropped inside the handler.
-                self._engine.handle_unresponsive(failure)
+                self._engine.routing.handle_unresponsive(failure)
         stats.elapsed = self._engine._elapsed(plan, busy)
         stats.wall_time = time.perf_counter() - started
-        produced = outputs[plan.output_node.node_id]
-        final_rows = compose_ranking(produced)
-        certificate = self._engine.certificate_for(plan, final_rows)
-        if certificate is not None:
-            stats.demoted_blocks = len(certificate.dropped)
-            stats.substituted_blocks = len(certificate.substituted)
-        table = ResultTable(head=tuple(head), rows=final_rows, complete=True)
-        return ExecutionResult(
-            table=table,
-            stats=stats,
-            elapsed=stats.elapsed,
-            k=k,
-            node_output_sizes={
-                node_id: len(rows) for node_id, rows in outputs.items()
-            },
-            stream=None,
-            certificate=certificate,
-        )
+        final_rows = compose_ranking(outputs[plan.output_node.node_id])
+        return self._engine._result(plan, head, k, stats, outputs, final_rows)
 
     # -- service fan-out -----------------------------------------------------
 
@@ -283,55 +266,43 @@ class ParallelExecutor:
     ) -> list:
         """One pool task per feed row, in feed order.
 
-        Each row's unit key is resolved here, on the scheduling thread,
-        which also compiles the node against every layout the feed
-        holds (one, for engine-produced feeds) — the row tasks only
-        ever read the shared bindings.
+        The node's fetch context is built here, on the scheduling
+        thread, which also compiles the node against every layout the
+        feed holds (one, for engine-produced feeds) and resolves each
+        row's unit key — the row tasks only ever read the shared
+        context.
         """
         feed_id = self._engine._feed_node(plan, node).node_id
-        bindings = service_bindings(node)
+        context = self._engine._node_fetch(node, cache)
         futures = []
         for row in outputs[feed_id]:
-            _, input_key = bindings[row.layout].unit(row.values)
+            _, input_key = context.compiled[row.layout].unit(row.values)
             futures.append(
-                pool.submit(
-                    self._service_row_task,
-                    plan, node, feed_id, row, input_key, cache, bindings,
-                )
+                pool.submit(self._service_row_task, context, row, input_key)
             )
         return futures
 
     def _service_row_task(
-        self,
-        plan: QueryPlan,
-        node: ServiceNode,
-        feed_id: str,
-        row: Row,
-        input_key: tuple,
-        cache: ThreadSafeCache,
-        bindings: LayoutMemo,
+        self, context: NodeFetch, row: Row, input_key: tuple
     ) -> tuple[list[Row], float, int, ExecutionStats]:
-        """Resolve one feed row against *node* (runs on a pool worker).
+        """Resolve one feed row against its node (runs on a pool worker).
 
-        Delegates the page loop and output binding to the engine's
-        ``_run_service_node`` over a single-row feed, under the input
-        setting's single-flight lock — held across the whole page loop
-        so concurrent duplicate settings cannot double-count a call.
-        Returns the produced rows, the row's remote busy time, whether
-        it issued a remote call, and its task-local statistics.
+        Drains the row's unit through the engine's eager loop over a
+        single-row feed, under the input setting's single-flight lock
+        — held across the whole drain so concurrent duplicate settings
+        cannot double-count a call.  Returns the produced rows, the
+        row's remote busy time, whether it issued a remote call, and
+        its task-local statistics.
         """
         local = ExecutionStats()
-        with cache.key_lock(node.service_name, input_key):
-            produced, row_busy = self._engine._run_service_node(
-                plan, node, {feed_id: [row]}, cache, local,
-                random.Random(0),  # unused: PARALLEL mode never shuffles
-                bindings,
+        with context.cache.key_lock(context.node.service_name, input_key):
+            produced, row_busy = self._engine._drain_units(
+                context, (row,), Accounting(local)
             )
         # The task touches exactly one logical unit, so the total is
         # that unit's calls no matter which service (the node's own or
         # a rerouted sibling) ended up serving it.
-        remote_calls = local.total_calls
-        return produced, row_busy, remote_calls, local
+        return produced, row_busy, local.total_calls, local
 
     def _collect_service_node(
         self,
@@ -350,7 +321,7 @@ class ParallelExecutor:
             if row_busy:
                 row_busys.append(row_busy)
             remote_calls += calls
-            self._merge_stats(stats, local)
+            stats.merge(local)
         if not row_busys:
             node_busy = 0.0
         elif workers > 1:
@@ -361,21 +332,3 @@ class ParallelExecutor:
         else:
             node_busy = sum(row_busys)
         return produced, node_busy
-
-    @staticmethod
-    def _merge_stats(stats: ExecutionStats, local: ExecutionStats) -> None:
-        """Fold one task-local statistics object into the global one."""
-        for name, source in local.per_service.items():
-            target = stats.service(name)
-            target.calls += source.calls
-            target.fetches += source.fetches
-            target.cache_hits += source.cache_hits
-            target.remote_cache_hits += source.remote_cache_hits
-            target.busy_time += source.busy_time
-            target.tuples_fetched += source.tuples_fetched
-        stats.tuples_processed += local.tuples_processed
-        stats.retries += local.retries
-        stats.retry_backoff += local.retry_backoff
-        stats.hedged_pulls += local.hedged_pulls
-        stats.hedged_wins += local.hedged_wins
-        stats.wasted_fetches += local.wasted_fetches

@@ -39,7 +39,6 @@ from repro.execution.cache import CacheSetting, LogicalCache, make_cache
 from repro.execution.engine import ExecutionEngine, ExecutionMode, ExecutionResult
 from repro.execution.resilience import (
     DriftMonitor,
-    PlanDrift,
     ResilienceConfig,
     UnresponsiveService,
 )
@@ -92,8 +91,7 @@ class ProgressiveExecutor:
     already-fetched inputs, at most a few budgeted page fetches over
     lazily fetched ones — and only re-execute (with doubled fetch
     factors) when the stream's budgeted plane cannot prove the larger
-    top-k.  ``lazy_streaming=False`` restores eager materialization
-    inside streamed rounds.
+    top-k.
     """
 
     registry: ServiceRegistry
@@ -104,7 +102,6 @@ class ProgressiveExecutor:
     #: Bounds the *executing* rounds (those that run the plan); resumed
     #: stream rounds are nearly free and never count against it.
     max_rounds: int = 8
-    lazy_streaming: bool = True
     #: An externally owned logical cache to run against (the serving
     #: layer hands every session the same cache, so one tenant's
     #: fetches answer another tenant's overlapping calls); when None a
@@ -135,7 +132,6 @@ class ProgressiveExecutor:
             self.registry,
             cache_setting=self.cache_setting,
             mode=self.mode,
-            lazy_streaming=self.lazy_streaming,
             resilience=self.resilience,
             row_provenance=self.row_provenance,
             drift_monitor=self.drift_monitor,
@@ -151,7 +147,7 @@ class ProgressiveExecutor:
 
     @property
     def engine(self) -> ExecutionEngine:
-        """The underlying engine (the adaptive layer reroutes on it)."""
+        """The underlying engine (callers reroute on its ``routing``)."""
         return self._engine
 
     def fetch_vector(self) -> dict[int, int]:
@@ -228,10 +224,11 @@ class ProgressiveExecutor:
         Walks the previous round's :class:`JoinStream` further into
         the candidate plane.  Over already-fetched inputs no service is
         ever called; over lazily fetched inputs the grown demand may
-        pull further budgeted pages — the stream's accounting is
+        pull further budgeted pages — the stream's accounting cell is
         rebound to this round's fresh statistics first, so those
-        fetches are recorded here and never mutate the counters of the
-        round that created the stream.  Returns None only when there
+        fetches (and a drift signal's partial accounting) are recorded
+        here and never mutate the counters of the round that created
+        the stream.  Returns None only when there
         is no suspended stream.  When the stream exhausts its plane
         below *k*, the drained answers still become this round's
         result (re-executing with unchanged fetches would only
@@ -242,7 +239,7 @@ class ProgressiveExecutor:
             return None
         stream = last.stream
         stats = ExecutionStats()
-        stream.rebind_stats(stats)
+        last.accounting.rebind(stats)
         fetched_before = stream.lazy_tuples_fetched
         saved_before = stream.lazy_pages_saved
         try:
@@ -255,28 +252,10 @@ class ProgressiveExecutor:
             # ``run`` fall back to a fresh execution — which serves the
             # block from its sibling (or masks it) and re-serves
             # everything else from the shared cache.
-            self._engine.handle_unresponsive(failure)
+            self._engine.routing.handle_unresponsive(failure)
             self._last_result = None
             return None
-        except PlanDrift as drift:
-            # Latency drift observed mid-resume: hand the adaptive
-            # layer this round's partial accounting (the aborted work
-            # happened and must stay counted) along with the signal.
-            if drift.stats is None:
-                drift.stats = stats
-            raise
-        stats.streamed_cells_visited = stream.cells_visited
-        stats.early_exit_cells_skipped = stream.cells_skipped
-        stats.lazy_tuples_fetched = stream.lazy_tuples_fetched - fetched_before
-        # Delta, exactly like the tuples counter above: the stream's
-        # ``lazy_pages_saved`` is cumulative, and earlier rounds already
-        # reported their share — a resumed round only reports the
-        # *change* its own pulls caused (<= 0 when the grown demand
-        # fetched pages an earlier round had counted as saved), so the
-        # per-round values sum to the stream's true current total.
-        stats.lazy_calls_saved = stream.lazy_pages_saved - saved_before
-        stats.lazy_blocks = stream.lazy_blocks
-        stats.lazy_blocks_untouched = stream.lazy_blocks_untouched
+        stream.trace(stats, fetched_before, saved_before)
         # Virtual time of the resume: the lazy cursors sit on parallel
         # branches, so the round takes as long as its busiest service
         # (0.0 for the common all-from-fetched-pages resume).
@@ -295,7 +274,8 @@ class ProgressiveExecutor:
             k=k,
             node_output_sizes={},
             stream=stream,
-            certificate=self._engine.certificate_for(self.plan, rows),
+            certificate=self._engine.routing.certificate_for(self.plan, rows),
+            accounting=last.accounting,
         )
         self.rounds.append(
             ProgressiveRound(
@@ -352,6 +332,3 @@ class ProgressiveExecutor:
     def _executed_rounds(self) -> int:
         """Rounds that actually ran the plan (resumed rounds are free)."""
         return sum(1 for r in self.rounds if not r.resumed)
-
-    def _total_calls(self) -> int:
-        return sum(r.new_calls for r in self.rounds)

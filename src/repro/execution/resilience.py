@@ -4,9 +4,8 @@ The paper's cost model optimizes over remote services that in any real
 deployment fail, stall, and straggle.  The fault-injection kit
 (:mod:`repro.testing.faults`) proves failures *surface* cleanly; this
 module makes the engine *survive* them, in three independently
-switchable layers wired into both page-pull seams (the eager page loop
-of ``ExecutionEngine._run_service_node`` and the lazy
-``_LazyServicePageSource.fetch``):
+switchable layers wired into the one page-pull seam
+(:meth:`repro.execution.fetch.UnitSource.fetch`):
 
 * **Retry with backoff** (:class:`RetryPolicy`) — a transient page
   failure (:class:`~repro.services.base.TransientServiceError`,
@@ -223,7 +222,7 @@ class PlanDrift(RuntimeError):
     """A service's observed latency left the profile it was costed at.
 
     Control-flow exception raised by :class:`DriftMonitor` out of the
-    engine's fetch seams; the :class:`~repro.execution.adaptive.
+    engine's fetch seam; the :class:`~repro.execution.adaptive.
     AdaptiveExecutor` catches it, re-optimizes against the observed
     response times, and splices the replacement plan mid-run.  The
     seam that raised it attaches the execution's partial
@@ -329,8 +328,8 @@ def resilient_fetch(
     """One page pull under *config*: retry, hedge, demote.
 
     ``invoke`` performs one raw remote invocation (no cache lookup, no
-    accounting — both seams keep those outside, so only the winning
-    response is ever stored or counted).  Returns the winning
+    accounting — the fetch seam keeps those outside, so only the
+    winning response is ever stored or counted).  Returns the winning
     :class:`InvocationResult`, with accumulated backoff folded into
     its reported latency.  Raises :class:`UnresponsiveService` when
     retries are exhausted in partial-results mode, the final transient
@@ -398,69 +397,6 @@ def _maybe_hedge(
         if winner.latency <= hedge.threshold:
             break  # no longer a straggler: stop duplicating
     return winner
-
-
-class RetryingPageSource:
-    """Retry wrapper for a :class:`~repro.execution.lazy.PageSource`.
-
-    For page sources whose ``fetch`` is *idempotent and accounting-
-    free* (test sources, replayed traces), this lifts the retry layer
-    to the page-source seam so a bare
-    :class:`~repro.execution.lazy.LazyServiceCursor` survives
-    transient fetch failures.  The engine's own cache-backed source
-    embeds :func:`resilient_fetch` *inside* its fetch instead (below
-    the cache lookup/store), so hedged or retried duplicates can never
-    double-store a page or double-count a call.
-    """
-
-    def __init__(
-        self,
-        source,
-        config: ResilienceConfig,
-        stats: "ExecutionStats",
-        service: str = "<page-source>",
-        input_key: tuple = (),
-    ) -> None:
-        self._source = source
-        self._config = config
-        self._stats = stats
-        self._service = service
-        self._input_key = input_key
-
-    @property
-    def budget(self) -> int:
-        return self._source.budget
-
-    def swap_stats(self, stats: object) -> None:
-        # Rebind both: the wrapped source's accounting *and* this
-        # wrapper's own retry/wasted-fetch counters must land on the
-        # new epoch's statistics, or a resumed round's retries would be
-        # charged to the round that created the source.
-        self._source.swap_stats(stats)
-        self._stats = stats
-
-    def fetch(self, page: int):
-        retry = self._config.retry
-        cap = retry.attempts_for(self._service) if retry is not None else 1
-        attempt = 0
-        while True:
-            try:
-                return self._source.fetch(page)
-            except TRANSIENT_ERRORS as error:
-                self._stats.wasted_fetches += 1
-                attempt += 1
-                if attempt >= cap:
-                    if self._config.partial_results:
-                        raise UnresponsiveService(
-                            self._service, self._input_key, page, attempt,
-                            error,
-                        ) from error
-                    raise
-                assert retry is not None
-                self._stats.retries += 1
-                self._stats.retry_backoff += retry.backoff(
-                    self._service, self._input_key, attempt
-                )
 
 
 # -- partial-result certificates -------------------------------------------

@@ -13,7 +13,27 @@ cache are counted as ``cache_hits`` and never reach the remote side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+
+def _merge_counters(target: object, source: object) -> None:
+    """Fold every field of *source* into *target*, whatever it counts.
+
+    Numbers add, flags OR, and a dict of per-key counters merges key
+    by key the same way — driven by ``dataclasses.fields``, so a
+    counter added to either statistics class is merged without anyone
+    remembering to list it.
+    """
+    for spec in fields(source):
+        value = getattr(source, spec.name)
+        if isinstance(value, dict):
+            mine = getattr(target, spec.name)
+            for key, counters in value.items():
+                _merge_counters(mine.setdefault(key, type(counters)()), counters)
+        elif isinstance(value, bool):
+            setattr(target, spec.name, getattr(target, spec.name) or value)
+        else:
+            setattr(target, spec.name, getattr(target, spec.name) + value)
 
 
 @dataclass
@@ -130,6 +150,10 @@ class ExecutionStats:
         if name not in self.per_service:
             self.per_service[name] = ServiceCallStats()
         return self.per_service[name]
+
+    def merge(self, other: "ExecutionStats") -> None:
+        """Add *other*'s counters (a task-local tally) into this one."""
+        _merge_counters(self, other)
 
     def calls(self, name: str) -> int:
         """Number of calls issued to service *name*."""

@@ -52,8 +52,9 @@ from __future__ import annotations
 
 import json
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.costs.base import CostMetric
 from repro.costs.time_cost import ExecutionTimeMetric
@@ -297,10 +298,11 @@ class QueryService:
             ThreadSafeCache(inner) if inner is not None else None
         )
         self._stats_lock = threading.Lock()
-        # Single-flight for plan resolution: one mutex per plan-cache
-        # key, mirroring ThreadSafeCache.key_lock.  Bounded by the
-        # number of distinct keys this service ever resolves.
-        self._plan_locks: dict[str, threading.Lock] = {}
+        # Single-flight for plan resolution: one ``[mutex, waiters]``
+        # entry per plan-cache key *currently being resolved* — the
+        # last thread out drops the entry, so fresh-constant traffic
+        # (a new key per request) leaves nothing behind.
+        self._plan_locks: dict[str, list] = {}
         self._plan_locks_guard = threading.Lock()
 
     # -- the request surface --------------------------------------------
@@ -487,13 +489,27 @@ class QueryService:
 
     # -- internals -------------------------------------------------------
 
-    def _plan_lock(self, key: str) -> threading.Lock:
-        """The single-flight mutex for one plan-cache key."""
+    @contextmanager
+    def _plan_lock(self, key: str) -> Iterator[None]:
+        """Hold the single-flight mutex for one plan-cache key.
+
+        Holders and waiters are counted under the guard; a thread that
+        finds the entry gone starts a new one, which is safe because
+        whoever held the old one has already stored the plan.
+        """
         with self._plan_locks_guard:
-            lock = self._plan_locks.get(key)
-            if lock is None:
-                lock = self._plan_locks[key] = threading.Lock()
-            return lock
+            entry = self._plan_locks.get(key)
+            if entry is None:
+                entry = self._plan_locks[key] = [threading.Lock(), 0]
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._plan_locks_guard:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._plan_locks[key]
 
     def _resolve_plan(
         self, query: ConjunctiveQuery, k: int, registry=None
@@ -656,7 +672,7 @@ class QueryService:
                 if self.breaker.state(sibling) is not BreakerState.OPEN
             ]
             if healthy:
-                executor.engine.substitute_service(name, healthy[0])
+                executor.engine.routing.substitute_service(name, healthy[0])
 
     def _feed_breaker(
         self, rounds: Sequence[ProgressiveRound], result: ExecutionResult

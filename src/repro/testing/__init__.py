@@ -2,8 +2,9 @@
 
 What tests, benchmarks and downstream experiments import without path
 hacks — the dict-row reference plan interpreter the engine is checked
-against and the per-definition plan estimates the annotation program
-is checked against (:mod:`repro.testing.reference`), and the deterministic
+against, the per-definition plan estimates the annotation program
+is checked against and the eager-streamed engine lazy fetching is
+measured against (:mod:`repro.testing.reference`), and the deterministic
 fault-injection kit (:mod:`repro.testing.faults`).  Production modules
 under ``src/repro/`` never import this package.
 """
@@ -17,6 +18,7 @@ from repro.testing.faults import (
 )
 from repro.testing.reference import (
     ReferenceResult,
+    eager_streamed_engine,
     reference_annotate,
     reference_execute,
 )
@@ -27,6 +29,7 @@ __all__ = [
     "FlakyService",
     "InjectedFault",
     "ReferenceResult",
+    "eager_streamed_engine",
     "reference_annotate",
     "reference_execute",
     "wrap_registry_flaky",

@@ -1,9 +1,12 @@
 """References the production paths are checked against (tests and benches).
 
-Two small, obviously correct things: a dict-row plan *interpreter*
-(:func:`reference_execute`) for the engine's compiled loops, and the
+Three small, obviously correct things: a dict-row plan *interpreter*
+(:func:`reference_execute`) for the engine's compiled loops, the
 per-definition plan *estimates* (:func:`reference_annotate`) for the
-compiled annotation program of :mod:`repro.plans.annotate`.
+compiled annotation program of :mod:`repro.plans.annotate`, and the
+eager-streamed engine (:func:`eager_streamed_engine`) — the "same
+cells, every page fetched up front" baseline lazy fetching is
+measured against.
 
 The engine carries rows as slot tuples through compiled loops
 (:mod:`repro.execution.slots`); the interpreter walks a plan node
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.execution.cache import CacheSetting
+from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import execute_join
 from repro.execution.results import Row, compose_ranking
 from repro.execution.slots import ExecutionError
@@ -47,6 +51,19 @@ class ReferenceResult:
 
     rows: list[Row]
     node_output_sizes: dict[str, int] = field(default_factory=dict)
+
+
+class _EagerStreamedEngine(ExecutionEngine):
+    @staticmethod
+    def _lazy_input_ids(plan, streaming_join) -> frozenset[str]:
+        return frozenset()
+
+
+def eager_streamed_engine(registry: ServiceRegistry, **options) -> ExecutionEngine:
+    """A ``STREAMED`` engine that materializes the streamed join's
+    service inputs up front: same walk and cells as the lazy engine,
+    exactly the fetches of ``PARALLEL`` mode."""
+    return _EagerStreamedEngine(registry, mode=ExecutionMode.STREAMED, **options)
 
 
 def bind_outputs(row: Row, values: tuple, terms: list) -> Row | None:

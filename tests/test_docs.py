@@ -164,3 +164,48 @@ def test_rows_are_read_as_dicts_only_by_row_and_the_reference_join():
                     if (relative, scopes[0] if scopes else "") not in allowed:
                         offenders.append(f"{relative}:{node.lineno} reads .bindings")
     assert not offenders, offenders
+
+
+def _calls(tree: ast.AST):
+    """``(called name, enclosing scopes)`` for every call in a module."""
+    for node, scopes in _enclosing_scopes(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            yield name, scopes
+
+
+def test_every_service_page_goes_through_the_one_fetch_seam():
+    """Storing a page in the logical cache, recording a fetch and
+    feeding the drift monitor each happen in exactly one function —
+    ``UnitSource.fetch`` — and nothing else calls ``resilient_fetch``.
+    (``cache.py`` is exempt: ``ThreadSafeCache.store`` delegates to the
+    cache it wraps.)"""
+    seam = ("execution/fetch.py", ("UnitSource", "fetch"))
+    sites: dict[str, set] = {}
+    for path in SRC.rglob("*.py"):
+        relative = path.relative_to(SRC).as_posix()
+        in_execution = relative.startswith("execution/") and relative != "execution/cache.py"
+        for name, scopes in _calls(ast.parse(path.read_text())):
+            if name == "resilient_fetch" or (
+                in_execution and name in ("store", "record_fetch", "observe")
+            ):
+                sites.setdefault(name, set()).add((relative, scopes))
+    assert sites == {
+        name: {seam}
+        for name in ("store", "record_fetch", "observe", "resilient_fetch")
+    }
+
+
+def test_retired_seam_plumbing_stays_retired():
+    retired = (
+        "swap_stats", "rebind_stats", "adopt_adaptive_state",
+        "RetryingPageSource", "lazy_streaming",
+    )
+    offenders = [
+        f"{path.relative_to(REPO)}: {name}"
+        for path in SRC.rglob("*.py")
+        for name in retired
+        if name in path.read_text()
+    ]
+    assert not offenders, offenders

@@ -2,11 +2,12 @@
 
 Uses the :mod:`repro.testing.faults` kit to corrupt service pages on a
 seeded, call-order-independent schedule, then runs the same plan down
-three paths — demand-driven lazy streaming, eager streaming, and the
-full-scan ``PARALLEL`` oracle — over the *same* faulted world:
+two paths — demand-driven lazy streaming and the full-scan
+``PARALLEL`` oracle (eager materialization) — over the *same* faulted
+world:
 
 * data faults (truncated pages, duplicated tuples, out-of-order
-  ranks) keep rank floors sound, so all three paths must stay
+  ranks) keep rank floors sound, so both paths must stay
   **bit-identical**: a lazily skipped page can never hide the
   corruption-induced answer changes the oracle sees;
 * page failures must surface as a clean :class:`InjectedFault` —
@@ -231,19 +232,15 @@ class TestDataFaultsStayOracleEquivalent:
         lazy = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
             plan, head=head, k=k
         )
-        eager = ExecutionEngine(
-            registry, mode=ExecutionMode.STREAMED, lazy_streaming=False
-        ).execute(plan, head=head, k=k)
         oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
             plan, head=head
         )
         expected = compose_ranking(oracle.rows, k)
         assert _signature(lazy.rows) == _signature(expected)
-        assert _signature(eager.rows) == _signature(expected)
         # The oracle's full fetch must have exercised the injection.
         assert sum(w.injected.total() for w in wrappers.values()) > 0
         # Lazy still never fetches beyond the (faulted) eager universe.
-        assert lazy.stats.total_fetches <= eager.stats.total_fetches
+        assert lazy.stats.total_fetches <= oracle.stats.total_fetches
 
     def test_out_of_order_ranks_trip_the_monotonicity_guard(self):
         """A reordered page makes the owning block non-monotone: the
@@ -307,7 +304,6 @@ class TestPageFailures:
         for kwargs in (
             {"mode": ExecutionMode.PARALLEL},
             {"mode": ExecutionMode.STREAMED},
-            {"mode": ExecutionMode.STREAMED, "lazy_streaming": False},
         ):
             with pytest.raises(InjectedFault):
                 ExecutionEngine(registry, **kwargs).execute(

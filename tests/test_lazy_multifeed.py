@@ -320,22 +320,18 @@ class TestSerialPlanEngineDifferential:
         lazy = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
             plan, head=head, k=k
         )
-        eager = ExecutionEngine(
-            registry, mode=ExecutionMode.STREAMED, lazy_streaming=False
-        ).execute(plan, head=head, k=k)
         oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
             plan, head=head
         )
         expected = compose_ranking(oracle.rows, k)
         assert _signature(lazy.rows) == _signature(expected)
-        assert _signature(eager.rows) == _signature(expected)
         assert not lazy.stats.streamed_fallback
         # The multi-feed node opens one block per feeder tuple.
         assert lazy.stats.lazy_blocks == feeds + 1  # + the rights cursor
         # Fetching is demand-driven: never more remote work than eager.
-        assert lazy.stats.total_fetches <= eager.stats.total_fetches
+        assert lazy.stats.total_fetches <= oracle.stats.total_fetches
         assert (
-            lazy.stats.total_tuples_fetched <= eager.stats.total_tuples_fetched
+            lazy.stats.total_tuples_fetched <= oracle.stats.total_tuples_fetched
         )
 
     def test_small_k_saves_remote_work_on_serial_plans(self):
@@ -346,15 +342,12 @@ class TestSerialPlanEngineDifferential:
         lazy = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
             plan, head=head, k=1
         )
-        eager = ExecutionEngine(
-            registry, mode=ExecutionMode.STREAMED, lazy_streaming=False
-        ).execute(plan, head=head, k=1)
         oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
             plan, head=head
         )
         assert _signature(lazy.rows) == _signature(compose_ranking(oracle.rows, 1))
         assert (
-            lazy.stats.total_tuples_fetched < eager.stats.total_tuples_fetched
+            lazy.stats.total_tuples_fetched < oracle.stats.total_tuples_fetched
         )
         assert lazy.stats.lazy_calls_saved > 0
         assert lazy.stats.lazy_blocks_untouched > 0

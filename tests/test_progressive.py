@@ -13,6 +13,7 @@ from repro.sources.travel import (
     alpha1_patterns,
     poset_optimal,
 )
+from repro.testing import eager_streamed_engine
 
 
 @pytest.fixture()
@@ -76,20 +77,25 @@ class TestStreamedResume:
             alpha1_patterns(), poset_optimal(),
             fetches={FLIGHT_ATOM: 2, HOTEL_ATOM: 2},
         )
-        return ProgressiveExecutor(
+        executor = ProgressiveExecutor(
             registry=registry,
             plan=plan,
             head=tuple(travel_query.head),
             mode=ExecutionMode.STREAMED,
             cache_setting=setting,
-            lazy_streaming=lazy,
         )
+        if not lazy:
+            executor._engine = eager_streamed_engine(
+                registry, cache_setting=setting
+            )
+        return executor
 
     @pytest.mark.parametrize("setting", list(CacheSetting), ids=lambda s: s.value)
     def test_resumed_stream_issues_no_service_calls(
         self, registry, travel_query, setting
     ):
-        """With eager materialization (``lazy_streaming=False``) the
+        """With eager materialization (the eager-streamed reference
+        engine swapped in under the executor) the
         suspended plane is fully fetched up front, so a resume is pure
         walk: zero service interaction under every cache setting.
         (Lazy resumes may pull budgeted pages; their honest accounting
@@ -178,7 +184,7 @@ class TestLazyStreamedResume:
     are recorded on the resumed round, never on an earlier one."""
 
     @staticmethod
-    def _single_feed_executor(setting, side, chunk, fetches, lazy=True):
+    def _single_feed_executor(setting, side, chunk, fetches):
         from repro.model.schema import signature
         from repro.services.profile import search_profile
         from repro.services.registry import JoinMethod, ServiceRegistry
@@ -223,7 +229,6 @@ class TestLazyStreamedResume:
             head=tuple(query.head),
             mode=ExecutionMode.STREAMED,
             cache_setting=setting,
-            lazy_streaming=lazy,
         )
         return registry, query, plan, executor
 

@@ -268,8 +268,8 @@ class TestStreamedEngineMatchesOracle:
         self, lk, rk, k, method, chunk_left, chunk_right
     ):
         """The demand-driven fetch path (random page sizes) against the
-        full-scan oracle and the eager streamed path: identical rows,
-        never more remote work."""
+        full-scan oracle, whose fetches are eager materialization's:
+        identical rows, never more remote work."""
         registry, query, plan = _random_table_plan(
             lk, rk, method, chunks=(chunk_left, chunk_right)
         )
@@ -280,15 +280,10 @@ class TestStreamedEngineMatchesOracle:
         lazy = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
             plan, head=head, k=k
         )
-        eager = ExecutionEngine(
-            registry, mode=ExecutionMode.STREAMED, lazy_streaming=False
-        ).execute(plan, head=head, k=k)
         expected = compose_ranking(oracle.rows, k)
         assert _signature(lazy.rows) == _signature(expected)
-        assert _signature(eager.rows) == _signature(expected)
-        assert lazy.stats.total_fetches <= eager.stats.total_fetches
-        assert lazy.stats.total_tuples_fetched <= eager.stats.total_tuples_fetched
-        assert eager.stats.lazy_tuples_fetched == 0
+        assert lazy.stats.total_fetches <= oracle.stats.total_fetches
+        assert lazy.stats.total_tuples_fetched <= oracle.stats.total_tuples_fetched
 
     @given(_table_keys, _table_keys, st.sampled_from(METHODS))
     @settings(max_examples=15, deadline=None)

@@ -32,6 +32,7 @@ from repro.execution.results import Row
 from repro.model.parser import parse_query
 from repro.serving import QueryService
 from repro.sources.biblio import biblio_registry, experts_query
+from repro.testing import eager_streamed_engine
 
 PUBSEARCH_ONLY = (
     "q(P, T, Y) :- pubsearch('service computing', P, T, Y)."
@@ -73,8 +74,10 @@ def _rows(registry, query, *, enabled, mode=ExecutionMode.PARALLEL,
     if pool:
         executor = ParallelExecutor(registry, row_provenance=enabled)
         return executor.execute(plan, head=query.head, k=k).rows
-    engine = ExecutionEngine(
-        registry, mode=mode, lazy_streaming=lazy, row_provenance=enabled
+    engine = (
+        ExecutionEngine(registry, mode=mode, row_provenance=enabled)
+        if lazy
+        else eager_streamed_engine(registry, row_provenance=enabled)
     )
     return engine.execute(plan, head=query.head, k=k).rows
 

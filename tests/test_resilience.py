@@ -23,6 +23,7 @@ Differential contracts pinned here (see
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -30,12 +31,10 @@ from hypothesis import strategies as st
 
 import repro.testing.faults as faults
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.execution.lazy import LazyServiceCursor, ListPageSource
 from repro.execution.resilience import (
     HedgePolicy,
     ResilienceConfig,
     RetryPolicy,
-    RetryingPageSource,
     UnresponsiveService,
     resilient_fetch,
     unit_token,
@@ -46,10 +45,14 @@ from repro.model.terms import Variable
 from repro.services.base import InvocationResult, TransientServiceError
 from repro.services.profile import search_profile
 from repro.services.table import TableSearchService
-from repro.testing import FaultSchedule, FlakyService, wrap_registry_flaky
+from repro.testing import (
+    FaultSchedule,
+    FlakyService,
+    eager_streamed_engine,
+    wrap_registry_flaky,
+)
 
 from tests.test_fault_injection import PLAN_SHAPES, _pair_plan, _serial_plan
-from tests.test_lazy import _paged, _rows
 
 
 def _sig(rows):
@@ -266,99 +269,6 @@ class TestHedging:
         assert stats.wasted_fetches == 2
 
 
-class _FlakyPageSource:
-    """A PageSource whose every page fails *fail_times* before serving."""
-
-    def __init__(self, inner, fail_times=1):
-        self._inner = inner
-        self._fail_times = fail_times
-        self._failures: dict[int, int] = {}
-
-    @property
-    def budget(self):
-        return self._inner.budget
-
-    def swap_stats(self, stats):
-        self._inner.swap_stats(stats)
-
-    def fetch(self, page):
-        seen = self._failures.get(page, 0)
-        if seen < self._fail_times:
-            self._failures[page] = seen + 1
-            raise TransientServiceError(f"flaky page {page}")
-        return self._inner.fetch(page)
-
-
-class TestRetryingPageSource:
-    def _pages(self):
-        return _paged(_rows([0, 1, 3, 4, 6, 7], "L"), chunk=2)
-
-    def test_cursor_over_flaky_source_matches_clean(self):
-        clean = LazyServiceCursor(ListPageSource(self._pages()))
-        clean.ensure_all()
-        stats = ExecutionStats()
-        retrying = RetryingPageSource(
-            _FlakyPageSource(ListPageSource(self._pages()), fail_times=2),
-            ResilienceConfig(retry=RetryPolicy(attempts=3)),
-            stats,
-            service="lefts",
-        )
-        cursor = LazyServiceCursor(retrying)
-        cursor.ensure_all()
-        assert cursor.rows == clean.rows
-        assert cursor.ranks == clean.ranks
-        assert stats.retries == 2 * len(self._pages())
-        assert stats.wasted_fetches == 2 * len(self._pages())
-        assert retrying.budget == len(self._pages())
-
-    def test_capped_retries_propagate_the_transient_error(self):
-        source = RetryingPageSource(
-            _FlakyPageSource(ListPageSource(self._pages()), fail_times=5),
-            ResilienceConfig(retry=RetryPolicy(attempts=2)),
-            ExecutionStats(),
-        )
-        with pytest.raises(TransientServiceError):
-            LazyServiceCursor(source).ensure(1)
-
-    def test_partial_mode_raises_unresponsive_service(self):
-        source = RetryingPageSource(
-            _FlakyPageSource(ListPageSource(self._pages()), fail_times=5),
-            ResilienceConfig(
-                retry=RetryPolicy(attempts=2), partial_results=True
-            ),
-            ExecutionStats(),
-            service="lefts",
-            input_key=("ioo", ((0, "q"),)),
-        )
-        with pytest.raises(UnresponsiveService) as excinfo:
-            LazyServiceCursor(source).ensure(1)
-        assert excinfo.value.unit == ("lefts", ("ioo", ((0, "q"),)))
-
-    def test_swap_stats_rebinds_the_retry_accounting(self):
-        """Regression: ``swap_stats`` rebound only the wrapped source's
-        stats, so retries/wasted fetches of a resumed round were
-        charged to the *previous* round's statistics object."""
-        first = ExecutionStats()
-        source = RetryingPageSource(
-            _FlakyPageSource(ListPageSource(self._pages()), fail_times=1),
-            ResilienceConfig(retry=RetryPolicy(attempts=3)),
-            first,
-            service="lefts",
-        )
-        cursor = LazyServiceCursor(source)
-        cursor.ensure(2)  # page 0: its one failure lands on `first`
-        assert first.retries == 1
-        assert first.wasted_fetches == 1
-        resumed = ExecutionStats()
-        source.swap_stats(resumed)
-        cursor.ensure(4)  # page 1: its failure must land on `resumed`
-        assert resumed.retries == 1
-        assert resumed.wasted_fetches == 1
-        # The round that created the source keeps its frozen counters.
-        assert first.retries == 1
-        assert first.wasted_fetches == 1
-
-
 class TestPromotedFaultKit:
     def test_injected_fault_is_transient(self):
         assert issubclass(faults.InjectedFault, TransientServiceError)
@@ -417,24 +327,22 @@ class TestZeroFaultBitIdentity:
 
     @pytest.mark.parametrize("shape", sorted(PLAN_SHAPES))
     @pytest.mark.parametrize(
-        "mode_kwargs",
+        "engine",
         [
-            {"mode": ExecutionMode.PARALLEL},
-            {"mode": ExecutionMode.STREAMED},
-            {"mode": ExecutionMode.STREAMED, "lazy_streaming": False},
+            partial(ExecutionEngine, mode=ExecutionMode.PARALLEL),
+            partial(ExecutionEngine, mode=ExecutionMode.STREAMED),
+            eager_streamed_engine,
         ],
         ids=("full", "lazy", "eager"),
     )
-    def test_resilient_engine_is_bit_identical(self, shape, mode_kwargs):
+    def test_resilient_engine_is_bit_identical(self, shape, engine):
         k = 5
         registry, head, plan = PLAN_SHAPES[shape]()
-        plain = ExecutionEngine(registry, **mode_kwargs).execute(
-            plan, head=head, k=k
-        )
+        plain = engine(registry).execute(plan, head=head, k=k)
         registry2, head2, plan2 = PLAN_SHAPES[shape]()
-        resilient = ExecutionEngine(
-            registry2, resilience=ALL_ON_QUIET, **mode_kwargs
-        ).execute(plan2, head=head2, k=k)
+        resilient = engine(registry2, resilience=ALL_ON_QUIET).execute(
+            plan2, head=head2, k=k
+        )
         assert _sig(resilient.rows) == _sig(plain.rows)
         assert _counters(resilient.stats) == _counters(plain.stats)
         assert resilient.stats.elapsed == plain.stats.elapsed

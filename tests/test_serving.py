@@ -406,6 +406,17 @@ class TestQueryService:
         assert service.submit(query, k=3).provenance == "optimized"
         assert service.submit(query, k=2).provenance == "memory"
 
+    def test_plan_lock_table_is_reclaimed(self):
+        """Fresh-constant traffic resolves a fresh plan-cache key per
+        request; the single-flight table must not keep one mutex per
+        key for the life of the server."""
+        service = QueryService(registry=weekend_registry())
+        query = mahler_weekend_query()
+        for k in range(1, 7):
+            assert service.submit(query, k=k).provenance == "optimized"
+        assert service.stats.optimizer_runs == 6
+        assert service._plan_locks == {}
+
     def test_different_optimizer_configs_never_share_plans(self):
         from repro.optimizer.optimizer import OptimizerConfig
 

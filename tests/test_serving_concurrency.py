@@ -110,6 +110,8 @@ class TestSingleFlight:
             assert service.stats.optimizer_runs == round_index
             assert service.plan_cache.stats.misses == round_index
             assert service.plan_cache.stats.stores == round_index
+            # The last thread out of each race reclaims the key's mutex.
+            assert service._plan_locks == {}
 
     def test_distinct_keys_resolve_independently(self):
         service = _service(news_registry)

@@ -48,6 +48,7 @@ from repro.services.sqlite import (
 )
 from repro.services.table import TableExactService, TableSearchService
 from repro.sources.biblio import biblio_registry, experts_query, generate_corpus
+from repro.testing import eager_streamed_engine
 
 SIG = signature("rel", ["K", "N", "X"], ["ioo", "iio", "ooo"])
 
@@ -171,7 +172,11 @@ def _plan_rows(registry, mode, lazy=True, parallel_pool=False, k=12):
         executor = ParallelExecutor(registry, workers=4)
         result = executor.execute(best.plan, head=query.head, k=k)
     else:
-        engine = ExecutionEngine(registry, mode=mode, lazy_streaming=lazy)
+        engine = (
+            ExecutionEngine(registry, mode=mode)
+            if lazy
+            else eager_streamed_engine(registry)
+        )
         result = engine.execute(best.plan, head=query.head, k=k)
     return [
         (dict(row.bindings), tuple(rank for _, rank in row.ranks))
