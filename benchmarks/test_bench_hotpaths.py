@@ -33,6 +33,11 @@ before/after trajectory so future PRs can track the perf curve:
   over a registry of *sleeping* service proxies, for growing worker
   counts; rows stay bit-identical to the sequential engine and wall
   time drops as workers grow (ordering asserted on full runs only).
+  Next to it, a **branch-overlap** check on the same sleeping proxies:
+  a plan of two independent feeder → leaf chains (one unit per node, so
+  only *branches* can overlap) must finish well under the sum of its
+  chains run alone — the pool schedules the engine's one walk, and
+  sibling branches are started before either is awaited.
 """
 
 from __future__ import annotations
@@ -53,11 +58,16 @@ from repro.execution.lazy import (
 )
 from repro.execution.parallel import ParallelExecutor
 from repro.execution.results import Row
+from repro.model.atoms import Atom
 from repro.model.predicates import BinaryExpression, Comparison
+from repro.model.query import ConjunctiveQuery
+from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
-from repro.plans.builder import PlanBuilder
-from repro.services.registry import JoinMethod
+from repro.plans.builder import PlanBuilder, Poset
+from repro.services.profile import search_profile
+from repro.services.registry import JoinMethod, ServiceRegistry
+from repro.services.table import TableSearchService
 from repro.sources.travel import (
     alpha1_patterns,
     poset_serial,
@@ -292,8 +302,8 @@ class _SleepingService:
         return getattr(self._inner, name)
 
 
-def _sleeping_registry(scale: float):
-    registry = travel_registry()
+def _sleeping_registry(scale: float, registry=None):
+    registry = registry if registry is not None else travel_registry()
     for name in registry.names:
         registry._services[name] = _SleepingService(
             registry._services[name], scale
@@ -336,7 +346,83 @@ def _worker_sweep() -> dict:
     }
 
 
+#: Branch-overlap check: virtual latency and pages of every chain node.
+CHAIN_LATENCY = 20.0
+CHAIN_PAGES = 5
+
+
+def _chain_world(chains: str):
+    """One ``feed → leaf`` chain per letter of *chains*, merged on ``K``.
+
+    Every node has exactly one unit (one feed row), whose pages are
+    pulled one after the other: inside a chain nothing can overlap, so
+    whatever the pool gains on the two-chain plan is branch overlap.
+    """
+    registry = ServiceRegistry()
+    key = Variable("K")
+    head, atoms, patterns, pairs = [key], [], [], set()
+    for side in chains:
+        link, value = Variable(f"X{side}"), Variable(f"V{side}")
+        registry.register(
+            TableSearchService(
+                signature(f"feed{side}", ["Q", "X"], ["io"]),
+                search_profile(chunk_size=1, response_time=CHAIN_LATENCY),
+                [("q", 0)],
+                score=lambda row: 0.0,
+            )
+        )
+        registry.register(
+            TableSearchService(
+                signature(f"leaf{side}", ["X", "K", "V"], ["ioo"]),
+                search_profile(chunk_size=1, response_time=CHAIN_LATENCY),
+                [(0, i % 2, i) for i in range(CHAIN_PAGES)],
+                score=lambda row: float(-row[2]),
+            )
+        )
+        pairs.add((len(atoms), len(atoms) + 1))
+        atoms += [
+            Atom(f"feed{side}", (Constant("q"), link)),
+            Atom(f"leaf{side}", (link, key, value)),
+        ]
+        patterns += [
+            registry.signature(f"feed{side}").pattern("io"),
+            registry.signature(f"leaf{side}").pattern("ioo"),
+        ]
+        head.append(value)
+    if len(chains) == 2:
+        registry.register_join_method(
+            f"leaf{chains[0]}", f"leaf{chains[1]}", JoinMethod.MERGE_SCAN
+        )
+    query = ConjunctiveQuery(
+        name="chains", head=tuple(head), atoms=tuple(atoms), predicates=()
+    )
+    plan = PlanBuilder(query, registry).build(
+        tuple(patterns),
+        Poset(n=len(atoms), pairs=frozenset(pairs)),
+        fetches={i: CHAIN_PAGES if i % 2 else 1 for i in range(len(atoms))},
+    )
+    return registry, tuple(query.head), plan
+
+
+def _chain_wall(chains: str) -> float:
+    registry, head, plan = _chain_world(chains)
+    oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
+        plan, head
+    )
+    result = ParallelExecutor(
+        _sleeping_registry(SLEEP_SCALE, registry), workers=4
+    ).execute(plan, head)
+    assert _row_signature(result.rows) == _row_signature(oracle.rows)
+    assert result.stats.total_fetches == oracle.stats.total_fetches
+    return result.stats.wall_time
+
+
 class TestHotpathTrajectory:
+    def test_independent_chains_overlap_on_the_pool(self):
+        alone = _chain_wall("a") + _chain_wall("b")
+        together = _chain_wall("ab")
+        assert together < 0.75 * alone, (together, alone)
+
     def test_write_bench_hotpaths(self, registry, travel_query, out_dir):
         before_opt = _optimizer_workload(registry, travel_query, memoize=False)
         after_opt = _optimizer_workload(registry, travel_query, memoize=True)

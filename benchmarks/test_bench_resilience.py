@@ -56,7 +56,6 @@ import time
 import pytest
 from _bench_env import QUICK, bench_out_name, bench_scale
 
-from repro.execution.adaptive import AdaptiveExecutor
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import (
@@ -314,7 +313,7 @@ class TestResilienceTrajectory:
                 mode=ExecutionMode.STREAMED,
             )
             if adaptive:
-                return AdaptiveExecutor(
+                return ProgressiveExecutor(
                     resilience=adaptive_config, drift=drift_policy, **common
                 )
             return ProgressiveExecutor(resilience=static_config, **common)
@@ -380,7 +379,7 @@ class TestResilienceTrajectory:
                     t2k.append(_time_to_k(executor))
                     dropped.append(len(certificate.dropped))
                     substituted.append(len(certificate.substituted))
-                    replans.append(getattr(executor, "replans", 0))
+                    replans.append(executor.replans)
                 exact_by_column[column] = exact / SEEDS
                 cells[column] = {
                     "exact_answer_rate": exact / SEEDS,
@@ -413,7 +412,7 @@ class TestResilienceTrajectory:
             assert _sig(result.rows) == sib_oracle_sig, column
             drift_cells[column] = {
                 "time_to_k_virtual_s": round(_time_to_k(executor), 4),
-                "replans": getattr(executor, "replans", 0),
+                "replans": executor.replans,
                 "substituted_blocks": result.stats.substituted_blocks,
                 "lefts_fetches": _service_fetches(executor, "lefts"),
                 "backup_fetches": _service_fetches(

@@ -39,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.execution.cache import CacheSetting, LogicalCache, make_cache
 from repro.execution.fetch import Accounting, NodeFetch, UnitRouting, UnitSource
@@ -58,6 +58,12 @@ from repro.model.terms import Variable
 from repro.plans.dag import QueryPlan
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, PlanNode, ServiceNode
 from repro.services.registry import ServiceRegistry
+
+
+#: ``collect(failures) -> (rows, busy time)`` of one scheduled service
+#: node, and the scheduler that starts one (:meth:`ExecutionEngine._execute`).
+Collect = Callable[[list[UnresponsiveService]], tuple[list[Row], float]]
+Scheduler = Callable[[NodeFetch, Sequence[Row], Accounting], Collect]
 
 
 class ExecutionMode(Enum):
@@ -181,15 +187,15 @@ class ExecutionEngine:
         self._resilience = resilience
         #: Demoted and rerouted units, persistent across this
         #: engine's executions (progressive rounds must not re-await a
-        #: block already proven dead).  The adaptive layer re-points
-        #: it, so the engines of successive re-plans share one.
+        #: block already proven dead).
         self.routing = UnitRouting(registry, resilience)
         #: Observes remote fetch latency against each plan node's
         #: costed profile and raises
         #: :class:`~repro.execution.resilience.PlanDrift` on
         #: divergence; None (the default) never observes anything —
         #: the zero-drift bit-identity is structural, not thresholded.
-        self._drift_monitor = drift_monitor
+        #: A drifting session installs a fresh one per splice.
+        self.drift_monitor = drift_monitor
         #: Opt-in per-row audit trail: every row produced by a service
         #: node carries a ``(service, input key, page)`` record
         #: (:data:`~repro.execution.results.ProvenanceRecord`), and
@@ -223,6 +229,30 @@ class ExecutionEngine:
         cache alive across executions (progressive "ask for more"
         continuations).
         """
+        return self._execute(plan, head, k, reset_remote_caches, shared_cache)
+
+    def _execute(
+        self,
+        plan: QueryPlan,
+        head: Sequence[Variable],
+        k: int | None,
+        reset_remote_caches: bool,
+        shared_cache: LogicalCache | None,
+        schedule: Scheduler | None = None,
+    ) -> ExecutionResult:
+        """The one plan walk and the one partial-results restart loop.
+
+        *schedule* is the scheduler seam, consulted where a non-lazy
+        service node's feed rows are drained.  None drains them inline
+        (:meth:`_drain_units`).  A scheduler instead starts the node's
+        work and returns a ``collect`` callable; the walk calls it when
+        it reaches the node's first consumer — the FIFO topological
+        order visits sibling branches before their consumers, so
+        independent branches are all started before any is awaited.
+        ``collect(failures)`` folds the node's statistics into the
+        walk's cell, appends every unit that exhausted its retries to
+        *failures* and returns ``(rows, busy time)``.
+        """
         plan.validate()
         if reset_remote_caches:
             self._registry.reset_all()
@@ -243,25 +273,38 @@ class ExecutionEngine:
             else frozenset()
         )
         # Partial-results restart loop: a walk aborted by an exhausted
-        # retry budget reroutes the failing unit onto an equivalent
+        # retry budget reroutes each failing unit onto an equivalent
         # sibling service (when sibling fallback is on and one exists)
-        # or demotes it, then re-runs with the unit rerouted/masked
+        # or demotes it, then re-runs with the units rerouted/masked
         # (the shared logical cache makes restarts cheap — every
         # already-fetched page is answered locally).  The stats object
         # survives restarts, so aborted work stays counted.  Each
-        # restart either demotes one *new* unit or advances one unit
-        # to a sibling it never tried; both are finite per plan, so
-        # the loop terminates.  A PlanDrift raised by the drift
-        # monitor is *not* absorbed here: it aborts the execution for
-        # the adaptive layer to re-plan, carrying the partial stats.
+        # restart either demotes a *new* unit or advances a unit to a
+        # sibling it never tried; both are finite per plan, so the
+        # loop terminates.  A PlanDrift raised by the drift monitor is
+        # *not* absorbed here: it aborts the execution for the session
+        # executor to re-plan, carrying the partial stats.
         while True:
             rng = random.Random(self._shuffle_seed)
             stream: JoinStream | None = None
             lazy_cursors: dict[str, LazyServiceCursor | MultiFeedCursor] = {}
             outputs: dict[str, list[Row]] = {}
             busy: dict[str, float] = {}
+            #: Scheduled service nodes not yet collected (always empty
+            #: for the inline walk).
+            pending: dict[str, Collect] = {}
+            failures: list[UnresponsiveService] = []
             try:
                 for node in plan.topological_order():
+                    if pending:
+                        for feeder in plan.predecessors(node):
+                            collect = pending.pop(feeder.node_id, None)
+                            if collect is not None:
+                                outputs[feeder.node_id], busy[feeder.node_id] = (
+                                    collect(failures)
+                                )
+                        if failures:
+                            break
                     if isinstance(node, InputNode):
                         outputs[node.node_id] = [Row()]
                         busy[node.node_id] = 0.0
@@ -279,12 +322,21 @@ class ExecutionEngine:
                             # what was fetched.
                             outputs[node.node_id] = cursor.rows
                             busy[node.node_id] = 0.0
-                        else:
-                            if self._mode is ExecutionMode.MULTITHREADED:
-                                feed = list(feed)
-                                rng.shuffle(feed)
+                            continue
+                        if self._mode is ExecutionMode.MULTITHREADED:
+                            feed = list(feed)
+                            rng.shuffle(feed)
+                        # An eagerly run node reports its service even
+                        # when it fetched nothing (empty feed, every
+                        # unit demoted or rerouted).
+                        stats.service(node.service_name)
+                        if schedule is None:
                             outputs[node.node_id], busy[node.node_id] = (
                                 self._drain_units(context, feed, accounting)
+                            )
+                        else:
+                            pending[node.node_id] = schedule(
+                                context, feed, accounting
                             )
                     elif isinstance(node, JoinNode):
                         if node is streaming_join:
@@ -310,15 +362,24 @@ class ExecutionEngine:
                             f"unknown node type {type(node).__name__}"
                         )
             except UnresponsiveService as failure:
-                unit = self.routing.original(failure.unit)
-                if self.routing.masked(*unit):  # pragma: no cover
-                    raise ExecutionError(
-                        f"demoted unit {unit!r} failed again — "
-                        f"masking is broken"
-                    ) from failure
+                failures.append(failure)
+            if not failures:
+                break
+            # Every unit that died in this walk is handled before the
+            # one restart: whatever is still in flight is collected
+            # first, which also keeps its work counted.
+            for collect in pending.values():
+                collect(failures)
+            unit = self.routing.original(failures[0].unit)
+            if self.routing.masked(*unit):  # pragma: no cover
+                raise ExecutionError(
+                    f"demoted unit {unit!r} failed again — "
+                    f"masking is broken"
+                ) from failures[0]
+            for failure in failures:
+                # Stale failures (the unit already moved on within
+                # this batch) are dropped inside the handler.
                 self.routing.handle_unresponsive(failure)
-                continue
-            break
 
         for node_id, cursor in lazy_cursors.items():
             busy[node_id] = self._node_busy(cursor.latencies)
@@ -352,7 +413,7 @@ class ExecutionEngine:
         stream: JoinStream | None = None,
         accounting: Accounting | None = None,
     ) -> ExecutionResult:
-        """Wrap up one finished walk (shared with the thread pool)."""
+        """Wrap up one finished walk or stream resume."""
         certificate = self.routing.certificate_for(plan, final_rows)
         if certificate is not None:
             stats.demoted_blocks = len(certificate.dropped)
@@ -384,7 +445,7 @@ class ExecutionEngine:
         """*node*'s side of the fetch seam for one execution."""
         return NodeFetch(
             node, self._registry, cache, self.routing, self._resilience,
-            self._drift_monitor, self._row_provenance,
+            self.drift_monitor, self._row_provenance,
         )
 
     def _drain_units(
@@ -393,23 +454,11 @@ class ExecutionEngine:
         """Eager execution of a service node: ``(rows, busy time)``.
 
         Pulls every budgeted page of each feed row's unit, in order.
-        Shared with the thread-pool executor, which drains one feed
-        row per task over a context it built once for the node.
         """
-        # An eagerly run node reports its service even when it fetched
-        # nothing (empty feed, every unit demoted or rerouted).
-        accounting.stats.service(context.node.service_name)
         latencies: list[float] = []
         produced: list[Row] = []
         for row in feed:
-            unit = UnitSource(context, row, accounting)
-            for page in range(unit.budget):
-                rows, _, has_more, _, latency = unit.fetch(page)
-                if latency is not None:
-                    latencies.append(latency)
-                produced.extend(rows)
-                if not has_more:
-                    break
+            UnitSource(context, row, accounting).drain(produced, latencies)
         return produced, self._node_busy(latencies)
 
     @staticmethod
@@ -564,8 +613,13 @@ class ExecutionEngine:
         if not latencies:
             return 0.0
         if self._mode is ExecutionMode.MULTITHREADED:
-            return max(latencies) + self._thread_overhead * len(latencies)
+            return self.overlapped_busy(latencies, len(latencies))
         return sum(latencies)
+
+    def overlapped_busy(self, durations: Sequence[float], dispatches: int) -> float:
+        """Busy time of work dispatched to concurrent threads: the
+        longest piece plus a thread overhead per dispatch."""
+        return max(durations) + self._thread_overhead * dispatches
 
     def _elapsed(self, plan: QueryPlan, busy: Mapping[str, float]) -> float:
         if self._mode is ExecutionMode.SEQUENTIAL:

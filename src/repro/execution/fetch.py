@@ -31,9 +31,8 @@ Three objects own the seam's state:
 
 :class:`UnitRouting` holds what outlives a single execution: which
 units are demoted (masked) and which are served by a sibling service.
-An engine keeps one for its lifetime; the adaptive layer points every
-engine it builds at the same object, so a re-plan carries nothing
-over by hand.
+An engine keeps one for its lifetime, and a session keeps its engine
+across drift splices, so a re-plan carries nothing over by hand.
 """
 
 from __future__ import annotations
@@ -327,6 +326,20 @@ class UnitSource:
         self._rank_floor = 0
         self._epoch = accounting.epoch
         self._counted = _NOTHING
+
+    def drain(self, produced: list[Row], latencies: list[float]) -> None:
+        """Pull every budgeted page, in order, into the caller's lists.
+
+        The eager execution of one unit: its rows extend *produced*,
+        the latency of each remote page extends *latencies*.
+        """
+        for page in range(self.budget):
+            rows, _, has_more, _, latency = self.fetch(page)
+            if latency is not None:
+                latencies.append(latency)
+            produced.extend(rows)
+            if not has_more:
+                break
 
     def fetch(self, page: int) -> FetchedPage:
         context = self._context

@@ -6,13 +6,16 @@ and under ``MULTITHREADED`` a node's busy time collapses to its
 largest single call latency.  The paper's multithreading experiment,
 though, is a statement about *real* execution — dispatching the
 service calls of a plan to concurrent threads turned a 374 s run into
-76 s.  :class:`ParallelExecutor` is that execution path: it walks the
-same query plans the engine does, but runs them on a
-``ThreadPoolExecutor``, overlapping both **independent plan branches**
-(nodes whose precedence constraints are already satisfied, exposed by
-``plans/dag.py``) and the **per-feed-tuple service calls** within one
-node — the dominant source of parallelism, since a proliferative feed
-turns one node into hundreds of independent remote calls.
+76 s.  :class:`ParallelExecutor` is that execution path.  It does not
+walk plans: it is the *scheduler* of the engine's one walk
+(:meth:`ExecutionEngine._execute`), submitting each service node's
+feed rows to a ``ThreadPoolExecutor`` where the inline walk drains
+them in place, and handing the walk a collector it calls at the node's
+first consumer.  That overlaps both **independent plan branches** (the
+walk's FIFO topological order starts sibling branches before it awaits
+any of them) and the **per-feed-tuple service calls** within one node
+— the dominant source of parallelism, since a proliferative feed turns
+one node into hundreds of independent remote calls.
 
 **Determinism.**  Worker scheduling is nondeterministic, but nothing
 observable depends on it:
@@ -28,9 +31,13 @@ observable depends on it:
   execution (no double-counted remote calls);
 * per-row statistics are accumulated into a task-local
   :class:`~repro.execution.stats.ExecutionStats` (the task's own
-  accounting cell) and folded in with ``ExecutionStats.merge`` after
-  the node completes — all counters are sums, so merge order is
-  irrelevant;
+  accounting cell) and folded into the walk's with
+  ``ExecutionStats.merge`` when the node is collected — all counters
+  are sums, so merge order is irrelevant.  A task whose unit exhausts
+  its retries hands its tally back *with* the failure, and the
+  collector merges every task of the node before the engine's restart
+  loop sees any failure, so aborted work stays counted exactly as on
+  the inline walk;
 * the one-call cache is inherently order-dependent (its hit pattern
   depends on which call came *last*), so under
   ``CacheSetting.ONE_CALL`` the worker count is forced to 1 — same
@@ -52,8 +59,9 @@ the hotpaths bench sweeps.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Mapping, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
+from typing import Sequence
 
 from repro.execution.cache import (
     CacheSetting,
@@ -62,18 +70,17 @@ from repro.execution.cache import (
     make_cache,
 )
 from repro.execution.engine import (
+    Collect,
     ExecutionEngine,
-    ExecutionError,
     ExecutionMode,
     ExecutionResult,
 )
-from repro.execution.fetch import Accounting, NodeFetch
+from repro.execution.fetch import Accounting, NodeFetch, UnitSource
 from repro.execution.resilience import ResilienceConfig, UnresponsiveService
-from repro.execution.results import Row, compose_ranking
+from repro.execution.results import Row
 from repro.execution.stats import ExecutionStats
 from repro.model.terms import Variable
 from repro.plans.dag import QueryPlan
-from repro.plans.nodes import InputNode, JoinNode, OutputNode, ServiceNode
 
 
 class ParallelExecutor:
@@ -88,16 +95,11 @@ class ParallelExecutor:
         resilience: ResilienceConfig | None = None,
         row_provenance: bool = False,
     ) -> None:
-        self._registry = registry
         self._cache_setting = cache_setting
         self._workers = max(1, workers)
-        self._thread_overhead = thread_overhead
-        #: Join/output/binding logic is delegated to a composed engine
-        #: (PARALLEL mode: no feed shuffle, critical-path timing), so
-        #: the two execution paths cannot drift apart.  The resilience
-        #: config rides along: every row task drains its unit through
-        #: the fetch seam the sequential engine uses, and demotions
-        #: accumulate on the composed engine's routing.
+        #: The engine whose walk this executor schedules (PARALLEL
+        #: mode: no feed shuffle, critical-path timing).  Joins,
+        #: restarts, routing and the result all stay there.
         self._engine = ExecutionEngine(
             registry,
             cache_setting=cache_setting,
@@ -138,9 +140,6 @@ class ParallelExecutor:
         reach the wrapped cache, so warming a long-lived serving cache
         works (:meth:`repro.serving.service.QueryService.prefetch`).
         """
-        plan.validate()
-        if reset_remote_caches:
-            self._registry.reset_all()
         started = time.perf_counter()
         inner = (
             shared_cache
@@ -149,186 +148,83 @@ class ParallelExecutor:
         )
         cache = inner if isinstance(inner, ThreadSafeCache) else ThreadSafeCache(inner)
         workers = self.effective_workers()
-        stats = ExecutionStats()
-        stats.parallel_workers = workers
-        # Partial-results restart loop (mirrors the engine's): a row
-        # task that exhausts its retry budget raises
-        # UnresponsiveService; every such failure still in flight is
-        # drained, the units are demoted on the composed engine, and
-        # the walk re-runs with the units masked — the shared cache
-        # makes restarts cheap.  The stats object survives restarts so
-        # aborted work stays counted.
-        while True:
-            outputs: dict[str, list[Row]] = {}
-            busy: dict[str, float] = {}
-            order = list(plan.topological_order())
-            done: set[str] = set()
-            #: Service nodes whose row tasks are submitted but not yet
-            #: collected, in submission order.
-            in_flight: list[tuple[ServiceNode, list]] = []
-            failures: list[UnresponsiveService] = []
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                try:
-                    while order or in_flight:
-                        progressed = False
-                        for node in list(order):
-                            predecessors = plan.predecessors(node)
-                            if any(
-                                p.node_id not in done for p in predecessors
-                            ):
-                                continue
-                            if isinstance(node, ServiceNode):
-                                # Fan the node out per feed row;
-                                # collection is deferred so sibling
-                                # branches that become ready in this
-                                # sweep overlap on the pool.
-                                futures = self._submit_service_node(
-                                    plan, node, outputs, cache, pool
-                                )
-                                in_flight.append((node, futures))
-                                order.remove(node)
-                                continue
-                            if isinstance(node, InputNode):
-                                outputs[node.node_id] = [Row()]
-                                busy[node.node_id] = 0.0
-                            elif isinstance(node, JoinNode):
-                                outputs[node.node_id] = (
-                                    self._engine._run_join_node(
-                                        plan, node, outputs
-                                    )
-                                )
-                                busy[node.node_id] = node.response_time
-                            elif isinstance(node, OutputNode):
-                                outputs[node.node_id] = (
-                                    self._engine._run_output_node(
-                                        plan, node, outputs
-                                    )
-                                )
-                                busy[node.node_id] = 0.0
-                            else:
-                                raise ExecutionError(
-                                    f"unknown node type {type(node).__name__}"
-                                )
-                            done.add(node.node_id)
-                            order.remove(node)
-                            progressed = True
-                        if progressed:
-                            continue
-                        if not in_flight:  # pragma: no cover - cycle guard
-                            raise ExecutionError("plan made no progress")
-                        # Nothing inline-runnable: collect the oldest
-                        # in-flight node (its successors may unblock
-                        # further submissions while younger siblings
-                        # keep computing).
-                        node, futures = in_flight.pop(0)
-                        rows, node_busy = self._collect_service_node(
-                            node, futures, stats, workers
-                        )
-                        outputs[node.node_id] = rows
-                        busy[node.node_id] = node_busy
-                        done.add(node.node_id)
-                except UnresponsiveService as error:
-                    failures.append(error)
-                    # Drain the remaining in-flight tasks: concurrent
-                    # units may have exhausted their budgets too, and
-                    # demoting them all now saves one restart each.
-                    for _, futures in in_flight:
-                        for future in futures:
-                            try:
-                                future.result()
-                            except UnresponsiveService as also:
-                                failures.append(also)
-                            except Exception:
-                                # Deterministic: recurs on the restart
-                                # and propagates there if permanent.
-                                pass
-            if not failures:
-                break
-            for failure in failures:
-                # Reroute-or-demote; stale failures (the unit already
-                # moved to a sibling on an earlier iteration of this
-                # drain) are dropped inside the handler.
-                self._engine.routing.handle_unresponsive(failure)
-        stats.elapsed = self._engine._elapsed(plan, busy)
-        stats.wall_time = time.perf_counter() - started
-        final_rows = compose_ranking(outputs[plan.output_node.node_id])
-        return self._engine._result(plan, head, k, stats, outputs, final_rows)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
 
-    # -- service fan-out -----------------------------------------------------
+            def schedule(
+                context: NodeFetch, feed: Sequence[Row], accounting: Accounting
+            ) -> Collect:
+                # One task per feed row, submitted in feed order from
+                # the walking thread, which also compiles the node
+                # against every layout the feed holds and resolves each
+                # row's unit key — the tasks only read the context.
+                futures = [
+                    pool.submit(
+                        _row_task, context, row,
+                        context.compiled[row.layout].unit(row.values)[1],
+                    )
+                    for row in feed
+                ]
+                return partial(self._collect, futures, accounting.stats)
 
-    def _submit_service_node(
-        self,
-        plan: QueryPlan,
-        node: ServiceNode,
-        outputs: Mapping[str, list[Row]],
-        cache: ThreadSafeCache,
-        pool: ThreadPoolExecutor,
-    ) -> list:
-        """One pool task per feed row, in feed order.
-
-        The node's fetch context is built here, on the scheduling
-        thread, which also compiles the node against every layout the
-        feed holds (one, for engine-produced feeds) and resolves each
-        row's unit key — the row tasks only ever read the shared
-        context.
-        """
-        feed_id = self._engine._feed_node(plan, node).node_id
-        context = self._engine._node_fetch(node, cache)
-        futures = []
-        for row in outputs[feed_id]:
-            _, input_key = context.compiled[row.layout].unit(row.values)
-            futures.append(
-                pool.submit(self._service_row_task, context, row, input_key)
+            result = self._engine._execute(
+                plan, head, k, reset_remote_caches, cache, schedule
             )
-        return futures
+        result.stats.parallel_workers = workers
+        result.stats.wall_time = time.perf_counter() - started
+        return result
 
-    def _service_row_task(
-        self, context: NodeFetch, row: Row, input_key: tuple
-    ) -> tuple[list[Row], float, int, ExecutionStats]:
-        """Resolve one feed row against its node (runs on a pool worker).
-
-        Drains the row's unit through the engine's eager loop over a
-        single-row feed, under the input setting's single-flight lock
-        — held across the whole drain so concurrent duplicate settings
-        cannot double-count a call.  Returns the produced rows, the
-        row's remote busy time, whether it issued a remote call, and
-        its task-local statistics.
-        """
-        local = ExecutionStats()
-        with context.cache.key_lock(context.node.service_name, input_key):
-            produced, row_busy = self._engine._drain_units(
-                context, (row,), Accounting(local)
-            )
-        # The task touches exactly one logical unit, so the total is
-        # that unit's calls no matter which service (the node's own or
-        # a rerouted sibling) ended up serving it.
-        return produced, row_busy, local.total_calls, local
-
-    def _collect_service_node(
+    def _collect(
         self,
-        node: ServiceNode,
-        futures: list,
+        futures: list[Future],
         stats: ExecutionStats,
-        workers: int,
+        failures: list[UnresponsiveService],
     ) -> tuple[list[Row], float]:
-        """Await all row tasks, merging rows (feed order) and counters."""
+        """Await every row task of a node: rows in feed order, counters
+        merged, exhausted units appended to *failures*."""
         produced: list[Row] = []
         row_busys: list[float] = []
         remote_calls = 0
         for future in futures:
-            rows, row_busy, calls, local = future.result()
+            rows, row_busy, local, failure = future.result()
+            stats.merge(local)
+            if failure is not None:
+                failures.append(failure)
+                continue
             produced.extend(rows)
             if row_busy:
                 row_busys.append(row_busy)
-            remote_calls += calls
-            stats.merge(local)
+            # The task touches exactly one logical unit, so the total
+            # is that unit's calls no matter which service (the node's
+            # own or a rerouted sibling) ended up serving it.
+            remote_calls += local.total_calls
         if not row_busys:
-            node_busy = 0.0
-        elif workers > 1:
+            return produced, 0.0
+        if self.effective_workers() > 1:
             # Concurrent rows overlap: the node is busy for its longest
-            # row plus a dispatch overhead per remote call (the same
-            # accounting the MULTITHREADED virtual mode applies).
-            node_busy = max(row_busys) + self._thread_overhead * remote_calls
-        else:
-            node_busy = sum(row_busys)
-        return produced, node_busy
+            # row plus a dispatch overhead per remote call.
+            return produced, self._engine.overlapped_busy(row_busys, remote_calls)
+        return produced, sum(row_busys)
+
+
+def _row_task(
+    context: NodeFetch, row: Row, input_key: tuple
+) -> tuple[list[Row], float, ExecutionStats, UnresponsiveService | None]:
+    """Drain one feed row's unit (runs on a pool worker).
+
+    Holds the input setting's single-flight lock across the whole
+    drain, so concurrent duplicate settings cannot double-count a call.
+    Returns the produced rows, the row's remote busy time, its
+    task-local statistics and — when the unit exhausted its retries in
+    partial-results mode — the failure, so the tally of the attempts
+    that led to it is not lost with the exception.
+    """
+    local = ExecutionStats()
+    produced: list[Row] = []
+    latencies: list[float] = []
+    failure = None
+    with context.cache.key_lock(context.node.service_name, input_key):
+        try:
+            UnitSource(context, row, Accounting(local)).drain(produced, latencies)
+        except UnresponsiveService as error:
+            failure = error
+    return produced, sum(latencies), local, failure

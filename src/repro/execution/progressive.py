@@ -29,20 +29,50 @@ re-execution finds them for free.  Only when the suspended stream
 exhausts its budgeted plane without reaching the requested k does the
 executor fall back to growing fetches and re-executing (where the
 shared logical cache again absorbs every already-fetched page).
+
+**Drift re-planning** is a policy of the same executor.  With a
+:class:`~repro.execution.resilience.DriftPolicy` a
+:class:`~repro.execution.resilience.DriftMonitor` on the engine watches
+every remote fetch and raises :class:`~repro.execution.resilience.
+PlanDrift` out of the fetch seam when a service's mean latency leaves
+the profile the plan was costed at.  ``run`` catches it, re-costs
+against the *observed* response times (via the optional ``replan``
+callback — typically an optimizer run over an
+:class:`~repro.services.registry.AdjustedRegistry` view) and splices:
+the plan and the monitor are replaced, everything else is kept.
+
+* **No lost work** — the aborted attempt's statistics ride on the
+  ``PlanDrift`` and become an explicit aborted pseudo-round;
+* **No lost state** — the engine, its
+  :class:`~repro.execution.fetch.UnitRouting`, the shared logical cache
+  and the recorded rounds all survive a splice because nothing is
+  rebuilt: a re-plan cannot resurrect a unit already proven bad, and
+  never re-pulls a fetched page;
+* **No livelock** — the replacement monitor exempts every service
+  whose drift was already absorbed (its cost *is* the observed one
+  now), and ``max_replans`` bounds the splice count before the run
+  finishes un-monitored on whatever plan it has.
+
+**Zero-drift contract**: without a policy there is no monitor and no
+``PlanDrift``; with one, while no observation crosses the threshold
+the monitor only reads — rows, ranks and full statistics are
+bit-identical either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from repro.execution.cache import CacheSetting, LogicalCache, make_cache
 from repro.execution.engine import ExecutionEngine, ExecutionMode, ExecutionResult
 from repro.execution.resilience import (
     DriftMonitor,
+    DriftPolicy,
+    PlanDrift,
     ResilienceConfig,
     UnresponsiveService,
 )
-from repro.execution.results import ResultTable
 from repro.execution.stats import ExecutionStats
 from repro.model.terms import Variable
 from repro.plans.dag import QueryPlan
@@ -74,6 +104,22 @@ class ProgressiveRound:
     stats: ExecutionStats | None = None
 
 
+@dataclass(frozen=True)
+class DriftEvent:
+    """One recorded mid-run adaptation, for audit and benches."""
+
+    service: str
+    observed: float
+    expected: float
+    fetches: int
+    replanned: bool
+    substituted_with: str | None
+
+    def to_dict(self) -> dict:
+        """JSON-serializable snapshot."""
+        return asdict(self)
+
+
 @dataclass
 class ProgressiveExecutor:
     """Re-executes a plan with growing fetch factors until satisfied.
@@ -99,8 +145,9 @@ class ProgressiveExecutor:
     head: tuple[Variable, ...] = ()
     mode: ExecutionMode = ExecutionMode.PARALLEL
     cache_setting: CacheSetting = CacheSetting.OPTIMAL
-    #: Bounds the *executing* rounds (those that run the plan); resumed
-    #: stream rounds are nearly free and never count against it.
+    #: Bounds the *executing* rounds (those that run the plan) since
+    #: the last drift splice; resumed stream rounds are nearly free and
+    #: never count against it.
     max_rounds: int = 8
     #: An externally owned logical cache to run against (the serving
     #: layer hands every session the same cache, so one tenant's
@@ -121,20 +168,30 @@ class ProgressiveExecutor:
     #: rides inside :class:`~repro.execution.results.Row`, so resumed
     #: stream rounds carry it automatically.
     row_provenance: bool = False
-    #: Observes remote fetch latencies against the plan's costed
-    #: profiles and raises :class:`PlanDrift` on divergence — installed
-    #: by the adaptive layer, None (structurally inert) otherwise.
-    drift_monitor: DriftMonitor | None = None
+    #: When a service's observed latency counts as drift and how often
+    #: the run may re-plan; None (the default) monitors nothing.
+    drift: DriftPolicy | None = None
+    #: Maps the observed mean response times (service name -> virtual
+    #: seconds, cumulative across all drifts so far) to a replacement
+    #: plan; None keeps the current plan (the splice then only changes
+    #: routing/monitoring, e.g. a sibling substitution).
+    replan: Callable[[dict[str, float]], QueryPlan | None] | None = None
     rounds: list[ProgressiveRound] = field(default_factory=list)
+    drift_events: list[DriftEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        #: Services whose drift a splice already absorbed, with their
+        #: observed mean response times (what ``replan`` re-costs at).
+        self._overrides: dict[str, float] = {}
+        #: Where the current splice's rounds start in ``rounds``.
+        self._splice_start = 0
         self._engine = ExecutionEngine(
             self.registry,
             cache_setting=self.cache_setting,
             mode=self.mode,
             resilience=self.resilience,
             row_provenance=self.row_provenance,
-            drift_monitor=self.drift_monitor,
+            drift_monitor=self._fresh_monitor(),
         )
         # One shared cache across all rounds: continuations are free
         # where they overlap with what was already fetched.
@@ -149,6 +206,11 @@ class ProgressiveExecutor:
     def engine(self) -> ExecutionEngine:
         """The underlying engine (callers reroute on its ``routing``)."""
         return self._engine
+
+    @property
+    def replans(self) -> int:
+        """How many times this execution spliced on a drift."""
+        return len(self.drift_events)
 
     def fetch_vector(self) -> dict[int, int]:
         """Current fetching factors of the chunked nodes."""
@@ -175,7 +237,18 @@ class ProgressiveExecutor:
         return grew
 
     def run(self, k: int) -> ExecutionResult:
-        """Produce at least *k* answers, growing fetches as needed.
+        """Produce at least *k* answers, splicing on every drift."""
+        while True:
+            try:
+                result = self._run_rounds(k)
+            except PlanDrift as drift:
+                self._splice(drift)
+                continue
+            self._last_result = result
+            return result
+
+    def _run_rounds(self, k: int) -> ExecutionResult:
+        """Serve *k* on the current plan, growing fetches as needed.
 
         Stops early when every factor is capped (k may be unreachable,
         as the paper notes for services with small decay bounds), or
@@ -210,7 +283,6 @@ class ProgressiveExecutor:
             ):
                 break  # the services are exhausted: no more data exists
             baseline_processed = processed
-        self._last_result = result
         return result
 
     def more(self, additional: int) -> ExecutionResult:
@@ -257,36 +329,13 @@ class ProgressiveExecutor:
             return None
         stream.trace(stats, fetched_before, saved_before)
         # Virtual time of the resume: the lazy cursors sit on parallel
-        # branches, so the round takes as long as its busiest service
-        # (0.0 for the common all-from-fetched-pages resume).
-        stats.elapsed = max(
-            (s.busy_time for s in stats.per_service.values()), default=0.0
+        # branches (0.0 for the common all-from-fetched-pages resume).
+        stats.elapsed = stats.busiest_service_time()
+        result = self._engine._result(
+            self.plan, self.head, k, stats, {}, rows,
+            stream.is_complete(rows), stream, last.accounting,
         )
-        table = ResultTable(
-            head=tuple(self.head),
-            rows=rows,
-            complete=stream.is_complete(rows),
-        )
-        result = ExecutionResult(
-            table=table,
-            stats=stats,
-            elapsed=stats.elapsed,
-            k=k,
-            node_output_sizes={},
-            stream=stream,
-            certificate=self._engine.routing.certificate_for(self.plan, rows),
-            accounting=last.accounting,
-        )
-        self.rounds.append(
-            ProgressiveRound(
-                fetches=self.fetch_vector(),
-                answers=len(rows),
-                new_calls=stats.total_calls,
-                elapsed=stats.elapsed,
-                resumed=True,
-                stats=stats,
-            )
-        )
+        self._record_round(stats, len(rows), resumed=True)
         return result
 
     def _execute_round(self, k: int | None = None) -> ExecutionResult:
@@ -297,16 +346,86 @@ class ProgressiveExecutor:
             reset_remote_caches=self.reset_remote and not self.rounds,
             shared_cache=self._shared_cache,
         )
+        self._record_round(result.stats, len(result.rows))
+        return result
+
+    def _record_round(
+        self, stats: ExecutionStats, answers: int, resumed: bool = False
+    ) -> None:
         self.rounds.append(
             ProgressiveRound(
                 fetches=self.fetch_vector(),
-                answers=len(result.rows),
-                new_calls=result.stats.total_calls,
-                elapsed=result.elapsed,
-                stats=result.stats,
+                answers=answers,
+                new_calls=stats.total_calls,
+                elapsed=stats.elapsed,
+                resumed=resumed,
+                stats=stats,
             )
         )
-        return result
+
+    # -- drift splices -------------------------------------------------------
+
+    def _fresh_monitor(self) -> DriftMonitor | None:
+        """A monitor for the next attempt, while a re-plan is still
+        allowed; past ``max_replans`` the run finishes un-monitored."""
+        if self.drift is None or self.replans >= self.drift.max_replans:
+            return None
+        return DriftMonitor(self.drift, adapted=frozenset(self._overrides))
+
+    def _splice(self, drift: PlanDrift) -> None:
+        """Absorb one drift: record, re-cost, swap plan and monitor."""
+        # The aborted attempt never appended a round (the exception
+        # propagated first), but its fetches happened, filled the
+        # shared cache, and must stay counted.
+        stats = drift.stats if drift.stats is not None else ExecutionStats()
+        if not stats.elapsed:
+            # The abort preempted the elapsed computation; the fetched
+            # branches ran in parallel.
+            stats.elapsed = stats.busiest_service_time()
+        self._record_round(stats, 0)
+        self._overrides[drift.service] = drift.observed
+        replacement = (
+            self.replan(dict(self._overrides)) if self.replan is not None else None
+        )
+        if replacement is not None:
+            self.plan = replacement
+        substituted_with = (
+            self._sibling_for(drift.service)
+            if self.drift.substitute_siblings
+            else None
+        )
+        self.drift_events.append(
+            DriftEvent(
+                service=drift.service,
+                observed=drift.observed,
+                expected=drift.expected,
+                fetches=drift.fetches,
+                replanned=replacement is not None,
+                substituted_with=substituted_with,
+            )
+        )
+        if substituted_with is not None:
+            self._engine.routing.substitute_service(
+                drift.service, substituted_with
+            )
+        self._engine.drift_monitor = self._fresh_monitor()
+        # The suspended stream (if any) belongs to the aborted plan;
+        # the splice starts from a fresh execution over the shared
+        # cache, which re-serves every fetched page locally, with the
+        # executed-round budget restarted.
+        self._last_result = None
+        self._splice_start = len(self.rounds)
+
+    def _sibling_for(self, service: str) -> str | None:
+        """A registered equivalent able to serve every pattern the plan
+        uses for *service*; None when there is none."""
+        codes = {
+            node.pattern.code
+            for node in self.plan.service_nodes
+            if node.service_name == service and node.pattern is not None
+        }
+        siblings = self.registry.siblings(service, tuple(sorted(codes)))
+        return siblings[0] if siblings else None
 
     def _resumed_baseline(self) -> int | None:
         """The exhaustion baseline after a resume-served round.
@@ -330,5 +449,8 @@ class ProgressiveExecutor:
         return baseline
 
     def _executed_rounds(self) -> int:
-        """Rounds that actually ran the plan (resumed rounds are free)."""
-        return sum(1 for r in self.rounds if not r.resumed)
+        """Rounds that ran the plan since the last splice (resumed
+        rounds are free)."""
+        return sum(
+            1 for r in self.rounds[self._splice_start:] if not r.resumed
+        )

@@ -222,9 +222,9 @@ class PlanDrift(RuntimeError):
     """A service's observed latency left the profile it was costed at.
 
     Control-flow exception raised by :class:`DriftMonitor` out of the
-    engine's fetch seam; the :class:`~repro.execution.adaptive.
-    AdaptiveExecutor` catches it, re-optimizes against the observed
-    response times, and splices the replacement plan mid-run.  The
+    engine's fetch seam; :meth:`~repro.execution.progressive.
+    ProgressiveExecutor.run` catches it, re-optimizes against the
+    observed response times, and splices the replacement plan mid-run.  The
     seam that raised it attaches the execution's partial
     :class:`~repro.execution.stats.ExecutionStats` as ``stats`` so the
     aborted attempt's work stays accounted.
@@ -287,14 +287,6 @@ class DriftMonitor:
         mean = total / count
         if mean > self.policy.latency_factor * expected:
             raise PlanDrift(service, mean, expected, count)
-
-    def observed_response_times(self) -> dict[str, float]:
-        """Mean observed latency per service (for re-costing)."""
-        return {
-            name: self._totals[name] / count
-            for name, count in self._counts.items()
-            if count
-        }
 
 
 _HEDGE_POOL: ThreadPoolExecutor | None = None

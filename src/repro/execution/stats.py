@@ -179,6 +179,11 @@ class ExecutionStats:
         """Raw tuples received from remote services, across all services."""
         return sum(s.tuples_fetched for s in self.per_service.values())
 
+    def busiest_service_time(self) -> float:
+        """The longest per-service busy time: the virtual duration of
+        work whose services ran on parallel branches."""
+        return max((s.busy_time for s in self.per_service.values()), default=0.0)
+
     def summary(self) -> str:
         """Readable multi-line rendering."""
         lines = [f"elapsed: {self.elapsed:.1f}s  calls: {self.total_calls}"]

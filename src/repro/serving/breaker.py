@@ -76,8 +76,8 @@ class BreakerPolicy:
 class AdaptivePolicy:
     """Bundle of every adaptivity knob the serving layer exposes.
 
-    ``drift`` governs mid-run re-planning (the
-    :class:`~repro.execution.adaptive.AdaptiveExecutor`), ``breaker``
+    ``drift`` governs mid-run re-planning (the session executor's
+    :class:`~repro.execution.resilience.DriftPolicy`), ``breaker``
     the cross-request circuit breaker, and ``sibling_fallback``
     whether exhausted or breaker-open services are served by
     registered equivalents (recorded on the certificate).

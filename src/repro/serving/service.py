@@ -58,7 +58,6 @@ from typing import Iterator, Sequence
 
 from repro.costs.base import CostMetric
 from repro.costs.time_cost import ExecutionTimeMetric
-from repro.execution.adaptive import AdaptiveExecutor
 from repro.execution.cache import (
     CacheSetting,
     LogicalCache,
@@ -257,8 +256,9 @@ class QueryService:
     #: Opt-in mid-flight adaptivity (:mod:`repro.serving.breaker`):
     #: per-service circuit breakers accumulate observed health across
     #: requests and feed adjusted response times back into plan costs,
-    #: executions run under an :class:`~repro.execution.adaptive.
-    #: AdaptiveExecutor` that re-plans on latency drift, and open
+    #: executions run with a drift policy
+    #: (:class:`~repro.execution.progressive.ProgressiveExecutor`)
+    #: that re-plans on latency drift, and open
     #: breakers reroute onto registered sibling services.  None keeps
     #: the static serving path, bit-identically.
     adaptive: AdaptivePolicy | None = None
@@ -330,7 +330,7 @@ class QueryService:
         executor = self._make_executor(query, plan, k)
         result = executor.run(k)
         self._feed_breaker(executor.rounds, result)
-        replans = getattr(executor, "replans", 0)
+        replans = executor.replans
         if replans:
             with self._stats_lock:
                 self.stats.replans += replans
@@ -368,11 +368,11 @@ class QueryService:
                 self.stats.continuations += 1
             additional = self.k_default if additional is None else additional
             rounds_before = len(executor.rounds)
-            replans_before = getattr(executor, "replans", 0)
+            replans_before = executor.replans
             result = executor.more(additional)
             new_rounds = executor.rounds[rounds_before:]
             self._feed_breaker(new_rounds, result)
-            replans = getattr(executor, "replans", 0) - replans_before
+            replans = executor.replans - replans_before
             if replans:
                 with self._stats_lock:
                     self.stats.replans += replans
@@ -600,20 +600,10 @@ class QueryService:
             return self.registry
         return AdjustedRegistry(self.registry, overrides)
 
-    def _make_executor(self, query: ConjunctiveQuery, plan: QueryPlan, k: int):
-        """The per-submission executor: adaptive when configured."""
-        if self.adaptive is None:
-            return ProgressiveExecutor(
-                registry=self.registry,
-                plan=plan,
-                head=tuple(query.head),
-                mode=self.mode,
-                cache_setting=self.cache_setting,
-                shared_cache=self._service_cache,
-                reset_remote=False,
-                resilience=self._exec_resilience,
-                row_provenance=self.row_provenance,
-            )
+    def _make_executor(
+        self, query: ConjunctiveQuery, plan: QueryPlan, k: int
+    ) -> ProgressiveExecutor:
+        """The per-submission executor: drift-aware when adaptive."""
 
         def replan(observed: dict) -> QueryPlan | None:
             # Merge breaker knowledge (cross-request) with this run's
@@ -628,7 +618,8 @@ class QueryService:
             )
             return new_plan
 
-        executor = AdaptiveExecutor(
+        adaptive = self.adaptive is not None
+        executor = ProgressiveExecutor(
             registry=self.registry,
             plan=plan,
             head=tuple(query.head),
@@ -638,14 +629,15 @@ class QueryService:
             reset_remote=False,
             resilience=self._exec_resilience,
             row_provenance=self.row_provenance,
-            drift=self.adaptive.drift,
-            replan=replan,
+            drift=self.adaptive.drift if adaptive else None,
+            replan=replan if adaptive else None,
         )
-        self._apply_breaker_routing(executor, plan)
+        if adaptive:
+            self._apply_breaker_routing(executor, plan)
         return executor
 
     def _apply_breaker_routing(
-        self, executor: AdaptiveExecutor, plan: QueryPlan
+        self, executor: ProgressiveExecutor, plan: QueryPlan
     ) -> None:
         """Reroute breaker-open services onto healthy siblings up front.
 

@@ -3,9 +3,9 @@
 Covers the three adaptive mechanisms end to end:
 
 * the :class:`~repro.execution.resilience.DriftMonitor` /
-  :class:`~repro.execution.adaptive.AdaptiveExecutor` splice loop
-  (drift fires, the aborted work stays accounted, the replacement
-  inner run answers fetched pages from the shared cache);
+  :class:`~repro.execution.progressive.ProgressiveExecutor` splice
+  loop (drift fires, the aborted work stays accounted, the replacement
+  plan answers fetched pages from the shared cache);
 * sibling fallback in the static engine (an exhausted unit is served
   by a registered equivalent before partial results may drop it);
 * the serving layer's per-service :class:`~repro.serving.breaker.
@@ -13,9 +13,9 @@ Covers the three adaptive mechanisms end to end:
   and proactive rerouting).
 
 The anchor of the whole layer is the **zero-drift differential**: with
-adaptivity armed but nothing drifting, the adaptive run must be
+a drift policy armed but nothing drifting, the run must be
 bit-identical — rows, ranks, and full per-round statistics — to the
-static executor over the same plan.
+same executor without one.
 """
 
 import dataclasses
@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costs.time_cost import ExecutionTimeMetric
-from repro.execution.adaptive import AdaptiveExecutor
 from repro.execution.engine import ExecutionMode
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import (
@@ -138,7 +137,12 @@ class TestDriftMonitor:
         profile = self._profile()
         for _ in range(10):
             monitor.observe("svc", profile, 2.9)
-        assert monitor.observed_response_times() == {"svc": pytest.approx(2.9)}
+        # Silent, but recorded: the mean that finally trips carries
+        # every earlier observation.
+        with pytest.raises(PlanDrift) as excinfo:
+            monitor.observe("svc", profile, 10.0)
+        assert excinfo.value.fetches == 11
+        assert excinfo.value.observed == pytest.approx(39.0 / 11)
 
     def test_raises_once_mean_crosses_threshold(self):
         monitor = DriftMonitor(DriftPolicy(latency_factor=3.0, min_fetches=3))
@@ -158,15 +162,18 @@ class TestDriftMonitor:
             DriftPolicy(latency_factor=3.0, min_fetches=1),
             adapted=frozenset({"svc"}),
         )
-        monitor.observe("svc", self._profile(), 1000.0)
-        assert monitor.observed_response_times() == {}
+        for _ in range(3):
+            monitor.observe("svc", self._profile(), 1000.0)
 
     def test_missing_or_zero_profile_is_ignored(self):
         monitor = DriftMonitor(DriftPolicy(latency_factor=3.0, min_fetches=1))
         monitor.observe("svc", None, 1000.0)
         zero = dataclasses.replace(self._profile(), response_time=0.0)
         monitor.observe("svc", zero, 1000.0)
-        assert monitor.observed_response_times() == {}
+        # Neither was recorded: the first profiled fetch counts as one.
+        with pytest.raises(PlanDrift) as excinfo:
+            monitor.observe("svc", self._profile(), 1000.0)
+        assert excinfo.value.fetches == 1
 
 
 # -- circuit breaker --------------------------------------------------------
@@ -309,26 +316,27 @@ MODES = (
 
 
 class TestZeroDriftDifferential:
-    """Adaptivity armed but idle must be structurally invisible."""
+    """A drift policy armed but idle must be structurally invisible."""
 
     @staticmethod
-    def _pair(side, chunk, fetches, mode):
-        """A static and an adaptive executor over identical worlds."""
+    def _pair(side, chunk, fetches, mode, **flaky):
+        """``drift=None`` and ``drift=DriftPolicy()`` over identical worlds."""
         executors = []
-        for kind in ("static", "adaptive"):
+        for drift in (None, DriftPolicy()):
             registry, query, plan = build_world(
                 side=side, chunk=chunk, fetches=fetches, sibling=True
             )
-            common = dict(
-                registry=registry,
-                plan=plan,
-                head=tuple(query.head),
-                mode=mode,
+            if flaky:
+                make_flaky(registry, "lefts", **flaky)
+            executors.append(
+                ProgressiveExecutor(
+                    registry=registry,
+                    plan=plan,
+                    head=tuple(query.head),
+                    mode=mode,
+                    drift=drift,
+                )
             )
-            if kind == "static":
-                executors.append(ProgressiveExecutor(**common))
-            else:
-                executors.append(AdaptiveExecutor(**common))
         return executors
 
     @settings(max_examples=25, deadline=None)
@@ -364,13 +372,18 @@ class TestZeroDriftDifferential:
 
     def test_monitoring_really_is_armed(self):
         """The differential must not pass because the monitor is off."""
-        _, adaptive = self._pair(side=6, chunk=2, fetches=2,
-                                 mode=ExecutionMode.PARALLEL)
-        assert adaptive.engine._drift_monitor is not None
+        shape = dict(side=8, chunk=2, fetches=3, mode=ExecutionMode.PARALLEL)
+        static, adaptive = self._pair(**shape)
+        assert static.engine.drift_monitor is None
+        assert adaptive.engine.drift_monitor is not None
         adaptive.run(4)
-        observed = adaptive.engine._drift_monitor.observed_response_times()
-        assert observed  # fetches were watched...
-        assert adaptive.replans == 0  # ...and none of them drifted
+        assert adaptive.replans == 0  # fetches were watched, none drifted
+        # The same pair over a slow ``lefts``: only the armed one reacts.
+        static, adaptive = self._pair(**shape, delay_rate=1.0)
+        static.run(4)
+        adaptive.run(4)
+        assert static.drift_events == []
+        assert [e.service for e in adaptive.drift_events] == ["lefts"]
 
 
 # -- sibling fallback in the static engine ---------------------------------
@@ -443,10 +456,10 @@ class TestSiblingFallback:
 # -- drift-triggered splices ------------------------------------------------
 
 
-def _adaptive(registry, query, plan, drift, replan=None):
-    return AdaptiveExecutor(
+def _adaptive(registry, query, plan, drift, replan=None, **options):
+    return ProgressiveExecutor(
         registry=registry, plan=plan, head=tuple(query.head),
-        mode=ExecutionMode.PARALLEL, drift=drift, replan=replan,
+        mode=ExecutionMode.PARALLEL, drift=drift, replan=replan, **options,
     )
 
 
@@ -536,8 +549,34 @@ class TestDriftSplice:
         executor = _adaptive(registry, query, plan, policy)
         result = executor.run(4)
         assert executor.replans == 0
-        assert executor.engine._drift_monitor is None
+        assert executor.engine.drift_monitor is None
         assert len(result.rows) >= 4
+
+    def test_max_rounds_restarts_at_each_splice(self):
+        """The executed-round budget bounds the rounds *per plan*: a
+        run that drifted once may execute ``max_rounds`` rounds on the
+        aborted plan's successor too."""
+        registry, query, plan = build_world(side=40, chunk=1, fetches=1)
+        make_flaky(registry, "lefts", delay_rate=1.0)
+        policy = DriftPolicy(
+            latency_factor=3.0, min_fetches=2, max_replans=1,
+            substitute_siblings=False,
+        )
+        executor = _adaptive(registry, query, plan, policy, max_rounds=2)
+        executor.run(30)  # unreachable within the budget
+        assert executor.replans == 1
+        kinds = [
+            "aborted" if r.answers == 0 and not r.resumed else "executed"
+            for r in executor.rounds
+        ]
+        # Round 1 ran (one remote lefts page), round 2 tripped the
+        # monitor on the second, then the spliced run got a fresh
+        # budget of 2: four plan rounds in all.
+        assert kinds == ["executed", "aborted", "executed", "executed"]
+        static = _adaptive(*build_world(side=40, chunk=1, fetches=1), None,
+                           max_rounds=2)
+        static.run(30)
+        assert len(static.rounds) == 2
 
 
 # -- the serving layer's breaker -------------------------------------------

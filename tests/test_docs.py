@@ -14,9 +14,10 @@ a doc can't silently outlive the code it describes.
 
 The same static style guards two structural promises the docs make:
 the reference implementations under ``src/repro/testing/`` are imported
-by tests and benches only, and the engine never reads rows back as
+by tests and benches only, the engine never reads rows back as
 dicts (``Row.bindings``) outside ``Row`` itself and the reference
-``execute_join``.
+``execute_join``, and a plan is walked — and a failed unit demoted —
+in one place.
 """
 
 from __future__ import annotations
@@ -197,10 +198,49 @@ def test_every_service_page_goes_through_the_one_fetch_seam():
     }
 
 
+def test_one_plan_walk_and_one_restart_loop():
+    """Under ``execution/`` only ``engine.py`` dispatches on plan node
+    types, failed units are rerouted-or-demoted from exactly two
+    places — the engine's restart loop and the stream-resume handler —
+    and the thread pool enters the engine through one private name."""
+    dispatchers = set()
+    demoters = set()
+    for path in (SRC / "execution").glob("*.py"):
+        relative = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", "") == "isinstance"
+                and getattr(node.args[1], "id", "") == "JoinNode"
+            ):
+                dispatchers.add(relative)
+        demoters.update(
+            (relative, scopes)
+            for name, scopes in _calls(tree)
+            if name == "handle_unresponsive"
+        )
+    assert dispatchers == {"execution/engine.py"}
+    assert demoters == {
+        ("execution/engine.py", ("ExecutionEngine", "_execute")),
+        ("execution/progressive.py", ("ProgressiveExecutor", "_resume_stream")),
+    }
+    pool = ast.parse((SRC / "execution" / "parallel.py").read_text())
+    engine_privates = {
+        node.attr
+        for node in ast.walk(pool)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and ast.unparse(node.value) == "self._engine"
+    }
+    assert engine_privates == {"_execute"}
+
+
 def test_retired_seam_plumbing_stays_retired():
     retired = (
         "swap_stats", "rebind_stats", "adopt_adaptive_state",
         "RetryingPageSource", "lazy_streaming",
+        "AdaptiveExecutor", "execution.adaptive",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"

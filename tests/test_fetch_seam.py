@@ -2,8 +2,8 @@
 
 Every service page — eager, lazy, thread-pool, resumed — is pulled by
 ``UnitSource.fetch`` and charged to the execution's ``Accounting``
-cell; demotions and reroutes live in one ``UnitRouting`` per engine
-lineage.  These tests pin what that buys:
+cell; demotions and reroutes live in one ``UnitRouting`` per engine,
+and a session keeps its engine.  These tests pin what that buys:
 
 * the three execution styles agree to the last counter on every
   built-in domain under every cache setting;
@@ -18,10 +18,10 @@ import copy
 
 import pytest
 
-from repro.execution.adaptive import AdaptiveExecutor
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.parallel import ParallelExecutor
+from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import (
     DriftPolicy,
     ResilienceConfig,
@@ -125,7 +125,7 @@ class TestReplanSharesRouting:
     DRIFT = DriftPolicy(latency_factor=3.0, min_fetches=1)
 
     def _executor(self, registry, query, plan):
-        return AdaptiveExecutor(
+        return ProgressiveExecutor(
             registry=registry, plan=plan, head=tuple(query.head),
             mode=ExecutionMode.PARALLEL, resilience=self.PARTIAL,
             drift=self.DRIFT,
@@ -140,14 +140,14 @@ class TestReplanSharesRouting:
         routing = first_engine.routing
         result = executor.run(4)
         # lefts drifts first (spliced onto its sibling), then rights
-        # (no sibling: re-costed only) — two fresh engines.
+        # (no sibling: re-costed only) — two splices, one engine.
         assert [e.service for e in executor.drift_events] == ["lefts", "rights"]
         assert executor.drift_events[0].substituted_with == "lefts_backup"
-        assert executor.engine is not first_engine
+        assert executor.engine is first_engine
         assert executor.engine.routing is routing
-        # The engine built by the *second* splice still serves lefts
-        # from the sibling the first one chose (out of the shared cache:
-        # the second attempt already fetched the sibling's pages).
+        # After the *second* splice lefts is still served from the
+        # sibling the first one chose (out of the shared cache: the
+        # second attempt already fetched the sibling's pages).
         final = executor.rounds[-1].stats
         assert final.service("lefts_backup").cache_hits == 1
         assert final.service("lefts").cache_hits == 0
@@ -164,11 +164,11 @@ class TestReplanSharesRouting:
         registry, query, plan = build_world(sibling=True)
         make_flaky(registry, "lefts", delay_rate=1.0)
         executor = self._executor(registry, query, plan)
-        routing = executor.engine.routing
+        first_engine = executor.engine
         executor.engine.mask_unit("rights", UNIT_KEY)
         result = executor.run(4)
         assert executor.replans == 1
-        assert executor.engine.routing is routing
+        assert executor.engine is first_engine
         assert [unit.unit for unit in result.certificate.dropped] == [
             ("rights", UNIT_KEY)
         ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,7 +46,7 @@ from repro.model.terms import Constant, Variable
 from repro.plans.builder import Poset
 from repro.services.profile import search_profile
 from repro.services.table import TableSearchService
-from repro.testing import FaultSchedule, wrap_registry_flaky
+from repro.testing import FaultSchedule, FlakyService, wrap_registry_flaky
 
 from tests.test_fault_injection import PLAN_SHAPES
 from tests.test_property_streaming import _random_table_plan, _signature
@@ -353,3 +354,102 @@ class TestParallelResilience:
         assert certificate is not None and certificate.is_partial
         assert result.stats.demoted_blocks == len(certificate.dropped)
         assert set(certificate.dropped_services) <= {"lefts", "rights"}
+
+
+class _CountingService:
+    """Counts every invocation that reaches the service it wraps."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self._lock = threading.Lock()
+        self.invocations = 0
+
+    def invoke(self, pattern, inputs, page=0):
+        with self._lock:
+            self.invocations += 1
+        return self._inner.invoke(pattern, inputs, page=page)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _count_invocations(registry) -> dict:
+    """Wrap every service of *registry* in a counting proxy, in place."""
+    proxies = {}
+    for name in registry.names:
+        proxies[name] = registry._services[name] = _CountingService(
+            registry.service(name)
+        )
+    return proxies
+
+
+PARTIAL = ResilienceConfig(retry=RetryPolicy(attempts=2), partial_results=True)
+
+
+class TestPoolAccountingUnderPartialResults:
+    """The pool runs inside the engine's one walk and restart loop, so
+    a unit that dies on a worker is accounted exactly as inline."""
+
+    @pytest.mark.parametrize("setting", (CacheSetting.NO_CACHE, CacheSetting.OPTIMAL),
+                             ids=lambda c: c.value)
+    @pytest.mark.parametrize("seed, fail_rate", ((21, 1.0), (5, 0.6), (7, 0.4)))
+    @pytest.mark.parametrize("shape", sorted(PLAN_SHAPES))
+    def test_every_invocation_is_a_fetch_or_a_wasted_fetch(
+        self, shape, seed, fail_rate, setting
+    ):
+        def run(make_executor):
+            registry, head, plan = PLAN_SHAPES[shape]()
+            wrap_registry_flaky(
+                registry, FaultSchedule(seed=seed, fail_rate=fail_rate),
+                attempt_aware=True,
+            )
+            proxies = _count_invocations(registry)
+            result = make_executor(registry).execute(plan, head=head)
+            return sum(p.invocations for p in proxies.values()), result
+
+        def inline(registry):
+            return ExecutionEngine(
+                registry, cache_setting=setting, mode=ExecutionMode.PARALLEL,
+                resilience=PARTIAL,
+            )
+
+        def pool(workers):
+            return lambda registry: ParallelExecutor(
+                registry, cache_setting=setting, workers=workers,
+                resilience=PARTIAL,
+            )
+
+        for make_executor in (inline, pool(1), pool(4)):
+            invocations, result = run(make_executor)
+            stats = result.stats
+            assert invocations == stats.total_fetches + stats.wasted_fetches
+            assert result.certificate is not None
+
+    def test_dead_units_of_one_node_cost_one_restart(self):
+        """Only the downstream service is dead: the pool learns all
+        three dead units from one aborted walk (the healthy feeder is
+        invoked twice), the inline walk one unit per restart."""
+
+        def run(make_executor):
+            registry, head, plan = PLAN_SHAPES["serial"]()
+            registry._services["lefts"] = FlakyService(
+                registry.service("lefts"), FaultSchedule(seed=21, fail_rate=1.0)
+            )
+            proxies = _count_invocations(registry)
+            result = make_executor(registry).execute(plan, head=head)
+            return proxies["feeder"].invocations, result
+
+        inline_feeder, inline = run(
+            lambda registry: ExecutionEngine(
+                registry, mode=ExecutionMode.PARALLEL, resilience=PARTIAL
+            )
+        )
+        pooled_feeder, pooled = run(
+            lambda registry: ParallelExecutor(
+                registry, workers=4, resilience=PARTIAL
+            )
+        )
+        assert len(inline.certificate.dropped) == 3
+        assert (inline_feeder, pooled_feeder) == (4, 2)
+        assert pooled.certificate.dropped == inline.certificate.dropped
+        assert _sig(pooled.rows) == _sig(inline.rows)
