@@ -37,18 +37,34 @@ before/after trajectory so future PRs can track the perf curve:
   a plan of two independent feeder → leaf chains (one unit per node, so
   only *branches* can overlap) must finish well under the sum of its
   chains run alone — the pool schedules the engine's one walk, and
-  sibling branches are started before either is awaited.
+  sibling branches are started before either is awaited;
+* **execution program** — per built-in domain, what compiling the
+  optimized plan once buys a warm request: µs to compile an
+  :class:`~repro.execution.program.ExecutionProgram`, µs to run it
+  against a warm logical cache, and µs of the build-per-request style
+  it replaced (``PlanSpec.build`` + an execution that compiles on
+  entry), answers identical.
+
+The file is a trajectory: every full run appends an entry with its
+environment stamp (``_bench_env.append_history``).
 """
 
 from __future__ import annotations
 
-import json
+import statistics
 import time
 
 import pytest
-from _bench_env import QUICK, bench_out_name, bench_scale
+from _bench_env import (
+    QUICK,
+    append_history,
+    bench_out_name,
+    bench_scale,
+    env_stamp,
+)
 
 from repro.costs.time_cost import ExecutionTimeMetric
+from repro.execution.cache import CacheSetting, make_cache
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import execute_join, execute_join_hashed
 from repro.execution.lazy import (
@@ -57,6 +73,7 @@ from repro.execution.lazy import (
     MultiFeedCursor,
 )
 from repro.execution.parallel import ParallelExecutor
+from repro.execution.program import ExecutionProgram
 from repro.execution.results import Row
 from repro.model.atoms import Atom
 from repro.model.predicates import BinaryExpression, Comparison
@@ -65,15 +82,20 @@ from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.plans.builder import PlanBuilder, Poset
+from repro.plans.spec import PlanSpec
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
+from repro.sources.biblio import biblio_registry, experts_query
+from repro.sources.bio import bio_registry, glycolysis_homolog_query
+from repro.sources.news import market_moving_news_query, news_registry
 from repro.sources.travel import (
     alpha1_patterns,
     poset_serial,
     running_example_query,
     travel_registry,
 )
+from repro.sources.weekend import mahler_weekend_query, weekend_registry
 
 pytestmark = pytest.mark.bench
 
@@ -100,6 +122,62 @@ BLOCK_DEMAND = 10
 #: Parallel worker sweep: real seconds slept per virtual latency unit.
 WORKER_COUNTS = (1, 2, 4)
 SLEEP_SCALE = 0.0005 if QUICK else 0.002
+
+
+#: Execution-program entry: the serving layer's k and cache setting,
+#: repetitions per timing (the median is reported).
+PROGRAM_K = 5
+PROGRAM_RUNS = bench_scale(200, 20)
+PROGRAM_DOMAINS = {
+    "travel": (travel_registry, running_example_query),
+    "biblio": (biblio_registry, experts_query),
+    "bio": (bio_registry, glycolysis_homolog_query),
+    "news": (news_registry, market_moving_news_query),
+    "weekend": (weekend_registry, mahler_weekend_query),
+}
+
+
+def _median_us(work) -> float:
+    times = []
+    for _ in range(PROGRAM_RUNS):
+        begun = time.perf_counter()
+        work()
+        times.append(time.perf_counter() - begun)
+    return round(statistics.median(times) * 1e6, 1)
+
+
+def _program_point(domain: str) -> dict:
+    make_registry, make_query = PROGRAM_DOMAINS[domain]
+    registry, query = make_registry(), make_query()
+    head = tuple(query.head)
+    optimized = Optimizer(
+        registry,
+        ExecutionTimeMetric(),
+        OptimizerConfig(k=PROGRAM_K, cache_setting=CacheSetting.OPTIMAL),
+    ).optimize(query)
+    spec = PlanSpec.from_optimized(optimized)
+    program = ExecutionProgram.compile(optimized.plan, head)
+    engine = ExecutionEngine(
+        registry, cache_setting=CacheSetting.OPTIMAL, mode=ExecutionMode.STREAMED
+    )
+    cache = make_cache(CacheSetting.OPTIMAL)
+
+    def run(plan):
+        result = engine.execute(
+            plan, head, k=PROGRAM_K, reset_remote_caches=False, shared_cache=cache
+        )
+        # Node ids differ from build to build; answers and ranks do not.
+        return result.answers(), [row.rank_key() for row in result.rows]
+
+    expected = run(program)  # also warms the cache
+    assert expected[0] and expected == run(spec.build(query, registry))
+    return {
+        "domain": domain,
+        "plan_nodes": len(program.steps),
+        "compile_us": _median_us(lambda: ExecutionProgram.compile(optimized.plan, head)),
+        "run_us": _median_us(lambda: run(program)),
+        "build_and_run_us": _median_us(lambda: run(spec.build(query, registry))),
+    }
 
 
 def _optimizer_workload(registry, query, memoize: bool) -> dict:
@@ -443,8 +521,7 @@ class TestHotpathTrajectory:
         block_points = [_block_sweep_point(count) for count in BLOCK_COUNTS]
 
         payload = {
-            "bench": "hotpaths",
-            "quick": QUICK,
+            "env": env_stamp(),
             "workload": {
                 "optimizer": "Figure 7 plan space (running example), "
                 f"{WORKLOAD_RUNS} repeated optimizations",
@@ -456,16 +533,19 @@ class TestHotpathTrajectory:
                 "multi_feed": f"block counts {BLOCK_COUNTS}, "
                 f"{BLOCK_ROWS} rows/block, chunk {BLOCK_CHUNK}, "
                 f"demand {BLOCK_DEMAND}",
+                "execution_program": f"optimized plan per domain, k={PROGRAM_K}, "
+                f"streamed over a warm optimal cache, median of {PROGRAM_RUNS}",
             },
             "optimizer_states_per_s": {"before": before_opt, "after": after_opt},
             "join_tuples_per_s": joins,
             "slot_join_plane_sweep": plane_points,
             "multi_feed_block_sweep": block_points,
             "parallel_worker_sweep": _worker_sweep(),
+            "execution_program": [
+                _program_point(domain) for domain in PROGRAM_DOMAINS
+            ],
         }
-        (out_dir / bench_out_name("BENCH_hotpaths.json")).write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
+        append_history(out_dir / bench_out_name("BENCH_hotpaths.json"), payload)
 
     def test_memoized_workload_matches_unmemoized(self, registry, travel_query):
         before = _optimizer_workload(registry, travel_query, memoize=False)

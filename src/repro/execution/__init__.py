@@ -35,6 +35,7 @@ from repro.execution.lazy import (
     RowCursor,
 )
 from repro.execution.parallel import ParallelExecutor
+from repro.execution.program import ExecutionProgram
 from repro.execution.progressive import (
     DriftEvent,
     ProgressiveExecutor,
@@ -71,6 +72,7 @@ __all__ = [
     "ExecutionEngine",
     "ExecutionError",
     "ExecutionMode",
+    "ExecutionProgram",
     "ExecutionResult",
     "ExecutionStats",
     "FetchedPage",

@@ -13,17 +13,19 @@ tuple to the composed, ranked answers:
 * the output node applies residual predicates and composes the global
   ranking.
 
-Rows travel through all of it in one representation — a
-:class:`~repro.execution.results.SlotLayout` shared per node plus a
-value tuple (:mod:`repro.execution.results`): each service node is
-compiled once against its feed layout into a
-:class:`~repro.execution.slots.ServiceBinding`, every page is pulled
-through the one fetch seam of :mod:`repro.execution.fetch`, joins merge
-value tuples through a :class:`~repro.execution.slots.SlotJoinPlan`,
-and no node boundary decodes or re-encodes anything.  The dict-row
-plan interpreter the engine is tested against lives in
-:mod:`repro.testing.reference` and is imported by tests and benches
-only.
+What the engine runs is a compiled
+:class:`~repro.execution.program.ExecutionProgram` — the schedule,
+bindings, merge plans and predicates of a plan, derived once and shared
+by every run (a ``QueryPlan`` handed to :meth:`ExecutionEngine.execute`
+is compiled on entry).  Rows travel through all of it in one
+representation — a :class:`~repro.execution.results.SlotLayout` shared
+per node plus a value tuple (:mod:`repro.execution.results`): every
+page is pulled through the one fetch seam of
+:mod:`repro.execution.fetch`, joins merge value tuples through a
+:class:`~repro.execution.slots.SlotJoinPlan`, and no node boundary
+decodes or re-encodes anything.  The dict-row plan interpreter the
+engine is tested against lives in :mod:`repro.testing.reference` and
+is imported by tests and benches only.
 
 Time is *virtual*: services report per-fetch latencies and the engine
 aggregates them according to its :class:`ExecutionMode`, which also
@@ -39,12 +41,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.execution.cache import CacheSetting, LogicalCache, make_cache
-from repro.execution.fetch import Accounting, NodeFetch, UnitRouting, UnitSource
-from repro.execution.joins import JoinStream, execute_join_hashed
+from repro.execution.fetch import Accounting, RunContext, UnitRouting, UnitSource
+from repro.execution.joins import JoinStream, join_rows
 from repro.execution.lazy import LazyServiceCursor, MultiFeedCursor
+from repro.execution.program import (
+    JOIN,
+    OUTPUT,
+    SERVICE,
+    ExecutionProgram,
+    Step,
+    as_program,
+)
 from repro.execution.resilience import (
     DriftMonitor,
     PartialResultCertificate,
@@ -52,18 +62,18 @@ from repro.execution.resilience import (
     UnresponsiveService,
 )
 from repro.execution.results import ResultTable, Row, compose_ranking
-from repro.execution.slots import ExecutionError, LayoutMemo, compile_predicates
+from repro.execution.slots import ExecutionError
 from repro.execution.stats import ExecutionStats
 from repro.model.terms import Variable
 from repro.plans.dag import QueryPlan
-from repro.plans.nodes import InputNode, JoinNode, OutputNode, PlanNode, ServiceNode
+from repro.plans.nodes import PlanNode
 from repro.services.registry import ServiceRegistry
 
 
 #: ``collect(failures) -> (rows, busy time)`` of one scheduled service
 #: node, and the scheduler that starts one (:meth:`ExecutionEngine._execute`).
 Collect = Callable[[list[UnresponsiveService]], tuple[list[Row], float]]
-Scheduler = Callable[[NodeFetch, Sequence[Row], Accounting], Collect]
+Scheduler = Callable[[RunContext, Step, Sequence[Row], Accounting], Collect]
 
 
 class ExecutionMode(Enum):
@@ -208,15 +218,20 @@ class ExecutionEngine:
 
     def execute(
         self,
-        plan: QueryPlan,
+        plan: QueryPlan | ExecutionProgram,
         head: Sequence[Variable] = (),
         k: int | None = None,
         reset_remote_caches: bool = True,
         shared_cache: LogicalCache | None = None,
+        fetches: Sequence[int] | None = None,
     ) -> ExecutionResult:
         """Run *plan* and return ranked answers plus statistics.
 
-        ``head`` selects the projected output variables; ``k`` is only
+        *plan* is a compiled program, or a ``QueryPlan`` compiled here
+        for ``head`` (the projected output variables; a program carries
+        its own).  ``fetches`` is the run's fetch vector, one factor
+        per program step — the compiled one by default; a session that
+        grew its factors passes its own.  ``k`` is only
         advisory in the full-scan modes (all produced answers are kept;
         ``answers()`` trims).  Under ``ExecutionMode.STREAMED`` with a
         ``k`` budget, the final parallel join early-exits once the
@@ -229,31 +244,36 @@ class ExecutionEngine:
         cache alive across executions (progressive "ask for more"
         continuations).
         """
-        return self._execute(plan, head, k, reset_remote_caches, shared_cache)
+        return self._execute(
+            plan, head, k, reset_remote_caches, shared_cache, fetches=fetches
+        )
 
     def _execute(
         self,
-        plan: QueryPlan,
+        plan: QueryPlan | ExecutionProgram,
         head: Sequence[Variable],
         k: int | None,
         reset_remote_caches: bool,
         shared_cache: LogicalCache | None,
         schedule: Scheduler | None = None,
+        fetches: Sequence[int] | None = None,
     ) -> ExecutionResult:
         """The one plan walk and the one partial-results restart loop.
 
         *schedule* is the scheduler seam, consulted where a non-lazy
-        service node's feed rows are drained.  None drains them inline
-        (:meth:`_drain_units`).  A scheduler instead starts the node's
+        service step's feed rows are drained.  None drains them inline
+        (:meth:`_drain_units`).  A scheduler instead starts the step's
         work and returns a ``collect`` callable; the walk calls it when
-        it reaches the node's first consumer — the FIFO topological
+        it reaches the step's first consumer — the FIFO topological
         order visits sibling branches before their consumers, so
         independent branches are all started before any is awaited.
-        ``collect(failures)`` folds the node's statistics into the
+        ``collect(failures)`` folds the step's statistics into the
         walk's cell, appends every unit that exhausted its retries to
         *failures* and returns ``(rows, busy time)``.
         """
-        plan.validate()
+        program = as_program(plan, head)
+        if fetches is None:
+            fetches = program.fetches
         if reset_remote_caches:
             self._registry.reset_all()
         cache = shared_cache if shared_cache is not None else make_cache(
@@ -262,16 +282,14 @@ class ExecutionEngine:
         accounting = Accounting(ExecutionStats())
         stats = accounting.stats
         streaming = self._mode is ExecutionMode.STREAMED and k is not None
-        streaming_join = self._streamed_join_node(plan) if streaming else None
+        streamed_join = program.streamed_join if streaming else None
         # Full-materialization fallback (service-terminal plan): flag
         # it so the zeroed streaming/lazy counters cannot be mistaken
         # for a stream that visited nothing.
-        stats.streamed_fallback = streaming and streaming_join is None
-        lazy_candidates = (
-            self._lazy_input_ids(plan, streaming_join)
-            if streaming_join is not None
-            else frozenset()
-        )
+        stats.streamed_fallback = streaming and streamed_join is None
+        lazy = self._lazy_steps(program) if streamed_join is not None else ()
+        shuffled = self._mode is ExecutionMode.MULTITHREADED
+        steps = program.steps
         # Partial-results restart loop: a walk aborted by an exhausted
         # retry budget reroutes each failing unit onto an equivalent
         # sibling service (when sibling fallback is on and one exists)
@@ -285,82 +303,90 @@ class ExecutionEngine:
         # *not* absorbed here: it aborts the execution for the session
         # executor to re-plan, carrying the partial stats.
         while True:
-            rng = random.Random(self._shuffle_seed)
+            context = RunContext(
+                fetches, self._registry, cache, self.routing,
+                self.routing.active, self._resilience, self.drift_monitor,
+                self._row_provenance,
+            )
+            rng = random.Random(self._shuffle_seed) if shuffled else None
             stream: JoinStream | None = None
-            lazy_cursors: dict[str, LazyServiceCursor | MultiFeedCursor] = {}
-            outputs: dict[str, list[Row]] = {}
-            busy: dict[str, float] = {}
-            #: Scheduled service nodes not yet collected (always empty
+            lazy_cursors: dict[int, LazyServiceCursor | MultiFeedCursor] = {}
+            #: Rows emitted and busy time, per step index; step 0 is
+            #: the input node.
+            outputs: list[list[Row]] = [[] for _ in steps]
+            outputs[0] = [program.input_row]
+            busy = [0.0] * len(steps)
+            #: Scheduled service steps not yet collected (always empty
             #: for the inline walk).
-            pending: dict[str, Collect] = {}
+            pending: dict[int, Collect] = {}
             failures: list[UnresponsiveService] = []
             try:
-                for node in plan.topological_order():
+                for step in steps[1:]:
+                    index = step.index
                     if pending:
-                        for feeder in plan.predecessors(node):
-                            collect = pending.pop(feeder.node_id, None)
+                        for feeder in step.feeds:
+                            collect = pending.pop(feeder, None)
                             if collect is not None:
-                                outputs[feeder.node_id], busy[feeder.node_id] = (
-                                    collect(failures)
-                                )
+                                outputs[feeder], busy[feeder] = collect(failures)
                         if failures:
                             break
-                    if isinstance(node, InputNode):
-                        outputs[node.node_id] = [Row()]
-                        busy[node.node_id] = 0.0
-                    elif isinstance(node, ServiceNode):
-                        feed = outputs[self._feed_node(plan, node).node_id]
-                        context = self._node_fetch(node, cache)
-                        if node.node_id in lazy_candidates:
+                    kind = step.kind
+                    if kind == SERVICE:
+                        feed = outputs[step.feeds[0]]
+                        if index in lazy:
                             cursor = self._open_lazy_cursor(
-                                context, feed, accounting
+                                context, step, feed, accounting
                             )
-                            lazy_cursors[node.node_id] = cursor
+                            lazy_cursors[index] = cursor
                             # The cursor's row list is live: it grows
                             # as the streamed walk demands pages, so
                             # the node-size snapshot below sees exactly
                             # what was fetched.
-                            outputs[node.node_id] = cursor.rows
-                            busy[node.node_id] = 0.0
+                            outputs[index] = cursor.rows
                             continue
-                        if self._mode is ExecutionMode.MULTITHREADED:
+                        if shuffled:
                             feed = list(feed)
                             rng.shuffle(feed)
                         # An eagerly run node reports its service even
                         # when it fetched nothing (empty feed, every
                         # unit demoted or rerouted).
-                        stats.service(node.service_name)
+                        stats.service(step.binding.service_name)
                         if schedule is None:
-                            outputs[node.node_id], busy[node.node_id] = (
-                                self._drain_units(context, feed, accounting)
+                            outputs[index], busy[index] = self._drain_units(
+                                context, step, feed, accounting
                             )
                         else:
-                            pending[node.node_id] = schedule(
-                                context, feed, accounting
+                            pending[index] = schedule(
+                                context, step, feed, accounting
                             )
-                    elif isinstance(node, JoinNode):
-                        if node is streaming_join:
-                            stream = self._open_join_stream(
-                                plan, node, outputs, lazy_cursors
+                    elif kind == JOIN:
+                        left, right = step.feeds
+                        if index == streamed_join:
+                            # Inputs with a deferred lazy cursor are
+                            # pulled page by page by the walk; the rest
+                            # are the eagerly materialized row lists.
+                            stream = JoinStream.over(
+                                step.join,
+                                lazy_cursors.get(left, outputs[left]),
+                                lazy_cursors.get(right, outputs[right]),
                             )
-                            rows = stream.top(k)
+                            outputs[index] = stream.top(k)
                         else:
-                            rows = self._run_join_node(plan, node, outputs)
-                        outputs[node.node_id] = rows
-                        busy[node.node_id] = node.response_time
-                    elif isinstance(node, OutputNode):
-                        # A streamed join already applied the
-                        # residual predicates inside its walk.
-                        outputs[node.node_id] = (
-                            outputs[streaming_join.node_id]
-                            if streaming_join is not None
-                            else self._run_output_node(plan, node, outputs)
-                        )
-                        busy[node.node_id] = 0.0
-                    else:
-                        raise ExecutionError(
-                            f"unknown node type {type(node).__name__}"
-                        )
+                            outputs[index] = join_rows(
+                                step.join, outputs[left], outputs[right]
+                            )
+                        busy[index] = step.response_time
+                    elif kind == OUTPUT:
+                        rows = outputs[step.feeds[0]]
+                        # A streamed join already applied the residual
+                        # predicates inside its walk.
+                        if step.residual and streamed_join is None:
+                            residual = step.residual
+                            rows = [
+                                row for row in rows
+                                if all(holds(row.values) for holds in residual)
+                            ]
+                        outputs[index] = rows
             except UnresponsiveService as failure:
                 failures.append(failure)
             if not failures:
@@ -381,10 +407,10 @@ class ExecutionEngine:
                 # this batch) are dropped inside the handler.
                 self.routing.handle_unresponsive(failure)
 
-        for node_id, cursor in lazy_cursors.items():
-            busy[node_id] = self._node_busy(cursor.latencies)
-        stats.elapsed = self._elapsed(plan, busy)
-        produced = outputs[plan.output_node.node_id]
+        for index, cursor in lazy_cursors.items():
+            busy[index] = self._node_busy(cursor.latencies)
+        stats.elapsed = self._elapsed(program, busy)
+        produced = outputs[-1]
         if stream is not None:
             stream.trace(stats)
         if streaming:
@@ -397,36 +423,37 @@ class ExecutionEngine:
             final_rows = compose_ranking(produced)
             complete = True
         return self._result(
-            plan, head, k, stats, outputs, final_rows, complete, stream,
+            program, k, stats, outputs, final_rows, complete, stream,
             accounting,
         )
 
     def _result(
         self,
-        plan: QueryPlan,
-        head: Sequence[Variable],
+        program: ExecutionProgram,
         k: int | None,
         stats: ExecutionStats,
-        outputs: Mapping[str, list[Row]],
+        outputs: Sequence[list[Row]],
         final_rows: list[Row],
         complete: bool = True,
         stream: JoinStream | None = None,
         accounting: Accounting | None = None,
     ) -> ExecutionResult:
-        """Wrap up one finished walk or stream resume."""
-        certificate = self.routing.certificate_for(plan, final_rows)
+        """Wrap up one finished walk (*outputs*: rows per step) or
+        stream resume (no *outputs*)."""
+        certificate = self.routing.certificate_for(program, final_rows)
         if certificate is not None:
             stats.demoted_blocks = len(certificate.dropped)
             stats.substituted_blocks = len(certificate.substituted)
         return ExecutionResult(
             table=ResultTable(
-                head=tuple(head), rows=final_rows, complete=complete
+                head=program.head, rows=final_rows, complete=complete
             ),
             stats=stats,
             elapsed=stats.elapsed,
             k=k,
             node_output_sizes={
-                node_id: len(rows) for node_id, rows in outputs.items()
+                step.node_id: len(rows)
+                for step, rows in zip(program.steps, outputs)
             },
             stream=stream,
             certificate=certificate,
@@ -441,171 +468,57 @@ class ExecutionEngine:
         """Pre-demote one unit (:meth:`UnitRouting.mask_unit`)."""
         self.routing.mask_unit(service, input_key, reason)
 
-    def _node_fetch(self, node: ServiceNode, cache: LogicalCache) -> NodeFetch:
-        """*node*'s side of the fetch seam for one execution."""
-        return NodeFetch(
-            node, self._registry, cache, self.routing, self._resilience,
-            self.drift_monitor, self._row_provenance,
-        )
-
     def _drain_units(
-        self, context: NodeFetch, feed: Sequence[Row], accounting: Accounting
+        self,
+        context: RunContext,
+        step: Step,
+        feed: Sequence[Row],
+        accounting: Accounting,
     ) -> tuple[list[Row], float]:
-        """Eager execution of a service node: ``(rows, busy time)``.
+        """Eager execution of a service step: ``(rows, busy time)``.
 
         Pulls every budgeted page of each feed row's unit, in order.
         """
         latencies: list[float] = []
         produced: list[Row] = []
         for row in feed:
-            UnitSource(context, row, accounting).drain(produced, latencies)
+            UnitSource(context, step, row, accounting).drain(produced, latencies)
         return produced, self._node_busy(latencies)
 
-    @staticmethod
-    def _feed_node(plan: QueryPlan, node: ServiceNode) -> PlanNode:
-        predecessors = plan.predecessors(node)
-        if len(predecessors) != 1:
-            raise ExecutionError(
-                f"service node {node.label} must have exactly one predecessor"
-            )
-        return predecessors[0]
-
-    def _run_join_node(
-        self,
-        plan: QueryPlan,
-        node: JoinNode,
-        outputs: dict[str, list[Row]],
-    ) -> list[Row]:
-        left, right = (
-            outputs[p.node_id] for p in self._join_predecessors(plan, node)
-        )
-        return execute_join_hashed(node.method, left, right, node.predicates)
-
-    def _open_join_stream(
-        self,
-        plan: QueryPlan,
-        node: JoinNode,
-        outputs: dict[str, list[Row]],
-        lazy_cursors: Mapping[str, LazyServiceCursor | MultiFeedCursor] = {},
-    ) -> JoinStream:
-        """Suspended streamed execution of the plan's final join.
-
-        The output node's residual predicates are pushed into the
-        stream so that the early-exit certificate counts exactly the
-        rows that survive to the final answer.  Inputs with a deferred
-        lazy cursor are passed as cursors (pulled page by page by the
-        walk); the rest are the eagerly materialized row lists.
-        """
-        left, right = (
-            lazy_cursors.get(p.node_id, outputs[p.node_id])
-            for p in self._join_predecessors(plan, node)
-        )
-        return JoinStream(
-            node.method,
-            left,
-            right,
-            node.predicates,
-            residual_predicates=plan.output_node.residual_predicates,
-        )
-
-    @staticmethod
-    def _lazy_input_ids(
-        plan: QueryPlan, streaming_join: JoinNode
-    ) -> frozenset[str]:
-        """Service nodes eligible for demand-driven fetching.
-
-        A predecessor of the streamed join qualifies when it is a
-        service node whose *only* consumer is that join: no other node
-        may observe its output, so leaving part of it unfetched cannot
-        change any other dataflow.  Feed shape no longer matters —
-        single feeds get a plain lazy cursor, multi-tuple feeds a
-        per-block :class:`MultiFeedCursor` (see
-        :meth:`_open_lazy_cursor`).
-        """
-        eligible = []
-        for predecessor in plan.predecessors(streaming_join):
-            if not isinstance(predecessor, ServiceNode):
-                continue
-            successors = plan.successors(predecessor)
-            if len(successors) == 1 and successors[0] is streaming_join:
-                eligible.append(predecessor.node_id)
-        return frozenset(eligible)
+    def _lazy_steps(self, program: ExecutionProgram) -> frozenset[int]:
+        """The service steps fetched on the streamed walk's demand."""
+        return program.lazy
 
     @staticmethod
     def _open_lazy_cursor(
-        context: NodeFetch, feed: Sequence[Row], accounting: Accounting
+        context: RunContext,
+        step: Step,
+        feed: Sequence[Row],
+        accounting: Accounting,
     ) -> LazyServiceCursor | MultiFeedCursor:
-        """A demand-driven cursor over a node's (possibly many) feeds.
+        """A demand-driven cursor over a step's (possibly many) feeds.
 
         A single-feed node produces one rank-monotone row sequence (the
-        feed rank is constant and service ranks only grow), wrapped in
-        a plain :class:`LazyServiceCursor`.  A multi-tuple feed
-        produces one such *block* per feed row; each block becomes its
-        own budgeted cursor (over its own unit of the fetch seam, hence
-        the same per-input-tuple cache and call accounting as eager
-        execution)
-        inside a :class:`MultiFeedCursor`, whose block-interleaving
-        certificate keeps the streamed walk sound.  Non-rank-monotone
-        behavior is handled dynamically inside the cursors (a full
-        drain of the offending block) — no input shape falls back to
-        eager materialization anymore.
+        feed rank is constant and service ranks only grow): a plain
+        :class:`LazyServiceCursor`.  A multi-tuple feed produces one
+        such *block* per feed row; each becomes its own budgeted cursor
+        over its own unit of the fetch seam (hence the per-input-tuple
+        cache and call accounting of eager execution) inside a
+        :class:`MultiFeedCursor`, whose block-interleaving certificate
+        keeps the streamed walk sound.  Non-rank-monotone behavior is
+        handled inside the cursors (a full drain of the offending
+        block).
         """
         cursors = [
             LazyServiceCursor(
-                UnitSource(context, row, accounting), base_rank=row.rank_key()
+                UnitSource(context, step, row, accounting),
+                base_rank=row.rank_key(),
             )
             for row in feed
         ]
         if len(cursors) == 1:
             return cursors[0]
         return MultiFeedCursor(cursors)
-
-    @staticmethod
-    def _join_predecessors(plan: QueryPlan, node: JoinNode) -> list[PlanNode]:
-        predecessors = plan.predecessors(node)
-        if len(predecessors) != 2:
-            raise ExecutionError(f"join {node.label} must have two predecessors")
-        return predecessors
-
-    @staticmethod
-    def _streamed_join_node(plan: QueryPlan) -> JoinNode | None:
-        """The join node eligible for streamed top-k early exit.
-
-        Only the output node's direct join predecessor qualifies: its
-        rows reach the answer without gaining further rank annotations
-        or passing through row-producing nodes, so a top-k certificate
-        at the join is a top-k certificate for the whole query (the
-        output's residual filter is applied inside the stream).  Plans
-        whose final node is a service invocation fall back to full
-        materialization — nothing is skipped, results are identical.
-        """
-        predecessors = plan.predecessors(plan.output_node)
-        if len(predecessors) == 1 and isinstance(predecessors[0], JoinNode):
-            join = predecessors[0]
-            if len(plan.successors(join)) == 1:
-                return join
-        return None
-
-    def _run_output_node(
-        self,
-        plan: QueryPlan,
-        node: OutputNode,
-        outputs: dict[str, list[Row]],
-    ) -> list[Row]:
-        predecessors = plan.predecessors(node)
-        if len(predecessors) != 1:
-            raise ExecutionError("output node must have exactly one predecessor")
-        rows = outputs[predecessors[0].node_id]
-        if not node.residual_predicates:
-            return list(rows)
-        residual = LayoutMemo(
-            lambda layout: compile_predicates(node.residual_predicates, layout)
-        )
-        return [
-            row
-            for row in rows
-            if all(holds(row.values) for holds in residual[row.layout])
-        ]
 
     # -- timing ---------------------------------------------------------------
 
@@ -621,21 +534,18 @@ class ExecutionEngine:
         longest piece plus a thread overhead per dispatch."""
         return max(durations) + self._thread_overhead * dispatches
 
-    def _elapsed(self, plan: QueryPlan, busy: Mapping[str, float]) -> float:
+    def _elapsed(self, program: ExecutionProgram, busy: Sequence[float]) -> float:
         if self._mode is ExecutionMode.SEQUENTIAL:
-            return sum(busy.values())
-        finish: dict[str, float] = {}
-        for node in plan.topological_order():
-            predecessors = plan.predecessors(node)
-            start = max(
-                (finish[p.node_id] for p in predecessors), default=0.0
-            )
-            finish[node.node_id] = start + busy[node.node_id]
-        return finish[plan.output_node.node_id]
+            return sum(busy)
+        finish: list[float] = []
+        for step in program.steps:
+            start = max((finish[feed] for feed in step.feeds), default=0.0)
+            finish.append(start + busy[step.index])
+        return finish[-1]
 
 
 def execute_plan(
-    plan: QueryPlan,
+    plan: QueryPlan | ExecutionProgram,
     registry: ServiceRegistry,
     head: Sequence[Variable] = (),
     cache_setting: CacheSetting = CacheSetting.NO_CACHE,

@@ -12,9 +12,10 @@ it was suspended with.
 
 Three objects own the seam's state:
 
-* :class:`NodeFetch` — what is constant for one service node within
-  one execution (service handle, logical cache, resilience config,
-  drift monitor, provenance flag, compiled bindings);
+* :class:`RunContext` — what is constant for one walk of a compiled
+  program (:mod:`repro.execution.program`): the run's fetch vector and
+  registry, the logical cache, resilience config, drift monitor and
+  provenance flag;
 * :class:`UnitSource` — the ``(service, input setting)`` unit one
   feed row addresses; opening it **masks**, then **routes**, and its
   ``fetch(page)`` does, in this order, **lookup** → **resilient
@@ -37,6 +38,8 @@ across drift splices, so a re-plan carries nothing over by hand.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Sequence
+
 from repro.execution.cache import LogicalCache
 from repro.execution.lazy import FetchedPage
 from repro.execution.resilience import (
@@ -48,11 +51,10 @@ from repro.execution.resilience import (
     build_certificate,
     resilient_fetch,
 )
+from repro.execution.program import ExecutionProgram, Step
 from repro.execution.results import Row
-from repro.execution.slots import service_bindings, unit_input_key
+from repro.execution.slots import unit_input_key
 from repro.execution.stats import ExecutionStats
-from repro.plans.dag import QueryPlan
-from repro.plans.nodes import ServiceNode
 from repro.services.registry import ServiceRegistry
 
 Unit = tuple[str, tuple]
@@ -225,50 +227,36 @@ class UnitRouting:
         self.demoted.setdefault((service, input_key), failure)
 
     def certificate_for(
-        self, plan: QueryPlan, rows: list[Row]
+        self, program: ExecutionProgram, rows: list[Row]
     ) -> PartialResultCertificate | None:
         """The partial-result certificate; None unless partial mode."""
         if self._resilience is None or not self._resilience.partial_results:
             return None
         return build_certificate(
-            plan, rows, self.demoted, self._substitution_used
+            program.answer_specs, rows, self.demoted, self._substitution_used
         )
 
 
-class NodeFetch:
-    """One service node's side of the seam, resolved once per execution.
+class RunContext(NamedTuple):
+    """One walk's side of the seam: what every unit it opens shares.
 
-    Hoists what every unit of the node shares, so a zero-drift run
-    pays one routing truthiness check per node rather than per row.
+    The program says *what* to invoke; this says where and how often:
+    service handles come from the run's own ``registry`` (a unit
+    resolves its own at its first remote page), budgets from the run's
+    own ``fetches`` vector (one factor per program step).
+    ``routed`` is ``routing.active`` when the walk started, so a
+    zero-drift run pays one truthiness test per unit and consults no
+    table.
     """
 
-    __slots__ = (
-        "node", "cache", "compiled", "routing", "routed", "registry",
-        "service", "resilience", "monitor", "provenance",
-    )
-
-    def __init__(
-        self,
-        node: ServiceNode,
-        registry: ServiceRegistry,
-        cache: LogicalCache,
-        routing: UnitRouting,
-        resilience: ResilienceConfig | None,
-        monitor: DriftMonitor | None,
-        provenance: bool,
-    ) -> None:
-        self.node = node
-        self.cache = cache
-        #: Shared by every unit of the node, so all rows it emits for
-        #: one feed layout share one output layout.
-        self.compiled = service_bindings(node)
-        self.routing = routing
-        self.routed = routing.active
-        self.registry = registry
-        self.service = registry.service(node.service_name)
-        self.resilience = resilience
-        self.monitor = monitor
-        self.provenance = provenance
+    fetches: Sequence[int]
+    registry: ServiceRegistry
+    cache: LogicalCache
+    routing: UnitRouting
+    routed: bool
+    resilience: ResilienceConfig | None
+    monitor: DriftMonitor | None
+    provenance: bool
 
 
 class UnitSource:
@@ -282,8 +270,9 @@ class UnitSource:
     the next restart, never mid-block (a block's pages must all come
     from one server for rank soundness).
 
-    Otherwise ``budget`` is the node's fetching factor when the unit
-    was opened — the eager and the lazy universe are the same.
+    Otherwise ``budget`` is the node's fetching factor in the run's
+    vector when the unit was opened — the eager and the lazy universe
+    are the same.
     Call/hit accounting is the per-input-tuple rule of the paper's
     charts, within each accounting epoch (:class:`Accounting`): the
     first remote page counts one call, a unit answered purely by the
@@ -297,12 +286,14 @@ class UnitSource:
     )
 
     def __init__(
-        self, context: NodeFetch, feed_row: Row, accounting: Accounting
+        self,
+        context: RunContext,
+        step: Step,
+        feed_row: Row,
+        accounting: Accounting,
     ) -> None:
-        node = context.node
-        name = node.service_name
-        service = context.service
-        binding = context.compiled[feed_row.layout]
+        binding = step.binding
+        name = binding.service_name
         inputs, input_key = unit_input_key(
             binding.pattern_code, binding.input_spec, feed_row.values
         )
@@ -310,11 +301,9 @@ class UnitSource:
         if demoted and (name, input_key) in demoted:
             self.budget = 0
         else:
-            self.budget = node.fetches
+            self.budget = context.fetches[step.index]
             if context.routed:
                 name = context.routing.route(name, input_key)
-                if name != node.service_name:
-                    service = context.registry.service(name)
         self.input_key = input_key
         self._context = context
         self._accounting = accounting
@@ -322,7 +311,9 @@ class UnitSource:
         self._binding = binding
         self._inputs = inputs
         self._name = name
-        self._service = service
+        #: The serving service's handle in the run's registry, resolved
+        #: at the first page the logical cache cannot answer.
+        self._service = None
         self._rank_floor = 0
         self._epoch = accounting.epoch
         self._counted = _NOTHING
@@ -343,7 +334,7 @@ class UnitSource:
 
     def fetch(self, page: int) -> FetchedPage:
         context = self._context
-        node = context.node
+        binding = self._binding
         name = self._name
         input_key = self.input_key
         accounting = self._accounting
@@ -354,7 +345,10 @@ class UnitSource:
         result = context.cache.lookup(name, input_key, page)
         latency: float | None = None
         if result is None:
-            service, inputs, pattern = self._service, self._inputs, node.pattern
+            service = self._service
+            if service is None:
+                service = self._service = context.registry.service(name)
+            inputs, pattern = self._inputs, binding.pattern
             if context.resilience is None:
                 result = service.invoke(pattern, inputs, page=page)
             else:
@@ -375,9 +369,9 @@ class UnitSource:
             # Drift is judged against the node's costed profile, so
             # only fetches served by the profiled service feed the
             # monitor — sibling traffic is not the original's drift.
-            if context.monitor is not None and name == node.service_name:
+            if context.monitor is not None and name == binding.service_name:
                 try:
-                    context.monitor.observe(name, node.profile, latency)
+                    context.monitor.observe(name, binding.profile, latency)
                 except PlanDrift as drift:
                     # The aborted attempt's work stays accounted.
                     drift.stats = stats
@@ -393,7 +387,7 @@ class UnitSource:
                 stats.service(name).cache_hits += 1
                 self._counted = _HIT
         stats.tuples_processed += raw_tuples
-        rows = self._binding.bind_page(
+        rows = binding.bind_page(
             self._feed_row, result,
             (name, input_key, page) if context.provenance else None,
         )

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.execution.lazy import MaterializedCursor, RowCursor
 from repro.execution.results import Row, SlotLayout
-from repro.execution.slots import LayoutMemo, SlotJoinPlan, compile_predicates
+from repro.execution.slots import CompiledJoin, LayoutMemo, compile_join
 from repro.execution.stats import ExecutionStats
 from repro.model.predicates import Comparison
 from repro.services.registry import JoinMethod
@@ -196,12 +196,13 @@ def execute_join_hashed(
     relative order :func:`join_order` would visit them in — which
     preserves the documented domination property across buckets, not
     just inside each one.  Merge and predicates run on the rows' value
-    tuples through one :class:`~repro.execution.slots.SlotJoinPlan`;
-    every emitted row shares its ``merged`` layout.
+    tuples through one :class:`~repro.execution.slots.CompiledJoin`
+    (:func:`join_rows`, which the engine calls directly with its
+    program's); every emitted row shares its ``merged`` layout.
 
-    Falls back to the reference scan for inputs no engine node
-    produces: a side whose rows do not all share one layout, or a key
-    value that is unhashable.
+    Falls back to the reference scan for a side whose rows do not all
+    share one layout (no engine node produces one); a key value that is
+    unhashable visits the whole plane.
     """
     if not left or not right:
         return []
@@ -210,8 +211,16 @@ def execute_join_hashed(
         _shares_layout(left, left_layout) and _shares_layout(right, right_layout)
     ):
         return execute_join(method, left, right, predicates)
-    plan = SlotJoinPlan(left_layout, right_layout)
-    compiled = compile_predicates(predicates, plan.merged)
+    return join_rows(
+        compile_join(method, left_layout, right_layout, predicates), left, right
+    )
+
+
+def join_rows(
+    join: CompiledJoin, left: Sequence[Row], right: Sequence[Row]
+) -> list[Row]:
+    """The hashed join of rows laid out as *join* was compiled for."""
+    method, plan, compiled, _ = join
     try:
         right_buckets: dict[tuple, list[int]] = {}
         for j, row in enumerate(right):
@@ -226,9 +235,10 @@ def execute_join_hashed(
             if matches:
                 cells.extend((i, j) for j in matches)
     except TypeError:  # unhashable binding value: cannot bucket
-        return execute_join(method, left, right, predicates)
-    if method is not JoinMethod.NESTED_LOOP:
-        cells.sort(key=lambda cell: (cell[0] + cell[1], cell[0]))
+        cells = list(join_order(method, len(left), len(right)))
+    else:
+        if method is not JoinMethod.NESTED_LOOP:
+            cells.sort(key=lambda cell: (cell[0] + cell[1], cell[0]))
     merge = plan.merge
     merged_layout = plan.merged
     output: list[Row] = []
@@ -307,13 +317,43 @@ class JoinStream:
         predicates: Sequence[Comparison] = (),
         residual_predicates: Sequence[Comparison] = (),
     ) -> None:
+        join_predicates = tuple(predicates)
+        residual = tuple(residual_predicates)
+
+        # (The closure must not capture ``self``: a suspended stream
+        # would then sit in a reference cycle and outlive its session
+        # until a GC run.)
+        def compile_pair(layouts: tuple[SlotLayout, SlotLayout]) -> CompiledJoin:
+            return compile_join(method, *layouts, join_predicates, residual)
+
+        self._start(method, left, right, LayoutMemo(compile_pair))
+
+    @classmethod
+    def over(
+        cls,
+        join: CompiledJoin,
+        left: Sequence[Row] | RowCursor,
+        right: Sequence[Row] | RowCursor,
+    ) -> "JoinStream":
+        """A stream over inputs laid out as *join* was compiled for
+        (the engine's entry: nothing is compiled per stream)."""
+        stream = cls.__new__(cls)
+        stream._start(
+            join.method, left, right, {(join.merge.left, join.merge.right): join}
+        )
+        return stream
+
+    def _start(self, method, left, right, compiled) -> None:
         self._method = method
         self._left = left if isinstance(left, RowCursor) else MaterializedCursor(left)
         self._right = (
             right if isinstance(right, RowCursor) else MaterializedCursor(right)
         )
-        join_predicates = tuple(predicates)
-        residual = tuple(residual_predicates)
+        #: The :class:`CompiledJoin` per (left layout, right layout)
+        #: pair met by the walk.  Engine inputs have exactly one pair,
+        #: compiled with the plan; a hand-built row with another layout
+        #: selects another entry of the same loop.
+        self._compiled = compiled
         self._stage = 0
         #: (composed rank, arrival index, left row, right row) — arrival
         #: indexes are the candidate's position in the full-scan
@@ -325,22 +365,6 @@ class JoinStream:
         self._candidates: list[tuple[float, int, Row, Row]] = []
         self._join_rows_emitted = 0
         self.cells_visited = 0
-
-        def compile_pair(layouts: tuple[SlotLayout, SlotLayout]) -> tuple:
-            plan = SlotJoinPlan(*layouts)
-            return (
-                plan,
-                compile_predicates(join_predicates, plan.merged),
-                compile_predicates(residual, plan.merged),
-            )
-
-        #: ``(merge plan, join predicates, residual predicates)`` per
-        #: (left layout, right layout) pair met by the walk.  Engine
-        #: inputs have exactly one pair; a hand-built row with another
-        #: layout selects another entry of the same loop.  (The closure
-        #: must not capture ``self``: a suspended stream would then sit
-        #: in a reference cycle and outlive its session until a GC run.)
-        self._compiled = LayoutMemo(compile_pair)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -474,7 +498,7 @@ class JoinStream:
                 right_row.layout is not right_layout
             ):
                 left_layout, right_layout = left_row.layout, right_row.layout
-                plan, predicates, residual = self._compiled[
+                _, plan, predicates, residual = self._compiled[
                     left_layout, right_layout
                 ]
             merged = plan.merge(left_row.values, right_row.values)
@@ -494,7 +518,7 @@ class JoinStream:
     def _row(self, candidate: tuple) -> Row:
         """The merged row of a candidate, built when it is emitted."""
         _, _, left_row, right_row = candidate
-        plan = self._compiled[left_row.layout, right_row.layout][0]
+        plan = self._compiled[left_row.layout, right_row.layout].merge
         return Row(
             layout=plan.merged,
             values=plan.merge(left_row.values, right_row.values),

@@ -75,7 +75,8 @@ from repro.execution.engine import (
     ExecutionMode,
     ExecutionResult,
 )
-from repro.execution.fetch import Accounting, NodeFetch, UnitSource
+from repro.execution.fetch import Accounting, RunContext, UnitSource
+from repro.execution.program import ExecutionProgram, Step
 from repro.execution.resilience import ResilienceConfig, UnresponsiveService
 from repro.execution.results import Row
 from repro.execution.stats import ExecutionStats
@@ -123,7 +124,7 @@ class ParallelExecutor:
 
     def execute(
         self,
-        plan: QueryPlan,
+        plan: QueryPlan | ExecutionProgram,
         head: Sequence[Variable] = (),
         k: int | None = None,
         reset_remote_caches: bool = True,
@@ -151,16 +152,18 @@ class ParallelExecutor:
         with ThreadPoolExecutor(max_workers=workers) as pool:
 
             def schedule(
-                context: NodeFetch, feed: Sequence[Row], accounting: Accounting
+                context: RunContext,
+                step: Step,
+                feed: Sequence[Row],
+                accounting: Accounting,
             ) -> Collect:
                 # One task per feed row, submitted in feed order from
-                # the walking thread, which also compiles the node
-                # against every layout the feed holds and resolves each
-                # row's unit key — the tasks only read the context.
+                # the walking thread, which also resolves each row's
+                # unit key — the tasks only read the context.
+                unit = step.binding.unit
                 futures = [
                     pool.submit(
-                        _row_task, context, row,
-                        context.compiled[row.layout].unit(row.values)[1],
+                        _row_task, context, step, row, unit(row.values)[1]
                     )
                     for row in feed
                 ]
@@ -207,7 +210,7 @@ class ParallelExecutor:
 
 
 def _row_task(
-    context: NodeFetch, row: Row, input_key: tuple
+    context: RunContext, step: Step, row: Row, input_key: tuple
 ) -> tuple[list[Row], float, ExecutionStats, UnresponsiveService | None]:
     """Drain one feed row's unit (runs on a pool worker).
 
@@ -222,9 +225,11 @@ def _row_task(
     produced: list[Row] = []
     latencies: list[float] = []
     failure = None
-    with context.cache.key_lock(context.node.service_name, input_key):
+    with context.cache.key_lock(step.binding.service_name, input_key):
         try:
-            UnitSource(context, row, Accounting(local)).drain(produced, latencies)
+            UnitSource(context, step, row, Accounting(local)).drain(
+                produced, latencies
+            )
         except UnresponsiveService as error:
             failure = error
     return produced, sum(latencies), local, failure

@@ -4,10 +4,12 @@
 more answers.  A user can either be satisfied with the first k answers,
 or ask for more results of the same query ..."
 
-The :class:`ProgressiveExecutor` runs a plan with its current fetching
-factors and, when the user asks for more than it produced, grows the
-factors of the chunked services (doubling, bounded by decay caps) and
-re-executes.  Rounds share one logical cache (optimal by default), so
+The :class:`ProgressiveExecutor` runs a compiled plan with its own
+fetch vector (starting at the program's) and, when the user asks for
+more than it produced, grows the factors of the chunked services
+(doubling, bounded by decay caps) and re-executes — the program, which
+other sessions may be running, is never written.  Rounds share one
+logical cache (optimal by default), so
 every call already issued in an earlier round is answered locally —
 continuing a query only pays for the *new* fetches, exactly as a
 resumed execution would.
@@ -39,7 +41,8 @@ the profile the plan was costed at.  ``run`` catches it, re-costs
 against the *observed* response times (via the optional ``replan``
 callback — typically an optimizer run over an
 :class:`~repro.services.registry.AdjustedRegistry` view) and splices:
-the plan and the monitor are replaced, everything else is kept.
+the program (with its fetch vector) and the monitor are replaced,
+everything else is kept.
 
 * **No lost work** — the aborted attempt's statistics ride on the
   ``PlanDrift`` and become an explicit aborted pseudo-round;
@@ -66,6 +69,7 @@ from typing import Callable
 
 from repro.execution.cache import CacheSetting, LogicalCache, make_cache
 from repro.execution.engine import ExecutionEngine, ExecutionMode, ExecutionResult
+from repro.execution.program import ExecutionProgram, as_program
 from repro.execution.resilience import (
     DriftMonitor,
     DriftPolicy,
@@ -141,7 +145,9 @@ class ProgressiveExecutor:
     """
 
     registry: ServiceRegistry
-    plan: QueryPlan
+    #: A compiled program (shared, never written) or a ``QueryPlan``,
+    #: compiled here for ``head``; a program carries its own head.
+    plan: QueryPlan | ExecutionProgram
     head: tuple[Variable, ...] = ()
     mode: ExecutionMode = ExecutionMode.PARALLEL
     cache_setting: CacheSetting = CacheSetting.OPTIMAL
@@ -175,7 +181,9 @@ class ProgressiveExecutor:
     #: seconds, cumulative across all drifts so far) to a replacement
     #: plan; None keeps the current plan (the splice then only changes
     #: routing/monitoring, e.g. a sibling substitution).
-    replan: Callable[[dict[str, float]], QueryPlan | None] | None = None
+    replan: (
+        Callable[[dict[str, float]], QueryPlan | ExecutionProgram | None] | None
+    ) = None
     rounds: list[ProgressiveRound] = field(default_factory=list)
     drift_events: list[DriftEvent] = field(default_factory=list)
 
@@ -185,6 +193,7 @@ class ProgressiveExecutor:
         self._overrides: dict[str, float] = {}
         #: Where the current splice's rounds start in ``rounds``.
         self._splice_start = 0
+        self._adopt(self.plan)
         self._engine = ExecutionEngine(
             self.registry,
             cache_setting=self.cache_setting,
@@ -212,11 +221,17 @@ class ProgressiveExecutor:
         """How many times this execution spliced on a drift."""
         return len(self.drift_events)
 
+    def _adopt(self, plan: QueryPlan | ExecutionProgram) -> None:
+        """Run *plan* from now on, from its compiled fetch vector."""
+        self._program = as_program(plan, self.head)
+        #: This executor's own factors, one per program step.
+        self._fetches = list(self._program.fetches)
+
     def fetch_vector(self) -> dict[int, int]:
-        """Current fetching factors of the chunked nodes."""
+        """Current fetching factors of the chunked nodes, by atom index."""
         return {
-            node.atom_index: node.fetches
-            for node in self.plan.chunked_service_nodes
+            atom_index: self._fetches[step]
+            for step, atom_index, _ in self._program.chunked
         }
 
     def _grow_fetches(self) -> bool:
@@ -225,14 +240,13 @@ class ProgressiveExecutor:
         Returns False when no factor can grow any further.
         """
         grew = False
-        for node in self.plan.chunked_service_nodes:
-            assert node.profile is not None
-            cap = node.profile.max_fetches()
-            target = node.fetches * 2
+        fetches = self._fetches
+        for step, _, cap in self._program.chunked:
+            target = fetches[step] * 2
             if cap is not None:
                 target = min(target, cap)
-            if target > node.fetches:
-                node.fetches = target
+            if target > fetches[step]:
+                fetches[step] = target
                 grew = True
         return grew
 
@@ -332,7 +346,7 @@ class ProgressiveExecutor:
         # branches (0.0 for the common all-from-fetched-pages resume).
         stats.elapsed = stats.busiest_service_time()
         result = self._engine._result(
-            self.plan, self.head, k, stats, {}, rows,
+            self._program, k, stats, (), rows,
             stream.is_complete(rows), stream, last.accounting,
         )
         self._record_round(stats, len(rows), resumed=True)
@@ -340,11 +354,11 @@ class ProgressiveExecutor:
 
     def _execute_round(self, k: int | None = None) -> ExecutionResult:
         result = self._engine.execute(
-            self.plan,
-            head=self.head,
+            self._program,
             k=k,
             reset_remote_caches=self.reset_remote and not self.rounds,
             shared_cache=self._shared_cache,
+            fetches=self._fetches,
         )
         self._record_round(result.stats, len(result.rows))
         return result
@@ -389,6 +403,7 @@ class ProgressiveExecutor:
         )
         if replacement is not None:
             self.plan = replacement
+            self._adopt(replacement)
         substituted_with = (
             self._sibling_for(drift.service)
             if self.drift.substitute_siblings
@@ -419,12 +434,9 @@ class ProgressiveExecutor:
     def _sibling_for(self, service: str) -> str | None:
         """A registered equivalent able to serve every pattern the plan
         uses for *service*; None when there is none."""
-        codes = {
-            node.pattern.code
-            for node in self.plan.service_nodes
-            if node.service_name == service and node.pattern is not None
-        }
-        siblings = self.registry.siblings(service, tuple(sorted(codes)))
+        siblings = self.registry.siblings(
+            service, self._program.pattern_codes(service)
+        )
         return siblings[0] if siblings else None
 
     def _resumed_baseline(self) -> int | None:

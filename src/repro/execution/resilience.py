@@ -55,21 +55,14 @@ import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from repro.execution.slots import (
-    InputSpec,
-    LayoutMemo,
-    compile_input_spec,
-    unit_input_key,
-)
+from repro.execution.slots import InputSpec, unit_input_key
 from repro.services.base import InvocationResult, TransientServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.execution.results import Row
     from repro.execution.stats import ExecutionStats
-    from repro.plans.dag import QueryPlan
-    from repro.plans.nodes import ServiceNode
     from repro.services.profile import ServiceProfile
 
 #: Exception types the retry layer treats as transient.  Anything else
@@ -506,7 +499,7 @@ class PartialResultCertificate:
 
 
 def _answer_units(
-    input_specs: "list[tuple[ServiceNode, InputSpec]]",
+    answer_specs: "Sequence[tuple[str, str, InputSpec]]",
     row: "Row",
     substituted: Mapping[tuple[str, tuple], str] = {},
 ) -> tuple[str, ...]:
@@ -515,15 +508,14 @@ def _answer_units(
     Every answer satisfies every service atom of the plan, and the
     input setting of each service node *for this answer* is recoverable
     from the answer's own values through the node's input spec compiled
-    against the answer layout (*input_specs*) — so attribution needs no
-    execution-time bookkeeping at all.  A unit rerouted onto a sibling
-    attributes to the *replacement* service's token: the answer really
-    came from it.
+    against the answer layout (*answer_specs*, part of the compiled
+    program) — so attribution needs no execution-time bookkeeping at
+    all.  A unit rerouted onto a sibling attributes to the
+    *replacement* service's token: the answer really came from it.
     """
     tokens = []
-    for node, input_spec in input_specs:
-        _, input_key = unit_input_key(node.pattern.code, input_spec, row.values)
-        serving = node.service_name
+    for serving, pattern_code, input_spec in answer_specs:
+        _, input_key = unit_input_key(pattern_code, input_spec, row.values)
         if substituted:
             serving = substituted.get((serving, input_key), serving)
         tokens.append(unit_token(serving, input_key))
@@ -531,21 +523,14 @@ def _answer_units(
 
 
 def build_certificate(
-    plan: "QueryPlan",
+    answer_specs: "Sequence[tuple[str, str, InputSpec]]",
     rows: "list[Row]",
     demoted: Mapping[tuple[str, tuple], UnresponsiveService],
     substituted: Mapping[tuple[str, tuple], str] = {},
 ) -> PartialResultCertificate:
-    """The partial-result certificate for one finished execution."""
-    plan_services = sorted(
-        {node.service_name for node in plan.service_nodes}
-    )
-    input_specs = LayoutMemo(
-        lambda layout: [
-            (node, compile_input_spec(node, layout))
-            for node in plan.service_nodes
-        ]
-    )
+    """The partial-result certificate for one finished execution of
+    the program whose ``answer_specs`` these are."""
+    plan_services = sorted({name for name, _, _ in answer_specs})
     dropped = tuple(
         DroppedUnit(
             service=failure.service,
@@ -577,7 +562,7 @@ def build_certificate(
         responsive_services=responsive,
         dropped_services=tuple(dropped_services),
         answer_units=tuple(
-            _answer_units(input_specs[row.layout], row, substituted)
+            _answer_units(answer_specs, row, substituted)
             for row in rows
         ),
         substituted=substitutions,

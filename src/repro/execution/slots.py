@@ -10,7 +10,8 @@ hashing variable names per row:
 * :class:`SlotJoinPlan` — the natural-join merge between two layouts,
   precomputed into shared-slot conflict pairs and right-only slot
   picks; its ``merged`` layout is the layout of every row the join
-  emits;
+  emits (:func:`compile_join` bundles it with the join's compiled
+  predicates into a :class:`CompiledJoin`);
 * :func:`compile_comparison` / :func:`compile_predicates` — predicates
   compiled into closures over value tuples, replicating
   :meth:`~repro.model.predicates.Comparison.holds` exactly, including
@@ -22,22 +23,24 @@ hashing variable names per row:
   node's input positions resolved against a layout, and the one place
   the ``(pattern code, ((position, value), ...))`` unit key (logical
   cache, demotion mask, provenance, certificates) is built;
-* :class:`LayoutMemo` — the per-layout cache those compiled objects
-  live in for the duration of one node run;
 * :class:`ServiceBinding` — one service node compiled against its feed
-  layout: input spec, output-term binding program, output layout and
-  node predicates.  The eager page loop, the lazy page source and the
-  thread-pool row tasks all bind result pages through the same object.
+  layout: what to invoke, input spec, output-term binding program,
+  output layout and node predicates.  The eager page loop, the lazy
+  page source and the thread-pool row tasks all bind result pages
+  through the same object;
+* :class:`LayoutMemo` — the per-layout cache the *hand-built-input*
+  join API of :mod:`repro.execution.joins` keeps such objects in.
 
-Nothing here falls back to another representation: compilation cannot
-fail, and inputs whose layouts differ row by row (hand-built only —
-every engine node emits one layout) simply select another compiled
-entry of the same loop.
+The engine compiles all of it once per plan, in
+:mod:`repro.execution.program` (every engine node has one static
+layout).  Nothing here falls back to another representation:
+compilation cannot fail, and hand-built inputs whose layouts differ row
+by row simply select another compiled entry of the same loop.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from repro.execution.results import ProvenanceRecord, Row, SlotLayout
 from repro.model.predicates import (
@@ -53,6 +56,7 @@ from repro.model.terms import Constant
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plans.nodes import ServiceNode
     from repro.services.base import InvocationResult
+    from repro.services.registry import JoinMethod
 
 #: A compiled expression/predicate evaluates against one value tuple.
 SlotExpression = Callable[[tuple], object]
@@ -75,10 +79,8 @@ class ExecutionError(RuntimeError):
 class LayoutMemo(dict):
     """Per-layout compiled state, built by *compile* on first lookup.
 
-    Keys are layouts (or tuples of layouts).  Every engine node emits
-    one layout, so a memo normally holds a single entry; rows laid out
-    differently (hand-built inputs) get their own entry instead of a
-    different code path.
+    Keys are tuples of layouts: hand-built rows laid out differently
+    get their own entry instead of a different code path.
     """
 
     def __init__(self, compile: Callable) -> None:
@@ -130,6 +132,38 @@ class SlotJoinPlan:
         if not self.right_extra:
             return left_values
         return left_values + tuple(right_values[j] for j in self.right_extra)
+
+
+class CompiledJoin(NamedTuple):
+    """A parallel join compiled against its two input layouts.
+
+    ``residual`` holds predicates applied after the join's own (the
+    output node's residual filter, on the join a streamed execution
+    early-exits: applying them inside the walk makes the top-k
+    certificate count exactly the rows that survive to the answer).
+    """
+
+    method: "JoinMethod"
+    merge: SlotJoinPlan
+    predicates: tuple[SlotPredicate, ...]
+    residual: tuple[SlotPredicate, ...]
+
+
+def compile_join(
+    method: "JoinMethod",
+    left: SlotLayout,
+    right: SlotLayout,
+    predicates: Sequence[Comparison],
+    residual: Sequence[Comparison] = (),
+) -> CompiledJoin:
+    """*method* over rows laid out as *left* and *right*."""
+    merge = SlotJoinPlan(left, right)
+    return CompiledJoin(
+        method,
+        merge,
+        tuple(compile_predicates(predicates, merge.merged)),
+        tuple(compile_predicates(residual, merge.merged)),
+    )
 
 
 def compile_expression(expression: Expression, layout: SlotLayout) -> SlotExpression:
@@ -243,19 +277,25 @@ class ServiceBinding:
     first occurrence of a new variable, ``DUP`` rejects repeated
     occurrences that fail to unify.  ``layout`` — the feed variables
     followed by the fresh ones in first-occurrence order — is shared by
-    every row the node emits for this feed layout.
+    every row the node emits.  ``service_name``, ``pattern`` and
+    ``profile`` say what to invoke and what it was costed at; the
+    service *handle* is the run's business (its registry's).
     """
 
     __slots__ = (
-        "node_id", "pattern_code", "input_spec", "bind_ops", "layout",
-        "predicates",
+        "node_id", "atom_index", "service_name", "pattern", "pattern_code",
+        "profile", "input_spec", "bind_ops", "layout", "predicates",
     )
 
     def __init__(self, node: "ServiceNode", feed_layout: SlotLayout) -> None:
         assert node.atom is not None and node.pattern is not None
         self.node_id = node.node_id
+        self.atom_index = node.atom_index
+        self.service_name = node.service_name
+        self.pattern = node.pattern
         self.pattern_code = node.pattern.code
-        self.input_spec = compile_input_spec(node, feed_layout)
+        self.profile = node.profile
+        self.input_spec = tuple(compile_input_spec(node, feed_layout))
         bind_ops: list[tuple[int, object]] = []
         fresh: dict = {}
         for position in range(node.atom.arity):
@@ -275,7 +315,7 @@ class ServiceBinding:
             if fresh
             else feed_layout
         )
-        self.predicates = compile_predicates(node.predicates, self.layout)
+        self.predicates = tuple(compile_predicates(node.predicates, self.layout))
 
     def unit(self, feed_values: tuple) -> tuple[dict[int, object], tuple]:
         """``(inputs, input key)`` of the unit one feed row addresses."""
@@ -348,13 +388,3 @@ class ServiceBinding:
                 )
             )
         return rows
-
-
-def service_bindings(node: "ServiceNode") -> LayoutMemo:
-    """*node*'s :class:`ServiceBinding` per feed layout.
-
-    One memo serves one run of the node: the eager loop, every lazy
-    page source of a multi-feed cursor, or all row tasks of the
-    thread-pool executor — so all rows the node emits share one layout.
-    """
-    return LayoutMemo(lambda layout: ServiceBinding(node, layout))

@@ -124,6 +124,9 @@ class Service(ABC):
         pattern_profiles: Mapping[str, ServiceProfile] | None = None,
     ) -> None:
         self._signature = signature
+        #: The feasible pattern codes, built once: every invocation
+        #: checks its pattern against them.
+        self._pattern_codes = frozenset(p.code for p in signature.patterns)
         self._profile = profile
         self._pattern_profiles = dict(pattern_profiles or {})
         for code in self._pattern_profiles:
@@ -214,7 +217,7 @@ class Service(ABC):
         inputs: Mapping[int, object],
         page: int,
     ) -> None:
-        if pattern.code not in {p.code for p in self._signature.patterns}:
+        if pattern.code not in self._pattern_codes:
             raise InvocationError(
                 f"pattern {pattern.code!r} is not feasible for service {self.name!r}"
             )

@@ -3,21 +3,27 @@
 Optimized plans are pure functions of the plan-cache key (normalized
 query fingerprint + registry content epoch + metric + ``k`` + cache
 setting, see :mod:`repro.serving.fingerprint`), so they can be reused
-across requests, sessions, and *processes*.  The cache stores the
+across requests, sessions, and *processes*.  What persists is the
 serializable :class:`~repro.plans.spec.PlanSpec` — the three optimizer
 decisions (patterns, precedence, fetches) — plus the plan's estimated
-cost, never live plan objects: every hit rebuilds a fresh plan against
-the caller's registry, so no two sessions ever share a mutable plan
-(fetching factors grow in place during progressive execution).
+cost.  What executes is the plan *compiled*: a memory entry also holds
+the immutable :class:`~repro.execution.program.ExecutionProgram` of its
+spec, which every session and thread of the key runs as is (a session
+grows its own fetch vector, never the program) — a hit builds nothing.
 
 Two tiers:
 
-* **memory** — an LRU dict bounded by ``capacity``; hits refresh
-  recency, stores beyond capacity evict the least recently used entry;
+* **memory** — an LRU dict of :class:`CachedPlan` (parsed spec,
+  program) bounded by ``capacity``; hits refresh recency, stores beyond
+  capacity evict the least recently used entry, and the program goes
+  with its entry (eviction, :meth:`PlanCache.prune`, :meth:`PlanCache.
+  clear`);
 * **disk** — an optional persistent store (``path``) holding every
-  entry ever admitted.  Lookups that miss memory fall through to disk
-  and promote the entry back into the LRU tier, so a restarted server
-  (or a sibling process pointed at the same path) starts warm.
+  entry ever admitted, as JSON rows.  Lookups that miss memory fall
+  through to disk and promote the entry back into the LRU tier, so a
+  restarted server (or a sibling process pointed at the same path)
+  starts warm; a promoted entry has no program until its first user
+  compiles one (:meth:`PlanCache.attach`).
 
 The disk tier has two interchangeable backends with identical
 lookup/store/stats semantics (a seeded differential in
@@ -68,9 +74,10 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro.execution.program import ExecutionProgram
 from repro.plans.spec import PlanSpec
 from repro.serving.sqlite_cache import PlanRow, SQLiteDiskTier
 
@@ -83,13 +90,19 @@ _SQLITE_SUFFIXES = {".sqlite", ".sqlite3", ".db"}
 
 @dataclass(frozen=True)
 class CachedPlan:
-    """One plan-cache hit: the decisions plus where they were found."""
+    """One plan-cache hit: the decisions plus where they were found.
+
+    ``program`` is the compiled plan shared by every user of the key;
+    None on an entry nobody has compiled yet (a disk hit, or a store
+    that brought none).
+    """
 
     spec: PlanSpec
     cost: float
     metric: str
     epoch: str
     tier: str  # "memory" | "disk"
+    program: ExecutionProgram | None = None
 
 
 @dataclass
@@ -294,7 +307,7 @@ class PlanCache:
             )
         self.path = Path(self.path) if self.path is not None else None
         self._lock = threading.RLock()
-        self._memory: OrderedDict[str, _Entry] = OrderedDict()
+        self._memory: OrderedDict[str, CachedPlan] = OrderedDict()
         self._tenant_keys: dict[str, set[str]] = {}
         self._tier: _JsonDiskTier | SQLiteDiskTier | None = None
         if self.path is not None:
@@ -347,39 +360,50 @@ class PlanCache:
             if entry is not None:
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
-                return self._hit(entry, "memory")
+                return entry
             if self._tier is not None:
                 row = self._tier.get(key)
                 if row is not None:
-                    entry = _Entry(*row)
+                    spec_json, cost, metric, epoch = row
+                    entry = CachedPlan(
+                        PlanSpec.from_json(spec_json), cost, metric, epoch,
+                        tier="memory",
+                    )
                     self.stats.disk_hits += 1
                     self._admit(key, entry)
-                    return self._hit(entry, "disk")
+                    return replace(entry, tier="disk")
             self.stats.misses += 1
             return None
 
     def store(self, key: str, spec: PlanSpec, cost: float, metric: str,
-              epoch: str, tenant: str | None = None) -> bool:
+              epoch: str, tenant: str | None = None,
+              program: ExecutionProgram | None = None) -> bool:
         """Record an optimized plan under *key* in both tiers.
 
+        *program* (the plan compiled) stays with the memory entry.
         Returns False (and admits nothing, in either tier) when
         *tenant* has exhausted its ``tenant_quota`` of distinct keys —
         the caller's plan still executes, it just is not cached.
         """
-        entry = _Entry(
-            spec_json=spec.to_json(), cost=cost, metric=metric, epoch=epoch
-        )
         with self._lock:
             if not self._admit_tenant(tenant, key):
                 self.stats.quota_rejections += 1
                 return False
             self.stats.stores += 1
-            self._admit(key, entry)
+            self._admit(
+                key, CachedPlan(spec, cost, metric, epoch, "memory", program)
+            )
             if self._tier is not None:
-                self._tier.put(
-                    key, entry.spec_json, entry.cost, entry.metric, entry.epoch
-                )
+                self._tier.put(key, spec.to_json(), cost, metric, epoch)
             return True
+
+    def attach(self, key: str, program: ExecutionProgram) -> None:
+        """Keep *program* with *key*'s memory entry, if it has one and
+        the entry has none yet (the first user of a promoted disk row)."""
+        with self._lock:
+            entry = self._memory.get(key)
+            if entry is not None and entry.program is None:
+                self._memory[key] = replace(entry, program=program)
 
     def _admit_tenant(self, tenant: str | None, key: str) -> bool:
         """Quota check: may *tenant* store (another) distinct key?"""
@@ -393,16 +417,7 @@ class PlanCache:
         keys.add(key)
         return True
 
-    def _hit(self, entry: _Entry, tier: str) -> CachedPlan:
-        return CachedPlan(
-            spec=PlanSpec.from_json(entry.spec_json),
-            cost=entry.cost,
-            metric=entry.metric,
-            epoch=entry.epoch,
-            tier=tier,
-        )
-
-    def _admit(self, key: str, entry: _Entry) -> None:
+    def _admit(self, key: str, entry: CachedPlan) -> None:
         if self.capacity == 0:
             return
         self._memory[key] = entry

@@ -22,11 +22,13 @@ Responses are plain data (:class:`QueryResponse`,
 statistics, and *cache provenance* — whether the plan came from the
 optimizer, the memory tier, or the disk tier.
 
-**Equivalence contract**: a plan-cache hit rebuilds the plan from its
-stored :class:`~repro.plans.spec.PlanSpec` and executes it against the
-shared caches; the produced rows, ranks, and order are bit-identical
-to a cold optimize+execute on a fresh service (the hypothesis suite in
-``tests/test_serving.py`` enforces this differentially).
+**Equivalence contract**: a plan-cache hit runs the entry's compiled
+:class:`~repro.execution.program.ExecutionProgram` (a disk hit compiles
+it from the stored :class:`~repro.plans.spec.PlanSpec` once) against
+the shared caches; the produced rows, ranks, and order are
+bit-identical to a cold optimize+execute on a fresh service (the
+hypothesis suite in ``tests/test_serving.py`` enforces this
+differentially).
 
 **Concurrency contract**: one :class:`QueryService` may be driven by
 any number of client threads.  Shared state is guarded piecewise —
@@ -67,12 +69,12 @@ from repro.execution.cache import (
 )
 from repro.execution.engine import ExecutionMode, ExecutionResult
 from repro.execution.parallel import ParallelExecutor
+from repro.execution.program import ExecutionProgram
 from repro.execution.progressive import ProgressiveExecutor, ProgressiveRound
 from repro.execution.resilience import ResilienceConfig
 from repro.model.parser import parse_query
 from repro.model.query import ConjunctiveQuery
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
-from repro.plans.dag import QueryPlan
 from repro.plans.spec import PlanSpec
 from repro.serving.breaker import AdaptivePolicy, BreakerState, CircuitBreaker
 from repro.serving.fingerprint import (
@@ -437,7 +439,6 @@ class QueryService:
         )
         result = executor.execute(
             plan,
-            tuple(query.head),
             k=k,
             reset_remote_caches=False,
             shared_cache=self._service_cache,
@@ -516,9 +517,13 @@ class QueryService:
     ) -> tuple:
         """Plan *query* through the shared plan cache (optimize on miss).
 
-        Returns ``(plan, cost, provenance, fingerprint, epoch,
+        Returns ``(program, cost, provenance, fingerprint, epoch,
         annotate_calls)`` — the request-independent half of
-        :meth:`submit`, shared with :meth:`prefetch`.
+        :meth:`submit`, shared with :meth:`prefetch`.  The program is
+        the plan-cache entry's, shared with every other user of the
+        key; it is written in the variables of the query that first
+        compiled it, which by the fingerprint equal this query's up to
+        renaming (:meth:`_respond` projects by its head).
 
         ``registry`` defaults to the service's own; the adaptive path
         passes an :class:`~repro.services.registry.AdjustedRegistry`
@@ -548,18 +553,23 @@ class QueryService:
             self.cache_setting.value, optimizer_config_token(config),
         )
         annotate_calls = 0
-        plan = None
+        head = tuple(query.head)
         with self._plan_lock(key):
             hit = self.plan_cache.lookup(key)
             if hit is not None:
-                spec = hit.spec
                 cost = hit.cost
                 provenance = hit.tier
+                program = hit.program
+                if program is None:
+                    program = ExecutionProgram.compile(
+                        hit.spec.build(query, registry), head
+                    )
+                    self.plan_cache.attach(key, program)
             else:
                 optimized = Optimizer(
                     registry, self.metric, config
                 ).optimize(query)
-                plan = optimized.plan
+                program = ExecutionProgram.compile(optimized.plan, head)
                 cost = optimized.cost
                 provenance = "optimized"
                 search = optimized.stats
@@ -576,11 +586,9 @@ class QueryService:
                 self.plan_cache.store(
                     key, PlanSpec.from_optimized(optimized), cost,
                     self.metric.name, epoch,
-                    tenant=self.tenant_id or epoch,
+                    tenant=self.tenant_id or epoch, program=program,
                 )
-        if plan is None:
-            plan = spec.build(query, registry)
-        return plan, cost, provenance, fingerprint, epoch, annotate_calls
+        return program, cost, provenance, fingerprint, epoch, annotate_calls
 
     # -- adaptivity ------------------------------------------------------
 
@@ -601,11 +609,11 @@ class QueryService:
         return AdjustedRegistry(self.registry, overrides)
 
     def _make_executor(
-        self, query: ConjunctiveQuery, plan: QueryPlan, k: int
+        self, query: ConjunctiveQuery, plan: ExecutionProgram, k: int
     ) -> ProgressiveExecutor:
         """The per-submission executor: drift-aware when adaptive."""
 
-        def replan(observed: dict) -> QueryPlan | None:
+        def replan(observed: dict) -> ExecutionProgram | None:
             # Merge breaker knowledge (cross-request) with this run's
             # drift observations, re-resolve through the plan cache
             # under the adjusted view; the adjusted epoch keys the
@@ -622,7 +630,6 @@ class QueryService:
         executor = ProgressiveExecutor(
             registry=self.registry,
             plan=plan,
-            head=tuple(query.head),
             mode=self.mode,
             cache_setting=self.cache_setting,
             shared_cache=self._service_cache,
@@ -637,7 +644,7 @@ class QueryService:
         return executor
 
     def _apply_breaker_routing(
-        self, executor: ProgressiveExecutor, plan: QueryPlan
+        self, executor: ProgressiveExecutor, plan: ExecutionProgram
     ) -> None:
         """Reroute breaker-open services onto healthy siblings up front.
 
@@ -649,18 +656,12 @@ class QueryService:
         if not self.adaptive.sibling_fallback:
             return
         for name in self.breaker.open_services():
-            codes = sorted(
-                {
-                    node.pattern.code
-                    for node in plan.service_nodes
-                    if node.service_name == name and node.pattern is not None
-                }
-            )
+            codes = plan.pattern_codes(name)
             if not codes:
                 continue
             healthy = [
                 sibling
-                for sibling in self.registry.siblings(name, tuple(codes))
+                for sibling in self.registry.siblings(name, codes)
                 if self.breaker.state(sibling) is not BreakerState.OPEN
             ]
             if healthy:
@@ -766,7 +767,9 @@ class QueryService:
             session_id=session_id,
             k=k,
             columns=tuple(variable.name for variable in query.head),
-            rows=tuple(row.project(query.head) for row in top),
+            # The executed program's head: the query's own variables,
+            # or those of the renaming-equivalent query that compiled it.
+            rows=tuple(row.project(result.table.head) for row in top),
             rank_keys=tuple(row.rank_key() for row in top),
             ranks=tuple(row.ranks for row in top),
             complete=result.table.complete,

@@ -47,15 +47,17 @@ from repro.services.registry import ServiceRegistry
 
 @dataclass(frozen=True)
 class ReferenceResult:
-    """What the reference produced: ranked rows and per-node sizes."""
+    """What the reference produced: ranked rows, and per node the rows
+    it emitted (dict-built, so their layouts are the definition of the
+    node's variable order) and their number."""
 
     rows: list[Row]
     node_output_sizes: dict[str, int] = field(default_factory=dict)
+    node_rows: dict[str, list[Row]] = field(default_factory=dict)
 
 
 class _EagerStreamedEngine(ExecutionEngine):
-    @staticmethod
-    def _lazy_input_ids(plan, streaming_join) -> frozenset[str]:
+    def _lazy_steps(self, program) -> frozenset[int]:
         return frozenset()
 
 
@@ -156,6 +158,7 @@ def reference_execute(plan: QueryPlan, registry: ServiceRegistry) -> ReferenceRe
     return ReferenceResult(
         rows=compose_ranking(outputs[plan.output_node.node_id]),
         node_output_sizes={node_id: len(rows) for node_id, rows in outputs.items()},
+        node_rows=outputs,
     )
 
 

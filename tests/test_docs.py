@@ -16,8 +16,9 @@ The same static style guards two structural promises the docs make:
 the reference implementations under ``src/repro/testing/`` are imported
 by tests and benches only, the engine never reads rows back as
 dicts (``Row.bindings``) outside ``Row`` itself and the reference
-``execute_join``, and a plan is walked — and a failed unit demoted —
-in one place.
+``execute_join``, a plan is walked — and a failed unit demoted —
+in one place, and it is compiled in one place: a plan-cache hit builds
+nothing.
 """
 
 from __future__ import annotations
@@ -199,10 +200,11 @@ def test_every_service_page_goes_through_the_one_fetch_seam():
 
 
 def test_one_plan_walk_and_one_restart_loop():
-    """Under ``execution/`` only ``engine.py`` dispatches on plan node
-    types, failed units are rerouted-or-demoted from exactly two
-    places — the engine's restart loop and the stream-resume handler —
-    and the thread pool enters the engine through one private name."""
+    """Under ``execution/`` only ``program.py`` dispatches on plan node
+    types (compiling them into the steps the engine's one walk runs),
+    failed units are rerouted-or-demoted from exactly two places — the
+    engine's restart loop and the stream-resume handler — and the
+    thread pool enters the engine through one private name."""
     dispatchers = set()
     demoters = set()
     for path in (SRC / "execution").glob("*.py"):
@@ -220,7 +222,7 @@ def test_one_plan_walk_and_one_restart_loop():
             for name, scopes in _calls(tree)
             if name == "handle_unresponsive"
         )
-    assert dispatchers == {"execution/engine.py"}
+    assert dispatchers == {"execution/program.py"}
     assert demoters == {
         ("execution/engine.py", ("ExecutionEngine", "_execute")),
         ("execution/progressive.py", ("ProgressiveExecutor", "_resume_stream")),
@@ -236,11 +238,54 @@ def test_one_plan_walk_and_one_restart_loop():
     assert engine_privates == {"_execute"}
 
 
+def test_a_plan_is_compiled_in_one_place_and_a_hit_builds_nothing():
+    """Bindings, merge plans and predicates are compiled by
+    ``ExecutionProgram.compile`` (through the constructors of
+    ``slots.py``) and by the hand-built-input join API of ``joins.py``,
+    never by the walk; the serving layer builds a plan only for a
+    cache entry that has no program yet."""
+    compilers = {
+        "ServiceBinding": {"execution/program.py"},
+        "SlotJoinPlan": {"execution/slots.py"},
+        "compile_predicates": {"execution/slots.py", "execution/program.py"},
+        "compile_join": {"execution/program.py", "execution/joins.py"},
+    }
+    sites: dict[str, set] = {name: set() for name in compilers}
+    builds = []
+    for package in ("execution", "serving"):
+        for path in (SRC / package).glob("*.py"):
+            relative = path.relative_to(SRC).as_posix()
+            tree = ast.parse(path.read_text())
+            for name, scopes in _calls(tree):
+                if name in compilers:
+                    sites[name].add(relative)
+                if name in ("build", "PlanBuilder") and package == "serving":
+                    builds.append((relative, scopes))
+    assert sites == compilers
+    assert builds == [("serving/service.py", ("QueryService", "_resolve_plan"))]
+    service = ast.parse((SRC / "serving" / "service.py").read_text())
+    guarded = [
+        node
+        for node in ast.walk(service)
+        if isinstance(node, ast.If)
+        and ast.unparse(node.test) == "program is None"
+        and "build(" in ast.unparse(node)
+    ]
+    assert len(guarded) == 1
+    walk = next(
+        node
+        for node in ast.walk(ast.parse((SRC / "execution" / "engine.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_execute"
+    )
+    assert "isinstance" not in {name for name, _ in _calls(walk)}
+
+
 def test_retired_seam_plumbing_stays_retired():
     retired = (
         "swap_stats", "rebind_stats", "adopt_adaptive_state",
         "RetryingPageSource", "lazy_streaming",
         "AdaptiveExecutor", "execution.adaptive",
+        "NodeFetch", "service_bindings",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"

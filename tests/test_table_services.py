@@ -63,6 +63,32 @@ class TestExactService:
         with pytest.raises(InvocationError):
             cities.invoke(AccessPattern("io"), {0: "it"}, page=1)
 
+    @pytest.mark.parametrize(
+        "pattern, inputs, page, error, message",
+        [
+            # Borrowed from another signature: its code is not one of
+            # this service's feasible patterns (checked against the
+            # code set built once in the constructor) ...
+            (signature("other", ["A", "B", "C"], ["iio"]).pattern("iio"),
+             {0: "it", 1: "Roma"}, 0, InvocationError,
+             "pattern 'iio' is not feasible for service 'cities'"),
+            (AccessPattern("io"), {}, 0, InvocationError,
+             "missing input positions [0] for 'cities' with pattern 'io'"),
+            (AccessPattern("io"), {0: "it", 1: "Roma"}, 0, InvocationError,
+             "values supplied for non-input positions [1] of 'cities'"),
+            (AccessPattern("io"), {0: "it"}, -1, InvocationError,
+             "page must be non-negative, got -1"),
+            (AccessPattern("io"), {0: "it"}, 1, InvocationError,
+             "service 'cities' is bulk: only page 0 is available"),
+        ],
+    )
+    def test_invalid_invocations_keep_their_typed_errors(
+        self, cities, pattern, inputs, page, error, message
+    ):
+        with pytest.raises(error) as raised:
+            cities.invoke(pattern, inputs, page=page)
+        assert str(raised.value) == message
+
     def test_latency_reported(self, cities):
         result = cities.invoke(AccessPattern("io"), {0: "it"})
         assert result.latency == pytest.approx(1.0)
