@@ -14,7 +14,6 @@ from benchmarks.conftest import write_artifact
 from repro.baselines.wsms import wsms_optimize
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
-from repro.execution.joins import execute_join
 from repro.execution.results import Row
 from repro.model.terms import Variable
 from repro.optimizer.fetches import (
@@ -27,6 +26,7 @@ from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.plans.builder import PlanBuilder
 from repro.services.registry import JoinMethod
 from repro.sources.travel import alpha1_patterns, poset_optimal
+from repro.testing import execute_join
 
 pytestmark = pytest.mark.bench
 

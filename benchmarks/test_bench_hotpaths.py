@@ -11,14 +11,14 @@ before/after trajectory so future PRs can track the perf curve:
   also make at least 3x fewer ``annotate`` calls, witnessed by the
   ``SearchStats`` memo counters;
 * **join tuples/sec** — candidate cells consumed per second by the
-  reference full-plane :func:`~repro.execution.joins.execute_join`
+  reference full-plane :func:`~repro.testing.reference.execute_join`
   ("before") vs. the hash-partitioned
   :func:`~repro.execution.joins.execute_join_hashed` ("after") on a
   randomized plane, with identical output required;
 * **slot-row plane sweep** — candidate cells per second of the hashed
   join (slot-tuple rows, the only production path since PR 12) on
   growing wide-row selective planes, bit-identical to the reference
-  full-plane :func:`~repro.execution.joins.execute_join` at every
+  full-plane :func:`~repro.testing.reference.execute_join` at every
   size.  The dict-row ``before`` column this sweep used to carry left
   with the dict-row path in PR 12; its numbers live in git history
   (``BENCH_hotpaths.json`` before PR 12);
@@ -66,7 +66,7 @@ from _bench_env import (
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting, make_cache
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.execution.joins import execute_join, execute_join_hashed
+from repro.execution.joins import execute_join_hashed
 from repro.execution.lazy import (
     LazyServiceCursor,
     ListPageSource,
@@ -96,6 +96,7 @@ from repro.sources.travel import (
     travel_registry,
 )
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
+from repro.testing import execute_join
 
 pytestmark = pytest.mark.bench
 

@@ -14,34 +14,44 @@ layer and measures what the subsystem was built to amortize:
   submission;
 * **service calls saved** — remote calls under the shared logical
   cache versus the baseline's per-request private caches;
-* **throughput** — wall-clock submissions/s, warm versus cold;
 * **restart warmth** — a second fleet pointed at the same plan-cache
   file starts with zero misses (the disk tier);
 * **concurrency** — N worker threads replay the same Zipf stream
-  round-robin against one shared fleet over the SQLite WAL tier; every
-  answer must be bit-identical to the sequential cold oracle and the
-  plan-cache accounting must match the sequential schedule exactly
-  (single-flight: misses == distinct templates touched, for any N);
-  each sweep point also records p50/p95/p99 per-request wall latency —
-  the tail is what concurrent tenants feel, and a mean would hide
-  single-flight stalls behind the cache-hit majority.
+  round-robin against one shared fleet; every answer must be
+  bit-identical to the sequential cold oracle and the plan-cache
+  accounting must match the sequential schedule exactly
+  (single-flight: misses == distinct templates touched, for any N).
+
+Every column is an exact count.  Wall-clock throughput and latency of
+these same fleets are measured by the frozen bench (``bench/run.py``:
+``params_cold``, ``zipf_warm``, ``zipf_threads``), which normalises for
+the host and checks every timed answer; this file does not repeat them.
 
 Every distinct template is also verified differentially: the warm
 fleet's answer (plan rebuilt from the cached spec, pages largely from
 the shared cache) must be bit-identical — rows, composed ranks,
 per-service rank values, completeness — to a cold submit on a fresh
 service with empty caches.
+
+The file is a trajectory: every full run appends an entry with its
+environment stamp (``_bench_env.append_history``).  Plan caches live
+under pytest's ``tmp_path``; nothing but the trajectory is written to
+``benchmarks/out/``.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import threading
-import time
 
 import pytest
-from _bench_env import QUICK, bench_out_name, bench_scale
+from _bench_env import (
+    QUICK,
+    append_history,
+    bench_out_name,
+    bench_scale,
+    env_stamp,
+)
 
 from repro.serving import PlanCache, QueryService
 from repro.sources.bio import bio_registry, glycolysis_homolog_query
@@ -126,21 +136,17 @@ def _replay(fleet, population, stream) -> dict:
     service_calls = 0
     page_fetches = 0
     annotate_calls = 0
-    start = time.perf_counter()
     for index in stream:
         domain, _, query = population[index]
         response = fleet[domain].submit(query, k=K)
         service_calls += response.stats["service_calls"]
         page_fetches += response.stats["page_fetches"]
         annotate_calls += response.stats["annotate_calls"]
-    elapsed = max(time.perf_counter() - start, 1e-9)
     return {
         "requests": len(stream),
         "service_calls": service_calls,
         "page_fetches": page_fetches,
         "optimizer_annotate_calls": annotate_calls,
-        "wall_s": round(elapsed, 3),
-        "requests_per_s": round(len(stream) / elapsed, 1),
     }
 
 
@@ -156,29 +162,11 @@ def _answer_signature(response):
     )
 
 
-def _remove_sqlite_files(path):
-    for suffix in ("", "-wal", "-shm"):
-        sibling = path.parent / (path.name + suffix)
-        if sibling.exists():
-            sibling.unlink()
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile over pre-sorted per-request latencies."""
-    rank = max(0, min(len(sorted_values) - 1,
-                      int(fraction * len(sorted_values) + 0.5) - 1))
-    return sorted_values[rank]
-
-
-def _threaded_replay(fleet, population, stream, workers) -> dict:
+def _threaded_replay(fleet, population, stream, workers) -> list:
     """Replay *stream* round-robin across *workers* barrier-started
-    threads against one shared fleet; returns timing (throughput plus
-    p50/p95/p99 per-request latency — tail latency is what concurrent
-    tenants feel, and a mean hides single-flight stalls behind cache
-    hits) and the answer signature of every request, indexed by
-    position in the stream."""
+    threads against one shared fleet; returns the answer signature of
+    every request, indexed by position in the stream."""
     signatures: list = [None] * len(stream)
-    latencies: list[float] = [0.0] * len(stream)
     barrier = threading.Barrier(workers)
     errors: list[BaseException] = []
 
@@ -187,9 +175,7 @@ def _threaded_replay(fleet, population, stream, workers) -> dict:
             barrier.wait()
             for position in range(worker_index, len(stream), workers):
                 domain, _, query = population[stream[position]]
-                begun = time.perf_counter()
                 response = fleet[domain].submit(query, k=K)
-                latencies[position] = time.perf_counter() - begun
                 signatures[position] = _answer_signature(response)
         except BaseException as error:  # pragma: no cover - fail loudly
             errors.append(error)
@@ -198,31 +184,17 @@ def _threaded_replay(fleet, population, stream, workers) -> dict:
         threading.Thread(target=run, args=(index,), name=f"bench-w{index}")
         for index in range(workers)
     ]
-    start = time.perf_counter()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    elapsed = max(time.perf_counter() - start, 1e-9)
     if errors:
         raise errors[0]
-    ordered = sorted(latencies)
-    return {
-        "workers": workers,
-        "requests": len(stream),
-        "wall_s": round(elapsed, 3),
-        "requests_per_s": round(len(stream) / elapsed, 1),
-        "latency_ms": {
-            "p50": round(_percentile(ordered, 0.50) * 1000, 3),
-            "p95": round(_percentile(ordered, 0.95) * 1000, 3),
-            "p99": round(_percentile(ordered, 0.99) * 1000, 3),
-        },
-        "signatures": signatures,
-    }
+    return signatures
 
 
 class TestServingTrajectory:
-    def test_write_bench_serving(self, out_dir):
+    def test_write_bench_serving(self, out_dir, tmp_path):
         population = _templates()
         stream = _zipf_stream(len(population), REQUESTS)
         touched = sorted({index for index in stream})
@@ -231,11 +203,8 @@ class TestServingTrajectory:
         cold = _replay(_baseline_fleet(), population, stream)
 
         # Warm fleet: shared persistent plan cache + shared service
-        # caches.  The cache file starts absent so the run is
-        # reproducible.
-        cache_path = out_dir / "plan_cache_serving.json"
-        if cache_path.exists():
-            cache_path.unlink()
+        # caches.
+        cache_path = tmp_path / "plans.sqlite"
         plan_cache = PlanCache(path=cache_path)
         fleet = _fleet(plan_cache)
         warm = _replay(fleet, population, stream)
@@ -272,18 +241,18 @@ class TestServingTrajectory:
         assert warm["service_calls"] < cold["service_calls"]
         assert restarted_cache.stats.misses == 0, "disk tier must start warm"
 
-        # Concurrency sweep: N threads share one fleet over the SQLite
-        # WAL tier.  Bit-identity and sequential accounting must hold
-        # for every worker count.
+        # Concurrency sweep: N threads share one fleet.  Bit-identity
+        # and sequential accounting must hold for every worker count.
         sweep = []
         sqlite_path = None
         for workers in WORKER_COUNTS:
-            sqlite_path = out_dir / f"plan_cache_serving_w{workers}.sqlite"
-            _remove_sqlite_files(sqlite_path)
+            sqlite_path = tmp_path / f"plans_w{workers}.sqlite"
             swept_cache = PlanCache(path=sqlite_path)
             swept_fleet = _fleet(swept_cache)
-            run = _threaded_replay(swept_fleet, population, stream, workers)
-            for position, signature in enumerate(run.pop("signatures")):
+            signatures = _threaded_replay(
+                swept_fleet, population, stream, workers
+            )
+            for position, signature in enumerate(signatures):
                 assert signature == oracle[stream[position]], (
                     f"answer diverged from sequential oracle at request "
                     f"{position} with {workers} workers"
@@ -300,17 +269,17 @@ class TestServingTrajectory:
                 assert swept_cache.stats.hit_rate >= 0.95, (
                     f"hit rate regressed: {swept_cache.stats.hit_rate:.2%}"
                 )
-            percentiles = run["latency_ms"]
-            assert 0 < percentiles["p50"] <= percentiles["p95"] <= (
-                percentiles["p99"]
+            sweep.append(
+                {
+                    "workers": workers,
+                    "requests": len(stream),
+                    "plan_cache": swept_cache.stats.to_dict(),
+                    "hit_rate": round(swept_cache.stats.hit_rate, 4),
+                }
             )
-            run["plan_cache"] = swept_cache.stats.to_dict()
-            run["hit_rate"] = round(swept_cache.stats.hit_rate, 4)
-            run["backend"] = swept_cache.backend_name
-            sweep.append(run)
             swept_cache.close()
 
-        # Restart-from-SQLite warm start: a fresh fleet over the last
+        # Restart warm start: a fresh fleet over the last
         # sweep's database replays every touched template with zero
         # misses and zero optimizer runs.
         warm_start_cache = PlanCache(path=sqlite_path)
@@ -321,18 +290,16 @@ class TestServingTrajectory:
             assert response.provenance == "disk", label
             assert _answer_signature(response) == oracle[index], label
         assert warm_start_cache.stats.misses == 0, (
-            "SQLite tier must start warm after restart"
+            "disk tier must start warm after restart"
         )
         warm_start = {
-            "backend": warm_start_cache.backend_name,
             "requests": len(touched),
             "plan_cache": warm_start_cache.stats.to_dict(),
         }
         warm_start_cache.close()
 
         payload = {
-            "bench": "serving",
-            "quick": QUICK,
+            "env": env_stamp(),
             "workload": {
                 "requests": REQUESTS,
                 "k": K,
@@ -348,7 +315,6 @@ class TestServingTrajectory:
             "restarted_fleet": restarted,
             "concurrency": {
                 "worker_counts": list(WORKER_COUNTS),
-                "backend": "sqlite",
                 "sweep": sweep,
                 "restart_from_sqlite": warm_start,
             },
@@ -361,14 +327,9 @@ class TestServingTrajectory:
                 "service_calls_saved": (
                     cold["service_calls"] - warm["service_calls"]
                 ),
-                "throughput_speedup": round(
-                    warm["requests_per_s"] / cold["requests_per_s"], 2
-                ),
             },
         }
-        (out_dir / bench_out_name("BENCH_serving.json")).write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
+        append_history(out_dir / bench_out_name("BENCH_serving.json"), payload)
 
     def test_bench_serving_warm_submit(self, benchmark):
         service = QueryService(registry=news_registry(), k_default=K)

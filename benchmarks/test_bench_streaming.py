@@ -26,14 +26,11 @@ import time
 import pytest
 from _bench_env import QUICK, bench_out_name, bench_scale
 
-from repro.execution.joins import (
-    JoinStream,
-    execute_join,
-    execute_join_hashed,
-)
+from repro.execution.joins import JoinStream, execute_join_hashed
 from repro.execution.results import Row, compose_ranking
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
+from repro.testing import execute_join
 
 pytestmark = pytest.mark.bench
 

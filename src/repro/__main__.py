@@ -27,10 +27,14 @@ Commands
     datalog query, ``more <session_id> [n]``, ``stats``, or ``quit``;
     one JSON response is printed per line.
 
+``migrate-plan-cache OLD.json NEW.sqlite``
+    Import the plans of a JSON plan-cache file (the format older
+    versions wrote) into a SQLite plan cache; rows already in the
+    database win.
+
 Both serving commands persist plans with ``--plan-cache PATH``: a
-``.sqlite``/``.db`` suffix (or ``--plan-cache-backend sqlite``) selects
-the concurrent WAL-mode SQLite tier, anything else the JSON file tier;
-the service itself is thread-safe either way.
+WAL-mode SQLite database (created when missing, whatever the suffix)
+that any number of threads and processes may share.
 """
 
 from __future__ import annotations
@@ -121,13 +125,18 @@ def _resilience_config(args):
 
 
 def _make_query_service(args):
-    from repro.serving import AdaptivePolicy, PlanCache, QueryService
+    from repro.serving import (
+        AdaptivePolicy,
+        PlanCache,
+        PlanCacheFormatError,
+        QueryService,
+    )
 
     registry, showcase = _load_domain(args.domain)
-    plan_cache = PlanCache(
-        path=getattr(args, "plan_cache", None),
-        backend=getattr(args, "plan_cache_backend", "auto"),
-    )
+    try:
+        plan_cache = PlanCache(path=args.plan_cache)
+    except PlanCacheFormatError as error:
+        sys.exit(f"error: {error}")
     service = QueryService(
         registry=registry,
         metric=_METRICS[args.metric](),
@@ -184,8 +193,30 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _add_resilience_flags(parser) -> None:
-    """The serving commands' resilience flags (query + serve)."""
+def _run_migrate(args) -> int:
+    from repro.serving.sqlite_cache import SQLiteDiskTier, read_json_tier
+
+    rows = read_json_tier(args.source)
+    if rows is None:
+        print(f"error: {args.source} is not a readable JSON plan-cache file",
+              file=sys.stderr)
+        return 1
+    tier = SQLiteDiskTier(args.target)
+    try:
+        imported = tier.seed(rows)
+    finally:
+        tier.close()
+    print(f"imported {imported} of {len(rows)} plans into {args.target}")
+    return 0
+
+
+def _add_serving_flags(parser) -> None:
+    """The serving commands' shared flags (query + serve)."""
+    parser.add_argument(
+        "--plan-cache", default=None, metavar="PATH",
+        help="persist optimized plans in this SQLite database (WAL mode; "
+        "created when missing, shared by concurrent processes)",
+    )
     parser.add_argument(
         "--retries", type=int, default=0, metavar="N",
         help="retry a transiently failed page pull up to N times "
@@ -252,13 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     qry.add_argument("-k", type=int, default=10)
     qry.add_argument("--repeat", type=int, default=1,
                      help="submit the query N times (shows plan-cache hits)")
-    qry.add_argument("--plan-cache", default=None, metavar="PATH",
-                     help="persist optimized plans to this file "
-                     "(.sqlite/.db suffix selects the SQLite WAL tier)")
-    qry.add_argument("--plan-cache-backend", default="auto",
-                     choices=("auto", "json", "sqlite"),
-                     help="disk tier for --plan-cache (auto: by suffix)")
-    _add_resilience_flags(qry)
+    _add_serving_flags(qry)
 
     srv = sub.add_parser(
         "serve", help="line-oriented query server on stdin/stdout"
@@ -266,13 +291,14 @@ def main(argv: list[str] | None = None) -> int:
     srv.add_argument("--domain", choices=sorted(_DOMAINS), default="travel")
     srv.add_argument("--metric", choices=sorted(_METRICS), default="time")
     srv.add_argument("-k", type=int, default=10, help="default answers per query")
-    srv.add_argument("--plan-cache", default=None, metavar="PATH",
-                     help="persist optimized plans to this file "
-                     "(.sqlite/.db suffix selects the SQLite WAL tier)")
-    srv.add_argument("--plan-cache-backend", default="auto",
-                     choices=("auto", "json", "sqlite"),
-                     help="disk tier for --plan-cache (auto: by suffix)")
-    _add_resilience_flags(srv)
+    _add_serving_flags(srv)
+
+    migrate = sub.add_parser(
+        "migrate-plan-cache",
+        help="import a JSON plan-cache file into a SQLite plan cache",
+    )
+    migrate.add_argument("source", metavar="OLD.json")
+    migrate.add_argument("target", metavar="NEW.sqlite")
 
     args = parser.parse_args(argv)
 
@@ -310,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "serve":
         return _run_serve(args)
+
+    if args.command == "migrate-plan-cache":
+        return _run_migrate(args)
 
     return 2
 

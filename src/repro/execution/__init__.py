@@ -18,9 +18,7 @@ from repro.execution.engine import (
 )
 from repro.execution.joins import (
     JoinStream,
-    execute_join,
     execute_join_hashed,
-    execute_join_streamed,
     is_order_rank_consistent,
     join_order,
     merge_scan_order,
@@ -106,9 +104,7 @@ __all__ = [
     "compile_expression",
     "compile_predicates",
     "compose_ranking",
-    "execute_join",
     "execute_join_hashed",
-    "execute_join_streamed",
     "execute_plan",
     "is_order_rank_consistent",
     "join_order",

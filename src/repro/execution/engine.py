@@ -75,6 +75,14 @@ from repro.services.registry import ServiceRegistry
 Collect = Callable[[list[UnresponsiveService]], tuple[list[Row], float]]
 Scheduler = Callable[[RunContext, Step, Sequence[Row], Accounting], Collect]
 
+#: Virtual seconds one dispatch to a concurrent thread costs
+#: (:meth:`ExecutionEngine.overlapped_busy`).
+THREAD_OVERHEAD = 0.05
+
+#: Seeds the feed shuffle of ``MULTITHREADED`` mode, so the degraded
+#: one-call cache it models is the same on every run.
+SHUFFLE_SEED = 17
+
 
 class ExecutionMode(Enum):
     """Scheduling modes of the engine.
@@ -180,8 +188,6 @@ class ExecutionEngine:
         registry: ServiceRegistry,
         cache_setting: CacheSetting = CacheSetting.NO_CACHE,
         mode: ExecutionMode = ExecutionMode.PARALLEL,
-        thread_overhead: float = 0.05,
-        shuffle_seed: int = 17,
         resilience: ResilienceConfig | None = None,
         row_provenance: bool = False,
         drift_monitor: DriftMonitor | None = None,
@@ -189,8 +195,6 @@ class ExecutionEngine:
         self._registry = registry
         self._cache_setting = cache_setting
         self._mode = mode
-        self._thread_overhead = thread_overhead
-        self._shuffle_seed = shuffle_seed
         #: Retry/hedge/partial-results behavior of every page pull
         #: (:mod:`repro.execution.resilience`); None runs the
         #: historical fail-fast path bit-identically.
@@ -308,7 +312,7 @@ class ExecutionEngine:
                 self.routing.active, self._resilience, self.drift_monitor,
                 self._row_provenance,
             )
-            rng = random.Random(self._shuffle_seed) if shuffled else None
+            rng = random.Random(SHUFFLE_SEED) if shuffled else None
             stream: JoinStream | None = None
             lazy_cursors: dict[int, LazyServiceCursor | MultiFeedCursor] = {}
             #: Rows emitted and busy time, per step index; step 0 is
@@ -532,7 +536,7 @@ class ExecutionEngine:
     def overlapped_busy(self, durations: Sequence[float], dispatches: int) -> float:
         """Busy time of work dispatched to concurrent threads: the
         longest piece plus a thread overhead per dispatch."""
-        return max(durations) + self._thread_overhead * dispatches
+        return max(durations) + THREAD_OVERHEAD * dispatches
 
     def _elapsed(self, program: ExecutionProgram, busy: Sequence[float]) -> float:
         if self._mode is ExecutionMode.SEQUENTIAL:

@@ -19,21 +19,27 @@ dominates ``(i', j')`` (``i <= i'``, ``j <= j'``, at least one strict),
 it is emitted first.  This is the property tested by the hypothesis
 suite.
 
-:func:`execute_join` scans the full plane with the dict-semantics
-``Row.merged_with`` and is kept as the reference oracle (it shares no
-code with the compiled merge plans of :mod:`repro.execution.slots`);
-:func:`execute_join_hashed` partitions the plane by the shared-variable
-key first (only same-key cells can join) and visits the surviving
-cells in the same global rank order over the rows' value tuples, so
-the engine pays per *matching* pair instead of per cell.
+There is one join: a :class:`~repro.execution.slots.CompiledJoin`
+(merge plan + predicates, compiled against the one layout of each side)
+run in one of the two visit orders.  :func:`join_rows` materializes it
+— it partitions the plane by the shared-variable key first (only
+same-key cells can join) and visits the surviving cells in the global
+rank order, so the engine pays per *matching* pair instead of per cell
+— and :class:`JoinStream` walks it lazily.  The engine hands both the
+join its program compiled; :func:`execute_join_hashed` and
+``JoinStream(method, left, right, ...)`` are the same two for
+hand-built rows, compiling the join from the sides' layouts and
+raising :class:`~repro.execution.slots.ExecutionError` for a row laid
+out otherwise.  The full-plane dict-row scan they are all tested
+against is ``execute_join`` in :mod:`repro.testing.reference`.
 
 :class:`JoinStream` is the streaming early-exit pipeline on top of the
 same visit orders: it walks the plane lazily, stage by stage, and
 suspends as soon as a certificate proves that no unvisited cell can
 still enter the requested top-k — making the cost of a top-k answer
 proportional to ``k`` rather than to ``n × m``.  Its output is
-bit-identical (rows, ranks, and order) to
-``compose_ranking(execute_join(...), k)``.
+bit-identical (rows, ranks, and order) to ``compose_ranking`` over the
+reference scan.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.execution.lazy import MaterializedCursor, RowCursor
 from repro.execution.results import Row, SlotLayout
-from repro.execution.slots import CompiledJoin, LayoutMemo, compile_join
+from repro.execution.slots import CompiledJoin, ExecutionError, compile_join
 from repro.execution.stats import ExecutionStats
 from repro.model.predicates import Comparison
 from repro.services.registry import JoinMethod
@@ -67,8 +73,9 @@ def stage_cells(
     A stage is a row of the NL plane or a diagonal (constant ``i + j``)
     of the MS plane.  This is the single source of truth for the cell
     order: the full-plane generators below and the streamed
-    :class:`JoinStream` both walk stages through it, which is what
-    keeps their emission orders identical by construction.
+    :class:`JoinStream` (one call per stage, over the lengths fetched
+    so far) both walk stages through it, which is what keeps their
+    emission orders identical by construction.
     """
     if method is JoinMethod.NESTED_LOOP:
         return ((stage, j) for j in range(n_right))
@@ -147,34 +154,21 @@ def is_order_rank_consistent(order: Sequence[tuple[int, int]]) -> bool:
     return True
 
 
-def execute_join(
-    method: JoinMethod,
-    left: Sequence[Row],
-    right: Sequence[Row],
-    predicates: Sequence[Comparison] = (),
-) -> list[Row]:
-    """Join two row streams with a rank-preserving strategy.
+def _require_layout(rows: Iterable[Row], layout: SlotLayout, side: str) -> None:
+    """Raise unless every row of *rows* is laid out as *layout*.
 
-    The join condition is the *natural join* on the variables shared
-    by the two rows' bindings (which recombines branches forked from a
-    common upstream tuple) plus the supplied comparison *predicates*
-    evaluated on the merged binding.  Output order follows the
-    strategy's traversal of the candidate plane, hence is consistent
-    with both input orders.
+    A join side has one layout — the compiled merge and predicates
+    index value tuples by it.  Every engine node satisfies that by
+    construction; this is the guard for hand-built inputs (identity
+    first: rows of one node share the layout *object*).
     """
-    output: list[Row] = []
-    for i, j in join_order(method, len(left), len(right)):
-        merged = left[i].merged_with(right[j])
-        if merged is None:
-            continue
-        if all(p.holds(merged.bindings) for p in predicates):
-            output.append(merged)
-    return output
-
-
-def _shares_layout(rows: Sequence[Row], layout: SlotLayout) -> bool:
-    """True when every row of *rows* is laid out as *layout*."""
-    return all(row.layout is layout or row.layout == layout for row in rows)
+    for row in rows:
+        found = row.layout
+        if found is not layout and found != layout:
+            raise ExecutionError(
+                f"{side} join input mixes row layouts: {found!r} among "
+                f"{layout!r} rows (a join side has one layout)"
+            )
 
 
 def execute_join_hashed(
@@ -183,7 +177,29 @@ def execute_join_hashed(
     right: Sequence[Row],
     predicates: Sequence[Comparison] = (),
 ) -> list[Row]:
-    """Hash-accelerated :func:`execute_join` with identical results.
+    """:func:`join_rows` for hand-built rows: join two row sequences
+    with a rank-preserving strategy.
+
+    The join condition is the *natural join* on the variables the two
+    sides' layouts share (which recombines branches forked from a
+    common upstream tuple) plus the comparison *predicates* evaluated
+    on the merged row.  The :class:`~repro.execution.slots.CompiledJoin`
+    is compiled here from the layouts of the two first rows; a row laid
+    out differently from its side's first raises
+    :class:`~repro.execution.slots.ExecutionError`.
+    """
+    if not left or not right:
+        return []
+    join = compile_join(method, left[0].layout, right[0].layout, predicates)
+    _require_layout(left, join.merge.left, "left")
+    _require_layout(right, join.merge.right, "right")
+    return join_rows(join, left, right)
+
+
+def join_rows(
+    join: CompiledJoin, left: Sequence[Row], right: Sequence[Row]
+) -> list[Row]:
+    """The join of rows laid out as *join* was compiled for, materialized.
 
     Instead of scanning the whole ``n × m`` candidate plane, both sides
     are bucketed once by the values of the slots their layouts share;
@@ -195,31 +211,14 @@ def execute_join_hashed(
     lexicographic ``(i, j)``; MS: diagonal ``(i + j, i)``) — the exact
     relative order :func:`join_order` would visit them in — which
     preserves the documented domination property across buckets, not
-    just inside each one.  Merge and predicates run on the rows' value
-    tuples through one :class:`~repro.execution.slots.CompiledJoin`
-    (:func:`join_rows`, which the engine calls directly with its
-    program's); every emitted row shares its ``merged`` layout.
+    just inside each one.  Output order is therefore consistent with
+    both input orders, and every emitted row shares the ``merged``
+    layout.  A key value that is unhashable (a service may return
+    lists) visits the whole plane instead.
 
-    Falls back to the reference scan for a side whose rows do not all
-    share one layout (no engine node produces one); a key value that is
-    unhashable visits the whole plane.
+    The engine's entry: the layouts are not checked (its inputs are
+    laid out by the steps the join was compiled against).
     """
-    if not left or not right:
-        return []
-    left_layout, right_layout = left[0].layout, right[0].layout
-    if not (
-        _shares_layout(left, left_layout) and _shares_layout(right, right_layout)
-    ):
-        return execute_join(method, left, right, predicates)
-    return join_rows(
-        compile_join(method, left_layout, right_layout, predicates), left, right
-    )
-
-
-def join_rows(
-    join: CompiledJoin, left: Sequence[Row], right: Sequence[Row]
-) -> list[Row]:
-    """The hashed join of rows laid out as *join* was compiled for."""
     method, plan, compiled, _ = join
     try:
         right_buckets: dict[tuple, list[int]] = {}
@@ -296,8 +295,8 @@ class JoinStream:
     the oracle's.
 
     Hence :meth:`top` is bit-identical — same rows, same ranks, same
-    order — to filtering ``execute_join(method, left, right,
-    predicates)`` over the fully-fetched inputs by
+    order — to filtering the reference full-plane join of the
+    fully-fetched inputs (``repro.testing.reference.execute_join``) by
     *residual_predicates* and then applying ``compose_ranking(..., k)``
     (filter first, then compose: the same order the engine's output
     node applies them in), while visiting only a prefix of the plane.
@@ -317,16 +316,10 @@ class JoinStream:
         predicates: Sequence[Comparison] = (),
         residual_predicates: Sequence[Comparison] = (),
     ) -> None:
-        join_predicates = tuple(predicates)
-        residual = tuple(residual_predicates)
-
-        # (The closure must not capture ``self``: a suspended stream
-        # would then sit in a reference cycle and outlive its session
-        # until a GC run.)
-        def compile_pair(layouts: tuple[SlotLayout, SlotLayout]) -> CompiledJoin:
-            return compile_join(method, *layouts, join_predicates, residual)
-
-        self._start(method, left, right, LayoutMemo(compile_pair))
+        """A stream over hand-built inputs: the join is compiled from
+        the layouts of the first row pulled on each side."""
+        self._start(method, left, right, None)
+        self._predicates = (tuple(predicates), tuple(residual_predicates))
 
     @classmethod
     def over(
@@ -338,22 +331,20 @@ class JoinStream:
         """A stream over inputs laid out as *join* was compiled for
         (the engine's entry: nothing is compiled per stream)."""
         stream = cls.__new__(cls)
-        stream._start(
-            join.method, left, right, {(join.merge.left, join.merge.right): join}
-        )
+        stream._start(join.method, left, right, join)
         return stream
 
-    def _start(self, method, left, right, compiled) -> None:
+    def _start(self, method, left, right, join: CompiledJoin | None) -> None:
         self._method = method
         self._left = left if isinstance(left, RowCursor) else MaterializedCursor(left)
         self._right = (
             right if isinstance(right, RowCursor) else MaterializedCursor(right)
         )
-        #: The :class:`CompiledJoin` per (left layout, right layout)
-        #: pair met by the walk.  Engine inputs have exactly one pair,
-        #: compiled with the plan; a hand-built row with another layout
-        #: selects another entry of the same loop.
-        self._compiled = compiled
+        #: The one compiled join of the walk (None until a hand-built
+        #: stream has pulled a row on each side), and how many rows of
+        #: each side were checked against its layouts.
+        self._join = join
+        self._laid_out = (0, 0)
         self._stage = 0
         #: (composed rank, arrival index, left row, right row) — arrival
         #: indexes are the candidate's position in the full-scan
@@ -470,55 +461,64 @@ class JoinStream:
         scans), one more row *per side* for an MS diagonal.  After the
         demand, the known lengths determine the stage's exact cell set:
         an unexhausted cursor holds at least ``stage + 1`` rows, so the
-        boundary formulas of :func:`stage_cells` apply unchanged.
+        boundary formulas of :func:`stage_cells` apply unchanged (a
+        stage past the last one — the demand found a side exhausted —
+        has no cells).
         """
         stage = self._stage
+        method = self._method
         left, right = self._left, self._right
         left.ensure(stage + 1)
-        if self._method is JoinMethod.NESTED_LOOP:
+        if method is JoinMethod.NESTED_LOOP:
             right.ensure_all()
         else:
             right.ensure(stage + 1)
-        n, m = len(left.rows), len(right.rows)
-        if self._method is JoinMethod.NESTED_LOOP:
-            cells: Iterable[tuple[int, int]] = (
-                ((stage, j) for j in range(m)) if stage < n else ()
-            )
-        else:
-            start = max(0, stage - m + 1)
-            stop = min(stage, n - 1)
-            cells = ((i, stage - i) for i in range(start, stop + 1))
         left_rows, right_rows = left.rows, right.rows
-        left_ranks, right_ranks = left.ranks, right.ranks
-        left_layout = right_layout = None
-        for i, j in cells:
-            self.cells_visited += 1
-            left_row, right_row = left_rows[i], right_rows[j]
-            if left_row.layout is not left_layout or (
-                right_row.layout is not right_layout
-            ):
-                left_layout, right_layout = left_row.layout, right_row.layout
-                _, plan, predicates, residual = self._compiled[
-                    left_layout, right_layout
-                ]
-            merged = plan.merge(left_row.values, right_row.values)
-            if merged is None:
-                continue
-            if predicates and not all(holds(merged) for holds in predicates):
-                continue
-            self._join_rows_emitted += 1
-            if residual and not all(holds(merged) for holds in residual):
-                continue
-            self._candidates.append(
-                (left_ranks[i] + right_ranks[j], len(self._candidates),
-                 left_row, right_row)
-            )
+        n, m = len(left_rows), len(right_rows)
+        if stage < stage_count(method, n, m):
+            if self._laid_out != (n, m):
+                self._admit(left_rows, right_rows)
+            _, plan, predicates, residual = self._join
+            merge = plan.merge
+            left_ranks, right_ranks = left.ranks, right.ranks
+            candidates = self._candidates
+            for i, j in stage_cells(method, n, m, stage):
+                self.cells_visited += 1
+                left_row, right_row = left_rows[i], right_rows[j]
+                merged = merge(left_row.values, right_row.values)
+                if merged is None:
+                    continue
+                if predicates and not all(holds(merged) for holds in predicates):
+                    continue
+                self._join_rows_emitted += 1
+                if residual and not all(holds(merged) for holds in residual):
+                    continue
+                candidates.append(
+                    (left_ranks[i] + right_ranks[j], len(candidates),
+                     left_row, right_row)
+                )
         self._stage += 1
+
+    def _admit(self, left_rows: list[Row], right_rows: list[Row]) -> None:
+        """Check the rows pulled since the last stage against the
+        layouts the walk's join was compiled for (a hand-built stream
+        compiles it here, from its first rows).  Each row is checked
+        once, when first seen — never per visited cell."""
+        join = self._join
+        if join is None:
+            join = self._join = compile_join(
+                self._method, left_rows[0].layout, right_rows[0].layout,
+                *self._predicates,
+            )
+        checked_left, checked_right = self._laid_out
+        _require_layout(left_rows[checked_left:], join.merge.left, "left")
+        _require_layout(right_rows[checked_right:], join.merge.right, "right")
+        self._laid_out = (len(left_rows), len(right_rows))
 
     def _row(self, candidate: tuple) -> Row:
         """The merged row of a candidate, built when it is emitted."""
         _, _, left_row, right_row = candidate
-        plan = self._compiled[left_row.layout, right_row.layout].merge
+        plan = self._join.merge
         return Row(
             layout=plan.merged,
             values=plan.merge(left_row.values, right_row.values),
@@ -618,21 +618,3 @@ class JoinStream:
             return False
         threshold = -worst_first[0][0]
         return self._remaining_lower_bound() >= threshold
-
-
-def execute_join_streamed(
-    method: JoinMethod,
-    left: Sequence[Row] | RowCursor,
-    right: Sequence[Row] | RowCursor,
-    predicates: Sequence[Comparison] = (),
-    k: int | None = None,
-) -> list[Row]:
-    """Streamed early-exit top-k join (one-shot :class:`JoinStream`).
-
-    Returns rows bit-identical to
-    ``compose_ranking(execute_join(method, left, right, predicates), k)``
-    while visiting only as much of the candidate plane as needed to
-    prove the top-k complete.  Callers that want to resume the walk
-    later ("ask for more") should hold a :class:`JoinStream` instead.
-    """
-    return JoinStream(method, left, right, predicates).top(k)

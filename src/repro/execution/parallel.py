@@ -92,7 +92,6 @@ class ParallelExecutor:
         registry,
         cache_setting: CacheSetting = CacheSetting.NO_CACHE,
         workers: int = 4,
-        thread_overhead: float = 0.05,
         resilience: ResilienceConfig | None = None,
         row_provenance: bool = False,
     ) -> None:
@@ -105,7 +104,6 @@ class ParallelExecutor:
             registry,
             cache_setting=cache_setting,
             mode=ExecutionMode.PARALLEL,
-            thread_overhead=thread_overhead,
             resilience=resilience,
             row_provenance=row_provenance,
         )

@@ -19,7 +19,8 @@ the atom's fresh output variables), by a join's merge plan
 right-only ones), and by ``Row(bindings=...)`` for hand-built rows
 (tests, the reference interpreter in :mod:`repro.testing.reference`).
 Layouts compare by their variable tuple, so hand-built rows over the
-same variables run through the same production loops as engine rows.
+same variables run through the same production loops as engine rows
+(a join side is one layout: :mod:`repro.execution.joins`).
 
 The final answer list is presented in a *composed* global ranking that
 is a good composition of the partial rankings: rows are ordered by the
@@ -86,7 +87,7 @@ class Row:
     rows with ``Row(layout=..., values=...)``; ``Row(bindings=...)``
     derives a private layout from the mapping's key order and is what
     hand-built rows use.  Rows are immutable by convention: every
-    ``with_*``/merge method returns a new row.
+    ``with_*`` method returns a new row.
 
     ``provenance`` holds one :data:`ProvenanceRecord` per contributing
     service page pull, in contribution order.  It is populated only
@@ -169,27 +170,6 @@ class Row:
             values=self.values,
             ranks=self.ranks,
             provenance=self.provenance + (record,),
-        )
-
-    def merged_with(self, other: "Row") -> "Row | None":
-        """Natural-join merge: None when shared variables disagree.
-
-        The dict-semantics reference merge behind
-        :func:`~repro.execution.joins.execute_join`: it resolves every
-        variable by name per call and shares no code with the compiled
-        merge plans of :mod:`repro.execution.slots`, which is what makes
-        it a usable oracle for them.
-        """
-        merged = dict(zip(self.layout.variables, self.values))
-        for variable, value in zip(other.layout.variables, other.values):
-            if variable not in merged:
-                merged[variable] = value
-            elif merged[variable] != value:
-                return None
-        return Row(
-            bindings=merged,
-            ranks=self.ranks + other.ranks,
-            provenance=self.provenance + other.provenance,
         )
 
     def project(self, head: Sequence[Hashable]) -> tuple:

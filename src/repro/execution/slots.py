@@ -27,15 +27,13 @@ hashing variable names per row:
   layout: what to invoke, input spec, output-term binding program,
   output layout and node predicates.  The eager page loop, the lazy
   page source and the thread-pool row tasks all bind result pages
-  through the same object;
-* :class:`LayoutMemo` — the per-layout cache the *hand-built-input*
-  join API of :mod:`repro.execution.joins` keeps such objects in.
+  through the same object.
 
 The engine compiles all of it once per plan, in
 :mod:`repro.execution.program` (every engine node has one static
-layout).  Nothing here falls back to another representation:
-compilation cannot fail, and hand-built inputs whose layouts differ row
-by row simply select another compiled entry of the same loop.
+layout); the hand-built-input join API of :mod:`repro.execution.joins`
+compiles one join from its sides' layouts.  Nothing here falls back to
+another representation: compilation cannot fail.
 """
 
 from __future__ import annotations
@@ -76,22 +74,6 @@ class ExecutionError(RuntimeError):
     """Raised when a plan cannot be executed (unbound inputs, etc.)."""
 
 
-class LayoutMemo(dict):
-    """Per-layout compiled state, built by *compile* on first lookup.
-
-    Keys are tuples of layouts: hand-built rows laid out differently
-    get their own entry instead of a different code path.
-    """
-
-    def __init__(self, compile: Callable) -> None:
-        super().__init__()
-        self._compile = compile
-
-    def __missing__(self, key):
-        compiled = self[key] = self._compile(key)
-        return compiled
-
-
 class SlotJoinPlan:
     """Precomputed natural-join merge between two slot layouts.
 
@@ -100,7 +82,7 @@ class SlotJoinPlan:
     ``right_extra`` the right slots appended to the left tuple on a
     successful merge.  ``merged`` is the output layout: the left
     variables followed by the right-only variables in right order —
-    the same variable order ``Row.merged_with`` produces.
+    the same variable order the reference dict merge produces.
     """
 
     __slots__ = ("left", "right", "shared", "right_extra", "merged")

@@ -41,14 +41,17 @@ SQLite); its contract is *internal* consistency: paged output equals
 the eagerly drained ranking, and rank indexes are the gap-free
 0-based sequence the cursor guards certify.
 
-**Concurrency.**  Connections mirror
-:class:`~repro.serving.sqlite_cache.SQLiteDiskTier`: one connection
-per thread (sqlite3 connections must not be shared mid-transaction),
-kept in a :class:`threading.local`, opened in autocommit, registered
-centrally so :meth:`close` can tear everything down; file-backed
-databases get ``journal_mode=WAL`` + ``synchronous=NORMAL`` + a busy
-timeout, in-memory databases are shared between threads through a
-named ``cache=shared`` URI held open by an anchor connection.
+**Concurrency.**  Every connection comes from a
+:class:`ConnectionPool` (the one class in the repo that opens SQLite
+connections; the plan cache's disk tier,
+:class:`~repro.serving.sqlite_cache.SQLiteDiskTier`, is built on it
+too): one connection per thread (sqlite3 connections must not be
+shared mid-transaction), kept in a :class:`threading.local`, opened in
+autocommit, registered centrally so :meth:`ConnectionPool.close` can
+tear everything down; file-backed databases get ``journal_mode=WAL`` +
+``synchronous=NORMAL`` + a busy timeout, in-memory databases are shared
+between threads through a named ``cache=shared`` URI held open by an
+anchor connection.
 Invocations after load are pure reads, so any number of engine or
 :class:`~repro.execution.parallel.ParallelExecutor` worker threads
 can invoke one service concurrently.
@@ -78,6 +81,10 @@ _SCHEMA_VERSION = 1
 #: instances within one process.
 _memory_names = itertools.count()
 
+#: How long a connection queues on SQLite's write lock before failing
+#: with ``database is locked``.
+BUSY_TIMEOUT_MS = 30_000
+
 
 def fts5_available() -> bool:
     """Whether this build of sqlite3 can create FTS5 virtual tables."""
@@ -91,28 +98,23 @@ def fts5_available() -> bool:
         return False
 
 
-class _ConnectionPool:
+class ConnectionPool:
     """Per-thread SQLite connections over one database (file or memory).
 
-    The :class:`~repro.serving.sqlite_cache.SQLiteDiskTier` idiom,
-    factored out so the service family can share it: a
-    ``threading.local`` holds each thread's lazily opened connection,
+    A ``threading.local`` holds each thread's lazily opened connection,
     a central registry list lets :meth:`close` shut every connection
     down, and all connections run in autocommit (``isolation_level=
-    None``) so no statement ever holds a transaction open across
-    Python code — which is also what lets N threads read one
-    ``cache=shared`` in-memory database without tripping its
-    table-level locks.
+    None``): each statement is its own transaction, so a write is
+    atomic and never holds the write lock across Python code — which is
+    also what lets N threads read one ``cache=shared`` in-memory
+    database without tripping its table-level locks.  File databases
+    run in ``journal_mode=WAL`` (readers never block the single writer
+    and vice versa) with ``synchronous=NORMAL`` (fsync on WAL
+    checkpoints instead of every commit) and queue on the write lock
+    for :data:`BUSY_TIMEOUT_MS`.
     """
 
-    def __init__(
-        self, path: Path | str | None, busy_timeout_ms: int = 30_000
-    ) -> None:
-        if busy_timeout_ms < 0:
-            raise ValueError(
-                f"busy_timeout_ms must be >= 0, got {busy_timeout_ms}"
-            )
-        self.busy_timeout_ms = busy_timeout_ms
+    def __init__(self, path: Path | str | None) -> None:
         self._local = threading.local()
         self._connections: list[sqlite3.Connection] = []
         self._registry_lock = threading.Lock()
@@ -151,14 +153,12 @@ class _ConnectionPool:
         else:
             connection = sqlite3.connect(
                 self.path,
-                timeout=self.busy_timeout_ms / 1000.0,
+                timeout=BUSY_TIMEOUT_MS / 1000.0,
                 isolation_level=None,
                 check_same_thread=False,  # used per-thread; closed centrally
             )
             try:
-                connection.execute(
-                    f"PRAGMA busy_timeout={int(self.busy_timeout_ms)}"
-                )
+                connection.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
                 connection.execute("PRAGMA journal_mode=WAL")
                 connection.execute("PRAGMA synchronous=NORMAL")
             except BaseException:
@@ -218,7 +218,6 @@ class SQLiteTableService(Service):
         path: Path | str | None = None,
         remote_caching: bool = False,
         pattern_profiles: Mapping[str, ServiceProfile] | None = None,
-        busy_timeout_ms: int = 30_000,
     ) -> None:
         super().__init__(
             signature,
@@ -231,7 +230,7 @@ class SQLiteTableService(Service):
                 f"service {signature.name!r}: rows are required unless "
                 "attaching to an existing database file"
             )
-        self._pool = _ConnectionPool(path, busy_timeout_ms=busy_timeout_ms)
+        self._pool = ConnectionPool(path)
         self._columns = [f"c{i}" for i in range(signature.arity)]
         self._select_list = ", ".join(self._columns)
         connection = self._pool.connection()
@@ -433,7 +432,6 @@ class SQLiteSearchService(SQLiteTableService):
         path: Path | str | None = None,
         remote_caching: bool = False,
         pattern_profiles: Mapping[str, ServiceProfile] | None = None,
-        busy_timeout_ms: int = 30_000,
     ) -> None:
         if not profile.is_search:
             raise InvocationError(
@@ -453,7 +451,6 @@ class SQLiteSearchService(SQLiteTableService):
             path=path,
             remote_caching=remote_caching,
             pattern_profiles=pattern_profiles,
-            busy_timeout_ms=busy_timeout_ms,
         )
 
     def _value_columns(self) -> list[str]:
@@ -531,7 +528,6 @@ class FTS5SearchService(Service):
         path: Path | str | None = None,
         remote_caching: bool = False,
         pattern_profiles: Mapping[str, ServiceProfile] | None = None,
-        busy_timeout_ms: int = 30_000,
     ) -> None:
         if not profile.is_search:
             raise InvocationError(
@@ -563,7 +559,7 @@ class FTS5SearchService(Service):
         self._doc_arity = arity - 1
         self._doc_columns = [f"c{i}" for i in range(self._doc_arity)]
         self._select_list = ", ".join(self._doc_columns)
-        self._pool = _ConnectionPool(path, busy_timeout_ms=busy_timeout_ms)
+        self._pool = ConnectionPool(path)
         connection = self._pool.connection()
         unindexed = ", ".join(f"{c} UNINDEXED" for c in self._doc_columns)
         connection.execute("DROP TABLE IF EXISTS docs")

@@ -23,7 +23,7 @@ from repro.serving.fingerprint import (
 )
 from repro.serving.plan_cache import CachedPlan, PlanCache, PlanCacheStats
 from repro.serving.service import QueryResponse, QueryService, ServingStats
-from repro.serving.sqlite_cache import SQLiteDiskTier
+from repro.serving.sqlite_cache import PlanCacheFormatError, SQLiteDiskTier
 from repro.serving.sessions import (
     Session,
     SessionError,
@@ -38,6 +38,7 @@ __all__ = [
     "CachedPlan",
     "CircuitBreaker",
     "PlanCache",
+    "PlanCacheFormatError",
     "PlanCacheStats",
     "QueryResponse",
     "QueryService",

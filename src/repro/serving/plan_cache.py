@@ -18,32 +18,15 @@ Two tiers:
   capacity evict the least recently used entry, and the program goes
   with its entry (eviction, :meth:`PlanCache.prune`, :meth:`PlanCache.
   clear`);
-* **disk** — an optional persistent store (``path``) holding every
-  entry ever admitted, as JSON rows.  Lookups that miss memory fall
-  through to disk and promote the entry back into the LRU tier, so a
-  restarted server (or a sibling process pointed at the same path)
-  starts warm; a promoted entry has no program until its first user
-  compiles one (:meth:`PlanCache.attach`).
-
-The disk tier has two interchangeable backends with identical
-lookup/store/stats semantics (a seeded differential in
-``tests/test_serving.py`` pins them bit-identical):
-
-* ``backend="sqlite"`` — the concurrent default for new deployments:
-  a WAL-mode SQLite database (:mod:`repro.serving.sqlite_cache`) safe
-  under many threads *and* many processes; epoch pruning is one SQL
-  ``DELETE``.  ``migrate_json`` imports an existing JSON-tier file on
-  open (existing database rows win), so a fleet can move to SQLite
-  without losing its accumulated plans.
-* ``backend="json"`` — the original whole-file format, kept as the
-  migration/read path and as the differential oracle.  Writes re-read
-  the file and merge before replacing it, so *sequential* writers
-  never destroy each other's entries; truly concurrent writers remain
-  last-merge-wins within the race window — use the SQLite backend for
-  real multi-writer fleets.
-
-``backend="auto"`` (the default) picks by path suffix: ``.sqlite`` /
-``.sqlite3`` / ``.db`` get SQLite, anything else stays JSON.
+* **disk** — an optional persistent store (``path``): a SQLite
+  database (:mod:`repro.serving.sqlite_cache`; WAL mode, safe under
+  many threads *and* many processes) holding every entry ever
+  admitted, one row per key — whatever the path's suffix.  Lookups that
+  miss memory fall through to disk and promote the entry back into the
+  LRU tier, so a restarted server (or a sibling process pointed at the
+  same path) starts warm; a promoted entry has no program until its
+  first user compiles one (:meth:`PlanCache.attach`).  Epoch pruning is
+  one SQL ``DELETE``.
 
 All cache state (LRU order, stats counters, tenant quotas) is guarded
 by one internal lock, so ``lookup``/``store``/``prune`` are safe to
@@ -69,9 +52,6 @@ disk tier when housekeeping is wanted.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -79,13 +59,7 @@ from pathlib import Path
 
 from repro.execution.program import ExecutionProgram
 from repro.plans.spec import PlanSpec
-from repro.serving.sqlite_cache import PlanRow, SQLiteDiskTier
-
-#: Marks entries written by the JSON disk format.
-_FORMAT_VERSION = 1
-
-#: Path suffixes that ``backend="auto"`` routes to the SQLite tier.
-_SQLITE_SUFFIXES = {".sqlite", ".sqlite3", ".db"}
+from repro.serving.sqlite_cache import SQLiteDiskTier
 
 
 @dataclass(frozen=True)
@@ -145,162 +119,24 @@ class PlanCacheStats:
 
 
 @dataclass
-class _Entry:
-    spec_json: str
-    cost: float
-    metric: str
-    epoch: str
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec_json,
-            "cost": self.cost,
-            "metric": self.metric,
-            "epoch": self.epoch,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "_Entry":
-        return cls(
-            spec_json=data["spec"],
-            cost=float(data["cost"]),
-            metric=data["metric"],
-            epoch=data["epoch"],
-        )
-
-
-class _JsonDiskTier:
-    """The original merge-on-flush JSON file, as a disk-tier backend.
-
-    Kept bit-compatible with the pre-SQLite format so existing cache
-    files keep working, and exposed through the same row-tuple
-    interface as :class:`~repro.serving.sqlite_cache.SQLiteDiskTier`
-    so the two can be compared differentially.
-    """
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self._entries: dict[str, _Entry] = {}
-        if path.exists():
-            self._entries = _load_json_entries(path)
-
-    def get(self, key: str) -> PlanRow | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        return (entry.spec_json, entry.cost, entry.metric, entry.epoch)
-
-    def put(self, key: str, spec_json: str, cost: float, metric: str,
-            epoch: str) -> None:
-        self._entries[key] = _Entry(
-            spec_json=spec_json, cost=cost, metric=metric, epoch=epoch
-        )
-        self._flush(merge=True)
-
-    def prune(self, epoch: str) -> tuple[str, ...]:
-        stale = tuple(
-            key
-            for key, entry in self._entries.items()
-            if entry.epoch != epoch
-        )
-        for key in stale:
-            del self._entries[key]
-        if stale:
-            self._flush()
-        return stale
-
-    def clear(self) -> None:
-        if self._entries:
-            self._entries.clear()
-            self._flush()
-
-    def keys(self) -> tuple[str, ...]:
-        return tuple(sorted(self._entries))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def close(self) -> None:
-        return None
-
-    def _flush(self, merge: bool = False) -> None:
-        """Atomically rewrite the file from the entry dict.
-
-        With ``merge``, entries another process persisted since our
-        last read are folded in first (our own keys win), so
-        sequentially interleaved writers accumulate instead of
-        clobbering.  ``prune``/``clear`` flush without merging —
-        removal must not resurrect what was just dropped.
-        """
-        if merge and self.path.exists():
-            for key, entry in _load_json_entries(self.path).items():
-                self._entries.setdefault(key, entry)
-        payload = {
-            "version": _FORMAT_VERSION,
-            "entries": {
-                key: entry.to_dict() for key, entry in self._entries.items()
-            },
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(payload, stream, sort_keys=True)
-            os.replace(temp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-
-
-def _load_json_entries(path: Path) -> dict[str, _Entry]:
-    """Entries of a JSON-tier file (empty on corrupt/foreign files)."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if payload.get("version") != _FORMAT_VERSION:
-        return {}
-    entries = payload.get("entries", {})
-    loaded: dict[str, _Entry] = {}
-    for key, data in entries.items():
-        try:
-            loaded[key] = _Entry.from_dict(data)
-        except (KeyError, TypeError, ValueError):
-            continue  # skip individually corrupt rows
-    return loaded
-
-
-@dataclass
 class PlanCache:
     """LRU + optional-disk store of optimized plan specifications.
 
     ``capacity=0`` disables the memory tier entirely (every lookup
     misses unless a disk path is given) — the serving bench uses this
-    as its no-plan-cache baseline.  See the module docstring for the
-    ``backend`` choices, ``tenant_quota``, and the thread-safety
+    as its no-plan-cache baseline.  ``path=None`` means no disk tier.
+    See the module docstring for ``tenant_quota`` and the thread-safety
     contract.
     """
 
     path: Path | str | None = None
     capacity: int = 128
-    backend: str = "auto"  # "auto" | "json" | "sqlite"
-    busy_timeout_ms: int = 30_000
     tenant_quota: int | None = None
-    migrate_json: Path | str | None = None
     stats: PlanCacheStats = field(default_factory=PlanCacheStats)
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {self.capacity}")
-        if self.backend not in ("auto", "json", "sqlite"):
-            raise ValueError(
-                f"backend must be auto|json|sqlite, got {self.backend!r}"
-            )
         if self.tenant_quota is not None and self.tenant_quota < 0:
             raise ValueError(
                 f"tenant_quota must be >= 0 or None, got {self.tenant_quota}"
@@ -309,47 +145,7 @@ class PlanCache:
         self._lock = threading.RLock()
         self._memory: OrderedDict[str, CachedPlan] = OrderedDict()
         self._tenant_keys: dict[str, set[str]] = {}
-        self._tier: _JsonDiskTier | SQLiteDiskTier | None = None
-        if self.path is not None:
-            if self._resolved_backend() == "sqlite":
-                self._tier = SQLiteDiskTier(
-                    self.path, busy_timeout_ms=self.busy_timeout_ms
-                )
-                self._migrate_from_json()
-            else:
-                self._tier = _JsonDiskTier(self.path)
-
-    def _resolved_backend(self) -> str | None:
-        """The disk backend actually in use (None without a path)."""
-        if self.path is None:
-            return None
-        if self.backend != "auto":
-            return self.backend
-        return (
-            "sqlite"
-            if Path(self.path).suffix.lower() in _SQLITE_SUFFIXES
-            else "json"
-        )
-
-    @property
-    def backend_name(self) -> str | None:
-        """The resolved disk backend: "json", "sqlite", or None."""
-        return self._resolved_backend()
-
-    def _migrate_from_json(self) -> None:
-        """Fold a JSON-tier file's entries into the SQLite database."""
-        if self.migrate_json is None:
-            return
-        source = Path(self.migrate_json)
-        if not source.exists():
-            return
-        assert isinstance(self._tier, SQLiteDiskTier)
-        self._tier.seed(
-            {
-                key: (entry.spec_json, entry.cost, entry.metric, entry.epoch)
-                for key, entry in _load_json_entries(source).items()
-            }
-        )
+        self._tier = SQLiteDiskTier(self.path) if self.path is not None else None
 
     # -- lookup/store ----------------------------------------------------
 
@@ -432,8 +228,8 @@ class PlanCache:
         """Drop every entry not recorded under *epoch*; returns count.
 
         Purely housekeeping: stale entries are unreachable anyway
-        because the epoch participates in the key.  On the SQLite
-        backend this is a single indexed ``DELETE``.
+        because the epoch participates in the key.  On disk this is a
+        single indexed ``DELETE``.
         """
         with self._lock:
             stale_memory = [

@@ -218,11 +218,11 @@ class QueryService:
     content epoch, so entries never cross tenants, and per-tenant
     store quotas (``PlanCache(tenant_quota=...)``) keep one tenant
     from flooding the shared store — this service tags its stores
-    with ``tenant_id`` (the registry epoch by default).  ``mode``
-    defaults to streamed execution so sessions suspend cheaply; any
-    mode works (answers are mode-independent by the engine's
-    contract).  All public methods are thread-safe (see the module
-    docstring for the locking structure).
+    with the registry epoch (one quota bucket per registry content
+    version).  ``mode`` defaults to streamed execution so sessions
+    suspend cheaply; any mode works (answers are mode-independent by
+    the engine's contract).  All public methods are thread-safe (see
+    the module docstring for the locking structure).
     """
 
     registry: ServiceRegistry
@@ -241,9 +241,6 @@ class QueryService:
     #: for experiments, a leak for a long-lived server).  Eviction can
     #: only cost extra remote calls, never change answers.
     service_cache_capacity: int | None = None
-    #: Tenant tag for plan-cache store quotas; None uses the registry
-    #: content epoch (one quota bucket per registry content version).
-    tenant_id: str | None = None
     #: Retry/hedge/partial-results behavior for every execution this
     #: service runs (:mod:`repro.execution.resilience`); None serves
     #: with the historical fail-fast engine, bit-identically.
@@ -300,6 +297,10 @@ class QueryService:
             ThreadSafeCache(inner) if inner is not None else None
         )
         self._stats_lock = threading.Lock()
+        # Hashed once: the token covers every search-shaping knob but
+        # ``k`` and the cache setting, which are key components of their own.
+        self._config = self.optimizer_config or OptimizerConfig()
+        self._config_token = optimizer_config_token(self._config)
         # Single-flight for plan resolution: one ``[mutex, waiters]``
         # entry per plan-cache key *currently being resolved* — the
         # last thread out drops the entry, so fresh-constant traffic
@@ -543,14 +544,9 @@ class QueryService:
             registry = self.registry
         fingerprint = query_fingerprint(query)
         epoch = registry.content_epoch()
-        config = replace(
-            self.optimizer_config or OptimizerConfig(),
-            k=k,
-            cache_setting=self.cache_setting,
-        )
         key = plan_cache_key(
             fingerprint, epoch, self.metric.name, k,
-            self.cache_setting.value, optimizer_config_token(config),
+            self.cache_setting.value, self._config_token,
         )
         annotate_calls = 0
         head = tuple(query.head)
@@ -566,6 +562,9 @@ class QueryService:
                     )
                     self.plan_cache.attach(key, program)
             else:
+                config = replace(
+                    self._config, k=k, cache_setting=self.cache_setting
+                )
                 optimized = Optimizer(
                     registry, self.metric, config
                 ).optimize(query)
@@ -586,7 +585,7 @@ class QueryService:
                 self.plan_cache.store(
                     key, PlanSpec.from_optimized(optimized), cost,
                     self.metric.name, epoch,
-                    tenant=self.tenant_id or epoch, program=program,
+                    tenant=epoch, program=program,
                 )
         return program, cost, provenance, fingerprint, epoch, annotate_calls
 

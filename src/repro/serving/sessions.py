@@ -15,6 +15,11 @@ they cannot be kept forever; the manager bounds them two ways:
 * **TTL** — a session untouched for longer than ``ttl`` seconds is
   expired lazily (on any create/get/sweep).
 
+The registry is an ``OrderedDict`` kept in touch order (a touch moves
+the session to the end), so both bounds work from the head: eviction
+pops the first entry and expiry stops at the first live one — a submit
+costs O(1) under the manager lock however many sessions are alive.
+
 Releases are deterministic: :meth:`Session.close` drops the executor
 reference immediately (no finalizer involvement), so the suspended
 stream, its cursors, and their fetched pages become collectable the
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -112,9 +118,10 @@ class SessionManager:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
         if self.ttl is not None and self.ttl <= 0:
             raise ValueError(f"ttl must be positive, got {self.ttl}")
-        self._sessions: dict[str, Session] = {}
+        #: Live sessions, least recently touched first.
+        self._sessions: OrderedDict[str, Session] = OrderedDict()
         self._counter = 0
-        # Re-entrant: create/get call sweep/active_ids internally.
+        # Re-entrant: create/get call sweep internally.
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -125,11 +132,7 @@ class SessionManager:
     def active_ids(self) -> tuple[str, ...]:
         """Ids of live sessions, least recently touched first."""
         with self._lock:
-            ordered = sorted(
-                self._sessions.values(),
-                key=lambda s: (s.touched_at, s.session_id),
-            )
-            return tuple(session.session_id for session in ordered)
+            return tuple(self._sessions)
 
     def create(
         self, query: ConjunctiveQuery, executor: ProgressiveExecutor,
@@ -139,8 +142,7 @@ class SessionManager:
         with self._lock:
             self.sweep()
             while len(self._sessions) >= self.capacity:
-                oldest = self.active_ids[0]
-                self._sessions.pop(oldest).close()
+                self._sessions.popitem(last=False)[1].close()
                 self.stats.evicted += 1
             self._counter += 1
             now = self.clock()
@@ -167,6 +169,7 @@ class SessionManager:
                     f"session {session_id!r} is unknown, expired, or released"
                 )
             session.touched_at = self.clock()
+            self._sessions.move_to_end(session_id)
             return session
 
     def release(self, session_id: str) -> bool:
@@ -185,11 +188,11 @@ class SessionManager:
             if self.ttl is None:
                 return ()
             deadline = self.clock() - self.ttl
-            expired = [
-                session_id
-                for session_id, session in self._sessions.items()
-                if session.touched_at <= deadline
-            ]
+            expired = []
+            for session_id, session in self._sessions.items():
+                if session.touched_at > deadline:
+                    break  # touch order: everything behind is younger
+                expired.append(session_id)
             for session_id in expired:
                 self._sessions.pop(session_id).close()
                 self.stats.expired += 1

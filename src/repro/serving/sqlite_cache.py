@@ -1,39 +1,33 @@
-"""SQLite-backed disk tier for the plan cache (WAL mode).
+"""The plan cache's disk tier: one SQLite table of plans (WAL mode).
 
-The JSON disk tier rewrites the whole file on every store and merges
-on flush, which makes *sequential* sibling writers safe but leaves
-truly concurrent writers last-merge-wins within the race window.  This
-tier replaces the file rewrite with a real database so N serving
-threads (or N processes pointed at the same path) can read and write
-plans concurrently:
+N serving threads — or N processes pointed at the same path — read and
+write plans concurrently.  Connections come from the
+:class:`~repro.services.sqlite.ConnectionPool` the SQLite services use
+(per-thread connections in autocommit, ``journal_mode=WAL``,
+``synchronous=NORMAL``, the busy timeout, checkpoint-on-close); this
+module owns what is specific to the plan cache: the ``plans`` schema and
+its version stamp, the statements over it, and what happens to a file
+that is not such a database.  ``synchronous=NORMAL`` is deliberate
+here: a lost plan costs one re-optimization, never correctness, so
+durability is traded for store latency.
 
-* ``journal_mode=WAL`` — readers never block the single writer and
-  vice versa; exactly what a read-mostly plan cache wants (every
-  warm request is a read, only optimizer misses write);
-* ``synchronous=NORMAL`` — fsync on WAL checkpoints instead of every
-  commit: a lost plan costs one re-optimization, never correctness,
-  so durability is traded for store latency deliberately;
-* ``busy_timeout`` — concurrent writers queue on SQLite's write lock
-  instead of failing with ``database is locked``;
-* **per-thread connections** — sqlite3 connections are not safely
-  shareable across threads mid-transaction, so each thread lazily
-  opens its own connection against the same file (kept in a
-  :class:`threading.local`); WAL makes this cheap.
+Epoch pruning is a single ``DELETE`` statement.  The tier speaks plain
+``(spec_json, cost, metric, epoch)`` row tuples.
 
-Epoch pruning is a single ``DELETE`` statement rather than a
-load-filter-rewrite of the whole store.
-
-The tier speaks plain ``(spec_json, cost, metric, epoch)`` row tuples
-so :mod:`repro.serving.plan_cache` can drive the JSON and SQLite
-backends through one interface and differential tests can compare
-them bit-for-bit.
+Before SQLite the tier was one JSON file rewritten per store.
+:func:`read_json_tier` still reads that format — for
+``python -m repro migrate-plan-cache`` (which feeds
+:meth:`SQLiteDiskTier.seed`), and so that opening such a file as a
+database raises :class:`PlanCacheFormatError` instead of discarding it.
 """
 
 from __future__ import annotations
 
+import json
 import sqlite3
-import threading
 from pathlib import Path
+
+from repro.services.sqlite import ConnectionPool
 
 #: ``PRAGMA user_version`` stamped on databases this tier creates.
 _SCHEMA_VERSION = 1
@@ -57,54 +51,69 @@ CREATE INDEX IF NOT EXISTS plans_by_epoch ON plans(epoch);
 PlanRow = tuple[str, float, str, str]
 
 
+class PlanCacheFormatError(ValueError):
+    """The plan-cache path holds a JSON-tier file, not a database."""
+
+
+def read_json_tier(path: Path | str) -> dict[str, PlanRow] | None:
+    """The rows of a JSON-tier file (``{"version": 1, "entries": {key:
+    {"spec", "cost", "metric", "epoch"}}}``); None when *path* cannot
+    be read as one.  Individually malformed entries are skipped."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict) or payload.get("version") != 1:
+        return None
+    entries = payload.get("entries")
+    if not isinstance(entries, dict):
+        return None
+    rows: dict[str, PlanRow] = {}
+    for key, data in entries.items():
+        try:
+            rows[key] = (
+                data["spec"], float(data["cost"]), data["metric"], data["epoch"]
+            )
+        except (KeyError, TypeError, ValueError):
+            continue
+    return rows
+
+
 class SQLiteDiskTier:
     """WAL-mode SQLite store of plan-cache entries, one row per key.
 
     Thread-safe by construction: every mutating statement is a single
-    autocommit SQL statement, reads and writes go through per-thread
-    connections, and cross-connection contention is absorbed by the
-    busy timeout.  A corrupt or foreign file is discarded and
-    recreated empty — the same "never let a bad cache file take the
-    server down" stance as the JSON tier.
+    autocommit SQL statement, reads and writes go through the pool's
+    per-thread connections, and cross-connection contention is absorbed
+    by the busy timeout.  A corrupt or foreign file (or one stamped
+    with an unknown schema version) is discarded and recreated empty —
+    never let a bad cache file take the server down — except a JSON-tier
+    file, which holds plans worth migrating.
     """
 
-    def __init__(self, path: Path | str, busy_timeout_ms: int = 30_000) -> None:
-        if busy_timeout_ms < 0:
-            raise ValueError(
-                f"busy_timeout_ms must be >= 0, got {busy_timeout_ms}"
-            )
+    def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
-        self.busy_timeout_ms = busy_timeout_ms
-        self._local = threading.local()
-        self._connections: list[sqlite3.Connection] = []
-        self._registry_lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            self._connection()
+            self._pool = self._open()
         except sqlite3.DatabaseError:
-            self._discard_damaged_file()
-            self._connection()
+            if read_json_tier(self.path) is not None:
+                raise PlanCacheFormatError(
+                    f"{self.path} is a JSON plan-cache file; import it with "
+                    f"`python -m repro migrate-plan-cache {self.path} "
+                    "NEW.sqlite` and point the plan cache at the new file"
+                ) from None
+            for suffix in ("", "-wal", "-shm"):
+                try:
+                    Path(f"{self.path}{suffix}").unlink()
+                except OSError:
+                    pass
+            self._pool = self._open()
 
-    # -- connections -----------------------------------------------------
-
-    def _connection(self) -> sqlite3.Connection:
-        """This thread's connection, opened (and schema'd) on demand."""
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
-            return connection
-        # isolation_level=None puts the connection in autocommit mode:
-        # each statement is its own transaction, so a store is atomic
-        # and never holds the write lock across Python code.
-        connection = sqlite3.connect(
-            self.path,
-            timeout=self.busy_timeout_ms / 1000.0,
-            isolation_level=None,
-            check_same_thread=False,  # used per-thread; closed centrally
-        )
+    def _open(self) -> ConnectionPool:
+        """A pool over ``path``, its schema checked (created when new)."""
+        pool = ConnectionPool(self.path)
         try:
-            connection.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_ms)}")
-            connection.execute("PRAGMA journal_mode=WAL")
-            connection.execute("PRAGMA synchronous=NORMAL")
+            connection = pool.connection()
             version = connection.execute("PRAGMA user_version").fetchone()[0]
             if version not in (0, _SCHEMA_VERSION):
                 raise sqlite3.DatabaseError(
@@ -114,34 +123,15 @@ class SQLiteDiskTier:
             if version == 0:
                 connection.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
         except BaseException:
-            connection.close()
+            pool.close()
             raise
-        self._local.connection = connection
-        with self._registry_lock:
-            self._connections.append(connection)
-        return connection
-
-    def _discard_damaged_file(self) -> None:
-        """Drop a corrupt/foreign database (and its WAL sidecars)."""
-        self._local.connection = None
-        with self._registry_lock:
-            for connection in self._connections:
-                try:
-                    connection.close()
-                except sqlite3.Error:
-                    pass
-            self._connections.clear()
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                Path(f"{self.path}{suffix}").unlink()
-            except OSError:
-                pass
+        return pool
 
     # -- the tier interface ----------------------------------------------
 
     def get(self, key: str) -> PlanRow | None:
         """The stored row under *key*, or None."""
-        row = self._connection().execute(
+        row = self._pool.connection().execute(
             "SELECT spec, cost, metric, epoch FROM plans WHERE key = ?",
             (key,),
         ).fetchone()
@@ -152,7 +142,7 @@ class SQLiteDiskTier:
     def put(self, key: str, spec_json: str, cost: float, metric: str,
             epoch: str) -> None:
         """Insert or overwrite the row under *key* (one atomic statement)."""
-        self._connection().execute(
+        self._pool.connection().execute(
             "INSERT INTO plans(key, spec, cost, metric, epoch)"
             " VALUES (?, ?, ?, ?, ?)"
             " ON CONFLICT(key) DO UPDATE SET"
@@ -171,7 +161,7 @@ class SQLiteDiskTier:
         """
         if not rows:
             return 0
-        connection = self._connection()
+        connection = self._pool.connection()
         before = len(self)
         connection.execute("BEGIN IMMEDIATE")
         try:
@@ -191,7 +181,7 @@ class SQLiteDiskTier:
 
     def prune(self, epoch: str) -> tuple[str, ...]:
         """Delete every row not stored under *epoch*; returns their keys."""
-        connection = self._connection()
+        connection = self._pool.connection()
         stale = tuple(
             row[0]
             for row in connection.execute(
@@ -204,33 +194,22 @@ class SQLiteDiskTier:
 
     def clear(self) -> None:
         """Delete every row."""
-        self._connection().execute("DELETE FROM plans")
+        self._pool.connection().execute("DELETE FROM plans")
 
     def keys(self) -> tuple[str, ...]:
         """Every stored key, sorted (for tests and differentials)."""
         return tuple(
             row[0]
-            for row in self._connection().execute(
+            for row in self._pool.connection().execute(
                 "SELECT key FROM plans ORDER BY key"
             )
         )
 
     def __len__(self) -> int:
-        return self._connection().execute(
+        return self._pool.connection().execute(
             "SELECT COUNT(*) FROM plans"
         ).fetchone()[0]
 
     def close(self) -> None:
         """Checkpoint the WAL and close every connection ever opened."""
-        try:
-            self._connection().execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        except sqlite3.Error:
-            pass
-        self._local.connection = None
-        with self._registry_lock:
-            for connection in self._connections:
-                try:
-                    connection.close()
-                except sqlite3.Error:
-                    pass
-            self._connections.clear()
+        self._pool.close()

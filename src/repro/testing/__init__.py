@@ -1,7 +1,8 @@
 """Importable test instrumentation: references and fault injection.
 
 What tests, benchmarks and downstream experiments import without path
-hacks — the dict-row reference plan interpreter the engine is checked
+hacks — the full-plane dict-row join the compiled join is checked
+against, the dict-row reference plan interpreter the engine is checked
 against, the per-definition plan estimates the annotation program
 is checked against and the eager-streamed engine lazy fetching is
 measured against (:mod:`repro.testing.reference`), and the deterministic
@@ -19,6 +20,8 @@ from repro.testing.faults import (
 from repro.testing.reference import (
     ReferenceResult,
     eager_streamed_engine,
+    execute_join,
+    merged_with,
     reference_annotate,
     reference_execute,
 )
@@ -30,6 +33,8 @@ __all__ = [
     "InjectedFault",
     "ReferenceResult",
     "eager_streamed_engine",
+    "execute_join",
+    "merged_with",
     "reference_annotate",
     "reference_execute",
     "wrap_registry_flaky",

@@ -1,6 +1,8 @@
 """References the production paths are checked against (tests and benches).
 
-Three small, obviously correct things: a dict-row plan *interpreter*
+Four small, obviously correct things: the full-plane dict-row *join*
+(:func:`execute_join` over :func:`merged_with`) for the compiled join
+of :mod:`repro.execution.joins`, a dict-row plan *interpreter*
 (:func:`reference_execute`) for the engine's compiled loops, the
 per-definition plan *estimates* (:func:`reference_annotate`) for the
 compiled annotation program of :mod:`repro.plans.annotate`, and the
@@ -14,8 +16,8 @@ by node over per-row ``dict`` bindings, resolving every variable by
 name on every row: services are invoked directly (no cache, no
 resilience, no laziness), output tuples are bound with
 :func:`bind_outputs`, parallel joins are the full-plane
-:func:`~repro.execution.joins.execute_join` over ``Row.merged_with``,
-predicates are evaluated with :meth:`Comparison.holds`, and the answer
+:func:`execute_join`, predicates are evaluated with
+:meth:`Comparison.holds`, and the answer
 is ``compose_ranking`` over everything produced.  It shares no code
 with the compiled path beyond the :class:`Row` container itself.
 The estimates likewise share only the result containers and the
@@ -28,12 +30,14 @@ guards that); nothing under ``src/repro/`` outside this package may.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.execution.joins import execute_join
+from repro.execution.joins import join_order
 from repro.execution.results import Row, compose_ranking
 from repro.execution.slots import ExecutionError
+from repro.model.predicates import Comparison
 from repro.model.terms import Constant, Variable
 from repro.plans.annotate import (
     EQUALITY_OUTPUT_SELECTIVITY,
@@ -42,7 +46,53 @@ from repro.plans.annotate import (
 )
 from repro.plans.dag import PlanError, QueryPlan
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, ServiceNode
-from repro.services.registry import ServiceRegistry
+from repro.services.registry import JoinMethod, ServiceRegistry
+
+
+def merged_with(row: Row, other: Row) -> Row | None:
+    """Natural-join merge: None when shared variables disagree.
+
+    The dict-semantics reference merge behind :func:`execute_join`: it
+    resolves every variable by name per call and shares no code with
+    the compiled merge plans of :mod:`repro.execution.slots`, which is
+    what makes it a usable oracle for them.
+    """
+    merged = dict(zip(row.layout.variables, row.values))
+    for variable, value in zip(other.layout.variables, other.values):
+        if variable not in merged:
+            merged[variable] = value
+        elif merged[variable] != value:
+            return None
+    return Row(
+        bindings=merged,
+        ranks=row.ranks + other.ranks,
+        provenance=row.provenance + other.provenance,
+    )
+
+
+def execute_join(
+    method: JoinMethod,
+    left: Sequence[Row],
+    right: Sequence[Row],
+    predicates: Sequence[Comparison] = (),
+) -> list[Row]:
+    """Join two row streams with a rank-preserving strategy.
+
+    The join condition is the *natural join* on the variables shared
+    by the two rows' bindings (which recombines branches forked from a
+    common upstream tuple) plus the supplied comparison *predicates*
+    evaluated on the merged binding.  Output order follows the
+    strategy's traversal of the candidate plane, hence is consistent
+    with both input orders.
+    """
+    output: list[Row] = []
+    for i, j in join_order(method, len(left), len(right)):
+        merged = merged_with(left[i], right[j])
+        if merged is None:
+            continue
+        if all(p.holds(merged.bindings) for p in predicates):
+            output.append(merged)
+    return output
 
 
 @dataclass(frozen=True)

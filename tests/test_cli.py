@@ -89,13 +89,16 @@ class TestQueryCommand:
         assert second["provenance"] == "disk"
         assert second["rows"] == first["rows"]
 
-    def test_sqlite_plan_cache_selected_by_suffix(self, capsys, tmp_path):
-        # A .sqlite suffix picks the WAL-mode SQLite tier without any
-        # backend flag, and a second process starts warm from it.
+    @pytest.mark.parametrize("name", ["p.sqlite", "p.db", "p.json", "p"])
+    def test_plan_cache_is_sqlite_whatever_the_suffix(
+        self, capsys, tmp_path, name
+    ):
+        # Any new path becomes a WAL-mode SQLite database, and a second
+        # process starts warm from it.
         import json
         import sqlite3
 
-        cache_path = str(tmp_path / "plans.sqlite")
+        cache_path = str(tmp_path / name)
         query = (
             "q(City, Price) :- lowcost('Milano', City, Date, Price), "
             "Price <= 60."
@@ -116,20 +119,57 @@ class TestQueryCommand:
         assert second["provenance"] == "disk"
         assert second["rows"] == first["rows"]
 
-    def test_explicit_backend_flag_overrides_suffix(self, capsys, tmp_path):
-        import json
-        import sqlite3
+    def test_json_plan_cache_file_is_refused_with_a_message(
+        self, capsys, tmp_path
+    ):
+        cache_path = tmp_path / "plans.db"
+        cache_path.write_text('{"version": 1, "entries": {}}')
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", "--domain", "weekend", "--plan-cache", str(cache_path)])
+        assert "migrate-plan-cache" in str(exit_info.value)
+        assert cache_path.read_text() == '{"version": 1, "entries": {}}'
 
-        cache_path = str(tmp_path / "plans.cache")  # neutral suffix
-        query = "q(City) :- lowcost('Milano', City, Date, Price)."
+
+class TestMigratePlanCache:
+    def test_round_trip_database_rows_win(self, capsys, tmp_path):
+        from repro.plans.spec import PlanSpec
+        from repro.serving import PlanCache
+        from tests.test_serving import _json_tier_payload
+
+        old_spec = PlanSpec(("io",), (), ())
+        new_spec = PlanSpec(("oi",), (), ())
+        json_path = tmp_path / "plans.json"
+        json_path.write_text(_json_tier_payload({
+            "migrated": (old_spec, 1.0, "time", "e1"),
+            "shared": (old_spec, 1.0, "time", "e1"),
+        }))
+        sqlite_path = tmp_path / "plans.sqlite"
+        newer = PlanCache(path=sqlite_path)
+        newer.store("shared", new_spec, 9.0, "time", "e2")
+        newer.close()
         assert main(
-            ["query", query, "--domain", "weekend", "-k", "1",
-             "--plan-cache", cache_path,
-             "--plan-cache-backend", "sqlite"]
+            ["migrate-plan-cache", str(json_path), str(sqlite_path)]
         ) == 0
-        json.loads(capsys.readouterr().out.strip().splitlines()[0])
-        with sqlite3.connect(cache_path) as db:
-            assert db.execute("SELECT COUNT(*) FROM plans").fetchone()[0] == 1
+        assert "imported 1 of 2 plans" in capsys.readouterr().out
+        migrated = PlanCache(path=sqlite_path)
+        hit = migrated.lookup("migrated")
+        assert hit is not None and hit.epoch == "e1" and hit.spec == old_spec
+        kept = migrated.lookup("shared")  # existing database row wins
+        assert kept.cost == 9.0 and kept.epoch == "e2" and kept.spec == new_spec
+        assert migrated.disk_entries == 2
+
+    @pytest.mark.parametrize("content", [None, "not json", '{"version": 3}'])
+    def test_unreadable_source_is_a_message_not_a_traceback(
+        self, capsys, tmp_path, content
+    ):
+        source = tmp_path / "absent.json"
+        if content is not None:
+            source.write_text(content)
+        target = tmp_path / "plans.sqlite"
+        assert main(["migrate-plan-cache", str(source), str(target)]) == 1
+        captured = capsys.readouterr()
+        assert "not a readable JSON plan-cache file" in captured.err
+        assert captured.out == "" and not target.exists()
 
 
 class TestServeCommand:

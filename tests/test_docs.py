@@ -12,18 +12,21 @@ Keeps README.md, docs/ARCHITECTURE.md, and ROADMAP.md honest:
 Runs in tier-1, and CI executes it as an explicit docs-check step, so
 a doc can't silently outlive the code it describes.
 
-The same static style guards two structural promises the docs make:
+The same static style guards the structural promises the docs make:
 the reference implementations under ``src/repro/testing/`` are imported
-by tests and benches only, the engine never reads rows back as
-dicts (``Row.bindings``) outside ``Row`` itself and the reference
-``execute_join``, a plan is walked — and a failed unit demoted —
-in one place, and it is compiled in one place: a plan-cache hit builds
-nothing.
+by tests and benches only (and the reference join lives only there),
+the engine never reads rows back as dicts (``Row.bindings``) outside
+``Row`` itself, a plan is walked — and a failed unit demoted — in one
+place, it is compiled in one place (a plan-cache hit builds nothing),
+there is one join, one plan-cache disk tier and one SQLite connection
+pool, and the constructors and serving commands take exactly the
+parameters recorded here.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import pathlib
 import re
 
@@ -149,11 +152,8 @@ def test_production_code_never_imports_the_testing_package():
     assert not offenders, f"production modules importing repro.testing: {offenders}"
 
 
-def test_rows_are_read_as_dicts_only_by_row_and_the_reference_join():
-    allowed = {
-        ("execution/results.py", "Row"),
-        ("execution/joins.py", "execute_join"),
-    }
+def test_rows_are_read_as_dicts_only_by_row():
+    allowed = {("execution/results.py", "Row")}
     offenders = []
     for package in ("execution", "serving"):
         for path in (SRC / package).rglob("*.py"):
@@ -286,6 +286,9 @@ def test_retired_seam_plumbing_stays_retired():
         "RetryingPageSource", "lazy_streaming",
         "AdaptiveExecutor", "execution.adaptive",
         "NodeFetch", "service_bindings",
+        "_JsonDiskTier", "backend_name", "migrate_json", "plan_cache_backend",
+        "execute_join_streamed", "LayoutMemo", "_shares_layout",
+        "thread_overhead", "shuffle_seed", "tenant_id", "busy_timeout_ms",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"
@@ -294,3 +297,91 @@ def test_retired_seam_plumbing_stays_retired():
         if name in path.read_text()
     ]
     assert not offenders, offenders
+
+
+def test_one_join_one_plan_cache_tier_one_sqlite_pool():
+    """The reference join is defined under ``testing/`` only; the
+    streamed walk's cell loop compares no layouts and looks nothing up;
+    the plan cache has no file format of its own; and only the pool in
+    ``services/sqlite.py`` opens plan-cache or service connections."""
+    definers = {
+        path.relative_to(SRC).parts[0]
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("execute_join", "merged_with")
+    }
+    assert definers == {"testing"}
+    joins = ast.parse((SRC / "execution" / "joins.py").read_text())
+    advance = next(
+        node
+        for node in ast.walk(joins)
+        if isinstance(node, ast.FunctionDef) and node.name == "_advance_stage"
+    )
+    loops = [node for node in ast.walk(advance) if isinstance(node, ast.For)]
+    assert len(loops) == 1
+    for node in ast.walk(loops[0]):
+        assert not (isinstance(node, ast.Attribute) and node.attr == "layout")
+        assert not (
+            isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+        ), "dict lookup in the cell loop"
+    plan_cache = ast.parse((SRC / "serving" / "plan_cache.py").read_text())
+    imported = {
+        name.split(".")[0]
+        for node in ast.walk(plan_cache)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (
+            [node.module or ""]
+            if isinstance(node, ast.ImportFrom)
+            else [alias.name for alias in node.names]
+        )
+    }
+    assert not imported & {"json", "tempfile", "os"}
+    for path in (SRC / "serving").glob("*.py"):
+        assert "sqlite3.connect(" not in path.read_text(), path.name
+
+
+def test_parameter_budget(capsys):
+    """Every settable value of the execution and serving entry points,
+    as a literal: adding a knob is an edit someone makes on purpose."""
+    from repro.__main__ import main
+    from repro.execution.engine import ExecutionEngine
+    from repro.execution.parallel import ParallelExecutor
+    from repro.execution.progressive import ProgressiveExecutor
+    from repro.serving import PlanCache, QueryService, SessionManager, SQLiteDiskTier
+
+    budget = {
+        ExecutionEngine: (
+            "registry", "cache_setting", "mode", "resilience",
+            "row_provenance", "drift_monitor",
+        ),
+        ParallelExecutor: (
+            "registry", "cache_setting", "workers", "resilience",
+            "row_provenance",
+        ),
+        ProgressiveExecutor: (
+            "registry", "plan", "head", "mode", "cache_setting", "max_rounds",
+            "shared_cache", "reset_remote", "resilience", "row_provenance",
+            "drift", "replan", "rounds", "drift_events",
+        ),
+        PlanCache: ("path", "capacity", "tenant_quota", "stats"),
+        SQLiteDiskTier: ("path",),
+        QueryService: (
+            "registry", "metric", "k_default", "mode", "cache_setting",
+            "plan_cache", "sessions", "optimizer_config",
+            "share_service_cache", "service_cache_capacity", "resilience",
+            "row_provenance", "adaptive", "breaker", "stats",
+        ),
+        SessionManager: ("capacity", "ttl", "clock", "stats"),
+    }
+    for cls, parameters in budget.items():
+        assert tuple(inspect.signature(cls).parameters) == parameters, cls.__name__
+    serving_flags = {
+        "-h", "--help", "--domain", "--metric", "-k", "--plan-cache", "--retries",
+        "--hedge", "--partial-results", "--provenance", "--adaptive",
+    }
+    for command, own in (("query", {"--repeat"}), ("serve", set())):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == serving_flags | own, command

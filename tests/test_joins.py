@@ -3,7 +3,6 @@
 import pytest
 
 from repro.execution.joins import (
-    execute_join,
     is_order_rank_consistent,
     join_order,
     merge_scan_order,
@@ -13,6 +12,7 @@ from repro.execution.results import Row
 from repro.model.predicates import comparison
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
+from repro.testing import execute_join
 
 
 class TestVisitOrders:

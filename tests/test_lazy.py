@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.execution.joins import JoinStream, execute_join
+from repro.execution.joins import JoinStream
 from repro.execution.lazy import (
     LazyServiceCursor,
     ListPageSource,
@@ -43,6 +43,7 @@ from repro.plans.builder import PlanBuilder, Poset, chain_poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
+from repro.testing import execute_join
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.execution.joins import JoinStream, execute_join
+from repro.execution.joins import JoinStream
 from repro.execution.lazy import LazyServiceCursor, ListPageSource, MultiFeedCursor
 from repro.execution.results import Row, compose_ranking
 from repro.model.atoms import Atom
@@ -42,6 +42,7 @@ from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
+from repro.testing import execute_join
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 

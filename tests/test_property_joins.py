@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.joins import (
-    execute_join,
     execute_join_hashed,
     is_order_rank_consistent,
     merge_scan_order,
@@ -15,6 +14,7 @@ from repro.model.terms import Constant
 from repro.execution.results import Row
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
+from repro.testing import execute_join
 
 _sizes = st.integers(min_value=0, max_value=8)
 
@@ -111,12 +111,13 @@ class TestJoinSemantics:
 
 
 def _keyed_rows(keys, side_name, extra_keys=None):
-    """Rows with a common K plus an occasionally-present second variable."""
+    """Rows with a common K plus, on some sides, a second variable X
+    (on every row of the side or on none: a join side has one layout)."""
     rows = []
     for index, key in enumerate(keys):
         bindings = {Variable("K"): key, Variable(side_name): index}
-        if extra_keys is not None and index < len(extra_keys):
-            bindings[Variable("X")] = extra_keys[index]
+        if extra_keys:
+            bindings[Variable("X")] = extra_keys[index % len(extra_keys)]
         rows.append(Row(bindings=bindings, ranks=((side_name, index),)))
     return rows
 

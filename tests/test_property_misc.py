@@ -8,6 +8,7 @@ from repro.model.parser import parse_query
 from repro.model.template import QueryTemplate, parameter
 from repro.model.terms import Variable
 from repro.plans.spec import PlanSpec
+from repro.testing import merged_with
 
 _names = st.text(
     alphabet="abcdefghij", min_size=1, max_size=6
@@ -135,8 +136,8 @@ class TestRowProperties:
     @given(_bindings, _bindings)
     @settings(max_examples=80)
     def test_merge_symmetric_in_success(self, left, right):
-        first = Row(bindings=left).merged_with(Row(bindings=right))
-        second = Row(bindings=right).merged_with(Row(bindings=left))
+        first = merged_with(Row(bindings=left), Row(bindings=right))
+        second = merged_with(Row(bindings=right), Row(bindings=left))
         assert (first is None) == (second is None)
         if first is not None:
             assert dict(first.bindings) == dict(second.bindings)
@@ -145,7 +146,7 @@ class TestRowProperties:
     @settings(max_examples=40)
     def test_merge_with_self_is_identity(self, bindings):
         row = Row(bindings=bindings)
-        merged = row.merged_with(row)
+        merged = merged_with(row, row)
         assert merged is not None
         assert dict(merged.bindings) == dict(bindings)
 
@@ -155,5 +156,5 @@ class TestRowProperties:
         conflict = any(
             left[key] != right[key] for key in left.keys() & right.keys()
         )
-        merged = Row(bindings=left).merged_with(Row(bindings=right))
+        merged = merged_with(Row(bindings=left), Row(bindings=right))
         assert (merged is None) == conflict

@@ -4,7 +4,7 @@ The streamed execution path must be **bit-identical** — same rows,
 same ranks, same emission order — to ``compose_ranking`` over the
 full-scan oracle:
 
-* at the join level, :class:`JoinStream` / :func:`execute_join_streamed`
+* at the join level, :class:`JoinStream` (``.top(k)``)
   against ``compose_ranking(execute_join(...), k)`` (and the hashed
   join, which PR 1 proved identical to the full scan), for random
   inputs, random *non-monotone* rank annotations, both strategies and
@@ -26,9 +26,7 @@ from hypothesis import strategies as st
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import (
     JoinStream,
-    execute_join,
     execute_join_hashed,
-    execute_join_streamed,
 )
 from repro.execution.results import Row, compose_ranking
 from repro.model.atoms import Atom
@@ -40,6 +38,7 @@ from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
+from repro.testing import execute_join
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
@@ -66,7 +65,7 @@ _k = st.one_of(st.none(), st.integers(0, 40))
 
 
 class TestStreamedJoinMatchesOracle:
-    """``execute_join_streamed`` vs. the full-scan / hashed oracles."""
+    """``JoinStream(...).top(k)`` vs. the full-scan / hashed oracles."""
 
     @given(_keys, _keys, _ranks, _ranks, _k)
     @settings(max_examples=120, deadline=None)
@@ -76,7 +75,7 @@ class TestStreamedJoinMatchesOracle:
         for method in METHODS:
             oracle = compose_ranking(execute_join(method, left, right), k)
             hashed = compose_ranking(execute_join_hashed(method, left, right), k)
-            streamed = execute_join_streamed(method, left, right, k=k)
+            streamed = JoinStream(method, left, right).top(k)
             assert _signature(streamed) == _signature(oracle)
             assert _signature(streamed) == _signature(hashed)
 
@@ -92,9 +91,7 @@ class TestStreamedJoinMatchesOracle:
             oracle = compose_ranking(
                 execute_join(method, left, right, [predicate]), k
             )
-            streamed = execute_join_streamed(
-                method, left, right, [predicate], k=k
-            )
+            streamed = JoinStream(method, left, right, [predicate]).top(k)
             assert _signature(streamed) == _signature(oracle)
 
     @given(_keys, _keys, _ranks, _ranks)
@@ -165,7 +162,7 @@ class TestTieBreaking:
             sort_path = compose_ranking(full)
             for k in range(len(full) + 2):
                 heap_path = compose_ranking(full, k)
-                streamed = execute_join_streamed(method, left, right, k=k)
+                streamed = JoinStream(method, left, right).top(k)
                 assert _signature(heap_path) == _signature(sort_path[:k])
                 assert _signature(streamed) == _signature(sort_path[:k])
 

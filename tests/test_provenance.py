@@ -32,7 +32,7 @@ from repro.execution.results import Row
 from repro.model.parser import parse_query
 from repro.serving import QueryService
 from repro.sources.biblio import biblio_registry, experts_query
-from repro.testing import eager_streamed_engine
+from repro.testing import eager_streamed_engine, merged_with
 
 PUBSEARCH_ONLY = (
     "q(P, T, Y) :- pubsearch('service computing', P, T, Y)."
@@ -59,7 +59,7 @@ class TestRowMechanics:
     def test_merge_concatenates(self):
         left = Row(bindings={"X": 1}).with_provenance(("a", ("i", ()), 0))
         right = Row(bindings={"Y": 2}).with_provenance(("b", ("i", ()), 3))
-        merged = left.merged_with(right)
+        merged = merged_with(left, right)
         assert merged is not None
         assert merged.provenance == left.provenance + right.provenance
 

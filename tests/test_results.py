@@ -2,6 +2,7 @@
 
 from repro.execution.results import ResultTable, Row, compose_ranking
 from repro.model.terms import Variable
+from repro.testing import merged_with
 
 
 def _row(ranks=(), **bindings):
@@ -25,16 +26,16 @@ class TestRow:
         assert row.ranks == (("a", 1), ("b", 4))
 
     def test_merge_compatible(self):
-        merged = _row(City="Roma", F=1).merged_with(_row(City="Roma", H=2))
+        merged = merged_with(_row(City="Roma", F=1), _row(City="Roma", H=2))
         assert merged is not None
         assert merged.bindings[Variable("F")] == 1
         assert merged.bindings[Variable("H")] == 2
 
     def test_merge_conflicting_returns_none(self):
-        assert _row(City="Roma").merged_with(_row(City="Milano")) is None
+        assert merged_with(_row(City="Roma"), _row(City="Milano")) is None
 
     def test_merge_concatenates_ranks(self):
-        merged = _row(ranks=[("a", 1)], A=1).merged_with(_row(ranks=[("b", 2)], B=2))
+        merged = merged_with(_row(ranks=[("a", 1)], A=1), _row(ranks=[("b", 2)], B=2))
         assert merged.ranks == (("a", 1), ("b", 2))
 
     def test_project(self):

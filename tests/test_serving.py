@@ -16,6 +16,9 @@ differently while producing identical answers.
 
 from __future__ import annotations
 
+import json
+import sqlite3
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,12 +26,16 @@ from hypothesis import strategies as st
 from repro.execution.engine import ExecutionMode
 from repro.plans.spec import PlanSpec
 from repro.serving import (
+    CachedPlan,
     PlanCache,
+    PlanCacheFormatError,
+    PlanCacheStats,
     QueryService,
     SessionError,
     SessionManager,
 )
 from repro.serving.fingerprint import plan_cache_key, query_fingerprint
+from repro.serving.sqlite_cache import read_json_tier
 from repro.sources.news import market_moving_news_query, news_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
 
@@ -91,12 +98,11 @@ class TestPlanCache:
         assert cache.lookup("a") is None
         assert cache.memory_entries == 0
 
-    @pytest.mark.parametrize("suffix", ["json", "sqlite"])
-    def test_disk_tier_survives_a_new_cache_instance(self, tmp_path, suffix):
-        path = tmp_path / f"plans.{suffix}"
+    @pytest.mark.parametrize("name", ["plans.sqlite", "plans.json", "plans"])
+    def test_disk_tier_survives_a_new_cache_instance(self, tmp_path, name):
+        path = tmp_path / name
         spec = _spec(("io",), (), ((0, 2),))
         writer = PlanCache(path=path)
-        assert writer.backend_name == suffix
         writer.store("key", spec, 7.0, "requests", "epoch")
         reader = PlanCache(path=path)
         hit = reader.lookup("key")
@@ -106,32 +112,22 @@ class TestPlanCache:
         assert hit.metric == "requests"
         # Promotion: the second lookup is a memory hit.
         assert reader.lookup("key").tier == "memory"
+        # Whatever the name, a new path is a SQLite database in WAL mode.
+        connection = sqlite3.connect(path)
+        assert connection.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert connection.execute("PRAGMA user_version").fetchone()[0] == 1
+        connection.close()
 
-    def test_sequential_sibling_writers_merge_instead_of_clobbering(
-        self, tmp_path
-    ):
-        path = tmp_path / "plans.json"
-        # Both processes open the (empty) file before either stores.
-        writer_a = PlanCache(path=path)
-        writer_b = PlanCache(path=path)
-        writer_a.store("k1", _spec(("io",)), 1.0, "time", "e")
-        writer_b.store("k2", _spec(("oi",)), 2.0, "time", "e")
-        fresh = PlanCache(path=path)
-        assert fresh.lookup("k1") is not None
-        assert fresh.lookup("k2") is not None
-
-    @pytest.mark.parametrize("suffix", ["json", "sqlite"])
-    def test_corrupt_disk_file_is_ignored(self, tmp_path, suffix):
-        path = tmp_path / f"plans.{suffix}"
+    def test_corrupt_disk_file_is_ignored(self, tmp_path):
+        path = tmp_path / "plans.sqlite"
         path.write_text("{not json, and certainly not a database")
         cache = PlanCache(path=path)
         assert cache.disk_entries == 0
         cache.store("key", _spec(), 1.0, "time", "e")
         assert PlanCache(path=path).lookup("key") is not None
 
-    @pytest.mark.parametrize("suffix", ["json", "sqlite"])
-    def test_prune_drops_stale_epochs(self, tmp_path, suffix):
-        path = tmp_path / f"plans.{suffix}"
+    def test_prune_drops_stale_epochs(self, tmp_path):
+        path = tmp_path / "plans.sqlite"
         cache = PlanCache(path=path)
         cache.store("old", _spec(), 1.0, "time", "epoch1")
         cache.store("new", _spec(), 2.0, "time", "epoch2")
@@ -144,30 +140,29 @@ class TestPlanCache:
 # -- SQLite disk tier -------------------------------------------------------
 
 
+def _json_tier_payload(entries) -> str:
+    """A file in the format the retired JSON disk tier wrote."""
+    return json.dumps(
+        {
+            "version": 1,
+            "entries": {
+                key: {"spec": spec.to_json(), "cost": cost, "metric": metric,
+                      "epoch": epoch}
+                for key, (spec, cost, metric, epoch) in entries.items()
+            },
+        },
+        sort_keys=True,
+    )
+
+
 class TestSQLiteTier:
-    """The WAL-mode backend: explicit selection, siblings, migration,
-    and a seeded differential pinning it bit-identical to the JSON
-    tier (same CachedPlans, same stats, same prune counts)."""
-
-    def test_explicit_backend_overrides_suffix(self, tmp_path):
-        cache = PlanCache(path=tmp_path / "plans.cache", backend="sqlite")
-        assert cache.backend_name == "sqlite"
-        cache.store("key", _spec(), 1.0, "time", "e")
-        reader = PlanCache(path=tmp_path / "plans.cache", backend="sqlite")
-        assert reader.lookup("key") is not None
-        # The file really is a SQLite database in WAL mode.
-        import sqlite3
-
-        connection = sqlite3.connect(tmp_path / "plans.cache")
-        assert connection.execute(
-            "PRAGMA journal_mode"
-        ).fetchone()[0] == "wal"
-        connection.close()
+    """The disk tier: sibling writers, the files it refuses or discards,
+    and a seeded differential against a dict model (same CachedPlans,
+    same stats, same prune counts)."""
 
     def test_sibling_instances_accumulate_without_clobbering(self, tmp_path):
         path = tmp_path / "plans.sqlite"
-        # Both "processes" open the store before either writes — the
-        # scenario the JSON tier only survives sequentially.
+        # Both "processes" open the store before either writes.
         writer_a = PlanCache(path=path)
         writer_b = PlanCache(path=path)
         writer_a.store("k1", _spec(("io",)), 1.0, "time", "e")
@@ -177,40 +172,50 @@ class TestSQLiteTier:
         assert fresh.lookup("k2") is not None
         assert fresh.disk_entries == 2
 
-    def test_migrate_json_imports_entries_database_rows_win(self, tmp_path):
-        json_path = tmp_path / "plans.json"
-        old = PlanCache(path=json_path)
-        old.store("migrated", _spec(("io",)), 1.0, "time", "e1")
-        old.store("shared", _spec(("io",)), 1.0, "time", "e1")
-        sqlite_path = tmp_path / "plans.sqlite"
-        newer = PlanCache(path=sqlite_path)
-        newer.store("shared", _spec(("oi",)), 9.0, "time", "e2")
-        migrated = PlanCache(path=sqlite_path, migrate_json=json_path)
-        hit = migrated.lookup("migrated")
-        assert hit is not None and hit.epoch == "e1"
-        kept = migrated.lookup("shared")  # existing database row wins
-        assert kept.cost == 9.0 and kept.epoch == "e2"
-        assert migrated.disk_entries == 2
+    @pytest.mark.parametrize("name", ["plans.json", "plans.db"])
+    def test_json_tier_file_is_refused_not_deleted(self, tmp_path, name):
+        path = tmp_path / name
+        payload = _json_tier_payload({"old": (_spec(), 1.0, "time", "e1")})
+        path.write_text(payload)
+        with pytest.raises(PlanCacheFormatError, match="migrate-plan-cache"):
+            PlanCache(path=path)
+        assert path.read_text() == payload  # plans worth migrating: kept
+        assert read_json_tier(path) == {
+            "old": (_spec().to_json(), 1.0, "time", "e1")
+        }
 
-    def test_missing_migration_file_is_ignored(self, tmp_path):
-        cache = PlanCache(
-            path=tmp_path / "plans.sqlite",
-            migrate_json=tmp_path / "absent.json",
-        )
-        assert cache.disk_entries == 0
+    @pytest.mark.parametrize(
+        "content",
+        ['{"version": 2, "entries": {}}', "[1, 2]", '{"entries": {}}', ""],
+    )
+    def test_other_foreign_content_is_not_a_json_tier_file(
+        self, tmp_path, content
+    ):
+        path = tmp_path / "plans.db"
+        path.write_text(content)
+        assert read_json_tier(path) is None
+        assert PlanCache(path=path).disk_entries == 0  # discarded, recreated
 
-    def test_json_and_sqlite_tiers_are_bit_identical(self, tmp_path):
+    def test_unknown_schema_version_is_discarded(self, tmp_path):
+        path = tmp_path / "plans.sqlite"
+        PlanCache(path=path).store("key", _spec(), 1.0, "time", "e")
+        connection = sqlite3.connect(path)
+        connection.execute("PRAGMA user_version=99")
+        connection.close()
+        assert PlanCache(path=path).disk_entries == 0
+
+    def test_sqlite_tier_matches_a_dict_model(self, tmp_path):
         """Differential oracle: a seeded random op sequence driven
-        against both backends produces identical CachedPlans, stats,
-        prune counts, and entry sets."""
+        against the cache and a dict produces identical CachedPlans,
+        stats, prune counts, and entry sets — in this process and
+        after a restart from the file."""
         import random
 
         for seed in (1, 7, 20080824):
             rng = random.Random(seed)
-            caches = {
-                "json": PlanCache(path=tmp_path / f"d{seed}.json"),
-                "sqlite": PlanCache(path=tmp_path / f"d{seed}.sqlite"),
-            }
+            cache = PlanCache(path=tmp_path / f"d{seed}.sqlite")
+            model: dict[str, tuple] = {}
+            counted = {"stores": 0, "memory_hits": 0, "misses": 0}
             keys = [f"key{i}" for i in range(6)]
             epochs = ["e1", "e2"]
             for _ in range(120):
@@ -220,35 +225,38 @@ class TestSQLiteTier:
                     spec = _spec((rng.choice(("io", "oi")),))
                     args = (key, spec, rng.randint(1, 9) / 2.0, "time",
                             rng.choice(epochs))
-                    assert (caches["json"].store(*args)
-                            == caches["sqlite"].store(*args))
+                    assert cache.store(*args) is True
+                    model[key] = args[1:]
+                    counted["stores"] += 1
                 elif op == "lookup":
-                    hits = {
-                        name: cache.lookup(key)
-                        for name, cache in caches.items()
-                    }
-                    assert (hits["json"] is None) == (hits["sqlite"] is None)
-                    if hits["json"] is not None:
-                        assert hits["json"] == hits["sqlite"]
+                    hit = cache.lookup(key)
+                    if key in model:
+                        assert hit == CachedPlan(*model[key], tier="memory")
+                        counted["memory_hits"] += 1
+                    else:
+                        assert hit is None
+                        counted["misses"] += 1
                 else:
                     epoch = rng.choice(epochs)
-                    assert (caches["json"].prune(epoch)
-                            == caches["sqlite"].prune(epoch))
-            assert (caches["json"].stats.to_dict()
-                    == caches["sqlite"].stats.to_dict())
-            assert (caches["json"]._tier.keys()
-                    == caches["sqlite"]._tier.keys())
-            # And both survive a restart with the same visible state.
-            restarted = {
-                name: PlanCache(path=cache.path)
-                for name, cache in caches.items()
-            }
+                    stale = [k for k, row in model.items() if row[3] != epoch]
+                    assert cache.prune(epoch) == len(stale)
+                    for stale_key in stale:
+                        del model[stale_key]
+                # The disk row under the touched key, read back.
+                expected = model.get(key)
+                assert cache._tier.get(key) == (
+                    expected and (expected[0].to_json(), *expected[1:])
+                )
+            assert cache.stats.to_dict() == PlanCacheStats(**counted).to_dict()
+            assert cache._tier.keys() == tuple(sorted(model))
+            # And the same state is visible after a restart.
+            restarted = PlanCache(path=cache.path)
             for key in keys:
-                hits = {
-                    name: cache.lookup(key)
-                    for name, cache in restarted.items()
-                }
-                assert hits["json"] == hits["sqlite"]
+                hit = restarted.lookup(key)
+                if key in model:
+                    assert hit == CachedPlan(*model[key], tier="disk")
+                else:
+                    assert hit is None
 
 
 # -- Per-tenant store quotas ------------------------------------------------
@@ -354,6 +362,25 @@ class TestSessionManager:
         with pytest.raises(SessionError):
             manager.get(second.session_id)
         assert manager.get(first.session_id) is first
+
+    def test_sessions_are_kept_in_touch_order(self):
+        """``active_ids`` is least recently touched first; eviction and
+        expiry both work from that head."""
+        clock = _FakeClock()
+        manager = SessionManager(capacity=3, ttl=10.0, clock=clock)
+        query, executor = mahler_weekend_query(), _executor()
+        a, b, c = (manager.create(query, executor).session_id for _ in range(3))
+        assert manager.active_ids == (a, b, c)
+        clock.now = 4.0
+        manager.get(a)
+        assert manager.active_ids == (b, c, a)
+        clock.now = 6.0
+        d = manager.create(query, executor).session_id  # evicts b, the head
+        assert manager.active_ids == (c, a, d)
+        clock.now = 12.0  # c (touched at 0) is past the TTL, a and d are not
+        assert manager.sweep() == (c,)
+        assert manager.active_ids == (a, d)
+        assert (manager.stats.evicted, manager.stats.expired) == (1, 1)
 
     def test_release_closes_immediately(self):
         manager = SessionManager(ttl=None)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.engine import ExecutionEngine, ExecutionError, ExecutionMode
-from repro.execution.joins import JoinStream, execute_join, execute_join_hashed
+from repro.execution.joins import JoinStream, execute_join_hashed
 from repro.execution.lazy import LazyServiceCursor, ListPageSource
 from repro.execution.results import Row, SlotLayout, compose_ranking
 from repro.execution.slots import (
@@ -41,7 +41,7 @@ from repro.plans.builder import PlanBuilder, chain_poset
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
-from repro.testing.reference import reference_execute
+from repro.testing.reference import execute_join, merged_with, reference_execute
 
 from tests.test_property_streaming import (
     _random_table_plan,
@@ -104,11 +104,11 @@ class TestSlotLayout:
         right_clash = Row(bindings={K: 9, R: 3})
         plan = SlotJoinPlan(left.layout, right_match.layout)
         merged = plan.merge(left.values, right_match.values)
-        expected = left.merged_with(right_match)
+        expected = merged_with(left, right_match)
         assert Row(layout=plan.merged, values=merged) == expected
         assert plan.merged == expected.layout
         assert plan.merge(left.values, right_clash.values) is None
-        assert left.merged_with(right_clash) is None
+        assert merged_with(left, right_clash) is None
 
 
 class TestCompiledPredicates:
@@ -147,9 +147,12 @@ class TestHashedJoinSlotPath:
     @given(_keys, _keys, _ranks, _ranks)
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_dict_path(self, lk, rk, lr, rr):
-        """The dict path is the reference scan ``execute_join``."""
+        """The dict path is the reference scan ``execute_join``.  Every
+        hand-built row owns its layout object, so each side's layouts
+        are equal and (beyond one row) never identical."""
         left = _ranked_side(lk, lr, "L")
         right = _ranked_side(rk, rr, "R")
+        assert len(left) < 2 or not _share_one_layout(left)
         for method in METHODS:
             for predicates in ((), (_SUM_BELOW_5,)):
                 hashed = execute_join_hashed(method, left, right, predicates)
@@ -176,14 +179,17 @@ class TestHashedJoinSlotPath:
                 execute_join(method, left, right, (_SUM_BELOW_5,))
             )
 
-    def test_heterogeneous_rows_fall_back(self):
-        left = [Row(bindings={K: 0, L: 0}), Row(bindings={K: 0})]
-        right = [Row(bindings={K: 0, R: 1})]
-        rows = execute_join_hashed(JoinMethod.NESTED_LOOP, left, right)
-        assert _signature(rows) == _signature(
-            execute_join(JoinMethod.NESTED_LOOP, left, right)
-        )
-        assert [r.layout.variables for r in rows] == [(K, L, R), (K, R)]
+    @pytest.mark.parametrize("method", METHODS)
+    def test_heterogeneous_rows_raise(self, method):
+        """A join side has one layout; the reference still joins them."""
+        uniform = [Row(bindings={K: 0, L: 0}), Row(bindings={K: 0, L: 1})]
+        mixed = [Row(bindings={K: 0, L: 0}), Row(bindings={K: 0})]
+        other = [Row(bindings={K: 0, R: 1})]
+        for left, right, side in ((mixed, other, "left"), (other, mixed, "right")):
+            with pytest.raises(ExecutionError, match=f"{side} join input mixes"):
+                execute_join_hashed(method, left, right)
+            assert len(execute_join(method, left, right)) == 2
+        assert len(execute_join_hashed(method, uniform, other)) == 2
 
     def test_unhashable_keys_fall_back(self):
         left = [Row(bindings={K: [1], L: 0})]
@@ -215,9 +221,11 @@ class TestJoinStreamSlotPath:
     @given(_keys, _keys, _ranks, _ranks, _k)
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_dict_stream(self, lk, rk, lr, rr, k):
-        """The dict side is ``compose_ranking(execute_join(...), k)``."""
+        """The dict side is ``compose_ranking(execute_join(...), k)``;
+        the rows' layouts are equal, not identical (see the hashed twin)."""
         left = _ranked_side(lk, lr, "L")
         right = _ranked_side(rk, rr, "R")
+        assert len(right) < 2 or not _share_one_layout(right)
         for method in METHODS:
             stream = JoinStream(method, left, right, (_SUM_BELOW_5,))
             oracle = execute_join(method, left, right, (_SUM_BELOW_5,))
@@ -247,24 +255,23 @@ class TestJoinStreamSlotPath:
                     compose_ranking(oracle, k)
                 )
 
-    def test_heterogeneous_input_falls_back_mid_walk(self):
-        """Name kept from when a misfit row made the stream abandon its
-        slot state for a dict loop; today nothing falls back."""
+    def test_heterogeneous_input_raises_mid_walk(self):
         left = [
             Row(bindings={K: 0, L: 0}, ranks=(("L", 0),)),
             Row(bindings={K: 0}, ranks=(("L", 1),)),  # misfit row
         ]
         right = _ranked_side([0, 0], [0, 1, 0, 0, 0, 0], "R")
-        stream = JoinStream(JoinMethod.NESTED_LOOP, left, right)
-        assert _signature(stream.top(None)) == _signature(
-            compose_ranking(execute_join(JoinMethod.NESTED_LOOP, left, right))
-        )
+        for method in METHODS:
+            with pytest.raises(ExecutionError, match="left join input mixes"):
+                JoinStream(method, left, right).top(None)
+            with pytest.raises(ExecutionError, match="right join input mixes"):
+                JoinStream(method, right, left).top(None)
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_misfit_layout_row_mid_walk_in_a_resumed_stream(self, method):
+    def test_misfit_layout_row_in_a_lazily_pulled_page_raises(self, method):
         """A lazily fetched left side whose second page holds a row
-        laid out differently: the resumed walk compiles a second merge
-        plan for it and carries on in the same loop."""
+        laid out differently: the walk answers from the first page and
+        raises when the resumed walk pulls the misfit row."""
         pages = [
             [Row(bindings={K: 0, L: 0}, ranks=(("L", 0),))],
             [
@@ -274,18 +281,12 @@ class TestJoinStreamSlotPath:
         ]
         left = LazyServiceCursor(ListPageSource(pages=pages))
         right = _ranked_side([0, 0, 1], [0, 1, 2, 0, 0, 0], "R")
-        full = execute_join(method, [row for page in pages for row in page], right)
         stream = JoinStream(method, left, right)
-        for k in (1, 3, None):
-            assert _signature(stream.top(k)) == _signature(compose_ranking(full, k))
-            assert (
-                stream.cells_visited + stream.cells_skipped == stream.plane_cells
-            )
-        assert stream.plane_cells == 9
-        assert {row.layout.variables for row in stream.top(None)} == {
-            (K, L, R),
-            (K, R),
-        }
+        first = stream.top(1)
+        assert [row.layout.variables for row in first] == [(K, L, R)]
+        assert len(left.rows) == 1  # the misfit page was not pulled yet
+        with pytest.raises(ExecutionError, match="left join input mixes"):
+            stream.top(None)
 
 
 class TestEngineSlotPath:
