@@ -31,11 +31,15 @@ built to change:
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
-from _bench_env import QUICK, bench_out_name
+from _bench_env import (
+    QUICK,
+    append_history,
+    bench_out_name,
+    env_stamp,
+)
 
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.engine import ExecutionEngine, ExecutionMode
@@ -218,6 +222,7 @@ class TestBackendTrajectory:
             "per_scale": per_scale,
             "demand_vs_drain_sqlite": lazy_rows,
         }
-        (out_dir / bench_out_name("BENCH_backends.json")).write_text(
-            json.dumps(payload, indent=2) + "\n"
+        append_history(
+            out_dir / bench_out_name("BENCH_backends.json"),
+            {**payload, "env": env_stamp()},
         )

@@ -1,103 +1,43 @@
 """Figure 11 — the paper's main experiment.
 
-Executes the serial plan S, the parallel plan P, and the optimal plan O
-under the three logical-cache settings, regenerating both charts:
+``repro.experiments.run_figure11`` executes the serial plan S, the
+parallel plan P, and the optimal plan O under the three logical-cache
+settings, regenerating both charts:
 
 * calls per service (weather / flight / hotel) — matches the paper
   EXACTLY thanks to the calibrated world;
 * total execution time — simulated from the Table 1 latencies; the
   orderings (O < S < P per setting; optimal ≤ one-call ≤ no-cache per
   plan) must reproduce; absolute seconds differ from the authors'
-  testbed and are recorded in EXPERIMENTS.md.
+  testbed and stand next to theirs in
+  ``benchmarks/out/figure11_cache_plans.txt``.
 """
 
 import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.plans.builder import PlanBuilder
-from repro.sources.travel import (
-    FLIGHT_ATOM,
-    HOTEL_ATOM,
-    alpha1_patterns,
-    poset_optimal,
-    poset_parallel,
-    poset_serial,
-)
+from repro.execution.engine import ExecutionEngine
+from repro.experiments import PAPER_CALLS, artifact, figure11_plans, run_figure11
 
 pytestmark = pytest.mark.bench
-
-PAPER_CALLS = {
-    ("no-cache", "S"): (71, 16, 284),
-    ("no-cache", "P"): (71, 71, 71),
-    ("no-cache", "O"): (71, 16, 16),
-    ("one-call", "S"): (71, 16, 15),
-    ("one-call", "P"): (71, 71, 71),
-    ("one-call", "O"): (71, 16, 16),
-    ("optimal", "S"): (54, 11, 10),
-    ("optimal", "P"): (54, 54, 54),
-    ("optimal", "O"): (54, 11, 11),
-}
-
-PAPER_TIMES = {
-    ("no-cache", "S"): 374, ("no-cache", "P"): 596, ("no-cache", "O"): 218,
-    ("one-call", "S"): 266, ("one-call", "P"): 598, ("one-call", "O"): 219,
-    ("optimal", "S"): 176, ("optimal", "P"): 512, ("optimal", "O"): 155,
-}
-
-
-def _plans(registry, travel_query):
-    builder = PlanBuilder(travel_query, registry)
-    return {
-        "S": builder.build(
-            alpha1_patterns(), poset_serial(),
-            fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 8},
-        ),
-        "P": builder.build(
-            alpha1_patterns(), poset_parallel(),
-            fetches={FLIGHT_ATOM: 3, HOTEL_ATOM: 4},
-        ),
-        "O": builder.build(
-            alpha1_patterns(), poset_optimal(),
-            fetches={FLIGHT_ATOM: 3, HOTEL_ATOM: 4},
-        ),
-    }
-
-
-def _run_grid(registry, travel_query):
-    outcomes = {}
-    plans = _plans(registry, travel_query)
-    for setting in CacheSetting:
-        for name, plan in plans.items():
-            engine = ExecutionEngine(
-                registry, cache_setting=setting, mode=ExecutionMode.PARALLEL
-            )
-            outcomes[(setting.value, name)] = engine.execute(
-                plan, head=travel_query.head, k=10
-            )
-    return outcomes
 
 
 @pytest.fixture()
 def grid(registry, travel_query):
-    return _run_grid(registry, travel_query)
+    return run_figure11(registry, travel_query)
 
 
 class TestFigure11:
     def test_bench_full_grid(self, benchmark, registry, travel_query, out_dir):
-        outcomes = benchmark(_run_grid, registry, travel_query)
-        assert len(outcomes) == 9
+        grid = benchmark(run_figure11, registry, travel_query)
+        assert len(grid.cells) == 9
         for key, expected in PAPER_CALLS.items():
-            stats = outcomes[key].stats
-            assert (
-                stats.calls("weather"), stats.calls("flight"),
-                stats.calls("hotel"),
-            ) == expected, key
-        self.test_write_figure11(outcomes, out_dir)
+            assert grid.cells[key].calls == expected, key
+        self.test_write_figure11(grid, out_dir)
 
     def test_bench_single_optimal_execution(self, benchmark, registry, travel_query):
-        plan = _plans(registry, travel_query)["O"]
+        plan = figure11_plans(registry, travel_query)["O"]
 
         def run():
             engine = ExecutionEngine(
@@ -110,49 +50,23 @@ class TestFigure11:
 
     @pytest.mark.parametrize("key", sorted(PAPER_CALLS), ids="-".join)
     def test_calls_exactly_match_paper(self, grid, key):
-        stats = grid[key].stats
-        assert (
-            stats.calls("weather"), stats.calls("flight"), stats.calls("hotel")
-        ) == PAPER_CALLS[key]
+        assert grid.cells[key].calls == PAPER_CALLS[key]
 
     def test_time_shape_matches_paper(self, grid):
-        for setting in ("no-cache", "one-call", "optimal"):
-            assert (
-                grid[(setting, "O")].elapsed
-                < grid[(setting, "S")].elapsed
-                < grid[(setting, "P")].elapsed
-            )
-        for plan in ("S", "P", "O"):
-            assert (
-                grid[("optimal", plan)].elapsed
-                <= grid[("one-call", plan)].elapsed + 1e-9
-                <= grid[("no-cache", plan)].elapsed + 1e-9
-            )
+        assert grid.time_shape_holds()
 
     def test_write_figure11(self, grid, out_dir):
-        lines = [
-            "Figure 11 — calls per service and total times",
-            "",
-            f"{'setting':<10} {'plan':<5} {'weather':>8} {'flight':>7} "
-            f"{'hotel':>6} {'conf':>5} {'time[s]':>9} {'paper calls':>15} "
-            f"{'paper[s]':>9}",
-        ]
-        for setting in ("no-cache", "one-call", "optimal"):
-            for plan in ("S", "P", "O"):
-                outcome = grid[(setting, plan)]
-                stats = outcome.stats
-                paper = PAPER_CALLS[(setting, plan)]
-                lines.append(
-                    f"{setting:<10} {plan:<5} {stats.calls('weather'):>8} "
-                    f"{stats.calls('flight'):>7} {stats.calls('hotel'):>6} "
-                    f"{stats.calls('conf'):>5} {outcome.elapsed:>9.1f} "
-                    f"{str(paper):>15} {PAPER_TIMES[(setting, plan)]:>9}"
-                )
-        lines += [
-            "",
-            "Call counts match the paper exactly (calibrated world).",
-            "Times are simulated from the Table 1 latencies; the paper's",
-            "orderings hold: O < S < P per setting, and caching never",
-            "slows a plan down.",
-        ]
-        write_artifact(out_dir, "figure11_cache_plans.txt", "\n".join(lines))
+        assert grid.all_calls_match_paper and grid.time_shape_holds()
+        assert all(cell.conf_calls == 1 for cell in grid.cells.values())
+        write_artifact(
+            out_dir, "figure11_cache_plans.txt",
+            artifact(
+                grid,
+                "",
+                "Call counts match the paper exactly (calibrated world);",
+                "conf is called once in every cell.",
+                "Times are simulated from the Table 1 latencies; the paper's",
+                "orderings hold: O < S < P per setting, and caching never",
+                "slows a plan down.",
+            ),
+        )

@@ -2,102 +2,52 @@
 
 Once conf is forced first by the α1 access patterns, the remaining
 three atoms admit exactly 19 alternative plans (the partial orders on
-three elements).  This benchmark enumerates and costs all of them under
-the execution-time metric, regenerating the comparison the paper walks
-through: the serial plan (a), the pruned prefix (b), the all-parallel
-plan (c), and the optimal plan (d) = Figure 8's plan O.
+three elements).  ``repro.experiments.run_figure7`` enumerates and
+costs all of them under the execution-time metric, regenerating the
+comparison the paper walks through: the serial plan (a), the pruned
+prefix (b), the all-parallel plan (c), and the optimal plan (d) =
+Figure 8's plan O.
 """
 
 import pytest
 
 from benchmarks.conftest import write_artifact
-from repro.costs.time_cost import ExecutionTimeMetric
-from repro.execution.cache import CacheSetting
-from repro.optimizer.fetches import FetchContext, exhaustive_assignment
-from repro.optimizer.topology import TopologyEnumerator
-from repro.plans.builder import PlanBuilder
-from repro.plans.render import summarize
-from repro.sources.travel import (
-    alpha1_patterns,
-    poset_optimal,
-    poset_parallel,
-    poset_serial,
-)
+from repro.experiments import PAPER_PLAN_COUNT, artifact, run_figure7
+from repro.sources.travel import poset_optimal, poset_parallel, poset_serial
 
 pytestmark = pytest.mark.bench
-
-K = 10
-
-
-def _cost_all_topologies(registry, travel_query):
-    metric = ExecutionTimeMetric()
-    builder = PlanBuilder(travel_query, registry)
-    posets = TopologyEnumerator(travel_query, alpha1_patterns()).all_posets()
-    rows = []
-    for poset in posets:
-        plan = builder.build(alpha1_patterns(), poset)
-        context = FetchContext(plan, metric, CacheSetting.ONE_CALL)
-        result = exhaustive_assignment(context, K)
-        rows.append((poset, plan, result))
-    return rows
 
 
 @pytest.fixture()
 def costed(registry, travel_query):
-    return _cost_all_topologies(registry, travel_query)
+    return run_figure7(registry, travel_query)
 
 
 class TestFigure7:
     def test_bench_plan_space_costing(
         self, benchmark, registry, travel_query, out_dir
     ):
-        rows = benchmark(_cost_all_topologies, registry, travel_query)
-        assert len(rows) == 19
-        self.test_write_figure7_table(rows, out_dir)
+        costed = benchmark(run_figure7, registry, travel_query)
+        assert len(costed.plans) == PAPER_PLAN_COUNT
+        self.test_write_figure7_table(costed, out_dir)
 
     def test_exactly_19_plans(self, costed):
-        assert len(costed) == 19
+        assert len(costed.plans) == PAPER_PLAN_COUNT
 
     def test_plan_o_is_the_cheapest_feasible(self, costed):
-        feasible = [row for row in costed if row[2].feasible]
-        best = min(feasible, key=lambda row: row[2].cost)
-        assert best[0].closure() == poset_optimal().closure()
+        feasible = [row for row in costed.plans if row.fetch_result.feasible]
+        best = min(feasible, key=lambda row: row.cost)
+        assert best.poset.closure() == poset_optimal().closure()
 
     def test_parallel_plan_is_among_the_worst(self, costed):
         """Plan P 'turns out to be the worst choice, since the
         selective effect of weather is lost' (Section 6): under ETM it
         costs several times the optimum."""
-        by_closure = {row[0].closure(): row[2].cost for row in costed}
-        best = min(by_closure.values())
-        parallel_cost = by_closure[poset_parallel().closure()]
-        assert parallel_cost > 3 * best
+        best = min(row.cost for row in costed.plans)
+        assert costed.cost_of(poset_parallel()) > 3 * best
 
     def test_serial_beats_parallel_under_etm(self, costed):
-        by_closure = {row[0].closure(): row[2].cost for row in costed}
-        assert (
-            by_closure[poset_serial().closure()]
-            < by_closure[poset_parallel().closure()]
-        )
+        assert costed.cost_of(poset_serial()) < costed.cost_of(poset_parallel())
 
     def test_write_figure7_table(self, costed, out_dir):
-        named = {
-            poset_serial().closure(): "S (Fig. 7a)",
-            poset_parallel().closure(): "P (Fig. 7c)",
-            poset_optimal().closure(): "O (Fig. 7d)",
-        }
-        lines = [
-            f"Figure 7 / Example 5.1 — all 19 plans for α1, ETM, k={K}",
-            "",
-            f"{'rank':<5} {'cost':>8} {'h':>7} {'fetches':<14} plan",
-        ]
-        ordered = sorted(costed, key=lambda row: row[2].cost)
-        for rank, (poset, plan, result) in enumerate(ordered, start=1):
-            tag = named.get(poset.closure(), "")
-            fetch_text = ",".join(
-                f"F{i}={f}" for i, f in sorted(result.fetches.items())
-            )
-            lines.append(
-                f"{rank:<5} {result.cost:>8.1f} {result.output_size:>7.2f} "
-                f"{fetch_text:<14} {summarize(plan)}  {tag}"
-            )
-        write_artifact(out_dir, "figure7_plan_space.txt", "\n".join(lines))
+        write_artifact(out_dir, "figure7_plan_space.txt", artifact(costed))

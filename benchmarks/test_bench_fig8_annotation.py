@@ -1,83 +1,54 @@
 """Figure 8 — the fully instantiated physical access plan.
 
-Regenerates every annotation of the figure: the fetching factors from
-Eq. 6 (F_flight=3, F_hotel=4 at k=10), the per-node t_in/t_out values,
-and the merge-scan join's 1500 candidate pairs shrinking to 15 expected
-answers under the estimated join erspi of 0.01.
+Checks every annotation ``repro.experiments.run_figure8`` regenerates
+against the figure: the fetching factors from Eq. 6 (F_flight=3,
+F_hotel=4 at k=10), the per-node t_in/t_out values, and the merge-scan
+join's 1500 candidate pairs shrinking to 15 expected answers under the
+estimated join erspi of 0.01.
 """
 
 import pytest
 
 from benchmarks.conftest import write_artifact
-from repro.costs.time_cost import ExecutionTimeMetric
-from repro.execution.cache import CacheSetting
-from repro.optimizer.fetches import FetchContext, closed_form_pair
-from repro.plans.annotate import annotate
-from repro.plans.builder import PlanBuilder
-from repro.plans.render import render_ascii
-from repro.sources.travel import (
-    CONF_ATOM,
-    FLIGHT_ATOM,
-    HOTEL_ATOM,
-    WEATHER_ATOM,
-    alpha1_patterns,
-    poset_optimal,
+from repro.experiments import (
+    PAPER_FETCHES,
+    PAPER_FIGURE8,
+    PAPER_FIGURE8_JOIN,
+    artifact,
+    run_figure8,
 )
 
 pytestmark = pytest.mark.bench
-
-PAPER_VALUES = {
-    # atom index: (t_in as calls, t_out)
-    CONF_ATOM: (1, 20),
-    WEATHER_ATOM: (20, 1),
-    FLIGHT_ATOM: (1, 75),
-    HOTEL_ATOM: (1, 20),
-}
-
-
-def _build_and_annotate(registry, travel_query):
-    builder = PlanBuilder(travel_query, registry)
-    plan = builder.build(alpha1_patterns(), poset_optimal())
-    context = FetchContext(plan, ExecutionTimeMetric(), CacheSetting.ONE_CALL)
-    fetch_result = closed_form_pair(context, k=10)
-    context.apply(fetch_result.fetches)
-    annotation = annotate(plan, CacheSetting.ONE_CALL)
-    return plan, fetch_result, annotation
 
 
 class TestFigure8:
     def test_bench_annotation_pipeline(
         self, benchmark, registry, travel_query, out_dir
     ):
-        plan, fetch_result, annotation = benchmark(
-            _build_and_annotate, registry, travel_query
+        figure = benchmark(run_figure8, registry, travel_query)
+        assert figure.annotation.output_size == pytest.approx(
+            PAPER_FIGURE8_JOIN[1]
         )
-        assert annotation.output_size == pytest.approx(15.0)
         self.test_all_annotations(registry, travel_query, out_dir)
 
     def test_fetching_factors(self, registry, travel_query):
-        _, fetch_result, _ = _build_and_annotate(registry, travel_query)
-        assert fetch_result.fetches == {FLIGHT_ATOM: 3, HOTEL_ATOM: 4}
+        assert run_figure8(registry, travel_query).fetches == PAPER_FETCHES
 
     def test_all_annotations(self, registry, travel_query, out_dir):
-        plan, fetch_result, annotation = _build_and_annotate(
-            registry, travel_query
-        )
-        for atom_index, (calls, t_out) in PAPER_VALUES.items():
+        figure = run_figure8(registry, travel_query)
+        plan, annotation = figure.plan, figure.annotation
+        for atom_index, (calls, t_out) in PAPER_FIGURE8.items():
             node = plan.service_node_for_atom(atom_index)
             assert annotation.calls(node) == pytest.approx(calls), atom_index
             assert annotation.tuples_out(node) == pytest.approx(t_out), atom_index
         join = plan.join_nodes[0]
-        assert annotation.tuples_in(join) == pytest.approx(1500)
-        assert annotation.tuples_out(join) == pytest.approx(15)
-
-        lines = [
-            "Figure 8 — annotated physical access plan (k=10, one-call cache)",
-            "",
-            render_ascii(plan, annotation),
-            "",
-            f"Fetching factors (Eq. 6): {fetch_result.fetches}",
-            "Paper: F_flight=3, F_hotel=4; t_MS: 1500 in -> 15 out;",
-            "       t_in/t_out per node as asserted above — exact match.",
-        ]
-        write_artifact(out_dir, "figure8_annotation.txt", "\n".join(lines))
+        pairs, answers = PAPER_FIGURE8_JOIN
+        assert annotation.tuples_in(join) == pytest.approx(pairs)
+        assert annotation.tuples_out(join) == pytest.approx(answers)
+        write_artifact(
+            out_dir, "figure8_annotation.txt",
+            artifact(
+                figure,
+                "       t_in/t_out per node as asserted above — exact match.",
+            ),
+        )

@@ -40,11 +40,16 @@ rows stay bit-identical to the oracle.
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
-from _bench_env import QUICK, bench_out_name, bench_scale
+from _bench_env import (
+    QUICK,
+    append_history,
+    bench_out_name,
+    bench_scale,
+    env_stamp,
+)
 
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.results import compose_ranking
@@ -288,8 +293,9 @@ class TestLazyFetchTrajectory:
             },
             "serial_per_method": serial_per_method,
         }
-        (out_dir / bench_out_name("BENCH_lazy.json")).write_text(
-            json.dumps(payload, indent=2) + "\n"
+        append_history(
+            out_dir / bench_out_name("BENCH_lazy.json"),
+            {**payload, "env": env_stamp()},
         )
 
     def test_bench_lazy_streamed_top_10(self, benchmark):

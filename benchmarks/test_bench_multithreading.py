@@ -4,7 +4,8 @@ Dispatching all available calls of each node to parallel threads
 collapses plan S's elapsed time (the paper measures 76 s vs 374 s) but
 randomizes arrival order, degrading the one-call cache: the paper's
 hotel calls go from 15 (ordered) back up to 212 of the 284.  The
-optimal cache suffers no such drawback.
+optimal cache suffers no such drawback.  The grid is
+``repro.experiments.run_multithreading``'s.
 """
 
 import pytest
@@ -12,84 +13,52 @@ import pytest
 from benchmarks.conftest import write_artifact
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.plans.builder import PlanBuilder
-from repro.sources.travel import (
-    FLIGHT_ATOM,
-    HOTEL_ATOM,
-    alpha1_patterns,
-    poset_serial,
+from repro.experiments import (
+    PAPER_CALLS,
+    artifact,
+    figure11_plans,
+    run_multithreading,
 )
 
 pytestmark = pytest.mark.bench
-
-
-def _serial_plan(registry, travel_query):
-    return PlanBuilder(travel_query, registry).build(
-        alpha1_patterns(), poset_serial(),
-        fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 8},
-    )
-
-
-def _run(registry, travel_query, plan, cache, mode):
-    engine = ExecutionEngine(registry, cache_setting=cache, mode=mode)
-    return engine.execute(plan, head=travel_query.head, k=10)
 
 
 class TestMultithreading:
     def test_bench_threaded_execution(
         self, benchmark, registry, travel_query, out_dir
     ):
-        plan = _serial_plan(registry, travel_query)
-        result = benchmark(
-            _run, registry, travel_query, plan,
-            CacheSetting.ONE_CALL, ExecutionMode.MULTITHREADED,
-        )
+        plan = figure11_plans(registry, travel_query)["S"]
+
+        def run():
+            engine = ExecutionEngine(
+                registry, cache_setting=CacheSetting.ONE_CALL,
+                mode=ExecutionMode.MULTITHREADED,
+            )
+            return engine.execute(plan, head=travel_query.head, k=10)
+
+        result = benchmark(run)
         assert result.rows
         self.test_speedup_and_cache_degradation(registry, travel_query, out_dir)
 
     def test_speedup_and_cache_degradation(self, registry, travel_query, out_dir):
-        plan = _serial_plan(registry, travel_query)
-        cells = {}
-        for cache in (CacheSetting.NO_CACHE, CacheSetting.ONE_CALL,
-                      CacheSetting.OPTIMAL):
-            for mode in (ExecutionMode.PARALLEL, ExecutionMode.MULTITHREADED):
-                cells[(cache.value, mode.value)] = _run(
-                    registry, travel_query, plan, cache, mode
-                )
+        grid = run_multithreading(registry, travel_query)
+        assert len(grid.cells) == 6
 
-        ordered = cells[("one-call", "parallel")]
-        threaded = cells[("one-call", "multithreaded")]
-        assert ordered.stats.calls("hotel") == 15
-        degraded = threaded.stats.calls("hotel")
-        assert 15 < degraded <= 284  # paper: 212 of 284
+        ordered = PAPER_CALLS[("one-call", "S")][2]
+        uncached = PAPER_CALLS[("no-cache", "S")][2]
+        assert grid.ordered_hotel_calls == ordered
+        assert ordered < grid.threaded_hotel_calls <= uncached  # paper: 212 of 284
 
-        no_cache_ordered = cells[("no-cache", "parallel")]
-        no_cache_threaded = cells[("no-cache", "multithreaded")]
-        assert no_cache_threaded.elapsed < no_cache_ordered.elapsed / 3
-
-        optimal_ordered = cells[("optimal", "parallel")]
-        optimal_threaded = cells[("optimal", "multithreaded")]
-        assert optimal_threaded.stats.calls("hotel") == optimal_ordered.stats.calls(
-            "hotel"
+        assert grid.elapsed("no-cache", "multithreaded") < (
+            grid.elapsed("no-cache", "parallel") / 3
         )
-
-        lines = [
-            "Multithreading experiment (plan S)",
-            "",
-            f"{'cache':<10} {'mode':<15} {'hotel calls':>12} {'time[s]':>9}",
-        ]
-        for (cache, mode), outcome in sorted(cells.items()):
-            lines.append(
-                f"{cache:<10} {mode:<15} {outcome.stats.calls('hotel'):>12} "
-                f"{outcome.elapsed:>9.1f}"
-            )
-        lines += [
-            "",
-            "Paper: ordered one-call cache 15 hotel calls; threaded 212;",
-            f"ours: ordered 15, threaded {degraded}.",
-            "Paper: plan S drops from 374 s to 76 s with threads;",
-            f"ours: {no_cache_ordered.elapsed:.0f} s -> "
-            f"{no_cache_threaded.elapsed:.0f} s.",
-            "The optimal cache suffers no drawback (same calls either way).",
-        ]
-        write_artifact(out_dir, "multithreading.txt", "\n".join(lines))
+        assert grid.hotel_calls("optimal", "multithreaded") == grid.hotel_calls(
+            "optimal", "parallel"
+        )
+        write_artifact(
+            out_dir, "multithreading.txt",
+            artifact(
+                grid,
+                "The optimal cache suffers no drawback (same calls either way).",
+            ),
+        )

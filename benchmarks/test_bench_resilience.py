@@ -49,12 +49,17 @@ Acceptance (asserted on every sampled world):
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 
 import pytest
-from _bench_env import QUICK, bench_out_name, bench_scale
+from _bench_env import (
+    QUICK,
+    append_history,
+    bench_out_name,
+    bench_scale,
+    env_stamp,
+)
 
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.progressive import ProgressiveExecutor
@@ -465,8 +470,9 @@ class TestResilienceTrajectory:
                 },
             },
         }
-        (out_dir / bench_out_name("BENCH_resilience.json")).write_text(
-            json.dumps(payload, indent=2) + "\n"
+        append_history(
+            out_dir / bench_out_name("BENCH_resilience.json"),
+            {**payload, "env": env_stamp()},
         )
 
     def test_bench_retry_recovery_top_10(self, benchmark):

@@ -20,11 +20,16 @@ of the subsystem: cells visited must scale with k, not with ``n × m``
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
-from _bench_env import QUICK, bench_out_name, bench_scale
+from _bench_env import (
+    QUICK,
+    append_history,
+    bench_out_name,
+    bench_scale,
+    env_stamp,
+)
 
 from repro.execution.joins import JoinStream, execute_join_hashed
 from repro.execution.results import Row, compose_ranking
@@ -150,8 +155,9 @@ class TestStreamingTrajectory:
             "plane_cells": plane,
             "per_method": per_method,
         }
-        (out_dir / bench_out_name("BENCH_streaming.json")).write_text(
-            json.dumps(payload, indent=2) + "\n"
+        append_history(
+            out_dir / bench_out_name("BENCH_streaming.json"),
+            {**payload, "env": env_stamp()},
         )
 
     def test_bench_streamed_top_10(self, benchmark):

@@ -3,119 +3,46 @@
 Regenerates the paper's service-profile table by *sampling* the
 simulated services, exactly as the paper's registration process does
 ("Profiling information is derived from several test queries that have
-been individually issued to the different services").
-
-Paper's values: conf exact, avg size 20, τ 1.2; weather exact, avg size
-0.05 (with the 28 °C filter folded in), τ 1.5; flight search, chunk 25,
-τ 9.7; hotel search, chunk 5, τ 4.9.
+been individually issued to the different services").  The probe, the
+rendering and the paper's row are ``repro.experiments.run_table1``'s.
 """
 
 import pytest
 
 from benchmarks.conftest import write_artifact
-from repro.model.schema import AccessPattern
-from repro.services.profiler import ServiceProfiler, format_profile_table
-from repro.sources.world import OTHER_TOPIC_SIZES, city_dates
+from repro.experiments import PAPER_TABLE1, artifact, run_table1
 
 pytestmark = pytest.mark.bench
 
 
-def _profile_all(registry, world):
-    registry.reset_all()  # probe against cold remote-side caches
-    estimates = []
-    # conf probed over the non-DB topics (mean size 20, as in Table 1).
-    conf_samples = [{0: topic} for topic in OTHER_TOPIC_SIZES]
-    estimates.append(
-        ServiceProfiler(registry.service("conf")).estimate(
-            AccessPattern("ioooo"), conf_samples
-        )
-    )
-    # weather probed over sample cities.
-    weather_samples = []
-    for city in world.all_cities[:20]:
-        start, _ = city_dates(city)
-        weather_samples.append({0: city, 2: start})
-    estimates.append(
-        ServiceProfiler(registry.service("weather")).estimate(
-            AccessPattern("ioi"), weather_samples
-        )
-    )
-    # flight and hotel probed over hot-city routes, plus the deep
-    # Amsterdam route whose fare list exceeds one chunk.
-    from repro.sources.world import DEEP_ROUTE_CITY
-
-    flight_samples = []
-    hotel_samples = []
-    for city in list(world.hot_cities[:5]) + [DEEP_ROUTE_CITY]:
-        start, end = city_dates(city)
-        flight_samples.append({0: "Milano", 1: city, 2: start, 3: end})
-        hotel_samples.append({1: city, 2: "luxury", 3: start, 4: end})
-    estimates.append(
-        ServiceProfiler(registry.service("flight")).estimate(
-            AccessPattern("iiiiooo"), flight_samples
-        )
-    )
-    estimates.append(
-        ServiceProfiler(registry.service("hotel")).estimate(
-            AccessPattern("oiiiio"), hotel_samples
-        )
-    )
-    return estimates
-
-
-@pytest.fixture()
-def estimates(registry, world):
-    return _profile_all(registry, world)
-
-
 class TestTable1:
     def test_bench_profiling(self, benchmark, registry, world, out_dir):
-        estimates = benchmark(_profile_all, registry, world)
-        assert len(estimates) == 4
-        self._check_and_write(estimates, registry, out_dir)
+        table = benchmark(run_table1, registry, world)
+        assert len(table.estimates) == 4
+        self._check_and_write(table, out_dir)
 
-    def test_table_shape_matches_paper(self, estimates, registry, out_dir):
-        self._check_and_write(estimates, registry, out_dir)
+    def test_table_shape_matches_paper(self, registry, world, out_dir):
+        self._check_and_write(run_table1(registry, world), out_dir)
 
     @staticmethod
-    def _check_and_write(estimates, registry, out_dir):
-        by_name = {e.service: e for e in estimates}
-        # conf: exact, mean response size 20 over the probe topics.
-        assert by_name["conf"].chunk_size is None
-        assert by_name["conf"].average_result_size == pytest.approx(20.0)
-        assert by_name["conf"].average_response_time == pytest.approx(1.2)
-        # weather: exact, one tuple per (city, date); the paper's 0.05
+    def _check_and_write(table, out_dir):
+        by_name = {e.service: e for e in table.estimates}
+        # Chunk size (None for the exact services) and τ are the
+        # paper's for every service.
+        for name, (_, chunk, _, tau) in PAPER_TABLE1.items():
+            assert by_name[name].chunk_size == chunk
+            assert by_name[name].average_response_time == pytest.approx(tau)
+        # conf: mean response size 20 over the probe topics.
+        assert by_name["conf"].average_result_size == pytest.approx(
+            PAPER_TABLE1["conf"][2]
+        )
+        # weather: one tuple per (city, date); the paper's 0.05
         # folds in the temperature filter, which the optimizer carries
         # as an explicit predicate selectivity instead.
         assert by_name["weather"].average_result_size == pytest.approx(1.0)
-        assert by_name["weather"].average_response_time == pytest.approx(1.5)
-        # flight: search, chunk 25; hotel: search, chunk 5.
-        assert by_name["flight"].chunk_size == 25
-        assert by_name["flight"].average_response_time == pytest.approx(9.7)
-        assert by_name["hotel"].chunk_size == 5
-        assert by_name["hotel"].average_response_time == pytest.approx(4.9)
+        write_artifact(out_dir, "table1_profiles.txt", artifact(table))
 
-        lines = [
-            "Table 1 — measured service profiles (sampling probe)",
-            "",
-            format_profile_table(estimates),
-            "",
-            "Registered profiles used by the optimizer:",
-        ]
-        for name in ("conf", "weather", "flight", "hotel"):
-            lines.append(f"  {name:<8} {registry.profile(name).describe()}")
-        lines += [
-            "",
-            "Paper (Table 1): conf exact -/20/1.2s; weather exact -/0.05/1.5s;",
-            "                 flight search 25/-/9.7s; hotel search 5/-/4.9s.",
-            "Note: the paper's 0.05 for weather is the erspi *after* the",
-            "Temperature >= 28 selection; we model the raw erspi (1.0) and",
-            "attach selectivity 0.05 to the predicate, so the annotated",
-            "product matches Figure 8 exactly.",
-        ]
-        write_artifact(out_dir, "table1_profiles.txt", "\n".join(lines))
-
-    def test_effective_weather_erspi_with_filter(self, registry, world):
+    def test_effective_weather_erspi_with_filter(self, world):
         """The filtered erspi the paper reports: fraction of probed
         cities at >= 28°C, times one tuple per call."""
         from repro.sources.world import city_temperature

@@ -2,78 +2,19 @@
 
 Prints Table 1, the Figure 7 plan space, the Figure 8 annotated plan,
 the Figure 11 grid (calls and times), and the multithreading
-experiment, each next to the paper's published values.
+experiment, each next to the paper's published values — the same
+report as ``python -m repro reproduce``.
 
 Run with::
 
     python examples/reproduce_paper.py
 """
 
-from repro.experiments import (
-    run_figure7,
-    run_figure8,
-    run_figure11,
-    run_multithreading,
-    run_table1,
-)
-from repro.services.profiler import format_profile_table
-from repro.sources.travel import travel_registry
-from repro.sources.world import build_world
+from repro.experiments import reproduce_paper
 
 
 def main() -> None:
-    world = build_world()
-
-    print("=" * 72)
-    print("Table 1 — service characterization (sampled profiles)")
-    print("=" * 72)
-    print(format_profile_table(run_table1(travel_registry(world), world)))
-    print(
-        "paper: conf exact -/20/1.2s | weather exact -/0.05/1.5s "
-        "(0.05 = with 28°C filter)\n"
-        "       flight search 25/-/9.7s | hotel search 5/-/4.9s\n"
-    )
-
-    print("=" * 72)
-    print("Figure 7 / Example 5.1 — the 19 alternative plans (ETM, k=10)")
-    print("=" * 72)
-    topologies = run_figure7(travel_registry(world))
-    for rank, costed in enumerate(topologies, start=1):
-        print(f"{rank:>3}. {costed.describe()}")
-    print(f"paper: 19 plans; plan O optimal — ours: {len(topologies)} plans,\n"
-          f"       best = {topologies[0].describe()}\n")
-
-    print("=" * 72)
-    print("Figure 8 — the annotated optimal physical plan")
-    print("=" * 72)
-    figure8 = run_figure8(travel_registry(world))
-    print(figure8.render())
-    print(f"fetching factors (Eq. 6): {figure8.fetches} "
-          "(paper: F_flight=3, F_hotel=4)\n")
-
-    print("=" * 72)
-    print("Figure 11 — plans S/P/O under three cache settings")
-    print("=" * 72)
-    grid = run_figure11(travel_registry(world))
-    print(grid.render())
-    print(f"calls match the paper exactly: {grid.all_calls_match_paper}")
-    print(f"time orderings hold:          {grid.time_shape_holds()}\n")
-
-    print("=" * 72)
-    print("Multithreading experiment (plan S, one-call cache)")
-    print("=" * 72)
-    threads = run_multithreading(travel_registry(world))
-    print(
-        f"ordered:  {threads.ordered_elapsed:7.1f}s, "
-        f"{threads.ordered_hotel_calls} hotel calls"
-    )
-    print(
-        f"threaded: {threads.threaded_elapsed:7.1f}s, "
-        f"{threads.threaded_hotel_calls} hotel calls "
-        f"(speedup {threads.speedup:.1f}x, cache degraded: "
-        f"{threads.cache_degraded})"
-    )
-    print("paper: 374s -> 76s; hotel calls 15 -> 212 of 284")
+    print(reproduce_paper())
 
 
 if __name__ == "__main__":

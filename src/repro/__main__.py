@@ -303,19 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "reproduce":
-        from repro.experiments import run_figure8, run_figure11, run_table1
-        from repro.services.profiler import format_profile_table
+        from repro.experiments import reproduce_paper
 
-        print("Table 1:")
-        print(format_profile_table(run_table1()))
-        print("\nFigure 8:")
-        figure8 = run_figure8()
-        print(figure8.render())
-        print(f"fetching factors: {figure8.fetches}")
-        print("\nFigure 11:")
-        grid = run_figure11()
-        print(grid.render())
-        print(f"\ncalls match paper: {grid.all_calls_match_paper}")
+        print(reproduce_paper())
         return 0
 
     if args.command == "demo":

@@ -33,8 +33,9 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
+from contextlib import AbstractContextManager, contextmanager
 from enum import Enum
-from typing import Hashable
+from typing import Hashable, Iterator
 
 
 class CacheSetting(Enum):
@@ -165,6 +166,42 @@ class OptimalCache(LogicalCache):
         self._memo.clear()
 
 
+class KeyedMutex:
+    """One mutex per key, for as long as someone holds or awaits it.
+
+    The table maps a key to ``[mutex, holders + waiters]``, counted
+    under a guard; the last one out deletes the entry, so a stream of
+    fresh keys leaves nothing behind (``len()`` is the number of keys
+    in flight).  A thread that finds the entry gone starts a new one,
+    which is safe because whoever held the old one has already
+    finished what the mutex protected.
+    """
+
+    def __init__(self) -> None:
+        self._guard = threading.Lock()
+        self._entries: dict[Hashable, list] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @contextmanager
+    def holding(self, key: Hashable) -> Iterator[None]:
+        """Hold *key*'s mutex for the duration of the ``with`` block."""
+        with self._guard:
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = [threading.Lock(), 0]
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._guard:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._entries[key]
+
+
 class ThreadSafeCache(LogicalCache):
     """Lock-guarded view over another :class:`LogicalCache`.
 
@@ -176,7 +213,7 @@ class ThreadSafeCache(LogicalCache):
     Guarding individual operations is not enough for *call counting*:
     two workers resolving the same input setting concurrently would
     both miss, both invoke the remote service, and double-count the
-    call.  :meth:`key_lock` hands out one mutex per ``(service,
+    call.  :meth:`key_lock` holds one mutex per ``(service,
     input_key)`` — a worker holds it across its whole lookup → invoke →
     store page loop, so each distinct input setting is resolved by
     exactly one worker at a time and call/hit counts match sequential
@@ -186,7 +223,7 @@ class ThreadSafeCache(LogicalCache):
     def __init__(self, inner: LogicalCache) -> None:
         self._inner = inner
         self._lock = threading.RLock()
-        self._key_locks: dict[tuple[str, InputKey], threading.Lock] = {}
+        self._key_mutex = KeyedMutex()
 
     @property
     def inner(self) -> LogicalCache:
@@ -206,16 +243,13 @@ class ThreadSafeCache(LogicalCache):
     def clear(self) -> None:
         with self._lock:
             self._inner.clear()
-            self._key_locks.clear()
 
-    def key_lock(self, service: str, input_key: InputKey) -> threading.Lock:
-        """The single-flight mutex for one input parameter setting."""
-        with self._lock:
-            key = (service, input_key)
-            lock = self._key_locks.get(key)
-            if lock is None:
-                lock = self._key_locks[key] = threading.Lock()
-            return lock
+    def key_lock(
+        self, service: str, input_key: InputKey
+    ) -> AbstractContextManager[None]:
+        """``with cache.key_lock(service, input_key):`` — the
+        single-flight mutex for one input parameter setting."""
+        return self._key_mutex.holding((service, input_key))
 
 
 def make_cache(

@@ -21,19 +21,21 @@ switchable layers wired into the one page-pull seam
   (seeded) behavior, never of wall-clock time or scheduling.
 
 * **Hedging** (:class:`HedgePolicy`) — a page pull whose reported
-  latency exceeds the straggler threshold is duplicated onto a small
-  shared thread pool (the same fan-out discipline as the PR 6
-  ``ParallelExecutor``); the first *sound* response wins by virtual
-  latency and the loser is discarded without touching the logical
-  cache or its accounting.  **Accounting argument**: both the primary
-  and the duplicate are raw ``service.invoke`` calls below the cache
-  layer — only the winner is stored and recorded via ``record_fetch``,
-  so calls/fetches/cache-hit counters are bit-identical to an unhedged
-  run; the duplicate is traced solely by the ``hedged_pulls`` /
-  ``hedged_wins`` / ``wasted_fetches`` counters.  (On a remote-caching
-  service the duplicate may be answered by the remote's own cache and
-  win with the fast repeat latency — *virtual time* may legitimately
-  improve; tuples never change for a deterministic remote.)
+  latency exceeds the straggler threshold is issued a second time,
+  inline: the duplicate can only start once the primary has reported
+  the latency that trips the threshold, and latencies are virtual, so
+  there is nothing for a thread to overlap.  The first *sound* response
+  wins by virtual latency and the loser is discarded without touching
+  the logical cache or its accounting.  **Accounting argument**: both
+  the primary and the duplicate are raw ``service.invoke`` calls below
+  the cache layer — only the winner is stored and recorded via
+  ``record_fetch``, so calls/fetches/cache-hit counters are
+  bit-identical to an unhedged run; the duplicate is traced solely by
+  the ``hedged_pulls`` / ``hedged_wins`` / ``wasted_fetches`` counters.
+  (On a remote-caching service the duplicate may be answered by the
+  remote's own cache and win with the fast repeat latency — *virtual
+  time* may legitimately improve; tuples never change for a
+  deterministic remote.)
 
 * **Partial results** (``partial_results=True``) — when retries are
   exhausted, the failing unit (one ``(service, input setting)`` block)
@@ -52,8 +54,6 @@ switchable layers wired into the one page-pull seam
 from __future__ import annotations
 
 import hashlib
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -151,9 +151,9 @@ class HedgePolicy:
     """Duplicate straggler page pulls; first sound response wins.
 
     A pull whose reported latency exceeds ``threshold`` (virtual
-    seconds) is re-issued up to ``max_hedges`` times on the shared
-    hedge pool; the response with the smallest virtual latency wins
-    (the primary on ties), every loser is discarded uncounted.
+    seconds) is re-issued up to ``max_hedges`` times; the response
+    with the smallest virtual latency wins (the primary on ties),
+    every loser is discarded uncounted.
     """
 
     threshold: float = 4.0
@@ -282,26 +282,6 @@ class DriftMonitor:
             raise PlanDrift(service, mean, expected, count)
 
 
-_HEDGE_POOL: ThreadPoolExecutor | None = None
-_HEDGE_POOL_LOCK = threading.Lock()
-
-
-def _hedge_pool() -> ThreadPoolExecutor:
-    """The process-wide pool hedged duplicates run on (lazily built).
-
-    Mirrors the ``ParallelExecutor`` fan-out pool: small, shared, and
-    daemonic enough that leaving it alive for the process lifetime is
-    cheap (four idle threads).
-    """
-    global _HEDGE_POOL
-    with _HEDGE_POOL_LOCK:
-        if _HEDGE_POOL is None:
-            _HEDGE_POOL = ThreadPoolExecutor(
-                max_workers=4, thread_name_prefix="hedge"
-            )
-        return _HEDGE_POOL
-
-
 def resilient_fetch(
     config: ResilienceConfig,
     service: str,
@@ -369,9 +349,8 @@ def _maybe_hedge(
     winner = primary
     for _ in range(max(1, hedge.max_hedges)):
         stats.hedged_pulls += 1
-        future = _hedge_pool().submit(invoke)
         try:
-            backup = future.result()
+            backup = invoke()
         except TRANSIENT_ERRORS:
             stats.wasted_fetches += 1  # the duplicate itself failed
             continue

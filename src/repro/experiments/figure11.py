@@ -1,9 +1,10 @@
-"""Programmatic regeneration of Figure 11 (the paper's main experiment).
+"""Figure 11 and the multithreading experiment: the artifacts of
+Section 6 that execute plans S, P and O.
 
-Runs plans S, P, and O under the three logical-cache settings and
-returns a :class:`Figure11Result` holding, per cell, the calls issued
-to each service and the simulated total time, next to the paper's
-published values.
+:func:`run_figure11` runs the three plans under the three logical-cache
+settings (per cell: calls per service and simulated total time);
+:func:`run_multithreading` runs plan S under the three settings with
+and without per-node thread dispatch.  The paper's values live here.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode, ExecutionResult
+from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.model.query import ConjunctiveQuery
 from repro.plans.builder import PlanBuilder
 from repro.plans.dag import QueryPlan
@@ -49,6 +50,12 @@ PAPER_TIMES: dict[tuple[str, str], int] = {
     ("optimal", "S"): 176, ("optimal", "P"): 512, ("optimal", "O"): 155,
 }
 
+#: The multithreading experiment on plan S: seconds with threads (down
+#: from the no-cache cell above) and hotel calls under the one-call
+#: cache with threads (up from the one-call cell above).
+PAPER_THREADED_TIME = 76
+PAPER_THREADED_HOTEL_CALLS = 212
+
 
 @dataclass(frozen=True)
 class Figure11Cell:
@@ -80,6 +87,8 @@ class Figure11Result:
 
     cells: dict[tuple[str, str], Figure11Cell]
 
+    title = "Figure 11 — calls per service and total times"
+
     def cell(self, setting: str, plan: str) -> Figure11Cell:
         return self.cells[(setting, plan)]
 
@@ -104,7 +113,7 @@ class Figure11Result:
         return True
 
     def render(self) -> str:
-        """A text table in the shape of Figure 11."""
+        """The grid as a text table, one row per cell."""
         lines = [
             f"{'setting':<10} {'plan':<5} {'weather':>8} {'flight':>7} "
             f"{'hotel':>6} {'time[s]':>9}   {'paper calls':<15} {'paper[s]':>8}",
@@ -162,7 +171,7 @@ def run_figure11(
             engine = ExecutionEngine(
                 registry, cache_setting=setting, mode=ExecutionMode.PARALLEL
             )
-            outcome: ExecutionResult = engine.execute(plan, head=query.head, k=k)
+            outcome = engine.execute(plan, head=query.head, k=k)
             stats = outcome.stats
             cells[(setting.value, name)] = Figure11Cell(
                 setting=setting.value,
@@ -177,3 +186,83 @@ def run_figure11(
                 answers=len(outcome.rows),
             )
     return Figure11Result(cells=cells)
+
+
+# -- Multithreading experiment ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MultithreadingResult:
+    """Plan S under each cache setting, with and without per-node
+    thread dispatch: ``{(setting, mode): (hotel calls, elapsed)}``.
+
+    The speed-up is read off the *no-cache* pair (the paper's 374 s is
+    Figure 11's no-cache cell of plan S), the degradation of the
+    one-call cache off the *one-call* pair.
+    """
+
+    cells: dict[tuple[str, str], tuple[int, float]]
+
+    title = "Multithreading experiment (plan S)"
+
+    def hotel_calls(self, setting: str, mode: str) -> int:
+        return self.cells[(setting, mode)][0]
+
+    def elapsed(self, setting: str, mode: str) -> float:
+        return self.cells[(setting, mode)][1]
+
+    @property
+    def speedup(self) -> float:
+        return self.elapsed("no-cache", "parallel") / self.elapsed(
+            "no-cache", "multithreaded"
+        )
+
+    @property
+    def ordered_hotel_calls(self) -> int:
+        return self.hotel_calls("one-call", "parallel")
+
+    @property
+    def threaded_hotel_calls(self) -> int:
+        return self.hotel_calls("one-call", "multithreaded")
+
+    @property
+    def cache_degraded(self) -> bool:
+        return self.threaded_hotel_calls > self.ordered_hotel_calls
+
+    def render(self) -> str:
+        lines = [f"{'cache':<10} {'mode':<15} {'hotel calls':>12} {'time[s]':>9}"]
+        for (setting, mode), (calls, elapsed) in sorted(self.cells.items()):
+            lines.append(f"{setting:<10} {mode:<15} {calls:>12} {elapsed:>9.1f}")
+        lines += [
+            "",
+            "Paper: ordered one-call cache "
+            f"{PAPER_CALLS[('one-call', 'S')][2]} hotel calls; "
+            f"threaded {PAPER_THREADED_HOTEL_CALLS};",
+            f"ours: ordered {self.ordered_hotel_calls}, "
+            f"threaded {self.threaded_hotel_calls}.",
+            f"Paper: plan S drops from {PAPER_TIMES[('no-cache', 'S')]} s to "
+            f"{PAPER_THREADED_TIME} s with threads;",
+            f"ours: {self.elapsed('no-cache', 'parallel'):.0f} s -> "
+            f"{self.elapsed('no-cache', 'multithreaded'):.0f} s.",
+        ]
+        return "\n".join(lines)
+
+
+def run_multithreading(
+    registry: ServiceRegistry | None = None,
+    query: ConjunctiveQuery | None = None,
+) -> MultithreadingResult:
+    """Execute plan S over 3 cache settings × {ordered, threaded}."""
+    registry = registry or travel_registry()
+    query = query or running_example_query()
+    plan = figure11_plans(registry, query)["S"]
+    cells = {}
+    for setting in CacheSetting:
+        for mode in (ExecutionMode.PARALLEL, ExecutionMode.MULTITHREADED):
+            outcome = ExecutionEngine(
+                registry, cache_setting=setting, mode=mode
+            ).execute(plan, head=query.head)
+            cells[(setting.value, mode.value)] = (
+                outcome.stats.calls("hotel"), outcome.elapsed
+            )
+    return MultithreadingResult(cells=cells)

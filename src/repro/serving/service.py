@@ -47,21 +47,21 @@ the sequential schedule (``tests/test_serving_concurrency.py`` and
 the serving bench's worker sweep pin both properties).  The lock
 order is plan cache → sessions → service cache; no code path acquires
 in the opposite direction, so the layer cannot deadlock (see
-``docs/ARCHITECTURE.md``, "Concurrent serving").
+``docs/ARCHITECTURE.md``, "Concurrency").
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.costs.base import CostMetric
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import (
     CacheSetting,
+    KeyedMutex,
     LogicalCache,
     OptimalCache,
     ThreadSafeCache,
@@ -161,8 +161,7 @@ class QueryResponse:
         # provenance-off response must not change by a byte.
         if self.row_provenance is not None:
             rendered["row_provenance"] = [
-                [dict(record) for record in row_records]
-                for row_records in self.row_provenance
+                list(row_records) for row_records in self.row_provenance
             ]
         return rendered
 
@@ -301,12 +300,10 @@ class QueryService:
         # ``k`` and the cache setting, which are key components of their own.
         self._config = self.optimizer_config or OptimizerConfig()
         self._config_token = optimizer_config_token(self._config)
-        # Single-flight for plan resolution: one ``[mutex, waiters]``
-        # entry per plan-cache key *currently being resolved* — the
-        # last thread out drops the entry, so fresh-constant traffic
-        # (a new key per request) leaves nothing behind.
-        self._plan_locks: dict[str, list] = {}
-        self._plan_locks_guard = threading.Lock()
+        # Single-flight for plan resolution: one mutex per plan-cache
+        # key *currently being resolved*, so fresh-constant traffic (a
+        # new key per request) leaves nothing behind.
+        self._plan_locks = KeyedMutex()
 
     # -- the request surface --------------------------------------------
 
@@ -491,28 +488,6 @@ class QueryService:
 
     # -- internals -------------------------------------------------------
 
-    @contextmanager
-    def _plan_lock(self, key: str) -> Iterator[None]:
-        """Hold the single-flight mutex for one plan-cache key.
-
-        Holders and waiters are counted under the guard; a thread that
-        finds the entry gone starts a new one, which is safe because
-        whoever held the old one has already stored the plan.
-        """
-        with self._plan_locks_guard:
-            entry = self._plan_locks.get(key)
-            if entry is None:
-                entry = self._plan_locks[key] = [threading.Lock(), 0]
-            entry[1] += 1
-        try:
-            with entry[0]:
-                yield
-        finally:
-            with self._plan_locks_guard:
-                entry[1] -= 1
-                if not entry[1]:
-                    del self._plan_locks[key]
-
     def _resolve_plan(
         self, query: ConjunctiveQuery, k: int, registry=None
     ) -> tuple:
@@ -550,7 +525,7 @@ class QueryService:
         )
         annotate_calls = 0
         head = tuple(query.head)
-        with self._plan_lock(key):
+        with self._plan_locks.holding(key):
             hit = self.plan_cache.lookup(key)
             if hit is not None:
                 cost = hit.cost
@@ -783,27 +758,15 @@ class QueryService:
         )
 
     @staticmethod
-    def _provenance_records(row, epoch: str) -> tuple[tuple[tuple, ...], ...]:
+    def _provenance_records(row, epoch: str) -> tuple[dict, ...]:
         """One answer row's provenance, JSON-ready and epoch-stamped.
 
         Each engine record is ``(service, (pattern, ((pos, value),
-        ...)), page)``; the rendering flattens the input key into
-        nested lists and stamps the registry content epoch the answer
-        was computed against, giving the
+        ...)), page)``; the rendering stamps the registry content epoch
+        the answer was computed against, giving the
         ``(service, input key, page index, epoch)`` record format.
-        Rendered as sorted key/value pair tuples so the frozen
-        response dataclass stays hashable; :meth:`QueryResponse.
-        to_dict` turns each record back into a plain dict.
         """
         return tuple(
-            (
-                ("epoch", epoch),
-                (
-                    "input",
-                    (pattern, tuple((pos, value) for pos, value in bound)),
-                ),
-                ("page", page),
-                ("service", service),
-            )
-            for service, (pattern, bound), page in row.provenance
+            {"epoch": epoch, "input": input_key, "page": page, "service": service}
+            for service, input_key, page in row.provenance
         )

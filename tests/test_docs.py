@@ -19,8 +19,9 @@ the engine never reads rows back as dicts (``Row.bindings``) outside
 ``Row`` itself, a plan is walked — and a failed unit demoted — in one
 place, it is compiled in one place (a plan-cache hit builds nothing),
 there is one join, one plan-cache disk tier and one SQLite connection
-pool, and the constructors and serving commands take exactly the
-parameters recorded here.
+pool, the constructors and serving commands take exactly the
+parameters recorded here, and the paper is reproduced — and a perf
+trajectory written — in one place.
 """
 
 from __future__ import annotations
@@ -108,16 +109,40 @@ def test_quickstart_anchors_are_real():
 
 
 def test_architecture_covers_the_subsystems():
+    """ARCHITECTURE.md is the current system in pipeline order: each
+    layer's section holds its anchor, sections come in the order a
+    request passes through them, and no heading is a PR number
+    (history lives in CHANGES.md)."""
     architecture = (REPO / "docs" / "ARCHITECTURE.md").read_text()
-    for anchor in (
-        "src/repro/optimizer/memo.py",
-        "src/repro/execution/joins.py",
-        "src/repro/execution/lazy.py",
-        "BENCH_lazy.json",
-        "rank floor",
-        "Certificate invariant",
-    ):
+    sections = re.split(r"^## ", architecture, flags=re.M)[1:]
+    titles = [section.split("\n", 1)[0] for section in sections]
+    anchors = (
+        ("The pipeline at a glance", "src/repro/model/"),
+        ("Serving layer", "query fingerprint"),
+        ("Plan cache", "src/repro/serving/sqlite_cache.py"),
+        ("Optimizer", "src/repro/optimizer/memo.py"),
+        ("The execution program", "Immutable after compile"),
+        ("Walk, scheduler, rounds", "Zero-drift contract"),
+        ("The fetch seam", "src/repro/execution/fetch.py"),
+        ("Rows and slot layouts", "SlotLayout"),
+        ("Joins and streamed early exit", "Certificate invariant"),
+        ("Lazy cursors", "rank floor"),
+        ("Resilience", "src/repro/execution/resilience.py"),
+        ("Mid-flight adaptivity", "src/repro/serving/breaker.py"),
+        ("Service backends and provenance", "src/repro/services/sqlite.py"),
+        ("Concurrency", "KeyedMutex"),
+        ("Testing", "tests/test_property_joins.py"),
+        ("Reproducing the paper and perf trajectories", "reproduce_paper()"),
+    )
+    assert len(titles) == len(anchors), titles
+    for title, section, (prefix, anchor) in zip(titles, sections, anchors):
+        assert title.startswith(prefix), f"expected {prefix!r}, found {title!r}"
+        assert anchor in section, f"section {prefix!r} lost anchor: {anchor}"
+    for anchor in ("src/repro/execution/joins.py", "src/repro/execution/lazy.py",
+                   "BENCH_lazy.json", '{"history": [...]}', "env_stamp()"):
         assert anchor in architecture, f"ARCHITECTURE.md lost anchor: {anchor}"
+    headings = re.findall(r"^#+ .*$", architecture, flags=re.M)
+    assert not [h for h in headings if re.search(r"\bPR ?\d", h)], headings
 
 
 # -- source-tree guards ------------------------------------------------------
@@ -289,6 +314,7 @@ def test_retired_seam_plumbing_stays_retired():
         "_JsonDiskTier", "backend_name", "migrate_json", "plan_cache_backend",
         "execute_join_streamed", "LayoutMemo", "_shares_layout",
         "thread_overhead", "shuffle_seed", "tenant_id", "busy_timeout_ms",
+        "_hedge_pool", "_key_locks",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"
@@ -339,6 +365,39 @@ def test_one_join_one_plan_cache_tier_one_sqlite_pool():
     assert not imported & {"json", "tempfile", "os"}
     for path in (SRC / "serving").glob("*.py"):
         assert "sqlite3.connect(" not in path.read_text(), path.name
+
+
+def test_the_paper_is_reproduced_in_one_place():
+    """The five figure modules under ``benchmarks/`` call
+    ``repro.experiments`` and build, profile and enumerate nothing
+    themselves; the paper's published values have one home outside the
+    tests; and every ``BENCH_*.json`` is written through
+    ``append_history``."""
+    from benchmarks.code_lines import FIGURE_MODULES
+
+    benchmarks = REPO / "benchmarks"
+    for name in FIGURE_MODULES:
+        tree = ast.parse((benchmarks / name).read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert "repro.experiments" in {node.module for node in imports}, name
+        imported = {alias.name for node in imports for alias in node.names}
+        assert not imported & {
+            "PlanBuilder", "FetchContext", "ServiceProfiler", "TopologyEnumerator",
+        }, name
+    holders = [
+        path.relative_to(REPO).as_posix()
+        for top in ("src", "benchmarks", "examples")
+        for path in (REPO / top).rglob("*.py")
+        if "(71, 16, 284)" in path.read_text()
+    ]
+    assert holders == ["src/repro/experiments/figure11.py"]
+    for path in benchmarks.glob("*.py"):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "write_text":
+                assert "BENCH_" not in ast.unparse(node), path.name
+        if 'bench_out_name("BENCH_' in text:
+            assert "append_history(" in text, path.name
 
 
 def test_parameter_budget(capsys):

@@ -20,13 +20,15 @@ def grid():
 
 class TestTable1Runner:
     def test_four_estimates(self):
-        estimates = run_table1()
+        estimates = run_table1().estimates
         assert [e.service for e in estimates] == [
             "conf", "weather", "flight", "hotel"
         ]
 
     def test_paper_taus(self):
-        taus = {e.service: e.average_response_time for e in run_table1()}
+        taus = {
+            e.service: e.average_response_time for e in run_table1().estimates
+        }
         assert taus == pytest.approx(
             {"conf": 1.2, "weather": 1.5, "flight": 9.7, "hotel": 4.9}
         )
@@ -34,13 +36,13 @@ class TestTable1Runner:
 
 class TestFigure7Runner:
     def test_19_costed_topologies_sorted(self):
-        rows = run_figure7()
+        rows = run_figure7().plans
         assert len(rows) == 19
         costs = [row.cost for row in rows]
         assert costs == sorted(costs)
 
     def test_best_is_plan_o(self):
-        rows = run_figure7()
+        rows = run_figure7().plans
         assert rows[0].poset.closure() == poset_optimal().closure()
 
 
@@ -80,3 +82,25 @@ class TestMultithreadingRunner:
         assert result.ordered_hotel_calls == 15
         assert result.cache_degraded
         assert 15 < result.threaded_hotel_calls <= 284
+
+    def test_grid(self):
+        """3 caches × {ordered, threaded}: the speed-up is read off the
+        no-cache pair, the degradation off the one-call pair, and the
+        optimal cache is indifferent to arrival order."""
+        grid = run_multithreading()
+        assert sorted(grid.cells) == [
+            (setting, mode)
+            for setting in ("no-cache", "one-call", "optimal")
+            for mode in ("multithreaded", "parallel")
+        ]
+        assert grid.hotel_calls("one-call", "parallel") == 15
+        assert 15 < grid.hotel_calls("one-call", "multithreaded") <= 284
+        assert grid.elapsed("no-cache", "multithreaded") < (
+            grid.elapsed("no-cache", "parallel") / 3
+        )
+        assert grid.hotel_calls("optimal", "multithreaded") == grid.hotel_calls(
+            "optimal", "parallel"
+        )
+        text = grid.render()
+        assert "374 s to 76 s" in text and "threaded 212" in text
+

@@ -10,19 +10,11 @@ import pytest
 
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.plans.builder import PlanBuilder
-from repro.sources.travel import (
-    FLIGHT_ATOM,
-    HOTEL_ATOM,
-    alpha1_patterns,
-    poset_optimal,
-    poset_parallel,
-    poset_serial,
-    running_example_query,
-    travel_registry,
-)
+from repro.experiments import figure11_plans
+from repro.sources.travel import running_example_query, travel_registry
 
-#: The paper's Figure 11 call counts:
+#: The paper's Figure 11 call counts, as this test expects them (the
+#: copy the program renders is ``repro.experiments.PAPER_CALLS``):
 #: {setting: {plan: (weather, flight, hotel)}}
 PAPER_CALLS = {
     CacheSetting.NO_CACHE: {"S": (71, 16, 284), "P": (71, 71, 71), "O": (71, 16, 16)},
@@ -36,21 +28,7 @@ def figure11():
     """Execute the 3 plans × 3 cache settings once, collect results."""
     registry = travel_registry()
     query = running_example_query()
-    builder = PlanBuilder(query, registry)
-    plans = {
-        "S": builder.build(
-            alpha1_patterns(), poset_serial(),
-            fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 8},
-        ),
-        "P": builder.build(
-            alpha1_patterns(), poset_parallel(),
-            fetches={FLIGHT_ATOM: 3, HOTEL_ATOM: 4},
-        ),
-        "O": builder.build(
-            alpha1_patterns(), poset_optimal(),
-            fetches={FLIGHT_ATOM: 3, HOTEL_ATOM: 4},
-        ),
-    }
+    plans = figure11_plans(registry, query)
     outcomes = {}
     for setting in CacheSetting:
         for name, plan in plans.items():

@@ -14,15 +14,42 @@ from repro.sources.travel import (
 
 
 class TestCliReproduce:
-    def test_reproduce_command(self, capsys):
+    """``python -m repro reproduce`` and ``examples/reproduce_paper.py``
+    are one call of ``repro.experiments.reproduce_paper``."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        from repro.experiments import reproduce_paper
+
+        return reproduce_paper() + "\n"
+
+    def test_reproduce_command(self, capsys, report):
         from repro.__main__ import main
 
         assert main(["reproduce"]) == 0
         out = capsys.readouterr().out
+        assert out == report
         assert "Table 1" in out
+        assert "Figure 7 / Example 5.1 — all 19 plans" in out
         assert "Figure 8" in out
+        assert "Fetching factors (Eq. 6): {0: 3, 1: 4}" in out
         assert "Figure 11" in out
         assert "calls match paper: True" in out
+        assert "Multithreading experiment" in out
+
+    def test_example_is_the_same_call(self, capsys, report):
+        import importlib.util
+        import pathlib
+
+        from repro.experiments import reproduce_paper
+
+        path = pathlib.Path(__file__).parent.parent / "examples" / "reproduce_paper.py"
+        spec = importlib.util.spec_from_file_location("reproduce_paper", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        assert example.reproduce_paper is reproduce_paper
+        example.main()
+        assert capsys.readouterr().out == report
 
 
 class TestEngineModes:

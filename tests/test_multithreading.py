@@ -10,26 +10,15 @@ import pytest
 
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.plans.builder import PlanBuilder
-from repro.sources.travel import (
-    FLIGHT_ATOM,
-    HOTEL_ATOM,
-    alpha1_patterns,
-    poset_serial,
-    running_example_query,
-    travel_registry,
-)
+from repro.experiments import figure11_plans
+from repro.sources.travel import running_example_query, travel_registry
 
 
 @pytest.fixture(scope="module")
 def serial_plan_setup():
     registry = travel_registry()
     query = running_example_query()
-    plan = PlanBuilder(query, registry).build(
-        alpha1_patterns(), poset_serial(),
-        fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 8},
-    )
-    return registry, query, plan
+    return registry, query, figure11_plans(registry, query)["S"]
 
 
 class TestSpeedup:

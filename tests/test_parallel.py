@@ -13,6 +13,7 @@ workers must never change answers or double-count remote calls.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -178,8 +179,13 @@ class TestThreadSafeCacheStress:
                             observed[(key, page)] = value
             return observed
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(resolve, range(16)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force switches inside the guard windows
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(resolve, range(16)))
+        finally:
+            sys.setswitchinterval(interval)
         expected = {
             (key, page): f"{key}/{page}"
             for key in keys
@@ -187,13 +193,40 @@ class TestThreadSafeCacheStress:
         }
         assert all(observed == expected for observed in results)
         assert computed == {key: 1 for key in expected}  # never double-computed
+        assert len(cache._key_mutex) == 0  # last holder out drops the entry
 
     def test_key_lock_is_per_input_setting(self):
+        """Two holders of one input setting exclude each other, holders
+        of different settings do not, and the table keeps no mutex for
+        a setting nobody holds or awaits."""
         cache = ThreadSafeCache(OptimalCache())
-        lock_a = cache.key_lock("svc", "a")
-        assert cache.key_lock("svc", "a") is lock_a
-        assert cache.key_lock("svc", "b") is not lock_a
-        assert cache.key_lock("other", "a") is not lock_a
+
+        def hold(service, key, entered):
+            with cache.key_lock(service, key):
+                entered.set()
+
+        entered = {
+            key: threading.Event()
+            for key in (("svc", "a"), ("svc", "b"), ("other", "a"))
+        }
+        threads = [
+            threading.Thread(target=hold, args=(*key, event))
+            for key, event in entered.items()
+        ]
+        with cache.key_lock("svc", "a"):
+            for thread in threads:
+                thread.start()
+            assert entered[("svc", "b")].wait(5)
+            assert entered[("other", "a")].wait(5)
+            assert not entered[("svc", "a")].wait(0.05)
+            for thread in threads[1:]:
+                thread.join(timeout=5)
+            assert len(cache._key_mutex) == 1  # the held key and its waiter
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert entered[("svc", "a")].is_set()
+        assert len(cache._key_mutex) == 0
 
     def test_wrapper_delegates_and_exposes_inner(self):
         inner = OptimalCache(capacity=2)
@@ -224,6 +257,10 @@ class TestThreadSafeCacheStress:
         assert _signature(second.rows) == _signature(first.rows)
         assert second.stats.total_calls == 0
         assert second.stats.total_cache_hits > 0
+        # One key mutex per distinct unit while it was being drained,
+        # none once the runs are over.
+        assert first.stats.total_calls > 1
+        assert len(shared._key_mutex) == 0
 
 
 class TestParallelResilience:

@@ -442,7 +442,22 @@ class TestQueryService:
         for k in range(1, 7):
             assert service.submit(query, k=k).provenance == "optimized"
         assert service.stats.optimizer_runs == 6
-        assert service._plan_locks == {}
+        assert len(service._plan_locks) == 0
+
+    def test_key_mutex_tables_are_reclaimed_under_fresh_constants(self):
+        """A fresh constant is a fresh plan-cache key, and a prefetch
+        drains every unit under its key mutex; neither single-flight
+        table may keep an entry on the service-lifetime objects."""
+        service = QueryService(registry=weekend_registry())
+        prefetched_calls = 0
+        for budget in (90, 100, 110, 120):
+            query = mahler_weekend_query(budget)
+            prefetched_calls += service.prefetch(query, k=2)["service_calls"]
+            assert service.submit(query, k=2).provenance == "memory"
+        assert prefetched_calls > 1
+        assert service.stats.optimizer_runs == 4
+        assert len(service._plan_locks) == 0
+        assert len(service._service_cache._key_mutex) == 0
 
     def test_different_optimizer_configs_never_share_plans(self):
         from repro.optimizer.optimizer import OptimizerConfig

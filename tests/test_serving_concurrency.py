@@ -111,7 +111,7 @@ class TestSingleFlight:
             assert service.plan_cache.stats.misses == round_index
             assert service.plan_cache.stats.stores == round_index
             # The last thread out of each race reclaims the key's mutex.
-            assert service._plan_locks == {}
+            assert len(service._plan_locks) == 0
 
     def test_distinct_keys_resolve_independently(self):
         service = _service(news_registry)
