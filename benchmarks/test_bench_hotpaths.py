@@ -70,6 +70,7 @@ from repro.execution.joins import execute_join_hashed
 from repro.execution.lazy import (
     LazyServiceCursor,
     ListPageSource,
+    MaterializedCursor,
     MultiFeedCursor,
 )
 from repro.execution.parallel import ParallelExecutor
@@ -292,9 +293,13 @@ def _slot_plane_point(side: int) -> dict:
 # -- multi-feed block sweep ----------------------------------------------
 
 
-def _block_cursor(count: int) -> tuple[MultiFeedCursor, list[Row], int]:
-    """A cursor over *count* blocks with rising base ranks, plus the
-    eager feed-order concatenation and its page-fetch total."""
+def _block_cursor(
+    count: int,
+) -> tuple[MultiFeedCursor, list[LazyServiceCursor], list[Row], int]:
+    """A cursor over *count* blocks with rising base ranks (opened on
+    demand from a materialized feed of *count* rows), the blocks
+    themselves, the eager feed-order concatenation and its page-fetch
+    total."""
     key, value = Variable("K"), Variable("V")
     cursors: list[LazyServiceCursor] = []
     eager: list[Row] = []
@@ -324,15 +329,22 @@ def _block_cursor(count: int) -> tuple[MultiFeedCursor, list[Row], int]:
                 ListPageSource(pages=pages, rank_floors=floors), base_rank=base
             )
         )
-    return MultiFeedCursor(cursors), eager, eager_pages
+    feed = MaterializedCursor([
+        Row(bindings={key: block}, ranks=((f"feed{block}", block),))
+        for block in range(count)
+    ])
+    opening = iter(cursors)
+    budget = -(-BLOCK_ROWS // BLOCK_CHUNK)
+    cursor = MultiFeedCursor(feed, lambda row, rank: next(opening), budget)
+    return cursor, cursors, eager, eager_pages
 
 
 def _block_sweep_point(count: int) -> dict:
-    cursor, eager, eager_pages = _block_cursor(count)
+    cursor, blocks, eager, eager_pages = _block_cursor(count)
     start = time.perf_counter()
     cursor.ensure(BLOCK_DEMAND)
     elapsed = time.perf_counter() - start
-    lazy_pages = sum(b.pages_fetched for b in cursor._blocks)
+    lazy_pages = sum(b.pages_fetched for b in blocks)
     # Laziness bounds, asserted at every point (quick runs included):
     # the demand-driven pulls never exceed the eager universe.
     assert lazy_pages <= eager_pages

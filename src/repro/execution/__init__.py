@@ -10,6 +10,7 @@ from repro.execution.cache import (
     make_cache,
 )
 from repro.execution.engine import (
+    ChainStream,
     ExecutionEngine,
     ExecutionError,
     ExecutionMode,
@@ -18,6 +19,7 @@ from repro.execution.engine import (
 )
 from repro.execution.joins import (
     JoinStream,
+    TopKStream,
     execute_join_hashed,
     is_order_rank_consistent,
     join_order,
@@ -63,6 +65,7 @@ from repro.execution.stats import ExecutionStats, ServiceCallStats
 
 __all__ = [
     "CacheSetting",
+    "ChainStream",
     "DriftEvent",
     "DriftMonitor",
     "DriftPolicy",
@@ -100,6 +103,7 @@ __all__ = [
     "SlotJoinPlan",
     "SlotLayout",
     "ThreadSafeCache",
+    "TopKStream",
     "compile_comparison",
     "compile_expression",
     "compile_predicates",

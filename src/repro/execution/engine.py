@@ -30,10 +30,12 @@ is imported by tests and benches only.
 Time is *virtual*: services report per-fetch latencies and the engine
 aggregates them according to its :class:`ExecutionMode`, which also
 states the streamed top-k contract — under ``STREAMED`` with a ``k``
-budget the final join runs as a suspended
-:class:`~repro.execution.joins.JoinStream` over lazily fetched inputs,
-and the stream rides along on the :class:`ExecutionResult` so "ask for
-more" can resume the walk without re-executing the plan.
+budget the plan's terminal runs as a suspended
+:class:`~repro.execution.joins.TopKStream` over lazily fetched inputs
+(a :class:`~repro.execution.joins.JoinStream` for a final join, a
+:class:`ChainStream` for a service-terminal plan), and the stream rides
+along on the :class:`ExecutionResult` so "ask for more" can resume the
+walk (:meth:`ExecutionEngine.resume`) without re-executing the plan.
 """
 
 from __future__ import annotations
@@ -41,12 +43,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.execution.cache import CacheSetting, LogicalCache, make_cache
 from repro.execution.fetch import Accounting, RunContext, UnitRouting, UnitSource
-from repro.execution.joins import JoinStream, join_rows
-from repro.execution.lazy import LazyServiceCursor, MultiFeedCursor
+from repro.execution.joins import JoinStream, TopKStream, join_rows
+from repro.execution.lazy import (
+    LazyServiceCursor,
+    MaterializedCursor,
+    MultiFeedCursor,
+    RowCursor,
+)
 from repro.execution.program import (
     JOIN,
     OUTPUT,
@@ -62,7 +70,7 @@ from repro.execution.resilience import (
     UnresponsiveService,
 )
 from repro.execution.results import ResultTable, Row, compose_ranking
-from repro.execution.slots import ExecutionError
+from repro.execution.slots import ExecutionError, SlotPredicate
 from repro.execution.stats import ExecutionStats
 from repro.model.terms import Variable
 from repro.plans.dag import QueryPlan
@@ -103,16 +111,16 @@ class ExecutionMode(Enum):
       degrading the one-call cache as the paper observes (284 → 212
       hotel calls).
     * ``STREAMED`` — timing as ``PARALLEL``; with a ``k`` budget the
-      final parallel join early-exits under a rank certificate and its
-      service inputs — single- or multi-feed — are fetched lazily,
-      page by page, on the walk's demand.  **Equivalence contract**: the produced rows,
-      ranks, and emission order are bit-identical to ``PARALLEL``
-      execution followed by ``compose_ranking(rows, k)``; only the
-      cost (cells visited, pages fetched) changes.  Without ``k`` the
-      execution is a plain full materialization; with ``k`` but no
-      streamable final join (plans whose output is fed directly by a
-      service node) it falls back to full materialization and raises
-      ``ExecutionStats.streamed_fallback``, results identical.
+      plan's terminal — the final parallel join, or the last service
+      of a service-terminal plan — early-exits under a rank
+      certificate, and the service steps only it consumes, closed up
+      the pipe chains above it (``ExecutionProgram.lazy``), are fetched
+      lazily, page by page, on the walk's demand.  **Equivalence
+      contract**: the produced rows, ranks, and emission order are
+      bit-identical to ``PARALLEL`` execution followed by
+      ``compose_ranking(rows, k)``; only the cost (cells visited, pages
+      fetched) changes.  Without ``k`` the execution is a plain full
+      materialization.
     """
 
     SEQUENTIAL = "sequential"
@@ -130,16 +138,17 @@ class ExecutionResult:
     annotation's ``t_out`` estimates, used by the cost-model
     validation experiments.  Under a streamed execution, the streamed
     join's (and its downstream nodes') sizes count only the
-    *materialized* head, not the full plane.
+    *materialized* head, not the full plane, and a demand-driven
+    service step's the rows actually fetched.
 
-    ``stream`` is the suspended :class:`JoinStream` of a streamed
-    top-k execution (``None`` otherwise): calling ``stream.top`` with
-    a larger ``k`` resumes the early-exited walk.  Over eagerly
-    materialized join inputs a resume never issues a service call;
+    ``stream`` is the suspended :class:`TopKStream` of a streamed
+    top-k execution (``None`` otherwise): :meth:`ExecutionEngine.
+    resume` continues the early-exited walk for a larger ``k``.  Over
+    eagerly materialized inputs a resume never issues a service call;
     over lazily fetched inputs it may pull further pages *within the
-    round's fetch budget*: ``accounting`` is the cell every unit
-    behind the stream charges to — ``accounting.rebind(stats)`` first,
-    so those fetches are accounted to the resuming round.
+    session's fetch budget*: ``accounting`` is the cell every unit
+    behind the stream charges to, rebound by the resume so those
+    fetches are accounted to the resuming round.
 
     ``certificate`` is the partial-result certificate of a
     partial-results execution (:mod:`repro.execution.resilience`):
@@ -154,7 +163,7 @@ class ExecutionResult:
     elapsed: float
     k: int | None = None
     node_output_sizes: dict[str, int] = field(default_factory=dict)
-    stream: JoinStream | None = None
+    stream: TopKStream | None = None
     certificate: PartialResultCertificate | None = None
     accounting: Accounting | None = None
 
@@ -238,7 +247,7 @@ class ExecutionEngine:
         grew its factors passes its own.  ``k`` is only
         advisory in the full-scan modes (all produced answers are kept;
         ``answers()`` trims).  Under ``ExecutionMode.STREAMED`` with a
-        ``k`` budget, the final parallel join early-exits once the
+        ``k`` budget, the plan's terminal early-exits once the
         top-k is provably complete, the table is truncated to that
         proven head (``table.complete`` records whether anything was
         left unvisited), and the suspended stream is returned for
@@ -286,12 +295,7 @@ class ExecutionEngine:
         accounting = Accounting(ExecutionStats())
         stats = accounting.stats
         streaming = self._mode is ExecutionMode.STREAMED and k is not None
-        streamed_join = program.streamed_join if streaming else None
-        # Full-materialization fallback (service-terminal plan): flag
-        # it so the zeroed streaming/lazy counters cannot be mistaken
-        # for a stream that visited nothing.
-        stats.streamed_fallback = streaming and streamed_join is None
-        lazy = self._lazy_steps(program) if streamed_join is not None else ()
+        lazy = self._lazy_steps(program) if streaming else ()
         shuffled = self._mode is ExecutionMode.MULTITHREADED
         steps = program.steps
         # Partial-results restart loop: a walk aborted by an exhausted
@@ -313,8 +317,11 @@ class ExecutionEngine:
                 self._row_provenance,
             )
             rng = random.Random(SHUFFLE_SEED) if shuffled else None
-            stream: JoinStream | None = None
+            stream: TopKStream | None = None
             lazy_cursors: dict[int, LazyServiceCursor | MultiFeedCursor] = {}
+            # (the busy time of demand-driven steps is this walk's own,
+            # like the eager steps' below)
+            accounting.busy.clear()
             #: Rows emitted and busy time, per step index; step 0 is
             #: the input node.
             outputs: list[list[Row]] = [[] for _ in steps]
@@ -336,10 +343,14 @@ class ExecutionEngine:
                             break
                     kind = step.kind
                     if kind == SERVICE:
-                        feed = outputs[step.feeds[0]]
+                        feeder = step.feeds[0]
                         if index in lazy:
+                            # A lazy feeder hands over its cursor: the
+                            # walk's demand travels up the pipe chain.
                             cursor = self._open_lazy_cursor(
-                                context, step, feed, accounting
+                                context, step,
+                                lazy_cursors.get(feeder, outputs[feeder]),
+                                accounting,
                             )
                             lazy_cursors[index] = cursor
                             # The cursor's row list is live: it grows
@@ -348,6 +359,7 @@ class ExecutionEngine:
                             # what was fetched.
                             outputs[index] = cursor.rows
                             continue
+                        feed = outputs[feeder]
                         if shuffled:
                             feed = list(feed)
                             rng.shuffle(feed)
@@ -365,7 +377,7 @@ class ExecutionEngine:
                             )
                     elif kind == JOIN:
                         left, right = step.feeds
-                        if index == streamed_join:
+                        if streaming and index == program.terminal:
                             # Inputs with a deferred lazy cursor are
                             # pulled page by page by the walk; the rest
                             # are the eagerly materialized row lists.
@@ -381,15 +393,25 @@ class ExecutionEngine:
                             )
                         busy[index] = step.response_time
                     elif kind == OUTPUT:
-                        rows = outputs[step.feeds[0]]
-                        # A streamed join already applied the residual
-                        # predicates inside its walk.
-                        if step.residual and streamed_join is None:
-                            residual = step.residual
-                            rows = [
-                                row for row in rows
-                                if all(holds(row.values) for holds in residual)
-                            ]
+                        feeder = step.feeds[0]
+                        if streaming and stream is None:
+                            # Service-terminal plan: the chain itself
+                            # is the stream.
+                            stream = ChainStream(
+                                lazy_cursors.get(feeder, outputs[feeder]),
+                                step.residual,
+                            )
+                            rows = stream.top(k)
+                        else:
+                            rows = outputs[feeder]
+                            # A streamed walk already applied the
+                            # residual predicates.
+                            if step.residual and stream is None:
+                                residual = step.residual
+                                rows = [
+                                    row for row in rows
+                                    if all(holds(row.values) for holds in residual)
+                                ]
                         outputs[index] = rows
             except UnresponsiveService as failure:
                 failures.append(failure)
@@ -411,23 +433,49 @@ class ExecutionEngine:
                 # this batch) are dropped inside the handler.
                 self.routing.handle_unresponsive(failure)
 
-        for index, cursor in lazy_cursors.items():
-            busy[index] = self._node_busy(cursor.latencies)
+        for index in lazy_cursors:
+            busy[index] = accounting.busy.get(index, 0.0)
         stats.elapsed = self._elapsed(program, busy)
         produced = outputs[-1]
         if stream is not None:
             stream.trace(stats)
-        if streaming:
             final_rows = compose_ranking(produced, k)
-            if stream is not None:
-                complete = stream.is_complete(final_rows)
-            else:
-                complete = len(final_rows) == len(produced)
+            complete = stream.is_complete(final_rows)
         else:
             final_rows = compose_ranking(produced)
             complete = True
         return self._result(
             program, k, stats, outputs, final_rows, complete, stream,
+            accounting,
+        )
+
+    def resume(
+        self, program: ExecutionProgram, suspended: ExecutionResult, k: int
+    ) -> ExecutionResult:
+        """Serve *k* by continuing *suspended*'s stream: one more round.
+
+        The stream's accounting cell is rebound to fresh statistics
+        first, so every page the grown demand pulls — and a drift
+        signal's or a dead unit's partial accounting — is recorded on
+        this round and never mutates the round that created the stream.
+        Virtual time is the critical path over the busy time this
+        round added per step, the same clock an executed round reads:
+        the services of a pipe chain add up, parallel branches overlap
+        (0.0 for the common all-from-fetched-pages resume).
+        """
+        stream, accounting = suspended.stream, suspended.accounting
+        stats = ExecutionStats()
+        accounting.rebind(stats)
+        fetched_before = stream.lazy_tuples_fetched
+        saved_before = stream.lazy_pages_saved
+        rows = stream.top(k)
+        stream.trace(stats, fetched_before, saved_before)
+        busy = accounting.busy
+        stats.elapsed = self._elapsed(
+            program, [busy.get(step.index, 0.0) for step in program.steps]
+        )
+        return self._result(
+            program, k, stats, (), rows, stream.is_complete(rows), stream,
             accounting,
         )
 
@@ -439,7 +487,7 @@ class ExecutionEngine:
         outputs: Sequence[list[Row]],
         final_rows: list[Row],
         complete: bool = True,
-        stream: JoinStream | None = None,
+        stream: TopKStream | None = None,
         accounting: Accounting | None = None,
     ) -> ExecutionResult:
         """Wrap up one finished walk (*outputs*: rows per step) or
@@ -497,32 +545,29 @@ class ExecutionEngine:
     def _open_lazy_cursor(
         context: RunContext,
         step: Step,
-        feed: Sequence[Row],
+        feed: Sequence[Row] | RowCursor,
         accounting: Accounting,
     ) -> LazyServiceCursor | MultiFeedCursor:
         """A demand-driven cursor over a step's (possibly many) feeds.
 
         A single-feed node produces one rank-monotone row sequence (the
         feed rank is constant and service ranks only grow): a plain
-        :class:`LazyServiceCursor`.  A multi-tuple feed produces one
-        such *block* per feed row; each becomes its own budgeted cursor
-        over its own unit of the fetch seam (hence the per-input-tuple
-        cache and call accounting of eager execution) inside a
-        :class:`MultiFeedCursor`, whose block-interleaving certificate
-        keeps the streamed walk sound.  Non-rank-monotone behavior is
-        handled inside the cursors (a full drain of the offending
-        block).
+        :class:`LazyServiceCursor`.  A multi-tuple feed — materialized
+        rows, or the cursor of a lazy feeder — produces one such
+        *block* per feed row; each becomes its own budgeted cursor over
+        its own unit of the fetch seam (hence the per-input-tuple cache
+        and call accounting of eager execution), opened on demand
+        inside a :class:`MultiFeedCursor`, whose block-interleaving
+        certificate keeps the streamed walk sound.  Non-rank-monotone
+        behavior is handled inside the cursors (a full drain of the
+        offending block).
         """
-        cursors = [
-            LazyServiceCursor(
-                UnitSource(context, step, row, accounting),
-                base_rank=row.rank_key(),
-            )
-            for row in feed
-        ]
-        if len(cursors) == 1:
-            return cursors[0]
-        return MultiFeedCursor(cursors)
+        open_block = partial(_open_block, context, step, accounting)
+        if not isinstance(feed, RowCursor):
+            if len(feed) == 1:
+                return open_block(feed[0], feed[0].rank_key())
+            feed = MaterializedCursor(feed)
+        return MultiFeedCursor(feed, open_block, context.fetches[step.index])
 
     # -- timing ---------------------------------------------------------------
 
@@ -546,6 +591,75 @@ class ExecutionEngine:
             start = max((finish[feed] for feed in step.feeds), default=0.0)
             finish.append(start + busy[step.index])
         return finish[-1]
+
+
+def _open_block(
+    context: RunContext, step: Step, accounting: Accounting,
+    feed_row: Row, base_rank: int,
+) -> LazyServiceCursor:
+    """The budgeted block of one feed row: a cursor over its unit."""
+    return LazyServiceCursor(
+        UnitSource(context, step, feed_row, accounting), base_rank
+    )
+
+
+class ChainStream(TopKStream):
+    """The streamed top-k walk of a service-terminal plan.
+
+    The rows of the terminal step's cursor *are* the answers, in the
+    full scan's emission order (the cursor's placement invariant), so
+    a stage is "the rows placed since the last look, or one more":
+    each row passing the output's residual predicates becomes a
+    candidate under its own rank and arrival index, and everything not
+    yet looked at is bounded by the cursor's ``suffix_min`` — over a
+    chain of lazy cursors that is the frontier of the whole pipe chain.
+    Looking at every placed row before demanding another costs no
+    fetch and makes the check after it the sharpest one available.
+    """
+
+    def __init__(
+        self,
+        rows: Sequence[Row] | RowCursor,
+        residual: Sequence[SlotPredicate] = (),
+    ) -> None:
+        self._cursor = (
+            rows if isinstance(rows, RowCursor) else MaterializedCursor(rows)
+        )
+        self._inputs = (self._cursor,)
+        self._residual = tuple(residual)
+        self._begin()
+
+    @property
+    def plane_cells(self) -> int:
+        return len(self._cursor.ranks)
+
+    @property
+    def exhausted(self) -> bool:
+        cursor = self._cursor
+        return self._stage >= len(cursor.ranks) and cursor.exhausted
+
+    def _advance_stage(self) -> None:
+        cursor = self._cursor
+        start = self._stage
+        if start >= len(cursor.ranks):
+            cursor.ensure(start + 1)
+        rows, ranks = cursor.rows, cursor.ranks
+        stop = len(ranks)
+        residual = self._residual
+        candidates = self._candidates
+        for index in range(start, stop):
+            row = rows[index]
+            if residual and not all(holds(row.values) for holds in residual):
+                continue
+            candidates.append((ranks[index], len(candidates), row))
+        self.cells_visited += stop - start
+        self._stage = stop
+
+    def _remaining_lower_bound(self) -> float:
+        return self._cursor.suffix_min(self._stage)
+
+    def _row(self, candidate: tuple) -> Row:
+        return candidate[2]
 
 
 def execute_plan(

@@ -72,18 +72,25 @@ class Accounting:
     hit), so :meth:`rebind` is all a resumed round needs: units notice
     the new epoch on their next fetch and start counting afresh on the
     new statistics.
+
+    ``busy`` is the remote latency charged so far, summed per program
+    step in pull order: what the virtual clock
+    (:meth:`~repro.execution.engine.ExecutionEngine._elapsed`) reads
+    for the steps a walk fetches on demand.
     """
 
-    __slots__ = ("stats", "epoch")
+    __slots__ = ("stats", "epoch", "busy")
 
     def __init__(self, stats: ExecutionStats) -> None:
         self.stats = stats
         self.epoch = 0
+        self.busy: dict[int, float] = {}
 
     def rebind(self, stats: ExecutionStats) -> None:
         """Charge every later page to *stats* (a resumed round)."""
         self.stats = stats
         self.epoch += 1
+        self.busy = {}
 
 
 class UnitRouting:
@@ -271,8 +278,9 @@ class UnitSource:
     from one server for rank soundness).
 
     Otherwise ``budget`` is the node's fetching factor in the run's
-    vector when the unit was opened — the eager and the lazy universe
-    are the same.
+    vector — the eager and the lazy universe are the same — read on
+    every use: a session that grows its own vector in place lifts the
+    budget of every unit its suspended walk still holds.
     Call/hit accounting is the per-input-tuple rule of the paper's
     charts, within each accounting epoch (:class:`Accounting`): the
     first remote page counts one call, a unit answered purely by the
@@ -280,9 +288,9 @@ class UnitSource:
     """
 
     __slots__ = (
-        "budget", "input_key", "_context", "_accounting", "_feed_row",
-        "_binding", "_inputs", "_name", "_service", "_rank_floor",
-        "_epoch", "_counted",
+        "input_key", "_context", "_accounting", "_feed_row", "_step",
+        "_demoted", "_binding", "_inputs", "_name", "_service",
+        "_rank_floor", "_epoch", "_counted",
     )
 
     def __init__(
@@ -298,12 +306,10 @@ class UnitSource:
             binding.pattern_code, binding.input_spec, feed_row.values
         )
         demoted = context.routing.demoted
-        if demoted and (name, input_key) in demoted:
-            self.budget = 0
-        else:
-            self.budget = context.fetches[step.index]
-            if context.routed:
-                name = context.routing.route(name, input_key)
+        self._demoted = bool(demoted) and (name, input_key) in demoted
+        if context.routed and not self._demoted:
+            name = context.routing.route(name, input_key)
+        self._step = step.index
         self.input_key = input_key
         self._context = context
         self._accounting = accounting
@@ -317,6 +323,12 @@ class UnitSource:
         self._rank_floor = 0
         self._epoch = accounting.epoch
         self._counted = _NOTHING
+
+    @property
+    def budget(self) -> int:
+        """Pages this unit may pull: 0 once demoted, else the step's
+        factor in the run's fetch vector right now."""
+        return 0 if self._demoted else self._context.fetches[self._step]
 
     def drain(self, produced: list[Row], latencies: list[float]) -> None:
         """Pull every budgeted page, in order, into the caller's lists.
@@ -366,6 +378,8 @@ class UnitSource:
             service_stats.record_fetch(
                 latency, result.from_remote_cache, raw_tuples
             )
+            busy = accounting.busy
+            busy[self._step] = busy.get(self._step, 0.0) + latency
             # Drift is judged against the node's costed profile, so
             # only fetches served by the profiled service feed the
             # monitor — sibling traffic is not the original's drift.

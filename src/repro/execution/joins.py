@@ -259,23 +259,198 @@ def join_rows(
     return output
 
 
-class JoinStream:
+class TopKStream:
+    """The resumable top-k certificate loop of a streamed walk.
+
+    A walk visits *stages* in the full scan's emission order, keeping
+    every surviving row as a candidate ``(composed rank, arrival index,
+    ...)`` — arrival indexes are the candidate's position in the
+    full-scan emission order, making tuple comparison the documented
+    ``(rank, arrival)`` tie order of
+    :func:`~repro.execution.results.compose_ranking`.  :meth:`top`
+    advances it until a lower bound on the composed rank of everything
+    *unvisited* reaches the k-th best candidate's: an unvisited row can
+    at best tie, and ties are broken by emission order, which every
+    unvisited row loses against every collected candidate.  The walk
+    then suspends; a later, larger ``k`` resumes it where it stopped.
+
+    Subclasses say what a stage is (:meth:`_advance_stage`), bound the
+    unvisited rest through their input cursors' ``suffix_min``
+    (:meth:`_remaining_lower_bound`), tell when nothing is left
+    (:attr:`exhausted`) and build an emitted candidate's row
+    (:meth:`_row`): :class:`JoinStream` walks the candidate plane of a
+    join, :class:`~repro.execution.engine.ChainStream` the rows of a
+    service-terminal plan.  The bookkeeping a round reports
+    (:meth:`trace`) sums over ``_inputs``, the cursors the walk pulls.
+    """
+
+    _inputs: tuple[RowCursor, ...]
+
+    def _begin(self) -> None:
+        self._stage = 0
+        self._candidates: list[tuple] = []
+        self.cells_visited = 0
+
+    # -- what a walk is (subclasses) ------------------------------------------
+
+    @property
+    def plane_cells(self) -> int:
+        """Cells (rows, for a chain) the fetched inputs span right now."""
+        raise NotImplementedError
+
+    @property
+    def exhausted(self) -> bool:
+        """True when every cell of the fully fetched plane was visited."""
+        raise NotImplementedError
+
+    def _advance_stage(self) -> None:
+        """Visit the next stage, appending its candidates."""
+        raise NotImplementedError
+
+    def _remaining_lower_bound(self) -> float:
+        """Lower bound on the composed rank of everything unvisited."""
+        raise NotImplementedError
+
+    def _row(self, candidate: tuple) -> Row:
+        """The answer row of an emitted candidate."""
+        raise NotImplementedError
+
+    # -- bookkeeping ----------------------------------------------------------
+
+    @property
+    def cells_skipped(self) -> int:
+        """Fetched-plane cells proven unable to enter the top-k without
+        being visited."""
+        return self.plane_cells - self.cells_visited
+
+    @property
+    def candidate_count(self) -> int:
+        """Candidates collected so far (past every predicate)."""
+        return len(self._candidates)
+
+    @property
+    def lazy_tuples_fetched(self) -> int:
+        """Raw service tuples pulled through lazy input cursors so far."""
+        return sum(cursor.tuples_fetched for cursor in self._inputs)
+
+    @property
+    def lazy_pages_saved(self) -> int:
+        """Budgeted page fetches still unissued right now.
+
+        A point-in-time snapshot that shrinks as resumes pull further
+        pages (and grows when a session grows the budget itself) —
+        re-read it after each :meth:`top` call for the current figure.
+        """
+        return sum(cursor.pages_saved() for cursor in self._inputs)
+
+    def trace(
+        self, stats: ExecutionStats, fetched_before: int = 0,
+        saved_before: int = 0,
+    ) -> None:
+        """Write the walk's bookkeeping onto one round's *stats*.
+
+        The tuples and pages-saved counters are cumulative on the
+        stream, and earlier rounds already reported their share: a
+        resumed round passes the totals it started from and reports
+        only the *change* its own pulls caused (a negative
+        ``lazy_calls_saved`` when the grown demand fetched pages an
+        earlier round had counted as saved), so the per-round values
+        sum to the stream's true current totals.
+        """
+        stats.streamed_cells_visited = self.cells_visited
+        stats.early_exit_cells_skipped = self.cells_skipped
+        stats.lazy_tuples_fetched = self.lazy_tuples_fetched - fetched_before
+        stats.lazy_calls_saved = self.lazy_pages_saved - saved_before
+        stats.lazy_blocks = sum(c.block_count for c in self._inputs)
+        stats.lazy_blocks_untouched = sum(
+            c.blocks_untouched for c in self._inputs
+        )
+
+    def is_complete(self, rows: Sequence[Row]) -> bool:
+        """True when *rows* (a :meth:`top` result) is *every* answer the
+        current plane can produce: the walk exhausted and the top-k
+        truncation dropped nothing.  This is the single definition of
+        the ``ResultTable.complete`` flag for streamed executions."""
+        return self.exhausted and len(rows) == self.candidate_count
+
+    # -- the certificate loop -------------------------------------------------
+
+    def top(self, k: int | None = None) -> list[Row]:
+        """The top-*k* composed rows; resumes the suspended walk.
+
+        **Contract**: the returned rows, their ranks, and their order
+        are bit-identical to ``compose_ranking(all_rows, k)`` where
+        ``all_rows`` is what the full scan over the *fully fetched*
+        inputs emits (for a join: the residual-filtered full-plane
+        join) — regardless of how much was actually visited or fetched.
+        ``None`` (or a negative ``k``, mirroring
+        :func:`~repro.execution.results.compose_ranking`) drains
+        everything and returns every row in composed order.
+
+        **Cost**: visits ``O(k)`` stages on rank-monotone inputs
+        instead of the whole plane, and over lazy cursors pulls only
+        the pages those stages demand — so a small ``k`` costs a
+        handful of remote fetches.  The certificate check keeps an
+        incremental bounded max-heap of the current k best ``(rank,
+        arrival)`` keys (rebuilt once per call, O(log k) per new
+        candidate), so a late-firing exit costs one heap update per
+        candidate rather than a rescan of the whole candidate list
+        after every stage.
+        """
+        if k is not None and k < 0:
+            k = None
+        candidates = self._candidates
+        if k is None:
+            while not self.exhausted:
+                self._advance_stage()
+            return [self._row(candidate) for candidate in sorted(candidates)]
+        # Max-heap (negated keys) of the k smallest (rank, arrival).
+        worst_first = [
+            (-candidate[0], -candidate[1])
+            for candidate in heapq.nsmallest(k, candidates)
+        ]
+        heapq.heapify(worst_first)
+        # (certified first: while candidates are lacking it answers at
+        # once, and when it fires nobody needs to know what is left)
+        while not self._certified(worst_first, k) and not self.exhausted:
+            seen = len(candidates)
+            self._advance_stage()
+            for candidate in candidates[seen:]:
+                key = (-candidate[0], -candidate[1])
+                if len(worst_first) < k:
+                    heapq.heappush(worst_first, key)
+                elif key > worst_first[0]:
+                    heapq.heappushpop(worst_first, key)
+        selected = sorted((-rank, -arrival) for rank, arrival in worst_first)
+        return [self._row(candidates[arrival]) for _, arrival in selected]
+
+    def _certified(self, worst_first: list[tuple[int, int]], k: int) -> bool:
+        """True when nothing unvisited can still enter the top-*k*.
+
+        *worst_first* is the bounded max-heap of the current k best
+        candidate keys; its root carries the k-th smallest rank.
+        """
+        if k == 0:
+            return True
+        if len(worst_first) < k:
+            return False
+        threshold = -worst_first[0][0]
+        return self._remaining_lower_bound() >= threshold
+
+
+class JoinStream(TopKStream):
     """Streaming early-exit top-k execution of a rank-preserving join.
 
     The stream walks the strategy's candidate plane lazily, one *stage*
     at a time — a row of the NL plane, a diagonal of the MS plane — in
     exactly the order :func:`join_order` would visit the cells, keeping
-    every surviving merged row as a candidate.  After each stage it
-    compares the composed rank of the current k-th best candidate with
-    a **certificate**: a lower bound on the composed rank of every
-    cell not yet visited, derived from suffix minima of the two inputs'
-    aggregated rank keys (a cell ``(i, j)`` merges ``left[i]`` and
-    ``right[j]``, so its composed rank is exactly
-    ``left[i].rank_key() + right[j].rank_key()``).  Once the bound is
-    no smaller than the k-th candidate's rank the walk suspends: an
-    unvisited cell can at best *tie*, and ties are broken by emission
-    order (see :func:`~repro.execution.results.compose_ranking`), which
-    every unvisited cell loses against every collected candidate.
+    every surviving merged row as a candidate.  After each stage the
+    :class:`TopKStream` loop compares the composed rank of the current
+    k-th best candidate with the **certificate**: a lower bound on the
+    composed rank of every cell not yet visited, derived from suffix
+    minima of the two inputs' aggregated rank keys (a cell ``(i, j)``
+    merges ``left[i]`` and ``right[j]``, so its composed rank is
+    exactly ``left[i].rank_key() + right[j].rank_key()``).
 
     **Lazy inputs.**  Either input may be a
     :class:`~repro.execution.lazy.RowCursor` instead of a materialized
@@ -300,11 +475,9 @@ class JoinStream:
     *residual_predicates* and then applying ``compose_ranking(..., k)``
     (filter first, then compose: the same order the engine's output
     node applies them in), while visiting only a prefix of the plane.
-    The stream is **resumable**: calling :meth:`top` again with a
-    larger ``k`` continues the suspended walk from the first unvisited
-    stage, re-using every candidate already collected — no cell is
-    ever visited twice (resuming over lazy inputs may pull further
-    budgeted pages).  ``cells_visited`` / ``cells_skipped`` expose the
+    Resuming re-uses every candidate already collected — no cell is
+    ever visited twice (over lazy inputs it may pull further budgeted
+    pages).  ``cells_visited`` / ``cells_skipped`` expose the
     early-exit bookkeeping for the execution statistics.
     """
 
@@ -340,22 +513,19 @@ class JoinStream:
         self._right = (
             right if isinstance(right, RowCursor) else MaterializedCursor(right)
         )
+        self._inputs = (self._left, self._right)
         #: The one compiled join of the walk (None until a hand-built
         #: stream has pulled a row on each side), and how many rows of
         #: each side were checked against its layouts.
         self._join = join
         self._laid_out = (0, 0)
-        self._stage = 0
-        #: (composed rank, arrival index, left row, right row) — arrival
-        #: indexes are the candidate's position in the full-scan
-        #: emission order, making tuple comparison the documented
-        #: (rank, arrival) tie order (arrivals are distinct, so the rows
-        #: are never compared).  The merged row is built when a
-        #: candidate is emitted (:meth:`_row`): a suspended stream keeps
-        #: every candidate for its session's lifetime but emits k.
-        self._candidates: list[tuple[float, int, Row, Row]] = []
+        #: Candidates are (composed rank, arrival index, left row, right
+        #: row) — arrivals are distinct, so the rows are never compared.
+        #: The merged row is built when a candidate is emitted
+        #: (:meth:`_row`): a suspended stream keeps every candidate for
+        #: its session's lifetime but emits k.
+        self._begin()
         self._join_rows_emitted = 0
-        self.cells_visited = 0
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -376,12 +546,6 @@ class JoinStream:
         return len(self._left.rows) * len(self._right.rows)
 
     @property
-    def cells_skipped(self) -> int:
-        """Fetched-plane cells proven unable to enter the top-k without
-        being visited."""
-        return self.plane_cells - self.cells_visited
-
-    @property
     def exhausted(self) -> bool:
         """True when every cell of the (fully fetched) plane was visited."""
         left, right = self._left, self._right
@@ -396,60 +560,9 @@ class JoinStream:
         )
 
     @property
-    def candidate_count(self) -> int:
-        """Candidates collected so far (post join + residual predicates)."""
-        return len(self._candidates)
-
-    @property
-    def lazy_tuples_fetched(self) -> int:
-        """Raw service tuples pulled through lazy input cursors so far."""
-        return self._left.tuples_fetched + self._right.tuples_fetched
-
-    @property
-    def lazy_pages_saved(self) -> int:
-        """Budgeted page fetches still unissued right now.
-
-        A point-in-time snapshot that only shrinks as resumes pull
-        further pages — re-read it after each :meth:`top` call for the
-        current figure.
-        """
-        return self._left.pages_saved() + self._right.pages_saved()
-
-    def trace(
-        self, stats: ExecutionStats, fetched_before: int = 0,
-        saved_before: int = 0,
-    ) -> None:
-        """Write the walk's bookkeeping onto one round's *stats*.
-
-        The tuples and pages-saved counters are cumulative on the
-        stream, and earlier rounds already reported their share: a
-        resumed round passes the totals it started from and reports
-        only the *change* its own pulls caused (a negative
-        ``lazy_calls_saved`` when the grown demand fetched pages an
-        earlier round had counted as saved), so the per-round values
-        sum to the stream's true current totals.
-        """
-        left, right = self._left, self._right
-        stats.streamed_cells_visited = self.cells_visited
-        stats.early_exit_cells_skipped = self.cells_skipped
-        stats.lazy_tuples_fetched = self.lazy_tuples_fetched - fetched_before
-        stats.lazy_calls_saved = self.lazy_pages_saved - saved_before
-        stats.lazy_blocks = left.block_count + right.block_count
-        stats.lazy_blocks_untouched = (
-            left.blocks_untouched + right.blocks_untouched
-        )
-
-    @property
     def join_rows_emitted(self) -> int:
         """Rows past the join predicates (before any residual filter)."""
         return self._join_rows_emitted
-
-    def is_complete(self, rows: Sequence[Row]) -> bool:
-        """True when *rows* (a :meth:`top` result) is *every* answer the
-        current plane can produce: the walk exhausted and the top-k
-        truncation dropped nothing.  This is the single definition of
-        the ``ResultTable.complete`` flag for streamed executions."""
-        return self.exhausted and len(rows) == self.candidate_count
 
     # -- the walk ------------------------------------------------------------
 
@@ -559,62 +672,3 @@ class JoinStream:
             if bound < best:
                 best = bound
         return best
-
-    def top(self, k: int | None = None) -> list[Row]:
-        """The top-*k* composed rows; resumes the suspended walk.
-
-        **Contract**: the returned rows, their ranks, and their order
-        are bit-identical to ``compose_ranking(full_join_rows, k)``
-        where ``full_join_rows`` is the residual-filtered full-plane
-        join over the *fully fetched* inputs — regardless of how much
-        of the plane was actually visited or fetched.  ``None`` (or a
-        negative ``k``, mirroring
-        :func:`~repro.execution.results.compose_ranking`) drains the
-        whole plane and returns every row in composed order.
-
-        **Cost**: visits ``O(k)`` stages on rank-monotone inputs
-        instead of the ``n × m`` plane, and over lazy cursors pulls
-        only the pages those stages demand — so a small ``k`` costs a
-        handful of remote fetches.  The certificate check keeps an
-        incremental bounded max-heap of the current k best ``(rank,
-        arrival)`` keys (rebuilt once per call, O(log k) per new
-        candidate), so a late-firing exit costs one heap update per
-        candidate rather than a rescan of the whole candidate list
-        after every stage.
-        """
-        if k is not None and k < 0:
-            k = None
-        if k is None:
-            while not self.exhausted:
-                self._advance_stage()
-            return [self._row(candidate) for candidate in sorted(self._candidates)]
-        # Max-heap (negated keys) of the k smallest (rank, arrival).
-        worst_first = [
-            (-rank, -arrival)
-            for rank, arrival, _, _ in heapq.nsmallest(k, self._candidates)
-        ]
-        heapq.heapify(worst_first)
-        while not self.exhausted and not self._certified(worst_first, k):
-            seen = len(self._candidates)
-            self._advance_stage()
-            for rank, arrival, _, _ in self._candidates[seen:]:
-                key = (-rank, -arrival)
-                if len(worst_first) < k:
-                    heapq.heappush(worst_first, key)
-                elif key > worst_first[0]:
-                    heapq.heappushpop(worst_first, key)
-        selected = sorted((-rank, -arrival) for rank, arrival in worst_first)
-        return [self._row(self._candidates[arrival]) for _, arrival in selected]
-
-    def _certified(self, worst_first: list[tuple[int, int]], k: int) -> bool:
-        """True when no unvisited cell can still enter the top-*k*.
-
-        *worst_first* is the bounded max-heap of the current k best
-        candidate keys; its root carries the k-th smallest rank.
-        """
-        if k == 0:
-            return True
-        if len(worst_first) < k:
-            return False
-        threshold = -worst_first[0][0]
-        return self._remaining_lower_bound() >= threshold

@@ -82,16 +82,24 @@ class ExecutionProgram:
     #: ``(step index, atom index, decay cap or None)`` per chunked
     #: service step: the factors "ask for more" may grow.
     chunked: tuple[tuple[int, int, int | None], ...]
-    #: The join a streamed top-k execution early-exits: the output's
-    #: sole predecessor when it is a join nobody else consumes — its
-    #: rows reach the answer without gaining rank annotations, so a
-    #: top-k certificate at the join is one for the query.  None for
-    #: service-terminal plans (``ExecutionStats.streamed_fallback``).
-    streamed_join: int | None
-    #: Service steps fetched on the streamed walk's demand: feeds of
-    #: ``streamed_join`` whose *only* consumer it is, so leaving part
-    #: of them unfetched changes no other dataflow.
+    #: The step a streamed top-k execution early-exits: the output's
+    #: sole predecessor, a join or a service step.  Its rows reach the
+    #: answer without gaining rank annotations (and nobody else can
+    #: consume them), so a top-k certificate there is one for the query.
+    terminal: int
+    #: Service steps fetched on the streamed walk's demand, closed
+    #: upwards from the terminal: a service step whose *only* consumer
+    #: is the terminal join, another lazy step or (the terminal itself)
+    #: the output — leaving part of it unfetched changes no other
+    #: dataflow.  The closure stops at joins and at steps two nodes
+    #: consume.
     lazy: frozenset[int]
+    #: Whether a suspended streamed walk may *continue* under grown
+    #: fetch factors instead of re-executing: the only growable step is
+    #: the input-fed head of a pure pipe chain to the output, so a
+    #: larger factor only appends rows, in order, to every cursor of
+    #: the chain.
+    grows_in_place: bool
     #: ``(service, pattern code, input spec against the answer layout)``
     #: per service node: how a certificate recovers, from an answer's
     #: own values, the unit of each service that produced it.
@@ -111,10 +119,7 @@ class ExecutionProgram:
         order = plan.topological_order()
         position = {node.node_id: index for index, node in enumerate(order)}
         output = plan.output_node
-        streamed = None
-        final = plan.predecessors(output)[0]
-        if isinstance(final, JoinNode) and len(plan.successors(final)) == 1:
-            streamed = position[final.node_id]
+        terminal = position[plan.predecessors(output)[0].node_id]
         input_row = Row()
         steps: list[Step] = []
         fetches = [0] * len(order)
@@ -128,7 +133,7 @@ class ExecutionProgram:
                     node.method,
                     *(steps[feed].layout for feed in feeds),
                     node.predicates,
-                    output.residual_predicates if index == streamed else (),
+                    output.residual_predicates if index == terminal else (),
                 )
                 step = Step(
                     JOIN, *here, join.merge.merged, join=join,
@@ -153,23 +158,42 @@ class ExecutionProgram:
             else:
                 raise ExecutionError(f"unknown node type {type(node).__name__}")
             steps.append(step)
+        chunked = tuple(
+            (step.index, step.binding.atom_index,
+             step.binding.profile.max_fetches())
+            for step in steps
+            if step.kind == SERVICE and step.binding.profile.is_chunked
+        )
+        consumers: list[list[int]] = [[] for _ in steps]
+        for step in steps:
+            for feed in step.feeds:
+                consumers[feed].append(step.index)
+        # Consumers come later in the order, so one backward pass closes
+        # the set.
+        lazy: set[int] = set()
+        for step in reversed(steps):
+            if step.kind == SERVICE and len(consumers[step.index]) == 1:
+                consumer = steps[consumers[step.index][0]]
+                if (
+                    consumer.kind == OUTPUT
+                    or consumer.index in lazy
+                    or (consumer.kind == JOIN and consumer.index == terminal)
+                ):
+                    lazy.add(step.index)
         return cls(
             head=tuple(head),
             steps=tuple(steps),
             input_row=input_row,
             fetches=tuple(fetches),
-            chunked=tuple(
-                (step.index, step.binding.atom_index,
-                 step.binding.profile.max_fetches())
-                for step in steps
-                if step.kind == SERVICE and step.binding.profile.is_chunked
-            ),
-            streamed_join=streamed,
-            lazy=frozenset(
-                position[feeder.node_id]
-                for feeder in (plan.predecessors(final) if streamed is not None else ())
-                if isinstance(feeder, ServiceNode)
-                and len(plan.successors(feeder)) == 1
+            chunked=chunked,
+            terminal=terminal,
+            lazy=frozenset(lazy),
+            grows_in_place=(
+                [index for index, _, _ in chunked] == [1]
+                and all(
+                    step.kind != JOIN and step.feeds == (step.index - 1,)
+                    for step in steps[1:]
+                )
             ),
             answer_specs=tuple(
                 (node.service_name, node.pattern.code,

@@ -7,30 +7,45 @@ or ask for more results of the same query ..."
 The :class:`ProgressiveExecutor` runs a compiled plan with its own
 fetch vector (starting at the program's) and, when the user asks for
 more than it produced, grows the factors of the chunked services
-(doubling, bounded by decay caps) and re-executes — the program, which
+(doubling, bounded by decay caps) and goes on — the program, which
 other sessions may be running, is never written.  Rounds share one
 logical cache (optimal by default), so
 every call already issued in an earlier round is answered locally —
 continuing a query only pays for the *new* fetches, exactly as a
 resumed execution would.
 
-Under ``ExecutionMode.STREAMED`` the continuation is cheaper still:
-each round leaves behind a suspended
-:class:`~repro.execution.joins.JoinStream` over the final join's
-inputs, and asking for more first *resumes* that stream — walking
-further into the candidate plane.  Over eagerly materialized inputs a
-resume issues **no service call at all**, under any cache setting.
-Over lazily fetched inputs (single- and multi-feed service nodes, see
-:mod:`repro.execution.lazy`) the resumed walk may *grow cursor demand*:
-it pulls further pages within the round's fetch budget — for a
-multi-feed input, from the per-feed block whose rank floor is lowest,
-leaving blocks the certificate already clears untouched — still far
-cheaper than re-executing, recorded honestly on the resumed round's
+Under ``ExecutionMode.STREAMED`` every round leaves behind a suspended
+:class:`~repro.execution.joins.TopKStream` — over the final join's
+inputs, or over the pipe chain of a service-terminal plan — and asking
+for more first *resumes* that stream.  Over eagerly materialized
+inputs a resume issues **no service call at all**, under any cache
+setting.  Over lazily fetched inputs (see :mod:`repro.execution.lazy`)
+the resumed walk may *grow cursor demand*: it pulls further pages
+within the session's fetch budget — from the per-feed block whose rank
+floor is lowest, leaving blocks the certificate already clears
+untouched or unopened — recorded honestly on the resumed round's
 statistics, and stored in the shared logical cache so any later
-re-execution finds them for free.  Only when the suspended stream
-exhausts its budgeted plane without reaching the requested k does the
-executor fall back to growing fetches and re-executing (where the
-shared logical cache again absorbs every already-fetched page).
+re-execution finds them for free.
+
+When the suspended stream exhausts its budgeted universe without
+reaching the requested k, the fetch factors grow, and what happens next
+is compiled into the program (``ExecutionProgram.grows_in_place``):
+
+* **growth in place** — the only growable step is the input-fed head
+  of a pure pipe chain to the output, so a larger factor only *appends*
+  rows, in order, to every cursor of the chain: the same stream is
+  resumed again and the round pays the new pages, nothing else.  The
+  units read their budget from this executor's own vector, which is all
+  that had to change;
+* **re-execution** — every other shape (a multi-feed growable step
+  would insert rows mid-stream, a joined one add cells between stages
+  already walked) runs the plan again, where the shared logical cache
+  absorbs every already-fetched page.
+
+The ladder of factors, ``max_rounds`` and the exhaustion rule are the
+same either way, and so are the answers
+(:class:`repro.testing.ReexecutingExecutor` is the reference that
+always re-executes).
 
 **Drift re-planning** is a policy of the same executor.  With a
 :class:`~repro.execution.resilience.DriftPolicy` a
@@ -94,6 +109,12 @@ class ProgressiveRound:
     budgeted pages the grown cursor demand actually pulled (0 while
     the walk stays within already-fetched pages).
 
+    ``grown`` marks a resumed round that continued the walk under
+    factors grown *in place* (``ExecutionProgram.grows_in_place``): it
+    stands where a re-execution would, so like one it counts against
+    ``max_rounds`` — but its statistics hold only what the larger
+    budget newly pulled.
+
     ``stats`` is the round's full :class:`ExecutionStats` — kept so a
     caller that grew through several rounds can report the *total*
     work of a request (each round's statistics object is fresh; the
@@ -105,6 +126,7 @@ class ProgressiveRound:
     new_calls: int
     elapsed: float
     resumed: bool = False
+    grown: bool = False
     stats: ExecutionStats | None = None
 
 
@@ -126,22 +148,21 @@ class DriftEvent:
 
 @dataclass
 class ProgressiveExecutor:
-    """Re-executes a plan with growing fetch factors until satisfied.
+    """Runs a plan under growing fetch factors until satisfied.
 
     **Contract**: :meth:`run` (and :meth:`more`) always returns the
     exact top answers of the plan under its *current* fetch state —
     bit-identical to a from-scratch full execution followed by
     ``compose_ranking`` — no matter how the rounds were served (fresh
-    execution, stream resume, or fetch growth).
+    execution, stream resume, growth in place or re-execution).
 
     **Cost behavior**: the logical cache persists across rounds
     (``cache_setting``, optimal by default), so a continuation never
     repeats a call already made.  With ``mode=ExecutionMode.STREAMED``
     continuations resume the suspended top-k stream first — free over
     already-fetched inputs, at most a few budgeted page fetches over
-    lazily fetched ones — and only re-execute (with doubled fetch
-    factors) when the stream's budgeted plane cannot prove the larger
-    top-k.
+    lazily fetched ones — and grow the fetch factors only when the
+    stream's budgeted universe cannot prove the larger top-k.
     """
 
     registry: ServiceRegistry
@@ -151,9 +172,10 @@ class ProgressiveExecutor:
     head: tuple[Variable, ...] = ()
     mode: ExecutionMode = ExecutionMode.PARALLEL
     cache_setting: CacheSetting = CacheSetting.OPTIMAL
-    #: Bounds the *executing* rounds (those that run the plan) since
-    #: the last drift splice; resumed stream rounds are nearly free and
-    #: never count against it.
+    #: Bounds the *executing* rounds (those that run the plan, or
+    #: continue it under grown factors) since the last drift splice;
+    #: plain resumed stream rounds are nearly free and never count
+    #: against it.
     max_rounds: int = 8
     #: An externally owned logical cache to run against (the serving
     #: layer hands every session the same cache, so one tenant's
@@ -274,7 +296,7 @@ class ProgressiveExecutor:
         calls while still uncovering new data, and must keep growing
         exactly as a cold executor would.
         """
-        result = self._resume_stream(k)
+        result = self._resume_stream(self._last_result, k)
         if result is None:
             result = self._execute_round(k)
             baseline_processed = result.stats.tuples_processed
@@ -287,8 +309,20 @@ class ProgressiveExecutor:
             if not self._grow_fetches():
                 break  # every factor capped by its decay bound
             previous_answers = len(result.rows)
-            result = self._execute_round(k)
-            processed = result.stats.tuples_processed
+            grown = None
+            if self._program.grows_in_place:
+                # The larger factor only appends to the suspended
+                # chain: continue the walk instead of repeating it.
+                grown = self._resume_stream(result, k, grown=True)
+            if grown is not None:
+                # A continued round reports only what it newly pulled.
+                result = grown
+                processed = (
+                    (baseline_processed or 0) + result.stats.tuples_processed
+                )
+            else:
+                result = self._execute_round(k)
+                processed = result.stats.tuples_processed
             latest = self.rounds[-1]
             if (
                 baseline_processed is not None
@@ -304,32 +338,26 @@ class ProgressiveExecutor:
         already = len(self._last_result.rows) if self._last_result else 0
         return self.run(already + additional)
 
-    def _resume_stream(self, k: int) -> ExecutionResult | None:
-        """Serve *k* by resuming the suspended stream, if possible.
+    def _resume_stream(
+        self, last: ExecutionResult | None, k: int, grown: bool = False
+    ) -> ExecutionResult | None:
+        """Serve *k* by resuming *last*'s suspended stream, if possible.
 
-        Walks the previous round's :class:`JoinStream` further into
-        the candidate plane.  Over already-fetched inputs no service is
-        ever called; over lazily fetched inputs the grown demand may
-        pull further budgeted pages — the stream's accounting cell is
-        rebound to this round's fresh statistics first, so those
-        fetches (and a drift signal's partial accounting) are recorded
-        here and never mutate the counters of the round that created
-        the stream.  Returns None only when there
-        is no suspended stream.  When the stream exhausts its plane
-        below *k*, the drained answers still become this round's
-        result (re-executing with unchanged fetches would only
-        recompute them), and ``run`` proceeds directly to fetch growth.
+        Walks that round's stream further (:meth:`~repro.
+        execution.engine.ExecutionEngine.resume`).  Over
+        already-fetched inputs no service is ever called; over lazily
+        fetched inputs the grown demand may pull further budgeted
+        pages, recorded on this round's fresh statistics.  Returns
+        None only when there is no suspended stream (or it just died).
+        When the stream exhausts its plane below *k*, the drained
+        answers still become this round's result (re-executing with
+        unchanged fetches would only recompute them), and ``run``
+        proceeds directly to fetch growth.
         """
-        last = self._last_result
         if last is None or last.stream is None:
             return None
-        stream = last.stream
-        stats = ExecutionStats()
-        last.accounting.rebind(stats)
-        fetched_before = stream.lazy_tuples_fetched
-        saved_before = stream.lazy_pages_saved
         try:
-            rows = stream.top(k)
+            result = self._engine.resume(self._program, last, k)
         except UnresponsiveService as failure:
             # A lazily fetched block died mid-resume (partial mode).
             # The suspended stream cannot retract what it already
@@ -341,15 +369,9 @@ class ProgressiveExecutor:
             self._engine.routing.handle_unresponsive(failure)
             self._last_result = None
             return None
-        stream.trace(stats, fetched_before, saved_before)
-        # Virtual time of the resume: the lazy cursors sit on parallel
-        # branches (0.0 for the common all-from-fetched-pages resume).
-        stats.elapsed = stats.busiest_service_time()
-        result = self._engine._result(
-            self._program, k, stats, (), rows,
-            stream.is_complete(rows), stream, last.accounting,
+        self._record_round(
+            result.stats, len(result.rows), resumed=True, grown=grown
         )
-        self._record_round(stats, len(rows), resumed=True)
         return result
 
     def _execute_round(self, k: int | None = None) -> ExecutionResult:
@@ -364,7 +386,8 @@ class ProgressiveExecutor:
         return result
 
     def _record_round(
-        self, stats: ExecutionStats, answers: int, resumed: bool = False
+        self, stats: ExecutionStats, answers: int, resumed: bool = False,
+        grown: bool = False,
     ) -> None:
         self.rounds.append(
             ProgressiveRound(
@@ -373,6 +396,7 @@ class ProgressiveExecutor:
                 new_calls=stats.total_calls,
                 elapsed=stats.elapsed,
                 resumed=resumed,
+                grown=grown,
                 stats=stats,
             )
         )
@@ -461,8 +485,9 @@ class ProgressiveExecutor:
         return baseline
 
     def _executed_rounds(self) -> int:
-        """Rounds that ran the plan since the last splice (resumed
-        rounds are free)."""
+        """Rounds that ran the plan, or continued it under grown
+        factors, since the last splice (plain resumed rounds are free)."""
         return sum(
-            1 for r in self.rounds[self._splice_start:] if not r.resumed
+            1 for r in self.rounds[self._splice_start:]
+            if r.grown or not r.resumed
         )

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields
 def _merge_counters(target: object, source: object) -> None:
     """Fold every field of *source* into *target*, whatever it counts.
 
-    Numbers add, flags OR, and a dict of per-key counters merges key
-    by key the same way — driven by ``dataclasses.fields``, so a
+    Numbers add, and a dict of per-key counters merges key by key the
+    same way — driven by ``dataclasses.fields``, so a
     counter added to either statistics class is merged without anyone
     remembering to list it.
     """
@@ -30,8 +30,6 @@ def _merge_counters(target: object, source: object) -> None:
             mine = getattr(target, spec.name)
             for key, counters in value.items():
                 _merge_counters(mine.setdefault(key, type(counters)()), counters)
-        elif isinstance(value, bool):
-            setattr(target, spec.name, getattr(target, spec.name) or value)
         else:
             setattr(target, spec.name, getattr(target, spec.name) + value)
 
@@ -70,17 +68,12 @@ class ExecutionStats:
     ``streamed_cells_visited`` / ``early_exit_cells_skipped`` trace the
     streamed top-k pipeline: how many candidate-plane cells the final
     join actually visited and how many it proved unable to enter the
-    top-k without visiting them.  Both stay 0 for full-scan executions
-    (and ``early_exit_cells_skipped`` is 0 whenever ``k`` covers the
-    fetched plane, as proving a full-plane top-k complete requires
-    visiting every cell).
-
-    ``streamed_fallback`` disambiguates those zeros: it is True when a
-    ``STREAMED`` execution with a ``k`` budget found no streamable
-    final join (service-terminal plans) and fell back to full
-    materialization — the zeros then mean "nothing was streamed", not
-    "the stream visited nothing".  Benches must check it instead of
-    logging the counters as if a stream had run.
+    top-k without visiting them (for a service-terminal plan, whose
+    pipe chain is the stream, a cell is a row of the terminal step).
+    Both stay 0 for full-scan executions (and
+    ``early_exit_cells_skipped`` is 0 whenever ``k`` covers the fetched
+    plane, as proving a full-plane top-k complete requires visiting
+    every cell).
 
     ``lazy_tuples_fetched`` / ``lazy_calls_saved`` trace demand-driven
     service fetching: raw tuples pulled through lazy input cursors,
@@ -97,14 +90,18 @@ class ExecutionStats:
     of the same saving: a lazy cursor owns one budgeted block per feed
     tuple (one for single-feed nodes, many for multi-feed nodes of
     serial plans), and an *untouched* block never issued a single page
-    fetch — its entire budget is remote work saved.
+    fetch — its entire budget is remote work saved.  Over a chain of
+    lazy steps a feed is itself fetched on demand, so all three count
+    the feed tuples *known so far*, summed over every demand-driven
+    step of the plan: a feed tuple the walk never pulled stands for no
+    block yet, and the saving it implies shows in the fetch totals
+    alone.
     """
 
     per_service: dict[str, ServiceCallStats] = field(default_factory=dict)
     elapsed: float = 0.0
     streamed_cells_visited: int = 0
     early_exit_cells_skipped: int = 0
-    streamed_fallback: bool = False
     lazy_tuples_fetched: int = 0
     lazy_calls_saved: int = 0
     lazy_blocks: int = 0
@@ -187,12 +184,7 @@ class ExecutionStats:
     def summary(self) -> str:
         """Readable multi-line rendering."""
         lines = [f"elapsed: {self.elapsed:.1f}s  calls: {self.total_calls}"]
-        if self.streamed_fallback:
-            lines.append(
-                "  streamed: no streamable final join "
-                "(service-terminal plan, full materialization)"
-            )
-        elif self.streamed_cells_visited or self.early_exit_cells_skipped:
+        if self.streamed_cells_visited or self.early_exit_cells_skipped:
             lines.append(
                 f"  streamed: cells_visited={self.streamed_cells_visited}"
                 f" early_exit_cells_skipped={self.early_exit_cells_skipped}"

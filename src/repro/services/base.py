@@ -225,17 +225,30 @@ class Service(ABC):
             raise SchemaError(
                 f"pattern {pattern.code!r} does not fit service {self.name!r}"
             )
-        missing = [k for k in pattern.input_positions if k not in inputs]
-        if missing:
-            raise InvocationError(
-                f"missing input positions {missing} for {self.name!r} "
-                f"with pattern {pattern.code!r}"
-            )
-        extra = [k for k in inputs if k not in pattern.input_positions]
-        if extra:
-            raise InvocationError(
-                f"values supplied for non-input positions {extra} of {self.name!r}"
-            )
+        positions = pattern.input_positions
+        # As many keys as input positions and every position among
+        # them: for a mapping that is "none missing, none extra", and
+        # deciding it allocates nothing — this runs once per remote
+        # page.  The two lists exist only to word an error.
+        complete = len(inputs) == len(positions)
+        if complete:
+            for k in positions:
+                if k not in inputs:
+                    complete = False
+                    break
+        if not complete:
+            missing = [k for k in positions if k not in inputs]
+            if missing:
+                raise InvocationError(
+                    f"missing input positions {missing} for {self.name!r} "
+                    f"with pattern {pattern.code!r}"
+                )
+            extra = [k for k in inputs if k not in positions]
+            if extra:
+                raise InvocationError(
+                    f"values supplied for non-input positions {extra} "
+                    f"of {self.name!r}"
+                )
         if page < 0:
             raise InvocationError(f"page must be non-negative, got {page}")
         if page > 0 and not self._profile.is_chunked:

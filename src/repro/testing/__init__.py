@@ -4,7 +4,8 @@ What tests, benchmarks and downstream experiments import without path
 hacks — the full-plane dict-row join the compiled join is checked
 against, the dict-row reference plan interpreter the engine is checked
 against, the per-definition plan estimates the annotation program
-is checked against and the eager-streamed engine lazy fetching is
+is checked against, the eager-streamed engine lazy fetching is
+measured against and the re-executing executor growth in place is
 measured against (:mod:`repro.testing.reference`), and the deterministic
 fault-injection kit (:mod:`repro.testing.faults`).  Production modules
 under ``src/repro/`` never import this package.
@@ -18,6 +19,7 @@ from repro.testing.faults import (
     wrap_registry_flaky,
 )
 from repro.testing.reference import (
+    ReexecutingExecutor,
     ReferenceResult,
     eager_streamed_engine,
     execute_join,
@@ -31,6 +33,7 @@ __all__ = [
     "FaultSchedule",
     "FlakyService",
     "InjectedFault",
+    "ReexecutingExecutor",
     "ReferenceResult",
     "eager_streamed_engine",
     "execute_join",

@@ -1,14 +1,16 @@
 """References the production paths are checked against (tests and benches).
 
-Four small, obviously correct things: the full-plane dict-row *join*
+Five small, obviously correct things: the full-plane dict-row *join*
 (:func:`execute_join` over :func:`merged_with`) for the compiled join
 of :mod:`repro.execution.joins`, a dict-row plan *interpreter*
 (:func:`reference_execute`) for the engine's compiled loops, the
 per-definition plan *estimates* (:func:`reference_annotate`) for the
-compiled annotation program of :mod:`repro.plans.annotate`, and the
+compiled annotation program of :mod:`repro.plans.annotate`, the
 eager-streamed engine (:func:`eager_streamed_engine`) — the "same
 cells, every page fetched up front" baseline lazy fetching is
-measured against.
+measured against — and the re-executing session executor
+(:class:`ReexecutingExecutor`), the "every growth round runs the plan
+again" baseline growth in place is measured against.
 
 The engine carries rows as slot tuples through compiled loops
 (:mod:`repro.execution.slots`); the interpreter walks a plan node
@@ -35,6 +37,7 @@ from typing import Sequence
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import join_order
+from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.results import Row, compose_ranking
 from repro.execution.slots import ExecutionError
 from repro.model.predicates import Comparison
@@ -116,6 +119,15 @@ def eager_streamed_engine(registry: ServiceRegistry, **options) -> ExecutionEngi
     service inputs up front: same walk and cells as the lazy engine,
     exactly the fetches of ``PARALLEL`` mode."""
     return _EagerStreamedEngine(registry, mode=ExecutionMode.STREAMED, **options)
+
+
+class ReexecutingExecutor(ProgressiveExecutor):
+    """A session executor that never grows in place: once the fetch
+    factors have grown it always re-executes the plan — same ladder,
+    same answers, every earlier page pulled again (through the cache)."""
+
+    def _resume_stream(self, last, k, grown=False):
+        return None if grown else super()._resume_stream(last, k)
 
 
 def bind_outputs(row: Row, values: tuple, terms: list) -> Row | None:

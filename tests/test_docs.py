@@ -314,7 +314,7 @@ def test_retired_seam_plumbing_stays_retired():
         "_JsonDiskTier", "backend_name", "migrate_json", "plan_cache_backend",
         "execute_join_streamed", "LayoutMemo", "_shares_layout",
         "thread_overhead", "shuffle_seed", "tenant_id", "busy_timeout_ms",
-        "_hedge_pool", "_key_locks",
+        "_hedge_pool", "_key_locks", "streamed_fallback",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"
@@ -323,6 +323,58 @@ def test_retired_seam_plumbing_stays_retired():
         if name in path.read_text()
     ]
     assert not offenders, offenders
+
+
+def test_growth_re_executes_only_where_it_cannot_continue():
+    """After ``_grow_fetches`` the session executor runs the plan again
+    only behind the program's compiled ``grows_in_place`` condition (a
+    continued walk that died is the one other way there), the condition
+    is a field ``ExecutionProgram.compile`` sets and nothing else
+    writes, and neither the cursors nor the streams over them ever
+    invoke a service: a page still has one way in."""
+    progressive = ast.parse((SRC / "execution" / "progressive.py").read_text())
+    rounds = next(
+        node
+        for node in ast.walk(progressive)
+        if isinstance(node, ast.FunctionDef) and node.name == "_run_rounds"
+    )
+    loop = next(
+        node
+        for node in ast.walk(rounds)
+        if isinstance(node, ast.While) and "_grow_fetches" in ast.unparse(node)
+    )
+    body = ast.unparse(loop)
+    assert body.count("_execute_round(") == 1
+    assert body.index("_grow_fetches(") < body.index(
+        "if self._program.grows_in_place"
+    ) < body.index("_execute_round(")
+    guarded = next(
+        node
+        for node in ast.walk(loop)
+        if isinstance(node, ast.If) and "_execute_round(" in ast.unparse(node)
+    )
+    # ``if grown is not None: ... else: re-execute`` where ``grown`` is
+    # the in-place continuation: None unless the condition held.
+    assert ast.unparse(guarded.test) == "grown is not None"
+    assert "_execute_round(" in ast.unparse(guarded.orelse)
+    assert "_execute_round(" not in ast.unparse(guarded.body)
+    writers = [
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if "grows_in_place=" in path.read_text()
+    ]
+    assert writers == ["execution/program.py"]
+    streams = [
+        (SRC / "execution" / "lazy.py").read_text(),
+        *(
+            ast.unparse(node)
+            for name in ("engine.py", "joins.py")
+            for node in ast.walk(ast.parse((SRC / "execution" / name).read_text()))
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Stream")
+        ),
+    ]
+    assert len(streams) == 4  # lazy.py, TopKStream, JoinStream, ChainStream
+    assert not [text[:40] for text in streams if ".invoke(" in text]
 
 
 def test_one_join_one_plan_cache_tier_one_sqlite_pool():
@@ -341,8 +393,10 @@ def test_one_join_one_plan_cache_tier_one_sqlite_pool():
     joins = ast.parse((SRC / "execution" / "joins.py").read_text())
     advance = next(
         node
-        for node in ast.walk(joins)
-        if isinstance(node, ast.FunctionDef) and node.name == "_advance_stage"
+        for node, scopes in _enclosing_scopes(joins)
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "_advance_stage"
+        and scopes == ("JoinStream",)
     )
     loops = [node for node in ast.walk(advance) if isinstance(node, ast.For)]
     assert len(loops) == 1

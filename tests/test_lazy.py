@@ -12,10 +12,10 @@ Three layers:
   sequences (the latter exercising the fallback);
 * the engine — lazy streamed executions are bit-identical to both the
   eager streamed path and the full-scan oracle while issuing strictly
-  fewer fetches on rank-monotone workloads; service-terminal plans set
-  ``ExecutionStats.streamed_fallback`` instead of logging misleading
-  zeros; resumed streams record their fetches on rebound statistics,
-  never on the round that created them.
+  fewer fetches on rank-monotone workloads; service-terminal plans
+  stream their pipe chain (``tests/test_lazy_chain.py`` is their
+  oracle suite); resumed streams record their fetches on rebound
+  statistics, never on the round that created them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ChainStream, ExecutionEngine, ExecutionMode
 from repro.execution.joins import JoinStream
 from repro.execution.lazy import (
     LazyServiceCursor,
@@ -327,7 +327,6 @@ class TestLazyStreamedEngine:
         )
         expected = compose_ranking(oracle.rows, 2)
         assert _signature(streamed.rows) == _signature(expected)
-        assert not streamed.stats.streamed_fallback
         # One block per weather tuple, on both the flight and hotel side.
         assert streamed.stats.lazy_blocks > 2
         assert streamed.stats.lazy_calls_saved > 0
@@ -338,11 +337,12 @@ class TestLazyStreamedEngine:
         )
         assert streamed.stats.total_fetches <= oracle.stats.total_fetches
 
-    def test_service_terminal_plan_sets_fallback_flag(
+    def test_service_terminal_plan_streams_its_chain(
         self, tiny_registry, tiny_query
     ):
-        """A chain plan ends in a service node: nothing can stream, and
-        the stats must say so instead of logging ambiguous zeros."""
+        """A chain plan ends in a service node: the chain itself is the
+        stream — it rides along on the result, resumable, and its
+        counters say a walk ran."""
         plan = PlanBuilder(tiny_query, tiny_registry).build(
             (
                 tiny_registry.signature("cities").pattern("io"),
@@ -354,23 +354,22 @@ class TestLazyStreamedEngine:
         streamed = ExecutionEngine(
             tiny_registry, mode=ExecutionMode.STREAMED
         ).execute(plan, head=head, k=2)
-        assert streamed.stats.streamed_fallback
-        assert streamed.stream is None
-        assert streamed.stats.streamed_cells_visited == 0
-        assert streamed.stats.lazy_tuples_fetched == 0
-        assert "no streamable final join" in streamed.stats.summary()
+        assert isinstance(streamed.stream, ChainStream)
+        assert streamed.stats.streamed_cells_visited > 0
+        assert streamed.stats.lazy_tuples_fetched > 0
+        assert streamed.stats.lazy_blocks >= 2  # cities, then a spots block
+        assert "streamed: cells_visited=" in streamed.stats.summary()
         oracle = ExecutionEngine(
             tiny_registry, mode=ExecutionMode.PARALLEL
         ).execute(plan, head=head)
         assert _signature(streamed.rows) == _signature(
             compose_ranking(oracle.rows, 2)
         )
-        # A streaming execution, by contrast, must not raise the flag.
-        registry, query, stream_plan = _single_feed_plan(JoinMethod.MERGE_SCAN)
-        ok = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            stream_plan, head=tuple(query.head), k=1
+        assert streamed.stats.total_fetches <= oracle.stats.total_fetches
+        # Resuming walks on, and draining it yields everything.
+        assert _signature(streamed.stream.top(None)) == _signature(
+            compose_ranking(oracle.rows)
         )
-        assert not ok.stats.streamed_fallback
 
     def test_resume_records_fetches_on_rebound_stats(self):
         """Fetches demanded by a resumed stream must land on the stats

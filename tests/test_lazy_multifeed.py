@@ -32,7 +32,12 @@ from hypothesis import strategies as st
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import JoinStream
-from repro.execution.lazy import LazyServiceCursor, ListPageSource, MultiFeedCursor
+from repro.execution.lazy import (
+    LazyServiceCursor,
+    ListPageSource,
+    MaterializedCursor,
+    MultiFeedCursor,
+)
 from repro.execution.results import Row, compose_ranking
 from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
@@ -67,6 +72,30 @@ def _paged(rows: list[Row], chunk: int) -> list[list[Row]]:
     return [rows[i : i + chunk] for i in range(0, len(rows), chunk)] or [[]]
 
 
+def _cursor_over(blocks: list[LazyServiceCursor]) -> MultiFeedCursor:
+    """A cursor whose materialized feed opens *blocks*, in order.
+
+    The feed rows carry each block's base rank (what the cursor's
+    frontier reads before a block is opened), and the blocks share one
+    page budget, like the units of one plan node.  ``all_blocks`` keeps
+    every block for the assertions: the cursor itself drops the ones
+    placement has passed.
+    """
+    budget = max((block.budget for block in blocks), default=0)
+    for block in blocks:
+        block._source.budget = budget
+    feed = [
+        Row(bindings={Variable("F"): index}, ranks=(("feed", block._base_rank),))
+        for index, block in enumerate(blocks)
+    ]
+    opening = iter(blocks)
+    cursor = MultiFeedCursor(
+        MaterializedCursor(feed), lambda row, rank: next(opening), budget
+    )
+    cursor.all_blocks = list(blocks)
+    return cursor
+
+
 def _multi_feed_cursor(
     blocks: list[tuple[int, list[int]]], side: str, chunk: int
 ) -> tuple[MultiFeedCursor, list[Row]]:
@@ -92,7 +121,7 @@ def _multi_feed_cursor(
             floors.append(ordered[seen] if seen < len(ordered) else 10**9)
         source = ListPageSource(pages=pages, rank_floors=floors)
         cursors.append(LazyServiceCursor(source, base_rank=base))
-    return MultiFeedCursor(cursors), eager
+    return _cursor_over(cursors), eager
 
 
 _blocks = st.lists(
@@ -132,11 +161,12 @@ class TestMultiFeedCursorUnits:
 
     def test_untouched_blocks_bound_the_certificate(self):
         # Block 0 is cheap, block 1 starts at base rank 5: demanding
-        # one row must leave block 1 untouched, with the certificate
-        # bounded by its floor (5), not by +inf.
+        # one row must leave block 1 untouched (not even opened), with
+        # the certificate bounded by its feed row's rank (5), not +inf.
         cursor, _ = _multi_feed_cursor([(0, [0, 1]), (5, [0, 1])], "L", 2)
         cursor.ensure(1)
         assert cursor.blocks_untouched == 1
+        assert cursor._opened == 1
         assert cursor.suffix_min(len(cursor.rows)) == 5
         # The floor of every unexhausted block keeps participating:
         # indexes inside the placed prefix are bounded by min(exact, 5).
@@ -148,7 +178,7 @@ class TestMultiFeedCursorUnits:
         # can even begin, buffering its rows until block 0 drains.
         cursor, eager = _multi_feed_cursor([(2, [0, 1]), (0, [0, 1])], "L", 1)
         cursor.ensure(1)
-        blocks = cursor._blocks
+        blocks = cursor.all_blocks
         assert blocks[1].pages_fetched > 0
         assert len(cursor.rows) >= 1
         cursor.ensure_all()
@@ -160,7 +190,7 @@ class TestMultiFeedCursorUnits:
         )
         cursor.ensure_all()
         cursor.ensure_all()
-        total_pages = sum(b.pages_fetched for b in cursor._blocks)
+        total_pages = sum(b.pages_fetched for b in cursor.all_blocks)
         assert total_pages == 3 + 3  # ceil(5/2) pages per block, once
 
     def test_non_monotone_block_drains_itself_only(self):
@@ -176,8 +206,8 @@ class TestMultiFeedCursorUnits:
         source0 = ListPageSource(pages=pages0, rank_floors=[1, 10**9])
         block0 = LazyServiceCursor(source0, base_rank=0)
         cursor1, _ = _multi_feed_cursor([(3, [0, 1, 2, 3])], "L", 2)
-        block1 = cursor1._blocks[0]
-        cursor = MultiFeedCursor([block0, block1])
+        block1 = cursor1.all_blocks[0]
+        cursor = _cursor_over([block0, block1])
         cursor.ensure(1)  # first page of block 0 observes the regression
         assert block0.exhausted  # drained defensively
         assert not block1.exhausted
@@ -232,7 +262,7 @@ class TestMultiFeedJoinStreamMatchesOracle:
             execute_join(JoinMethod.MERGE_SCAN, left_eager, right_eager), k
         )
         assert _signature(rows) == _signature(oracle)
-        pulled = sum(b.pages_fetched for b in left_cursor._blocks)
+        pulled = sum(b.pages_fetched for b in left_cursor.all_blocks)
         universe = sum(-(-max(len(r), 1) // chunk) for _, r in spec)
         assert pulled <= universe
 
@@ -326,9 +356,9 @@ class TestSerialPlanEngineDifferential:
         )
         expected = compose_ranking(oracle.rows, k)
         assert _signature(lazy.rows) == _signature(expected)
-        assert not lazy.stats.streamed_fallback
-        # The multi-feed node opens one block per feeder tuple.
-        assert lazy.stats.lazy_blocks == feeds + 1  # + the rights cursor
+        # The multi-feed node opens at most one block per feeder tuple,
+        # as the walk's demand reaches it.
+        assert 2 <= lazy.stats.lazy_blocks <= feeds + 2  # + feeder, rights
         # Fetching is demand-driven: never more remote work than eager.
         assert lazy.stats.total_fetches <= oracle.stats.total_fetches
         assert (
@@ -414,45 +444,69 @@ class TestSerialPlanEngineDifferential:
 
 
 class _LinearScanReference:
-    """The pre-heap O(B)-per-pull selection logic, as a test oracle.
+    """The O(B)-per-pull selection logic over *every* known block, as a
+    test oracle.
 
     Recomputes the lowest-floor block and the unplaced bound by full
-    linear scans over a :class:`MultiFeedCursor`'s internals — exactly
-    what the cursor did before the floor/bound heaps replaced the
-    scans.  The differential drives a cursor step by step and checks
-    the heap-served answers against these scans at every step.
+    linear scans over the blocks of all the feed rows known so far,
+    opened or not (an unopened block's floor is its feed row's rank) —
+    exactly what the cursor did when it opened every block up front and
+    before the floor/bound heaps replaced the scans.  Over a
+    materialized feed every row is known from the start; over a growing
+    feed (``tests/test_lazy_chain.py``, which drives a whole policy of
+    scans beside the cursor) the rows the feed has not placed yet are
+    covered by the feed's own bound.  The differential here drives a
+    cursor step by step and checks the heap- and frontier-served
+    answers against these scans at every step.
     """
 
     @staticmethod
-    def lowest_floor_index(cursor: MultiFeedCursor) -> int | None:
+    def known_blocks(cursor: MultiFeedCursor) -> list[LazyServiceCursor]:
+        return cursor.all_blocks[: len(cursor._feed.ranks)]
+
+    @classmethod
+    def lowest_floor_index(cls, cursor: MultiFeedCursor) -> int | None:
         best_index, best_floor = None, math.inf
-        for index in range(cursor._front, len(cursor._blocks)):
-            block = cursor._blocks[index]
+        blocks = cls.known_blocks(cursor)
+        for index in range(cursor._front, len(blocks)):
+            block = blocks[index]
             if block.exhausted:
                 continue
             if block.floor < best_floor:
                 best_index, best_floor = index, block.floor
         return best_index
 
-    @staticmethod
-    def unplaced_bound(cursor: MultiFeedCursor) -> float:
-        bound = math.inf
-        for index in range(cursor._front, len(cursor._blocks)):
-            candidate = cursor._blocks[index].suffix_min(
-                cursor._placed[index]
+    @classmethod
+    def unplaced_bound(cls, cursor: MultiFeedCursor) -> float:
+        blocks = cls.known_blocks(cursor)
+        bound = cursor._feed.suffix_min(len(blocks))
+        for index in range(cursor._front, len(blocks)):
+            candidate = blocks[index].suffix_min(
+                cursor._placed if index == cursor._front else 0
             )
             if candidate < bound:
                 bound = candidate
         return bound
 
-    @staticmethod
-    def counters(cursor: MultiFeedCursor) -> tuple[int, int, int]:
-        blocks = cursor._blocks
+    @classmethod
+    def counters(cls, cursor: MultiFeedCursor) -> tuple[int, int, int]:
+        blocks = cls.known_blocks(cursor)
         return (
             sum(1 for b in blocks if b.pages_fetched == 0),
             sum(b.tuples_fetched for b in blocks),
             sum(b.pages_saved() for b in blocks),
         )
+
+    @staticmethod
+    def pull_one_page(cursor: MultiFeedCursor) -> None:
+        """Step the fetch policy until it has fetched (not just opened)."""
+
+        def pages() -> int:
+            return sum(b.pages_fetched for b in cursor.all_blocks)
+
+        before = pages()
+        while not cursor.exhausted and pages() == before:
+            cursor._step()
 
 
 class TestHeapMatchesLinearScan:
@@ -470,30 +524,30 @@ class TestHeapMatchesLinearScan:
                     cursor
                 )
                 expected_pages = [
-                    b.pages_fetched for b in cursor._blocks
+                    b.pages_fetched for b in cursor.all_blocks
                 ]
                 expected_pages[expected_index] += 1
-                cursor._pull_lowest_floor()
+                _LinearScanReference.pull_one_page(cursor)
                 # the heap pulled exactly the linear scan's block (one
                 # pull may drain extra pages on a monotonicity
                 # violation, always within the selected block)
                 pulled = [
                     i
-                    for i, b in enumerate(cursor._blocks)
+                    for i, b in enumerate(cursor.all_blocks)
                     if b.pages_fetched
                     > expected_pages[i] - (1 if i == expected_index else 0)
                     and i != expected_index
                 ]
                 assert pulled == []
                 assert (
-                    cursor._blocks[expected_index].pages_fetched
+                    cursor.all_blocks[expected_index].pages_fetched
                     >= expected_pages[expected_index]
                 )
             reference.ensure(target)
             # same rows, same per-block fetch state, same certificate
             assert _signature(cursor.rows) == _signature(reference.rows)
-            assert [b.pages_fetched for b in cursor._blocks] == [
-                b.pages_fetched for b in reference._blocks
+            assert [b.pages_fetched for b in cursor.all_blocks] == [
+                b.pages_fetched for b in reference.all_blocks
             ]
             for start in range(len(cursor.rows) + 2):
                 assert cursor.suffix_min(start) == reference.suffix_min(start)
@@ -526,6 +580,7 @@ class TestHeapMatchesLinearScan:
         cursor.ensure(10)
         assert _signature(cursor.rows[:10]) == _signature(eager[:10])
         assert cursor.blocks_untouched > 900  # the point of being lazy
+        assert cursor._opened < 100  # ... and most were never even opened
         assert cursor.suffix_min(len(cursor.rows)) == (
             _LinearScanReference.unplaced_bound(cursor)
         )

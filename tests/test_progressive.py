@@ -280,9 +280,12 @@ class TestLazyStreamedResume:
         assert latest.new_calls > 0
         assert more.stats.total_fetches > 0
         assert more.stats.lazy_tuples_fetched > 0
-        # Remote latency makes the resumed round's virtual time real.
+        # Remote latency makes the resumed round's virtual time real:
+        # the two lazy cursors sit on parallel branches, so the round
+        # lasts as long as its busier service.
         assert latest.elapsed > 0.0
         assert more.elapsed == latest.elapsed
+        assert latest.elapsed == more.stats.busiest_service_time()
         # The savings snapshot shrinks to what is still unissued.
         assert more.stats.lazy_calls_saved < first.stats.lazy_calls_saved
         # The stale-counter regression: round 1's stats stay frozen.
@@ -357,6 +360,90 @@ class TestAccountingRegressions:
         # baseline, so the first growth round (which demands the same
         # tuples and finds no new answers) detects exhaustion itself.
         assert executor._executed_rounds() == 2
+
+
+class TestResumedChainVirtualTime:
+    """The services of a pipe chain run in series: a resumed round's
+    virtual time is the critical path over what the round itself
+    fetched per step — a sum down the chain, not the busiest service."""
+
+    @staticmethod
+    def _chain():
+        from repro.model.atoms import Atom
+        from repro.model.query import ConjunctiveQuery
+        from repro.model.schema import signature
+        from repro.model.terms import Constant, Variable
+        from repro.services.profile import exact_profile, search_profile
+        from repro.services.registry import ServiceRegistry
+        from repro.services.table import TableExactService, TableSearchService
+
+        registry = ServiceRegistry()
+        registry.register(
+            TableSearchService(
+                signature("papers", ["Q", "P"], ["io"]),
+                search_profile(chunk_size=2, response_time=1.0),
+                [("q", p) for p in range(12)],
+                score=lambda row: float(-row[1]),
+            )
+        )
+        registry.register(
+            TableExactService(
+                signature("authors", ["P", "A"], ["io"]),
+                exact_profile(erspi=2.0, response_time=2.0),
+                [(p, 10 * p + a) for p in range(12) for a in range(2)],
+            )
+        )
+        registry.register(
+            TableExactService(
+                signature("projects", ["A", "J"], ["io"]),
+                exact_profile(erspi=1.0, response_time=0.5),
+                [(10 * p + a, 100 * p + a) for p in range(12) for a in range(2)],
+            )
+        )
+        p, a, j = Variable("P"), Variable("A"), Variable("J")
+        query = ConjunctiveQuery(
+            name="experts",
+            head=(p, a, j),
+            atoms=(
+                Atom("papers", (Constant("q"), p)),
+                Atom("authors", (p, a)),
+                Atom("projects", (a, j)),
+            ),
+            predicates=(),
+        )
+        plan = PlanBuilder(query, registry).build(
+            tuple(
+                registry.signature(name).pattern("io")
+                for name in ("papers", "authors", "projects")
+            ),
+            chain_poset(3, [0, 1, 2]),
+            fetches={0: 6},
+        )
+        return ProgressiveExecutor(
+            registry=registry, plan=plan, head=tuple(query.head),
+            mode=ExecutionMode.STREAMED,
+        )
+
+    def test_execute_then_resume_lasts_as_long_as_one_execution(self):
+        stepwise, at_once = self._chain(), self._chain()
+        stepwise.run(3)
+        more = stepwise.run(9)
+        assert stepwise.rounds[-1].resumed
+        whole = at_once.run(9)
+        assert [r.rank_key() for r in more.rows] == [
+            r.rank_key() for r in whole.rows
+        ]
+        assert len(at_once.rounds) == 1
+        assert sum(r.elapsed for r in stepwise.rounds) == whole.elapsed
+        # ... which is every page of every level, end to end: the head
+        # (1.0 a page), its authors (2.0) and their projects (0.5).
+        stats = whole.stats
+        assert whole.elapsed == sum(
+            stats.service(name).busy_time
+            for name in ("papers", "authors", "projects")
+        )
+        resumed = stepwise.rounds[-1]
+        assert resumed.elapsed > resumed.stats.busiest_service_time() > 0
 
 
 class TestCaps:

@@ -44,12 +44,10 @@ class TestExecutionStats:
 
 def _filled(cls, start, step):
     """An instance of *cls* with every field set to a distinct
-    non-zero value: *start*, *start* + *step*, ... (True for flags)."""
+    non-zero value: *start*, *start* + *step*, ..."""
     values = {}
     for offset, spec in enumerate(dataclasses.fields(cls)):
-        if spec.type == "bool":
-            values[spec.name] = True
-        elif spec.type.startswith("dict"):
+        if spec.type.startswith("dict"):
             values[spec.name] = {}
         else:
             caster = float if spec.type == "float" else int
@@ -65,7 +63,6 @@ class TestMergeIsComplete:
 
     def test_every_field_of_both_dataclasses_is_merged(self):
         target = _filled(ExecutionStats, 1, 1)
-        target.streamed_fallback = False
         target.per_service["shared"] = _filled(ServiceCallStats, 100, 1)
 
         def tally():
@@ -78,7 +75,7 @@ class TestMergeIsComplete:
         expected = {
             spec.name: getattr(target, spec.name) + getattr(other, spec.name)
             for spec in dataclasses.fields(ExecutionStats)
-            if spec.name not in ("per_service", "streamed_fallback")
+            if spec.name != "per_service"
         }
         expected_shared = {
             spec.name: getattr(target.per_service["shared"], spec.name)
@@ -88,7 +85,6 @@ class TestMergeIsComplete:
         target.merge(other)
         for name, value in expected.items():
             assert getattr(target, name) == value != 0, name
-        assert target.streamed_fallback is True
         assert dataclasses.asdict(target.per_service["shared"]) == expected_shared
         assert all(expected_shared.values())
         assert target.per_service["new"] == other.per_service["new"]
