@@ -4,7 +4,12 @@ A cost metric is a function associating a cost to each (annotated)
 query plan.  All metrics considered in the paper are *monotonic* with
 respect to the way DAGs are constructed: evaluating a metric on a
 partially constructed plan yields a lower bound for every completion,
-which is what makes branch-and-bound sound (Section 2.4).
+which is what makes branch-and-bound sound (Section 2.4).  There is
+no separate bound interface: the optimizer closes the plan of a search
+state as it stands — nodes are only appended after the ones already
+placed, so existing estimates never change — and asks for its
+:meth:`~CostMetric.cost` with every fetching factor at its minimum
+of 1.
 """
 
 from __future__ import annotations
@@ -24,18 +29,6 @@ class CostMetric(ABC):
     @abstractmethod
     def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
         """The cost of a fully constructed, annotated plan."""
-
-    def lower_bound(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
-        """A lower bound for any completion of a partial plan.
-
-        Because all considered metrics are monotonic in plan
-        construction (nodes are only appended after the ones already
-        placed, so existing estimates never change), the cost of the
-        partial plan itself — with all fetching factors at their
-        minimum of 1 — is a valid lower bound.  Subclasses may tighten
-        this.
-        """
-        return self.cost(plan, annotation)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

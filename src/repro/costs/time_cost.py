@@ -22,47 +22,35 @@ from __future__ import annotations
 from repro.costs.base import CostMetric
 from repro.plans.annotate import PlanAnnotation
 from repro.plans.dag import QueryPlan
-from repro.plans.nodes import JoinNode, PlanNode, ServiceNode
-
-
-def _tau(node: PlanNode) -> float:
-    """Per-invocation response time of a node (0 for IN/OUT)."""
-    if isinstance(node, ServiceNode):
-        assert node.profile is not None
-        return node.profile.response_time
-    if isinstance(node, JoinNode):
-        return node.response_time
-    return 0.0
+from repro.plans.nodes import JoinNode, ServiceNode
 
 
 def _timing(plan: QueryPlan):
     """What the time metrics need of *plan*, derived once per plan.
 
     ``(taus, idle, services, paths)``: τ of every node by position (in
-    ``plan.nodes`` order); the busy time of every node whose busy time
-    does not depend on the annotation (a join's τ, 0 for IN/OUT and,
-    as a placeholder, for services); the service nodes with their
+    ``plan.nodes`` order) — a service's response time, a join's, 0 for
+    IN/OUT; the busy time of every node whose busy time does not
+    depend on the annotation (a join's τ, 0 for IN/OUT and, as a
+    placeholder, for services); the service nodes with their
     positions; and every input → output path as a tuple of positions.
     """
     return plan.derived(_timing, _derive_timing)
 
 
 def _derive_timing(plan: QueryPlan):
-    nodes = plan.nodes
-    position = {node.node_id: index for index, node in enumerate(nodes)}
-    taus = tuple(_tau(node) for node in nodes)
-    idle = tuple(
-        0.0 if isinstance(node, ServiceNode) else tau
-        for node, tau in zip(nodes, taus)
-    )
-    services = tuple(
-        (index, node) for index, node in enumerate(nodes)
-        if isinstance(node, ServiceNode)
-    )
-    paths = tuple(
-        tuple(position[node.node_id] for node in path) for path in plan.paths()
-    )
-    return taus, idle, services, paths
+    taus, idle, services = [], [], []
+    for index, node in enumerate(plan.nodes):
+        if isinstance(node, ServiceNode):
+            assert node.profile is not None
+            taus.append(node.profile.response_time)
+            idle.append(0.0)
+            services.append((index, node))
+        else:
+            tau = node.response_time if isinstance(node, JoinNode) else 0.0
+            taus.append(tau)
+            idle.append(tau)
+    return taus, idle, services, plan.path_positions()
 
 
 def _works(timing: tuple, annotation: PlanAnnotation) -> list[float]:

@@ -67,6 +67,8 @@ class FetchContext:
     the context compiles the plan's estimates once
     (:class:`~repro.plans.annotate.AnnotationProgram`) and runs every
     trial vector through that program; callers receive plain numbers.
+    A caller that already holds the plan's program (the optimizer
+    extends one per search state) hands it over as *program*.
     Trials leave the plan untouched — only :meth:`apply` and
     :meth:`evaluate` write factors to the plan nodes.
     """
@@ -76,14 +78,15 @@ class FetchContext:
         plan: QueryPlan,
         metric: CostMetric,
         cache_setting: CacheSetting,
+        program: AnnotationProgram | None = None,
     ) -> None:
         self._plan = plan
         self._metric = metric
-        self._chunked: dict[int, ServiceNode] = {
-            node.atom_index: node for node in plan.chunked_service_nodes
-        }
-        self._program = AnnotationProgram(plan, cache_setting)
+        self._program = program or AnnotationProgram(plan, cache_setting)
         self._atoms = self._program.chunked_atoms
+        self._chunked: dict[int, ServiceNode] = dict(
+            zip(self._atoms, self._program.chunked_nodes)
+        )
         # The annotation depends only on the fetch vector, and the
         # heuristics re-evaluate many neighboring vectors: memoize.
         self._annotation_memo: dict[tuple[int, ...], PlanAnnotation] = {}

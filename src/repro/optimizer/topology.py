@@ -88,6 +88,12 @@ class TopologyEnumerator:
         self._query = query
         self._patterns = tuple(patterns)
         self._n = len(query.atoms)
+        # Definition 3.1 per atom: the variables that must be bound
+        # before it can be called (constants fill the other inputs).
+        self._needs = [
+            body_atom.input_variables(pattern)
+            for body_atom, pattern in zip(query.atoms, self._patterns)
+        ]
 
     @property
     def initial_state(self) -> TopologyState:
@@ -131,15 +137,22 @@ class TopologyEnumerator:
         """
         placed, closure = state
         seen: set[TopologyState] = set()
+        # The ancestors each antichain induces, and the variables they
+        # bind, depend on the state alone, not on the atom placed
+        # after them.
+        atoms = self._query.atoms
+        choices = []
+        for direct in _antichains(placed, closure):
+            ancestors = _ancestors_of_set(direct, closure)
+            bound = frozenset().union(*(atoms[a].variable_set for a in ancestors))
+            choices.append((ancestors, bound))
         for index in range(self._n):
             if index in placed:
                 continue
-            for direct in _antichains(placed, closure):
-                ancestors = _ancestors_of_set(direct, closure)
-                if not atom_callable_after(
-                    self._query, self._patterns, index, ancestors
-                ):
-                    continue
+            needs = self._needs[index]
+            for ancestors, bound in choices:
+                if not needs <= bound:
+                    continue  # not callable after these ancestors
                 new_pairs = frozenset((a, index) for a in ancestors)
                 new_state = (placed | {index}, closure | new_pairs)
                 if new_state in seen:

@@ -29,7 +29,9 @@ estimation"): :class:`AnnotationProgram` *compiles* a plan once —
 topological order, folded selectivities, the Eq. 2 candidate sets —
 into one flat op per node, and :meth:`AnnotationProgram.run`
 *evaluates* the ops for a fetch vector in a single loop.
-:func:`annotate` is one compile plus one run.  The per-definition
+:func:`annotate` is one compile plus one run.  A plan that grows by
+appending nodes extends its program instead of compiling a new one
+(:meth:`AnnotationProgram.extended`).  The per-definition
 derivation the program is checked against lives in
 :mod:`repro.testing.reference` (``reference_annotate``).
 """
@@ -206,20 +208,30 @@ class AnnotationProgram:
     """The estimates of one plan: compiled once, run per fetch vector.
 
     Compilation fixes everything that does not depend on the fetching
-    factors: one op per node in topological order, holding the
-    positions it reads (its feed, or a join's two sides), its
-    selectivity with predicates and constrained output positions
-    folded in, ``erspi`` or ``chunk_size``, and — under a cache — the
-    Eq. 2 *candidate groups*: per input variable, the positions of the
-    nodes that can bound its distinct values (providers and everything
-    between a provider and the node), in the order ties are broken.
+    factors: one op per node, holding the positions it reads (its
+    feed, or a join's two sides), its selectivity with predicates and
+    constrained output positions folded in, ``erspi`` or
+    ``chunk_size``, and — under a cache — the Eq. 2 *candidate
+    groups*: per input variable, the positions of the nodes that can
+    bound its distinct values (providers and everything between a
+    provider and the node), in the order ties are broken.
 
     :meth:`run` is then a single loop over the ops that appends to
     three float lists.  It performs the float operations of the
     definition in the definition's order, so its results are
     bit-identical to ``reference_annotate`` — which is also why the
-    Eq. 2 product has a *defined* order (ascending topological
-    position of the minimizers), not the iteration order of a set.
+    Eq. 2 product has a *defined* order (the one that breaks ties
+    among candidates: joins before services, then the order the nodes
+    were added to the plan), not the iteration order of a set.
+
+    Ops only ever read earlier ops, so a program can be *extended*:
+    :meth:`extended` returns the program of a plan that appended nodes
+    to this program's plan, compiling the new nodes only and sharing
+    the rest — how the optimizer gets the program of a search state
+    from the state it extends.  Every program also holds its estimates
+    at all factors 1 (the new ops are evaluated when they are
+    compiled), which is what a lower bound and the first vector of
+    phase 3 ask for.
 
     A program is bound to the structure its plan had when compiled:
     after an ``add_node``/``add_arc`` on the plan, :meth:`run` raises
@@ -228,57 +240,92 @@ class AnnotationProgram:
     """
 
     def __init__(self, plan: QueryPlan, cache_setting: CacheSetting) -> None:
-        self._plan = plan
-        self._version = plan.structure_version
         self.cache_setting = cache_setting
-        cached = cache_setting is not CacheSetting.NO_CACHE
+        self._ops: list[tuple] = []
+        self._position: dict[str, int] = {}
+        # What later ops are compiled from, per op: the bit set of its
+        # strict ancestors (bit j: the node at position j), every
+        # variable a service node at or above it binds, and its place
+        # in the order that breaks ties and fixes Eq. 2's product —
+        # joins before services, then build position (where the node
+        # sits in ``plan.nodes``; ops are in topological order, which
+        # need not be the order the nodes were added in).
+        self._facts: list[tuple[int, frozenset[Variable], tuple[bool, int]]] = []
+        # providers[X]: the bit set of the service nodes with X among
+        # their outputs.
+        self._providers: dict[Variable, int] = {}
+        # A fetch vector is laid out by atom index, whatever order the
+        # chunked services were added in.
+        self._chunked: tuple[ServiceNode, ...] = ()
+        self._atoms: tuple[int, ...] = ()
+        self._slots: dict[str, int] = {}
+        self._output: int | None = None
+        self._ones: tuple[list[float], list[float], list[float]] = ([], [], [])
+        built = {node.node_id: rank for rank, node in enumerate(plan.nodes)}
         order = plan.topological_order()
-        position = {node.node_id: i for i, node in enumerate(order)}
-        self._position = position
-        self._chunked = sorted(
-            (n for n in order if isinstance(n, ServiceNode) and n.is_chunked),
-            key=lambda n: n.atom_index,
-        )
-        self._slots = {n.node_id: slot for slot, n in enumerate(self._chunked)}
+        self._compile(plan, order, [built[node.node_id] for node in order])
 
-        # Bit sets over positions: ancestors[i] has bit j set iff node j
-        # is a strict ancestor of node i; providers[X] marks the service
-        # nodes with X among their outputs.  bound[i] is every variable
-        # a service node at or above position i binds.
-        ancestors: list[int] = []
-        bound: list[frozenset[Variable]] = []
-        providers: dict[Variable, int] = {}
-        ops: list[tuple] = []
-        for i, node in enumerate(order):
-            feeds = [position[p.node_id] for p in plan.predecessors(node)]
+    def extended(self, plan: QueryPlan) -> "AnnotationProgram":
+        """The program of *plan*, which continues this program's plan.
+
+        *plan* must hold this program's nodes, arcs unchanged, followed
+        by nodes added after them (what ``QueryPlan.copy`` plus
+        ``add_node``/``add_arc`` of new sinks produces).  Only the new
+        nodes are compiled and evaluated; this program is unaffected.
+        """
+        nodes = plan.nodes
+        covered = len(self._ops)
+        if len(nodes) < covered or nodes[covered - 1].node_id not in self._position:
+            raise PlanError("plan does not continue the plan of this program")
+        twin = object.__new__(AnnotationProgram)
+        twin.cache_setting = self.cache_setting
+        twin._ops = self._ops.copy()
+        twin._position = self._position.copy()
+        twin._facts = self._facts.copy()
+        twin._providers = self._providers.copy()
+        twin._chunked = self._chunked
+        twin._atoms = self._atoms
+        twin._slots = self._slots
+        twin._output = self._output
+        twin._ones = tuple(column.copy() for column in self._ones)
+        twin._compile(plan, nodes[covered:], range(covered, len(nodes)))
+        return twin
+
+    def _compile(self, plan: QueryPlan, nodes, ranks) -> None:
+        """Append the ops of *nodes* (every predecessor already has
+        one), evaluate them at all factors 1, bind to *plan*."""
+        cached = self.cache_setting is not CacheSetting.NO_CACHE
+        ops, position, facts, providers = (
+            self._ops, self._position, self._facts, self._providers
+        )
+        first = len(ops)
+        chunked = []
+        for node, rank in zip(nodes, ranks):
+            feeds = [position[feed] for feed in plan.predecessor_ids(node)]
             above = 0
             upstream: frozenset[Variable] = frozenset()
             for feed in feeds:
-                above |= ancestors[feed] | (1 << feed)
-                upstream |= bound[feed]
-            ancestors.append(above)
-            if isinstance(node, InputNode):
-                ops.append((_INPUT,))
-            elif isinstance(node, ServiceNode):
+                fact = facts[feed]
+                above |= fact[0] | (1 << feed)
+                upstream |= fact[1]
+            if isinstance(node, ServiceNode):
                 assert node.atom is not None and node.profile is not None
                 feed = self._single_feed(node, feeds)
                 selectivity = _selectivity_of(node, upstream)
-                groups = (
-                    self._candidate_groups(node, order, above, ancestors, providers)
-                    if cached
-                    else None
-                )
+                groups = self._candidate_groups(node, above) if cached else None
                 if node.profile.is_chunked:
+                    chunked.append(node)
                     ops.append((
                         _CHUNKED, feed, node.profile.chunk_size, selectivity,
-                        groups, self._slots[node.node_id],
+                        groups, node.atom_index,
                     ))
                 else:
                     ops.append(
                         (_EXACT, feed, node.profile.erspi, selectivity, groups)
                     )
+                bit = 1 << len(facts)
                 for variable in node.output_variables:
-                    providers[variable] = providers.get(variable, 0) | (1 << i)
+                    providers[variable] = providers.get(variable, 0) | bit
                 upstream |= node.atom.variable_set
             elif isinstance(node, JoinNode):
                 if len(feeds) != 2:
@@ -290,11 +337,22 @@ class AnnotationProgram:
                 ops.append(
                     (_OUTPUT, self._single_feed(node, feeds), _selectivity_of(node))
                 )
+                self._output = len(facts)
+            elif isinstance(node, InputNode):
+                ops.append((_INPUT,))
             else:
                 raise PlanError(f"unknown node type: {type(node).__name__}")
-            bound.append(upstream)
-        self._ops = tuple(ops)
-        self._output = position[plan.output_node.node_id]
+            position[node.node_id] = len(facts)
+            facts.append((above, upstream, (ops[-1][0] != _JOIN, rank)))
+        if chunked:
+            self._chunked = tuple(
+                sorted([*self._chunked, *chunked], key=lambda n: n.atom_index)
+            )
+            self._atoms = tuple(node.atom_index for node in self._chunked)
+            self._slots = {n.node_id: slot for slot, n in enumerate(self._chunked)}
+        self._evaluate(ops[first:], dict.fromkeys(self._atoms, 1), *self._ones)
+        self._plan = plan
+        self._version = plan.structure_version
 
     @staticmethod
     def _single_feed(node: PlanNode, feeds: list[int]) -> int:
@@ -305,43 +363,44 @@ class AnnotationProgram:
             )
         return feeds[0]
 
-    @staticmethod
     def _candidate_groups(
-        node: ServiceNode,
-        order: tuple[PlanNode, ...],
-        above: int,
-        ancestors: list[int],
-        providers: dict[Variable, int],
+        self, node: ServiceNode, above: int
     ) -> tuple[tuple[int, ...], ...]:
         """Eq. 2: per input variable of *node*, who may bound it.
 
-        The candidates for ``X`` are the ancestors of *node* that
-        provide ``X`` or have a provider of ``X`` above them (the
-        input node has neither, the output node is nobody's ancestor).
-        A variable without candidates is bound by constants or the
-        user input and drops out; variables sharing a candidate set
-        share a minimizer, so the set is kept once.  Within a group
-        the positions are ordered by node id, the tie-break among
-        equal ``t_out``.
+        The candidates for ``X`` are the ancestors of *node* (the bits
+        of *above*) that provide ``X`` or have a provider of ``X``
+        above them (the input node has neither, the output node is
+        nobody's ancestor).  A variable without candidates is bound by
+        constants or the user input and drops out; variables sharing a
+        candidate set share a minimizer, so the set is kept once.
+        Within a group the tie-break among equal ``t_out`` is: joins
+        before services, then build position.
         """
+        facts = self._facts
+        members: list[int] | None = None
         groups: dict[tuple[int, ...], None] = {}
         for variable in sorted(node.input_variables, key=lambda v: v.name):
-            provided = providers.get(variable, 0)
-            candidates = [
-                j
-                for j in range(len(ancestors))
-                if above >> j & 1
-                and (provided >> j & 1 or ancestors[j] & provided)
-            ]
-            if candidates:
-                candidates.sort(key=lambda j: order[j].node_id)
-                groups[tuple(candidates)] = None
+            provided = self._providers.get(variable, 0) & above
+            if not provided:
+                continue
+            if members is None:
+                members = [j for j in range(len(facts)) if above >> j & 1]
+                members.sort(key=lambda j: facts[j][2])
+            groups[tuple([
+                j for j in members if provided >> j & 1 or facts[j][0] & provided
+            ])] = None
         return tuple(groups)
 
     @property
     def chunked_atoms(self) -> tuple[int, ...]:
         """Atom indices of the chunked services: the layout of a fetch vector."""
-        return tuple(node.atom_index for node in self._chunked)
+        return self._atoms
+
+    @property
+    def chunked_nodes(self) -> tuple[ServiceNode, ...]:
+        """The chunked service nodes, in :attr:`chunked_atoms` order."""
+        return self._chunked
 
     def run(self, fetches: Sequence[int] | None = None) -> PlanAnnotation:
         """Estimates under *fetches* (one factor per :attr:`chunked_atoms`).
@@ -352,30 +411,51 @@ class AnnotationProgram:
             raise PlanError(
                 "plan structure changed after its annotation program was compiled"
             )
+        if self._output is None:
+            raise PlanError("plan has no output node")
         if fetches is None:
             fetches = tuple(node.fetches for node in self._chunked)
         elif len(fetches) != len(self._chunked):
             raise ValueError(
                 f"expected {len(self._chunked)} fetching factors, got {len(fetches)}"
             )
-        tuples_in: list[float] = []
-        tuples_out: list[float] = []
-        calls: list[float] = []
-        for op in self._ops:
+        if fetches.count(1) == len(fetches):
+            columns = self._ones
+        else:
+            columns = ([], [], [])
+            self._evaluate(self._ops, dict(zip(self._atoms, fetches)), *columns)
+        tuples_in, tuples_out, calls = columns
+        return PlanAnnotation._over(
+            self.cache_setting, tuples_out[self._output], self._position,
+            tuples_in, tuples_out, calls, self._slots, fetches,
+        )
+
+    def _evaluate(
+        self,
+        ops: Sequence[tuple],
+        factor: Mapping[int, int],
+        tuples_in: list[float],
+        tuples_out: list[float],
+        calls: list[float],
+    ) -> None:
+        """Append the estimates of *ops* to the three columns, which hold
+        those of every earlier op; *factor* maps atom index to ``F``."""
+        facts = self._facts
+        for op in ops:
             kind = op[0]
             if kind == _EXACT or kind == _CHUNKED:
                 arriving = tuples_out[op[1]]
                 if kind == _EXACT:
                     produced = arriving * op[2] * op[3]
                 else:
-                    produced = arriving * (op[2] * fetches[op[5]]) * op[3]
+                    produced = arriving * (op[2] * factor[op[5]]) * op[3]
                 groups = op[4]
                 if groups is None:
                     needed = arriving
                 else:
                     # Eq. 2: one minimizer of t_out per group; N(n) is
-                    # the *set* of minimizers, multiplied in ascending
-                    # position.
+                    # the *set* of minimizers, multiplied in the order
+                    # that breaks ties.
                     minimizers = set()
                     for group in groups:
                         best = group[0]
@@ -386,7 +466,9 @@ class AnnotationProgram:
                                 least = tuples_out[candidate]
                         minimizers.add(best)
                     distinct = 1.0
-                    for minimizer in sorted(minimizers):
+                    if len(minimizers) > 1:
+                        minimizers = sorted(minimizers, key=lambda j: facts[j][2])
+                    for minimizer in minimizers:
                         distinct *= tuples_out[minimizer]
                     needed = min(arriving, distinct)
                 tuples_in.append(arriving)
@@ -407,10 +489,6 @@ class AnnotationProgram:
                 tuples_in.append(1.0)
                 tuples_out.append(1.0)
                 calls.append(0.0)
-        return PlanAnnotation._over(
-            self.cache_setting, tuples_out[self._output], self._position,
-            tuples_in, tuples_out, calls, self._slots, fetches,
-        )
 
 
 def annotate(plan: QueryPlan, cache_setting: CacheSetting) -> PlanAnnotation:

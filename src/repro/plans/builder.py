@@ -19,15 +19,25 @@ into a concrete :class:`~repro.plans.dag.QueryPlan`:
 
 The builder also enforces Definition 3.1: every atom must be *callable
 after* its strict predecessors in the chosen order.
+
+Construction is a left fold (docs/ARCHITECTURE.md, "Search states are
+open plans"): :meth:`PlanBuilder.start` makes the input node,
+:meth:`PlanBuilder.place` adds one atom — the joins merging its feeds,
+its service node, the predicates that become evaluable — and
+:meth:`PlanBuilder.close` merges the maximal branches and attaches the
+output node.  :meth:`PlanBuilder.build` is that fold over the atoms in
+``(strict-predecessor count, index)`` order; the optimizer runs the
+same steps one at a time and keeps the :class:`OpenPlan` of every
+search state, so a state costs one ``place`` on top of the state it
+extends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from repro.model.atoms import Atom
 from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import AccessPattern
@@ -109,14 +119,40 @@ class Poset:
         return len(self.closure()) == self.n * (self.n - 1) // 2
 
 
-@dataclass
-class _Stream:
+class _Stream(NamedTuple):
     """A branch of the dataflow: frontier node + accumulated bindings."""
 
     frontier: PlanNode
     bound: frozenset[Variable]
     representative: str  # service name used for join method/selectivity lookups
-    atoms: frozenset[int] = field(default_factory=frozenset)
+    atoms: frozenset[int]
+    #: Every path from the input node to the frontier, nodes given by
+    #: their position in ``plan.nodes``.
+    paths: tuple[tuple[int, ...], ...]
+
+
+class OpenPlan(NamedTuple):
+    """A plan under construction: IN and the atoms placed so far, no OUT.
+
+    What :meth:`PlanBuilder.place` extends and :meth:`PlanBuilder.close`
+    finishes.  A value: ``place`` returns a new one and leaves its
+    argument as it was, so many extensions can start from one state.
+    They share the node objects of the common prefix.
+    """
+
+    #: The DAG so far (never written again once the step that made it
+    #: returned).
+    plan: QueryPlan
+    #: The input node's branch, which feeds every atom without predecessors.
+    root: _Stream
+    #: Atom index → the branch ending at its service node.
+    streams: Mapping[int, _Stream]
+    #: The maximal atoms: those no placed atom comes after.
+    ends: frozenset[int]
+    #: The predicates some node already evaluates, by their number.
+    assigned: frozenset[int]
+    #: Pairs of frontier node ids already merged, with the merged branch.
+    joins: Mapping[frozenset[str], _Stream]
 
 
 class PlanBuilder:
@@ -125,6 +161,11 @@ class PlanBuilder:
     def __init__(self, query: ConjunctiveQuery, registry: ServiceRegistry) -> None:
         self._query = query
         self._registry = registry
+        # Each distinct predicate with the variables it needs bound;
+        # its position here is its number in ``OpenPlan.assigned``.
+        self._predicates = tuple(
+            (p, p.variables) for p in dict.fromkeys(query.predicates)
+        )
 
     def build(
         self,
@@ -152,86 +193,110 @@ class PlanBuilder:
         if poset.n != len(query.atoms):
             raise PlanError("poset size does not match the number of atoms")
         self._check_callability(patterns, poset)
-
-        plan = QueryPlan()
-        input_node = plan.add_node(InputNode())
-        fetches = dict(fetches or {})
-
-        order = self._topological_atoms(poset)
-        streams: dict[str, _Stream] = {}
-        input_stream = _Stream(
-            frontier=input_node, bound=frozenset(), representative="", atoms=frozenset()
-        )
-        streams[input_node.node_id] = input_stream
-        stream_of_atom: dict[int, _Stream] = {}
-        assigned: set[Comparison] = set()
-        join_memo: dict[frozenset[str], _Stream] = {}
-
-        for index in order:
-            body_atom = query.atoms[index]
-            pattern = patterns[index]
-            direct = sorted(poset.direct_predecessors_of(index))
-            if not direct:
-                feed = input_stream
-            elif len(direct) == 1:
-                feed = stream_of_atom[direct[0]]
-            else:
-                feed = self._merge_streams(
-                    plan,
-                    [stream_of_atom[d] for d in direct],
-                    assigned,
-                    join_memo,
-                )
-            node = self._make_service_node(index, body_atom, pattern, fetches)
-            new_bound = feed.bound | body_atom.variable_set
-            node.predicates = self._take_predicates(new_bound, assigned)
-            plan.add_node(node)
-            plan.add_arc(feed.frontier, node)
-            stream = _Stream(
-                frontier=node,
-                bound=new_bound,
-                representative=body_atom.service,
-                atoms=feed.atoms | {index},
+        fetches = fetches or {}
+        state = self.start()
+        for index in self._topological_atoms(poset):
+            state = self.place(
+                state, index, patterns[index],
+                poset.direct_predecessors_of(index), fetches.get(index, 1),
             )
-            streams[node.node_id] = stream
-            stream_of_atom[index] = stream
-
-        final_streams = [stream_of_atom[i] for i in sorted(poset.maximal_elements())]
-        if not final_streams:
-            raise PlanError("plan has no atoms")
-        merged = self._merge_streams(plan, final_streams, assigned, join_memo)
-        residual = tuple(p for p in query.predicates if p not in assigned)
-        output_node = plan.add_node(OutputNode(residual_predicates=residual))
-        plan.add_arc(merged.frontier, output_node)
+        plan = self.close(state)
         plan.validate()
         return plan
 
-    # -- internals -------------------------------------------------------
+    # -- the fold ----------------------------------------------------------
 
-    def _make_service_node(
+    def start(self) -> OpenPlan:
+        """The empty construction: the input node alone."""
+        plan = QueryPlan()
+        input_node = plan.add_node(InputNode())
+        root = _Stream(input_node, frozenset(), "", frozenset(), ((0,),))
+        return OpenPlan(plan, root, {}, frozenset(), frozenset(), {})
+
+    def place(
         self,
+        state: OpenPlan,
         index: int,
-        body_atom: Atom,
         pattern: AccessPattern,
-        fetches: Mapping[int, int],
-    ) -> ServiceNode:
+        direct: Collection[int],
+        fetches: int = 1,
+    ) -> OpenPlan:
+        """*state* plus the atom at *index*, fed by the atoms in *direct*.
+
+        *direct* are the atom's direct predecessors, all placed in
+        *state*; several of them are merged by parallel joins first.
+        Callability is the caller's to establish (:meth:`build` checks
+        the whole order up front, the optimizer's enumerator proves it
+        per extension).  The result depends on the order of the
+        ``place`` calls that led to *state* — predicates go to the
+        first node that can evaluate them — which is why every route
+        to a plan must place in :meth:`build`'s order.
+        """
+        plan = state.plan.copy()
+        assigned = set(state.assigned)
+        joins = dict(state.joins)
+        if direct:
+            feed = self._merge_streams(
+                plan, [state.streams[d] for d in sorted(direct)], assigned, joins
+            )
+        else:
+            feed = state.root
+        body_atom = self._query.atoms[index]
         profile = self._registry.profile(body_atom.service, pattern.code)
-        fetch_count = fetches.get(index, 1)
-        if not profile.is_chunked:
-            fetch_count = 1
-        return ServiceNode(
+        bound = feed.bound | body_atom.variable_set
+        node = ServiceNode(
             atom_index=index,
             atom=body_atom,
             pattern=pattern,
             profile=profile,
-            fetches=fetch_count,
+            fetches=fetches if profile.is_chunked else 1,
+            predicates=self._take_predicates(bound, assigned),
         )
+        at = len(plan)
+        plan.add_node(node)
+        plan.add_arc(feed.frontier, node)
+        stream = _Stream(
+            node, bound, body_atom.service, feed.atoms | {index},
+            tuple([path + (at,) for path in feed.paths]),
+        )
+        return OpenPlan(
+            plan, state.root, {**state.streams, index: stream},
+            (state.ends - feed.atoms) | {index}, frozenset(assigned), joins,
+        )
+
+    def close(self, state: OpenPlan) -> QueryPlan:
+        """The finished plan of *state*: its maximal branches merged by
+        parallel joins, then the output node with whatever predicates
+        over the placed atoms no node could evaluate.  *state* stays
+        open."""
+        if not state.ends:
+            raise PlanError("plan has no atoms")
+        plan = state.plan.copy()
+        final_streams = [state.streams[index] for index in sorted(state.ends)]
+        assigned = set(state.assigned)
+        merged = self._merge_streams(
+            plan, final_streams, assigned, dict(state.joins)
+        )
+        residual = tuple(
+            predicate
+            for number, (predicate, variables) in enumerate(self._predicates)
+            if number not in assigned and variables <= merged.bound
+        )
+        at = len(plan)
+        output_node = plan.add_node(OutputNode(residual_predicates=residual))
+        plan.add_arc(merged.frontier, output_node)
+        plan.adopt_path_positions(
+            tuple([path + (at,) for path in merged.paths])
+        )
+        return plan
+
+    # -- internals -------------------------------------------------------
 
     def _merge_streams(
         self,
         plan: QueryPlan,
         streams: list[_Stream],
-        assigned: set[Comparison],
+        assigned: set[int],
         join_memo: dict[frozenset[str], _Stream],
     ) -> _Stream:
         """Left-fold parallel joins over *streams* (no-op for one stream)."""
@@ -255,6 +320,7 @@ class PlanBuilder:
                 predicates=predicates,
                 selectivity=selectivity,
             )
+            at = len(plan)
             plan.add_node(join)
             plan.add_arc(current.frontier, join)
             plan.add_arc(other.frontier, join)
@@ -263,6 +329,9 @@ class PlanBuilder:
                 bound=union_bound,
                 representative=current.representative or other.representative,
                 atoms=current.atoms | other.atoms,
+                paths=tuple(
+                    [path + (at,) for path in current.paths + other.paths]
+                ),
             )
             join_memo[key] = merged
             current = merged
@@ -302,16 +371,16 @@ class PlanBuilder:
         return max(0.0, min(1.0, selectivity))
 
     def _take_predicates(
-        self, bound: frozenset[Variable], assigned: set[Comparison]
+        self, bound: frozenset[Variable], assigned: set[int]
     ) -> tuple[Comparison, ...]:
         """Predicates newly evaluable with *bound*; marks them assigned."""
+        if len(assigned) == len(self._predicates):
+            return ()
         ready = []
-        for predicate in self._query.predicates:
-            if predicate in assigned:
-                continue
-            if predicate.variables <= bound:
+        for number, (predicate, variables) in enumerate(self._predicates):
+            if number not in assigned and variables <= bound:
                 ready.append(predicate)
-                assigned.add(predicate)
+                assigned.add(number)
         return tuple(ready)
 
     def _topological_atoms(self, poset: Poset) -> list[int]:
@@ -333,12 +402,9 @@ class PlanBuilder:
             ancestors = poset.predecessors_of(index)
             bound: set[Variable] = set()
             for ancestor in ancestors:
-                ancestor_atom = query.atoms[ancestor]
-                ancestor_pattern = patterns[ancestor]
                 # Everything the ancestor touches is bound once it ran:
                 # its inputs were bound before it, its outputs after.
-                bound |= ancestor_atom.variable_set
-                del ancestor_pattern
+                bound |= query.atoms[ancestor].variable_set
             if not body_atom.is_callable_given(patterns[index], frozenset(bound)):
                 raise PlanError(
                     f"atom {body_atom} (index {index}) is not callable after "

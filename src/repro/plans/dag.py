@@ -26,8 +26,10 @@ class QueryPlan:
 
     def __init__(self) -> None:
         self._nodes: dict[str, PlanNode] = {}
-        self._succ: dict[str, list[str]] = {}
-        self._pred: dict[str, list[str]] = {}
+        # Adjacency as tuples: a copy shares them until either side
+        # adds an arc (see :meth:`copy`).
+        self._succ: dict[str, tuple[str, ...]] = {}
+        self._pred: dict[str, tuple[str, ...]] = {}
         self._input: InputNode | None = None
         self._output: OutputNode | None = None
         # Answers to structural queries (ancestor sets, topological
@@ -52,8 +54,8 @@ class QueryPlan:
                 raise PlanError("plan already has an output node")
             self._output = node
         self._nodes[node.node_id] = node
-        self._succ[node.node_id] = []
-        self._pred[node.node_id] = []
+        self._succ[node.node_id] = ()
+        self._pred[node.node_id] = ()
         self._structure_changed()
         return node
 
@@ -64,12 +66,29 @@ class QueryPlan:
                 raise PlanError(f"node {node.node_id!r} not in plan")
         if destination.node_id in self._succ[origin.node_id]:
             return
-        self._succ[origin.node_id].append(destination.node_id)
-        self._pred[destination.node_id].append(origin.node_id)
+        self._succ[origin.node_id] += (destination.node_id,)
+        self._pred[destination.node_id] += (origin.node_id,)
         self._structure_changed()
 
+    def copy(self) -> QueryPlan:
+        """A plan over the same node objects and arcs that grows on its own.
+
+        This is what makes a search state cheap: the plan builder
+        extends a copy by one atom and leaves the original — the
+        prefix every sibling state shares — untouched.  The nodes
+        themselves are shared, not copied.
+        """
+        twin = QueryPlan()
+        twin._nodes = self._nodes.copy()
+        twin._succ = self._succ.copy()
+        twin._pred = self._pred.copy()
+        twin._input = self._input
+        twin._output = self._output
+        return twin
+
     def _structure_changed(self) -> None:
-        self._memo.clear()
+        if self._memo:
+            self._memo.clear()
         self._version += 1
 
     def derived(self, key: object, derive: Callable[[QueryPlan], T]) -> T:
@@ -155,6 +174,10 @@ class QueryPlan:
         """Direct predecessors of *node*."""
         return tuple(self._nodes[i] for i in self._pred[node.node_id])
 
+    def predecessor_ids(self, node: PlanNode) -> tuple[str, ...]:
+        """Ids of the direct predecessors of *node*, in arc order."""
+        return self._pred[node.node_id]
+
     # -- graph algorithms --------------------------------------------------
 
     def topological_order(self) -> tuple[PlanNode, ...]:
@@ -182,18 +205,44 @@ class QueryPlan:
         return self.derived("paths", QueryPlan._paths)
 
     def _paths(self) -> tuple[tuple[PlanNode, ...], ...]:
-        result: list[tuple[PlanNode, ...]] = []
-        stack: list[tuple[str, tuple[str, ...]]] = [
-            (self.input_node.node_id, (self.input_node.node_id,))
+        nodes = self.nodes
+        return tuple(
+            tuple(nodes[position] for position in path)
+            for path in self.path_positions()
+        )
+
+    def path_positions(self) -> tuple[tuple[int, ...], ...]:
+        """:meth:`paths`, each node given as its position in :attr:`nodes`
+        (memoized)."""
+        return self.derived("path_positions", QueryPlan._path_positions)
+
+    def adopt_path_positions(self, paths: tuple[tuple[int, ...], ...]) -> None:
+        """Take :meth:`path_positions` from whoever built the plan.
+
+        The plan builder knows the paths into every branch as it adds
+        nodes, so a finished plan need not search for them.  Like every
+        remembered answer, forgotten at the next structural change.
+        """
+        self._memo["path_positions"] = paths
+
+    def _path_positions(self) -> tuple[tuple[int, ...], ...]:
+        position = {node_id: index for index, node_id in enumerate(self._nodes)}
+        succ = [
+            [position[nxt] for nxt in successors]
+            for successors in self._succ.values()
         ]
-        out_id = self.output_node.node_id
+        result: list[tuple[int, ...]] = []
+        start = position[self.input_node.node_id]
+        stack: list[tuple[int, ...]] = [(start,)]
+        out = position[self.output_node.node_id]
         while stack:
-            current, path = stack.pop()
-            if current == out_id:
-                result.append(tuple(self._nodes[i] for i in path))
+            path = stack.pop()
+            current = path[-1]
+            if current == out:
+                result.append(path)
                 continue
-            for nxt in self._succ[current]:
-                stack.append((nxt, path + (nxt,)))
+            for nxt in succ[current]:
+                stack.append(path + (nxt,))
         return tuple(result)
 
     def ancestors(self, node: PlanNode) -> frozenset[str]:

@@ -183,11 +183,13 @@ class ServingStats:
     continuations: int = 0
     optimizer_runs: int = 0
     optimizer_annotate_calls: int = 0
-    #: Phase-3 fetch vectors run through annotation programs, and the
-    #: programs compiled (``SearchStats``): the estimation work
+    #: Phase-3 fetch vectors run through annotation programs, the
+    #: programs compiled from a whole plan and the atoms placed on open
+    #: plans (``SearchStats``): the estimation work
     #: ``optimizer_annotate_calls`` does not see.
     optimizer_fetch_vectors_evaluated: int = 0
     optimizer_programs_compiled: int = 0
+    optimizer_atoms_placed: int = 0
     prefetches: int = 0
     #: Mid-run plan splices performed by adaptive executions.
     replans: int = 0
@@ -203,6 +205,7 @@ class ServingStats:
                 self.optimizer_fetch_vectors_evaluated
             ),
             "optimizer_programs_compiled": self.optimizer_programs_compiled,
+            "optimizer_atoms_placed": self.optimizer_atoms_placed,
             "prefetches": self.prefetches,
             "replans": self.replans,
         }
@@ -557,6 +560,7 @@ class QueryService:
                     self.stats.optimizer_programs_compiled += (
                         search.programs_compiled
                     )
+                    self.stats.optimizer_atoms_placed += search.atoms_placed
                 self.plan_cache.store(
                     key, PlanSpec.from_optimized(optimized), cost,
                     self.metric.name, epoch,

@@ -4,7 +4,8 @@ What tests, benchmarks and downstream experiments import without path
 hacks — the full-plane dict-row join the compiled join is checked
 against, the dict-row reference plan interpreter the engine is checked
 against, the per-definition plan estimates the annotation program
-is checked against, the eager-streamed engine lazy fetching is
+is checked against, the from-scratch state bound the optimizer's open
+plans are checked against, the eager-streamed engine lazy fetching is
 measured against and the re-executing executor growth in place is
 measured against (:mod:`repro.testing.reference`), and the deterministic
 fault-injection kit (:mod:`repro.testing.faults`).  Production modules
@@ -26,6 +27,8 @@ from repro.testing.reference import (
     merged_with,
     reference_annotate,
     reference_execute,
+    reference_partial_bound,
+    reference_partial_plan,
 )
 
 __all__ = [
@@ -40,5 +43,7 @@ __all__ = [
     "merged_with",
     "reference_annotate",
     "reference_execute",
+    "reference_partial_bound",
+    "reference_partial_plan",
     "wrap_registry_flaky",
 ]

@@ -1,16 +1,19 @@
 """References the production paths are checked against (tests and benches).
 
-Five small, obviously correct things: the full-plane dict-row *join*
+Six small, obviously correct things: the full-plane dict-row *join*
 (:func:`execute_join` over :func:`merged_with`) for the compiled join
 of :mod:`repro.execution.joins`, a dict-row plan *interpreter*
 (:func:`reference_execute`) for the engine's compiled loops, the
 per-definition plan *estimates* (:func:`reference_annotate`) for the
 compiled annotation program of :mod:`repro.plans.annotate`, the
-eager-streamed engine (:func:`eager_streamed_engine`) — the "same
-cells, every page fetched up front" baseline lazy fetching is
-measured against — and the re-executing session executor
-(:class:`ReexecutingExecutor`), the "every growth round runs the plan
-again" baseline growth in place is measured against.
+from-scratch *lower bound* of a topology state
+(:func:`reference_partial_bound`) for the open plans the
+branch-and-bound extends, the eager-streamed engine
+(:func:`eager_streamed_engine`) — the "same cells, every page fetched
+up front" baseline lazy fetching is measured against — and the
+re-executing session executor (:class:`ReexecutingExecutor`), the
+"every growth round runs the plan again" baseline growth in place is
+measured against.
 
 The engine carries rows as slot tuples through compiled loops
 (:mod:`repro.execution.slots`); the interpreter walks a plan node
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.costs.base import CostMetric
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import join_order
@@ -41,12 +45,15 @@ from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.results import Row, compose_ranking
 from repro.execution.slots import ExecutionError
 from repro.model.predicates import Comparison
+from repro.model.query import ConjunctiveQuery
+from repro.model.schema import AccessPattern
 from repro.model.terms import Constant, Variable
 from repro.plans.annotate import (
     EQUALITY_OUTPUT_SELECTIVITY,
     NodeEstimate,
     PlanAnnotation,
 )
+from repro.plans.builder import PlanBuilder, Poset
 from repro.plans.dag import PlanError, QueryPlan
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, ServiceNode
 from repro.services.registry import JoinMethod, ServiceRegistry
@@ -237,15 +244,14 @@ def reference_annotate(plan: QueryPlan, cache_setting: CacheSetting) -> PlanAnno
     :class:`~repro.plans.annotate.AnnotationProgram` uses, so the two
     must agree bit for bit (``tests/test_annotate_program.py``).
     """
-    order = plan.topological_order()
-    position = {node.node_id: index for index, node in enumerate(order)}
+    built = {node.node_id: index for index, node in enumerate(plan.nodes)}
     estimates: dict[str, NodeEstimate] = {}
-    for node in order:
+    for node in plan.topological_order():
         if isinstance(node, InputNode):
             # The user always injects one single input tuple (Sec. 3.4).
             estimate = NodeEstimate(tuples_in=1.0, tuples_out=1.0, calls=0.0)
         elif isinstance(node, ServiceNode):
-            estimate = _estimate_service(plan, node, estimates, cache_setting, position)
+            estimate = _estimate_service(plan, node, estimates, cache_setting, built)
         elif isinstance(node, JoinNode):
             predecessors = plan.predecessors(node)
             if len(predecessors) != 2:
@@ -271,6 +277,60 @@ def reference_annotate(plan: QueryPlan, cache_setting: CacheSetting) -> PlanAnno
         estimates=estimates,
         output_size=estimates[plan.output_node.node_id].tuples_out,
     )
+
+
+def reference_partial_plan(
+    query: ConjunctiveQuery,
+    registry: ServiceRegistry,
+    patterns: Sequence[AccessPattern],
+    placed: frozenset[int],
+    closure: frozenset[tuple[int, int]],
+) -> QueryPlan:
+    """The plan of a topology state, built from scratch.
+
+    The placed atoms, with the predicates over their variables, are a
+    query of their own; the state's plan is that query's plan under
+    the state's precedence.  What the branch-and-bound built per state
+    before it kept open plans.
+    """
+    indices = sorted(placed)
+    mapping = {atom: position for position, atom in enumerate(indices)}
+    sub_atoms = tuple(query.atoms[i] for i in indices)
+    sub_variables = frozenset().union(*(atom.variable_set for atom in sub_atoms))
+    sub_query = ConjunctiveQuery(
+        name=query.name,
+        head=(),
+        atoms=sub_atoms,
+        predicates=tuple(
+            p for p in query.predicates if p.variables <= sub_variables
+        ),
+    )
+    sub_poset = Poset(
+        n=len(indices),
+        pairs=frozenset((mapping[i], mapping[j]) for i, j in closure),
+    )
+    return PlanBuilder(sub_query, registry).build(
+        tuple(patterns[i] for i in indices), sub_poset
+    )
+
+
+def reference_partial_bound(
+    query: ConjunctiveQuery,
+    registry: ServiceRegistry,
+    metric: CostMetric,
+    cache_setting: CacheSetting,
+    patterns: Sequence[AccessPattern],
+    placed: frozenset[int],
+    closure: frozenset[tuple[int, int]],
+) -> float:
+    """The lower bound of a topology state, from its definition: the
+    cost of its plan (:func:`reference_partial_plan`) at all fetching
+    factors 1, which bounds every completion (Section 2.4).  What the
+    optimizer's shared-prefix route is checked against
+    (``tests/test_open_plans.py``).
+    """
+    plan = reference_partial_plan(query, registry, patterns, placed, closure)
+    return metric.cost(plan, reference_annotate(plan, cache_setting))
 
 
 def _feed_size(plan: QueryPlan, node, estimates: dict[str, NodeEstimate]) -> float:
@@ -305,7 +365,7 @@ def _estimate_service(
     node: ServiceNode,
     estimates: dict[str, NodeEstimate],
     cache_setting: CacheSetting,
-    position: dict[str, int],
+    built: dict[str, int],
 ) -> NodeEstimate:
     assert node.profile is not None
     tuples_in = _feed_size(plan, node, estimates)
@@ -318,7 +378,7 @@ def _estimate_service(
     if cache_setting is CacheSetting.NO_CACHE:
         calls = tuples_in
     else:
-        calls = min(tuples_in, _cached_calls(plan, node, estimates, position))
+        calls = min(tuples_in, _cached_calls(plan, node, estimates, built))
     return NodeEstimate(tuples_in=tuples_in, tuples_out=tuples_out, calls=calls)
 
 
@@ -326,19 +386,25 @@ def _cached_calls(
     plan: QueryPlan,
     node: ServiceNode,
     estimates: dict[str, NodeEstimate],
-    position: dict[str, int],
+    built: dict[str, int],
 ) -> float:
     """Equation (2): product of the minimal contributions per input var.
 
     For each input variable ``X`` of *node*, the candidate bounding
     nodes are the providers of ``X`` (upstream service nodes with ``X``
     among their outputs) and every node lying between a provider and
-    *node*; the minimal ``t_out`` among them (ties: smallest node id)
-    bounds the number of distinct bindings of ``X``.  ``N(node)`` is
-    the *set* of chosen minimizers (one per variable, deduplicated),
-    and the estimate is the product of their ``t_out`` values, taken in
-    topological order so that the float result is defined.
+    *node*; the minimal ``t_out`` among them bounds the number of
+    distinct bindings of ``X``.  Ties go to a join before a service,
+    then to the node added to the plan first (*built* maps a node id
+    to its position in ``plan.nodes``).  ``N(node)`` is the *set* of
+    chosen minimizers (one per variable, deduplicated), and the
+    estimate is the product of their ``t_out`` values, taken in that
+    same order so that the float result is defined.
     """
+
+    def precedence(node_id: str) -> tuple[bool, int]:
+        return not isinstance(plan.node(node_id), JoinNode), built[node_id]
+
     ancestors = plan.ancestors(node)
     minimizers: set[str] = set()
     for variable in node.input_variables:
@@ -347,13 +413,14 @@ def _cached_calls(
             # No upstream provider: the variable is bound by the atom's
             # own constants or is supplied by the user input.
             continue
-        minimizers.add(
-            min(candidates, key=lambda nid: (estimates[nid].tuples_out, nid))
-        )
+        minimizers.add(min(
+            candidates,
+            key=lambda nid: (estimates[nid].tuples_out, precedence(nid)),
+        ))
     # No input variables, or none with a provider: a single invocation
     # covers every block once any cache is present.
     calls = 1.0
-    for node_id in sorted(minimizers, key=position.__getitem__):
+    for node_id in sorted(minimizers, key=precedence):
         calls *= estimates[node_id].tuples_out
     return calls
 

@@ -171,8 +171,10 @@ class TestProgramAgainstReference:
 
 class TestEquationTwoProductOrder:
     """With three or more minimizers the float product of Eq. 2 depends
-    on the order of multiplication: it is ascending topological position,
-    not the iteration order of a set of node ids."""
+    on the order of multiplication: it is the order that breaks ties
+    among candidates — joins before services, then the order the nodes
+    were added to the plan (a topological order in every plan the
+    builder makes) — not the iteration order of a set of node ids."""
 
     def _chain(self):
         # a('o' X) -> b('o' Y) -> c('o' Z) -> d(X, Y, Z -> W): each of
@@ -206,6 +208,37 @@ class TestEquationTwoProductOrder:
         assert in_order != (1.0 * c) * b * a  # the order is observable here
         assert in_order < annotation.tuples_in(nodes[4])
         assert annotation.calls(nodes[4]).hex() == in_order.hex()
+        reference = reference_annotate(plan, CacheSetting.ONE_CALL)
+        assert _hexes(annotation) == _hexes(reference)
+
+    @pytest.mark.parametrize("ids", [("s1", "s2"), ("s9", "s10"), ("s10", "s9")])
+    def test_ties_do_not_read_the_node_id_counter(self, ids):
+        """a(X) -> b(Y) -> c(Z) -> d(X, Y -> W): ``a`` and ``b`` tie on
+        ``t_out`` as the bound of ``X`` while ``b`` alone bounds ``Y``.
+        The node added first wins the tie, so N(d) = {a, b}; ordered by
+        node-id *string* (``"s10" < "s9"``) the tie went to ``b`` as
+        soon as the process-wide counter gained a digit between the
+        two, and N(d) shrank to {b}."""
+        def service(index, name, terms, code, erspi, node_id=""):
+            return ServiceNode(
+                node_id=node_id, atom_index=index, atom=atom(name, *terms),
+                pattern=AccessPattern(code), profile=exact_profile(erspi, 1.0),
+            )
+
+        nodes = [
+            InputNode(),
+            service(0, "a", ["X"], "o", 2.0, ids[0]),
+            service(1, "b", ["Y"], "o", 1.0, ids[1]),
+            service(2, "c", ["Z"], "o", 5.0, "sc"),
+            service(3, "d", ["X", "Y", "W"], "iio", 1.0, "sd"),
+            OutputNode(),
+        ]
+        plan = plan_with_nodes(nodes)
+        for origin, destination in zip(nodes, nodes[1:]):
+            plan.add_arc(origin, destination)
+        annotation = annotate(plan, CacheSetting.ONE_CALL)
+        assert annotation.tuples_in(nodes[4]) == 10.0
+        assert annotation.calls(nodes[4]) == 2.0 * 2.0
         reference = reference_annotate(plan, CacheSetting.ONE_CALL)
         assert _hexes(annotation) == _hexes(reference)
 

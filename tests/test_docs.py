@@ -18,7 +18,8 @@ by tests and benches only (and the reference join lives only there),
 the engine never reads rows back as dicts (``Row.bindings``) outside
 ``Row`` itself, a plan is walked — and a failed unit demoted — in one
 place, it is compiled in one place (a plan-cache hit builds nothing),
-there is one join, one plan-cache disk tier and one SQLite connection
+the optimizer folds its search states and builds only the plan that
+leaves, there is one join, one plan-cache disk tier and one SQLite connection
 pool, the constructors and serving commands take exactly the
 parameters recorded here, and the paper is reproduced — and a perf
 trajectory written — in one place.
@@ -303,6 +304,30 @@ def test_a_plan_is_compiled_in_one_place_and_a_hit_builds_nothing():
         if isinstance(node, ast.FunctionDef) and node.name == "_execute"
     )
     assert "isinstance" not in {name for name, _ in _calls(walk)}
+
+
+def test_the_search_folds_its_plans_and_builds_only_the_one_that_leaves():
+    """A search state is an open plan extended from another state's:
+    ``optimizer/`` makes no sub-query to build a state's plan from
+    scratch, calls ``PlanBuilder.build`` only where the chosen plan
+    leaves ``optimize()``, compiles an annotation program from a whole
+    plan only for the empty state every other one is extended from
+    (the from-scratch bound lives in ``repro.testing``, which production
+    code never imports)."""
+    sites: dict[str, set] = {}
+    for path in (SRC / "optimizer").glob("*.py"):
+        relative = path.relative_to(SRC).as_posix()
+        for name, scopes in _calls(ast.parse(path.read_text())):
+            if name in ("ConjunctiveQuery", "build", "AnnotationProgram"):
+                sites.setdefault(name, set()).add((relative, scopes))
+    assert sites == {
+        "build": {("optimizer/optimizer.py", ("Optimizer", "optimize"))},
+        "AnnotationProgram": {
+            ("optimizer/optimizer.py", ("Optimizer", "_begin")),
+            # A context handed no program (hand-built plans, baselines).
+            ("optimizer/fetches.py", ("FetchContext", "__init__")),
+        },
+    }
 
 
 def test_retired_seam_plumbing_stays_retired():

@@ -14,7 +14,7 @@ import pytest
 import golden_plans
 from repro.costs.sum_cost import SumCostMetric
 from repro.costs.time_cost import ExecutionTimeMetric
-from repro.optimizer.memo import MISSING, PlanEntry, PlanMemo, bound_key, plan_key
+from repro.optimizer.memo import OpenState, PlanEntry, PlanMemo, bound_key, plan_key
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.sources.biblio import biblio_registry, experts_query
 from repro.sources.bio import bio_registry, glycolysis_homolog_query
@@ -165,14 +165,18 @@ class TestMemoLifecycle:
 
 
 class TestPlanMemoUnit:
-    def test_bound_sentinel_distinguishes_missing_from_none(self):
+    def test_a_state_is_kept_before_its_bound_is_known(self):
+        """An open plan may be stored because another state extends it;
+        it counts as a cached bound only once its bound was asked for."""
         memo = PlanMemo()
-        key = ((((0, "io")),), frozenset())
-        assert memo.lookup_bound(key) is MISSING
-        memo.store_bound(key, None)  # a cached PlanError outcome
-        assert memo.lookup_bound(key) is None
-        memo.store_bound(key, 3.5)
-        assert memo.lookup_bound(key) == 3.5
+        key = (("io", None), frozenset())
+        assert memo.lookup_state(key) is None
+        state = OpenState(plan=None, program=None)
+        memo.store_state(key, state)
+        assert memo.lookup_state(key) is state
+        assert (memo.state_entries, memo.bound_entries) == (1, 0)
+        state.bound = 3.5
+        assert (memo.state_entries, memo.bound_entries) == (1, 1)
 
     def test_reset_for_keeps_entries_for_the_same_query(self):
         _, query = PROFILES["travel"]()

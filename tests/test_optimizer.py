@@ -3,8 +3,8 @@
 import pytest
 
 import golden_plans
-from repro.costs.sum_cost import RequestResponseMetric
-from repro.costs.time_cost import ExecutionTimeMetric
+from repro.costs.sum_cost import RequestResponseMetric, SumCostMetric
+from repro.costs.time_cost import BottleneckMetric, ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig, optimize_query
 from repro.plans.dag import PlanError
@@ -99,6 +99,54 @@ class TestPruning:
         assert pruned.stats.plans_completed <= unpruned.stats.plans_completed
         assert pruned.stats.topology_states_pruned > 0
 
+    @pytest.mark.parametrize("metric", [SumCostMetric(), BottleneckMetric()])
+    def test_a_sequence_is_bounded_with_its_own_patterns_profiles(self, metric):
+        """Both services answer fast and cheap when called with a bound
+        input and slow and dear otherwise; the optimum (``a`` free,
+        feeding ``b``) lies in the second pattern sequence tried.
+        Bounded with the services' *default* profiles that sequence
+        looks dearer than the incumbent and is discarded unexplored."""
+        from repro.model.atoms import atom
+        from repro.model.query import query
+        from repro.model.schema import signature
+        from repro.model.terms import Variable
+        from repro.services.profile import exact_profile
+        from repro.services.registry import ServiceRegistry
+        from repro.services.table import TableExactService
+
+        registry = ServiceRegistry()
+        for name, slow in (("a", 10.0), ("b", 50.0)):
+            registry.register(TableExactService(
+                signature(name, ["X", "Y"], ["oo", "io"]),
+                exact_profile(erspi=1.0, response_time=slow, cost_per_call=slow),
+                [],
+                pattern_profiles={
+                    "io": exact_profile(erspi=1.0, response_time=1.0, cost_per_call=1.0)
+                },
+            ))
+        two_atoms = query(
+            "q", [Variable("Y"), Variable("Z")],
+            [atom("a", "X", "Y"), atom("b", "X", "Z")],
+        )
+        results = [
+            Optimizer(
+                registry, metric, OptimizerConfig(k=1, prune=prune)
+            ).optimize(two_atoms)
+            for prune in (True, False)
+        ]
+        pruned, unpruned = map(golden_plans.observe, results)
+        assert [p.code for p in results[0].patterns] == ["oo", "io"]
+        for field in ("patterns", "poset", "fetches", "cost"):
+            assert pruned[field] == unpruned[field]
+
+    def test_a_run_leaves_nothing_on_the_optimizer(self, registry, travel_query):
+        """Incumbent, fallback and the rest of a run's state live in the
+        run: an ``Optimizer`` holds its configuration and its memo."""
+        optimizer = Optimizer(registry, ExecutionTimeMetric(), OptimizerConfig(k=10))
+        before = dict(vars(optimizer))
+        optimizer.optimize(travel_query)
+        assert vars(optimizer) == before
+
 
 class TestSmallDomains:
     def test_tiny_query(self, tiny_registry, tiny_query):
@@ -153,18 +201,30 @@ class TestErrors:
 
 
 def test_estimation_work_is_accounted(registry, travel_query):
-    """``annotate_calls`` is the search's view; phase 3 evaluates most
-    estimates, one program per plan, and says so."""
+    """``annotate_calls`` is the search's view: the closed plans it
+    evaluated.  Their programs are extensions of other states' — one
+    atom placed per state held — and phase 3 says what it evaluated."""
     optimizer = Optimizer(registry, ExecutionTimeMetric(), OptimizerConfig(k=10))
     cold = optimizer.optimize(travel_query).stats
-    # One program per search-level annotation: bound, completed plan,
-    # materialization — and phase 3 reuses its plan's program across
-    # every vector it tries.
-    assert cold.programs_compiled == cold.annotate_calls
+    # The one program compiled from a whole plan is that of the plan
+    # that leaves; a state the search holds cost one fold step (a few
+    # were folded twice: a pruned state drops its open plan).
+    assert cold.programs_compiled == 1
+    held = optimizer.memo.state_entries
+    assert held <= cold.atoms_placed < 1.1 * held
+    # One closed plan per bound computed, one per topology sized
+    # without one (no incumbent yet), and the plan that leaves.
+    closed = cold.annotate_calls - 1
+    assert cold.memo_bound_misses < closed <= (
+        cold.memo_bound_misses + cold.fetch_evaluations
+    )
     assert cold.fetch_vectors_evaluated > cold.fetch_evaluations > 0
-    assert "fetch vectors=" in cold.summary() and "programs=" in cold.summary()
+    summary = cold.summary()
+    assert "fetch vectors=" in summary and "programs=" in summary
+    assert "atoms placed=" in summary
     warm = optimizer.optimize(travel_query).stats
     assert (warm.programs_compiled, warm.fetch_vectors_evaluated) == (1, 0)
+    assert (warm.atoms_placed, warm.annotate_calls) == (0, 1)
 
 
 @pytest.mark.parametrize(

@@ -298,9 +298,12 @@ class TestTenantQuota:
         assert cache.stats.quota_rejections == 2
         assert cache.stats.stores == 0
         # The estimation work of both runs is in the snapshot, next to
-        # the search-level annotate count that does not see phase 3.
+        # the search-level annotate count that does not see phase 3:
+        # one whole-plan program per run (the plan that leaves), the
+        # states' programs are extensions.
         serving = service.snapshot()["serving"]
-        assert serving["optimizer_programs_compiled"] == (
+        assert serving["optimizer_programs_compiled"] == 2
+        assert 0 < serving["optimizer_atoms_placed"] < (
             serving["optimizer_annotate_calls"]
         )
         assert serving["optimizer_fetch_vectors_evaluated"] > 0
