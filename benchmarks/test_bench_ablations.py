@@ -11,7 +11,7 @@ Not a paper figure — these quantify the contribution of each mechanism:
 import pytest
 
 from benchmarks.conftest import write_artifact
-from repro.baselines.wsms import wsms_optimize
+from repro.testing.wsms import wsms_optimize
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
 from repro.execution.results import Row

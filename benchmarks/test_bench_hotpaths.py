@@ -69,7 +69,6 @@ from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import execute_join_hashed
 from repro.execution.lazy import (
     LazyServiceCursor,
-    ListPageSource,
     MaterializedCursor,
     MultiFeedCursor,
 )
@@ -97,7 +96,7 @@ from repro.sources.travel import (
     travel_registry,
 )
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
-from repro.testing import execute_join
+from repro.testing import ListPageSource, execute_join
 
 pytestmark = pytest.mark.bench
 

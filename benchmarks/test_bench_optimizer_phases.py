@@ -34,7 +34,7 @@ from benchmarks._bench_env import (
     env_stamp,
 )
 from benchmarks.conftest import write_artifact
-from repro.baselines.exhaustive import exhaustive_optimize
+from repro.testing.exhaustive import exhaustive_optimize
 from repro.costs.sum_cost import RequestResponseMetric, SumCostMetric
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting

@@ -16,13 +16,7 @@ seeded worlds:
 * **time-to-k** — mean virtual completion time (backoff is charged to
   the winning fetch's latency).
 
-A second sweep measures hedging against straggling remotes: every
-delayed page pull is duplicated once the reported latency crosses the
-threshold, and on a remote-caching service the duplicate wins at the
-fast repeat latency — virtual time-to-k drops while rows and the
-per-service accounting stay bit-identical.
-
-A third sweep is the **adaptive-vs-static** column (PR 10): the same
+A second sweep is the **adaptive-vs-static** column (PR 10): the same
 pair plan with a clean ``lefts_backup`` sibling registered, under
 (a) mid-run service demotion — ``lefts`` units exhaust their retries
 and static partial results must drop them, while sibling fallback
@@ -65,7 +59,6 @@ from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import (
     DriftPolicy,
-    HedgePolicy,
     ResilienceConfig,
     RetryPolicy,
 )
@@ -89,11 +82,9 @@ K = bench_scale(40, 12)
 SEEDS = bench_scale(20, 5)
 FAULT_RATES = (0.0, 0.1, 0.3)
 ATTEMPT_CAPS = (1, 2, 4)  # retries 0 / 1 / 3
-DELAY_RATES = (0.0, 0.5, 1.0)
-HEDGE_THRESHOLD = 4.0
 
 
-def _plan(remote_caching=False):
+def _plan():
     """The paper's two-search-services shape (rank = position)."""
     registry = ServiceRegistry()
     for name, var in (("lefts", "L"), ("rights", "R")):
@@ -103,7 +94,6 @@ def _plan(remote_caching=False):
                 search_profile(chunk_size=CHUNK, response_time=1.0),
                 [("q", index % 3, index) for index in range(SIDE)],
                 score=lambda row: float(-row[2]),
-                remote_caching=remote_caching,
             )
         )
     registry.register_join_method("lefts", "rights", JoinMethod.MERGE_SCAN)
@@ -263,41 +253,6 @@ class TestResilienceTrajectory:
             rates = [success_by_cell[(rate, a)] for a in ATTEMPT_CAPS]
             assert rates == sorted(rates), (rate, rates)
 
-        hedging: dict[str, dict] = {}
-        for delay_rate in DELAY_RATES:
-            cell: dict[str, dict] = {}
-            baseline_sig = None
-            baseline_elapsed = None
-            for hedged in (False, True):
-                registry, head, plan = _plan(remote_caching=True)
-                wrap_registry_flaky(
-                    registry, FaultSchedule(seed=1, delay_rate=delay_rate)
-                )
-                config = (
-                    ResilienceConfig(
-                        hedge=HedgePolicy(threshold=HEDGE_THRESHOLD)
-                    )
-                    if hedged
-                    else None
-                )
-                result = ExecutionEngine(
-                    registry, mode=ExecutionMode.STREAMED, resilience=config
-                ).execute(plan, head=head, k=K)
-                if hedged:
-                    # Rows never move; only straggler latency does.
-                    assert _sig(result.rows) == baseline_sig
-                    assert result.stats.elapsed <= baseline_elapsed
-                else:
-                    baseline_sig = _sig(result.rows)
-                    baseline_elapsed = result.stats.elapsed
-                cell["hedged" if hedged else "unhedged"] = {
-                    "elapsed_virtual_s": round(result.stats.elapsed, 4),
-                    "hedged_pulls": result.stats.hedged_pulls,
-                    "hedged_wins": result.stats.hedged_wins,
-                    "wasted_fetches": result.stats.wasted_fetches,
-                }
-            hedging[f"delay_rate={delay_rate}"] = cell
-
         # -- adaptive vs static -----------------------------------------
         # min_fetches=2: the lazy streamed top-k satisfies this plane
         # from very few pages, and a x25 drift is unambiguous after
@@ -450,12 +405,6 @@ class TestResilienceTrajectory:
                 "attempt-aware schedule (re-attempts draw independently)",
             },
             "retry_grid": grid,
-            "hedging": {
-                "workload": "same pair plan over remote-caching services; "
-                f"delay faults multiply latency x25, threshold="
-                f"{HEDGE_THRESHOLD}s",
-                "per_delay_rate": hedging,
-            },
             "adaptive_vs_static": {
                 "workload": "same pair plan plus a clean lefts_backup "
                 "sibling; static = retries(2) + partial results, "

@@ -14,7 +14,7 @@ from benchmarks.conftest import write_artifact
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
-from repro.sources.synthetic import generate_workload
+from repro.testing.synthetic import generate_workload
 
 pytestmark = pytest.mark.bench
 

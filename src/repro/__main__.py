@@ -35,6 +35,11 @@ Commands
 Both serving commands persist plans with ``--plan-cache PATH``: a
 WAL-mode SQLite database (created when missing, whatever the suffix)
 that any number of threads and processes may share.
+
+Bad input — a query that does not parse, names an unknown service, has
+the wrong arity or admits no plan, a ``k`` below 1 — ends a one-shot
+command with ``error: <Type>: <message>`` on stderr and exit status 2;
+``serve`` answers the same inputs with ``{"error": ...}`` and goes on.
 """
 
 from __future__ import annotations
@@ -107,19 +112,13 @@ def _optimize_and_run(registry, query, metric_name: str, k: int,
 def _resilience_config(args):
     """A ResilienceConfig from the CLI flags; None when all are off."""
     retries = getattr(args, "retries", 0)
-    hedge = getattr(args, "hedge", None)
     partial = getattr(args, "partial_results", False)
-    if not retries and hedge is None and not partial:
+    if not retries and not partial:
         return None
-    from repro.execution.resilience import (
-        HedgePolicy,
-        ResilienceConfig,
-        RetryPolicy,
-    )
+    from repro.execution.resilience import ResilienceConfig, RetryPolicy
 
     return ResilienceConfig(
         retry=RetryPolicy(attempts=retries + 1) if retries else None,
-        hedge=HedgePolicy(threshold=hedge) if hedge is not None else None,
         partial_results=partial,
     )
 
@@ -223,11 +222,6 @@ def _add_serving_flags(parser) -> None:
         "(deterministic seeded backoff charged to virtual time)",
     )
     parser.add_argument(
-        "--hedge", type=float, default=None, metavar="SECONDS",
-        help="duplicate page pulls slower than this virtual latency; "
-        "first sound response wins, the loser is discarded uncounted",
-    )
-    parser.add_argument(
         "--partial-results", action="store_true",
         help="when retries are exhausted, drop the unresponsive "
         "service block and answer over the rest, attaching a "
@@ -301,7 +295,17 @@ def main(argv: list[str] | None = None) -> int:
     migrate.add_argument("target", metavar="NEW.sqlite")
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ValueError as error:
+        # What bad input raises is a ``ValueError`` by construction:
+        # ParseError, QueryError, SchemaError (unknown service, arity),
+        # PlanError (no executable plan), and a ``k`` below 1.
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args) -> int:
     if args.command == "reproduce":
         from repro.experiments import reproduce_paper
 

@@ -21,7 +21,6 @@ from repro.execution.joins import (
     JoinStream,
     TopKStream,
     execute_join_hashed,
-    is_order_rank_consistent,
     join_order,
     merge_scan_order,
     nested_loop_order,
@@ -29,7 +28,6 @@ from repro.execution.joins import (
 from repro.execution.lazy import (
     FetchedPage,
     LazyServiceCursor,
-    ListPageSource,
     MaterializedCursor,
     MultiFeedCursor,
     RowCursor,
@@ -45,7 +43,6 @@ from repro.execution.resilience import (
     DriftMonitor,
     DriftPolicy,
     DroppedUnit,
-    HedgePolicy,
     PartialResultCertificate,
     PlanDrift,
     ResilienceConfig,
@@ -77,10 +74,8 @@ __all__ = [
     "ExecutionResult",
     "ExecutionStats",
     "FetchedPage",
-    "HedgePolicy",
     "JoinStream",
     "LazyServiceCursor",
-    "ListPageSource",
     "LogicalCache",
     "MaterializedCursor",
     "MultiFeedCursor",
@@ -110,7 +105,6 @@ __all__ = [
     "compose_ranking",
     "execute_join_hashed",
     "execute_plan",
-    "is_order_rank_consistent",
     "join_order",
     "make_cache",
     "merge_scan_order",

@@ -204,7 +204,7 @@ class ExecutionEngine:
         self._registry = registry
         self._cache_setting = cache_setting
         self._mode = mode
-        #: Retry/hedge/partial-results behavior of every page pull
+        #: Retry/partial-results behavior of every page pull
         #: (:mod:`repro.execution.resilience`); None runs the
         #: historical fail-fast path bit-identically.
         self._resilience = resilience

@@ -20,10 +20,9 @@ Three objects own the seam's state:
   feed row addresses; opening it **masks**, then **routes**, and its
   ``fetch(page)`` does, in this order, **lookup** → **resilient
   fetch** → **store** → **record_fetch** → **observe** → **call/hit
-  accounting** → **bind**.  Retries and hedges sit *below* the store:
-  only the winning response is ever stored or counted, so a retried
-  or duplicated pull can neither double-store a page nor double-count
-  a call;
+  accounting** → **bind**.  Retries sit *below* the store: only the
+  response that arrived is ever stored or counted, so a retried pull
+  can neither double-store a page nor double-count a call;
 * :class:`Accounting` — the cell all units of one execution charge
   to.  Resuming a suspended stream is one :meth:`Accounting.rebind`:
   every page pulled afterwards — its retries, wasted fetches and

@@ -107,53 +107,6 @@ def join_order(
     return merge_scan_order(n_left, n_right)
 
 
-def is_order_rank_consistent(order: Sequence[tuple[int, int]]) -> bool:
-    """Check the domination property of a visit order.
-
-    True iff whenever cell ``a`` componentwise dominates cell ``b``
-    (``a <= b`` in both coordinates, one strictly), ``a`` appears
-    before ``b``.
-
-    Runs one ``O(n log n)`` staircase sweep instead of comparing all
-    cell pairs: cells are visited in emission order while a Pareto
-    frontier of the maximal cells seen so far is maintained, sorted by
-    ascending ``i`` (hence strictly descending ``j``).  A violation is
-    exactly a new cell lying weakly below-left of an already-emitted
-    one, which only the frontier can witness.
-    """
-    position = {cell: index for index, cell in enumerate(order)}
-    xs: list[int] = []  # frontier i-coordinates, ascending
-    ys: list[int] = []  # matching j-coordinates, strictly descending
-    for i, j in sorted(position, key=position.__getitem__):
-        # The frontier cell with the smallest i' >= i carries the
-        # largest j' among all emitted cells with i' >= i.
-        lo, hi = 0, len(xs)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if xs[mid] < i:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(xs) and ys[lo] >= j:
-            # Some earlier distinct cell is >= (i, j) componentwise:
-            # the new cell dominates it yet is emitted later.
-            return False
-        # Frontier cells covered by the new one ((i', j') <= (i, j))
-        # form a contiguous run ending just before the insertion point.
-        start, end = 0, lo
-        while start < end:
-            mid = (start + end) // 2
-            if ys[mid] <= j:
-                end = mid
-            else:
-                start = mid + 1
-        del xs[start:lo]
-        del ys[start:lo]
-        xs.insert(start, i)
-        ys.insert(start, j)
-    return True
-
-
 def _require_layout(rows: Iterable[Row], layout: SlotLayout, side: str) -> None:
     """Raise unless every row of *rows* is laid out as *layout*.
 

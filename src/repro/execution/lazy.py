@@ -117,7 +117,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, NamedTuple, Protocol, Sequence
 
@@ -773,44 +772,3 @@ class MultiFeedCursor(RowCursor):
             # Every heap entry names a dropped block now.
             self._floor_heap.clear()
             self._bound_heap.clear()
-
-
-@dataclass
-class ListPageSource:
-    """A :class:`PageSource` over pre-built pages (tests, adapters).
-
-    ``pages`` holds the produced rows of each page; ``rank_floors``
-    optionally gives the per-page floor for later tuples (defaults to
-    the count of rows seen so far, the search-service convention).
-    """
-
-    pages: list[list[Row]]
-    budget: int = 0
-    rank_floors: list[int] | None = None
-    raw_counts: list[int] | None = None
-    fetch_log: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.budget <= 0:
-            self.budget = len(self.pages)
-
-    def fetch(self, page: int) -> FetchedPage:
-        self.fetch_log.append(page)
-        rows = tuple(self.pages[page]) if page < len(self.pages) else ()
-        seen = sum(len(p) for p in self.pages[: page + 1])
-        floor = (
-            self.rank_floors[page]
-            if self.rank_floors is not None
-            else seen
-        )
-        raw = (
-            self.raw_counts[page]
-            if self.raw_counts is not None
-            else len(rows)
-        )
-        return FetchedPage(
-            rows=rows,
-            raw_tuples=raw,
-            has_more=page + 1 < len(self.pages),
-            rank_floor=floor,
-        )

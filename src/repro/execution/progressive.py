@@ -186,7 +186,7 @@ class ProgressiveExecutor:
     #: caches.  Experiments want True (independence); a long-lived
     #: server wants False (sessions arrive into a warm world).
     reset_remote: bool = True
-    #: Retry/hedge/partial-results behavior of every page pull
+    #: Retry/partial-results behavior of every page pull
     #: (:mod:`repro.execution.resilience`); demotions persist across
     #: rounds on the engine's mask, so a continuation never re-awaits
     #: a block already proven unresponsive.

@@ -1,9 +1,9 @@
-"""Resilient page pulls: retry/backoff, hedging, honest partial results.
+"""Resilient page pulls: retry/backoff, honest partial results.
 
 The paper's cost model optimizes over remote services that in any real
 deployment fail, stall, and straggle.  The fault-injection kit
 (:mod:`repro.testing.faults`) proves failures *surface* cleanly; this
-module makes the engine *survive* them, in three independently
+module makes the engine *survive* them, in two independently
 switchable layers wired into the one page-pull seam
 (:meth:`repro.execution.fetch.UnitSource.fetch`):
 
@@ -19,23 +19,6 @@ switchable layers wired into the one page-pull seam
   (hashed from ``(seed, service, input key, attempt)``), the final
   outcome — is a pure function of the policy and the service's own
   (seeded) behavior, never of wall-clock time or scheduling.
-
-* **Hedging** (:class:`HedgePolicy`) — a page pull whose reported
-  latency exceeds the straggler threshold is issued a second time,
-  inline: the duplicate can only start once the primary has reported
-  the latency that trips the threshold, and latencies are virtual, so
-  there is nothing for a thread to overlap.  The first *sound* response
-  wins by virtual latency and the loser is discarded without touching
-  the logical cache or its accounting.  **Accounting argument**: both
-  the primary and the duplicate are raw ``service.invoke`` calls below
-  the cache layer — only the winner is stored and recorded via
-  ``record_fetch``, so calls/fetches/cache-hit counters are
-  bit-identical to an unhedged run; the duplicate is traced solely by
-  the ``hedged_pulls`` / ``hedged_wins`` / ``wasted_fetches`` counters.
-  (On a remote-caching service the duplicate may be answered by the
-  remote's own cache and win with the fast repeat latency — *virtual
-  time* may legitimately improve; tuples never change for a
-  deterministic remote.)
 
 * **Partial results** (``partial_results=True``) — when retries are
   exhausted, the failing unit (one ``(service, input setting)`` block)
@@ -147,20 +130,6 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
-class HedgePolicy:
-    """Duplicate straggler page pulls; first sound response wins.
-
-    A pull whose reported latency exceeds ``threshold`` (virtual
-    seconds) is re-issued up to ``max_hedges`` times; the response
-    with the smallest virtual latency wins (the primary on ties),
-    every loser is discarded uncounted.
-    """
-
-    threshold: float = 4.0
-    max_hedges: int = 1
-
-
-@dataclass(frozen=True)
 class ResilienceConfig:
     """Which resilience layers are active for an engine.
 
@@ -178,7 +147,6 @@ class ResilienceConfig:
     """
 
     retry: RetryPolicy | None = None
-    hedge: HedgePolicy | None = None
     partial_results: bool = False
     sibling_fallback: bool = False
 
@@ -194,10 +162,10 @@ class DriftPolicy:
     remote fetches in one execution exceeds ``latency_factor`` times
     the ``response_time`` of the profile its plan node was costed
     with, after at least ``min_fetches`` observations (one slow page
-    is a straggler — hedging's job; a consistently slow service is a
-    mis-costed plan — re-planning's job).  ``max_replans`` bounds how
-    many times one adaptive execution may re-plan before it stops
-    monitoring and finishes with whatever plan it has.
+    is a straggler; a consistently slow service is a mis-costed plan —
+    re-planning's job).  ``max_replans`` bounds how many times one
+    adaptive execution may re-plan before it stops monitoring and
+    finishes with whatever plan it has.
     ``substitute_siblings`` additionally reroutes the drifted
     service's units onto an equivalent registered sibling (when one
     exists) in the spliced plan, so the remaining pages are pulled at
@@ -290,11 +258,11 @@ def resilient_fetch(
     invoke: Callable[[], InvocationResult],
     stats: "ExecutionStats",
 ) -> InvocationResult:
-    """One page pull under *config*: retry, hedge, demote.
+    """One page pull under *config*: retry, then demote.
 
     ``invoke`` performs one raw remote invocation (no cache lookup, no
     accounting — the fetch seam keeps those outside, so only the
-    winning response is ever stored or counted).  Returns the winning
+    response that arrived is ever stored or counted).  Returns that
     :class:`InvocationResult`, with accumulated backoff folded into
     its reported latency.  Raises :class:`UnresponsiveService` when
     retries are exhausted in partial-results mode, the final transient
@@ -303,7 +271,7 @@ def resilient_fetch(
     retry = config.retry
     cap = retry.attempts_for(service) if retry is not None else 1
     attempt = 0
-    overhead = 0.0  # virtual: backoff charged to the winning fetch
+    overhead = 0.0  # virtual: backoff charged to the fetch that succeeds
     while True:
         try:
             result = invoke()
@@ -330,37 +298,9 @@ def resilient_fetch(
             stats.retry_backoff += delay
             overhead += delay
             continue
-        result = _maybe_hedge(config, result, invoke, stats)
         if overhead:
             result = replace(result, latency=result.latency + overhead)
         return result
-
-
-def _maybe_hedge(
-    config: ResilienceConfig,
-    primary: InvocationResult,
-    invoke: Callable[[], InvocationResult],
-    stats: "ExecutionStats",
-) -> InvocationResult:
-    """Duplicate a straggling pull; return the winning response."""
-    hedge = config.hedge
-    if hedge is None or primary.latency <= hedge.threshold:
-        return primary
-    winner = primary
-    for _ in range(max(1, hedge.max_hedges)):
-        stats.hedged_pulls += 1
-        try:
-            backup = invoke()
-        except TRANSIENT_ERRORS:
-            stats.wasted_fetches += 1  # the duplicate itself failed
-            continue
-        if backup.latency < winner.latency:
-            stats.hedged_wins += 1
-            winner = backup
-        stats.wasted_fetches += 1  # exactly one of the pair is discarded
-        if winner.latency <= hedge.threshold:
-            break  # no longer a straggler: stop duplicating
-    return winner
 
 
 # -- partial-result certificates -------------------------------------------

@@ -123,19 +123,15 @@ class ExecutionStats:
     #: all stay 0 when no resilience config is active — the bit-
     #: identity contract.  ``retries`` counts re-attempts taken after
     #: a transient page failure, ``retry_backoff`` the virtual seconds
-    #: of backoff those re-attempts charged, ``hedged_pulls`` /
-    #: ``hedged_wins`` the straggler duplicates issued and the ones
-    #: that beat their primary, ``wasted_fetches`` every remote round
-    #: trip whose response was discarded (failed attempts + the losing
-    #: half of each hedged pair) — deliberately *not* part of the
-    #: per-service ``fetches``, which keep counting only the winning
-    #: responses so fault-free accounting differentials stay exact.
+    #: of backoff those re-attempts charged, ``wasted_fetches`` every
+    #: remote round trip that failed — deliberately *not* part of the
+    #: per-service ``fetches``, which count only the responses that
+    #: arrived, so fault-free accounting differentials stay exact and
+    #: ``invocations == fetches + wasted_fetches``.
     #: ``demoted_blocks`` is the number of units a partial-results run
     #: dropped (``len(certificate.dropped)``).
     retries: int = 0
     retry_backoff: float = 0.0
-    hedged_pulls: int = 0
-    hedged_wins: int = 0
     wasted_fetches: int = 0
     demoted_blocks: int = 0
     #: Units a partial-results run rerouted onto a sibling service
@@ -204,12 +200,10 @@ class ExecutionStats:
                 f"  parallel: workers={self.parallel_workers}"
                 f" wall={self.wall_time:.2f}s"
             )
-        if self.retries or self.hedged_pulls or self.wasted_fetches:
+        if self.retries or self.wasted_fetches:
             lines.append(
                 f"  resilience: retries={self.retries}"
                 f" backoff={self.retry_backoff:.1f}s"
-                f" hedged={self.hedged_pulls}"
-                f" hedged_wins={self.hedged_wins}"
                 f" wasted_fetches={self.wasted_fetches}"
             )
         if self.demoted_blocks or self.substituted_blocks:

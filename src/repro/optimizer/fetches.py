@@ -455,19 +455,16 @@ def closed_form_pair(
 
 
 def assign_fetches(
-    context: FetchContext,
-    k: int,
-    heuristic: str = "greedy",
-    explore: bool = True,
+    context: FetchContext, k: int, heuristic: str = "greedy"
 ) -> FetchResult:
-    """Run phase 3: heuristic first, optional exhaustive refinement."""
+    """Run phase 3: heuristic first, then exhaustive refinement."""
     if heuristic == "greedy":
         initial = greedy_assignment(context, k)
     elif heuristic == "square":
         initial = square_assignment(context, k)
     else:
         raise ValueError(f"unknown fetch heuristic {heuristic!r}")
-    if not explore or not context.chunked_atoms:
+    if not context.chunked_atoms:
         return initial
     refined = exhaustive_assignment(context, k, start=initial.fetches)
     if refined.feasible and (not initial.feasible or refined.cost <= initial.cost):

@@ -11,8 +11,8 @@ first ``k`` answers under a chosen metric:
   plans, and pruning partial constructions whose cost already exceeds
   the incumbent (cost metrics are monotonic in plan construction);
 * **phase 3** assigns fetching factors to chunked services via the
-  greedy or square heuristic, optionally refined by dominance-pruned
-  exhaustive exploration.
+  greedy or square heuristic, refined by dominance-pruned exhaustive
+  exploration.
 
 The phases are nested classes of plans and each is bounded before it
 is entered: a pattern sequence by its services' single-call costs, a
@@ -53,10 +53,8 @@ class OptimizerConfig:
     k: int = 10
     cache_setting: CacheSetting = CacheSetting.ONE_CALL
     fetch_heuristic: str = "greedy"
-    explore_fetches: bool = True
     most_cogent_only: bool = False
     prune: bool = True
-    max_topologies_per_sequence: int | None = None
     memoize: bool = True
 
     def __post_init__(self) -> None:
@@ -265,7 +263,6 @@ class Optimizer:
         visited: set[TopologyState] = set()
         completed: set[frozenset] = set()
         stack: list[TopologyState] = [enumerator.initial_state]
-        budget = self._config.max_topologies_per_sequence
         while stack:
             state = stack.pop()
             if state in visited:
@@ -277,8 +274,6 @@ class Optimizer:
                 if closure in completed:
                     continue
                 completed.add(closure)
-                if budget is not None and len(completed) > budget:
-                    return
                 self._complete_and_offer(run, patterns, enumerator.poset_of(state))
                 continue
             if self._config.prune and run.incumbent.is_set and state[0]:
@@ -324,10 +319,7 @@ class Optimizer:
         # Phase 3 continues on the context the bound was computed on:
         # all-ones, its first vector, is already evaluated.
         fetch_result = assign_fetches(
-            context,
-            config.k,
-            heuristic=config.fetch_heuristic,
-            explore=config.explore_fetches,
+            context, config.k, heuristic=config.fetch_heuristic
         )
         stats.fetch_evaluations += 1
         stats.plans_completed += 1

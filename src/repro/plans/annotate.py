@@ -261,9 +261,14 @@ class AnnotationProgram:
         self._slots: dict[str, int] = {}
         self._output: int | None = None
         self._ones: tuple[list[float], list[float], list[float]] = ([], [], [])
-        built = {node.node_id: rank for rank, node in enumerate(plan.nodes)}
+        nodes = plan.nodes
+        built = {node.node_id: rank for rank, node in enumerate(nodes)}
         order = plan.topological_order()
         self._compile(plan, order, [built[node.node_id] for node in order])
+        # The node added last: a plan continues this one when it holds
+        # this very object at the same position (names are positions,
+        # so any plan of the same shape has a node of the same name).
+        self._tail = nodes[-1]
 
     def extended(self, plan: QueryPlan) -> "AnnotationProgram":
         """The program of *plan*, which continues this program's plan.
@@ -275,7 +280,7 @@ class AnnotationProgram:
         """
         nodes = plan.nodes
         covered = len(self._ops)
-        if len(nodes) < covered or nodes[covered - 1].node_id not in self._position:
+        if len(nodes) < covered or nodes[covered - 1] is not self._tail:
             raise PlanError("plan does not continue the plan of this program")
         twin = object.__new__(AnnotationProgram)
         twin.cache_setting = self.cache_setting
@@ -289,6 +294,7 @@ class AnnotationProgram:
         twin._output = self._output
         twin._ones = tuple(column.copy() for column in self._ones)
         twin._compile(plan, nodes[covered:], range(covered, len(nodes)))
+        twin._tail = nodes[-1]
         return twin
 
     def _compile(self, plan: QueryPlan, nodes, ranks) -> None:

@@ -42,7 +42,14 @@ class QueryPlan:
     # -- construction ---------------------------------------------------
 
     def add_node(self, node: PlanNode) -> PlanNode:
-        """Insert *node*; returns it for chaining."""
+        """Insert *node*; returns it for chaining.
+
+        A node without an id is named here: its type's prefix and its
+        position in this plan.  Copies of a plan share the nodes of
+        their common prefix, names included.
+        """
+        if not node.node_id:
+            node.node_id = f"{node._prefix()}{len(self._nodes)}"
         if node.node_id in self._nodes:
             raise PlanError(f"duplicate node id {node.node_id!r}")
         if isinstance(node, InputNode):

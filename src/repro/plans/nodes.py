@@ -10,7 +10,6 @@ plain arcs: the destination's inputs are fed by the origin's outputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.model.atoms import Atom
@@ -20,22 +19,19 @@ from repro.model.terms import Variable
 from repro.services.profile import ServiceProfile
 from repro.services.registry import JoinMethod
 
-_COUNTER = itertools.count()
-
-
-def _fresh_id(prefix: str) -> str:
-    return f"{prefix}{next(_COUNTER)}"
-
 
 @dataclass(eq=False)
 class PlanNode:
-    """Base class of all plan nodes; identity-based equality."""
+    """Base class of all plan nodes; identity-based equality.
+
+    A node constructed without a ``node_id`` is named by the plan it
+    is first added to — its type's prefix plus its position there
+    (:meth:`~repro.plans.dag.QueryPlan.add_node`) — so the names in a
+    plan are a function of how the plan was built, never of what else
+    the process built before it.
+    """
 
     node_id: str = field(default="", compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.node_id:
-            self.node_id = _fresh_id(self._prefix())
 
     def _prefix(self) -> str:
         return "n"
@@ -94,7 +90,6 @@ class ServiceNode(PlanNode):
     predicates: tuple[Comparison, ...] = ()
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if self.atom is None or self.pattern is None or self.profile is None:
             raise ValueError("ServiceNode requires atom, pattern, and profile")
         if self.atom_index < 0:
@@ -166,7 +161,6 @@ class JoinNode(PlanNode):
     response_time: float = 0.0
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if not 0.0 <= self.selectivity <= 1.0:
             raise ValueError(f"selectivity must be in [0, 1], got {self.selectivity}")
 

@@ -99,10 +99,9 @@ def optimizer_config_token(config: OptimizerConfig) -> str:
     components already.  ``memoize`` is excluded too: memoization is
     bit-identical to the unmemoized search by contract, so it cannot
     change which plan a key maps to.  Everything else (fetch
-    heuristic, exploration, cogency restriction, pruning, topology
-    budget) can legitimately pick a different plan for the same query,
-    so two services with different configs must never serve each
-    other's cache entries.
+    heuristic, cogency restriction, pruning) can legitimately pick a
+    different plan for the same query, so two services with different
+    configs must never serve each other's cache entries.
     """
     fields = dataclasses.asdict(config)
     for keyed_elsewhere in ("k", "cache_setting", "memoize"):

@@ -243,7 +243,7 @@ class QueryService:
     #: for experiments, a leak for a long-lived server).  Eviction can
     #: only cost extra remote calls, never change answers.
     service_cache_capacity: int | None = None
-    #: Retry/hedge/partial-results behavior for every execution this
+    #: Retry/partial-results behavior for every execution this
     #: service runs (:mod:`repro.execution.resilience`); None serves
     #: with the historical fail-fast engine, bit-identically.
     resilience: ResilienceConfig | None = None
@@ -359,6 +359,9 @@ class QueryService:
         session serialize on the session's lock (the suspended stream
         is single-consumer); different sessions resume in parallel.
         """
+        additional = self.k_default if additional is None else additional
+        if additional < 1:
+            raise ValueError(f"additional must be >= 1, got {additional}")
         session = self.sessions.get(session_id)
         with session.lock:
             executor = session.executor
@@ -369,7 +372,6 @@ class QueryService:
             with self._stats_lock:
                 self.stats.requests += 1
                 self.stats.continuations += 1
-            additional = self.k_default if additional is None else additional
             rounds_before = len(executor.rounds)
             replans_before = executor.replans
             result = executor.more(additional)
@@ -420,7 +422,9 @@ class QueryService:
             raise ValueError(f"k must be >= 1, got {k}")
         with self._stats_lock:
             self.stats.prefetches += 1
-        plan, _, provenance, _, _, _ = self._resolve_plan(query, k)
+        plan, _, provenance, _, _, _ = self._resolve_plan(
+            query, k, registry=self._planning_registry()
+        )
         if self._service_cache is None:
             return {
                 "provenance": provenance,
@@ -492,7 +496,7 @@ class QueryService:
     # -- internals -------------------------------------------------------
 
     def _resolve_plan(
-        self, query: ConjunctiveQuery, k: int, registry=None
+        self, query: ConjunctiveQuery, k: int, registry
     ) -> tuple:
         """Plan *query* through the shared plan cache (optimize on miss).
 
@@ -504,11 +508,13 @@ class QueryService:
         compiled it, which by the fingerprint equal this query's up to
         renaming (:meth:`_respond` projects by its head).
 
-        ``registry`` defaults to the service's own; the adaptive path
-        passes an :class:`~repro.services.registry.AdjustedRegistry`
-        view so plans are costed at breaker-observed response times —
-        the view's adjusted content epoch keys those plans separately,
-        so they never poison the unadjusted epoch's cache entries.
+        ``registry`` is what the plan is costed against:
+        :meth:`_planning_registry` for a submission or a prefetch, the
+        drift-adjusted view for a re-plan.  An
+        :class:`~repro.services.registry.AdjustedRegistry` view costs
+        plans at observed response times, and its adjusted content
+        epoch keys those plans separately, so they never poison the
+        unadjusted epoch's cache entries.
 
         The per-key mutex is held across the whole lookup → optimize →
         store window, so of N threads racing a cold key exactly one
@@ -518,8 +524,6 @@ class QueryService:
         schedule.  Plan *building* (spec → fresh plan objects) happens
         outside the mutex: it touches no shared mutable state.
         """
-        if registry is None:
-            registry = self.registry
         fingerprint = query_fingerprint(query)
         epoch = registry.content_epoch()
         key = plan_cache_key(
@@ -724,8 +728,6 @@ class QueryService:
             # Resilience-layer trace (all 0 when no config is active):
             # wasted work never enters the per-service accounting above.
             "retries": sum(s.retries for s in round_stats),
-            "hedged_pulls": sum(s.hedged_pulls for s in round_stats),
-            "hedged_wins": sum(s.hedged_wins for s in round_stats),
             "wasted_fetches": sum(s.wasted_fetches for s in round_stats),
             # Adaptivity trace (0 when adaptive serving is off): plan
             # splices this request performed, and units served by a

@@ -24,7 +24,7 @@ Injected fault kinds (applied to one page's
   full-fetch fallback for the offending block);
 * ``delay`` — the page arrives intact but its reported latency is
   multiplied by ``delay_factor`` (a straggling remote — the stimulus
-  the resilience layer's hedging responds to).  Data and rank floors
+  drift detection responds to).  Data and rank floors
   are untouched, so all differential contracts are unaffected; only
   virtual time changes.
 
@@ -43,8 +43,8 @@ testing retry.  :meth:`FaultSchedule.decide` therefore accepts an
 ``attempt`` index which enters the hash key **only when positive**, so
 attempt 0 reproduces the historical decisions bit-for-bit while
 re-attempts get fresh independent draws.  :class:`FlakyService` counts
-invocations per ``(pattern, inputs, page)`` key (under a lock — retry
-and hedge duplicates may race) when constructed with
+invocations per ``(pattern, inputs, page)`` key (under a lock —
+retried attempts of parallel workers may race) when constructed with
 ``attempt_aware=True``; the default remains the pure call-count-free
 behavior the oracle-equivalence suites rely on.
 """

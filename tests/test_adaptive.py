@@ -658,3 +658,27 @@ class TestServingBreaker:
         assert third.rows == first.rows
         assert service.breaker.state("lefts") is BreakerState.CLOSED
         assert service.snapshot()["breaker"] == {}
+
+    def test_prefetch_plans_under_the_view_submit_will_use(self):
+        """With a breaker open, ``prefetch`` must resolve its plan
+        against the adjusted registry view exactly as ``submit`` does:
+        the plan it stores is the one the submit then hits."""
+        registry, query, _ = build_world(sibling=False)
+        policy = AdaptivePolicy(
+            breaker=BreakerPolicy(
+                failure_threshold=1, latency_factor=3.0,
+                min_fetches=1, cooldown=10.0,
+            ),
+        )
+        service = _serve(registry, policy, FakeClock())
+        service.breaker.record(
+            "lefts", fetches=3, mean_latency=25.0, expected=1.0
+        )
+        assert service.breaker.response_time_overrides() == {"lefts": 25.0}
+
+        warmed = service.prefetch(query, k=4)
+        assert warmed["provenance"] == "optimized"
+        response = service.submit(query, k=4)
+        assert response.provenance == "memory"
+        assert response.epoch != registry.content_epoch()
+        assert service.stats.optimizer_runs == 1

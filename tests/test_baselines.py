@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.baselines.exhaustive import exhaustive_optimize
-from repro.baselines.wsms import greedy_selectivity_order, wsms_optimize
+from repro.testing.exhaustive import exhaustive_optimize
+from repro.testing.wsms import greedy_selectivity_order, wsms_optimize
 from repro.costs.sum_cost import RequestResponseMetric
 from repro.costs.time_cost import BottleneckMetric, ExecutionTimeMetric
 from repro.execution.cache import CacheSetting

@@ -43,12 +43,6 @@ class TestOptimize:
         out = capsys.readouterr().out
         assert "Optimal plan" in out
 
-    def test_bad_query_raises(self):
-        from repro.model.parser import ParseError
-
-        with pytest.raises(ParseError):
-            main(["optimize", "not a query", "--no-execute"])
-
 
 class TestQueryCommand:
     def test_repeat_flips_provenance_to_memory(self, capsys):
@@ -172,6 +166,38 @@ class TestMigratePlanCache:
         assert captured.out == "" and not target.exists()
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["optimize", "--domain", "weekend", "q(C) :- concerts(C, 'Milano')."],
+             "SchemaError: atom concerts(C, 'Milano') has arity 2"),
+            (["optimize", "--domain", "weekend", "q(X) :- nosuch(X)."],
+             "SchemaError: unknown service 'nosuch'"),
+            (["optimize", "not a query", "--no-execute"], "ParseError: "),
+            (["query", "--domain", "weekend", "garbage"], "ParseError: "),
+            (["query", "-k", "0"], "ValueError: k must be >= 1, got 0"),
+            (["demo", "-k", "0"], "ValueError: k must be >= 1, got 0"),
+        ],
+        ids=["arity", "unknown-service", "optimize-parse", "query-parse",
+             "query-k0", "demo-k0"],
+    )
+    def test_one_shot_commands_answer_bad_input_with_a_message(
+        self, capsys, argv, error
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error}")
+        assert "Traceback" not in captured.err
+
+    def test_the_retired_hedge_flag_is_refused_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", "--hedge", "4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --hedge" in capsys.readouterr().err
+
+
 class TestServeCommand:
     def test_serve_loop(self, capsys, monkeypatch):
         import io
@@ -197,6 +223,24 @@ class TestServeCommand:
         assert len(more["rows"]) >= len(submitted["rows"])
         assert "error" in json.loads(lines[2])
         stats = json.loads(lines[3])
+        assert stats["serving"]["continuations"] == 1
+
+    def test_more_below_one_is_an_error_line_and_the_session_survives(
+        self, capsys, monkeypatch
+    ):
+        import io
+        import json
+
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO("demo\nmore s000001 -10\nmore s000001 3\n")
+        )
+        assert main(["serve", "--domain", "weekend", "-k", "3"]) == 0
+        first, refused, more, stats = map(
+            json.loads, capsys.readouterr().out.strip().splitlines()
+        )
+        assert refused == {"error": "ValueError: additional must be >= 1, got -10"}
+        assert len(more["rows"]) == 6 and more["rows"][:3] == first["rows"]
+        assert not more["complete"]
         assert stats["serving"]["continuations"] == 1
 
     def test_query_named_like_more_is_not_misrouted(self, capsys, monkeypatch):

@@ -20,9 +20,11 @@ the engine never reads rows back as dicts (``Row.bindings``) outside
 place, it is compiled in one place (a plan-cache hit builds nothing),
 the optimizer folds its search states and builds only the plan that
 leaves, there is one join, one plan-cache disk tier and one SQLite connection
-pool, the constructors and serving commands take exactly the
-parameters recorded here, and the paper is reproduced — and a perf
-trajectory written — in one place.
+pool, the constructors, configs and serving commands take exactly the
+parameters recorded here, the paper is reproduced — and a perf
+trajectory written — in one place, every production module is
+reachable from an entry point, and the production tree's code lines
+are pinned.
 """
 
 from __future__ import annotations
@@ -176,6 +178,63 @@ def test_production_code_never_imports_the_testing_package():
             if any(m == "repro.testing" or m.startswith("repro.testing.") for m in modules):
                 offenders.append(f"{path.relative_to(REPO)}:{node.lineno}")
     assert not offenders, f"production modules importing repro.testing: {offenders}"
+
+
+def _module_name(path: pathlib.Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported_names(path: pathlib.Path) -> set[str]:
+    """Every dotted name *path* imports, function-level imports
+    included; ``from a import b`` yields ``a`` and ``a.b``."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            assert node.level == 0, f"{path}: relative import"
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_production_module_is_reachable_from_an_entry_point():
+    """What ships is what the CLI, the serving layer, the paper's
+    experiments or an example imports, transitively: a module under
+    ``src/repro/`` that only tests and benches import belongs in
+    ``testing/``.  Importing ``a.b.c`` runs the ``__init__`` of ``a.b``
+    too; the top-level ``repro/__init__.py`` is followed from nowhere —
+    it re-exports most of the library, so through it everything would
+    count as reached."""
+    unserved = {
+        # Paper §7, off-query expansion: a library entry no command
+        # serves yet (ROADMAP item 7a: wire it into ``optimize`` or
+        # move it).
+        "repro.extensions.expansion",
+    }
+    modules = {_module_name(path): path for path in SRC.rglob("*.py")}
+    pending = {"repro.__main__", "repro.serving", "repro.experiments"}
+    for example in (REPO / "examples").glob("*.py"):
+        pending |= _imported_names(example)
+    reached: set[str] = set()
+    while pending:
+        parts = pending.pop().split(".")
+        for depth in range(2, len(parts) + 1):
+            name = ".".join(parts[:depth])
+            if name in modules and name not in reached:
+                reached.add(name)
+                pending |= _imported_names(modules[name])
+    # A package's ``__init__`` is reached exactly when one of its
+    # modules is, so the modules proper are what is checked.
+    orphans = {
+        name
+        for name, path in modules.items()
+        if path.name != "__init__.py"
+        and name not in reached
+        and not name.startswith("repro.testing.")
+    }
+    assert orphans == unserved
 
 
 def test_rows_are_read_as_dicts_only_by_row():
@@ -340,6 +399,8 @@ def test_retired_seam_plumbing_stays_retired():
         "execute_join_streamed", "LayoutMemo", "_shares_layout",
         "thread_overhead", "shuffle_seed", "tenant_id", "busy_timeout_ms",
         "_hedge_pool", "_key_locks", "streamed_fallback",
+        "HedgePolicy", "_maybe_hedge", "hedged_pulls", "hedged_wins",
+        "explore_fetches", "max_topologies_per_sequence", "_fresh_id",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"
@@ -403,18 +464,23 @@ def test_growth_re_executes_only_where_it_cannot_continue():
 
 
 def test_one_join_one_plan_cache_tier_one_sqlite_pool():
-    """The reference join is defined under ``testing/`` only; the
+    """The reference join, the oracles, the workload generator and the
+    suites' fixtures are defined under ``testing/`` only; the
     streamed walk's cell loop compares no layouts and looks nothing up;
     the plan cache has no file format of its own; and only the pool in
     ``services/sqlite.py`` opens plan-cache or service connections."""
+    references = {
+        "execute_join", "merged_with", "exhaustive_optimize", "wsms_optimize",
+        "generate_workload", "is_order_rank_consistent", "ListPageSource",
+    }
     definers = {
-        path.relative_to(SRC).parts[0]
+        (node.name, path.relative_to(SRC).parts[0])
         for path in SRC.rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.FunctionDef)
-        and node.name in ("execute_join", "merged_with")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in references
     }
-    assert definers == {"testing"}
+    assert definers == {(name, "testing") for name in references}
     joins = ast.parse((SRC / "execution" / "joins.py").read_text())
     advance = next(
         node
@@ -486,6 +552,8 @@ def test_parameter_budget(capsys):
     from repro.execution.engine import ExecutionEngine
     from repro.execution.parallel import ParallelExecutor
     from repro.execution.progressive import ProgressiveExecutor
+    from repro.execution.resilience import ResilienceConfig, RetryPolicy
+    from repro.optimizer.optimizer import OptimizerConfig
     from repro.serving import PlanCache, QueryService, SessionManager, SQLiteDiskTier
 
     budget = {
@@ -511,15 +579,46 @@ def test_parameter_budget(capsys):
             "row_provenance", "adaptive", "breaker", "stats",
         ),
         SessionManager: ("capacity", "ttl", "clock", "stats"),
+        OptimizerConfig: (
+            "k", "cache_setting", "fetch_heuristic", "most_cogent_only",
+            "prune", "memoize",
+        ),
+        ResilienceConfig: ("retry", "partial_results", "sibling_fallback"),
+        RetryPolicy: (
+            "attempts", "base_delay", "multiplier", "max_delay", "jitter",
+            "seed", "deadline", "per_service",
+        ),
     }
     for cls, parameters in budget.items():
         assert tuple(inspect.signature(cls).parameters) == parameters, cls.__name__
     serving_flags = {
         "-h", "--help", "--domain", "--metric", "-k", "--plan-cache", "--retries",
-        "--hedge", "--partial-results", "--provenance", "--adaptive",
+        "--partial-results", "--provenance", "--adaptive",
     }
     for command, own in (("query", {"--repeat"}), ("serve", set())):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         flags = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
         assert flags == serving_flags | own, command
+
+
+def test_code_line_ratchet():
+    """Code-only lines (``python benchmarks/code_lines.py``) of the
+    three groups a simplification is judged on, as literals.  A
+    deletion must lower its literal (the slack is 25 lines); growth is
+    an edit someone makes on purpose — per ROADMAP, only in a PR that
+    claims a frozen-bench gain."""
+    from benchmarks.code_lines import count, ratchet_groups
+
+    ceilings = {
+        "src/repro/execution + serving": 3775,
+        "src/repro/optimizer + plans + costs": 2306,
+        "src/repro outside testing": 9866,
+    }
+    actual = {
+        name: sum(count(path)[1] for path in files)
+        for name, files in ratchet_groups().items()
+    }
+    assert actual.keys() == ceilings.keys()
+    for name, ceiling in ceilings.items():
+        assert actual[name] <= ceiling <= actual[name] + 25, (name, actual[name])

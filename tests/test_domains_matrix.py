@@ -11,7 +11,7 @@ reference interpreter (``repro.testing.reference``).
 
 import pytest
 
-from repro.baselines.exhaustive import exhaustive_optimize
+from repro.testing.exhaustive import exhaustive_optimize
 from repro.costs.sum_cost import RequestResponseMetric, SumCostMetric
 from repro.costs.time_cost import BottleneckMetric, ExecutionTimeMetric
 from repro.execution.cache import CacheSetting

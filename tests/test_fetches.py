@@ -224,11 +224,11 @@ class TestDecayCaps:
 
 class TestAssignFetches:
     def test_greedy_then_explore(self, context_o):
-        result = assign_fetches(context_o, k=10, heuristic="greedy", explore=True)
+        result = assign_fetches(context_o, k=10, heuristic="greedy")
         assert result.feasible
 
     def test_square_then_explore(self, context_o):
-        result = assign_fetches(context_o, k=10, heuristic="square", explore=True)
+        result = assign_fetches(context_o, k=10, heuristic="square")
         assert result.feasible
 
     def test_unknown_heuristic_rejected(self, context_o):

@@ -219,10 +219,8 @@ class TestOptimizerConfigToken:
         token = optimizer_config_token(base)
         for change in (
             {"fetch_heuristic": "square"},
-            {"explore_fetches": False},
             {"most_cogent_only": True},
             {"prune": False},
-            {"max_topologies_per_sequence": 3},
         ):
             drifted = dataclasses.replace(base, **change)
             assert optimizer_config_token(drifted) != token, change

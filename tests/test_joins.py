@@ -3,7 +3,6 @@
 import pytest
 
 from repro.execution.joins import (
-    is_order_rank_consistent,
     join_order,
     merge_scan_order,
     nested_loop_order,
@@ -12,7 +11,7 @@ from repro.execution.results import Row
 from repro.model.predicates import comparison
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
-from repro.testing import execute_join
+from repro.testing import execute_join, is_order_rank_consistent
 
 
 class TestVisitOrders:

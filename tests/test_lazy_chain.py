@@ -39,7 +39,6 @@ from repro.execution.cache import CacheSetting, OptimalCache
 from repro.execution.engine import ChainStream, ExecutionEngine, ExecutionMode
 from repro.execution.lazy import (
     LazyServiceCursor,
-    ListPageSource,
     MaterializedCursor,
     MultiFeedCursor,
 )
@@ -63,6 +62,7 @@ from repro.services.table import TableExactService, TableSearchService
 from repro.testing import (
     FaultSchedule,
     FlakyService,
+    ListPageSource,
     ReexecutingExecutor,
     eager_streamed_engine,
     reference_execute,

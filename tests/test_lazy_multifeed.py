@@ -34,7 +34,6 @@ from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import JoinStream
 from repro.execution.lazy import (
     LazyServiceCursor,
-    ListPageSource,
     MaterializedCursor,
     MultiFeedCursor,
 )
@@ -47,7 +46,7 @@ from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
-from repro.testing import execute_join
+from repro.testing import ListPageSource, execute_join
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 

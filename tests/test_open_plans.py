@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_plans
-from repro.baselines.exhaustive import exhaustive_optimize
+from repro.testing.exhaustive import exhaustive_optimize
 from repro.execution.cache import CacheSetting
 from repro.model.atoms import Atom
 from repro.model.parser import parse_query

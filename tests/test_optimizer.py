@@ -58,15 +58,6 @@ class TestRunningExampleOptimum:
         closure = best.poset.closure()
         assert (1, 0) in closure or (0, 1) in closure
 
-    def test_heuristics_only_mode_still_feasible(self, registry, travel_query):
-        optimizer = Optimizer(
-            registry,
-            ExecutionTimeMetric(),
-            OptimizerConfig(k=10, max_topologies_per_sequence=0),
-        )
-        best = optimizer.optimize(travel_query)
-        assert best.expected_answers >= 10
-
     def test_most_cogent_only_finds_same_plan(self, registry, travel_query):
         full = Optimizer(
             registry, ExecutionTimeMetric(), OptimizerConfig(k=10)

@@ -17,20 +17,6 @@ class TestFetchHeuristicConfig:
         ).optimize(travel_query)
         assert best.expected_answers >= 10
 
-    def test_no_fetch_exploration(self, registry, travel_query):
-        heuristic_only = Optimizer(
-            registry,
-            ExecutionTimeMetric(),
-            OptimizerConfig(k=10, explore_fetches=False),
-        ).optimize(travel_query)
-        explored = Optimizer(
-            registry,
-            ExecutionTimeMetric(),
-            OptimizerConfig(k=10, explore_fetches=True),
-        ).optimize(travel_query)
-        assert heuristic_only.expected_answers >= 10
-        assert explored.cost <= heuristic_only.cost + 1e-9
-
     def test_square_and_greedy_agree_on_optimum_cost(self, registry, travel_query):
         """With exploration on, the starting heuristic cannot change
         the final optimum."""
@@ -66,16 +52,3 @@ class TestCacheSettingConfig:
             OptimizerConfig(k=10, cache_setting=CacheSetting.NO_CACHE),
         ).optimize(travel_query)
         assert uncached.cost >= cached.cost - 1e-9
-
-
-class TestTopologyBudget:
-    def test_budget_limits_completed_plans(self, registry, travel_query):
-        budgeted = Optimizer(
-            registry,
-            ExecutionTimeMetric(),
-            OptimizerConfig(k=10, max_topologies_per_sequence=3),
-        ).optimize(travel_query)
-        # Heuristic seeds plus at most 3 enumerated topologies per
-        # pattern sequence.
-        assert budgeted.stats.plans_completed <= 3 * 3 + 2 * 3
-        assert budgeted.expected_answers >= 10

@@ -36,17 +36,9 @@ from repro.sources.travel import (
 )
 
 from repro.execution.resilience import (
-    HedgePolicy,
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.model.atoms import Atom
-from repro.model.query import ConjunctiveQuery
-from repro.model.schema import signature
-from repro.model.terms import Constant, Variable
-from repro.plans.builder import Poset
-from repro.services.profile import search_profile
-from repro.services.table import TableSearchService
 from repro.testing import FaultSchedule, FlakyService, wrap_registry_flaky
 
 from tests.test_fault_injection import PLAN_SHAPES
@@ -267,14 +259,13 @@ class TestParallelResilience:
     """The resilience seam under real threads (ISSUE 8 satellite).
 
     Worker scheduling must not leak into the resilience contracts:
-    retried fan-out matches the fault-free serial oracle, hedged
-    duplicates never touch the shared-cache accounting, and demotions
-    discovered concurrently all land in one certificate.
+    retried fan-out matches the fault-free serial oracle, and
+    demotions discovered concurrently all land in one certificate.
     """
 
     def _counters(self, stats):
         # Excludes busy/remote-side counters: backoff rides on virtual
-        # time and a hedged duplicate may warm the remote's own cache.
+        # time.
         return {
             name: (s.calls, s.fetches, s.cache_hits, s.tuples_fetched)
             for name, s in stats.per_service.items()
@@ -306,72 +297,6 @@ class TestParallelResilience:
         assert _sig(result.rows) == _sig(oracle.rows)
         assert self._counters(result.stats) == self._counters(oracle.stats)
         assert result.stats.retries == result.stats.wasted_fetches
-
-    def _caching_pair_plan(self, side=9, chunk=2, fetches=5):
-        """``_pair_plan`` over remote-caching services: a duplicated
-        pull is answered by the remote's own cache at the fast repeat
-        latency, so a hedge on a delayed page deterministically wins."""
-        from repro.services.registry import ServiceRegistry
-
-        registry = ServiceRegistry()
-        for name, var in (("lefts", "L"), ("rights", "R")):
-            registry.register(
-                TableSearchService(
-                    signature(name, ["Q", "K", var], ["ioo"]),
-                    search_profile(chunk_size=chunk, response_time=1.0),
-                    [("q", i % 3, i) for i in range(side)],
-                    score=lambda row: float(-row[2]),
-                    remote_caching=True,
-                )
-            )
-        registry.register_join_method("lefts", "rights", JoinMethod.MERGE_SCAN)
-        key, lv, rv = Variable("K"), Variable("L"), Variable("R")
-        query = ConjunctiveQuery(
-            name="hedgedpair",
-            head=(key, lv, rv),
-            atoms=(
-                Atom("lefts", (Constant("q"), key, lv)),
-                Atom("rights", (Constant("q"), key, rv)),
-            ),
-            predicates=(),
-        )
-        plan = PlanBuilder(query, registry).build(
-            (
-                registry.signature("lefts").pattern("ioo"),
-                registry.signature("rights").pattern("ioo"),
-            ),
-            Poset(n=2),
-            fetches={0: fetches, 1: fetches},
-        )
-        return registry, tuple(query.head), plan
-
-    def test_hedged_parallel_is_bit_identical_to_unhedged(self):
-        """Every page delayed past the hedge threshold: the duplicates
-        win on the remote's fast repeat latency, yet rows and the
-        shared-cache accounting never move."""
-        runs = {}
-        for hedged in (False, True):
-            registry, head, plan = self._caching_pair_plan()
-            wrap_registry_flaky(
-                registry, FaultSchedule(seed=13, delay_rate=1.0)
-            )
-            resilience = (
-                ResilienceConfig(hedge=HedgePolicy(threshold=4.0))
-                if hedged
-                else None
-            )
-            runs[hedged] = ParallelExecutor(
-                registry, workers=4, resilience=resilience
-            ).execute(plan, head=head)
-        plain, hedged = runs[False], runs[True]
-        assert _sig(hedged.rows) == _sig(plain.rows)
-        assert self._counters(hedged.stats) == self._counters(plain.stats)
-        assert hedged.stats.hedged_pulls > 0
-        assert hedged.stats.hedged_wins > 0
-        # Discarded duplicates are traced as wasted work, and winning
-        # on the fast repeat latency shortens the virtual critical path.
-        assert hedged.stats.wasted_fetches >= hedged.stats.hedged_wins
-        assert hedged.stats.elapsed < plain.stats.elapsed
 
     def test_concurrent_demotions_land_in_one_certificate(self):
         registry, head, plan = PLAN_SHAPES["pair"]()

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.execution.joins import (
     execute_join_hashed,
-    is_order_rank_consistent,
     merge_scan_order,
     nested_loop_order,
 )
@@ -14,7 +13,7 @@ from repro.model.terms import Constant
 from repro.execution.results import Row
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
-from repro.testing import execute_join
+from repro.testing import execute_join, is_order_rank_consistent
 
 _sizes = st.integers(min_value=0, max_value=8)
 

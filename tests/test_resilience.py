@@ -1,4 +1,4 @@
-"""Resilience layer: retry/backoff, hedging, honest partial results.
+"""Resilience layer: retry/backoff, honest partial results.
 
 Differential contracts pinned here (see
 :mod:`repro.execution.resilience` for the arguments):
@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 import repro.testing.faults as faults
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.resilience import (
-    HedgePolicy,
     ResilienceConfig,
     RetryPolicy,
     UnresponsiveService,
@@ -67,18 +66,17 @@ def _sig(rows):
     ]
 
 RETRY_ALWAYS = ResilienceConfig(retry=RetryPolicy(attempts=40))
-#: Retry + hedging + partial mode, tuned so nothing fires on a clean
-#: run (no faults to retry, no latency above the hedge threshold).
+#: Retry + partial mode: nothing fires on a clean run (no faults to
+#: retry).
 ALL_ON_QUIET = ResilienceConfig(
     retry=RetryPolicy(attempts=3),
-    hedge=HedgePolicy(threshold=1e9),
     partial_results=True,
 )
 
 
 def _counters(stats, with_remote=True):
-    """Per-service accounting; hedging excludes the remote-side view
-    (a hedged duplicate legitimately warms the remote's own cache)."""
+    """Per-service accounting; retried runs exclude the remote-side
+    view (backoff is charged to virtual time)."""
     return {
         name: (
             (s.calls, s.fetches, s.cache_hits, s.tuples_fetched)
@@ -210,65 +208,6 @@ class TestResilientFetch:
         assert state["calls"] == 1  # any backoff would exceed the deadline
 
 
-class TestHedging:
-    def _config(self, threshold=4.0, max_hedges=1):
-        return ResilienceConfig(
-            hedge=HedgePolicy(threshold=threshold, max_hedges=max_hedges)
-        )
-
-    def test_fast_primary_is_never_hedged(self):
-        invoke, state = _flaky_invoke(failures=0, latencies=(1.0,))
-        stats = ExecutionStats()
-        result = resilient_fetch(
-            self._config(), "svc", ("ioo", ()), 0, invoke, stats
-        )
-        assert state["calls"] == 1
-        assert result.latency == 1.0
-        assert stats.hedged_pulls == 0
-
-    def test_straggler_is_hedged_and_faster_backup_wins(self):
-        invoke, state = _flaky_invoke(failures=0, latencies=(10.0, 1.0))
-        stats = ExecutionStats()
-        result = resilient_fetch(
-            self._config(), "svc", ("ioo", ()), 0, invoke, stats
-        )
-        assert state["calls"] == 2
-        assert result.latency == 1.0
-        assert stats.hedged_pulls == 1
-        assert stats.hedged_wins == 1
-        assert stats.wasted_fetches == 1  # the losing half of the pair
-
-    def test_slower_backup_loses_and_tie_keeps_the_primary(self):
-        for backup_latency in (20.0, 10.0):
-            invoke, _ = _flaky_invoke(
-                failures=0, latencies=(10.0, backup_latency)
-            )
-            stats = ExecutionStats()
-            result = resilient_fetch(
-                self._config(), "svc", ("ioo", ()), 0, invoke, stats
-            )
-            assert result.latency == 10.0
-            assert stats.hedged_wins == 0
-            assert stats.wasted_fetches == 1
-
-    def test_failed_backup_is_wasted_but_harmless(self):
-        state = {"calls": 0}
-
-        def invoke():
-            state["calls"] += 1
-            if state["calls"] == 2:  # only the duplicate fails
-                raise TransientServiceError("hedge died")
-            return _page_result(latency=10.0)
-
-        stats = ExecutionStats()
-        result = resilient_fetch(
-            self._config(max_hedges=2), "svc", ("ioo", ()), 0, invoke, stats
-        )
-        assert result.latency == 10.0
-        assert stats.hedged_pulls == 2  # the failed one, then a retry hedge
-        assert stats.wasted_fetches == 2
-
-
 class TestPromotedFaultKit:
     def test_injected_fault_is_transient(self):
         assert issubclass(faults.InjectedFault, TransientServiceError)
@@ -346,8 +285,7 @@ class TestZeroFaultBitIdentity:
         assert _sig(resilient.rows) == _sig(plain.rows)
         assert _counters(resilient.stats) == _counters(plain.stats)
         assert resilient.stats.elapsed == plain.stats.elapsed
-        for counter in ("retries", "hedged_pulls", "wasted_fetches",
-                        "demoted_blocks"):
+        for counter in ("retries", "wasted_fetches", "demoted_blocks"):
             assert getattr(resilient.stats, counter) == 0
         # The certificate is present and witnesses completeness.
         certificate = resilient.certificate

@@ -134,7 +134,7 @@ class TestRandomWorkloads:
     @given(st.integers(1, 4), st.integers(0, 40))
     @settings(max_examples=25, deadline=None)
     def test_synthetic_chains_match_naive(self, n_services, seed):
-        from repro.sources.synthetic import generate_workload
+        from repro.testing.synthetic import generate_workload
 
         workload = generate_workload(
             n_services=n_services, seed=seed, keys_per_space=5, fanout=2
@@ -146,7 +146,7 @@ class TestRandomWorkloads:
     @given(st.integers(0, 20))
     @settings(max_examples=10, deadline=None)
     def test_enriched_workloads_match_naive(self, seed):
-        from repro.sources.synthetic import generate_workload
+        from repro.testing.synthetic import generate_workload
 
         workload = generate_workload(
             n_services=2, seed=seed, keys_per_space=4, fanout=2, enrichments=1

@@ -422,6 +422,26 @@ class TestQueryService:
         assert more.rows[: len(first.rows)] == first.rows
         assert service.stats.continuations == 1
 
+    @pytest.mark.parametrize("additional", [-10, 0])
+    def test_more_below_one_is_refused_before_any_counter_moves(
+        self, additional
+    ):
+        """``TopKStream.top`` reads a negative k as "drain everything":
+        a ``more -10`` after k=3 would answer the whole plan."""
+        service = QueryService(registry=weekend_registry(), k_default=3)
+        twin = QueryService(registry=weekend_registry(), k_default=3)
+        first = service.submit(mahler_weekend_query())
+        twin.submit(mahler_weekend_query())
+        before = service.snapshot()
+        with pytest.raises(ValueError, match="additional must be >= 1"):
+            service.ask_for_more(first.session_id, additional)
+        # No request counted, no page fetched, the session still there.
+        assert service.snapshot() == before
+        more = service.ask_for_more(first.session_id, 3)
+        assert len(more.rows) == 6 and more.rows[:3] == first.rows
+        assert more.to_dict() == twin.ask_for_more(first.session_id, 3).to_dict()
+        assert service.snapshot() == twin.snapshot()
+
     def test_released_session_cannot_resume(self):
         service = QueryService(registry=weekend_registry(), k_default=2)
         response = service.submit(mahler_weekend_query())
@@ -589,6 +609,40 @@ class TestQueryService:
         warm_answer = restarted.submit(query)
         assert warm_answer.provenance == "disk"
         assert _answer_signature(warm_answer) == _answer_signature(cold_answer)
+
+    def test_a_response_names_nodes_by_plan_position(self, tmp_path):
+        """``ranks`` carries node names, and a name is the node's
+        position in its plan: the same query answers the same bytes in
+        a fresh process, after 500 unrelated optimizations, and from a
+        plan restored off the SQLite tier."""
+        from repro.costs.time_cost import ExecutionTimeMetric
+        from repro.optimizer.optimizer import Optimizer
+
+        def answer(service):
+            rendered = service.submit(
+                market_moving_news_query("earnings", "tech"), k=4
+            ).to_dict()
+            provenance = rendered.pop("provenance")
+            rendered["stats"].pop("annotate_calls")  # the search's own work
+            return provenance, json.dumps(rendered, sort_keys=True)
+
+        path = tmp_path / "plans.sqlite"
+        fresh = answer(
+            QueryService(registry=news_registry(), plan_cache=PlanCache(path=path))
+        )
+        noise = Optimizer(weekend_registry(), ExecutionTimeMetric())
+        for _ in range(500):
+            noise.clear_memo()
+            noise.optimize(mahler_weekend_query())
+        later = answer(QueryService(registry=news_registry()))
+        restarted = answer(
+            QueryService(registry=news_registry(), plan_cache=PlanCache(path=path))
+        )
+        assert (fresh[0], later[0], restarted[0]) == (
+            "optimized", "optimized", "disk"
+        )
+        assert fresh[1] == later[1] == restarted[1]
+        assert '"ranks": [[["s' in fresh[1]
 
     def test_parses_datalog_text(self):
         service = QueryService(registry=weekend_registry(), k_default=2)

@@ -407,14 +407,14 @@ class TestSessionManagerLocking:
 
 
 class TestResilientServingConcurrency:
-    """Hedged/retried serving under threads (ISSUE 8 satellite).
+    """Retried serving under threads (ISSUE 8 satellite).
 
-    Hedged duplicates and retried attempts run *below* the shared
-    ``ThreadSafeCache``, so threaded resilient submits must stay
-    request-by-request bit-identical to a sequential replay without
-    the resilience layer — and the shared cache must end up with
-    exactly the entries the sequential run stores (a duplicate that
-    double-stored or double-counted would show up here).
+    Retried attempts run *below* the shared ``ThreadSafeCache``, so
+    threaded resilient submits must stay request-by-request
+    bit-identical to a sequential replay without the resilience layer
+    — and the shared cache must end up with exactly the entries the
+    sequential run stores (a retry that double-stored or
+    double-counted would show up here).
     """
 
     WORKERS = 6
@@ -445,44 +445,6 @@ class TestResilientServingConcurrency:
 
         _run_workers(self.WORKERS, work)
         return got, [r for row in responses for r in row]
-
-    def test_threaded_hedged_submits_match_unhedged_replay(self):
-        from repro.execution.resilience import HedgePolicy, ResilienceConfig
-        from repro.testing import FaultSchedule, wrap_registry_flaky
-
-        # One deterministic faulted world (delay only: latency moves,
-        # tuples never do), served twice.
-        def flaky_news():
-            registry = news_registry()
-            wrap_registry_flaky(
-                registry, FaultSchedule(seed=80, delay_rate=1.0)
-            )
-            return registry
-
-        streams = self._streams(20260808)
-        sequential = _service(flaky_news)
-        expected = [
-            [_answer_signature(sequential.submit(query, k=k))
-             for query, k in stream]
-            for stream in streams
-        ]
-        hedged = _service(
-            flaky_news,
-            resilience=ResilienceConfig(hedge=HedgePolicy(threshold=5.0)),
-        )
-        got, responses = self._replay_threaded(hedged, streams)
-        assert got == expected
-        # Hedging fired, losers were traced as wasted work only.
-        assert sum(r.stats["hedged_pulls"] for r in responses) > 0
-        for response in responses:
-            assert response.stats["wasted_fetches"] >= (
-                response.stats["hedged_wins"]
-            )
-        # The shared cache holds exactly the sequential run's pages:
-        # no hedged duplicate ever stored an extra entry.
-        assert (hedged.snapshot()["service_cache"]["entries"]
-                == sequential.snapshot()["service_cache"]["entries"])
-        assert hedged.stats.optimizer_runs == sequential.stats.optimizer_runs
 
     def test_threaded_retried_submits_match_fault_free_replay(self):
         from repro.execution.resilience import ResilienceConfig, RetryPolicy

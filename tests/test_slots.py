@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.execution.engine import ExecutionEngine, ExecutionError, ExecutionMode
 from repro.execution.joins import JoinStream, execute_join_hashed
-from repro.execution.lazy import LazyServiceCursor, ListPageSource
+from repro.execution.lazy import LazyServiceCursor
 from repro.execution.results import Row, SlotLayout, compose_ranking
 from repro.execution.slots import (
     SlotJoinPlan,
@@ -41,6 +41,7 @@ from repro.plans.builder import PlanBuilder, chain_poset
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
+from repro.testing.fixtures import ListPageSource
 from repro.testing.reference import execute_join, merged_with, reference_execute
 
 from tests.test_property_streaming import (

@@ -8,7 +8,7 @@ from repro.execution.cache import CacheSetting
 from repro.execution.engine import execute_plan
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.patterns import permissible_sequences
-from repro.sources.synthetic import generate_workload, workload_family
+from repro.testing.synthetic import generate_workload, workload_family
 
 
 class TestGeneration:
