@@ -16,6 +16,13 @@ of the plane is a candidate combination, and the composed rank of cell
 ``(i, j)`` is ``i + j``.  The acceptance assertion is the whole point
 of the subsystem: cells visited must scale with k, not with ``n × m``
 — while the emitted rows stay bit-identical to the oracle.
+
+A **key-selectivity sweep** rides in the same history entry: the same
+plane with one row in 1, 5 and 50 sharing a key (``key = position mod
+s``).  A stage pays for the cells its key index holds, so *merges
+attempted* falls with the selectivity while ``cells_visited`` — the
+cells of the stages the certificate needed — rises (matches are rarer,
+so the k-th one lies deeper).
 """
 
 from __future__ import annotations
@@ -41,16 +48,18 @@ pytestmark = pytest.mark.bench
 
 SIDE = bench_scale(400, 120)
 KS = (1, 10, 100)
+#: One row in this many shares a key with a given row of the other side.
+SELECTIVITIES = (1, 5, 50)
 
 
-def _inputs() -> tuple[list[Row], list[Row]]:
+def _inputs(one_in: int = 1) -> tuple[list[Row], list[Row]]:
     key, left_var, right_var = Variable("K"), Variable("L"), Variable("R")
     left = [
-        Row(bindings={key: 0, left_var: i}, ranks=(("l", i),))
+        Row(bindings={key: i % one_in, left_var: i}, ranks=(("l", i),))
         for i in range(SIDE)
     ]
     right = [
-        Row(bindings={key: 0, right_var: j}, ranks=(("r", j),))
+        Row(bindings={key: j % one_in, right_var: j}, ranks=(("r", j),))
         for j in range(SIDE)
     ]
     return left, right
@@ -93,6 +102,7 @@ def _streamed(method, left, right, k) -> dict:
     return {
         "rows": rows,
         "cells_visited": stream.cells_visited,
+        "merges_attempted": stream.merges_attempted,
         "cells_skipped": stream.cells_skipped,
         "elapsed_s": round(elapsed, 6),
         "cells_per_s": round(stream.cells_visited / elapsed, 1),
@@ -142,6 +152,25 @@ class TestStreamingTrajectory:
                 assert visited_by_k[0] <= KS[0] * (KS[0] + 1)
             per_method[method.value] = by_k
 
+        sweep: dict[str, dict] = {}
+        for one_in in SELECTIVITIES:
+            left, right = _inputs(one_in)
+            by_k = {}
+            for k in KS:
+                streamed = _streamed(JoinMethod.MERGE_SCAN, left, right, k)
+                full = _full_scan(JoinMethod.MERGE_SCAN, left, right, k)
+                assert [(r.bindings, r.ranks) for r in streamed["rows"]] == [
+                    (r.bindings, r.ranks) for r in full["rows"]
+                ]
+                # A stage merges its matching cells, about one in
+                # ``one_in`` of those it visits — not all of them.
+                assert (
+                    streamed["merges_attempted"]
+                    <= streamed["cells_visited"] // one_in + k
+                )
+                by_k[f"k={k}"] = _strip(streamed)
+            sweep[f"1-in-{one_in}"] = by_k
+
         payload = {
             "bench": "streaming",
             "quick": QUICK,
@@ -154,6 +183,10 @@ class TestStreamingTrajectory:
             },
             "plane_cells": plane,
             "per_method": per_method,
+            "key_selectivity": {
+                "plane": "the same plane, key = position mod s; merge-scan",
+                "streamed": sweep,
+            },
         }
         append_history(
             out_dir / bench_out_name("BENCH_streaming.json"),

@@ -655,8 +655,8 @@ class ChainStream(TopKStream):
         self.cells_visited += stop - start
         self._stage = stop
 
-    def _remaining_lower_bound(self) -> float:
-        return self._cursor.suffix_min(self._stage)
+    def _refuted(self, threshold: int) -> bool:
+        return self._cursor.suffix_min(self._stage) < threshold
 
     def _row(self, candidate: tuple) -> Row:
         return candidate[2]

@@ -21,11 +21,13 @@ suite.
 
 There is one join: a :class:`~repro.execution.slots.CompiledJoin`
 (merge plan + predicates, compiled against the one layout of each side)
-run in one of the two visit orders.  :func:`join_rows` materializes it
-— it partitions the plane by the shared-variable key first (only
-same-key cells can join) and visits the surviving cells in the global
-rank order, so the engine pays per *matching* pair instead of per cell
-— and :class:`JoinStream` walks it lazily.  The engine hands both the
+run in one of the two visit orders.  Only cells whose two rows agree on
+the shared-variable key can join, and both forms find them through one
+:class:`KeyIndex`, so the engine pays per *matching* pair instead of
+per cell: :func:`join_rows` materializes the join — it indexes both
+sides and visits the matching cells in the global rank order — and
+:class:`JoinStream` walks it lazily, indexing a row when a stage first
+can touch it.  The engine hands both the
 join its program compiled; :func:`execute_join_hashed` and
 ``JoinStream(method, left, right, ...)`` are the same two for
 hand-built rows, compiling the join from the sides' layouts and
@@ -45,12 +47,17 @@ reference scan.
 from __future__ import annotations
 
 import heapq
-import math
+from collections import defaultdict
 from typing import Iterable, Iterator, Sequence
 
 from repro.execution.lazy import MaterializedCursor, RowCursor
 from repro.execution.results import Row, SlotLayout
-from repro.execution.slots import CompiledJoin, ExecutionError, compile_join
+from repro.execution.slots import (
+    CompiledJoin,
+    ExecutionError,
+    SlotJoinPlan,
+    compile_join,
+)
 from repro.execution.stats import ExecutionStats
 from repro.model.predicates import Comparison
 from repro.services.registry import JoinMethod
@@ -149,6 +156,66 @@ def execute_join_hashed(
     return join_rows(join, left, right)
 
 
+class KeyIndex:
+    """The rows of a join's two sides, by the values of the slots their
+    layouts share (side 0 is the left one).
+
+    Two rows can merge only when their keys are equal, so a join that
+    indexes its rows here pays per *matching* pair instead of per cell
+    of the plane: :meth:`add` files each new row under its key and
+    hands back the rows of the other side already filed under the same
+    one.  Every matching pair is thereby reported exactly once — when
+    the later of its two rows is added.  Row *indexes* are kept, never
+    rows.  This is the one place a join's key buckets are built:
+    :func:`join_rows` adds a whole side per call, :class:`JoinStream`
+    a row per stage.
+    """
+
+    __slots__ = ("_sides", "_added")
+
+    def __init__(self, plan: SlotJoinPlan) -> None:
+        lefts, rights = {}, {}
+        #: Per side: its key reader, its buckets — key → the ascending
+        #: indexes of the rows added so far, the bare index while there
+        #: is one (a key is often unique, and a suspended stream holds
+        #: its buckets: a list per row is what the collector would
+        #: walk) — and the other side's.
+        self._sides = (
+            (plan.left_key, lefts, rights), (plan.right_key, rights, lefts)
+        )
+        self._added = [0, 0]
+
+    def add(
+        self, side: int, rows: Sequence[Row], stop: int
+    ) -> Sequence[tuple[int, Sequence[int]]]:
+        """Add the rows of *side* not added yet, up to index *stop*
+        (exclusive; at most ``len(rows)``), and return ``(index, the
+        other side's indexes under the same key)`` for each that has
+        any.  Raises ``TypeError`` on an unhashable key value."""
+        start = self._added[side]
+        if stop > len(rows):
+            stop = len(rows)
+        if start >= stop:
+            return ()
+        self._added[side] = stop
+        key_of, own, other = self._sides[side]
+        matches = []
+        for index in range(start, stop):
+            key = key_of(rows[index].values)
+            bucket = own.setdefault(key, index)
+            if bucket is not index:  # not the first row under this key
+                if type(bucket) is list:
+                    bucket.append(index)
+                else:
+                    own[key] = [bucket, index]
+            partners = other.get(key)
+            if partners is not None:
+                if type(partners) is not list:
+                    partners = (partners,)
+                matches.append((index, partners))
+        return matches
+
+
 def join_rows(
     join: CompiledJoin, left: Sequence[Row], right: Sequence[Row]
 ) -> list[Row]:
@@ -174,18 +241,11 @@ def join_rows(
     """
     method, plan, compiled, _ = join
     try:
-        right_buckets: dict[tuple, list[int]] = {}
-        for j, row in enumerate(right):
-            values = row.values
-            key = tuple(values[slot] for _, slot in plan.shared)
-            right_buckets.setdefault(key, []).append(j)
-        cells: list[tuple[int, int]] = []
-        for i, row in enumerate(left):
-            values = row.values
-            key = tuple(values[slot] for slot, _ in plan.shared)
-            matches = right_buckets.get(key)
-            if matches:
-                cells.extend((i, j) for j in matches)
+        index = KeyIndex(plan)
+        index.add(1, right, len(right))
+        cells = [
+            (i, j) for i, matches in index.add(0, left, len(left)) for j in matches
+        ]
     except TypeError:  # unhashable binding value: cannot bucket
         cells = list(join_order(method, len(left), len(right)))
     else:
@@ -229,7 +289,7 @@ class TopKStream:
 
     Subclasses say what a stage is (:meth:`_advance_stage`), bound the
     unvisited rest through their input cursors' ``suffix_min``
-    (:meth:`_remaining_lower_bound`), tell when nothing is left
+    (:meth:`_refuted`), tell when nothing is left
     (:attr:`exhausted`) and build an emitted candidate's row
     (:meth:`_row`): :class:`JoinStream` walks the candidate plane of a
     join, :class:`~repro.execution.engine.ChainStream` the rows of a
@@ -260,8 +320,10 @@ class TopKStream:
         """Visit the next stage, appending its candidates."""
         raise NotImplementedError
 
-    def _remaining_lower_bound(self) -> float:
-        """Lower bound on the composed rank of everything unvisited."""
+    def _refuted(self, threshold: int) -> bool:
+        """True when something unvisited may still rank below
+        *threshold*: some lower bound on a part of the unvisited rest
+        is smaller.  Asked while something is left to visit."""
         raise NotImplementedError
 
     def _row(self, candidate: tuple) -> Row:
@@ -363,9 +425,7 @@ class TopKStream:
             for candidate in heapq.nsmallest(k, candidates)
         ]
         heapq.heapify(worst_first)
-        # (certified first: while candidates are lacking it answers at
-        # once, and when it fires nobody needs to know what is left)
-        while not self._certified(worst_first, k) and not self.exhausted:
+        while not self.exhausted and not self._certified(worst_first, k):
             seen = len(candidates)
             self._advance_stage()
             for candidate in candidates[seen:]:
@@ -387,8 +447,7 @@ class TopKStream:
             return True
         if len(worst_first) < k:
             return False
-        threshold = -worst_first[0][0]
-        return self._remaining_lower_bound() >= threshold
+        return not self._refuted(-worst_first[0][0])
 
 
 class JoinStream(TopKStream):
@@ -397,7 +456,10 @@ class JoinStream(TopKStream):
     The stream walks the strategy's candidate plane lazily, one *stage*
     at a time — a row of the NL plane, a diagonal of the MS plane — in
     exactly the order :func:`join_order` would visit the cells, keeping
-    every surviving merged row as a candidate.  After each stage the
+    every surviving merged row as a candidate.  A stage costs its
+    *matching* cells: rows are indexed by key as the stages reach them
+    (:meth:`_matching_cells`), and a cell whose rows differ in their
+    key is counted, not merged.  After each stage the
     :class:`TopKStream` loop compares the composed rank of the current
     k-th best candidate with the **certificate**: a lower bound on the
     composed rank of every cell not yet visited, derived from suffix
@@ -478,7 +540,19 @@ class JoinStream(TopKStream):
         #: (:meth:`_row`): a suspended stream keeps every candidate for
         #: its session's lifetime but emits k.
         self._begin()
-        self._join_rows_emitted = 0
+        #: Rows past the join predicates (before any residual filter),
+        #: and cells a stage handed to ``merge`` (``cells_visited``
+        #: counts every cell of the stages passed, mergeable or not).
+        self.join_rows_emitted = 0
+        self.merges_attempted = 0
+        #: The rows a stage could touch so far, by key (``None`` once a
+        #: key turned out unhashable: every later stage scans its
+        #: cells), and — merge-scan — the matching cells found for
+        #: diagonals not visited yet, as diagonal → left indexes.
+        self._index = KeyIndex(join.merge) if join else None
+        self._filed: defaultdict[int, list[int]] = defaultdict(list)
+        #: The left row whose term refuted the last certificate check.
+        self._refuter = 0
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -512,15 +586,10 @@ class JoinStream(TopKStream):
             self._method, len(left.rows), len(right.rows)
         )
 
-    @property
-    def join_rows_emitted(self) -> int:
-        """Rows past the join predicates (before any residual filter)."""
-        return self._join_rows_emitted
-
     # -- the walk ------------------------------------------------------------
 
     def _advance_stage(self) -> None:
-        """Visit every cell of the next stage, collecting candidates.
+        """Visit the next stage, collecting candidates.
 
         Demands exactly the rows the stage can touch: one more outer
         row for NL (plus the whole inner side, which every NL stage
@@ -529,7 +598,9 @@ class JoinStream(TopKStream):
         an unexhausted cursor holds at least ``stage + 1`` rows, so the
         boundary formulas of :func:`stage_cells` apply unchanged (a
         stage past the last one — the demand found a side exhausted —
-        has no cells).
+        has no cells).  Of those cells only the ones whose rows share
+        their key (:meth:`_matching_cells`) are merged; the others are
+        counted as visited and cost nothing.
         """
         stage = self._stage
         method = self._method
@@ -544,26 +615,84 @@ class JoinStream(TopKStream):
         if stage < stage_count(method, n, m):
             if self._laid_out != (n, m):
                 self._admit(left_rows, right_rows)
-            _, plan, predicates, residual = self._join
-            merge = plan.merge
-            left_ranks, right_ranks = left.ranks, right.ranks
-            candidates = self._candidates
-            for i, j in stage_cells(method, n, m, stage):
-                self.cells_visited += 1
-                left_row, right_row = left_rows[i], right_rows[j]
-                merged = merge(left_row.values, right_row.values)
-                if merged is None:
-                    continue
-                if predicates and not all(holds(merged) for holds in predicates):
-                    continue
-                self._join_rows_emitted += 1
-                if residual and not all(holds(merged) for holds in residual):
-                    continue
-                candidates.append(
-                    (left_ranks[i] + right_ranks[j], len(candidates),
-                     left_row, right_row)
-                )
+            self.cells_visited += (
+                m if method is JoinMethod.NESTED_LOOP
+                else min(stage, n - 1) - max(0, stage - m + 1) + 1
+            )
+            cells = self._matching_cells(stage, left_rows, right_rows)
+            if cells:
+                self.merges_attempted += len(cells)
+                _, plan, predicates, residual = self._join
+                merge = plan.merge
+                left_ranks, right_ranks = left.ranks, right.ranks
+                candidates = self._candidates
+                for i, j in cells:
+                    left_row, right_row = left_rows[i], right_rows[j]
+                    merged = merge(left_row.values, right_row.values)
+                    if merged is None:
+                        continue
+                    if predicates and not all(
+                        holds(merged) for holds in predicates
+                    ):
+                        continue
+                    self.join_rows_emitted += 1
+                    if residual and not all(holds(merged) for holds in residual):
+                        continue
+                    candidates.append(
+                        (left_ranks[i] + right_ranks[j], len(candidates),
+                         left_row, right_row)
+                    )
         self._stage += 1
+
+    def _matching_cells(
+        self, stage: int, left_rows: list[Row], right_rows: list[Row]
+    ) -> Sequence[tuple[int, int]]:
+        """The cells of *stage* whose two rows share their key, in the
+        emission order of :func:`stage_cells`.
+
+        Rows enter the key index when a stage first can touch them —
+        an MS diagonal ``s`` indexes row ``s`` of each side, the first
+        NL stage the whole inner side — and a matching pair is found
+        exactly once, when the later of its two rows is indexed.  An MS
+        pair ``(i, j)`` is then filed under its diagonal ``i + j``,
+        which is never one already passed (the later row's index is at
+        least the current stage), and a diagonal's cells leave the index
+        when it is visited.  A cell absent from the index has two
+        different keys, so ``merge`` would have refused it: skipping it
+        changes no candidate, arrival index or counter.
+
+        An unhashable key value ends the indexing for good: this stage
+        and every later one scan all their cells, as the stream did
+        before it had an index.
+        """
+        index = self._index
+        if index is not None:
+            try:
+                if self._method is JoinMethod.NESTED_LOOP:
+                    index.add(1, right_rows, len(right_rows))
+                    return [
+                        (i, j)
+                        for i, matches in index.add(0, left_rows, stage + 1)
+                        for j in matches
+                    ]
+                filed = self._filed
+                for i, matches in index.add(0, left_rows, stage + 1):
+                    for j in matches:
+                        filed[i + j].append(i)
+                for j, matches in index.add(1, right_rows, stage + 1):
+                    for i in matches:
+                        filed[i + j].append(i)
+                found = filed.pop(stage, None)
+                if not found:
+                    return ()
+                found.sort()
+                return [(i, stage - i) for i in found]
+            except TypeError:  # unhashable key value: cannot bucket
+                self._index = None
+                self._filed.clear()
+        return list(
+            stage_cells(self._method, len(left_rows), len(right_rows), stage)
+        )
 
     def _admit(self, left_rows: list[Row], right_rows: list[Row]) -> None:
         """Check the rows pulled since the last stage against the
@@ -576,6 +705,7 @@ class JoinStream(TopKStream):
                 self._method, left_rows[0].layout, right_rows[0].layout,
                 *self._predicates,
             )
+            self._index = KeyIndex(join.merge)
         checked_left, checked_right = self._laid_out
         _require_layout(left_rows[checked_left:], join.merge.left, "left")
         _require_layout(right_rows[checked_right:], join.merge.right, "right")
@@ -592,36 +722,53 @@ class JoinStream(TopKStream):
             provenance=left_row.provenance + right_row.provenance,
         )
 
-    def _remaining_lower_bound(self) -> float:
-        """Lower bound on the composed rank of every unvisited cell.
+    def _refuted(self, threshold: int) -> bool:
+        """True when an unvisited cell may still rank below *threshold*.
 
-        NL (row stages): all cells of rows ``>= stage`` are unvisited,
-        so the bound is ``min(left ranks from stage) + min(right
+        The unvisited cells are covered by lower bounds, one **term**
+        per part.  NL (row stages): all cells of rows ``>= stage`` are
+        unvisited, one term ``min(left ranks from stage) + min(right
         ranks)``.  MS (diagonal stages): the unvisited region is
         ``i + j >= stage``; rows ``i >= stage`` may pair with any
-        column (one suffix lookup), rows ``i < stage`` only with
-        columns ``j >= stage - i`` (one suffix lookup each).  Cursor
-        ``suffix_min`` bounds never-fetched rows through their rank
-        floor, so the bound stays sound for partially fetched lazy
-        inputs: every fetched index below ``stage`` is covered by the
-        per-row loop (the previous stage's demand guarantees the
-        fetched prefix reaches ``min(stage, n)``), and everything
-        beyond the fetched prefix is covered by a floor term.
+        column (one term), rows ``i < stage`` only with columns
+        ``j >= stage - i`` (one term each).  Cursor ``suffix_min``
+        bounds never-fetched rows through their rank floor, so the
+        terms stay sound for partially fetched lazy inputs: every
+        fetched index below ``stage`` has its own term (the previous
+        stage's demand guarantees the fetched prefix reaches
+        ``min(stage, n)``), and everything beyond the fetched prefix is
+        covered by a floor term.
+
+        The walk goes on while *any* term is below the threshold — the
+        same predicate as "the smallest term is" — so the check stops at
+        the first such term and tries first the row that refuted the
+        last check: a row's term only rises as the stages pass, and it
+        usually refutes until the walk is nearly done.  Reading a bound
+        pulls nothing (a cursor whose ranks regressed has drained by the
+        time it is asked), so the order the terms are read in is free.
         """
-        if self.exhausted:
-            return math.inf
         left, right = self._left, self._right
         stage = self._stage
         if self._method is JoinMethod.NESTED_LOOP:
-            return left.suffix_min(stage) + right.suffix_min(0)
+            return left.suffix_min(stage) + right.suffix_min(0) < threshold
         n_known, m_known = len(left.rows), len(right.rows)
-        best = math.inf
-        if not left.exhausted or stage < n_known:
-            best = left.suffix_min(stage) + right.suffix_min(0)
         start = max(0, stage - m_known + 1) if right.exhausted else 0
+        stop = min(stage, n_known)
         left_ranks = left.ranks
-        for i in range(start, min(stage, n_known)):
-            bound = left_ranks[i] + right.suffix_min(stage - i)
-            if bound < best:
-                best = bound
-        return best
+        suffix_min = right.suffix_min
+        last = self._refuter
+        if (
+            start <= last < stop
+            and left_ranks[last] + suffix_min(stage - last) < threshold
+        ):
+            return True
+        if (
+            (not left.exhausted or stage < n_known)
+            and left.suffix_min(stage) + suffix_min(0) < threshold
+        ):
+            return True
+        for i in range(start, stop):
+            if left_ranks[i] + suffix_min(stage - i) < threshold:
+                self._refuter = i
+                return True
+        return False

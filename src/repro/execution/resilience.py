@@ -36,10 +36,10 @@ switchable layers wired into the one page-pull seam
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
+from repro.digest import sha256
 from repro.execution.slots import InputSpec, unit_input_key
 from repro.services.base import InvocationResult, TransientServiceError
 
@@ -124,7 +124,7 @@ class RetryPolicy:
         if not self.jitter:
             return delay
         key = repr((self.seed, service, input_key, attempt))
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
+        digest = sha256(key.encode("utf-8")).digest()
         draw = int.from_bytes(digest[:8], "big") / 2.0**64
         return delay * (1.0 - self.jitter + 2.0 * self.jitter * draw)
 

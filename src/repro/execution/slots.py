@@ -38,6 +38,7 @@ another representation: compilation cannot fail.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from repro.execution.results import ProvenanceRecord, Row, SlotLayout
@@ -83,9 +84,18 @@ class SlotJoinPlan:
     successful merge.  ``merged`` is the output layout: the left
     variables followed by the right-only variables in right order —
     the same variable order the reference dict merge produces.
+
+    ``left_key`` / ``right_key`` read a side's shared-slot values off a
+    value tuple as one hashable key (the joins bucket rows by it): two
+    rows whose keys differ cannot merge, two whose keys are equal still
+    go through :meth:`merge` — a dict compares by identity first, so a
+    ``nan`` key equals itself there and nowhere else.
     """
 
-    __slots__ = ("left", "right", "shared", "right_extra", "merged")
+    __slots__ = (
+        "left", "right", "shared", "right_extra", "merged",
+        "left_key", "right_key", "_right_rest",
+    )
 
     def __init__(self, left: SlotLayout, right: SlotLayout) -> None:
         self.left = left
@@ -100,6 +110,11 @@ class SlotJoinPlan:
                 shared.append((i, j))
         self.shared = tuple(shared)
         self.right_extra = tuple(extra)
+        # (a getter over one slot yields the bare value, not a 1-tuple:
+        # ``merge`` appends a single right-only slot itself)
+        self._right_rest = itemgetter(*extra) if len(extra) > 1 else None
+        self.left_key = _key_reader([i for i, _ in shared])
+        self.right_key = _key_reader([j for _, j in shared])
         self.merged = (
             SlotLayout(left.variables + tuple(right.variables[j] for j in extra))
             if extra
@@ -111,9 +126,18 @@ class SlotJoinPlan:
         for i, j in self.shared:
             if left_values[i] != right_values[j]:
                 return None
-        if not self.right_extra:
+        extra = self.right_extra
+        if not extra:
             return left_values
-        return left_values + tuple(right_values[j] for j in self.right_extra)
+        if len(extra) == 1:
+            return left_values + (right_values[extra[0]],)
+        return left_values + self._right_rest(right_values)
+
+
+def _key_reader(slots: Sequence[int]) -> Callable[[tuple], object]:
+    """The values at *slots* of a value tuple (the bare value of a
+    single slot; ``()`` for none, so every row shares one key)."""
+    return itemgetter(*slots) if slots else lambda values: ()
 
 
 class CompiledJoin(NamedTuple):

@@ -466,8 +466,11 @@ def test_growth_re_executes_only_where_it_cannot_continue():
 def test_one_join_one_plan_cache_tier_one_sqlite_pool():
     """The reference join, the oracles, the workload generator and the
     suites' fixtures are defined under ``testing/`` only; the
-    streamed walk's cell loop compares no layouts and looks nothing up;
-    the plan cache has no file format of its own; and only the pool in
+    streamed walk's cell loop iterates the *matching* cells of a stage,
+    compares no layouts and looks nothing up — a key is read and
+    looked up once per indexed row, in the one class that builds key
+    buckets, which the materializing join and the stream share; the
+    plan cache has no file format of its own; and only the pool in
     ``services/sqlite.py`` opens plan-cache or service connections."""
     references = {
         "execute_join", "merged_with", "exhaustive_optimize", "wsms_optimize",
@@ -491,11 +494,31 @@ def test_one_join_one_plan_cache_tier_one_sqlite_pool():
     )
     loops = [node for node in ast.walk(advance) if isinstance(node, ast.For)]
     assert len(loops) == 1
+    assert ast.unparse(loops[0].iter) == "cells"
+    assert "cells = self._matching_cells(" in ast.unparse(advance)
     for node in ast.walk(loops[0]):
         assert not (isinstance(node, ast.Attribute) and node.attr == "layout")
         assert not (
             isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
         ), "dict lookup in the cell loop"
+        assert not (
+            isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "get"
+        ), "dict lookup in the cell loop"
+    # Who reads a join's key (the readers ``SlotJoinPlan`` compiles, or
+    # its shared slot pairs) builds key buckets: one class, used by both.
+    key_readers = {
+        (path.name, scopes)
+        for path in (SRC / "execution").glob("*.py")
+        for node, scopes in _enclosing_scopes(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("left_key", "right_key", "shared")
+        and scopes[:1] != ("SlotJoinPlan",)
+    }
+    assert key_readers == {("joins.py", ("KeyIndex", "__init__"))}
+    users = {scopes for name, scopes in _calls(joins) if name == "KeyIndex"}
+    assert users == {
+        ("join_rows",), ("JoinStream", "_start"), ("JoinStream", "_admit"),
+    }
     plan_cache = ast.parse((SRC / "serving" / "plan_cache.py").read_text())
     imported = {
         name.split(".")[0]
@@ -611,9 +634,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3775,
+        "src/repro/execution + serving": 3866,
         "src/repro/optimizer + plans + costs": 2306,
-        "src/repro outside testing": 9866,
+        "src/repro outside testing": 9963,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

@@ -9,6 +9,11 @@ full-scan oracle:
   join, which PR 1 proved identical to the full scan), for random
   inputs, random *non-monotone* rank annotations, both strategies and
   arbitrary k — including k = 0 and k beyond the plane;
+* the walk's key index (a stage merges only the cells whose rows
+  share their key) against the same oracle and against the walk that
+  merges every cell, on what an index can get wrong: sparse and
+  duplicate keys, ``1`` / ``1.0``, ``nan``, an unhashable key met
+  mid-walk, resumes, and lazy inputs that deliver whole pages;
 * at the engine level, ``ExecutionMode.STREAMED`` against
   ``ExecutionMode.PARALLEL`` on plans built over random service
   tables, for both join methods — including the demand-driven lazy
@@ -27,6 +32,13 @@ from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import (
     JoinStream,
     execute_join_hashed,
+    stage_cells,
+    stage_count,
+)
+from repro.execution.lazy import (
+    LazyServiceCursor,
+    MaterializedCursor,
+    MultiFeedCursor,
 )
 from repro.execution.results import Row, compose_ranking
 from repro.model.atoms import Atom
@@ -38,7 +50,7 @@ from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
-from repro.testing import execute_join
+from repro.testing import ListPageSource, execute_join
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
@@ -165,6 +177,206 @@ class TestTieBreaking:
                 streamed = JoinStream(method, left, right).top(k)
                 assert _signature(heap_path) == _signature(sort_path[:k])
                 assert _signature(streamed) == _signature(sort_path[:k])
+
+
+# -- the key index ------------------------------------------------------------
+
+
+class _ScanningStream(JoinStream):
+    """The walk without its index: every cell of a stage is merged."""
+
+    def _matching_cells(self, stage, left_rows, right_rows):
+        return list(
+            stage_cells(self.method, len(left_rows), len(right_rows), stage)
+        )
+
+
+_NAN = float("nan")
+#: Sparse keys (0-3 matches per row), duplicates, numerically equal
+#: keys of two types, a key that never equals itself, and unhashable
+#: ones (equal lists do join).
+_any_key = st.one_of(
+    st.integers(0, 12),
+    st.integers(0, 2),
+    st.sampled_from([1, 1.0, True]),
+    st.just(_NAN),
+    st.sampled_from([[1], [1], [2]]),
+)
+_hashable_key = st.one_of(
+    st.integers(0, 12), st.sampled_from([1, 1.0, True]), st.just(_NAN)
+)
+_side_ranks = st.lists(st.integers(0, 9), min_size=8, max_size=8)
+_ks = st.lists(st.integers(0, 30), min_size=1, max_size=3).map(sorted)
+
+
+def _stages_cells(method, n, m, stages):
+    return sum(
+        len(list(stage_cells(method, n, m, stage)))
+        for stage in range(min(stages, stage_count(method, n, m)))
+    )
+
+
+def _block_cursor(blocks, side_name, chunk):
+    """A multi-feed cursor over *blocks* — each ``(base rank, keys)``,
+    a row per key with service rank = position — served in pages of
+    *chunk* rows (the budget of 6 pages covers any block), so a demand
+    for one row usually delivers several; with the eager concatenation
+    and the page sources."""
+    variable = Variable(side_name)
+    eager, cursors, sources = [], [], []
+    for number, (base, keys) in enumerate(blocks):
+        rows = [
+            Row(
+                bindings={Variable("K"): key, variable: (number, index)},
+                ranks=((f"feed-{side_name}", base), (side_name, index)),
+            )
+            for index, key in enumerate(keys)
+        ]
+        eager.extend(rows)
+        pages = [rows[i : i + chunk] for i in range(0, len(rows), chunk)] or [[]]
+        sources.append(ListPageSource(pages=pages, budget=6))
+        cursors.append(LazyServiceCursor(sources[-1], base_rank=base))
+    feed = [
+        Row(bindings={Variable("F"): number}, ranks=((f"feed-{side_name}", base),))
+        for number, (base, _) in enumerate(blocks)
+    ]
+    opening = iter(cursors)
+    cursor = MultiFeedCursor(
+        MaterializedCursor(feed), lambda row, rank: next(opening), 6
+    )
+    return cursor, eager, sources
+
+
+_blocks = st.lists(
+    st.tuples(st.integers(0, 4), st.lists(_hashable_key, max_size=6)),
+    max_size=3,
+)
+
+
+class TestKeyIndexedStagesMatchOracle:
+    """A stage merges only the cells its index holds: same answers and
+    same bookkeeping as merging every cell."""
+
+    @given(
+        st.lists(_any_key, max_size=8), st.lists(_any_key, max_size=8),
+        _side_ranks, _side_ranks, _ks,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_keys_resumed_and_drained(self, lk, rk, lr, rr, ks):
+        """``top(k1)`` → ``top(k2)`` → ``top(None)`` over keys of every
+        kind (a list key switches the walk to scanning wherever it is
+        first met): rows, ranks and order are the oracle's, the counters
+        the scanning walk's — and ``cells_visited`` is the cells of the
+        stages passed."""
+        left = _ranked_side(lk, lr, "L")
+        right = _ranked_side(rk, rr, "R")
+        for method in METHODS:
+            full = execute_join(method, left, right)
+            indexed = JoinStream(method, left, right)
+            scanning = _ScanningStream(method, left, right)
+            for k in [*ks, None]:
+                rows = indexed.top(k)
+                assert _signature(rows) == _signature(compose_ranking(full, k))
+                assert _signature(rows) == _signature(scanning.top(k))
+                assert indexed.cells_visited == scanning.cells_visited
+                assert indexed.cells_visited == _stages_cells(
+                    method, len(left), len(right), indexed._stage
+                )
+                assert indexed.join_rows_emitted == scanning.join_rows_emitted
+                assert indexed.candidate_count == scanning.candidate_count
+                assert indexed.merges_attempted <= scanning.merges_attempted
+            assert indexed.join_rows_emitted == len(full)
+
+    @given(_blocks, _blocks, st.integers(1, 4), st.integers(1, 4), _ks)
+    @settings(max_examples=100, deadline=None)
+    def test_lazy_pages_deliver_more_rows_than_a_stage_asked(
+        self, left_blocks, right_blocks, left_chunk, right_chunk, ks
+    ):
+        """Over multi-feed cursors a pulled page places rows beyond the
+        current stage; they are indexed when their stage comes.  Same
+        answers as the oracle over the eager concatenation, and the
+        same pages pulled, in the same order, as the scanning walk."""
+        for method in METHODS:
+            walks = []
+            for stream_type in (JoinStream, _ScanningStream):
+                left, eager_left, left_sources = _block_cursor(
+                    left_blocks, "L", left_chunk
+                )
+                right, eager_right, right_sources = _block_cursor(
+                    right_blocks, "R", right_chunk
+                )
+                walks.append(
+                    (stream_type(method, left, right), left_sources + right_sources)
+                )
+            full = execute_join(method, eager_left, eager_right)
+            (indexed, indexed_sources), (scanning, scanning_sources) = walks
+            for k in [*ks, None]:
+                rows = indexed.top(k)
+                assert _signature(rows) == _signature(compose_ranking(full, k))
+                assert _signature(rows) == _signature(scanning.top(k))
+                assert [source.fetch_log for source in indexed_sources] == [
+                    source.fetch_log for source in scanning_sources
+                ]
+                assert indexed.cells_visited == scanning.cells_visited
+                assert indexed.join_rows_emitted == scanning.join_rows_emitted
+                assert indexed.lazy_pages_saved == scanning.lazy_pages_saved
+
+    def test_nan_never_joins_and_one_joins_one_point_zero(self):
+        left = _ranked_side([1, _NAN, 1.0], [0, 1, 2], "L")
+        right = _ranked_side([_NAN, 1.0, True], [0, 1, 2], "R")
+        for method in METHODS:
+            rows = JoinStream(method, left, right).top(None)
+            assert _signature(rows) == _signature(
+                compose_ranking(execute_join(method, left, right))
+            )
+            # every non-nan pair: 2 left rows x 2 right rows
+            assert len(rows) == 4
+
+    def test_unhashable_key_first_seen_mid_walk(self):
+        """Stages before the list key are served from the index, the
+        stage that meets it and all later ones scan — one answer."""
+        keys = [0, 1, 0, 1, [1], 0, [1], 1]
+        left = _ranked_side(keys, list(range(8)), "L")
+        right = _ranked_side(keys[::-1], list(range(8)), "R")
+        full = execute_join(JoinMethod.MERGE_SCAN, left, right)
+        stream = JoinStream(JoinMethod.MERGE_SCAN, left, right)
+        assert _signature(stream.top(2)) == _signature(compose_ranking(full, 2))
+        assert stream._stage <= 4  # the list keys are rows 4 and 6 / 1 and 3
+        assert stream.merges_attempted < stream.cells_visited
+        served_from_index = stream.merges_attempted
+        assert _signature(stream.top(None)) == _signature(compose_ranking(full))
+        assert stream.cells_visited == 64
+        assert stream.join_rows_emitted == len(full)
+        # from the fallback on every cell is merged: 64 less the cells
+        # of the stages the index served
+        assert stream.merges_attempted > served_from_index + 32
+
+    @given(st.integers(1, 5))
+    @settings(max_examples=5, deadline=None)
+    def test_rows_indexed_scale_with_the_stages_visited(self, k):
+        """The indexing twin of the early exit below: over a 400 x 400
+        materialized plane a top-k walk reads the key of the rows its
+        stages could touch — at most 2 (stages + 1) — not of 800."""
+        hashed = set()
+
+        class Key:
+            def __init__(self, row):
+                self.row = row
+
+            def __hash__(self):
+                hashed.add(self.row)
+                return 0
+
+            def __eq__(self, other):
+                return True
+
+        n = 400
+        left = _ranked_side([Key(("L", i)) for i in range(n)], list(range(n)), "L")
+        right = _ranked_side([Key(("R", j)) for j in range(n)], list(range(n)), "R")
+        stream = JoinStream(JoinMethod.MERGE_SCAN, left, right)
+        assert len(stream.top(k)) == k
+        assert stream.cells_visited == stream._stage * (stream._stage + 1) // 2
+        assert 2 <= len(hashed) <= 2 * (stream._stage + 1)
 
 
 # -- engine level -----------------------------------------------------------
