@@ -28,16 +28,6 @@ before/after trajectory so future PRs can track the perf curve:
   bounded prefix of blocks, fetch no more pages or tuples than eager
   materialization at every point, and stay bit-identical to the eager
   feed-order concatenation;
-* **parallel worker sweep** — the multithreading plan (serial chain,
-  Plan S) on a :class:`~repro.execution.parallel.ParallelExecutor`
-  over a registry of *sleeping* service proxies, for growing worker
-  counts; rows stay bit-identical to the sequential engine and wall
-  time drops as workers grow (ordering asserted on full runs only).
-  Next to it, a **branch-overlap** check on the same sleeping proxies:
-  a plan of two independent feeder → leaf chains (one unit per node, so
-  only *branches* can overlap) must finish well under the sum of its
-  chains run alone — the pool schedules the engine's one walk, and
-  sibling branches are started before either is awaited;
 * **execution program** — per built-in domain, what compiling the
   optimized plan once buys a warm request: µs to compile an
   :class:`~repro.execution.program.ExecutionProgram`, µs to run it
@@ -72,29 +62,17 @@ from repro.execution.lazy import (
     MaterializedCursor,
     MultiFeedCursor,
 )
-from repro.execution.parallel import ParallelExecutor
 from repro.execution.program import ExecutionProgram
 from repro.execution.results import Row
-from repro.model.atoms import Atom
 from repro.model.predicates import BinaryExpression, Comparison
-from repro.model.query import ConjunctiveQuery
-from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
-from repro.plans.builder import PlanBuilder, Poset
 from repro.plans.spec import PlanSpec
-from repro.services.profile import search_profile
-from repro.services.registry import JoinMethod, ServiceRegistry
-from repro.services.table import TableSearchService
+from repro.services.registry import JoinMethod
 from repro.sources.biblio import biblio_registry, experts_query
 from repro.sources.bio import bio_registry, glycolysis_homolog_query
 from repro.sources.news import market_moving_news_query, news_registry
-from repro.sources.travel import (
-    alpha1_patterns,
-    poset_serial,
-    running_example_query,
-    travel_registry,
-)
+from repro.sources.travel import running_example_query, travel_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
 from repro.testing import ListPageSource, execute_join
 
@@ -119,11 +97,6 @@ BLOCK_COUNTS = (40, 120) if QUICK else (100, 400, 1000)
 BLOCK_CHUNK = 2
 BLOCK_ROWS = 3
 BLOCK_DEMAND = 10
-
-#: Parallel worker sweep: real seconds slept per virtual latency unit.
-WORKER_COUNTS = (1, 2, 4)
-SLEEP_SCALE = 0.0005 if QUICK else 0.002
-
 
 #: Execution-program entry: the serving layer's k and cache setting,
 #: repetitions per timing (the median is reported).
@@ -367,152 +340,7 @@ def _block_sweep_point(count: int) -> dict:
     return point
 
 
-# -- parallel worker sweep -----------------------------------------------
-
-
-class _SleepingService:
-    """Delegating proxy that really sleeps for each invocation.
-
-    The travel services only *report* latencies (the engine advances a
-    virtual clock); the worker sweep needs physical time for threads to
-    overlap, so each call sleeps its reported latency scaled down to
-    bench-friendly real seconds.
-    """
-
-    def __init__(self, inner, scale: float) -> None:
-        self._inner = inner
-        self._scale = scale
-
-    def invoke(self, pattern, inputs, page=0):
-        result = self._inner.invoke(pattern, inputs, page)
-        time.sleep(result.latency * self._scale)
-        return result
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def _sleeping_registry(scale: float, registry=None):
-    registry = registry if registry is not None else travel_registry()
-    for name in registry.names:
-        registry._services[name] = _SleepingService(
-            registry._services[name], scale
-        )
-    return registry
-
-
-def _worker_sweep() -> dict:
-    query = running_example_query()
-    plan = PlanBuilder(query, travel_registry()).build(
-        alpha1_patterns(), poset_serial()
-    )
-    oracle = ExecutionEngine(
-        travel_registry(), mode=ExecutionMode.PARALLEL
-    ).execute(plan, query.head)
-    oracle_signature = _row_signature(oracle.rows)
-    points = []
-    for workers in WORKER_COUNTS:
-        result = ParallelExecutor(
-            _sleeping_registry(SLEEP_SCALE), workers=workers
-        ).execute(plan, query.head)
-        # Bit-identical to sequential execution at every worker count.
-        assert _row_signature(result.rows) == oracle_signature
-        assert result.stats.total_calls == oracle.stats.total_calls
-        points.append(
-            {
-                "workers": workers,
-                "wall_time_s": round(result.stats.wall_time, 6),
-                "virtual_elapsed_s": round(result.stats.elapsed, 3),
-                "service_calls": result.stats.total_calls,
-            }
-        )
-    if not QUICK:
-        # Parallel branch execution beats serial on the serial chain.
-        assert points[-1]["wall_time_s"] < points[0]["wall_time_s"]
-    return {
-        "plan": "serial chain (Plan S), multithreading experiment",
-        "sleep_scale": SLEEP_SCALE,
-        "points": points,
-    }
-
-
-#: Branch-overlap check: virtual latency and pages of every chain node.
-CHAIN_LATENCY = 20.0
-CHAIN_PAGES = 5
-
-
-def _chain_world(chains: str):
-    """One ``feed → leaf`` chain per letter of *chains*, merged on ``K``.
-
-    Every node has exactly one unit (one feed row), whose pages are
-    pulled one after the other: inside a chain nothing can overlap, so
-    whatever the pool gains on the two-chain plan is branch overlap.
-    """
-    registry = ServiceRegistry()
-    key = Variable("K")
-    head, atoms, patterns, pairs = [key], [], [], set()
-    for side in chains:
-        link, value = Variable(f"X{side}"), Variable(f"V{side}")
-        registry.register(
-            TableSearchService(
-                signature(f"feed{side}", ["Q", "X"], ["io"]),
-                search_profile(chunk_size=1, response_time=CHAIN_LATENCY),
-                [("q", 0)],
-                score=lambda row: 0.0,
-            )
-        )
-        registry.register(
-            TableSearchService(
-                signature(f"leaf{side}", ["X", "K", "V"], ["ioo"]),
-                search_profile(chunk_size=1, response_time=CHAIN_LATENCY),
-                [(0, i % 2, i) for i in range(CHAIN_PAGES)],
-                score=lambda row: float(-row[2]),
-            )
-        )
-        pairs.add((len(atoms), len(atoms) + 1))
-        atoms += [
-            Atom(f"feed{side}", (Constant("q"), link)),
-            Atom(f"leaf{side}", (link, key, value)),
-        ]
-        patterns += [
-            registry.signature(f"feed{side}").pattern("io"),
-            registry.signature(f"leaf{side}").pattern("ioo"),
-        ]
-        head.append(value)
-    if len(chains) == 2:
-        registry.register_join_method(
-            f"leaf{chains[0]}", f"leaf{chains[1]}", JoinMethod.MERGE_SCAN
-        )
-    query = ConjunctiveQuery(
-        name="chains", head=tuple(head), atoms=tuple(atoms), predicates=()
-    )
-    plan = PlanBuilder(query, registry).build(
-        tuple(patterns),
-        Poset(n=len(atoms), pairs=frozenset(pairs)),
-        fetches={i: CHAIN_PAGES if i % 2 else 1 for i in range(len(atoms))},
-    )
-    return registry, tuple(query.head), plan
-
-
-def _chain_wall(chains: str) -> float:
-    registry, head, plan = _chain_world(chains)
-    oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-        plan, head
-    )
-    result = ParallelExecutor(
-        _sleeping_registry(SLEEP_SCALE, registry), workers=4
-    ).execute(plan, head)
-    assert _row_signature(result.rows) == _row_signature(oracle.rows)
-    assert result.stats.total_fetches == oracle.stats.total_fetches
-    return result.stats.wall_time
-
-
 class TestHotpathTrajectory:
-    def test_independent_chains_overlap_on_the_pool(self):
-        alone = _chain_wall("a") + _chain_wall("b")
-        together = _chain_wall("ab")
-        assert together < 0.75 * alone, (together, alone)
-
     def test_write_bench_hotpaths(self, registry, travel_query, out_dir):
         before_opt = _optimizer_workload(registry, travel_query, memoize=False)
         after_opt = _optimizer_workload(registry, travel_query, memoize=True)
@@ -552,7 +380,6 @@ class TestHotpathTrajectory:
             "join_tuples_per_s": joins,
             "slot_join_plane_sweep": plane_points,
             "multi_feed_block_sweep": block_points,
-            "parallel_worker_sweep": _worker_sweep(),
             "execution_program": [
                 _program_point(domain) for domain in PROGRAM_DOMAINS
             ],

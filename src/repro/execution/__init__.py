@@ -32,7 +32,6 @@ from repro.execution.lazy import (
     MultiFeedCursor,
     RowCursor,
 )
-from repro.execution.parallel import ParallelExecutor
 from repro.execution.program import ExecutionProgram
 from repro.execution.progressive import (
     DriftEvent,
@@ -82,7 +81,6 @@ __all__ = [
     "NoCache",
     "OneCallCache",
     "OptimalCache",
-    "ParallelExecutor",
     "PartialResultCertificate",
     "PlanDrift",
     "ProgressiveExecutor",

@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import contextmanager
 from enum import Enum
 from typing import Hashable, Iterator
 
@@ -207,23 +207,17 @@ class ThreadSafeCache(LogicalCache):
 
     Wraps every ``lookup``/``store``/``clear`` in one re-entrant lock,
     making the inner cache's bookkeeping (LRU reordering, eviction
-    counters, one-call key swaps) safe under concurrent access by a
-    :class:`~repro.execution.parallel.ParallelExecutor`'s workers.
-
-    Guarding individual operations is not enough for *call counting*:
-    two workers resolving the same input setting concurrently would
-    both miss, both invoke the remote service, and double-count the
-    call.  :meth:`key_lock` holds one mutex per ``(service,
-    input_key)`` — a worker holds it across its whole lookup → invoke →
-    store page loop, so each distinct input setting is resolved by
-    exactly one worker at a time and call/hit counts match sequential
-    execution.
+    counters, one-call key swaps) safe for the client threads of a
+    :class:`~repro.serving.service.QueryService`, which share one
+    service cache across every request and session.  Each operation is
+    atomic; two threads that miss on the same page may both fetch it
+    (answers cannot differ — services are deterministic per ``(input,
+    page)`` — only the remote call is paid twice).
     """
 
     def __init__(self, inner: LogicalCache) -> None:
         self._inner = inner
         self._lock = threading.RLock()
-        self._key_mutex = KeyedMutex()
 
     @property
     def inner(self) -> LogicalCache:
@@ -243,13 +237,6 @@ class ThreadSafeCache(LogicalCache):
     def clear(self) -> None:
         with self._lock:
             self._inner.clear()
-
-    def key_lock(
-        self, service: str, input_key: InputKey
-    ) -> AbstractContextManager[None]:
-        """``with cache.key_lock(service, input_key):`` — the
-        single-flight mutex for one input parameter setting."""
-        return self._key_mutex.holding((service, input_key))
 
 
 def make_cache(

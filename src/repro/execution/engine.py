@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.execution.cache import CacheSetting, LogicalCache, make_cache
 from repro.execution.fetch import Accounting, RunContext, UnitRouting, UnitSource
@@ -78,13 +78,8 @@ from repro.plans.nodes import PlanNode
 from repro.services.registry import ServiceRegistry
 
 
-#: ``collect(failures) -> (rows, busy time)`` of one scheduled service
-#: node, and the scheduler that starts one (:meth:`ExecutionEngine._execute`).
-Collect = Callable[[list[UnresponsiveService]], tuple[list[Row], float]]
-Scheduler = Callable[[RunContext, Step, Sequence[Row], Accounting], Collect]
-
-#: Virtual seconds one dispatch to a concurrent thread costs
-#: (:meth:`ExecutionEngine.overlapped_busy`).
+#: Virtual seconds one dispatch to a concurrent thread costs under
+#: ``MULTITHREADED`` (:meth:`ExecutionEngine._node_busy`).
 THREAD_OVERHEAD = 0.05
 
 #: Seeds the feed shuffle of ``MULTITHREADED`` mode, so the degraded
@@ -257,33 +252,6 @@ class ExecutionEngine:
         cache alive across executions (progressive "ask for more"
         continuations).
         """
-        return self._execute(
-            plan, head, k, reset_remote_caches, shared_cache, fetches=fetches
-        )
-
-    def _execute(
-        self,
-        plan: QueryPlan | ExecutionProgram,
-        head: Sequence[Variable],
-        k: int | None,
-        reset_remote_caches: bool,
-        shared_cache: LogicalCache | None,
-        schedule: Scheduler | None = None,
-        fetches: Sequence[int] | None = None,
-    ) -> ExecutionResult:
-        """The one plan walk and the one partial-results restart loop.
-
-        *schedule* is the scheduler seam, consulted where a non-lazy
-        service step's feed rows are drained.  None drains them inline
-        (:meth:`_drain_units`).  A scheduler instead starts the step's
-        work and returns a ``collect`` callable; the walk calls it when
-        it reaches the step's first consumer — the FIFO topological
-        order visits sibling branches before their consumers, so
-        independent branches are all started before any is awaited.
-        ``collect(failures)`` folds the step's statistics into the
-        walk's cell, appends every unit that exhausted its retries to
-        *failures* and returns ``(rows, busy time)``.
-        """
         program = as_program(plan, head)
         if fetches is None:
             fetches = program.fetches
@@ -298,18 +266,19 @@ class ExecutionEngine:
         lazy = self._lazy_steps(program) if streaming else ()
         shuffled = self._mode is ExecutionMode.MULTITHREADED
         steps = program.steps
-        # Partial-results restart loop: a walk aborted by an exhausted
-        # retry budget reroutes each failing unit onto an equivalent
-        # sibling service (when sibling fallback is on and one exists)
-        # or demotes it, then re-runs with the units rerouted/masked
-        # (the shared logical cache makes restarts cheap — every
-        # already-fetched page is answered locally).  The stats object
-        # survives restarts, so aborted work stays counted.  Each
-        # restart either demotes a *new* unit or advances a unit to a
-        # sibling it never tried; both are finite per plan, so the
-        # loop terminates.  A PlanDrift raised by the drift monitor is
-        # *not* absorbed here: it aborts the execution for the session
-        # executor to re-plan, carrying the partial stats.
+        # Partial-results restart loop: a walk stops at the first unit
+        # that exhausts its retry budget, which is rerouted onto an
+        # equivalent sibling service (when sibling fallback is on and
+        # one exists) or demoted, and the walk re-runs with it
+        # rerouted/masked (the shared logical cache makes restarts
+        # cheap — every already-fetched page is answered locally).  The
+        # stats object survives restarts, so aborted work stays
+        # counted.  Each restart either demotes a *new* unit or
+        # advances one to a sibling it never tried; both are finite per
+        # plan, so the loop terminates.  A PlanDrift raised by the
+        # drift monitor is *not* absorbed here: it aborts the execution
+        # for the session executor to re-plan, carrying the partial
+        # stats.
         while True:
             context = RunContext(
                 fetches, self._registry, cache, self.routing,
@@ -327,20 +296,9 @@ class ExecutionEngine:
             outputs: list[list[Row]] = [[] for _ in steps]
             outputs[0] = [program.input_row]
             busy = [0.0] * len(steps)
-            #: Scheduled service steps not yet collected (always empty
-            #: for the inline walk).
-            pending: dict[int, Collect] = {}
-            failures: list[UnresponsiveService] = []
             try:
                 for step in steps[1:]:
                     index = step.index
-                    if pending:
-                        for feeder in step.feeds:
-                            collect = pending.pop(feeder, None)
-                            if collect is not None:
-                                outputs[feeder], busy[feeder] = collect(failures)
-                        if failures:
-                            break
                     kind = step.kind
                     if kind == SERVICE:
                         feeder = step.feeds[0]
@@ -367,14 +325,9 @@ class ExecutionEngine:
                         # when it fetched nothing (empty feed, every
                         # unit demoted or rerouted).
                         stats.service(step.binding.service_name)
-                        if schedule is None:
-                            outputs[index], busy[index] = self._drain_units(
-                                context, step, feed, accounting
-                            )
-                        else:
-                            pending[index] = schedule(
-                                context, step, feed, accounting
-                            )
+                        outputs[index], busy[index] = self._drain_units(
+                            context, step, feed, accounting
+                        )
                     elif kind == JOIN:
                         left, right = step.feeds
                         if streaming and index == program.terminal:
@@ -414,24 +367,15 @@ class ExecutionEngine:
                                 ]
                         outputs[index] = rows
             except UnresponsiveService as failure:
-                failures.append(failure)
-            if not failures:
-                break
-            # Every unit that died in this walk is handled before the
-            # one restart: whatever is still in flight is collected
-            # first, which also keeps its work counted.
-            for collect in pending.values():
-                collect(failures)
-            unit = self.routing.original(failures[0].unit)
-            if self.routing.masked(*unit):  # pragma: no cover
-                raise ExecutionError(
-                    f"demoted unit {unit!r} failed again — "
-                    f"masking is broken"
-                ) from failures[0]
-            for failure in failures:
-                # Stale failures (the unit already moved on within
-                # this batch) are dropped inside the handler.
+                unit = self.routing.original(failure.unit)
+                if self.routing.masked(*unit):  # pragma: no cover
+                    raise ExecutionError(
+                        f"demoted unit {unit!r} failed again — "
+                        f"masking is broken"
+                    ) from failure
                 self.routing.handle_unresponsive(failure)
+                continue
+            break
 
         for index in lazy_cursors:
             busy[index] = accounting.busy.get(index, 0.0)
@@ -572,16 +516,14 @@ class ExecutionEngine:
     # -- timing ---------------------------------------------------------------
 
     def _node_busy(self, latencies: list[float]) -> float:
+        """A node's busy time: the sum of its fetch latencies, or under
+        ``MULTITHREADED`` (every fetch dispatched to its own thread) the
+        longest one plus a thread overhead per dispatch."""
         if not latencies:
             return 0.0
         if self._mode is ExecutionMode.MULTITHREADED:
-            return self.overlapped_busy(latencies, len(latencies))
+            return max(latencies) + THREAD_OVERHEAD * len(latencies)
         return sum(latencies)
-
-    def overlapped_busy(self, durations: Sequence[float], dispatches: int) -> float:
-        """Busy time of work dispatched to concurrent threads: the
-        longest piece plus a thread overhead per dispatch."""
-        return max(durations) + THREAD_OVERHEAD * dispatches
 
     def _elapsed(self, program: ExecutionProgram, busy: Sequence[float]) -> float:
         if self._mode is ExecutionMode.SEQUENTIAL:

@@ -6,9 +6,8 @@ The paper's engine pays for and counts exactly one thing — a service
 through :meth:`UnitSource.fetch`: the eager loop drains a unit's
 budget, the lazy cursors hold the same unit as their
 :class:`~repro.execution.lazy.PageSource` and pull on the streamed
-walk's demand, the thread-pool row tasks drain it under the unit's
-single-flight lock, and a resumed stream keeps pulling from the units
-it was suspended with.
+walk's demand, and a resumed stream keeps pulling from the units it
+was suspended with.
 
 Three objects own the seam's state:
 
@@ -168,9 +167,9 @@ class UnitRouting:
         a *sibling* that was already standing in for an original unit
         — ``_origin`` resolves it back, so exhaustion walks the sibling
         chain of one logical unit instead of spawning chains per
-        replacement.  Stale failures (collected by a parallel executor
-        after the unit already moved on or was demoted) are dropped:
-        the current server has never exhausted its budget.
+        replacement.  A failure of a server the unit no longer uses,
+        or of a unit already demoted, is stale and dropped: the current
+        server has never exhausted its budget.
         """
         unit = self.original(failure.unit)
         if unit in self.demoted:
@@ -192,8 +191,8 @@ class UnitRouting:
             failure = UnresponsiveService(
                 unit[0], unit[1], failure.page, failure.attempts, failure.cause
             )
-        # setdefault: concurrent row tasks can exhaust the same unit's
-        # budget twice before either failure is collected.
+        # The first failure recorded for a unit is the one the
+        # certificate keeps.
         self.demoted.setdefault(unit, failure)
 
     def _next_sibling(self, unit: Unit, failed: str) -> str | None:

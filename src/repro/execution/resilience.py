@@ -112,9 +112,31 @@ class RetryPolicy:
     deadline: float | None = None
     per_service: Mapping[str, int] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # A value outside these ranges would make a backoff negative,
+        # and a negative delay folded into a fetch's latency runs
+        # virtual time backwards.
+        caps = {"attempts": self.attempts}
+        for service, cap in self.per_service.items():
+            caps[f"per_service[{service!r}]"] = cap
+        for name, cap in caps.items():
+            if cap < 1:
+                raise ValueError(f"{name} must be >= 1, got {cap}")
+        for name, delay in (
+            ("base_delay", self.base_delay), ("max_delay", self.max_delay)
+        ):
+            if delay < 0:
+                raise ValueError(f"{name} must be >= 0, got {delay}")
+        if self.multiplier < 1:
+            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
+        if not 0 <= self.jitter <= 1:
+            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
+        if self.deadline is not None and self.deadline < 0:
+            raise ValueError(f"deadline must be >= 0, got {self.deadline}")
+
     def attempts_for(self, service: str) -> int:
-        """The attempt cap for *service* (>= 1)."""
-        return max(1, self.per_service.get(service, self.attempts))
+        """The attempt cap for *service*."""
+        return self.per_service.get(service, self.attempts)
 
     def backoff(self, service: str, input_key: tuple, attempt: int) -> float:
         """Virtual delay before re-attempt *attempt* (1-based)."""

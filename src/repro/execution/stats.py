@@ -13,25 +13,7 @@ cache are counted as ``cache_hits`` and never reach the remote side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
-
-def _merge_counters(target: object, source: object) -> None:
-    """Fold every field of *source* into *target*, whatever it counts.
-
-    Numbers add, and a dict of per-key counters merges key by key the
-    same way — driven by ``dataclasses.fields``, so a
-    counter added to either statistics class is merged without anyone
-    remembering to list it.
-    """
-    for spec in fields(source):
-        value = getattr(source, spec.name)
-        if isinstance(value, dict):
-            mine = getattr(target, spec.name)
-            for key, counters in value.items():
-                _merge_counters(mine.setdefault(key, type(counters)()), counters)
-        else:
-            setattr(target, spec.name, getattr(target, spec.name) + value)
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -114,11 +96,6 @@ class ExecutionStats:
     #: what lets progressive fetch growth detect data exhaustion
     #: without misreading cache-absorbed rounds as "no more data".
     tuples_processed: int = 0
-    #: Real (wall-clock) seconds spent by a :class:`ParallelExecutor`
-    #: run and the worker count it used; both stay 0 for the virtual
-    #: -time engine, whose ``elapsed`` is model time, not wall time.
-    wall_time: float = 0.0
-    parallel_workers: int = 0
     #: Resilience-layer counters (:mod:`repro.execution.resilience`);
     #: all stay 0 when no resilience config is active — the bit-
     #: identity contract.  ``retries`` counts re-attempts taken after
@@ -143,10 +120,6 @@ class ExecutionStats:
         if name not in self.per_service:
             self.per_service[name] = ServiceCallStats()
         return self.per_service[name]
-
-    def merge(self, other: "ExecutionStats") -> None:
-        """Add *other*'s counters (a task-local tally) into this one."""
-        _merge_counters(self, other)
 
     def calls(self, name: str) -> int:
         """Number of calls issued to service *name*."""
@@ -194,11 +167,6 @@ class ExecutionStats:
             lines.append(
                 f"  lazy blocks: {self.lazy_blocks}"
                 f" untouched={self.lazy_blocks_untouched}"
-            )
-        if self.parallel_workers:
-            lines.append(
-                f"  parallel: workers={self.parallel_workers}"
-                f" wall={self.wall_time:.2f}s"
             )
         if self.retries or self.wasted_fetches:
             lines.append(

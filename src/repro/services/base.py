@@ -82,12 +82,12 @@ class LatencyModel:
     Bookings.com but not for Expedia.
 
     The check-then-add on ``_seen`` is the one piece of mutable service
-    state a :class:`~repro.execution.parallel.ParallelExecutor` worker
-    races on, so it runs under a per-model lock — inside the model
-    rather than around :meth:`Service.invoke`, because serializing
-    whole invocations would also serialize any real work (e.g. a
-    sleeping bench proxy) and erase the parallel speedup being
-    measured.
+    state the client threads of a
+    :class:`~repro.serving.service.QueryService` race on when their
+    requests invoke one service, so it runs under a per-model lock —
+    inside the model rather than around :meth:`Service.invoke`, because
+    serializing whole invocations would also serialize any real work
+    (e.g. a service that sleeps) across the requests.
     """
 
     response_time: float

@@ -52,9 +52,10 @@ tear everything down; file-backed databases get ``journal_mode=WAL`` +
 ``synchronous=NORMAL`` + a busy timeout, in-memory databases are shared
 between threads through a named ``cache=shared`` URI held open by an
 anchor connection.
-Invocations after load are pure reads, so any number of engine or
-:class:`~repro.execution.parallel.ParallelExecutor` worker threads
-can invoke one service concurrently.
+Invocations after load are pure reads, so any number of client
+threads — the requests of one
+:class:`~repro.serving.service.QueryService` — can invoke one service
+concurrently.
 """
 
 from __future__ import annotations

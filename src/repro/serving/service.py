@@ -67,8 +67,8 @@ from repro.execution.cache import (
     ThreadSafeCache,
     make_cache,
 )
-from repro.execution.engine import ExecutionMode, ExecutionResult
-from repro.execution.parallel import ParallelExecutor
+from repro.execution.engine import ExecutionEngine, ExecutionMode, ExecutionResult
+from repro.execution.fetch import UnitRouting
 from repro.execution.program import ExecutionProgram
 from repro.execution.progressive import ProgressiveExecutor, ProgressiveRound
 from repro.execution.resilience import ResilienceConfig
@@ -291,10 +291,8 @@ class QueryService:
             if self.share_service_cache
             else None
         )
-        # The shared cache is hit by every serving thread (and by
-        # ParallelExecutor workers during prefetch), so it is always
-        # lock-wrapped; the wrapper is reused as-is by executors that
-        # would otherwise wrap it again.
+        # The shared cache is hit by every client thread, so it is
+        # always lock-wrapped.
         self._service_cache: LogicalCache | None = (
             ThreadSafeCache(inner) if inner is not None else None
         )
@@ -396,19 +394,19 @@ class QueryService:
             )
 
     def prefetch(
-        self, query: ConjunctiveQuery | str, k: int | None = None,
-        workers: int = 4,
+        self, query: ConjunctiveQuery | str, k: int | None = None
     ) -> dict:
-        """Warm the shared service cache for *query* on real threads.
+        """Warm the shared service cache for *query* ahead of traffic.
 
         Plans the query exactly as :meth:`submit` would (so the plan
-        cache is warmed too) and runs it on a
-        :class:`~repro.execution.parallel.ParallelExecutor` against the
-        shared service cache, without resetting the remote services'
-        own caches — answers of later submits are unaffected (a logical
-        cache only changes how often the remote side is called), they
-        just start from a hot cache.  No session is opened and no rows
-        are returned; the summary dict reports what the warm-up did.
+        cache is warmed too), reroutes breaker-open services as
+        :meth:`submit` would, and runs the whole plan in ``PARALLEL``
+        mode against the shared service cache, without resetting the
+        remote services' own caches — answers of later submits are
+        unaffected (a logical cache only changes how often the remote
+        side is called), they just start from a hot cache.  No session
+        is opened and no rows are returned; the summary dict reports
+        what the warm-up did.
 
         With ``share_service_cache=False`` there is no shared state to
         warm, so the warm-up **short-circuits after plan resolution**:
@@ -430,19 +428,18 @@ class QueryService:
                 "provenance": provenance,
                 "shared": False,
                 "skipped": True,
-                "workers": 0,
-                "wall_time_s": 0.0,
                 "service_calls": 0,
                 "cache_hits": 0,
                 "answers_available": 0,
             }
-        executor = ParallelExecutor(
+        engine = ExecutionEngine(
             self.registry,
             cache_setting=self.cache_setting,
-            workers=workers,
+            mode=ExecutionMode.PARALLEL,
             resilience=self._exec_resilience,
         )
-        result = executor.execute(
+        self._apply_breaker_routing(engine.routing, plan)
+        result = engine.execute(
             plan,
             k=k,
             reset_remote_caches=False,
@@ -452,8 +449,6 @@ class QueryService:
             "provenance": provenance,
             "shared": True,
             "skipped": False,
-            "workers": result.stats.parallel_workers,
-            "wall_time_s": round(result.stats.wall_time, 6),
             "service_calls": result.stats.total_calls,
             "cache_hits": result.stats.total_cache_hits,
             "answers_available": len(result.rows),
@@ -621,12 +616,11 @@ class QueryService:
             drift=self.adaptive.drift if adaptive else None,
             replan=replan if adaptive else None,
         )
-        if adaptive:
-            self._apply_breaker_routing(executor, plan)
+        self._apply_breaker_routing(executor.engine.routing, plan)
         return executor
 
     def _apply_breaker_routing(
-        self, executor: ProgressiveExecutor, plan: ExecutionProgram
+        self, routing: UnitRouting, plan: ExecutionProgram
     ) -> None:
         """Reroute breaker-open services onto healthy siblings up front.
 
@@ -635,7 +629,7 @@ class QueryService:
         serves it from the sibling from the first fetch.  Recorded on
         the certificate exactly like a failure-driven substitution.
         """
-        if not self.adaptive.sibling_fallback:
+        if self.adaptive is None or not self.adaptive.sibling_fallback:
             return
         for name in self.breaker.open_services():
             codes = plan.pattern_codes(name)
@@ -647,7 +641,7 @@ class QueryService:
                 if self.breaker.state(sibling) is not BreakerState.OPEN
             ]
             if healthy:
-                executor.engine.routing.substitute_service(name, healthy[0])
+                routing.substitute_service(name, healthy[0])
 
     def _feed_breaker(
         self, rounds: Sequence[ProgressiveRound], result: ExecutionResult

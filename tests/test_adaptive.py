@@ -54,6 +54,8 @@ from repro.services.registry import (
 from repro.services.table import TableSearchService
 from repro.testing.faults import FaultSchedule, FlakyService
 
+from tests.test_resilience import _count_invocations
+
 
 # -- the test world ---------------------------------------------------------
 
@@ -682,3 +684,39 @@ class TestServingBreaker:
         assert response.provenance == "memory"
         assert response.epoch != registry.content_epoch()
         assert service.stats.optimizer_runs == 1
+
+    def test_prefetch_warms_the_sibling_submit_will_be_served_by(self):
+        """With a breaker open on ``lefts`` and a healthy sibling,
+        ``prefetch`` reroutes exactly as ``submit`` does: it never calls
+        the service the breaker marks down, and the submit after it is
+        served entirely from the warmed cache."""
+
+        def serve():
+            registry, query, _ = build_world(sibling=True)
+            service = _serve(registry, AdaptivePolicy(
+                breaker=BreakerPolicy(
+                    failure_threshold=1, latency_factor=3.0,
+                    min_fetches=1, cooldown=10.0,
+                ),
+            ), FakeClock())
+            service.breaker.record(
+                "lefts", fetches=3, mean_latency=25.0, expected=1.0
+            )
+            assert service.breaker.open_services() == ("lefts",)
+            return registry, query, service
+
+        registry, query, service = serve()
+        proxies = _count_invocations(registry)
+        warmed = service.prefetch(query, k=4)
+        assert proxies["lefts"].invocations == 0
+        assert proxies["lefts_backup"].invocations > 0
+        assert warmed["service_calls"] > 0
+        response = service.submit(query, k=4)
+        assert response.stats["service_calls"] == 0
+        assert response.partial["substituted"]
+
+        _, cold_query, cold_service = serve()
+        cold = cold_service.submit(cold_query, k=4)
+        assert cold.stats["service_calls"] > 0
+        assert response.rows == cold.rows
+        assert response.rank_keys == cold.rank_keys

@@ -1,4 +1,8 @@
-"""Unit tests for the three logical-cache settings (Section 5.1)."""
+"""Unit tests for the three logical-cache settings (Section 5.1) and
+the lock-guarded wrapper the serving layer's client threads share."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -7,6 +11,7 @@ from repro.execution.cache import (
     NoCache,
     OneCallCache,
     OptimalCache,
+    ThreadSafeCache,
     make_cache,
 )
 
@@ -239,3 +244,119 @@ class TestHierarchy:
         assert opt_hits >= one_hits
         assert one_hits == 1  # only the immediate repeat
         assert opt_hits == 2  # the repeat and the later return to 'a'
+
+
+class TestThreadSafeCacheStress:
+    """One ``ThreadSafeCache`` shared by many client threads, as a
+    ``QueryService`` shares its service cache across requests."""
+
+    @staticmethod
+    def _hammer(work, threads):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force switches inside the guard windows
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                return list(pool.map(work, range(threads)))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_concurrent_hits_never_change_answers_or_double_count(self):
+        """Concurrent hits all observe the stored value, and concurrent
+        stores into a bounded cache evict exactly the overflow: the
+        eviction counter and the LRU bound stay exact under any
+        interleaving."""
+        warm = ThreadSafeCache(OptimalCache())
+        expected = {
+            (f"input-{i}", page): f"input-{i}/{page}"
+            for i in range(8)
+            for page in range(3)
+        }
+        for (key, page), value in expected.items():
+            warm.store("svc", key, page, value)
+
+        def read(_worker):
+            return {
+                (key, page): warm.lookup("svc", key, page)
+                for _ in range(4)
+                for key, page in expected
+            }
+
+        assert all(seen == expected for seen in self._hammer(read, 16))
+
+        inner = OptimalCache(capacity=32)
+        bounded = ThreadSafeCache(inner)
+        stores = 200
+
+        def write(worker):
+            for page in range(stores):
+                bounded.store("svc", f"worker-{worker}", page, (worker, page))
+                # Evicted by then, or still the value just stored.
+                assert bounded.lookup("svc", f"worker-{worker}", page) in (
+                    None, (worker, page),
+                )
+
+        self._hammer(write, 8)
+        assert len(inner) == 32
+        assert inner.evictions == 8 * stores - 32
+
+    def test_wrapper_delegates_and_exposes_inner(self):
+        inner = OptimalCache(capacity=2)
+        cache = ThreadSafeCache(inner)
+        cache.store("svc", "k", 0, "v0")
+        assert cache.lookup("svc", "k", 0) == "v0"
+        assert cache.inner is inner
+        cache.store("svc", "k", 1, "v1")
+        cache.store("svc", "k", 2, "v2")  # capacity bound still enforced
+        assert len(inner) == 2
+        assert inner.evictions == 1
+        cache.clear()
+        assert cache.lookup("svc", "k", 1) is None
+
+    @staticmethod
+    def _travel_run(shared):
+        """One execution of the running example's optimal plan, sharing
+        *shared* and leaving the remote caches as they are."""
+        from repro.execution.engine import ExecutionEngine, ExecutionMode
+        from repro.plans.builder import PlanBuilder
+        from repro.sources.travel import (
+            alpha1_patterns,
+            poset_optimal,
+            running_example_query,
+            travel_registry,
+        )
+
+        query = running_example_query()
+        registry = travel_registry()
+        plan = PlanBuilder(query, registry).build(
+            alpha1_patterns(), poset_optimal()
+        )
+        result = ExecutionEngine(
+            registry, mode=ExecutionMode.PARALLEL
+        ).execute(
+            plan, query.head, shared_cache=shared, reset_remote_caches=False
+        )
+        rows = [(dict(r.bindings), r.ranks) for r in result.rows]
+        return rows, result.stats
+
+    def test_shared_cache_across_executions(self):
+        """A second run over the same warmed shared cache is all hits,
+        and the answers do not change."""
+        shared = ThreadSafeCache(OptimalCache())
+        first_rows, first = self._travel_run(shared)
+        second_rows, second = self._travel_run(shared)
+        assert second_rows == first_rows
+        assert first.total_calls > 1
+        assert second.total_calls == 0
+        assert second.total_cache_hits > 0
+
+    def test_client_threads_sharing_one_cache_get_the_cold_answers(self):
+        """Client threads each running the plan over one shared cache
+        all see a cold run's answers, and leave the cache warm enough
+        that a further run makes no remote call."""
+        cold_rows, _ = self._travel_run(ThreadSafeCache(OptimalCache()))
+        shared = ThreadSafeCache(OptimalCache())
+        runs = self._hammer(lambda _client: self._travel_run(shared), 4)
+        assert all(rows == cold_rows for rows, _ in runs)
+        rows, stats = self._travel_run(shared)
+        assert rows == cold_rows
+        assert stats.total_calls == 0

@@ -178,9 +178,11 @@ class TestBadInput:
             (["query", "--domain", "weekend", "garbage"], "ParseError: "),
             (["query", "-k", "0"], "ValueError: k must be >= 1, got 0"),
             (["demo", "-k", "0"], "ValueError: k must be >= 1, got 0"),
+            (["query", "--domain", "weekend", "--retries", "-5"],
+             "ValueError: attempts must be >= 1, got -4"),
         ],
         ids=["arity", "unknown-service", "optimize-parse", "query-parse",
-             "query-k0", "demo-k0"],
+             "query-k0", "demo-k0", "negative-retries"],
     )
     def test_one_shot_commands_answer_bad_input_with_a_message(
         self, capsys, argv, error

@@ -125,7 +125,7 @@ def test_architecture_covers_the_subsystems():
         ("Plan cache", "src/repro/serving/sqlite_cache.py"),
         ("Optimizer", "src/repro/optimizer/memo.py"),
         ("The execution program", "Immutable after compile"),
-        ("Walk, scheduler, rounds", "Zero-drift contract"),
+        ("Walk and rounds", "Zero-drift contract"),
         ("The fetch seam", "src/repro/execution/fetch.py"),
         ("Rows and slot layouts", "SlotLayout"),
         ("Joins and streamed early exit", "Certificate invariant"),
@@ -288,8 +288,9 @@ def test_one_plan_walk_and_one_restart_loop():
     """Under ``execution/`` only ``program.py`` dispatches on plan node
     types (compiling them into the steps the engine's one walk runs),
     failed units are rerouted-or-demoted from exactly two places — the
-    engine's restart loop and the stream-resume handler — and the
-    thread pool enters the engine through one private name."""
+    engine's restart loop and the stream-resume handler — and the walk
+    is ``execute`` itself: no private twin, no scheduler to hand it,
+    and no thread pool anywhere under ``src/repro/``."""
     dispatchers = set()
     demoters = set()
     for path in (SRC / "execution").glob("*.py"):
@@ -309,18 +310,28 @@ def test_one_plan_walk_and_one_restart_loop():
         )
     assert dispatchers == {"execution/program.py"}
     assert demoters == {
-        ("execution/engine.py", ("ExecutionEngine", "_execute")),
+        ("execution/engine.py", ("ExecutionEngine", "execute")),
         ("execution/progressive.py", ("ProgressiveExecutor", "_resume_stream")),
     }
-    pool = ast.parse((SRC / "execution" / "parallel.py").read_text())
-    engine_privates = {
-        node.attr
-        for node in ast.walk(pool)
-        if isinstance(node, ast.Attribute)
-        and node.attr.startswith("_")
-        and ast.unparse(node.value) == "self._engine"
+    engine = next(
+        node
+        for node in ast.walk(ast.parse((SRC / "execution" / "engine.py").read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "ExecutionEngine"
+    )
+    methods = {
+        node.name: node for node in engine.body if isinstance(node, ast.FunctionDef)
     }
-    assert engine_privates == {"_execute"}
+    assert "_execute" not in methods
+    assert [arg.arg for arg in methods["execute"].args.args] == [
+        "self", "plan", "head", "k", "reset_remote_caches", "shared_cache",
+        "fetches",
+    ]
+    pooled = [
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if "ThreadPoolExecutor" in path.read_text()
+    ]
+    assert not pooled, pooled
 
 
 def test_a_plan_is_compiled_in_one_place_and_a_hit_builds_nothing():
@@ -360,7 +371,7 @@ def test_a_plan_is_compiled_in_one_place_and_a_hit_builds_nothing():
     walk = next(
         node
         for node in ast.walk(ast.parse((SRC / "execution" / "engine.py").read_text()))
-        if isinstance(node, ast.FunctionDef) and node.name == "_execute"
+        if isinstance(node, ast.FunctionDef) and node.name == "execute"
     )
     assert "isinstance" not in {name for name, _ in _calls(walk)}
 
@@ -401,6 +412,8 @@ def test_retired_seam_plumbing_stays_retired():
         "_hedge_pool", "_key_locks", "streamed_fallback",
         "HedgePolicy", "_maybe_hedge", "hedged_pulls", "hedged_wins",
         "explore_fetches", "max_topologies_per_sequence", "_fresh_id",
+        "ParallelExecutor", "execution.parallel", "key_lock",
+        "parallel_workers", "wall_time", "Scheduler", "_merge_counters",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"
@@ -573,7 +586,6 @@ def test_parameter_budget(capsys):
     as a literal: adding a knob is an edit someone makes on purpose."""
     from repro.__main__ import main
     from repro.execution.engine import ExecutionEngine
-    from repro.execution.parallel import ParallelExecutor
     from repro.execution.progressive import ProgressiveExecutor
     from repro.execution.resilience import ResilienceConfig, RetryPolicy
     from repro.optimizer.optimizer import OptimizerConfig
@@ -583,10 +595,6 @@ def test_parameter_budget(capsys):
         ExecutionEngine: (
             "registry", "cache_setting", "mode", "resilience",
             "row_provenance", "drift_monitor",
-        ),
-        ParallelExecutor: (
-            "registry", "cache_setting", "workers", "resilience",
-            "row_provenance",
         ),
         ProgressiveExecutor: (
             "registry", "plan", "head", "mode", "cache_setting", "max_rounds",
@@ -601,6 +609,7 @@ def test_parameter_budget(capsys):
             "share_service_cache", "service_cache_capacity", "resilience",
             "row_provenance", "adaptive", "breaker", "stats",
         ),
+        QueryService.prefetch: ("self", "query", "k"),
         SessionManager: ("capacity", "ttl", "clock", "stats"),
         OptimizerConfig: (
             "k", "cache_setting", "fetch_heuristic", "most_cogent_only",
@@ -634,9 +643,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3866,
+        "src/repro/execution + serving": 3694,
         "src/repro/optimizer + plans + costs": 2306,
-        "src/repro outside testing": 9963,
+        "src/repro outside testing": 9791,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_lazy_multifeed import _LinearScanReference, _cursor_over, _paged
-from test_parallel import _count_invocations
+from test_resilience import _count_invocations
 
 from repro.execution.cache import CacheSetting, OptimalCache
 from repro.execution.engine import ChainStream, ExecutionEngine, ExecutionMode

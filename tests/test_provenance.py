@@ -15,9 +15,8 @@ the serving layer.  The contracts pinned here:
   the row's contribution — provenance is an audit trail, not an
   annotation.
 * **Complete**: under every execution mode (sequential, parallel,
-  streamed lazy/eager, the thread-pool executor) and through
-  continuations, every answer row carries one record per service atom
-  it was joined from.
+  streamed lazy/eager) and through continuations, every answer row
+  carries one record per service atom it was joined from.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import json
 import pytest
 
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.execution.parallel import ParallelExecutor
 from repro.execution.results import Row
 from repro.model.parser import parse_query
 from repro.serving import QueryService
@@ -69,11 +67,8 @@ class TestRowMechanics:
 
 
 def _rows(registry, query, *, enabled, mode=ExecutionMode.PARALLEL,
-          lazy=True, pool=False, k=8):
+          lazy=True, k=8):
     plan = _optimize(registry, query, k)
-    if pool:
-        executor = ParallelExecutor(registry, row_provenance=enabled)
-        return executor.execute(plan, head=query.head, k=k).rows
     engine = (
         ExecutionEngine(registry, mode=mode, row_provenance=enabled)
         if lazy
@@ -88,7 +83,6 @@ class TestEngineProvenance:
         ("parallel", dict(mode=ExecutionMode.PARALLEL)),
         ("streamed-lazy", dict(mode=ExecutionMode.STREAMED, lazy=True)),
         ("streamed-eager", dict(mode=ExecutionMode.STREAMED, lazy=False)),
-        ("thread-pool", dict(pool=True)),
     ]
 
     @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ Differential contracts pinned here (see
 from __future__ import annotations
 
 import json
+import threading
 from functools import partial
 
 import pytest
@@ -30,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.testing.faults as faults
+from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.resilience import (
     ResilienceConfig,
@@ -64,6 +66,34 @@ def _sig(rows):
     return [
         (dict(r.bindings), tuple(rank for _, rank in r.ranks)) for r in rows
     ]
+
+
+class _CountingService:
+    """Counts every invocation that reaches the service it wraps."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self._lock = threading.Lock()
+        self.invocations = 0
+
+    def invoke(self, pattern, inputs, page=0):
+        with self._lock:
+            self.invocations += 1
+        return self._inner.invoke(pattern, inputs, page=page)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _count_invocations(registry) -> dict:
+    """Wrap every service of *registry* in a counting proxy, in place."""
+    proxies = {}
+    for name in registry.names:
+        proxies[name] = registry._services[name] = _CountingService(
+            registry.service(name)
+        )
+    return proxies
+
 
 RETRY_ALWAYS = ResilienceConfig(retry=RetryPolicy(attempts=40))
 #: Retry + partial mode: nothing fires on a clean run (no faults to
@@ -136,10 +166,37 @@ class TestRetryPolicy:
         )
 
     def test_per_service_attempt_caps(self):
-        policy = RetryPolicy(attempts=5, per_service={"slow": 9, "none": 0})
+        policy = RetryPolicy(attempts=5, per_service={"slow": 9, "once": 1})
         assert policy.attempts_for("anything") == 5
         assert policy.attempts_for("slow") == 9
-        assert policy.attempts_for("none") == 1  # floor: one attempt
+        assert policy.attempts_for("once") == 1
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"attempts": 0}, {"attempts": -4}, {"per_service": {"svc": 0}},
+            {"base_delay": -1.0}, {"max_delay": -0.5}, {"multiplier": 0.5},
+            {"jitter": -0.1}, {"jitter": 3.0}, {"deadline": -1.0},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_values_that_corrupt_virtual_time_are_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            RetryPolicy(**kwargs)
+
+    @given(
+        st.floats(0, 10), st.floats(1, 4), st.floats(0, 60), st.floats(0, 1),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_a_valid_policy_never_backs_off_negatively(
+        self, base_delay, multiplier, max_delay, jitter, attempt
+    ):
+        policy = RetryPolicy(
+            attempts=1, base_delay=base_delay, multiplier=multiplier,
+            max_delay=max_delay, jitter=jitter, deadline=0.0,
+        )
+        assert policy.backoff("svc", ("ioo", ()), attempt) >= 0.0
 
 
 class TestResilientFetch:
@@ -410,6 +467,50 @@ class TestPartialResults:
         for units in certificate.answer_units:
             assert not dropped_tokens.intersection(units)
         assert partial.stats.demoted_blocks == len(certificate.dropped)
+
+    @pytest.mark.parametrize(
+        "setting", (CacheSetting.NO_CACHE, CacheSetting.OPTIMAL),
+        ids=lambda c: c.value,
+    )
+    @pytest.mark.parametrize("seed, fail_rate", ((21, 1.0), (5, 0.6), (7, 0.4)))
+    @pytest.mark.parametrize("shape", sorted(PLAN_SHAPES))
+    def test_every_invocation_is_a_fetch_or_a_wasted_fetch(
+        self, shape, seed, fail_rate, setting
+    ):
+        """Restarts included, every remote invocation is a counted
+        fetch or a counted wasted fetch, and every demotion is on the
+        one certificate."""
+        registry, head, plan = PLAN_SHAPES[shape]()
+        wrap_registry_flaky(
+            registry, FaultSchedule(seed=seed, fail_rate=fail_rate),
+            attempt_aware=True,
+        )
+        proxies = _count_invocations(registry)
+        result = ExecutionEngine(
+            registry, cache_setting=setting, mode=ExecutionMode.PARALLEL,
+            resilience=self.PARTIAL,
+        ).execute(plan, head=head)
+        stats = result.stats
+        invocations = sum(p.invocations for p in proxies.values())
+        assert invocations == stats.total_fetches + stats.wasted_fetches
+        assert stats.demoted_blocks == len(result.certificate.dropped)
+
+    def test_each_restart_demotes_one_unit(self):
+        """Only the downstream service is dead: a walk stops at the
+        first unit that exhausts its retries, so three dead units cost
+        three restarts — the healthy feeder is invoked four times."""
+        registry, head, plan = PLAN_SHAPES["serial"]()
+        registry._services["lefts"] = FlakyService(
+            registry.service("lefts"), FaultSchedule(seed=21, fail_rate=1.0)
+        )
+        proxies = _count_invocations(registry)
+        result = ExecutionEngine(
+            registry, mode=ExecutionMode.PARALLEL, resilience=self.PARTIAL
+        ).execute(plan, head=head)
+        assert len(result.certificate.dropped) == 3
+        assert result.stats.demoted_blocks == 3
+        assert proxies["feeder"].invocations == 4
+        assert result.rows == []
 
     def test_serial_plan_keeps_responsive_blocks_of_a_flaky_service(self):
         """A service with one dead block still answers from the others

@@ -12,8 +12,8 @@ Pinned here:
   past the end.
 * **Plan-level differentials**: the bibliographic domain served from
   the ``sqlite`` backend is bit-identical to the ``memory`` backend
-  through full plan executions under PARALLEL, STREAMED (lazy and
-  eager), and the thread-pool :class:`ParallelExecutor`.
+  through full plan executions under PARALLEL and STREAMED (lazy and
+  eager).
 * **FTS5 internal consistency**: no Python BM25 oracle exists, so the
   full-text service is held to rank-monotone paging — paged output
   equals an eager drain, rank indexes are the gap-free global
@@ -23,7 +23,9 @@ Pinned here:
   fresh process-like service answers identically (search attach needs
   no score function: scores are materialized).
 * **Thread-safety**: concurrent invocations from many threads against
-  one service all equal the oracle.
+  one service all equal the oracle, and two client threads submitting
+  to one SQLite-backed ``QueryService`` (marker ``concurrency``) each
+  get their own pooled connection and the memory backend's answers.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.execution.parallel import ParallelExecutor
 from repro.model.schema import signature
+from repro.serving import QueryService
 from repro.services.base import InvocationError
 from repro.services.profile import exact_profile, search_profile
 from repro.services.sqlite import (
@@ -160,7 +162,7 @@ class TestSearchDifferential:
             )
 
 
-def _plan_rows(registry, mode, lazy=True, parallel_pool=False, k=12):
+def _plan_rows(registry, mode, lazy=True, k=12):
     from repro.costs.time_cost import ExecutionTimeMetric
     from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 
@@ -168,16 +170,12 @@ def _plan_rows(registry, mode, lazy=True, parallel_pool=False, k=12):
     best = Optimizer(
         registry, ExecutionTimeMetric(), OptimizerConfig(k=k)
     ).optimize(query)
-    if parallel_pool:
-        executor = ParallelExecutor(registry, workers=4)
-        result = executor.execute(best.plan, head=query.head, k=k)
-    else:
-        engine = (
-            ExecutionEngine(registry, mode=mode)
-            if lazy
-            else eager_streamed_engine(registry)
-        )
-        result = engine.execute(best.plan, head=query.head, k=k)
+    engine = (
+        ExecutionEngine(registry, mode=mode)
+        if lazy
+        else eager_streamed_engine(registry)
+    )
+    result = engine.execute(best.plan, head=query.head, k=k)
     return [
         (dict(row.bindings), tuple(rank for _, rank in row.ranks))
         for row in result.rows
@@ -196,25 +194,66 @@ class TestPlanLevelBitIdentity:
         return cls.CORPUS
 
     @pytest.mark.parametrize(
-        "mode,lazy,pool",
+        "mode,lazy",
         [
-            (ExecutionMode.PARALLEL, True, False),
-            (ExecutionMode.STREAMED, True, False),
-            (ExecutionMode.STREAMED, False, False),
-            (ExecutionMode.PARALLEL, True, True),
+            (ExecutionMode.PARALLEL, True),
+            (ExecutionMode.STREAMED, True),
+            (ExecutionMode.STREAMED, False),
         ],
-        ids=["parallel", "streamed-lazy", "streamed-eager", "thread-pool"],
+        ids=["parallel", "streamed-lazy", "streamed-eager"],
     )
-    def test_backends_agree(self, mode, lazy, pool):
+    def test_backends_agree(self, mode, lazy):
         corpus = self.corpus()
         memory = _plan_rows(
-            biblio_registry(backend="memory", corpus=corpus), mode, lazy, pool
+            biblio_registry(backend="memory", corpus=corpus), mode, lazy
         )
         sqlite_ = _plan_rows(
-            biblio_registry(backend="sqlite", corpus=corpus), mode, lazy, pool
+            biblio_registry(backend="sqlite", corpus=corpus), mode, lazy
         )
         assert memory == sqlite_
         assert memory  # the planted ground truth produces answers
+
+    @pytest.mark.concurrency
+    def test_client_threads_share_one_sqlite_backed_service(self):
+        """Two client threads submit to one service over SQLite
+        backends: each invokes them on its own pooled connection, and
+        every answer equals the memory backend's."""
+        corpus = self.corpus()
+
+        def answer(service):
+            response = service.submit(experts_query(), k=12)
+            return response.rows, response.rank_keys
+
+        expected = answer(
+            QueryService(registry=biblio_registry(backend="memory", corpus=corpus))
+        )
+        assert expected[0]
+        registry = biblio_registry(backend="sqlite", corpus=corpus)
+        # A private cache per session: both threads reach the backends.
+        service = QueryService(registry=registry, share_service_cache=False)
+        barrier = threading.Barrier(2)
+        answers, errors = [], []
+
+        def client():
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(3):
+                    answers.append(answer(service))
+            except Exception as error:  # surfaced on the main thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=client) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert not errors
+        assert answers == [expected] * 6
+        for name in registry.names:
+            # The anchor opened at load, plus one per client thread.
+            assert len(registry.service(name)._pool._connections) == 3, name
+            registry.service(name).close()
 
 
 @pytest.mark.skipif(not fts5_available(), reason="sqlite3 lacks FTS5")
