@@ -21,9 +21,9 @@ reading moved ``throughput_rps`` by nothing.  A timer signal adds no
 per-call cost; the handler runs between bytecodes, a few microseconds
 per sample.
 
-This is the one-off profile ROADMAP item 3 asks a PR to record until
-item 1's spans exist inside the program; the outputs committed next to
-it are ``benchmarks/out/profile_<workload>_{before,after}.txt``.
+This is the one-off profile ROADMAP item 1 asks a PR to record until
+that item's spans exist inside the program; the outputs committed next
+to it are ``benchmarks/out/profile_<workload>_{before,after}.txt``.
 """
 
 from __future__ import annotations

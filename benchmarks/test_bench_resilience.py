@@ -1,7 +1,7 @@
 """Resilience trajectory (``BENCH_resilience.json``).
 
 Sweeps the resilience layer (:mod:`repro.execution.resilience`) over a
-fault-rate × retry-policy grid on the paper's two-search-services
+fault-rate × attempt-cap grid on the paper's two-search-services
 shape, with partial-results mode on and an attempt-aware fault
 schedule (re-attempts draw independently, so retries *can* recover a
 failed page — the regime the layer exists for).  Per cell, across
@@ -16,15 +16,16 @@ seeded worlds:
 * **time-to-k** — mean virtual completion time (backoff is charged to
   the winning fetch's latency).
 
-A second sweep is the **adaptive-vs-static** column (PR 10): the same
-pair plan with a clean ``lefts_backup`` sibling registered, under
-(a) mid-run service demotion — ``lefts`` units exhaust their retries
-and static partial results must drop them, while sibling fallback
-serves them from the backup — and (b) sustained latency drift —
-``lefts`` answers 25x slower than profiled, the static run pays the
-mis-costed plan's price to the end, the adaptive run splices onto the
-sibling mid-flight.  Recorded per cell: exact-answer rate and virtual
-time-to-k, static vs adaptive.
+A second sweep is the **adaptive-vs-static** column: the same pair
+plan, alone ("static") and with a clean ``lefts_backup`` sibling
+registered and drift monitoring armed ("adaptive"), under (a) mid-run
+service demotion — ``lefts`` units exhaust their retries and partial
+results must drop them where no sibling is registered, while the
+adaptive world serves them from the backup — and (b) sustained latency
+drift — ``lefts`` answers 25x slower than profiled, the static run
+pays the mis-costed plan's price to the end, the adaptive run splices
+onto the sibling mid-flight.  Recorded per cell: exact-answer rate and
+virtual time-to-k, static vs adaptive.
 
 Acceptance (asserted on every sampled world):
 
@@ -57,11 +58,7 @@ from _bench_env import (
 
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.progressive import ProgressiveExecutor
-from repro.execution.resilience import (
-    DriftPolicy,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.execution.resilience import ResilienceConfig
 from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
@@ -77,66 +74,28 @@ pytestmark = pytest.mark.bench
 
 SIDE = bench_scale(120, 30)
 CHUNK = 5
-FETCHES = -(-SIDE // CHUNK)
 K = bench_scale(40, 12)
 SEEDS = bench_scale(20, 5)
 FAULT_RATES = (0.0, 0.1, 0.3)
 ATTEMPT_CAPS = (1, 2, 4)  # retries 0 / 1 / 3
 
 
-def _plan():
-    """The paper's two-search-services shape (rank = position)."""
-    registry = ServiceRegistry()
-    for name, var in (("lefts", "L"), ("rights", "R")):
-        registry.register(
-            TableSearchService(
-                signature(name, ["Q", "K", var], ["ioo"]),
-                search_profile(chunk_size=CHUNK, response_time=1.0),
-                [("q", index % 3, index) for index in range(SIDE)],
-                score=lambda row: float(-row[2]),
-            )
-        )
-    registry.register_join_method("lefts", "rights", JoinMethod.MERGE_SCAN)
-    key, left_var, right_var = Variable("K"), Variable("L"), Variable("R")
-    query = ConjunctiveQuery(
-        name="resiliencebench",
-        head=(key, left_var, right_var),
-        atoms=(
-            Atom("lefts", (Constant("q"), key, left_var)),
-            Atom("rights", (Constant("q"), key, right_var)),
-        ),
-        predicates=(),
-    )
-    plan = PlanBuilder(query, registry).build(
-        (
-            registry.signature("lefts").pattern("ioo"),
-            registry.signature("rights").pattern("ioo"),
-        ),
-        Poset(n=2),
-        fetches={0: FETCHES, 1: FETCHES},
-    )
-    return registry, tuple(query.head), plan
+def _plan(chunk=CHUNK, sibling=False):
+    """The paper's two-search-services shape (rank = position).
 
-
-def _sig(rows):
-    """Registry-independent row signature (rank labels are local ids)."""
-    return [
-        (dict(r.bindings), tuple(rank for _, rank in r.ranks)) for r in rows
-    ]
-
-
-def _sibling_plan(chunk=CHUNK):
-    """The pair plan plus a clean ``lefts_backup`` equivalent.
-
-    The backup shares lefts' signature domains, profile, data, and
-    scores — the ideal fallback target — so an exact recovery is
-    possible and every divergence is the resilience layer's doing.
-    A smaller *chunk* means more pages for the same plane — the drift
-    scenario uses chunk=1 so plenty of remote traffic remains to be
-    saved after the splice.
+    With *sibling* a clean ``lefts_backup`` equivalent is registered
+    too: it shares lefts' signature domains, profile, data, and scores
+    — the ideal fallback target — so an exact recovery is possible and
+    every divergence is the resilience layer's doing.  A smaller
+    *chunk* means more pages for the same plane — the drift scenario
+    uses chunk=1 so plenty of remote traffic remains to be saved after
+    the splice.
     """
     registry = ServiceRegistry()
-    for name, var in (("lefts", "L"), ("rights", "R"), ("lefts_backup", "L")):
+    services = [("lefts", "L"), ("rights", "R")]
+    if sibling:
+        services.append(("lefts_backup", "L"))
+    for name, var in services:
         registry.register(
             TableSearchService(
                 signature(name, ["Q", "K", var], ["ioo"]),
@@ -148,7 +107,7 @@ def _sibling_plan(chunk=CHUNK):
     registry.register_join_method("lefts", "rights", JoinMethod.MERGE_SCAN)
     key, left_var, right_var = Variable("K"), Variable("L"), Variable("R")
     query = ConjunctiveQuery(
-        name="adaptivebench",
+        name="resiliencebench",
         head=(key, left_var, right_var),
         atoms=(
             Atom("lefts", (Constant("q"), key, left_var)),
@@ -166,6 +125,13 @@ def _sibling_plan(chunk=CHUNK):
         fetches={0: budget, 1: budget},
     )
     return registry, tuple(query.head), plan
+
+
+def _sig(rows):
+    """Registry-independent row signature (rank labels are local ids)."""
+    return [
+        (dict(r.bindings), tuple(rank for _, rank in r.ranks)) for r in rows
+    ]
 
 
 def _time_to_k(executor):
@@ -196,8 +162,7 @@ class TestResilienceTrajectory:
             by_attempts: dict[str, dict] = {}
             for attempts in ATTEMPT_CAPS:
                 config = ResilienceConfig(
-                    retry=RetryPolicy(attempts=attempts),
-                    partial_results=True,
+                    attempts=attempts, partial_results=True
                 )
                 successes = 0
                 answers, demoted, wasted, elapsed, wall = [], [], [], [], []
@@ -254,43 +219,31 @@ class TestResilienceTrajectory:
             assert rates == sorted(rates), (rate, rates)
 
         # -- adaptive vs static -----------------------------------------
-        # min_fetches=2: the lazy streamed top-k satisfies this plane
-        # from very few pages, and a x25 drift is unambiguous after
-        # two observations.
-        drift_policy = DriftPolicy(latency_factor=3.0, min_fetches=2)
-        static_config = ResilienceConfig(
-            retry=RetryPolicy(attempts=2), partial_results=True
-        )
-        adaptive_config = ResilienceConfig(
-            retry=RetryPolicy(attempts=2),
-            partial_results=True,
-            sibling_fallback=True,
-        )
+        # The columns differ in the world, not in a switch: the
+        # adaptive one registers the sibling and arms drift monitoring
+        # (a replan that keeps the plan), both retry and run partial.
+        config = ResilienceConfig(attempts=2, partial_results=True)
 
         def _executor(registry, head, plan, adaptive):
-            common = dict(
+            return ProgressiveExecutor(
                 registry=registry, plan=plan, head=head,
-                mode=ExecutionMode.STREAMED,
+                mode=ExecutionMode.STREAMED, resilience=config,
+                replan=(lambda observed: None) if adaptive else None,
             )
-            if adaptive:
-                return ProgressiveExecutor(
-                    resilience=adaptive_config, drift=drift_policy, **common
-                )
-            return ProgressiveExecutor(resilience=static_config, **common)
 
-        sib_registry, sib_head, sib_plan = _sibling_plan()
-        sib_oracle = ProgressiveExecutor(
-            registry=sib_registry, plan=sib_plan, head=sib_head,
+        session_registry, session_head, session_plan = _plan()
+        session_oracle = ProgressiveExecutor(
+            registry=session_registry, plan=session_plan, head=session_head,
             mode=ExecutionMode.STREAMED,
         )
-        sib_oracle_sig = _sig(sib_oracle.run(K).rows)
+        session_oracle_sig = _sig(session_oracle.run(K).rows)
 
         # Zero-drift contract: with adaptivity armed but nothing
         # drifting, the adaptive run is bit-identical to the static one
         # in rows, ranks, AND full per-round accounting.
         zero_runs = []
         for adaptive in (False, True):
-            registry, head, plan = _sibling_plan()
+            registry, head, plan = _plan(sibling=adaptive)
             executor = _executor(registry, head, plan, adaptive)
             result = executor.run(K)
             zero_runs.append((executor, result))
@@ -315,7 +268,7 @@ class TestResilienceTrajectory:
                     [], [], [], [], []
                 )
                 for seed in range(SEEDS):
-                    registry, head, plan = _sibling_plan()
+                    registry, head, plan = _plan(sibling=adaptive)
                     if rate:
                         # Only lefts is sick; the backup (and rights)
                         # stay healthy — the demotion-recovery regime.
@@ -328,7 +281,7 @@ class TestResilienceTrajectory:
                     result = executor.run(K)
                     certificate = result.certificate
                     assert certificate is not None
-                    if _sig(result.rows) == sib_oracle_sig:
+                    if _sig(result.rows) == session_oracle_sig:
                         exact += 1
                     else:
                         assert certificate.is_partial, (rate, column, seed)
@@ -351,8 +304,8 @@ class TestResilienceTrajectory:
                     "mean_substituted_blocks": statistics.mean(substituted),
                     "mean_replans": statistics.mean(replans),
                 }
-            # Sibling fallback can only improve exactness: the backup
-            # serves what static partial results would have dropped.
+            # The sibling can only improve exactness: the backup serves
+            # what partial results alone would have dropped.
             assert (
                 exact_by_column["adaptive"] >= exact_by_column["static"]
             ), (rate, exact_by_column)
@@ -360,7 +313,7 @@ class TestResilienceTrajectory:
 
         drift_cells: dict[str, dict] = {}
         for column in ("static", "adaptive"):
-            registry, head, plan = _sibling_plan(chunk=1)
+            registry, head, plan = _plan(chunk=1, sibling=column == "adaptive")
             registry._services["lefts"] = FlakyService(
                 registry._services["lefts"],
                 FaultSchedule(seed=1, delay_rate=1.0),
@@ -369,7 +322,7 @@ class TestResilienceTrajectory:
                                  column == "adaptive")
             result = executor.run(K)
             # Delay faults never change data: both columns stay exact.
-            assert _sig(result.rows) == sib_oracle_sig, column
+            assert _sig(result.rows) == session_oracle_sig, column
             drift_cells[column] = {
                 "time_to_k_virtual_s": round(_time_to_k(executor), 4),
                 "replans": executor.replans,
@@ -406,10 +359,11 @@ class TestResilienceTrajectory:
             },
             "retry_grid": grid,
             "adaptive_vs_static": {
-                "workload": "same pair plan plus a clean lefts_backup "
-                "sibling; static = retries(2) + partial results, "
-                "adaptive = same + sibling fallback + drift splice "
-                "(latency_factor=3, min_fetches=2); STREAMED mode",
+                "workload": "retries(2) + partial results in STREAMED "
+                "mode; static = the pair plan alone, adaptive = the pair "
+                "plan plus a clean lefts_backup sibling, with drift "
+                "monitoring armed (the shared health rule: mean latency "
+                "over 3x profile after 3 fetches)",
                 "zero_drift_bit_identical": True,
                 "demotion_recovery": demotion_grid,
                 "drift_recovery": {
@@ -433,9 +387,7 @@ class TestResilienceTrajectory:
         engine = ExecutionEngine(
             registry,
             mode=ExecutionMode.STREAMED,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(attempts=8), partial_results=True
-            ),
+            resilience=ResilienceConfig(attempts=8, partial_results=True),
         )
         result = benchmark(lambda: engine.execute(plan, head=head, k=K))
         assert result.certificate is not None

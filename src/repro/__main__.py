@@ -115,17 +115,14 @@ def _resilience_config(args):
     partial = getattr(args, "partial_results", False)
     if not retries and not partial:
         return None
-    from repro.execution.resilience import ResilienceConfig, RetryPolicy
+    from repro.execution.resilience import ResilienceConfig
 
-    return ResilienceConfig(
-        retry=RetryPolicy(attempts=retries + 1) if retries else None,
-        partial_results=partial,
-    )
+    return ResilienceConfig(attempts=retries + 1, partial_results=partial)
 
 
 def _make_query_service(args):
     from repro.serving import (
-        AdaptivePolicy,
+        CircuitBreaker,
         PlanCache,
         PlanCacheFormatError,
         QueryService,
@@ -143,9 +140,7 @@ def _make_query_service(args):
         plan_cache=plan_cache,
         resilience=_resilience_config(args),
         row_provenance=getattr(args, "provenance", False),
-        adaptive=(
-            AdaptivePolicy() if getattr(args, "adaptive", False) else None
-        ),
+        breaker=CircuitBreaker() if getattr(args, "adaptive", False) else None,
     )
     return service, showcase
 
@@ -223,9 +218,10 @@ def _add_serving_flags(parser) -> None:
     )
     parser.add_argument(
         "--partial-results", action="store_true",
-        help="when retries are exhausted, drop the unresponsive "
-        "service block and answer over the rest, attaching a "
-        "certificate naming every dropped unit",
+        help="when retries are exhausted, serve the unresponsive "
+        "service block from a registered equivalent service if there "
+        "is one, else drop it and answer over the rest, attaching a "
+        "certificate naming every substituted and dropped unit",
     )
     parser.add_argument(
         "--provenance", action="store_true",
@@ -235,11 +231,12 @@ def _add_serving_flags(parser) -> None:
     )
     parser.add_argument(
         "--adaptive", action="store_true",
-        help="mid-flight adaptive serving: per-service circuit "
-        "breakers feed observed health back into plan costs, "
-        "executions re-plan when a service's latency drifts from its "
-        "profile, and exhausted units fall back to registered sibling "
-        "services (every substitution recorded on the certificate)",
+        help="mid-flight adaptive serving, in partial-results mode: "
+        "per-service circuit breakers feed observed health back into "
+        "plan costs, executions re-plan when a service turns slow "
+        "against its profile, and slow or breaker-open services are "
+        "served by registered equivalent services (every substitution "
+        "recorded on the certificate)",
     )
 
 

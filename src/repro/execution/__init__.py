@@ -40,12 +40,10 @@ from repro.execution.progressive import (
 )
 from repro.execution.resilience import (
     DriftMonitor,
-    DriftPolicy,
     DroppedUnit,
     PartialResultCertificate,
     PlanDrift,
     ResilienceConfig,
-    RetryPolicy,
     SubstitutedUnit,
     UnresponsiveService,
     resilient_fetch,
@@ -64,7 +62,6 @@ __all__ = [
     "ChainStream",
     "DriftEvent",
     "DriftMonitor",
-    "DriftPolicy",
     "DroppedUnit",
     "ExecutionEngine",
     "ExecutionError",
@@ -85,7 +82,6 @@ __all__ = [
     "PlanDrift",
     "ProgressiveExecutor",
     "ResilienceConfig",
-    "RetryPolicy",
     "RowCursor",
     "ProgressiveRound",
     "ResultTable",

@@ -90,12 +90,10 @@ SHUFFLE_SEED = 17
 class ExecutionMode(Enum):
     """Scheduling modes of the engine.
 
-    All four modes produce the *same answers* for the same plan — they
+    All three modes produce the *same answers* for the same plan — they
     differ in how virtual time is aggregated and how much work is done
     to produce a top-k head:
 
-    * ``SEQUENTIAL`` — one thread; elapsed time is the sum of all
-      service latencies.
     * ``PARALLEL`` — independent branches overlap; elapsed time is the
       critical path over the plan DAG.  This is the reference
       full-materialization mode: every service is fully fetched and
@@ -118,7 +116,6 @@ class ExecutionMode(Enum):
       materialization.
     """
 
-    SEQUENTIAL = "sequential"
     PARALLEL = "parallel"
     MULTITHREADED = "multithreaded"
     STREAMED = "streamed"
@@ -268,8 +265,8 @@ class ExecutionEngine:
         steps = program.steps
         # Partial-results restart loop: a walk stops at the first unit
         # that exhausts its retry budget, which is rerouted onto an
-        # equivalent sibling service (when sibling fallback is on and
-        # one exists) or demoted, and the walk re-runs with it
+        # equivalent sibling service (when one is registered) or
+        # demoted, and the walk re-runs with it
         # rerouted/masked (the shared logical cache makes restarts
         # cheap — every already-fetched page is answered locally).  The
         # stats object survives restarts, so aborted work stays
@@ -526,8 +523,7 @@ class ExecutionEngine:
         return sum(latencies)
 
     def _elapsed(self, program: ExecutionProgram, busy: Sequence[float]) -> float:
-        if self._mode is ExecutionMode.SEQUENTIAL:
-            return sum(busy)
+        """The critical path over the plan DAG of each step's busy time."""
         finish: list[float] = []
         for step in program.steps:
             start = max((finish[feed] for feed in step.feeds), default=0.0)

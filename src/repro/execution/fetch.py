@@ -36,7 +36,7 @@ across drift splices, so a re-plan carries nothing over by hand.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from repro.execution.cache import LogicalCache
 from repro.execution.lazy import FetchedPage
@@ -111,9 +111,9 @@ class UnitRouting:
         self._substituted: dict[Unit, str] = {}
         #: whole-service reroutes (circuit breaker opened the service),
         self._service_substitutions: dict[str, str] = {}
-        #: siblings already tried per unit (so a failing sibling
+        #: servers that already failed each unit (so a failing sibling
         #: advances to the next candidate instead of ping-ponging),
-        self._unit_attempts: dict[Unit, set[str]] = {}
+        self._failed_servers: dict[Unit, set[str]] = {}
         #: reverse map (serving service, input key) -> original unit,
         #: so a sibling's own failure resolves to the unit it serves,
         self._origin: dict[Unit, Unit] = {}
@@ -176,12 +176,13 @@ class UnitRouting:
             return
         if failure.service != self._serving(unit):
             return
-        if self._resilience is not None and self._resilience.sibling_fallback:
-            sibling = self._next_sibling(unit, failure.service)
-            if sibling is not None:
-                self._substituted[unit] = sibling
-                return
-        # Sibling chain exhausted (or fallback off): demote the
+        tried = self._failed_servers.setdefault(unit, set())
+        tried.add(failure.service)
+        sibling = self.sibling(unit[0], (unit[1][0],), avoid=tried)
+        if sibling is not None:
+            self._substituted[unit] = sibling
+            return
+        # Sibling chain exhausted (or none registered): demote the
         # *original* unit — and forget its substitution record, or the
         # certificate would report the unit both substituted and
         # dropped.
@@ -195,15 +196,23 @@ class UnitRouting:
         # certificate keeps.
         self.demoted.setdefault(unit, failure)
 
-    def _next_sibling(self, unit: Unit, failed: str) -> str | None:
-        """The first registered sibling this unit has not tried yet."""
-        tried = self._unit_attempts.setdefault(unit, {unit[0]})
-        tried.add(failed)
-        pattern_code = unit[1][0]
-        for sibling in self._registry.siblings(unit[0], (pattern_code,)):
-            if sibling not in tried:
-                tried.add(sibling)
-                return sibling
+    def sibling(
+        self,
+        service: str,
+        pattern_codes: Sequence[str],
+        avoid: Collection[str] = (),
+    ) -> str | None:
+        """The registered equivalent of *service* to serve it instead.
+
+        The first sibling in registry order able to serve every access
+        pattern in *pattern_codes* and not in *avoid*; None when there
+        is none.  The one sibling chooser: a unit that exhausted its
+        retries, a service that drifted and a service whose breaker is
+        open all reroute through it.
+        """
+        for candidate in self._registry.siblings(service, pattern_codes):
+            if candidate not in avoid:
+                return candidate
         return None
 
     def substitute_service(self, service: str, replacement: str) -> None:

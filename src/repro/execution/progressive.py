@@ -47,17 +47,18 @@ same either way, and so are the answers
 (:class:`repro.testing.ReexecutingExecutor` is the reference that
 always re-executes).
 
-**Drift re-planning** is a policy of the same executor.  With a
-:class:`~repro.execution.resilience.DriftPolicy` a
+**Drift re-planning** is armed by a ``replan`` callback.  With one, a
 :class:`~repro.execution.resilience.DriftMonitor` on the engine watches
 every remote fetch and raises :class:`~repro.execution.resilience.
-PlanDrift` out of the fetch seam when a service's mean latency leaves
-the profile the plan was costed at.  ``run`` catches it, re-costs
-against the *observed* response times (via the optional ``replan``
-callback — typically an optimizer run over an
-:class:`~repro.services.registry.AdjustedRegistry` view) and splices:
-the program (with its fetch vector) and the monitor are replaced,
-everything else is kept.
+PlanDrift` out of the fetch seam when a service turns slow against the
+profile the plan was costed at (:func:`~repro.execution.resilience.
+is_slow`).  ``run`` catches it, re-costs against the *observed*
+response times (``replan`` — typically an optimizer run over an
+:class:`~repro.services.registry.AdjustedRegistry` view; a caller that
+wants the splice without a new plan passes ``lambda observed: None``),
+reroutes the drifted service onto a registered sibling when one exists
+and splices: the program (with its fetch vector) and the monitor are
+replaced, everything else is kept.
 
 * **No lost work** — the aborted attempt's statistics ride on the
   ``PlanDrift`` and become an explicit aborted pseudo-round;
@@ -68,11 +69,11 @@ everything else is kept.
   never re-pulls a fetched page;
 * **No livelock** — the replacement monitor exempts every service
   whose drift was already absorbed (its cost *is* the observed one
-  now), and ``max_replans`` bounds the splice count before the run
+  now), and ``MAX_REPLANS`` bounds the splice count before the run
   finishes un-monitored on whatever plan it has.
 
-**Zero-drift contract**: without a policy there is no monitor and no
-``PlanDrift``; with one, while no observation crosses the threshold
+**Zero-drift contract**: without ``replan`` there is no monitor and no
+``PlanDrift``; with it, while no observation crosses the threshold
 the monitor only reads — rows, ranks and full statistics are
 bit-identical either way.
 """
@@ -87,7 +88,6 @@ from repro.execution.engine import ExecutionEngine, ExecutionMode, ExecutionResu
 from repro.execution.program import ExecutionProgram, as_program
 from repro.execution.resilience import (
     DriftMonitor,
-    DriftPolicy,
     PlanDrift,
     ResilienceConfig,
     UnresponsiveService,
@@ -96,6 +96,10 @@ from repro.execution.stats import ExecutionStats
 from repro.model.terms import Variable
 from repro.plans.dag import QueryPlan
 from repro.services.registry import ServiceRegistry
+
+#: Drift splices one execution may perform before it stops monitoring
+#: and finishes with whatever plan it has.
+MAX_REPLANS = 3
 
 
 @dataclass
@@ -196,13 +200,12 @@ class ProgressiveExecutor:
     #: rides inside :class:`~repro.execution.results.Row`, so resumed
     #: stream rounds carry it automatically.
     row_provenance: bool = False
-    #: When a service's observed latency counts as drift and how often
-    #: the run may re-plan; None (the default) monitors nothing.
-    drift: DriftPolicy | None = None
     #: Maps the observed mean response times (service name -> virtual
     #: seconds, cumulative across all drifts so far) to a replacement
-    #: plan; None keeps the current plan (the splice then only changes
-    #: routing/monitoring, e.g. a sibling substitution).
+    #: plan, or to None to keep the current one (the splice then only
+    #: changes routing and monitoring, e.g. a sibling substitution).
+    #: Given, it arms drift monitoring; None (the default) monitors
+    #: nothing.
     replan: (
         Callable[[dict[str, float]], QueryPlan | ExecutionProgram | None] | None
     ) = None
@@ -405,10 +408,10 @@ class ProgressiveExecutor:
 
     def _fresh_monitor(self) -> DriftMonitor | None:
         """A monitor for the next attempt, while a re-plan is still
-        allowed; past ``max_replans`` the run finishes un-monitored."""
-        if self.drift is None or self.replans >= self.drift.max_replans:
+        allowed; past ``MAX_REPLANS`` the run finishes un-monitored."""
+        if self.replan is None or self.replans >= MAX_REPLANS:
             return None
-        return DriftMonitor(self.drift, adapted=frozenset(self._overrides))
+        return DriftMonitor(adapted=frozenset(self._overrides))
 
     def _splice(self, drift: PlanDrift) -> None:
         """Absorb one drift: record, re-cost, swap plan and monitor."""
@@ -422,16 +425,13 @@ class ProgressiveExecutor:
             stats.elapsed = stats.busiest_service_time()
         self._record_round(stats, 0)
         self._overrides[drift.service] = drift.observed
-        replacement = (
-            self.replan(dict(self._overrides)) if self.replan is not None else None
-        )
+        replacement = self.replan(dict(self._overrides))
         if replacement is not None:
             self.plan = replacement
             self._adopt(replacement)
-        substituted_with = (
-            self._sibling_for(drift.service)
-            if self.drift.substitute_siblings
-            else None
+        routing = self._engine.routing
+        substituted_with = routing.sibling(
+            drift.service, self._program.pattern_codes(drift.service)
         )
         self.drift_events.append(
             DriftEvent(
@@ -444,9 +444,7 @@ class ProgressiveExecutor:
             )
         )
         if substituted_with is not None:
-            self._engine.routing.substitute_service(
-                drift.service, substituted_with
-            )
+            routing.substitute_service(drift.service, substituted_with)
         self._engine.drift_monitor = self._fresh_monitor()
         # The suspended stream (if any) belongs to the aborted plan;
         # the splice starts from a fresh execution over the shared
@@ -454,14 +452,6 @@ class ProgressiveExecutor:
         # executed-round budget restarted.
         self._last_result = None
         self._splice_start = len(self.rounds)
-
-    def _sibling_for(self, service: str) -> str | None:
-        """A registered equivalent able to serve every pattern the plan
-        uses for *service*; None when there is none."""
-        siblings = self.registry.siblings(
-            service, self._program.pattern_codes(service)
-        )
-        return siblings[0] if siblings else None
 
     def _resumed_baseline(self) -> int | None:
         """The exhaustion baseline after a resume-served round.

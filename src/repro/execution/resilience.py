@@ -7,23 +7,24 @@ module makes the engine *survive* them, in two independently
 switchable layers wired into the one page-pull seam
 (:meth:`repro.execution.fetch.UnitSource.fetch`):
 
-* **Retry with backoff** (:class:`RetryPolicy`) — a transient page
-  failure (:class:`~repro.services.base.TransientServiceError`,
-  ``ConnectionError``, ``TimeoutError``) is re-invoked up to a per-
-  service attempt cap, with seeded *deterministic* exponential backoff
-  charged to virtual time (services never sleep, so neither does the
-  retry loop: the backoff delay is folded into the winning fetch's
-  reported latency).  A per-call ``deadline`` bounds the cumulative
-  backoff a single page pull may accumulate.  **Determinism argument**:
-  every quantity involved — the attempt sequence, the backoff delays
-  (hashed from ``(seed, service, input key, attempt)``), the final
-  outcome — is a pure function of the policy and the service's own
-  (seeded) behavior, never of wall-clock time or scheduling.
+* **Retry with backoff** (``ResilienceConfig.attempts``) — a transient
+  page failure (:class:`~repro.services.base.TransientServiceError`,
+  ``ConnectionError``, ``TimeoutError``) is re-invoked up to the
+  attempt cap, with seeded *deterministic* exponential backoff
+  (:func:`backoff`) charged to virtual time (services never sleep, so
+  neither does the retry loop: the backoff delay is folded into the
+  winning fetch's reported latency).  **Determinism argument**: every
+  quantity involved — the attempt sequence, the backoff delays (hashed
+  from ``(seed, service, input key, attempt)``), the final outcome — is
+  a pure function of the attempt cap and the service's own (seeded)
+  behavior, never of wall-clock time or scheduling.
 
 * **Partial results** (``partial_results=True``) — when retries are
   exhausted, the failing unit (one ``(service, input setting)`` block)
-  is *demoted* instead of aborting the query: the engine masks the
-  unit and re-runs the walk (the logical cache makes restarts cheap),
+  is *demoted* instead of aborting the query (or, when an equivalent
+  service is registered, rerouted onto it and recorded as
+  substituted): the engine masks the unit and re-runs the walk (the
+  logical cache makes restarts cheap),
   returning top-k over the responsive blocks plus a
   :class:`PartialResultCertificate` naming every dropped unit and
   attributing each returned answer to the service blocks that produced
@@ -36,7 +37,7 @@ switchable layers wired into the one page-pull seam
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.digest import sha256
@@ -86,119 +87,69 @@ class UnresponsiveService(RuntimeError):
         return (self.service, self.input_key)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Deterministic retry/backoff for transient page failures.
+#: Backoff before re-attempt *n* (1-based) is
+#: ``min(MAX_DELAY, BASE_DELAY * MULTIPLIER**(n-1))`` virtual seconds,
+#: scaled by a jitter in ``[1-JITTER, 1+JITTER]`` hashed from
+#: ``(JITTER_SEED, service, input key, n)``.
+BASE_DELAY = 0.5
+MULTIPLIER = 2.0
+MAX_DELAY = 30.0
+JITTER = 0.1
+JITTER_SEED = 0
 
-    ``attempts`` is the total invocation budget per page pull (1 means
-    no retry); ``per_service`` overrides it for named services.
-    Backoff for re-attempt *n* (1-based) is
-    ``min(max_delay, base_delay * multiplier**(n-1))`` scaled by a
-    seeded jitter in ``[1-jitter, 1+jitter]`` — a pure function of
-    ``(seed, service, input key, n)``, so retried executions are
-    bit-reproducible.  ``deadline`` bounds the cumulative backoff one
-    page pull may accumulate: a retry whose delay would exceed it is
-    not taken (the pull fails as if the attempt cap were reached).
-    All delays are *virtual* seconds, folded into the winning fetch's
-    reported latency — nothing ever sleeps.
-    """
 
-    attempts: int = 3
-    base_delay: float = 0.5
-    multiplier: float = 2.0
-    max_delay: float = 30.0
-    jitter: float = 0.1
-    seed: int = 0
-    deadline: float | None = None
-    per_service: Mapping[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        # A value outside these ranges would make a backoff negative,
-        # and a negative delay folded into a fetch's latency runs
-        # virtual time backwards.
-        caps = {"attempts": self.attempts}
-        for service, cap in self.per_service.items():
-            caps[f"per_service[{service!r}]"] = cap
-        for name, cap in caps.items():
-            if cap < 1:
-                raise ValueError(f"{name} must be >= 1, got {cap}")
-        for name, delay in (
-            ("base_delay", self.base_delay), ("max_delay", self.max_delay)
-        ):
-            if delay < 0:
-                raise ValueError(f"{name} must be >= 0, got {delay}")
-        if self.multiplier < 1:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0 <= self.jitter <= 1:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.deadline is not None and self.deadline < 0:
-            raise ValueError(f"deadline must be >= 0, got {self.deadline}")
-
-    def attempts_for(self, service: str) -> int:
-        """The attempt cap for *service*."""
-        return self.per_service.get(service, self.attempts)
-
-    def backoff(self, service: str, input_key: tuple, attempt: int) -> float:
-        """Virtual delay before re-attempt *attempt* (1-based)."""
-        delay = min(
-            self.max_delay, self.base_delay * self.multiplier ** (attempt - 1)
-        )
-        if not self.jitter:
-            return delay
-        key = repr((self.seed, service, input_key, attempt))
-        digest = sha256(key.encode("utf-8")).digest()
-        draw = int.from_bytes(digest[:8], "big") / 2.0**64
-        return delay * (1.0 - self.jitter + 2.0 * self.jitter * draw)
+def backoff(service: str, input_key: tuple, attempt: int) -> float:
+    """Virtual delay before re-attempt *attempt* (1-based): a pure
+    function of its arguments, so retried executions are
+    bit-reproducible."""
+    delay = min(MAX_DELAY, BASE_DELAY * MULTIPLIER ** (attempt - 1))
+    key = repr((JITTER_SEED, service, input_key, attempt))
+    digest = sha256(key.encode("utf-8")).digest()
+    draw = int.from_bytes(digest[:8], "big") / 2.0**64
+    return delay * (1.0 - JITTER + 2.0 * JITTER * draw)
 
 
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Which resilience layers are active for an engine.
 
-    All fields default to off; a config with every layer off is
-    behaviorally identical to running without one (the bit-identity
-    contract the differential suite pins).
-
-    ``sibling_fallback`` (requires ``partial_results``) reroutes a unit
-    whose retries are exhausted onto an equivalent registered service
-    (:meth:`~repro.services.registry.ServiceRegistry.siblings`) before
-    demoting it: the answer keeps the unit's data as served by the
-    sibling, and the certificate's ``substituted`` section names every
-    rerouted unit — honesty is preserved because a substitution is
-    *recorded*, never silent.
+    ``attempts`` is the total invocation budget per page pull (1 means
+    no retry); ``partial_results`` demotes a unit whose budget ran out
+    instead of failing the query, or serves it from a registered
+    sibling (:meth:`~repro.execution.fetch.UnitRouting.sibling`) when
+    one exists — recorded in the certificate's ``substituted``
+    section, never silent.  The defaults are behaviorally identical to
+    running without a config (the bit-identity contract the
+    differential suite pins).
     """
 
-    retry: RetryPolicy | None = None
+    attempts: int = 1
     partial_results: bool = False
-    sibling_fallback: bool = False
+
+    def __post_init__(self) -> None:
+        # A budget below one would never invoke the service at all.
+        if self.attempts < 1:
+            raise ValueError(f"attempts must be >= 1, got {self.attempts}")
 
 
-# -- drift detection --------------------------------------------------------
+# -- service health ---------------------------------------------------------
+
+#: A service is *slow* once its mean observed fetch latency exceeds
+#: ``LATENCY_FACTOR`` times the response time it was costed at, over at
+#: least ``MIN_FETCHES`` fetches (one slow page is a straggler; a
+#: consistently slow service is a mis-costed plan).
+LATENCY_FACTOR = 3.0
+MIN_FETCHES = 3
 
 
-@dataclass(frozen=True)
-class DriftPolicy:
-    """When observed service behavior diverges enough to re-plan.
-
-    A service has *drifted* when the mean observed latency of its
-    remote fetches in one execution exceeds ``latency_factor`` times
-    the ``response_time`` of the profile its plan node was costed
-    with, after at least ``min_fetches`` observations (one slow page
-    is a straggler; a consistently slow service is a mis-costed plan —
-    re-planning's job).  ``max_replans`` bounds how many times one
-    adaptive execution may re-plan before it stops monitoring and
-    finishes with whatever plan it has.
-    ``substitute_siblings`` additionally reroutes the drifted
-    service's units onto an equivalent registered sibling (when one
-    exists) in the spliced plan, so the remaining pages are pulled at
-    the sibling's healthy latency; the substitution is recorded on the
-    partial certificate exactly like a failure-driven fallback.
-    """
-
-    latency_factor: float = 3.0
-    min_fetches: int = 3
-    max_replans: int = 3
-    substitute_siblings: bool = True
+def is_slow(fetches: int, mean_latency: float, expected: float) -> bool:
+    """The one health rule: the drift monitor re-plans on it, the
+    circuit breaker counts it as an unhealthy request."""
+    return (
+        fetches >= MIN_FETCHES
+        and expected > 0
+        and mean_latency > LATENCY_FACTOR * expected
+    )
 
 
 class PlanDrift(RuntimeError):
@@ -244,10 +195,7 @@ class DriftMonitor:
     observed either.
     """
 
-    def __init__(
-        self, policy: DriftPolicy, adapted: frozenset[str] = frozenset()
-    ) -> None:
-        self.policy = policy
+    def __init__(self, adapted: frozenset[str] = frozenset()) -> None:
         self.adapted = set(adapted)
         self._counts: dict[str, int] = {}
         self._totals: dict[str, float] = {}
@@ -265,10 +213,8 @@ class DriftMonitor:
         total = self._totals.get(service, 0.0) + latency
         self._counts[service] = count
         self._totals[service] = total
-        if count < self.policy.min_fetches:
-            return
         mean = total / count
-        if mean > self.policy.latency_factor * expected:
+        if is_slow(count, mean, expected):
             raise PlanDrift(service, mean, expected, count)
 
 
@@ -290,8 +236,6 @@ def resilient_fetch(
     retries are exhausted in partial-results mode, the final transient
     error otherwise.
     """
-    retry = config.retry
-    cap = retry.attempts_for(service) if retry is not None else 1
     attempt = 0
     overhead = 0.0  # virtual: backoff charged to the fetch that succeeds
     while True:
@@ -300,22 +244,13 @@ def resilient_fetch(
         except TRANSIENT_ERRORS as error:
             stats.wasted_fetches += 1
             attempt += 1
-            exhausted = attempt >= cap
-            delay = 0.0
-            if not exhausted:
-                assert retry is not None
-                delay = retry.backoff(service, input_key, attempt)
-                if (
-                    retry.deadline is not None
-                    and overhead + delay > retry.deadline
-                ):
-                    exhausted = True
-            if exhausted:
+            if attempt >= config.attempts:
                 if config.partial_results:
                     raise UnresponsiveService(
                         service, input_key, page, attempt, error
                     ) from error
                 raise
+            delay = backoff(service, input_key, attempt)
             stats.retries += 1
             stats.retry_backoff += delay
             overhead += delay
@@ -411,8 +346,8 @@ class PartialResultCertificate:
     tokens per returned answer, in answer order) shows exactly which
     blocks produced each row, and by construction never intersects
     ``dropped``.  ``substituted`` lists every unit rerouted onto an
-    equivalent sibling service (empty unless sibling fallback or
-    adaptive substitution actually fired, so fault-free renderings are
+    equivalent sibling service (empty unless a substitution actually
+    fired, so fault-free renderings are
     unchanged in content); a substituted unit's answers attribute to
     the *replacement* service's token in ``answer_units``.
     """

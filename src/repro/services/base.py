@@ -34,8 +34,8 @@ class TransientServiceError(RuntimeError):
 
     The resilience layer (:mod:`repro.execution.resilience`) retries
     invocations that raise this marker (or a builtin
-    ``ConnectionError``/``TimeoutError``) under its
-    :class:`~repro.execution.resilience.RetryPolicy`; any other
+    ``ConnectionError``/``TimeoutError``) up to
+    ``ResilienceConfig.attempts`` times; any other
     exception — :class:`InvocationError`, schema violations — is a
     *permanent* fault and propagates immediately.  The fault-injection
     kit's :class:`~repro.testing.faults.InjectedFault` subclasses this

@@ -9,12 +9,7 @@ sessions that resume suspended streams instead of re-executing.  See
 invalidation rule, and the session lifecycle.
 """
 
-from repro.serving.breaker import (
-    AdaptivePolicy,
-    BreakerPolicy,
-    BreakerState,
-    CircuitBreaker,
-)
+from repro.serving.breaker import BreakerState, CircuitBreaker
 from repro.serving.fingerprint import (
     canonical_query,
     optimizer_config_token,
@@ -32,8 +27,6 @@ from repro.serving.sessions import (
 )
 
 __all__ = [
-    "AdaptivePolicy",
-    "BreakerPolicy",
     "BreakerState",
     "CachedPlan",
     "CircuitBreaker",

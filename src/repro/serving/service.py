@@ -76,7 +76,7 @@ from repro.model.parser import parse_query
 from repro.model.query import ConjunctiveQuery
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.plans.spec import PlanSpec
-from repro.serving.breaker import AdaptivePolicy, BreakerState, CircuitBreaker
+from repro.serving.breaker import CircuitBreaker
 from repro.serving.fingerprint import (
     optimizer_config_token,
     plan_cache_key,
@@ -255,36 +255,23 @@ class QueryService:
     #: disabled responses render byte-identically to before.
     row_provenance: bool = False
     #: Opt-in mid-flight adaptivity (:mod:`repro.serving.breaker`):
-    #: per-service circuit breakers accumulate observed health across
-    #: requests and feed adjusted response times back into plan costs,
-    #: executions run with a drift policy
-    #: (:class:`~repro.execution.progressive.ProgressiveExecutor`)
-    #: that re-plans on latency drift, and open
-    #: breakers reroute onto registered sibling services.  None keeps
-    #: the static serving path, bit-identically.
-    adaptive: AdaptivePolicy | None = None
-    #: The breaker instance (auto-created when ``adaptive`` is set);
-    #: inject one to share breakers across services or to pin a test
-    #: clock.
+    #: the per-service circuit breakers accumulate observed health
+    #: across requests and feed adjusted response times back into plan
+    #: costs, executions re-plan when a service turns slow mid-run
+    #: (:class:`~repro.execution.progressive.ProgressiveExecutor`), and
+    #: open breakers reroute onto registered sibling services.  Runs
+    #: in partial-results mode, where substitutions are recorded.
+    #: None keeps the static serving path, bit-identically.
     breaker: CircuitBreaker | None = None
     stats: ServingStats = field(default_factory=ServingStats)
 
     def __post_init__(self) -> None:
-        if self.adaptive is not None and self.breaker is None:
-            self.breaker = CircuitBreaker(self.adaptive.breaker)
-        # Adaptive serving needs partial-results accounting (the
-        # certificate is where substitutions are recorded) and, when
-        # requested, sibling fallback on exhausted units.
-        if self.adaptive is None:
-            self._exec_resilience = self.resilience
-        else:
-            base = self.resilience or ResilienceConfig()
+        # Adaptive serving needs partial-results accounting: the
+        # certificate is where substitutions are recorded.
+        self._exec_resilience = self.resilience
+        if self.breaker is not None:
             self._exec_resilience = replace(
-                base,
-                partial_results=True,
-                sibling_fallback=(
-                    base.sibling_fallback or self.adaptive.sibling_fallback
-                ),
+                self.resilience or ResilienceConfig(), partial_results=True
             )
         inner: LogicalCache | None = (
             make_cache(self.cache_setting, capacity=self.service_cache_capacity)
@@ -588,7 +575,8 @@ class QueryService:
     def _make_executor(
         self, query: ConjunctiveQuery, plan: ExecutionProgram, k: int
     ) -> ProgressiveExecutor:
-        """The per-submission executor: drift-aware when adaptive."""
+        """The per-submission executor: re-planning on drift when
+        adaptive."""
 
         def replan(observed: dict) -> ExecutionProgram | None:
             # Merge breaker knowledge (cross-request) with this run's
@@ -603,7 +591,6 @@ class QueryService:
             )
             return new_plan
 
-        adaptive = self.adaptive is not None
         executor = ProgressiveExecutor(
             registry=self.registry,
             plan=plan,
@@ -613,8 +600,7 @@ class QueryService:
             reset_remote=False,
             resilience=self._exec_resilience,
             row_provenance=self.row_provenance,
-            drift=self.adaptive.drift if adaptive else None,
-            replan=replan if adaptive else None,
+            replan=replan if self.breaker is not None else None,
         )
         self._apply_breaker_routing(executor.engine.routing, plan)
         return executor
@@ -629,19 +615,16 @@ class QueryService:
         serves it from the sibling from the first fetch.  Recorded on
         the certificate exactly like a failure-driven substitution.
         """
-        if self.adaptive is None or not self.adaptive.sibling_fallback:
+        if self.breaker is None:
             return
-        for name in self.breaker.open_services():
+        down = self.breaker.open_services()
+        for name in down:
             codes = plan.pattern_codes(name)
             if not codes:
                 continue
-            healthy = [
-                sibling
-                for sibling in self.registry.siblings(name, codes)
-                if self.breaker.state(sibling) is not BreakerState.OPEN
-            ]
-            if healthy:
-                routing.substitute_service(name, healthy[0])
+            sibling = routing.sibling(name, codes, avoid=down)
+            if sibling is not None:
+                routing.substitute_service(name, sibling)
 
     def _feed_breaker(
         self, rounds: Sequence[ProgressiveRound], result: ExecutionResult

@@ -13,9 +13,13 @@ Covers the three adaptive mechanisms end to end:
   and proactive rerouting).
 
 The anchor of the whole layer is the **zero-drift differential**: with
-a drift policy armed but nothing drifting, the run must be
-bit-identical — rows, ranks, and full per-round statistics — to the
-same executor without one.
+drift monitoring armed (a ``replan`` callback) but nothing drifting,
+the run must be bit-identical — rows, ranks, and full per-round
+statistics — to the same executor without one.
+
+Thresholds are the library's constants (three slow pulls, two
+unhealthy requests, a 30 s cooldown); the worlds and the fake clock
+reach them.
 """
 
 import dataclasses
@@ -26,10 +30,9 @@ from hypothesis import strategies as st
 
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.engine import ExecutionMode
-from repro.execution.progressive import ProgressiveExecutor
+from repro.execution.progressive import MAX_REPLANS, ProgressiveExecutor
 from repro.execution.resilience import (
     DriftMonitor,
-    DriftPolicy,
     PlanDrift,
     ResilienceConfig,
 )
@@ -38,12 +41,7 @@ from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
 from repro.plans.builder import PlanBuilder, Poset
-from repro.serving.breaker import (
-    AdaptivePolicy,
-    BreakerPolicy,
-    BreakerState,
-    CircuitBreaker,
-)
+from repro.serving.breaker import BreakerState, CircuitBreaker
 from repro.serving.service import QueryService
 from repro.services.profile import search_profile
 from repro.services.registry import (
@@ -127,6 +125,21 @@ class FakeClock:
         self.now += seconds
 
 
+class InterleavingClock(FakeClock):
+    """A clock whose next read first runs ``writer``: a transition
+    recorded by another thread in the middle of a state read."""
+
+    def __init__(self):
+        super().__init__()
+        self.writer = None
+
+    def __call__(self):
+        writer, self.writer = self.writer, None
+        if writer is not None:
+            writer()
+        return self.now
+
+
 # -- drift monitor ----------------------------------------------------------
 
 
@@ -135,7 +148,7 @@ class TestDriftMonitor:
         return search_profile(chunk_size=2, response_time=response_time)
 
     def test_under_threshold_only_records(self):
-        monitor = DriftMonitor(DriftPolicy(latency_factor=3.0, min_fetches=2))
+        monitor = DriftMonitor()
         profile = self._profile()
         for _ in range(10):
             monitor.observe("svc", profile, 2.9)
@@ -147,10 +160,10 @@ class TestDriftMonitor:
         assert excinfo.value.observed == pytest.approx(39.0 / 11)
 
     def test_raises_once_mean_crosses_threshold(self):
-        monitor = DriftMonitor(DriftPolicy(latency_factor=3.0, min_fetches=3))
+        monitor = DriftMonitor()
         profile = self._profile()
         monitor.observe("svc", profile, 25.0)
-        monitor.observe("svc", profile, 25.0)  # below min_fetches: silent
+        monitor.observe("svc", profile, 25.0)  # below MIN_FETCHES: silent
         with pytest.raises(PlanDrift) as excinfo:
             monitor.observe("svc", profile, 25.0)
         drift = excinfo.value
@@ -160,35 +173,30 @@ class TestDriftMonitor:
         assert drift.fetches == 3
 
     def test_adapted_services_are_exempt(self):
-        monitor = DriftMonitor(
-            DriftPolicy(latency_factor=3.0, min_fetches=1),
-            adapted=frozenset({"svc"}),
-        )
-        for _ in range(3):
+        monitor = DriftMonitor(adapted=frozenset({"svc"}))
+        for _ in range(5):
             monitor.observe("svc", self._profile(), 1000.0)
 
     def test_missing_or_zero_profile_is_ignored(self):
-        monitor = DriftMonitor(DriftPolicy(latency_factor=3.0, min_fetches=1))
+        monitor = DriftMonitor()
         monitor.observe("svc", None, 1000.0)
         zero = dataclasses.replace(self._profile(), response_time=0.0)
         monitor.observe("svc", zero, 1000.0)
-        # Neither was recorded: the first profiled fetch counts as one.
+        # Neither was recorded: the third profiled fetch is the third.
+        monitor.observe("svc", self._profile(), 1000.0)
+        monitor.observe("svc", self._profile(), 1000.0)
         with pytest.raises(PlanDrift) as excinfo:
             monitor.observe("svc", self._profile(), 1000.0)
-        assert excinfo.value.fetches == 1
+        assert excinfo.value.fetches == 3
 
 
 # -- circuit breaker --------------------------------------------------------
 
 
 class TestCircuitBreaker:
-    POLICY = BreakerPolicy(
-        failure_threshold=2, latency_factor=3.0, min_fetches=2, cooldown=10.0
-    )
-
     def _breaker(self):
         clock = FakeClock()
-        return CircuitBreaker(self.POLICY, clock=clock), clock
+        return CircuitBreaker(clock=clock), clock
 
     def test_starts_closed_and_ignores_no_signal(self):
         breaker, _ = self._breaker()
@@ -234,7 +242,7 @@ class TestCircuitBreaker:
         breaker, clock = self._breaker()
         breaker.record("svc", dropped=True)
         breaker.record("svc", dropped=True)
-        clock.advance(9.9)
+        clock.advance(29.9)
         assert breaker.state("svc") is BreakerState.OPEN
         clock.advance(0.1)
         assert breaker.state("svc") is BreakerState.HALF_OPEN
@@ -247,7 +255,7 @@ class TestCircuitBreaker:
         breaker, clock = self._breaker()
         for _ in range(2):
             breaker.record("svc", fetches=3, mean_latency=25.0, expected=1.0)
-        clock.advance(10.0)
+        clock.advance(30.0)
         assert breaker.state("svc") is BreakerState.HALF_OPEN
         breaker.record("svc", fetches=3, mean_latency=1.0, expected=1.0)
         assert breaker.state("svc") is BreakerState.CLOSED
@@ -257,11 +265,28 @@ class TestCircuitBreaker:
         breaker, clock = self._breaker()
         breaker.record("svc", dropped=True)
         breaker.record("svc", dropped=True)
-        clock.advance(10.0)
+        clock.advance(30.0)
         assert breaker.state("svc") is BreakerState.HALF_OPEN
         breaker.record("svc", dropped=True)
         assert breaker.state("svc") is BreakerState.OPEN
-        clock.advance(9.9)
+        clock.advance(29.9)
+        assert breaker.state("svc") is BreakerState.OPEN
+        clock.advance(0.1)
+        assert breaker.state("svc") is BreakerState.HALF_OPEN
+
+    def test_a_read_cannot_undo_a_failed_probe(self):
+        """A failed probe recorded while another thread reads the state
+        (here: inside the reader's clock read) still restarts the
+        cooldown — a state read writes nothing."""
+        clock = InterleavingClock()
+        breaker = CircuitBreaker(clock=clock)
+        breaker.record("svc", dropped=True)
+        breaker.record("svc", dropped=True)
+        clock.advance(30.0)
+        clock.writer = lambda: breaker.record("svc", dropped=True)
+        breaker.state("svc")  # the reader the failed probe interleaves
+        assert breaker.state("svc") is BreakerState.OPEN
+        clock.advance(29.9)
         assert breaker.state("svc") is BreakerState.OPEN
         clock.advance(0.1)
         assert breaker.state("svc") is BreakerState.HALF_OPEN
@@ -310,21 +335,22 @@ class TestSiblingsAndAdjustedView:
 # -- the zero-drift differential -------------------------------------------
 
 
-MODES = (
-    ExecutionMode.SEQUENTIAL,
-    ExecutionMode.PARALLEL,
-    ExecutionMode.STREAMED,
-)
+MODES = (ExecutionMode.PARALLEL, ExecutionMode.STREAMED)
+
+
+def keep_plan(observed):
+    """A ``replan`` that splices without a new plan."""
+    return None
 
 
 class TestZeroDriftDifferential:
-    """A drift policy armed but idle must be structurally invisible."""
+    """Drift monitoring armed but idle must be structurally invisible."""
 
     @staticmethod
     def _pair(side, chunk, fetches, mode, **flaky):
-        """``drift=None`` and ``drift=DriftPolicy()`` over identical worlds."""
+        """``replan=None`` and a ``replan`` over identical worlds."""
         executors = []
-        for drift in (None, DriftPolicy()):
+        for replan in (None, keep_plan):
             registry, query, plan = build_world(
                 side=side, chunk=chunk, fetches=fetches, sibling=True
             )
@@ -336,7 +362,7 @@ class TestZeroDriftDifferential:
                     plan=plan,
                     head=tuple(query.head),
                     mode=mode,
-                    drift=drift,
+                    replan=replan,
                 )
             )
         return executors
@@ -391,7 +417,7 @@ class TestZeroDriftDifferential:
 # -- sibling fallback in the static engine ---------------------------------
 
 
-RESILIENT = ResilienceConfig(partial_results=True, sibling_fallback=True)
+RESILIENT = ResilienceConfig(partial_results=True)
 
 
 class TestSiblingFallback:
@@ -425,13 +451,12 @@ class TestSiblingFallback:
         )
         assert result.stats.substituted_blocks == len(certificate.substituted)
 
-    def test_without_the_flag_the_unit_drops(self):
-        registry, query, plan = build_world(sibling=True)
+    def test_without_a_sibling_the_unit_drops(self):
+        registry, query, plan = build_world(sibling=False)
         make_flaky(registry, "lefts", fail_rate=1.0)
         executor = ProgressiveExecutor(
             registry=registry, plan=plan, head=tuple(query.head),
-            mode=ExecutionMode.PARALLEL, max_rounds=2,
-            resilience=ResilienceConfig(partial_results=True),
+            mode=ExecutionMode.PARALLEL, max_rounds=2, resilience=RESILIENT,
         )
         result = executor.run(4)
         certificate = result.certificate
@@ -458,20 +483,43 @@ class TestSiblingFallback:
 # -- drift-triggered splices ------------------------------------------------
 
 
-def _adaptive(registry, query, plan, drift, replan=None, **options):
+def _adaptive(registry, query, plan, replan=keep_plan, **options):
     return ProgressiveExecutor(
         registry=registry, plan=plan, head=tuple(query.head),
-        mode=ExecutionMode.PARALLEL, drift=drift, replan=replan, **options,
+        mode=ExecutionMode.PARALLEL, replan=replan, **options,
     )
 
 
+def build_wide_world(services, side=6, chunk=2, fetches=3):
+    """*services* parallel search services joined on one key, no two
+    of them siblings (each scores its own domain)."""
+    registry = ServiceRegistry()
+    key = Variable("K")
+    atoms, head = [], [key]
+    for index in range(services):
+        name, value = f"s{index}", Variable(f"V{index}")
+        registry.register(_table(name, f"V{index}", side, chunk))
+        atoms.append(Atom(name, (Constant("q"), key, value)))
+        head.append(value)
+    query = ConjunctiveQuery(
+        name="wide", head=tuple(head), atoms=tuple(atoms), predicates=()
+    )
+    plan = PlanBuilder(query, registry).build(
+        tuple(registry.signature(f"s{i}").pattern("ioo") for i in range(services)),
+        Poset(n=services),
+        fetches={i: fetches for i in range(services)},
+    )
+    return registry, query, plan
+
+
 class TestDriftSplice:
-    DRIFT = DriftPolicy(latency_factor=3.0, min_fetches=1)
+    #: Three pages per unit: a slow service trips at its third pull.
+    WORLD = dict(fetches=3)
 
     def test_drift_splices_onto_the_sibling(self):
-        registry, query, plan = build_world(sibling=True)
+        registry, query, plan = build_world(sibling=True, **self.WORLD)
         make_flaky(registry, "lefts", delay_rate=1.0)
-        executor = _adaptive(registry, query, plan, self.DRIFT)
+        executor = _adaptive(registry, query, plan)
         result = executor.run(4)
 
         assert executor.replans == 1
@@ -480,9 +528,11 @@ class TestDriftSplice:
         assert event.observed == pytest.approx(25.0)
         assert event.expected == pytest.approx(1.0)
         assert event.substituted_with == "lefts_backup"
-        assert not event.replanned  # no replan callback was given
+        assert not event.replanned  # the callback kept the plan
 
-        oracle_registry, oracle_query, oracle_plan = build_world(sibling=True)
+        oracle_registry, oracle_query, oracle_plan = build_world(
+            sibling=True, **self.WORLD
+        )
         oracle = ProgressiveExecutor(
             registry=oracle_registry, plan=oracle_plan,
             head=tuple(oracle_query.head), mode=ExecutionMode.PARALLEL,
@@ -495,13 +545,15 @@ class TestDriftSplice:
         assert aborted.stats.total_fetches > 0
 
     def test_splice_never_repulls_a_fetched_page(self):
-        registry, query, plan = build_world(sibling=True)
+        registry, query, plan = build_world(sibling=True, **self.WORLD)
         make_flaky(registry, "lefts", delay_rate=1.0)
-        executor = _adaptive(registry, query, plan, self.DRIFT)
+        executor = _adaptive(registry, query, plan)
         executor.run(4)
         assert executor.replans == 1
 
-        clean_registry, clean_query, clean_plan = build_world(sibling=True)
+        clean_registry, clean_query, clean_plan = build_world(
+            sibling=True, **self.WORLD
+        )
         clean = ProgressiveExecutor(
             registry=clean_registry, plan=clean_plan,
             head=tuple(clean_query.head), mode=ExecutionMode.PARALLEL,
@@ -521,7 +573,7 @@ class TestDriftSplice:
         assert spliced_rights <= clean_rights
 
     def test_drift_without_sibling_recosts_and_settles(self):
-        registry, query, plan = build_world(sibling=False)
+        registry, query, plan = build_world(sibling=False, **self.WORLD)
         make_flaky(registry, "lefts", delay_rate=1.0)
         seen = []
 
@@ -529,10 +581,7 @@ class TestDriftSplice:
             seen.append(dict(overrides))
             return None  # keep the plan: only re-cost knowledge changes
 
-        policy = DriftPolicy(
-            latency_factor=3.0, min_fetches=1, substitute_siblings=False
-        )
-        executor = _adaptive(registry, query, plan, policy, replan=replan)
+        executor = _adaptive(registry, query, plan, replan=replan)
         result = executor.run(4)
         assert seen == [{"lefts": pytest.approx(25.0)}]
         (event,) = executor.drift_events
@@ -544,39 +593,42 @@ class TestDriftSplice:
         assert executor.replans == 1
         assert len(result.rows) >= 4
 
-    def test_max_replans_zero_disables_monitoring(self):
-        registry, query, plan = build_world(sibling=True)
-        make_flaky(registry, "lefts", delay_rate=1.0)
-        policy = DriftPolicy(latency_factor=3.0, min_fetches=1, max_replans=0)
-        executor = _adaptive(registry, query, plan, policy)
+    def test_replans_stop_at_the_cap(self):
+        """Every service of the plan turns slow; the run re-plans on the
+        first ``MAX_REPLANS`` and finishes the rest un-monitored."""
+        services = MAX_REPLANS + 1
+        registry, query, plan = build_wide_world(services)
+        for index in range(services):
+            make_flaky(registry, f"s{index}", delay_rate=1.0)
+        executor = _adaptive(registry, query, plan)
         result = executor.run(4)
-        assert executor.replans == 0
+        assert executor.replans == MAX_REPLANS
+        assert [e.service for e in executor.drift_events] == [
+            f"s{index}" for index in range(MAX_REPLANS)
+        ]
         assert executor.engine.drift_monitor is None
-        assert len(result.rows) >= 4
+        clean = _adaptive(*build_wide_world(services), replan=None).run(4)
+        assert row_view(result) == row_view(clean)
 
     def test_max_rounds_restarts_at_each_splice(self):
         """The executed-round budget bounds the rounds *per plan*: a
         run that drifted once may execute ``max_rounds`` rounds on the
         aborted plan's successor too."""
-        registry, query, plan = build_world(side=40, chunk=1, fetches=1)
+        world = dict(side=40, chunk=1, fetches=2)
+        registry, query, plan = build_world(**world)
         make_flaky(registry, "lefts", delay_rate=1.0)
-        policy = DriftPolicy(
-            latency_factor=3.0, min_fetches=2, max_replans=1,
-            substitute_siblings=False,
-        )
-        executor = _adaptive(registry, query, plan, policy, max_rounds=2)
-        executor.run(30)  # unreachable within the budget
+        executor = _adaptive(registry, query, plan, max_rounds=2)
+        executor.run(30)
         assert executor.replans == 1
         kinds = [
             "aborted" if r.answers == 0 and not r.resumed else "executed"
             for r in executor.rounds
         ]
-        # Round 1 ran (one remote lefts page), round 2 tripped the
-        # monitor on the second, then the spliced run got a fresh
+        # Round 1 ran (two remote lefts pages), round 2 tripped the
+        # monitor on the third, then the spliced run got a fresh
         # budget of 2: four plan rounds in all.
         assert kinds == ["executed", "aborted", "executed", "executed"]
-        static = _adaptive(*build_world(side=40, chunk=1, fetches=1), None,
-                           max_rounds=2)
+        static = _adaptive(*build_world(**world), replan=None, max_rounds=2)
         static.run(30)
         assert len(static.rounds) == 2
 
@@ -584,25 +636,32 @@ class TestDriftSplice:
 # -- the serving layer's breaker -------------------------------------------
 
 
-def _serve(registry, policy, clock):
+def _serve(registry, clock, **options):
     return QueryService(
         registry=registry,
         metric=ExecutionTimeMetric(),
         k_default=4,
-        adaptive=policy,
-        breaker=CircuitBreaker(policy.breaker, clock=clock),
+        breaker=CircuitBreaker(clock=clock),
+        **options,
     )
 
 
+def _record_slow(breaker, service, requests=2):
+    """*requests* unhealthy requests' worth of slow traffic."""
+    for _ in range(requests):
+        breaker.record(service, fetches=3, mean_latency=25.0, expected=1.0)
+
+
 class TestServingBreaker:
+    #: One row per page: the optimizer's plan pulls at least three
+    #: pages of ``lefts`` per request.
+    WORLD = dict(chunk=1)
+
     def test_substitution_failures_open_the_breaker(self):
         registry, query, _ = build_world(sibling=True)
         make_flaky(registry, "lefts", fail_rate=1.0)
         clock = FakeClock()
-        policy = AdaptivePolicy(
-            breaker=BreakerPolicy(failure_threshold=1, cooldown=10.0)
-        )
-        service = _serve(registry, policy, clock)
+        service = _serve(registry, clock)
 
         first = service.submit(query, k=4)
         assert first.partial is not None
@@ -610,34 +669,34 @@ class TestServingBreaker:
             "sibling fallback must be visible on the response"
         )
         # A substitution is a failure of the original service, even
-        # though the answer survived: the breaker learns it.
+        # though the answer survived: the breaker learns it, and the
+        # second such request opens it.
+        assert service.breaker.state("lefts") is BreakerState.CLOSED
+        second = service.submit(query, k=4)
+        assert second.partial["substituted"]
         assert service.breaker.state("lefts") is BreakerState.OPEN
         assert service.snapshot()["breaker"]["lefts"]["state"] == "open"
 
-        second = service.submit(query, k=4)
-        assert second.rows == first.rows
-        assert second.stats["substituted_blocks"] >= 1
+        third = service.submit(query, k=4)
+        assert third.rows == first.rows
+        assert third.stats["substituted_blocks"] >= 1
 
     def test_latency_breaker_adjusts_costs_then_recovers(self):
-        registry, query, _ = build_world(sibling=False)
+        # No shared service cache: every request pulls its own pages,
+        # so each one reports its service's latency to the breaker.
+        registry, query, _ = build_world(sibling=False, **self.WORLD)
         clean_lefts = registry._services["lefts"]
         make_flaky(registry, "lefts", delay_rate=1.0)
         clock = FakeClock()
-        policy = AdaptivePolicy(
-            drift=DriftPolicy(
-                latency_factor=3.0, min_fetches=1, substitute_siblings=False
-            ),
-            breaker=BreakerPolicy(
-                failure_threshold=1, latency_factor=3.0,
-                min_fetches=1, cooldown=10.0,
-            ),
-        )
-        service = _serve(registry, policy, clock)
+        service = _serve(registry, clock, share_service_cache=False)
 
         first = service.submit(query, k=4)
         # The request itself already re-planned mid-run...
         assert first.stats["replans"] >= 1
-        # ...and its observed latency opened the breaker afterwards.
+        # ...and its observed latency counts against the breaker; the
+        # second slow request opens it.
+        assert service.breaker.state("lefts") is BreakerState.CLOSED
+        service.submit(query, k=4)
         assert service.breaker.state("lefts") is BreakerState.OPEN
         assert service.breaker.response_time_overrides() == {
             "lefts": pytest.approx(25.0)
@@ -645,19 +704,19 @@ class TestServingBreaker:
 
         # While open, planning runs under the adjusted registry view:
         # the response's epoch proves which profile costed the plan.
-        second = service.submit(query, k=4)
-        assert second.epoch != first.epoch
-        assert second.rows == first.rows
+        third = service.submit(query, k=4)
+        assert third.epoch != first.epoch
+        assert third.rows == first.rows
 
         # Past the cooldown the breaker half-opens: overrides lift so
         # the probe runs the service at face value, and a healed
         # service closes the breaker for good.
-        clock.advance(10.0)
+        clock.advance(30.0)
         assert service.breaker.state("lefts") is BreakerState.HALF_OPEN
         registry._services["lefts"] = clean_lefts
-        third = service.submit(query, k=4)
-        assert third.epoch == first.epoch
-        assert third.rows == first.rows
+        probe = service.submit(query, k=4)
+        assert probe.epoch == first.epoch
+        assert probe.rows == first.rows
         assert service.breaker.state("lefts") is BreakerState.CLOSED
         assert service.snapshot()["breaker"] == {}
 
@@ -666,16 +725,8 @@ class TestServingBreaker:
         against the adjusted registry view exactly as ``submit`` does:
         the plan it stores is the one the submit then hits."""
         registry, query, _ = build_world(sibling=False)
-        policy = AdaptivePolicy(
-            breaker=BreakerPolicy(
-                failure_threshold=1, latency_factor=3.0,
-                min_fetches=1, cooldown=10.0,
-            ),
-        )
-        service = _serve(registry, policy, FakeClock())
-        service.breaker.record(
-            "lefts", fetches=3, mean_latency=25.0, expected=1.0
-        )
+        service = _serve(registry, FakeClock())
+        _record_slow(service.breaker, "lefts")
         assert service.breaker.response_time_overrides() == {"lefts": 25.0}
 
         warmed = service.prefetch(query, k=4)
@@ -693,18 +744,10 @@ class TestServingBreaker:
 
         def serve():
             registry, query, _ = build_world(sibling=True)
-            service = _serve(registry, AdaptivePolicy(
-                breaker=BreakerPolicy(
-                    failure_threshold=1, latency_factor=3.0,
-                    min_fetches=1, cooldown=10.0,
-                ),
-            ), FakeClock())
-            service.breaker.record(
-                "lefts", fetches=3, mean_latency=25.0, expected=1.0
-            )
+            service = _serve(registry, FakeClock())
+            _record_slow(service.breaker, "lefts")
             assert service.breaker.open_services() == ("lefts",)
             return registry, query, service
-
         registry, query, service = serve()
         proxies = _count_invocations(registry)
         warmed = service.prefetch(query, k=4)

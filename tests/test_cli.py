@@ -113,6 +113,70 @@ class TestQueryCommand:
         assert second["provenance"] == "disk"
         assert second["rows"] == first["rows"]
 
+    def test_resilience_flags_build_the_config_and_the_breaker(
+        self, capsys, monkeypatch
+    ):
+        import repro.serving
+        from repro.execution.resilience import ResilienceConfig
+        from repro.serving import CircuitBreaker, QueryService
+
+        built = []
+
+        class Recording(QueryService):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(repro.serving, "QueryService", Recording)
+        assert main(
+            ["query", "--domain", "weekend", "-k", "2", "--retries", "2",
+             "--partial-results", "--adaptive"]
+        ) == 0
+        (service,) = built
+        assert service.resilience == ResilienceConfig(
+            attempts=3, partial_results=True
+        )
+        assert isinstance(service.breaker, CircuitBreaker)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--retries", "3", "--partial-results"], ["--adaptive"]],
+        ids=["retries-partial", "adaptive"],
+    )
+    @pytest.mark.parametrize(
+        "domain",
+        ["biblio", "biblio-fts", "biblio-sqlite", "bio", "travel", "weekend"],
+    )
+    def test_quiet_resilience_flags_change_no_answer(
+        self, capsys, domain, flags
+    ):
+        """Over a fault-free domain the resilience flags add only a
+        completeness certificate and an untripped breaker table."""
+        import json
+
+        def run(extra):
+            assert main(
+                ["query", "--domain", domain, "-k", "3", "--repeat", "2"]
+                + extra
+            ) == 0
+            return [
+                json.loads(line)
+                for line in capsys.readouterr().out.strip().splitlines()
+            ]
+
+        *plain_responses, plain_snapshot = run([])
+        *responses, snapshot = run(flags)
+        for plain, response in zip(plain_responses, responses, strict=True):
+            certificate = response.pop("partial")
+            assert plain.pop("partial") is None
+            assert response == plain
+            assert certificate["partial"] is False
+            assert certificate["dropped"] == []
+            assert certificate["substituted"] == []
+            assert len(certificate["answer_units"]) == len(response["rows"])
+        assert snapshot.pop("breaker", {}) == {}
+        assert snapshot == plain_snapshot
+
     def test_json_plan_cache_file_is_refused_with_a_message(
         self, capsys, tmp_path
     ):

@@ -199,20 +199,13 @@ def _imported_names(path: pathlib.Path) -> set[str]:
     return names
 
 
-def test_every_production_module_is_reachable_from_an_entry_point():
-    """What ships is what the CLI, the serving layer, the paper's
-    experiments or an example imports, transitively: a module under
-    ``src/repro/`` that only tests and benches import belongs in
-    ``testing/``.  Importing ``a.b.c`` runs the ``__init__`` of ``a.b``
+def _reached_modules() -> dict[str, pathlib.Path]:
+    """The production modules an entry point imports, transitively:
+    from the CLI, the serving layer, the paper's experiments and the
+    examples.  Importing ``a.b.c`` runs the ``__init__`` of ``a.b``
     too; the top-level ``repro/__init__.py`` is followed from nowhere —
     it re-exports most of the library, so through it everything would
     count as reached."""
-    unserved = {
-        # Paper §7, off-query expansion: a library entry no command
-        # serves yet (ROADMAP item 7a: wire it into ``optimize`` or
-        # move it).
-        "repro.extensions.expansion",
-    }
     modules = {_module_name(path): path for path in SRC.rglob("*.py")}
     pending = {"repro.__main__", "repro.serving", "repro.experiments"}
     for example in (REPO / "examples").glob("*.py"):
@@ -225,16 +218,48 @@ def test_every_production_module_is_reachable_from_an_entry_point():
             if name in modules and name not in reached:
                 reached.add(name)
                 pending |= _imported_names(modules[name])
+    return {name: modules[name] for name in reached}
+
+
+def test_every_production_module_is_reachable_from_an_entry_point():
+    """What ships is what the CLI, the serving layer, the paper's
+    experiments or an example imports, transitively: a module under
+    ``src/repro/`` that only tests and benches import belongs in
+    ``testing/``."""
+    unserved = {
+        # Paper §7, off-query expansion: a library entry no command
+        # serves yet (ROADMAP item 7a: wire it into ``optimize`` or
+        # move it).
+        "repro.extensions.expansion",
+    }
+    reached = _reached_modules()
     # A package's ``__init__`` is reached exactly when one of its
     # modules is, so the modules proper are what is checked.
     orphans = {
-        name
-        for name, path in modules.items()
+        _module_name(path)
+        for path in SRC.rglob("*.py")
         if path.name != "__init__.py"
-        and name not in reached
-        and not name.startswith("repro.testing.")
+        and _module_name(path) not in reached
+        and not _module_name(path).startswith("repro.testing.")
     }
     assert orphans == unserved
+
+
+def test_every_execution_mode_is_chosen_where_an_entry_point_reaches():
+    """An engine mode only tests select is a path nobody runs: every
+    ``ExecutionMode`` member is named (``ExecutionMode.X``) by a module
+    an entry point reaches, other than the engine that defines it."""
+    from repro.execution.engine import ExecutionMode
+
+    named = {
+        node.attr
+        for name, path in _reached_modules().items()
+        if name != "repro.execution.engine"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", "") == "ExecutionMode"
+    }
+    assert named == {mode.name for mode in ExecutionMode}
 
 
 def test_rows_are_read_as_dicts_only_by_row():
@@ -282,6 +307,20 @@ def test_every_service_page_goes_through_the_one_fetch_seam():
         name: {seam}
         for name in ("store", "record_fetch", "observe", "resilient_fetch")
     }
+
+
+def test_one_sibling_chooser():
+    """A failed unit, a drifted service and a breaker-open service are
+    rerouted by the same rule: outside the registry that defines it,
+    ``.siblings(`` is called from ``UnitRouting.sibling`` alone."""
+    callers = {
+        (path.relative_to(SRC).as_posix(), scopes)
+        for path in SRC.rglob("*.py")
+        if path.relative_to(SRC).as_posix() != "services/registry.py"
+        for name, scopes in _calls(ast.parse(path.read_text()))
+        if name == "siblings"
+    }
+    assert callers == {("execution/fetch.py", ("UnitRouting", "sibling"))}
 
 
 def test_one_plan_walk_and_one_restart_loop():
@@ -414,6 +453,8 @@ def test_retired_seam_plumbing_stays_retired():
         "explore_fetches", "max_topologies_per_sequence", "_fresh_id",
         "ParallelExecutor", "execution.parallel", "key_lock",
         "parallel_workers", "wall_time", "Scheduler", "_merge_counters",
+        "DriftPolicy", "BreakerPolicy", "AdaptivePolicy", "RetryPolicy",
+        "sibling_fallback", "substitute_siblings", "_half_open", "SEQUENTIAL",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"
@@ -587,9 +628,15 @@ def test_parameter_budget(capsys):
     from repro.__main__ import main
     from repro.execution.engine import ExecutionEngine
     from repro.execution.progressive import ProgressiveExecutor
-    from repro.execution.resilience import ResilienceConfig, RetryPolicy
+    from repro.execution.resilience import ResilienceConfig
     from repro.optimizer.optimizer import OptimizerConfig
-    from repro.serving import PlanCache, QueryService, SessionManager, SQLiteDiskTier
+    from repro.serving import (
+        CircuitBreaker,
+        PlanCache,
+        QueryService,
+        SessionManager,
+        SQLiteDiskTier,
+    )
 
     budget = {
         ExecutionEngine: (
@@ -599,7 +646,7 @@ def test_parameter_budget(capsys):
         ProgressiveExecutor: (
             "registry", "plan", "head", "mode", "cache_setting", "max_rounds",
             "shared_cache", "reset_remote", "resilience", "row_provenance",
-            "drift", "replan", "rounds", "drift_events",
+            "replan", "rounds", "drift_events",
         ),
         PlanCache: ("path", "capacity", "tenant_quota", "stats"),
         SQLiteDiskTier: ("path",),
@@ -607,7 +654,7 @@ def test_parameter_budget(capsys):
             "registry", "metric", "k_default", "mode", "cache_setting",
             "plan_cache", "sessions", "optimizer_config",
             "share_service_cache", "service_cache_capacity", "resilience",
-            "row_provenance", "adaptive", "breaker", "stats",
+            "row_provenance", "breaker", "stats",
         ),
         QueryService.prefetch: ("self", "query", "k"),
         SessionManager: ("capacity", "ttl", "clock", "stats"),
@@ -615,11 +662,8 @@ def test_parameter_budget(capsys):
             "k", "cache_setting", "fetch_heuristic", "most_cogent_only",
             "prune", "memoize",
         ),
-        ResilienceConfig: ("retry", "partial_results", "sibling_fallback"),
-        RetryPolicy: (
-            "attempts", "base_delay", "multiplier", "max_delay", "jitter",
-            "seed", "deadline", "per_service",
-        ),
+        ResilienceConfig: ("attempts", "partial_results"),
+        CircuitBreaker: ("clock",),
     }
     for cls, parameters in budget.items():
         assert tuple(inspect.signature(cls).parameters) == parameters, cls.__name__
@@ -643,9 +687,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3694,
+        "src/repro/execution + serving": 3587,
         "src/repro/optimizer + plans + costs": 2306,
-        "src/repro outside testing": 9791,
+        "src/repro outside testing": 9681,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

@@ -6,7 +6,9 @@ the expected answers meet k, execution respects the query semantics,
 and the branch-and-bound optimum matches the exhaustive oracle.  A
 second matrix — every domain's optimized plan × every execution mode ×
 every cache setting — pins the engine's rows against the dict-row
-reference interpreter (``repro.testing.reference``).
+reference interpreter (``repro.testing.reference``); a third pins the
+resilience layer, switched on over a fault-free domain, to the plain
+engine.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.costs.sum_cost import RequestResponseMetric, SumCostMetric
 from repro.costs.time_cost import BottleneckMetric, ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode, execute_plan
+from repro.execution.resilience import ResilienceConfig
 from repro.execution.results import compose_ranking
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.testing.reference import reference_execute
@@ -161,3 +164,34 @@ def test_engine_rows_equal_the_reference_interpreter(domain, mode, cache_setting
     # One layout object for the whole answer, covering the head.
     assert all(row.layout is result.rows[0].layout for row in result.rows)
     assert set(head) <= set(result.rows[0].layout.variables)
+
+
+@pytest.mark.parametrize("domain", ["travel", "bio", "biblio", "weekend", "news"])
+@pytest.mark.parametrize("cache_setting", list(CacheSetting), ids=lambda c: c.value)
+def test_quiet_resilience_is_invisible_on_every_domain(domain, cache_setting):
+    """Retries and partial mode over a fault-free domain: the same
+    rows, per-service accounting and virtual time as the plain engine,
+    and a certificate that witnesses completeness."""
+    registry, query, k = _domain(domain)
+    head = tuple(query.head)
+    plan, _ = _optimized_plan_and_reference(domain)
+    plain = ExecutionEngine(registry, cache_setting=cache_setting).execute(
+        plan, head=head, k=k
+    )
+    resilient = ExecutionEngine(
+        registry, cache_setting=cache_setting,
+        resilience=ResilienceConfig(attempts=3, partial_results=True),
+    ).execute(plan, head=head, k=k)
+    assert _ranked_signature(resilient.rows, head) == _ranked_signature(
+        plain.rows, head
+    )
+    assert resilient.stats.per_service == plain.stats.per_service
+    assert resilient.stats.elapsed == plain.stats.elapsed
+    for counter in ("retries", "wasted_fetches", "demoted_blocks",
+                    "substituted_blocks"):
+        assert getattr(resilient.stats, counter) == 0
+    certificate = resilient.certificate
+    assert plain.certificate is None
+    assert certificate is not None and not certificate.is_partial
+    assert certificate.dropped == () and certificate.substituted == ()
+    assert len(certificate.answer_units) == len(resilient.rows)

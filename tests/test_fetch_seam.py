@@ -21,11 +21,7 @@ import pytest
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.progressive import ProgressiveExecutor
-from repro.execution.resilience import (
-    DriftPolicy,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.execution.resilience import ResilienceConfig
 from repro.execution.results import compose_ranking
 from repro.execution.stats import ExecutionStats
 from repro.services.registry import JoinMethod
@@ -87,7 +83,7 @@ class TestResumedRoundAccounting:
         engine = ExecutionEngine(
             registry,
             mode=ExecutionMode.STREAMED,
-            resilience=ResilienceConfig(retry=RetryPolicy(attempts=40)),
+            resilience=ResilienceConfig(attempts=40),
         )
         first = engine.execute(plan, head=head, k=1)
         assert first.stream is not None
@@ -115,18 +111,17 @@ class TestResumedRoundAccounting:
 
 
 class TestReplanSharesRouting:
-    PARTIAL = ResilienceConfig(partial_results=True, sibling_fallback=True)
-    DRIFT = DriftPolicy(latency_factor=3.0, min_fetches=1)
+    PARTIAL = ResilienceConfig(partial_results=True)
 
     def _executor(self, registry, query, plan):
         return ProgressiveExecutor(
             registry=registry, plan=plan, head=tuple(query.head),
             mode=ExecutionMode.PARALLEL, resilience=self.PARTIAL,
-            drift=self.DRIFT,
+            replan=lambda observed: None,
         )
 
     def test_substitution_survives_a_second_splice(self):
-        registry, query, plan = build_world(sibling=True)
+        registry, query, plan = build_world(sibling=True, fetches=3)
         make_flaky(registry, "lefts", delay_rate=1.0)
         make_flaky(registry, "rights", delay_rate=1.0)
         executor = self._executor(registry, query, plan)
@@ -150,12 +145,14 @@ class TestReplanSharesRouting:
             (unit.service, unit.replacement)
             for unit in result.certificate.substituted
         ] == [("lefts", "lefts_backup")]
-        clean_registry, clean_query, clean_plan = build_world(sibling=True)
+        clean_registry, clean_query, clean_plan = build_world(
+            sibling=True, fetches=3
+        )
         clean = self._executor(clean_registry, clean_query, clean_plan).run(4)
         assert row_view(result) == row_view(clean)
 
     def test_a_unit_masked_before_the_splice_stays_masked(self):
-        registry, query, plan = build_world(sibling=True)
+        registry, query, plan = build_world(sibling=True, fetches=3)
         make_flaky(registry, "lefts", delay_rate=1.0)
         executor = self._executor(registry, query, plan)
         first_engine = executor.engine

@@ -44,11 +44,7 @@ from repro.execution.lazy import (
 )
 from repro.execution.program import ExecutionProgram
 from repro.execution.progressive import ProgressiveExecutor
-from repro.execution.resilience import (
-    DriftPolicy,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.execution.resilience import ResilienceConfig
 from repro.execution.results import Row, compose_ranking
 from repro.model.atoms import Atom
 from repro.model.predicates import Comparison
@@ -120,7 +116,9 @@ def _chain_world(levels, seed, residual=None):
         else:
             rows = [(key, rng.randrange(3), rng.randrange(10))
                     for key in range(3) for _ in range(rng.randrange(4))]
-        sig = signature(name, ["In", "Out", "Val"], ["ioo"])
+        # Each level scores its own domain: no level is another's
+        # sibling, so partial results drop a dead unit, never reroute it.
+        sig = signature(name, ["In", "Out", f"Val{index}"], ["ioo"])
         if ranked:
             service = TableSearchService(
                 sig, search_profile(chunk_size=chunk or 2, response_time=1.0),
@@ -716,7 +714,7 @@ class TestServingResumes:
 
 #: ranked head (chunk 2, F 3) -> ranked middle (chunk 2, F 2) -> lookup.
 _FAULT_CHAIN = [(True, 2, 3), (True, 2, 2), (False, None, 1)]
-_PARTIAL = ResilienceConfig(retry=RetryPolicy(attempts=2), partial_results=True)
+_PARTIAL = ResilienceConfig(attempts=2, partial_results=True)
 
 
 class TestFaultsMidChain:
@@ -812,12 +810,7 @@ class TestFaultsMidChain:
         proxies = _count_invocations(registry)
         executor = ProgressiveExecutor(
             registry=registry, plan=plan, head=head,
-            mode=ExecutionMode.STREAMED,
-            # (every level of the synthetic chain has the same shape, so
-            # the registry would offer s0 as a "sibling" of s1)
-            drift=DriftPolicy(
-                latency_factor=3.0, min_fetches=1, substitute_siblings=False
-            ),
+            mode=ExecutionMode.STREAMED, replan=lambda observed: None,
         )
         result = executor.run(4)
         more = executor.more(3)

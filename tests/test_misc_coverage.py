@@ -3,7 +3,7 @@
 import pytest
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.plans.builder import PlanBuilder
 from repro.sources.travel import (
     FLIGHT_ATOM,
@@ -58,22 +58,6 @@ class TestEngineModes:
         return PlanBuilder(travel_query, registry).build(
             alpha1_patterns(), poset_optimal(),
             fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 1},
-        )
-
-    def test_sequential_slower_than_parallel_on_branching_plan(
-        self, registry, travel_query, plan
-    ):
-        sequential = ExecutionEngine(
-            registry, CacheSetting.NO_CACHE, mode=ExecutionMode.SEQUENTIAL
-        ).execute(plan, head=travel_query.head)
-        parallel = ExecutionEngine(
-            registry, CacheSetting.NO_CACHE, mode=ExecutionMode.PARALLEL
-        ).execute(plan, head=travel_query.head)
-        # Plan O branches after weather: parallel overlaps the two
-        # search services, sequential pays the sum.
-        assert parallel.elapsed < sequential.elapsed
-        assert frozenset(parallel.answers(None)) == frozenset(
-            sequential.answers(None)
         )
 
     def test_remote_cache_preserved_when_not_reset(

@@ -79,7 +79,6 @@ def _rows(registry, query, *, enabled, mode=ExecutionMode.PARALLEL,
 
 class TestEngineProvenance:
     MODES = [
-        ("sequential", dict(mode=ExecutionMode.SEQUENTIAL)),
         ("parallel", dict(mode=ExecutionMode.PARALLEL)),
         ("streamed-lazy", dict(mode=ExecutionMode.STREAMED, lazy=True)),
         ("streamed-eager", dict(mode=ExecutionMode.STREAMED, lazy=False)),

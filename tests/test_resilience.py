@@ -35,8 +35,8 @@ from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.resilience import (
     ResilienceConfig,
-    RetryPolicy,
     UnresponsiveService,
+    backoff,
     resilient_fetch,
     unit_token,
 )
@@ -95,13 +95,10 @@ def _count_invocations(registry) -> dict:
     return proxies
 
 
-RETRY_ALWAYS = ResilienceConfig(retry=RetryPolicy(attempts=40))
+RETRY_ALWAYS = ResilienceConfig(attempts=40)
 #: Retry + partial mode: nothing fires on a clean run (no faults to
 #: retry).
-ALL_ON_QUIET = ResilienceConfig(
-    retry=RetryPolicy(attempts=3),
-    partial_results=True,
-)
+ALL_ON_QUIET = ResilienceConfig(attempts=3, partial_results=True)
 
 
 def _counters(stats, with_remote=True):
@@ -138,71 +135,31 @@ def _flaky_invoke(failures, latencies=(1.0,)):
 
 class TestRetryPolicy:
     def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay=0.5, multiplier=2.0, jitter=0.1)
         key = ("ioo", ((0, "q"),))
-        for attempt in range(1, 6):
-            delay = policy.backoff("svc", key, attempt)
-            assert delay == policy.backoff("svc", key, attempt)
+        for attempt in range(1, 9):
+            delay = backoff("svc", key, attempt)
+            assert delay == backoff("svc", key, attempt)
             nominal = min(30.0, 0.5 * 2.0 ** (attempt - 1))
             assert nominal * 0.9 <= delay <= nominal * 1.1
 
-    def test_no_jitter_is_exact_exponential(self):
-        policy = RetryPolicy(
-            base_delay=1.0, multiplier=3.0, max_delay=10.0, jitter=0.0
-        )
-        delays = [policy.backoff("svc", (), n) for n in (1, 2, 3, 4)]
-        assert delays == [1.0, 3.0, 9.0, 10.0]  # capped by max_delay
-
-    def test_seed_and_key_vary_the_jitter(self):
-        base = RetryPolicy(seed=0)
-        other = RetryPolicy(seed=1)
+    def test_key_varies_the_jitter(self):
         assert any(
-            base.backoff("svc", (), n) != other.backoff("svc", (), n)
+            backoff("svc", (), n) != backoff("other", (), n)
             for n in range(1, 6)
         )
-        assert any(
-            base.backoff("svc", (), n) != base.backoff("other", (), n)
-            for n in range(1, 6)
-        )
-
-    def test_per_service_attempt_caps(self):
-        policy = RetryPolicy(attempts=5, per_service={"slow": 9, "once": 1})
-        assert policy.attempts_for("anything") == 5
-        assert policy.attempts_for("slow") == 9
-        assert policy.attempts_for("once") == 1
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"attempts": 0}, {"attempts": -4}, {"per_service": {"svc": 0}},
-            {"base_delay": -1.0}, {"max_delay": -0.5}, {"multiplier": 0.5},
-            {"jitter": -0.1}, {"jitter": 3.0}, {"deadline": -1.0},
-        ],
+        "kwargs", [{"attempts": 0}, {"attempts": -4}],
         ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
     )
     def test_values_that_corrupt_virtual_time_are_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
-            RetryPolicy(**kwargs)
-
-    @given(
-        st.floats(0, 10), st.floats(1, 4), st.floats(0, 60), st.floats(0, 1),
-        st.integers(1, 12),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_a_valid_policy_never_backs_off_negatively(
-        self, base_delay, multiplier, max_delay, jitter, attempt
-    ):
-        policy = RetryPolicy(
-            attempts=1, base_delay=base_delay, multiplier=multiplier,
-            max_delay=max_delay, jitter=jitter, deadline=0.0,
-        )
-        assert policy.backoff("svc", ("ioo", ()), attempt) >= 0.0
+            ResilienceConfig(**kwargs)
 
 
 class TestResilientFetch:
     def test_transient_failures_are_retried_and_charged(self):
-        policy = RetryPolicy(attempts=5)
-        config = ResilienceConfig(retry=policy)
+        config = ResilienceConfig(attempts=5)
         invoke, state = _flaky_invoke(failures=2)
         stats = ExecutionStats()
         result = resilient_fetch(config, "svc", ("ioo", ()), 0, invoke, stats)
@@ -210,7 +167,7 @@ class TestResilientFetch:
         assert stats.retries == 2
         assert stats.wasted_fetches == 2
         expected_backoff = sum(
-            policy.backoff("svc", ("ioo", ()), n) for n in (1, 2)
+            backoff("svc", ("ioo", ()), n) for n in (1, 2)
         )
         assert stats.retry_backoff == pytest.approx(expected_backoff)
         # Backoff is charged to virtual time on the winning fetch.
@@ -218,7 +175,7 @@ class TestResilientFetch:
         assert result.tuples == ((0, "a"),)
 
     def test_exhausted_retries_raise_the_original_error(self):
-        config = ResilienceConfig(retry=RetryPolicy(attempts=3))
+        config = ResilienceConfig(attempts=3)
         invoke, state = _flaky_invoke(failures=10)
         with pytest.raises(TransientServiceError, match="boom #3"):
             resilient_fetch(
@@ -227,9 +184,7 @@ class TestResilientFetch:
         assert state["calls"] == 3
 
     def test_partial_mode_raises_unresponsive_service(self):
-        config = ResilienceConfig(
-            retry=RetryPolicy(attempts=2), partial_results=True
-        )
+        config = ResilienceConfig(attempts=2, partial_results=True)
         invoke, _ = _flaky_invoke(failures=10)
         with pytest.raises(UnresponsiveService) as excinfo:
             resilient_fetch(
@@ -252,17 +207,6 @@ class TestResilientFetch:
         assert state["calls"] == 1
         assert stats.wasted_fetches == 1
         assert stats.retries == 0
-
-    def test_deadline_bounds_cumulative_backoff(self):
-        config = ResilienceConfig(
-            retry=RetryPolicy(attempts=9, deadline=0.0)
-        )
-        invoke, state = _flaky_invoke(failures=10)
-        with pytest.raises(TransientServiceError):
-            resilient_fetch(
-                config, "svc", ("ioo", ()), 0, invoke, ExecutionStats()
-            )
-        assert state["calls"] == 1  # any backoff would exceed the deadline
 
 
 class TestPromotedFaultKit:
@@ -399,9 +343,7 @@ class TestRetryDifferential:
 class TestPartialResults:
     """Capped retries demote honestly: top-k over the responsive rest."""
 
-    PARTIAL = ResilienceConfig(
-        retry=RetryPolicy(attempts=2), partial_results=True
-    )
+    PARTIAL = ResilienceConfig(attempts=2, partial_results=True)
 
     def test_everything_dead_yields_empty_certified_answer(self):
         registry, head, plan = _pair_plan()
@@ -577,9 +519,7 @@ class TestServingPartialResults:
         service = QueryService(
             registry=registry,
             k_default=3,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(attempts=2), partial_results=True
-            ),
+            resilience=ResilienceConfig(attempts=2, partial_results=True),
         )
         response = service.submit(mahler_weekend_query())
         assert response.partial is not None

@@ -447,7 +447,7 @@ class TestResilientServingConcurrency:
         return got, [r for row in responses for r in row]
 
     def test_threaded_retried_submits_match_fault_free_replay(self):
-        from repro.execution.resilience import ResilienceConfig, RetryPolicy
+        from repro.execution.resilience import ResilienceConfig
         from repro.testing import FaultSchedule, wrap_registry_flaky
 
         def flaky_news():
@@ -467,7 +467,7 @@ class TestResilientServingConcurrency:
         ]
         resilient = _service(
             flaky_news,
-            resilience=ResilienceConfig(retry=RetryPolicy(attempts=40)),
+            resilience=ResilienceConfig(attempts=40),
         )
         got, responses = self._replay_threaded(resilient, streams)
         assert got == expected
