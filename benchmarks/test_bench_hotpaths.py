@@ -12,9 +12,10 @@ before/after trajectory so future PRs can track the perf curve:
   ``SearchStats`` memo counters;
 * **join tuples/sec** — candidate cells consumed per second by the
   reference full-plane :func:`~repro.testing.reference.execute_join`
-  ("before") vs. the hash-partitioned
-  :func:`~repro.execution.joins.execute_join_hashed` ("after") on a
-  randomized plane, with identical output required;
+  ("before") vs. the key-bucketed :func:`~repro.execution.joins.join_rows`
+  ("after", compiling its ``CompiledJoin`` from the inputs' variables
+  inside the timing, as it always has) on a randomized plane, with
+  identical output required;
 * **slot-row plane sweep** — candidate cells per second of the hashed
   join (slot-tuple rows, the only production path since PR 12) on
   growing wide-row selective planes, bit-identical to the reference
@@ -56,7 +57,7 @@ from _bench_env import (
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting, make_cache
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.execution.joins import execute_join_hashed
+from repro.execution.joins import join_rows
 from repro.execution.lazy import (
     LazyServiceCursor,
     MaterializedCursor,
@@ -74,7 +75,7 @@ from repro.sources.bio import bio_registry, glycolysis_homolog_query
 from repro.sources.news import market_moving_news_query, news_registry
 from repro.sources.travel import running_example_query, travel_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
-from repro.testing import ListPageSource, execute_join
+from repro.testing import ListPageSource, compiled_join, execute_join
 
 pytestmark = pytest.mark.bench
 
@@ -181,6 +182,22 @@ def _optimizer_workload(registry, query, memoize: bool) -> dict:
     }
 
 
+def _hashed(left_variables, right_variables, predicates=()):
+    """``join_rows`` as a ``(method, left, right)`` join over rows built
+    on *left_variables* / *right_variables*."""
+
+    def join(method, left, right):
+        compiled = compiled_join(
+            method, left_variables, right_variables, predicates
+        )
+        return join_rows(compiled, left, right)
+
+    return join
+
+
+_KLR = ((Variable("K"), Variable("L")), (Variable("K"), Variable("R")))
+
+
 def _join_inputs() -> tuple[list[Row], list[Row]]:
     key, left_var, right_var = Variable("K"), Variable("L"), Variable("R")
     left = [
@@ -241,13 +258,16 @@ def _plane_inputs(side: int) -> tuple[list[Row], list[Row], Comparison]:
 
 def _slot_plane_point(side: int) -> dict:
     left, right, predicate = _plane_inputs(side)
+    hashed = _hashed(
+        (Variable("K"), *(Variable(f"L{i}") for i in range(PLANE_WIDTH))),
+        (Variable("K"), *(Variable(f"R{i}") for i in range(PLANE_WIDTH))),
+        (predicate,),
+    )
     cells = side * side
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        rows = execute_join_hashed(
-            JoinMethod.MERGE_SCAN, left, right, (predicate,)
-        )
+        rows = hashed(JoinMethod.MERGE_SCAN, left, right)
         best = min(best, time.perf_counter() - start)
     # Bit-identity with the reference full-plane scan, at every point.
     assert _row_signature(rows) == _row_signature(
@@ -352,7 +372,7 @@ class TestHotpathTrajectory:
         joins = {}
         for method in (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN):
             before_join = _join_throughput(execute_join, method, left, right)
-            after_join = _join_throughput(execute_join_hashed, method, left, right)
+            after_join = _join_throughput(_hashed(*_KLR), method, left, right)
             assert after_join["rows_out"] == before_join["rows_out"]
             joins[method.value] = {"before": before_join, "after": after_join}
 
@@ -397,7 +417,5 @@ class TestHotpathTrajectory:
 
     def test_bench_join_hashed(self, benchmark):
         left, right = _join_inputs()
-        result = benchmark(
-            execute_join_hashed, JoinMethod.MERGE_SCAN, left, right
-        )
+        result = benchmark(_hashed(*_KLR), JoinMethod.MERGE_SCAN, left, right)
         assert result == execute_join(JoinMethod.MERGE_SCAN, left, right)

@@ -5,10 +5,13 @@ executions on the same candidate plane, for k ∈ {1, 10, 100}:
 
 * **full** — the reference full-plane :func:`execute_join` followed by
   ``compose_ranking(..., k)`` (the oracle of the hypothesis suite);
-* **hashed** — PR 1's :func:`execute_join_hashed` + ``compose_ranking``
+* **hashed** — the key-bucketed :func:`join_rows` + ``compose_ranking``
   (what the engine runs when not streaming);
 * **streamed** — :class:`JoinStream`, which walks the plane lazily and
   suspends once the top-k is provably complete.
+
+Both run the ``CompiledJoin`` of the inputs' variables
+(``repro.testing.compiled_join``), compiled once, as a program does.
 
 The workload is the paper's two-search-services shape: both inputs
 emit tuples in their service rank order (rank = position), every cell
@@ -38,11 +41,11 @@ from _bench_env import (
     env_stamp,
 )
 
-from repro.execution.joins import JoinStream, execute_join_hashed
+from repro.execution.joins import JoinStream, join_rows
 from repro.execution.results import Row, compose_ranking
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
-from repro.testing import execute_join
+from repro.testing import compiled_join, execute_join
 
 pytestmark = pytest.mark.bench
 
@@ -63,6 +66,12 @@ def _inputs(one_in: int = 1) -> tuple[list[Row], list[Row]]:
         for j in range(SIDE)
     ]
     return left, right
+
+
+def _join(method):
+    """The join of the two sides of :func:`_inputs`."""
+    key = Variable("K")
+    return compiled_join(method, (key, Variable("L")), (key, Variable("R")))
 
 
 def _timed(fn):
@@ -86,8 +95,9 @@ def _full_scan(method, left, right, k) -> dict:
 
 
 def _hashed(method, left, right, k) -> dict:
+    join = _join(method)
     rows, elapsed = _timed(
-        lambda: compose_ranking(execute_join_hashed(method, left, right), k)
+        lambda: compose_ranking(join_rows(join, left, right), k)
     )
     return {
         "rows": rows,
@@ -97,7 +107,7 @@ def _hashed(method, left, right, k) -> dict:
 
 
 def _streamed(method, left, right, k) -> dict:
-    stream = JoinStream(method, left, right)
+    stream = JoinStream(_join(method), left, right)
     rows, elapsed = _timed(lambda: stream.top(k))
     return {
         "rows": rows,
@@ -179,7 +189,7 @@ class TestStreamingTrajectory:
                 "rank-monotone inputs (rank = position)",
                 "k_values": list(KS),
                 "oracle": "compose_ranking(execute_join(...), k), also "
-                "cross-checked against execute_join_hashed",
+                "cross-checked against join_rows",
             },
             "plane_cells": plane,
             "per_method": per_method,
@@ -195,9 +205,8 @@ class TestStreamingTrajectory:
 
     def test_bench_streamed_top_10(self, benchmark):
         left, right = _inputs()
-        rows = benchmark(
-            lambda: JoinStream(JoinMethod.MERGE_SCAN, left, right).top(10)
-        )
+        join = _join(JoinMethod.MERGE_SCAN)
+        rows = benchmark(lambda: JoinStream(join, left, right).top(10))
         assert [(r.bindings, r.ranks) for r in rows] == [
             (r.bindings, r.ranks)
             for r in compose_ranking(

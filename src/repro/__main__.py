@@ -14,7 +14,9 @@ Commands
 
 ``optimize --domain NAME "q(X) :- ..."``
     Optimize (and optionally execute) an ad-hoc datalog query against a
-    built-in domain's services.
+    built-in domain's services.  A query no permissible sequence of
+    access patterns can execute is expanded with off-query seeder
+    services first (Section 7): the expansion answers a subset of it.
 
 ``query [--domain NAME] ["q(X) :- ..."]``
     Submit a query through the serving layer (plan cache + shared
@@ -37,7 +39,8 @@ WAL-mode SQLite database (created when missing, whatever the suffix)
 that any number of threads and processes may share.
 
 Bad input — a query that does not parse, names an unknown service, has
-the wrong arity or admits no plan, a ``k`` below 1 — ends a one-shot
+the wrong arity or admits no plan (for ``optimize``: not even an
+expanded one), a ``k`` below 1 — ends a one-shot
 command with ``error: <Type>: <message>`` on stderr and exit status 2;
 ``serve`` answers the same inputs with ``{"error": ...}`` and goes on.
 """
@@ -51,8 +54,10 @@ from repro.costs.sum_cost import RequestResponseMetric
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine
+from repro.extensions.expansion import expand_query
 from repro.model.parser import parse_query
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
+from repro.plans.dag import PlanError
 from repro.plans.render import render_ascii
 
 _DOMAINS = {
@@ -95,7 +100,22 @@ def _optimize_and_run(registry, query, metric_name: str, k: int,
         registry, metric,
         OptimizerConfig(k=k, cache_setting=CacheSetting.ONE_CALL),
     )
-    best = optimizer.optimize(query)
+    try:
+        best = optimizer.optimize(query)
+    except PlanError:
+        # No permissible sequence of access patterns: seed the blocked
+        # inputs from services the query does not mention (paper §7).
+        expanded = expand_query(query, registry.schema())
+        if not expanded.is_expansion:
+            raise
+        print(f"Query: {query}")
+        print("  admits no permissible sequence of access patterns; expanded "
+              "with off-query seeders:")
+        for atom in expanded.added_atoms:
+            print(f"  + {atom}")
+        print("  (answers are a subset of the original query's)\n")
+        query = expanded.query
+        best = optimizer.optimize(query)
     print(f"Query: {query}\n")
     print(f"Optimal plan under {metric.name} (cost {best.cost:.1f}):")
     print(render_ascii(best.plan, best.annotation))
@@ -297,7 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as error:
         # What bad input raises is a ``ValueError`` by construction:
         # ParseError, QueryError, SchemaError (unknown service, arity),
-        # PlanError (no executable plan), and a ``k`` below 1.
+        # PlanError (no executable plan), ExpansionError (no expanded
+        # one either), and a ``k`` below 1.
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
 

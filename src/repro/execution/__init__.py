@@ -20,7 +20,6 @@ from repro.execution.engine import (
 from repro.execution.joins import (
     JoinStream,
     TopKStream,
-    execute_join_hashed,
     join_order,
     merge_scan_order,
     nested_loop_order,
@@ -97,7 +96,6 @@ __all__ = [
     "compile_expression",
     "compile_predicates",
     "compose_ranking",
-    "execute_join_hashed",
     "execute_plan",
     "join_order",
     "make_cache",

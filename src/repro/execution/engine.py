@@ -331,7 +331,7 @@ class ExecutionEngine:
                             # Inputs with a deferred lazy cursor are
                             # pulled page by page by the walk; the rest
                             # are the eagerly materialized row lists.
-                            stream = JoinStream.over(
+                            stream = JoinStream(
                                 step.join,
                                 lazy_cursors.get(left, outputs[left]),
                                 lazy_cursors.get(right, outputs[right]),

@@ -27,13 +27,10 @@ the shared-variable key can join, and both forms find them through one
 per cell: :func:`join_rows` materializes the join — it indexes both
 sides and visits the matching cells in the global rank order — and
 :class:`JoinStream` walks it lazily, indexing a row when a stage first
-can touch it.  The engine hands both the
-join its program compiled; :func:`execute_join_hashed` and
-``JoinStream(method, left, right, ...)`` are the same two for
-hand-built rows, compiling the join from the sides' layouts and
-raising :class:`~repro.execution.slots.ExecutionError` for a row laid
-out otherwise.  The full-plane dict-row scan they are all tested
-against is ``execute_join`` in :mod:`repro.testing.reference`.
+can touch it.  Both take the join its program compiled, over rows the
+program's steps laid out as it was compiled for, and check no layout.
+The full-plane dict-row scan they are tested against is
+``execute_join`` in :mod:`repro.testing.reference`.
 
 :class:`JoinStream` is the streaming early-exit pipeline on top of the
 same visit orders: it walks the plane lazily, stage by stage, and
@@ -48,18 +45,12 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.execution.lazy import MaterializedCursor, RowCursor
-from repro.execution.results import Row, SlotLayout
-from repro.execution.slots import (
-    CompiledJoin,
-    ExecutionError,
-    SlotJoinPlan,
-    compile_join,
-)
+from repro.execution.results import Row
+from repro.execution.slots import CompiledJoin, SlotJoinPlan
 from repro.execution.stats import ExecutionStats
-from repro.model.predicates import Comparison
 from repro.services.registry import JoinMethod
 
 
@@ -112,48 +103,6 @@ def join_order(
     if method is JoinMethod.NESTED_LOOP:
         return nested_loop_order(n_left, n_right)
     return merge_scan_order(n_left, n_right)
-
-
-def _require_layout(rows: Iterable[Row], layout: SlotLayout, side: str) -> None:
-    """Raise unless every row of *rows* is laid out as *layout*.
-
-    A join side has one layout — the compiled merge and predicates
-    index value tuples by it.  Every engine node satisfies that by
-    construction; this is the guard for hand-built inputs (identity
-    first: rows of one node share the layout *object*).
-    """
-    for row in rows:
-        found = row.layout
-        if found is not layout and found != layout:
-            raise ExecutionError(
-                f"{side} join input mixes row layouts: {found!r} among "
-                f"{layout!r} rows (a join side has one layout)"
-            )
-
-
-def execute_join_hashed(
-    method: JoinMethod,
-    left: Sequence[Row],
-    right: Sequence[Row],
-    predicates: Sequence[Comparison] = (),
-) -> list[Row]:
-    """:func:`join_rows` for hand-built rows: join two row sequences
-    with a rank-preserving strategy.
-
-    The join condition is the *natural join* on the variables the two
-    sides' layouts share (which recombines branches forked from a
-    common upstream tuple) plus the comparison *predicates* evaluated
-    on the merged row.  The :class:`~repro.execution.slots.CompiledJoin`
-    is compiled here from the layouts of the two first rows; a row laid
-    out differently from its side's first raises
-    :class:`~repro.execution.slots.ExecutionError`.
-    """
-    if not left or not right:
-        return []
-    join = compile_join(method, left[0].layout, right[0].layout, predicates)
-    _require_layout(left, join.merge.left, "left")
-    _require_layout(right, join.merge.right, "right")
-    return join_rows(join, left, right)
 
 
 class KeyIndex:
@@ -235,9 +184,6 @@ def join_rows(
     both input orders, and every emitted row shares the ``merged``
     layout.  A key value that is unhashable (a service may return
     lists) visits the whole plane instead.
-
-    The engine's entry: the layouts are not checked (its inputs are
-    laid out by the steps the join was compiled against).
     """
     method, plan, compiled, _ = join
     try:
@@ -487,7 +433,8 @@ class JoinStream(TopKStream):
     Hence :meth:`top` is bit-identical — same rows, same ranks, same
     order — to filtering the reference full-plane join of the
     fully-fetched inputs (``repro.testing.reference.execute_join``) by
-    *residual_predicates* and then applying ``compose_ranking(..., k)``
+    the join's ``residual`` predicates and then applying
+    ``compose_ranking(..., k)``
     (filter first, then compose: the same order the engine's output
     node applies them in), while visiting only a prefix of the plane.
     Resuming re-uses every candidate already collected — no cell is
@@ -498,42 +445,19 @@ class JoinStream(TopKStream):
 
     def __init__(
         self,
-        method: JoinMethod,
-        left: Sequence[Row] | RowCursor,
-        right: Sequence[Row] | RowCursor,
-        predicates: Sequence[Comparison] = (),
-        residual_predicates: Sequence[Comparison] = (),
-    ) -> None:
-        """A stream over hand-built inputs: the join is compiled from
-        the layouts of the first row pulled on each side."""
-        self._start(method, left, right, None)
-        self._predicates = (tuple(predicates), tuple(residual_predicates))
-
-    @classmethod
-    def over(
-        cls,
         join: CompiledJoin,
         left: Sequence[Row] | RowCursor,
         right: Sequence[Row] | RowCursor,
-    ) -> "JoinStream":
-        """A stream over inputs laid out as *join* was compiled for
-        (the engine's entry: nothing is compiled per stream)."""
-        stream = cls.__new__(cls)
-        stream._start(join.method, left, right, join)
-        return stream
-
-    def _start(self, method, left, right, join: CompiledJoin | None) -> None:
-        self._method = method
+    ) -> None:
+        """A stream over inputs laid out as *join* was compiled for:
+        nothing is compiled, and no layout checked, per stream."""
+        self._join = join
+        self._method = join.method
         self._left = left if isinstance(left, RowCursor) else MaterializedCursor(left)
         self._right = (
             right if isinstance(right, RowCursor) else MaterializedCursor(right)
         )
         self._inputs = (self._left, self._right)
-        #: The one compiled join of the walk (None until a hand-built
-        #: stream has pulled a row on each side), and how many rows of
-        #: each side were checked against its layouts.
-        self._join = join
-        self._laid_out = (0, 0)
         #: Candidates are (composed rank, arrival index, left row, right
         #: row) — arrivals are distinct, so the rows are never compared.
         #: The merged row is built when a candidate is emitted
@@ -549,7 +473,7 @@ class JoinStream(TopKStream):
         #: key turned out unhashable: every later stage scans its
         #: cells), and — merge-scan — the matching cells found for
         #: diagonals not visited yet, as diagonal → left indexes.
-        self._index = KeyIndex(join.merge) if join else None
+        self._index = KeyIndex(join.merge)
         self._filed: defaultdict[int, list[int]] = defaultdict(list)
         #: The left row whose term refuted the last certificate check.
         self._refuter = 0
@@ -613,8 +537,6 @@ class JoinStream(TopKStream):
         left_rows, right_rows = left.rows, right.rows
         n, m = len(left_rows), len(right_rows)
         if stage < stage_count(method, n, m):
-            if self._laid_out != (n, m):
-                self._admit(left_rows, right_rows)
             self.cells_visited += (
                 m if method is JoinMethod.NESTED_LOOP
                 else min(stage, n - 1) - max(0, stage - m + 1) + 1
@@ -693,23 +615,6 @@ class JoinStream(TopKStream):
         return list(
             stage_cells(self._method, len(left_rows), len(right_rows), stage)
         )
-
-    def _admit(self, left_rows: list[Row], right_rows: list[Row]) -> None:
-        """Check the rows pulled since the last stage against the
-        layouts the walk's join was compiled for (a hand-built stream
-        compiles it here, from its first rows).  Each row is checked
-        once, when first seen — never per visited cell."""
-        join = self._join
-        if join is None:
-            join = self._join = compile_join(
-                self._method, left_rows[0].layout, right_rows[0].layout,
-                *self._predicates,
-            )
-            self._index = KeyIndex(join.merge)
-        checked_left, checked_right = self._laid_out
-        _require_layout(left_rows[checked_left:], join.merge.left, "left")
-        _require_layout(right_rows[checked_right:], join.merge.right, "right")
-        self._laid_out = (len(left_rows), len(right_rows))
 
     def _row(self, candidate: tuple) -> Row:
         """The merged row of a candidate, built when it is emitted."""

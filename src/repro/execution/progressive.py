@@ -42,7 +42,7 @@ is compiled into the program (``ExecutionProgram.grows_in_place``):
   already walked) runs the plan again, where the shared logical cache
   absorbs every already-fetched page.
 
-The ladder of factors, ``max_rounds`` and the exhaustion rule are the
+The ladder of factors, ``MAX_ROUNDS`` and the exhaustion rule are the
 same either way, and so are the answers
 (:class:`repro.testing.ReexecutingExecutor` is the reference that
 always re-executes).
@@ -101,6 +101,11 @@ from repro.services.registry import ServiceRegistry
 #: and finishes with whatever plan it has.
 MAX_REPLANS = 3
 
+#: Bounds the *executing* rounds (those that run the plan, or continue
+#: it under grown factors) since the last drift splice; plain resumed
+#: stream rounds are nearly free and never count against it.
+MAX_ROUNDS = 8
+
 
 @dataclass
 class ProgressiveRound:
@@ -116,7 +121,7 @@ class ProgressiveRound:
     ``grown`` marks a resumed round that continued the walk under
     factors grown *in place* (``ExecutionProgram.grows_in_place``): it
     stands where a re-execution would, so like one it counts against
-    ``max_rounds`` — but its statistics hold only what the larger
+    ``MAX_ROUNDS`` — but its statistics hold only what the larger
     budget newly pulled.
 
     ``stats`` is the round's full :class:`ExecutionStats` — kept so a
@@ -176,11 +181,6 @@ class ProgressiveExecutor:
     head: tuple[Variable, ...] = ()
     mode: ExecutionMode = ExecutionMode.PARALLEL
     cache_setting: CacheSetting = CacheSetting.OPTIMAL
-    #: Bounds the *executing* rounds (those that run the plan, or
-    #: continue it under grown factors) since the last drift splice;
-    #: plain resumed stream rounds are nearly free and never count
-    #: against it.
-    max_rounds: int = 8
     #: An externally owned logical cache to run against (the serving
     #: layer hands every session the same cache, so one tenant's
     #: fetches answer another tenant's overlapping calls); when None a
@@ -209,8 +209,9 @@ class ProgressiveExecutor:
     replan: (
         Callable[[dict[str, float]], QueryPlan | ExecutionProgram | None] | None
     ) = None
-    rounds: list[ProgressiveRound] = field(default_factory=list)
-    drift_events: list[DriftEvent] = field(default_factory=list)
+    #: What the execution did so far: every round, every drift splice.
+    rounds: list[ProgressiveRound] = field(default_factory=list, init=False)
+    drift_events: list[DriftEvent] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         #: Services whose drift a splice already absorbed, with their
@@ -308,7 +309,7 @@ class ProgressiveExecutor:
             # break, or the first growth round after it always burns
             # one extra re-execution against exhausted services.
             baseline_processed = self._resumed_baseline()
-        while len(result.rows) < k and self._executed_rounds() < self.max_rounds:
+        while len(result.rows) < k and self._executed_rounds() < MAX_ROUNDS:
             if not self._grow_fetches():
                 break  # every factor capped by its decay bound
             previous_answers = len(result.rows)

@@ -25,15 +25,14 @@ hashing variable names per row:
   cache, demotion mask, provenance, certificates) is built;
 * :class:`ServiceBinding` — one service node compiled against its feed
   layout: what to invoke, input spec, output-term binding program,
-  output layout and node predicates.  The eager page loop, the lazy
-  page source and the thread-pool row tasks all bind result pages
-  through the same object.
+  output layout and node predicates.  The eager page loop and the lazy
+  page source both bind result pages through the same object.
 
 The engine compiles all of it once per plan, in
 :mod:`repro.execution.program` (every engine node has one static
-layout); the hand-built-input join API of :mod:`repro.execution.joins`
-compiles one join from its sides' layouts.  Nothing here falls back to
-another representation: compilation cannot fail.
+layout), and the joins of :mod:`repro.execution.joins` run what was
+compiled there.  Nothing here falls back to another representation:
+compilation cannot fail.
 """
 
 from __future__ import annotations

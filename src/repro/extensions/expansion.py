@@ -159,8 +159,11 @@ def expand_query(query: ConjunctiveQuery, schema: Schema) -> ExpandedQuery:
     for combination in itertools.product(
         *[candidates for _, candidates in per_variable]
     ):
+        # One name pool per combination: two seeders never share a
+        # fresh variable, which would join them on it.
+        used = set(taken)
         added = tuple(
-            _seeder_atom(sig, position, variable, set(taken))
+            _seeder_atom(sig, position, variable, used)
             for (variable, _), (sig, _, position) in zip(per_variable, combination)
         )
         expanded = ConjunctiveQuery(

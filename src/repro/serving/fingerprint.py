@@ -98,10 +98,11 @@ def optimizer_config_token(config: OptimizerConfig) -> str:
     ``k`` and ``cache_setting`` are excluded — they are explicit key
     components already.  ``memoize`` is excluded too: memoization is
     bit-identical to the unmemoized search by contract, so it cannot
-    change which plan a key maps to.  Everything else (fetch
-    heuristic, cogency restriction, pruning) can legitimately pick a
-    different plan for the same query, so two services with different
-    configs must never serve each other's cache entries.
+    change which plan a key maps to.  The serving layer plans with one
+    config, the default, so the token is a constant there; it stays in
+    the key so that keys keep their bytes — plans persisted in a disk
+    tier by earlier versions are still addressed — and so that a caller
+    building keys by hand (``bench/tracing.py``) builds the same ones.
     """
     fields = dataclasses.asdict(config)
     for keyed_elsewhere in ("k", "cache_setting", "memoize"):
@@ -122,9 +123,8 @@ def plan_cache_key(
     The registry epoch is baked into the key, so entries optimized
     under drifted profiles can never be returned — they simply stop
     being addressed and age out of the LRU tier.  The config token
-    does the same for optimizer settings: a cache shared between
-    services (or processes) with different search knobs keeps their
-    plans apart.
+    would do the same for optimizer settings; the serving layer's is a
+    constant (:func:`optimizer_config_token`).
     """
     return "|".join(
         (

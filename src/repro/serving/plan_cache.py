@@ -132,7 +132,7 @@ class PlanCache:
     path: Path | str | None = None
     capacity: int = 128
     tenant_quota: int | None = None
-    stats: PlanCacheStats = field(default_factory=PlanCacheStats)
+    stats: PlanCacheStats = field(default_factory=PlanCacheStats, init=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 0:

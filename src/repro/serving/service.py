@@ -62,12 +62,10 @@ from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import (
     CacheSetting,
     KeyedMutex,
-    LogicalCache,
-    OptimalCache,
     ThreadSafeCache,
     make_cache,
 )
-from repro.execution.engine import ExecutionEngine, ExecutionMode, ExecutionResult
+from repro.execution.engine import ExecutionMode, ExecutionResult
 from repro.execution.fetch import UnitRouting
 from repro.execution.program import ExecutionProgram
 from repro.execution.progressive import ProgressiveExecutor, ProgressiveRound
@@ -85,6 +83,13 @@ from repro.serving.fingerprint import (
 from repro.serving.plan_cache import PlanCache
 from repro.serving.sessions import SessionError, SessionManager
 from repro.services.registry import AdjustedRegistry, ServiceRegistry
+
+#: Every request is planned with the optimizer's defaults and runs
+#: streamed (so a session suspends cheaply) over an optimal logical
+#: cache; the plan-cache key still carries both, as it always has.
+OPTIMIZER_CONFIG = OptimizerConfig()
+CACHE_SETTING = CacheSetting.OPTIMAL
+_CONFIG_TOKEN = optimizer_config_token(OPTIMIZER_CONFIG)
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,6 @@ class ServingStats:
     optimizer_fetch_vectors_evaluated: int = 0
     optimizer_programs_compiled: int = 0
     optimizer_atoms_placed: int = 0
-    prefetches: int = 0
     #: Mid-run plan splices performed by adaptive executions.
     replans: int = 0
 
@@ -206,7 +210,6 @@ class ServingStats:
             ),
             "optimizer_programs_compiled": self.optimizer_programs_compiled,
             "optimizer_atoms_placed": self.optimizer_atoms_placed,
-            "prefetches": self.prefetches,
             "replans": self.replans,
         }
 
@@ -221,20 +224,14 @@ class QueryService:
     store quotas (``PlanCache(tenant_quota=...)``) keep one tenant
     from flooding the shared store — this service tags its stores
     with the registry epoch (one quota bucket per registry content
-    version).  ``mode`` defaults to streamed execution so sessions
-    suspend cheaply; any mode works (answers are mode-independent by
-    the engine's contract).  All public methods are thread-safe (see
-    the module docstring for the locking structure).
+    version).  All public methods are thread-safe (see the module
+    docstring for the locking structure).
     """
 
     registry: ServiceRegistry
     metric: CostMetric = field(default_factory=ExecutionTimeMetric)
     k_default: int = 10
-    mode: ExecutionMode = ExecutionMode.STREAMED
-    cache_setting: CacheSetting = CacheSetting.OPTIMAL
     plan_cache: PlanCache = field(default_factory=PlanCache)
-    sessions: SessionManager = field(default_factory=SessionManager)
-    optimizer_config: OptimizerConfig | None = None
     #: One logical cache across all requests; False gives each session
     #: a private cache (the no-sharing baseline).
     share_service_cache: bool = True
@@ -263,7 +260,8 @@ class QueryService:
     #: in partial-results mode, where substitutions are recorded.
     #: None keeps the static serving path, bit-identically.
     breaker: CircuitBreaker | None = None
-    stats: ServingStats = field(default_factory=ServingStats)
+    sessions: SessionManager = field(default_factory=SessionManager, init=False)
+    stats: ServingStats = field(default_factory=ServingStats, init=False)
 
     def __post_init__(self) -> None:
         # Adaptive serving needs partial-results accounting: the
@@ -273,21 +271,16 @@ class QueryService:
             self._exec_resilience = replace(
                 self.resilience or ResilienceConfig(), partial_results=True
             )
-        inner: LogicalCache | None = (
-            make_cache(self.cache_setting, capacity=self.service_cache_capacity)
+        # The shared cache is hit by every client thread, so it is
+        # always lock-wrapped.
+        self._service_cache: ThreadSafeCache | None = (
+            ThreadSafeCache(
+                make_cache(CACHE_SETTING, capacity=self.service_cache_capacity)
+            )
             if self.share_service_cache
             else None
         )
-        # The shared cache is hit by every client thread, so it is
-        # always lock-wrapped.
-        self._service_cache: LogicalCache | None = (
-            ThreadSafeCache(inner) if inner is not None else None
-        )
         self._stats_lock = threading.Lock()
-        # Hashed once: the token covers every search-shaping knob but
-        # ``k`` and the cache setting, which are key components of their own.
-        self._config = self.optimizer_config or OptimizerConfig()
-        self._config_token = optimizer_config_token(self._config)
         # Single-flight for plan resolution: one mutex per plan-cache
         # key *currently being resolved*, so fresh-constant traffic (a
         # new key per request) leaves nothing behind.
@@ -380,67 +373,6 @@ class QueryService:
                 replans=replans,
             )
 
-    def prefetch(
-        self, query: ConjunctiveQuery | str, k: int | None = None
-    ) -> dict:
-        """Warm the shared service cache for *query* ahead of traffic.
-
-        Plans the query exactly as :meth:`submit` would (so the plan
-        cache is warmed too), reroutes breaker-open services as
-        :meth:`submit` would, and runs the whole plan in ``PARALLEL``
-        mode against the shared service cache, without resetting the
-        remote services' own caches — answers of later submits are
-        unaffected (a logical cache only changes how often the remote
-        side is called), they just start from a hot cache.  No session
-        is opened and no rows are returned; the summary dict reports
-        what the warm-up did.
-
-        With ``share_service_cache=False`` there is no shared state to
-        warm, so the warm-up **short-circuits after plan resolution**:
-        the plan cache still benefits, but nothing is executed and no
-        service is called (``"skipped": True`` in the summary).
-        """
-        if isinstance(query, str):
-            query = parse_query(query)
-        k = self.k_default if k is None else k
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        with self._stats_lock:
-            self.stats.prefetches += 1
-        plan, _, provenance, _, _, _ = self._resolve_plan(
-            query, k, registry=self._planning_registry()
-        )
-        if self._service_cache is None:
-            return {
-                "provenance": provenance,
-                "shared": False,
-                "skipped": True,
-                "service_calls": 0,
-                "cache_hits": 0,
-                "answers_available": 0,
-            }
-        engine = ExecutionEngine(
-            self.registry,
-            cache_setting=self.cache_setting,
-            mode=ExecutionMode.PARALLEL,
-            resilience=self._exec_resilience,
-        )
-        self._apply_breaker_routing(engine.routing, plan)
-        result = engine.execute(
-            plan,
-            k=k,
-            reset_remote_caches=False,
-            shared_cache=self._service_cache,
-        )
-        return {
-            "provenance": provenance,
-            "shared": True,
-            "skipped": False,
-            "service_calls": result.stats.total_calls,
-            "cache_hits": result.stats.total_cache_hits,
-            "answers_available": len(result.rows),
-        }
-
     def release(self, session_id: str) -> bool:
         """Close a session's continuation state; False when unknown."""
         return self.sessions.release(session_id)
@@ -457,19 +389,15 @@ class QueryService:
                 **self.sessions.stats.to_dict(),
             },
         }
-        cache = self._service_cache
-        if cache is not None:
-            # The shared cache is lock-wrapped; report the *inner*
-            # cache so wrapping never silently drops the section.
-            inner = cache.inner if isinstance(cache, ThreadSafeCache) else cache
-            section: dict = {"type": type(inner).__name__}
-            if isinstance(inner, OptimalCache):
-                section.update(
-                    entries=len(inner),
-                    capacity=inner.capacity,
-                    evictions=inner.evictions,
-                )
-            state["service_cache"] = section
+        if self._service_cache is not None:
+            # The optimal cache inside the lock wrapper.
+            inner = self._service_cache.inner
+            state["service_cache"] = {
+                "type": type(inner).__name__,
+                "entries": len(inner),
+                "capacity": inner.capacity,
+                "evictions": inner.evictions,
+            }
         if self.breaker is not None:
             with self._stats_lock:
                 state["breaker"] = self.breaker.snapshot()
@@ -484,15 +412,15 @@ class QueryService:
 
         Returns ``(program, cost, provenance, fingerprint, epoch,
         annotate_calls)`` — the request-independent half of
-        :meth:`submit`, shared with :meth:`prefetch`.  The program is
-        the plan-cache entry's, shared with every other user of the
-        key; it is written in the variables of the query that first
-        compiled it, which by the fingerprint equal this query's up to
-        renaming (:meth:`_respond` projects by its head).
+        :meth:`submit`.  The program is the plan-cache entry's, shared
+        with every other user of the key; it is written in the
+        variables of the query that first compiled it, which by the
+        fingerprint equal this query's up to renaming (:meth:`_respond`
+        projects by its head).
 
         ``registry`` is what the plan is costed against:
-        :meth:`_planning_registry` for a submission or a prefetch, the
-        drift-adjusted view for a re-plan.  An
+        :meth:`_planning_registry` for a submission, the drift-adjusted
+        view for a re-plan.  An
         :class:`~repro.services.registry.AdjustedRegistry` view costs
         plans at observed response times, and its adjusted content
         epoch keys those plans separately, so they never poison the
@@ -510,7 +438,7 @@ class QueryService:
         epoch = registry.content_epoch()
         key = plan_cache_key(
             fingerprint, epoch, self.metric.name, k,
-            self.cache_setting.value, self._config_token,
+            CACHE_SETTING.value, _CONFIG_TOKEN,
         )
         annotate_calls = 0
         head = tuple(query.head)
@@ -527,7 +455,7 @@ class QueryService:
                     self.plan_cache.attach(key, program)
             else:
                 config = replace(
-                    self._config, k=k, cache_setting=self.cache_setting
+                    OPTIMIZER_CONFIG, k=k, cache_setting=CACHE_SETTING
                 )
                 optimized = Optimizer(
                     registry, self.metric, config
@@ -594,8 +522,8 @@ class QueryService:
         executor = ProgressiveExecutor(
             registry=self.registry,
             plan=plan,
-            mode=self.mode,
-            cache_setting=self.cache_setting,
+            mode=ExecutionMode.STREAMED,
+            cache_setting=CACHE_SETTING,
             shared_cache=self._service_cache,
             reset_remote=False,
             resilience=self._exec_resilience,

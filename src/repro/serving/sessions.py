@@ -2,9 +2,9 @@
 
 A submission answers with its top-k *and* leaves a continuation
 behind: the :class:`~repro.execution.progressive.ProgressiveExecutor`
-(holding the suspended :class:`~repro.execution.joins.JoinStream` and
-its lazy service cursors) can produce more answers without
-re-optimizing or re-executing.  The :class:`SessionManager` is the
+(holding the suspended :class:`~repro.execution.joins.TopKStream` — a
+final join's or a pipe chain's — and its lazy service cursors) can
+produce more answers without re-optimizing or re-executing.  The :class:`SessionManager` is the
 server-side registry of those continuations.
 
 Continuations pin cursor state (fetched pages, suspended walks), so
@@ -111,7 +111,7 @@ class SessionManager:
     capacity: int = 64
     ttl: float | None = 600.0
     clock: Callable[[], float] = time.monotonic
-    stats: SessionStats = field(default_factory=SessionStats)
+    stats: SessionStats = field(default_factory=SessionStats, init=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:

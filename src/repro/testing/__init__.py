@@ -12,8 +12,9 @@ optimality oracle of the branch-and-bound
 (:mod:`repro.testing.exhaustive`) and the WSMS predecessor the
 ablations compare it with (:mod:`repro.testing.wsms`); the seeded
 workload generator the scalability benches sweep
-(:mod:`repro.testing.synthetic`); the visit-order property and the
-pre-built page source of the join and cursor suites
+(:mod:`repro.testing.synthetic`); the visit-order property, the
+compiled join of hand-built rows and the pre-built page source of the
+join and cursor suites
 (:mod:`repro.testing.fixtures`); and the deterministic fault-injection
 kit (:mod:`repro.testing.faults`).  Production modules under
 ``src/repro/`` never import this package, and every production module
@@ -28,7 +29,11 @@ from repro.testing.faults import (
     InjectedFault,
     wrap_registry_flaky,
 )
-from repro.testing.fixtures import ListPageSource, is_order_rank_consistent
+from repro.testing.fixtures import (
+    ListPageSource,
+    compiled_join,
+    is_order_rank_consistent,
+)
 from repro.testing.reference import (
     ReexecutingExecutor,
     ReferenceResult,
@@ -62,6 +67,7 @@ __all__ = [
     "ReferenceResult",
     "SyntheticWorkload",
     "WsmsPlan",
+    "compiled_join",
     "eager_streamed_engine",
     "execute_join",
     "exhaustive_optimize",

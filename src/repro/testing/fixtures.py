@@ -2,18 +2,40 @@
 
 :func:`is_order_rank_consistent` is the domination property the visit
 orders of :mod:`repro.execution.joins` are checked against;
-:class:`ListPageSource` is a page source over pre-built pages, which
-the suites drive the cursors of :mod:`repro.execution.lazy` with.
-Nothing the engine runs calls either.
+:func:`compiled_join` compiles the join of hand-built rows as a program
+compiles one; :class:`ListPageSource` is a page source over pre-built
+pages, which the suites drive the cursors of
+:mod:`repro.execution.lazy` with.  Nothing the engine runs calls any
+of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from repro.execution.lazy import FetchedPage
-from repro.execution.results import Row
+from repro.execution.results import Row, SlotLayout
+from repro.execution.slots import CompiledJoin, compile_join
+from repro.model.predicates import Comparison
+from repro.services.registry import JoinMethod
+
+
+def compiled_join(
+    method: JoinMethod,
+    left: Sequence[Hashable],
+    right: Sequence[Hashable],
+    predicates: Sequence[Comparison] = (),
+    residual: Sequence[Comparison] = (),
+) -> CompiledJoin:
+    """The join :func:`~repro.execution.joins.join_rows` and
+    :class:`~repro.execution.joins.JoinStream` run over rows hand-built
+    with ``Row(bindings=...)`` over the variables *left* and *right*, in
+    that order.  Nothing checks the rows against them, exactly as the
+    engine checks nothing against its program's layouts."""
+    return compile_join(
+        method, SlotLayout(left), SlotLayout(right), predicates, residual
+    )
 
 
 def is_order_rank_consistent(order: Sequence[tuple[int, int]]) -> bool:

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.engine import ExecutionMode
-from repro.execution.progressive import MAX_REPLANS, ProgressiveExecutor
+from repro.execution.progressive import MAX_REPLANS, MAX_ROUNDS, ProgressiveExecutor
 from repro.execution.resilience import (
     DriftMonitor,
     PlanDrift,
@@ -58,27 +58,32 @@ from tests.test_resilience import _count_invocations
 # -- the test world ---------------------------------------------------------
 
 
-def _table(name, var, side, chunk):
+def _table(name, var, side, chunk, one_to_one=False):
     return TableSearchService(
         signature(name, ["Q", "K", var], ["ioo"]),
         search_profile(chunk_size=chunk, response_time=1.0),
-        [("q", 0, i) for i in range(side)],
+        [("q", i if one_to_one else 0, i) for i in range(side)],
         score=lambda row: float(-row[2]),
     )
 
 
-def build_world(side=6, chunk=2, fetches=2, sibling=False):
+def build_world(side=6, chunk=2, fetches=2, sibling=False, one_to_one=False):
     """A two-feed merge-scan world; optionally a ``lefts`` sibling.
+
+    Every row joins every row of the other side, or — ``one_to_one`` —
+    only the row at its own position: answers then grow with the pages
+    pulled, not with their square, so a world can be big enough for the
+    executed-round cap to end a run before its services run dry.
 
     ``lefts_backup`` shares lefts' signature domains, profile kind,
     data, and scores — the ideal fallback — but is a distinct
     registered service, so every reroute onto it is observable.
     """
     registry = ServiceRegistry()
-    registry.register(_table("lefts", "L", side, chunk))
-    registry.register(_table("rights", "R", side, chunk))
+    registry.register(_table("lefts", "L", side, chunk, one_to_one))
+    registry.register(_table("rights", "R", side, chunk, one_to_one))
     if sibling:
-        registry.register(_table("lefts_backup", "L", side, chunk))
+        registry.register(_table("lefts_backup", "L", side, chunk, one_to_one))
     registry.register_join_method("lefts", "rights", JoinMethod.MERGE_SCAN)
     key, lv, rv = Variable("K"), Variable("L"), Variable("R")
     query = ConjunctiveQuery(
@@ -456,7 +461,7 @@ class TestSiblingFallback:
         make_flaky(registry, "lefts", fail_rate=1.0)
         executor = ProgressiveExecutor(
             registry=registry, plan=plan, head=tuple(query.head),
-            mode=ExecutionMode.PARALLEL, max_rounds=2, resilience=RESILIENT,
+            mode=ExecutionMode.PARALLEL, resilience=RESILIENT,
         )
         result = executor.run(4)
         certificate = result.certificate
@@ -469,7 +474,7 @@ class TestSiblingFallback:
         make_flaky(registry, "lefts_backup", fail_rate=1.0)
         executor = ProgressiveExecutor(
             registry=registry, plan=plan, head=tuple(query.head),
-            mode=ExecutionMode.PARALLEL, max_rounds=2, resilience=RESILIENT,
+            mode=ExecutionMode.PARALLEL, resilience=RESILIENT,
         )
         result = executor.run(4)
         certificate = result.certificate
@@ -612,13 +617,15 @@ class TestDriftSplice:
 
     def test_max_rounds_restarts_at_each_splice(self):
         """The executed-round budget bounds the rounds *per plan*: a
-        run that drifted once may execute ``max_rounds`` rounds on the
-        aborted plan's successor too."""
-        world = dict(side=40, chunk=1, fetches=2)
+        run that drifted once may execute ``MAX_ROUNDS`` rounds on the
+        aborted plan's successor too.  One row per page, each row
+        joining one row: a round of F pages answers F rows, and 600
+        rows a side outlast every factor the cap lets a run reach."""
+        world = dict(side=600, chunk=1, fetches=2, one_to_one=True)
         registry, query, plan = build_world(**world)
         make_flaky(registry, "lefts", delay_rate=1.0)
-        executor = _adaptive(registry, query, plan, max_rounds=2)
-        executor.run(30)
+        executor = _adaptive(registry, query, plan)
+        executor.run(600)
         assert executor.replans == 1
         kinds = [
             "aborted" if r.answers == 0 and not r.resumed else "executed"
@@ -626,11 +633,15 @@ class TestDriftSplice:
         ]
         # Round 1 ran (two remote lefts pages), round 2 tripped the
         # monitor on the third, then the spliced run got a fresh
-        # budget of 2: four plan rounds in all.
-        assert kinds == ["executed", "aborted", "executed", "executed"]
-        static = _adaptive(*build_world(**world), replan=None, max_rounds=2)
-        static.run(30)
-        assert len(static.rounds) == 2
+        # budget: MAX_ROUNDS more rounds, from 4 pages up to 512.
+        assert kinds == ["executed", "aborted"] + ["executed"] * MAX_ROUNDS
+        assert [r.answers for r in executor.rounds[2:]] == [
+            4 * 2**round for round in range(MAX_ROUNDS)
+        ]
+        static = _adaptive(*build_world(**world), replan=None)
+        static.run(600)
+        assert len(static.rounds) == MAX_ROUNDS
+        assert static.rounds[-1].answers == 2 * 2 ** (MAX_ROUNDS - 1)
 
 
 # -- the serving layer's breaker -------------------------------------------
@@ -720,46 +731,23 @@ class TestServingBreaker:
         assert service.breaker.state("lefts") is BreakerState.CLOSED
         assert service.snapshot()["breaker"] == {}
 
-    def test_prefetch_plans_under_the_view_submit_will_use(self):
-        """With a breaker open, ``prefetch`` must resolve its plan
-        against the adjusted registry view exactly as ``submit`` does:
-        the plan it stores is the one the submit then hits."""
-        registry, query, _ = build_world(sibling=False)
+    def test_submit_never_calls_the_service_the_breaker_marks_down(self):
+        """With a breaker open on ``lefts`` and a healthy sibling,
+        ``submit`` reroutes the open service up front
+        (``_apply_breaker_routing``): ``lefts`` is never called, every
+        block it owned is served by the sibling and recorded as
+        substituted, and the answer is the healthy world's."""
+        registry, query, _ = build_world(sibling=True)
         service = _serve(registry, FakeClock())
         _record_slow(service.breaker, "lefts")
-        assert service.breaker.response_time_overrides() == {"lefts": 25.0}
-
-        warmed = service.prefetch(query, k=4)
-        assert warmed["provenance"] == "optimized"
-        response = service.submit(query, k=4)
-        assert response.provenance == "memory"
-        assert response.epoch != registry.content_epoch()
-        assert service.stats.optimizer_runs == 1
-
-    def test_prefetch_warms_the_sibling_submit_will_be_served_by(self):
-        """With a breaker open on ``lefts`` and a healthy sibling,
-        ``prefetch`` reroutes exactly as ``submit`` does: it never calls
-        the service the breaker marks down, and the submit after it is
-        served entirely from the warmed cache."""
-
-        def serve():
-            registry, query, _ = build_world(sibling=True)
-            service = _serve(registry, FakeClock())
-            _record_slow(service.breaker, "lefts")
-            assert service.breaker.open_services() == ("lefts",)
-            return registry, query, service
-        registry, query, service = serve()
+        assert service.breaker.open_services() == ("lefts",)
         proxies = _count_invocations(registry)
-        warmed = service.prefetch(query, k=4)
+        response = service.submit(query, k=4)
         assert proxies["lefts"].invocations == 0
         assert proxies["lefts_backup"].invocations > 0
-        assert warmed["service_calls"] > 0
-        response = service.submit(query, k=4)
-        assert response.stats["service_calls"] == 0
         assert response.partial["substituted"]
 
-        _, cold_query, cold_service = serve()
-        cold = cold_service.submit(cold_query, k=4)
-        assert cold.stats["service_calls"] > 0
-        assert response.rows == cold.rows
-        assert response.rank_keys == cold.rank_keys
+        healthy_registry, healthy_query, _ = build_world(sibling=True)
+        healthy = _serve(healthy_registry, FakeClock()).submit(healthy_query, k=4)
+        assert response.rows == healthy.rows
+        assert response.rank_keys == healthy.rank_keys

@@ -43,6 +43,18 @@ class TestOptimize:
         out = capsys.readouterr().out
         assert "Optimal plan" in out
 
+    def test_blocked_query_is_served_through_off_query_expansion(self, capsys):
+        """No access pattern of ``weather`` outputs the city, so the
+        query alone admits no plan; a ``hotel`` seeder outputs cities
+        and the expansion is optimized and run (paper §7)."""
+        query = "q(C, T) :- weather(C, T, '2008-08-24')."
+        assert main(["optimize", "--domain", "travel", query]) == 0
+        out = capsys.readouterr().out
+        assert "+ hotel(Hotel0, C, Hotel2, Hotel3, Hotel4, Hotel5)" in out
+        assert "answers are a subset of the original query's" in out
+        assert "Optimal plan under execution-time (cost 19.9)" in out
+        assert "Top 10 answers:" in out
+
 
 class TestQueryCommand:
     def test_repeat_flips_provenance_to_memory(self, capsys):

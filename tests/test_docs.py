@@ -226,12 +226,6 @@ def test_every_production_module_is_reachable_from_an_entry_point():
     experiments or an example imports, transitively: a module under
     ``src/repro/`` that only tests and benches import belongs in
     ``testing/``."""
-    unserved = {
-        # Paper §7, off-query expansion: a library entry no command
-        # serves yet (ROADMAP item 7a: wire it into ``optimize`` or
-        # move it).
-        "repro.extensions.expansion",
-    }
     reached = _reached_modules()
     # A package's ``__init__`` is reached exactly when one of its
     # modules is, so the modules proper are what is checked.
@@ -242,7 +236,7 @@ def test_every_production_module_is_reachable_from_an_entry_point():
         and _module_name(path) not in reached
         and not _module_name(path).startswith("repro.testing.")
     }
-    assert orphans == unserved
+    assert not orphans, orphans
 
 
 def test_every_execution_mode_is_chosen_where_an_entry_point_reaches():
@@ -376,14 +370,15 @@ def test_one_plan_walk_and_one_restart_loop():
 def test_a_plan_is_compiled_in_one_place_and_a_hit_builds_nothing():
     """Bindings, merge plans and predicates are compiled by
     ``ExecutionProgram.compile`` (through the constructors of
-    ``slots.py``) and by the hand-built-input join API of ``joins.py``,
-    never by the walk; the serving layer builds a plan only for a
-    cache entry that has no program yet."""
+    ``slots.py``) alone — a join is built from the program's
+    ``CompiledJoin`` only, never by the walk or from raw rows; the
+    serving layer builds a plan only for a cache entry that has no
+    program yet."""
     compilers = {
         "ServiceBinding": {"execution/program.py"},
         "SlotJoinPlan": {"execution/slots.py"},
         "compile_predicates": {"execution/slots.py", "execution/program.py"},
-        "compile_join": {"execution/program.py", "execution/joins.py"},
+        "compile_join": {"execution/program.py"},
     }
     sites: dict[str, set] = {name: set() for name in compilers}
     builds = []
@@ -455,6 +450,7 @@ def test_retired_seam_plumbing_stays_retired():
         "parallel_workers", "wall_time", "Scheduler", "_merge_counters",
         "DriftPolicy", "BreakerPolicy", "AdaptivePolicy", "RetryPolicy",
         "sibling_fallback", "substitute_siblings", "_half_open", "SEQUENTIAL",
+        "prefetch", "execute_join_hashed", "_require_layout", "_laid_out",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"
@@ -570,9 +566,7 @@ def test_one_join_one_plan_cache_tier_one_sqlite_pool():
     }
     assert key_readers == {("joins.py", ("KeyIndex", "__init__"))}
     users = {scopes for name, scopes in _calls(joins) if name == "KeyIndex"}
-    assert users == {
-        ("join_rows",), ("JoinStream", "_start"), ("JoinStream", "_admit"),
-    }
+    assert users == {("join_rows",), ("JoinStream", "__init__")}
     plan_cache = ast.parse((SRC / "serving" / "plan_cache.py").read_text())
     imported = {
         name.split(".")[0]
@@ -644,20 +638,18 @@ def test_parameter_budget(capsys):
             "row_provenance", "drift_monitor",
         ),
         ProgressiveExecutor: (
-            "registry", "plan", "head", "mode", "cache_setting", "max_rounds",
+            "registry", "plan", "head", "mode", "cache_setting",
             "shared_cache", "reset_remote", "resilience", "row_provenance",
-            "replan", "rounds", "drift_events",
+            "replan",
         ),
-        PlanCache: ("path", "capacity", "tenant_quota", "stats"),
+        PlanCache: ("path", "capacity", "tenant_quota"),
         SQLiteDiskTier: ("path",),
         QueryService: (
-            "registry", "metric", "k_default", "mode", "cache_setting",
-            "plan_cache", "sessions", "optimizer_config",
+            "registry", "metric", "k_default", "plan_cache",
             "share_service_cache", "service_cache_capacity", "resilience",
-            "row_provenance", "breaker", "stats",
+            "row_provenance", "breaker",
         ),
-        QueryService.prefetch: ("self", "query", "k"),
-        SessionManager: ("capacity", "ttl", "clock", "stats"),
+        SessionManager: ("capacity", "ttl", "clock"),
         OptimizerConfig: (
             "k", "cache_setting", "fetch_heuristic", "most_cogent_only",
             "prune", "memoize",
@@ -667,6 +659,13 @@ def test_parameter_budget(capsys):
     }
     for cls, parameters in budget.items():
         assert tuple(inspect.signature(cls).parameters) == parameters, cls.__name__
+    # The serving contract is two calls, answer and continue (paper
+    # §2.2), plus closing a session and reading the counters.
+    public = {
+        name for name, _ in inspect.getmembers(QueryService, inspect.isfunction)
+        if not name.startswith("_")
+    }
+    assert public == {"submit", "ask_for_more", "release", "snapshot"}
     serving_flags = {
         "-h", "--help", "--domain", "--metric", "-k", "--plan-cache", "--retries",
         "--partial-results", "--provenance", "--adaptive",
@@ -687,9 +686,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3587,
+        "src/repro/execution + serving": 3476,
         "src/repro/optimizer + plans + costs": 2306,
-        "src/repro outside testing": 9681,
+        "src/repro outside testing": 9586,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

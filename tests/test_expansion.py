@@ -87,6 +87,23 @@ class TestExpansion:
         assert not expanded.is_expansion
         assert expanded.query is fine
 
+    def test_two_seeders_share_no_fresh_variable(self):
+        """Each blocked domain gets its own seeder atom; their fresh
+        variables are distinct, so the seeders are not joined on them."""
+        schema = schema_of(
+            [
+                signature("weather", ["City", "Day", "T"], ["iio"]),
+                signature("place", ["City", "Day", "Note"], ["ooo"]),
+            ]
+        )
+        blocked = query(
+            "q", [Variable("T")], [atom("weather", "City", "Day", "T")]
+        )
+        first, second = expand_query(blocked, schema).added_atoms
+        assert Variable("City") in first.variable_set
+        assert Variable("Day") in second.variable_set
+        assert not first.variable_set & second.variable_set
+
     def test_no_seeder_raises(self, blocked_query):
         schema = schema_of(
             [

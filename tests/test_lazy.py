@@ -42,7 +42,7 @@ from repro.plans.builder import PlanBuilder, Poset, chain_poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
-from repro.testing import ListPageSource, execute_join
+from repro.testing import ListPageSource, compiled_join, execute_join
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
@@ -56,6 +56,12 @@ def _rows(ranks: list[int], side: str) -> list[Row]:
         )
         for index, rank in enumerate(ranks)
     ]
+
+
+def _join(method: JoinMethod):
+    """The join of an ``"L"`` and an ``"R"`` side of :func:`_rows`."""
+    key = Variable("K")
+    return compiled_join(method, (key, Variable("L")), (key, Variable("R")))
 
 
 def _paged(rows: list[Row], chunk: int) -> list[list[Row]]:
@@ -176,7 +182,7 @@ class TestLazyJoinStreamMatchesOracle:
                 execute_join(method, left_rows, right_rows), k
             )
             stream = JoinStream(
-                method, _lazy_cursor(lr, "L", cl), _lazy_cursor(rr, "R", cr)
+                _join(method), _lazy_cursor(lr, "L", cl), _lazy_cursor(rr, "R", cr)
             )
             assert _signature(stream.top(k)) == _signature(oracle)
 
@@ -190,7 +196,7 @@ class TestLazyJoinStreamMatchesOracle:
                 execute_join(method, left_rows, right_rows), k
             )
             stream = JoinStream(
-                method, _lazy_cursor(lr, "L", cl), _lazy_cursor(rr, "R", cr)
+                _join(method), _lazy_cursor(lr, "L", cl), _lazy_cursor(rr, "R", cr)
             )
             assert _signature(stream.top(k)) == _signature(oracle)
 
@@ -201,7 +207,7 @@ class TestLazyJoinStreamMatchesOracle:
         left_rows, right_rows = _rows(lr, "L"), _rows(rr, "R")
         full = execute_join(JoinMethod.MERGE_SCAN, left_rows, right_rows)
         stream = JoinStream(
-            JoinMethod.MERGE_SCAN,
+            _join(JoinMethod.MERGE_SCAN),
             _lazy_cursor(lr, "L", cl),
             _lazy_cursor(rr, "R", cr),
         )
@@ -219,7 +225,7 @@ class TestLazyJoinStreamMatchesOracle:
         side, so only ~ceil(k/chunk)+1 pages are ever pulled."""
         lr, rr = list(range(n)), list(range(m))
         left, right = _lazy_cursor(lr, "L", chunk), _lazy_cursor(rr, "R", chunk)
-        stream = JoinStream(JoinMethod.MERGE_SCAN, left, right)
+        stream = JoinStream(_join(JoinMethod.MERGE_SCAN), left, right)
         rows = stream.top(k)
         oracle = compose_ranking(
             execute_join(JoinMethod.MERGE_SCAN, _rows(lr, "L"), _rows(rr, "R")), k

@@ -46,9 +46,15 @@ from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
-from repro.testing import ListPageSource, execute_join
+from repro.testing import ListPageSource, compiled_join, execute_join
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
+
+
+def _join(method: JoinMethod):
+    """The join of an ``"L"`` and an ``"R"`` side of :func:`_block_rows`."""
+    key = Variable("K")
+    return compiled_join(method, (key, Variable("L")), (key, Variable("R")))
 
 
 def _signature(rows):
@@ -223,7 +229,7 @@ class TestMultiFeedJoinStreamMatchesOracle:
             oracle = compose_ranking(
                 execute_join(method, left_eager, right_eager), k
             )
-            stream = JoinStream(method, left_cursor, right_cursor)
+            stream = JoinStream(_join(method), left_cursor, right_cursor)
             assert _signature(stream.top(k)) == _signature(oracle)
 
     @given(_blocks, _blocks, _chunks, _chunks, st.integers(0, 5), st.integers(0, 30))
@@ -232,7 +238,7 @@ class TestMultiFeedJoinStreamMatchesOracle:
         left_cursor, left_eager = _multi_feed_cursor(lb, "L", cl)
         right_cursor, right_eager = _multi_feed_cursor(rb, "R", cr)
         full = execute_join(JoinMethod.MERGE_SCAN, left_eager, right_eager)
-        stream = JoinStream(JoinMethod.MERGE_SCAN, left_cursor, right_cursor)
+        stream = JoinStream(_join(JoinMethod.MERGE_SCAN), left_cursor, right_cursor)
         assert _signature(stream.top(k1)) == _signature(compose_ranking(full, k1))
         visited = stream.cells_visited
         k2 = k1 + extra
@@ -255,7 +261,7 @@ class TestMultiFeedJoinStreamMatchesOracle:
         right_cursor, right_eager = _multi_feed_cursor(
             [(0, list(range(per)))], "R", chunk
         )
-        stream = JoinStream(JoinMethod.MERGE_SCAN, left_cursor, right_cursor)
+        stream = JoinStream(_join(JoinMethod.MERGE_SCAN), left_cursor, right_cursor)
         rows = stream.top(k)
         oracle = compose_ranking(
             execute_join(JoinMethod.MERGE_SCAN, left_eager, right_eager), k

@@ -4,7 +4,7 @@ import pytest
 
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.execution.progressive import ProgressiveExecutor
+from repro.execution.progressive import MAX_ROUNDS, ProgressiveExecutor
 from repro.execution.results import compose_ranking
 from repro.plans.builder import PlanBuilder, chain_poset
 from repro.sources.travel import (
@@ -146,13 +146,13 @@ class TestStreamedResume:
     def test_free_resumed_rounds_do_not_consume_growth_budget(
         self, registry, travel_query
     ):
-        """max_rounds bounds executing rounds only: any number of free
+        """MAX_ROUNDS bounds executing rounds only: any number of free
         stream-resume rounds must leave fetch growth available."""
         executor = self._executor(registry, travel_query, CacheSetting.OPTIMAL)
         executor.run(k=1)
-        for _ in range(executor.max_rounds + 2):
+        for _ in range(MAX_ROUNDS + 2):
             executor.more(1)  # all served by the suspended stream
-        assert len(executor.rounds) > executor.max_rounds
+        assert len(executor.rounds) > MAX_ROUNDS
         assert all(r.resumed for r in executor.rounds[1:])
         fetches_before = executor.fetch_vector()
         executor.run(k=10_000)  # beyond the plane: must grow fetches

@@ -3,17 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.joins import (
-    execute_join_hashed,
-    merge_scan_order,
-    nested_loop_order,
-)
+from repro.execution.joins import join_rows, merge_scan_order, nested_loop_order
 from repro.model.predicates import BinaryExpression, Comparison
 from repro.model.terms import Constant
 from repro.execution.results import Row
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
-from repro.testing import execute_join, is_order_rank_consistent
+from repro.testing import compiled_join, execute_join, is_order_rank_consistent
 
 _sizes = st.integers(min_value=0, max_value=8)
 
@@ -121,11 +117,25 @@ def _keyed_rows(keys, side_name, extra_keys=None):
     return rows
 
 
+def _keyed_variables(side_name, extra_keys=None):
+    """The variables :func:`_keyed_rows` binds, in binding order."""
+    names = ("K", side_name, "X") if extra_keys else ("K", side_name)
+    return tuple(Variable(name) for name in names)
+
+
+def _hashed(method, left, right, predicates=(), lx=None, rx=None):
+    """``join_rows`` over a left ``"L"`` and a right ``"R"`` side."""
+    join = compiled_join(
+        method, _keyed_variables("L", lx), _keyed_variables("R", rx), predicates
+    )
+    return join_rows(join, left, right)
+
+
 _maybe_extra = st.none() | st.lists(st.integers(0, 1), min_size=0, max_size=6)
 
 
 class TestHashedJoinMatchesReference:
-    """``execute_join_hashed`` vs. the reference oracle (Section 3.3):
+    """``join_rows`` vs. the reference oracle (Section 3.3):
     identical row sets, identical bindings *and ranks*, identical
     emission order, hence the same domination property."""
 
@@ -136,7 +146,7 @@ class TestHashedJoinMatchesReference:
         right = _keyed_rows(rk, "R", rx)
         for method in (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN):
             reference = execute_join(method, left, right)
-            hashed = execute_join_hashed(method, left, right)
+            hashed = _hashed(method, left, right, lx=lx, rx=rx)
             assert [(r.bindings, r.ranks) for r in hashed] == [
                 (r.bindings, r.ranks) for r in reference
             ]
@@ -151,7 +161,7 @@ class TestHashedJoinMatchesReference:
         )
         for method in (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN):
             reference = execute_join(method, left, right, [predicate])
-            hashed = execute_join_hashed(method, left, right, [predicate])
+            hashed = _hashed(method, left, right, [predicate])
             assert [r.bindings for r in hashed] == [r.bindings for r in reference]
 
     @given(st.integers(1, 6), st.integers(1, 6))
@@ -160,7 +170,7 @@ class TestHashedJoinMatchesReference:
         left = _rows([0] * n, "L")
         right = _rows([0] * m, "R")
         for method in (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN):
-            produced = execute_join_hashed(method, left, right)
+            produced = _hashed(method, left, right)
             emitted = [
                 (row.bindings[Variable("L")], row.bindings[Variable("R")])
                 for row in produced
@@ -171,19 +181,23 @@ class TestHashedJoinMatchesReference:
     def test_no_shared_variables_falls_back(self):
         left = [Row(bindings={Variable("A"): 1})]
         right = [Row(bindings={Variable("B"): 2})]
-        result = execute_join_hashed(JoinMethod.MERGE_SCAN, left, right)
+        join = compiled_join(JoinMethod.MERGE_SCAN, (Variable("A"),), (Variable("B"),))
+        result = join_rows(join, left, right)
         assert result == execute_join(JoinMethod.MERGE_SCAN, left, right)
         assert len(result) == 1  # cross product of disjoint bindings
 
     def test_unhashable_binding_falls_back(self):
         left = [Row(bindings={Variable("K"): [1, 2], Variable("L"): 0})]
         right = [Row(bindings={Variable("K"): [1, 2], Variable("R"): 0})]
-        result = execute_join_hashed(JoinMethod.NESTED_LOOP, left, right)
+        result = _hashed(JoinMethod.NESTED_LOOP, left, right)
         assert result == execute_join(JoinMethod.NESTED_LOOP, left, right)
         assert len(result) == 1
 
     def test_empty_sides(self):
-        assert execute_join_hashed(JoinMethod.MERGE_SCAN, [], []) == []
-        row = Row(bindings={Variable("K"): 1})
-        assert execute_join_hashed(JoinMethod.NESTED_LOOP, [row], []) == []
-        assert execute_join_hashed(JoinMethod.MERGE_SCAN, [], [row]) == []
+        key = (Variable("K"),)
+        for method in (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN):
+            join = compiled_join(method, key, key)
+            assert join_rows(join, [], []) == []
+            row = Row(bindings={Variable("K"): 1})
+            assert join_rows(join, [row], []) == []
+            assert join_rows(join, [], [row]) == []

@@ -5,8 +5,8 @@ same ranks, same emission order — to ``compose_ranking`` over the
 full-scan oracle:
 
 * at the join level, :class:`JoinStream` (``.top(k)``)
-  against ``compose_ranking(execute_join(...), k)`` (and the hashed
-  join, which PR 1 proved identical to the full scan), for random
+  against ``compose_ranking(execute_join(...), k)`` (and the
+  materializing ``join_rows`` of the same compiled join), for random
   inputs, random *non-monotone* rank annotations, both strategies and
   arbitrary k — including k = 0 and k beyond the plane;
 * the walk's key index (a stage merges only the cells whose rows
@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import (
     JoinStream,
-    execute_join_hashed,
+    join_rows,
     stage_cells,
     stage_count,
 )
@@ -50,7 +50,7 @@ from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
-from repro.testing import ListPageSource, execute_join
+from repro.testing import ListPageSource, compiled_join, execute_join
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
@@ -71,13 +71,22 @@ def _ranked_side(keys, ranks, side_name):
     ]
 
 
+def _ranked_join(method, predicates=(), residual=()):
+    """The join of an ``"L"`` and an ``"R"`` side of :func:`_ranked_side`."""
+    key = Variable("K")
+    return compiled_join(
+        method, (key, Variable("L")), (key, Variable("R")), predicates, residual
+    )
+
+
 _keys = st.lists(st.integers(0, 3), min_size=0, max_size=6)
 _ranks = st.lists(st.integers(0, 9), min_size=6, max_size=6)
 _k = st.one_of(st.none(), st.integers(0, 40))
 
 
 class TestStreamedJoinMatchesOracle:
-    """``JoinStream(...).top(k)`` vs. the full-scan / hashed oracles."""
+    """``JoinStream(...).top(k)`` vs. the full-scan oracle and
+    ``join_rows``."""
 
     @given(_keys, _keys, _ranks, _ranks, _k)
     @settings(max_examples=120, deadline=None)
@@ -86,8 +95,8 @@ class TestStreamedJoinMatchesOracle:
         right = _ranked_side(rk, rr, "R")
         for method in METHODS:
             oracle = compose_ranking(execute_join(method, left, right), k)
-            hashed = compose_ranking(execute_join_hashed(method, left, right), k)
-            streamed = JoinStream(method, left, right).top(k)
+            hashed = compose_ranking(join_rows(_ranked_join(method), left, right), k)
+            streamed = JoinStream(_ranked_join(method), left, right).top(k)
             assert _signature(streamed) == _signature(oracle)
             assert _signature(streamed) == _signature(hashed)
 
@@ -103,8 +112,11 @@ class TestStreamedJoinMatchesOracle:
             oracle = compose_ranking(
                 execute_join(method, left, right, [predicate]), k
             )
-            streamed = JoinStream(method, left, right, [predicate]).top(k)
+            join = _ranked_join(method, [predicate])
+            streamed = JoinStream(join, left, right).top(k)
             assert _signature(streamed) == _signature(oracle)
+            hashed = compose_ranking(join_rows(join, left, right), k)
+            assert _signature(hashed) == _signature(oracle)
 
     @given(_keys, _keys, _ranks, _ranks)
     @settings(max_examples=60, deadline=None)
@@ -114,7 +126,7 @@ class TestStreamedJoinMatchesOracle:
         plane = len(left) * len(right)
         for method in METHODS:
             for k in (plane, plane + 3):
-                stream = JoinStream(method, left, right)
+                stream = JoinStream(_ranked_join(method), left, right)
                 stream.top(k)
                 assert stream.cells_skipped == 0
                 assert stream.cells_visited == plane
@@ -130,7 +142,7 @@ class TestStreamedJoinMatchesOracle:
         k2 = k1 + k2_extra
         for method in METHODS:
             full = execute_join(method, left, right)
-            stream = JoinStream(method, left, right)
+            stream = JoinStream(_ranked_join(method), left, right)
             assert _signature(stream.top(k1)) == _signature(
                 compose_ranking(full, k1)
             )
@@ -152,7 +164,7 @@ class TestStreamedJoinMatchesOracle:
         cells, not n*m."""
         left = _ranked_side([0] * n, list(range(n)), "L")
         right = _ranked_side([0] * m, list(range(m)), "R")
-        stream = JoinStream(JoinMethod.MERGE_SCAN, left, right)
+        stream = JoinStream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
         rows = stream.top(k)
         oracle = compose_ranking(execute_join(JoinMethod.MERGE_SCAN, left, right), k)
         assert _signature(rows) == _signature(oracle)
@@ -174,7 +186,7 @@ class TestTieBreaking:
             sort_path = compose_ranking(full)
             for k in range(len(full) + 2):
                 heap_path = compose_ranking(full, k)
-                streamed = JoinStream(method, left, right).top(k)
+                streamed = JoinStream(_ranked_join(method), left, right).top(k)
                 assert _signature(heap_path) == _signature(sort_path[:k])
                 assert _signature(streamed) == _signature(sort_path[:k])
 
@@ -272,8 +284,8 @@ class TestKeyIndexedStagesMatchOracle:
         right = _ranked_side(rk, rr, "R")
         for method in METHODS:
             full = execute_join(method, left, right)
-            indexed = JoinStream(method, left, right)
-            scanning = _ScanningStream(method, left, right)
+            indexed = JoinStream(_ranked_join(method), left, right)
+            scanning = _ScanningStream(_ranked_join(method), left, right)
             for k in [*ks, None]:
                 rows = indexed.top(k)
                 assert _signature(rows) == _signature(compose_ranking(full, k))
@@ -306,7 +318,10 @@ class TestKeyIndexedStagesMatchOracle:
                     right_blocks, "R", right_chunk
                 )
                 walks.append(
-                    (stream_type(method, left, right), left_sources + right_sources)
+                    (
+                        stream_type(_ranked_join(method), left, right),
+                        left_sources + right_sources,
+                    )
                 )
             full = execute_join(method, eager_left, eager_right)
             (indexed, indexed_sources), (scanning, scanning_sources) = walks
@@ -325,7 +340,7 @@ class TestKeyIndexedStagesMatchOracle:
         left = _ranked_side([1, _NAN, 1.0], [0, 1, 2], "L")
         right = _ranked_side([_NAN, 1.0, True], [0, 1, 2], "R")
         for method in METHODS:
-            rows = JoinStream(method, left, right).top(None)
+            rows = JoinStream(_ranked_join(method), left, right).top(None)
             assert _signature(rows) == _signature(
                 compose_ranking(execute_join(method, left, right))
             )
@@ -339,7 +354,7 @@ class TestKeyIndexedStagesMatchOracle:
         left = _ranked_side(keys, list(range(8)), "L")
         right = _ranked_side(keys[::-1], list(range(8)), "R")
         full = execute_join(JoinMethod.MERGE_SCAN, left, right)
-        stream = JoinStream(JoinMethod.MERGE_SCAN, left, right)
+        stream = JoinStream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
         assert _signature(stream.top(2)) == _signature(compose_ranking(full, 2))
         assert stream._stage <= 4  # the list keys are rows 4 and 6 / 1 and 3
         assert stream.merges_attempted < stream.cells_visited
@@ -373,7 +388,7 @@ class TestKeyIndexedStagesMatchOracle:
         n = 400
         left = _ranked_side([Key(("L", i)) for i in range(n)], list(range(n)), "L")
         right = _ranked_side([Key(("R", j)) for j in range(n)], list(range(n)), "R")
-        stream = JoinStream(JoinMethod.MERGE_SCAN, left, right)
+        stream = JoinStream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
         assert len(stream.top(k)) == k
         assert stream.cells_visited == stream._stage * (stream._stage + 1) // 2
         assert 2 <= len(hashed) <= 2 * (stream._stage + 1)

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.engine import ExecutionMode
 from repro.plans.spec import PlanSpec
 from repro.serving import (
     CachedPlan,
@@ -456,6 +455,26 @@ class TestQueryService:
         assert service.submit(query, k=3).provenance == "optimized"
         assert service.submit(query, k=2).provenance == "memory"
 
+    def test_plans_are_stored_under_the_default_config_key(self):
+        """A submission's plan is stored under the key a caller builds
+        by hand from the default ``OptimizerConfig`` and the optimal
+        cache setting — the bytes every earlier version stored under,
+        so a persisted disk tier stays addressed."""
+        from repro.optimizer.optimizer import OptimizerConfig
+        from repro.serving.fingerprint import optimizer_config_token
+
+        registry = weekend_registry()
+        cache = PlanCache()
+        service = QueryService(registry=registry, plan_cache=cache)
+        query = mahler_weekend_query()
+        service.submit(query, k=3)
+        key = plan_cache_key(
+            query_fingerprint(query), registry.content_epoch(),
+            service.metric.name, 3, "optimal",
+            optimizer_config_token(OptimizerConfig()),
+        )
+        assert cache.lookup(key) is not None
+
     def test_plan_lock_table_is_reclaimed(self):
         """Fresh-constant traffic resolves a fresh plan-cache key per
         request; the single-flight table must not keep one mutex per
@@ -469,37 +488,14 @@ class TestQueryService:
 
     def test_key_mutex_tables_are_reclaimed_under_fresh_constants(self):
         """A fresh constant is a fresh plan-cache key: the single-flight
-        table may keep no entry on the service-lifetime object, whether
-        the key was resolved by a prefetch or a submit."""
+        table may keep no entry on the service-lifetime object."""
         service = QueryService(registry=weekend_registry())
-        prefetched_calls = 0
         for budget in (90, 100, 110, 120):
             query = mahler_weekend_query(budget)
-            prefetched_calls += service.prefetch(query, k=2)["service_calls"]
+            assert service.submit(query, k=2).provenance == "optimized"
             assert service.submit(query, k=2).provenance == "memory"
-        assert prefetched_calls > 1
         assert service.stats.optimizer_runs == 4
         assert len(service._plan_locks) == 0
-
-    def test_different_optimizer_configs_never_share_plans(self):
-        from repro.optimizer.optimizer import OptimizerConfig
-
-        cache = PlanCache()
-        query = mahler_weekend_query()
-        default = QueryService(
-            registry=weekend_registry(), k_default=3, plan_cache=cache
-        )
-        square = QueryService(
-            registry=weekend_registry(), k_default=3, plan_cache=cache,
-            optimizer_config=OptimizerConfig(fetch_heuristic="square"),
-        )
-        assert default.submit(query).provenance == "optimized"
-        # Same query, same shared cache — but a different search
-        # config must not be served the other service's plan.
-        assert square.submit(query).provenance == "optimized"
-        assert default.submit(query).provenance == "memory"
-        assert square.submit(query).provenance == "memory"
-        assert square.stats.optimizer_runs == 1
 
     def test_multi_round_submit_reports_cumulative_work(self):
         # k far beyond the first round's yield forces progressive
@@ -665,9 +661,9 @@ class TestQueryService:
         )  # the snapshot round-trips too
 
 
-class TestSnapshotAndPrefetchRegressions:
+class TestSnapshotRegressions:
     """The serving-layer bug batch: snapshot must survive cache
-    wrapping, and prefetch must not execute without a shared cache."""
+    wrapping."""
 
     def test_snapshot_reports_the_wrapped_service_cache(self):
         # The shared cache is ThreadSafeCache-wrapped since the
@@ -688,18 +684,6 @@ class TestSnapshotAndPrefetchRegressions:
         assert section["capacity"] == 8
         assert section["evictions"] >= 0
 
-    def test_snapshot_reports_non_optimal_caches_too(self):
-        from repro.execution.cache import CacheSetting
-
-        service = QueryService(
-            registry=weekend_registry(), k_default=3,
-            cache_setting=CacheSetting.ONE_CALL,
-        )
-        service.submit(mahler_weekend_query())
-        section = service.snapshot()["service_cache"]
-        assert section["type"] == "OneCallCache"
-        assert "entries" not in section  # no size surface to report
-
     def test_snapshot_has_no_section_without_a_shared_cache(self):
         service = QueryService(
             registry=weekend_registry(), k_default=3,
@@ -707,36 +691,6 @@ class TestSnapshotAndPrefetchRegressions:
         )
         service.submit(mahler_weekend_query())
         assert "service_cache" not in service.snapshot()
-
-    def test_prefetch_without_shared_cache_skips_execution(self):
-        service = QueryService(
-            registry=weekend_registry(), k_default=3,
-            share_service_cache=False,
-        )
-        summary = service.prefetch(mahler_weekend_query())
-        assert summary["skipped"] is True
-        assert summary["shared"] is False
-        assert summary["service_calls"] == 0
-        assert summary["answers_available"] == 0
-        assert set(summary) == {
-            "provenance", "shared", "skipped", "service_calls", "cache_hits",
-            "answers_available",
-        }
-        assert service.stats.prefetches == 1
-        # The plan cache was still warmed by the plan resolution.
-        assert summary["provenance"] == "optimized"
-        assert service.submit(mahler_weekend_query()).provenance == "memory"
-
-    def test_prefetch_with_shared_cache_still_executes_and_warms(self):
-        service = QueryService(registry=weekend_registry(), k_default=3)
-        summary = service.prefetch(mahler_weekend_query())
-        assert summary["skipped"] is False
-        assert summary["shared"] is True
-        assert summary["service_calls"] > 0
-        # A later submit rides the warmed shared cache: zero calls.
-        response = service.submit(mahler_weekend_query())
-        assert response.provenance == "memory"
-        assert response.stats["service_calls"] == 0
 
 
 class TestServingDifferential:
@@ -766,29 +720,17 @@ class TestServingDifferential:
         assert warm_answer.stats["annotate_calls"] == 0
         assert _answer_signature(warm_answer) == _answer_signature(cold_answer)
 
-    @given(
-        topic=st.sampled_from(_TOPICS),
-        k=st.integers(1, 5),
-        streamed=st.booleans(),
-    )
+    @given(topic=st.sampled_from(_TOPICS), k=st.integers(1, 5))
     @settings(max_examples=15, deadline=None)
-    def test_shared_service_cache_never_changes_answers(
-        self, topic, k, streamed
-    ):
-        mode = (
-            ExecutionMode.STREAMED if streamed else ExecutionMode.PARALLEL
-        )
-        shared = QueryService(
-            registry=news_registry(), k_default=k, mode=mode
-        )
+    def test_shared_service_cache_never_changes_answers(self, topic, k):
+        shared = QueryService(registry=news_registry(), k_default=k)
         # Warm the shared cache with *different* templates first.
         for other_sector in _SECTORS:
             shared.submit(market_moving_news_query(topic, other_sector), k=k)
         query = market_moving_news_query(topic, "tech")
         warm_answer = shared.submit(query, k=k)
         isolated = QueryService(
-            registry=news_registry(), k_default=k, mode=mode,
-            share_service_cache=False,
+            registry=news_registry(), k_default=k, share_service_cache=False
         )
         isolated_answer = isolated.submit(query, k=k)
         assert _answer_signature(warm_answer) == _answer_signature(

@@ -70,12 +70,15 @@ def _run_workers(count, work):
         raise errors[0]
 
 
-def _service(registry_builder, **kwargs):
+def _service(registry_builder, sessions=None, **kwargs):
     kwargs.setdefault("k_default", 3)
-    kwargs.setdefault(
-        "sessions", SessionManager(capacity=10_000, ttl=None)
-    )
-    return QueryService(registry=registry_builder(), **kwargs)
+    service = QueryService(registry=registry_builder(), **kwargs)
+    # By default nothing is evicted or expires: which session survives
+    # must not depend on the schedule.
+    if sessions is None:
+        sessions = SessionManager(capacity=10_000, ttl=None)
+    service.sessions = sessions
+    return service
 
 
 class TestSingleFlight:
@@ -176,7 +179,7 @@ class TestThreadedReplayBitIdentity:
 
 
 class TestSessionInterleavings:
-    """Seeded submit/ask_for_more/release/prefetch interleavings."""
+    """Seeded submit/ask_for_more/release interleavings."""
 
     WORKERS = 6
     OPS_PER_WORKER = 16
@@ -188,7 +191,7 @@ class TestSessionInterleavings:
             ops = []
             live = 0  # this worker's live-session count, simulated
             for _ in range(self.OPS_PER_WORKER):
-                choices = ["submit", "prefetch"]
+                choices = ["submit"]
                 if live:
                     choices += ["more", "more", "release"]
                 op = rng.choice(choices)
@@ -199,12 +202,6 @@ class TestSessionInterleavings:
                          rng.randint(1, 4))
                     )
                     live += 1
-                elif op == "prefetch":
-                    ops.append(
-                        ("prefetch",
-                         (rng.choice(_TOPICS), rng.choice(_SECTORS)),
-                         rng.randint(1, 4))
-                    )
                 elif op == "more":
                     ops.append(("more", None, rng.randint(1, 3)))
                 else:
@@ -229,14 +226,6 @@ class TestSessionInterleavings:
                 )
                 sessions.append(response.session_id)
                 signatures.append(("submit", _answer_signature(response)))
-            elif op == "prefetch":
-                summary = service.prefetch(
-                    market_moving_news_query(*template), k=argument
-                )
-                signatures.append(
-                    ("prefetch", summary["answers_available"],
-                     summary["skipped"])
-                )
             elif op == "more":
                 response = service.ask_for_more(sessions[-1], argument)
                 signatures.append(("more", _answer_signature(response)))

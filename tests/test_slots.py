@@ -1,7 +1,7 @@
 """Differential suite for the slot-tuple row representation.
 
 Rows are a shared :class:`SlotLayout` plus a value tuple, and every
-production loop — the hashed join, the join stream, the engine's
+production loop — the key-bucketed join, the join stream, the engine's
 service and output nodes — runs on those tuples through state compiled
 by ``repro.execution.slots``.  Everything here checks **bit-identity**
 (rows, ranks, emission order) of that single production path against
@@ -9,10 +9,12 @@ the dict-row references — the full-scan ``execute_join`` over
 ``Row.merged_with`` and the plan interpreter of
 ``repro.testing.reference`` — across random inputs, methods, k, resumes
 and whole-plan executions, plus the documented corner cases:
-heterogeneous sides and unhashable keys (the hashed join's fallback to
-the reference scan), predicates and inputs over unbound variables and
-short service tuples (same exceptions, same text), and a row with a
-misfit layout showing up in the middle of a resumed stream.
+unhashable keys (the bucketed join's fallback to the plane's order),
+predicates and inputs over unbound variables and short service tuples
+(same exceptions, same text).  Hand-built rows are joined by the
+``CompiledJoin`` of the variables they were built over
+(``repro.testing.compiled_join``), as the engine joins by its
+program's.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.engine import ExecutionEngine, ExecutionError, ExecutionMode
-from repro.execution.joins import JoinStream, execute_join_hashed
-from repro.execution.lazy import LazyServiceCursor
+from repro.execution.joins import JoinStream, join_rows
 from repro.execution.results import Row, SlotLayout, compose_ranking
 from repro.execution.slots import (
     SlotJoinPlan,
@@ -41,7 +42,7 @@ from repro.plans.builder import PlanBuilder, chain_poset
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
-from repro.testing.fixtures import ListPageSource
+from repro.testing.fixtures import compiled_join
 from repro.testing.reference import execute_join, merged_with, reference_execute
 
 from tests.test_property_streaming import (
@@ -156,7 +157,8 @@ class TestHashedJoinSlotPath:
         assert len(left) < 2 or not _share_one_layout(left)
         for method in METHODS:
             for predicates in ((), (_SUM_BELOW_5,)):
-                hashed = execute_join_hashed(method, left, right, predicates)
+                join = compiled_join(method, (K, L), (K, R), predicates)
+                hashed = join_rows(join, left, right)
                 oracle = execute_join(method, left, right, predicates)
                 assert _signature(hashed) == _signature(oracle)
 
@@ -166,7 +168,8 @@ class TestHashedJoinSlotPath:
         left = _ranked_side([0, 1, 0], [1, 2, 3, 0, 0, 0], "L")
         right = _ranked_side([0, 1, 1], [3, 2, 1, 0, 0, 0], "R")
         assert not _share_one_layout(left)
-        rows = execute_join_hashed(JoinMethod.MERGE_SCAN, left, right)
+        join = compiled_join(JoinMethod.MERGE_SCAN, (K, L), (K, R))
+        rows = join_rows(join, left, right)
         assert rows and _share_one_layout(rows)
         assert rows[0].layout.variables == (K, L, R)
 
@@ -174,30 +177,20 @@ class TestHashedJoinSlotPath:
         left = [Row(bindings={L: i}, ranks=(("L", i),)) for i in range(3)]
         right = [Row(bindings={R: j}, ranks=(("R", j),)) for j in range(2)]
         for method in METHODS:
-            rows = execute_join_hashed(method, left, right, (_SUM_BELOW_5,))
+            join = compiled_join(method, (L,), (R,), (_SUM_BELOW_5,))
+            rows = join_rows(join, left, right)
             assert len(rows) == 6 and _share_one_layout(rows)
             assert _signature(rows) == _signature(
                 execute_join(method, left, right, (_SUM_BELOW_5,))
             )
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_heterogeneous_rows_raise(self, method):
-        """A join side has one layout; the reference still joins them."""
-        uniform = [Row(bindings={K: 0, L: 0}), Row(bindings={K: 0, L: 1})]
-        mixed = [Row(bindings={K: 0, L: 0}), Row(bindings={K: 0})]
-        other = [Row(bindings={K: 0, R: 1})]
-        for left, right, side in ((mixed, other, "left"), (other, mixed, "right")):
-            with pytest.raises(ExecutionError, match=f"{side} join input mixes"):
-                execute_join_hashed(method, left, right)
-            assert len(execute_join(method, left, right)) == 2
-        assert len(execute_join_hashed(method, uniform, other)) == 2
-
     def test_unhashable_keys_fall_back(self):
         left = [Row(bindings={K: [1], L: 0})]
         right = [Row(bindings={K: [1], R: 0})]
-        assert _signature(
-            execute_join_hashed(JoinMethod.NESTED_LOOP, left, right)
-        ) == _signature(execute_join(JoinMethod.NESTED_LOOP, left, right))
+        join = compiled_join(JoinMethod.NESTED_LOOP, (K, L), (K, R))
+        assert _signature(join_rows(join, left, right)) == _signature(
+            execute_join(JoinMethod.NESTED_LOOP, left, right)
+        )
 
     def test_uncompilable_predicate_falls_back_to_dict_error(self):
         """Name kept from when a predicate over an unbound variable was
@@ -206,16 +199,15 @@ class TestHashedJoinSlotPath:
         left = [Row(bindings={K: 0, L: 0})]
         right = [Row(bindings={K: 0, R: 0})]
         unbound = Comparison(Variable("Missing"), "<", Constant(1))
+        join = compiled_join(JoinMethod.NESTED_LOOP, (K, L), (K, R), (unbound,))
         with pytest.raises(PredicateError) as hashed_error:
-            execute_join_hashed(JoinMethod.NESTED_LOOP, left, right, (unbound,))
+            join_rows(join, left, right)
         with pytest.raises(PredicateError) as reference_error:
             execute_join(JoinMethod.NESTED_LOOP, left, right, (unbound,))
         assert str(hashed_error.value) == str(reference_error.value)
         # ... and, like the reference, only once a cell reaches it.
         clash = [Row(bindings={K: 1, R: 0})]
-        assert execute_join_hashed(
-            JoinMethod.NESTED_LOOP, left, clash, (unbound,)
-        ) == []
+        assert join_rows(join, left, clash) == []
 
 
 class TestJoinStreamSlotPath:
@@ -228,7 +220,8 @@ class TestJoinStreamSlotPath:
         right = _ranked_side(rk, rr, "R")
         assert len(right) < 2 or not _share_one_layout(right)
         for method in METHODS:
-            stream = JoinStream(method, left, right, (_SUM_BELOW_5,))
+            join = compiled_join(method, (K, L), (K, R), (_SUM_BELOW_5,))
+            stream = JoinStream(join, left, right)
             oracle = execute_join(method, left, right, (_SUM_BELOW_5,))
             assert _signature(stream.top(k)) == _signature(
                 compose_ranking(oracle, k)
@@ -247,47 +240,15 @@ class TestJoinStreamSlotPath:
         for method in METHODS:
             # Residual predicates are applied inside the walk: the
             # reference filters by them before composing.
-            stream = JoinStream(
-                method, left, right, residual_predicates=(_SUM_BELOW_5,)
+            join = compiled_join(
+                method, (K, L), (K, R), residual=(_SUM_BELOW_5,)
             )
+            stream = JoinStream(join, left, right)
             oracle = execute_join(method, left, right, (_SUM_BELOW_5,))
             for k in (k1, k1 + k2_extra):
                 assert _signature(stream.top(k)) == _signature(
                     compose_ranking(oracle, k)
                 )
-
-    def test_heterogeneous_input_raises_mid_walk(self):
-        left = [
-            Row(bindings={K: 0, L: 0}, ranks=(("L", 0),)),
-            Row(bindings={K: 0}, ranks=(("L", 1),)),  # misfit row
-        ]
-        right = _ranked_side([0, 0], [0, 1, 0, 0, 0, 0], "R")
-        for method in METHODS:
-            with pytest.raises(ExecutionError, match="left join input mixes"):
-                JoinStream(method, left, right).top(None)
-            with pytest.raises(ExecutionError, match="right join input mixes"):
-                JoinStream(method, right, left).top(None)
-
-    @pytest.mark.parametrize("method", METHODS)
-    def test_misfit_layout_row_in_a_lazily_pulled_page_raises(self, method):
-        """A lazily fetched left side whose second page holds a row
-        laid out differently: the walk answers from the first page and
-        raises when the resumed walk pulls the misfit row."""
-        pages = [
-            [Row(bindings={K: 0, L: 0}, ranks=(("L", 0),))],
-            [
-                Row(bindings={K: 0}, ranks=(("L", 1),)),  # misfit layout
-                Row(bindings={K: 0, L: 2}, ranks=(("L", 2),)),
-            ],
-        ]
-        left = LazyServiceCursor(ListPageSource(pages=pages))
-        right = _ranked_side([0, 0, 1], [0, 1, 2, 0, 0, 0], "R")
-        stream = JoinStream(method, left, right)
-        first = stream.top(1)
-        assert [row.layout.variables for row in first] == [(K, L, R)]
-        assert len(left.rows) == 1  # the misfit page was not pulled yet
-        with pytest.raises(ExecutionError, match="left join input mixes"):
-            stream.top(None)
 
 
 class TestEngineSlotPath:
