@@ -751,3 +751,38 @@ class TestServingBreaker:
         healthy = _serve(healthy_registry, FakeClock()).submit(healthy_query, k=4)
         assert response.rows == healthy.rows
         assert response.rank_keys == healthy.rank_keys
+
+    def test_submit_plans_under_the_view_a_repeat_submit_hits(self):
+        """With a breaker open, ``submit`` costs its plan against the
+        adjusted registry view and stores it under that view's epoch:
+        the repeat submission, the breaker still open, is a memory hit
+        on the same plan."""
+        registry, query, _ = build_world(sibling=False)
+        service = _serve(registry, FakeClock())
+        _record_slow(service.breaker, "lefts")
+        assert service.breaker.response_time_overrides() == {"lefts": 25.0}
+
+        first = service.submit(query, k=4)
+        assert first.provenance == "optimized"
+        assert first.epoch != registry.content_epoch()
+        repeat = service.submit(query, k=4)
+        assert repeat.provenance == "memory"
+        assert repeat.epoch == first.epoch
+        assert service.stats.optimizer_runs == 1
+
+    def test_a_repeat_submit_rides_the_pages_the_sibling_served(self):
+        """Pages a sibling served land in the shared service cache: the
+        repeat submission, the breaker still open, makes no remote call,
+        still never calls ``lefts``, and answers the same rows."""
+        registry, query, _ = build_world(sibling=True)
+        service = _serve(registry, FakeClock())
+        _record_slow(service.breaker, "lefts")
+        proxies = _count_invocations(registry)
+        first = service.submit(query, k=4)
+        repeat = service.submit(query, k=4)
+        assert service.breaker.open_services() == ("lefts",)
+        assert proxies["lefts"].invocations == 0
+        assert first.stats["service_calls"] > 0
+        assert repeat.stats["service_calls"] == 0
+        assert repeat.partial["substituted"]
+        assert (repeat.rows, repeat.rank_keys) == (first.rows, first.rank_keys)

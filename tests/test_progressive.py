@@ -65,6 +65,25 @@ class TestRun:
         extended = executor.more(10)
         assert len(extended.rows) >= min(13, len(first.rows) + 1)
 
+    def test_round_history_is_an_output_of_each_executor(
+        self, registry, travel_query, executor
+    ):
+        """A run's rounds and drift events are what the executor records,
+        never what a caller hands it, and the round cap is the module's
+        ``MAX_ROUNDS``: each executor starts with its own empty history."""
+        for name in ("rounds", "drift_events", "max_rounds"):
+            with pytest.raises(TypeError, match=name):
+                ProgressiveExecutor(
+                    registry=registry, plan=executor.plan,
+                    head=tuple(travel_query.head), **{name: []},
+                )
+        other = ProgressiveExecutor(
+            registry=registry, plan=executor.plan,
+            head=tuple(travel_query.head),
+        )
+        executor.run(k=5)
+        assert executor.rounds and (other.rounds, other.drift_events) == ([], [])
+
 
 class TestStreamedResume:
     """STREAMED continuations resume the suspended JoinStream: asking

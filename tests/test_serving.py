@@ -448,6 +448,49 @@ class TestQueryService:
         with pytest.raises(SessionError):
             service.ask_for_more(response.session_id)
 
+    def test_without_a_shared_cache_a_plan_hit_still_calls_the_services(self):
+        """The plan cache and the shared service cache are independent:
+        with no shared cache the repeat submission reuses the stored
+        plan but fetches its pages again, and answers the same rows."""
+        service = QueryService(
+            registry=weekend_registry(), k_default=3,
+            share_service_cache=False,
+        )
+        query = mahler_weekend_query()
+        first = service.submit(query)
+        repeat = service.submit(query)
+        assert (first.provenance, repeat.provenance) == ("optimized", "memory")
+        assert repeat.stats["service_calls"] == first.stats["service_calls"] > 0
+        assert _answer_signature(repeat) == _answer_signature(first)
+
+    def test_requests_run_streamed_over_an_optimal_cache(self):
+        """Every session suspends a streamed execution over an optimal
+        logical cache, whatever the service was built with."""
+        from repro.execution.cache import CacheSetting
+        from repro.execution.engine import ExecutionMode
+
+        for share in (True, False):
+            service = QueryService(
+                registry=weekend_registry(), k_default=3,
+                share_service_cache=share,
+            )
+            response = service.submit(mahler_weekend_query())
+            executor = service.sessions.get(response.session_id).executor
+            assert executor.mode is ExecutionMode.STREAMED
+            assert executor.cache_setting is CacheSetting.OPTIMAL
+
+    def test_sessions_and_stats_are_outputs_of_each_service(self):
+        """No caller hands a service its sessions or counters: each
+        service starts with its own, and only its requests move them."""
+        for name in ("sessions", "stats"):
+            with pytest.raises(TypeError, match=name):
+                QueryService(registry=weekend_registry(), **{name: None})
+        one = QueryService(registry=weekend_registry(), k_default=2)
+        other = QueryService(registry=weekend_registry(), k_default=2)
+        one.submit(mahler_weekend_query())
+        assert (one.stats.requests, len(one.sessions)) == (1, 1)
+        assert (other.stats.requests, len(other.sessions)) == (0, 0)
+
     def test_different_k_is_a_different_cache_key(self):
         service = QueryService(registry=weekend_registry())
         query = mahler_weekend_query()

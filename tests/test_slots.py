@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.execution.engine import ExecutionEngine, ExecutionError, ExecutionMode
 from repro.execution.joins import JoinStream, join_rows
+from repro.execution.lazy import LazyServiceCursor
 from repro.execution.results import Row, SlotLayout, compose_ranking
 from repro.execution.slots import (
     SlotJoinPlan,
@@ -42,7 +43,7 @@ from repro.plans.builder import PlanBuilder, chain_poset
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
-from repro.testing.fixtures import compiled_join
+from repro.testing.fixtures import ListPageSource, compiled_join
 from repro.testing.reference import execute_join, merged_with, reference_execute
 
 from tests.test_property_streaming import (
@@ -249,6 +250,29 @@ class TestJoinStreamSlotPath:
                 assert _signature(stream.top(k)) == _signature(
                     compose_ranking(oracle, k)
                 )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_lazily_pulled_page_joins_when_the_walk_reaches_it(self, method):
+        """A lazily fetched left side: the walk answers from the first
+        page without pulling the second, and the resumed walk pulls it
+        and answers as the reference over every row does."""
+        pages = [
+            [Row(bindings={K: 0, L: 0}, ranks=(("L", 0),))],
+            [
+                Row(bindings={K: 0, L: 1}, ranks=(("L", 1),)),
+                Row(bindings={K: 0, L: 2}, ranks=(("L", 2),)),
+            ],
+        ]
+        left = LazyServiceCursor(ListPageSource(pages=pages))
+        right = _ranked_side([0, 0, 1], [0, 1, 2, 0, 0, 0], "R")
+        stream = JoinStream(compiled_join(method, (K, L), (K, R)), left, right)
+        first = stream.top(1)
+        assert [row.layout.variables for row in first] == [(K, L, R)]
+        assert len(left.rows) == 1  # the second page was not pulled yet
+        every = stream.top(None)
+        assert len(left.rows) == 3
+        oracle = execute_join(method, pages[0] + pages[1], right)
+        assert _signature(every) == _signature(compose_ranking(oracle, None))
 
 
 class TestEngineSlotPath:
