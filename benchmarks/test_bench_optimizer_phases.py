@@ -16,9 +16,9 @@ topology's open plan with the nodes ``close`` adds.  The *search-cost*
 entry measures what a search state and a complete topology cost the
 branch-and-bound: per domain, under the serving configuration with
 ETM and with SCM, the time of a cold ``optimize()``, the states it
-explored, the bounds it computed and what one costs — through the
-shared prefixes of the open-plan table against the from-scratch build
-every bound used to be — and how many topologies reached phase 3.
+explored, the bounds it computed and what one costs — read off the
+open plan of a shared prefix, against the from-scratch build every
+bound used to be — and how many topologies reached phase 3.
 Both append to ``BENCH_optimizer.json`` (env stamp + history).
 """
 
@@ -42,7 +42,11 @@ from repro.model.parser import parse_query
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.plans.annotate import AnnotationProgram, annotate
 from repro.plans.builder import PlanBuilder
-from repro.testing.reference import reference_annotate, reference_partial_plan
+from repro.testing.reference import (
+    reference_annotate,
+    reference_partial_plan,
+    search_states,
+)
 
 pytestmark = pytest.mark.bench
 
@@ -343,20 +347,17 @@ class TestSearchCost:
         assert best.cost.hex() == oracle.cost.hex(), name
 
         # One bound, two ways, in alternating passes over the states
-        # the search bounded: through the open plans of a fresh
-        # optimizer (the canonical parent is in its table, or is folded
-        # into it, exactly as during the search), and from scratch the
-        # way every bound was computed before (sub-query, build,
-        # compile, run, cost).
+        # the search bounded: on the open plans of a fresh optimizer
+        # (the canonical parent is in its table, or is folded into it,
+        # exactly as during the search; nothing is closed), and from
+        # scratch the way every bound was computed before open plans
+        # (sub-query, build, compile, run, cost).
         states = self._bounded_states(registry, query, optimizer)
         shared_s = scratch_s = float("inf")
         for _ in range(repeats if states else 0):
             fresh = Optimizer(registry, metric, config)
             begun = time.perf_counter()
-            shared = [
-                context.cost({})
-                for context in fresh.state_contexts(query, states)
-            ]
+            shared = [bound for bound, _ in search_states(fresh, query, states)]
             shared_s = min(shared_s, time.perf_counter() - begun)
             begun = time.perf_counter()
             scratch = []
@@ -396,14 +397,16 @@ class TestSearchCost:
             # open plan; the few that are then extended after all are
             # folded twice).
             assert row["atoms_placed"] <= 1.1 * row["states_explored"] + 2, row
-        # A bound through shared prefixes against one built from
-        # scratch, measured side by side so the host's speed cancels
-        # out: about 2.1x cheaper on bio (single passes spread over
-        # 1.8-2.3x, hence the margin; a quick run times one pass,
-        # which is too few to assert on).
+        # A bound on the open plan of a shared prefix against one built
+        # from scratch, measured side by side so the host's speed
+        # cancels out: about 2.9x cheaper on bio under ETM, 3.2x under
+        # SCM (four passes read 2.5-3.1x and 2.9-3.3x; closing every
+        # bounded plan, it was 2.0x).  What is left per bound is mostly
+        # the fold (``place`` + ``extended``), not the evaluation.  A
+        # quick run times one pass, which is too few to assert on.
         bio = by_key["bio", "execution-time"]
         if not QUICK:
-            assert 1.5 * bio["us_per_bound"] <= bio["us_per_bound_from_scratch"], bio
+            assert 2 * bio["us_per_bound"] <= bio["us_per_bound_from_scratch"], bio
         # Phase 3 sizes the topologies that can still beat the incumbent.
         assert by_key["travel-served", "execution-time"]["topologies_in_phase3"] <= 10
         append_history(out_dir / bench_out_name("BENCH_optimizer.json"), {

@@ -4,20 +4,35 @@ A cost metric is a function associating a cost to each (annotated)
 query plan.  All metrics considered in the paper are *monotonic* with
 respect to the way DAGs are constructed: evaluating a metric on a
 partially constructed plan yields a lower bound for every completion,
-which is what makes branch-and-bound sound (Section 2.4).  There is
-no separate bound interface: the optimizer closes the plan of a search
-state as it stands — nodes are only appended after the ones already
-placed, so existing estimates never change — and asks for its
-:meth:`~CostMetric.cost` with every fetching factor at its minimum
-of 1.
+which is what makes branch-and-bound sound (Section 2.4).
+
+Every metric reads a plan through one seam, :meth:`CostMetric.evaluate`:
+per-node response times and work (from the nodes and the annotation's
+estimates) and the paths from the input node to the plan's sinks.  A
+closed plan's sink is OUT (:meth:`~CostMetric.cost`); an *open* plan —
+a search state, IN and the atoms placed so far — has the frontiers of
+its maximal branches as sinks (``OpenPlan.paths``) and its estimates
+at all fetching factors 1 in its annotation program
+(``AnnotationProgram.ones``).  That is the optimizer's lower bound,
+with no close.  Closing would only append parallel joins, which the
+plan builder gives neither a response time nor a per-tuple cost, and
+OUT: every metric reads such nodes as zero at the end of a path or a
+sum, so the open value *is* the closed plan's cost, bit for bit.  Were
+a join ever given a cost, the open value would stay a lower bound —
+closing adds non-negative terms (``tests/test_open_plans.py`` pins
+both).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Sequence
 
 from repro.plans.annotate import PlanAnnotation
 from repro.plans.dag import QueryPlan
+
+#: Input → sink paths, each node given as its position in ``plan.nodes``.
+Paths = Sequence[Sequence[int]]
 
 
 class CostMetric(ABC):
@@ -26,9 +41,16 @@ class CostMetric(ABC):
     #: Short identifier used in reports and benchmarks.
     name: str = "abstract"
 
-    @abstractmethod
     def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
         """The cost of a fully constructed, annotated plan."""
+        return self.evaluate(plan, annotation, plan.path_positions())
+
+    @abstractmethod
+    def evaluate(
+        self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
+    ) -> float:
+        """The cost of *plan*, closed or open, under *annotation*;
+        *paths* are every path from its input node to a sink."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

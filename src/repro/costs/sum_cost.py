@@ -17,7 +17,7 @@ data transfer over the network dominates.
 
 from __future__ import annotations
 
-from repro.costs.base import CostMetric
+from repro.costs.base import CostMetric, Paths
 from repro.plans.annotate import PlanAnnotation
 from repro.plans.dag import QueryPlan
 
@@ -36,7 +36,9 @@ class SumCostMetric(CostMetric):
     def __init__(self, include_join_cost: bool = True) -> None:
         self._include_join_cost = include_join_cost
 
-    def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
+    def evaluate(
+        self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
+    ) -> float:
         total = 0.0
         for node in plan.service_nodes:
             assert node.profile is not None
@@ -59,7 +61,9 @@ class RequestResponseMetric(CostMetric):
         counters that treat one paged interaction as one call)."""
         self._count_fetches = count_fetches
 
-    def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
+    def evaluate(
+        self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
+    ) -> float:
         total = 0.0
         for node in plan.service_nodes:
             fetches = annotation.fetches(node) if self._count_fetches else 1

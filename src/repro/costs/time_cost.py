@@ -19,7 +19,7 @@ tuple: one invocation per node along the slowest root-to-output path.
 
 from __future__ import annotations
 
-from repro.costs.base import CostMetric
+from repro.costs.base import CostMetric, Paths
 from repro.plans.annotate import PlanAnnotation
 from repro.plans.dag import QueryPlan
 from repro.plans.nodes import JoinNode, ServiceNode
@@ -28,12 +28,12 @@ from repro.plans.nodes import JoinNode, ServiceNode
 def _timing(plan: QueryPlan):
     """What the time metrics need of *plan*, derived once per plan.
 
-    ``(taus, idle, services, paths)``: τ of every node by position (in
+    ``(taus, idle, services)``: τ of every node by position (in
     ``plan.nodes`` order) — a service's response time, a join's, 0 for
     IN/OUT; the busy time of every node whose busy time does not
     depend on the annotation (a join's τ, 0 for IN/OUT and, as a
-    placeholder, for services); the service nodes with their
-    positions; and every input → output path as a tuple of positions.
+    placeholder, for services); and the service nodes with their
+    positions.
     """
     return plan.derived(_timing, _derive_timing)
 
@@ -50,13 +50,13 @@ def _derive_timing(plan: QueryPlan):
             tau = node.response_time if isinstance(node, JoinNode) else 0.0
             taus.append(tau)
             idle.append(tau)
-    return taus, idle, services, plan.path_positions()
+    return taus, idle, services
 
 
 def _works(timing: tuple, annotation: PlanAnnotation) -> list[float]:
     """Total busy time of every node, by position: F · t_in · τ for a
     service, τ for a join, 0 for IN/OUT."""
-    taus, idle, services, _ = timing
+    taus, idle, services = timing
     works = list(idle)
     for index, node in services:
         works[index] = annotation.fetches(node) * annotation.calls(node) * taus[index]
@@ -68,8 +68,10 @@ class ExecutionTimeMetric(CostMetric):
 
     name = "execution-time"
 
-    def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
-        timing = taus, _, _, paths = _timing(plan)
+    def evaluate(
+        self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
+    ) -> float:
+        timing = taus, _, _ = _timing(plan)
         works = _works(timing, annotation)
         worst = 0.0
         for path in paths:
@@ -89,7 +91,9 @@ class BottleneckMetric(CostMetric):
 
     name = "bottleneck"
 
-    def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
+    def evaluate(
+        self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
+    ) -> float:
         return max(_works(_timing(plan), annotation), default=0.0)
 
 
@@ -102,9 +106,11 @@ class TimeToScreenMetric(CostMetric):
 
     name = "time-to-screen"
 
-    def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
+    def evaluate(
+        self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
+    ) -> float:
         del annotation
-        taus, _, _, paths = _timing(plan)
+        taus, _, _ = _timing(plan)
         worst = 0.0
         for path in paths:
             worst = max(worst, sum(taus[index] for index in path))

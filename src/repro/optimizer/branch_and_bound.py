@@ -9,8 +9,9 @@ If the lower bound of class A exceeds the upper bound of class B,
 class A is discarded.  The classes are nested — a pattern sequence, a
 partial topology, a complete topology with its fetching factors still
 open — and each is bounded before it is entered; the bound of a
-topology, partial or complete, is the cost of its plan closed as it
-stands at all factors 1 (:mod:`repro.optimizer.optimizer`).
+topology, partial or complete, is the metric on its open plan at all
+factors 1, which is the cost of that plan closed as it stands
+(:mod:`repro.optimizer.optimizer`).
 
 This module holds the incumbent (best-so-far) solution and the search
 statistics shared by the optimizer and the exhaustive baseline.
@@ -48,16 +49,14 @@ class SearchStats:
     *Estimation work* (:mod:`repro.plans.annotate`).  A state costs one
     ``place`` on top of the open plan it extends (``atoms_placed``: the
     fold steps the search executed — about one per state it holds, more
-    when memoization is off and every state is folded from the root)
-    and, when its bound is asked for, one ``close``.
-    ``annotate_calls`` counts the closed plans the search evaluated at
-    all factors 1 — one per lower bound computed, per complete topology
-    reaching its class bound or phase 3 — plus one for annotating the
-    plan that leaves; every memo hit avoids one.  It does not see
-    inside phase 3: ``fetch_vectors_evaluated`` counts the distinct
-    fetch vectors phase 3 ran through a plan's annotation program (the
-    all-ones vector it starts from is the one the class bound
-    evaluated).  ``programs_compiled`` counts the programs compiled
+    when memoization is off and every state is folded from the root);
+    its bound is read off that open plan, which is never closed for it.
+    ``annotate_calls`` counts the closed plans: one per complete
+    topology phase 3 sizes, plus one for annotating the plan that
+    leaves.  It does not see inside phase 3:
+    ``fetch_vectors_evaluated`` counts the distinct fetch vectors phase
+    3 ran through a closed plan's annotation program, all-ones first.
+    ``programs_compiled`` counts the programs compiled
     from a *whole plan*: the plan that leaves the optimizer, once —
     every other program is the extension of another state's.
 

@@ -82,6 +82,7 @@ class FetchContext:
     ) -> None:
         self._plan = plan
         self._metric = metric
+        self._paths = plan.path_positions()
         self._program = program or AnnotationProgram(plan, cache_setting)
         self._atoms = self._program.chunked_atoms
         self._chunked: dict[int, ServiceNode] = dict(
@@ -177,8 +178,8 @@ class FetchContext:
         vector = self._vector(fetches)
         cached = self._cost_memo.get(vector)
         if cached is None:
-            cached = self._cost_memo[vector] = self._metric.cost(
-                self._plan, self._annotation(vector)
+            cached = self._cost_memo[vector] = self._metric.evaluate(
+                self._plan, self._annotation(vector), self._paths
             )
         return cached
 

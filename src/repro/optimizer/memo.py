@@ -94,14 +94,15 @@ class OpenState:
     the number is worth keeping.
     """
 
-    #: IN and the placed atoms in build order; closing it gives the
-    #: plan the state's bound is the cost of.
+    #: IN and the placed atoms in build order: the plan the state's
+    #: bound is read off, and what a complete topology closes.
     plan: OpenPlan | None
     #: The annotation program of ``plan.plan``, extended from the
     #: state this one was placed on.
     program: AnnotationProgram | None
-    #: Cost of the closed plan at all fetching factors 1 — a lower
-    #: bound for every completion — once it has been asked for.
+    #: The metric on ``plan`` at all fetching factors 1 (the cost of
+    #: the plan closed as it stands) — a lower bound for every
+    #: completion — once it has been asked for.
     bound: float | None = None
 
 

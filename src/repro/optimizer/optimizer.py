@@ -29,11 +29,9 @@ open plans").
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
 
 from repro.costs.base import CostMetric
 from repro.execution.cache import CacheSetting
-from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
 from repro.optimizer.branch_and_bound import Incumbent, SearchStats
 from repro.optimizer.fetches import FetchContext, FetchResult, assign_fetches
@@ -152,24 +150,6 @@ class Optimizer:
     def clear_memo(self) -> None:
         """Invalidate cached search results (e.g. profiles changed)."""
         self._memo.clear()
-
-    def state_contexts(
-        self,
-        query: ConjunctiveQuery,
-        states: Iterable[
-            tuple[PatternSequence, frozenset[int], frozenset[tuple[int, int]]]
-        ],
-    ) -> Iterator[FetchContext]:
-        """Topology states as the search sees them (introspection for
-        tests and benchmarks): per ``(patterns, placed atoms, closure)``
-        of *states* the state's plan closed as it stands, reached the
-        way the search reaches it — the open plan of its canonical
-        parent plus one atom, out of the memo where it is there.
-        ``context.cost({})`` is the state's lower bound.
-        """
-        run = self._begin(query)
-        for patterns, placed, closure in states:
-            yield self._close(run, self._state(run, patterns, placed, closure))
 
     def optimize(self, query: ConjunctiveQuery) -> OptimizedPlan:
         """Find the best plan for *query* under the configured metric."""
@@ -292,15 +272,15 @@ class Optimizer:
         stats = run.stats
         closure = poset.closure()
         placed = frozenset(range(poset.n))
-        context = None
+        state = None
         if config.prune and run.incumbent.is_set:
             # A topology with its fetching factors open is a class of
             # plans too, and no member costs less than the one with
             # every factor at 1: a topology that reaches the incumbent
-            # there is discarded unsized.  (A feasible member would be
-            # refused by the incumbent, an infeasible one only matters
-            # while there is no incumbent.)
-            bound, context = self._lower_bound(run, patterns, placed, closure)
+            # there is discarded unsized — and never closed.  (A
+            # feasible member would be refused by the incumbent, an
+            # infeasible one only matters while there is no incumbent.)
+            bound, state = self._lower_bound(run, patterns, placed, closure)
             if run.incumbent.prunes(bound):
                 stats.topology_states_pruned += 1
                 return
@@ -314,10 +294,9 @@ class Optimizer:
                 self._offer_entry(run, entry)
                 return
             stats.memo_plan_misses += 1
-        if context is None:
-            context = self._close(run, self._state(run, patterns, placed, closure))
-        # Phase 3 continues on the context the bound was computed on:
-        # all-ones, its first vector, is already evaluated.
+        if state is None:
+            state = self._state(run, patterns, placed, closure)
+        context = self._close(run, state)
         fetch_result = assign_fetches(
             context, config.k, heuristic=config.fetch_heuristic
         )
@@ -346,20 +325,26 @@ class Optimizer:
         patterns: PatternSequence,
         placed: frozenset[int],
         closure: frozenset[tuple[int, int]],
-    ) -> tuple[float, FetchContext | None]:
-        """Cost of the state's plan, closed as it stands, at fetches 1.
+    ) -> tuple[float, OpenState | None]:
+        """The metric on the state's open plan at fetches 1.
 
         New atoms are only ever appended after the placed ones, so the
         estimates of the placed nodes never change in any completion,
         and no metric decreases when a factor grows: the cost is a
         valid lower bound for every plan the state can become —
         every completion of a partial topology, every fetch vector of
-        a complete one.  The bound is kept with the state, which is
-        keyed on the placed atoms' patterns plus the closure, so
-        states shared between pattern sequences are bounded only once.
+        a complete one.  It is read off the open plan (its nodes, the
+        paths to its maximal branches, the all-ones columns its
+        program holds): closing it would add only zero-cost joins and
+        OUT, so the number is the closed plan's cost, with no
+        ``close``, no closed program and no :class:`FetchContext`
+        (:mod:`repro.costs.base`).  The bound is kept with the state,
+        which is keyed on the placed atoms' patterns plus the closure,
+        so states shared between pattern sequences are bounded only
+        once.
 
-        Also returns the :class:`FetchContext` of the closed plan when
-        the bound had to be computed on one (``None`` on a memo hit).
+        Also returns the state when the bound was computed on it
+        (``None`` on a memo hit); a pruned one has dropped its plan.
         """
         state = None
         if run.memo is not None:
@@ -370,15 +355,16 @@ class Optimizer:
             run.stats.memo_bound_misses += 1
         if state is None or state.plan is None:
             state = self._state(run, patterns, placed, closure)
-        context = self._close(run, state)
-        state.bound = context.cost({})
+        state.bound = self._metric.evaluate(
+            state.plan.plan, state.program.ones(), state.plan.paths
+        )
         if run.incumbent.prunes(state.bound):
             # The search places nothing on a state it prunes, and a
             # search keeps hundreds of them: only the bound stays.
             # Should another state have this one as its canonical
             # parent, it is folded again.
             state.plan = state.program = None
-        return state.bound, context
+        return state.bound, state
 
     def _close(self, run: _Run, state: OpenState) -> FetchContext:
         """A context evaluating fetch vectors on the closed plan of
@@ -476,8 +462,3 @@ def optimize_query(
     if overrides:
         config = replace(config, **overrides)  # type: ignore[arg-type]
     return Optimizer(registry, metric, config).optimize(query)
-
-
-def residual_predicates(query: ConjunctiveQuery, plan: QueryPlan) -> tuple[Comparison, ...]:
-    """Predicates evaluated only at the plan output (for diagnostics)."""
-    return plan.output_node.residual_predicates

@@ -38,6 +38,7 @@ derivation the program is checked against lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -230,8 +231,9 @@ class AnnotationProgram:
     the rest — how the optimizer gets the program of a search state
     from the state it extends.  Every program also holds its estimates
     at all factors 1 (the new ops are evaluated when they are
-    compiled), which is what a lower bound and the first vector of
-    phase 3 ask for.
+    compiled), which is what the first vector of phase 3 asks for and
+    what a search state's lower bound reads off its open plan, with no
+    output node yet (:meth:`ones`).
 
     A program is bound to the structure its plan had when compiled:
     after an ``add_node``/``add_arc`` on the plan, :meth:`run` raises
@@ -413,10 +415,6 @@ class AnnotationProgram:
 
         ``None`` reads the factors currently set on the plan nodes.
         """
-        if self._plan.structure_version != self._version:
-            raise PlanError(
-                "plan structure changed after its annotation program was compiled"
-            )
         if self._output is None:
             raise PlanError("plan has no output node")
         if fetches is None:
@@ -426,13 +424,27 @@ class AnnotationProgram:
                 f"expected {len(self._chunked)} fetching factors, got {len(fetches)}"
             )
         if fetches.count(1) == len(fetches):
-            columns = self._ones
-        else:
-            columns = ([], [], [])
-            self._evaluate(self._ops, dict(zip(self._atoms, fetches)), *columns)
+            return self.ones()
+        columns = ([], [], [])
+        self._evaluate(self._ops, dict(zip(self._atoms, fetches)), *columns)
+        return self._view(columns, fetches)
+
+    def ones(self) -> PlanAnnotation:
+        """The estimates at all factors 1, the columns every program
+        holds, whether or not its plan has an output node yet: what the
+        bound of a search state reads off its open plan.  Without OUT
+        there is no output size (``nan``)."""
+        return self._view(self._ones, (1,) * len(self._chunked))
+
+    def _view(self, columns, fetches: Sequence[int]) -> PlanAnnotation:
+        if self._plan.structure_version != self._version:
+            raise PlanError(
+                "plan structure changed after its annotation program was compiled"
+            )
         tuples_in, tuples_out, calls = columns
+        output = math.nan if self._output is None else tuples_out[self._output]
         return PlanAnnotation._over(
-            self.cache_setting, tuples_out[self._output], self._position,
+            self.cache_setting, output, self._position,
             tuples_in, tuples_out, calls, self._slots, fetches,
         )
 

@@ -154,6 +154,16 @@ class OpenPlan(NamedTuple):
     #: Pairs of frontier node ids already merged, with the merged branch.
     joins: Mapping[frozenset[str], _Stream]
 
+    @property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        """Every path from the input node to the frontier of a maximal
+        branch — the plan's sinks — in the order :meth:`PlanBuilder.close`
+        continues them to OUT."""
+        streams = self.streams
+        return tuple([
+            path for index in sorted(self.ends) for path in streams[index].paths
+        ])
+
 
 class PlanBuilder:
     """Builds :class:`QueryPlan` objects for one query and registry."""

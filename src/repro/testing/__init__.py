@@ -44,6 +44,7 @@ from repro.testing.reference import (
     reference_execute,
     reference_partial_bound,
     reference_partial_plan,
+    search_states,
 )
 from repro.testing.synthetic import (
     SyntheticWorkload,
@@ -79,6 +80,7 @@ __all__ = [
     "reference_execute",
     "reference_partial_bound",
     "reference_partial_plan",
+    "search_states",
     "workload_family",
     "wrap_registry_flaky",
     "wsms_optimize",

@@ -8,7 +8,8 @@ per-definition plan *estimates* (:func:`reference_annotate`) for the
 compiled annotation program of :mod:`repro.plans.annotate`, the
 from-scratch *lower bound* of a topology state
 (:func:`reference_partial_bound`) for the open plans the
-branch-and-bound extends, the eager-streamed engine
+branch-and-bound extends (:func:`search_states` is the search's own
+route to a state's bound and closed plan), the eager-streamed engine
 (:func:`eager_streamed_engine`) — the "same cells, every page fetched
 up front" baseline lazy fetching is measured against — and the
 re-executing session executor (:class:`ReexecutingExecutor`), the
@@ -34,8 +35,9 @@ guards that); nothing under ``src/repro/`` outside this package may.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.costs.base import CostMetric
 from repro.execution.cache import CacheSetting
@@ -48,6 +50,8 @@ from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import AccessPattern
 from repro.model.terms import Constant, Variable
+from repro.optimizer.fetches import FetchContext
+from repro.optimizer.optimizer import Optimizer
 from repro.plans.annotate import (
     EQUALITY_OUTPUT_SELECTIVITY,
     NodeEstimate,
@@ -333,6 +337,27 @@ def reference_partial_bound(
     return metric.cost(plan, reference_annotate(plan, cache_setting))
 
 
+def search_states(
+    optimizer: Optimizer,
+    query: ConjunctiveQuery,
+    states: Iterable[tuple[Sequence[AccessPattern], frozenset[int], frozenset]],
+) -> Iterator[tuple[float, Callable[[], FetchContext]]]:
+    """What the branch-and-bound computes for each ``(patterns, placed
+    atoms, closure)`` of *states*, reached the way the search reaches
+    it — the open plan of its canonical parent plus one atom, out of
+    the optimizer's memo where it is there: the state's lower bound,
+    read off its open plan, and a call that closes that plan as it
+    stands into the context phase 3 would size.  The side
+    :func:`reference_partial_bound` is compared with.
+    """
+    run = optimizer._begin(query)
+    for patterns, placed, closure in states:
+        bound, state = optimizer._lower_bound(run, patterns, placed, closure)
+        if state is None:
+            state = optimizer._state(run, patterns, placed, closure)
+        yield bound, functools.partial(optimizer._close, run, state)
+
+
 def _feed_size(plan: QueryPlan, node, estimates: dict[str, NodeEstimate]) -> float:
     predecessors = plan.predecessors(node)
     if len(predecessors) != 1:
@@ -449,3 +474,4 @@ def _bounding_nodes(
             ):
                 bounding.add(candidate.node_id)
     return bounding
+

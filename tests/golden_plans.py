@@ -65,7 +65,10 @@ CONFIGS = {
     "no-cache": OptimizerConfig(k=3, cache_setting=CacheSetting.NO_CACHE),
 }
 
-#: Every ``SearchStats`` field of the parent commit.
+#: Every ``SearchStats`` field of the parent commit.  One of them was
+#: regenerated since: ``annotate_calls`` counts closed plans, and once
+#: bounds were read off open plans only the topologies phase 3 sizes,
+#: and the plan that leaves, are closed.
 PARENT_STATS = (
     "pattern_sequences_considered",
     "pattern_sequences_pruned",

@@ -6,9 +6,10 @@ canonical parent (docs/ARCHITECTURE.md, "Search states are open
 plans").  The definition it must reproduce bit for bit is a build from
 scratch: ``reference_partial_bound`` for a state's lower bound,
 ``PlanBuilder.build`` + ``reference_annotate`` for a complete topology.
-The *class bound* (a complete topology is discarded at its all-ones
-cost) must leave every decision where ``prune=False`` and the
-exhaustive baseline put it.
+A bound is read off the open plan, never closed for it, and must be
+the closed plan's cost under every metric.  The *class bound* (a
+complete topology is discarded at its all-ones cost) must leave every
+decision where ``prune=False`` and the exhaustive baseline put it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ from repro.plans.nodes import JoinNode, OutputNode, ServiceNode
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
-from repro.testing.reference import reference_annotate, reference_partial_bound
+from repro.testing.reference import (
+    reference_annotate,
+    reference_partial_bound,
+    search_states,
+)
 
 METRICS = [make() for make in golden_plans.METRICS.values()]
 DECISION = ("patterns", "poset", "fetches", "cost", "expected_answers")
@@ -158,14 +163,17 @@ class TestBoundsAgainstTheDefinition:
         ]
         states = [(patterns, everything, poset.closure()) for patterns, poset in space]
         routes = {
-            setting: Optimizer(
-                registry, METRICS[0], OptimizerConfig(cache_setting=setting)
-            ).state_contexts(query, states)
+            setting: search_states(
+                Optimizer(
+                    registry, METRICS[0], OptimizerConfig(cache_setting=setting)
+                ),
+                query, states,
+            )
             for setting in CacheSetting
         }
         for patterns, poset in space:
             _assert_closes_to_the_direct_build(
-                {setting: next(route) for setting, route in routes.items()},
+                {setting: next(route)[1]() for setting, route in routes.items()},
                 builder.build(patterns, poset),
             )
 
@@ -308,13 +316,16 @@ def _check_case(case: _Case, setting: CacheSetting) -> None:
             case.registry, metric, OptimizerConfig(cache_setting=setting)
         )
         states = list(case.states(route))
-        for state, context in zip(
-            states, optimizer.state_contexts(case.query, states)
+        for state, (bound, close) in zip(
+            states, search_states(optimizer, case.query, states)
         ):
             reference = reference_partial_bound(
                 case.query, case.registry, metric, setting, *state
             )
-            assert context.cost({}).hex() == reference.hex(), state[1:]
+            context = close()
+            assert bound.hex() == reference.hex() == context.cost({}).hex(), (
+                state[1:]
+            )
         _assert_closes_to_the_direct_build(
             {setting: context}, builder.build(case.patterns, poset)
         )
@@ -350,9 +361,72 @@ class TestTwoRoutesToOneState:
         _check_case(case, setting)
         route = case.out_of_build_order
         optimizer = Optimizer(case.registry, METRICS[0], OptimizerConfig())
-        *_, complete = optimizer.state_contexts(case.query, case.states(route))
+        *_, (_, close) = search_states(optimizer, case.query, case.states(route))
+        complete = close()
         order = [node.atom_index for node in complete.plan.service_nodes]
         assert order == case.build_order != list(route)
+
+
+# -- the bound is read off the open plan ------------------------------------
+
+
+class TestTheBoundOfAnOpenPlan:
+    @given(synthetic_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_is_the_closed_plans_cost_under_every_metric(self, case):
+        """Six metrics × three cache settings, every state along the
+        walked route: the bound the search reads off the open plan is,
+        bit for bit, the cost of that plan closed, at all factors 1."""
+        states = list(case.states(case.routes[0]))
+        for setting in CacheSetting:
+            for metric in METRICS:
+                optimizer = Optimizer(
+                    case.registry, metric, OptimizerConfig(cache_setting=setting)
+                )
+                for state, (bound, close) in zip(
+                    states, search_states(optimizer, case.query, states)
+                ):
+                    assert bound.hex() == close().cost({}).hex(), (
+                        metric.name, setting, state[1:]
+                    )
+
+    def test_stays_a_lower_bound_should_a_join_ever_cost_something(self):
+        """The builder gives no join a response time or a per-tuple cost,
+        which is why closing cannot change the number.  Were a closing
+        join given both, closing would add non-negative terms: the open
+        value would still bound the closed cost from below — strictly
+        under the metrics that read them."""
+        registry = ServiceRegistry()
+        atoms = []
+        for index, profile in enumerate(_PROFILES[:3]):
+            registry.register(TableExactService(
+                signature(f"s{index}", ["d0", "d1"], ["oo"]), profile, []
+            ))
+            atoms.append(Atom(
+                service=f"s{index}", terms=(Variable("A"), Variable(f"B{index}"))
+            ))
+        query = ConjunctiveQuery("q", (), tuple(atoms), ())
+        builder = PlanBuilder(query, registry)
+        state = builder.start()
+        program = AnnotationProgram(state.plan, CacheSetting.OPTIMAL)
+        for index in range(len(atoms)):
+            pattern = registry.signature(f"s{index}").patterns[0]
+            state = builder.place(state, index, pattern, ())
+            program = program.extended(state.plan)
+        free, costed = builder.close(state), builder.close(state)
+        assert len(costed.join_nodes) == 2  # three parallel branches
+        for join in costed.join_nodes:
+            join.response_time, join.cost_per_tuple = 2.0, 0.5
+        for metric in METRICS:
+            bound = metric.evaluate(state.plan, program.ones(), state.paths)
+            assert bound.hex() == metric.cost(
+                free, program.extended(free).run()
+            ).hex(), metric.name
+            closed = metric.cost(costed, program.extended(costed).run())
+            if metric.name in {"execution-time", "time-to-screen", "sum-cost"}:
+                assert bound < closed, metric.name
+            else:
+                assert bound <= closed, metric.name
 
 
 # -- the class bound --------------------------------------------------------

@@ -299,13 +299,15 @@ class TestTenantQuota:
         # The estimation work of both runs is in the snapshot, next to
         # the search-level annotate count that does not see phase 3:
         # one whole-plan program per run (the plan that leaves), the
-        # states' programs are extensions.
+        # states' programs are extensions.  A run closes the plan that
+        # leaves and each topology phase 3 sizes, which runs at least
+        # its all-ones vector.
         serving = service.snapshot()["serving"]
         assert serving["optimizer_programs_compiled"] == 2
-        assert 0 < serving["optimizer_atoms_placed"] < (
-            serving["optimizer_annotate_calls"]
+        assert serving["optimizer_atoms_placed"] > 0
+        assert 2 < serving["optimizer_annotate_calls"] <= (
+            serving["optimizer_fetch_vectors_evaluated"] + 2
         )
-        assert serving["optimizer_fetch_vectors_evaluated"] > 0
 
 
 # -- SessionManager ---------------------------------------------------------
