@@ -26,11 +26,18 @@ built to change:
   (capped): demand-side tuple counts must stay flat from the smallest
   to the largest corpus while the drain counts grow with it — the
   indexed store serves ``O(k)`` pages either way, so only the access
-  *policy* scales the bill.
+  *policy* scales the bill;
+* **per-page cost against depth** — wall µs of pages 0 / 50 / 200 of
+  one ``pubsearch`` unit on the 50k corpus, each page reached two
+  ways: invoked cold, so it skips ``page * chunk`` index entries with
+  ``OFFSET`` (what every page cost before continuation), and invoked
+  right after its predecessor, so it continues from the recorded last
+  key.  Both ways must return the same page.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -61,6 +68,11 @@ BUDGET_CAP = 30 if QUICK else 300
 BACKENDS = ("memory", "sqlite", "fts5") if fts5_available() else (
     "memory", "sqlite"
 )
+
+#: Corpus, pages and repetitions of the page-depth measurement.
+DEPTH_PAPERS = 5_000 if QUICK else 50_000
+DEPTHS = (0, 5, 20) if QUICK else (0, 50, 200)
+DEPTH_REPEATS = 3 if QUICK else 15
 
 
 def _timed(fn):
@@ -168,6 +180,48 @@ def _demand_vs_drain(corpus, n_papers: int) -> dict:
     }
 
 
+def _page_depth_us() -> dict:
+    """Median µs of one pubsearch page per depth, by OFFSET and continued.
+
+    Every OFFSET repetition runs before the first in-order walk: a page
+    continues only after its predecessor was fetched, and invoking
+    pages 0 / 50 / 200 cold records where 1 / 51 / 201 start, not them.
+    """
+    corpus = generate_corpus(DEPTH_PAPERS, seed=SEED)
+    service = biblio_registry(backend="sqlite", corpus=corpus).service(
+        "pubsearch"
+    )
+    pattern = service.signature.pattern("iooo")
+    timings = {way: {d: [] for d in DEPTHS} for way in ("offset", "continued")}
+    pages = {}
+    try:
+        for _ in range(DEPTH_REPEATS):
+            for depth in DEPTHS:
+                result, elapsed = _timed(
+                    lambda: service.invoke(pattern, {0: KEYWORD}, depth)
+                )
+                pages[depth] = result.tuples
+                timings["offset"][depth].append(elapsed)
+        for _ in range(DEPTH_REPEATS):
+            for page in range(max(DEPTHS) + 1):
+                result, elapsed = _timed(
+                    lambda: service.invoke(pattern, {0: KEYWORD}, page)
+                )
+                if page in pages:
+                    assert result.tuples == pages[page]
+                    timings["continued"][page].append(elapsed)
+    finally:
+        service.close()
+    assert all(pages.values())  # every depth lies inside the unit
+    return {
+        way: {
+            f"page={depth}": round(statistics.median(samples) * 1e6, 2)
+            for depth, samples in per_depth.items()
+        }
+        for way, per_depth in timings.items()
+    }
+
+
 class TestBackendTrajectory:
     def test_write_bench_backends(self, out_dir):
         per_scale: dict[str, dict] = {}
@@ -216,11 +270,18 @@ class TestBackendTrajectory:
                 "backends": list(BACKENDS),
                 "corpus_seed": SEED,
                 "notes": "memory re-sorts matches per invocation; sqlite "
-                "pages via (inputs, score DESC, pos) index scans; fts5 "
+                "pages via (inputs, score DESC, pos) index scans, a later "
+                "page continuing from its predecessor's last key; fts5 "
                 "ranks via BM25 (ORDER BY rank, rowid)",
             },
             "per_scale": per_scale,
             "demand_vs_drain_sqlite": lazy_rows,
+            "page_depth_us": {
+                "papers": DEPTH_PAPERS,
+                "keyword": KEYWORD,
+                "repeats": DEPTH_REPEATS,
+                **_page_depth_us(),
+            },
         }
         append_history(
             out_dir / bench_out_name("BENCH_backends.json"),

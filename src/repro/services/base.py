@@ -188,8 +188,12 @@ class Service(ABC):
         """
         self._validate_invocation(pattern, inputs, page)
         tuples, ranks, has_more = self._compute(pattern, inputs, page)
-        key = (pattern.code, tuple(sorted(inputs.items())), page)
-        latency, cached = self._latency.latency_for(key)
+        model = self._latency
+        if model.remote_caching:
+            key = (pattern.code, tuple(sorted(inputs.items())), page)
+            latency, cached = model.latency_for(key)
+        else:  # what latency_for answers, without its key and lock
+            latency, cached = model.response_time, False
         return InvocationResult(
             tuples=tuple(tuples),
             latency=latency,

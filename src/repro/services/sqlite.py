@@ -10,16 +10,16 @@ implementations backed by SQLite:
 * :class:`SQLiteExactService` — an exact service over a ``rows(pos
   INTEGER PRIMARY KEY, c0, .., cn)`` table with one composite B-tree
   index per access pattern's input positions; matching is an index
-  scan, paging is ``ORDER BY pos LIMIT .. OFFSET ..`` over the
-  insertion order — exactly the storage order the in-memory
+  scan, paging is ``ORDER BY pos`` over the insertion order — exactly
+  the storage order the in-memory
   :class:`~repro.services.table.TableExactService` pages through;
 * :class:`SQLiteSearchService` — a search service whose opaque
   relevance score is materialized into a ``score REAL`` column at load
   time (the score function is a pure function of the stored tuple);
-  each page is ``ORDER BY score DESC, pos LIMIT .. OFFSET ..`` driven
-  by a ``(inputs.., score DESC, pos)`` composite index, reproducing
-  the oracle's stable descending sort (ties broken by storage order)
-  without ever materializing the full ranking in Python;
+  each page is ``ORDER BY score DESC, pos`` driven by a ``(inputs..,
+  score DESC, pos)`` composite index, reproducing the oracle's stable
+  descending sort (ties broken by storage order) without ever
+  materializing the full ranking in Python;
 * :class:`FTS5SearchService` — a search service over an FTS5
   full-text index: the single input position is a MATCH query, pages
   come back ``ORDER BY rank, rowid`` (ascending BM25 ``rank`` is most
@@ -41,6 +41,23 @@ SQLite); its contract is *internal* consistency: paged output equals
 the eagerly drained ranking, and rank indexes are the gap-free
 0-based sequence the cursor guards certify.
 
+**Paging cost.**  The paper charges a page its service's τ whatever
+its depth, so a deep page must not re-walk the pages before it.  Each
+access pattern's statements are formatted once, at construction, and
+a page that proves more rows exist records the sort key of its last
+row — ``pos``, or ``(score, pos)`` for a scored service — in a bounded
+per-service map keyed by ``(pattern code, input values, next page)``.
+The next page of that unit then *continues* from the key (``pos > ?``,
+or ``score <= ? AND (score < ? OR pos > ?)``: a range of the pattern's
+index, not a filter over it) instead of skipping ``page * chunk``
+entries with ``OFFSET``.  A miss — first visit, an out-of-order page,
+an evicted entry, a freshly attached file — falls back to ``OFFSET``,
+and a recorded key is a pure function of the stored rows, so answers
+never depend on the map.  SQLite stores a NaN score as NULL, which the
+range would skip: a service holding any NULL score records nothing and
+always pages by ``OFFSET``.  FTS5 keeps ``OFFSET``: its BM25 ``rank`` is
+computed per query, not an indexed column a range could start from.
+
 **Concurrency.**  Every connection comes from a
 :class:`ConnectionPool` (the one class in the repo that opens SQLite
 connections; the plan cache's disk tier,
@@ -52,10 +69,11 @@ tear everything down; file-backed databases get ``journal_mode=WAL`` +
 ``synchronous=NORMAL`` + a busy timeout, in-memory databases are shared
 between threads through a named ``cache=shared`` URI held open by an
 anchor connection.
-Invocations after load are pure reads, so any number of client
-threads — the requests of one
+Invocations after load are pure reads of the database, so any number
+of client threads — the requests of one
 :class:`~repro.serving.service.QueryService` — can invoke one service
-concurrently.
+concurrently; the continuation map is read without a lock and written
+under one (two threads storing one key store the same value).
 """
 
 from __future__ import annotations
@@ -63,8 +81,9 @@ from __future__ import annotations
 import itertools
 import sqlite3
 import threading
+from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.model.schema import AccessPattern, ServiceSignature
 from repro.services.base import InvocationError, Service
@@ -85,6 +104,10 @@ _memory_names = itertools.count()
 #: How long a connection queues on SQLite's write lock before failing
 #: with ``database is locked``.
 BUSY_TIMEOUT_MS = 30_000
+
+#: Units whose next page one service can continue from a recorded key;
+#: past it the oldest record is dropped (that page pays ``OFFSET``).
+CONTINUATION_CAPACITY = 4096
 
 
 def fts5_available() -> bool:
@@ -193,6 +216,22 @@ def _quote(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
 
 
+class _Statements(NamedTuple):
+    """One access pattern's SQL, formatted once per service.
+
+    ``page`` and ``resume`` select the sort-key columns after the
+    value columns, so a page's last row carries the key its unit
+    continues from.
+    """
+
+    #: Every match, in paging order (bulk services).
+    bulk: str
+    #: One page by position: parameters ``inputs.., limit, offset``.
+    page: str
+    #: One page after a recorded key: ``inputs.., key.., limit``.
+    resume: str
+
+
 class SQLiteTableService(Service):
     """Common machinery of the indexed relational backends.
 
@@ -209,6 +248,10 @@ class SQLiteTableService(Service):
     persistence path: build once, reopen across processes); otherwise
     the rows are loaded in one transaction and any previous content
     replaced.
+
+    Paging continues a unit from the sort key of its previous page's
+    last row when that key is recorded, and skips by ``OFFSET`` when it
+    is not (module docstring, "Paging cost").
     """
 
     def __init__(
@@ -240,6 +283,16 @@ class SQLiteTableService(Service):
             self._load(connection, rows)
         else:
             self._check_attached(connection)
+        self._statements = {
+            pattern.code: self._prepare(pattern)
+            for pattern in signature.patterns
+        }
+        #: ``(pattern code, input values, page)`` -> parameters of
+        #: :meth:`_resume_clause` continuing that page.
+        self._continuations: OrderedDict = OrderedDict()
+        self._continuations_lock = threading.Lock()
+        #: False when a NULL sort key makes continuing unsound.
+        self._resumable = True
 
     # -- schema and loading ----------------------------------------------
 
@@ -251,6 +304,15 @@ class SQLiteTableService(Service):
         """Index suffix ordering the pattern scans (hook for subclasses)."""
         return ["pos"]
 
+    def _resume_clause(self) -> str:
+        """The rows after a recorded sort key, as an index range (hook)."""
+        return "pos > ?"
+
+    def _resume_parameters(self, last: tuple) -> tuple:
+        """:meth:`_resume_clause`'s parameters after page row *last*,
+        which ends in the sort-key columns (hook)."""
+        return (last[-1],)
+
     def _create_schema(self, connection: sqlite3.Connection) -> None:
         connection.execute("DROP TABLE IF EXISTS rows")
         declared = ", ".join(self._value_columns())
@@ -258,15 +320,14 @@ class SQLiteTableService(Service):
             f"CREATE TABLE rows (pos INTEGER PRIMARY KEY, {declared})"
         )
         for pattern in self.signature.patterns:
-            positions = pattern.input_positions
-            if not positions:
-                continue  # pos is the primary key: full scans need no index
-            index_columns = [f"c{k}" for k in positions]
+            index_columns = [f"c{k}" for k in pattern.input_positions]
             index_columns += [
                 column
                 for column in self._order_columns()
                 if column.split()[0] not in index_columns
             ]
+            if index_columns == ["pos"]:
+                continue  # pos is the primary key: full scans need no index
             connection.execute(
                 f"CREATE INDEX IF NOT EXISTS "
                 f"{_quote(f'{self.name}_{pattern.code}')} "
@@ -335,20 +396,35 @@ class SQLiteTableService(Service):
     def close(self) -> None:
         """Release every database connection this service opened."""
         self._pool.close()
+        with self._continuations_lock:
+            self._continuations.clear()
 
     # -- querying ---------------------------------------------------------
 
-    def _where(
-        self, pattern: AccessPattern, inputs: Mapping[int, object]
-    ) -> tuple[str, list]:
-        positions = pattern.input_positions
-        if not positions:
-            return "", []
-        clause = " AND ".join(f"c{k} = ?" for k in positions)
-        return f"WHERE {clause}", [inputs[k] for k in positions]
+    def _prepare(self, pattern: AccessPattern) -> _Statements:
+        match = [f"c{k} = ?" for k in pattern.input_positions]
+        order = ", ".join(self._order_columns())
+        keys = [column.split()[0] for column in self._order_columns()]
+        keyed = ", ".join([*self._columns, *keys])
 
-    def _page_window(self, page: int, cap: int | None) -> tuple[int, int] | None:
-        """``(limit, offset)`` of one page; None when past the cap.
+        def select(columns: str, conditions: list[str], tail: str) -> str:
+            where = f"WHERE {' AND '.join(conditions)} " if conditions else ""
+            return f"SELECT {columns} FROM rows {where}ORDER BY {order}{tail}"
+
+        return _Statements(
+            bulk=select(self._select_list, match, ""),
+            page=select(keyed, match, " LIMIT ? OFFSET ?"),
+            resume=select(keyed, [*match, self._resume_clause()], " LIMIT ?"),
+        )
+
+    def _page(
+        self,
+        pattern: AccessPattern,
+        inputs: Mapping[int, object],
+        page: int,
+        cap: int | None,
+    ) -> tuple[list[tuple], bool]:
+        """``(rows, has_more)`` of one page of a chunked unit.
 
         Fetches ``chunk + 1`` rows so ``has_more`` needs no second
         query (a row beyond the page proves more exist), clamped at the
@@ -362,9 +438,33 @@ class SQLiteTableService(Service):
         limit = chunk + 1
         if cap is not None:
             if start >= cap:
-                return None
+                return [], False
             limit = min(limit, cap - start)
-        return limit, start
+        statements = self._statements[pattern.code]
+        values = tuple(inputs[k] for k in pattern.input_positions)
+        continuations = self._continuations
+        after = continuations.get((pattern.code, values, page))
+        connection = self._pool.connection()
+        if after is None:
+            fetched = connection.execute(
+                statements.page, (*values, limit, start)
+            ).fetchall()
+        else:
+            fetched = connection.execute(
+                statements.resume, (*values, *after, limit)
+            ).fetchall()
+        more = len(fetched) > chunk
+        following = (pattern.code, values, page + 1)
+        if more and self._resumable and following not in continuations:
+            # Reads take no lock; stores and evictions serialize here.
+            with self._continuations_lock:
+                if len(continuations) >= CONTINUATION_CAPACITY:
+                    continuations.popitem(last=False)
+                continuations[following] = self._resume_parameters(
+                    fetched[chunk - 1]
+                )
+        arity = self.signature.arity
+        return [row[:arity] for row in fetched[:chunk]], more
 
 
 class SQLiteExactService(SQLiteTableService):
@@ -382,29 +482,14 @@ class SQLiteExactService(SQLiteTableService):
         inputs: Mapping[int, object],
         page: int,
     ) -> tuple[list[tuple], list[int], bool]:
-        where, parameters = self._where(pattern, inputs)
-        connection = self._pool.connection()
         if self.profile.chunk_size is None:
-            selected = list(
-                connection.execute(
-                    f"SELECT {self._select_list} FROM rows {where} "
-                    "ORDER BY pos",
-                    parameters,
-                )
-            )
+            selected = self._pool.connection().execute(
+                self._statements[pattern.code].bulk,
+                [inputs[k] for k in pattern.input_positions],
+            ).fetchall()
             return selected, [], False
-        window = self._page_window(page, cap=None)
-        assert window is not None  # no cap: every page has a window
-        limit, offset = window
-        fetched = list(
-            connection.execute(
-                f"SELECT {self._select_list} FROM rows {where} "
-                "ORDER BY pos LIMIT ? OFFSET ?",
-                [*parameters, limit, offset],
-            )
-        )
-        chunk = self.profile.chunk_size
-        return fetched[:chunk], [], len(fetched) > chunk
+        selected, more = self._page(pattern, inputs, page, cap=None)
+        return selected, [], more
 
 
 class SQLiteSearchService(SQLiteTableService):
@@ -413,7 +498,9 @@ class SQLiteSearchService(SQLiteTableService):
     The relevance score — opaque to callers, as in the paper — is
     computed once per row at load time and stored in a ``score REAL``
     column; each access pattern's composite index ends in ``(score
-    DESC, pos)`` so a page is one forward index scan.  Output is
+    DESC, pos)`` (an input-free pattern gets that index alone), so a
+    continued page is one index range from the previous page's last
+    ``(score, pos)`` and needs no sort.  Output is
     bit-identical to :class:`~repro.services.table.TableSearchService`
     with the same score function: decreasing relevance, ties broken by
     storage order (Python's stable descending sort), truncated at the
@@ -421,7 +508,9 @@ class SQLiteSearchService(SQLiteTableService):
 
     Attach mode (``rows=None``) reuses the scores stored in the file,
     so reopening does not need the score function; pass ``score=None``
-    explicitly in that case.
+    explicitly in that case.  A NaN score is stored as NULL, which the
+    ``score <= ?`` range would skip: a service holding one pages every
+    unit by ``OFFSET``.
     """
 
     def __init__(
@@ -453,12 +542,24 @@ class SQLiteSearchService(SQLiteTableService):
             remote_caching=remote_caching,
             pattern_profiles=pattern_profiles,
         )
+        # SQLite stores a NaN score as NULL, which ``score <= ?`` skips.
+        self._resumable = self._pool.connection().execute(
+            "SELECT 1 FROM rows WHERE score IS NULL LIMIT 1"
+        ).fetchone() is None
 
     def _value_columns(self) -> list[str]:
         return [*self._columns, "score REAL"]
 
     def _order_columns(self) -> list[str]:
         return ["score DESC", "pos"]
+
+    def _resume_clause(self) -> str:
+        # The ``score <= ?`` conjunct keeps the OR an index range.
+        return "score <= ? AND (score < ? OR pos > ?)"
+
+    def _resume_parameters(self, last: tuple) -> tuple:
+        score, pos = last[-2:]
+        return (score, score, pos)
 
     def _row_values(self, position: int, row: tuple) -> tuple:
         assert self._score is not None
@@ -472,22 +573,10 @@ class SQLiteSearchService(SQLiteTableService):
     ) -> tuple[list[tuple], list[int], bool]:
         chunk = self.profile.chunk_size
         assert chunk is not None  # search profiles are always chunked
-        window = self._page_window(page, cap=self.profile.decay)
-        if window is None:
-            return [], [], False
-        limit, offset = window
-        where, parameters = self._where(pattern, inputs)
-        fetched = list(
-            self._pool.connection().execute(
-                f"SELECT {self._select_list} FROM rows {where} "
-                "ORDER BY score DESC, pos LIMIT ? OFFSET ?",
-                [*parameters, limit, offset],
-            )
-        )
-        selected = fetched[:chunk]
+        selected, more = self._page(pattern, inputs, page, self.profile.decay)
         first_rank = page * chunk
         ranks = list(range(first_rank, first_rank + len(selected)))
-        return selected, ranks, len(fetched) > chunk
+        return selected, ranks, more
 
 
 class FTS5SearchService(Service):

@@ -22,15 +22,25 @@ Pinned here:
 * **Persistence**: a database built on disk and re-attached by a
   fresh process-like service answers identically (search attach needs
   no score function: scores are materialized).
+* **Continuation**: a page continued from its unit's recorded last key
+  equals the oracle's under any page-access order (in order, reversed,
+  skipped, repeated, interleaved across keys), on every pattern, across
+  tie-heavy page boundaries, the decay cap and eviction; a NULL score
+  turns continuation off; and every prepared statement is an index
+  search (``EXPLAIN QUERY PLAN``), never a sort.
 * **Thread-safety**: concurrent invocations from many threads against
-  one service all equal the oracle, and two client threads submitting
-  to one SQLite-backed ``QueryService`` (marker ``concurrency``) each
-  get their own pooled connection and the memory backend's answers.
+  one service all equal the oracle, deep pages and eviction included,
+  and two client threads submitting to one SQLite-backed
+  ``QueryService`` (marker ``concurrency``) each get their own pooled
+  connection and the memory backend's answers.
 """
 
 from __future__ import annotations
 
+import random
+import re
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -48,6 +58,9 @@ from repro.services.sqlite import (
     SQLiteSearchService,
     fts5_available,
 )
+
+#: Patches the continuation map's bound (a module constant).
+CAPACITY = "repro.services.sqlite.CONTINUATION_CAPACITY"
 from repro.services.table import TableExactService, TableSearchService
 from repro.sources.biblio import biblio_registry, experts_query, generate_corpus
 from repro.testing import eager_streamed_engine
@@ -160,6 +173,210 @@ class TestSearchDifferential:
                 SIG, search_profile(chunk_size=2, response_time=1.0),
                 [("a", 1, 2)], score=None,
             )
+
+
+#: Three keys x 30 rows, scored on two values only: runs of equal
+#: scores straddle every page boundary of a small chunk.
+_TIED = [(key, i % 4, float(i % 3)) for i in range(30) for key in "abc"]
+
+
+def _tied_score(row):
+    return float(row[1] // 2)
+
+
+def _backends(kind, rows, chunk, decay=None, score=_tied_score):
+    """``(oracle, backend)`` of one kind over *rows*."""
+    if kind == "exact":
+        profile = exact_profile(erspi=2.0, response_time=1.0, chunk_size=chunk)
+        return (
+            TableExactService(SIG, profile, rows),
+            SQLiteExactService(SIG, profile, rows),
+        )
+    profile = search_profile(chunk_size=chunk, response_time=1.0, decay=decay)
+    return (
+        TableSearchService(SIG, profile, rows, score),
+        SQLiteSearchService(SIG, profile, rows, score),
+    )
+
+
+def _unit_inputs(code, key):
+    """Inputs of one unit of pattern *code* (``ooo`` has one unit)."""
+    return {"ioo": {0: key}, "iio": {0: key, 1: 1}, "ooo": {}}[code]
+
+
+def _visit(oracle, backend, visits):
+    """Invoke both services on each ``(code, key, page)``; every answer
+    must agree."""
+    for code, key, page in visits:
+        pattern = SIG.pattern(code)
+        inputs = _unit_inputs(code, key)
+        want = oracle.invoke(pattern, inputs, page)
+        got = backend.invoke(pattern, inputs, page)
+        assert (got.tuples, got.ranks, got.has_more) == (
+            want.tuples, want.ranks, want.has_more
+        ), (code, key, page)
+
+
+def _orders(code, keys="abc", pages=range(12)):
+    """Named page-access orders over the units of one pattern."""
+    keys = keys if code != "ooo" else "a"
+    pages = list(pages)
+    return {
+        "in_order": [(code, k, p) for k in keys for p in pages],
+        "reversed": [(code, k, p) for k in keys for p in reversed(pages)],
+        "skipped": [
+            (code, k, p) for k in keys for p in [*pages[::3], *pages[1::3]]
+        ],
+        "repeated": [(code, k, p) for k in keys for p in pages for _ in "xy"]
+        + [(code, k, p) for k in keys for p in pages],
+        "interleaved": [(code, k, p) for p in pages for k in keys],
+    }
+
+
+def _traced(service):
+    """Every statement *service* runs from now on, on this thread."""
+    executed = []
+    service._pool.connection().set_trace_callback(executed.append)
+    return executed
+
+
+def _offset_pages(executed):
+    return sum("OFFSET" in statement for statement in executed)
+
+
+class TestContinuation:
+    """A page continued from its unit's last key is the oracle's page."""
+
+    @pytest.mark.parametrize("order", list(_orders("ioo")))
+    @pytest.mark.parametrize("code", ["ioo", "iio", "ooo"])
+    @pytest.mark.parametrize(
+        "kind,decay",
+        [("exact", None), ("search", None), ("search", 7)],
+        ids=["exact", "search", "search-decay7"],
+    )
+    def test_access_orders_match_oracle(self, kind, decay, code, order):
+        oracle, backend = _backends(kind, _TIED, chunk=2, decay=decay)
+        try:
+            _visit(oracle, backend, _orders(code)[order])
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("kind", ["exact", "search"])
+    def test_in_order_pages_continue_without_offset(self, kind):
+        oracle, backend = _backends(kind, _TIED, chunk=3)
+        try:
+            executed = _traced(backend)
+            pattern = SIG.pattern("ioo")
+            assert _drain(oracle, pattern, {0: "b"}) == _drain(
+                backend, pattern, {0: "b"}
+            )
+            # Page 0 and the page past the end skip by OFFSET; every
+            # page between continues from its predecessor's last key.
+            assert len(executed) == 30 // 3 + 1
+            assert _offset_pages(executed) == 2
+        finally:
+            backend.close()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rows=_ROWS,
+        kind=st.sampled_from(["exact", "search"]),
+        chunk=st.integers(min_value=1, max_value=4),
+        decay=st.sampled_from([None, 2, 5, 11]),
+        visits=st.lists(
+            st.tuples(
+                st.sampled_from(["ioo", "iio", "ooo"]),
+                st.sampled_from(["a", "b", 1]),
+                st.integers(min_value=0, max_value=9),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_random_access_matches_oracle(
+        self, rows, kind, chunk, decay, visits
+    ):
+        score = lambda row: float(hash(str(row[1])) % 3)  # noqa: E731
+        oracle, backend = _backends(kind, rows, chunk, decay, score)
+        try:
+            _visit(oracle, backend, visits)
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("kind", ["exact", "search"])
+    def test_eviction_past_the_bound(self, kind, monkeypatch):
+        monkeypatch.setattr(CAPACITY, 2)
+        oracle, backend = _backends(kind, _TIED, chunk=2)
+        try:
+            executed = _traced(backend)
+            visits = _orders("ioo")["interleaved"]
+            _visit(oracle, backend, visits * 2)
+            assert len(backend._continuations) == 2
+            # Three units interleaved through two records: a page whose
+            # record was evicted falls back to OFFSET.
+            assert _offset_pages(executed) > 2 * 3
+        finally:
+            backend.close()
+        assert not backend._continuations  # close drops the map
+
+    def test_null_score_falls_back_to_offset(self):
+        # SQLite stores NaN as NULL, which ``score <= ?`` would skip.
+        def score(row):
+            return float("nan") if row[1] == 0 else float(row[1])
+
+        pattern = SIG.pattern("ioo")
+        paged = SQLiteSearchService(
+            SIG, search_profile(chunk_size=3, response_time=1.0), _TIED, score
+        )
+        whole = SQLiteSearchService(
+            SIG, search_profile(chunk_size=1000, response_time=1.0),
+            _TIED, score,
+        )
+        try:
+            executed = _traced(paged)
+            pages = _drain(paged, pattern, {0: "a"})
+            assert all("OFFSET" in statement for statement in executed)
+            ranking = whole.invoke(pattern, {0: "a"}).tuples
+            assert len(ranking) == 30  # NULL-scored rows are not skipped
+            assert [t for tuples, _, _ in pages for t in tuples] == list(
+                ranking
+            )
+        finally:
+            paged.close()
+            whole.close()
+
+    @pytest.mark.parametrize("kind", ["exact", "search"])
+    def test_every_statement_is_an_index_search(self, kind):
+        """``EXPLAIN QUERY PLAN``: each prepared statement walks its
+        pattern's index (or, exact and input-free, the primary key) and
+        never sorts; a continuation is a range of it, not a filter."""
+        _, backend = _backends(kind, _TIED, chunk=2)
+        try:
+            connection = backend._pool.connection()
+            for pattern in SIG.patterns:
+                keyless = kind == "exact" and not pattern.input_positions
+                index = f"USING INDEX {SIG.name}_{pattern.code} "
+                statements = backend._statements[pattern.code]
+                for name, sql in statements._asdict().items():
+                    plan = [
+                        row[3]
+                        for row in connection.execute(
+                            f"EXPLAIN QUERY PLAN {sql}",
+                            [None] * sql.count("?"),
+                        )
+                    ]
+                    where = (kind, pattern.code, name, plan)
+                    assert len(plan) == 1, where
+                    assert "TEMP B-TREE" not in plan[0], where
+                    if keyless:
+                        assert "INDEX" not in plan[0], where
+                    else:
+                        assert index in plan[0] + " ", where
+                    if name == "resume":
+                        assert plan[0].startswith("SEARCH rows"), where
+                        key = r"(pos|rowid)>\?" if kind == "exact" else r"score<\?"
+                        assert re.search(key, plan[0]), where
+        finally:
+            backend.close()
 
 
 def _plan_rows(registry, mode, lazy=True, k=12):
@@ -405,33 +622,54 @@ class TestPersistence:
 
 
 class TestThreadSafety:
-    def test_concurrent_invocations_match_oracle(self):
-        rows = [(k, i % 5, float(i)) for i in range(60) for k in "ab"]
+    @pytest.mark.parametrize("capacity", [None, 3], ids=["bound", "evicting"])
+    def test_concurrent_invocations_match_oracle(self, capacity, monkeypatch):
+        """Eight threads walk deep pages of two units, each in its own
+        order, racing on the continuation map's stores (and, at a bound
+        of 3, its evictions)."""
+        if capacity is not None:
+            monkeypatch.setattr(CAPACITY, capacity)
+        rows = [(k, i % 5, float(i)) for i in range(200) for k in "ab"]
         score = lambda row: float(row[1])  # noqa: E731
-        profile = search_profile(chunk_size=4, response_time=1.0, decay=30)
+        profile = search_profile(chunk_size=4, response_time=1.0, decay=120)
         oracle = TableSearchService(SIG, profile, rows, score)
         backend = SQLiteSearchService(SIG, profile, rows, score)
         pattern = SIG.pattern("ioo")
         expected = {
             (key, page): oracle.invoke(pattern, {0: key}, page)
-            for key in "ab" for page in range(4)
+            for key in "ab" for page in range(32)
         }
         errors = []
 
-        def hammer():
+        def hammer(seed):
+            visits = list(expected.items())
             try:
-                for _ in range(20):
-                    for (key, page), want in expected.items():
+                for round_ in range(6):
+                    if round_ % 2:
+                        random.Random(seed * 8 + round_).shuffle(visits)
+                    else:
+                        visits.sort()  # in order: continuations hit
+                    for (key, page), want in visits:
                         got = backend.invoke(pattern, {0: key}, page)
                         assert got.tuples == want.tuples
                         assert got.ranks == want.ranks
+                        assert got.has_more == want.has_more
             except Exception as error:  # surfaced on the main thread
                 errors.append(error)
 
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        backend.close()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(seed,))
+                for seed in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
         assert not errors
