@@ -24,63 +24,59 @@ Quickstart::
     print(result.table.render(10))
 """
 
-from repro.costs import (
-    BottleneckMetric,
-    CostMetric,
-    ExecutionTimeMetric,
+from repro.costs.base import CostMetric
+from repro.costs.sum_cost import (
     MonetaryCostMetric,
     RequestResponseMetric,
     SumCostMetric,
+)
+from repro.costs.time_cost import (
+    BottleneckMetric,
+    ExecutionTimeMetric,
     TimeToScreenMetric,
 )
-from repro.execution import (
-    CacheSetting,
+from repro.execution.cache import CacheSetting
+from repro.execution.engine import (
     ExecutionEngine,
     ExecutionMode,
     ExecutionResult,
     execute_plan,
 )
-from repro.model import (
+from repro.model.atoms import Atom, atom
+from repro.model.parser import parse_query
+from repro.model.predicates import Comparison, comparison
+from repro.model.query import ConjunctiveQuery, query
+from repro.model.schema import (
     AccessPattern,
-    Atom,
-    Comparison,
-    ConjunctiveQuery,
-    Constant,
     Schema,
     ServiceSignature,
-    Variable,
-    atom,
-    comparison,
-    parse_query,
-    query,
     schema_of,
     signature,
 )
-from repro.optimizer import (
+from repro.model.terms import Constant, Variable
+from repro.optimizer.optimizer import (
     OptimizedPlan,
     Optimizer,
     OptimizerConfig,
     optimize_query,
 )
-from repro.plans import (
-    PlanBuilder,
-    Poset,
-    QueryPlan,
-    annotate,
-    render_ascii,
-    render_dot,
-)
-from repro.services import (
-    JoinMethod,
+from repro.plans.annotate import annotate
+from repro.plans.builder import PlanBuilder, Poset
+from repro.plans.dag import QueryPlan
+from repro.plans.render import render_ascii, render_dot
+from repro.services.profile import (
     ServiceKind,
     ServiceProfile,
-    ServiceRegistry,
-    TableExactService,
-    TableSearchService,
     exact_profile,
     search_profile,
 )
-from repro.sources import running_example_query, travel_registry, travel_schema
+from repro.services.registry import JoinMethod, ServiceRegistry
+from repro.services.table import TableExactService, TableSearchService
+from repro.sources.travel import (
+    running_example_query,
+    travel_registry,
+    travel_schema,
+)
 
 __version__ = "1.0.0"
 

@@ -43,6 +43,8 @@ the wrong arity or admits no plan (for ``optimize``: not even an
 expanded one), a ``k`` below 1 — ends a one-shot
 command with ``error: <Type>: <message>`` on stderr and exit status 2;
 ``serve`` answers the same inputs with ``{"error": ...}`` and goes on.
+A ``--plan-cache`` path SQLite cannot open ends either serving command
+the same way, before it answers anything.
 """
 
 from __future__ import annotations
@@ -141,6 +143,8 @@ def _resilience_config(args):
 
 
 def _make_query_service(args):
+    import sqlite3
+
     from repro.serving import (
         CircuitBreaker,
         PlanCache,
@@ -153,6 +157,10 @@ def _make_query_service(args):
         plan_cache = PlanCache(path=args.plan_cache)
     except PlanCacheFormatError as error:
         sys.exit(f"error: {error}")
+    except (sqlite3.Error, OSError) as error:
+        # A path SQLite cannot open: a directory, a regular file's child.
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        sys.exit(2)
     service = QueryService(
         registry=registry,
         metric=_METRICS[args.metric](),

@@ -1,23 +1,1 @@
 """Cost metrics: sum cost, request-response, execution time, bottleneck."""
-
-from repro.costs.base import CostMetric
-from repro.costs.sum_cost import (
-    MonetaryCostMetric,
-    RequestResponseMetric,
-    SumCostMetric,
-)
-from repro.costs.time_cost import (
-    BottleneckMetric,
-    ExecutionTimeMetric,
-    TimeToScreenMetric,
-)
-
-__all__ = [
-    "BottleneckMetric",
-    "CostMetric",
-    "ExecutionTimeMetric",
-    "MonetaryCostMetric",
-    "RequestResponseMetric",
-    "SumCostMetric",
-    "TimeToScreenMetric",
-]

@@ -337,17 +337,13 @@ class LazyServiceCursor(RowCursor):
         return self._source.budget
 
     @property
-    def is_monotone(self) -> bool:
-        """False once a rank regression was observed (floor untrusted)."""
-        return self._monotone
-
-    @property
     def floor(self) -> float:
         """Lower bound on every not-yet-fetched row's aggregated rank.
 
         ``+inf`` once exhausted (no such row can exist); otherwise the
         feed row's base rank plus the service's reported rank floor.
-        Only meaningful while :attr:`is_monotone` holds.
+        Only meaningful while the fetched ranks stay monotone (no
+        regression observed).
         """
         if self._saw_end or self.pages_fetched >= self._source.budget:
             return math.inf

@@ -1,19 +1,1 @@
 """Extensions beyond the core framework: off-query expansion."""
-
-from repro.extensions.expansion import (
-    ExpandedQuery,
-    ExpansionError,
-    blocked_variables,
-    expand_query,
-    seeder_candidates,
-    variable_domains,
-)
-
-__all__ = [
-    "ExpandedQuery",
-    "ExpansionError",
-    "blocked_variables",
-    "expand_query",
-    "seeder_candidates",
-    "variable_domains",
-]

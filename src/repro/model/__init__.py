@@ -1,58 +1,1 @@
 """Query and service model: terms, atoms, schemas, queries, parser."""
-
-from repro.model.atoms import Atom, atom
-from repro.model.parser import ParseError, parse_query
-from repro.model.predicates import (
-    BinaryExpression,
-    Comparison,
-    PredicateError,
-    add,
-    combined_selectivity,
-    comparison,
-)
-from repro.model.query import ConjunctiveQuery, QueryError, query
-from repro.model.template import (
-    Parameter,
-    QueryTemplate,
-    TemplateError,
-    parameter,
-)
-from repro.model.schema import (
-    AccessPattern,
-    Schema,
-    SchemaError,
-    ServiceSignature,
-    schema_of,
-    signature,
-)
-from repro.model.terms import Constant, Term, Variable, term_from_literal
-
-__all__ = [
-    "AccessPattern",
-    "Atom",
-    "BinaryExpression",
-    "Comparison",
-    "ConjunctiveQuery",
-    "Constant",
-    "Parameter",
-    "ParseError",
-    "PredicateError",
-    "QueryError",
-    "QueryTemplate",
-    "Schema",
-    "SchemaError",
-    "ServiceSignature",
-    "TemplateError",
-    "Term",
-    "Variable",
-    "add",
-    "atom",
-    "combined_selectivity",
-    "comparison",
-    "parameter",
-    "parse_query",
-    "query",
-    "schema_of",
-    "signature",
-    "term_from_literal",
-]

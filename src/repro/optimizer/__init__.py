@@ -1,79 +1,1 @@
 """Three-phase branch-and-bound optimizer for multi-domain queries."""
-
-from repro.optimizer.branch_and_bound import Incumbent, SearchStats
-from repro.optimizer.fetches import (
-    FetchContext,
-    FetchResult,
-    assign_fetches,
-    closed_form_pair,
-    closed_form_single,
-    exhaustive_assignment,
-    greedy_assignment,
-    square_assignment,
-)
-from repro.optimizer.memo import PlanEntry, PlanMemo, bound_key, plan_key
-from repro.optimizer.optimizer import (
-    OptimizedPlan,
-    Optimizer,
-    OptimizerConfig,
-    optimize_query,
-)
-from repro.optimizer.patterns import (
-    PatternPhaseResult,
-    PatternSequence,
-    cogency_sorted,
-    is_executable,
-    iterate_pattern_choices,
-    most_cogent_sequences,
-    permissible_sequences,
-    select_patterns,
-    sequence_is_more_cogent,
-    sequence_is_strictly_more_cogent,
-)
-from repro.optimizer.topology import (
-    TopologyEnumerator,
-    TopologyHeuristics,
-    atom_callable_after,
-    count_posets,
-    heuristic_posets,
-    maximal_parallel,
-    selective_chain,
-)
-
-__all__ = [
-    "FetchContext",
-    "FetchResult",
-    "Incumbent",
-    "OptimizedPlan",
-    "Optimizer",
-    "OptimizerConfig",
-    "PatternPhaseResult",
-    "PatternSequence",
-    "PlanEntry",
-    "PlanMemo",
-    "SearchStats",
-    "bound_key",
-    "plan_key",
-    "TopologyEnumerator",
-    "TopologyHeuristics",
-    "assign_fetches",
-    "atom_callable_after",
-    "closed_form_pair",
-    "closed_form_single",
-    "cogency_sorted",
-    "count_posets",
-    "exhaustive_assignment",
-    "greedy_assignment",
-    "heuristic_posets",
-    "is_executable",
-    "iterate_pattern_choices",
-    "maximal_parallel",
-    "most_cogent_sequences",
-    "optimize_query",
-    "permissible_sequences",
-    "select_patterns",
-    "selective_chain",
-    "sequence_is_more_cogent",
-    "sequence_is_strictly_more_cogent",
-    "square_assignment",
-]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import AccessPattern, Schema
@@ -157,12 +157,3 @@ def select_patterns(query: ConjunctiveQuery, schema: Schema) -> PatternPhaseResu
         most_cogent=most_cogent_sequences(permissible),
         ordered=cogency_sorted(permissible),
     )
-
-
-def iterate_pattern_choices(
-    query: ConjunctiveQuery, schema: Schema, most_cogent_only: bool = False
-) -> Iterator[PatternSequence]:
-    """Candidate sequences in exploration order (phase-1 heuristic)."""
-    phase = select_patterns(query, schema)
-    candidates = phase.most_cogent if most_cogent_only else phase.ordered
-    yield from candidates

@@ -121,10 +121,6 @@ class TopologyEnumerator:
         )
         return Poset(n=len(placed), pairs=pairs)
 
-    def placed_atoms(self, state: TopologyState) -> tuple[int, ...]:
-        """Atom indices placed so far, sorted."""
-        return tuple(sorted(state[0]))
-
     def extensions(self, state: TopologyState) -> Iterator[TopologyState]:
         """All states reachable by placing one more atom.
 

@@ -1,71 +1,1 @@
 """Service substrate: profiles, invocation protocol, registry, profiler."""
-
-from repro.services.base import (
-    InvocationError,
-    InvocationResult,
-    LatencyModel,
-    Service,
-)
-from repro.services.profile import (
-    ProfileError,
-    ServiceKind,
-    ServiceProfile,
-    exact_profile,
-    search_profile,
-)
-from repro.services.profiler import (
-    ProfileEstimate,
-    ServiceProfiler,
-    format_profile_table,
-    profile_services,
-)
-from repro.services.registry import (
-    DEFAULT_JOIN_SELECTIVITY,
-    JoinMethod,
-    RegistryError,
-    ServiceRegistry,
-)
-from repro.services.sqlite import (
-    FTS5SearchService,
-    SQLiteExactService,
-    SQLiteSearchService,
-    SQLiteTableService,
-    fts5_available,
-    sqlite_exact_service,
-    sqlite_search_service,
-)
-from repro.services.table import (
-    TableExactService,
-    TableSearchService,
-    exact_service,
-    search_service,
-)
-
-__all__ = [
-    "DEFAULT_JOIN_SELECTIVITY",
-    "FTS5SearchService",
-    "InvocationError",
-    "InvocationResult",
-    "JoinMethod",
-    "LatencyModel",
-    "ProfileError",
-    "ProfileEstimate",
-    "RegistryError",
-    "SQLiteExactService",
-    "SQLiteSearchService",
-    "SQLiteTableService",
-    "Service",
-    "ServiceKind",
-    "ServiceProfile",
-    "ServiceProfiler",
-    "ServiceRegistry",
-    "TableExactService",
-    "TableSearchService",
-    "exact_profile",
-    "exact_service",
-    "format_profile_table",
-    "fts5_available",
-    "profile_services",
-    "search_profile",
-    "search_service",
-]

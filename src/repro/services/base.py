@@ -162,11 +162,6 @@ class Service(ABC):
         """The service name."""
         return self._signature.name
 
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The latency model (exposed for experiment setup/reset)."""
-        return self._latency
-
     def invoke(
         self,
         pattern: AccessPattern,

@@ -279,11 +279,6 @@ class AdjustedRegistry:
             name: rt for name, rt in response_times.items() if rt > 0
         }
 
-    @property
-    def adjustments(self) -> dict[str, float]:
-        """The active response-time overrides (a copy)."""
-        return dict(self._response_times)
-
     def profile(
         self, name: str, pattern_code: str | None = None
     ) -> ServiceProfile:

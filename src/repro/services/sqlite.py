@@ -159,11 +159,6 @@ class ConnectionPool:
             self._uri = None
             self._is_memory = False
 
-    @property
-    def is_memory(self) -> bool:
-        """True for in-memory (``cache=shared``) databases."""
-        return self._is_memory
-
     def connection(self) -> sqlite3.Connection:
         """This thread's connection, opened (and pragma'd) on demand."""
         connection = getattr(self._local, "connection", None)
@@ -729,31 +724,3 @@ class FTS5SearchService(Service):
         ]
         ranks = list(range(start, start + len(selected)))
         return selected, ranks, len(fetched) > chunk
-
-
-def sqlite_exact_service(
-    signature: ServiceSignature,
-    profile: ServiceProfile,
-    rows: Iterable[Sequence] | None,
-    path: Path | str | None = None,
-    remote_caching: bool = False,
-) -> SQLiteExactService:
-    """Convenience constructor for :class:`SQLiteExactService`."""
-    return SQLiteExactService(
-        signature, profile, rows, path=path, remote_caching=remote_caching
-    )
-
-
-def sqlite_search_service(
-    signature: ServiceSignature,
-    profile: ServiceProfile,
-    rows: Iterable[Sequence] | None,
-    score: ScoreFunction | None,
-    path: Path | str | None = None,
-    remote_caching: bool = False,
-) -> SQLiteSearchService:
-    """Convenience constructor for :class:`SQLiteSearchService`."""
-    return SQLiteSearchService(
-        signature, profile, rows, score, path=path,
-        remote_caching=remote_caching,
-    )

@@ -139,26 +139,3 @@ class TableSearchService(TableService):
         first_rank = page * chunk
         ranks = list(range(first_rank, first_rank + len(selected)))
         return selected, ranks, has_more
-
-
-def exact_service(
-    signature: ServiceSignature,
-    profile: ServiceProfile,
-    rows: Iterable[Sequence],
-    remote_caching: bool = False,
-) -> TableExactService:
-    """Convenience constructor for :class:`TableExactService`."""
-    return TableExactService(signature, profile, rows, remote_caching=remote_caching)
-
-
-def search_service(
-    signature: ServiceSignature,
-    profile: ServiceProfile,
-    rows: Iterable[Sequence],
-    score: ScoreFunction,
-    remote_caching: bool = False,
-) -> TableSearchService:
-    """Convenience constructor for :class:`TableSearchService`."""
-    return TableSearchService(
-        signature, profile, rows, score, remote_caching=remote_caching
-    )

@@ -92,6 +92,15 @@ CACHE_SETTING = CacheSetting.OPTIMAL
 _CONFIG_TOKEN = optimizer_config_token(OPTIMIZER_CONFIG)
 
 
+def _check_count(name: str, value: object) -> None:
+    """A count of answers is an ``int`` >= 1 (a ``bool`` is not one),
+    checked before a request touches a counter, a cache or a session."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class QueryResponse:
     """One JSON-serializable answer to ``submit``/``ask_for_more``.
@@ -264,6 +273,8 @@ class QueryService:
     stats: ServingStats = field(default_factory=ServingStats, init=False)
 
     def __post_init__(self) -> None:
+        # The k of every call that names none (reported as that k).
+        _check_count("k", self.k_default)
         # Adaptive serving needs partial-results accounting: the
         # certificate is where substitutions are recorded.
         self._exec_resilience = self.resilience
@@ -298,11 +309,10 @@ class QueryService:
         optimization context match; otherwise the optimizer runs and
         its decisions are stored for every later submission.
         """
+        k = self.k_default if k is None else k
+        _check_count("k", k)
         if isinstance(query, str):
             query = parse_query(query)
-        k = self.k_default if k is None else k
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         with self._stats_lock:
             self.stats.requests += 1
         plan, cost, provenance, fingerprint, epoch, annotate_calls = (
@@ -338,8 +348,7 @@ class QueryService:
         is single-consumer); different sessions resume in parallel.
         """
         additional = self.k_default if additional is None else additional
-        if additional < 1:
-            raise ValueError(f"additional must be >= 1, got {additional}")
+        _check_count("additional", additional)
         session = self.sessions.get(session_id)
         with session.lock:
             executor = session.executor

@@ -1,39 +1,1 @@
 """Simulated deep-Web sources: travel, bioinformatics, bibliography, weekend."""
-
-from repro.sources.news import market_moving_news_query, news_registry
-from repro.sources.biblio import biblio_registry, experts_query, planted_experts
-from repro.sources.bio import bio_registry, glycolysis_homolog_query
-from repro.sources.travel import (
-    alpha1_patterns,
-    alpha4_patterns,
-    poset_optimal,
-    poset_parallel,
-    poset_serial,
-    running_example_query,
-    travel_registry,
-    travel_schema,
-)
-from repro.sources.weekend import mahler_weekend_query, weekend_registry
-from repro.sources.world import TravelWorld, build_world
-
-__all__ = [
-    "TravelWorld",
-    "alpha1_patterns",
-    "alpha4_patterns",
-    "biblio_registry",
-    "bio_registry",
-    "build_world",
-    "experts_query",
-    "glycolysis_homolog_query",
-    "market_moving_news_query",
-    "news_registry",
-    "mahler_weekend_query",
-    "planted_experts",
-    "poset_optimal",
-    "poset_parallel",
-    "poset_serial",
-    "running_example_query",
-    "travel_registry",
-    "travel_schema",
-    "weekend_registry",
-]

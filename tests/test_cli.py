@@ -269,6 +269,30 @@ class TestBadInput:
         assert captured.err.startswith(f"error: {error}")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["query", "serve"])
+    @pytest.mark.parametrize(
+        "where, error",
+        [
+            ("directory", "OperationalError: unable to open database file"),
+            ("file-child", "FileExistsError: "),
+        ],
+    )
+    def test_a_plan_cache_path_sqlite_cannot_open_is_a_message(
+        self, capsys, monkeypatch, tmp_path, command, where, error
+    ):
+        import io
+
+        (tmp_path / "FILE").write_text("")
+        path = tmp_path if where == "directory" else tmp_path / "FILE" / "plans.sqlite"
+        monkeypatch.setattr("sys.stdin", io.StringIO("demo\n"))
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--domain", "weekend", "--plan-cache", str(path)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error}")
+        assert "Traceback" not in captured.err
+
     def test_the_retired_hedge_flag_is_refused_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["query", "--hedge", "4"])

@@ -23,16 +23,21 @@ leaves, there is one join, one plan-cache disk tier and one SQLite connection
 pool, the constructors, configs and serving commands take exactly the
 parameters recorded here, the paper is reproduced — and a perf
 trajectory written — in one place, every production module is
-reachable from an entry point, and the production tree's code lines
-are pinned.
+reachable from an entry point, every name has one import path (a
+sub-package ``__init__`` re-exports nothing) and is named somewhere
+besides its definition, and the production tree's code lines are
+pinned.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
+import importlib
 import inspect
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -203,9 +208,11 @@ def _reached_modules() -> dict[str, pathlib.Path]:
     """The production modules an entry point imports, transitively:
     from the CLI, the serving layer, the paper's experiments and the
     examples.  Importing ``a.b.c`` runs the ``__init__`` of ``a.b``
-    too; the top-level ``repro/__init__.py`` is followed from nowhere —
-    it re-exports most of the library, so through it everything would
-    count as reached."""
+    too, which imports nothing unless ``a.b`` is itself one of those
+    surfaces (see the guard below); the top-level ``repro/__init__.py``
+    is followed from nowhere — it imports the quick-start names, so
+    through it their modules would count as reached whoever uses
+    them."""
     modules = {_module_name(path): path for path in SRC.rglob("*.py")}
     pending = {"repro.__main__", "repro.serving", "repro.experiments"}
     for example in (REPO / "examples").glob("*.py"):
@@ -237,6 +244,81 @@ def test_every_production_module_is_reachable_from_an_entry_point():
         and not _module_name(path).startswith("repro.testing.")
     }
     assert not orphans, orphans
+
+
+# The packages whose ``__init__`` is a surface: the quick-start names,
+# the serving layer, the paper's experiments and the test instruments.
+SURFACES = {"repro", "repro.serving", "repro.experiments", "repro.testing"}
+
+
+def test_a_sub_package_init_is_its_docstring():
+    """One import path per name: every other package ``__init__`` under
+    ``src/repro/`` holds a docstring and nothing else, so nothing is
+    re-exported a second way."""
+    offenders = []
+    for path in SRC.rglob("__init__.py"):
+        tree = ast.parse(path.read_text())
+        is_docstring = len(tree.body) == 1 and ast.get_docstring(tree) is not None
+        if _module_name(path) not in SURFACES and not is_docstring:
+            offenders.append(_module_name(path))
+    assert not offenders, offenders
+
+
+def test_no_package_attribute_shadows_a_submodule():
+    """``repro.plans.annotate`` is the module, not a function a package
+    ``__init__`` bound over it — for every module under ``src/repro/``."""
+    import repro.model.query as query_module
+    import repro.plans.annotate as annotate_module
+
+    assert inspect.ismodule(query_module) and inspect.ismodule(annotate_module)
+    shadowed = []
+    for path in SRC.rglob("*.py"):
+        name = _module_name(path)
+        if "." not in name:
+            continue
+        importlib.import_module(name)
+        parent, _, leaf = name.rpartition(".")
+        if getattr(sys.modules[parent], leaf) is not sys.modules[name]:
+            shadowed.append(name)
+    assert not shadowed, shadowed
+
+
+_DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = (ast.Module, *_DEFINITIONS)
+
+
+def _code_words(tree: ast.Module) -> list[str]:
+    """The words of a module's code; comments and docstrings are prose."""
+    for node in ast.walk(tree):
+        if isinstance(node, _SCOPES) and ast.get_docstring(node, clean=False) is not None:
+            node.body[0] = ast.Pass()
+    return re.findall(r"\w+", ast.unparse(tree))
+
+
+def test_every_public_definition_is_named_elsewhere():
+    """A public function, class or method under ``src/repro/`` that the
+    code of the repository (``src/``, ``examples/``, ``tests/``,
+    ``bench/``, ``benchmarks/``; a word-boundary scan) names nowhere
+    but in its own definition is kept alive by nothing: delete it."""
+    named = collections.Counter(
+        word
+        for top in ("src", "examples", "tests", "bench", "benchmarks")
+        for path in (REPO / top).rglob("*.py")
+        for word in _code_words(ast.parse(path.read_text()))
+    )
+    defined: dict[str, list[str]] = {}
+    for path in SRC.rglob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for definition in (node, *members):
+                if isinstance(definition, _DEFINITIONS) and not definition.name.startswith("_"):
+                    defined.setdefault(definition.name, []).append(
+                        path.relative_to(SRC).as_posix()
+                    )
+    unnamed = {
+        name: where for name, where in defined.items() if named[name] <= len(where)
+    }
+    assert not unnamed, unnamed
 
 
 def test_every_execution_mode_is_chosen_where_an_entry_point_reaches():
@@ -686,9 +768,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3476,
-        "src/repro/optimizer + plans + costs": 2322,
-        "src/repro outside testing": 9639,
+        "src/repro/execution + serving": 3375,
+        "src/repro/optimizer + plans + costs": 2183,
+        "src/repro outside testing": 9176,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

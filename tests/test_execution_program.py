@@ -18,12 +18,9 @@ import weakref
 import pytest
 
 from golden_plans import PROFILES, load
-from repro.execution import (
-    CacheSetting,
-    ExecutionEngine,
-    ExecutionMode,
-    ExecutionProgram,
-)
+from repro.execution.cache import CacheSetting
+from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.program import ExecutionProgram
 from repro.execution.slots import ServiceBinding
 from repro.model.parser import parse_query
 from repro.plans.builder import PlanBuilder

@@ -443,6 +443,24 @@ class TestQueryService:
         assert more.to_dict() == twin.ask_for_more(first.session_id, 3).to_dict()
         assert service.snapshot() == twin.snapshot()
 
+    @pytest.mark.parametrize("count", [2.5, "3", True, -1])
+    def test_a_count_that_is_not_an_int_of_at_least_one_moves_nothing(
+        self, count
+    ):
+        """``k=2.5`` used to fail in slicing after a request, an
+        optimizer run and a plan-cache store were counted (and a plan
+        cached under ``k=2.5``); ``k=True`` was answered as ``k=1``."""
+        service = QueryService(registry=weekend_registry(), k_default=3)
+        first = service.submit(mahler_weekend_query())
+        before = service.snapshot()
+        with pytest.raises(ValueError, match="k must be"):
+            service.submit(mahler_weekend_query(), k=count)
+        with pytest.raises(ValueError, match="additional must be"):
+            service.ask_for_more(first.session_id, count)
+        assert service.snapshot() == before
+        with pytest.raises(ValueError, match="k must be"):
+            QueryService(registry=weekend_registry(), k_default=count)
+
     def test_released_session_cannot_resume(self):
         service = QueryService(registry=weekend_registry(), k_default=2)
         response = service.submit(mahler_weekend_query())
