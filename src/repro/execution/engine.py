@@ -41,7 +41,7 @@ walk (:meth:`ExecutionEngine.resume`) without re-executing the plan.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Sequence
@@ -71,15 +71,14 @@ from repro.execution.resilience import (
 )
 from repro.execution.results import ResultTable, Row, compose_ranking
 from repro.execution.slots import ExecutionError, SlotPredicate
-from repro.execution.stats import ExecutionStats
+from repro.execution.stats import IDLE, ExecutionStats
 from repro.model.terms import Variable
 from repro.plans.dag import QueryPlan
-from repro.plans.nodes import PlanNode
 from repro.services.registry import ServiceRegistry
 
 
 #: Virtual seconds one dispatch to a concurrent thread costs under
-#: ``MULTITHREADED`` (:meth:`ExecutionEngine._node_busy`).
+#: ``MULTITHREADED`` (:meth:`ExecutionEngine.elapsed`).
 THREAD_OVERHEAD = 0.05
 
 #: Seeds the feed shuffle of ``MULTITHREADED`` mode, so the degraded
@@ -123,22 +122,14 @@ class ExecutionMode(Enum):
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Everything produced by one plan execution.
-
-    ``node_output_sizes`` traces the dataflow: the number of tuples
-    each plan node emitted — the executed counterpart of the
-    annotation's ``t_out`` estimates, used by the cost-model
-    validation experiments.  Under a streamed execution, the streamed
-    join's (and its downstream nodes') sizes count only the
-    *materialized* head, not the full plane, and a demand-driven
-    service step's the rows actually fetched.
+    """Everything produced by one plan execution of *program*.
 
     ``stream`` is the suspended :class:`TopKStream` of a streamed
     top-k execution (``None`` otherwise): :meth:`ExecutionEngine.
     resume` continues the early-exited walk for a larger ``k``.  Over
     eagerly materialized inputs a resume never issues a service call;
     over lazily fetched inputs it may pull further pages *within the
-    session's fetch budget*: ``accounting`` is the cell every unit
+    session's fetch budget*: ``accounting`` holds the ledger every unit
     behind the stream charges to, rebound by the resume so those
     fetches are accounted to the resuming round.
 
@@ -152,9 +143,8 @@ class ExecutionResult:
 
     table: ResultTable
     stats: ExecutionStats
-    elapsed: float
+    program: ExecutionProgram
     k: int | None = None
-    node_output_sizes: dict[str, int] = field(default_factory=dict)
     stream: TopKStream | None = None
     certificate: PartialResultCertificate | None = None
     accounting: Accounting | None = None
@@ -169,16 +159,31 @@ class ExecutionResult:
         """All produced answers in composed rank order."""
         return self.table.rows
 
+    @property
+    def elapsed(self) -> float:
+        """Virtual seconds the execution took (``stats.elapsed``)."""
+        return self.stats.elapsed
+
+    @property
+    def node_output_sizes(self) -> dict[str, int]:
+        """The ledger's rows out by node id: the tuples each plan node
+        emitted — the executed counterpart of the annotation's ``t_out``
+        estimates, used by the cost-model validation experiments.
+
+        Under a streamed execution, the streamed join's (and its
+        downstream nodes') sizes count only the *materialized* head,
+        not the full plane, and a demand-driven service step's the rows
+        actually fetched.  Empty for a resumed round.
+        """
+        return {
+            step.node_id: rows
+            for step, rows in zip(self.program.steps, self.stats.rows_out)
+        }
+
     def answers(self, k: int | None = None) -> list[tuple]:
         """The top-k projected answer tuples."""
         limit = k if k is not None else self.k
         return self.table.tuples(limit)
-
-    def output_size_of(self, node: PlanNode) -> int:
-        """Tuples actually emitted by *node* during this execution."""
-        if not self.node_output_sizes:
-            raise KeyError("node sizes were not collected")
-        return self.node_output_sizes[node.node_id]
 
 
 class ExecutionEngine:
@@ -269,13 +274,13 @@ class ExecutionEngine:
         # demoted, and the walk re-runs with it
         # rerouted/masked (the shared logical cache makes restarts
         # cheap — every already-fetched page is answered locally).  The
-        # stats object survives restarts, so aborted work stays
-        # counted.  Each restart either demotes a *new* unit or
-        # advances one to a sibling it never tried; both are finite per
-        # plan, so the loop terminates.  A PlanDrift raised by the
-        # drift monitor is *not* absorbed here: it aborts the execution
-        # for the session executor to re-plan, carrying the partial
-        # stats.
+        # ledger survives restarts, so aborted work stays counted (the
+        # clock alone is the last walk's).  Each restart either demotes
+        # a *new* unit or advances one to a sibling it never tried; both
+        # are finite per plan, so the loop terminates.  A PlanDrift
+        # raised by the drift monitor is *not* absorbed here: it aborts
+        # the execution for the session executor to re-plan, carrying
+        # the partial ledger.
         while True:
             context = RunContext(
                 fetches, self._registry, cache, self.routing,
@@ -285,14 +290,10 @@ class ExecutionEngine:
             rng = random.Random(SHUFFLE_SEED) if shuffled else None
             stream: TopKStream | None = None
             lazy_cursors: dict[int, LazyServiceCursor | MultiFeedCursor] = {}
-            # (the busy time of demand-driven steps is this walk's own,
-            # like the eager steps' below)
-            accounting.busy.clear()
-            #: Rows emitted and busy time, per step index; step 0 is
-            #: the input node.
+            stats.clock.clear()
+            #: Rows emitted per step index; step 0 is the input node.
             outputs: list[list[Row]] = [[] for _ in steps]
             outputs[0] = [program.input_row]
-            busy = [0.0] * len(steps)
             try:
                 for step in steps[1:]:
                     index = step.index
@@ -310,7 +311,7 @@ class ExecutionEngine:
                             lazy_cursors[index] = cursor
                             # The cursor's row list is live: it grows
                             # as the streamed walk demands pages, so
-                            # the node-size snapshot below sees exactly
+                            # the rows-out snapshot below sees exactly
                             # what was fetched.
                             outputs[index] = cursor.rows
                             continue
@@ -321,8 +322,8 @@ class ExecutionEngine:
                         # An eagerly run node reports its service even
                         # when it fetched nothing (empty feed, every
                         # unit demoted or rerouted).
-                        stats.service(step.binding.service_name)
-                        outputs[index], busy[index] = self._drain_units(
+                        stats.cell(index, step.binding.service_name)
+                        outputs[index] = self._drain_units(
                             context, step, feed, accounting
                         )
                     elif kind == JOIN:
@@ -341,7 +342,6 @@ class ExecutionEngine:
                             outputs[index] = join_rows(
                                 step.join, outputs[left], outputs[right]
                             )
-                        busy[index] = step.response_time
                     elif kind == OUTPUT:
                         feeder = step.feeds[0]
                         if streaming and stream is None:
@@ -374,9 +374,8 @@ class ExecutionEngine:
                 continue
             break
 
-        for index in lazy_cursors:
-            busy[index] = accounting.busy.get(index, 0.0)
-        stats.elapsed = self._elapsed(program, busy)
+        stats.rows_out = [len(rows) for rows in outputs]
+        stats.elapsed = self.elapsed(program, stats)
         produced = outputs[-1]
         if stream is not None:
             stream.trace(stats)
@@ -386,8 +385,7 @@ class ExecutionEngine:
             final_rows = compose_ranking(produced)
             complete = True
         return self._result(
-            program, k, stats, outputs, final_rows, complete, stream,
-            accounting,
+            program, k, stats, final_rows, complete, stream, accounting
         )
 
     def resume(
@@ -400,9 +398,10 @@ class ExecutionEngine:
         signal's or a dead unit's partial accounting — is recorded on
         this round and never mutates the round that created the stream.
         Virtual time is the critical path over the busy time this
-        round added per step, the same clock an executed round reads:
-        the services of a pipe chain add up, parallel branches overlap
-        (0.0 for the common all-from-fetched-pages resume).
+        round added per step, the same clock an executed round reads
+        (:meth:`elapsed`): the services of a pipe chain add up, parallel
+        branches overlap (0.0 for the common all-from-fetched-pages
+        resume).
         """
         stream, accounting = suspended.stream, suspended.accounting
         stats = ExecutionStats()
@@ -411,12 +410,9 @@ class ExecutionEngine:
         saved_before = stream.lazy_pages_saved
         rows = stream.top(k)
         stream.trace(stats, fetched_before, saved_before)
-        busy = accounting.busy
-        stats.elapsed = self._elapsed(
-            program, [busy.get(step.index, 0.0) for step in program.steps]
-        )
+        stats.elapsed = self.elapsed(program, stats)
         return self._result(
-            program, k, stats, (), rows, stream.is_complete(rows), stream,
+            program, k, stats, rows, stream.is_complete(rows), stream,
             accounting,
         )
 
@@ -425,14 +421,12 @@ class ExecutionEngine:
         program: ExecutionProgram,
         k: int | None,
         stats: ExecutionStats,
-        outputs: Sequence[list[Row]],
         final_rows: list[Row],
-        complete: bool = True,
-        stream: TopKStream | None = None,
-        accounting: Accounting | None = None,
+        complete: bool,
+        stream: TopKStream | None,
+        accounting: Accounting,
     ) -> ExecutionResult:
-        """Wrap up one finished walk (*outputs*: rows per step) or
-        stream resume (no *outputs*)."""
+        """Wrap up one finished walk or stream resume."""
         certificate = self.routing.certificate_for(program, final_rows)
         if certificate is not None:
             stats.demoted_blocks = len(certificate.dropped)
@@ -442,12 +436,8 @@ class ExecutionEngine:
                 head=program.head, rows=final_rows, complete=complete
             ),
             stats=stats,
-            elapsed=stats.elapsed,
+            program=program,
             k=k,
-            node_output_sizes={
-                step.node_id: len(rows)
-                for step, rows in zip(program.steps, outputs)
-            },
             stream=stream,
             certificate=certificate,
             accounting=accounting,
@@ -467,16 +457,15 @@ class ExecutionEngine:
         step: Step,
         feed: Sequence[Row],
         accounting: Accounting,
-    ) -> tuple[list[Row], float]:
-        """Eager execution of a service step: ``(rows, busy time)``.
+    ) -> list[Row]:
+        """Eager execution of a service step: its rows.
 
         Pulls every budgeted page of each feed row's unit, in order.
         """
-        latencies: list[float] = []
         produced: list[Row] = []
         for row in feed:
-            UnitSource(context, step, row, accounting).drain(produced, latencies)
-        return produced, self._node_busy(latencies)
+            UnitSource(context, step, row, accounting).drain(produced)
+        return produced
 
     def _lazy_steps(self, program: ExecutionProgram) -> frozenset[int]:
         """The service steps fetched on the streamed walk's demand."""
@@ -512,22 +501,26 @@ class ExecutionEngine:
 
     # -- timing ---------------------------------------------------------------
 
-    def _node_busy(self, latencies: list[float]) -> float:
-        """A node's busy time: the sum of its fetch latencies, or under
-        ``MULTITHREADED`` (every fetch dispatched to its own thread) the
-        longest one plus a thread overhead per dispatch."""
-        if not latencies:
-            return 0.0
-        if self._mode is ExecutionMode.MULTITHREADED:
-            return max(latencies) + THREAD_OVERHEAD * len(latencies)
-        return sum(latencies)
+    def elapsed(self, program: ExecutionProgram, stats: ExecutionStats) -> float:
+        """The critical path over the plan DAG of each step's busy time
+        on *stats*' clock.
 
-    def _elapsed(self, program: ExecutionProgram, busy: Sequence[float]) -> float:
-        """The critical path over the plan DAG of each step's busy time."""
+        A step is busy for the sum of its fetch latencies, or under
+        ``MULTITHREADED`` (every fetch dispatched to its own thread) the
+        longest one plus a thread overhead per dispatch; a join adds its
+        response time once a walk has run it (a resume re-runs none).
+        """
+        threaded = self._mode is ExecutionMode.MULTITHREADED
+        walked = bool(stats.rows_out)
         finish: list[float] = []
         for step in program.steps:
+            busy, longest, pulls = stats.clock.get(step.index, IDLE)
+            if threaded and pulls:
+                busy = longest + THREAD_OVERHEAD * pulls
+            elif walked and step.kind == JOIN:
+                busy = step.response_time
             start = max((finish[feed] for feed in step.feeds), default=0.0)
-            finish.append(start + busy[step.index])
+            finish.append(start + busy)
         return finish[-1]
 
 

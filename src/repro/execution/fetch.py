@@ -18,12 +18,14 @@ Three objects own the seam's state:
 * :class:`UnitSource` — the ``(service, input setting)`` unit one
   feed row addresses; opening it **masks**, then **routes**, and its
   ``fetch(page)`` does, in this order, **lookup** → **resilient
-  fetch** → **store** → **record_fetch** → **observe** → **call/hit
-  accounting** → **bind**.  Retries sit *below* the store: only the
-  response that arrived is ever stored or counted, so a retried pull
-  can neither double-store a page nor double-count a call;
-* :class:`Accounting` — the cell all units of one execution charge
-  to.  Resuming a suspended stream is one :meth:`Accounting.rebind`:
+  fetch** → **store** → **charge** → **observe** → **call/hit
+  accounting** → **bind**, the counters going to its cell of the
+  execution's ledger (:class:`~repro.execution.stats.ExecutionStats`).
+  Retries sit *below* the store: only the response that arrived is
+  ever stored or counted, so a retried pull can neither double-store a
+  page nor double-count a call;
+* :class:`Accounting` — which ledger all units of one execution
+  charge to.  Resuming a suspended stream is one :meth:`Accounting.rebind`:
   every page pulled afterwards — its retries, wasted fetches and
   backoff included — lands on the resuming round's statistics, and
   the round that created the stream is never mutated.
@@ -62,7 +64,7 @@ _NOTHING, _HIT, _CALL = 0, 1, 2
 
 
 class Accounting:
-    """The statistics sink shared by every unit of one execution.
+    """The ledger every unit of one execution charges to, by epoch.
 
     ``epoch`` numbers the rounds charged so far.  Call/hit accounting
     is per unit *per epoch* (the first remote page of an epoch counts
@@ -70,25 +72,18 @@ class Accounting:
     hit), so :meth:`rebind` is all a resumed round needs: units notice
     the new epoch on their next fetch and start counting afresh on the
     new statistics.
-
-    ``busy`` is the remote latency charged so far, summed per program
-    step in pull order: what the virtual clock
-    (:meth:`~repro.execution.engine.ExecutionEngine._elapsed`) reads
-    for the steps a walk fetches on demand.
     """
 
-    __slots__ = ("stats", "epoch", "busy")
+    __slots__ = ("stats", "epoch")
 
     def __init__(self, stats: ExecutionStats) -> None:
         self.stats = stats
         self.epoch = 0
-        self.busy: dict[int, float] = {}
 
     def rebind(self, stats: ExecutionStats) -> None:
         """Charge every later page to *stats* (a resumed round)."""
         self.stats = stats
         self.epoch += 1
-        self.busy = {}
 
 
 class UnitRouting:
@@ -291,13 +286,14 @@ class UnitSource:
     Call/hit accounting is the per-input-tuple rule of the paper's
     charts, within each accounting epoch (:class:`Accounting`): the
     first remote page counts one call, a unit answered purely by the
-    logical cache counts one hit.
+    logical cache counts one hit — on the ledger cell of its step and
+    serving service, opened at its first page of each epoch.
     """
 
     __slots__ = (
         "input_key", "_context", "_accounting", "_feed_row", "_step",
         "_demoted", "_binding", "_inputs", "_name", "_service",
-        "_rank_floor", "_epoch", "_counted",
+        "_rank_floor", "_epoch", "_counted", "_cell",
     )
 
     def __init__(
@@ -328,8 +324,10 @@ class UnitSource:
         #: at the first page the logical cache cannot answer.
         self._service = None
         self._rank_floor = 0
-        self._epoch = accounting.epoch
+        # No epoch yet: the first page opens the cell.
+        self._epoch = -1
         self._counted = _NOTHING
+        self._cell = None
 
     @property
     def budget(self) -> int:
@@ -337,16 +335,11 @@ class UnitSource:
         factor in the run's fetch vector right now."""
         return 0 if self._demoted else self._context.fetches[self._step]
 
-    def drain(self, produced: list[Row], latencies: list[float]) -> None:
-        """Pull every budgeted page, in order, into the caller's lists.
-
-        The eager execution of one unit: its rows extend *produced*,
-        the latency of each remote page extends *latencies*.
-        """
+    def drain(self, produced: list[Row]) -> None:
+        """Pull every budgeted page, in order: the eager execution of
+        one unit, whose rows extend *produced*."""
         for page in range(self.budget):
-            rows, _, has_more, _, latency = self.fetch(page)
-            if latency is not None:
-                latencies.append(latency)
+            rows, _, has_more, _ = self.fetch(page)
             produced.extend(rows)
             if not has_more:
                 break
@@ -361,8 +354,9 @@ class UnitSource:
         if self._epoch != accounting.epoch:
             self._epoch = accounting.epoch
             self._counted = _NOTHING
+            self._cell = stats.cell(self._step, name)
+        cell = self._cell
         result = context.cache.lookup(name, input_key, page)
-        latency: float | None = None
         if result is None:
             service = self._service
             if service is None:
@@ -381,12 +375,9 @@ class UnitSource:
             context.cache.store(name, input_key, page, result)
             raw_tuples = len(result.tuples)
             latency = result.latency
-            service_stats = stats.per_service.get(name) or stats.service(name)
-            service_stats.record_fetch(
-                latency, result.from_remote_cache, raw_tuples
+            stats.charge(
+                cell, self._step, latency, result.from_remote_cache, raw_tuples
             )
-            busy = accounting.busy
-            busy[self._step] = busy.get(self._step, 0.0) + latency
             # Drift is judged against the node's costed profile, so
             # only fetches served by the profiled service feed the
             # monitor — sibling traffic is not the original's drift.
@@ -398,14 +389,14 @@ class UnitSource:
                     drift.stats = stats
                     raise
             if self._counted != _CALL:
-                service_stats.calls += 1
+                cell.calls += 1
                 if self._counted == _HIT:
-                    service_stats.cache_hits -= 1
+                    cell.cache_hits -= 1
                 self._counted = _CALL
         else:
             raw_tuples = len(result.tuples)
             if self._counted == _NOTHING:
-                stats.service(name).cache_hits += 1
+                cell.cache_hits += 1
                 self._counted = _HIT
         stats.tuples_processed += raw_tuples
         rows = binding.bind_page(
@@ -414,6 +405,4 @@ class UnitSource:
         )
         if result.ranks and result.ranks[-1] >= self._rank_floor:
             self._rank_floor = result.ranks[-1] + 1
-        return FetchedPage(
-            rows, raw_tuples, result.has_more, self._rank_floor, latency
-        )
+        return FetchedPage(rows, raw_tuples, result.has_more, self._rank_floor)

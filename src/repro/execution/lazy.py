@@ -132,16 +132,13 @@ class FetchedPage(NamedTuple):
     ``raw_tuples`` counts the tuples the service returned before
     binding/filtering.  ``rank_floor`` is a lower bound on the
     service-rank index of every tuple in any *later* page (0 when the
-    service is unranked), and ``latency`` is the reported fetch latency
-    (``None`` when the page was answered by the logical cache and no
-    remote fetch happened).
+    service is unranked).
     """
 
     rows: Sequence[Row]
     raw_tuples: int
     has_more: bool
     rank_floor: int = 0
-    latency: float | None = None
 
 
 class PageSource(Protocol):

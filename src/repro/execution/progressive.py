@@ -114,9 +114,9 @@ class ProgressiveRound:
     ``resumed`` marks rounds served by resuming the previous round's
     suspended stream instead of re-executing the plan.  With eagerly
     materialized join inputs such rounds issue zero service calls and
-    zero fetches; with lazily fetched inputs ``new_calls`` records the
-    budgeted pages the grown cursor demand actually pulled (0 while
-    the walk stays within already-fetched pages).
+    zero fetches; with lazily fetched inputs ``new_calls`` counts the
+    calls the grown cursor demand actually made (0 while the walk stays
+    within already-fetched pages).
 
     ``grown`` marks a resumed round that continued the walk under
     factors grown *in place* (``ExecutionProgram.grows_in_place``): it
@@ -132,11 +132,19 @@ class ProgressiveRound:
 
     fetches: dict[int, int]
     answers: int
-    new_calls: int
-    elapsed: float
+    stats: ExecutionStats
     resumed: bool = False
     grown: bool = False
-    stats: ExecutionStats | None = None
+
+    @property
+    def new_calls(self) -> int:
+        """Service calls this round made."""
+        return self.stats.total_calls
+
+    @property
+    def elapsed(self) -> float:
+        """Virtual seconds this round took."""
+        return self.stats.elapsed
 
 
 @dataclass(frozen=True)
@@ -397,11 +405,9 @@ class ProgressiveExecutor:
             ProgressiveRound(
                 fetches=self.fetch_vector(),
                 answers=answers,
-                new_calls=stats.total_calls,
-                elapsed=stats.elapsed,
+                stats=stats,
                 resumed=resumed,
                 grown=grown,
-                stats=stats,
             )
         )
 
@@ -418,12 +424,10 @@ class ProgressiveExecutor:
         """Absorb one drift: record, re-cost, swap plan and monitor."""
         # The aborted attempt never appended a round (the exception
         # propagated first), but its fetches happened, filled the
-        # shared cache, and must stay counted.
-        stats = drift.stats if drift.stats is not None else ExecutionStats()
-        if not stats.elapsed:
-            # The abort preempted the elapsed computation; the fetched
-            # branches ran in parallel.
-            stats.elapsed = stats.busiest_service_time()
+        # shared cache, and must stay counted — its time read off the
+        # ledger by the aborted program's clock, as any round's is.
+        stats = drift.stats
+        stats.elapsed = self._engine.elapsed(self._program, stats)
         self._record_round(stats, 0)
         self._overrides[drift.service] = drift.observed
         replacement = self.replan(dict(self._overrides))
@@ -467,8 +471,6 @@ class ProgressiveExecutor:
         """
         baseline: int | None = None
         for r in self.rounds:
-            if r.stats is None:
-                continue
             if not r.resumed:
                 baseline = r.stats.tuples_processed
             elif baseline is not None:

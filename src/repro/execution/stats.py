@@ -1,4 +1,4 @@
-"""Execution statistics: service calls, cache hits, and timings.
+"""Execution statistics: the per-step ledger of one execution.
 
 These counters regenerate the measurements of Figure 11: the number of
 calls issued to each service under the various plans and cache
@@ -9,20 +9,30 @@ remote service (what the paper's charts count); a **fetch** is one
 remote page request — a chunked call with fetching factor ``F``
 performs up to ``F`` fetches.  Calls fully absorbed by the logical
 cache are counted as ``cache_hits`` and never reach the remote side.
+
+Every such fact is a column of one ledger, keyed by program step
+(``Step.index``, which is also the plan position a node id names): a
+cell per ``(step, serving service)`` for the counters, and per step the
+rows the walk emitted and the virtual clock.  Per-service totals are
+sums over the cells, so a service called at two steps shows each step
+on its own and their sum as the service's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from typing import Iterable
 
 
 @dataclass
 class ServiceCallStats:
-    """Counters for one service within one execution.
+    """The counters of one ledger cell, or of a service's cells summed.
 
     ``tuples_fetched`` counts the raw tuples received from the remote
     side (before binding and filtering) — the quantity lazy fetching
     reduces, and what the lazy bench compares against eager streaming.
+    ``busy_time`` is the remote latency charged, aborted walks of a
+    partial-results restart included.
     """
 
     calls: int = 0
@@ -32,20 +42,34 @@ class ServiceCallStats:
     busy_time: float = 0.0
     tuples_fetched: int = 0
 
-    def record_fetch(
-        self, latency: float, from_remote_cache: bool, tuples: int = 0
-    ) -> None:
-        """Account one remote page fetch returning *tuples* raw tuples."""
-        self.fetches += 1
-        self.busy_time += latency
-        self.tuples_fetched += tuples
-        if from_remote_cache:
-            self.remote_cache_hits += 1
+
+def _summed(cells: Iterable[ServiceCallStats]) -> ServiceCallStats:
+    """Column sums of *cells*, in their order."""
+    return ServiceCallStats(*(sum(column) for column in zip(*map(astuple, cells))))
+
+
+#: A step's clock before its first remote page: ``(busy, longest, pulls)``.
+IDLE = (0.0, 0.0, 0)
 
 
 @dataclass
 class ExecutionStats:
-    """Per-service counters plus global totals for one execution.
+    """The ledger of one execution, plus its global counters.
+
+    ``cells`` holds one :class:`ServiceCallStats` per ``(step index,
+    serving service)`` — a unit rerouted onto a sibling charges the
+    sibling's cell at the same step.  Only the fetch seam
+    (``UnitSource.fetch``, through :meth:`cell` and :meth:`charge`)
+    writes them; an eagerly run step opens its original service's cell
+    before fetching, so it is listed even when it fetched nothing, and
+    a demand-driven step's service appears once touched.  A
+    partial-results restart keeps its cells, so aborted walks stay
+    counted.  ``rows_out`` is written by the walk once it completes
+    (empty on a resumed round, which re-runs no step).  ``clock`` is
+    what virtual time reads (``ExecutionEngine.elapsed``): per step,
+    ``(busy, longest, pulls)`` over the remote pages of the current
+    walk only — the latencies summed in pull order, the longest one,
+    and their count.
 
     ``streamed_cells_visited`` / ``early_exit_cells_skipped`` trace the
     streamed top-k pipeline: how many candidate-plane cells the final
@@ -80,7 +104,9 @@ class ExecutionStats:
     alone.
     """
 
-    per_service: dict[str, ServiceCallStats] = field(default_factory=dict)
+    cells: dict[tuple[int, str], ServiceCallStats] = field(default_factory=dict)
+    rows_out: list[int] = field(default_factory=list)
+    clock: dict[int, tuple[float, float, int]] = field(default_factory=dict)
     elapsed: float = 0.0
     streamed_cells_visited: int = 0
     early_exit_cells_skipped: int = 0
@@ -115,11 +141,39 @@ class ExecutionStats:
     #: instead of dropping (``len(certificate.substituted)``).
     substituted_blocks: int = 0
 
+    def cell(self, step: int, service: str) -> ServiceCallStats:
+        """The (auto-created) cell of *service* serving step *step*."""
+        key = (step, service)
+        cell = self.cells.get(key)
+        if cell is None:
+            cell = self.cells[key] = ServiceCallStats()
+        return cell
+
+    def charge(
+        self, cell: ServiceCallStats, step: int, latency: float,
+        from_remote_cache: bool, tuples: int,
+    ) -> None:
+        """Account one remote page of *tuples* raw tuples: on *cell*
+        (which serves *step*) and on the step's clock."""
+        cell.fetches += 1
+        cell.busy_time += latency
+        cell.tuples_fetched += tuples
+        if from_remote_cache:
+            cell.remote_cache_hits += 1
+        busy, longest, pulls = self.clock.get(step, IDLE)
+        self.clock[step] = (busy + latency, max(longest, latency), pulls + 1)
+
+    @property
+    def per_service(self) -> dict[str, ServiceCallStats]:
+        """Every serving service's cells summed, in order of first use."""
+        names = dict.fromkeys(name for _, name in self.cells)
+        return {name: self.service(name) for name in names}
+
     def service(self, name: str) -> ServiceCallStats:
-        """The (auto-created) counters for service *name*."""
-        if name not in self.per_service:
-            self.per_service[name] = ServiceCallStats()
-        return self.per_service[name]
+        """Service *name*'s counters, summed over the steps it served."""
+        return _summed(
+            cell for (_, served), cell in self.cells.items() if served == name
+        )
 
     def calls(self, name: str) -> int:
         """Number of calls issued to service *name*."""
@@ -128,27 +182,22 @@ class ExecutionStats:
     @property
     def total_calls(self) -> int:
         """Calls across all services."""
-        return sum(s.calls for s in self.per_service.values())
+        return sum(cell.calls for cell in self.cells.values())
 
     @property
     def total_fetches(self) -> int:
         """Remote page fetches across all services."""
-        return sum(s.fetches for s in self.per_service.values())
+        return sum(cell.fetches for cell in self.cells.values())
 
     @property
     def total_cache_hits(self) -> int:
         """Logical-cache hits across all services."""
-        return sum(s.cache_hits for s in self.per_service.values())
+        return sum(cell.cache_hits for cell in self.cells.values())
 
     @property
     def total_tuples_fetched(self) -> int:
         """Raw tuples received from remote services, across all services."""
-        return sum(s.tuples_fetched for s in self.per_service.values())
-
-    def busiest_service_time(self) -> float:
-        """The longest per-service busy time: the virtual duration of
-        work whose services ran on parallel branches."""
-        return max((s.busy_time for s in self.per_service.values()), default=0.0)
+        return sum(cell.tuples_fetched for cell in self.cells.values())
 
     def summary(self) -> str:
         """Readable multi-line rendering."""
@@ -179,8 +228,9 @@ class ExecutionStats:
                 f"  partial: demoted_blocks={self.demoted_blocks}"
                 f" substituted_blocks={self.substituted_blocks}"
             )
-        for name in sorted(self.per_service):
-            stats = self.per_service[name]
+        per_service = self.per_service
+        for name in sorted(per_service):
+            stats = per_service[name]
             lines.append(
                 f"  {name:<10} calls={stats.calls:<5} fetches={stats.fetches:<5}"
                 f" cache_hits={stats.cache_hits:<5}"

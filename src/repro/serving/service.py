@@ -581,8 +581,6 @@ class QueryService:
             return
         totals: dict[str, tuple[int, float]] = {}
         for r in rounds:
-            if r.stats is None:
-                continue
             for name, per_service in r.stats.per_service.items():
                 fetches, busy = totals.get(name, (0, 0.0))
                 totals[name] = (
@@ -625,7 +623,7 @@ class QueryService:
         # the work of *all* of them — each round's statistics object
         # is fresh, so totals are summed over the request's rounds,
         # not read off the final result alone.
-        round_stats = [r.stats for r in rounds if r.stats is not None]
+        round_stats = [r.stats for r in rounds]
         stats = {
             "service_calls": sum(s.total_calls for s in round_stats),
             "page_fetches": sum(s.total_fetches for s in round_stats),

@@ -363,12 +363,26 @@ def _calls(tree: ast.AST):
             yield name, scopes
 
 
+#: Who writes each column of the execution ledger (``ExecutionStats``).
+_LEDGER_WRITERS = {
+    ("execution/fetch.py", ("UnitSource", "fetch")): {"calls", "cache_hits"},
+    ("execution/stats.py", ("ExecutionStats", "charge")): {
+        "fetches", "busy_time", "tuples_fetched", "remote_cache_hits", "clock",
+    },
+    ("execution/engine.py", ("ExecutionEngine", "execute")): {"rows_out"},
+}
+
+
 def test_every_service_page_goes_through_the_one_fetch_seam():
-    """Storing a page in the logical cache, recording a fetch and
-    feeding the drift monitor each happen in exactly one function —
-    ``UnitSource.fetch`` — and nothing else calls ``resilient_fetch``.
-    (``cache.py`` is exempt: ``ThreadSafeCache.store`` delegates to the
-    cache it wraps.)"""
+    """Storing a page in the logical cache, charging a fetch to the
+    ledger and feeding the drift monitor each happen in exactly one
+    function — ``UnitSource.fetch`` — and nothing else calls
+    ``resilient_fetch``.  (``cache.py`` is exempt:
+    ``ThreadSafeCache.store`` delegates to the cache it wraps.)  Each
+    ledger column has one writer: the seam, the ledger's ``charge`` it
+    calls, or (rows out) the walk; under ``execution/`` and
+    ``serving/`` nothing else assigns those names but an object's own
+    state."""
     seam = ("execution/fetch.py", ("UnitSource", "fetch"))
     sites: dict[str, set] = {}
     for path in SRC.rglob("*.py"):
@@ -376,13 +390,33 @@ def test_every_service_page_goes_through_the_one_fetch_seam():
         in_execution = relative.startswith("execution/") and relative != "execution/cache.py"
         for name, scopes in _calls(ast.parse(path.read_text())):
             if name == "resilient_fetch" or (
-                in_execution and name in ("store", "record_fetch", "observe")
+                in_execution and name in ("store", "charge", "observe")
             ):
                 sites.setdefault(name, set()).add((relative, scopes))
     assert sites == {
-        name: {seam}
-        for name in ("store", "record_fetch", "observe", "resilient_fetch")
+        name: {seam} for name in ("store", "charge", "observe", "resilient_fetch")
     }
+    columns = set().union(*_LEDGER_WRITERS.values())
+    writers: dict[tuple, set] = {}
+    for package in ("execution", "serving"):
+        for path in (SRC / package).glob("*.py"):
+            relative = path.relative_to(SRC).as_posix()
+            for node, scopes in _enclosing_scopes(ast.parse(path.read_text())):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AugAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    while isinstance(target, ast.Subscript):
+                        target = target.value
+                    if not isinstance(target, ast.Attribute) or target.attr not in columns:
+                        continue
+                    own = getattr(target.value, "id", "") == "self"
+                    if not own or relative == "execution/stats.py":
+                        writers.setdefault((relative, scopes), set()).add(target.attr)
+    assert writers == _LEDGER_WRITERS
 
 
 def test_one_sibling_chooser():
@@ -533,6 +567,7 @@ def test_retired_seam_plumbing_stays_retired():
         "DriftPolicy", "BreakerPolicy", "AdaptivePolicy", "RetryPolicy",
         "sibling_fallback", "substitute_siblings", "_half_open", "SEQUENTIAL",
         "prefetch", "execute_join_hashed", "_require_layout", "_laid_out",
+        "record_fetch", "busiest_service_time", "output_size_of",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"
@@ -768,9 +803,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3375,
+        "src/repro/execution + serving": 3373,
         "src/repro/optimizer + plans + costs": 2183,
-        "src/repro outside testing": 9176,
+        "src/repro outside testing": 9174,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

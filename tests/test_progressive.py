@@ -13,7 +13,7 @@ from repro.sources.travel import (
     alpha1_patterns,
     poset_optimal,
 )
-from repro.testing import eager_streamed_engine
+from repro.testing import FaultSchedule, FlakyService, eager_streamed_engine
 
 
 @pytest.fixture()
@@ -301,10 +301,11 @@ class TestLazyStreamedResume:
         assert more.stats.lazy_tuples_fetched > 0
         # Remote latency makes the resumed round's virtual time real:
         # the two lazy cursors sit on parallel branches, so the round
-        # lasts as long as its busier service.
+        # lasts as long as its busier step.
         assert latest.elapsed > 0.0
         assert more.elapsed == latest.elapsed
-        assert latest.elapsed == more.stats.busiest_service_time()
+        busy = [busy for busy, _, _ in more.stats.clock.values()]
+        assert latest.elapsed == max(busy)
         # The savings snapshot shrinks to what is still unissued.
         assert more.stats.lazy_calls_saved < first.stats.lazy_calls_saved
         # The stale-counter regression: round 1's stats stay frozen.
@@ -387,7 +388,7 @@ class TestResumedChainVirtualTime:
     fetched per step — a sum down the chain, not the busiest service."""
 
     @staticmethod
-    def _chain():
+    def _chain(replan=None):
         from repro.model.atoms import Atom
         from repro.model.query import ConjunctiveQuery
         from repro.model.schema import signature
@@ -440,7 +441,7 @@ class TestResumedChainVirtualTime:
         )
         return ProgressiveExecutor(
             registry=registry, plan=plan, head=tuple(query.head),
-            mode=ExecutionMode.STREAMED,
+            mode=ExecutionMode.STREAMED, replan=replan,
         )
 
     def test_execute_then_resume_lasts_as_long_as_one_execution(self):
@@ -461,8 +462,29 @@ class TestResumedChainVirtualTime:
             stats.service(name).busy_time
             for name in ("papers", "authors", "projects")
         )
+        # A resumed round's chain adds up its own steps' busy time too.
         resumed = stepwise.rounds[-1]
-        assert resumed.elapsed > resumed.stats.busiest_service_time() > 0
+        busy = [busy for busy, _, _ in resumed.stats.clock.values()]
+        assert resumed.elapsed == sum(busy) > max(busy) > 0
+
+    def test_an_attempt_aborted_by_drift_lasts_its_whole_chain(self):
+        """The second service answers 25x slower than costed: the
+        attempt it aborts is timed by the clock every round reads, down
+        the chain, not by its busiest service alone."""
+        executor = self._chain(replan=lambda observed: None)
+        registry = executor.registry
+        registry._services["authors"] = FlakyService(
+            registry.service("authors"), FaultSchedule(seed=7, delay_rate=1.0)
+        )
+        executor.run(9)
+        assert [event.service for event in executor.drift_events] == ["authors"]
+        aborted = executor.rounds[0]
+        assert aborted.answers == 0
+        busy = [
+            aborted.stats.service(name).busy_time
+            for name in ("papers", "authors", "projects")
+        ]
+        assert aborted.elapsed == sum(busy) > max(busy) > 0
 
 
 class TestCaps:
