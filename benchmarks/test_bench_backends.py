@@ -147,7 +147,7 @@ def _demand_vs_drain(corpus, n_papers: int) -> dict:
         query = experts_query()
         plan = _optimized(registry, query)
         if drain:
-            for node in plan.chunked_service_nodes:
+            for node in (n for n in plan.service_nodes if n.is_chunked):
                 if node.service_name == "pubsearch":
                     node.fetches = max(node.fetches, budget)
         engine = (

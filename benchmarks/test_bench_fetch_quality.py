@@ -26,10 +26,11 @@ from repro.optimizer.fetches import (
     greedy_assignment,
     square_assignment,
 )
-from repro.plans.builder import PlanBuilder, parallel_after
+from repro.plans.builder import PlanBuilder
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
+from repro.testing import parallel_after
 
 pytestmark = pytest.mark.bench
 

@@ -72,10 +72,15 @@ from repro.plans.spec import PlanSpec
 from repro.services.registry import JoinMethod
 from repro.sources.biblio import biblio_registry, experts_query
 from repro.sources.bio import bio_registry, glycolysis_homolog_query
-from repro.sources.news import market_moving_news_query, news_registry
+from repro.sources.news import news_registry
 from repro.sources.travel import running_example_query, travel_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
-from repro.testing import ListPageSource, compiled_join, execute_join
+from repro.testing import (
+    ListPageSource,
+    compiled_join,
+    execute_join,
+    market_moving_news_query,
+)
 
 pytestmark = pytest.mark.bench
 

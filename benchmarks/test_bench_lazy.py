@@ -66,11 +66,11 @@ from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
-from repro.plans.builder import PlanBuilder, Poset, chain_poset
+from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
-from repro.testing import ReexecutingExecutor, eager_streamed_engine
+from repro.testing import ReexecutingExecutor, chain_poset, eager_streamed_engine
 
 pytestmark = pytest.mark.bench
 

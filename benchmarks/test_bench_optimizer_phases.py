@@ -34,6 +34,7 @@ from benchmarks._bench_env import (
     env_stamp,
 )
 from benchmarks.conftest import write_artifact
+from repro.testing import market_moving_news_query
 from repro.testing.exhaustive import exhaustive_optimize
 from repro.costs.sum_cost import RequestResponseMetric, SumCostMetric
 from repro.costs.time_cost import ExecutionTimeMetric
@@ -43,6 +44,7 @@ from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.plans.annotate import AnnotationProgram, annotate
 from repro.plans.builder import PlanBuilder
 from repro.testing.reference import (
+    memo_bounds,
     reference_annotate,
     reference_partial_plan,
     search_states,
@@ -300,7 +302,7 @@ PARENT_BIO_BOUND_US = 230
 def _search_problems():
     from repro.sources.biblio import biblio_registry, experts_query
     from repro.sources.bio import bio_registry, glycolysis_homolog_query
-    from repro.sources.news import market_moving_news_query, news_registry
+    from repro.sources.news import news_registry
     from repro.sources.travel import running_example_query, travel_registry
     from repro.sources.weekend import mahler_weekend_query, weekend_registry
 
@@ -324,7 +326,7 @@ class TestSearchCost:
         """``(patterns, placed, closure)`` of every state the search
         computed a bound for, in the order it did."""
         states = []
-        for codes, closure in optimizer.memo.bounds():
+        for codes, closure in memo_bounds(optimizer._memo):
             patterns = tuple(
                 registry.signature(body_atom.service).pattern(code) if code else None
                 for body_atom, code in zip(query.atoms, codes)

@@ -254,7 +254,7 @@ class TestResilienceTrajectory:
         for ours, theirs in zip(adaptive_zero[0].rounds,
                                 static_zero[0].rounds):
             assert ours.fetches == theirs.fetches
-            assert ours.new_calls == theirs.new_calls
+            assert ours.stats.total_calls == theirs.stats.total_calls
             assert ours.stats == theirs.stats
 
         demotion_grid: dict[str, dict] = {}

@@ -55,9 +55,10 @@ from _bench_env import (
 
 from repro.serving import PlanCache, QueryService
 from repro.sources.bio import bio_registry, glycolysis_homolog_query
-from repro.sources.news import market_moving_news_query, news_registry
+from repro.sources.news import news_registry
 from repro.sources.travel import running_example_query, travel_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
+from repro.testing import market_moving_news_query
 
 pytestmark = pytest.mark.bench
 

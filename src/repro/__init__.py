@@ -40,7 +40,6 @@ from repro.execution.engine import (
     ExecutionEngine,
     ExecutionMode,
     ExecutionResult,
-    execute_plan,
 )
 from repro.model.atoms import Atom, atom
 from repro.model.parser import parse_query
@@ -58,12 +57,11 @@ from repro.optimizer.optimizer import (
     OptimizedPlan,
     Optimizer,
     OptimizerConfig,
-    optimize_query,
 )
 from repro.plans.annotate import annotate
 from repro.plans.builder import PlanBuilder, Poset
 from repro.plans.dag import QueryPlan
-from repro.plans.render import render_ascii, render_dot
+from repro.plans.render import render_ascii
 from repro.services.profile import (
     ServiceKind,
     ServiceProfile,
@@ -72,11 +70,7 @@ from repro.services.profile import (
 )
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
-from repro.sources.travel import (
-    running_example_query,
-    travel_registry,
-    travel_schema,
-)
+from repro.sources.travel import running_example_query, travel_registry
 
 __version__ = "1.0.0"
 
@@ -116,16 +110,12 @@ __all__ = [
     "atom",
     "comparison",
     "exact_profile",
-    "execute_plan",
-    "optimize_query",
     "parse_query",
     "query",
     "render_ascii",
-    "render_dot",
     "running_example_query",
     "schema_of",
     "search_profile",
     "signature",
     "travel_registry",
-    "travel_schema",
 ]

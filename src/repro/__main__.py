@@ -44,12 +44,14 @@ expanded one), a ``k`` below 1 — ends a one-shot
 command with ``error: <Type>: <message>`` on stderr and exit status 2;
 ``serve`` answers the same inputs with ``{"error": ...}`` and goes on.
 A ``--plan-cache`` path SQLite cannot open ends either serving command
-the same way, before it answers anything.
+the same way, before it answers anything, and so does a
+``migrate-plan-cache`` target.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from repro.costs.sum_cost import RequestResponseMetric
@@ -142,9 +144,20 @@ def _resilience_config(args):
     return ResilienceConfig(attempts=retries + 1, partial_results=partial)
 
 
-def _make_query_service(args):
+@contextlib.contextmanager
+def _exit_if_unopenable():
+    """A path SQLite cannot open (a directory, a regular file's child)
+    ends the command with ``error: <Type>: <message>`` and status 2."""
     import sqlite3
 
+    try:
+        yield
+    except (sqlite3.Error, OSError) as error:
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        sys.exit(2)
+
+
+def _make_query_service(args):
     from repro.serving import (
         CircuitBreaker,
         PlanCache,
@@ -154,13 +167,10 @@ def _make_query_service(args):
 
     registry, showcase = _load_domain(args.domain)
     try:
-        plan_cache = PlanCache(path=args.plan_cache)
+        with _exit_if_unopenable():
+            plan_cache = PlanCache(path=args.plan_cache)
     except PlanCacheFormatError as error:
         sys.exit(f"error: {error}")
-    except (sqlite3.Error, OSError) as error:
-        # A path SQLite cannot open: a directory, a regular file's child.
-        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
-        sys.exit(2)
     service = QueryService(
         registry=registry,
         metric=_METRICS[args.metric](),
@@ -223,7 +233,8 @@ def _run_migrate(args) -> int:
         print(f"error: {args.source} is not a readable JSON plan-cache file",
               file=sys.stderr)
         return 1
-    tier = SQLiteDiskTier(args.target)
+    with _exit_if_unopenable():
+        tier = SQLiteDiskTier(args.target)
     try:
         imported = tier.seed(rows)
     finally:

@@ -164,22 +164,6 @@ class ExecutionResult:
         """Virtual seconds the execution took (``stats.elapsed``)."""
         return self.stats.elapsed
 
-    @property
-    def node_output_sizes(self) -> dict[str, int]:
-        """The ledger's rows out by node id: the tuples each plan node
-        emitted — the executed counterpart of the annotation's ``t_out``
-        estimates, used by the cost-model validation experiments.
-
-        Under a streamed execution, the streamed join's (and its
-        downstream nodes') sizes count only the *materialized* head,
-        not the full plane, and a demand-driven service step's the rows
-        actually fetched.  Empty for a resumed round.
-        """
-        return {
-            step.node_id: rows
-            for step, rows in zip(self.program.steps, self.stats.rows_out)
-        }
-
     def answers(self, k: int | None = None) -> list[tuple]:
         """The top-k projected answer tuples."""
         limit = k if k is not None else self.k
@@ -265,7 +249,7 @@ class ExecutionEngine:
         accounting = Accounting(ExecutionStats())
         stats = accounting.stats
         streaming = self._mode is ExecutionMode.STREAMED and k is not None
-        lazy = self._lazy_steps(program) if streaming else ()
+        lazy = program.lazy if streaming else ()
         shuffled = self._mode is ExecutionMode.MULTITHREADED
         steps = program.steps
         # Partial-results restart loop: a walk stops at the first unit
@@ -445,12 +429,6 @@ class ExecutionEngine:
 
     # -- node execution -----------------------------------------------------
 
-    def mask_unit(
-        self, service: str, input_key: tuple, reason: str = "masked up front"
-    ) -> None:
-        """Pre-demote one unit (:meth:`UnitRouting.mask_unit`)."""
-        self.routing.mask_unit(service, input_key, reason)
-
     def _drain_units(
         self,
         context: RunContext,
@@ -466,10 +444,6 @@ class ExecutionEngine:
         for row in feed:
             UnitSource(context, step, row, accounting).drain(produced)
         return produced
-
-    def _lazy_steps(self, program: ExecutionProgram) -> frozenset[int]:
-        """The service steps fetched on the streamed walk's demand."""
-        return program.lazy
 
     @staticmethod
     def _open_lazy_cursor(
@@ -591,16 +565,3 @@ class ChainStream(TopKStream):
 
     def _row(self, candidate: tuple) -> Row:
         return candidate[2]
-
-
-def execute_plan(
-    plan: QueryPlan | ExecutionProgram,
-    registry: ServiceRegistry,
-    head: Sequence[Variable] = (),
-    cache_setting: CacheSetting = CacheSetting.NO_CACHE,
-    mode: ExecutionMode = ExecutionMode.PARALLEL,
-    k: int | None = None,
-) -> ExecutionResult:
-    """One-call convenience wrapper around :class:`ExecutionEngine`."""
-    engine = ExecutionEngine(registry, cache_setting=cache_setting, mode=mode)
-    return engine.execute(plan, head=head, k=k)

@@ -220,21 +220,6 @@ class UnitRouting:
         """
         self._service_substitutions[service] = replacement
 
-    def mask_unit(
-        self, service: str, input_key: tuple, reason: str = "masked up front"
-    ) -> None:
-        """Pre-demote one unit before executing.
-
-        The oracle of the partial-results differential: re-running a
-        plan on a *fault-free* registry with the certificate's dropped
-        units masked up front must reproduce the partial answer
-        bit-for-bit.
-        """
-        failure = UnresponsiveService(
-            service, input_key, 0, 0, RuntimeError(reason)
-        )
-        self.demoted.setdefault((service, input_key), failure)
-
     def certificate_for(
         self, program: ExecutionProgram, rows: list[Row]
     ) -> PartialResultCertificate | None:

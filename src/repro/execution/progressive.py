@@ -114,9 +114,9 @@ class ProgressiveRound:
     ``resumed`` marks rounds served by resuming the previous round's
     suspended stream instead of re-executing the plan.  With eagerly
     materialized join inputs such rounds issue zero service calls and
-    zero fetches; with lazily fetched inputs ``new_calls`` counts the
-    calls the grown cursor demand actually made (0 while the walk stays
-    within already-fetched pages).
+    zero fetches; with lazily fetched inputs ``stats.total_calls`` counts
+    the calls the grown cursor demand actually made (0 while the walk
+    stays within already-fetched pages).
 
     ``grown`` marks a resumed round that continued the walk under
     factors grown *in place* (``ExecutionProgram.grows_in_place``): it
@@ -135,11 +135,6 @@ class ProgressiveRound:
     stats: ExecutionStats
     resumed: bool = False
     grown: bool = False
-
-    @property
-    def new_calls(self) -> int:
-        """Service calls this round made."""
-        return self.stats.total_calls
 
     @property
     def elapsed(self) -> float:

@@ -86,8 +86,8 @@ class Row:
     ``values`` is aligned with ``layout.variables``.  The engine builds
     rows with ``Row(layout=..., values=...)``; ``Row(bindings=...)``
     derives a private layout from the mapping's key order and is what
-    hand-built rows use.  Rows are immutable by convention: every
-    ``with_*`` method returns a new row.
+    hand-built rows use.  Rows are immutable by convention: a changed
+    row is a new ``Row``.
 
     ``provenance`` holds one :data:`ProvenanceRecord` per contributing
     service page pull, in contribution order.  It is populated only
@@ -153,24 +153,6 @@ class Row:
     def rank_key(self) -> int:
         """Aggregated rank: the sum of per-service rank indexes."""
         return sum(rank for _, rank in self.ranks)
-
-    def with_rank(self, node_id: str, rank: int) -> "Row":
-        """Copy of the row with one more rank annotation."""
-        return Row(
-            layout=self.layout,
-            values=self.values,
-            ranks=self.ranks + ((node_id, rank),),
-            provenance=self.provenance,
-        )
-
-    def with_provenance(self, record: ProvenanceRecord) -> "Row":
-        """Copy of the row with one more provenance record."""
-        return Row(
-            layout=self.layout,
-            values=self.values,
-            ranks=self.ranks,
-            provenance=self.provenance + (record,),
-        )
 
     def project(self, head: Sequence[Hashable]) -> tuple:
         """The output tuple for the query head."""

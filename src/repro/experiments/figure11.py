@@ -212,22 +212,12 @@ class MultithreadingResult:
         return self.cells[(setting, mode)][1]
 
     @property
-    def speedup(self) -> float:
-        return self.elapsed("no-cache", "parallel") / self.elapsed(
-            "no-cache", "multithreaded"
-        )
-
-    @property
     def ordered_hotel_calls(self) -> int:
         return self.hotel_calls("one-call", "parallel")
 
     @property
     def threaded_hotel_calls(self) -> int:
         return self.hotel_calls("one-call", "multithreaded")
-
-    @property
-    def cache_degraded(self) -> bool:
-        return self.threaded_hotel_calls > self.ordered_hotel_calls
 
     def render(self) -> str:
         lines = [f"{'cache':<10} {'mode':<15} {'hotel calls':>12} {'time[s]':>9}"]

@@ -181,13 +181,6 @@ class Figure7Result:
             f"ETM, k={self.k}"
         )
 
-    def cost_of(self, poset: Poset) -> float:
-        """The cost of the plan whose precedence closure is *poset*'s."""
-        closure = poset.closure()
-        return next(
-            row.cost for row in self.plans if row.poset.closure() == closure
-        )
-
     def render(self) -> str:
         named = {
             poset_serial().closure(): "S (Fig. 7a)",

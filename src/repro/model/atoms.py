@@ -52,18 +52,9 @@ class Atom:
         """
         return frozenset(t for t in self.terms if isinstance(t, Variable))
 
-    @property
-    def constants(self) -> tuple[Constant, ...]:
-        """Constants in argument order (with duplicates)."""
-        return tuple(t for t in self.terms if isinstance(t, Constant))
-
     def term_at(self, position: int) -> Term:
         """The term at a zero-based argument *position*."""
         return self.terms[position]
-
-    def positions_of(self, variable: Variable) -> tuple[int, ...]:
-        """All argument positions where *variable* occurs."""
-        return tuple(k for k, t in enumerate(self.terms) if t == variable)
 
     def input_terms(self, pattern: AccessPattern) -> tuple[Term, ...]:
         """Terms at the input positions of *pattern*."""

@@ -126,10 +126,6 @@ class Comparison:
             return self.selectivity
         return DEFAULT_SELECTIVITY[self.op]
 
-    def is_evaluable(self, bound: frozenset[Variable]) -> bool:
-        """True when every variable of the predicate is in *bound*."""
-        return self.variables <= bound
-
     def holds(self, binding: Mapping[Variable, object]) -> bool:
         """Evaluate the predicate under *binding*."""
         left = evaluate_expression(self.left, binding)
@@ -179,16 +175,3 @@ def add(left: object, right: object) -> BinaryExpression:
         return term_from_literal(value)
 
     return BinaryExpression(op="+", left=as_expression(left), right=as_expression(right))
-
-
-def combined_selectivity(predicates: tuple[Comparison, ...]) -> float:
-    """Product of the selectivities, assuming predicate independence.
-
-    The paper assumes "domain uniformity and independence" (Section
-    2.2), so the joint selectivity of several predicates is the product
-    of individual selectivities.
-    """
-    result = 1.0
-    for predicate in predicates:
-        result *= predicate.estimated_selectivity()
-    return result

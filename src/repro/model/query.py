@@ -82,37 +82,9 @@ class ConjunctiveQuery:
         """Service names used in the body, in atom order (with repeats)."""
         return tuple(a.service for a in self.atoms)
 
-    @property
-    def is_multi_domain(self) -> bool:
-        """True when the body spans at least two distinct services."""
-        return len(set(self.services)) > 1
-
     def atom_index(self, body_atom: Atom) -> int:
         """Index of *body_atom* in the body (first occurrence)."""
         return self.atoms.index(body_atom)
-
-    def atoms_with_variable(self, variable: Variable) -> tuple[int, ...]:
-        """Indices of body atoms mentioning *variable*."""
-        return tuple(
-            k for k, body_atom in enumerate(self.atoms)
-            if variable in body_atom.variable_set
-        )
-
-    def join_variables(self) -> frozenset[Variable]:
-        """Variables shared by at least two body atoms (equi-join vars)."""
-        seen: set[Variable] = set()
-        shared: set[Variable] = set()
-        for body_atom in self.atoms:
-            for variable in body_atom.variable_set:
-                if variable in seen:
-                    shared.add(variable)
-                else:
-                    seen.add(variable)
-        return frozenset(shared)
-
-    def predicates_on(self, variables: frozenset[Variable]) -> tuple[Comparison, ...]:
-        """Predicates evaluable once *variables* are all bound."""
-        return tuple(p for p in self.predicates if p.variables <= variables)
 
     def validate_against(self, schema: Schema) -> None:
         """Check every atom against *schema* (service known, arity ok)."""

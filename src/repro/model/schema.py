@@ -64,10 +64,6 @@ class AccessPattern:
         """Number of arguments the pattern adorns."""
         return len(self.code)
 
-    def is_input(self, position: int) -> bool:
-        """True if *position* is an input argument under this pattern."""
-        return self.code[position] == "i"
-
     def is_more_cogent_than(self, other: "AccessPattern") -> bool:
         """The ⊑IO relation: every input of *other* is an input of self.
 
@@ -78,10 +74,6 @@ class AccessPattern:
                 f"cannot compare patterns of different arity: {self.code} vs {other.code}"
             )
         return all(self.code[k] == "i" for k in other.input_positions)
-
-    def is_strictly_more_cogent_than(self, other: "AccessPattern") -> bool:
-        """The ≺IO relation: ⊑IO holds one way but not the other."""
-        return self.is_more_cogent_than(other) and not other.is_more_cogent_than(self)
 
     def __str__(self) -> str:
         return self.code
@@ -130,27 +122,9 @@ class ServiceSignature:
                 return candidate
         raise SchemaError(f"service {self.name!r} has no access pattern {code!r}")
 
-    def most_cogent_patterns(self) -> tuple[AccessPattern, ...]:
-        """Feasible patterns that are maximal under the cogency order."""
-        result = []
-        for candidate in self.patterns:
-            dominated = any(
-                other.is_strictly_more_cogent_than(candidate)
-                for other in self.patterns
-            )
-            if not dominated:
-                result.append(candidate)
-        return tuple(result)
-
     def domain_of(self, position: int) -> str:
         """Abstract domain name of the argument at *position*."""
         return self.domains[position]
-
-    def describe(self) -> str:
-        """Human-readable rendering, e.g. ``conf{ioooo,ooooi}(Topic, ...)``."""
-        codes = ",".join(p.code for p in self.patterns)
-        args = ", ".join(self.domains)
-        return f"{self.name}{{{codes}}}({args})"
 
 
 def signature(
@@ -204,20 +178,6 @@ class Schema:
     def names(self) -> tuple[str, ...]:
         """Names of all registered services, in insertion order."""
         return tuple(self._signatures)
-
-    def services_outputting_domain(self, domain: str) -> tuple[ServiceSignature, ...]:
-        """Signatures having *domain* in an output position of some pattern.
-
-        Used by off-query expansion (Section 7) to find services whose
-        outputs can seed input fields of the same abstract domain.
-        """
-        found = []
-        for sig in self:
-            for pattern in sig.patterns:
-                if any(sig.domains[k] == domain for k in pattern.output_positions):
-                    found.append(sig)
-                    break
-        return tuple(found)
 
 
 def schema_of(signatures: Iterable[ServiceSignature]) -> Schema:

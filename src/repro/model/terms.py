@@ -57,16 +57,6 @@ class Constant:
 Term = Union[Variable, Constant]
 
 
-def is_variable(term: object) -> bool:
-    """Return True if *term* is a :class:`Variable`."""
-    return isinstance(term, Variable)
-
-
-def is_constant(term: object) -> bool:
-    """Return True if *term* is a :class:`Constant`."""
-    return isinstance(term, Constant)
-
-
 def term_from_literal(value: object) -> Term:
     """Build a term from a plain Python value or an uppercase name.
 
@@ -80,13 +70,3 @@ def term_from_literal(value: object) -> Term:
     if isinstance(value, str) and value and value[0].isupper() and value.isidentifier():
         return Variable(value)
     return Constant(value)
-
-
-def variables_of(terms: tuple[Term, ...]) -> tuple[Variable, ...]:
-    """Return the variables occurring in *terms*, in order, with duplicates."""
-    return tuple(t for t in terms if isinstance(t, Variable))
-
-
-def constants_of(terms: tuple[Term, ...]) -> tuple[Constant, ...]:
-    """Return the constants occurring in *terms*, in order, with duplicates."""
-    return tuple(t for t in terms if isinstance(t, Constant))

@@ -154,28 +154,3 @@ class PlanMemo(Generic[Payload]):
     def store_plan(self, key: PlanKey, entry: PlanEntry[Payload]) -> None:
         """Record a complete plan evaluation."""
         self._plans[key] = entry
-
-    # -- introspection ---------------------------------------------------
-
-    @property
-    def state_entries(self) -> int:
-        """Number of search states whose open plan is kept."""
-        return len(self._bounds)
-
-    def bounds(self) -> dict[BoundKey, float]:
-        """The lower bound of every state whose bound was asked for."""
-        return {
-            key: state.bound
-            for key, state in self._bounds.items()
-            if state.bound is not None
-        }
-
-    @property
-    def bound_entries(self) -> int:
-        """Number of cached lower bounds."""
-        return len(self.bounds())
-
-    @property
-    def plan_entries(self) -> int:
-        """Number of cached complete evaluations."""
-        return len(self._plans)

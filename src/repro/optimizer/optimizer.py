@@ -28,7 +28,7 @@ open plans").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.costs.base import CostMetric
 from repro.execution.cache import CacheSetting
@@ -136,20 +136,6 @@ class Optimizer:
         # same query is re-optimized with unchanged profiles, and the
         # second run is answered almost entirely from the memo.
         self._memo: PlanMemo[_Candidate] = PlanMemo()
-
-    @property
-    def config(self) -> OptimizerConfig:
-        """The active configuration."""
-        return self._config
-
-    @property
-    def memo(self) -> PlanMemo[_Candidate]:
-        """The search memo (introspection for tests and benchmarks)."""
-        return self._memo
-
-    def clear_memo(self) -> None:
-        """Invalidate cached search results (e.g. profiles changed)."""
-        self._memo.clear()
 
     def optimize(self, query: ConjunctiveQuery) -> OptimizedPlan:
         """Find the best plan for *query* under the configured metric."""
@@ -447,18 +433,3 @@ class Optimizer:
         if name in {"execution-time", "bottleneck", "time-to-screen"}:
             return max((p.response_time for p in profiles), default=0.0)
         return sum(p.cost_per_call for p in profiles)
-
-
-def optimize_query(
-    query: ConjunctiveQuery,
-    registry: ServiceRegistry,
-    metric: CostMetric,
-    k: int = 10,
-    cache_setting: CacheSetting = CacheSetting.ONE_CALL,
-    **overrides: object,
-) -> OptimizedPlan:
-    """One-call convenience wrapper around :class:`Optimizer`."""
-    config = OptimizerConfig(k=k, cache_setting=cache_setting)
-    if overrides:
-        config = replace(config, **overrides)  # type: ignore[arg-type]
-    return Optimizer(registry, metric, config).optimize(query)

@@ -143,11 +143,6 @@ class PatternPhaseResult:
     most_cogent: tuple[PatternSequence, ...]
     ordered: tuple[PatternSequence, ...]
 
-    @property
-    def raw_space_size(self) -> int:
-        """Number of permissible sequences (after early discarding)."""
-        return len(self.permissible)
-
 
 def select_patterns(query: ConjunctiveQuery, schema: Schema) -> PatternPhaseResult:
     """Run phase 1 and package the result."""

@@ -286,11 +286,4 @@ def heuristic_posets(
     )
 
 
-def count_posets(
-    query: ConjunctiveQuery, patterns: Sequence[AccessPattern]
-) -> int:
-    """Number of distinct callable posets (used by Example 5.1 tests)."""
-    return len(TopologyEnumerator(query, patterns).all_posets())
-
-
 ExtensionOrderKey = Callable[[TopologyState], tuple]

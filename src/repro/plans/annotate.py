@@ -512,19 +512,3 @@ class AnnotationProgram:
 def annotate(plan: QueryPlan, cache_setting: CacheSetting) -> PlanAnnotation:
     """Estimates for every node of *plan* at its current fetching factors."""
     return AnnotationProgram(plan, cache_setting).run()
-
-
-def bulk_erspi(plan: QueryPlan) -> float:
-    """Ξ(G): the product of the erspi of all *bulk* service nodes.
-
-    Used by the closed-form fetch assignment (Eq. 5): the output size
-    of a plan whose chunked contributions can be isolated equals
-    ``Ξ(G) · Π (cs_i · F_i)``.  Join and predicate selectivities are
-    folded in by the caller via the annotation.
-    """
-    result = 1.0
-    for node in plan.service_nodes:
-        assert node.profile is not None
-        if not node.profile.is_chunked:
-            result *= node.profile.erspi * _selectivity_of(node)
-    return result

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
@@ -101,22 +101,6 @@ class Poset:
             p for p in preds
             if not any((p, q) in closure for q in preds if q != p)
         )
-
-    def maximal_elements(self) -> frozenset[int]:
-        """Atoms with no successors."""
-        closure = self.closure()
-        has_successor = {i for i, _ in closure}
-        return frozenset(i for i in range(self.n) if i not in has_successor)
-
-    def minimal_elements(self) -> frozenset[int]:
-        """Atoms with no predecessors."""
-        closure = self.closure()
-        has_predecessor = {j for _, j in closure}
-        return frozenset(i for i in range(self.n) if i not in has_predecessor)
-
-    def is_chain(self) -> bool:
-        """True when the order is total (a single serial pipeline)."""
-        return len(self.closure()) == self.n * (self.n - 1) // 2
 
 
 class _Stream(NamedTuple):
@@ -421,20 +405,3 @@ class PlanBuilder:
                     f"its predecessors {sorted(ancestors)} "
                     f"with pattern {patterns[index].code!r}"
                 )
-
-
-def chain_poset(n: int, order: Iterable[int]) -> Poset:
-    """A total order visiting atoms in *order* (a serial pipeline)."""
-    sequence = list(order)
-    if sorted(sequence) != list(range(n)):
-        raise PlanError(f"order {sequence} is not a permutation of 0..{n - 1}")
-    pairs = {
-        (sequence[i], sequence[i + 1]) for i in range(len(sequence) - 1)
-    }
-    return Poset(n=n, pairs=frozenset(pairs))
-
-
-def parallel_after(n: int, first: int) -> Poset:
-    """Atom *first* before all others, which run in parallel."""
-    pairs = {(first, j) for j in range(n) if j != first}
-    return Poset(n=n, pairs=frozenset(pairs))

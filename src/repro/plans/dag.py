@@ -9,7 +9,7 @@ by any directed path are invoked in parallel.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, PlanNode, ServiceNode
 
@@ -161,11 +161,6 @@ class QueryPlan:
             lambda plan: tuple(n for n in plan if isinstance(n, JoinNode)),
         )
 
-    @property
-    def chunked_service_nodes(self) -> tuple[ServiceNode, ...]:
-        """Service nodes whose service pages its results."""
-        return tuple(n for n in self.service_nodes if n.is_chunked)
-
     def service_node_for_atom(self, atom_index: int) -> ServiceNode:
         """The service node executing the body atom at *atom_index*."""
         for node in self.service_nodes:
@@ -281,13 +276,6 @@ class QueryPlan:
             stack.extend(self._succ[current])
         return frozenset(seen)
 
-    def upstream_service_nodes(self, node: PlanNode) -> tuple[ServiceNode, ...]:
-        """Service nodes among the strict ancestors of *node*."""
-        ids = self.ancestors(node)
-        return tuple(
-            n for n in self.service_nodes if n.node_id in ids
-        )
-
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
@@ -321,14 +309,6 @@ class QueryPlan:
 
     # -- misc ---------------------------------------------------------------
 
-    def arcs(self) -> tuple[tuple[PlanNode, PlanNode], ...]:
-        """All arcs as (origin, destination) node pairs."""
-        result = []
-        for origin_id, destinations in self._succ.items():
-            for destination_id in destinations:
-                result.append((self._nodes[origin_id], self._nodes[destination_id]))
-        return tuple(result)
-
     def __len__(self) -> int:
         return len(self._nodes)
 
@@ -337,18 +317,3 @@ class QueryPlan:
 
     def __contains__(self, node: PlanNode) -> bool:
         return node.node_id in self._nodes
-
-    def describe(self) -> str:
-        """Multi-line description: one ``a -> b`` line per arc."""
-        lines = []
-        for origin, destination in self.arcs():
-            lines.append(f"{origin.label} -> {destination.label}")
-        return "\n".join(lines)
-
-
-def plan_with_nodes(nodes: Iterable[PlanNode]) -> QueryPlan:
-    """Small helper for tests: a plan containing *nodes*, no arcs yet."""
-    plan = QueryPlan()
-    for node in nodes:
-        plan.add_node(node)
-    return plan

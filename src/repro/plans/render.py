@@ -1,13 +1,11 @@
 """Textual rendering of query plans.
 
-Two renderers are provided:
-
-* :func:`render_ascii` — an indented, topologically ordered listing
-  with the visual conventions of Figure 4 mapped onto text markers:
-  ``*`` for proliferative exact services, ``~`` for search services,
-  ``|chunked|`` for chunked ones, ``NL``/``MS`` labels on parallel
-  joins, and ``F=...`` fetch annotations;
-* :func:`render_dot` — Graphviz DOT output for the same DAG.
+:func:`render_ascii` is an indented, topologically ordered listing
+with the visual conventions of Figure 4 mapped onto text markers:
+``*`` for proliferative exact services, ``~`` for search services,
+``|chunked|`` for chunked ones, ``NL``/``MS`` labels on parallel joins,
+and ``F=...`` fetch annotations; :func:`summarize` is its one-line
+form.
 
 Annotations (``t_in``/``t_out``/calls, as in Figure 8) can be included
 when a :class:`~repro.plans.annotate.PlanAnnotation` is supplied.
@@ -17,7 +15,7 @@ from __future__ import annotations
 
 from repro.plans.annotate import PlanAnnotation
 from repro.plans.dag import QueryPlan
-from repro.plans.nodes import InputNode, JoinNode, OutputNode, PlanNode, ServiceNode
+from repro.plans.nodes import InputNode, JoinNode, PlanNode, ServiceNode
 
 
 def _node_text(node: PlanNode, annotation: PlanAnnotation | None) -> str:
@@ -50,23 +48,6 @@ def render_ascii(plan: QueryPlan, annotation: PlanAnnotation | None = None) -> s
             names = " + ".join(p.label for p in predecessors)
             origin = f"<- {names}  "
         lines.append(f"{indent}{origin}{_node_text(node, annotation)}")
-    return "\n".join(lines)
-
-
-def render_dot(plan: QueryPlan, annotation: PlanAnnotation | None = None) -> str:
-    """Render *plan* in Graphviz DOT syntax."""
-    lines = ["digraph plan {", "  rankdir=LR;"]
-    for node in plan.nodes:
-        shape = "box"
-        if isinstance(node, (InputNode, OutputNode)):
-            shape = "circle"
-        elif isinstance(node, JoinNode):
-            shape = "diamond"
-        label = _node_text(node, annotation).replace('"', "'")
-        lines.append(f'  "{node.node_id}" [shape={shape}, label="{label}"];')
-    for origin, destination in plan.arcs():
-        lines.append(f'  "{origin.node_id}" -> "{destination.node_id}";')
-    lines.append("}")
     return "\n".join(lines)
 
 

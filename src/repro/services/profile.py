@@ -16,7 +16,7 @@ is *selective*.  Search services are normally highly proliferative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.digest import content_digest
@@ -99,11 +99,6 @@ class ServiceProfile:
         return self.chunk_size is not None
 
     @property
-    def is_bulk(self) -> bool:
-        """True when all results come back from a single request."""
-        return self.chunk_size is None
-
-    @property
     def is_selective(self) -> bool:
         """erspi in (0, 1]: invocations shrink the tuple flow."""
         return self.erspi <= 1.0
@@ -123,10 +118,6 @@ class ServiceProfile:
         if self.decay is None or self.chunk_size is None:
             return None
         return max(1, math.ceil(self.decay / self.chunk_size))
-
-    def with_cost(self, cost_per_call: float) -> "ServiceProfile":
-        """Copy of the profile with a different per-call cost."""
-        return replace(self, cost_per_call=cost_per_call)
 
     def fingerprint(self) -> str:
         """Stable content hash of the profile's statistics.

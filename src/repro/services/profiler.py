@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.model.schema import AccessPattern
 from repro.services.base import Service
-from repro.services.profile import ServiceKind, ServiceProfile
+from repro.services.profile import ServiceKind
 
 
 @dataclass(frozen=True)
@@ -31,20 +31,6 @@ class ProfileEstimate:
     average_result_size: float
     average_response_time: float
     chunk_size: int | None
-
-    def as_profile(self, decay: int | None = None) -> ServiceProfile:
-        """Convert the estimate into a usable :class:`ServiceProfile`."""
-        return ServiceProfile(
-            kind=self.kind,
-            erspi=(
-                float(self.chunk_size)
-                if self.kind is ServiceKind.SEARCH and self.chunk_size
-                else self.average_result_size
-            ),
-            response_time=self.average_response_time,
-            chunk_size=self.chunk_size,
-            decay=decay,
-        )
 
     def table_row(self) -> tuple[str, str, str, str, str]:
         """A Table 1-style row: name, type, chunk, avg size, avg time.

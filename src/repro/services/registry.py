@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
 from repro.digest import content_digest
-from repro.model.schema import Schema, SchemaError, ServiceSignature
+from repro.model.schema import Schema, SchemaError, ServiceSignature, schema_of
 from repro.services.base import Service
 from repro.services.profile import ServiceProfile
 
@@ -111,10 +111,7 @@ class ServiceRegistry:
 
     def schema(self) -> Schema:
         """A :class:`Schema` view over all registered signatures."""
-        schema = Schema()
-        for service in self:
-            schema.add(service.signature)
-        return schema
+        return schema_of(service.signature for service in self)
 
     def join_method(self, service_a: str, service_b: str) -> JoinMethod:
         """Preferred parallel-join method for a pair of services.

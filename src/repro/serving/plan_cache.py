@@ -259,15 +259,3 @@ class PlanCache:
         with self._lock:
             if self._tier is not None:
                 self._tier.close()
-
-    @property
-    def memory_entries(self) -> int:
-        """Entries currently resident in the LRU tier."""
-        with self._lock:
-            return len(self._memory)
-
-    @property
-    def disk_entries(self) -> int:
-        """Entries currently resident in the disk tier."""
-        with self._lock:
-            return len(self._tier) if self._tier is not None else 0

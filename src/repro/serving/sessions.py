@@ -94,11 +94,6 @@ class Session:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    @property
-    def closed(self) -> bool:
-        """True once the continuation state has been released."""
-        return self.executor is None
-
     def close(self) -> None:
         """Release the continuation state (stream, cursors, cache refs)."""
         self.executor = None
@@ -127,12 +122,6 @@ class SessionManager:
     def __len__(self) -> int:
         with self._lock:
             return len(self._sessions)
-
-    @property
-    def active_ids(self) -> tuple[str, ...]:
-        """Ids of live sessions, least recently touched first."""
-        with self._lock:
-            return tuple(self._sessions)
 
     def create(
         self, query: ConjunctiveQuery, executor: ProgressiveExecutor,

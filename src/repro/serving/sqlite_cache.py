@@ -196,15 +196,6 @@ class SQLiteDiskTier:
         """Delete every row."""
         self._pool.connection().execute("DELETE FROM plans")
 
-    def keys(self) -> tuple[str, ...]:
-        """Every stored key, sorted (for tests and differentials)."""
-        return tuple(
-            row[0]
-            for row in self._pool.connection().execute(
-                "SELECT key FROM plans ORDER BY key"
-            )
-        )
-
     def __len__(self) -> int:
         return self._pool.connection().execute(
             "SELECT COUNT(*) FROM plans"

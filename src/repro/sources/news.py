@@ -11,17 +11,13 @@ Services:
 * ``profile(Company, Sector, Country)`` — exact company directory,
   accessible by company or by sector.
 
-The showcase query: companies in a given sector that made the news on
-days their stock moved sharply.
+``examples/news_monitor.py`` asks it, per topic and sector, for the
+companies in the news and their stock's move on that day.
 """
 
 from __future__ import annotations
 
-from repro.model.atoms import Atom
-from repro.model.predicates import Comparison
-from repro.model.query import ConjunctiveQuery
 from repro.model.schema import ServiceSignature, signature
-from repro.model.terms import Constant, Variable
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
@@ -132,29 +128,3 @@ def news_registry() -> ServiceRegistry:
         )
     )
     return registry
-
-
-def market_moving_news_query(
-    topic: str = "merger", sector: str = "tech", min_move: int = 5
-) -> ConjunctiveQuery:
-    """News on *topic* about *sector* companies whose stock moved."""
-    article = Variable("Article")
-    headline = Variable("Headline")
-    company = Variable("Company")
-    date = Variable("Date")
-    change = Variable("Change")
-    country = Variable("Country")
-    atoms = (
-        Atom("newssearch", (Constant(topic), article, headline, company, date)),
-        Atom("quotes", (company, date, change)),
-        Atom("profile", (company, Constant(sector), country)),
-    )
-    predicates = (
-        Comparison(change, ">=", Constant(min_move), selectivity=0.3),
-    )
-    return ConjunctiveQuery(
-        name="marketnews",
-        head=(company, headline, date, change),
-        atoms=atoms,
-        predicates=predicates,
-    )

@@ -31,7 +31,7 @@ from __future__ import annotations
 from repro.model.atoms import Atom
 from repro.model.predicates import BinaryExpression, Comparison
 from repro.model.query import ConjunctiveQuery
-from repro.model.schema import Schema, ServiceSignature, schema_of, signature
+from repro.model.schema import ServiceSignature, signature
 from repro.model.terms import Constant, Variable
 from repro.optimizer.patterns import PatternSequence
 from repro.plans.builder import Poset
@@ -97,13 +97,6 @@ def hotel_signature() -> ServiceSignature:
         "hotel",
         ["HotelName", "City", "Category", "Date", "Date", "Price"],
         ["oiiiio", "oooooo"],
-    )
-
-
-def travel_schema() -> Schema:
-    """The schema of Figure 2."""
-    return schema_of(
-        [conf_signature(), weather_signature(), flight_signature(), hotel_signature()]
     )
 
 
@@ -210,16 +203,6 @@ def alpha1_patterns() -> PatternSequence:
         flight_signature().pattern("iiiiooo"),
         hotel_signature().pattern("oiiiio"),
         conf_signature().pattern("ioooo"),
-        weather_signature().pattern("ioi"),
-    )
-
-
-def alpha4_patterns() -> PatternSequence:
-    """α4: conf₂ (city-driven), flight, hotel₂ (all output), weather."""
-    return (
-        flight_signature().pattern("iiiiooo"),
-        hotel_signature().pattern("oooooo"),
-        conf_signature().pattern("ooooi"),
         weather_signature().pattern("ioi"),
     )
 

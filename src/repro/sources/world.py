@@ -234,15 +234,3 @@ def build_world() -> TravelWorld:
         hot_cities=tuple(sorted(HOT_CITY_CONFS)),
         mild_cities=tuple(sorted(MILD_CITIES)),
     )
-
-
-def expected_plan_s_flight_tuples() -> int:
-    """The calibrated number of flight tuples flowing to hotel in plan S.
-
-    Sum over the 16 weather-passing conference tuples of the number of
-    flights to their city — 284, matching Figure 11's no-cache hotel
-    calls for the serial plan.
-    """
-    return sum(
-        HOT_CITY_CONFS[city] * HOT_CITY_FLIGHTS[city] for city in HOT_CITY_CONFS
-    )

@@ -14,7 +14,8 @@ ablations compare it with (:mod:`repro.testing.wsms`); the seeded
 workload generator the scalability benches sweep
 (:mod:`repro.testing.synthetic`); the visit-order property, the
 compiled join of hand-built rows and the pre-built page source of the
-join and cursor suites
+join and cursor suites, the precedence shapes of hand-built plans,
+the news domain's query and the up-front unit mask
 (:mod:`repro.testing.fixtures`); and the deterministic fault-injection
 kit (:mod:`repro.testing.faults`).  Production modules under
 ``src/repro/`` never import this package, and every production module
@@ -31,14 +32,19 @@ from repro.testing.faults import (
 )
 from repro.testing.fixtures import (
     ListPageSource,
+    chain_poset,
     compiled_join,
     is_order_rank_consistent,
+    market_moving_news_query,
+    mask_unit,
+    parallel_after,
 )
 from repro.testing.reference import (
     ReexecutingExecutor,
     ReferenceResult,
     eager_streamed_engine,
     execute_join,
+    memo_bounds,
     merged_with,
     reference_annotate,
     reference_execute,
@@ -68,6 +74,7 @@ __all__ = [
     "ReferenceResult",
     "SyntheticWorkload",
     "WsmsPlan",
+    "chain_poset",
     "compiled_join",
     "eager_streamed_engine",
     "execute_join",
@@ -75,7 +82,11 @@ __all__ = [
     "generate_workload",
     "greedy_selectivity_order",
     "is_order_rank_consistent",
+    "market_moving_news_query",
+    "mask_unit",
+    "memo_bounds",
     "merged_with",
+    "parallel_after",
     "reference_annotate",
     "reference_execute",
     "reference_partial_bound",

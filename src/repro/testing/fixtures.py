@@ -1,23 +1,34 @@
-"""Fixtures of the join and lazy-cursor suites.
+"""Fixtures of the plan, join, lazy-cursor and resilience suites.
 
 :func:`is_order_rank_consistent` is the domination property the visit
 orders of :mod:`repro.execution.joins` are checked against;
 :func:`compiled_join` compiles the join of hand-built rows as a program
 compiles one; :class:`ListPageSource` is a page source over pre-built
 pages, which the suites drive the cursors of
-:mod:`repro.execution.lazy` with.  Nothing the engine runs calls any
-of them.
+:mod:`repro.execution.lazy` with.  :func:`chain_poset` and
+:func:`parallel_after` are the two precedence shapes hand-built plans
+use, :func:`market_moving_news_query` the query the news domain is
+tested and benched with, and :func:`mask_unit` the oracle side of the
+partial-results differential.  Nothing the engine runs calls any of
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
+from repro.execution.engine import ExecutionEngine
 from repro.execution.lazy import FetchedPage
+from repro.execution.resilience import UnresponsiveService
 from repro.execution.results import Row, SlotLayout
 from repro.execution.slots import CompiledJoin, compile_join
+from repro.model.atoms import Atom
 from repro.model.predicates import Comparison
+from repro.model.query import ConjunctiveQuery
+from repro.model.terms import Constant, Variable
+from repro.plans.builder import Poset
+from repro.plans.dag import PlanError
 from repro.services.registry import JoinMethod
 
 
@@ -124,3 +135,59 @@ class ListPageSource:
             has_more=page + 1 < len(self.pages),
             rank_floor=floor,
         )
+
+
+def chain_poset(n: int, order: Iterable[int]) -> Poset:
+    """A total order visiting atoms in *order* (a serial pipeline)."""
+    sequence = list(order)
+    if sorted(sequence) != list(range(n)):
+        raise PlanError(f"order {sequence} is not a permutation of 0..{n - 1}")
+    pairs = {
+        (sequence[i], sequence[i + 1]) for i in range(len(sequence) - 1)
+    }
+    return Poset(n=n, pairs=frozenset(pairs))
+
+
+def parallel_after(n: int, first: int) -> Poset:
+    """Atom *first* before all others, which run in parallel."""
+    pairs = {(first, j) for j in range(n) if j != first}
+    return Poset(n=n, pairs=frozenset(pairs))
+
+
+def market_moving_news_query(
+    topic: str = "merger", sector: str = "tech", min_move: int = 5
+) -> ConjunctiveQuery:
+    """News on *topic* about *sector* companies whose stock moved."""
+    article = Variable("Article")
+    headline = Variable("Headline")
+    company = Variable("Company")
+    date = Variable("Date")
+    change = Variable("Change")
+    country = Variable("Country")
+    atoms = (
+        Atom("newssearch", (Constant(topic), article, headline, company, date)),
+        Atom("quotes", (company, date, change)),
+        Atom("profile", (company, Constant(sector), country)),
+    )
+    predicates = (
+        Comparison(change, ">=", Constant(min_move), selectivity=0.3),
+    )
+    return ConjunctiveQuery(
+        name="marketnews",
+        head=(company, headline, date, change),
+        atoms=atoms,
+        predicates=predicates,
+    )
+
+
+def mask_unit(engine: ExecutionEngine, service: str, input_key: tuple) -> None:
+    """Demote one unit of *engine* before it executes anything.
+
+    The oracle of the partial-results differential: re-running a plan
+    on a *fault-free* registry with the certificate's dropped units
+    masked up front must reproduce the partial answer bit-for-bit.
+    """
+    failure = UnresponsiveService(
+        service, input_key, 0, 0, RuntimeError("masked up front")
+    )
+    engine.routing.demoted.setdefault((service, input_key), failure)

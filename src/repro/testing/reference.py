@@ -36,13 +36,14 @@ guards that); nothing under ``src/repro/`` outside this package may.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.costs.base import CostMetric
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import join_order
+from repro.execution.program import as_program
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.results import Row, compose_ranking
 from repro.execution.slots import ExecutionError
@@ -51,6 +52,7 @@ from repro.model.query import ConjunctiveQuery
 from repro.model.schema import AccessPattern
 from repro.model.terms import Constant, Variable
 from repro.optimizer.fetches import FetchContext
+from repro.optimizer.memo import PlanMemo
 from repro.optimizer.optimizer import Optimizer
 from repro.plans.annotate import (
     EQUALITY_OUTPUT_SELECTIVITY,
@@ -111,18 +113,20 @@ def execute_join(
 
 @dataclass(frozen=True)
 class ReferenceResult:
-    """What the reference produced: ranked rows, and per node the rows
-    it emitted (dict-built, so their layouts are the definition of the
-    node's variable order) and their number."""
+    """What the reference produced: ranked rows, per node the rows it
+    emitted (dict-built, so their layouts are the definition of the
+    node's variable order), and their number per node in topological
+    order — the index of the engine's ``stats.rows_out``."""
 
     rows: list[Row]
-    node_output_sizes: dict[str, int] = field(default_factory=dict)
+    rows_out: list[int] = field(default_factory=list)
     node_rows: dict[str, list[Row]] = field(default_factory=dict)
 
 
 class _EagerStreamedEngine(ExecutionEngine):
-    def _lazy_steps(self, program) -> frozenset[int]:
-        return frozenset()
+    def execute(self, plan, head=(), *args, **kwargs):
+        program = replace(as_program(plan, head), lazy=frozenset())
+        return super().execute(program, head, *args, **kwargs)
 
 
 def eager_streamed_engine(registry: ServiceRegistry, **options) -> ExecutionEngine:
@@ -194,7 +198,11 @@ def _run_service_node(
                 if merged is None:
                     continue
                 if rank is not None:
-                    merged = merged.with_rank(node.node_id, rank)
+                    merged = Row(
+                        layout=merged.layout, values=merged.values,
+                        ranks=merged.ranks + ((node.node_id, rank),),
+                        provenance=merged.provenance,
+                    )
                 if all(p.holds(merged.bindings) for p in node.predicates):
                     produced.append(merged)
             if not result.has_more:
@@ -230,7 +238,7 @@ def reference_execute(plan: QueryPlan, registry: ServiceRegistry) -> ReferenceRe
         outputs[node.node_id] = rows
     return ReferenceResult(
         rows=compose_ranking(outputs[plan.output_node.node_id]),
-        node_output_sizes={node_id: len(rows) for node_id, rows in outputs.items()},
+        rows_out=[len(rows) for rows in outputs.values()],
         node_rows=outputs,
     )
 
@@ -358,6 +366,17 @@ def search_states(
         yield bound, functools.partial(optimizer._close, run, state)
 
 
+def memo_bounds(memo: PlanMemo) -> dict:
+    """The lower bound of every search state *memo* keeps whose bound
+    the search asked for, by ``(pattern codes, closure)``: what
+    :func:`search_states` and :func:`reference_partial_bound` are
+    compared over."""
+    return {
+        key: state.bound for key, state in memo._bounds.items()
+        if state.bound is not None
+    }
+
+
 def _feed_size(plan: QueryPlan, node, estimates: dict[str, NodeEstimate]) -> float:
     predecessors = plan.predecessors(node)
     if len(predecessors) != 1:
@@ -372,9 +391,11 @@ def _service_selectivity(plan: QueryPlan, node: ServiceNode) -> float:
     """Predicates, then one equality charge per constrained output field."""
     assert node.atom is not None and node.pattern is not None
     bound_upstream: set[Variable] = set()
-    for ancestor in plan.upstream_service_nodes(node):
-        assert ancestor.atom is not None
-        bound_upstream |= ancestor.atom.variable_set
+    ancestors = plan.ancestors(node)
+    for ancestor in plan.service_nodes:
+        if ancestor.node_id in ancestors:
+            assert ancestor.atom is not None
+            bound_upstream |= ancestor.atom.variable_set
     selectivity = 1.0
     for predicate in node.predicates:
         selectivity *= predicate.estimated_selectivity()

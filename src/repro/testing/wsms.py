@@ -32,9 +32,10 @@ from repro.model.query import ConjunctiveQuery
 from repro.optimizer.patterns import PatternSequence, permissible_sequences
 from repro.optimizer.topology import atom_callable_after
 from repro.plans.annotate import PlanAnnotation, annotate
-from repro.plans.builder import PlanBuilder, Poset, chain_poset
+from repro.plans.builder import PlanBuilder, Poset
 from repro.plans.dag import PlanError, QueryPlan
 from repro.services.registry import ServiceRegistry
+from repro.testing.fixtures import chain_poset
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,10 @@ from repro.execution.cache import CacheSetting
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.sources.biblio import biblio_registry, experts_query
 from repro.sources.bio import bio_registry, glycolysis_homolog_query
-from repro.sources.news import market_moving_news_query, news_registry
+from repro.sources.news import news_registry
 from repro.sources.travel import running_example_query, travel_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
+from repro.testing import market_moving_news_query
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "golden_plans.json"
 

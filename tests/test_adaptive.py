@@ -398,7 +398,7 @@ class TestZeroDriftDifferential:
         for ours, theirs in zip(adaptive.rounds, static.rounds):
             assert ours.fetches == theirs.fetches
             assert ours.answers == theirs.answers
-            assert ours.new_calls == theirs.new_calls
+            assert ours.stats.total_calls == theirs.stats.total_calls
             assert ours.elapsed == pytest.approx(theirs.elapsed)
             assert ours.resumed == theirs.resumed
             assert ours.stats == theirs.stats

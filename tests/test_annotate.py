@@ -3,8 +3,8 @@
 import pytest
 
 from repro.execution.cache import CacheSetting
-from repro.plans.annotate import annotate, bulk_erspi
-from repro.plans.builder import PlanBuilder, chain_poset
+from repro.plans.annotate import annotate
+from repro.plans.builder import PlanBuilder
 from repro.sources.travel import (
     CONF_ATOM,
     FLIGHT_ATOM,
@@ -15,6 +15,7 @@ from repro.sources.travel import (
     poset_serial,
     running_example_query,
 )
+from repro.testing import chain_poset
 
 
 @pytest.fixture()
@@ -130,19 +131,22 @@ class TestStructuralProperties:
         h_large = annotate(large, CacheSetting.NO_CACHE).output_size
         assert h_large == pytest.approx(h_small * 6)
 
-    def test_bulk_erspi(self, figure8_plan):
-        # ξ_conf · ξ_weather_effective = 20 * 0.05 = 1
-        assert bulk_erspi(figure8_plan) == pytest.approx(1.0)
-
 
 class TestRebindingSelectivity:
     """Output fields that are constants or rebind bound variables act
     as selections (the execution engine drops mismatches)."""
 
     def test_constant_output_charged(self, registry, travel_query):
-        from repro.sources.travel import alpha4_patterns, HOTEL_ATOM as H
+        from repro.sources.travel import HOTEL_ATOM as H
 
         builder = PlanBuilder(travel_query, registry)
+        # α4: conf₂ (city-driven), flight, hotel₂ (all output), weather.
+        alpha4 = tuple(
+            registry.signature(atom.service).pattern(code)
+            for atom, code in zip(
+                travel_query.atoms, ("iiiiooo", "oooooo", "ooooi", "ioi")
+            )
+        )
         # hotel2 (all output) first, then conf2 by city, etc.
         from repro.plans.builder import Poset
 
@@ -150,7 +154,7 @@ class TestRebindingSelectivity:
             n=4,
             pairs=frozenset({(H, 0), (H, 2), (H, 3), (2, 0), (3, 0)}),
         )
-        plan = builder.build(alpha4_patterns(), poset)
+        plan = builder.build(alpha4, poset)
         annotation = annotate(plan, CacheSetting.NO_CACHE)
         hotel = plan.service_node_for_atom(H)
         # 'luxury' sits at an output position: one chunk of 5 tuples is

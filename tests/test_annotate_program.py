@@ -32,7 +32,7 @@ from repro.optimizer.patterns import permissible_sequences
 from repro.optimizer.topology import TopologyEnumerator
 from repro.plans.annotate import AnnotationProgram, PlanAnnotation, annotate
 from repro.plans.builder import PlanBuilder
-from repro.plans.dag import PlanError, plan_with_nodes
+from repro.plans.dag import PlanError, QueryPlan
 from repro.plans.nodes import InputNode, OutputNode, ServiceNode
 from repro.services.profile import exact_profile
 from repro.testing.reference import reference_annotate
@@ -195,7 +195,9 @@ class TestEquationTwoProductOrder:
             service(3, "d", ["X", "Y", "Z", "W"], "iiio", 1.0),
             OutputNode(),
         ]
-        plan = plan_with_nodes(nodes)
+        plan = QueryPlan()
+        for node in nodes:
+            plan.add_node(node)
         for origin, destination in zip(nodes, nodes[1:]):
             plan.add_arc(origin, destination)
         return plan, nodes
@@ -233,7 +235,9 @@ class TestEquationTwoProductOrder:
             service(3, "d", ["X", "Y", "W"], "iio", 1.0, "sd"),
             OutputNode(),
         ]
-        plan = plan_with_nodes(nodes)
+        plan = QueryPlan()
+        for node in nodes:
+            plan.add_node(node)
         for origin, destination in zip(nodes, nodes[1:]):
             plan.add_arc(origin, destination)
         annotation = annotate(plan, CacheSetting.ONE_CALL)

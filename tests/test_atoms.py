@@ -21,16 +21,13 @@ class TestAtomBasics:
             Variable("Name"), Variable("Start"), Variable("End"), Variable("City")
         )
 
-    def test_constants(self, conf_atom):
-        assert conf_atom.constants == (Constant("db"),)
+    def test_constants_stay_terms(self, conf_atom):
+        assert conf_atom.terms[0] == Constant("db")
+        assert Constant("db") not in conf_atom.variable_set
 
     def test_variable_set_deduplicates(self):
         repeated = atom("s", "X", "X", "Y")
         assert repeated.variable_set == {Variable("X"), Variable("Y")}
-
-    def test_positions_of(self):
-        repeated = atom("s", "X", "X", "Y")
-        assert repeated.positions_of(Variable("X")) == (0, 1)
 
     def test_str(self, conf_atom):
         assert str(conf_atom) == "conf('db', Name, Start, End, City)"

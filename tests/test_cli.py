@@ -226,7 +226,7 @@ class TestMigratePlanCache:
         assert hit is not None and hit.epoch == "e1" and hit.spec == old_spec
         kept = migrated.lookup("shared")  # existing database row wins
         assert kept.cost == 9.0 and kept.epoch == "e2" and kept.spec == new_spec
-        assert migrated.disk_entries == 2
+        assert len(migrated._tier) == 2
 
     @pytest.mark.parametrize("content", [None, "not json", '{"version": 3}'])
     def test_unreadable_source_is_a_message_not_a_traceback(
@@ -269,7 +269,7 @@ class TestBadInput:
         assert captured.err.startswith(f"error: {error}")
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("command", ["query", "serve"])
+    @pytest.mark.parametrize("command", ["query", "serve", "migrate-plan-cache"])
     @pytest.mark.parametrize(
         "where, error",
         [
@@ -282,16 +282,29 @@ class TestBadInput:
     ):
         import io
 
+        from repro.plans.spec import PlanSpec
+        from tests.test_serving import _json_tier_payload
+
         (tmp_path / "FILE").write_text("")
         path = tmp_path if where == "directory" else tmp_path / "FILE" / "plans.sqlite"
+        if command == "migrate-plan-cache":
+            source = tmp_path / "plans.json"
+            source.write_text(_json_tier_payload({
+                "key": (PlanSpec(("io",), (), ()), 1.0, "time", "e1"),
+            }))
+            argv = [command, str(source), str(path)]
+        else:
+            argv = [command, "--domain", "weekend", "--plan-cache", str(path)]
         monkeypatch.setattr("sys.stdin", io.StringIO("demo\n"))
+        before = sorted(tmp_path.rglob("*"))
         with pytest.raises(SystemExit) as exit_info:
-            main([command, "--domain", "weekend", "--plan-cache", str(path)])
+            main(argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {error}")
         assert "Traceback" not in captured.err
+        assert sorted(tmp_path.rglob("*")) == before  # nothing created
 
     def test_the_retired_hedge_flag_is_refused_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

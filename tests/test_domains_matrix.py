@@ -13,11 +13,12 @@ engine.
 
 import pytest
 
+from repro.testing import market_moving_news_query
 from repro.testing.exhaustive import exhaustive_optimize
 from repro.costs.sum_cost import RequestResponseMetric, SumCostMetric
 from repro.costs.time_cost import BottleneckMetric, ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode, execute_plan
+from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.resilience import ResilienceConfig
 from repro.execution.results import compose_ranking
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
@@ -48,10 +49,7 @@ def _domain(name):
 
             _DOMAINS[name] = (weekend_registry(), mahler_weekend_query(), 3)
         elif name == "news":
-            from repro.sources.news import (
-                market_moving_news_query,
-                news_registry,
-            )
+            from repro.sources.news import news_registry
 
             _DOMAINS[name] = (
                 news_registry(),
@@ -80,9 +78,8 @@ class TestDomainMetricMatrix:
             OptimizerConfig(k=k, cache_setting=CacheSetting.ONE_CALL),
         ).optimize(query)
         assert best.expected_answers >= k
-        result = execute_plan(
-            best.plan, registry, head=query.head,
-            cache_setting=CacheSetting.ONE_CALL,
+        result = ExecutionEngine(registry, cache_setting=CacheSetting.ONE_CALL).execute(
+            best.plan, head=query.head
         )
         # Executed answers satisfy every query predicate.
         for row in result.rows:
@@ -160,7 +157,7 @@ def test_engine_rows_equal_the_reference_interpreter(domain, mode, cache_setting
             dict(r.bindings) for r in reference.rows
         ]
     if mode is ExecutionMode.PARALLEL:
-        assert result.node_output_sizes == reference.node_output_sizes
+        assert result.stats.rows_out == reference.rows_out
     # One layout object for the whole answer, covering the head.
     assert all(row.layout is result.rows[0].layout for row in result.rows)
     assert set(head) <= set(result.rows[0].layout.variables)

@@ -3,15 +3,10 @@
 import pytest
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import (
-    ExecutionEngine,
-    ExecutionError,
-    ExecutionMode,
-    execute_plan,
-)
+from repro.execution.engine import ExecutionEngine, ExecutionError, ExecutionMode
 from repro.model.predicates import Comparison
 from repro.model.terms import Constant, Variable
-from repro.plans.builder import PlanBuilder, chain_poset
+from repro.plans.builder import PlanBuilder
 from repro.services.registry import JoinMethod
 from repro.sources.travel import (
     FLIGHT_ATOM,
@@ -21,6 +16,7 @@ from repro.sources.travel import (
     poset_parallel,
     poset_serial,
 )
+from repro.testing import chain_poset
 
 
 @pytest.fixture()
@@ -37,7 +33,7 @@ def tiny_plan(tiny_registry, tiny_query):
 
 class TestTinyExecution:
     def test_answers_correct(self, tiny_registry, tiny_query, tiny_plan):
-        result = execute_plan(tiny_plan, tiny_registry, head=tiny_query.head)
+        result = ExecutionEngine(tiny_registry).execute(tiny_plan, head=tiny_query.head)
         answers = set(result.answers())
         # Italian cities with spots scoring >= 7, within 2 chunks of 2.
         assert answers == {
@@ -46,24 +42,26 @@ class TestTinyExecution:
         }
 
     def test_pipe_join_passes_parameters(self, tiny_registry, tiny_plan):
-        result = execute_plan(tiny_plan, tiny_registry)
+        result = ExecutionEngine(tiny_registry).execute(tiny_plan)
         stats = result.stats
         assert stats.calls("cities") == 1
         assert stats.calls("spots") == 3  # Roma, Milano, Torino
 
     def test_fetch_stops_when_exhausted(self, tiny_registry, tiny_plan):
-        result = execute_plan(tiny_plan, tiny_registry)
+        result = ExecutionEngine(tiny_registry).execute(tiny_plan)
         # Milano has 2 spots (one chunk), Torino none: fewer fetches
         # than calls * F.
         assert result.stats.service("spots").fetches == 4  # 2 + 1 + 1
 
     def test_ranking_order(self, tiny_registry, tiny_query, tiny_plan):
-        result = execute_plan(tiny_plan, tiny_registry, head=tiny_query.head)
+        result = ExecutionEngine(tiny_registry).execute(tiny_plan, head=tiny_query.head)
         spots_in_order = [t[1] for t in result.answers() if t[0] == "Roma"]
         assert spots_in_order == ["Colosseo", "Pantheon", "Trastevere"]
 
     def test_elapsed_of_a_chain_is_the_sum(self, tiny_registry, tiny_plan):
-        par = execute_plan(tiny_plan, tiny_registry, mode=ExecutionMode.PARALLEL)
+        par = ExecutionEngine(tiny_registry, mode=ExecutionMode.PARALLEL).execute(
+            tiny_plan
+        )
         # The plan is a chain: its critical path is every service.
         assert par.elapsed == pytest.approx(1.0 + 4 * 2.0)
 
@@ -80,9 +78,9 @@ class TestCacheSettings:
             ),
             chain_poset(2, [0, 1]),
         )
-        result = execute_plan(
-            plan, tiny_registry, cache_setting=CacheSetting.OPTIMAL
-        )
+        result = ExecutionEngine(
+            tiny_registry, cache_setting=CacheSetting.OPTIMAL
+        ).execute(plan)
         assert result.stats.calls("spots") == 3
 
 
@@ -95,7 +93,7 @@ class TestTravelPlans:
             ("S", poset_serial()), ("P", poset_parallel()), ("O", poset_optimal())
         ):
             plan = builder.build(alpha1_patterns(), poset, fetches=fetches)
-            outcome = execute_plan(plan, registry, head=travel_query.head)
+            outcome = ExecutionEngine(registry).execute(plan, head=travel_query.head)
             results[name] = frozenset(outcome.answers())
         assert results["S"] == results["P"] == results["O"]
         assert len(results["O"]) > 0
@@ -105,7 +103,7 @@ class TestTravelPlans:
             alpha1_patterns(), poset_optimal(),
             fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 1},
         )
-        result = execute_plan(plan, registry, head=travel_query.head)
+        result = ExecutionEngine(registry).execute(plan, head=travel_query.head)
         head_index = {v.name: i for i, v in enumerate(travel_query.head)}
         for answer in result.answers():
             assert answer[head_index["FPrice"]] + answer[head_index["HPrice"]] < 2000
@@ -115,7 +113,7 @@ class TestTravelPlans:
             alpha1_patterns(), poset_optimal(),
             fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 1},
         )
-        result = execute_plan(plan, registry, head=travel_query.head)
+        result = ExecutionEngine(registry).execute(plan, head=travel_query.head)
         city_index = [v.name for v in travel_query.head].index("City")
         cities = {answer[city_index] for answer in result.answers()}
         assert cities <= set(world.hot_cities)
@@ -129,12 +127,11 @@ class TestTravelPlans:
             alpha1_patterns(), poset_serial(),
             fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 1},
         )
-        parallel = execute_plan(
-            plan, registry, head=travel_query.head, mode=ExecutionMode.PARALLEL
+        parallel = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
+            plan, head=travel_query.head
         )
-        threaded = execute_plan(
-            plan, registry, head=travel_query.head,
-            mode=ExecutionMode.MULTITHREADED,
+        threaded = ExecutionEngine(registry, mode=ExecutionMode.MULTITHREADED).execute(
+            plan, head=travel_query.head
         )
         assert frozenset(parallel.answers()) == frozenset(threaded.answers())
         assert threaded.elapsed < parallel.elapsed
@@ -207,5 +204,6 @@ class TestResidualPredicatesRunOncePerRow:
             plan, head=query.head
         )
         (join,) = plan.join_nodes
-        assert _CountingBound.evaluations == full.node_output_sizes[join.node_id]
+        rows_out = full.stats.rows_out[plan.topological_order().index(join)]
+        assert _CountingBound.evaluations == rows_out
         assert all(row.value(Variable("L")) < 3 for row in full.rows)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.execution.engine import ExecutionEngine
 from repro.extensions.expansion import (
     ExpansionError,
     blocked_variables,
@@ -13,6 +14,7 @@ from repro.model.atoms import atom
 from repro.model.query import query
 from repro.model.schema import Schema, schema_of, signature
 from repro.model.terms import Variable
+from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.patterns import permissible_sequences
 
 
@@ -116,8 +118,6 @@ class TestExpansion:
 
     def test_expansion_answers_are_subset(self, blocked_schema, blocked_query):
         """Execute both on materialized data: expansion ⊆ original."""
-        from repro.execution.engine import execute_plan
-        from repro.optimizer.optimizer import optimize_query
         from repro.costs.sum_cost import RequestResponseMetric
         from repro.services.profile import exact_profile
         from repro.services.registry import ServiceRegistry
@@ -147,10 +147,10 @@ class TestExpansion:
             )
         )
         expanded = expand_query(blocked_query, blocked_schema)
-        best = optimize_query(
-            expanded.query, registry, RequestResponseMetric(), k=1
-        )
-        result = execute_plan(best.plan, registry, head=blocked_query.head)
+        best = Optimizer(
+            registry, RequestResponseMetric(), OptimizerConfig(k=1)
+        ).optimize(expanded.query)
+        result = ExecutionEngine(registry).execute(best.plan, head=blocked_query.head)
         answers = set(result.answers())
         # Subset semantics: Milano is a valid answer of the original
         # query but oldTown does not provide it.

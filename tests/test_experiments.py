@@ -78,9 +78,11 @@ class TestFigure11Runner:
 class TestMultithreadingRunner:
     def test_speedup_and_degradation(self):
         result = run_multithreading()
-        assert result.speedup > 3
+        speedup = result.elapsed("no-cache", "parallel") / result.elapsed(
+            "no-cache", "multithreaded"
+        )
+        assert speedup > 3
         assert result.ordered_hotel_calls == 15
-        assert result.cache_degraded
         assert 15 < result.threaded_hotel_calls <= 284
 
     def test_grid(self):

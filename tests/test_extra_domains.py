@@ -4,8 +4,10 @@ import pytest
 
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import execute_plan
-from repro.optimizer.optimizer import optimize_query
+
+
+from repro.execution.engine import ExecutionEngine
+from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.services.registry import JoinMethod
 from repro.sources.bio import (
     BLAST_DECAY,
@@ -33,10 +35,11 @@ class TestBioDomain:
     def test_optimized_execution_finds_homologs(self):
         registry = bio_registry()
         query = glycolysis_homolog_query()
-        best = optimize_query(query, registry, ExecutionTimeMetric(), k=5)
-        result = execute_plan(
-            best.plan, registry, head=query.head,
-            cache_setting=CacheSetting.ONE_CALL,
+        best = Optimizer(
+            registry, ExecutionTimeMetric(), OptimizerConfig(k=5)
+        ).optimize(query)
+        result = ExecutionEngine(registry, cache_setting=CacheSetting.ONE_CALL).execute(
+            best.plan, head=query.head
         )
         assert len(result.rows) >= 5
         for human, mouse, _, score in result.answers():
@@ -47,8 +50,10 @@ class TestBioDomain:
     def test_repeats_predicate_enforced(self):
         registry = bio_registry()
         query = glycolysis_homolog_query()
-        best = optimize_query(query, registry, ExecutionTimeMetric(), k=5)
-        result = execute_plan(best.plan, registry, head=query.head)
+        best = Optimizer(
+            registry, ExecutionTimeMetric(), OptimizerConfig(k=5)
+        ).optimize(query)
+        result = ExecutionEngine(registry).execute(best.plan, head=query.head)
         interpro_rows = {
             (row[0], row[1]): row[2]
             for row in registry.service("interpro").rows
@@ -59,7 +64,9 @@ class TestBioDomain:
     def test_decay_caps_blast_fetches(self):
         registry = bio_registry()
         query = glycolysis_homolog_query()
-        best = optimize_query(query, registry, ExecutionTimeMetric(), k=5)
+        best = Optimizer(
+            registry, ExecutionTimeMetric(), OptimizerConfig(k=5)
+        ).optimize(query)
         blast_node = best.plan.service_node_for_atom(2)
         assert blast_node.fetches <= 3
 
@@ -68,10 +75,11 @@ class TestBiblioDomain:
     def test_experts_found(self):
         registry = biblio_registry()
         query = experts_query()
-        best = optimize_query(query, registry, ExecutionTimeMetric(), k=5)
-        result = execute_plan(
-            best.plan, registry, head=query.head,
-            cache_setting=CacheSetting.OPTIMAL,
+        best = Optimizer(
+            registry, ExecutionTimeMetric(), OptimizerConfig(k=5)
+        ).optimize(query)
+        result = ExecutionEngine(registry, cache_setting=CacheSetting.OPTIMAL).execute(
+            best.plan, head=query.head
         )
         authors = {answer[0] for answer in result.answers()}
         assert authors & set(planted_experts())
@@ -79,8 +87,10 @@ class TestBiblioDomain:
     def test_year_filter_enforced(self):
         registry = biblio_registry()
         query = experts_query()
-        best = optimize_query(query, registry, ExecutionTimeMetric(), k=5)
-        result = execute_plan(best.plan, registry, head=query.head)
+        best = Optimizer(
+            registry, ExecutionTimeMetric(), OptimizerConfig(k=5)
+        ).optimize(query)
+        result = ExecutionEngine(registry).execute(best.plan, head=query.head)
         for _, _, _, year in result.answers():
             assert year >= 2005
 
@@ -103,8 +113,10 @@ class TestWeekendDomain:
     def test_answers_respect_budget_and_dates(self):
         registry = weekend_registry()
         query = mahler_weekend_query(budget=120)
-        best = optimize_query(query, registry, ExecutionTimeMetric(), k=3)
-        result = execute_plan(best.plan, registry, head=query.head)
+        best = Optimizer(
+            registry, ExecutionTimeMetric(), OptimizerConfig(k=3)
+        ).optimize(query)
+        result = ExecutionEngine(registry).execute(best.plan, head=query.head)
         assert len(result.rows) >= 3
         for _, date, price, _ in result.answers():
             assert "2008-04-01" <= date <= "2008-04-30"
@@ -113,8 +125,10 @@ class TestWeekendDomain:
     def test_answers_have_mahler_concerts(self):
         registry = weekend_registry()
         query = mahler_weekend_query()
-        best = optimize_query(query, registry, ExecutionTimeMetric(), k=3)
-        result = execute_plan(best.plan, registry, head=query.head)
+        best = Optimizer(
+            registry, ExecutionTimeMetric(), OptimizerConfig(k=3)
+        ).optimize(query)
+        result = ExecutionEngine(registry).execute(best.plan, head=query.head)
         concert_rows = set(registry.service("concerts").rows)
         for city, date, _, venue in result.answers():
             assert (city, date, "Mahler", venue) in concert_rows

@@ -33,7 +33,7 @@ from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
-from repro.plans.builder import PlanBuilder, chain_poset
+from repro.plans.builder import PlanBuilder
 from repro.services.profile import exact_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService
@@ -45,7 +45,7 @@ from repro.sources.travel import (
     running_example_query,
     travel_registry,
 )
-from repro.testing import FaultSchedule, wrap_registry_flaky
+from repro.testing import FaultSchedule, chain_poset, mask_unit, wrap_registry_flaky
 
 from tests.test_adaptive import build_world, make_flaky, row_view
 from tests.test_domains_matrix import _domain, _optimized_plan_and_reference
@@ -280,7 +280,7 @@ class TestReplanSharesRouting:
         make_flaky(registry, "lefts", delay_rate=1.0)
         executor = self._executor(registry, query, plan)
         first_engine = executor.engine
-        executor.engine.mask_unit("rights", UNIT_KEY)
+        mask_unit(executor.engine, "rights", UNIT_KEY)
         result = executor.run(4)
         assert executor.replans == 1
         assert executor.engine is first_engine
@@ -304,7 +304,7 @@ class TestMaskedBeforeRouted:
             resilience=ResilienceConfig(partial_results=True),
         )
         engine.routing.substitute_service("lefts", "lefts_backup")
-        engine.mask_unit("lefts", UNIT_KEY)
+        mask_unit(engine, "lefts", UNIT_KEY)
         routed = []
         route = engine.routing.route
 

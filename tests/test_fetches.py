@@ -14,7 +14,7 @@ from repro.optimizer.fetches import (
     greedy_assignment,
     square_assignment,
 )
-from repro.plans.builder import PlanBuilder, chain_poset
+from repro.plans.builder import PlanBuilder
 from repro.sources.travel import (
     FLIGHT_ATOM,
     HOTEL_ATOM,
@@ -22,6 +22,7 @@ from repro.sources.travel import (
     poset_optimal,
     poset_serial,
 )
+from repro.testing import chain_poset
 
 
 @pytest.fixture()

@@ -38,11 +38,11 @@ from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
-from repro.plans.builder import PlanBuilder, Poset, chain_poset
+from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
-from repro.testing import ListPageSource, compiled_join, execute_join
+from repro.testing import ListPageSource, chain_poset, compiled_join, execute_join
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
@@ -295,13 +295,13 @@ class TestLazyStreamedEngine:
         assert oracle.stats.total_fetches == 10
         assert lazy.stats.lazy_tuples_fetched == 8
         assert lazy.stats.lazy_calls_saved == 8
-        # Node sizes trace what was actually materialized.
-        sizes = lazy.node_output_sizes
-        lazy_nodes = [
-            n for n in plan.topological_order()
-            if getattr(n, "service_name", None) in ("lefts", "rights")
+        # The ledger's rows out trace what was actually materialized.
+        lazy_steps = [
+            step.index for step in lazy.program.steps
+            if step.binding is not None
+            and step.binding.service_name in ("lefts", "rights")
         ]
-        assert all(sizes[n.node_id] == 4 for n in lazy_nodes)
+        assert all(lazy.stats.rows_out[index] == 4 for index in lazy_steps)
 
     def test_multi_feed_inputs_fetch_lazily_per_block(
         self, registry, travel_query

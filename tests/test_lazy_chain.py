@@ -51,7 +51,7 @@ from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
-from repro.plans.builder import PlanBuilder, chain_poset
+from repro.plans.builder import PlanBuilder
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
@@ -60,7 +60,9 @@ from repro.testing import (
     FlakyService,
     ListPageSource,
     ReexecutingExecutor,
+    chain_poset,
     eager_streamed_engine,
+    mask_unit,
     reference_execute,
 )
 
@@ -758,7 +760,7 @@ class TestFaultsMidChain:
                 registry, resilience=ResilienceConfig(partial_results=True)
             )
             for unit in result.certificate.dropped:
-                oracle_engine.mask_unit(unit.service, unit.input_key)
+                mask_unit(oracle_engine, unit.service, unit.input_key)
             oracle = oracle_engine.execute(plan, head=head, k=k)
             assert _signature(oracle.rows) == _signature(result.rows)
             assert [u.token for u in oracle.certificate.dropped] == [
@@ -782,7 +784,7 @@ class TestFaultsMidChain:
             registry, head, plan = _chain_world(_FAULT_CHAIN, seed)
             proxies = _count_invocations(registry)
             engine = make_engine(registry)
-            engine.mask_unit("s1", ("ioo", ((0, key),)))
+            mask_unit(engine, "s1", ("ioo", ((0, key),)))
             result = engine.execute(plan, head=head, k=k)
             assert sum(p.invocations for p in proxies.values()) == (
                 result.stats.total_fetches + result.stats.wasted_fetches

@@ -18,9 +18,10 @@ from repro.optimizer.memo import OpenState, PlanEntry, PlanMemo, bound_key, plan
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.sources.biblio import biblio_registry, experts_query
 from repro.sources.bio import bio_registry, glycolysis_homolog_query
-from repro.sources.news import market_moving_news_query, news_registry
+from repro.sources.news import news_registry
 from repro.sources.travel import running_example_query, travel_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
+from repro.testing import market_moving_news_query, memo_bounds
 
 PROFILES = {
     "travel": lambda: (travel_registry(), running_example_query()),
@@ -116,13 +117,13 @@ class TestMemoLifecycle:
         # seeds are re-reached by the enumeration: both must hit.
         assert result.stats.memo_bound_hits > 0
         assert result.stats.memo_plan_hits > 0
-        assert optimizer.memo.bound_entries == result.stats.memo_bound_misses
+        assert len(memo_bounds(optimizer._memo)) == result.stats.memo_bound_misses
 
     def test_memo_resets_when_the_query_changes(self):
         registry, _ = PROFILES["weekend"]()
         optimizer = Optimizer(registry, ExecutionTimeMetric(), OptimizerConfig())
         first = optimizer.optimize(mahler_weekend_query(budget=120))
-        entries = optimizer.memo.plan_entries
+        entries = len(optimizer._memo._plans)
         assert entries > 0
         second = optimizer.optimize(mahler_weekend_query(budget=80))
         fresh = Optimizer(
@@ -135,10 +136,10 @@ class TestMemoLifecycle:
         registry, query = PROFILES["travel"]()
         optimizer = Optimizer(registry, ExecutionTimeMetric(), OptimizerConfig())
         optimizer.optimize(query)
-        assert optimizer.memo.plan_entries > 0
-        optimizer.clear_memo()
-        assert optimizer.memo.plan_entries == 0
-        assert optimizer.memo.bound_entries == 0
+        assert len(optimizer._memo._plans) > 0
+        optimizer._memo.clear()
+        assert len(optimizer._memo._plans) == 0
+        assert len(memo_bounds(optimizer._memo)) == 0
         rerun = optimizer.optimize(query)
         assert rerun.stats.memo_misses > 0  # repopulated from scratch
 
@@ -150,17 +151,17 @@ class TestMemoLifecycle:
         optimizer = Optimizer(registry, ExecutionTimeMetric(), OptimizerConfig())
         cold = optimizer.optimize(query)
         grown = {}
-        for node in cold.plan.chunked_service_nodes:
+        for node in (n for n in cold.plan.service_nodes if n.is_chunked):
             node.fetches = node.fetches * 4  # simulate "ask for more"
             grown[node.atom_index] = node.fetches
         warm = optimizer.optimize(query)
         assert _outcome(warm) == _outcome(cold)
         assert warm.plan is not cold.plan
-        for node in warm.plan.chunked_service_nodes:
+        for node in (n for n in warm.plan.service_nodes if n.is_chunked):
             assert node.fetches == warm.fetches.get(node.atom_index, 1)
         # ... and the warm call must not have reset the cold caller's
         # in-flight plan either.
-        for node in cold.plan.chunked_service_nodes:
+        for node in (n for n in cold.plan.service_nodes if n.is_chunked):
             assert node.fetches == grown[node.atom_index]
 
 
@@ -174,9 +175,9 @@ class TestPlanMemoUnit:
         state = OpenState(plan=None, program=None)
         memo.store_state(key, state)
         assert memo.lookup_state(key) is state
-        assert (memo.state_entries, memo.bound_entries) == (1, 0)
+        assert (len(memo._bounds), len(memo_bounds(memo))) == (1, 0)
         state.bound = 3.5
-        assert (memo.state_entries, memo.bound_entries) == (1, 1)
+        assert (len(memo._bounds), len(memo_bounds(memo))) == (1, 1)
 
     def test_reset_for_keeps_entries_for_the_same_query(self):
         _, query = PROFILES["travel"]()
@@ -187,9 +188,9 @@ class TestPlanMemoUnit:
             PlanEntry(cost=1.0, feasible=True, payload="payload"),
         )
         memo.reset_for(running_example_query())  # equal query: keep
-        assert memo.plan_entries == 1
+        assert len(memo._plans) == 1
         memo.reset_for(mahler_weekend_query())  # different query: reset
-        assert memo.plan_entries == 0
+        assert len(memo._plans) == 0
 
     def test_keys_restrict_to_placed_atoms(self):
         _, query = PROFILES["travel"]()

@@ -4,13 +4,12 @@ import pytest
 
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import execute_plan
-from repro.optimizer.optimizer import optimize_query
-from repro.sources.news import (
-    NEWS_DECAY,
-    market_moving_news_query,
-    news_registry,
-)
+
+
+from repro.execution.engine import ExecutionEngine
+from repro.optimizer.optimizer import Optimizer, OptimizerConfig
+from repro.sources.news import NEWS_DECAY, news_registry
+from repro.testing import market_moving_news_query
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +45,10 @@ class TestServices:
 class TestQuery:
     def test_optimize_and_execute(self, registry):
         query = market_moving_news_query("merger", "tech", min_move=0)
-        best = optimize_query(
-            query, registry, ExecutionTimeMetric(), k=3,
-            cache_setting=CacheSetting.ONE_CALL,
-        )
-        result = execute_plan(
-            best.plan, registry, head=query.head,
-            cache_setting=CacheSetting.ONE_CALL,
+        config = OptimizerConfig(k=3, cache_setting=CacheSetting.ONE_CALL)
+        best = Optimizer(registry, ExecutionTimeMetric(), config).optimize(query)
+        result = ExecutionEngine(registry, cache_setting=CacheSetting.ONE_CALL).execute(
+            best.plan, head=query.head
         )
         assert result.rows
         for company, _, _, change in result.answers(None):
@@ -60,10 +56,10 @@ class TestQuery:
 
     def test_answers_restricted_to_sector(self, registry):
         query = market_moving_news_query("earnings", "energy", min_move=0)
-        best = optimize_query(
-            query, registry, ExecutionTimeMetric(), k=3
-        )
-        result = execute_plan(best.plan, registry, head=query.head)
+        best = Optimizer(
+            registry, ExecutionTimeMetric(), OptimizerConfig(k=3)
+        ).optimize(query)
+        result = ExecutionEngine(registry).execute(best.plan, head=query.head)
         energy_companies = {
             row[0] for row in registry.service("profile").rows
             if row[1] == "energy"
@@ -73,7 +69,9 @@ class TestQuery:
 
     def test_decay_caps_news_fetches(self, registry):
         query = market_moving_news_query("merger", "tech", min_move=-100)
-        best = optimize_query(query, registry, ExecutionTimeMetric(), k=20)
+        best = Optimizer(
+            registry, ExecutionTimeMetric(), OptimizerConfig(k=20)
+        ).optimize(query)
         news_node = best.plan.service_node_for_atom(0)
         assert news_node.fetches <= 4
 

@@ -8,7 +8,8 @@ step are read by one key.
 import pytest
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import execute_plan
+
+from repro.execution.engine import ExecutionEngine
 from repro.execution.program import SERVICE
 from repro.plans.annotate import annotate
 from repro.plans.builder import PlanBuilder
@@ -29,16 +30,16 @@ def traced(registry, travel_query):
         alpha1_patterns(), poset_serial(),
         fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 1},
     )
-    result = execute_plan(
-        plan, registry, head=travel_query.head,
-        cache_setting=CacheSetting.NO_CACHE,
+    result = ExecutionEngine(registry, cache_setting=CacheSetting.NO_CACHE).execute(
+        plan, head=travel_query.head
     )
     return plan, result
 
 
 def _rows_out(result, node):
     """The rows *node*'s step emitted, off the ledger."""
-    return result.node_output_sizes[node.node_id]
+    (step,) = [step for step in result.program.steps if step.node_id == node.node_id]
+    return result.stats.rows_out[step.index]
 
 
 class TestNodeTracing:
@@ -67,7 +68,7 @@ class TestNodeTracing:
             fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 1},
         )
         annotation = annotate(plan, CacheSetting.NO_CACHE)
-        result = execute_plan(plan, registry, head=travel_query.head)
+        result = ExecutionEngine(registry).execute(plan, head=travel_query.head)
         service_nodes = plan.service_nodes
         estimated = sorted(
             service_nodes, key=lambda n: annotation.tuples_out(n)

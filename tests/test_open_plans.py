@@ -41,6 +41,7 @@ from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
 from repro.testing.reference import (
+    memo_bounds,
     reference_annotate,
     reference_partial_bound,
     search_states,
@@ -116,7 +117,7 @@ def _searched(profile, metric, config):
         registry, golden_plans.METRICS[metric](), golden_plans.CONFIGS[config]
     )
     cold = optimizer.optimize(query)
-    return optimizer.memo.bounds(), cold, optimizer.optimize(query)
+    return memo_bounds(optimizer._memo), cold, optimizer.optimize(query)
 
 
 def _golden_cases(keep=lambda profile, metric, config: True):
@@ -148,7 +149,11 @@ class TestBoundsAgainstTheDefinition:
             )
             assert bound.hex() == reference.hex(), (codes, sorted(closure))
 
-    @pytest.mark.parametrize("profile", list(golden_plans.PROFILES))
+    @pytest.mark.parametrize("profile", [
+        # bio is the slowest case: run by CI's ``-m slow`` step.
+        pytest.param(profile, marks=pytest.mark.slow) if profile == "bio" else profile
+        for profile in golden_plans.PROFILES
+    ])
     def test_every_complete_topology_closes_to_the_direct_build(self, profile):
         """All 1 349 plans of the five plan spaces under the three cache
         settings, reached through the shared prefixes one optimizer per
@@ -539,7 +544,7 @@ class TestClassBound:
         unpruned = Optimizer(
             registry, METRICS[0], replace(config, prune=False)
         ).optimize(travel_query).stats
-        assert stats.fetch_evaluations == optimizer.memo.plan_entries
+        assert stats.fetch_evaluations == len(optimizer._memo._plans)
         assert stats.fetch_evaluations <= 10 < unpruned.fetch_evaluations
         assert stats.fetch_vectors_evaluated < unpruned.fetch_vectors_evaluated
 

@@ -6,7 +6,7 @@ import golden_plans
 from repro.costs.sum_cost import RequestResponseMetric, SumCostMetric
 from repro.costs.time_cost import BottleneckMetric, ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
-from repro.optimizer.optimizer import Optimizer, OptimizerConfig, optimize_query
+from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.plans.dag import PlanError
 from repro.sources.travel import poset_optimal, running_example_query
 
@@ -141,18 +141,18 @@ class TestPruning:
 
 class TestSmallDomains:
     def test_tiny_query(self, tiny_registry, tiny_query):
-        best = optimize_query(
-            tiny_query, tiny_registry, RequestResponseMetric(), k=3
-        )
+        best = Optimizer(
+            tiny_registry, RequestResponseMetric(), OptimizerConfig(k=3)
+        ).optimize(tiny_query)
         assert best.expected_answers >= 3
         assert len(best.plan.service_nodes) == 2
 
     def test_bio_query(self):
         from repro.sources.bio import bio_registry, glycolysis_homolog_query
 
-        best = optimize_query(
-            glycolysis_homolog_query(), bio_registry(), ExecutionTimeMetric(), k=5
-        )
+        best = Optimizer(
+            bio_registry(), ExecutionTimeMetric(), OptimizerConfig(k=5)
+        ).optimize(glycolysis_homolog_query())
         assert best.expected_answers >= 5
         # blast's decay bounds its fetching factor to 3 chunks.
         blast_node = best.plan.service_node_for_atom(2)
@@ -161,9 +161,9 @@ class TestSmallDomains:
     def test_weekend_query(self):
         from repro.sources.weekend import mahler_weekend_query, weekend_registry
 
-        best = optimize_query(
-            mahler_weekend_query(), weekend_registry(), ExecutionTimeMetric(), k=3
-        )
+        best = Optimizer(
+            weekend_registry(), ExecutionTimeMetric(), OptimizerConfig(k=3)
+        ).optimize(mahler_weekend_query())
         assert best.expected_answers >= 3
 
 
@@ -184,9 +184,9 @@ class TestErrors:
             optimizer.optimize(blocked)
 
     def test_describe_is_informative(self, tiny_registry, tiny_query):
-        best = optimize_query(
-            tiny_query, tiny_registry, RequestResponseMetric(), k=3
-        )
+        best = Optimizer(
+            tiny_registry, RequestResponseMetric(), OptimizerConfig(k=3)
+        ).optimize(tiny_query)
         text = best.describe()
         assert "cost=" in text and "plan:" in text
 
@@ -202,7 +202,7 @@ def test_estimation_work_is_accounted(registry, travel_query):
     # that leaves; a state the search holds cost one fold step (a few
     # were folded twice: a pruned state drops its open plan).
     assert cold.programs_compiled == 1
-    held = optimizer.memo.state_entries
+    held = len(optimizer._memo._bounds)
     assert held <= cold.atoms_placed < 1.1 * held
     # A bound closes nothing: one closed plan per topology phase 3
     # sizes, and the plan that leaves.

@@ -77,7 +77,7 @@ class TestRunningExampleText:
         assert q.services == ("flight", "hotel", "conf", "weather")
         assert len(q.predicates) == 3
         assert q.arity == 7
-        assert q.is_multi_domain
+        assert len(set(q.services)) > 1
 
 
 class TestErrors:

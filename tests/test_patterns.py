@@ -15,7 +15,7 @@ from repro.optimizer.patterns import (
     sequence_is_more_cogent,
     sequence_is_strictly_more_cogent,
 )
-from repro.sources.travel import running_example_query, travel_schema
+from repro.sources.travel import running_example_query, travel_registry
 
 
 class TestExecutability:
@@ -66,7 +66,7 @@ class TestExample41:
 
     def test_three_permissible_sequences(self):
         q = running_example_query()
-        sequences = permissible_sequences(q, travel_schema())
+        sequences = permissible_sequences(q, travel_registry().schema())
         # conf has 2 patterns x hotel has 2 patterns = 4 combinations;
         # α3 = (conf City-driven, hotel City-driven) is not permissible.
         assert len(sequences) == 3
@@ -75,7 +75,7 @@ class TestExample41:
 
     def test_alpha3_not_permissible(self):
         q = running_example_query()
-        schema = travel_schema()
+        schema = travel_registry().schema()
         alpha3 = (
             schema.get("flight").pattern("iiiiooo"),
             schema.get("hotel").pattern("oiiiio"),
@@ -86,7 +86,7 @@ class TestExample41:
 
     def test_most_cogent_are_alpha1_and_alpha4(self):
         q = running_example_query()
-        sequences = permissible_sequences(q, travel_schema())
+        sequences = permissible_sequences(q, travel_registry().schema())
         top = most_cogent_sequences(sequences)
         assert len(top) == 2
         codes = {(s[2].code, s[1].code) for s in top}
@@ -94,7 +94,7 @@ class TestExample41:
 
     def test_alpha1_dominates_alpha2(self):
         q = running_example_query()
-        schema = travel_schema()
+        schema = travel_registry().schema()
         alpha1 = (
             schema.get("flight").pattern("iiiiooo"),
             schema.get("hotel").pattern("oiiiio"),
@@ -115,7 +115,7 @@ class TestExample41:
 class TestOrdering:
     def test_cogency_sorted_puts_most_cogent_first(self):
         q = running_example_query()
-        sequences = permissible_sequences(q, travel_schema())
+        sequences = permissible_sequences(q, travel_registry().schema())
         ordered = cogency_sorted(sequences)
         top = set(most_cogent_sequences(sequences))
         boundary = len(top)
@@ -124,8 +124,8 @@ class TestOrdering:
 
     def test_select_patterns_packaging(self):
         q = running_example_query()
-        phase = select_patterns(q, travel_schema())
-        assert phase.raw_space_size == 3
+        phase = select_patterns(q, travel_registry().schema())
+        assert len(phase.permissible) == 3
         assert len(phase.most_cogent) == 2
         assert len(phase.ordered) == 3
 

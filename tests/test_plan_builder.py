@@ -3,7 +3,7 @@
 import pytest
 
 from repro.model.terms import Variable
-from repro.plans.builder import PlanBuilder, Poset, chain_poset
+from repro.plans.builder import PlanBuilder, Poset
 from repro.plans.dag import PlanError
 from repro.plans.nodes import JoinNode, ServiceNode
 from repro.services.registry import JoinMethod
@@ -18,6 +18,7 @@ from repro.sources.travel import (
     poset_serial,
     running_example_query,
 )
+from repro.testing import chain_poset
 
 
 @pytest.fixture()

@@ -80,9 +80,9 @@ class TestConstruction:
     def test_duplicate_arcs_are_idempotent(self, linear_plan):
         first = linear_plan.service_nodes[0]
         second = linear_plan.service_nodes[1]
-        before = len(linear_plan.arcs())
+        before = linear_plan.successors(first)
         linear_plan.add_arc(first, second)
-        assert len(linear_plan.arcs()) == before
+        assert linear_plan.successors(first) == before
 
 
 class TestAccessors:
@@ -108,8 +108,9 @@ class TestGraphAlgorithms:
     def test_topological_order(self, diamond_plan):
         order = [n.node_id for n in diamond_plan.topological_order()]
         position = {nid: k for k, nid in enumerate(order)}
-        for origin, destination in diamond_plan.arcs():
-            assert position[origin.node_id] < position[destination.node_id]
+        for origin in diamond_plan:
+            for destination in diamond_plan.successors(origin):
+                assert position[origin.node_id] < position[destination.node_id]
 
     def test_cycle_detection(self):
         plan = QueryPlan()
@@ -141,9 +142,10 @@ class TestGraphAlgorithms:
         root = diamond_plan.service_node_for_atom(0)
         assert diamond_plan.output_node.node_id in diamond_plan.descendants(root)
 
-    def test_upstream_service_nodes(self, diamond_plan):
+    def test_ancestors_of_a_join_are_both_branches(self, diamond_plan):
         join = diamond_plan.join_nodes[0]
-        names = {n.service_name for n in diamond_plan.upstream_service_nodes(join)}
+        ancestors = diamond_plan.ancestors(join)
+        names = {n.service_name for n in diamond_plan.service_nodes if n.node_id in ancestors}
         assert names == {"root", "left", "right"}
 
 

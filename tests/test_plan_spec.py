@@ -4,7 +4,8 @@ import pytest
 
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import execute_plan
+
+from repro.execution.engine import ExecutionEngine
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.plans.annotate import annotate
 from repro.plans.dag import PlanError
@@ -42,11 +43,11 @@ class TestRoundTrip:
 
     def test_rebuilt_plan_executes_identically(self, spec, registry, travel_query):
         plan = spec.build(travel_query, registry)
-        direct = execute_plan(plan, registry, head=travel_query.head)
+        direct = ExecutionEngine(registry).execute(plan, head=travel_query.head)
         round_tripped = PlanSpec.from_json(spec.to_json()).build(
             travel_query, registry
         )
-        again = execute_plan(round_tripped, registry, head=travel_query.head)
+        again = ExecutionEngine(registry).execute(round_tripped, head=travel_query.head)
         assert direct.answers(None) == again.answers(None)
 
 

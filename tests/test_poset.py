@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.plans.builder import Poset, chain_poset, parallel_after
+from repro.plans.builder import Poset
 from repro.plans.dag import PlanError
+from repro.testing import chain_poset, parallel_after
 
 
 class TestClosure:
@@ -43,14 +44,10 @@ class TestStructure:
         diamond = Poset(n=4, pairs=frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
         assert diamond.direct_predecessors_of(3) == {1, 2}
 
-    def test_minimal_and_maximal(self):
-        poset = Poset(n=4, pairs=frozenset({(0, 1), (0, 2)}))
-        assert poset.minimal_elements() == {0, 3}
-        assert poset.maximal_elements() == {1, 2, 3}
-
     def test_is_chain(self):
-        assert chain_poset(3, [2, 0, 1]).is_chain()
-        assert not Poset(n=3, pairs=frozenset({(0, 1)})).is_chain()
+        # A chain's closure relates every pair of its atoms.
+        assert len(chain_poset(3, [2, 0, 1]).closure()) == 3
+        assert len(Poset(n=3, pairs=frozenset({(0, 1)})).closure()) == 1
 
 
 class TestConstructors:

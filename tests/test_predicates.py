@@ -7,7 +7,6 @@ from repro.model.predicates import (
     Comparison,
     PredicateError,
     add,
-    combined_selectivity,
     comparison,
     evaluate_expression,
     expression_variables,
@@ -67,11 +66,6 @@ class TestComparison:
         predicate = Comparison(add("A", "B"), "<", Variable("C"))
         assert predicate.variables == {Variable("A"), Variable("B"), Variable("C")}
 
-    def test_is_evaluable(self):
-        predicate = comparison("X", "==", 1)
-        assert predicate.is_evaluable(frozenset({Variable("X")}))
-        assert not predicate.is_evaluable(frozenset())
-
     def test_unknown_operator(self):
         with pytest.raises(PredicateError):
             comparison("X", "~", 1)
@@ -96,13 +90,3 @@ class TestSelectivity:
     def test_selectivity_bounds_enforced(self):
         with pytest.raises(PredicateError):
             comparison("X", "==", 1, selectivity=1.5)
-
-    def test_combined_selectivity_is_product(self):
-        predicates = (
-            comparison("X", "==", 1, selectivity=0.5),
-            comparison("Y", "==", 1, selectivity=0.2),
-        )
-        assert combined_selectivity(predicates) == pytest.approx(0.1)
-
-    def test_combined_selectivity_empty(self):
-        assert combined_selectivity(()) == 1.0

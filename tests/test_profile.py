@@ -16,7 +16,7 @@ class TestConstruction:
         profile = exact_profile(erspi=20.0, response_time=1.2)
         assert profile.kind is ServiceKind.EXACT
         assert profile.is_exact and not profile.is_search
-        assert profile.is_bulk and not profile.is_chunked
+        assert not profile.is_chunked
 
     def test_search_profile_defaults_erspi_to_chunk(self):
         profile = search_profile(chunk_size=25, response_time=9.7)
@@ -81,12 +81,6 @@ class TestDecay:
 
 
 class TestHelpers:
-    def test_with_cost(self):
-        profile = exact_profile(erspi=1, response_time=1)
-        priced = profile.with_cost(2.5)
-        assert priced.cost_per_call == 2.5
-        assert profile.cost_per_call == 1.0  # original untouched
-
     def test_describe_mentions_kind_and_chunk(self):
         text = search_profile(chunk_size=5, response_time=4.9).describe()
         assert "search" in text

@@ -60,14 +60,12 @@ class TestEstimates:
         with pytest.raises(ValueError):
             ServiceProfiler(conf_like).estimate(AccessPattern("io"), [])
 
-    def test_as_profile_roundtrip(self, flight_like):
+    def test_search_estimate_reads_chunk_and_latency(self, flight_like):
         estimate = ServiceProfiler(flight_like).estimate(
             AccessPattern("io"), [{0: "MIL"}]
         )
-        profile = estimate.as_profile(decay=50)
-        assert profile.chunk_size == 25
-        assert profile.decay == 50
-        assert profile.response_time == pytest.approx(9.7)
+        assert estimate.chunk_size == 25
+        assert estimate.average_response_time == pytest.approx(9.7)
 
 
 class TestTableRendering:

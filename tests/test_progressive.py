@@ -6,14 +6,19 @@ from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.progressive import MAX_ROUNDS, ProgressiveExecutor
 from repro.execution.results import compose_ranking
-from repro.plans.builder import PlanBuilder, chain_poset
+from repro.plans.builder import PlanBuilder
 from repro.sources.travel import (
     FLIGHT_ATOM,
     HOTEL_ATOM,
     alpha1_patterns,
     poset_optimal,
 )
-from repro.testing import FaultSchedule, FlakyService, eager_streamed_engine
+from repro.testing import (
+    FaultSchedule,
+    FlakyService,
+    chain_poset,
+    eager_streamed_engine,
+)
 
 
 @pytest.fixture()
@@ -127,7 +132,7 @@ class TestStreamedResume:
         more = executor.more(3)
         latest = executor.rounds[-1]
         assert latest.resumed
-        assert latest.new_calls == 0
+        assert latest.stats.total_calls == 0
         # No service interaction at all: the resumed round issues no
         # call, no fetch, and not even a logical-cache lookup — the
         # counters stay at zero under every cache setting.
@@ -265,7 +270,7 @@ class TestLazyStreamedResume:
         more = executor.more(3)
         latest = executor.rounds[-1]
         assert latest.resumed
-        assert latest.new_calls == 0
+        assert latest.stats.total_calls == 0
         assert more.stats.total_calls == 0
         assert more.stats.total_fetches == 0
         assert more.stats.total_cache_hits == 0
@@ -296,7 +301,7 @@ class TestLazyStreamedResume:
         more = executor.more(7)  # k=8 needs rows beyond page 0
         latest = executor.rounds[-1]
         assert latest.resumed
-        assert latest.new_calls > 0
+        assert latest.stats.total_calls > 0
         assert more.stats.total_fetches > 0
         assert more.stats.lazy_tuples_fetched > 0
         # Remote latency makes the resumed round's virtual time real:

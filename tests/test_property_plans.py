@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.costs.sum_cost import RequestResponseMetric
 from repro.costs.time_cost import BottleneckMetric, ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
+from repro.execution.engine import ExecutionEngine
 from repro.optimizer.topology import TopologyEnumerator
 from repro.plans.annotate import annotate
 from repro.plans.builder import PlanBuilder
@@ -106,23 +107,21 @@ class TestExecutionAgreement:
 
     @pytest.fixture(scope="class")
     def reference_answers(self):
-        from repro.execution.engine import execute_plan
         from repro.sources.travel import poset_optimal
 
         plan = _BUILDER.build(
             alpha1_patterns(), poset_optimal(),
             fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 1},
         )
-        result = execute_plan(plan, _REGISTRY, head=_QUERY.head)
+        result = ExecutionEngine(_REGISTRY).execute(plan, head=_QUERY.head)
         return frozenset(result.answers(None))
 
     @pytest.mark.parametrize("index", range(len(_POSETS)))
     def test_topology_answers_agree(self, index, reference_answers):
-        from repro.execution.engine import execute_plan
 
         plan = _BUILDER.build(
             alpha1_patterns(), _POSETS[index],
             fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 1},
         )
-        result = execute_plan(plan, _REGISTRY, head=_QUERY.head)
+        result = ExecutionEngine(_REGISTRY).execute(plan, head=_QUERY.head)
         assert frozenset(result.answers(None)) == reference_answers

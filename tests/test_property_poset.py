@@ -71,25 +71,12 @@ class TestStructureProperties:
 
     @given(_random_dags())
     @settings(max_examples=80)
-    def test_minimal_maximal_cover_isolated(self, poset):
-        minimal = poset.minimal_elements()
-        maximal = poset.maximal_elements()
+    def test_an_isolated_atom_has_no_predecessor(self, poset):
         closure = poset.closure()
         involved = {a for a, _ in closure} | {b for _, b in closure}
-        isolated = set(range(poset.n)) - involved
-        assert isolated <= minimal
-        assert isolated <= maximal
-
-    @given(_random_dags())
-    @settings(max_examples=80)
-    def test_chain_iff_all_comparable(self, poset):
-        closure = poset.closure()
-        all_comparable = all(
-            (a, b) in closure or (b, a) in closure
-            for a in range(poset.n)
-            for b in range(a + 1, poset.n)
-        )
-        assert poset.is_chain() == all_comparable
+        for index in set(range(poset.n)) - involved:
+            assert poset.predecessors_of(index) == frozenset()
+            assert poset.direct_predecessors_of(index) == frozenset()
 
 
 class TestCycleRejection:

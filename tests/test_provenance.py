@@ -47,23 +47,18 @@ def _optimize(registry, query, k=8):
 
 
 class TestRowMechanics:
-    def test_with_provenance_appends(self):
+    def test_provenance_is_off_by_default(self):
         row = Row(bindings={"X": 1})
-        tagged = row.with_provenance(("svc", ("i", ((0, "a"),)), 0))
-        again = tagged.with_provenance(("svc", ("i", ((0, "a"),)), 1))
         assert row.provenance == ()
-        assert len(again.provenance) == 2
+        assert row == Row(bindings={"X": 1}, provenance=())
+        assert row != Row(bindings={"X": 1}, provenance=(("a", ("i", ()), 0),))
 
     def test_merge_concatenates(self):
-        left = Row(bindings={"X": 1}).with_provenance(("a", ("i", ()), 0))
-        right = Row(bindings={"Y": 2}).with_provenance(("b", ("i", ()), 3))
+        left = Row(bindings={"X": 1}, provenance=(("a", ("i", ()), 0),))
+        right = Row(bindings={"Y": 2}, provenance=(("b", ("i", ()), 3),))
         merged = merged_with(left, right)
         assert merged is not None
         assert merged.provenance == left.provenance + right.provenance
-
-    def test_with_rank_preserves(self):
-        row = Row(bindings={"X": 1}).with_provenance(("a", ("i", ()), 0))
-        assert row.with_rank("s1", 4).provenance == row.provenance
 
 
 def _rows(registry, query, *, enabled, mode=ExecutionMode.PARALLEL,

@@ -53,21 +53,9 @@ class TestAccessors:
         assert repeated.services == ("s", "s")
 
     def test_is_multi_domain(self, two_atom_query):
-        assert two_atom_query.is_multi_domain
+        assert len(set(two_atom_query.services)) > 1
         single = query("q", [Variable("X")], [atom("s", "X")])
-        assert not single.is_multi_domain
-
-    def test_join_variables(self, two_atom_query):
-        assert two_atom_query.join_variables() == {Variable("City")}
-
-    def test_atoms_with_variable(self, two_atom_query):
-        assert two_atom_query.atoms_with_variable(Variable("City")) == (0, 1)
-        assert two_atom_query.atoms_with_variable(Variable("Score")) == (1,)
-
-    def test_predicates_on(self, two_atom_query):
-        ready = two_atom_query.predicates_on(frozenset({Variable("Score")}))
-        assert len(ready) == 1
-        assert two_atom_query.predicates_on(frozenset()) == ()
+        assert not len(set(single.services)) > 1
 
     def test_str_rendering(self, two_atom_query):
         text = str(two_atom_query)
@@ -102,9 +90,12 @@ class TestRunningExample:
         from repro.sources.travel import running_example_query
 
         q = running_example_query()
-        assert q.is_multi_domain
+        assert len(set(q.services)) > 1
         assert len(q.atoms) == 4
         assert q.services == ("flight", "hotel", "conf", "weather")
         assert len(q.predicates) == 4
-        assert Variable("City") in q.join_variables()
-        assert Variable("Start") in q.join_variables()
+        shared = [
+            v for v in q.body_variables
+            if sum(v in a.variable_set for a in q.atoms) > 1
+        ]
+        assert {Variable("City"), Variable("Start")} <= set(shared)

@@ -1,11 +1,11 @@
-"""Unit tests for plan rendering (ASCII, DOT, summaries)."""
+"""Unit tests for plan rendering (ASCII, summaries)."""
 
 import pytest
 
 from repro.execution.cache import CacheSetting
 from repro.plans.annotate import annotate
 from repro.plans.builder import PlanBuilder
-from repro.plans.render import render_ascii, render_dot, summarize
+from repro.plans.render import render_ascii, summarize
 from repro.sources.travel import alpha1_patterns, poset_optimal, poset_serial
 
 
@@ -34,21 +34,6 @@ class TestAscii:
 
     def test_starts_with_input(self, plan_o):
         assert render_ascii(plan_o).splitlines()[0].strip() == "IN"
-
-
-class TestDot:
-    def test_valid_digraph(self, plan_o):
-        text = render_dot(plan_o)
-        assert text.startswith("digraph plan {")
-        assert text.rstrip().endswith("}")
-
-    def test_one_edge_line_per_arc(self, plan_o):
-        text = render_dot(plan_o)
-        edges = [line for line in text.splitlines() if "->" in line]
-        assert len(edges) == len(plan_o.arcs())
-
-    def test_join_is_diamond(self, plan_o):
-        assert "diamond" in render_dot(plan_o)
 
 
 class TestSummarize:

@@ -50,6 +50,7 @@ from repro.testing import (
     FaultSchedule,
     FlakyService,
     eager_streamed_engine,
+    mask_unit,
     wrap_registry_flaky,
 )
 
@@ -395,7 +396,7 @@ class TestPartialResults:
             resilience=ResilienceConfig(partial_results=True),
         )
         for unit in certificate.dropped:
-            oracle_engine.mask_unit(unit.service, unit.input_key)
+            mask_unit(oracle_engine, unit.service, unit.input_key)
         oracle = oracle_engine.execute(oracle_plan, head=head, k=k)
         assert _sig(partial.rows) == _sig(oracle.rows)
 
@@ -463,7 +464,7 @@ class TestPartialResults:
             resilience=ResilienceConfig(partial_results=True),
         )
         dead_key = ("ioo", ((0, 0),))  # the lefts block fed by X=0
-        engine.mask_unit("lefts", dead_key)
+        mask_unit(engine, "lefts", dead_key)
         result = engine.execute(plan, head=head, k=6)
         certificate = result.certificate
         assert certificate is not None and certificate.is_partial

@@ -21,10 +21,6 @@ class TestRow:
         row = _row(ranks=[("a", 2), ("b", 5)])
         assert row.rank_key() == 7
 
-    def test_with_rank_appends(self):
-        row = _row(ranks=[("a", 1)]).with_rank("b", 4)
-        assert row.ranks == (("a", 1), ("b", 4))
-
     def test_merge_compatible(self):
         merged = merged_with(_row(City="Roma", F=1), _row(City="Roma", H=2))
         assert merged is not None

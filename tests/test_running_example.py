@@ -12,7 +12,8 @@ from repro.execution.cache import CacheSetting
 from repro.optimizer.fetches import FetchContext, closed_form_pair
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.patterns import select_patterns
-from repro.optimizer.topology import count_posets
+
+from repro.optimizer.topology import TopologyEnumerator
 from repro.plans.annotate import annotate
 from repro.plans.builder import PlanBuilder
 from repro.sources.travel import (
@@ -23,20 +24,21 @@ from repro.sources.travel import (
     alpha1_patterns,
     poset_optimal,
     running_example_query,
-    travel_schema,
+    travel_registry,
 )
+from repro.testing import chain_poset
 
 
 class TestExample31:
     """The schema of Figure 2 and the query of Figure 3."""
 
     def test_conf_signature_matches_paper(self):
-        sig = travel_schema().get("conf")
+        sig = travel_registry().schema().get("conf")
         assert sig.arity == 5
         assert {p.code for p in sig.patterns} == {"ioooo", "ooooi"}
 
     def test_query_is_safe_and_multi_domain(self, travel_query):
-        assert travel_query.is_multi_domain
+        assert len(set(travel_query.services)) > 1
         assert len(travel_query.atoms) == 4
 
     def test_search_services_are_flight_and_hotel(self, registry):
@@ -50,7 +52,7 @@ class TestExample41:
     """Pattern selection: 4 choices, α3 impermissible, α1/α4 most cogent."""
 
     def test_pattern_phase(self, travel_query):
-        phase = select_patterns(travel_query, travel_schema())
+        phase = select_patterns(travel_query, travel_registry().schema())
         assert len(phase.permissible) == 3  # of the 4 combinations
         assert len(phase.most_cogent) == 2
         assert phase.ordered[0] in phase.most_cogent
@@ -60,7 +62,7 @@ class TestExample51:
     """Plan space and cost arithmetic of Example 5.1."""
 
     def test_19_alternative_plans(self, travel_query):
-        assert count_posets(travel_query, alpha1_patterns()) == 19
+        assert len(TopologyEnumerator(travel_query, alpha1_patterns()).all_posets()) == 19
 
     def test_eq6_gives_paper_fetching_factors(self, registry, travel_query):
         plan = PlanBuilder(travel_query, registry).build(
@@ -117,7 +119,7 @@ class TestExample51Pruning:
 
     def test_prefix_cost_exceeds_serial_plan(self, registry, travel_query):
         from repro.model.query import ConjunctiveQuery
-        from repro.plans.builder import Poset, chain_poset
+        from repro.plans.builder import Poset
 
         metric = ExecutionTimeMetric()
         builder = PlanBuilder(travel_query, registry)

@@ -9,6 +9,7 @@ from repro.model.schema import (
     schema_of,
     signature,
 )
+from repro.optimizer.patterns import most_cogent_sequences
 
 
 class TestAccessPattern:
@@ -17,11 +18,6 @@ class TestAccessPattern:
         assert pattern.input_positions == (0, 3)
         assert pattern.output_positions == (1, 2, 4)
         assert pattern.arity == 5
-
-    def test_is_input(self):
-        pattern = AccessPattern("io")
-        assert pattern.is_input(0)
-        assert not pattern.is_input(1)
 
     def test_invalid_symbols_rejected(self):
         with pytest.raises(SchemaError):
@@ -34,14 +30,12 @@ class TestAccessPattern:
     def test_cogency_reflexive(self):
         pattern = AccessPattern("io")
         assert pattern.is_more_cogent_than(pattern)
-        assert not pattern.is_strictly_more_cogent_than(pattern)
 
     def test_cogency_more_inputs_wins(self):
         # Every input of 'ooooo' (none) is an input of 'ioooo'.
         more = AccessPattern("ioooo")
         less = AccessPattern("ooooo")
         assert more.is_more_cogent_than(less)
-        assert more.is_strictly_more_cogent_than(less)
         assert not less.is_more_cogent_than(more)
 
     def test_cogency_incomparable(self):
@@ -80,15 +74,13 @@ class TestServiceSignature:
 
     def test_most_cogent_patterns(self):
         sig = signature("hotel", ["N", "C"], ["oi", "oo"])
-        assert [p.code for p in sig.most_cogent_patterns()] == ["oi"]
+        top = most_cogent_sequences([(p,) for p in sig.patterns])
+        assert [s[0].code for s in top] == ["oi"]
 
     def test_most_cogent_keeps_incomparable(self):
         sig = signature("s", ["A", "B"], ["io", "oi"])
-        assert {p.code for p in sig.most_cogent_patterns()} == {"io", "oi"}
-
-    def test_describe_mentions_patterns(self):
-        sig = signature("conf", ["Topic", "City"], ["io", "oi"])
-        assert sig.describe() == "conf{io,oi}(Topic, City)"
+        top = most_cogent_sequences([(p,) for p in sig.patterns])
+        assert {s[0].code for s in top} == {"io", "oi"}
 
     def test_domain_of(self):
         sig = signature("s", ["Topic", "City"], ["io"])
@@ -117,14 +109,3 @@ class TestSchema:
     def test_schema_of_builds_from_iterable(self):
         schema = schema_of([signature("a", ["X"], ["o"]), signature("b", ["X"], ["i"])])
         assert schema.names == ("a", "b")
-
-    def test_services_outputting_domain(self):
-        schema = schema_of(
-            [
-                signature("towns", ["City"], ["o"]),
-                signature("lookup", ["City"], ["i"]),
-                signature("pair", ["Name", "City"], ["oi"]),
-            ]
-        )
-        names = [s.name for s in schema.services_outputting_domain("City")]
-        assert names == ["towns"]

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import execute_plan
+
+from repro.execution.engine import ExecutionEngine
 from repro.model.query import ConjunctiveQuery
 from repro.model.terms import Constant, Variable
 from repro.optimizer.patterns import permissible_sequences
@@ -80,8 +81,8 @@ def engine_answers(
         if registry.profile(atom.service, patterns[index].code).is_chunked
     }
     plan = PlanBuilder(query, registry).build(patterns, poset, fetches=fetch_map)
-    result = execute_plan(
-        plan, registry, head=query.head, cache_setting=cache_setting
+    result = ExecutionEngine(registry, cache_setting=cache_setting).execute(
+        plan, head=query.head
     )
     return frozenset(result.answers(None))
 
@@ -126,7 +127,7 @@ class TestTravelAllTopologies:
         fetch_map = {0: 8, 1: 8}
         for poset in posets[:6]:  # a representative sample, they agree
             plan = builder.build(alpha1_patterns(), poset, fetches=fetch_map)
-            result = execute_plan(plan, registry, head=travel_query.head)
+            result = ExecutionEngine(registry).execute(plan, head=travel_query.head)
             assert frozenset(result.answers(None)) == expected
 
 

@@ -32,11 +32,13 @@ from repro.serving import (
     QueryService,
     SessionError,
     SessionManager,
+    SQLiteDiskTier,
 )
 from repro.serving.fingerprint import plan_cache_key, query_fingerprint
 from repro.serving.sqlite_cache import read_json_tier
-from repro.sources.news import market_moving_news_query, news_registry
+from repro.sources.news import news_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
+from repro.testing import market_moving_news_query
 
 
 def _answer_signature(response):
@@ -95,7 +97,7 @@ class TestPlanCache:
         cache = PlanCache(capacity=0)
         cache.store("a", _spec(), 1.0, "time", "e")
         assert cache.lookup("a") is None
-        assert cache.memory_entries == 0
+        assert cache.stats.misses == 1
 
     @pytest.mark.parametrize("name", ["plans.sqlite", "plans.json", "plans"])
     def test_disk_tier_survives_a_new_cache_instance(self, tmp_path, name):
@@ -121,7 +123,7 @@ class TestPlanCache:
         path = tmp_path / "plans.sqlite"
         path.write_text("{not json, and certainly not a database")
         cache = PlanCache(path=path)
-        assert cache.disk_entries == 0
+        assert len(cache._tier) == 0
         cache.store("key", _spec(), 1.0, "time", "e")
         assert PlanCache(path=path).lookup("key") is not None
 
@@ -133,7 +135,7 @@ class TestPlanCache:
         assert cache.prune("epoch2") == 1
         assert cache.lookup("old") is None
         assert cache.lookup("new") is not None
-        assert PlanCache(path=path).disk_entries == 1
+        assert len(SQLiteDiskTier(path)) == 1
 
 
 # -- SQLite disk tier -------------------------------------------------------
@@ -169,7 +171,7 @@ class TestSQLiteTier:
         fresh = PlanCache(path=path)
         assert fresh.lookup("k1") is not None
         assert fresh.lookup("k2") is not None
-        assert fresh.disk_entries == 2
+        assert len(fresh._tier) == 2
 
     @pytest.mark.parametrize("name", ["plans.json", "plans.db"])
     def test_json_tier_file_is_refused_not_deleted(self, tmp_path, name):
@@ -193,7 +195,7 @@ class TestSQLiteTier:
         path = tmp_path / "plans.db"
         path.write_text(content)
         assert read_json_tier(path) is None
-        assert PlanCache(path=path).disk_entries == 0  # discarded, recreated
+        assert len(SQLiteDiskTier(path)) == 0  # discarded, recreated
 
     def test_unknown_schema_version_is_discarded(self, tmp_path):
         path = tmp_path / "plans.sqlite"
@@ -201,7 +203,7 @@ class TestSQLiteTier:
         connection = sqlite3.connect(path)
         connection.execute("PRAGMA user_version=99")
         connection.close()
-        assert PlanCache(path=path).disk_entries == 0
+        assert len(SQLiteDiskTier(path)) == 0
 
     def test_sqlite_tier_matches_a_dict_model(self, tmp_path):
         """Differential oracle: a seeded random op sequence driven
@@ -247,7 +249,7 @@ class TestSQLiteTier:
                     expected and (expected[0].to_json(), *expected[1:])
                 )
             assert cache.stats.to_dict() == PlanCacheStats(**counted).to_dict()
-            assert cache._tier.keys() == tuple(sorted(model))
+            assert [k for k in keys if cache._tier.get(k)] == sorted(model)
             # And the same state is visible after a restart.
             restarted = PlanCache(path=cache.path)
             for key in keys:
@@ -323,12 +325,14 @@ class _FakeClock:
 
 def _executor(registry=None, query=None):
     from repro.execution.progressive import ProgressiveExecutor
-    from repro.optimizer.optimizer import optimize_query
     from repro.costs.time_cost import ExecutionTimeMetric
+    from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 
     registry = registry or weekend_registry()
     query = query or mahler_weekend_query()
-    optimized = optimize_query(query, registry, ExecutionTimeMetric(), k=2)
+    optimized = Optimizer(
+        registry, ExecutionTimeMetric(), OptimizerConfig(k=2)
+    ).optimize(query)
     return ProgressiveExecutor(
         registry=registry, plan=optimized.plan, head=tuple(query.head)
     )
@@ -346,7 +350,7 @@ class TestSessionManager:
         clock.now = 28.1
         with pytest.raises(SessionError):
             manager.get(session.session_id)
-        assert session.closed
+        assert session.executor is None
         assert manager.stats.expired == 1
 
     def test_capacity_evicts_least_recently_touched(self):
@@ -362,35 +366,35 @@ class TestSessionManager:
         clock.now = 3.0
         manager.create(query, executor)  # evicts second
         assert manager.stats.evicted == 1
-        assert second.closed
+        assert second.executor is None
         with pytest.raises(SessionError):
             manager.get(second.session_id)
         assert manager.get(first.session_id) is first
 
     def test_sessions_are_kept_in_touch_order(self):
-        """``active_ids`` is least recently touched first; eviction and
+        """Sessions are kept least recently touched first; eviction and
         expiry both work from that head."""
         clock = _FakeClock()
         manager = SessionManager(capacity=3, ttl=10.0, clock=clock)
         query, executor = mahler_weekend_query(), _executor()
-        a, b, c = (manager.create(query, executor).session_id for _ in range(3))
-        assert manager.active_ids == (a, b, c)
+        a, b, c = (manager.create(query, executor) for _ in range(3))
         clock.now = 4.0
-        manager.get(a)
-        assert manager.active_ids == (b, c, a)
+        manager.get(a.session_id)
         clock.now = 6.0
-        d = manager.create(query, executor).session_id  # evicts b, the head
-        assert manager.active_ids == (c, a, d)
+        d = manager.create(query, executor)  # evicts b, the head
+        released = [s.executor is None for s in (a, b, c, d)]
+        assert released == [False, True, False, False]
         clock.now = 12.0  # c (touched at 0) is past the TTL, a and d are not
-        assert manager.sweep() == (c,)
-        assert manager.active_ids == (a, d)
+        assert manager.sweep() == (c.session_id,)
+        assert [s.executor is None for s in (a, c, d)] == [False, True, False]
+        assert len(manager) == 2
         assert (manager.stats.evicted, manager.stats.expired) == (1, 1)
 
     def test_release_closes_immediately(self):
         manager = SessionManager(ttl=None)
         session = manager.create(mahler_weekend_query(), _executor())
         assert manager.release(session.session_id) is True
-        assert session.closed
+        assert session.executor is None
         assert manager.release(session.session_id) is False
         assert len(manager) == 0
 
@@ -569,7 +573,7 @@ class TestQueryService:
         assert response.stats["rounds"] > 1
         executor = service.sessions.get(response.session_id).executor
         assert response.stats["service_calls"] == sum(
-            r.new_calls for r in executor.rounds
+            r.stats.total_calls for r in executor.rounds
         )
         assert response.stats["page_fetches"] == sum(
             r.stats.total_fetches for r in executor.rounds if r.stats
@@ -690,7 +694,7 @@ class TestQueryService:
         )
         noise = Optimizer(weekend_registry(), ExecutionTimeMetric())
         for _ in range(500):
-            noise.clear_memo()
+            noise._memo.clear()
             noise.optimize(mahler_weekend_query())
         later = answer(QueryService(registry=news_registry()))
         restarted = answer(

@@ -25,8 +25,9 @@ import threading
 import pytest
 
 from repro.serving import PlanCache, QueryService, SessionManager
-from repro.sources.news import market_moving_news_query, news_registry
+from repro.sources.news import news_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
+from repro.testing import market_moving_news_query
 
 pytestmark = pytest.mark.concurrency
 
@@ -320,7 +321,7 @@ class TestSQLiteTierConcurrency:
         _run_workers(workers, work)
         assert cache.stats.stores == workers * per_worker
         fresh = PlanCache(path=tmp_path / "plans.sqlite")
-        assert fresh.disk_entries == workers * per_worker
+        assert len(fresh._tier) == workers * per_worker
         for index in range(workers):
             assert fresh.lookup(f"w{index}-k{per_worker - 1}") is not None
 
@@ -341,7 +342,7 @@ class TestSQLiteTierConcurrency:
 
         _run_workers(4, work)
         fresh = PlanCache(path=path)
-        assert fresh.disk_entries == 60
+        assert len(fresh._tier) == 60
 
     def test_threaded_service_restarts_warm_from_sqlite(self, tmp_path):
         path = tmp_path / "plans.sqlite"

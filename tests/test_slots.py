@@ -39,10 +39,11 @@ from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
 from repro.services.base import InvocationResult
-from repro.plans.builder import PlanBuilder, chain_poset
+from repro.plans.builder import PlanBuilder
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
+from repro.testing import chain_poset
 from repro.testing.fixtures import ListPageSource, compiled_join
 from repro.testing.reference import execute_join, merged_with, reference_execute
 
@@ -293,7 +294,7 @@ class TestEngineSlotPath:
             plan, head=head, k=k
         )
         assert _signature(full.rows) == _signature(reference.rows)
-        assert full.node_output_sizes == reference.node_output_sizes
+        assert full.stats.rows_out == reference.rows_out
         streamed = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
             plan, head=head, k=k
         )
@@ -368,7 +369,7 @@ class TestOutputBindingProgram:
         reference = reference_execute(plan, registry)
         result = ExecutionEngine(registry).execute(plan, head=query.head)
         assert _signature(result.rows) == _signature(reference.rows)
-        assert result.node_output_sizes == reference.node_output_sizes
+        assert result.stats.rows_out == reference.rows_out
         assert set(result.answers()) == expected
         assert _share_one_layout(result.rows)
 

@@ -5,7 +5,8 @@ import pytest
 from repro.costs.sum_cost import RequestResponseMetric
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import execute_plan
+
+from repro.execution.engine import ExecutionEngine
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.patterns import permissible_sequences
 from repro.testing.synthetic import generate_workload, workload_family
@@ -70,8 +71,8 @@ class TestOptimizeAndExecute:
             ExecutionTimeMetric(),
             OptimizerConfig(k=3, cache_setting=CacheSetting.ONE_CALL),
         ).optimize(workload.query)
-        result = execute_plan(
-            best.plan, workload.registry, head=workload.query.head
+        result = ExecutionEngine(workload.registry).execute(
+            best.plan, head=workload.query.head
         )
         # Chain data is random: the plan must run; answers may be few.
         assert result.stats.total_calls >= 1
@@ -83,8 +84,8 @@ class TestOptimizeAndExecute:
             RequestResponseMetric(),
             OptimizerConfig(k=3),
         ).optimize(workload.query)
-        result = execute_plan(
-            best.plan, workload.registry, head=workload.query.head
+        result = ExecutionEngine(workload.registry).execute(
+            best.plan, head=workload.query.head
         )
         for row in result.rows:
             for predicate in workload.query.predicates:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import execute_plan
+
+from repro.execution.engine import ExecutionEngine
 from repro.model.atoms import Atom
 from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
@@ -96,6 +97,6 @@ class TestTemplateReuse:
                 {"topic": topic, "budget": budget}
             )
             plan = spec.build(query, registry)
-            result = execute_plan(plan, registry, head=query.head)
+            result = ExecutionEngine(registry).execute(plan, head=query.head)
             for _, _, _, price in result.answers(None):
                 assert price <= budget

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.model.terms import (
-    Constant,
-    Variable,
-    constants_of,
-    is_constant,
-    is_variable,
-    term_from_literal,
-    variables_of,
-)
+from repro.model.terms import Constant, Variable, term_from_literal
 
 
 class TestVariable:
@@ -79,18 +71,3 @@ class TestTermFromLiteral:
     def test_uppercase_with_space_is_constant(self):
         assert term_from_literal("New York") == Constant("New York")
 
-
-class TestHelpers:
-    def test_is_variable_and_is_constant(self):
-        assert is_variable(Variable("X"))
-        assert not is_variable(Constant(1))
-        assert is_constant(Constant(1))
-        assert not is_constant(Variable("X"))
-
-    def test_variables_of_preserves_order_and_duplicates(self):
-        terms = (Variable("X"), Constant(1), Variable("Y"), Variable("X"))
-        assert variables_of(terms) == (Variable("X"), Variable("Y"), Variable("X"))
-
-    def test_constants_of(self):
-        terms = (Variable("X"), Constant(1), Constant("a"))
-        assert constants_of(terms) == (Constant(1), Constant("a"))

@@ -14,7 +14,6 @@ from repro.model.terms import Variable
 from repro.optimizer.topology import (
     TopologyEnumerator,
     atom_callable_after,
-    count_posets,
     heuristic_posets,
     maximal_parallel,
     selective_chain,
@@ -57,7 +56,7 @@ class TestExample51Count:
     def test_19_posets_for_running_example(self, travel_setup):
         """Example 5.1: 'there are 19 alternative plans'."""
         q, patterns = travel_setup
-        assert count_posets(q, patterns) == 19
+        assert len(TopologyEnumerator(q, patterns).all_posets()) == 19
 
     def test_unconstrained_three_atoms_also_19(self):
         # Sanity check against the known number of posets on 3 elements.
@@ -72,14 +71,14 @@ class TestExample51Count:
         patterns = tuple(
             signature(name, ["X"], ["o"]).pattern("o") for name in ("a", "b", "c")
         )
-        assert count_posets(q, patterns) == 19
+        assert len(TopologyEnumerator(q, patterns).all_posets()) == 19
 
     def test_two_unconstrained_atoms_give_3(self):
         q = query("q", [Variable("X")], [atom("a", "X"), atom("b", "Y")])
         patterns = tuple(
             signature(name, ["X"], ["o"]).pattern("o") for name in ("a", "b")
         )
-        assert count_posets(q, patterns) == 3  # a<b, b<a, parallel
+        assert len(TopologyEnumerator(q, patterns).all_posets()) == 3  # a<b, b<a, parallel
 
     def test_paper_plans_are_among_the_19(self, travel_setup):
         q, patterns = travel_setup
@@ -117,7 +116,7 @@ class TestHeuristics:
     def test_selective_chain_order(self, registry, travel_setup):
         q, patterns = travel_setup
         poset = selective_chain(q, patterns, registry)
-        assert poset.is_chain()
+        assert len(poset.closure()) == 6  # every pair of the 4 atoms ordered
         closure = poset.closure()
         # conf first (only callable), then weather (erspi 1 < chunks).
         assert (CONF_ATOM, WEATHER_ATOM) in closure
@@ -131,7 +130,7 @@ class TestHeuristics:
         # the paper's S orders weather, flight, hotel; both are valid
         # "increasing erspi" chains — ours picks the smaller chunk
         # first. Assert the serial shape and the weather-first prefix.
-        assert poset.is_chain()
+        assert len(poset.closure()) == 6  # every pair of the 4 atoms ordered
         assert poset.predecessors_of(WEATHER_ATOM) == {CONF_ATOM}
 
     def test_maximal_parallel_matches_plan_p(self, travel_setup):

@@ -12,21 +12,20 @@ from repro.sources.travel import (
     HOTEL_TAU,
     WEATHER_TAU,
     travel_registry,
-    travel_schema,
 )
 
 
 class TestSchema:
     def test_figure2_services(self):
-        schema = travel_schema()
+        schema = travel_registry().schema()
         assert set(schema.names) == {"conf", "weather", "flight", "hotel"}
 
     def test_conf_has_two_patterns(self):
-        codes = {p.code for p in travel_schema().get("conf").patterns}
+        codes = {p.code for p in travel_registry().schema().get("conf").patterns}
         assert codes == {"ioooo", "ooooi"}
 
     def test_hotel_second_pattern_all_output(self):
-        codes = {p.code for p in travel_schema().get("hotel").patterns}
+        codes = {p.code for p in travel_registry().schema().get("hotel").patterns}
         assert "oooooo" in codes
 
 
@@ -35,7 +34,7 @@ class TestProfiles:
 
     def test_conf_profile(self, registry):
         profile = registry.profile("conf")
-        assert profile.is_exact and profile.is_bulk
+        assert profile.is_exact and not profile.is_chunked
         assert profile.erspi == pytest.approx(20.0)
         assert profile.response_time == pytest.approx(CONF_TAU)
 
