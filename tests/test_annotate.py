@@ -131,6 +131,16 @@ class TestStructuralProperties:
         h_large = annotate(large, CacheSetting.NO_CACHE).output_size
         assert h_large == pytest.approx(h_small * 6)
 
+    def test_bulk_erspi(self, figure8_plan):
+        # Ξ over plan O's bulk prefix conf → weather, read per input
+        # tuple: ξ_conf · ξ_weather_effective = 20 * 0.05 = 1.
+        annotation = annotate(figure8_plan, CacheSetting.NO_CACHE)
+        conf = figure8_plan.service_node_for_atom(CONF_ATOM)
+        weather = figure8_plan.service_node_for_atom(WEATHER_ATOM)
+        assert annotation.tuples_out(weather) / annotation.tuples_in(
+            conf
+        ) == pytest.approx(1.0)
+
 
 class TestRebindingSelectivity:
     """Output fields that are constants or rebind bound variables act

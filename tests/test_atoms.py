@@ -25,9 +25,22 @@ class TestAtomBasics:
         assert conf_atom.terms[0] == Constant("db")
         assert Constant("db") not in conf_atom.variable_set
 
+    def test_constants(self, conf_atom):
+        # A constant fills its input field by itself: no binding needed.
+        assert conf_atom.input_terms(AccessPattern("ioooo")) == (Constant("db"),)
+        assert conf_atom.input_variables(AccessPattern("ioooo")) == frozenset()
+
     def test_variable_set_deduplicates(self):
         repeated = atom("s", "X", "X", "Y")
         assert repeated.variable_set == {Variable("X"), Variable("Y")}
+
+    def test_positions_of(self):
+        # Every position of a repeated variable is one field of its pattern.
+        repeated = atom("s", "X", "X", "Y")
+        pattern = AccessPattern("ioo")
+        assert repeated.input_terms(pattern) == (Variable("X"),)
+        assert repeated.output_terms(pattern) == (Variable("X"), Variable("Y"))
+        assert repeated.variables == (Variable("X"), Variable("X"), Variable("Y"))
 
     def test_str(self, conf_atom):
         assert str(conf_atom) == "conf('db', Name, Start, End, City)"

@@ -142,6 +142,19 @@ class TestGraphAlgorithms:
         root = diamond_plan.service_node_for_atom(0)
         assert diamond_plan.output_node.node_id in diamond_plan.descendants(root)
 
+    def test_upstream_service_nodes(self, linear_plan):
+        def upstream(node):
+            ancestors = linear_plan.ancestors(node)
+            return {
+                n.service_name
+                for n in linear_plan.service_nodes
+                if n.node_id in ancestors
+            }
+
+        first = linear_plan.service_nodes[0]
+        assert upstream(linear_plan.output_node) == {"a", "b"}
+        assert upstream(first) == set()
+
     def test_ancestors_of_a_join_are_both_branches(self, diamond_plan):
         join = diamond_plan.join_nodes[0]
         ancestors = diamond_plan.ancestors(join)

@@ -44,6 +44,14 @@ class TestStructure:
         diamond = Poset(n=4, pairs=frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
         assert diamond.direct_predecessors_of(3) == {1, 2}
 
+    def test_minimal_and_maximal(self):
+        poset = Poset(n=4, pairs=frozenset({(0, 1), (0, 2)}))
+        closure = poset.closure()
+        minimal = {k for k in range(poset.n) if not poset.predecessors_of(k)}
+        maximal = {k for k in range(poset.n) if all(a != k for a, _ in closure)}
+        assert minimal == {0, 3}
+        assert maximal == {1, 2, 3}
+
     def test_is_chain(self):
         # A chain's closure relates every pair of its atoms.
         assert len(chain_poset(3, [2, 0, 1]).closure()) == 3

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.execution.cache import CacheSetting
+from repro.model.atoms import atom
 from repro.model.predicates import (
     BinaryExpression,
     Comparison,
@@ -11,7 +13,31 @@ from repro.model.predicates import (
     evaluate_expression,
     expression_variables,
 )
+from repro.model.schema import AccessPattern
 from repro.model.terms import Constant, Variable
+from repro.plans.annotate import annotate
+from repro.plans.dag import QueryPlan
+from repro.plans.nodes import InputNode, OutputNode, ServiceNode
+from repro.services.profile import exact_profile
+
+
+def _filtered_output(predicates):
+    """Tuples out of one exact service (ξ = 10) carrying *predicates*."""
+    plan = QueryPlan()
+    start = plan.add_node(InputNode())
+    node = plan.add_node(
+        ServiceNode(
+            atom_index=0,
+            atom=atom("s", "X", "Y"),
+            pattern=AccessPattern("oo"),
+            profile=exact_profile(erspi=10.0, response_time=1.0),
+            predicates=predicates,
+        )
+    )
+    end = plan.add_node(OutputNode())
+    plan.add_arc(start, node)
+    plan.add_arc(node, end)
+    return annotate(plan, CacheSetting.NO_CACHE).tuples_out(node)
 
 
 class TestExpressions:
@@ -66,6 +92,12 @@ class TestComparison:
         predicate = Comparison(add("A", "B"), "<", Variable("C"))
         assert predicate.variables == {Variable("A"), Variable("B"), Variable("C")}
 
+    def test_is_evaluable(self):
+        predicate = comparison("X", "==", 1)
+        assert predicate.holds({Variable("X"): 1})
+        with pytest.raises(PredicateError):
+            predicate.holds({Variable("Y"): 1})
+
     def test_unknown_operator(self):
         with pytest.raises(PredicateError):
             comparison("X", "~", 1)
@@ -90,3 +122,13 @@ class TestSelectivity:
     def test_selectivity_bounds_enforced(self):
         with pytest.raises(PredicateError):
             comparison("X", "==", 1, selectivity=1.5)
+
+    def test_combined_selectivity_is_product(self):
+        predicates = (
+            comparison("X", "==", 1, selectivity=0.5),
+            comparison("Y", "==", 1, selectivity=0.2),
+        )
+        assert _filtered_output(predicates) == pytest.approx(10.0 * 0.1)
+
+    def test_combined_selectivity_empty(self):
+        assert _filtered_output(()) == pytest.approx(10.0)

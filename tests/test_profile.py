@@ -81,6 +81,14 @@ class TestDecay:
 
 
 class TestHelpers:
+    def test_with_cost(self):
+        cheap = exact_profile(erspi=1, response_time=1)
+        priced = exact_profile(erspi=1, response_time=1, cost_per_call=2.5)
+        assert priced.cost_per_call == 2.5
+        assert cheap.cost_per_call == 1.0
+        # The price is part of the statistics a cached plan is keyed by.
+        assert priced.fingerprint() != cheap.fingerprint()
+
     def test_describe_mentions_kind_and_chunk(self):
         text = search_profile(chunk_size=5, response_time=4.9).describe()
         assert "search" in text

@@ -60,6 +60,17 @@ class TestEstimates:
         with pytest.raises(ValueError):
             ServiceProfiler(conf_like).estimate(AccessPattern("io"), [])
 
+    def test_as_profile_roundtrip(self, flight_like):
+        # A search service's estimate restates the profile it was built with.
+        estimate = ServiceProfiler(flight_like).estimate(
+            AccessPattern("io"), [{0: "MIL"}]
+        )
+        rebuilt = search_profile(
+            chunk_size=estimate.chunk_size,
+            response_time=estimate.average_response_time,
+        )
+        assert rebuilt.fingerprint() == flight_like.profile.fingerprint()
+
     def test_search_estimate_reads_chunk_and_latency(self, flight_like):
         estimate = ServiceProfiler(flight_like).estimate(
             AccessPattern("io"), [{0: "MIL"}]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.plans.builder import Poset
 from repro.plans.dag import PlanError
+from repro.testing import chain_poset
 
 
 @st.composite
@@ -77,6 +78,27 @@ class TestStructureProperties:
         for index in set(range(poset.n)) - involved:
             assert poset.predecessors_of(index) == frozenset()
             assert poset.direct_predecessors_of(index) == frozenset()
+
+    @given(_random_dags())
+    @settings(max_examples=80)
+    def test_minimal_elements_cover(self, poset):
+        minimal = {k for k in range(poset.n) if not poset.predecessors_of(k)}
+        assert minimal
+        for index in set(range(poset.n)) - minimal:
+            assert poset.predecessors_of(index) & minimal
+
+    @given(_random_dags())
+    @settings(max_examples=80)
+    def test_chain_iff_all_comparable(self, poset):
+        closure = poset.closure()
+        all_comparable = all(
+            (a, b) in closure or (b, a) in closure
+            for a in range(poset.n)
+            for b in range(a + 1, poset.n)
+        )
+        order = sorted(range(poset.n), key=lambda k: len(poset.predecessors_of(k)))
+        is_chain = closure == chain_poset(poset.n, order).closure()
+        assert is_chain == all_comparable
 
 
 class TestCycleRejection:

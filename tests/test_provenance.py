@@ -46,6 +46,16 @@ def _optimize(registry, query, k=8):
     ).optimize(query).plan
 
 
+def _tiny_plan(registry, query):
+    from repro.plans.builder import PlanBuilder
+    from repro.testing import chain_poset
+
+    patterns = tuple(registry.signature(a.service).patterns[0] for a in query.atoms)
+    return PlanBuilder(query, registry).build(
+        patterns, chain_poset(2, [0, 1]), fetches={1: 2}
+    )
+
+
 class TestRowMechanics:
     def test_provenance_is_off_by_default(self):
         row = Row(bindings={"X": 1})
@@ -59,6 +69,22 @@ class TestRowMechanics:
         merged = merged_with(left, right)
         assert merged is not None
         assert merged.provenance == left.provenance + right.provenance
+
+    def test_with_provenance_appends(self, tiny_registry, tiny_query):
+        # A joined row's records follow the order its pages were pulled.
+        rows = ExecutionEngine(tiny_registry, row_provenance=True).execute(
+            _tiny_plan(tiny_registry, tiny_query), head=tiny_query.head
+        ).rows
+        assert rows
+        for row in rows:
+            assert [record[0] for record in row.provenance] == ["cities", "spots"]
+
+    def test_with_rank_preserves(self, tiny_registry, tiny_query):
+        plan = _tiny_plan(tiny_registry, tiny_query)
+        plain = ExecutionEngine(tiny_registry).execute(plan).rows
+        tagged = ExecutionEngine(tiny_registry, row_provenance=True).execute(plan).rows
+        assert all(row.ranks for row in tagged)
+        assert [row.ranks for row in tagged] == [row.ranks for row in plain]
 
 
 def _rows(registry, query, *, enabled, mode=ExecutionMode.PARALLEL,

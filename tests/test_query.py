@@ -64,6 +64,52 @@ class TestAccessors:
         assert "Score >= 7" in text
 
 
+class TestThroughPlans:
+    """What a query says about joins and predicates, as plans use it."""
+
+    def test_join_variables(self, registry, travel_query):
+        from repro.plans.builder import PlanBuilder
+        from repro.sources.travel import alpha1_patterns, poset_optimal
+
+        plan = PlanBuilder(travel_query, registry).build(
+            alpha1_patterns(), poset_optimal()
+        )
+        (join,) = plan.join_nodes
+        flight, hotel, conf, weather = (a.variable_set for a in travel_query.atoms)
+        prefix = conf | weather
+        assert join.variables == (prefix | flight) & (prefix | hotel)
+        assert Variable("City") in join.variables
+
+    def test_atoms_with_variable(self, two_atom_query):
+        from repro.extensions.expansion import variable_domains
+
+        schema = schema_of(
+            [
+                signature("cities", ["Country", "City"], ["io"]),
+                signature("spots", ["Town", "Spot", "Score"], ["ioo"]),
+            ]
+        )
+        # City occurs in both atoms; its first occurrence names its domain.
+        domains = variable_domains(two_atom_query, schema)
+        assert domains[Variable("City")] == "City"
+        assert domains[Variable("Score")] == "Score"
+
+    def test_predicates_on(self, tiny_registry, tiny_query):
+        from repro.plans.builder import PlanBuilder
+        from repro.testing import chain_poset
+
+        builder = PlanBuilder(tiny_query, tiny_registry)
+        patterns = tuple(
+            tiny_registry.signature(a.service).patterns[0] for a in tiny_query.atoms
+        )
+        plan = builder.build(patterns, chain_poset(2, [0, 1]))
+        cities, spots = (plan.service_node_for_atom(k) for k in (0, 1))
+        # Score >= 7 waits for the node that binds Score.
+        assert cities.predicates == ()
+        assert spots.predicates == tiny_query.predicates
+        assert plan.output_node.residual_predicates == ()
+
+
 class TestSchemaValidation:
     def test_validate_against_schema(self, two_atom_query):
         schema = schema_of(

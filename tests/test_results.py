@@ -21,6 +21,26 @@ class TestRow:
         row = _row(ranks=[("a", 2), ("b", 5)])
         assert row.rank_key() == 7
 
+    def test_with_rank_appends(self, tiny_registry, tiny_query):
+        from repro.execution.engine import ExecutionEngine
+        from repro.plans.builder import PlanBuilder
+        from repro.testing import chain_poset
+
+        plan = PlanBuilder(tiny_query, tiny_registry).build(
+            tuple(
+                tiny_registry.signature(a.service).patterns[0]
+                for a in tiny_query.atoms
+            ),
+            chain_poset(2, [0, 1]),
+            fetches={1: 2},
+        )
+        rows = ExecutionEngine(tiny_registry).execute(plan).rows
+        spots = plan.service_node_for_atom(1).node_id
+        # One rank per search node a row passed; the bulk cities node adds none.
+        assert rows and all([node for node, _ in row.ranks] == [spots] for row in rows)
+        roma = [row.rank_key() for row in rows if row.value(Variable("City")) == "Roma"]
+        assert sorted(roma) == [0, 1, 2]
+
     def test_merge_compatible(self):
         merged = merged_with(_row(City="Roma", F=1), _row(City="Roma", H=2))
         assert merged is not None

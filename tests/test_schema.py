@@ -19,6 +19,13 @@ class TestAccessPattern:
         assert pattern.output_positions == (1, 2, 4)
         assert pattern.arity == 5
 
+    def test_is_input(self):
+        pattern = AccessPattern("io")
+        assert 0 in pattern.input_positions
+        assert 0 not in pattern.output_positions
+        assert 1 in pattern.output_positions
+        assert 1 not in pattern.input_positions
+
     def test_invalid_symbols_rejected(self):
         with pytest.raises(SchemaError):
             AccessPattern("ixo")
@@ -109,3 +116,19 @@ class TestSchema:
     def test_schema_of_builds_from_iterable(self):
         schema = schema_of([signature("a", ["X"], ["o"]), signature("b", ["X"], ["i"])])
         assert schema.names == ("a", "b")
+
+    def test_services_outputting_domain(self):
+        from repro.extensions.expansion import seeder_candidates
+
+        schema = schema_of(
+            [
+                signature("towns", ["City"], ["o"]),
+                signature("lookup", ["City"], ["i"]),
+                signature("pair", ["Name", "City"], ["oi"]),
+            ]
+        )
+        # Only a pattern with City at an output field seeds City.
+        found = seeder_candidates(schema, "City", frozenset())
+        assert [(sig.name, pattern.code, k) for sig, pattern, k in found] == [
+            ("towns", "o", 0)
+        ]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.model.atoms import Atom
 from repro.model.terms import Constant, Variable, term_from_literal
 
 
@@ -71,3 +72,23 @@ class TestTermFromLiteral:
     def test_uppercase_with_space_is_constant(self):
         assert term_from_literal("New York") == Constant("New York")
 
+
+class TestHelpers:
+    def test_is_variable_and_is_constant(self):
+        assert isinstance(term_from_literal("X"), Variable)
+        assert not isinstance(term_from_literal("X"), Constant)
+        assert isinstance(term_from_literal(1), Constant)
+        assert Variable("X") != Constant("X")
+
+    def test_variables_of_preserves_order_and_duplicates(self):
+        terms = (Variable("X"), Constant(1), Variable("Y"), Variable("X"))
+        assert Atom("s", terms).variables == (
+            Variable("X"), Variable("Y"), Variable("X")
+        )
+
+    def test_constants_of(self):
+        terms = (Variable("X"), Constant(1), Constant("a"))
+        assert Atom("s", terms).variable_set == {Variable("X")}
+        assert [t for t in terms if t not in Atom("s", terms).variable_set] == [
+            Constant(1), Constant("a")
+        ]
