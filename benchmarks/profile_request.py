@@ -14,12 +14,18 @@ are made with ``bench/run.py`` pairs; this says where to look.
 
 Why not ``cProfile``: its per-call hook costs about as much as a short
 Python function body, so call-heavy leaves are over-reported and the
-ranking is wrong exactly where a hot path is made of many tiny calls —
-on ``zipf_warm`` it put ``ServiceBinding.bind`` first at 7% of a warm
-request when sampling shows 2.4%, and a kernel specialised on that
-reading moved ``throughput_rps`` by nothing.  A timer signal adds no
-per-call cost; the handler runs between bytecodes, a few microseconds
-per sample.
+ranking is wrong exactly where a hot path is made of many tiny calls.
+A timer signal adds no per-call cost; the handler runs between
+bytecodes, a few microseconds per sample.  Read shares, not the
+``ms/request`` line, which the profiler and the host both inflate.  On
+``zipf_warm`` before per-shape binding kernels and the text memo,
+sampling put ``ServiceBinding.bind_page`` at 27% of a warm request
+inclusive, the per-tuple ``ServiceBinding.bind`` at 15% self,
+``parse_query`` at 11% and ``query_fingerprint`` at 2% over 13 distinct
+texts (cProfile: 25%, 10%, 11%, 2%).  After them the kernel, row
+construction included, is 20%, and parsing and fingerprinting no longer
+appear; ``throughput_rps`` moved ×1.31 over 11 alternating
+``bench/run.py`` pairs.
 
 This is the one-off profile ROADMAP item 1 asks a PR to record until
 that item's spans exist inside the program; the outputs committed next

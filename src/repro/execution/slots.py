@@ -24,8 +24,10 @@ hashing variable names per row:
   the ``(pattern code, ((position, value), ...))`` unit key (logical
   cache, demotion mask, provenance, certificates) is built;
 * :class:`ServiceBinding` — one service node compiled against its feed
-  layout: what to invoke, input spec, output-term binding program,
-  output layout and node predicates.  The eager page loop and the lazy
+  layout: what to invoke, input spec, output layout, and a page-binding
+  kernel (output-term checks, node predicates, row construction)
+  generated once per binding *shape*, with the node's constants and
+  predicates passed in as arguments.  The eager page loop and the lazy
   page source both bind result pages through the same object.
 
 The engine compiles all of it once per plan, in
@@ -37,6 +39,7 @@ compilation cannot fail.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -66,7 +69,7 @@ SlotPredicate = Callable[[tuple], bool]
 InputSpec = Sequence[tuple[int, object, "int | None"]]
 
 
-#: Opcodes of a :class:`ServiceBinding` output-term binding program.
+#: What a :class:`ServiceBinding` does at one output position (its shape).
 _CONST, _CHECK, _FRESH, _DUP = range(4)
 
 
@@ -275,21 +278,26 @@ def unit_input_key(
 class ServiceBinding:
     """One service node compiled against the layout of its feed rows.
 
-    ``bind_ops`` is the output-term binding program, one operation per
-    term position: ``CONST`` rejects tuples whose value differs from
-    the constant (selection), ``CHECK`` rejects on disagreement with
-    the feed slot (the equi-join on the pipe), ``FRESH`` appends the
-    first occurrence of a new variable, ``DUP`` rejects repeated
-    occurrences that fail to unify.  ``layout`` — the feed variables
-    followed by the fresh ones in first-occurrence order — is shared by
-    every row the node emits.  ``service_name``, ``pattern`` and
-    ``profile`` say what to invoke and what it was costed at; the
+    The output terms compile to one check per term position: a
+    constant rejects tuples whose value differs from it (selection), a
+    variable bound by the feed rejects on disagreement with its feed
+    slot (the equi-join on the pipe), a repeated variable rejects
+    occurrences that fail to unify with its first, and the first
+    occurrence of a new variable is appended.  ``layout`` — the feed
+    variables followed by the fresh ones in first-occurrence order — is
+    shared by every row the node emits.  ``service_name``, ``pattern``
+    and ``profile`` say what to invoke and what it was costed at; the
     service *handle* is the run's business (its registry's).
+
+    The checks, the node predicates and the row construction run in a
+    kernel generated for the binding's *shape* (:func:`_kernel_factory`)
+    and built here, at compile time; the binding's constants and
+    predicates are arguments of the kernel, never part of its source.
     """
 
     __slots__ = (
         "node_id", "atom_index", "service_name", "pattern", "pattern_code",
-        "profile", "input_spec", "bind_ops", "layout", "predicates",
+        "profile", "input_spec", "layout", "_kernel",
     )
 
     def __init__(self, node: "ServiceNode", feed_layout: SlotLayout) -> None:
@@ -301,46 +309,34 @@ class ServiceBinding:
         self.pattern_code = node.pattern.code
         self.profile = node.profile
         self.input_spec = tuple(compile_input_spec(node, feed_layout))
-        bind_ops: list[tuple[int, object]] = []
-        fresh: dict = {}
+        shape: list[tuple[int, int]] = []
+        constants: list = []
+        fresh: dict = {}  # variable -> position of its first occurrence
         for position in range(node.atom.arity):
             term = node.atom.term_at(position)
             if isinstance(term, Constant):
-                bind_ops.append((_CONST, term.value))
+                shape.append((_CONST, len(constants)))
+                constants.append(term.value)
             elif term in fresh:
-                bind_ops.append((_DUP, fresh[term]))
+                shape.append((_DUP, fresh[term]))
             elif term in feed_layout.index:
-                bind_ops.append((_CHECK, feed_layout.index[term]))
+                shape.append((_CHECK, feed_layout.index[term]))
             else:
-                bind_ops.append((_FRESH, len(fresh)))
-                fresh[term] = len(fresh)
-        self.bind_ops = tuple(bind_ops)
+                shape.append((_FRESH, position))
+                fresh[term] = position
         self.layout = (
             SlotLayout(feed_layout.variables + tuple(fresh))
             if fresh
             else feed_layout
         )
-        self.predicates = tuple(compile_predicates(node.predicates, self.layout))
+        predicates = compile_predicates(node.predicates, self.layout)
+        self._kernel = _kernel_factory(tuple(shape), len(predicates))(
+            self.layout, self.node_id, *constants, *predicates
+        )
 
     def unit(self, feed_values: tuple) -> tuple[dict[int, object], tuple]:
         """``(inputs, input key)`` of the unit one feed row addresses."""
         return unit_input_key(self.pattern_code, self.input_spec, feed_values)
-
-    def bind(self, feed_values: tuple, values: tuple) -> tuple | None:
-        """Merged value tuple for one service result; None on mismatch."""
-        fresh: list = []
-        for (op, aux), value in zip(self.bind_ops, values):
-            if op == _FRESH:
-                fresh.append(value)
-            elif op == _CHECK:
-                if feed_values[aux] != value:
-                    return None
-            elif op == _CONST:
-                if value != aux:
-                    return None
-            elif fresh[aux] != value:  # DUP
-                return None
-        return feed_values + tuple(fresh) if fresh else feed_values
 
     def bind_page(
         self,
@@ -354,42 +350,78 @@ class ServiceBinding:
         service rank, filters by the node predicates; *record* (when
         row provenance is on) is appended to the feed row's trail.
         """
-        arity = len(self.bind_ops)
-        bind = self.bind
-        layout = self.layout
-        predicates = self.predicates
-        node_id = self.node_id
+        return self._kernel(feed_row, result, record)
+
+
+#: Source of a binding kernel factory; :func:`_kernel_factory` fills
+#: in the shape.  Values compared with ``!=`` keep the operand order of
+#: the reference binder (``repro.testing.reference.bind_outputs``).
+_KERNEL_SOURCE = """\
+def factory(layout, node_id{params}):
+    def kernel(feed_row, result, record):
         feed_values = feed_row.values
         feed_ranks = feed_row.ranks
-        provenance = (
-            feed_row.provenance
-            if record is None
-            else feed_row.provenance + (record,)
-        )
-        rows: list[Row] = []
+        provenance = feed_row.provenance
+        if record is not None:
+            provenance += (record,)
+        {hoist}
+        rows = []
+        append = rows.append
         for values, rank in zip(
             result.tuples, result.ranks or (None,) * len(result.tuples)
         ):
-            if len(values) < arity:
+            if len(values) < {arity}:
                 raise ExecutionError(
-                    f"service returned a tuple of arity {len(values)}, "
-                    f"expected {arity}"
+                    f"service returned a tuple of arity {{len(values)}}, "
+                    "expected {arity}"
                 )
-            merged = bind(feed_values, values)
-            if merged is None:
-                continue
-            if predicates and not all(holds(merged) for holds in predicates):
-                continue
-            rows.append(
-                Row(
-                    layout=layout,
-                    values=merged,
-                    ranks=(
-                        feed_ranks
-                        if rank is None
-                        else feed_ranks + ((node_id, rank),)
-                    ),
-                    provenance=provenance,
-                )
-            )
+            {checks}
+            merged = {merged}
+            {filters}
+            append(Row(
+                layout=layout, values=merged, provenance=provenance,
+                ranks=feed_ranks if rank is None
+                else feed_ranks + ((node_id, rank),),
+            ))
         return rows
+    return kernel
+"""
+
+
+@lru_cache(maxsize=256)
+def _kernel_factory(shape: tuple[tuple[int, int], ...], predicate_count: int):
+    """The kernel factory of one binding shape, exec'd once per process.
+
+    *shape* holds one ``(opcode, operand)`` pair per output position:
+    the constant's index, the feed slot checked, the position a repeated
+    variable first occurred at, or (fresh) the position itself.  The
+    factory takes ``(layout, node_id, *constants, *predicates)`` and
+    returns the ``bind_page`` kernel over them.
+    """
+    params, hoist, checks, fresh = [], {}, [], []
+    for position, (op, operand) in enumerate(shape):
+        value = f"values[{position}]"
+        if op == _CONST:
+            params.append(f"c{operand}")
+            checks.append(f"if {value} != c{operand}: continue")
+        elif op == _CHECK:
+            hoist[f"f{operand} = feed_values[{operand}]"] = None
+            checks.append(f"if f{operand} != {value}: continue")
+        elif op == _DUP:
+            checks.append(f"if values[{operand}] != {value}: continue")
+        else:
+            fresh.append(f"{value},")
+    tests = [f"p{index}" for index in range(predicate_count)]
+    source = _KERNEL_SOURCE.format(
+        params="".join(f", {name}" for name in params + tests),
+        hoist="\n        ".join(hoist),
+        arity=len(shape),
+        checks="\n            ".join(checks),
+        merged=f"feed_values + ({' '.join(fresh)})" if fresh else "feed_values",
+        filters="\n            ".join(
+            f"if not {test}(merged): continue" for test in tests
+        ),
+    )
+    namespace = {"Row": Row, "ExecutionError": ExecutionError}
+    exec(compile(source, "<binding kernel>", "exec"), namespace)
+    return namespace["factory"]

@@ -55,6 +55,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 from repro.costs.base import CostMetric
@@ -90,6 +91,15 @@ from repro.services.registry import AdjustedRegistry, ServiceRegistry
 OPTIMIZER_CONFIG = OptimizerConfig()
 CACHE_SETTING = CacheSetting.OPTIMAL
 _CONFIG_TOKEN = optimizer_config_token(OPTIMIZER_CONFIG)
+
+
+@lru_cache(maxsize=128)
+def _parse(text: str) -> tuple[ConjunctiveQuery, str]:
+    """*text* parsed and fingerprinted, once per text while it is among
+    the 128 most recently submitted (a :class:`ParseError` is raised
+    again on every submission: the memo keeps only what returned)."""
+    query = parse_query(text)
+    return query, query_fingerprint(query)
 
 
 def _check_count(name: str, value: object) -> None:
@@ -312,13 +322,15 @@ class QueryService:
         k = self.k_default if k is None else k
         _check_count("k", k)
         if isinstance(query, str):
-            query = parse_query(query)
+            query, fingerprint = _parse(query)
+        else:
+            fingerprint = query_fingerprint(query)
         with self._stats_lock:
             self.stats.requests += 1
-        plan, cost, provenance, fingerprint, epoch, annotate_calls = (
-            self._resolve_plan(query, k, registry=self._planning_registry())
+        plan, cost, provenance, epoch, annotate_calls = self._resolve_plan(
+            query, fingerprint, k, registry=self._planning_registry()
         )
-        executor = self._make_executor(query, plan, k)
+        executor = self._make_executor(query, fingerprint, plan, k)
         result = executor.run(k)
         self._feed_breaker(executor.rounds, result)
         replans = executor.replans
@@ -327,7 +339,7 @@ class QueryService:
                 self.stats.replans += replans
         session = self.sessions.create(
             query=query, executor=executor, delivered=len(result.rows),
-            epoch=epoch,
+            epoch=epoch, fingerprint=fingerprint,
         )
         return self._respond(
             session.session_id, query, result, k, provenance, cost,
@@ -369,17 +381,14 @@ class QueryService:
                 with self._stats_lock:
                     self.stats.replans += replans
             session.delivered = len(result.rows)
-            query = session.query
             # The epoch pinned at submit time, NOT the registry's
             # current one: the continuation still executes the plan it
             # was created with, so a mid-session registry update must
             # not relabel its answers as computed under the new epoch.
             return self._respond(
-                session_id, query, result, session.delivered, "session",
-                None, query_fingerprint(query),
-                session.epoch, 0,
-                new_rounds,
-                replans=replans,
+                session_id, session.query, result, session.delivered,
+                "session", None, session.fingerprint, session.epoch, 0,
+                new_rounds, replans=replans,
             )
 
     def release(self, session_id: str) -> bool:
@@ -415,12 +424,13 @@ class QueryService:
     # -- internals -------------------------------------------------------
 
     def _resolve_plan(
-        self, query: ConjunctiveQuery, k: int, registry
+        self, query: ConjunctiveQuery, fingerprint: str, k: int, registry
     ) -> tuple:
-        """Plan *query* through the shared plan cache (optimize on miss).
+        """Plan *query* (of *fingerprint*) through the shared plan cache
+        (optimize on miss).
 
-        Returns ``(program, cost, provenance, fingerprint, epoch,
-        annotate_calls)`` — the request-independent half of
+        Returns ``(program, cost, provenance, epoch, annotate_calls)``
+        — the request-independent half of
         :meth:`submit`.  The program is the plan-cache entry's, shared
         with every other user of the key; it is written in the
         variables of the query that first compiled it, which by the
@@ -443,7 +453,6 @@ class QueryService:
         schedule.  Plan *building* (spec → fresh plan objects) happens
         outside the mutex: it touches no shared mutable state.
         """
-        fingerprint = query_fingerprint(query)
         epoch = registry.content_epoch()
         key = plan_cache_key(
             fingerprint, epoch, self.metric.name, k,
@@ -489,7 +498,7 @@ class QueryService:
                     self.metric.name, epoch,
                     tenant=epoch, program=program,
                 )
-        return program, cost, provenance, fingerprint, epoch, annotate_calls
+        return program, cost, provenance, epoch, annotate_calls
 
     # -- adaptivity ------------------------------------------------------
 
@@ -510,7 +519,8 @@ class QueryService:
         return AdjustedRegistry(self.registry, overrides)
 
     def _make_executor(
-        self, query: ConjunctiveQuery, plan: ExecutionProgram, k: int
+        self, query: ConjunctiveQuery, fingerprint: str,
+        plan: ExecutionProgram, k: int,
     ) -> ProgressiveExecutor:
         """The per-submission executor: re-planning on drift when
         adaptive."""
@@ -523,10 +533,7 @@ class QueryService:
             merged = dict(self.breaker.response_time_overrides())
             merged.update(observed)
             view = AdjustedRegistry(self.registry, merged)
-            new_plan, _, _, _, _, _ = self._resolve_plan(
-                query, k, registry=view
-            )
-            return new_plan
+            return self._resolve_plan(query, fingerprint, k, registry=view)[0]
 
         executor = ProgressiveExecutor(
             registry=self.registry,

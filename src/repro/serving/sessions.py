@@ -89,6 +89,8 @@ class Session:
     #: plan (and the suspended stream) of submit time, so a mid-session
     #: registry update must not relabel its answers as fresh.
     epoch: str = ""
+    #: The query's fingerprint, computed once at submit time.
+    fingerprint: str = ""
     #: Serializes resumes of this one continuation (see module doc).
     lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -125,7 +127,7 @@ class SessionManager:
 
     def create(
         self, query: ConjunctiveQuery, executor: ProgressiveExecutor,
-        delivered: int = 0, epoch: str = "",
+        delivered: int = 0, epoch: str = "", fingerprint: str = "",
     ) -> Session:
         """Register a new session, evicting to stay within capacity."""
         with self._lock:
@@ -143,6 +145,7 @@ class SessionManager:
                 touched_at=now,
                 delivered=delivered,
                 epoch=epoch,
+                fingerprint=fingerprint,
             )
             self._sessions[session.session_id] = session
             self.stats.created += 1

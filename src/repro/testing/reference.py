@@ -62,6 +62,7 @@ from repro.plans.annotate import (
 from repro.plans.builder import PlanBuilder, Poset
 from repro.plans.dag import PlanError, QueryPlan
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, ServiceNode
+from repro.services.base import InvocationResult
 from repro.services.registry import JoinMethod, ServiceRegistry
 
 
@@ -175,7 +176,6 @@ def _run_service_node(
 ) -> list[Row]:
     assert node.atom is not None and node.pattern is not None
     service = registry.service(node.service_name)
-    terms = [node.atom.term_at(position) for position in range(node.atom.arity)]
     produced: list[Row] = []
     for row in feed:
         bindings = row.bindings
@@ -192,21 +192,37 @@ def _run_service_node(
                 )
         for page in range(node.fetches):
             result = service.invoke(node.pattern, inputs, page=page)
-            ranks = result.ranks or (None,) * len(result.tuples)
-            for values, rank in zip(result.tuples, ranks):
-                merged = bind_outputs(row, values, terms)
-                if merged is None:
-                    continue
-                if rank is not None:
-                    merged = Row(
-                        layout=merged.layout, values=merged.values,
-                        ranks=merged.ranks + ((node.node_id, rank),),
-                        provenance=merged.provenance,
-                    )
-                if all(p.holds(merged.bindings) for p in node.predicates):
-                    produced.append(merged)
+            produced.extend(bind_page(node, row, result))
             if not result.has_more:
                 break
+    return produced
+
+
+def bind_page(
+    node: ServiceNode, row: Row, result: InvocationResult, record=None
+) -> list[Row]:
+    """The rows one fetched page of *node* contributes for *row*, in
+    dict rows: what ``ServiceBinding.bind_page`` must produce.  *record*
+    (row provenance on) is appended to the row's provenance trail."""
+    assert node.atom is not None
+    terms = [node.atom.term_at(position) for position in range(node.atom.arity)]
+    if record is not None:
+        row = Row(bindings=row.bindings, ranks=row.ranks,
+                  provenance=row.provenance + (record,))
+    produced: list[Row] = []
+    ranks = result.ranks or (None,) * len(result.tuples)
+    for values, rank in zip(result.tuples, ranks):
+        merged = bind_outputs(row, values, terms)
+        if merged is None:
+            continue
+        if rank is not None:
+            merged = Row(
+                layout=merged.layout, values=merged.values,
+                ranks=merged.ranks + ((node.node_id, rank),),
+                provenance=merged.provenance,
+            )
+        if all(p.holds(merged.bindings) for p in node.predicates):
+            produced.append(merged)
     return produced
 
 

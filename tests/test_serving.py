@@ -23,7 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.model.parser import ParseError, parse_query
 from repro.plans.spec import PlanSpec
+from repro.serving import service as service_module
 from repro.serving import (
     CachedPlan,
     PlanCache,
@@ -726,6 +728,83 @@ class TestQueryService:
         json.loads(
             json.dumps(service.snapshot())
         )  # the snapshot round-trips too
+
+
+def _texts(count):
+    """*count* distinct texts of one query, alpha-renamed: one
+    fingerprint, one plan-cache key, *count* memo entries."""
+    return [
+        f"q(City{index}, Price) :- lowcost('Milano', City{index}, Date, Price), "
+        "Price <= 60."
+        for index in range(count)
+    ]
+
+
+@pytest.fixture
+def parse_counter(monkeypatch):
+    """Counts ``parse_query`` calls made by the serving layer, with the
+    text memo emptied before and after."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_query(text)
+
+    monkeypatch.setattr(service_module, "parse_query", counting)
+    service_module._parse.cache_clear()
+    yield calls
+    service_module._parse.cache_clear()
+
+
+class TestQueryTextMemo:
+    def test_a_repeated_text_is_parsed_once(self, parse_counter):
+        text = _texts(1)[0]
+        cold = QueryService(registry=weekend_registry(), k_default=2)
+        warm = QueryService(registry=weekend_registry(), k_default=2)
+        parsed = QueryService(registry=weekend_registry(), k_default=2)
+        first = cold.submit(text)
+        assert warm.submit(text).to_dict() == first.to_dict()
+        assert parse_counter == [text]
+        assert parsed.submit(parse_query(text)).to_dict() == first.to_dict()
+        assert cold.submit(text).provenance == "memory"
+        assert parse_counter == [text]
+
+    def test_a_bad_text_fails_every_time_and_moves_nothing(
+        self, parse_counter
+    ):
+        service = QueryService(registry=weekend_registry(), k_default=2)
+        service.submit(_texts(1)[0])
+        before = service.snapshot()
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                service.submit("q(City) :- lowcost('Milano', City")
+        assert len(parse_counter) == 3
+        assert service_module._parse.cache_info().currsize == 1
+        assert service.snapshot() == before
+
+    def test_the_memo_stays_bounded(self, parse_counter):
+        service = QueryService(registry=weekend_registry(), k_default=1)
+        texts = _texts(140)
+        fingerprints = {service.submit(text).fingerprint for text in texts}
+        assert service_module._parse.cache_info().currsize == 128
+        assert len(fingerprints) == 1 and service.stats.optimizer_runs == 1
+        # The oldest texts were evicted, the newest are still held.
+        service.submit(texts[-1])
+        service.submit(texts[0])
+        assert parse_counter[-1:] == [texts[0]] and len(parse_counter) == 141
+
+    def test_a_continuation_reuses_the_submit_fingerprint(self, monkeypatch):
+        service = QueryService(registry=weekend_registry(), k_default=2)
+        first = service.submit(mahler_weekend_query())
+
+        def refuse(query):
+            raise AssertionError("a continuation fingerprinted its query")
+
+        monkeypatch.setattr(service_module, "query_fingerprint", refuse)
+        more = service.ask_for_more(first.session_id, 2)
+        assert more.provenance == "session"
+        assert more.fingerprint == first.fingerprint
+        assert first.fingerprint == query_fingerprint(mahler_weekend_query())
 
 
 class TestSnapshotRegressions:

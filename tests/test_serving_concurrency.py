@@ -20,11 +20,13 @@ OS thread scheduler, which these contracts are quantified over.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
 
 from repro.serving import PlanCache, QueryService, SessionManager
+from repro.serving import service as service_module
 from repro.sources.news import news_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
 from repro.testing import market_moving_news_query
@@ -394,6 +396,51 @@ class TestSessionManagerLocking:
         assert stats.created == sum(submits)
         assert (stats.released + stats.evicted + stats.expired
                 + len(manager)) == stats.created
+
+
+class TestQueryTextMemoConcurrency:
+    def test_overlapping_texts_while_the_memo_evicts(self):
+        # 200 alpha-renamed texts of one query: distinct memo entries
+        # (more than the memo holds, so it evicts throughout), one
+        # fingerprint, one plan-cache key.
+        texts = [
+            f"q(City{index}, Price) :- lowcost('Milano', City{index}, "
+            "Date, Price), Price <= 60."
+            for index in range(200)
+        ]
+        streams = [
+            random.Random(index).choices(texts[index * 20:index * 20 + 60], k=40)
+            for index in range(8)
+        ]
+        assert len({text for stream in streams for text in stream}) > 128
+        sequential = _service(weekend_registry, k_default=2)
+        expected = {
+            text: _answer_signature(sequential.submit(text)) for text in texts
+        }
+        service_module._parse.cache_clear()
+        shared = _service(weekend_registry, k_default=2)
+        got = [[] for _ in streams]
+
+        def work(index):
+            for text in streams[index]:
+                response = shared.submit(text)
+                got[index].append((text, _answer_signature(response),
+                                   response.fingerprint))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_workers(len(streams), work)
+        finally:
+            sys.setswitchinterval(interval)
+        fingerprint = sequential.submit(texts[0]).fingerprint
+        for stream, answers in zip(streams, got):
+            assert answers == [
+                (text, expected[text], fingerprint) for text in stream
+            ]
+        assert service_module._parse.cache_info().currsize <= 128
+        assert shared.stats.optimizer_runs == 1
+        assert shared.stats.requests == sum(map(len, streams))
 
 
 class TestResilientServingConcurrency:

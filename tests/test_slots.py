@@ -28,6 +28,7 @@ from repro.execution.joins import JoinStream, join_rows
 from repro.execution.lazy import LazyServiceCursor
 from repro.execution.results import Row, SlotLayout, compose_ranking
 from repro.execution.slots import (
+    ServiceBinding,
     SlotJoinPlan,
     compile_comparison,
     compile_expression,
@@ -36,15 +37,17 @@ from repro.execution.slots import (
 from repro.model.atoms import Atom
 from repro.model.predicates import BinaryExpression, Comparison, PredicateError
 from repro.model.query import ConjunctiveQuery
-from repro.model.schema import signature
+from repro.model.schema import AccessPattern, signature
 from repro.model.terms import Constant, Variable
 from repro.services.base import InvocationResult
 from repro.plans.builder import PlanBuilder
+from repro.plans.nodes import ServiceNode
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
 from repro.testing import chain_poset
 from repro.testing.fixtures import ListPageSource, compiled_join
+from repro.testing.reference import bind_page as reference_bind_page
 from repro.testing.reference import execute_join, merged_with, reference_execute
 
 from tests.test_property_streaming import (
@@ -372,6 +375,165 @@ class TestOutputBindingProgram:
         assert result.stats.rows_out == reference.rows_out
         assert set(result.answers()) == expected
         assert _share_one_layout(result.rows)
+
+    # -- the generated kernel, page by page, against the reference binder
+
+    @staticmethod
+    def _binding(terms, predicates=(), feed=None):
+        """A ``ServiceBinding`` of ``svc(*terms)`` (every position an
+        output) over the layout of *feed*, its node and the feed row."""
+        feed = Row(bindings={X: 1, L: 2}) if feed is None else feed
+        node = ServiceNode(
+            node_id="s1", atom_index=0, atom=Atom("svc", tuple(terms)),
+            pattern=AccessPattern("o" * len(terms)),
+            profile=search_profile(chunk_size=4, response_time=1.0),
+            predicates=tuple(predicates),
+        )
+        return ServiceBinding(node, feed.layout), node, feed
+
+    @staticmethod
+    def _page(tuples, ranked):
+        ranks = tuple(range(10, 10 + len(tuples))) if ranked else ()
+        return InvocationResult(
+            tuples=tuple(tuples), latency=1.0, has_more=False, ranks=ranks
+        )
+
+    def _assert_binds_like_the_reference(self, terms, tuples, predicates=(),
+                                         feed=None, ranked=True, record=None):
+        binding, node, feed = self._binding(terms, predicates, feed)
+        page = self._page(tuples, ranked)
+        rows = binding.bind_page(feed, page, record)
+        assert rows == reference_bind_page(node, feed, page, record)
+        assert all(row.layout is binding.layout for row in rows)
+        return rows
+
+    @pytest.mark.parametrize("ranked", [False, True])
+    @pytest.mark.parametrize("record", [None, ("svc", ("o", ()), 0)])
+    def test_every_opcode_on_ranked_and_unranked_pages(self, ranked, record):
+        # X is fed (CHECK), "c" a selection (CONST), Y fresh then
+        # repeated (FRESH, DUP), R fresh and filtered by a predicate.
+        terms = (X, Constant("c"), Y, Y, R)
+        tuples = [
+            (1, "c", 5, 5, 0),  # survives
+            (2, "c", 5, 5, 0),  # CHECK rejects
+            (1, "d", 5, 5, 0),  # CONST rejects
+            (1, "c", 5, 6, 0),  # DUP rejects
+            (1, "c", 7, 7, 9),  # the predicate rejects
+            (1, "c", 8, 8, 1, "extra"),  # longer tuples bind their prefix
+        ]
+        rows = self._assert_binds_like_the_reference(
+            terms, tuples, [Comparison(R, "<", Constant(5))],
+            ranked=ranked, record=record,
+        )
+        assert [row.values for row in rows] == [(1, 2, 5, 0), (1, 2, 8, 1)]
+        assert [row.ranks for row in rows] == (
+            [(("s1", 10),), (("s1", 15),)] if ranked else [(), ()]
+        )
+        assert {row.provenance for row in rows} == {
+            () if record is None else (record,)
+        }
+
+    @given(
+        terms=st.lists(
+            st.sampled_from([X, Y, R, L, Constant(0), Constant(1)]),
+            min_size=1, max_size=4,
+        ),
+        tuples=st.lists(st.tuples(*[st.integers(0, 2)] * 4), max_size=8),
+        ranked=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_term_list_binds_like_the_reference(self, terms, tuples, ranked):
+        self._assert_binds_like_the_reference(terms, tuples, ranked=ranked)
+
+    @pytest.mark.parametrize(
+        "constant",
+        ["it's", 'say "hi"', "back\\slash", "new\nline", "__import__('os')",
+         "{arity}", "\"\"\"", 3.5],
+    )
+    def test_constants_are_arguments_not_source(self, constant):
+        terms = (X, Constant(constant), Y)
+        rows = self._assert_binds_like_the_reference(
+            terms, [(1, constant, "kept"), (1, repr(constant), "dropped")]
+        )
+        assert [row.values for row in rows] == [(1, 2, "kept")]
+
+    def test_one_shape_shares_one_code_object(self):
+        first, _, feed = self._binding((X, Constant("a"), Y))
+        second, _, _ = self._binding((X, Constant("b"), Y))
+        assert first._kernel.__code__ is second._kernel.__code__
+        page = self._page([(1, "a", 10), (1, "b", 20)], ranked=False)
+        assert [row.values for row in first.bind_page(feed, page)] == [(1, 2, 10)]
+        assert [row.values for row in second.bind_page(feed, page)] == [(1, 2, 20)]
+
+    def test_nan_never_equals_itself(self):
+        # Element-wise ``!=``: a tuple comparison would short-circuit on
+        # the identical object and keep these rows.
+        nan = float("nan")
+        feed = Row(bindings={X: nan})
+        for terms, values in [
+            ((X, Y), (nan, 1)),  # CHECK
+            ((Constant(nan), Y), (nan, 1)),  # CONST
+            ((Y, Y), (nan, nan)),  # DUP
+        ]:
+            assert (values,) == (values,)
+            assert self._assert_binds_like_the_reference(
+                terms, [values], feed=feed
+            ) == []
+
+    def test_asymmetric_ne_keeps_the_operand_order(self):
+        log = []
+
+        class Probe:
+            """``!=`` answers by the left operand's name and logs."""
+
+            def __init__(self, name):
+                self.name = name
+
+            def __ne__(self, other):
+                log.append((self.name, other.name))
+                return self.name.startswith("ne")
+
+            __hash__ = object.__hash__
+
+        # Names starting "ne" answer ``!=`` with True: the order the
+        # operands are compared in decides which rows survive.
+        feed = Row(bindings={X: Probe("eq-feed")})
+        tuples = [
+            tuple(map(Probe, names))
+            for names in [
+                ("ne-1", "ne-2", "eq-3", "a"),  # CONST rejects
+                ("ne-4", "eq-5", "ne-6", "b"),  # DUP rejects
+                ("ne-7", "eq-8", "eq-9", "c"),  # survives
+            ]
+        ]
+        terms = (X, Constant(Probe("eq-const")), Y, Y)
+        binding, node, feed = self._binding(terms, feed=feed)
+        page = self._page(tuples, ranked=False)
+        rows = binding.bind_page(feed, page)
+        kernel_log = log[:]
+        log.clear()
+        assert rows == reference_bind_page(node, feed, page)
+        assert kernel_log == log == [
+            ("eq-feed", "ne-1"), ("ne-2", "eq-const"),
+            ("eq-feed", "ne-4"), ("eq-5", "eq-const"), ("ne-6", "b"),
+            ("eq-feed", "ne-7"), ("eq-8", "eq-const"), ("eq-9", "c"),
+        ]
+        assert [row.values[1:] for row in rows] == [tuples[2][2:3]]
+
+    def test_short_tuples_and_predicate_errors_match_the_reference(self):
+        cases = [
+            ((X, Y, R), [(1, 2, 3), (1, 2)], (), ExecutionError),
+            ((X, Y), [(1, "text")], [Comparison(Y, "<", Constant(5))],
+             PredicateError),
+        ]
+        for terms, tuples, predicates, error in cases:
+            binding, node, feed = self._binding(terms, predicates)
+            page = self._page(tuples, ranked=True)
+            with pytest.raises(error) as kernel:
+                binding.bind_page(feed, page)
+            with pytest.raises(error) as reference:
+                reference_bind_page(node, feed, page)
+            assert str(kernel.value) == str(reference.value)
 
 
 class _ShortTupleService(TableSearchService):
