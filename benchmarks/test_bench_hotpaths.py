@@ -331,8 +331,7 @@ def _block_cursor(
         for block in range(count)
     ])
     opening = iter(cursors)
-    budget = -(-BLOCK_ROWS // BLOCK_CHUNK)
-    cursor = MultiFeedCursor(feed, lambda row, rank: next(opening), budget)
+    cursor = MultiFeedCursor(feed, lambda row, rank: next(opening))
     return cursor, cursors, eager, eager_pages
 
 
@@ -341,11 +340,13 @@ def _block_sweep_point(count: int) -> dict:
     start = time.perf_counter()
     cursor.ensure(BLOCK_DEMAND)
     elapsed = time.perf_counter() - start
+    # What the demand pulled, read off the blocks and their sources.
     lazy_pages = sum(b.pages_fetched for b in blocks)
+    tuples = sum(b._source.rows_pulled for b in blocks)
     # Laziness bounds, asserted at every point (quick runs included):
     # the demand-driven pulls never exceed the eager universe.
     assert lazy_pages <= eager_pages
-    assert cursor.tuples_fetched <= len(eager)
+    assert tuples <= len(eager)
     # ... and the placed prefix is bit-identical to eager order.
     assert _row_signature(cursor.rows) == _row_signature(
         eager[: len(cursor.rows)]
@@ -356,9 +357,9 @@ def _block_sweep_point(count: int) -> dict:
         "ensure_elapsed_s": round(elapsed, 6),
         "pages_fetched": lazy_pages,
         "eager_pages": eager_pages,
-        "tuples_fetched": cursor.tuples_fetched,
+        "tuples_fetched": tuples,
         "eager_tuples": len(eager),
-        "blocks_untouched": cursor.blocks_untouched,
+        "blocks_untouched": sum(not b.pages_fetched for b in blocks),
     }
     cursor.ensure_all()
     assert _row_signature(cursor.rows) == _row_signature(eager)

@@ -43,6 +43,12 @@ The acceptance assertion is the point of the subsystem: at k = 1 and
 k = 10 the lazy execution must fetch **strictly fewer service tuples**
 than eager streaming (and never more at any k), while the emitted
 rows stay bit-identical to the oracle.
+
+Every column is a ledger read: the totals, the tuples of the
+demand-driven steps, and their blocks — one per feed row the feeder
+produced, *untouched* when no call or cache hit answered it
+(``repro.testing.demand_blocks``).  ``pages_saved`` is the eager run's
+page total less the lazy run's.
 """
 
 from __future__ import annotations
@@ -70,7 +76,13 @@ from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
-from repro.testing import ReexecutingExecutor, chain_poset, eager_streamed_engine
+from repro.testing import (
+    ReexecutingExecutor,
+    chain_poset,
+    demand_blocks,
+    eager_streamed_engine,
+    step_cells,
+)
 
 pytestmark = pytest.mark.bench
 
@@ -233,18 +245,32 @@ def _timed(fn):
 def _measure(engine: ExecutionEngine, plan, head, k) -> dict:
     result, elapsed = _timed(lambda: engine.execute(plan, head=head, k=k))
     stats = result.stats
+    blocks = demand_blocks(result)
     return {
         "result": result,
         "service_calls": stats.total_calls,
         "page_fetches": stats.total_fetches,
         "tuples_fetched": stats.total_tuples_fetched,
-        "lazy_tuples_fetched": stats.lazy_tuples_fetched,
-        "lazy_calls_saved": stats.lazy_calls_saved,
-        "lazy_blocks": stats.lazy_blocks,
-        "lazy_blocks_untouched": stats.lazy_blocks_untouched,
-        "cells_visited": stats.streamed_cells_visited,
+        "lazy_tuples_fetched": sum(
+            step_cells(stats, index).tuples_fetched for index in blocks
+        ),
+        "lazy_blocks": sum(known for known, _ in blocks.values()),
+        "lazy_blocks_untouched": sum(
+            known - touched for known, touched in blocks.values()
+        ),
         "wall_s": round(elapsed, 6),
     }
+
+
+def _measure_pair(registry, plan, head, k) -> tuple[dict, dict]:
+    """The eager and the lazy streamed run of *plan*, the lazy one with
+    the pages it saved: the eager run's total less its own."""
+    eager = _measure(eager_streamed_engine(registry), plan, head, k)
+    lazy = _measure(
+        ExecutionEngine(registry, mode=ExecutionMode.STREAMED), plan, head, k
+    )
+    lazy["pages_saved"] = eager["page_fetches"] - lazy["page_fetches"]
+    return eager, lazy
 
 
 def _strip(measurement: dict) -> dict:
@@ -262,14 +288,7 @@ class TestLazyFetchTrajectory:
                     registry, mode=ExecutionMode.PARALLEL
                 ).execute(plan, head=head)
                 expected = compose_ranking(oracle.rows, k)
-                eager = _measure(
-                    eager_streamed_engine(registry),
-                    plan, head, k,
-                )
-                lazy = _measure(
-                    ExecutionEngine(registry, mode=ExecutionMode.STREAMED),
-                    plan, head, k,
-                )
+                eager, lazy = _measure_pair(registry, plan, head, k)
                 # Oracle equivalence: identical rows, ranks, and order.
                 for measured in (eager, lazy):
                     assert [
@@ -298,14 +317,7 @@ class TestLazyFetchTrajectory:
                     registry, mode=ExecutionMode.PARALLEL
                 ).execute(plan, head=head)
                 expected = compose_ranking(oracle.rows, k)
-                eager = _measure(
-                    eager_streamed_engine(registry),
-                    plan, head, k,
-                )
-                lazy = _measure(
-                    ExecutionEngine(registry, mode=ExecutionMode.STREAMED),
-                    plan, head, k,
-                )
+                eager, lazy = _measure_pair(registry, plan, head, k)
                 for measured in (eager, lazy):
                     assert [
                         (r.bindings, r.ranks) for r in measured["result"].rows
@@ -336,13 +348,7 @@ class TestLazyFetchTrajectory:
             for depth in CHAIN_DEPTHS:
                 for k in KS:
                     registry, head, plan = _chain_plan(depth, rows)
-                    eager = _measure(
-                        eager_streamed_engine(registry), plan, head, k
-                    )
-                    lazy = _measure(
-                        ExecutionEngine(registry, mode=ExecutionMode.STREAMED),
-                        plan, head, k,
-                    )
+                    eager, lazy = _measure_pair(registry, plan, head, k)
                     assert len(lazy["result"].rows) == k
                     assert [
                         (r.bindings, r.ranks) for r in lazy["result"].rows
@@ -468,12 +474,15 @@ class TestLazyFetchTrajectory:
         engine = ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
         result = benchmark(lambda: engine.execute(plan, head=head, k=10))
         assert len(result.rows) == 10
-        assert result.stats.lazy_calls_saved > 0
+        eager = eager_streamed_engine(registry).execute(plan, head=head, k=10)
+        assert eager.stats.total_fetches - result.stats.total_fetches > 0
 
     def test_bench_lazy_serial_multifeed_top_10(self, benchmark):
         registry, head, plan = _serial_plan(JoinMethod.MERGE_SCAN)
         engine = ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
         result = benchmark(lambda: engine.execute(plan, head=head, k=10))
         assert len(result.rows) == 10
-        assert result.stats.lazy_calls_saved > 0
-        assert result.stats.lazy_blocks == FEEDS + 2
+        eager = eager_streamed_engine(registry).execute(plan, head=head, k=10)
+        assert eager.stats.total_fetches - result.stats.total_fetches > 0
+        blocks = demand_blocks(result)
+        assert sum(known for known, _ in blocks.values()) == FEEDS + 2

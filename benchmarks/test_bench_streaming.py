@@ -26,6 +26,10 @@ s``).  A stage pays for the cells its key index holds, so *merges
 attempted* falls with the selectivity while ``cells_visited`` — the
 cells of the stages the certificate needed — rises (matches are rarer,
 so the k-th one lies deeper).
+
+The streams keep no counters: ``cells_visited`` is the cells of the
+stages a walk passed, and merges are counted by a subclass that wraps
+the stage's cell lookup (``_CountingStream``).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from _bench_env import (
     env_stamp,
 )
 
-from repro.execution.joins import JoinStream, join_rows
+from repro.execution.joins import JoinStream, join_rows, stage_cells, stage_count
 from repro.execution.results import Row, compose_ranking
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
@@ -72,6 +76,26 @@ def _join(method):
     """The join of the two sides of :func:`_inputs`."""
     key = Variable("K")
     return compiled_join(method, (key, Variable("L")), (key, Variable("R")))
+
+
+class _CountingStream(JoinStream):
+    """A streamed walk counting the cells its stages hand to merge."""
+
+    merges = 0
+
+    def _matching_cells(self, stage, left_rows, right_rows):
+        cells = super()._matching_cells(stage, left_rows, right_rows)
+        self.merges += len(cells)
+        return cells
+
+
+def _cells_visited(stream: JoinStream, n: int, m: int) -> int:
+    """Cells of the stages *stream* passed over an n x m plane."""
+    method = stream.method
+    return sum(
+        len(list(stage_cells(method, n, m, stage)))
+        for stage in range(min(stream._stage, stage_count(method, n, m)))
+    )
 
 
 def _timed(fn):
@@ -107,15 +131,16 @@ def _hashed(method, left, right, k) -> dict:
 
 
 def _streamed(method, left, right, k) -> dict:
-    stream = JoinStream(_join(method), left, right)
+    stream = _CountingStream(_join(method), left, right)
     rows, elapsed = _timed(lambda: stream.top(k))
+    visited = _cells_visited(stream, len(left), len(right))
     return {
         "rows": rows,
-        "cells_visited": stream.cells_visited,
-        "merges_attempted": stream.merges_attempted,
-        "cells_skipped": stream.cells_skipped,
+        "cells_visited": visited,
+        "merges_attempted": stream.merges,
+        "cells_skipped": len(left) * len(right) - visited,
         "elapsed_s": round(elapsed, 6),
-        "cells_per_s": round(stream.cells_visited / elapsed, 1),
+        "cells_per_s": round(visited / elapsed, 1),
         "tuples_per_s": round(len(rows) / elapsed, 1),
     }
 

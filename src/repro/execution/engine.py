@@ -362,8 +362,8 @@ class ExecutionEngine:
         stats.elapsed = self.elapsed(program, stats)
         produced = outputs[-1]
         if stream is not None:
-            stream.trace(stats)
-            final_rows = compose_ranking(produced, k)
+            # The stream's top-k, already in composed order.
+            final_rows = produced
             complete = stream.is_complete(final_rows)
         else:
             final_rows = compose_ranking(produced)
@@ -390,10 +390,7 @@ class ExecutionEngine:
         stream, accounting = suspended.stream, suspended.accounting
         stats = ExecutionStats()
         accounting.rebind(stats)
-        fetched_before = stream.lazy_tuples_fetched
-        saved_before = stream.lazy_pages_saved
         rows = stream.top(k)
-        stream.trace(stats, fetched_before, saved_before)
         stats.elapsed = self.elapsed(program, stats)
         return self._result(
             program, k, stats, rows, stream.is_complete(rows), stream,
@@ -471,7 +468,7 @@ class ExecutionEngine:
             if len(feed) == 1:
                 return open_block(feed[0], feed[0].rank_key())
             feed = MaterializedCursor(feed)
-        return MultiFeedCursor(feed, open_block, context.fetches[step.index])
+        return MultiFeedCursor(feed, open_block)
 
     # -- timing ---------------------------------------------------------------
 
@@ -530,13 +527,8 @@ class ChainStream(TopKStream):
         self._cursor = (
             rows if isinstance(rows, RowCursor) else MaterializedCursor(rows)
         )
-        self._inputs = (self._cursor,)
         self._residual = tuple(residual)
         self._begin()
-
-    @property
-    def plane_cells(self) -> int:
-        return len(self._cursor.ranks)
 
     @property
     def exhausted(self) -> bool:
@@ -557,7 +549,6 @@ class ChainStream(TopKStream):
             if residual and not all(holds(row.values) for holds in residual):
                 continue
             candidates.append((ranks[index], len(candidates), row))
-        self.cells_visited += stop - start
         self._stage = stop
 
     def _refuted(self, threshold: int) -> bool:

@@ -324,7 +324,7 @@ class UnitSource:
         """Pull every budgeted page, in order: the eager execution of
         one unit, whose rows extend *produced*."""
         for page in range(self.budget):
-            rows, _, has_more, _ = self.fetch(page)
+            rows, has_more, _ = self.fetch(page)
             produced.extend(rows)
             if not has_more:
                 break
@@ -390,4 +390,4 @@ class UnitSource:
         )
         if result.ranks and result.ranks[-1] >= self._rank_floor:
             self._rank_floor = result.ranks[-1] + 1
-        return FetchedPage(rows, raw_tuples, result.has_more, self._rank_floor)
+        return FetchedPage(rows, result.has_more, self._rank_floor)

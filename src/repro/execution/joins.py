@@ -50,7 +50,6 @@ from typing import Iterator, Sequence
 from repro.execution.lazy import MaterializedCursor, RowCursor
 from repro.execution.results import Row
 from repro.execution.slots import CompiledJoin, SlotJoinPlan
-from repro.execution.stats import ExecutionStats
 from repro.services.registry import JoinMethod
 
 
@@ -239,23 +238,15 @@ class TopKStream:
     (:attr:`exhausted`) and build an emitted candidate's row
     (:meth:`_row`): :class:`JoinStream` walks the candidate plane of a
     join, :class:`~repro.execution.engine.ChainStream` the rows of a
-    service-terminal plan.  The bookkeeping a round reports
-    (:meth:`trace`) sums over ``_inputs``, the cursors the walk pulls.
+    service-terminal plan.  What a walk pulled is on the ledger its
+    cursors' units charge; the stream itself keeps no books.
     """
-
-    _inputs: tuple[RowCursor, ...]
 
     def _begin(self) -> None:
         self._stage = 0
         self._candidates: list[tuple] = []
-        self.cells_visited = 0
 
     # -- what a walk is (subclasses) ------------------------------------------
-
-    @property
-    def plane_cells(self) -> int:
-        """Cells (rows, for a chain) the fetched inputs span right now."""
-        raise NotImplementedError
 
     @property
     def exhausted(self) -> bool:
@@ -276,63 +267,12 @@ class TopKStream:
         """The answer row of an emitted candidate."""
         raise NotImplementedError
 
-    # -- bookkeeping ----------------------------------------------------------
-
-    @property
-    def cells_skipped(self) -> int:
-        """Fetched-plane cells proven unable to enter the top-k without
-        being visited."""
-        return self.plane_cells - self.cells_visited
-
-    @property
-    def candidate_count(self) -> int:
-        """Candidates collected so far (past every predicate)."""
-        return len(self._candidates)
-
-    @property
-    def lazy_tuples_fetched(self) -> int:
-        """Raw service tuples pulled through lazy input cursors so far."""
-        return sum(cursor.tuples_fetched for cursor in self._inputs)
-
-    @property
-    def lazy_pages_saved(self) -> int:
-        """Budgeted page fetches still unissued right now.
-
-        A point-in-time snapshot that shrinks as resumes pull further
-        pages (and grows when a session grows the budget itself) —
-        re-read it after each :meth:`top` call for the current figure.
-        """
-        return sum(cursor.pages_saved() for cursor in self._inputs)
-
-    def trace(
-        self, stats: ExecutionStats, fetched_before: int = 0,
-        saved_before: int = 0,
-    ) -> None:
-        """Write the walk's bookkeeping onto one round's *stats*.
-
-        The tuples and pages-saved counters are cumulative on the
-        stream, and earlier rounds already reported their share: a
-        resumed round passes the totals it started from and reports
-        only the *change* its own pulls caused (a negative
-        ``lazy_calls_saved`` when the grown demand fetched pages an
-        earlier round had counted as saved), so the per-round values
-        sum to the stream's true current totals.
-        """
-        stats.streamed_cells_visited = self.cells_visited
-        stats.early_exit_cells_skipped = self.cells_skipped
-        stats.lazy_tuples_fetched = self.lazy_tuples_fetched - fetched_before
-        stats.lazy_calls_saved = self.lazy_pages_saved - saved_before
-        stats.lazy_blocks = sum(c.block_count for c in self._inputs)
-        stats.lazy_blocks_untouched = sum(
-            c.blocks_untouched for c in self._inputs
-        )
-
     def is_complete(self, rows: Sequence[Row]) -> bool:
         """True when *rows* (a :meth:`top` result) is *every* answer the
         current plane can produce: the walk exhausted and the top-k
         truncation dropped nothing.  This is the single definition of
         the ``ResultTable.complete`` flag for streamed executions."""
-        return self.exhausted and len(rows) == self.candidate_count
+        return self.exhausted and len(rows) == len(self._candidates)
 
     # -- the certificate loop -------------------------------------------------
 
@@ -344,9 +284,8 @@ class TopKStream:
         ``all_rows`` is what the full scan over the *fully fetched*
         inputs emits (for a join: the residual-filtered full-plane
         join) — regardless of how much was actually visited or fetched.
-        ``None`` (or a negative ``k``, mirroring
-        :func:`~repro.execution.results.compose_ranking`) drains
-        everything and returns every row in composed order.
+        ``None`` (or a negative ``k``) drains everything and returns
+        every row in composed order.
 
         **Cost**: visits ``O(k)`` stages on rank-monotone inputs
         instead of the whole plane, and over lazy cursors pulls only
@@ -439,8 +378,7 @@ class JoinStream(TopKStream):
     node applies them in), while visiting only a prefix of the plane.
     Resuming re-uses every candidate already collected — no cell is
     ever visited twice (over lazy inputs it may pull further budgeted
-    pages).  ``cells_visited`` / ``cells_skipped`` expose the
-    early-exit bookkeeping for the execution statistics.
+    pages).
     """
 
     def __init__(
@@ -457,18 +395,12 @@ class JoinStream(TopKStream):
         self._right = (
             right if isinstance(right, RowCursor) else MaterializedCursor(right)
         )
-        self._inputs = (self._left, self._right)
         #: Candidates are (composed rank, arrival index, left row, right
         #: row) — arrivals are distinct, so the rows are never compared.
         #: The merged row is built when a candidate is emitted
         #: (:meth:`_row`): a suspended stream keeps every candidate for
         #: its session's lifetime but emits k.
         self._begin()
-        #: Rows past the join predicates (before any residual filter),
-        #: and cells a stage handed to ``merge`` (``cells_visited``
-        #: counts every cell of the stages passed, mergeable or not).
-        self.join_rows_emitted = 0
-        self.merges_attempted = 0
         #: The rows a stage could touch so far, by key (``None`` once a
         #: key turned out unhashable: every later stage scans its
         #: cells), and — merge-scan — the matching cells found for
@@ -478,23 +410,12 @@ class JoinStream(TopKStream):
         #: The left row whose term refuted the last certificate check.
         self._refuter = 0
 
-    # -- bookkeeping ---------------------------------------------------------
+    # -- state ---------------------------------------------------------------
 
     @property
     def method(self) -> JoinMethod:
         """The join strategy whose visit order is being streamed."""
         return self._method
-
-    @property
-    def plane_cells(self) -> int:
-        """Cells of the currently *fetched* candidate plane.
-
-        For materialized inputs this is the full ``n × m`` plane; for
-        lazy inputs it counts only fetched rows — cells over rows that
-        were never pulled are accounted as saved remote work by the
-        lazy-fetch statistics, not as skipped cells.
-        """
-        return len(self._left.rows) * len(self._right.rows)
 
     @property
     def exhausted(self) -> bool:
@@ -523,8 +444,8 @@ class JoinStream(TopKStream):
         boundary formulas of :func:`stage_cells` apply unchanged (a
         stage past the last one — the demand found a side exhausted —
         has no cells).  Of those cells only the ones whose rows share
-        their key (:meth:`_matching_cells`) are merged; the others are
-        counted as visited and cost nothing.
+        their key (:meth:`_matching_cells`) are merged; the others cost
+        nothing.
         """
         stage = self._stage
         method = self._method
@@ -537,13 +458,8 @@ class JoinStream(TopKStream):
         left_rows, right_rows = left.rows, right.rows
         n, m = len(left_rows), len(right_rows)
         if stage < stage_count(method, n, m):
-            self.cells_visited += (
-                m if method is JoinMethod.NESTED_LOOP
-                else min(stage, n - 1) - max(0, stage - m + 1) + 1
-            )
             cells = self._matching_cells(stage, left_rows, right_rows)
             if cells:
-                self.merges_attempted += len(cells)
                 _, plan, predicates, residual = self._join
                 merge = plan.merge
                 left_ranks, right_ranks = left.ranks, right.ranks
@@ -557,7 +473,6 @@ class JoinStream(TopKStream):
                         holds(merged) for holds in predicates
                     ):
                         continue
-                    self.join_rows_emitted += 1
                     if residual and not all(holds(merged) for holds in residual):
                         continue
                     candidates.append(
@@ -581,7 +496,7 @@ class JoinStream(TopKStream):
         least the current stage), and a diagonal's cells leave the index
         when it is visited.  A cell absent from the index has two
         different keys, so ``merge`` would have refused it: skipping it
-        changes no candidate, arrival index or counter.
+        changes no candidate or arrival index.
 
         An unhashable key value ends the indexing for good: this stage
         and every later one scan all their cells, as the stream did

@@ -129,14 +129,11 @@ class FetchedPage(NamedTuple):
     ``rows`` are the *produced* rows of the page: service tuples bound
     against the feed row, filtered by the node's predicates — exactly
     what eager execution would have appended for this page.
-    ``raw_tuples`` counts the tuples the service returned before
-    binding/filtering.  ``rank_floor`` is a lower bound on the
-    service-rank index of every tuple in any *later* page (0 when the
-    service is unranked).
+    ``rank_floor`` is a lower bound on the service-rank index of every
+    tuple in any *later* page (0 when the service is unranked).
     """
 
     rows: Sequence[Row]
-    raw_tuples: int
     has_more: bool
     rank_floor: int = 0
 
@@ -177,16 +174,6 @@ class RowCursor:
     #: use (:meth:`_known_min`), so rows that are placed and consumed
     #: without anyone bounding them cost an append and nothing else.
     _suffix: list[float]
-    #: Lazy-fetch bookkeeping (all zero for materialized rows): raw
-    #: tuples pulled, per-feed blocks behind the cursor, blocks that
-    #: never issued a page fetch.
-    tuples_fetched = 0
-    block_count = 0
-    blocks_untouched = 0
-
-    def pages_saved(self) -> int:
-        """Budgeted page fetches never issued."""
-        return 0
 
     @property
     def exhausted(self) -> bool:
@@ -301,16 +288,9 @@ class LazyServiceCursor(RowCursor):
     on a monotonicity violation the cursor drains the remaining budget
     and the exact suffix minima take over.
 
-    Cost counters: ``pages_fetched`` / ``tuples_fetched`` describe the
-    remote work actually performed (its virtual time is the source's
-    business, like every other statistic);
-    :meth:`pages_saved` is the number of budgeted page fetches that
-    were never issued (an upper bound on the saving when the service
-    would have run dry mid-budget, exact otherwise — eager execution
-    stops at the same ``has_more`` signals the cursor observes).
+    ``pages_fetched`` is the cursor's position in the budget; what the
+    pulls cost is the source's business, like every other statistic.
     """
-
-    block_count = 1  # one feed tuple, one block
 
     def __init__(self, source: PageSource, base_rank: int = 0) -> None:
         self._source = source
@@ -322,16 +302,10 @@ class LazyServiceCursor(RowCursor):
         self._saw_end = False
         self._rank_floor = 0
         self.pages_fetched = 0
-        self.tuples_fetched = 0
 
     @property
     def exhausted(self) -> bool:
         return self._saw_end or self.pages_fetched >= self._source.budget
-
-    @property
-    def budget(self) -> int:
-        """The fetch budget ``F`` of the wrapped node."""
-        return self._source.budget
 
     @property
     def floor(self) -> float:
@@ -345,17 +319,6 @@ class LazyServiceCursor(RowCursor):
         if self._saw_end or self.pages_fetched >= self._source.budget:
             return math.inf
         return self._base_rank + self._rank_floor
-
-    @property
-    def blocks_untouched(self) -> int:
-        """Blocks that never issued a single page fetch."""
-        return 0 if self.pages_fetched else 1
-
-    def pages_saved(self) -> int:
-        """Budgeted page fetches never issued (0 once the service ran dry)."""
-        if self._saw_end:
-            return 0
-        return max(0, self._source.budget - self.pages_fetched)
 
     def ensure(self, count: int) -> None:
         while len(self.rows) < count and not self.exhausted:
@@ -401,7 +364,6 @@ class LazyServiceCursor(RowCursor):
     def _fetch_next(self) -> None:
         page = self._source.fetch(self.pages_fetched)
         self.pages_fetched += 1
-        self.tuples_fetched += page.raw_tuples
         if not page.has_more:
             self._saw_end = True
         ranks = self.ranks
@@ -463,9 +425,8 @@ class MultiFeedCursor(RowCursor):
 
     **Retention**: a suspended cursor holds its open blocks and the
     integer rank arrays, not what it pulled: a block the placement
-    front has passed is dropped (the counters are running totals, so
-    nothing is lost with it) and each feed row is *taken* from the feed
-    cursor (:meth:`RowCursor.take`) when its block opens.
+    front has passed is dropped and each feed row is *taken* from the
+    feed cursor (:meth:`RowCursor.take`) when its block opens.
 
     **Heaps** (O(log B) per pull instead of O(B) scans): block
     selection and the open-block bound are served by two lazy-deletion
@@ -492,13 +453,9 @@ class MultiFeedCursor(RowCursor):
         self,
         feed: RowCursor,
         open_block: Callable[[Row, int], LazyServiceCursor],
-        budget: int,
     ) -> None:
         self._feed = feed
         self._open_block = open_block
-        #: Pages one block may pull (the node's fetching factor): what
-        #: a known feed row whose block is not open yet still saves.
-        self._budget = budget
         self.rows = []
         self.ranks = []
         self._suffix: list[float] = [math.inf]
@@ -519,13 +476,6 @@ class MultiFeedCursor(RowCursor):
         self._feed_is_known = isinstance(feed, MaterializedCursor)
         self._floor_heap: list[tuple[float, int]] = []
         self._bound_heap: list[tuple[float, int]] = []
-        #: Running cost counters over every block ever opened (updated
-        #: at open and pull time, never recomputed: dropped blocks stay
-        #: counted).  The bookkeeping below adds the feed rows known but
-        #: not opened yet: a block stands for every feed row the feed
-        #: cursor has placed.
-        self._tuples_fetched = 0
-        self._untouched = 0
 
     @property
     def exhausted(self) -> bool:
@@ -534,37 +484,6 @@ class MultiFeedCursor(RowCursor):
             self._front >= self._opened
             and self._opened >= len(feed.ranks)
             and feed.exhausted
-        )
-
-    @property
-    def block_count(self) -> int:
-        """Feed blocks (one per feed tuple known so far) behind this
-        cursor, and up the feed chain."""
-        feed = self._feed
-        return len(feed.ranks) + feed.block_count
-
-    @property
-    def blocks_untouched(self) -> int:
-        """Blocks that never issued a single page fetch, opened or not."""
-        feed = self._feed
-        return (
-            self._untouched + len(feed.ranks) - self._opened
-            + feed.blocks_untouched
-        )
-
-    @property
-    def tuples_fetched(self) -> int:
-        """Raw service tuples pulled across all blocks and up the chain."""
-        return self._tuples_fetched + self._feed.tuples_fetched
-
-    def pages_saved(self) -> int:
-        """Budgeted page fetches never issued, summed over the blocks
-        (a dropped one has none left) and the feed chain."""
-        feed = self._feed
-        return (
-            sum(block.pages_saved() for block in self._blocks.values())
-            + (len(feed.ranks) - self._opened) * self._budget
-            + feed.pages_saved()
         )
 
     def ensure(self, count: int) -> None:
@@ -577,9 +496,8 @@ class MultiFeedCursor(RowCursor):
         feed.ensure_all()
         while self._opened < len(feed.ranks):
             self._open_next()
-        for block in list(self._blocks.values()):
-            if not block.exhausted:
-                self._pull(block, block.ensure_all)
+        for block in self._blocks.values():
+            block.ensure_all()
         # Every block is exhausted: nothing is left to pull and once
         # placement catches up the unplaced bound is +inf for good.
         self._floor_heap.clear()
@@ -694,16 +612,11 @@ class MultiFeedCursor(RowCursor):
         self._open_bound = None
         if pull and not self._blocks and rank <= feed.suffix_min(index + 1):
             block.pull_page()
-            self._tuples_fetched += block.tuples_fetched
             if block.exhausted:
-                if not block.pages_fetched:  # demoted from birth
-                    self._untouched += 1
                 self.rows.extend(block.rows)
                 self.ranks.extend(block.ranks)
                 self._front = index + 1
                 return
-        else:
-            self._untouched += 1
         self._blocks[index] = block
         self._file(index, block)
 
@@ -725,22 +638,9 @@ class MultiFeedCursor(RowCursor):
         if candidate < math.inf:
             heapq.heappush(self._bound_heap, (candidate, index))
 
-    def _pull(self, block: LazyServiceCursor, pull) -> None:
-        """Run *pull* on an unexhausted *block*, keeping the counters.
-
-        One pull may drain many pages (``ensure_all``, or the
-        non-monotone fallback of ``pull_page``), so the tuple counter
-        moves by a before/after delta rather than a fixed increment.
-        """
-        tuples_before = block.tuples_fetched
-        if not block.pages_fetched:
-            self._untouched -= 1
-        pull()
-        self._tuples_fetched += block.tuples_fetched - tuples_before
-
     def _pull_block(self, index: int, block: LazyServiceCursor) -> None:
-        """Pull one page from *block*, maintaining counters and heaps."""
-        self._pull(block, block.pull_page)
+        """Pull one page from *block*, maintaining the heaps."""
+        block.pull_page()
         self._open_bound = None
         self._file(index, block)
 

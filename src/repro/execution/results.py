@@ -31,7 +31,6 @@ rank-aware join strategies).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -162,37 +161,26 @@ class Row:
 
 
 def compose_ranking(rows: Sequence[Row], k: int | None = None) -> list[Row]:
-    """Order *rows* by aggregated rank (stable on ties).
+    """Order *rows* by aggregated rank (stable on ties), the first *k*
+    of them (all for ``None``).
 
     **Total order contract** (shared with the streamed top-k pipeline,
     :class:`~repro.execution.joins.JoinStream`): rows are ordered by
     the key ``(rank_key, arrival index)``, where the arrival index is
     the row's position in *rows* — i.e. ties in the aggregated rank are
     broken by arrival order, which itself is consistent with the
-    partial orders thanks to the rank-aware join strategies.  Both the
-    full-sort and the heap path below, and ``JoinStream.top``, realize
-    exactly this order, which is what makes the streamed pipeline
+    partial orders thanks to the rank-aware join strategies.  The
+    stable sort realizes exactly this order, and so does
+    ``JoinStream.top``, which is what makes the streamed pipeline
     bit-identical to the full-scan oracle.
 
     The composed ranking is consistent with each service's partial
     order: a row that improves in every partial rank cannot be placed
-    after one it dominates.
-
-    When *k* is known, only the top-k rows are materialized via a heap
-    selection over explicitly ``(rank_key, arrival)``-decorated rows
-    (equivalent to sorting and truncating), which skips the full sort
-    on large answer sets: O(n log k) instead of O(n log n), never a
-    different result.  ``compose_ranking`` over a full-scan execution
-    is the *oracle* every optimized path (hashed, streamed, lazily
-    fetched) is differentially tested against.
+    after one it dominates.  ``compose_ranking`` over a full-scan
+    execution is the *oracle* every optimized path (hashed, streamed,
+    lazily fetched) is differentially tested against.
     """
-    if k is not None and 0 <= k < len(rows):
-        decorated = heapq.nsmallest(
-            k,
-            ((row.rank_key(), index) for index, row in enumerate(rows)),
-        )
-        return [rows[index] for _, index in decorated]
-    return sorted(rows, key=Row.rank_key)
+    return sorted(rows, key=Row.rank_key)[:k]
 
 
 @dataclass

@@ -71,49 +71,18 @@ class ExecutionStats:
     walk only — the latencies summed in pull order, the longest one,
     and their count.
 
-    ``streamed_cells_visited`` / ``early_exit_cells_skipped`` trace the
-    streamed top-k pipeline: how many candidate-plane cells the final
-    join actually visited and how many it proved unable to enter the
-    top-k without visiting them (for a service-terminal plan, whose
-    pipe chain is the stream, a cell is a row of the terminal step).
-    Both stay 0 for full-scan executions (and
-    ``early_exit_cells_skipped`` is 0 whenever ``k`` covers the fetched
-    plane, as proving a full-plane top-k complete requires visiting
-    every cell).
-
-    ``lazy_tuples_fetched`` / ``lazy_calls_saved`` trace demand-driven
-    service fetching: raw tuples pulled through lazy input cursors,
-    and budgeted page fetches those cursors never issued (the remote
-    work early exit saved — an upper bound when a service would have
-    run dry mid-budget, exact otherwise).  Both stay 0 when no input
-    was fetched lazily.  On a resumed progressive round both counters
-    are *deltas* against the suspended stream's cumulative totals — a
-    resume that pulls pages an earlier round counted as saved reports
-    a negative ``lazy_calls_saved`` — so summing either counter over a
-    session's rounds always yields the stream's true current total.
-
-    ``lazy_blocks`` / ``lazy_blocks_untouched`` are the per-block view
-    of the same saving: a lazy cursor owns one budgeted block per feed
-    tuple (one for single-feed nodes, many for multi-feed nodes of
-    serial plans), and an *untouched* block never issued a single page
-    fetch — its entire budget is remote work saved.  Over a chain of
-    lazy steps a feed is itself fetched on demand, so all three count
-    the feed tuples *known so far*, summed over every demand-driven
-    step of the plan: a feed tuple the walk never pulled stands for no
-    block yet, and the saving it implies shows in the fetch totals
-    alone.
+    Demand-driven execution keeps no books of its own: what a lazy or
+    streamed walk pulled, and what it left unpulled, are reads of this
+    ledger — the fetches, tuples, calls and hits of its steps' cells,
+    and ``rows_out`` of their feeders (a feed row no call or hit
+    answered is a block that never fetched) — set against an eager run
+    of the same plan for the work it saved.
     """
 
     cells: dict[tuple[int, str], ServiceCallStats] = field(default_factory=dict)
     rows_out: list[int] = field(default_factory=list)
     clock: dict[int, tuple[float, float, int]] = field(default_factory=dict)
     elapsed: float = 0.0
-    streamed_cells_visited: int = 0
-    early_exit_cells_skipped: int = 0
-    lazy_tuples_fetched: int = 0
-    lazy_calls_saved: int = 0
-    lazy_blocks: int = 0
-    lazy_blocks_untouched: int = 0
     #: Raw tuples that flowed through the logical-cache layer this
     #: execution, whether served from the cache or fetched remotely.
     #: Unlike ``tuples_fetched`` this is *cache-independent*: two
@@ -202,21 +171,6 @@ class ExecutionStats:
     def summary(self) -> str:
         """Readable multi-line rendering."""
         lines = [f"elapsed: {self.elapsed:.1f}s  calls: {self.total_calls}"]
-        if self.streamed_cells_visited or self.early_exit_cells_skipped:
-            lines.append(
-                f"  streamed: cells_visited={self.streamed_cells_visited}"
-                f" early_exit_cells_skipped={self.early_exit_cells_skipped}"
-            )
-        if self.lazy_tuples_fetched or self.lazy_calls_saved:
-            lines.append(
-                f"  lazy: tuples_fetched={self.lazy_tuples_fetched}"
-                f" calls_saved={self.lazy_calls_saved}"
-            )
-        if self.lazy_blocks:
-            lines.append(
-                f"  lazy blocks: {self.lazy_blocks}"
-                f" untouched={self.lazy_blocks_untouched}"
-            )
         if self.retries or self.wasted_fetches:
             lines.append(
                 f"  resilience: retries={self.retries}"

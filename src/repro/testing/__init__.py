@@ -14,7 +14,8 @@ ablations compare it with (:mod:`repro.testing.wsms`); the seeded
 workload generator the scalability benches sweep
 (:mod:`repro.testing.synthetic`); the visit-order property, the
 compiled join of hand-built rows and the pre-built page source of the
-join and cursor suites, the precedence shapes of hand-built plans,
+join and cursor suites, the ledger reads of a demand-driven walk,
+the precedence shapes of hand-built plans,
 the news domain's query and the up-front unit mask
 (:mod:`repro.testing.fixtures`); and the deterministic fault-injection
 kit (:mod:`repro.testing.faults`).  Production modules under
@@ -34,10 +35,12 @@ from repro.testing.fixtures import (
     ListPageSource,
     chain_poset,
     compiled_join,
+    demand_blocks,
     is_order_rank_consistent,
     market_moving_news_query,
     mask_unit,
     parallel_after,
+    step_cells,
 )
 from repro.testing.reference import (
     ReexecutingExecutor,
@@ -76,6 +79,7 @@ __all__ = [
     "WsmsPlan",
     "chain_poset",
     "compiled_join",
+    "demand_blocks",
     "eager_streamed_engine",
     "execute_join",
     "exhaustive_optimize",
@@ -92,6 +96,7 @@ __all__ = [
     "reference_partial_bound",
     "reference_partial_plan",
     "search_states",
+    "step_cells",
     "workload_family",
     "wrap_registry_flaky",
     "wsms_optimize",

@@ -5,7 +5,9 @@ orders of :mod:`repro.execution.joins` are checked against;
 :func:`compiled_join` compiles the join of hand-built rows as a program
 compiles one; :class:`ListPageSource` is a page source over pre-built
 pages, which the suites drive the cursors of
-:mod:`repro.execution.lazy` with.  :func:`chain_poset` and
+:mod:`repro.execution.lazy` with, and :func:`step_cells` /
+:func:`demand_blocks` read a demand-driven walk's work off its ledger.
+:func:`chain_poset` and
 :func:`parallel_after` are the two precedence shapes hand-built plans
 use, :func:`market_moving_news_query` the query the news domain is
 tested and benched with, and :func:`mask_unit` the oracle side of the
@@ -15,14 +17,15 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Hashable, Iterable, Sequence
 
-from repro.execution.engine import ExecutionEngine
+from repro.execution.engine import ExecutionEngine, ExecutionResult
 from repro.execution.lazy import FetchedPage
 from repro.execution.resilience import UnresponsiveService
 from repro.execution.results import Row, SlotLayout
 from repro.execution.slots import CompiledJoin, compile_join
+from repro.execution.stats import ExecutionStats, ServiceCallStats
 from repro.model.atoms import Atom
 from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
@@ -103,17 +106,24 @@ class ListPageSource:
     ``pages`` holds the produced rows of each page; ``rank_floors``
     optionally gives the per-page floor for later tuples (defaults to
     the count of rows seen so far, the search-service convention).
+    ``fetch_log`` records every page requested, in order: what a test
+    reads the pulled work from.
     """
 
     pages: list[list[Row]]
     budget: int = 0
     rank_floors: list[int] | None = None
-    raw_counts: list[int] | None = None
     fetch_log: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.budget <= 0:
             self.budget = len(self.pages)
+
+    @property
+    def rows_pulled(self) -> int:
+        """Rows of every page fetched so far, as many times as fetched."""
+        pages = self.pages
+        return sum(len(pages[page]) for page in self.fetch_log if page < len(pages))
 
     def fetch(self, page: int) -> FetchedPage:
         self.fetch_log.append(page)
@@ -124,17 +134,35 @@ class ListPageSource:
             if self.rank_floors is not None
             else seen
         )
-        raw = (
-            self.raw_counts[page]
-            if self.raw_counts is not None
-            else len(rows)
-        )
         return FetchedPage(
             rows=rows,
-            raw_tuples=raw,
             has_more=page + 1 < len(self.pages),
             rank_floor=floor,
         )
+
+
+def step_cells(stats: ExecutionStats, index: int) -> ServiceCallStats:
+    """The ledger cells of step *index* summed, over every service that
+    served it (zeros when none did)."""
+    cells = [astuple(cell) for (step, _), cell in stats.cells.items() if step == index]
+    return ServiceCallStats(*map(sum, zip(*cells)))
+
+
+def demand_blocks(result: ExecutionResult) -> dict[int, tuple[int, int]]:
+    """Per demand-driven step of a streamed *result*, read off its
+    ledger: ``(feed rows, touched blocks)`` — the rows its feeder had
+    produced when the walk suspended, one block each, and the blocks
+    that fetched or were answered by the cache (a call or a hit apiece).
+    A feed row no call or hit answered is a block that never fetched."""
+    stats = result.stats
+    blocks = {}
+    for step in result.program.steps:
+        if step.index in result.program.lazy:
+            cells = step_cells(stats, step.index)
+            blocks[step.index] = (
+                stats.rows_out[step.feeds[0]], cells.calls + cells.cache_hits
+            )
+    return blocks
 
 
 def chain_poset(n: int, order: Iterable[int]) -> Poset:

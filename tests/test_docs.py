@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import ast
 import collections
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -623,6 +624,54 @@ def test_retired_seam_plumbing_stays_retired():
     assert not offenders, offenders
 
 
+def test_the_ledger_keeps_the_only_books():
+    """Every fact of an execution is a column of the one ledger:
+    ``ExecutionStats``'s fields are these literals, and no class under
+    ``src/repro/execution/`` defines — as a method, a property, a class
+    or an instance attribute — the per-cursor or per-stream counters
+    the ledger replaced."""
+    from repro.execution.stats import ExecutionStats
+
+    assert {field.name for field in dataclasses.fields(ExecutionStats)} == {
+        "cells", "rows_out", "clock", "elapsed", "tuples_processed",
+        "retries", "retry_backoff", "wasted_fetches", "demoted_blocks",
+        "substituted_blocks",
+    }
+    retired = {
+        "pages_saved", "blocks_untouched", "block_count", "cells_visited",
+        "plane_cells", "trace",
+    }
+    offenders = []
+    for path in (SRC / "execution").glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            defined = {
+                target.id
+                for statement in cls.body
+                if isinstance(statement, (ast.Assign, ast.AnnAssign))
+                for target in (
+                    statement.targets
+                    if isinstance(statement, ast.Assign)
+                    else [statement.target]
+                )
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(cls):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.add(node.name)
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", "") == "self"
+                ):
+                    defined.add(node.attr)
+            offenders += [
+                f"{path.name}: {cls.name}.{name}" for name in defined & retired
+            ]
+    assert not offenders, offenders
+
+
 def test_growth_re_executes_only_where_it_cannot_continue():
     """After ``_grow_fetches`` the session executor runs the plan again
     only behind the program's compiled ``grows_in_place`` condition (a
@@ -848,9 +897,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3320,
+        "src/repro/execution + serving": 3185,
         "src/repro/optimizer + plans + costs": 2075,
-        "src/repro outside testing": 8869,
+        "src/repro outside testing": 8734,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

@@ -190,13 +190,20 @@ class TestResidualPredicatesRunOncePerRow:
 
     def test_streamed_join_rows_pass_the_output_node_untouched(self):
         registry, query, plan = self._plan_with_residual()
+        full = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
+            plan, head=query.head
+        )
+        (join,) = plan.join_nodes
+        join_rows = full.stats.rows_out[plan.topological_order().index(join)]
+        _CountingBound.evaluations = 0
         streamed = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
             plan, head=query.head, k=3
         )
         assert len(streamed.rows) == 3
-        assert _CountingBound.evaluations == streamed.stream.join_rows_emitted
+        assert _CountingBound.evaluations <= join_rows
         streamed.stream.top(None)  # a resume evaluates only the new cells
-        assert _CountingBound.evaluations == streamed.stream.join_rows_emitted
+        # Once per join row over both rounds: the output node added none.
+        assert _CountingBound.evaluations == join_rows
 
     def test_full_materialization_evaluates_once_per_join_row(self):
         registry, query, plan = self._plan_with_residual()

@@ -4,8 +4,9 @@ Three layers:
 
 * cursor mechanics — :class:`LazyServiceCursor` over a fake
   :class:`ListPageSource`: demand-driven paging, budget exhaustion,
-  ``pages_saved`` accounting, floor soundness, and the full-fetch
-  fallback on non-monotone inputs;
+  the pages left unpulled (the source's budget less the cursor's
+  position), floor soundness, and the full-fetch fallback on
+  non-monotone inputs;
 * :class:`JoinStream` over lazy cursors — a hypothesis differential
   against ``compose_ranking(execute_join(...), k)`` with random rows,
   random chunk sizes, and both monotone and non-monotone rank
@@ -15,7 +16,8 @@ Three layers:
   fewer fetches on rank-monotone workloads; service-terminal plans
   stream their pipe chain (``tests/test_lazy_chain.py`` is their
   oracle suite); resumed streams record their fetches on rebound
-  statistics, never on the round that created them.
+  statistics, never on the round that created them.  What a walk
+  pulled and left is read off its ledger, against an eager run.
 """
 
 from __future__ import annotations
@@ -42,7 +44,14 @@ from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
-from repro.testing import ListPageSource, chain_poset, compiled_join, execute_join
+from repro.testing import (
+    ListPageSource,
+    chain_poset,
+    compiled_join,
+    demand_blocks,
+    execute_join,
+    step_cells,
+)
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
@@ -93,7 +102,7 @@ class TestLazyServiceCursor:
         cursor = LazyServiceCursor(source)
         assert source.fetch_log == []
         assert cursor.pages_fetched == 0
-        assert cursor.pages_saved() == 2
+        assert source.budget - cursor.pages_fetched == 2
         assert not cursor.exhausted
 
     def test_ensure_fetches_only_needed_pages(self):
@@ -102,11 +111,11 @@ class TestLazyServiceCursor:
         cursor.ensure(3)
         assert source.fetch_log == [0, 1]
         assert [r.rank_key() for r in cursor.rows] == [0, 1, 2, 3]
-        assert cursor.pages_saved() == 3
+        assert source.budget - cursor.pages_fetched == 3
         cursor.ensure_all()
         assert source.fetch_log == [0, 1, 2, 3, 4]
         assert cursor.exhausted
-        assert cursor.pages_saved() == 0
+        assert cursor.pages_fetched == source.budget
 
     def test_budget_caps_the_universe(self):
         source = ListPageSource(
@@ -116,7 +125,8 @@ class TestLazyServiceCursor:
         cursor.ensure_all()
         assert len(cursor.rows) == 4  # 2 pages of 2, budget-truncated
         assert cursor.exhausted
-        assert cursor.pages_saved() == 0
+        assert source.fetch_log == [0, 1]
+        assert cursor.pages_fetched == source.budget
 
     def test_suffix_min_uses_floor_for_unfetched_rows(self):
         pages = _paged(_rows([0, 1, 2, 3, 4, 5], "L"), 2)
@@ -133,11 +143,12 @@ class TestLazyServiceCursor:
 
     def test_tuples_fetched_counts_raw_tuples(self):
         pages = _paged(_rows(list(range(7)), "L"), 3)
-        cursor = LazyServiceCursor(ListPageSource(pages=pages))
+        source = ListPageSource(pages=pages)
+        cursor = LazyServiceCursor(source)
         cursor.ensure(4)
-        assert cursor.tuples_fetched == 6
+        assert source.rows_pulled == len(cursor.rows) == 6
         cursor.ensure_all()
-        assert cursor.tuples_fetched == 7
+        assert source.rows_pulled == len(cursor.rows) == 7
 
     def test_non_monotone_input_falls_back_to_full_fetch(self):
         # Ranks regress across pages: the floor bound would be unsound,
@@ -212,10 +223,10 @@ class TestLazyJoinStreamMatchesOracle:
             _lazy_cursor(rr, "R", cr),
         )
         assert _signature(stream.top(k1)) == _signature(compose_ranking(full, k1))
-        visited = stream.cells_visited
+        visited = stream._stage
         k2 = k1 + extra
         assert _signature(stream.top(k2)) == _signature(compose_ranking(full, k2))
-        assert stream.cells_visited >= visited
+        assert stream._stage >= visited
         assert _signature(stream.top(None)) == _signature(compose_ranking(full))
 
     @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 5), _chunks)
@@ -293,8 +304,9 @@ class TestLazyStreamedEngine:
         # One page per side instead of the full budget.
         assert lazy.stats.total_fetches == 2
         assert oracle.stats.total_fetches == 10
-        assert lazy.stats.lazy_tuples_fetched == 8
-        assert lazy.stats.lazy_calls_saved == 8
+        assert lazy.stats.total_tuples_fetched == 8
+        # Eight budgeted pages never pulled: eager's less lazy's.
+        assert oracle.stats.total_fetches - lazy.stats.total_fetches == 8
         # The ledger's rows out trace what was actually materialized.
         lazy_steps = [
             step.index for step in lazy.program.steps
@@ -332,10 +344,15 @@ class TestLazyStreamedEngine:
         )
         expected = compose_ranking(oracle.rows, 2)
         assert _signature(streamed.rows) == _signature(expected)
-        # One block per weather tuple, on both the flight and hotel side.
-        assert streamed.stats.lazy_blocks > 2
-        assert streamed.stats.lazy_calls_saved > 0
-        assert 0 < streamed.stats.lazy_tuples_fetched
+        # One block per weather tuple, on both the flight and hotel
+        # side, and some of them never fetched.
+        blocks = demand_blocks(streamed)
+        assert sum(known for known, _ in blocks.values()) > 2
+        assert any(touched < known for known, touched in blocks.values())
+        assert oracle.stats.total_fetches - streamed.stats.total_fetches > 0
+        assert 0 < sum(
+            step_cells(streamed.stats, index).tuples_fetched for index in blocks
+        )
         assert (
             streamed.stats.total_tuples_fetched
             <= oracle.stats.total_tuples_fetched
@@ -347,7 +364,7 @@ class TestLazyStreamedEngine:
     ):
         """A chain plan ends in a service node: the chain itself is the
         stream — it rides along on the result, resumable, and its
-        counters say a walk ran."""
+        ledger says a walk ran."""
         plan = PlanBuilder(tiny_query, tiny_registry).build(
             (
                 tiny_registry.signature("cities").pattern("io"),
@@ -360,10 +377,13 @@ class TestLazyStreamedEngine:
             tiny_registry, mode=ExecutionMode.STREAMED
         ).execute(plan, head=head, k=2)
         assert isinstance(streamed.stream, ChainStream)
-        assert streamed.stats.streamed_cells_visited > 0
-        assert streamed.stats.lazy_tuples_fetched > 0
-        assert streamed.stats.lazy_blocks >= 2  # cities, then a spots block
-        assert "streamed: cells_visited=" in streamed.stats.summary()
+        assert streamed.stats.rows_out[-1] == len(streamed.rows) > 0
+        blocks = demand_blocks(streamed)
+        assert sum(
+            step_cells(streamed.stats, index).tuples_fetched for index in blocks
+        ) > 0
+        # cities, then a spots block
+        assert sum(known for known, _ in blocks.values()) >= 2
         oracle = ExecutionEngine(
             tiny_registry, mode=ExecutionMode.PARALLEL
         ).execute(plan, head=head)

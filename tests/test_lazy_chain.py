@@ -61,9 +61,11 @@ from repro.testing import (
     ListPageSource,
     ReexecutingExecutor,
     chain_poset,
+    demand_blocks,
     eager_streamed_engine,
     mask_unit,
     reference_execute,
+    step_cells,
 )
 
 
@@ -212,6 +214,37 @@ class TestChainsMatchTheReference:
             assert _signature(lazy.stream.top(None)) == _signature(
                 reference_execute(plan, registry).rows
             )
+
+    @given(_chains())
+    @settings(max_examples=25, deadline=None)
+    def test_ledger_shows_the_work_laziness_saved_at_every_k(self, chain):
+        """The saving, read off the ledger (no cache: every pull is a
+        remote fetch).  Per step of the chain and at every k, the lazy
+        walk fetches no more than the eager walk, and its feeder's rows
+        — one block each — never number fewer than the blocks answered
+        by a call or a hit; the difference, blocks that never fetched,
+        is positive at some small k."""
+        levels, seed, residual = chain
+        registry, head, plan = _chain_world(levels, seed, residual)
+        program = ExecutionProgram.compile(plan, head)
+        lazy_engine = ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
+        eager_engine = eager_streamed_engine(registry)
+        untouched_at = []
+        for k in range(13):
+            lazy = lazy_engine.execute(program, k=k)
+            eager = eager_engine.execute(program, k=k)
+            assert _signature(lazy.rows) == _signature(eager.rows)
+            blocks = demand_blocks(lazy)
+            assert blocks.keys() == program.lazy
+            for index, (known, touched) in blocks.items():
+                assert (
+                    step_cells(lazy.stats, index).fetches
+                    <= step_cells(eager.stats, index).fetches
+                )
+                assert known - touched >= 0
+            if any(known > touched for known, touched in blocks.values()):
+                untouched_at.append(k)
+        assert untouched_at and untouched_at[0] <= 1
 
     @given(_chains(), st.integers(0, 6), st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
@@ -428,7 +461,6 @@ def _floors(ranks, pages):
 
 def _block_cursors(spec, chunk, log):
     """One logged block per ``(base rank, service ranks)`` + eager rows."""
-    budget = max((len(_paged(r, chunk)) for _, r in spec), default=1)
     blocks, eager = [], []
     for index, (base, service_ranks) in enumerate(spec):
         ordered = sorted(service_ranks)
@@ -440,11 +472,11 @@ def _block_cursors(spec, chunk, log):
         eager += rows
         pages = _paged(rows, chunk)
         blocks.append(LazyServiceCursor(
-            _LoggedSource(log, index, pages=pages, budget=budget,
+            _LoggedSource(log, index, pages=pages,
                           rank_floors=_floors(ordered, pages)),
             base_rank=base,
         ))
-    return blocks, eager, budget
+    return blocks, eager
 
 
 _spec = st.lists(
@@ -478,7 +510,7 @@ class _ScanningPolicy:
     """
 
     def __init__(self, spec, chunk, feed_chunk, log):
-        self.blocks, _, _ = _block_cursors(spec, chunk, log)
+        self.blocks, _ = _block_cursors(spec, chunk, log)
         self.feed = _lazy_feed(spec, feed_chunk, log)
 
     def _known(self):
@@ -511,14 +543,16 @@ class TestCursorOverAGrowingFeed:
         self, spec, chunk, feed_chunk, sort_feed, demands
     ):
         """The feed is itself a lazy cursor: blocks exist only for the
-        feed rows pulled so far, and the feed's own bound competes."""
+        feed rows pulled so far, and the feed's own bound competes.
+        The work pulled — per block, and the blocks never fetched — is
+        read off the blocks' own positions: the scanning policy's."""
         if sort_feed:  # a monotone feed is the common case; cover both
             spec = sorted(spec, key=lambda block: block[0])
         log, policy_log = [], []
-        blocks, eager, budget = _block_cursors(spec, chunk, log)
+        blocks, eager = _block_cursors(spec, chunk, log)
         feed = _lazy_feed(spec, feed_chunk, log)
         opening = iter(blocks)
-        cursor = MultiFeedCursor(feed, lambda row, rank: next(opening), budget)
+        cursor = MultiFeedCursor(feed, lambda row, rank: next(opening))
         cursor.all_blocks = blocks
         policy = _ScanningPolicy(spec, chunk, feed_chunk, policy_log)
         reference = _LinearScanReference
@@ -531,17 +565,16 @@ class TestCursorOverAGrowingFeed:
             assert len(cursor.rows) == policy.placed()
             # placement: always a prefix of the eager concatenation
             assert _signature(cursor.rows) == _signature(eager[: len(cursor.rows)])
-            # the bound, and the counters, as scans over the cursor's
-            # own blocks compute them
+            # the bound as scans over the cursor's own blocks compute
+            # it, and the pages each block pulled
             for start in range(len(cursor.rows) + 2):
                 assert cursor.suffix_min(start) == min(
                     [r.rank_key() for r in cursor.rows[start:]]
                     + [reference.unplaced_bound(cursor)]
                 )
-            untouched, tuples, saved = reference.counters(cursor)
-            assert cursor.blocks_untouched - feed.blocks_untouched == untouched
-            assert cursor.tuples_fetched - feed.tuples_fetched == tuples
-            assert cursor.pages_saved() - feed.pages_saved() == saved
+            pulled = [block.pages_fetched for block in blocks]
+            assert pulled == [block.pages_fetched for block in policy.blocks]
+            assert not any(pulled[cursor._opened :])
         cursor.ensure_all()
         assert _signature(cursor.rows) == _signature(eager)
         assert cursor.exhausted and cursor.suffix_min(0) == min(
@@ -558,9 +591,9 @@ class TestCursorOverAGrowingFeed:
         """Pull for pull: the policy that opened every block up front
         and scanned them all for the lowest ``(floor, index)``."""
         log, parent_log = [], []
-        blocks, eager, _ = _block_cursors(spec, chunk, log)
+        blocks, eager = _block_cursors(spec, chunk, log)
         cursor = _cursor_over(blocks)
-        parents, _, _ = _block_cursors(spec, chunk, parent_log)
+        parents, _ = _block_cursors(spec, chunk, parent_log)
 
         def parent_placed():
             front = next(
@@ -587,7 +620,7 @@ class TestCursorOverAGrowingFeed:
         full fetch the moment it is observed, its neighbours stay lazy
         and the feed is not pulled any further for it."""
         log = []
-        (clean, late), _, budget = _block_cursors(
+        (clean, late), _ = _block_cursors(
             [(3, [0, 1, 2, 3]), (9, [0, 1, 2, 3])], 2, log
         )
         rows = [
@@ -605,7 +638,7 @@ class TestCursorOverAGrowingFeed:
             log, "feed", pages=_paged(feed_rows, 1), rank_floors=[3, 9, 10**9]
         ))
         opening = iter([regressing, clean, late])
-        cursor = MultiFeedCursor(feed, lambda row, rank: next(opening), budget)
+        cursor = MultiFeedCursor(feed, lambda row, rank: next(opening))
         cursor.ensure(1)
         assert regressing.exhausted and regressing.pages_fetched == 2
         assert clean.pages_fetched == 0 and late.pages_fetched == 0
@@ -613,24 +646,26 @@ class TestCursorOverAGrowingFeed:
         assert cursor.suffix_min(0) == 1  # exact minima over the drained block
 
     def test_a_suspended_chain_retains_open_blocks_not_what_it_pulled(self):
-        """Passed blocks are dropped and consumed feed rows released:
-        the counters are running totals and survive."""
+        """Passed blocks are dropped and consumed feed rows released;
+        what they pulled is on the page log, not on the cursor."""
         log = []
         spec = [(base, [0, 1]) for base in range(50)]
-        blocks, eager, budget = _block_cursors(spec, 2, log)
+        blocks, eager = _block_cursors(spec, 2, log)
         feed_rows = [
             Row(bindings={Variable("F"): i}, ranks=(("feed", base),))
             for i, (base, _) in enumerate(spec)
         ]
         feed = MaterializedCursor(feed_rows)
         opening = iter(blocks)
-        cursor = MultiFeedCursor(feed, lambda row, rank: next(opening), budget)
+        cursor = MultiFeedCursor(feed, lambda row, rank: next(opening))
         cursor.ensure(60)
         assert len(cursor.rows) == 60
         assert len(cursor._blocks) <= 1  # the front, at most
         assert feed.rows[:30] == [None] * 30 and feed.rows[40] is not None
-        assert cursor.tuples_fetched == 60
-        assert cursor.block_count == 50 and cursor.blocks_untouched == 20
+        # 30 blocks pulled one page of two rows each, 20 never fetched
+        assert len(log) == len({owner for owner, _ in log}) == 30
+        assert len(feed.ranks) == 50
+        assert sum(not block.pages_fetched for block in blocks) == 20
 
 
 # -- serving: ask_for_more on service-terminal templates ----------------------

@@ -19,7 +19,10 @@ single-feed suite uses:
   tuples as eager materialization (mirroring the random-chunk engine
   differential of ``tests/test_property_streaming.py``);
 * resumes — growing ``k`` on a suspended multi-feed stream stays exact
-  and only ever advances the walk.
+  and only ever advances the walk;
+* the ledger — per demand-driven step, a lazy walk's remote fetches
+  never exceed the eager walk's, and its feed rows never number fewer
+  than the blocks it touched (the rest never fetched).
 """
 
 from __future__ import annotations
@@ -46,7 +49,14 @@ from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
-from repro.testing import ListPageSource, compiled_join, execute_join
+from repro.testing import (
+    ListPageSource,
+    compiled_join,
+    demand_blocks,
+    eager_streamed_engine,
+    execute_join,
+    step_cells,
+)
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
@@ -81,21 +91,17 @@ def _cursor_over(blocks: list[LazyServiceCursor]) -> MultiFeedCursor:
     """A cursor whose materialized feed opens *blocks*, in order.
 
     The feed rows carry each block's base rank (what the cursor's
-    frontier reads before a block is opened), and the blocks share one
-    page budget, like the units of one plan node.  ``all_blocks`` keeps
+    frontier reads before a block is opened).  ``all_blocks`` keeps
     every block for the assertions: the cursor itself drops the ones
     placement has passed.
     """
-    budget = max((block.budget for block in blocks), default=0)
-    for block in blocks:
-        block._source.budget = budget
     feed = [
         Row(bindings={Variable("F"): index}, ranks=(("feed", block._base_rank),))
         for index, block in enumerate(blocks)
     ]
     opening = iter(blocks)
     cursor = MultiFeedCursor(
-        MaterializedCursor(feed), lambda row, rank: next(opening), budget
+        MaterializedCursor(feed), lambda row, rank: next(opening)
     )
     cursor.all_blocks = list(blocks)
     return cursor
@@ -147,9 +153,9 @@ class TestMultiFeedCursorUnits:
         assert cursor.exhausted
         assert cursor.rows == [] == eager
         assert cursor.suffix_min(0) == math.inf
-        assert cursor.block_count == 0
         cursor.ensure(5)  # must be a harmless no-op
         assert cursor.rows == []
+        assert cursor._opened == 0
 
     def test_placement_follows_feed_order(self):
         cursor, eager = _multi_feed_cursor(
@@ -161,8 +167,8 @@ class TestMultiFeedCursorUnits:
             r.rank_key() for r in eager
         ]
         assert _signature(cursor.rows) == _signature(eager)
-        assert cursor.block_count == 3
-        assert cursor.blocks_untouched == 0
+        assert cursor._opened == 3
+        assert all(block.pages_fetched for block in cursor.all_blocks)
 
     def test_untouched_blocks_bound_the_certificate(self):
         # Block 0 is cheap, block 1 starts at base rank 5: demanding
@@ -170,7 +176,7 @@ class TestMultiFeedCursorUnits:
         # the certificate bounded by its feed row's rank (5), not +inf.
         cursor, _ = _multi_feed_cursor([(0, [0, 1]), (5, [0, 1])], "L", 2)
         cursor.ensure(1)
-        assert cursor.blocks_untouched == 1
+        assert cursor.all_blocks[1].pages_fetched == 0
         assert cursor._opened == 1
         assert cursor.suffix_min(len(cursor.rows)) == 5
         # The floor of every unexhausted block keeps participating:
@@ -240,10 +246,10 @@ class TestMultiFeedJoinStreamMatchesOracle:
         full = execute_join(JoinMethod.MERGE_SCAN, left_eager, right_eager)
         stream = JoinStream(_join(JoinMethod.MERGE_SCAN), left_cursor, right_cursor)
         assert _signature(stream.top(k1)) == _signature(compose_ranking(full, k1))
-        visited = stream.cells_visited
+        visited = stream._stage
         k2 = k1 + extra
         assert _signature(stream.top(k2)) == _signature(compose_ranking(full, k2))
-        assert stream.cells_visited >= visited
+        assert stream._stage >= visited
         assert _signature(stream.top(None)) == _signature(compose_ranking(full))
 
     @given(
@@ -362,8 +368,10 @@ class TestSerialPlanEngineDifferential:
         expected = compose_ranking(oracle.rows, k)
         assert _signature(lazy.rows) == _signature(expected)
         # The multi-feed node opens at most one block per feeder tuple,
-        # as the walk's demand reaches it.
-        assert 2 <= lazy.stats.lazy_blocks <= feeds + 2  # + feeder, rights
+        # as the walk's demand reaches it: the ledger's feed rows.
+        blocks = demand_blocks(lazy)
+        known = sum(known for known, _ in blocks.values())
+        assert 2 <= known <= feeds + 2  # + feeder, rights
         # Fetching is demand-driven: never more remote work than eager.
         assert lazy.stats.total_fetches <= oracle.stats.total_fetches
         assert (
@@ -385,8 +393,50 @@ class TestSerialPlanEngineDifferential:
         assert (
             lazy.stats.total_tuples_fetched < oracle.stats.total_tuples_fetched
         )
-        assert lazy.stats.lazy_calls_saved > 0
-        assert lazy.stats.lazy_blocks_untouched > 0
+        # Budgeted pages never pulled, and blocks that never fetched.
+        assert oracle.stats.total_fetches - lazy.stats.total_fetches > 0
+        assert any(
+            touched < known for known, touched in demand_blocks(lazy).values()
+        )
+
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(0, 2), min_size=1, max_size=5),
+        st.lists(st.integers(0, 2), min_size=1, max_size=5),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(METHODS),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_ledger_shows_the_work_laziness_saved_at_every_k(
+        self, feeds, bk, rk, cl, cr, method
+    ):
+        """The saving, read off the ledger (no cache: every pull is a
+        remote fetch).  Per demand-driven step and at every k, a lazy
+        walk fetches no more than the eager walk, and its feeder's rows
+        — one block each — never number fewer than the blocks answered
+        by a call or a hit; the difference, blocks that never fetched,
+        is positive at some small k."""
+        registry, head, plan = _serial_plan(range(feeds), bk, rk, cl, cr)
+        registry.register_join_method("lefts", "rights", method)
+        lazy_engine = ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
+        eager_engine = eager_streamed_engine(registry)
+        untouched_at = []
+        for k in range(13):
+            lazy = lazy_engine.execute(plan, head=head, k=k)
+            eager = eager_engine.execute(plan, head=head, k=k)
+            assert _signature(lazy.rows) == _signature(eager.rows)
+            blocks = demand_blocks(lazy)
+            assert blocks
+            for index, (known, touched) in blocks.items():
+                assert (
+                    step_cells(lazy.stats, index).fetches
+                    <= step_cells(eager.stats, index).fetches
+                )
+                assert known - touched >= 0
+            if any(known > touched for known, touched in blocks.values()):
+                untouched_at.append(k)
+        assert untouched_at and untouched_at[0] <= 1
 
     @given(st.integers(0, 10**4), st.sampled_from(list(CacheSetting)))
     @settings(max_examples=20, deadline=None)
@@ -493,15 +543,6 @@ class _LinearScanReference:
                 bound = candidate
         return bound
 
-    @classmethod
-    def counters(cls, cursor: MultiFeedCursor) -> tuple[int, int, int]:
-        blocks = cls.known_blocks(cursor)
-        return (
-            sum(1 for b in blocks if b.pages_fetched == 0),
-            sum(b.tuples_fetched for b in blocks),
-            sum(b.pages_saved() for b in blocks),
-        )
-
     @staticmethod
     def pull_one_page(cursor: MultiFeedCursor) -> None:
         """Step the fetch policy until it has fetched (not just opened)."""
@@ -563,17 +604,20 @@ class TestHeapMatchesLinearScan:
     @given(_blocks, _chunks, st.integers(0, 30))
     @settings(max_examples=100, deadline=None)
     def test_running_counters_match_recomputation(self, blocks, chunk, demand):
+        """The work a demand pulled, recomputed from the page sources
+        (the cursor keeps no counters): only opened blocks fetched, no
+        page twice, and a full drain pulls every page exactly once."""
         cursor, eager = _multi_feed_cursor(blocks, "L", chunk)
+        sources = [block._source for block in cursor.all_blocks]
         cursor.ensure(demand)
-        untouched, tuples, saved = _LinearScanReference.counters(cursor)
-        assert cursor.blocks_untouched == untouched
-        assert cursor.tuples_fetched == tuples
-        assert cursor.pages_saved() == saved
+        assert not any(source.fetch_log for source in sources[cursor._opened :])
+        for source in sources:
+            assert source.fetch_log == list(range(len(source.fetch_log)))
+        assert sum(source.rows_pulled for source in sources) <= len(eager)
         cursor.ensure_all()
-        untouched, tuples, saved = _LinearScanReference.counters(cursor)
-        assert cursor.blocks_untouched == untouched
-        assert cursor.tuples_fetched == tuples
-        assert cursor.pages_saved() == saved
+        for source in sources:
+            assert source.fetch_log == list(range(len(source.pages)))
+        assert sum(source.rows_pulled for source in sources) == len(eager)
         assert _signature(cursor.rows) == _signature(eager)
         assert cursor.suffix_min(len(cursor.rows)) == math.inf
 
@@ -584,7 +628,8 @@ class TestHeapMatchesLinearScan:
         cursor, eager = _multi_feed_cursor(blocks, "L", 2)
         cursor.ensure(10)
         assert _signature(cursor.rows[:10]) == _signature(eager[:10])
-        assert cursor.blocks_untouched > 900  # the point of being lazy
+        untouched = sum(1 for block in cursor.all_blocks if not block.pages_fetched)
+        assert untouched > 900  # the point of being lazy
         assert cursor._opened < 100  # ... and most were never even opened
         assert cursor.suffix_min(len(cursor.rows)) == (
             _LinearScanReference.unplaced_bound(cursor)

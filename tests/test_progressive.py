@@ -140,13 +140,8 @@ class TestStreamedResume:
         assert more.stats.total_fetches == 0
         assert more.stats.total_cache_hits == 0
         assert len(more.rows) == 5
-        # The resumed stream shares the suspended walk's bookkeeping.
-        assert more.stats.streamed_cells_visited == first.stream.cells_visited
-        assert (
-            more.stats.streamed_cells_visited
-            + more.stats.early_exit_cells_skipped
-            == first.stream.plane_cells
-        )
+        # The resumed round walked on the suspended stream itself.
+        assert more.stream is first.stream
 
     def test_resumed_rows_match_full_scan_oracle(self, registry, travel_query):
         executor = self._executor(registry, travel_query, CacheSetting.OPTIMAL)
@@ -266,7 +261,7 @@ class TestLazyStreamedResume:
         )
         first = executor.run(k=1)
         assert first.stream is not None
-        assert first.stats.lazy_tuples_fetched == 16  # one page per side
+        assert first.stats.total_tuples_fetched == 16  # one page per side
         more = executor.more(3)
         latest = executor.rounds[-1]
         assert latest.resumed
@@ -274,7 +269,7 @@ class TestLazyStreamedResume:
         assert more.stats.total_calls == 0
         assert more.stats.total_fetches == 0
         assert more.stats.total_cache_hits == 0
-        assert more.stats.lazy_tuples_fetched == 0
+        assert more.stats.total_tuples_fetched == 0
         assert len(more.rows) == 4
         oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
             plan, head=tuple(query.head)
@@ -303,7 +298,7 @@ class TestLazyStreamedResume:
         assert latest.resumed
         assert latest.stats.total_calls > 0
         assert more.stats.total_fetches > 0
-        assert more.stats.lazy_tuples_fetched > 0
+        assert more.stats.total_tuples_fetched > 0
         # Remote latency makes the resumed round's virtual time real:
         # the two lazy cursors sit on parallel branches, so the round
         # lasts as long as its busier step.
@@ -311,14 +306,16 @@ class TestLazyStreamedResume:
         assert more.elapsed == latest.elapsed
         busy = [busy for busy, _, _ in more.stats.clock.values()]
         assert latest.elapsed == max(busy)
-        # The savings snapshot shrinks to what is still unissued.
-        assert more.stats.lazy_calls_saved < first.stats.lazy_calls_saved
         # The stale-counter regression: round 1's stats stay frozen.
         assert first.stats.total_fetches == first_fetches
         assert len(more.rows) == 8
         oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
             plan, head=tuple(query.head)
         )
+        # What is still unissued — eager's pages less every round's —
+        # shrinks.
+        unissued = oracle.stats.total_fetches - first_fetches
+        assert unissued - more.stats.total_fetches < unissued
         expected = compose_ranking(oracle.rows, 8)
         assert [r.rank_key() for r in more.rows] == [
             r.rank_key() for r in expected
@@ -343,29 +340,6 @@ class TestLazyStreamedResume:
 
 class TestAccountingRegressions:
     """Resumed-round accounting: the bug-batch regressions."""
-
-    def test_resumed_round_reports_lazy_calls_saved_as_a_delta(self):
-        """Regression: a resumed round copied the stream's *cumulative*
-        ``lazy_pages_saved`` into its own ``lazy_calls_saved``, double
-        counting every earlier round's savings.  Fixed, the resumed
-        round reports the delta its own pulls caused (negative when it
-        fetched pages an earlier round counted as saved), and the
-        per-round values sum to the stream's true current total."""
-        _, _, _, executor = TestLazyStreamedResume._single_feed_executor(
-            CacheSetting.OPTIMAL, side=20, chunk=2, fetches=10
-        )
-        first = executor.run(k=1)
-        assert first.stats.lazy_calls_saved > 0
-        more = executor.more(7)  # outgrows page 0: pulls budgeted pages
-        latest = executor.rounds[-1]
-        assert latest.resumed
-        assert more.stats.total_fetches > 0
-        assert more.stats.lazy_calls_saved < 0
-        assert more.stream is not None
-        assert (
-            sum(r.stats.lazy_calls_saved for r in executor.rounds)
-            == more.stream.lazy_pages_saved
-        )
 
     def test_resume_served_round_seeds_the_exhaustion_baseline(self):
         """Regression: when the first round of a ``run`` was served by

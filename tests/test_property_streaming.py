@@ -20,9 +20,12 @@ full-scan oracle:
   fetch path under *random chunk sizes* (both against the oracle and
   against the eager streamed path, which must never fetch less).
 
-The suite also pins the early-exit bookkeeping: proving a top-k
-complete for ``k >= n*m`` requires visiting the whole plane, so
-``early_exit_cells_skipped`` must be 0 there.
+The suite also pins the early exit itself, from the walk's position
+(the stages it passed): proving a top-k complete for ``k >= n*m``
+requires visiting the whole plane, and a small k on rank-monotone
+inputs visits O(k^2) cells of it.  The streams keep no counters; the
+cells a walk visited are the cells of the stages it passed, and a test
+that needs merges or join rows counts them with a wrapper of its own.
 """
 
 from hypothesis import given, settings
@@ -57,6 +60,29 @@ METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
 def _signature(rows):
     return [(dict(r.bindings), r.ranks) for r in rows]
+
+
+def _visited(stream, n, m):
+    """Cells of the stages *stream* passed, over an n x m plane."""
+    return _stages_cells(stream.method, n, m, stream._stage)
+
+
+class _JoinRowCounter:
+    """An always-true join predicate counting the merged rows it sees:
+    appended last, it counts the rows past the join's own predicates."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __call__(self, values):
+        self.count += 1
+        return True
+
+
+def _counted(join):
+    """*join* with a :class:`_JoinRowCounter` after its predicates."""
+    counter = _JoinRowCounter()
+    return join._replace(predicates=join.predicates + (counter,)), counter
 
 
 def _ranked_side(keys, ranks, side_name):
@@ -128,8 +154,8 @@ class TestStreamedJoinMatchesOracle:
             for k in (plane, plane + 3):
                 stream = JoinStream(_ranked_join(method), left, right)
                 stream.top(k)
-                assert stream.cells_skipped == 0
-                assert stream.cells_visited == plane
+                assert stream.exhausted
+                assert _visited(stream, len(left), len(right)) == plane
 
     @given(_keys, _keys, _ranks, _ranks, st.integers(0, 8), st.integers(0, 40))
     @settings(max_examples=80, deadline=None)
@@ -146,12 +172,12 @@ class TestStreamedJoinMatchesOracle:
             assert _signature(stream.top(k1)) == _signature(
                 compose_ranking(full, k1)
             )
-            visited_after_first = stream.cells_visited
+            stage_after_first = stream._stage
             assert _signature(stream.top(k2)) == _signature(
                 compose_ranking(full, k2)
             )
             # resuming never revisits: the walk only ever advances.
-            assert stream.cells_visited >= visited_after_first
+            assert stream._stage >= stage_after_first
             assert _signature(stream.top(None)) == _signature(
                 compose_ranking(full)
             )
@@ -170,12 +196,12 @@ class TestStreamedJoinMatchesOracle:
         assert _signature(rows) == _signature(oracle)
         if k < min(n, m):
             # at most the first k diagonals — O(k^2) cells, not n*m
-            assert k <= stream.cells_visited <= k * (k + 1) // 2
+            assert k <= _visited(stream, n, m) <= k * (k + 1) // 2
 
 
 class TestTieBreaking:
-    """The documented (rank_key, arrival) order: heap path, sort path,
-    and streamed path must agree on duplicate composed ranks."""
+    """The documented (rank_key, arrival) order: the truncated sort and
+    the streamed path must agree on duplicate composed ranks."""
 
     def test_duplicate_ranks_agree_across_paths(self):
         # An all-matching plane where many cells share a composed rank.
@@ -185,22 +211,35 @@ class TestTieBreaking:
             full = execute_join(method, left, right)
             sort_path = compose_ranking(full)
             for k in range(len(full) + 2):
-                heap_path = compose_ranking(full, k)
+                truncated = compose_ranking(full, k)
                 streamed = JoinStream(_ranked_join(method), left, right).top(k)
-                assert _signature(heap_path) == _signature(sort_path[:k])
+                assert _signature(truncated) == _signature(sort_path[:k])
                 assert _signature(streamed) == _signature(sort_path[:k])
 
 
 # -- the key index ------------------------------------------------------------
 
 
-class _ScanningStream(JoinStream):
+class _CountingStream(JoinStream):
+    """The walk counting the cells its stages hand to ``merge``."""
+
+    merges = 0
+
+    def _matching_cells(self, stage, left_rows, right_rows):
+        cells = super()._matching_cells(stage, left_rows, right_rows)
+        self.merges += len(cells)
+        return cells
+
+
+class _ScanningStream(_CountingStream):
     """The walk without its index: every cell of a stage is merged."""
 
     def _matching_cells(self, stage, left_rows, right_rows):
-        return list(
+        cells = list(
             stage_cells(self.method, len(left_rows), len(right_rows), stage)
         )
+        self.merges += len(cells)
+        return cells
 
 
 _NAN = float("nan")
@@ -254,7 +293,7 @@ def _block_cursor(blocks, side_name, chunk):
     ]
     opening = iter(cursors)
     cursor = MultiFeedCursor(
-        MaterializedCursor(feed), lambda row, rank: next(opening), 6
+        MaterializedCursor(feed), lambda row, rank: next(opening)
     )
     return cursor, eager, sources
 
@@ -266,8 +305,8 @@ _blocks = st.lists(
 
 
 class TestKeyIndexedStagesMatchOracle:
-    """A stage merges only the cells its index holds: same answers and
-    same bookkeeping as merging every cell."""
+    """A stage merges only the cells its index holds: same answers, same
+    stages and same join rows as merging every cell, and fewer merges."""
 
     @given(
         st.lists(_any_key, max_size=8), st.lists(_any_key, max_size=8),
@@ -277,27 +316,25 @@ class TestKeyIndexedStagesMatchOracle:
     def test_any_keys_resumed_and_drained(self, lk, rk, lr, rr, ks):
         """``top(k1)`` → ``top(k2)`` → ``top(None)`` over keys of every
         kind (a list key switches the walk to scanning wherever it is
-        first met): rows, ranks and order are the oracle's, the counters
-        the scanning walk's — and ``cells_visited`` is the cells of the
-        stages passed."""
+        first met): rows, ranks and order are the oracle's, the stages
+        passed and the join rows counted the scanning walk's, and the
+        merges attempted no more than it."""
         left = _ranked_side(lk, lr, "L")
         right = _ranked_side(rk, rr, "R")
         for method in METHODS:
             full = execute_join(method, left, right)
-            indexed = JoinStream(_ranked_join(method), left, right)
-            scanning = _ScanningStream(_ranked_join(method), left, right)
+            join, indexed_rows = _counted(_ranked_join(method))
+            indexed = _CountingStream(join, left, right)
+            join, scanning_rows = _counted(_ranked_join(method))
+            scanning = _ScanningStream(join, left, right)
             for k in [*ks, None]:
                 rows = indexed.top(k)
                 assert _signature(rows) == _signature(compose_ranking(full, k))
                 assert _signature(rows) == _signature(scanning.top(k))
-                assert indexed.cells_visited == scanning.cells_visited
-                assert indexed.cells_visited == _stages_cells(
-                    method, len(left), len(right), indexed._stage
-                )
-                assert indexed.join_rows_emitted == scanning.join_rows_emitted
-                assert indexed.candidate_count == scanning.candidate_count
-                assert indexed.merges_attempted <= scanning.merges_attempted
-            assert indexed.join_rows_emitted == len(full)
+                assert indexed._stage == scanning._stage
+                assert indexed_rows.count == scanning_rows.count
+                assert indexed.merges <= scanning.merges
+            assert indexed_rows.count == len(full)
 
     @given(_blocks, _blocks, st.integers(1, 4), st.integers(1, 4), _ks)
     @settings(max_examples=100, deadline=None)
@@ -307,7 +344,8 @@ class TestKeyIndexedStagesMatchOracle:
         """Over multi-feed cursors a pulled page places rows beyond the
         current stage; they are indexed when their stage comes.  Same
         answers as the oracle over the eager concatenation, and the
-        same pages pulled, in the same order, as the scanning walk."""
+        same pages pulled, in the same order, as the scanning walk — so
+        the same pages left unpulled."""
         for method in METHODS:
             walks = []
             for stream_type in (JoinStream, _ScanningStream):
@@ -317,14 +355,19 @@ class TestKeyIndexedStagesMatchOracle:
                 right, eager_right, right_sources = _block_cursor(
                     right_blocks, "R", right_chunk
                 )
+                join, counter = _counted(_ranked_join(method))
                 walks.append(
                     (
-                        stream_type(_ranked_join(method), left, right),
+                        stream_type(join, left, right),
                         left_sources + right_sources,
+                        counter,
                     )
                 )
             full = execute_join(method, eager_left, eager_right)
-            (indexed, indexed_sources), (scanning, scanning_sources) = walks
+            (
+                (indexed, indexed_sources, indexed_rows),
+                (scanning, scanning_sources, scanning_rows),
+            ) = walks
             for k in [*ks, None]:
                 rows = indexed.top(k)
                 assert _signature(rows) == _signature(compose_ranking(full, k))
@@ -332,9 +375,8 @@ class TestKeyIndexedStagesMatchOracle:
                 assert [source.fetch_log for source in indexed_sources] == [
                     source.fetch_log for source in scanning_sources
                 ]
-                assert indexed.cells_visited == scanning.cells_visited
-                assert indexed.join_rows_emitted == scanning.join_rows_emitted
-                assert indexed.lazy_pages_saved == scanning.lazy_pages_saved
+                assert indexed._stage == scanning._stage
+                assert indexed_rows.count == scanning_rows.count
 
     def test_nan_never_joins_and_one_joins_one_point_zero(self):
         left = _ranked_side([1, _NAN, 1.0], [0, 1, 2], "L")
@@ -354,17 +396,18 @@ class TestKeyIndexedStagesMatchOracle:
         left = _ranked_side(keys, list(range(8)), "L")
         right = _ranked_side(keys[::-1], list(range(8)), "R")
         full = execute_join(JoinMethod.MERGE_SCAN, left, right)
-        stream = JoinStream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
+        join, join_rows_counted = _counted(_ranked_join(JoinMethod.MERGE_SCAN))
+        stream = _CountingStream(join, left, right)
         assert _signature(stream.top(2)) == _signature(compose_ranking(full, 2))
         assert stream._stage <= 4  # the list keys are rows 4 and 6 / 1 and 3
-        assert stream.merges_attempted < stream.cells_visited
-        served_from_index = stream.merges_attempted
+        assert stream.merges < _visited(stream, 8, 8)
+        served_from_index = stream.merges
         assert _signature(stream.top(None)) == _signature(compose_ranking(full))
-        assert stream.cells_visited == 64
-        assert stream.join_rows_emitted == len(full)
+        assert _visited(stream, 8, 8) == 64
+        assert join_rows_counted.count == len(full)
         # from the fallback on every cell is merged: 64 less the cells
         # of the stages the index served
-        assert stream.merges_attempted > served_from_index + 32
+        assert stream.merges > served_from_index + 32
 
     @given(st.integers(1, 5))
     @settings(max_examples=5, deadline=None)
@@ -390,7 +433,8 @@ class TestKeyIndexedStagesMatchOracle:
         right = _ranked_side([Key(("R", j)) for j in range(n)], list(range(n)), "R")
         stream = JoinStream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
         assert len(stream.top(k)) == k
-        assert stream.cells_visited == stream._stage * (stream._stage + 1) // 2
+        # the first few diagonals, a triangle of the plane's corner
+        assert stream._stage <= k + 1
         assert 2 <= len(hashed) <= 2 * (stream._stage + 1)
 
 
@@ -464,14 +508,12 @@ class TestStreamedEngineMatchesOracle:
         expected = compose_ranking(oracle.rows, k)
         assert _signature(streamed.rows) == _signature(expected)
         assert streamed.stream is not None
-        plane = streamed.stream.plane_cells
-        assert (
-            streamed.stats.streamed_cells_visited
-            + streamed.stats.early_exit_cells_skipped
-            == plane
-        )
+        # Proving a top-k of the whole plane complete visits all of it.
+        program = streamed.program
+        left, right = program.steps[program.terminal].feeds
+        plane = oracle.stats.rows_out[left] * oracle.stats.rows_out[right]
         if k >= plane:
-            assert streamed.stats.early_exit_cells_skipped == 0
+            assert streamed.stream.exhausted
         if streamed.complete:
             assert _signature(streamed.rows) == _signature(
                 compose_ranking(oracle.rows, k)
@@ -523,4 +565,4 @@ class TestStreamedEngineMatchesOracle:
         assert _signature(streamed.rows) == _signature(oracle.rows)
         assert streamed.stream is None
         assert streamed.complete
-        assert streamed.stats.early_exit_cells_skipped == 0
+        assert streamed.stats.rows_out == oracle.stats.rows_out

@@ -77,21 +77,24 @@ class TestComposeRanking:
         assert ordered[0].bindings[Variable("X")] == "good"
 
     def test_top_k_heap_path_matches_full_sort(self):
+        """Name kept from when a bounded ``k`` took a heap selection:
+        today ``k`` truncates the full sort."""
         rows = [
             _row(ranks=[("a", rank)], X=index)
             for index, rank in enumerate([5, 1, 3, 1, 0, 4, 1, 2])
         ]
         full = compose_ranking(rows)
+        assert [r.rank_key() for r in full] == [0, 1, 1, 1, 2, 3, 4, 5]
         for k in range(len(rows) + 2):
             assert compose_ranking(rows, k=k) == full[:k]
         assert compose_ranking(rows, k=None) == full
 
     def test_duplicate_ranks_heap_path_keeps_arrival_order(self):
-        """Regression for the documented (rank_key, arrival) contract:
-        with many duplicate composed ranks, the heap path must return
-        the *earliest-arriving* rows of each tie class, in arrival
-        order — exactly the full stable sort truncated, and exactly
-        what the streamed pipeline emits."""
+        """The documented (rank_key, arrival) contract under a bounded
+        ``k``: with many duplicate composed ranks, the first *k* rows
+        are the *earliest-arriving* of each tie class, in arrival order
+        — exactly the full stable sort truncated, and exactly what the
+        streamed pipeline emits."""
         rows = [
             _row(ranks=[("a", rank)], X=index)
             for index, rank in enumerate([1, 1, 0, 1, 0, 1, 0, 1, 1])
@@ -104,13 +107,15 @@ class TestComposeRanking:
             assert compose_ranking(rows, k=k) == full[:k]
 
     def test_identical_rows_tie_broken_by_position(self):
-        """Even fully identical rows (equal bindings *and* ranks) must
-        not trip the heap path: the arrival index decorates the heap
-        entries, so Row objects are never compared."""
+        """Even fully identical rows (equal bindings *and* ranks) keep
+        their positions under a bounded ``k``: Row objects are never
+        compared, only their rank keys."""
         row = _row(ranks=[("a", 1)], X=0)
         rows = [row, _row(ranks=[("a", 1)], X=0), row]
         for k in range(len(rows) + 1):
-            assert compose_ranking(rows, k=k) == rows[:k]
+            ranked = compose_ranking(rows, k=k)
+            assert ranked == rows[:k]
+            assert all(a is b for a, b in zip(ranked, rows))
 
 
 class TestResultTable:
