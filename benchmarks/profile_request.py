@@ -27,6 +27,18 @@ construction included, is 20%, and parsing and fingerprinting no longer
 appear; ``throughput_rps`` moved ×1.31 over 11 alternating
 ``bench/run.py`` pairs.
 
+On ``sessions_more`` (4000 requests, seed 7) before the join cell
+kernel, the cell loop of the streamed join — ``JoinStream._advance_stage``'s
+own time, ``SlotJoinPlan.merge`` (also called once per emitted row) and
+the generator that called the join and residual predicates, their
+closures included — held 9.4% of the samples (1.8% + 4.1% + 3.5%).
+After it, the generated ``<join kernel>`` with the predicates it calls,
+plus ``_advance_stage``'s own time, holds 3.9% (3.7% + 0.3%), and the
+emitted rows' ``_merged_row`` 1.6% more, its ``Row`` included;
+``_advance_stage`` inclusive, which also holds the cursors' page pulls,
+went 46.7% → 40.2%.  ``latency_p95_ms`` moved −14.4% over 10
+alternating ``bench/run.py`` pairs.
+
 This is the one-off profile ROADMAP item 1 asks a PR to record until
 that item's spans exist inside the program; the outputs committed next
 to it are ``benchmarks/out/profile_<workload>_{before,after}.txt``.

@@ -27,8 +27,10 @@ the shared-variable key can join, and both forms find them through one
 per cell: :func:`join_rows` materializes the join — it indexes both
 sides and visits the matching cells in the global rank order — and
 :class:`JoinStream` walks it lazily, indexing a row when a stage first
-can touch it.  Both take the join its program compiled, over rows the
-program's steps laid out as it was compiled for, and check no layout.
+can touch it.  Both hand their cells to one loop, the kernel generated
+for the join's shape (:meth:`~repro.execution.slots.SlotJoinPlan.kernel`),
+and both take the join its program compiled, over rows the program's
+steps laid out as it was compiled for, and check no layout.
 The full-plane dict-row scan they are tested against is
 ``execute_join`` in :mod:`repro.testing.reference`.
 
@@ -179,12 +181,14 @@ def join_rows(
     lexicographic ``(i, j)``; MS: diagonal ``(i + j, i)``) — the exact
     relative order :func:`join_order` would visit them in — which
     preserves the documented domination property across buckets, not
-    just inside each one.  Output order is therefore consistent with
-    both input orders, and every emitted row shares the ``merged``
+    just inside each one, through the join's cell kernel
+    (:meth:`~repro.execution.slots.SlotJoinPlan.kernel`, the loop
+    :class:`JoinStream` runs too).  Output order is therefore consistent
+    with both input orders, and every emitted row shares the ``merged``
     layout.  A key value that is unhashable (a service may return
     lists) visits the whole plane instead.
     """
-    method, plan, compiled, _ = join
+    method, plan, predicates, _ = join
     try:
         index = KeyIndex(plan)
         index.add(1, right, len(right))
@@ -196,25 +200,26 @@ def join_rows(
     else:
         if method is not JoinMethod.NESTED_LOOP:
             cells.sort(key=lambda cell: (cell[0] + cell[1], cell[0]))
-    merge = plan.merge
-    merged_layout = plan.merged
-    output: list[Row] = []
-    for i, j in cells:
-        left_row, right_row = left[i], right[j]
-        merged = merge(left_row.values, right_row.values)
-        if merged is None:
-            continue
-        if compiled and not all(holds(merged) for holds in compiled):
-            continue
-        output.append(
-            Row(
-                layout=merged_layout,
-                values=merged,
-                ranks=left_row.ranks + right_row.ranks,
-                provenance=left_row.provenance + right_row.provenance,
-            )
-        )
-    return output
+    candidates: list[tuple] = []
+    # The output keeps cell order and never ranks a candidate, so the
+    # rows' positions stand in for the rank lists a stream passes.
+    plan.kernel(predicates)(
+        cells, left, right, range(len(left)), range(len(right)), candidates
+    )
+    return [
+        _merged_row(plan, left_row, right_row)
+        for _, _, left_row, right_row in candidates
+    ]
+
+
+def _merged_row(plan: SlotJoinPlan, left_row: Row, right_row: Row) -> Row:
+    """The row a join emits for two rows that merge under *plan*."""
+    return Row(
+        layout=plan.merged,
+        values=plan.merged_values(left_row.values, right_row.values),
+        ranks=left_row.ranks + right_row.ranks,
+        provenance=left_row.provenance + right_row.provenance,
+    )
 
 
 class TopKStream:
@@ -391,6 +396,8 @@ class JoinStream(TopKStream):
         nothing is compiled, and no layout checked, per stream."""
         self._join = join
         self._method = join.method
+        #: The cell loop, over the join's predicates as this stream runs it.
+        self._kernel = join.merge.kernel(join.predicates + join.residual)
         self._left = left if isinstance(left, RowCursor) else MaterializedCursor(left)
         self._right = (
             right if isinstance(right, RowCursor) else MaterializedCursor(right)
@@ -444,8 +451,8 @@ class JoinStream(TopKStream):
         boundary formulas of :func:`stage_cells` apply unchanged (a
         stage past the last one — the demand found a side exhausted —
         has no cells).  Of those cells only the ones whose rows share
-        their key (:meth:`_matching_cells`) are merged; the others cost
-        nothing.
+        their key (:meth:`_matching_cells`) go through the join's
+        kernel; the others cost nothing.
         """
         stage = self._stage
         method = self._method
@@ -460,25 +467,10 @@ class JoinStream(TopKStream):
         if stage < stage_count(method, n, m):
             cells = self._matching_cells(stage, left_rows, right_rows)
             if cells:
-                _, plan, predicates, residual = self._join
-                merge = plan.merge
-                left_ranks, right_ranks = left.ranks, right.ranks
-                candidates = self._candidates
-                for i, j in cells:
-                    left_row, right_row = left_rows[i], right_rows[j]
-                    merged = merge(left_row.values, right_row.values)
-                    if merged is None:
-                        continue
-                    if predicates and not all(
-                        holds(merged) for holds in predicates
-                    ):
-                        continue
-                    if residual and not all(holds(merged) for holds in residual):
-                        continue
-                    candidates.append(
-                        (left_ranks[i] + right_ranks[j], len(candidates),
-                         left_row, right_row)
-                    )
+                self._kernel(
+                    cells, left_rows, right_rows, left.ranks, right.ranks,
+                    self._candidates,
+                )
         self._stage += 1
 
     def _matching_cells(
@@ -534,13 +526,7 @@ class JoinStream(TopKStream):
     def _row(self, candidate: tuple) -> Row:
         """The merged row of a candidate, built when it is emitted."""
         _, _, left_row, right_row = candidate
-        plan = self._join.merge
-        return Row(
-            layout=plan.merged,
-            values=plan.merge(left_row.values, right_row.values),
-            ranks=left_row.ranks + right_row.ranks,
-            provenance=left_row.provenance + right_row.provenance,
-        )
+        return _merged_row(self._join.merge, left_row, right_row)
 
     def _refuted(self, threshold: int) -> bool:
         """True when an unvisited cell may still rank below *threshold*.

@@ -5,13 +5,20 @@ value tuple (see :mod:`repro.execution.results`); this module resolves
 variables to **slot indices once per node** so the inner loops — the
 per-cell merge of the join strategies, the per-tuple output binding of
 service nodes, every predicate — run on tuple indexing instead of
-hashing variable names per row:
+hashing variable names per row.  The two inner loops are generated:
+one Python function per *shape*, ``exec``'d once per process, with
+every query value (constants, compiled predicates) passed in as an
+argument and none rendered into the source.
 
 * :class:`SlotJoinPlan` — the natural-join merge between two layouts,
   precomputed into shared-slot conflict pairs and right-only slot
   picks; its ``merged`` layout is the layout of every row the join
   emits (:func:`compile_join` bundles it with the join's compiled
-  predicates into a :class:`CompiledJoin`);
+  predicates into a :class:`CompiledJoin`).  :meth:`SlotJoinPlan.kernel`
+  is the one cell loop of both join forms, generated per join shape
+  (shared pairs, right-only slots, predicate count): element-wise
+  shared-slot checks, the merged tuple only when a predicate reads it,
+  the predicates, the candidate;
 * :func:`compile_comparison` / :func:`compile_predicates` — predicates
   compiled into closures over value tuples, replicating
   :meth:`~repro.model.predicates.Comparison.holds` exactly, including
@@ -63,6 +70,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SlotExpression = Callable[[tuple], object]
 SlotPredicate = Callable[[tuple], bool]
 
+#: ``kernel(cells, left_rows, right_rows, left_ranks, right_ranks,
+#: candidates)`` appends ``(composed rank, arrival index, left row,
+#: right row)`` to *candidates* for each cell that merges and passes
+#: every predicate, in cell order (see :meth:`SlotJoinPlan.kernel`).
+JoinKernel = Callable[..., None]
+
 #: ``(position, constant value, None)`` for a constant input,
 #: ``(position, None, slot)`` for one read from the feed row, in
 #: ascending position order.
@@ -90,13 +103,13 @@ class SlotJoinPlan:
     ``left_key`` / ``right_key`` read a side's shared-slot values off a
     value tuple as one hashable key (the joins bucket rows by it): two
     rows whose keys differ cannot merge, two whose keys are equal still
-    go through :meth:`merge` — a dict compares by identity first, so a
-    ``nan`` key equals itself there and nowhere else.
+    go through the element-wise checks of :meth:`kernel` — a dict
+    compares by identity first, so a ``nan`` key equals itself there
+    and nowhere else.
     """
 
     __slots__ = (
-        "left", "right", "shared", "right_extra", "merged",
-        "left_key", "right_key", "_right_rest",
+        "left", "right", "shared", "right_extra", "merged", "left_key", "right_key",
     )
 
     def __init__(self, left: SlotLayout, right: SlotLayout) -> None:
@@ -112,9 +125,6 @@ class SlotJoinPlan:
                 shared.append((i, j))
         self.shared = tuple(shared)
         self.right_extra = tuple(extra)
-        # (a getter over one slot yields the bare value, not a 1-tuple:
-        # ``merge`` appends a single right-only slot itself)
-        self._right_rest = itemgetter(*extra) if len(extra) > 1 else None
         self.left_key = _key_reader([i for i, _ in shared])
         self.right_key = _key_reader([j for _, j in shared])
         self.merged = (
@@ -123,17 +133,18 @@ class SlotJoinPlan:
             else left
         )
 
-    def merge(self, left_values: tuple, right_values: tuple) -> tuple | None:
-        """Merged value tuple, or None when shared slots disagree."""
-        for i, j in self.shared:
-            if left_values[i] != right_values[j]:
-                return None
-        extra = self.right_extra
-        if not extra:
-            return left_values
-        if len(extra) == 1:
-            return left_values + (right_values[extra[0]],)
-        return left_values + self._right_rest(right_values)
+    def kernel(self, predicates: Sequence[SlotPredicate]) -> JoinKernel:
+        """The cell loop of this merge over *predicates* (a join's own,
+        then its residual ones), from the kernel of the merge's shape
+        (:func:`_join_kernel_factory`).  The predicates are arguments,
+        read when a join runs, never part of the kernel's source."""
+        factory = _join_kernel_factory(self.shared, self.right_extra, len(predicates))
+        return factory(*predicates)
+
+    def merged_values(self, left_values: tuple, right_values: tuple) -> tuple:
+        """The value tuple of two rows the kernel found to merge (the
+        shared slots are not compared again)."""
+        return left_values + tuple([right_values[j] for j in self.right_extra])
 
 
 def _key_reader(slots: Sequence[int]) -> Callable[[tuple], object]:
@@ -175,7 +186,8 @@ def compile_join(
 
 
 def compile_expression(expression: Expression, layout: SlotLayout) -> SlotExpression:
-    """*expression* as a closure over value tuples.
+    """*expression* as a callable over value tuples (a slot read is an
+    ``itemgetter``, so reading a variable runs no Python frame).
 
     A variable outside the layout compiles to a closure raising the
     unbound-variable :class:`PredicateError` of
@@ -192,7 +204,7 @@ def compile_expression(expression: Expression, layout: SlotLayout) -> SlotExpres
         return lambda values: operation(left(values), right(values))
     slot = layout.index.get(expression)
     if slot is not None:
-        return lambda values: values[slot]
+        return itemgetter(slot)
 
     def unbound(values: tuple) -> object:
         raise PredicateError(
@@ -210,9 +222,21 @@ def compile_comparison(predicate: Comparison, layout: SlotLayout) -> SlotPredica
     operand values cannot be compared.
     """
     left = compile_expression(predicate.left, layout)
-    right = compile_expression(predicate.right, layout)
     operation = COMPARISON_OPERATORS[predicate.op]
-    operator_name = predicate.op
+    name = predicate.op
+    if isinstance(predicate.right, Constant):
+        # ``expression op constant``, the common form: one call less.
+        constant = predicate.right.value
+
+        def holds_constant(values: tuple) -> bool:
+            left_value = left(values)
+            try:
+                return bool(operation(left_value, constant))
+            except TypeError as exc:
+                raise _uncomparable(left_value, name, constant, exc) from exc
+
+        return holds_constant
+    right = compile_expression(predicate.right, layout)
 
     def holds(values: tuple) -> bool:
         left_value = left(values)
@@ -220,12 +244,14 @@ def compile_comparison(predicate: Comparison, layout: SlotLayout) -> SlotPredica
         try:
             return bool(operation(left_value, right_value))
         except TypeError as exc:
-            raise PredicateError(
-                f"cannot compare {left_value!r} {operator_name} "
-                f"{right_value!r}: {exc}"
-            ) from exc
+            raise _uncomparable(left_value, name, right_value, exc) from exc
 
     return holds
+
+
+def _uncomparable(left, name: str, right, exc: TypeError) -> PredicateError:
+    """The error :meth:`Comparison.holds` raises for *left* and *right*."""
+    return PredicateError(f"cannot compare {left!r} {name} {right!r}: {exc}")
 
 
 def compile_predicates(
@@ -425,3 +451,55 @@ def _kernel_factory(shape: tuple[tuple[int, int], ...], predicate_count: int):
     namespace = {"Row": Row, "ExecutionError": ExecutionError}
     exec(compile(source, "<binding kernel>", "exec"), namespace)
     return namespace["factory"]
+
+
+#: Source of a join cell kernel factory; :func:`_join_kernel_factory`
+#: fills in the shape.  Shared slots are compared left operand first,
+#: in the order of the reference merge
+#: (``repro.testing.reference.merged_with``), and the merged tuple is
+#: built only when a predicate reads it.
+_JOIN_KERNEL_SOURCE = """\
+def factory({params}):
+    def kernel(cells, left_rows, right_rows, left_ranks, right_ranks, candidates):
+        append = candidates.append
+        arrival = len(candidates)
+        for i, j in cells:
+            left_row = left_rows[i]
+            right_row = right_rows[j]
+            {body}
+            append((left_ranks[i] + right_ranks[j], arrival, left_row, right_row))
+            arrival += 1
+    return kernel
+"""
+
+
+@lru_cache(maxsize=256)
+def _join_kernel_factory(shared: tuple, right_extra: tuple, predicate_count: int):
+    """The cell kernel factory of one join shape, exec'd once per process.
+
+    *shared* and *right_extra* are a :class:`SlotJoinPlan`'s slot pairs
+    and right-only slots; the factory takes the predicates and returns
+    the kernel over them.
+    """
+    namespace: dict = {}
+    source = _join_kernel_source(shared, right_extra, predicate_count)
+    exec(compile(source, "<join kernel>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _join_kernel_source(shared: tuple, right_extra: tuple, predicate_count: int) -> str:
+    """The source of :func:`_join_kernel_factory` for one shape."""
+    tests = [f"p{index}" for index in range(predicate_count)]
+    body = []
+    if shared or tests:
+        body.append("lv = left_row.values")
+    if shared or (tests and right_extra):
+        body.append("rv = right_row.values")
+    body += [f"if lv[{a}] != rv[{b}]: continue" for a, b in shared]
+    if tests:
+        picks = "".join(f"rv[{j}], " for j in right_extra)
+        body.append(f"merged = lv + ({picks})" if picks else "merged = lv")
+        body += [f"if not {test}(merged): continue" for test in tests]
+    return _JOIN_KERNEL_SOURCE.format(
+        params=", ".join(tests), body="\n            ".join(body)
+    )

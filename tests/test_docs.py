@@ -726,13 +726,16 @@ def test_growth_re_executes_only_where_it_cannot_continue():
 
 def test_one_join_one_plan_cache_tier_one_sqlite_pool():
     """The reference join, the oracles, the workload generator and the
-    suites' fixtures are defined under ``testing/`` only; the
-    streamed walk's cell loop iterates the *matching* cells of a stage,
-    compares no layouts and looks nothing up — a key is read and
-    looked up once per indexed row, in the one class that builds key
-    buckets, which the materializing join and the stream share; the
+    suites' fixtures are defined under ``testing/`` only; both join
+    forms run one cell loop, the kernel generated for their shape, and
+    the streamed walk hands it only the *matching* cells of a stage;
+    that loop compares no layouts and looks nothing up — a key is read
+    and looked up once per indexed row, in the one class that builds
+    key buckets, which the materializing join and the stream share; the
     plan cache has no file format of its own; and only the pool in
     ``services/sqlite.py`` opens plan-cache or service connections."""
+    from repro.execution.slots import _join_kernel_source
+
     references = {
         "execute_join", "merged_with", "exhaustive_optimize", "wsms_optimize",
         "generate_workload", "is_order_rank_consistent", "ListPageSource",
@@ -753,18 +756,44 @@ def test_one_join_one_plan_cache_tier_one_sqlite_pool():
         and node.name == "_advance_stage"
         and scopes == ("JoinStream",)
     )
-    loops = [node for node in ast.walk(advance) if isinstance(node, ast.For)]
-    assert len(loops) == 1
-    assert ast.unparse(loops[0].iter) == "cells"
-    assert "cells = self._matching_cells(" in ast.unparse(advance)
-    for node in ast.walk(loops[0]):
-        assert not (isinstance(node, ast.Attribute) and node.attr == "layout")
-        assert not (
-            isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
-        ), "dict lookup in the cell loop"
-        assert not (
-            isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "get"
-        ), "dict lookup in the cell loop"
+    materialize = next(
+        node for node in joins.body
+        if isinstance(node, ast.FunctionDef) and node.name == "join_rows"
+    )
+    # The walk's cells come from the key index alone, and neither join
+    # form loops over cells itself: both call the kernel.
+    assigned = [
+        ast.unparse(node.value)
+        for node in ast.walk(advance)
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(target) for target in node.targets] == ["cells"]
+    ]
+    assert assigned == ["self._matching_cells(stage, left_rows, right_rows)"]
+    assert [
+        ast.unparse(node.args[0])
+        for node in ast.walk(advance)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "self._kernel"
+    ] == ["cells"]
+    for function in (advance, materialize):
+        assert not [node for node in ast.walk(function) if isinstance(node, ast.For)]
+    kernel_callers = {scopes for name, scopes in _calls(joins) if name == "kernel"}
+    assert kernel_callers == {("join_rows",), ("JoinStream", "__init__")}
+    # The kernel's source, for shapes with and without shared slots,
+    # right-only slots and predicates.
+    for shape in [((), (), 0), (((0, 1),), (), 0), (((0, 1), (2, 0)), (1, 3), 2)]:
+        kernel = ast.parse(_join_kernel_source(*shape))
+        loops = [node for node in ast.walk(kernel) if isinstance(node, ast.For)]
+        assert len(loops) == 1
+        assert ast.unparse(loops[0].iter) == "cells"
+        for node in ast.walk(loops[0]):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "layout")
+            assert not (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Attribute)
+            ), "dict lookup in the cell loop"
+            assert not (
+                isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "get"
+            ), "dict lookup in the cell loop"
     # Who reads a join's key (the readers ``SlotJoinPlan`` compiles, or
     # its shared slot pairs) builds key buckets: one class, used by both.
     key_readers = {
@@ -897,9 +926,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3185,
+        "src/repro/execution + serving": 3197,
         "src/repro/optimizer + plans + costs": 2075,
-        "src/repro outside testing": 8734,
+        "src/repro outside testing": 8746,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

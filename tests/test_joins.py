@@ -1,17 +1,28 @@
 """Unit tests for the rank-preserving NL and MS join strategies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.execution.joins import (
+    JoinStream,
     join_order,
+    join_rows,
     merge_scan_order,
     nested_loop_order,
 )
-from repro.execution.results import Row
-from repro.model.predicates import comparison
-from repro.model.terms import Variable
+from repro.execution.results import Row, compose_ranking
+from repro.model.predicates import (
+    BinaryExpression,
+    Comparison,
+    PredicateError,
+    comparison,
+)
+from repro.model.terms import Constant, Variable
 from repro.services.registry import JoinMethod
-from repro.testing import execute_join, is_order_rank_consistent
+from repro.testing import compiled_join, execute_join, is_order_rank_consistent
+
+METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
 
 class TestVisitOrders:
@@ -112,3 +123,200 @@ class TestExecuteJoin:
         predicate = comparison("S", ">=", 7)
         result = execute_join(JoinMethod.MERGE_SCAN, left, right, [predicate])
         assert len(result) == 1
+
+
+# -- the cell kernel ----------------------------------------------------------
+#
+# Both join forms run one generated loop per join shape (shared slot
+# pairs, right-only slots, predicate count): ``join_rows`` over every
+# matching cell, ``JoinStream`` stage by stage.  The oracle is the
+# dict-row reference scan, then the residual filter, then
+# ``compose_ranking``.
+
+_SHARED = [Variable(f"S{n}") for n in range(3)]
+_OPERATORS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def _side(layout, side):
+    """Up to 6 rows over *layout*, small values (duplicates are rows
+    too) and a rank each."""
+    row = st.builds(
+        lambda values, rank: Row(
+            bindings=dict(zip(layout, values)), ranks=((side, rank),)
+        ),
+        st.tuples(*[st.integers(0, 2)] * len(layout)),
+        st.integers(0, 9),
+    )
+    return st.lists(row, max_size=6)
+
+
+@st.composite
+def _kernel_case(draw):
+    """Two sides sharing 0-3 variables, with 0-2 right-only ones, 0-2
+    join predicates and 0-1 residual over the merged variables."""
+    shared = _SHARED[: draw(st.integers(0, 3))]
+    extra = [Variable(f"R{n}") for n in range(draw(st.integers(0, 2)))]
+    left_layout = draw(st.permutations(shared + [Variable("A")]))
+    right_layout = draw(st.permutations(shared + extra))
+    left = draw(_side(left_layout, "L"))
+    right = draw(_side(right_layout, "R"))
+    merged = left_layout + extra
+    operand = st.sampled_from(merged)
+    comparison = st.one_of(
+        st.builds(Comparison, operand, st.sampled_from(_OPERATORS),
+                  st.builds(Constant, st.integers(0, 3))),
+        st.builds(Comparison, operand, st.sampled_from(_OPERATORS), operand),
+        st.builds(
+            Comparison,
+            st.builds(BinaryExpression, st.just("+"), operand, operand),
+            st.sampled_from(_OPERATORS),
+            st.builds(Constant, st.integers(0, 6)),
+        ),
+    )
+    predicates = draw(st.lists(comparison, max_size=2))
+    residual = draw(st.lists(comparison, max_size=1))
+    return left_layout, right_layout, left, right, predicates, residual
+
+
+def _oracle(method, left, right, predicates, residual):
+    """Reference scan, then the residual filter (composed by the caller)."""
+    return [
+        row
+        for row in execute_join(method, left, right, predicates)
+        if all(p.holds(row.bindings) for p in residual)
+    ]
+
+
+def _exact(rows):
+    return [(row.layout.variables, row.values, row.ranks) for row in rows]
+
+
+class TestJoinKernel:
+    @given(_kernel_case(), st.sampled_from(METHODS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_both_join_forms_match_the_reference(self, case, method, data):
+        left_layout, right_layout, left, right, predicates, residual = case
+        join = compiled_join(method, left_layout, right_layout, predicates, residual)
+        assert _exact(join_rows(join, left, right)) == _exact(
+            execute_join(method, left, right, predicates)
+        )
+        expected = _oracle(method, left, right, predicates, residual)
+        full = len(left) * len(right)
+        first = data.draw(st.integers(0, full), label="k")
+        again = data.draw(
+            st.one_of(st.none(), st.integers(first, full + 1)), label="resumed k"
+        )
+        stream = JoinStream(join, left, right)
+        for k in (first, again):
+            assert _exact(stream.top(k)) == _exact(compose_ranking(expected, k))
+
+    def test_a_nan_key_is_rejected(self):
+        nan = float("nan")  # one object: the key index files both under it
+        left = [_row(K=nan, A=1), _row(K=2, A=2)]
+        right = [_row(K=nan, B=1), _row(K=2, B=2)]
+        for method in METHODS:
+            join = compiled_join(method, (Variable("K"), Variable("A")),
+                                 (Variable("K"), Variable("B")))
+            expected = execute_join(method, left, right)
+            assert len(expected) == 1
+            assert join_rows(join, left, right) == expected
+            assert JoinStream(join, left, right).top(None) == expected
+
+    def test_ne_keeps_the_operand_order(self):
+        log = []
+
+        class Probe:
+            """Every probe is the same dict key (so every cell reaches
+            the kernel); ``!=`` answers by the left operand's name and
+            logs."""
+
+            def __init__(self, name):
+                self.name = name
+
+            def __eq__(self, other):
+                return True
+
+            def __hash__(self):
+                return 0
+
+            def __ne__(self, other):
+                log.append((self.name, other.name))
+                return self.name.startswith("ne")
+
+        layout = (Variable("K1"), Variable("K2"))
+        left = [Row(bindings=dict(zip(layout, map(Probe, names))))
+                for names in [("eq-a", "eq-b"), ("ne-c", "eq-d"), ("eq-e", "ne-f")]]
+        right = [Row(bindings=dict(zip(layout[::-1], map(Probe, names))))
+                 for names in [("ne-x", "eq-y"), ("eq-z", "ne-w")]]
+        for method in METHODS:
+            join = compiled_join(method, layout, layout[::-1])
+            del log[:]
+            expected = execute_join(method, left, right)
+            reference_log = log[:]
+            for run in (lambda: join_rows(join, left, right),
+                        lambda: JoinStream(join, left, right).top(None)):
+                del log[:]
+                rows = run()
+                assert log == reference_log
+                assert [row.bindings[Variable("K1")].name for row in rows] == [
+                    row.bindings[Variable("K1")].name for row in expected
+                ]
+            assert ("eq-a", "ne-w") in reference_log  # the left operand leads
+
+    def test_predicate_errors_match_the_reference_on_matching_cells_only(self):
+        K, A, B, Z = (Variable(name) for name in "KABZ")
+        cases = [
+            Comparison(A, "<", B),  # a str against an int
+            Comparison(A, "<", Constant(5)),
+            Comparison(Z, "<", Constant(5)),  # Z is bound by neither side
+        ]
+        for predicate in cases:
+            for method in METHODS:
+                for predicates, residual in (([predicate], []), ([], [predicate])):
+                    join = compiled_join(method, (K, A), (K, B), predicates, residual)
+                    left = [_row(K=1, A="text")]
+                    apart = [_row(K=2, B=1)]
+                    assert join_rows(join, left, apart) == []
+                    assert JoinStream(join, left, apart).top(None) == []
+                    matching = [_row(K=2, B=1), _row(K=1, B=1)]
+                    with pytest.raises(PredicateError) as reference:
+                        _oracle(method, left, matching, predicates, residual)
+                    runs = [lambda: JoinStream(join, left, matching).top(None)]
+                    if predicates:  # join_rows leaves residuals to its caller
+                        runs.append(lambda: join_rows(join, left, matching))
+                    for run in runs:
+                        with pytest.raises(PredicateError) as kernel:
+                            run()
+                        assert str(kernel.value) == str(reference.value)
+
+    def test_an_unhashable_key_falls_back_to_the_full_plane(self):
+        left = [_row(K=[1], A=0), _row(K=[2], A=1)]
+        right = [_row(K=[2], B=0), _row(K=[1], B=1), _row(K=[1], B=2)]
+        for method in METHODS:
+            join = compiled_join(method, (Variable("K"), Variable("A")),
+                                 (Variable("K"), Variable("B")))
+            expected = execute_join(method, left, right)
+            assert len(expected) == 3
+            assert join_rows(join, left, right) == expected
+            stream = JoinStream(join, left, right)
+            assert stream.top(None) == compose_ranking(expected)
+            assert stream._index is None  # scanned every cell of the plane
+
+    def test_two_joins_of_one_shape_share_one_code_object(self):
+        X, Y, P, Q, U, V = (Variable(name) for name in "XYPQUV")
+        travel = compiled_join(
+            JoinMethod.MERGE_SCAN, (X, P), (X, Q),
+            [comparison(P, "<", 2000)], [comparison(Q, ">=", 28)],
+        )
+        other = compiled_join(
+            JoinMethod.NESTED_LOOP, (Y, U), (Y, V),
+            [comparison(U, "!=", "luxury")], [comparison(V, "<", U)],
+        )
+        unfiltered = compiled_join(JoinMethod.MERGE_SCAN, (X, P), (X, Q))
+
+        def code(join):
+            return join.merge.kernel(join.predicates + join.residual).__code__
+
+        assert code(travel) is code(other)
+        assert code(travel) is not code(unfiltered)
+        assert code(unfiltered).co_filename == "<join kernel>"

@@ -110,11 +110,16 @@ class TestSlotLayout:
         right_match = Row(bindings={K: 1, R: 3})
         right_clash = Row(bindings={K: 9, R: 3})
         plan = SlotJoinPlan(left.layout, right_match.layout)
-        merged = plan.merge(left.values, right_match.values)
+        candidates = []
+        plan.kernel(())(
+            [(0, 0), (0, 1)], [left], [right_match, right_clash], [0], [0, 0],
+            candidates,
+        )
+        assert candidates == [(0, 0, left, right_match)]
+        merged = plan.merged_values(left.values, right_match.values)
         expected = merged_with(left, right_match)
         assert Row(layout=plan.merged, values=merged) == expected
         assert plan.merged == expected.layout
-        assert plan.merge(left.values, right_clash.values) is None
         assert merged_with(left, right_clash) is None
 
 
