@@ -39,6 +39,16 @@ emitted rows' ``_merged_row`` 1.6% more, its ``Row`` included;
 went 46.7% → 40.2%.  ``latency_p95_ms`` moved −14.4% over 10
 alternating ``bench/run.py`` pairs.
 
+On ``zipf_warm`` (4000 requests, seed 7) while every bound tuple was a
+``Row``, ``Row.__init__`` held 8.3% self and ``Row.rank_key`` with its
+generator 4.1% inclusive, and the pass ran 301/27/2 collections of
+generations 0/1/2.  Once a bound tuple is a record until it is emitted
+as an answer, ``emit`` holds 1.0% inclusive (``Row.__init__`` 0.3%),
+the pass runs 18/1/0 collections, and each generated kernel is its own
+row, named by its shape (``<binding kernel C2 K0 F2 p0>``);
+``throughput_rps`` moved ×1.23 over 10 alternating ``bench/run.py``
+pairs.
+
 This is the one-off profile ROADMAP item 1 asks a PR to record until
 that item's spans exist inside the program; the outputs committed next
 to it are ``benchmarks/out/profile_<workload>_{before,after}.txt``.
@@ -140,18 +150,29 @@ def main() -> int:
         gc.freeze()
         log = Log()
         sampler = Sampler()
+        collections = [0, 0, 0]
+
+        def count(phase: str, info: dict) -> None:
+            if phase == "start":
+                collections[info["generation"]] += 1
+
+        gc.callbacks.append(count)
         begun = time.perf_counter()
-        with sampler:
-            for request in requests:
-                play(fleet, request, workload.script, log)
-        wall = time.perf_counter() - begun
+        try:
+            with sampler:
+                for request in requests:
+                    play(fleet, request, workload.script, log)
+        finally:
+            wall = time.perf_counter() - begun
+            gc.callbacks.remove(count)
         fleet.close()
     failed = sum(out is None for out in log.outs)
     print(
         f"{workload.name}: {len(requests)} requests, {len(log.outs)} operations "
         f"({failed} failed) in {wall:.2f} s = {1e3 * wall / len(requests):.3f} "
         f"ms/request; {sampler.samples} samples (timer set to {INTERVAL * 1e3} "
-        f"ms of CPU; the kernel's tick bounds the real rate)"
+        f"ms of CPU; the kernel's tick bounds the real rate); garbage "
+        f"collections gen0/gen1/gen2: {'/'.join(map(str, collections))}"
     )
     print(sampler.report(args.top))
     return 1 if failed else 0

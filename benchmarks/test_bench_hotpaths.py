@@ -64,7 +64,7 @@ from repro.execution.lazy import (
     MultiFeedCursor,
 )
 from repro.execution.program import ExecutionProgram
-from repro.execution.results import Row
+from repro.execution.results import Row, SlotLayout
 from repro.model.predicates import BinaryExpression, Comparison
 from repro.model.terms import Constant, Variable
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
@@ -77,8 +77,11 @@ from repro.sources.travel import running_example_query, travel_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
 from repro.testing import (
     ListPageSource,
+    as_records,
     compiled_join,
+    emitted,
     execute_join,
+    joined,
     market_moving_news_query,
 )
 
@@ -188,8 +191,8 @@ def _optimizer_workload(registry, query, memoize: bool) -> dict:
 
 
 def _hashed(left_variables, right_variables, predicates=()):
-    """``join_rows`` as a ``(method, left, right)`` join over rows built
-    on *left_variables* / *right_variables*."""
+    """``join_rows`` as a ``(method, left, right)`` join over the records
+    of rows built on *left_variables* / *right_variables*."""
 
     def join(method, left, right):
         compiled = compiled_join(
@@ -270,12 +273,17 @@ def _slot_plane_point(side: int) -> dict:
     )
     cells = side * side
     best = float("inf")
+    records = as_records(left), as_records(right)
     for _ in range(3):
         start = time.perf_counter()
-        rows = hashed(JoinMethod.MERGE_SCAN, left, right)
+        rows = hashed(JoinMethod.MERGE_SCAN, *records)
         best = min(best, time.perf_counter() - start)
     # Bit-identity with the reference full-plane scan, at every point.
-    assert _row_signature(rows) == _row_signature(
+    compiled = compiled_join(
+        JoinMethod.MERGE_SCAN,
+        left[0].layout.variables, right[0].layout.variables, (predicate,),
+    )
+    assert _row_signature(joined(compiled, left, right)) == _row_signature(
         execute_join(JoinMethod.MERGE_SCAN, left, right, (predicate,))
     )
     return {
@@ -326,10 +334,10 @@ def _block_cursor(
                 ListPageSource(pages=pages, rank_floors=floors), base_rank=base
             )
         )
-    feed = MaterializedCursor([
+    feed = MaterializedCursor(as_records([
         Row(bindings={key: block}, ranks=((f"feed{block}", block),))
         for block in range(count)
-    ])
+    ]))
     opening = iter(cursors)
     cursor = MultiFeedCursor(feed, lambda row, rank: next(opening))
     return cursor, cursors, eager, eager_pages
@@ -348,7 +356,8 @@ def _block_sweep_point(count: int) -> dict:
     assert lazy_pages <= eager_pages
     assert tuples <= len(eager)
     # ... and the placed prefix is bit-identical to eager order.
-    assert _row_signature(cursor.rows) == _row_signature(
+    layout = SlotLayout((Variable("K"), Variable("V")))
+    assert _row_signature(emitted(cursor.rows, layout)) == _row_signature(
         eager[: len(cursor.rows)]
     )
     point = {
@@ -362,7 +371,7 @@ def _block_sweep_point(count: int) -> dict:
         "blocks_untouched": sum(not b.pages_fetched for b in blocks),
     }
     cursor.ensure_all()
-    assert _row_signature(cursor.rows) == _row_signature(eager)
+    assert _row_signature(emitted(cursor.rows, layout)) == _row_signature(eager)
     return point
 
 
@@ -378,7 +387,9 @@ class TestHotpathTrajectory:
         joins = {}
         for method in (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN):
             before_join = _join_throughput(execute_join, method, left, right)
-            after_join = _join_throughput(_hashed(*_KLR), method, left, right)
+            after_join = _join_throughput(
+                _hashed(*_KLR), method, as_records(left), as_records(right)
+            )
             assert after_join["rows_out"] == before_join["rows_out"]
             joins[method.value] = {"before": before_join, "after": after_join}
 
@@ -423,5 +434,9 @@ class TestHotpathTrajectory:
 
     def test_bench_join_hashed(self, benchmark):
         left, right = _join_inputs()
-        result = benchmark(_hashed(*_KLR), JoinMethod.MERGE_SCAN, left, right)
+        records = as_records(left), as_records(right)
+        benchmark(_hashed(*_KLR), JoinMethod.MERGE_SCAN, *records)
+        result = joined(
+            compiled_join(JoinMethod.MERGE_SCAN, *_KLR), left, right
+        )
         assert result == execute_join(JoinMethod.MERGE_SCAN, left, right)

@@ -49,7 +49,7 @@ from repro.execution.joins import JoinStream, join_rows, stage_cells, stage_coun
 from repro.execution.results import Row, compose_ranking
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
-from repro.testing import compiled_join, execute_join
+from repro.testing import as_records, compiled_join, emitted, execute_join
 
 pytestmark = pytest.mark.bench
 
@@ -120,8 +120,11 @@ def _full_scan(method, left, right, k) -> dict:
 
 def _hashed(method, left, right, k) -> dict:
     join = _join(method)
+    records = as_records(left), as_records(right)
     rows, elapsed = _timed(
-        lambda: compose_ranking(join_rows(join, left, right), k)
+        lambda: compose_ranking(
+            emitted(join_rows(join, *records), join.merge.merged), k
+        )
     )
     return {
         "rows": rows,
@@ -131,7 +134,7 @@ def _hashed(method, left, right, k) -> dict:
 
 
 def _streamed(method, left, right, k) -> dict:
-    stream = _CountingStream(_join(method), left, right)
+    stream = _CountingStream(_join(method), as_records(left), as_records(right))
     rows, elapsed = _timed(lambda: stream.top(k))
     visited = _cells_visited(stream, len(left), len(right))
     return {
@@ -231,7 +234,8 @@ class TestStreamingTrajectory:
     def test_bench_streamed_top_10(self, benchmark):
         left, right = _inputs()
         join = _join(JoinMethod.MERGE_SCAN)
-        rows = benchmark(lambda: JoinStream(join, left, right).top(10))
+        records = as_records(left), as_records(right)
+        rows = benchmark(lambda: JoinStream(join, *records).top(10))
         assert [(r.bindings, r.ranks) for r in rows] == [
             (r.bindings, r.ranks)
             for r in compose_ranking(

@@ -136,6 +136,8 @@ def _optimize_and_run(registry, query, metric_name: str, k: int,
 def _resilience_config(args):
     """A ResilienceConfig from the CLI flags; None when all are off."""
     retries = getattr(args, "retries", 0)
+    if retries < 0:
+        raise ValueError(f"--retries must be >= 0, got {retries}")
     partial = getattr(args, "partial_results", False)
     if not retries and not partial:
         return None
@@ -184,9 +186,11 @@ def _make_query_service(args):
 
 
 def _run_query(args) -> int:
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     service, showcase = _make_query_service(args)
     query = parse_query(args.query) if args.query else showcase
-    for _ in range(max(1, args.repeat)):
+    for _ in range(args.repeat):
         response = service.submit(query, k=args.k)
         print(response.to_json())
     import json
@@ -337,7 +341,8 @@ def main(argv: list[str] | None = None) -> int:
         # What bad input raises is a ``ValueError`` by construction:
         # ParseError, QueryError, SchemaError (unknown service, arity),
         # PlanError (no executable plan), ExpansionError (no expanded
-        # one either), and a ``k`` below 1.
+        # one either), a ``k`` below 1, and a ``--retries`` below 0 or
+        # a ``--repeat`` below 1.
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
 

@@ -17,15 +17,20 @@ What the engine runs is a compiled
 :class:`~repro.execution.program.ExecutionProgram` — the schedule,
 bindings, merge plans and predicates of a plan, derived once and shared
 by every run (a ``QueryPlan`` handed to :meth:`ExecutionEngine.execute`
-is compiled on entry).  Rows travel through all of it in one
-representation — a :class:`~repro.execution.results.SlotLayout` shared
-per node plus a value tuple (:mod:`repro.execution.results`): every
-page is pulled through the one fetch seam of
+is compiled on entry).  Bound tuples travel through all of it in one
+representation — a record: a value tuple aligned with the node's
+:class:`~repro.execution.results.SlotLayout`, a rank sum and the way
+back to the record it was bound from (:mod:`repro.execution.results`):
+every page is pulled through the one fetch seam of
 :mod:`repro.execution.fetch`, joins merge value tuples through a
 :class:`~repro.execution.slots.SlotJoinPlan`, and no node boundary
-decodes or re-encodes anything.  The dict-row plan interpreter the
-engine is tested against lives in :mod:`repro.testing.reference` and
-is imported by tests and benches only.
+decodes or re-encodes anything.  An answer
+:class:`~repro.execution.results.Row` is built only when a record is
+emitted: by the stream that proves it in the top-k, or for every
+record the output step produced after a full scan.  The dict-row plan
+interpreter the engine is tested against lives in
+:mod:`repro.testing.reference` and is imported by tests and benches
+only.
 
 Time is *virtual*: services report per-fetch latencies and the engine
 aggregates them according to its :class:`ExecutionMode`, which also
@@ -69,7 +74,9 @@ from repro.execution.resilience import (
     ResilienceConfig,
     UnresponsiveService,
 )
-from repro.execution.results import ResultTable, Row, compose_ranking
+from repro.execution.results import (
+    ROOT, Record, ResultTable, Row, SlotLayout, compose_ranking, emit,
+)
 from repro.execution.slots import ExecutionError, SlotPredicate
 from repro.execution.stats import IDLE, ExecutionStats
 from repro.model.terms import Variable
@@ -275,9 +282,9 @@ class ExecutionEngine:
             stream: TopKStream | None = None
             lazy_cursors: dict[int, LazyServiceCursor | MultiFeedCursor] = {}
             stats.clock.clear()
-            #: Rows emitted per step index; step 0 is the input node.
-            outputs: list[list[Row]] = [[] for _ in steps]
-            outputs[0] = [program.input_row]
+            #: Records produced per step index; step 0 is the input node.
+            outputs: list[list[Record]] = [[] for _ in steps]
+            outputs[0] = [ROOT]
             try:
                 for step in steps[1:]:
                     index = step.index
@@ -334,6 +341,7 @@ class ExecutionEngine:
                             stream = ChainStream(
                                 lazy_cursors.get(feeder, outputs[feeder]),
                                 step.residual,
+                                step.layout,
                             )
                             rows = stream.top(k)
                         else:
@@ -344,7 +352,7 @@ class ExecutionEngine:
                                 residual = step.residual
                                 rows = [
                                     row for row in rows
-                                    if all(holds(row.values) for holds in residual)
+                                    if all(holds(row[0]) for holds in residual)
                                 ]
                         outputs[index] = rows
             except UnresponsiveService as failure:
@@ -366,7 +374,8 @@ class ExecutionEngine:
             final_rows = produced
             complete = stream.is_complete(final_rows)
         else:
-            final_rows = compose_ranking(produced)
+            layout = steps[-1].layout
+            final_rows = compose_ranking([emit(row, layout) for row in produced])
             complete = True
         return self._result(
             program, k, stats, final_rows, complete, stream, accounting
@@ -430,14 +439,14 @@ class ExecutionEngine:
         self,
         context: RunContext,
         step: Step,
-        feed: Sequence[Row],
+        feed: Sequence[Record],
         accounting: Accounting,
-    ) -> list[Row]:
-        """Eager execution of a service step: its rows.
+    ) -> list[Record]:
+        """Eager execution of a service step: its records.
 
-        Pulls every budgeted page of each feed row's unit, in order.
+        Pulls every budgeted page of each feed record's unit, in order.
         """
-        produced: list[Row] = []
+        produced: list[Record] = []
         for row in feed:
             UnitSource(context, step, row, accounting).drain(produced)
         return produced
@@ -446,7 +455,7 @@ class ExecutionEngine:
     def _open_lazy_cursor(
         context: RunContext,
         step: Step,
-        feed: Sequence[Row] | RowCursor,
+        feed: Sequence[Record] | RowCursor,
         accounting: Accounting,
     ) -> LazyServiceCursor | MultiFeedCursor:
         """A demand-driven cursor over a step's (possibly many) feeds.
@@ -466,7 +475,7 @@ class ExecutionEngine:
         open_block = partial(_open_block, context, step, accounting)
         if not isinstance(feed, RowCursor):
             if len(feed) == 1:
-                return open_block(feed[0], feed[0].rank_key())
+                return open_block(feed[0], feed[0][1])
             feed = MaterializedCursor(feed)
         return MultiFeedCursor(feed, open_block)
 
@@ -497,22 +506,23 @@ class ExecutionEngine:
 
 def _open_block(
     context: RunContext, step: Step, accounting: Accounting,
-    feed_row: Row, base_rank: int,
+    feed: Record, base_rank: int,
 ) -> LazyServiceCursor:
-    """The budgeted block of one feed row: a cursor over its unit."""
+    """The budgeted block of one feed record: a cursor over its unit."""
     return LazyServiceCursor(
-        UnitSource(context, step, feed_row, accounting), base_rank
+        UnitSource(context, step, feed, accounting), base_rank
     )
 
 
 class ChainStream(TopKStream):
     """The streamed top-k walk of a service-terminal plan.
 
-    The rows of the terminal step's cursor *are* the answers, in the
-    full scan's emission order (the cursor's placement invariant), so
-    a stage is "the rows placed since the last look, or one more":
-    each row passing the output's residual predicates becomes a
-    candidate under its own rank and arrival index, and everything not
+    The records of the terminal step's cursor *are* the answers, laid
+    out as *layout*, in the full scan's emission order (the cursor's
+    placement invariant), so a stage is "the records placed since the
+    last look, or one more": each record passing the output's residual
+    predicates becomes a candidate under its own rank sum and arrival
+    index, and everything not
     yet looked at is bounded by the cursor's ``suffix_min`` — over a
     chain of lazy cursors that is the frontier of the whole pipe chain.
     Looking at every placed row before demanding another costs no
@@ -521,14 +531,15 @@ class ChainStream(TopKStream):
 
     def __init__(
         self,
-        rows: Sequence[Row] | RowCursor,
-        residual: Sequence[SlotPredicate] = (),
+        rows: Sequence[Record] | RowCursor,
+        residual: Sequence[SlotPredicate],
+        layout: SlotLayout,
     ) -> None:
         self._cursor = (
             rows if isinstance(rows, RowCursor) else MaterializedCursor(rows)
         )
         self._residual = tuple(residual)
-        self._begin()
+        self._begin(layout)
 
     @property
     def exhausted(self) -> bool:
@@ -546,7 +557,7 @@ class ChainStream(TopKStream):
         candidates = self._candidates
         for index in range(start, stop):
             row = rows[index]
-            if residual and not all(holds(row.values) for holds in residual):
+            if residual and not all(holds(row[0]) for holds in residual):
                 continue
             candidates.append((ranks[index], len(candidates), row))
         self._stage = stop
@@ -554,5 +565,5 @@ class ChainStream(TopKStream):
     def _refuted(self, threshold: int) -> bool:
         return self._cursor.suffix_min(self._stage) < threshold
 
-    def _row(self, candidate: tuple) -> Row:
+    def _record(self, candidate: tuple) -> Record:
         return candidate[2]

@@ -16,11 +16,12 @@ Three objects own the seam's state:
   registry, the logical cache, resilience config, drift monitor and
   provenance flag;
 * :class:`UnitSource` — the ``(service, input setting)`` unit one
-  feed row addresses; opening it **masks**, then **routes**, and its
+  feed record addresses; opening it **masks**, then **routes**, and its
   ``fetch(page)`` does, in this order, **lookup** → **resilient
   fetch** → **store** → **charge** → **observe** → **call/hit
-  accounting** → **bind**, the counters going to its cell of the
-  execution's ledger (:class:`~repro.execution.stats.ExecutionStats`).
+  accounting** → **bind** (one record per surviving tuple), the
+  counters going to its cell of the execution's ledger
+  (:class:`~repro.execution.stats.ExecutionStats`).
   Retries sit *below* the store: only the response that arrived is
   ever stored or counted, so a retried pull can neither double-store a
   page nor double-count a call;
@@ -52,7 +53,7 @@ from repro.execution.resilience import (
     resilient_fetch,
 )
 from repro.execution.program import ExecutionProgram, Step
-from repro.execution.results import Row
+from repro.execution.results import Record, Row
 from repro.execution.slots import unit_input_key
 from repro.execution.stats import ExecutionStats
 from repro.services.registry import ServiceRegistry
@@ -276,7 +277,7 @@ class UnitSource:
     """
 
     __slots__ = (
-        "input_key", "_context", "_accounting", "_feed_row", "_step",
+        "input_key", "_context", "_accounting", "_feed", "_step",
         "_demoted", "_binding", "_inputs", "_name", "_service",
         "_rank_floor", "_epoch", "_counted", "_cell",
     )
@@ -285,13 +286,13 @@ class UnitSource:
         self,
         context: RunContext,
         step: Step,
-        feed_row: Row,
+        feed: Record,
         accounting: Accounting,
     ) -> None:
         binding = step.binding
         name = binding.service_name
         inputs, input_key = unit_input_key(
-            binding.pattern_code, binding.input_spec, feed_row.values
+            binding.pattern_code, binding.input_spec, feed[0]
         )
         demoted = context.routing.demoted
         self._demoted = bool(demoted) and (name, input_key) in demoted
@@ -301,7 +302,7 @@ class UnitSource:
         self.input_key = input_key
         self._context = context
         self._accounting = accounting
-        self._feed_row = feed_row
+        self._feed = feed
         self._binding = binding
         self._inputs = inputs
         self._name = name
@@ -320,9 +321,9 @@ class UnitSource:
         factor in the run's fetch vector right now."""
         return 0 if self._demoted else self._context.fetches[self._step]
 
-    def drain(self, produced: list[Row]) -> None:
+    def drain(self, produced: list[Record]) -> None:
         """Pull every budgeted page, in order: the eager execution of
-        one unit, whose rows extend *produced*."""
+        one unit, whose records extend *produced*."""
         for page in range(self.budget):
             rows, has_more, _ = self.fetch(page)
             produced.extend(rows)
@@ -385,7 +386,7 @@ class UnitSource:
                 self._counted = _HIT
         stats.tuples_processed += raw_tuples
         rows = binding.bind_page(
-            self._feed_row, result,
+            self._feed, result,
             (name, input_key, page) if context.provenance else None,
         )
         if result.ranks and result.ranks[-1] >= self._rank_floor:

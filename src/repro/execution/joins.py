@@ -50,7 +50,7 @@ from collections import defaultdict
 from typing import Iterator, Sequence
 
 from repro.execution.lazy import MaterializedCursor, RowCursor
-from repro.execution.results import Row
+from repro.execution.results import Record, Row, SlotLayout, emit
 from repro.execution.slots import CompiledJoin, SlotJoinPlan
 from repro.services.registry import JoinMethod
 
@@ -136,7 +136,7 @@ class KeyIndex:
         self._added = [0, 0]
 
     def add(
-        self, side: int, rows: Sequence[Row], stop: int
+        self, side: int, rows: Sequence[Record], stop: int
     ) -> Sequence[tuple[int, Sequence[int]]]:
         """Add the rows of *side* not added yet, up to index *stop*
         (exclusive; at most ``len(rows)``), and return ``(index, the
@@ -151,7 +151,7 @@ class KeyIndex:
         key_of, own, other = self._sides[side]
         matches = []
         for index in range(start, stop):
-            key = key_of(rows[index].values)
+            key = key_of(rows[index][0])
             bucket = own.setdefault(key, index)
             if bucket is not index:  # not the first row under this key
                 if type(bucket) is list:
@@ -167,9 +167,10 @@ class KeyIndex:
 
 
 def join_rows(
-    join: CompiledJoin, left: Sequence[Row], right: Sequence[Row]
-) -> list[Row]:
-    """The join of rows laid out as *join* was compiled for, materialized.
+    join: CompiledJoin, left: Sequence[Record], right: Sequence[Record]
+) -> list[Record]:
+    """The join of records laid out as *join* was compiled for,
+    materialized.
 
     Instead of scanning the whole ``n × m`` candidate plane, both sides
     are bucketed once by the values of the slots their layouts share;
@@ -184,8 +185,8 @@ def join_rows(
     just inside each one, through the join's cell kernel
     (:meth:`~repro.execution.slots.SlotJoinPlan.kernel`, the loop
     :class:`JoinStream` runs too).  Output order is therefore consistent
-    with both input orders, and every emitted row shares the ``merged``
-    layout.  A key value that is unhashable (a service may return
+    with both input orders, and every join record is laid out as
+    ``merged``.  A key value that is unhashable (a service may return
     lists) visits the whole plane instead.
     """
     method, plan, predicates, _ = join
@@ -206,20 +207,11 @@ def join_rows(
     plan.kernel(predicates)(
         cells, left, right, range(len(left)), range(len(right)), candidates
     )
+    record = plan.record
     return [
-        _merged_row(plan, left_row, right_row)
-        for _, _, left_row, right_row in candidates
+        record(left_record, right_record, left_record[1] + right_record[1])
+        for _, _, left_record, right_record in candidates
     ]
-
-
-def _merged_row(plan: SlotJoinPlan, left_row: Row, right_row: Row) -> Row:
-    """The row a join emits for two rows that merge under *plan*."""
-    return Row(
-        layout=plan.merged,
-        values=plan.merged_values(left_row.values, right_row.values),
-        ranks=left_row.ranks + right_row.ranks,
-        provenance=left_row.provenance + right_row.provenance,
-    )
 
 
 class TopKStream:
@@ -240,16 +232,24 @@ class TopKStream:
     Subclasses say what a stage is (:meth:`_advance_stage`), bound the
     unvisited rest through their input cursors' ``suffix_min``
     (:meth:`_refuted`), tell when nothing is left
-    (:attr:`exhausted`) and build an emitted candidate's row
-    (:meth:`_row`): :class:`JoinStream` walks the candidate plane of a
-    join, :class:`~repro.execution.engine.ChainStream` the rows of a
-    service-terminal plan.  What a walk pulled is on the ledger its
+    (:attr:`exhausted`) and give an emitted candidate's record
+    (:meth:`_record`): :class:`JoinStream` walks the candidate plane of
+    a join, :class:`~repro.execution.engine.ChainStream` the records of
+    a service-terminal plan.  Candidates hold records; the answer
+    :class:`~repro.execution.results.Row` of a candidate is built when
+    :meth:`top` first emits it (:func:`~repro.execution.results.emit`,
+    over the stream's ``layout``) and kept by arrival index, so a
+    resumed stream hands back the rows it delivered before instead of
+    building them again.  What a walk pulled is on the ledger its
     cursors' units charge; the stream itself keeps no books.
     """
 
-    def _begin(self) -> None:
+    def _begin(self, layout: SlotLayout) -> None:
         self._stage = 0
         self._candidates: list[tuple] = []
+        self._layout = layout
+        #: The rows emitted so far, by arrival index.
+        self._emitted: dict[int, Row] = {}
 
     # -- what a walk is (subclasses) ------------------------------------------
 
@@ -268,9 +268,18 @@ class TopKStream:
         is smaller.  Asked while something is left to visit."""
         raise NotImplementedError
 
-    def _row(self, candidate: tuple) -> Row:
-        """The answer row of an emitted candidate."""
+    def _record(self, candidate: tuple) -> Record:
+        """The record of a candidate."""
         raise NotImplementedError
+
+    def _row(self, arrival: int) -> Row:
+        """The answer row of the candidate that arrived *arrival*-th."""
+        row = self._emitted.get(arrival)
+        if row is None:
+            row = self._emitted[arrival] = emit(
+                self._record(self._candidates[arrival]), self._layout
+            )
+        return row
 
     def is_complete(self, rows: Sequence[Row]) -> bool:
         """True when *rows* (a :meth:`top` result) is *every* answer the
@@ -308,7 +317,7 @@ class TopKStream:
         if k is None:
             while not self.exhausted:
                 self._advance_stage()
-            return [self._row(candidate) for candidate in sorted(candidates)]
+            return [self._row(candidate[1]) for candidate in sorted(candidates)]
         # Max-heap (negated keys) of the k smallest (rank, arrival).
         worst_first = [
             (-candidate[0], -candidate[1])
@@ -325,7 +334,7 @@ class TopKStream:
                 elif key > worst_first[0]:
                     heapq.heappushpop(worst_first, key)
         selected = sorted((-rank, -arrival) for rank, arrival in worst_first)
-        return [self._row(candidates[arrival]) for _, arrival in selected]
+        return [self._row(arrival) for _, arrival in selected]
 
     def _certified(self, worst_first: list[tuple[int, int]], k: int) -> bool:
         """True when nothing unvisited can still enter the top-*k*.
@@ -346,7 +355,7 @@ class JoinStream(TopKStream):
     The stream walks the strategy's candidate plane lazily, one *stage*
     at a time — a row of the NL plane, a diagonal of the MS plane — in
     exactly the order :func:`join_order` would visit the cells, keeping
-    every surviving merged row as a candidate.  A stage costs its
+    every surviving cell as a candidate.  A stage costs its
     *matching* cells: rows are indexed by key as the stages reach them
     (:meth:`_matching_cells`), and a cell whose rows differ in their
     key is counted, not merged.  After each stage the
@@ -355,13 +364,13 @@ class JoinStream(TopKStream):
     composed rank of every cell not yet visited, derived from suffix
     minima of the two inputs' aggregated rank keys (a cell ``(i, j)``
     merges ``left[i]`` and ``right[j]``, so its composed rank is
-    exactly ``left[i].rank_key() + right[j].rank_key()``).
+    exactly the sum of their records' rank sums).
 
     **Lazy inputs.**  Either input may be a
     :class:`~repro.execution.lazy.RowCursor` instead of a materialized
     sequence; plain sequences are wrapped in a
     :class:`~repro.execution.lazy.MaterializedCursor`.  The walk then
-    *pulls* rows on demand — an MS diagonal ``s`` needs only the first
+    *pulls* records on demand — an MS diagonal ``s`` needs only the first
     ``s + 1`` rows of each side, an NL row stage needs one more outer
     row (plus the full inner side) — and the certificate bounds the
     cells over never-fetched rows through the cursors'
@@ -389,11 +398,11 @@ class JoinStream(TopKStream):
     def __init__(
         self,
         join: CompiledJoin,
-        left: Sequence[Row] | RowCursor,
-        right: Sequence[Row] | RowCursor,
+        left: Sequence[Record] | RowCursor,
+        right: Sequence[Record] | RowCursor,
     ) -> None:
-        """A stream over inputs laid out as *join* was compiled for:
-        nothing is compiled, and no layout checked, per stream."""
+        """A stream over input records laid out as *join* was compiled
+        for: nothing is compiled, and no layout checked, per stream."""
         self._join = join
         self._method = join.method
         #: The cell loop, over the join's predicates as this stream runs it.
@@ -402,12 +411,12 @@ class JoinStream(TopKStream):
         self._right = (
             right if isinstance(right, RowCursor) else MaterializedCursor(right)
         )
-        #: Candidates are (composed rank, arrival index, left row, right
-        #: row) — arrivals are distinct, so the rows are never compared.
-        #: The merged row is built when a candidate is emitted
-        #: (:meth:`_row`): a suspended stream keeps every candidate for
-        #: its session's lifetime but emits k.
-        self._begin()
+        #: Candidates are (composed rank, arrival index, left record,
+        #: right record) — arrivals are distinct, so the records are
+        #: never compared.  The join record is built when a candidate is
+        #: emitted (:meth:`_record`): a suspended stream keeps every
+        #: candidate for its session's lifetime but emits k.
+        self._begin(join.merge.merged)
         #: The rows a stage could touch so far, by key (``None`` once a
         #: key turned out unhashable: every later stage scans its
         #: cells), and — merge-scan — the matching cells found for
@@ -474,7 +483,7 @@ class JoinStream(TopKStream):
         self._stage += 1
 
     def _matching_cells(
-        self, stage: int, left_rows: list[Row], right_rows: list[Row]
+        self, stage: int, left_rows: list[Record], right_rows: list[Record]
     ) -> Sequence[tuple[int, int]]:
         """The cells of *stage* whose two rows share their key, in the
         emission order of :func:`stage_cells`.
@@ -523,10 +532,10 @@ class JoinStream(TopKStream):
             stage_cells(self._method, len(left_rows), len(right_rows), stage)
         )
 
-    def _row(self, candidate: tuple) -> Row:
-        """The merged row of a candidate, built when it is emitted."""
-        _, _, left_row, right_row = candidate
-        return _merged_row(self._join.merge, left_row, right_row)
+    def _record(self, candidate: tuple) -> Record:
+        """The join record of a candidate, built when it is emitted."""
+        rank_sum, _, left_record, right_record = candidate
+        return self._join.merge.record(left_record, right_record, rank_sum)
 
     def _refuted(self, threshold: int) -> bool:
         """True when an unvisited cell may still rank below *threshold*.

@@ -14,12 +14,14 @@ This module provides the cursor abstraction that makes that sound:
 * :class:`RowCursor` — the interface a stream
   (:class:`~repro.execution.joins.TopKStream`) pulls its inputs
   through, and a cursor its feed: a growing fetched prefix of
-  rows (``rows`` / ``ranks``), demand methods (:meth:`~RowCursor.
+  records (``rows``, see :mod:`repro.execution.results`, and their rank
+  sums ``ranks``), demand methods (:meth:`~RowCursor.
   ensure`, :meth:`~RowCursor.ensure_all`), and the certificate hook
   :meth:`~RowCursor.suffix_min` bounding every row — fetched or not —
   from a given index on;
 * :class:`MaterializedCursor` — wraps an already-materialized list of
-  rows (what eager execution produces); everything is known up front;
+  records (what eager execution produces); everything is known up
+  front;
 * :class:`LazyServiceCursor` — wraps a service invocation (through a
   :class:`PageSource`: a unit of the engine's fetch seam) and fetches
   pages only when the walk demands deeper rows;
@@ -96,10 +98,15 @@ row at the bottom then asks each level above for at most one more row
 of its own, and both invariants carry over by induction on depth: the
 frontier is sound because the feed's ``suffix_min`` is, and placement
 is the eager order because blocks are opened in the feed's placed
-order, which is.  A suspended chain holds its open blocks and integer
-rank arrays, not the rows that travelled through it: a passed block is
-dropped and a feed row is *taken* (:meth:`RowCursor.take`) when its
-block opens.
+order, which is.  A suspended chain holds its open blocks, its integer
+rank arrays and its placed records: a passed block is dropped and a
+feed record is *taken* (:meth:`RowCursor.take`) when its block opens,
+so no cursor holds it any more — but every record bound from it points
+back to it (that is how an answer's ranks and provenance are read), so
+a feed record stays reachable for as long as a placed record of its
+block is held.  A suspended chain therefore retains the feed records
+of the rows it placed, not just the rows in flight; a feed record none
+of whose block's records is held is freed when it is taken.
 
 The **fetch universe** of a lazy cursor is identical to what eager
 execution would materialize: at most the node's fetch budget ``F``
@@ -120,20 +127,20 @@ import math
 from itertools import accumulate
 from typing import Callable, NamedTuple, Protocol, Sequence
 
-from repro.execution.results import Row
+from repro.execution.results import Record
 
 
 class FetchedPage(NamedTuple):
     """One page pulled through a :class:`PageSource`.
 
-    ``rows`` are the *produced* rows of the page: service tuples bound
-    against the feed row, filtered by the node's predicates — exactly
-    what eager execution would have appended for this page.
+    ``rows`` are the *produced* records of the page: service tuples
+    bound against the feed record, filtered by the node's predicates —
+    exactly what eager execution would have appended for this page.
     ``rank_floor`` is a lower bound on the service-rank index of every
     tuple in any *later* page (0 when the service is unranked).
     """
 
-    rows: Sequence[Row]
+    rows: Sequence[Record]
     has_more: bool
     rank_floor: int = 0
 
@@ -159,15 +166,15 @@ class PageSource(Protocol):
 class RowCursor:
     """A pull-based input of a streamed walk, or of another cursor.
 
-    The fetched prefix is exposed as ``rows`` (and the parallel
-    ``ranks`` list of their aggregated rank keys); :meth:`ensure`
-    grows it on demand.  :meth:`suffix_min` is the certificate hook:
+    The fetched prefix of records is exposed as ``rows`` (and the
+    parallel ``ranks`` list of their rank sums); :meth:`ensure` grows it
+    on demand.  :meth:`suffix_min` is the certificate hook:
     a sound lower bound on the rank key of **every** row — fetched or
     not — whose index is ``>= start``.  Subclasses must keep it sound;
     the early-exit guarantee of the streamed pipeline rests on it.
     """
 
-    rows: list[Row]
+    rows: list[Record]
     ranks: list[int]
     #: ``min(ranks[i:])`` per index (``+inf`` last), for as many ranks
     #: as a certificate has asked about so far: brought up to date on
@@ -189,7 +196,7 @@ class RowCursor:
         raise NotImplementedError
 
     def suffix_min(self, start: int) -> float:
-        """Lower bound on ``rank_key`` of every row at index >= *start*.
+        """Lower bound on the rank sum of every row at index >= *start*.
 
         Covers unfetched rows too; ``+inf`` when no such row exists.
         """
@@ -206,13 +213,13 @@ class RowCursor:
             _extend_suffix_minima(ranks, suffix)
         return suffix[start]
 
-    def take(self, index: int) -> Row:
-        """Hand row *index* to a consumer that reads each row once, in
-        order (a cursor fed by this one), and stop holding it.
+    def take(self, index: int) -> Record:
+        """Hand record *index* to a consumer that reads each record
+        once, in order (a cursor fed by this one), and stop holding it.
 
-        The slot stays, so lengths, indexes and ``ranks`` are unchanged:
-        a suspended chain retains the rows still in flight, not every
-        row that ever travelled through it.
+        The slot stays, so lengths, indexes and ``ranks`` are unchanged.
+        The cursor no longer keeps the record alive; the records bound
+        from it do (see the module docstring).
         """
         row = self.rows[index]
         self.rows[index] = None
@@ -244,7 +251,7 @@ def _extend_suffix_minima(ranks: list[int], suffix: list[float]) -> None:
 
 
 class MaterializedCursor(RowCursor):
-    """A cursor over rows that are already fully materialized.
+    """A cursor over records that are already fully materialized.
 
     This is the adapter between eager upstream execution and the
     streamed join: everything is known, ``ensure`` is a no-op, and the
@@ -252,9 +259,9 @@ class MaterializedCursor(RowCursor):
     fully-materialized pipeline.
     """
 
-    def __init__(self, rows: Sequence[Row]) -> None:
+    def __init__(self, rows: Sequence[Record]) -> None:
         self.rows = list(rows)
-        self.ranks = [row.rank_key() for row in self.rows]
+        self.ranks = [row[1] for row in self.rows]
         self._suffix = [math.inf]
 
     @property
@@ -281,8 +288,8 @@ class LazyServiceCursor(RowCursor):
     stay bit-identical to the full-scan oracle while unfetched pages
     are *saved remote work*.
 
-    ``base_rank`` is the feed row's aggregated rank (constant across
-    all produced rows).  While the observed row ranks stay monotone,
+    ``base_rank`` is the feed record's rank sum (constant across all
+    produced records).  While the observed row ranks stay monotone,
     ``suffix_min`` bounds the unfetched suffix by ``base_rank +
     rank_floor`` (see the module docstring for the soundness argument);
     on a monotonicity violation the cursor drains the remaining budget
@@ -369,7 +376,7 @@ class LazyServiceCursor(RowCursor):
         ranks = self.ranks
         highest = ranks[-1] if ranks else -math.inf
         for row in page.rows:
-            rank = row.rank_key()
+            rank = row[1]
             if rank < highest:
                 self._monotone = False
             else:
@@ -423,10 +430,12 @@ class MultiFeedCursor(RowCursor):
     eager materialization's (see the module docstring for the
     one-call-cache caveat on *remote* fetch counts).
 
-    **Retention**: a suspended cursor holds its open blocks and the
-    integer rank arrays, not what it pulled: a block the placement
-    front has passed is dropped and each feed row is *taken* from the
-    feed cursor (:meth:`RowCursor.take`) when its block opens.
+    **Retention**: a suspended cursor holds its open blocks, the integer
+    rank arrays and its placed records: a block the placement front has
+    passed is dropped and each feed record is *taken* from the feed
+    cursor (:meth:`RowCursor.take`) when its block opens — after which
+    only the records bound from it keep it alive (their parent
+    pointer), so the feed records of placed rows stay reachable.
 
     **Heaps** (O(log B) per pull instead of O(B) scans): block
     selection and the open-block bound are served by two lazy-deletion
@@ -452,7 +461,7 @@ class MultiFeedCursor(RowCursor):
     def __init__(
         self,
         feed: RowCursor,
-        open_block: Callable[[Row, int], LazyServiceCursor],
+        open_block: Callable[[Record, int], LazyServiceCursor],
     ) -> None:
         self._feed = feed
         self._open_block = open_block

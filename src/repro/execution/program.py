@@ -17,7 +17,8 @@ plan-cache key, because
   (patterns, profiles, join methods); a run resolves service handles
   from its own registry;
 * layouts are static: every execution starts from the one empty input
-  row, so each node emits one layout, a function of the plan alone;
+  record (:data:`~repro.execution.results.ROOT`), so each node emits
+  one layout, a function of the plan alone;
 * the fetch vector is run-owned: ``fetches`` is where a run starts, and
   a session that grows its factors grows its own copy.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from repro.execution.results import Row, SlotLayout
+from repro.execution.results import SlotLayout
 from repro.execution.slots import (
     CompiledJoin,
     ExecutionError,
@@ -75,8 +76,6 @@ class ExecutionProgram:
     head: tuple[Variable, ...]
     #: Topological (Kahn, FIFO) order: input first, output last.
     steps: tuple[Step, ...]
-    #: The row every execution starts from.
-    input_row: Row
     #: Compiled fetching factor per step index (0 off service steps).
     fetches: tuple[int, ...]
     #: ``(step index, atom index, decay cap or None)`` per chunked
@@ -120,14 +119,13 @@ class ExecutionProgram:
         position = {node.node_id: index for index, node in enumerate(order)}
         output = plan.output_node
         terminal = position[plan.predecessors(output)[0].node_id]
-        input_row = Row()
         steps: list[Step] = []
         fetches = [0] * len(order)
         for index, node in enumerate(order):
             feeds = tuple(position[p.node_id] for p in plan.predecessors(node))
             here = (index, node.node_id, feeds)
             if isinstance(node, InputNode):
-                step = Step(INPUT, *here, input_row.layout)
+                step = Step(INPUT, *here, SlotLayout(()))
             elif isinstance(node, JoinNode):
                 join = compile_join(
                     node.method,
@@ -183,7 +181,6 @@ class ExecutionProgram:
         return cls(
             head=tuple(head),
             steps=tuple(steps),
-            input_row=input_row,
             fetches=tuple(fetches),
             chunked=chunked,
             terminal=terminal,

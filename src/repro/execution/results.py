@@ -1,15 +1,29 @@
-"""Result rows and ranking composition.
+"""Result rows, the records they are built from, and ranking composition.
 
-A :class:`Row` is the one row representation of the engine: a
-:class:`SlotLayout` shared by every row a plan node emits (an ordered
-variable tuple with a variable → slot index) plus this row's value
-tuple aligned with it.  Rows stay in that form from the service node
-that binds them, through every pipe and parallel join, to the answer
-table — no node decodes them into per-row dicts and none re-encodes
-them.  ``ranks`` carries, for every search-service node traversed, the
-rank index (0-based) the contributing tuple had in that service's
-result list; ``provenance`` is the opt-in audit trail riding beside the
-values.
+Until it is emitted, a bound tuple is a **record**: a plain tuple whose
+first two fields are its value tuple and its rank sum, and whose rest
+leads back to where it came from —
+
+* ``(values, rank_sum)`` — the root, the program's empty input tuple;
+* ``(values, rank_sum, parent, node_id, rank, page)`` — a service step
+  bound a result tuple against the feed record *parent*; ``rank`` is the
+  tuple's 0-based rank index in the service's result list (``None`` for
+  an unranked service) and ``page`` its
+  :data:`ProvenanceRecord` (``None`` unless row provenance is on);
+* ``(values, rank_sum, left, right)`` — a join merged two records.
+
+``values`` is aligned with the one :class:`SlotLayout` of the step that
+built the record, and ``rank_sum`` is the sum of the rank indexes along
+the chain — everything a binding check, a predicate, a join key, a
+certificate or a candidate order reads.  The per-service ``ranks`` and
+the provenance are read only for tuples that reach the answer, so they
+are derived then, by walking the chain (:func:`emit`): the one place a
+:class:`Row` is built from a record.
+
+A :class:`Row` is the answer and test surface: a layout plus the value
+tuple aligned with it, ``ranks`` — for every search-service node
+traversed, the rank index the contributing tuple had in that service's
+result list — and ``provenance``, the opt-in audit trail.
 
 Layouts are created in exactly three places: by a service node
 compiled against its feed layout
@@ -19,7 +33,7 @@ the atom's fresh output variables), by a join's merge plan
 right-only ones), and by ``Row(bindings=...)`` for hand-built rows
 (tests, the reference interpreter in :mod:`repro.testing.reference`).
 Layouts compare by their variable tuple, so hand-built rows over the
-same variables run through the same production loops as engine rows
+same variables run through the same production loops as engine records
 (a join side is one layout: :mod:`repro.execution.joins`).
 
 The final answer list is presented in a *composed* global ranking that
@@ -36,6 +50,13 @@ from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.model.terms import Variable
+
+#: A bound tuple before emission (see the module docstring): its value
+#: tuple and rank sum first, then the way back to where it came from.
+Record = tuple
+
+#: The record every execution starts from: the empty input tuple.
+ROOT: Record = ((), 0)
 
 #: One per-row provenance record: ``(service name, input key, page)``
 #: — which service invocation (with which bound inputs) and which page
@@ -91,9 +112,10 @@ class Row:
     ``provenance`` holds one :data:`ProvenanceRecord` per contributing
     service page pull, in contribution order.  It is populated only
     when the engine runs with ``row_provenance=True``; the default
-    stays the empty tuple everywhere.  Provenance never participates in
-    :meth:`rank_key` or any join/ordering decision — it is an audit
-    trail riding along.
+    stays the empty tuple everywhere.  The engine builds a row only
+    when it emits an answer (:func:`emit`).  Provenance never
+    participates in :meth:`rank_key` or any join/ordering decision — it
+    is an audit trail riding along.
 
     Equality is by content: the same variable → value mapping (slot
     order is irrelevant), the same ranks, the same provenance.
@@ -158,6 +180,28 @@ class Row:
         index = self.layout.index
         values = self.values
         return tuple(values[index[v]] for v in head)
+
+
+def emit(record: Record, layout: SlotLayout) -> Row:
+    """The answer row of *record*, whose values are laid out as *layout*:
+    its ``ranks`` and provenance are read off the record's chain."""
+    ranks, provenance = _trail(record)
+    return Row(layout=layout, values=record[0], ranks=ranks, provenance=provenance)
+
+
+def _trail(record: Record) -> tuple[tuple, tuple]:
+    """``(ranks, provenance)`` along *record*'s chain, root first (a
+    join's left chain before its right one)."""
+    if len(record) == 2:
+        return (), ()
+    ranks, provenance = _trail(record[2])
+    if len(record) == 4:
+        right_ranks, right_provenance = _trail(record[3])
+        return ranks + right_ranks, provenance + right_provenance
+    _, _, _, node_id, rank, page = record
+    if rank is not None:
+        ranks += ((node_id, rank),)
+    return ranks, provenance if page is None else provenance + (page,)
 
 
 def compose_ranking(rows: Sequence[Row], k: int | None = None) -> list[Row]:

@@ -1,12 +1,15 @@
 """Everything the engine compiles against a slot layout.
 
-Rows are a shared :class:`~repro.execution.results.SlotLayout` plus a
-value tuple (see :mod:`repro.execution.results`); this module resolves
-variables to **slot indices once per node** so the inner loops — the
-per-cell merge of the join strategies, the per-tuple output binding of
-service nodes, every predicate — run on tuple indexing instead of
-hashing variable names per row.  The two inner loops are generated:
-one Python function per *shape*, ``exec``'d once per process, with
+A bound tuple is a record whose value tuple is aligned with its node's
+shared :class:`~repro.execution.results.SlotLayout` (see
+:mod:`repro.execution.results`); this module resolves variables to
+**slot indices once per node** so the inner loops — the per-cell merge
+of the join strategies, the per-tuple output binding of service nodes,
+every predicate — run on tuple indexing instead of hashing variable
+names per row.  The two inner loops are generated: one Python function
+per *shape*, ``exec``'d once per process under a file name that names
+the shape and with its source registered in :mod:`linecache` (so
+profiles tell shapes apart and tracebacks show kernel lines), with
 every query value (constants, compiled predicates) passed in as an
 argument and none rendered into the source.
 
@@ -17,8 +20,8 @@ argument and none rendered into the source.
   predicates into a :class:`CompiledJoin`).  :meth:`SlotJoinPlan.kernel`
   is the one cell loop of both join forms, generated per join shape
   (shared pairs, right-only slots, predicate count): element-wise
-  shared-slot checks, the merged tuple only when a predicate reads it,
-  the predicates, the candidate;
+  shared-slot checks on the two records' values, the merged tuple only
+  when a predicate reads it, the predicates, the candidate;
 * :func:`compile_comparison` / :func:`compile_predicates` — predicates
   compiled into closures over value tuples, replicating
   :meth:`~repro.model.predicates.Comparison.holds` exactly, including
@@ -32,8 +35,8 @@ argument and none rendered into the source.
   cache, demotion mask, provenance, certificates) is built;
 * :class:`ServiceBinding` — one service node compiled against its feed
   layout: what to invoke, input spec, output layout, and a page-binding
-  kernel (output-term checks, node predicates, row construction)
-  generated once per binding *shape*, with the node's constants and
+  kernel (output-term checks, node predicates, one record per surviving
+  tuple) generated once per binding *shape*, with the node's constants and
   predicates passed in as arguments.  The eager page loop and the lazy
   page source both bind result pages through the same object.
 
@@ -46,11 +49,12 @@ compilation cannot fail.
 
 from __future__ import annotations
 
+import linecache
 from functools import lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from repro.execution.results import ProvenanceRecord, Row, SlotLayout
+from repro.execution.results import ProvenanceRecord, Record, SlotLayout
 from repro.model.predicates import (
     ARITHMETIC_OPERATORS,
     COMPARISON_OPERATORS,
@@ -71,8 +75,8 @@ SlotExpression = Callable[[tuple], object]
 SlotPredicate = Callable[[tuple], bool]
 
 #: ``kernel(cells, left_rows, right_rows, left_ranks, right_ranks,
-#: candidates)`` appends ``(composed rank, arrival index, left row,
-#: right row)`` to *candidates* for each cell that merges and passes
+#: candidates)`` appends ``(composed rank, arrival index, left record,
+#: right record)`` to *candidates* for each cell that merges and passes
 #: every predicate, in cell order (see :meth:`SlotJoinPlan.kernel`).
 JoinKernel = Callable[..., None]
 
@@ -141,10 +145,11 @@ class SlotJoinPlan:
         factory = _join_kernel_factory(self.shared, self.right_extra, len(predicates))
         return factory(*predicates)
 
-    def merged_values(self, left_values: tuple, right_values: tuple) -> tuple:
-        """The value tuple of two rows the kernel found to merge (the
+    def record(self, left: Record, right: Record, rank_sum: int) -> Record:
+        """The join record of two records the kernel found to merge (the
         shared slots are not compared again)."""
-        return left_values + tuple([right_values[j] for j in self.right_extra])
+        values = left[0] + tuple([right[0][j] for j in self.right_extra])
+        return (values, rank_sum, left, right)
 
 
 def _key_reader(slots: Sequence[int]) -> Callable[[tuple], object]:
@@ -311,12 +316,12 @@ class ServiceBinding:
     occurrences that fail to unify with its first, and the first
     occurrence of a new variable is appended.  ``layout`` — the feed
     variables followed by the fresh ones in first-occurrence order — is
-    shared by every row the node emits.  ``service_name``, ``pattern``
+    shared by every record the node binds.  ``service_name``, ``pattern``
     and ``profile`` say what to invoke and what it was costed at; the
     service *handle* is the run's business (its registry's).
 
-    The checks, the node predicates and the row construction run in a
-    kernel generated for the binding's *shape* (:func:`_kernel_factory`)
+    The checks, the node predicates and the record construction run in
+    a kernel generated for the binding's *shape* (:func:`_kernel_factory`)
     and built here, at compile time; the binding's constants and
     predicates are arguments of the kernel, never part of its source.
     """
@@ -357,7 +362,7 @@ class ServiceBinding:
         )
         predicates = compile_predicates(node.predicates, self.layout)
         self._kernel = _kernel_factory(tuple(shape), len(predicates))(
-            self.layout, self.node_id, *constants, *predicates
+            self.node_id, *constants, *predicates
         )
 
     def unit(self, feed_values: tuple) -> tuple[dict[int, object], tuple]:
@@ -366,33 +371,32 @@ class ServiceBinding:
 
     def bind_page(
         self,
-        feed_row: Row,
+        feed: Record,
         result: "InvocationResult",
-        record: ProvenanceRecord | None = None,
-    ) -> list[Row]:
-        """The rows one fetched page contributes for *feed_row*.
+        page: ProvenanceRecord | None = None,
+    ) -> list[Record]:
+        """The records one fetched page contributes for the record *feed*.
 
-        Binds every result tuple against the feed values, annotates the
-        service rank, filters by the node predicates; *record* (when
-        row provenance is on) is appended to the feed row's trail.
+        Binds every result tuple against the feed values and filters by
+        the node predicates; each surviving tuple becomes the record
+        ``(values, rank sum, feed, node id, service rank, page)``, where
+        *page* is the page's provenance record when row provenance is
+        on (``None`` otherwise).
         """
-        return self._kernel(feed_row, result, record)
+        return self._kernel(feed, result, page)
 
 
 #: Source of a binding kernel factory; :func:`_kernel_factory` fills
 #: in the shape.  Values compared with ``!=`` keep the operand order of
 #: the reference binder (``repro.testing.reference.bind_outputs``).
 _KERNEL_SOURCE = """\
-def factory(layout, node_id{params}):
-    def kernel(feed_row, result, record):
-        feed_values = feed_row.values
-        feed_ranks = feed_row.ranks
-        provenance = feed_row.provenance
-        if record is not None:
-            provenance += (record,)
+def factory(node_id{params}):
+    def kernel(feed, result, page):
+        feed_values = feed[0]
+        base = feed[1]
         {hoist}
-        rows = []
-        append = rows.append
+        records = []
+        append = records.append
         for values, rank in zip(
             result.tuples, result.ranks or (None,) * len(result.tuples)
         ):
@@ -404,12 +408,11 @@ def factory(layout, node_id{params}):
             {checks}
             merged = {merged}
             {filters}
-            append(Row(
-                layout=layout, values=merged, provenance=provenance,
-                ranks=feed_ranks if rank is None
-                else feed_ranks + ((node_id, rank),),
+            append((
+                merged, base if rank is None else base + rank,
+                feed, node_id, rank, page,
             ))
-        return rows
+        return records
     return kernel
 """
 
@@ -421,8 +424,8 @@ def _kernel_factory(shape: tuple[tuple[int, int], ...], predicate_count: int):
     *shape* holds one ``(opcode, operand)`` pair per output position:
     the constant's index, the feed slot checked, the position a repeated
     variable first occurred at, or (fresh) the position itself.  The
-    factory takes ``(layout, node_id, *constants, *predicates)`` and
-    returns the ``bind_page`` kernel over them.
+    factory takes ``(node_id, *constants, *predicates)`` and returns the
+    ``bind_page`` kernel over them.
     """
     params, hoist, checks, fresh = [], {}, [], []
     for position, (op, operand) in enumerate(shape):
@@ -448,9 +451,11 @@ def _kernel_factory(shape: tuple[tuple[int, int], ...], predicate_count: int):
             f"if not {test}(merged): continue" for test in tests
         ),
     )
-    namespace = {"Row": Row, "ExecutionError": ExecutionError}
-    exec(compile(source, "<binding kernel>", "exec"), namespace)
-    return namespace["factory"]
+    name = " ".join(f"{'KCFD'[op]}{operand}" for op, operand in shape)
+    return _compiled(
+        f"<binding kernel {name} p{predicate_count}>", source,
+        {"ExecutionError": ExecutionError},
+    )
 
 
 #: Source of a join cell kernel factory; :func:`_join_kernel_factory`
@@ -481,9 +486,21 @@ def _join_kernel_factory(shared: tuple, right_extra: tuple, predicate_count: int
     and right-only slots; the factory takes the predicates and returns
     the kernel over them.
     """
-    namespace: dict = {}
     source = _join_kernel_source(shared, right_extra, predicate_count)
-    exec(compile(source, "<join kernel>", "exec"), namespace)
+    name = "".join(
+        [f"{a}={b} " for a, b in shared] + [f"+{j} " for j in right_extra]
+    )
+    return _compiled(f"<join kernel {name}p{predicate_count}>", source, {})
+
+
+def _compiled(filename: str, source: str, namespace: dict):
+    """The ``factory`` *source* defines, compiled under *filename* and
+    registered in :mod:`linecache`, so a traceback or a profile through
+    the kernel names its shape and shows its source lines."""
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(keepends=True), filename
+    )
+    exec(compile(source, filename, "exec"), namespace)
     return namespace["factory"]
 
 
@@ -492,9 +509,9 @@ def _join_kernel_source(shared: tuple, right_extra: tuple, predicate_count: int)
     tests = [f"p{index}" for index in range(predicate_count)]
     body = []
     if shared or tests:
-        body.append("lv = left_row.values")
+        body.append("lv = left_row[0]")
     if shared or (tests and right_extra):
-        body.append("rv = right_row.values")
+        body.append("rv = right_row[0]")
     body += [f"if lv[{a}] != rv[{b}]: continue" for a, b in shared]
     if tests:
         picks = "".join(f"rv[{j}], " for j in right_extra)

@@ -13,9 +13,10 @@ optimality oracle of the branch-and-bound
 ablations compare it with (:mod:`repro.testing.wsms`); the seeded
 workload generator the scalability benches sweep
 (:mod:`repro.testing.synthetic`); the visit-order property, the
-compiled join of hand-built rows and the pre-built page source of the
-join and cursor suites, the ledger reads of a demand-driven walk,
-the precedence shapes of hand-built plans,
+compiled join of hand-built rows, the row → record → row adapter and
+the pre-built page source the join and cursor suites drive the engine's
+internals through, the ledger reads of a demand-driven walk, the
+precedence shapes of hand-built plans,
 the news domain's query and the up-front unit mask
 (:mod:`repro.testing.fixtures`); and the deterministic fault-injection
 kit (:mod:`repro.testing.faults`).  Production modules under
@@ -33,10 +34,15 @@ from repro.testing.faults import (
 )
 from repro.testing.fixtures import (
     ListPageSource,
+    as_record,
+    as_records,
     chain_poset,
     compiled_join,
     demand_blocks,
+    emitted,
     is_order_rank_consistent,
+    join_stream,
+    joined,
     market_moving_news_query,
     mask_unit,
     parallel_after,
@@ -77,15 +83,20 @@ __all__ = [
     "ReferenceResult",
     "SyntheticWorkload",
     "WsmsPlan",
+    "as_record",
+    "as_records",
     "chain_poset",
     "compiled_join",
     "demand_blocks",
     "eager_streamed_engine",
+    "emitted",
     "execute_join",
     "exhaustive_optimize",
     "generate_workload",
     "greedy_selectivity_order",
     "is_order_rank_consistent",
+    "join_stream",
+    "joined",
     "market_moving_news_query",
     "mask_unit",
     "memo_bounds",

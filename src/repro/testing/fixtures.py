@@ -2,10 +2,16 @@
 
 :func:`is_order_rank_consistent` is the domination property the visit
 orders of :mod:`repro.execution.joins` are checked against;
-:func:`compiled_join` compiles the join of hand-built rows as a program
+:func:`as_record` / :func:`as_records` turn hand-built rows into the
+records the engine's joins, streams, cursors and binding kernels run
+on, and :func:`emitted` turns records back into rows through the
+engine's own :func:`~repro.execution.results.emit`; :func:`joined` and
+:func:`join_stream` run the two join forms over hand-built rows through
+them — the one adapter the suites that drive those internals with
+``Row`` objects go through; :func:`compiled_join` compiles the join of hand-built rows as a program
 compiles one; :class:`ListPageSource` is a page source over pre-built
-pages, which the suites drive the cursors of
-:mod:`repro.execution.lazy` with, and :func:`step_cells` /
+pages of rows (served as records), which the suites drive the cursors
+of :mod:`repro.execution.lazy` with, and :func:`step_cells` /
 :func:`demand_blocks` read a demand-driven walk's work off its ledger.
 :func:`chain_poset` and
 :func:`parallel_after` are the two precedence shapes hand-built plans
@@ -21,9 +27,10 @@ from dataclasses import astuple, dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 from repro.execution.engine import ExecutionEngine, ExecutionResult
-from repro.execution.lazy import FetchedPage
+from repro.execution.joins import JoinStream, join_rows
+from repro.execution.lazy import FetchedPage, RowCursor
 from repro.execution.resilience import UnresponsiveService
-from repro.execution.results import Row, SlotLayout
+from repro.execution.results import Record, Row, SlotLayout, emit
 from repro.execution.slots import CompiledJoin, compile_join
 from repro.execution.stats import ExecutionStats, ServiceCallStats
 from repro.model.atoms import Atom
@@ -33,6 +40,57 @@ from repro.model.terms import Constant, Variable
 from repro.plans.builder import Poset
 from repro.plans.dag import PlanError
 from repro.services.registry import JoinMethod
+
+
+def as_record(row: Row) -> Record:
+    """The record chain *row* stands for: ``emit(as_record(row),
+    row.layout) == row``.
+
+    One service record per entry of the row's ``ranks`` and provenance
+    (paired by position, ``None`` where one runs out) over a root that
+    holds the row's values, each carrying the row's values and the rank
+    sum so far — so the last one carries ``row.rank_key()``.
+    """
+    ranks, provenance = row.ranks, row.provenance
+    record = (row.values, 0)
+    total = 0
+    for index in range(max(len(ranks), len(provenance))):
+        node_id, rank = ranks[index] if index < len(ranks) else (None, None)
+        if rank is not None:
+            total += rank
+        page = provenance[index] if index < len(provenance) else None
+        record = (row.values, total, record, node_id, rank, page)
+    return record
+
+
+def as_records(rows: Iterable[Row]) -> list[Record]:
+    """:func:`as_record` of each row, in order."""
+    return [as_record(row) for row in rows]
+
+
+def emitted(records: Iterable[Record], layout: SlotLayout) -> list[Row]:
+    """The rows the engine emits for *records* laid out as *layout*."""
+    return [emit(record, layout) for record in records]
+
+
+def joined(join: CompiledJoin, left: Sequence[Row], right: Sequence[Row]) -> list[Row]:
+    """:func:`~repro.execution.joins.join_rows` over hand-built rows:
+    their records in, the rows the join's records emit out."""
+    records = join_rows(join, as_records(left), as_records(right))
+    return emitted(records, join.merge.merged)
+
+
+def join_stream(
+    join: CompiledJoin,
+    left: Sequence[Row] | RowCursor,
+    right: Sequence[Row] | RowCursor,
+) -> JoinStream:
+    """A :class:`~repro.execution.joins.JoinStream` over hand-built rows
+    (their records) or cursors; its :meth:`top` emits rows itself."""
+    return JoinStream(join, *(
+        side if isinstance(side, RowCursor) else as_records(side)
+        for side in (left, right)
+    ))
 
 
 def compiled_join(
@@ -103,7 +161,8 @@ def is_order_rank_consistent(order: Sequence[tuple[int, int]]) -> bool:
 class ListPageSource:
     """A :class:`PageSource` over pre-built pages (tests, adapters).
 
-    ``pages`` holds the produced rows of each page; ``rank_floors``
+    ``pages`` holds the produced rows of each page, handed to the cursor
+    as records (:func:`as_record`); ``rank_floors``
     optionally gives the per-page floor for later tuples (defaults to
     the count of rows seen so far, the search-service convention).
     ``fetch_log`` records every page requested, in order: what a test
@@ -127,7 +186,7 @@ class ListPageSource:
 
     def fetch(self, page: int) -> FetchedPage:
         self.fetch_log.append(page)
-        rows = tuple(self.pages[page]) if page < len(self.pages) else ()
+        rows = as_records(self.pages[page]) if page < len(self.pages) else ()
         seen = sum(len(p) for p in self.pages[: page + 1])
         floor = (
             self.rank_floors[page]

@@ -246,6 +246,7 @@ class TestEquationTwoProductOrder:
         reference = reference_annotate(plan, CacheSetting.ONE_CALL)
         assert _hexes(annotation) == _hexes(reference)
 
+    @pytest.mark.slow  # 2.3-2.8 s, tier-1's slowest: CI's ``-m slow`` step
     def test_optimizer_results_do_not_depend_on_the_hash_seed(self):
         """Plan costs are persisted across processes (the SQLite plan
         cache): every domain × metric must decide the same, to the last

@@ -255,10 +255,19 @@ class TestBadInput:
             (["query", "-k", "0"], "ValueError: k must be >= 1, got 0"),
             (["demo", "-k", "0"], "ValueError: k must be >= 1, got 0"),
             (["query", "--domain", "weekend", "--retries", "-5"],
-             "ValueError: attempts must be >= 1, got -4"),
+             "ValueError: --retries must be >= 0, got -5"),
+            (["query", "--domain", "weekend", "--retries", "-1"],
+             "ValueError: --retries must be >= 0, got -1"),
+            (["serve", "--domain", "weekend", "--retries", "-1"],
+             "ValueError: --retries must be >= 0, got -1"),
+            (["query", "--domain", "weekend", "--repeat", "0"],
+             "ValueError: --repeat must be >= 1, got 0"),
+            (["query", "--domain", "weekend", "--repeat", "-1"],
+             "ValueError: --repeat must be >= 1, got -1"),
         ],
         ids=["arity", "unknown-service", "optimize-parse", "query-parse",
-             "query-k0", "demo-k0", "negative-retries"],
+             "query-k0", "demo-k0", "negative-retries", "retries-minus-one",
+             "serve-retries-minus-one", "repeat-0", "repeat-minus-one"],
     )
     def test_one_shot_commands_answer_bad_input_with_a_message(
         self, capsys, argv, error

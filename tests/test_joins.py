@@ -5,9 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.joins import (
-    JoinStream,
     join_order,
-    join_rows,
     merge_scan_order,
     nested_loop_order,
 )
@@ -20,7 +18,13 @@ from repro.model.predicates import (
 )
 from repro.model.terms import Constant, Variable
 from repro.services.registry import JoinMethod
-from repro.testing import compiled_join, execute_join, is_order_rank_consistent
+from repro.testing import (
+    compiled_join,
+    execute_join,
+    is_order_rank_consistent,
+    join_stream,
+    joined,
+)
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
@@ -197,7 +201,7 @@ class TestJoinKernel:
     def test_both_join_forms_match_the_reference(self, case, method, data):
         left_layout, right_layout, left, right, predicates, residual = case
         join = compiled_join(method, left_layout, right_layout, predicates, residual)
-        assert _exact(join_rows(join, left, right)) == _exact(
+        assert _exact(joined(join, left, right)) == _exact(
             execute_join(method, left, right, predicates)
         )
         expected = _oracle(method, left, right, predicates, residual)
@@ -206,9 +210,26 @@ class TestJoinKernel:
         again = data.draw(
             st.one_of(st.none(), st.integers(first, full + 1)), label="resumed k"
         )
-        stream = JoinStream(join, left, right)
+        stream = join_stream(join, left, right)
         for k in (first, again):
             assert _exact(stream.top(k)) == _exact(compose_ranking(expected, k))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_resumed_stream_hands_back_the_rows_it_delivered(self, method):
+        """A candidate's row is built when it is first emitted and kept:
+        a larger k returns the same row objects first, then new ones."""
+        left = [Row(bindings={Variable("K"): i % 2, Variable("A"): i},
+                    ranks=(("l", i),)) for i in range(4)]
+        right = [Row(bindings={Variable("K"): j % 2, Variable("B"): j},
+                     ranks=(("r", j),)) for j in range(4)]
+        join = compiled_join(method, (Variable("K"), Variable("A")),
+                             (Variable("K"), Variable("B")))
+        stream = join_stream(join, left, right)
+        first = stream.top(2)
+        more = stream.top(5)
+        assert len(first) == 2 and len(more) == 5
+        assert all(old is new for old, new in zip(first, more))
+        assert more == compose_ranking(execute_join(method, left, right), 5)
 
     def test_a_nan_key_is_rejected(self):
         nan = float("nan")  # one object: the key index files both under it
@@ -219,8 +240,8 @@ class TestJoinKernel:
                                  (Variable("K"), Variable("B")))
             expected = execute_join(method, left, right)
             assert len(expected) == 1
-            assert join_rows(join, left, right) == expected
-            assert JoinStream(join, left, right).top(None) == expected
+            assert joined(join, left, right) == expected
+            assert join_stream(join, left, right).top(None) == expected
 
     def test_ne_keeps_the_operand_order(self):
         log = []
@@ -253,8 +274,8 @@ class TestJoinKernel:
             del log[:]
             expected = execute_join(method, left, right)
             reference_log = log[:]
-            for run in (lambda: join_rows(join, left, right),
-                        lambda: JoinStream(join, left, right).top(None)):
+            for run in (lambda: joined(join, left, right),
+                        lambda: join_stream(join, left, right).top(None)):
                 del log[:]
                 rows = run()
                 assert log == reference_log
@@ -276,14 +297,14 @@ class TestJoinKernel:
                     join = compiled_join(method, (K, A), (K, B), predicates, residual)
                     left = [_row(K=1, A="text")]
                     apart = [_row(K=2, B=1)]
-                    assert join_rows(join, left, apart) == []
-                    assert JoinStream(join, left, apart).top(None) == []
+                    assert joined(join, left, apart) == []
+                    assert join_stream(join, left, apart).top(None) == []
                     matching = [_row(K=2, B=1), _row(K=1, B=1)]
                     with pytest.raises(PredicateError) as reference:
                         _oracle(method, left, matching, predicates, residual)
-                    runs = [lambda: JoinStream(join, left, matching).top(None)]
+                    runs = [lambda: join_stream(join, left, matching).top(None)]
                     if predicates:  # join_rows leaves residuals to its caller
-                        runs.append(lambda: join_rows(join, left, matching))
+                        runs.append(lambda: joined(join, left, matching))
                     for run in runs:
                         with pytest.raises(PredicateError) as kernel:
                             run()
@@ -297,8 +318,8 @@ class TestJoinKernel:
                                  (Variable("K"), Variable("B")))
             expected = execute_join(method, left, right)
             assert len(expected) == 3
-            assert join_rows(join, left, right) == expected
-            stream = JoinStream(join, left, right)
+            assert joined(join, left, right) == expected
+            stream = join_stream(join, left, right)
             assert stream.top(None) == compose_ranking(expected)
             assert stream._index is None  # scanned every cell of the plane
 
@@ -319,4 +340,7 @@ class TestJoinKernel:
 
         assert code(travel) is code(other)
         assert code(travel) is not code(unfiltered)
-        assert code(unfiltered).co_filename == "<join kernel>"
+        # The file name is the shape's: shared pairs, right-only slots,
+        # predicate count.
+        assert code(travel).co_filename == "<join kernel 0=0 +1 p2>"
+        assert code(unfiltered).co_filename == "<join kernel 0=0 +1 p0>"

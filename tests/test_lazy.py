@@ -34,7 +34,7 @@ from repro.execution.lazy import (
     LazyServiceCursor,
     MaterializedCursor,
 )
-from repro.execution.results import Row, compose_ranking
+from repro.execution.results import Row, SlotLayout, compose_ranking
 from repro.execution.stats import ExecutionStats
 from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
@@ -46,9 +46,11 @@ from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
 from repro.testing import (
     ListPageSource,
+    as_records,
     chain_poset,
     compiled_join,
     demand_blocks,
+    emitted,
     execute_join,
     step_cells,
 )
@@ -92,6 +94,10 @@ def _lazy_cursor(ranks: list[int], side: str, chunk: int) -> LazyServiceCursor:
     return LazyServiceCursor(source)
 
 
+#: The layout of an ``"L"`` side of :func:`_rows`.
+_L = SlotLayout((Variable("K"), Variable("L")))
+
+
 def _signature(rows):
     return [(dict(r.bindings), r.ranks) for r in rows]
 
@@ -110,7 +116,7 @@ class TestLazyServiceCursor:
         cursor = LazyServiceCursor(source)
         cursor.ensure(3)
         assert source.fetch_log == [0, 1]
-        assert [r.rank_key() for r in cursor.rows] == [0, 1, 2, 3]
+        assert [r.rank_key() for r in emitted(cursor.rows, _L)] == [0, 1, 2, 3]
         assert source.budget - cursor.pages_fetched == 3
         cursor.ensure_all()
         assert source.fetch_log == [0, 1, 2, 3, 4]
@@ -167,9 +173,9 @@ class TestLazyServiceCursor:
 
     def test_materialized_cursor_matches_list_semantics(self):
         rows = _rows([3, 1, 2], "L")
-        cursor = MaterializedCursor(rows)
+        cursor = MaterializedCursor(as_records(rows))
         assert cursor.exhausted
-        assert cursor.rows == rows
+        assert emitted(cursor.rows, _L) == rows
         assert cursor.suffix_min(0) == 1
         assert cursor.suffix_min(2) == 2
         assert cursor.suffix_min(3) == math.inf
@@ -395,6 +401,27 @@ class TestLazyStreamedEngine:
         assert _signature(streamed.stream.top(None)) == _signature(
             compose_ranking(oracle.rows)
         )
+
+    def test_a_resumed_chain_hands_back_the_rows_it_delivered(
+        self, tiny_registry, tiny_query
+    ):
+        """The answer rows of a stream are built once: a resume returns
+        the very row objects it delivered before, then the new ones."""
+        plan = PlanBuilder(tiny_query, tiny_registry).build(
+            (
+                tiny_registry.signature("cities").pattern("io"),
+                tiny_registry.signature("spots").pattern("ioo"),
+            ),
+            chain_poset(2, [0, 1]),
+        )
+        streamed = ExecutionEngine(
+            tiny_registry, mode=ExecutionMode.STREAMED
+        ).execute(plan, head=tuple(tiny_query.head), k=2)
+        delivered = streamed.rows
+        more = streamed.stream.top(4)
+        assert len(more) > len(delivered) == 2
+        assert all(old is new for old, new in zip(delivered, more))
+        assert streamed.stream.top(4) == more
 
     def test_resume_records_fetches_on_rebound_stats(self):
         """Fetches demanded by a resumed stream must land on the stats

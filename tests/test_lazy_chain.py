@@ -45,7 +45,7 @@ from repro.execution.lazy import (
 from repro.execution.program import ExecutionProgram
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import ResilienceConfig
-from repro.execution.results import Row, compose_ranking
+from repro.execution.results import Row, SlotLayout, compose_ranking
 from repro.model.atoms import Atom
 from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
@@ -60,9 +60,11 @@ from repro.testing import (
     FlakyService,
     ListPageSource,
     ReexecutingExecutor,
+    as_records,
     chain_poset,
     demand_blocks,
     eager_streamed_engine,
+    emitted,
     mask_unit,
     reference_execute,
     step_cells,
@@ -459,6 +461,10 @@ def _floors(ranks, pages):
     return floors
 
 
+#: The layout of a block row of :func:`_block_cursors`.
+_BLOCK = SlotLayout((Variable("B"), Variable("I")))
+
+
 def _block_cursors(spec, chunk, log):
     """One logged block per ``(base rank, service ranks)`` + eager rows."""
     blocks, eager = [], []
@@ -564,19 +570,19 @@ class TestCursorOverAGrowingFeed:
             assert log == policy_log
             assert len(cursor.rows) == policy.placed()
             # placement: always a prefix of the eager concatenation
-            assert _signature(cursor.rows) == _signature(eager[: len(cursor.rows)])
+            assert _signature(emitted(cursor.rows, _BLOCK)) == _signature(eager[: len(cursor.rows)])
             # the bound as scans over the cursor's own blocks compute
             # it, and the pages each block pulled
             for start in range(len(cursor.rows) + 2):
                 assert cursor.suffix_min(start) == min(
-                    [r.rank_key() for r in cursor.rows[start:]]
+                    [r.rank_key() for r in emitted(cursor.rows[start:], _BLOCK)]
                     + [reference.unplaced_bound(cursor)]
                 )
             pulled = [block.pages_fetched for block in blocks]
             assert pulled == [block.pages_fetched for block in policy.blocks]
             assert not any(pulled[cursor._opened :])
         cursor.ensure_all()
-        assert _signature(cursor.rows) == _signature(eager)
+        assert _signature(emitted(cursor.rows, _BLOCK)) == _signature(eager)
         assert cursor.exhausted and cursor.suffix_min(0) == min(
             [r.rank_key() for r in eager], default=math.inf
         )
@@ -613,7 +619,7 @@ class TestCursorOverAGrowingFeed:
                 parents[min(live)[1]].pull_page()
             assert log == parent_log
             assert len(cursor.rows) == parent_placed()
-        assert _signature(cursor.rows) == _signature(eager[: len(cursor.rows)])
+        assert _signature(emitted(cursor.rows, _BLOCK)) == _signature(eager[: len(cursor.rows)])
 
     def test_a_non_monotone_block_drains_itself_only(self):
         """Over a lazy feed too: the regressing block falls back to a
@@ -655,7 +661,7 @@ class TestCursorOverAGrowingFeed:
             Row(bindings={Variable("F"): i}, ranks=(("feed", base),))
             for i, (base, _) in enumerate(spec)
         ]
-        feed = MaterializedCursor(feed_rows)
+        feed = MaterializedCursor(as_records(feed_rows))
         opening = iter(blocks)
         cursor = MultiFeedCursor(feed, lambda row, rank: next(opening))
         cursor.ensure(60)

@@ -40,7 +40,7 @@ from repro.execution.lazy import (
     MaterializedCursor,
     MultiFeedCursor,
 )
-from repro.execution.results import Row, compose_ranking
+from repro.execution.results import Row, SlotLayout, compose_ranking
 from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
@@ -51,9 +51,11 @@ from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
 from repro.testing import (
     ListPageSource,
+    as_records,
     compiled_join,
     demand_blocks,
     eager_streamed_engine,
+    emitted,
     execute_join,
     step_cells,
 )
@@ -101,7 +103,7 @@ def _cursor_over(blocks: list[LazyServiceCursor]) -> MultiFeedCursor:
     ]
     opening = iter(blocks)
     cursor = MultiFeedCursor(
-        MaterializedCursor(feed), lambda row, rank: next(opening)
+        MaterializedCursor(as_records(feed)), lambda row, rank: next(opening)
     )
     cursor.all_blocks = list(blocks)
     return cursor
@@ -132,7 +134,14 @@ def _multi_feed_cursor(
             floors.append(ordered[seen] if seen < len(ordered) else 10**9)
         source = ListPageSource(pages=pages, rank_floors=floors)
         cursors.append(LazyServiceCursor(source, base_rank=base))
-    return _cursor_over(cursors), eager
+    cursor = _cursor_over(cursors)
+    cursor.layout = SlotLayout((Variable("K"), Variable(side)))
+    return cursor, eager
+
+
+def _rows_of(cursor: MultiFeedCursor) -> list[Row]:
+    """The placed records of a :func:`_multi_feed_cursor`, as rows."""
+    return emitted(cursor.rows, cursor.layout)
 
 
 _blocks = st.lists(
@@ -163,10 +172,10 @@ class TestMultiFeedCursorUnits:
         )
         cursor.ensure_all()
         assert cursor.exhausted
-        assert [r.rank_key() for r in cursor.rows] == [
+        assert [r.rank_key() for r in _rows_of(cursor)] == [
             r.rank_key() for r in eager
         ]
-        assert _signature(cursor.rows) == _signature(eager)
+        assert _signature(_rows_of(cursor)) == _signature(eager)
         assert cursor._opened == 3
         assert all(block.pages_fetched for block in cursor.all_blocks)
 
@@ -193,7 +202,7 @@ class TestMultiFeedCursorUnits:
         assert blocks[1].pages_fetched > 0
         assert len(cursor.rows) >= 1
         cursor.ensure_all()
-        assert _signature(cursor.rows) == _signature(eager)
+        assert _signature(_rows_of(cursor)) == _signature(eager)
 
     def test_fetches_never_exceed_the_eager_universe(self):
         cursor, _ = _multi_feed_cursor(
@@ -591,7 +600,7 @@ class TestHeapMatchesLinearScan:
                 )
             reference.ensure(target)
             # same rows, same per-block fetch state, same certificate
-            assert _signature(cursor.rows) == _signature(reference.rows)
+            assert _signature(_rows_of(cursor)) == _signature(_rows_of(reference))
             assert [b.pages_fetched for b in cursor.all_blocks] == [
                 b.pages_fetched for b in reference.all_blocks
             ]
@@ -618,7 +627,7 @@ class TestHeapMatchesLinearScan:
         for source in sources:
             assert source.fetch_log == list(range(len(source.pages)))
         assert sum(source.rows_pulled for source in sources) == len(eager)
-        assert _signature(cursor.rows) == _signature(eager)
+        assert _signature(_rows_of(cursor)) == _signature(eager)
         assert cursor.suffix_min(len(cursor.rows)) == math.inf
 
     def test_thousand_block_scenario_stays_lazy(self):
@@ -627,7 +636,7 @@ class TestHeapMatchesLinearScan:
         blocks = [(base, [base, base + 1, base + 2]) for base in range(1000)]
         cursor, eager = _multi_feed_cursor(blocks, "L", 2)
         cursor.ensure(10)
-        assert _signature(cursor.rows[:10]) == _signature(eager[:10])
+        assert _signature(_rows_of(cursor)[:10]) == _signature(eager[:10])
         untouched = sum(1 for block in cursor.all_blocks if not block.pages_fetched)
         assert untouched > 900  # the point of being lazy
         assert cursor._opened < 100  # ... and most were never even opened

@@ -13,6 +13,7 @@ from repro.sources.travel import (
 )
 
 
+@pytest.mark.slow  # 3.6 s with the report: CI's ``-m slow`` step
 class TestCliReproduce:
     """``python -m repro reproduce`` and ``examples/reproduce_paper.py``
     are one call of ``repro.experiments.reproduce_paper``."""

@@ -120,11 +120,19 @@ def _searched(profile, metric, config):
     return memo_bounds(optimizer._memo), cold, optimizer.optimize(query)
 
 
-def _golden_cases(keep=lambda profile, metric, config: True):
+def _golden_cases(
+    keep=lambda profile, metric, config: True,
+    slow=lambda profile, metric, config: False,
+):
+    """The golden cases *keep* selects; those *slow* selects carry the
+    ``slow`` marker (run by CI's ``-m slow`` step, not by tier-1)."""
     cases = [(case, key) for case, *key in golden_plans.cases() if keep(*key)]
     return pytest.mark.parametrize(
         "profile, metric, config",
-        [key for _, key in cases], ids=[case for case, _ in cases],
+        [
+            pytest.param(*key, id=case, marks=pytest.mark.slow if slow(*key) else ())
+            for case, key in cases
+        ],
     )
 
 
@@ -480,8 +488,12 @@ class TestClassBound:
     # travel's 95 0.35 s: on bio the serving configuration (what the
     # frozen bench runs) stands for the three, and the exhaustive
     # baseline is consulted under it alone (random k below varies the
-    # rest).
-    @_golden_cases(lambda profile, _, config: profile != "bio" or config == "serving")
+    # rest).  The six bio cases are the slowest of tier-1: CI's
+    # ``-m slow`` step runs them.
+    @_golden_cases(
+        lambda profile, _, config: profile != "bio" or config == "serving",
+        slow=lambda profile, _, config: profile == "bio",
+    )
     def test_golden_cases_agree_with_unpruned_and_exhaustive(
         self, profile, metric, config
     ):
@@ -495,6 +507,7 @@ class TestClassBound:
         golden = golden_plans.load()[f"{profile}/{metric}/{config}"]
         assert _decision(cold) == {field: golden[field] for field in DECISION}
 
+    @pytest.mark.slow  # 2.2 s, among tier-1's slowest: CI's ``-m slow`` step
     @given(
         st.sampled_from(["travel", "biblio", "news", "weekend"]),
         st.sampled_from(list(golden_plans.METRICS)),

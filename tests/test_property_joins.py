@@ -3,13 +3,18 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.joins import join_rows, merge_scan_order, nested_loop_order
+from repro.execution.joins import merge_scan_order, nested_loop_order
 from repro.model.predicates import BinaryExpression, Comparison
 from repro.model.terms import Constant
 from repro.execution.results import Row
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
-from repro.testing import compiled_join, execute_join, is_order_rank_consistent
+from repro.testing import (
+    compiled_join,
+    execute_join,
+    is_order_rank_consistent,
+    joined,
+)
 
 _sizes = st.integers(min_value=0, max_value=8)
 
@@ -128,7 +133,7 @@ def _hashed(method, left, right, predicates=(), lx=None, rx=None):
     join = compiled_join(
         method, _keyed_variables("L", lx), _keyed_variables("R", rx), predicates
     )
-    return join_rows(join, left, right)
+    return joined(join, left, right)
 
 
 _maybe_extra = st.none() | st.lists(st.integers(0, 1), min_size=0, max_size=6)
@@ -182,7 +187,7 @@ class TestHashedJoinMatchesReference:
         left = [Row(bindings={Variable("A"): 1})]
         right = [Row(bindings={Variable("B"): 2})]
         join = compiled_join(JoinMethod.MERGE_SCAN, (Variable("A"),), (Variable("B"),))
-        result = join_rows(join, left, right)
+        result = joined(join, left, right)
         assert result == execute_join(JoinMethod.MERGE_SCAN, left, right)
         assert len(result) == 1  # cross product of disjoint bindings
 
@@ -197,7 +202,7 @@ class TestHashedJoinMatchesReference:
         key = (Variable("K"),)
         for method in (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN):
             join = compiled_join(method, key, key)
-            assert join_rows(join, [], []) == []
+            assert joined(join, [], []) == []
             row = Row(bindings={Variable("K"): 1})
-            assert join_rows(join, [row], []) == []
-            assert join_rows(join, [], [row]) == []
+            assert joined(join, [row], []) == []
+            assert joined(join, [], [row]) == []

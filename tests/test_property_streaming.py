@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.joins import (
     JoinStream,
-    join_rows,
     stage_cells,
     stage_count,
 )
@@ -53,7 +52,14 @@ from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableSearchService
-from repro.testing import ListPageSource, compiled_join, execute_join
+from repro.testing import (
+    ListPageSource,
+    as_records,
+    compiled_join,
+    execute_join,
+    join_stream,
+    joined,
+)
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
@@ -121,8 +127,8 @@ class TestStreamedJoinMatchesOracle:
         right = _ranked_side(rk, rr, "R")
         for method in METHODS:
             oracle = compose_ranking(execute_join(method, left, right), k)
-            hashed = compose_ranking(join_rows(_ranked_join(method), left, right), k)
-            streamed = JoinStream(_ranked_join(method), left, right).top(k)
+            hashed = compose_ranking(joined(_ranked_join(method), left, right), k)
+            streamed = join_stream(_ranked_join(method), left, right).top(k)
             assert _signature(streamed) == _signature(oracle)
             assert _signature(streamed) == _signature(hashed)
 
@@ -139,9 +145,9 @@ class TestStreamedJoinMatchesOracle:
                 execute_join(method, left, right, [predicate]), k
             )
             join = _ranked_join(method, [predicate])
-            streamed = JoinStream(join, left, right).top(k)
+            streamed = join_stream(join, left, right).top(k)
             assert _signature(streamed) == _signature(oracle)
-            hashed = compose_ranking(join_rows(join, left, right), k)
+            hashed = compose_ranking(joined(join, left, right), k)
             assert _signature(hashed) == _signature(oracle)
 
     @given(_keys, _keys, _ranks, _ranks)
@@ -152,7 +158,7 @@ class TestStreamedJoinMatchesOracle:
         plane = len(left) * len(right)
         for method in METHODS:
             for k in (plane, plane + 3):
-                stream = JoinStream(_ranked_join(method), left, right)
+                stream = join_stream(_ranked_join(method), left, right)
                 stream.top(k)
                 assert stream.exhausted
                 assert _visited(stream, len(left), len(right)) == plane
@@ -168,7 +174,7 @@ class TestStreamedJoinMatchesOracle:
         k2 = k1 + k2_extra
         for method in METHODS:
             full = execute_join(method, left, right)
-            stream = JoinStream(_ranked_join(method), left, right)
+            stream = join_stream(_ranked_join(method), left, right)
             assert _signature(stream.top(k1)) == _signature(
                 compose_ranking(full, k1)
             )
@@ -190,7 +196,7 @@ class TestStreamedJoinMatchesOracle:
         cells, not n*m."""
         left = _ranked_side([0] * n, list(range(n)), "L")
         right = _ranked_side([0] * m, list(range(m)), "R")
-        stream = JoinStream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
+        stream = join_stream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
         rows = stream.top(k)
         oracle = compose_ranking(execute_join(JoinMethod.MERGE_SCAN, left, right), k)
         assert _signature(rows) == _signature(oracle)
@@ -212,7 +218,7 @@ class TestTieBreaking:
             sort_path = compose_ranking(full)
             for k in range(len(full) + 2):
                 truncated = compose_ranking(full, k)
-                streamed = JoinStream(_ranked_join(method), left, right).top(k)
+                streamed = join_stream(_ranked_join(method), left, right).top(k)
                 assert _signature(truncated) == _signature(sort_path[:k])
                 assert _signature(streamed) == _signature(sort_path[:k])
 
@@ -293,7 +299,7 @@ def _block_cursor(blocks, side_name, chunk):
     ]
     opening = iter(cursors)
     cursor = MultiFeedCursor(
-        MaterializedCursor(feed), lambda row, rank: next(opening)
+        MaterializedCursor(as_records(feed)), lambda row, rank: next(opening)
     )
     return cursor, eager, sources
 
@@ -324,9 +330,9 @@ class TestKeyIndexedStagesMatchOracle:
         for method in METHODS:
             full = execute_join(method, left, right)
             join, indexed_rows = _counted(_ranked_join(method))
-            indexed = _CountingStream(join, left, right)
+            indexed = _CountingStream(join, as_records(left), as_records(right))
             join, scanning_rows = _counted(_ranked_join(method))
-            scanning = _ScanningStream(join, left, right)
+            scanning = _ScanningStream(join, as_records(left), as_records(right))
             for k in [*ks, None]:
                 rows = indexed.top(k)
                 assert _signature(rows) == _signature(compose_ranking(full, k))
@@ -382,7 +388,7 @@ class TestKeyIndexedStagesMatchOracle:
         left = _ranked_side([1, _NAN, 1.0], [0, 1, 2], "L")
         right = _ranked_side([_NAN, 1.0, True], [0, 1, 2], "R")
         for method in METHODS:
-            rows = JoinStream(_ranked_join(method), left, right).top(None)
+            rows = join_stream(_ranked_join(method), left, right).top(None)
             assert _signature(rows) == _signature(
                 compose_ranking(execute_join(method, left, right))
             )
@@ -397,7 +403,7 @@ class TestKeyIndexedStagesMatchOracle:
         right = _ranked_side(keys[::-1], list(range(8)), "R")
         full = execute_join(JoinMethod.MERGE_SCAN, left, right)
         join, join_rows_counted = _counted(_ranked_join(JoinMethod.MERGE_SCAN))
-        stream = _CountingStream(join, left, right)
+        stream = _CountingStream(join, as_records(left), as_records(right))
         assert _signature(stream.top(2)) == _signature(compose_ranking(full, 2))
         assert stream._stage <= 4  # the list keys are rows 4 and 6 / 1 and 3
         assert stream.merges < _visited(stream, 8, 8)
@@ -431,7 +437,7 @@ class TestKeyIndexedStagesMatchOracle:
         n = 400
         left = _ranked_side([Key(("L", i)) for i in range(n)], list(range(n)), "L")
         right = _ranked_side([Key(("R", j)) for j in range(n)], list(range(n)), "R")
-        stream = JoinStream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
+        stream = join_stream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
         assert len(stream.top(k)) == k
         # the first few diagonals, a triangle of the plane's corner
         assert stream._stage <= k + 1

@@ -1,8 +1,18 @@
 """Unit tests for result rows and ranking composition."""
 
-from repro.execution.results import ResultTable, Row, compose_ranking
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.execution.results import (
+    ROOT,
+    ResultTable,
+    Row,
+    SlotLayout,
+    compose_ranking,
+    emit,
+)
 from repro.model.terms import Variable
-from repro.testing import merged_with
+from repro.testing import as_record, merged_with
 
 
 def _row(ranks=(), **bindings):
@@ -140,3 +150,82 @@ class TestResultTable:
     def test_render_empty(self):
         table = ResultTable(head=(Variable("City"),))
         assert "City" in table.render()
+
+
+class TestRecords:
+    """Until it is emitted a bound tuple is a record; ``emit`` reads an
+    answer's ranks and provenance off the record's chain."""
+
+    def test_emit_walks_service_records_and_joins(self):
+        layout = SlotLayout((Variable("A"), Variable("B")))
+        page = ("svc", ("io", ((0, "q"),)), 1)
+        first = ((1,), 2, ROOT, "s1", 2, page)
+        unranked = ((1, 5), 2, first, "s2", None, None)
+        other = ((7,), 3, ROOT, "s3", 3, None)
+        joined = ((1, 5, 7), 5, unranked, other)
+        assert emit(unranked, layout) == Row(
+            layout=layout, values=(1, 5), ranks=(("s1", 2),), provenance=(page,)
+        )
+        row = emit(joined, SlotLayout((*layout.variables, Variable("C"))))
+        assert row.ranks == (("s1", 2), ("s3", 3))
+        assert row.provenance == (page,)
+        assert row.rank_key() == joined[1]
+        assert emit(ROOT, SlotLayout(())) == Row()
+
+    @given(
+        st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 9)), max_size=4),
+        st.lists(st.tuples(st.sampled_from("xy"), st.just(()), st.integers(0, 3)),
+                 max_size=4),
+        st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_hand_built_row_round_trips_through_its_record(
+        self, ranks, provenance, values
+    ):
+        row = Row(
+            bindings={Variable(f"V{i}"): value for i, value in enumerate(values)},
+            ranks=tuple(ranks), provenance=tuple(provenance),
+        )
+        record = as_record(row)
+        assert record[1] == row.rank_key()
+        assert emit(record, row.layout) == row
+
+
+class TestRowsBuiltPerAnswer:
+    def test_the_warm_templates_build_at_most_two_rows_per_answer(
+        self, monkeypatch
+    ):
+        """The frozen bench's 13 ``zipf_warm`` templates on one primed
+        fleet: a warm request builds a ``Row`` for an answer it returns
+        and hardly any other (31 per answer when every bound tuple was
+        one)."""
+        from pathlib import Path
+
+        from repro.serving import PlanCache, QueryService
+
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        from workloads import IN_MEMORY, zipf_population
+
+        plan_cache = PlanCache()
+        services = {
+            domain: QueryService(registry=registry(), plan_cache=plan_cache)
+            for domain, registry in IN_MEMORY.items()
+        }
+        population = zipf_population(k=5)
+        for request in population:  # priming, as the bench's set-up
+            services[request.domain].submit(request.text, k=request.k)
+        built = []
+        init = Row.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Row, "__init__", counting)
+        answers = 0
+        for _ in range(3):
+            for request in population:
+                response = services[request.domain].submit(request.text, k=request.k)
+                answers += len(response.rows)
+        assert answers > 0
+        assert len(built) <= 2 * answers

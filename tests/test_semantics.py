@@ -117,6 +117,7 @@ class TestShowcaseDomains:
 
 
 class TestTravelAllTopologies:
+    @pytest.mark.slow  # 1.4-1.8 s, among tier-1's slowest: CI's ``-m slow`` step
     def test_every_topology_matches_naive(self, registry, travel_query):
         expected = naive_answers(travel_query, registry)
         from repro.sources.travel import alpha1_patterns

@@ -674,6 +674,7 @@ class TestQueryService:
         assert warm_answer.provenance == "disk"
         assert _answer_signature(warm_answer) == _answer_signature(cold_answer)
 
+    @pytest.mark.slow  # 1.6 s, among tier-1's slowest: CI's ``-m slow`` step
     def test_a_response_names_nodes_by_plan_position(self, tmp_path):
         """``ranks`` carries node names, and a name is the node's
         position in its plan: the same query answers the same bytes in

@@ -19,12 +19,14 @@ program's.
 
 from __future__ import annotations
 
+import linecache
+import traceback
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.engine import ExecutionEngine, ExecutionError, ExecutionMode
-from repro.execution.joins import JoinStream, join_rows
 from repro.execution.lazy import LazyServiceCursor
 from repro.execution.results import Row, SlotLayout, compose_ranking
 from repro.execution.slots import (
@@ -46,7 +48,15 @@ from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
 from repro.testing import chain_poset
-from repro.testing.fixtures import ListPageSource, compiled_join
+from repro.testing.fixtures import (
+    ListPageSource,
+    as_record,
+    as_records,
+    compiled_join,
+    emitted,
+    join_stream,
+    joined,
+)
 from repro.testing.reference import bind_page as reference_bind_page
 from repro.testing.reference import execute_join, merged_with, reference_execute
 
@@ -70,6 +80,12 @@ _SUM_BELOW_5 = Comparison(BinaryExpression("+", L, R), "<", Constant(5))
 
 def _share_one_layout(rows):
     return all(row.layout is rows[0].layout for row in rows)
+
+
+def _bound(binding, feed, page, record=None):
+    """``binding.bind_page`` of a hand-built feed row: its record in,
+    the rows the bound records emit out."""
+    return emitted(binding.bind_page(as_record(feed), page, record), binding.layout)
 
 
 class TestSlotLayout:
@@ -110,15 +126,16 @@ class TestSlotLayout:
         right_match = Row(bindings={K: 1, R: 3})
         right_clash = Row(bindings={K: 9, R: 3})
         plan = SlotJoinPlan(left.layout, right_match.layout)
+        records = as_records([left, right_match, right_clash])
         candidates = []
         plan.kernel(())(
-            [(0, 0), (0, 1)], [left], [right_match, right_clash], [0], [0, 0],
+            [(0, 0), (0, 1)], records[:1], records[1:], [0], [0, 0],
             candidates,
         )
-        assert candidates == [(0, 0, left, right_match)]
-        merged = plan.merged_values(left.values, right_match.values)
+        assert candidates == [(0, 0, records[0], records[1])]
+        merged = plan.record(records[0], records[1], 0)
         expected = merged_with(left, right_match)
-        assert Row(layout=plan.merged, values=merged) == expected
+        assert emitted([merged], plan.merged) == [expected]
         assert plan.merged == expected.layout
         assert merged_with(left, right_clash) is None
 
@@ -168,7 +185,7 @@ class TestHashedJoinSlotPath:
         for method in METHODS:
             for predicates in ((), (_SUM_BELOW_5,)):
                 join = compiled_join(method, (K, L), (K, R), predicates)
-                hashed = join_rows(join, left, right)
+                hashed = joined(join, left, right)
                 oracle = execute_join(method, left, right, predicates)
                 assert _signature(hashed) == _signature(oracle)
 
@@ -179,7 +196,7 @@ class TestHashedJoinSlotPath:
         right = _ranked_side([0, 1, 1], [3, 2, 1, 0, 0, 0], "R")
         assert not _share_one_layout(left)
         join = compiled_join(JoinMethod.MERGE_SCAN, (K, L), (K, R))
-        rows = join_rows(join, left, right)
+        rows = joined(join, left, right)
         assert rows and _share_one_layout(rows)
         assert rows[0].layout.variables == (K, L, R)
 
@@ -188,7 +205,7 @@ class TestHashedJoinSlotPath:
         right = [Row(bindings={R: j}, ranks=(("R", j),)) for j in range(2)]
         for method in METHODS:
             join = compiled_join(method, (L,), (R,), (_SUM_BELOW_5,))
-            rows = join_rows(join, left, right)
+            rows = joined(join, left, right)
             assert len(rows) == 6 and _share_one_layout(rows)
             assert _signature(rows) == _signature(
                 execute_join(method, left, right, (_SUM_BELOW_5,))
@@ -198,7 +215,7 @@ class TestHashedJoinSlotPath:
         left = [Row(bindings={K: [1], L: 0})]
         right = [Row(bindings={K: [1], R: 0})]
         join = compiled_join(JoinMethod.NESTED_LOOP, (K, L), (K, R))
-        assert _signature(join_rows(join, left, right)) == _signature(
+        assert _signature(joined(join, left, right)) == _signature(
             execute_join(JoinMethod.NESTED_LOOP, left, right)
         )
 
@@ -211,13 +228,13 @@ class TestHashedJoinSlotPath:
         unbound = Comparison(Variable("Missing"), "<", Constant(1))
         join = compiled_join(JoinMethod.NESTED_LOOP, (K, L), (K, R), (unbound,))
         with pytest.raises(PredicateError) as hashed_error:
-            join_rows(join, left, right)
+            joined(join, left, right)
         with pytest.raises(PredicateError) as reference_error:
             execute_join(JoinMethod.NESTED_LOOP, left, right, (unbound,))
         assert str(hashed_error.value) == str(reference_error.value)
         # ... and, like the reference, only once a cell reaches it.
         clash = [Row(bindings={K: 1, R: 0})]
-        assert join_rows(join, left, clash) == []
+        assert joined(join, left, clash) == []
 
 
 class TestJoinStreamSlotPath:
@@ -231,7 +248,7 @@ class TestJoinStreamSlotPath:
         assert len(right) < 2 or not _share_one_layout(right)
         for method in METHODS:
             join = compiled_join(method, (K, L), (K, R), (_SUM_BELOW_5,))
-            stream = JoinStream(join, left, right)
+            stream = join_stream(join, left, right)
             oracle = execute_join(method, left, right, (_SUM_BELOW_5,))
             assert _signature(stream.top(k)) == _signature(
                 compose_ranking(oracle, k)
@@ -250,7 +267,7 @@ class TestJoinStreamSlotPath:
             join = compiled_join(
                 method, (K, L), (K, R), residual=(_SUM_BELOW_5,)
             )
-            stream = JoinStream(join, left, right)
+            stream = join_stream(join, left, right)
             oracle = execute_join(method, left, right, (_SUM_BELOW_5,))
             for k in (k1, k1 + k2_extra):
                 assert _signature(stream.top(k)) == _signature(
@@ -271,7 +288,7 @@ class TestJoinStreamSlotPath:
         ]
         left = LazyServiceCursor(ListPageSource(pages=pages))
         right = _ranked_side([0, 0, 1], [0, 1, 2, 0, 0, 0], "R")
-        stream = JoinStream(compiled_join(method, (K, L), (K, R)), left, right)
+        stream = join_stream(compiled_join(method, (K, L), (K, R)), left, right)
         first = stream.top(1)
         assert [row.layout.variables for row in first] == [(K, L, R)]
         assert len(left.rows) == 1  # the second page was not pulled yet
@@ -404,7 +421,7 @@ class TestOutputBindingProgram:
                                          feed=None, ranked=True, record=None):
         binding, node, feed = self._binding(terms, predicates, feed)
         page = self._page(tuples, ranked)
-        rows = binding.bind_page(feed, page, record)
+        rows = _bound(binding, feed, page, record)
         assert rows == reference_bind_page(node, feed, page, record)
         assert all(row.layout is binding.layout for row in rows)
         return rows
@@ -464,8 +481,8 @@ class TestOutputBindingProgram:
         second, _, _ = self._binding((X, Constant("b"), Y))
         assert first._kernel.__code__ is second._kernel.__code__
         page = self._page([(1, "a", 10), (1, "b", 20)], ranked=False)
-        assert [row.values for row in first.bind_page(feed, page)] == [(1, 2, 10)]
-        assert [row.values for row in second.bind_page(feed, page)] == [(1, 2, 20)]
+        assert [row.values for row in _bound(first, feed, page)] == [(1, 2, 10)]
+        assert [row.values for row in _bound(second, feed, page)] == [(1, 2, 20)]
 
     def test_nan_never_equals_itself(self):
         # Element-wise ``!=``: a tuple comparison would short-circuit on
@@ -511,7 +528,7 @@ class TestOutputBindingProgram:
         terms = (X, Constant(Probe("eq-const")), Y, Y)
         binding, node, feed = self._binding(terms, feed=feed)
         page = self._page(tuples, ranked=False)
-        rows = binding.bind_page(feed, page)
+        rows = _bound(binding, feed, page)
         kernel_log = log[:]
         log.clear()
         assert rows == reference_bind_page(node, feed, page)
@@ -532,10 +549,56 @@ class TestOutputBindingProgram:
             binding, node, feed = self._binding(terms, predicates)
             page = self._page(tuples, ranked=True)
             with pytest.raises(error) as kernel:
-                binding.bind_page(feed, page)
+                _bound(binding, feed, page)
             with pytest.raises(error) as reference:
                 reference_bind_page(node, feed, page)
             assert str(kernel.value) == str(reference.value)
+
+
+class TestKernelsInTracebacks:
+    """Each generated kernel compiles under a file name naming its
+    shape, with its source in :mod:`linecache`: an error raised inside
+    one shows the kernel line it passed through."""
+
+    def test_a_binding_kernel_frame_shows_its_source_line(self):
+        binding, _, feed = TestOutputBindingProgram._binding(
+            (X, Y), [Comparison(Y, "<", Constant(5))]
+        )
+        page = TestOutputBindingProgram._page([(1, "text")], ranked=True)
+        with pytest.raises(PredicateError) as error:
+            binding.bind_page(as_record(feed), page)
+        frames = traceback.extract_tb(error.value.__traceback__)
+        kernel = [frame for frame in frames if "kernel" in frame.filename]
+        assert [frame.filename for frame in kernel] == ["<binding kernel C0 F1 p1>"]
+        assert kernel[0].line == "if not p0(merged): continue"
+        assert "if not p0(merged): continue" in "".join(
+            traceback.format_exception(error.value)
+        )
+
+    def test_every_kernel_line_is_in_linecache(self):
+        binding, _, _ = TestOutputBindingProgram._binding(
+            (X, Constant("a"), Y), [Comparison(Y, "<", Constant(5))]
+        )
+        join = compiled_join(JoinMethod.MERGE_SCAN, (K, L), (K, R))
+        for kernel in (binding._kernel, join.merge.kernel(())):
+            code = kernel.__code__
+            lines = linecache.getlines(code.co_filename)
+            assert lines and lines[code.co_firstlineno - 1].lstrip().startswith(
+                "def kernel("
+            )
+
+    def test_a_join_kernel_frame_shows_its_source_line(self):
+        left = [Row(bindings={K: 1, L: "text"})]
+        right = [Row(bindings={K: 1, R: 0})]
+        join = compiled_join(
+            JoinMethod.NESTED_LOOP, (K, L), (K, R), (Comparison(L, "<", R),)
+        )
+        with pytest.raises(PredicateError) as error:
+            joined(join, left, right)
+        frames = traceback.extract_tb(error.value.__traceback__)
+        kernel = [frame for frame in frames if "kernel" in frame.filename]
+        assert [frame.filename for frame in kernel] == ["<join kernel 0=0 +1 p1>"]
+        assert kernel[0].line == "if not p0(merged): continue"
 
 
 class _ShortTupleService(TableSearchService):
