@@ -49,7 +49,7 @@ from _bench_env import (
 )
 
 from repro.costs.time_cost import ExecutionTimeMetric
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.services.sqlite import fts5_available
 from repro.sources.biblio import PUBSEARCH_CHUNK, biblio_registry, experts_query, generate_corpus
@@ -111,8 +111,8 @@ def _run_backend(backend: str, corpus) -> tuple[dict, list]:
     first_page_ms = _first_page_ms(registry)
     query = experts_query()
     plan = _optimized(registry, query)
-    engine = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL)
-    result, run_s = _timed(lambda: engine.execute(plan, head=query.head, k=K))
+    engine = ExecutionEngine(registry)
+    result, run_s = _timed(lambda: engine.execute(plan, head=query.head))
     stats = result.stats
     return (
         {
@@ -153,7 +153,7 @@ def _demand_vs_drain(corpus, n_papers: int) -> dict:
         engine = (
             eager_streamed_engine(registry)
             if drain
-            else ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
+            else ExecutionEngine(registry)
         )
         result, wall_s = _timed(
             lambda: engine.execute(plan, head=query.head, k=K)

@@ -101,7 +101,7 @@ def _quality(registry, query, fetches) -> tuple[float, int, dict]:
         _patterns(registry), parallel_after(3, first=0), fetches=fetches
     )
     engine = ExecutionEngine(registry, CacheSetting.ONE_CALL)
-    result = engine.execute(plan, head=query.head, k=K)
+    result = engine.execute(plan, head=query.head)
     top = result.rows[:K]
     if not top:
         return float("inf"), 0, dict(fetches)

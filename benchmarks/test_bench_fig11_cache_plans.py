@@ -40,10 +40,8 @@ class TestFigure11:
         plan = figure11_plans(registry, travel_query)["O"]
 
         def run():
-            engine = ExecutionEngine(
-                registry, cache_setting=CacheSetting.ONE_CALL
-            )
-            return engine.execute(plan, head=travel_query.head, k=10)
+            engine = ExecutionEngine(registry, cache_setting=CacheSetting.ONE_CALL)
+            return engine.execute(plan, head=travel_query.head)
 
         result = benchmark(run)
         assert len(result.rows) >= 10

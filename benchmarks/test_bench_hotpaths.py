@@ -56,7 +56,7 @@ from _bench_env import (
 
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting, make_cache
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.joins import join_rows
 from repro.execution.lazy import (
     LazyServiceCursor,
@@ -141,7 +141,7 @@ def _program_point(domain: str) -> dict:
     spec = PlanSpec.from_optimized(optimized)
     program = ExecutionProgram.compile(optimized.plan, head)
     engine = ExecutionEngine(
-        registry, cache_setting=CacheSetting.OPTIMAL, mode=ExecutionMode.STREAMED
+        registry, cache_setting=CacheSetting.OPTIMAL
     )
     cache = make_cache(CacheSetting.OPTIMAL)
 

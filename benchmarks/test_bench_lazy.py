@@ -31,12 +31,13 @@ Three workloads:
 
 Three engines run each plan:
 
-* **oracle** — ``ExecutionMode.PARALLEL`` full materialization +
-  ``compose_ranking`` (the equivalence reference);
+* **oracle** — the dict-row reference interpreter
+  (``repro.testing.reference_execute``) + ``compose_ranking`` (the
+  equivalence reference);
 * **eager** — ``repro.testing.eager_streamed_engine``: early exit on
   the join walk, eager service materialization (the PR 2 engine, kept
   as a reference fixture);
-* **lazy** — ``ExecutionMode.STREAMED`` (default): the final join
+* **lazy** — the top-k walk (``execute(k=...)``): the final join
   pulls its single-feed inputs through lazy cursors.
 
 The acceptance assertion is the point of the subsystem: at k = 1 and
@@ -65,9 +66,8 @@ from _bench_env import (
 )
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.progressive import ProgressiveExecutor
-from repro.execution.results import compose_ranking
 from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
@@ -79,8 +79,10 @@ from repro.services.table import TableExactService, TableSearchService
 from repro.testing import (
     ReexecutingExecutor,
     chain_poset,
+    compose_ranking,
     demand_blocks,
     eager_streamed_engine,
+    reference_execute,
     step_cells,
 )
 
@@ -267,7 +269,7 @@ def _measure_pair(registry, plan, head, k) -> tuple[dict, dict]:
     the pages it saved: the eager run's total less its own."""
     eager = _measure(eager_streamed_engine(registry), plan, head, k)
     lazy = _measure(
-        ExecutionEngine(registry, mode=ExecutionMode.STREAMED), plan, head, k
+        ExecutionEngine(registry), plan, head, k
     )
     lazy["pages_saved"] = eager["page_fetches"] - lazy["page_fetches"]
     return eager, lazy
@@ -284,10 +286,9 @@ class TestLazyFetchTrajectory:
             by_k: dict[str, dict] = {}
             for k in KS:
                 registry, head, plan = _plan(method)
-                oracle = ExecutionEngine(
-                    registry, mode=ExecutionMode.PARALLEL
-                ).execute(plan, head=head)
-                expected = compose_ranking(oracle.rows, k)
+                expected = compose_ranking(
+                    reference_execute(plan, registry).rows, k
+                )
                 eager, lazy = _measure_pair(registry, plan, head, k)
                 # Oracle equivalence: identical rows, ranks, and order.
                 for measured in (eager, lazy):
@@ -313,10 +314,9 @@ class TestLazyFetchTrajectory:
             by_k = {}
             for k in KS:
                 registry, head, plan = _serial_plan(method)
-                oracle = ExecutionEngine(
-                    registry, mode=ExecutionMode.PARALLEL
-                ).execute(plan, head=head)
-                expected = compose_ranking(oracle.rows, k)
+                expected = compose_ranking(
+                    reference_execute(plan, registry).rows, k
+                )
                 eager, lazy = _measure_pair(registry, plan, head, k)
                 for measured in (eager, lazy):
                     assert [
@@ -391,7 +391,6 @@ class TestLazyFetchTrajectory:
             registry, head, plan = _chain_plan(depth, small, fetches=1)
             executor = cls(
                 registry=registry, plan=plan, head=head,
-                mode=ExecutionMode.STREAMED,
                 cache_setting=CacheSetting.NO_CACHE,
             )
             result, elapsed = _timed(lambda: executor.run(k))
@@ -434,7 +433,7 @@ class TestLazyFetchTrajectory:
                 "k_values": list(KS),
                 "baselines": "eager_streamed = repro.testing.eager_streamed_engine "
                 "(PR 2 behavior); both paths checked "
-                "bit-identical to compose_ranking over PARALLEL execution",
+                "bit-identical to compose_ranking over the full scan",
             },
             "per_method": per_method,
             "serial_workload": {
@@ -471,7 +470,7 @@ class TestLazyFetchTrajectory:
 
     def test_bench_lazy_streamed_top_10(self, benchmark):
         registry, head, plan = _plan(JoinMethod.MERGE_SCAN)
-        engine = ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
+        engine = ExecutionEngine(registry)
         result = benchmark(lambda: engine.execute(plan, head=head, k=10))
         assert len(result.rows) == 10
         eager = eager_streamed_engine(registry).execute(plan, head=head, k=10)
@@ -479,7 +478,7 @@ class TestLazyFetchTrajectory:
 
     def test_bench_lazy_serial_multifeed_top_10(self, benchmark):
         registry, head, plan = _serial_plan(JoinMethod.MERGE_SCAN)
-        engine = ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
+        engine = ExecutionEngine(registry)
         result = benchmark(lambda: engine.execute(plan, head=head, k=10))
         assert len(result.rows) == 10
         eager = eager_streamed_engine(registry).execute(plan, head=head, k=10)

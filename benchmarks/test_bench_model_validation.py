@@ -14,7 +14,7 @@ from scipy import stats as scipy_stats
 from benchmarks.conftest import write_artifact
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.optimizer.fetches import FetchContext, exhaustive_assignment
 from repro.optimizer.topology import TopologyEnumerator
 from repro.plans.builder import PlanBuilder
@@ -36,11 +36,8 @@ def _evaluate_all(registry, travel_query):
         fetch_result = exhaustive_assignment(context, K)
         context.apply(fetch_result.fetches)
         predicted = fetch_result.cost
-        engine = ExecutionEngine(
-            registry, cache_setting=CacheSetting.ONE_CALL,
-            mode=ExecutionMode.PARALLEL,
-        )
-        outcome = engine.execute(plan, head=travel_query.head, k=K)
+        engine = ExecutionEngine(registry, cache_setting=CacheSetting.ONE_CALL)
+        outcome = engine.execute(plan, head=travel_query.head)
         rows.append((plan, predicted, outcome.elapsed, len(outcome.rows)))
     return rows
 
@@ -63,7 +60,7 @@ class TestModelValidation:
                 alpha1_patterns(), poset_optimal(), fetches={0: 3, 1: 4}
             )
             engine = ExecutionEngine(registry, CacheSetting.ONE_CALL)
-            return engine.execute(plan, head=travel_query.head, k=K)
+            return engine.execute(plan, head=travel_query.head)
 
         outcome = benchmark(round_trip)
         assert outcome.rows

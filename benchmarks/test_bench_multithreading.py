@@ -12,13 +12,13 @@ import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.experiments import (
     PAPER_CALLS,
     artifact,
     figure11_plans,
     run_multithreading,
 )
+from repro.experiments.figure11 import ThreadedEngine
 
 pytestmark = pytest.mark.bench
 
@@ -30,11 +30,8 @@ class TestMultithreading:
         plan = figure11_plans(registry, travel_query)["S"]
 
         def run():
-            engine = ExecutionEngine(
-                registry, cache_setting=CacheSetting.ONE_CALL,
-                mode=ExecutionMode.MULTITHREADED,
-            )
-            return engine.execute(plan, head=travel_query.head, k=10)
+            engine = ThreadedEngine(registry, cache_setting=CacheSetting.ONE_CALL)
+            return engine.execute(plan, head=travel_query.head)
 
         result = benchmark(run)
         assert result.rows

@@ -56,7 +56,7 @@ from _bench_env import (
     env_stamp,
 )
 
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import ResilienceConfig
 from repro.model.atoms import Atom
@@ -151,9 +151,7 @@ def _service_fetches(executor, name):
 class TestResilienceTrajectory:
     def test_write_bench_resilience(self, out_dir):
         oracle_registry, head, oracle_plan = _plan()
-        oracle = ExecutionEngine(
-            oracle_registry, mode=ExecutionMode.STREAMED
-        ).execute(oracle_plan, head=head, k=K)
+        oracle = ExecutionEngine(oracle_registry).execute(oracle_plan, head=head, k=K)
         oracle_sig = _sig(oracle.rows)
 
         grid: dict[str, dict] = {}
@@ -174,7 +172,6 @@ class TestResilienceTrajectory:
                     )
                     engine = ExecutionEngine(
                         registry,
-                        mode=ExecutionMode.STREAMED,
                         resilience=config,
                     )
                     start = time.perf_counter()
@@ -226,15 +223,13 @@ class TestResilienceTrajectory:
 
         def _executor(registry, head, plan, adaptive):
             return ProgressiveExecutor(
-                registry=registry, plan=plan, head=head,
-                mode=ExecutionMode.STREAMED, resilience=config,
+                registry=registry, plan=plan, head=head, resilience=config,
                 replan=(lambda observed: None) if adaptive else None,
             )
 
         session_registry, session_head, session_plan = _plan()
         session_oracle = ProgressiveExecutor(
             registry=session_registry, plan=session_plan, head=session_head,
-            mode=ExecutionMode.STREAMED,
         )
         session_oracle_sig = _sig(session_oracle.run(K).rows)
 
@@ -354,13 +349,13 @@ class TestResilienceTrajectory:
                 f"k={K}, {SEEDS} seeded worlds per cell",
                 "fault_rates": list(FAULT_RATES),
                 "attempt_caps": list(ATTEMPT_CAPS),
-                "mode": "STREAMED lazy top-k, partial_results=True, "
+                "mode": "lazy top-k walk, partial_results=True, "
                 "attempt-aware schedule (re-attempts draw independently)",
             },
             "retry_grid": grid,
             "adaptive_vs_static": {
-                "workload": "retries(2) + partial results in STREAMED "
-                "mode; static = the pair plan alone, adaptive = the pair "
+                "workload": "retries(2) + partial results in a top-k "
+                "walk; static = the pair plan alone, adaptive = the pair "
                 "plan plus a clean lefts_backup sibling, with drift "
                 "monitoring armed (the shared health rule: mean latency "
                 "over 3x profile after 3 fetches)",
@@ -386,7 +381,6 @@ class TestResilienceTrajectory:
         )
         engine = ExecutionEngine(
             registry,
-            mode=ExecutionMode.STREAMED,
             resilience=ResilienceConfig(attempts=8, partial_results=True),
         )
         result = benchmark(lambda: engine.execute(plan, head=head, k=K))

@@ -46,10 +46,16 @@ from _bench_env import (
 )
 
 from repro.execution.joins import JoinStream, join_rows, stage_cells, stage_count
-from repro.execution.results import Row, compose_ranking
+from repro.execution.results import Row
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
-from repro.testing import as_records, compiled_join, emitted, execute_join
+from repro.testing import (
+    as_records,
+    compiled_join,
+    compose_ranking,
+    emitted,
+    execute_join,
+)
 
 pytestmark = pytest.mark.bench
 

@@ -48,7 +48,7 @@ def main() -> None:
     print(f"  cost {best.cost:.1f}s, fetches {best.fetches}\n")
 
     engine = ExecutionEngine(registry, cache_setting=CacheSetting.ONE_CALL)
-    result = engine.execute(best.plan, head=query.head, k=8)
+    result = engine.execute(best.plan, head=query.head)
     print("Human glycolysis proteins with repeated-domain mouse homologs:")
     print(result.table.render(8))
     print(f"\n{result.stats.summary()}")

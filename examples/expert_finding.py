@@ -42,11 +42,11 @@ def main() -> None:
     print(f"  expected requests: {best.cost:.1f}\n")
 
     engine = ExecutionEngine(registry, cache_setting=CacheSetting.OPTIMAL)
-    result = engine.execute(best.plan, head=query.head, k=8)
+    result = engine.execute(best.plan, head=query.head)
     print("Experts (by composed publication rank):")
     print(result.table.render(8))
 
-    found = {answer[0] for answer in result.answers()}
+    found = {answer[0] for answer in result.answers(8)}
     print(f"\nPlanted ground truth: {planted_experts()}")
     print(f"Recovered experts:   {sorted(found & set(planted_experts()))}")
     print(f"\n{result.stats.summary()}")

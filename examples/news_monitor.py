@@ -68,7 +68,7 @@ def main() -> None:
                           ("recall", "retail")]:
         query = template.instantiate({"topic": topic, "sector": sector})
         plan = spec.build(query, registry)
-        result = engine.execute(plan, head=query.head, k=3)
+        result = engine.execute(plan, head=query.head)
         print(f"--- {topic} news about {sector} companies ---")
         print(result.table.render(3))
         print()

@@ -94,7 +94,7 @@ def main() -> None:
 
     # Execute and show the composed, ranked answers.
     engine = ExecutionEngine(registry, cache_setting=CacheSetting.ONE_CALL)
-    result = engine.execute(best.plan, head=query.head, k=5)
+    result = engine.execute(best.plan, head=query.head)
     print("Top answers (composed ranking):")
     print(result.table.render(5))
     print(f"\nSimulated time: {result.elapsed:.1f}s")

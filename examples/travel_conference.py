@@ -48,7 +48,7 @@ def main() -> None:
 
     # --- execute (Figure 10) -----------------------------------------------
     engine = ExecutionEngine(registry, cache_setting=CacheSetting.ONE_CALL)
-    result = engine.execute(best.plan, head=query.head, k=10)
+    result = engine.execute(best.plan, head=query.head)
     print("Answers in composed rank order (Figure 10):")
     print(result.table.render(10))
     print(f"\n{result.stats.summary()}\n")

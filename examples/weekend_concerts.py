@@ -45,7 +45,7 @@ def main() -> None:
         )
 
         engine = ExecutionEngine(registry, cache_setting=CacheSetting.ONE_CALL)
-        result = engine.execute(best.plan, head=query.head, k=5)
+        result = engine.execute(best.plan, head=query.head)
         print("  Weekend options (cheapest fares first):")
         for line in result.table.render(5).splitlines():
             print(f"  {line}")

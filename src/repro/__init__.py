@@ -36,11 +36,7 @@ from repro.costs.time_cost import (
     TimeToScreenMetric,
 )
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import (
-    ExecutionEngine,
-    ExecutionMode,
-    ExecutionResult,
-)
+from repro.execution.engine import ExecutionEngine, ExecutionResult
 from repro.model.atoms import Atom, atom
 from repro.model.parser import parse_query
 from repro.model.predicates import Comparison, comparison
@@ -84,7 +80,6 @@ __all__ = [
     "Constant",
     "CostMetric",
     "ExecutionEngine",
-    "ExecutionMode",
     "ExecutionResult",
     "ExecutionTimeMetric",
     "JoinMethod",

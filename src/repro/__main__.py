@@ -126,7 +126,7 @@ def _optimize_and_run(registry, query, metric_name: str, k: int,
     print(f"Search: {best.stats.summary()}")
     if execute:
         engine = ExecutionEngine(registry, cache_setting=CacheSetting.ONE_CALL)
-        result = engine.execute(best.plan, head=query.head, k=k)
+        result = engine.execute(best.plan, head=query.head)
         print(f"\nTop {k} answers:")
         print(result.table.render(k))
         print(f"\n{result.stats.summary()}")

@@ -10,8 +10,10 @@ tuple to the composed, ranked answers:
   origin's output bindings;
 * parallel join nodes merge two branches with the rank-preserving
   nested-loop or merge-scan strategy;
-* the output node applies residual predicates and composes the global
-  ranking.
+* the plan's terminal — the final parallel join, or the last service
+  of a service-terminal plan — runs as a
+  :class:`~repro.execution.joins.TopKStream` that applies the output's
+  residual predicates and composes the global ranking.
 
 What the engine runs is a compiled
 :class:`~repro.execution.program.ExecutionProgram` — the schedule,
@@ -25,27 +27,29 @@ every page is pulled through the one fetch seam of
 :mod:`repro.execution.fetch`, joins merge value tuples through a
 :class:`~repro.execution.slots.SlotJoinPlan`, and no node boundary
 decodes or re-encodes anything.  An answer
-:class:`~repro.execution.results.Row` is built only when a record is
-emitted: by the stream that proves it in the top-k, or for every
-record the output step produced after a full scan.  The dict-row plan
-interpreter the engine is tested against lives in
-:mod:`repro.testing.reference` and is imported by tests and benches
-only.
+:class:`~repro.execution.results.Row` is built only when the terminal
+stream emits a record.  The dict-row plan interpreter the engine is
+tested against lives in :mod:`repro.testing.reference` and is imported
+by tests and benches only.
 
-Time is *virtual*: services report per-fetch latencies and the engine
-aggregates them according to its :class:`ExecutionMode`, which also
-states the streamed top-k contract — under ``STREAMED`` with a ``k``
-budget the plan's terminal runs as a suspended
-:class:`~repro.execution.joins.TopKStream` over lazily fetched inputs
-(a :class:`~repro.execution.joins.JoinStream` for a final join, a
-:class:`ChainStream` for a service-terminal plan), and the stream rides
-along on the :class:`ExecutionResult` so "ask for more" can resume the
-walk (:meth:`ExecutionEngine.resume`) without re-executing the plan.
+There is one walk, and ``k`` alone decides how much of it runs.  With
+a ``k`` the terminal stream early-exits once the top-k is certified,
+and the service steps only it consumes, closed up the pipe chains
+above it (``ExecutionProgram.lazy``), are fetched lazily, page by page,
+on the stream's demand; the stream rides along on the
+:class:`ExecutionResult` so "ask for more" can resume the walk
+(:meth:`ExecutionEngine.resume`) without re-executing the plan.
+Without a ``k`` every service step is drained eagerly, in feed order —
+page order decides the one-call cache's hits and so Figure 11's call
+counts — and the same stream is drained (``top(None)``).  **Equivalence
+contract**: the rows, ranks and order of a ``k`` run are the first
+``k`` of the full scan's; only the cost (cells visited, pages fetched)
+changes.  Time is *virtual*: services report per-fetch latencies and
+:func:`elapsed` reads them off the ledger's clock.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -74,9 +78,7 @@ from repro.execution.resilience import (
     ResilienceConfig,
     UnresponsiveService,
 )
-from repro.execution.results import (
-    ROOT, Record, ResultTable, Row, SlotLayout, compose_ranking, emit,
-)
+from repro.execution.results import ROOT, Record, ResultTable, Row, SlotLayout
 from repro.execution.slots import ExecutionError, SlotPredicate
 from repro.execution.stats import IDLE, ExecutionStats
 from repro.model.terms import Variable
@@ -84,56 +86,27 @@ from repro.plans.dag import QueryPlan
 from repro.services.registry import ServiceRegistry
 
 
-#: Virtual seconds one dispatch to a concurrent thread costs under
-#: ``MULTITHREADED`` (:meth:`ExecutionEngine.elapsed`).
-THREAD_OVERHEAD = 0.05
-
-#: Seeds the feed shuffle of ``MULTITHREADED`` mode, so the degraded
-#: one-call cache it models is the same on every run.
-SHUFFLE_SEED = 17
-
-
+# Kept for bench/tracing.py, which passes it to ProgressiveExecutor(mode=).
 class ExecutionMode(Enum):
-    """Scheduling modes of the engine.
-
-    All three modes produce the *same answers* for the same plan — they
-    differ in how virtual time is aggregated and how much work is done
-    to produce a top-k head:
-
-    * ``PARALLEL`` — independent branches overlap; elapsed time is the
-      critical path over the plan DAG.  This is the reference
-      full-materialization mode: every service is fully fetched and
-      every join scans its whole candidate plane.
-    * ``MULTITHREADED`` — additionally dispatches each node's calls to
-      parallel threads (node busy time collapses to its largest single
-      latency plus overhead); input block order is shuffled (seeded),
-      degrading the one-call cache as the paper observes (284 → 212
-      hotel calls).
-    * ``STREAMED`` — timing as ``PARALLEL``; with a ``k`` budget the
-      plan's terminal — the final parallel join, or the last service
-      of a service-terminal plan — early-exits under a rank
-      certificate, and the service steps only it consumes, closed up
-      the pipe chains above it (``ExecutionProgram.lazy``), are fetched
-      lazily, page by page, on the walk's demand.  **Equivalence
-      contract**: the produced rows, ranks, and emission order are
-      bit-identical to ``PARALLEL`` execution followed by
-      ``compose_ranking(rows, k)``; only the cost (cells visited, pages
-      fetched) changes.  Without ``k`` the execution is a plain full
-      materialization.
-    """
-
-    PARALLEL = "parallel"
-    MULTITHREADED = "multithreaded"
     STREAMED = "streamed"
+
+
+def check_count(name: str, value: object) -> None:
+    """A count of answers is an ``int`` >= 1 (a ``bool`` is not one),
+    checked before a request touches a counter, a cache or a session."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
 class ExecutionResult:
     """Everything produced by one plan execution of *program*.
 
-    ``stream`` is the suspended :class:`TopKStream` of a streamed
-    top-k execution (``None`` otherwise): :meth:`ExecutionEngine.
-    resume` continues the early-exited walk for a larger ``k``.  Over
+    ``stream`` is the terminal :class:`TopKStream` of the walk —
+    suspended after a top-k execution, drained after a full scan:
+    :meth:`ExecutionEngine.resume` continues it for a larger ``k``.  Over
     eagerly materialized inputs a resume never issues a service call;
     over lazily fetched inputs it may pull further pages *within the
     session's fetch budget*: ``accounting`` holds the ledger every unit
@@ -184,14 +157,12 @@ class ExecutionEngine:
         self,
         registry: ServiceRegistry,
         cache_setting: CacheSetting = CacheSetting.NO_CACHE,
-        mode: ExecutionMode = ExecutionMode.PARALLEL,
         resilience: ResilienceConfig | None = None,
         row_provenance: bool = False,
         drift_monitor: DriftMonitor | None = None,
     ) -> None:
         self._registry = registry
         self._cache_setting = cache_setting
-        self._mode = mode
         #: Retry/partial-results behavior of every page pull
         #: (:mod:`repro.execution.resilience`); None runs the
         #: historical fail-fast path bit-identically.
@@ -232,19 +203,20 @@ class ExecutionEngine:
         for ``head`` (the projected output variables; a program carries
         its own).  ``fetches`` is the run's fetch vector, one factor
         per program step — the compiled one by default; a session that
-        grew its factors passes its own.  ``k`` is only
-        advisory in the full-scan modes (all produced answers are kept;
-        ``answers()`` trims).  Under ``ExecutionMode.STREAMED`` with a
-        ``k`` budget, the plan's terminal early-exits once the
-        top-k is provably complete, the table is truncated to that
-        proven head (``table.complete`` records whether anything was
-        left unvisited), and the suspended stream is returned for
-        continuation.  ``reset_remote_caches`` clears the remote
-        servers' own caches before running, so experiments are
+        grew its factors passes its own.  With a ``k`` (an ``int`` >=
+        1) the plan's terminal early-exits once the top-k is provably
+        complete, the table is truncated to that proven head
+        (``table.complete`` records whether anything was left
+        unvisited), and the suspended stream is returned for
+        continuation.  Without one the plan is scanned fully and the
+        table holds every answer.  ``reset_remote_caches`` clears the
+        remote servers' own caches before running, so experiments are
         independent.  ``shared_cache`` lets a caller keep a logical
         cache alive across executions (progressive "ask for more"
         continuations).
         """
+        if k is not None:
+            check_count("k", k)
         program = as_program(plan, head)
         if fetches is None:
             fetches = program.fetches
@@ -255,9 +227,7 @@ class ExecutionEngine:
         )
         accounting = Accounting(ExecutionStats())
         stats = accounting.stats
-        streaming = self._mode is ExecutionMode.STREAMED and k is not None
-        lazy = program.lazy if streaming else ()
-        shuffled = self._mode is ExecutionMode.MULTITHREADED
+        lazy = program.lazy if k is not None else ()
         steps = program.steps
         # Partial-results restart loop: a walk stops at the first unit
         # that exhausts its retry budget, which is rerouted onto an
@@ -278,12 +248,12 @@ class ExecutionEngine:
                 self.routing.active, self._resilience, self.drift_monitor,
                 self._row_provenance,
             )
-            rng = random.Random(SHUFFLE_SEED) if shuffled else None
             stream: TopKStream | None = None
             lazy_cursors: dict[int, LazyServiceCursor | MultiFeedCursor] = {}
             stats.clock.clear()
-            #: Records produced per step index; step 0 is the input node.
-            outputs: list[list[Record]] = [[] for _ in steps]
+            #: Records produced per step index; step 0 is the input
+            #: node, the terminal and the output hold answer rows.
+            outputs: list[list] = [[] for _ in steps]
             outputs[0] = [ROOT]
             try:
                 for step in steps[1:]:
@@ -306,20 +276,16 @@ class ExecutionEngine:
                             # what was fetched.
                             outputs[index] = cursor.rows
                             continue
-                        feed = outputs[feeder]
-                        if shuffled:
-                            feed = list(feed)
-                            rng.shuffle(feed)
                         # An eagerly run node reports its service even
                         # when it fetched nothing (empty feed, every
                         # unit demoted or rerouted).
                         stats.cell(index, step.binding.service_name)
                         outputs[index] = self._drain_units(
-                            context, step, feed, accounting
+                            context, step, outputs[feeder], accounting
                         )
                     elif kind == JOIN:
                         left, right = step.feeds
-                        if streaming and index == program.terminal:
+                        if index == program.terminal:
                             # Inputs with a deferred lazy cursor are
                             # pulled page by page by the walk; the rest
                             # are the eagerly materialized row lists.
@@ -335,7 +301,7 @@ class ExecutionEngine:
                             )
                     elif kind == OUTPUT:
                         feeder = step.feeds[0]
-                        if streaming and stream is None:
+                        if stream is None:
                             # Service-terminal plan: the chain itself
                             # is the stream.
                             stream = ChainStream(
@@ -343,18 +309,9 @@ class ExecutionEngine:
                                 step.residual,
                                 step.layout,
                             )
-                            rows = stream.top(k)
+                            outputs[index] = stream.top(k)
                         else:
-                            rows = outputs[feeder]
-                            # A streamed walk already applied the
-                            # residual predicates.
-                            if step.residual and stream is None:
-                                residual = step.residual
-                                rows = [
-                                    row for row in rows
-                                    if all(holds(row[0]) for holds in residual)
-                                ]
-                        outputs[index] = rows
+                            outputs[index] = outputs[feeder]
             except UnresponsiveService as failure:
                 unit = self.routing.original(failure.unit)
                 if self.routing.masked(*unit):  # pragma: no cover
@@ -367,19 +324,8 @@ class ExecutionEngine:
             break
 
         stats.rows_out = [len(rows) for rows in outputs]
-        stats.elapsed = self.elapsed(program, stats)
-        produced = outputs[-1]
-        if stream is not None:
-            # The stream's top-k, already in composed order.
-            final_rows = produced
-            complete = stream.is_complete(final_rows)
-        else:
-            layout = steps[-1].layout
-            final_rows = compose_ranking([emit(row, layout) for row in produced])
-            complete = True
-        return self._result(
-            program, k, stats, final_rows, complete, stream, accounting
-        )
+        stats.elapsed = elapsed(program, stats)
+        return self._result(program, k, stats, outputs[-1], stream, accounting)
 
     def resume(
         self, program: ExecutionProgram, suspended: ExecutionResult, k: int
@@ -392,7 +338,7 @@ class ExecutionEngine:
         this round and never mutates the round that created the stream.
         Virtual time is the critical path over the busy time this
         round added per step, the same clock an executed round reads
-        (:meth:`elapsed`): the services of a pipe chain add up, parallel
+        (:func:`elapsed`): the services of a pipe chain add up, parallel
         branches overlap (0.0 for the common all-from-fetched-pages
         resume).
         """
@@ -400,11 +346,8 @@ class ExecutionEngine:
         stats = ExecutionStats()
         accounting.rebind(stats)
         rows = stream.top(k)
-        stats.elapsed = self.elapsed(program, stats)
-        return self._result(
-            program, k, stats, rows, stream.is_complete(rows), stream,
-            accounting,
-        )
+        stats.elapsed = elapsed(program, stats)
+        return self._result(program, k, stats, rows, stream, accounting)
 
     def _result(
         self,
@@ -412,8 +355,7 @@ class ExecutionEngine:
         k: int | None,
         stats: ExecutionStats,
         final_rows: list[Row],
-        complete: bool,
-        stream: TopKStream | None,
+        stream: TopKStream,
         accounting: Accounting,
     ) -> ExecutionResult:
         """Wrap up one finished walk or stream resume."""
@@ -423,7 +365,8 @@ class ExecutionEngine:
             stats.substituted_blocks = len(certificate.substituted)
         return ExecutionResult(
             table=ResultTable(
-                head=program.head, rows=final_rows, complete=complete
+                head=program.head, rows=final_rows,
+                complete=stream.is_complete(final_rows),
             ),
             stats=stats,
             program=program,
@@ -479,29 +422,21 @@ class ExecutionEngine:
             feed = MaterializedCursor(feed)
         return MultiFeedCursor(feed, open_block)
 
-    # -- timing ---------------------------------------------------------------
 
-    def elapsed(self, program: ExecutionProgram, stats: ExecutionStats) -> float:
-        """The critical path over the plan DAG of each step's busy time
-        on *stats*' clock.
-
-        A step is busy for the sum of its fetch latencies, or under
-        ``MULTITHREADED`` (every fetch dispatched to its own thread) the
-        longest one plus a thread overhead per dispatch; a join adds its
-        response time once a walk has run it (a resume re-runs none).
-        """
-        threaded = self._mode is ExecutionMode.MULTITHREADED
-        walked = bool(stats.rows_out)
-        finish: list[float] = []
-        for step in program.steps:
-            busy, longest, pulls = stats.clock.get(step.index, IDLE)
-            if threaded and pulls:
-                busy = longest + THREAD_OVERHEAD * pulls
-            elif walked and step.kind == JOIN:
-                busy = step.response_time
-            start = max((finish[feed] for feed in step.feeds), default=0.0)
-            finish.append(start + busy)
-        return finish[-1]
+def elapsed(program: ExecutionProgram, stats: ExecutionStats) -> float:
+    """The critical path over the plan DAG of each step's busy time on
+    *stats*' clock: a step is busy for the sum of its fetch latencies,
+    and a join adds its response time once a walk has run it (a resume
+    re-runs none)."""
+    walked = bool(stats.rows_out)
+    finish: list[float] = []
+    for step in program.steps:
+        busy = stats.clock.get(step.index, IDLE)[0]
+        if walked and step.kind == JOIN:
+            busy = step.response_time
+        start = max((finish[feed] for feed in step.feeds), default=0.0)
+        finish.append(start + busy)
+    return finish[-1]
 
 
 def _open_block(

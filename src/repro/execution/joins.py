@@ -166,6 +166,24 @@ class KeyIndex:
         return matches
 
 
+def matching_cells(
+    join: CompiledJoin, left: Sequence[Record], right: Sequence[Record]
+) -> list[tuple[int, int]]:
+    """The cells of the whole ``left × right`` plane whose two rows
+    share their key, in the join's emission order — every cell when a
+    key value is unhashable and the sides cannot be bucketed."""
+    method = join.method
+    try:
+        index = KeyIndex(join.merge)
+        index.add(1, right, len(right))
+        cells = [(i, j) for i, js in index.add(0, left, len(left)) for j in js]
+    except TypeError:  # unhashable binding value: cannot bucket
+        return list(join_order(method, len(left), len(right)))
+    if method is not JoinMethod.NESTED_LOOP:
+        cells.sort(key=lambda cell: (cell[0] + cell[1], cell[0]))
+    return cells
+
+
 def join_rows(
     join: CompiledJoin, left: Sequence[Record], right: Sequence[Record]
 ) -> list[Record]:
@@ -189,23 +207,13 @@ def join_rows(
     ``merged``.  A key value that is unhashable (a service may return
     lists) visits the whole plane instead.
     """
-    method, plan, predicates, _ = join
-    try:
-        index = KeyIndex(plan)
-        index.add(1, right, len(right))
-        cells = [
-            (i, j) for i, matches in index.add(0, left, len(left)) for j in matches
-        ]
-    except TypeError:  # unhashable binding value: cannot bucket
-        cells = list(join_order(method, len(left), len(right)))
-    else:
-        if method is not JoinMethod.NESTED_LOOP:
-            cells.sort(key=lambda cell: (cell[0] + cell[1], cell[0]))
+    _, plan, predicates, _ = join
     candidates: list[tuple] = []
     # The output keeps cell order and never ranks a candidate, so the
     # rows' positions stand in for the rank lists a stream passes.
     plan.kernel(predicates)(
-        cells, left, right, range(len(left)), range(len(right)), candidates
+        matching_cells(join, left, right), left, right,
+        range(len(left)), range(len(right)), candidates,
     )
     record = plan.record
     return [
@@ -222,7 +230,7 @@ class TopKStream:
     ...)`` — arrival indexes are the candidate's position in the
     full-scan emission order, making tuple comparison the documented
     ``(rank, arrival)`` tie order of
-    :func:`~repro.execution.results.compose_ranking`.  :meth:`top`
+    :func:`~repro.testing.reference.compose_ranking`.  :meth:`top`
     advances it until a lower bound on the composed rank of everything
     *unvisited* reaches the k-th best candidate's: an unvisited row can
     at best tie, and ties are broken by emission order, which every
@@ -272,6 +280,11 @@ class TopKStream:
         """The record of a candidate."""
         raise NotImplementedError
 
+    def _drain(self) -> None:
+        """Visit every stage left."""
+        while not self.exhausted:
+            self._advance_stage()
+
     def _row(self, arrival: int) -> Row:
         """The answer row of the candidate that arrived *arrival*-th."""
         row = self._emitted.get(arrival)
@@ -298,8 +311,8 @@ class TopKStream:
         ``all_rows`` is what the full scan over the *fully fetched*
         inputs emits (for a join: the residual-filtered full-plane
         join) — regardless of how much was actually visited or fetched.
-        ``None`` (or a negative ``k``) drains everything and returns
-        every row in composed order.
+        ``None`` drains everything and returns every row in composed
+        order.
 
         **Cost**: visits ``O(k)`` stages on rank-monotone inputs
         instead of the whole plane, and over lazy cursors pulls only
@@ -311,12 +324,9 @@ class TopKStream:
         candidate rather than a rescan of the whole candidate list
         after every stage.
         """
-        if k is not None and k < 0:
-            k = None
         candidates = self._candidates
         if k is None:
-            while not self.exhausted:
-                self._advance_stage()
+            self._drain()
             return [self._row(candidate[1]) for candidate in sorted(candidates)]
         # Max-heap (negated keys) of the k smallest (rank, arrival).
         worst_first = [
@@ -481,6 +491,19 @@ class JoinStream(TopKStream):
                     self._candidates,
                 )
         self._stage += 1
+
+    def _drain(self) -> None:
+        """Visit every stage left; a walk not begun over two fully
+        fetched inputs visits the whole plane's matching cells in one
+        kernel call — the cells, in the order, the stages would visit."""
+        left, right = self._left, self._right
+        if self._stage or not (left.exhausted and right.exhausted):
+            return super()._drain()
+        cells = matching_cells(self._join, left.rows, right.rows)
+        self._kernel(
+            cells, left.rows, right.rows, left.ranks, right.ranks, self._candidates
+        )
+        self._stage = stage_count(self._method, len(left.rows), len(right.rows))
 
     def _matching_cells(
         self, stage: int, left_rows: list[Record], right_rows: list[Record]

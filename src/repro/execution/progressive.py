@@ -14,18 +14,19 @@ every call already issued in an earlier round is answered locally —
 continuing a query only pays for the *new* fetches, exactly as a
 resumed execution would.
 
-Under ``ExecutionMode.STREAMED`` every round leaves behind a suspended
-:class:`~repro.execution.joins.TopKStream` — over the final join's
-inputs, or over the pipe chain of a service-terminal plan — and asking
-for more first *resumes* that stream.  Over eagerly materialized
-inputs a resume issues **no service call at all**, under any cache
-setting.  Over lazily fetched inputs (see :mod:`repro.execution.lazy`)
-the resumed walk may *grow cursor demand*: it pulls further pages
-within the session's fetch budget — from the per-feed block whose rank
-floor is lowest, leaving blocks the certificate already clears
-untouched or unopened — recorded honestly on the resumed round's
-statistics, and stored in the shared logical cache so any later
-re-execution finds them for free.
+Every round carries a ``k``, so every round is a top-k walk
+(:meth:`~repro.execution.engine.ExecutionEngine.execute`) and leaves
+behind a suspended :class:`~repro.execution.joins.TopKStream` — over
+the final join's inputs, or over the pipe chain of a service-terminal
+plan — and asking for more first *resumes* that stream.  Over eagerly
+materialized inputs a resume issues **no service call at all**, under
+any cache setting.  Over lazily fetched inputs (see
+:mod:`repro.execution.lazy`) the resumed walk may *grow cursor
+demand*: it pulls further pages within the session's fetch budget —
+from the per-feed block whose rank floor is lowest, leaving blocks the
+certificate already clears untouched or unopened — recorded honestly
+on the resumed round's statistics, and stored in the shared logical
+cache so any later re-execution finds them for free.
 
 When the suspended stream exhausts its budgeted universe without
 reaching the requested k, the fetch factors grow, and what happens next
@@ -84,7 +85,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from repro.execution.cache import CacheSetting, LogicalCache, make_cache
-from repro.execution.engine import ExecutionEngine, ExecutionMode, ExecutionResult
+from repro.execution.engine import (
+    ExecutionEngine, ExecutionMode, ExecutionResult, check_count, elapsed,
+)
 from repro.execution.program import ExecutionProgram, as_program
 from repro.execution.resilience import (
     DriftMonitor,
@@ -162,19 +165,19 @@ class DriftEvent:
 class ProgressiveExecutor:
     """Runs a plan under growing fetch factors until satisfied.
 
-    **Contract**: :meth:`run` (and :meth:`more`) always returns the
-    exact top answers of the plan under its *current* fetch state —
-    bit-identical to a from-scratch full execution followed by
-    ``compose_ranking`` — no matter how the rounds were served (fresh
-    execution, stream resume, growth in place or re-execution).
+    **Contract**: :meth:`run` (and :meth:`more`) returns the exact top
+    answers of the plan under its *current* fetch state — the first
+    ``k`` of a from-scratch full scan — no matter how the rounds were
+    served (fresh execution, stream resume, growth in place or
+    re-execution).
 
     **Cost behavior**: the logical cache persists across rounds
     (``cache_setting``, optimal by default), so a continuation never
-    repeats a call already made.  With ``mode=ExecutionMode.STREAMED``
-    continuations resume the suspended top-k stream first — free over
-    already-fetched inputs, at most a few budgeted page fetches over
-    lazily fetched ones — and grow the fetch factors only when the
-    stream's budgeted universe cannot prove the larger top-k.
+    repeats a call already made.  Continuations resume the suspended
+    top-k stream first — free over already-fetched inputs, at most a
+    few budgeted page fetches over lazily fetched ones — and grow the
+    fetch factors only when the stream's budgeted universe cannot
+    prove the larger top-k.
     """
 
     registry: ServiceRegistry
@@ -182,7 +185,8 @@ class ProgressiveExecutor:
     #: compiled here for ``head``; a program carries its own head.
     plan: QueryPlan | ExecutionProgram
     head: tuple[Variable, ...] = ()
-    mode: ExecutionMode = ExecutionMode.PARALLEL
+    #: Kept for bench/tracing.py, which passes it; nothing reads it.
+    mode: ExecutionMode = ExecutionMode.STREAMED
     cache_setting: CacheSetting = CacheSetting.OPTIMAL
     #: An externally owned logical cache to run against (the serving
     #: layer hands every session the same cache, so one tenant's
@@ -226,7 +230,6 @@ class ProgressiveExecutor:
         self._engine = ExecutionEngine(
             self.registry,
             cache_setting=self.cache_setting,
-            mode=self.mode,
             resilience=self.resilience,
             row_provenance=self.row_provenance,
             drift_monitor=self._fresh_monitor(),
@@ -280,7 +283,8 @@ class ProgressiveExecutor:
         return grew
 
     def run(self, k: int) -> ExecutionResult:
-        """Produce at least *k* answers, splicing on every drift."""
+        """Produce the top *k* answers, splicing on every drift."""
+        check_count("k", k)
         while True:
             try:
                 result = self._run_rounds(k)
@@ -342,6 +346,7 @@ class ProgressiveExecutor:
 
     def more(self, additional: int) -> ExecutionResult:
         """Continue the query: ask for *additional* more answers."""
+        check_count("additional", additional)
         already = len(self._last_result.rows) if self._last_result else 0
         return self.run(already + additional)
 
@@ -381,7 +386,7 @@ class ProgressiveExecutor:
         )
         return result
 
-    def _execute_round(self, k: int | None = None) -> ExecutionResult:
+    def _execute_round(self, k: int) -> ExecutionResult:
         result = self._engine.execute(
             self._program,
             k=k,
@@ -422,7 +427,7 @@ class ProgressiveExecutor:
         # shared cache, and must stay counted — its time read off the
         # ledger by the aborted program's clock, as any round's is.
         stats = drift.stats
-        stats.elapsed = self._engine.elapsed(self._program, stats)
+        stats.elapsed = elapsed(self._program, stats)
         self._record_round(stats, 0)
         self._overrides[drift.service] = drift.observed
         replacement = self.replan(dict(self._overrides))

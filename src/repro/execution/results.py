@@ -40,7 +40,9 @@ The final answer list is presented in a *composed* global ranking that
 is a good composition of the partial rankings: rows are ordered by the
 sum of their per-service rank indexes (ties broken by arrival order,
 which itself is consistent with the partial orders thanks to the
-rank-aware join strategies).
+rank-aware join strategies).  The engine's terminal
+:class:`~repro.execution.joins.TopKStream` composes it;
+``repro.testing.compose_ranking`` is the sort it is checked against.
 """
 
 from __future__ import annotations
@@ -202,29 +204,6 @@ def _trail(record: Record) -> tuple[tuple, tuple]:
     if rank is not None:
         ranks += ((node_id, rank),)
     return ranks, provenance if page is None else provenance + (page,)
-
-
-def compose_ranking(rows: Sequence[Row], k: int | None = None) -> list[Row]:
-    """Order *rows* by aggregated rank (stable on ties), the first *k*
-    of them (all for ``None``).
-
-    **Total order contract** (shared with the streamed top-k pipeline,
-    :class:`~repro.execution.joins.JoinStream`): rows are ordered by
-    the key ``(rank_key, arrival index)``, where the arrival index is
-    the row's position in *rows* — i.e. ties in the aggregated rank are
-    broken by arrival order, which itself is consistent with the
-    partial orders thanks to the rank-aware join strategies.  The
-    stable sort realizes exactly this order, and so does
-    ``JoinStream.top``, which is what makes the streamed pipeline
-    bit-identical to the full-scan oracle.
-
-    The composed ranking is consistent with each service's partial
-    order: a row that improves in every partial rank cannot be placed
-    after one it dominates.  ``compose_ranking`` over a full-scan
-    execution is the *oracle* every optimized path (hashed, streamed,
-    lazily fetched) is differentially tested against.
-    """
-    return sorted(rows, key=Row.rank_key)[:k]
 
 
 @dataclass

@@ -66,10 +66,10 @@ class ExecutionStats:
     partial-results restart keeps its cells, so aborted walks stay
     counted.  ``rows_out`` is written by the walk once it completes
     (empty on a resumed round, which re-runs no step).  ``clock`` is
-    what virtual time reads (``ExecutionEngine.elapsed``): per step,
-    ``(busy, longest, pulls)`` over the remote pages of the current
-    walk only — the latencies summed in pull order, the longest one,
-    and their count.
+    what virtual time reads (:func:`repro.execution.engine.elapsed`):
+    per step, ``(busy, longest, pulls)`` over the remote pages of the
+    current walk only — the latencies summed in pull order, the
+    longest one, and their count.
 
     Demand-driven execution keeps no books of its own: what a lazy or
     streamed walk pulled, and what it left unpulled, are reads of this

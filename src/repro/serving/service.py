@@ -66,7 +66,7 @@ from repro.execution.cache import (
     ThreadSafeCache,
     make_cache,
 )
-from repro.execution.engine import ExecutionMode, ExecutionResult
+from repro.execution.engine import ExecutionResult, check_count
 from repro.execution.fetch import UnitRouting
 from repro.execution.program import ExecutionProgram
 from repro.execution.progressive import ProgressiveExecutor, ProgressiveRound
@@ -85,9 +85,10 @@ from repro.serving.plan_cache import PlanCache
 from repro.serving.sessions import SessionError, SessionManager
 from repro.services.registry import AdjustedRegistry, ServiceRegistry
 
-#: Every request is planned with the optimizer's defaults and runs
-#: streamed (so a session suspends cheaply) over an optimal logical
-#: cache; the plan-cache key still carries both, as it always has.
+#: Every request is planned with the optimizer's defaults and, since it
+#: carries a k, runs as a top-k walk (so a session suspends cheaply)
+#: over an optimal logical cache; the plan-cache key still carries
+#: both, as it always has.
 OPTIMIZER_CONFIG = OptimizerConfig()
 CACHE_SETTING = CacheSetting.OPTIMAL
 _CONFIG_TOKEN = optimizer_config_token(OPTIMIZER_CONFIG)
@@ -100,15 +101,6 @@ def _parse(text: str) -> tuple[ConjunctiveQuery, str]:
     again on every submission: the memo keeps only what returned)."""
     query = parse_query(text)
     return query, query_fingerprint(query)
-
-
-def _check_count(name: str, value: object) -> None:
-    """A count of answers is an ``int`` >= 1 (a ``bool`` is not one),
-    checked before a request touches a counter, a cache or a session."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -284,7 +276,7 @@ class QueryService:
 
     def __post_init__(self) -> None:
         # The k of every call that names none (reported as that k).
-        _check_count("k", self.k_default)
+        check_count("k", self.k_default)
         # Adaptive serving needs partial-results accounting: the
         # certificate is where substitutions are recorded.
         self._exec_resilience = self.resilience
@@ -320,7 +312,7 @@ class QueryService:
         its decisions are stored for every later submission.
         """
         k = self.k_default if k is None else k
-        _check_count("k", k)
+        check_count("k", k)
         if isinstance(query, str):
             query, fingerprint = _parse(query)
         else:
@@ -360,7 +352,7 @@ class QueryService:
         is single-consumer); different sessions resume in parallel.
         """
         additional = self.k_default if additional is None else additional
-        _check_count("additional", additional)
+        check_count("additional", additional)
         session = self.sessions.get(session_id)
         with session.lock:
             executor = session.executor
@@ -538,7 +530,6 @@ class QueryService:
         executor = ProgressiveExecutor(
             registry=self.registry,
             plan=plan,
-            mode=ExecutionMode.STREAMED,
             cache_setting=CACHE_SETTING,
             shared_cache=self._service_cache,
             reset_remote=False,

@@ -1,7 +1,8 @@
 """Importable test instrumentation: references, fixtures and fault injection.
 
 What tests, benchmarks and downstream experiments import without path
-hacks — the full-plane dict-row join the compiled join is checked
+hacks — the composed-ranking sort the engine's terminal stream is
+checked against, the full-plane dict-row join the compiled join is checked
 against, the dict-row reference plan interpreter the engine is checked
 against, the per-definition plan estimates the annotation program
 is checked against, the from-scratch state bound the optimizer's open
@@ -51,6 +52,7 @@ from repro.testing.fixtures import (
 from repro.testing.reference import (
     ReexecutingExecutor,
     ReferenceResult,
+    compose_ranking,
     eager_streamed_engine,
     execute_join,
     memo_bounds,
@@ -87,6 +89,7 @@ __all__ = [
     "as_records",
     "chain_poset",
     "compiled_join",
+    "compose_ranking",
     "demand_blocks",
     "eager_streamed_engine",
     "emitted",

@@ -1,6 +1,8 @@
 """References the production paths are checked against (tests and benches).
 
-Six small, obviously correct things: the full-plane dict-row *join*
+Seven small, obviously correct things: the composed *ranking*
+(:func:`compose_ranking`, a stable sort on the aggregated rank) for
+the engine's terminal top-k stream, the full-plane dict-row *join*
 (:func:`execute_join` over :func:`merged_with`) for the compiled join
 of :mod:`repro.execution.joins`, a dict-row plan *interpreter*
 (:func:`reference_execute`) for the engine's compiled loops, the
@@ -41,11 +43,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.costs.base import CostMetric
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.joins import join_order
 from repro.execution.program import as_program
 from repro.execution.progressive import ProgressiveExecutor
-from repro.execution.results import Row, compose_ranking
+from repro.execution.results import Row
 from repro.execution.slots import ExecutionError
 from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
@@ -64,6 +66,31 @@ from repro.plans.dag import PlanError, QueryPlan
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, ServiceNode
 from repro.services.base import InvocationResult
 from repro.services.registry import JoinMethod, ServiceRegistry
+
+
+def compose_ranking(rows: Sequence[Row], k: int | None = None) -> list[Row]:
+    """Order *rows* by aggregated rank (stable on ties), the first *k*
+    of them (all for ``None``).
+
+    **Total order contract** (shared with the engine's terminal
+    :class:`~repro.execution.joins.TopKStream`): rows are ordered by
+    the key ``(rank_key, arrival index)``, where the arrival index is
+    the row's position in *rows* — i.e. ties in the aggregated rank are
+    broken by arrival order, which itself is consistent with the
+    partial orders thanks to the rank-aware join strategies.  The
+    stable sort realizes exactly this order, and so does
+    ``TopKStream.top``, which is what makes every engine run — a
+    top-k walk or a full scan — bit-identical to this oracle.
+
+    The composed ranking is consistent with each service's partial
+    order: a row that improves in every partial rank cannot be placed
+    after one it dominates.  ``compose_ranking`` over the reference
+    interpreter's rows (or over :func:`execute_join`) is the *oracle*
+    every engine path (hashed, streamed, lazily fetched) is
+    differentially tested against.
+    """
+    return sorted(rows, key=Row.rank_key)[:k]
+
 
 
 def merged_with(row: Row, other: Row) -> Row | None:
@@ -131,10 +158,10 @@ class _EagerStreamedEngine(ExecutionEngine):
 
 
 def eager_streamed_engine(registry: ServiceRegistry, **options) -> ExecutionEngine:
-    """A ``STREAMED`` engine that materializes the streamed join's
-    service inputs up front: same walk and cells as the lazy engine,
-    exactly the fetches of ``PARALLEL`` mode."""
-    return _EagerStreamedEngine(registry, mode=ExecutionMode.STREAMED, **options)
+    """An engine whose top-k walk materializes the terminal's service
+    inputs up front: same walk and cells as the lazy engine, exactly
+    the fetches of a full scan."""
+    return _EagerStreamedEngine(registry, **options)
 
 
 class ReexecutingExecutor(ProgressiveExecutor):
@@ -230,8 +257,7 @@ def reference_execute(plan: QueryPlan, registry: ServiceRegistry) -> ReferenceRe
     """Run *plan* against *registry*, fully materialized, in dict rows.
 
     The returned rows are in composed rank order — what every engine
-    mode must reproduce (``STREAMED`` with a ``k``: the first ``k`` of
-    them).
+    run must reproduce (a run with a ``k``: the first ``k`` of them).
     """
     plan.validate()
     outputs: dict[str, list[Row]] = {}

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costs.time_cost import ExecutionTimeMetric
-from repro.execution.engine import ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.progressive import MAX_REPLANS, MAX_ROUNDS, ProgressiveExecutor
 from repro.execution.resilience import (
     DriftMonitor,
@@ -340,9 +340,6 @@ class TestSiblingsAndAdjustedView:
 # -- the zero-drift differential -------------------------------------------
 
 
-MODES = (ExecutionMode.PARALLEL, ExecutionMode.STREAMED)
-
-
 def keep_plan(observed):
     """A ``replan`` that splices without a new plan."""
     return None
@@ -352,7 +349,7 @@ class TestZeroDriftDifferential:
     """Drift monitoring armed but idle must be structurally invisible."""
 
     @staticmethod
-    def _pair(side, chunk, fetches, mode, **flaky):
+    def _pair(side, chunk, fetches, **flaky):
         """``replan=None`` and a ``replan`` over identical worlds."""
         executors = []
         for replan in (None, keep_plan):
@@ -366,7 +363,6 @@ class TestZeroDriftDifferential:
                     registry=registry,
                     plan=plan,
                     head=tuple(query.head),
-                    mode=mode,
                     replan=replan,
                 )
             )
@@ -377,14 +373,25 @@ class TestZeroDriftDifferential:
         side=st.integers(min_value=1, max_value=8),
         chunk=st.integers(min_value=1, max_value=4),
         fetches=st.integers(min_value=1, max_value=3),
-        mode=st.sampled_from(MODES),
+        full_scan=st.booleans(),
         k=st.integers(min_value=1, max_value=10),
         extra=st.integers(min_value=0, max_value=6),
     )
     def test_adaptive_is_bit_identical_to_static(
-        self, side, chunk, fetches, mode, k, extra
+        self, side, chunk, fetches, full_scan, k, extra
     ):
-        static, adaptive = self._pair(side, chunk, fetches, mode)
+        static, adaptive = self._pair(side, chunk, fetches)
+        if full_scan:
+            # The engines under the executors, each scanning fully: the
+            # armed monitor changes no row and no counter.
+            scans = [
+                executor.engine.execute(executor.plan, head=executor.head)
+                for executor in (static, adaptive)
+            ]
+            assert row_view(scans[1]) == row_view(scans[0])
+            assert scans[1].stats == scans[0].stats
+            assert adaptive.engine.drift_monitor is not None
+            return
         results = [static.run(k), adaptive.run(k)]
         if extra:
             results = [static.more(extra), adaptive.more(extra)]
@@ -405,16 +412,17 @@ class TestZeroDriftDifferential:
 
     def test_monitoring_really_is_armed(self):
         """The differential must not pass because the monitor is off."""
-        shape = dict(side=8, chunk=2, fetches=3, mode=ExecutionMode.PARALLEL)
+        shape = dict(side=8, chunk=2, fetches=3)
         static, adaptive = self._pair(**shape)
         assert static.engine.drift_monitor is None
         assert adaptive.engine.drift_monitor is not None
         adaptive.run(4)
         assert adaptive.replans == 0  # fetches were watched, none drifted
-        # The same pair over a slow ``lefts``: only the armed one reacts.
+        # The same pair over a slow ``lefts``, asked for every answer so
+        # that every page is pulled: only the armed one reacts.
         static, adaptive = self._pair(**shape, delay_rate=1.0)
-        static.run(4)
-        adaptive.run(4)
+        static.run(64)
+        adaptive.run(64)
         assert static.drift_events == []
         assert [e.service for e in adaptive.drift_events] == ["lefts"]
 
@@ -426,24 +434,25 @@ RESILIENT = ResilienceConfig(partial_results=True)
 
 
 class TestSiblingFallback:
-    @pytest.mark.parametrize(
-        "mode", (ExecutionMode.PARALLEL, ExecutionMode.STREAMED),
-        ids=lambda m: m.value,
-    )
-    def test_failed_unit_is_served_by_the_sibling(self, mode):
+    @staticmethod
+    def _run(registry, query, plan, k, **options):
+        """A full scan of the engine (``k=None``), or a session's
+        top-``k`` round."""
+        head = tuple(query.head)
+        if k is None:
+            return ExecutionEngine(registry, **options).execute(plan, head=head)
+        return ProgressiveExecutor(
+            registry=registry, plan=plan, head=head, **options
+        ).run(k)
+
+    @pytest.mark.parametrize("k", (None, 4), ids=("full-scan", "top-k"))
+    def test_failed_unit_is_served_by_the_sibling(self, k):
         registry, query, plan = build_world(sibling=True)
         make_flaky(registry, "lefts", fail_rate=1.0)
-        executor = ProgressiveExecutor(
-            registry=registry, plan=plan, head=tuple(query.head),
-            mode=mode, resilience=RESILIENT,
-        )
-        result = executor.run(4)
+        result = self._run(registry, query, plan, k, resilience=RESILIENT)
 
         oracle_registry, oracle_query, oracle_plan = build_world(sibling=True)
-        oracle = ProgressiveExecutor(
-            registry=oracle_registry, plan=oracle_plan,
-            head=tuple(oracle_query.head), mode=mode,
-        ).run(4)
+        oracle = self._run(oracle_registry, oracle_query, oracle_plan, k)
         assert row_view(result) == row_view(oracle)
 
         certificate = result.certificate
@@ -460,8 +469,7 @@ class TestSiblingFallback:
         registry, query, plan = build_world(sibling=False)
         make_flaky(registry, "lefts", fail_rate=1.0)
         executor = ProgressiveExecutor(
-            registry=registry, plan=plan, head=tuple(query.head),
-            mode=ExecutionMode.PARALLEL, resilience=RESILIENT,
+            registry=registry, plan=plan, head=tuple(query.head), resilience=RESILIENT,
         )
         result = executor.run(4)
         certificate = result.certificate
@@ -473,8 +481,7 @@ class TestSiblingFallback:
         make_flaky(registry, "lefts", fail_rate=1.0)
         make_flaky(registry, "lefts_backup", fail_rate=1.0)
         executor = ProgressiveExecutor(
-            registry=registry, plan=plan, head=tuple(query.head),
-            mode=ExecutionMode.PARALLEL, resilience=RESILIENT,
+            registry=registry, plan=plan, head=tuple(query.head), resilience=RESILIENT,
         )
         result = executor.run(4)
         certificate = result.certificate
@@ -490,8 +497,7 @@ class TestSiblingFallback:
 
 def _adaptive(registry, query, plan, replan=keep_plan, **options):
     return ProgressiveExecutor(
-        registry=registry, plan=plan, head=tuple(query.head),
-        mode=ExecutionMode.PARALLEL, replan=replan, **options,
+        registry=registry, plan=plan, head=tuple(query.head), replan=replan, **options,
     )
 
 
@@ -520,12 +526,15 @@ def build_wide_world(services, side=6, chunk=2, fetches=3):
 class TestDriftSplice:
     #: Three pages per unit: a slow service trips at its third pull.
     WORLD = dict(fetches=3)
+    #: Every answer of that world (6 × 6 rows): a session asking for
+    #: them all walks the whole plane, so it pulls every page.
+    EVERY = 36
 
     def test_drift_splices_onto_the_sibling(self):
         registry, query, plan = build_world(sibling=True, **self.WORLD)
         make_flaky(registry, "lefts", delay_rate=1.0)
         executor = _adaptive(registry, query, plan)
-        result = executor.run(4)
+        result = executor.run(self.EVERY)
 
         assert executor.replans == 1
         (event,) = executor.drift_events
@@ -540,8 +549,8 @@ class TestDriftSplice:
         )
         oracle = ProgressiveExecutor(
             registry=oracle_registry, plan=oracle_plan,
-            head=tuple(oracle_query.head), mode=ExecutionMode.PARALLEL,
-        ).run(4)
+            head=tuple(oracle_query.head),
+        ).run(self.EVERY)
         assert row_view(result) == row_view(oracle)
         # The aborted attempt is an explicit zero-answer round whose
         # fetches stay accounted.
@@ -553,7 +562,7 @@ class TestDriftSplice:
         registry, query, plan = build_world(sibling=True, **self.WORLD)
         make_flaky(registry, "lefts", delay_rate=1.0)
         executor = _adaptive(registry, query, plan)
-        executor.run(4)
+        executor.run(self.EVERY)
         assert executor.replans == 1
 
         clean_registry, clean_query, clean_plan = build_world(
@@ -561,9 +570,9 @@ class TestDriftSplice:
         )
         clean = ProgressiveExecutor(
             registry=clean_registry, plan=clean_plan,
-            head=tuple(clean_query.head), mode=ExecutionMode.PARALLEL,
+            head=tuple(clean_query.head),
         )
-        clean.run(4)
+        clean.run(self.EVERY)
         spliced_rights = sum(
             r.stats.service("rights").fetches
             for r in executor.rounds if r.stats is not None
@@ -587,7 +596,7 @@ class TestDriftSplice:
             return None  # keep the plan: only re-cost knowledge changes
 
         executor = _adaptive(registry, query, plan, replan=replan)
-        result = executor.run(4)
+        result = executor.run(self.EVERY)
         assert seen == [{"lefts": pytest.approx(25.0)}]
         (event,) = executor.drift_events
         assert event.substituted_with is None
@@ -596,7 +605,7 @@ class TestDriftSplice:
         # slow lefts never re-trips, even across a continuation.
         executor.more(2)
         assert executor.replans == 1
-        assert len(result.rows) >= 4
+        assert len(result.rows) == self.EVERY
 
     def test_replans_stop_at_the_cap(self):
         """Every service of the plan turns slow; the run re-plans on the

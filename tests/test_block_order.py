@@ -12,7 +12,8 @@ its inputs in plan S.
 """
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
+from repro.experiments.figure11 import ThreadedEngine
 from repro.model.schema import AccessPattern
 from repro.plans.builder import PlanBuilder
 from repro.services.base import Service
@@ -75,9 +76,7 @@ class TestBlockContiguity:
             alpha1_patterns(), poset_serial(),
             fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 1},
         )
-        engine = ExecutionEngine(
-            registry, CacheSetting.NO_CACHE, mode=ExecutionMode.MULTITHREADED
-        )
+        engine = ThreadedEngine(registry, CacheSetting.NO_CACHE)
         engine.execute(plan, head=travel_query.head)
         # Randomized dispatch produces many more (shorter) blocks,
         # which is exactly why the one-call cache degrades.

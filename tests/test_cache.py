@@ -150,7 +150,7 @@ class TestOptimalCacheAdmissionControl:
         """The admission-control contract at the engine level: a tiny
         capacity forces re-fetches, but the produced rows, ranks, and
         order are identical to the unbounded cache's."""
-        from repro.execution.engine import ExecutionEngine, ExecutionMode
+        from repro.execution.engine import ExecutionEngine
         from repro.model.atoms import Atom
         from repro.model.query import ConjunctiveQuery
         from repro.model.schema import signature as sig
@@ -197,7 +197,7 @@ class TestOptimalCacheAdmissionControl:
         outcomes = {}
         for capacity in (None, 1):
             registry, head, plan = build()
-            engine = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL)
+            engine = ExecutionEngine(registry)
             cache = OptimalCache(capacity=capacity)
             calls = 0
             rows = None
@@ -316,7 +316,7 @@ class TestThreadSafeCacheStress:
     def _travel_run(shared):
         """One execution of the running example's optimal plan, sharing
         *shared* and leaving the remote caches as they are."""
-        from repro.execution.engine import ExecutionEngine, ExecutionMode
+        from repro.execution.engine import ExecutionEngine
         from repro.plans.builder import PlanBuilder
         from repro.sources.travel import (
             alpha1_patterns,
@@ -330,9 +330,7 @@ class TestThreadSafeCacheStress:
         plan = PlanBuilder(query, registry).build(
             alpha1_patterns(), poset_optimal()
         )
-        result = ExecutionEngine(
-            registry, mode=ExecutionMode.PARALLEL
-        ).execute(
+        result = ExecutionEngine(registry).execute(
             plan, query.head, shared_cache=shared, reset_remote_caches=False
         )
         rows = [(dict(r.bindings), r.ranks) for r in result.rows]

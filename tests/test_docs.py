@@ -25,8 +25,9 @@ parameters recorded here, the paper is reproduced — and a perf
 trajectory written — in one place, every production module is
 reachable from an entry point, every name has one import path (a
 sub-package ``__init__`` re-exports nothing) and a caller in shipping
-code (not only in tests), and the production tree's code lines are
-pinned.
+code (not only in tests), the frozen ``bench/`` still imports every
+name and passes every keyword it uses, and the production tree's code
+lines are pinned.
 """
 
 from __future__ import annotations
@@ -367,21 +368,41 @@ def test_every_public_definition_has_a_shipping_caller():
     assert not uncalled, "\n".join(f"{name}: {where}" for name, where in sorted(uncalled.items()))
 
 
-def test_every_execution_mode_is_chosen_where_an_entry_point_reaches():
-    """An engine mode only tests select is a path nobody runs: every
-    ``ExecutionMode`` member is named (``ExecutionMode.X``) by a module
-    an entry point reaches, other than the engine that defines it."""
-    from repro.execution.engine import ExecutionMode
-
-    named = {
-        node.attr
-        for name, path in _reached_modules().items()
-        if name != "repro.execution.engine"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute)
-        and getattr(node.value, "id", "") == "ExecutionMode"
-    }
-    assert named == {mode.name for mode in ExecutionMode}
+def test_the_frozen_bench_still_imports_what_it_names():
+    """``bench/`` is frozen: the program it drives keeps every name it
+    imports from ``repro`` and every keyword it passes to a ``repro``
+    callable.  A renamed class or a dropped parameter fails here, in
+    milliseconds, instead of in the bench run."""
+    broken = []
+    for path in sorted((REPO / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            module_name = getattr(node, "module", None) or ""
+            if not (isinstance(node, ast.ImportFrom) and module_name.startswith("repro")):
+                continue
+            module = importlib.import_module(module_name)
+            for alias in node.names:
+                if not hasattr(module, alias.name):
+                    broken.append(f"{path.name}:{node.lineno}: {module_name}.{alias.name}")
+                    continue
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+        for node in ast.walk(tree):
+            target = getattr(node, "func", None)
+            if not isinstance(node, ast.Call) or not isinstance(target, ast.Name):
+                continue
+            called = imported.get(target.id)
+            if called is None or not callable(called):
+                continue
+            parameters = inspect.signature(called).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+                continue
+            broken.extend(
+                f"{path.name}:{node.lineno}: {target.id}({keyword.arg}=)"
+                for keyword in node.keywords
+                if keyword.arg is not None and keyword.arg not in parameters
+            )
+    assert not broken, broken
 
 
 def test_rows_are_read_as_dicts_only_by_row():
@@ -806,7 +827,11 @@ def test_one_join_one_plan_cache_tier_one_sqlite_pool():
     }
     assert key_readers == {("joins.py", ("KeyIndex", "__init__"))}
     users = {scopes for name, scopes in _calls(joins) if name == "KeyIndex"}
-    assert users == {("join_rows",), ("JoinStream", "__init__")}
+    assert users == {("matching_cells",), ("JoinStream", "__init__")}
+    # The whole plane's matching cells: the materialized join's, and a
+    # full scan's one-pass drain of the stream.
+    plane = {scopes for name, scopes in _calls(joins) if name == "matching_cells"}
+    assert plane == {("join_rows",), ("JoinStream", "_drain")}
     plan_cache = ast.parse((SRC / "serving" / "plan_cache.py").read_text())
     imported = {
         name.split(".")[0]
@@ -874,8 +899,8 @@ def test_parameter_budget(capsys):
 
     budget = {
         ExecutionEngine: (
-            "registry", "cache_setting", "mode", "resilience",
-            "row_provenance", "drift_monitor",
+            "registry", "cache_setting", "resilience", "row_provenance",
+            "drift_monitor",
         ),
         ProgressiveExecutor: (
             "registry", "plan", "head", "mode", "cache_setting",
@@ -926,9 +951,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3225,
+        "src/repro/execution + serving": 3200,
         "src/repro/optimizer + plans + costs": 2075,
-        "src/repro outside testing": 8778,
+        "src/repro outside testing": 8771,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

@@ -4,23 +4,24 @@ Optimizes and executes each showcase query under each primary metric
 and checks the fundamental contracts: the chosen plan is executable,
 the expected answers meet k, execution respects the query semantics,
 and the branch-and-bound optimum matches the exhaustive oracle.  A
-second matrix — every domain's optimized plan × every execution mode ×
-every cache setting — pins the engine's rows against the dict-row
-reference interpreter (``repro.testing.reference``); a third pins the
-resilience layer, switched on over a fault-free domain, to the plain
-engine.
+second matrix — every domain's optimized plan × {full scan, threaded
+experiment run, top-k walk} × every cache setting — pins the engine's
+rows against the dict-row reference interpreter
+(``repro.testing.reference``); a third pins the resilience layer,
+switched on over a fault-free domain, to the plain engine.
 """
 
 import pytest
 
-from repro.testing import market_moving_news_query
+from repro.testing import compose_ranking, market_moving_news_query
 from repro.testing.exhaustive import exhaustive_optimize
 from repro.costs.sum_cost import RequestResponseMetric, SumCostMetric
 from repro.costs.time_cost import BottleneckMetric, ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
+from repro.execution.program import JOIN
 from repro.execution.resilience import ResilienceConfig
-from repro.execution.results import compose_ranking
+from repro.experiments.figure11 import ThreadedEngine
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.testing.reference import reference_execute
 
@@ -125,26 +126,37 @@ def _optimized_plan_and_reference(domain):
     return _REFERENCES[domain]
 
 
+def engine_rows_out(reference, program):
+    """The reference's rows per node as a full scan counts them: the
+    terminal stream applies the output's residual predicates, so a
+    terminal join's count is the reference's count at the output."""
+    counts = list(reference.rows_out)
+    if program.steps[program.terminal].kind == JOIN:
+        counts[program.terminal] = counts[-1]
+    return counts
+
+
 def _ranked_signature(rows, head):
     return [(row.project(head), row.ranks) for row in rows]
 
 
 @pytest.mark.parametrize("domain", ["travel", "bio", "biblio", "weekend", "news"])
-@pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("run", ("full-scan", "threaded", "top-k"))
 @pytest.mark.parametrize("cache_setting", list(CacheSetting), ids=lambda c: c.value)
-def test_engine_rows_equal_the_reference_interpreter(domain, mode, cache_setting):
+def test_engine_rows_equal_the_reference_interpreter(domain, run, cache_setting):
     registry, query, k = _domain(domain)
     head = tuple(query.head)
     plan, reference = _optimized_plan_and_reference(domain)
     assert reference.rows  # a vacuous comparison would pin nothing
-    result = ExecutionEngine(
-        registry, cache_setting=cache_setting, mode=mode
-    ).execute(plan, head=head, k=k)
+    engine = ThreadedEngine if run == "threaded" else ExecutionEngine
+    result = engine(registry, cache_setting=cache_setting).execute(
+        plan, head=head, k=k if run == "top-k" else None
+    )
     produced = _ranked_signature(result.rows, head)
-    if mode is ExecutionMode.STREAMED:
+    if run == "top-k":
         expected = _ranked_signature(compose_ranking(reference.rows, k), head)
         assert produced == expected
-    elif mode is ExecutionMode.MULTITHREADED:
+    elif run == "threaded":
         # The seeded feed shuffle reorders rows of equal composed rank.
         expected = _ranked_signature(reference.rows, head)
         assert sorted(produced, key=repr) == sorted(expected, key=repr)
@@ -156,8 +168,8 @@ def test_engine_rows_equal_the_reference_interpreter(domain, mode, cache_setting
         assert [dict(r.bindings) for r in result.rows] == [
             dict(r.bindings) for r in reference.rows
         ]
-    if mode is ExecutionMode.PARALLEL:
-        assert result.stats.rows_out == reference.rows_out
+    if run == "full-scan":
+        assert result.stats.rows_out == engine_rows_out(reference, result.program)
     # One layout object for the whole answer, covering the head.
     assert all(row.layout is result.rows[0].layout for row in result.rows)
     assert set(head) <= set(result.rows[0].layout.variables)

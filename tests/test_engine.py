@@ -3,7 +3,8 @@
 import pytest
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionError, ExecutionMode
+from repro.execution.engine import ExecutionEngine, ExecutionError
+from repro.experiments.figure11 import ThreadedEngine
 from repro.model.predicates import Comparison
 from repro.model.terms import Constant, Variable
 from repro.plans.builder import PlanBuilder
@@ -16,7 +17,7 @@ from repro.sources.travel import (
     poset_parallel,
     poset_serial,
 )
-from repro.testing import chain_poset
+from repro.testing import chain_poset, reference_execute
 
 
 @pytest.fixture()
@@ -59,9 +60,7 @@ class TestTinyExecution:
         assert spots_in_order == ["Colosseo", "Pantheon", "Trastevere"]
 
     def test_elapsed_of_a_chain_is_the_sum(self, tiny_registry, tiny_plan):
-        par = ExecutionEngine(tiny_registry, mode=ExecutionMode.PARALLEL).execute(
-            tiny_plan
-        )
+        par = ExecutionEngine(tiny_registry).execute(tiny_plan)
         # The plan is a chain: its critical path is every service.
         assert par.elapsed == pytest.approx(1.0 + 4 * 2.0)
 
@@ -119,7 +118,7 @@ class TestTravelPlans:
         assert cities <= set(world.hot_cities)
         assert "Mombasa" not in cities  # no flights there
 
-    def test_multithreaded_mode_changes_timing_not_answers(
+    def test_threaded_run_changes_timing_not_answers(
         self, registry, travel_query
     ):
         builder = PlanBuilder(travel_query, registry)
@@ -127,17 +126,29 @@ class TestTravelPlans:
             alpha1_patterns(), poset_serial(),
             fetches={FLIGHT_ATOM: 1, HOTEL_ATOM: 1},
         )
-        parallel = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=travel_query.head
-        )
-        threaded = ExecutionEngine(registry, mode=ExecutionMode.MULTITHREADED).execute(
-            plan, head=travel_query.head
-        )
+        parallel = ExecutionEngine(registry).execute(plan, head=travel_query.head)
+        threaded = ThreadedEngine(registry).execute(plan, head=travel_query.head)
         assert frozenset(parallel.answers()) == frozenset(threaded.answers())
         assert threaded.elapsed < parallel.elapsed
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "k, message",
+        (
+            (0, "k must be >= 1, got 0"),
+            (-1, "k must be >= 1, got -1"),
+            (2.5, "k must be an int, got 2.5"),
+            (True, "k must be an int, got True"),
+        ),
+    )
+    def test_k_is_a_count_of_answers(self, tiny_registry, tiny_plan, k, message):
+        """``k`` is checked where it is read: unchecked, a negative
+        ``k`` would slice the table to all but its last rows and a
+        float die in a slice with an untyped error."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExecutionEngine(tiny_registry).execute(tiny_plan, k=k)
+
     def test_unbound_input_variable(self, tiny_registry, tiny_query):
         from repro.plans.dag import QueryPlan
         from repro.plans.nodes import InputNode, OutputNode, ServiceNode
@@ -172,9 +183,12 @@ class _CountingBound(int):
 
 
 class TestResidualPredicatesRunOncePerRow:
-    """Regression: under STREAMED with a k budget the residual
-    predicates ran inside the ``JoinStream`` walk *and again* in the
-    output node, on the rows the stream had already filtered."""
+    """Regression: in a top-k walk the residual predicates ran inside
+    the ``JoinStream`` walk *and again* in the output node, on the rows
+    the stream had already filtered.  A full scan drains the same
+    stream, so the terminal join's ``rows_out`` counts the rows after
+    the residual, and the number of join rows the residual is
+    evaluated on is the reference's count at the join."""
 
     def _plan_with_residual(self):
         from tests.test_property_streaming import _random_table_plan
@@ -190,15 +204,12 @@ class TestResidualPredicatesRunOncePerRow:
 
     def test_streamed_join_rows_pass_the_output_node_untouched(self):
         registry, query, plan = self._plan_with_residual()
-        full = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=query.head
-        )
         (join,) = plan.join_nodes
-        join_rows = full.stats.rows_out[plan.topological_order().index(join)]
+        join_rows = reference_execute(plan, registry).rows_out[
+            plan.topological_order().index(join)
+        ]
         _CountingBound.evaluations = 0
-        streamed = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=query.head, k=3
-        )
+        streamed = ExecutionEngine(registry).execute(plan, head=query.head, k=3)
         assert len(streamed.rows) == 3
         assert _CountingBound.evaluations <= join_rows
         streamed.stream.top(None)  # a resume evaluates only the new cells
@@ -207,10 +218,11 @@ class TestResidualPredicatesRunOncePerRow:
 
     def test_full_materialization_evaluates_once_per_join_row(self):
         registry, query, plan = self._plan_with_residual()
-        full = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=query.head
-        )
+        reference = reference_execute(plan, registry)
+        _CountingBound.evaluations = 0
+        full = ExecutionEngine(registry).execute(plan, head=query.head)
         (join,) = plan.join_nodes
-        rows_out = full.stats.rows_out[plan.topological_order().index(join)]
-        assert _CountingBound.evaluations == rows_out
+        index = plan.topological_order().index(join)
+        assert _CountingBound.evaluations == reference.rows_out[index]
+        assert full.stats.rows_out[index] == reference.rows_out[-1]
         assert all(row.value(Variable("L")) < 3 for row in full.rows)

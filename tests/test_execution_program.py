@@ -19,7 +19,7 @@ import pytest
 
 from golden_plans import PROFILES, load
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.program import ExecutionProgram
 from repro.execution.slots import ServiceBinding
 from repro.model.parser import parse_query
@@ -216,9 +216,7 @@ def test_threads_share_one_program_without_writing_it():
     steps = [tuple(map(id, step)) for step in program.steps]
 
     def run():
-        engine = ExecutionEngine(
-            registry, cache_setting=CacheSetting.OPTIMAL, mode=ExecutionMode.STREAMED
-        )
+        engine = ExecutionEngine(registry, cache_setting=CacheSetting.OPTIMAL)
         result = engine.execute(program, k=5, reset_remote_caches=False)
         return result.answers(), result.rows, dataclasses.asdict(result.stats)
 

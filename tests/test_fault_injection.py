@@ -3,7 +3,7 @@
 Uses the :mod:`repro.testing.faults` kit to corrupt service pages on a
 seeded, call-order-independent schedule, then runs the same plan down
 two paths — demand-driven lazy streaming and the full-scan
-``PARALLEL`` oracle (eager materialization) — over the *same* faulted
+oracle (eager materialization) — over the *same* faulted
 world:
 
 * data faults (truncated pages, duplicated tuples, out-of-order
@@ -31,8 +31,8 @@ from repro.testing.faults import (
     InjectedFault,
     wrap_registry_flaky,
 )
-from repro.execution.engine import ExecutionEngine, ExecutionMode
-from repro.execution.results import compose_ranking
+from repro.execution.engine import ExecutionEngine
+from repro.testing.reference import compose_ranking, reference_execute
 from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
@@ -219,7 +219,7 @@ class TestDataFaultsStayOracleEquivalent:
     @given(
         st.integers(0, 10**6),
         st.sampled_from(sorted(PLAN_SHAPES)),
-        st.integers(0, 12),
+        st.integers(1, 12),
     )
     @settings(max_examples=40, deadline=None)
     def test_lazy_equals_eager_equals_oracle(self, seed, shape, k):
@@ -229,18 +229,14 @@ class TestDataFaultsStayOracleEquivalent:
             reorder_rate=0.2,
         )
         wrappers = wrap_registry_flaky(registry, schedule)
-        lazy = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=head, k=k
-        )
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
-        expected = compose_ranking(oracle.rows, k)
+        lazy = ExecutionEngine(registry).execute(plan, head=head, k=k)
+        full = ExecutionEngine(registry).execute(plan, head=head)
+        expected = compose_ranking(reference_execute(plan, registry).rows, k)
         assert _signature(lazy.rows) == _signature(expected)
-        # The oracle's full fetch must have exercised the injection.
+        # The full scan's fetches must have exercised the injection.
         assert sum(w.injected.total() for w in wrappers.values()) > 0
         # Lazy still never fetches beyond the (faulted) eager universe.
-        assert lazy.stats.total_fetches <= oracle.stats.total_fetches
+        assert lazy.stats.total_fetches <= full.stats.total_fetches
 
     def test_out_of_order_ranks_trip_the_monotonicity_guard(self):
         """A reordered page makes the owning block non-monotone: the
@@ -250,14 +246,9 @@ class TestDataFaultsStayOracleEquivalent:
         wrap_registry_flaky(
             registry, FaultSchedule(seed=11, reorder_rate=1.0)
         )
-        lazy = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=head, k=2
-        )
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
+        lazy = ExecutionEngine(registry).execute(plan, head=head, k=2)
         assert _signature(lazy.rows) == _signature(
-            compose_ranking(oracle.rows, 2)
+            compose_ranking(reference_execute(plan, registry).rows, 2)
         )
 
 
@@ -275,15 +266,15 @@ class TestPageFailures:
         schedule = FaultSchedule(seed=seed, fail_rate=0.15)
         wrap_registry_flaky(registry, schedule)
 
-        def run(engine_kwargs):
-            engine = ExecutionEngine(registry, **engine_kwargs)
+        def run(budget):
+            engine = ExecutionEngine(registry)
             try:
-                return engine.execute(plan, head=head, k=k), None
+                return engine.execute(plan, head=head, k=budget), None
             except InjectedFault as fault:
                 return None, fault
 
-        oracle, oracle_fault = run({"mode": ExecutionMode.PARALLEL})
-        lazy, lazy_fault = run({"mode": ExecutionMode.STREAMED})
+        oracle, oracle_fault = run(None)
+        lazy, lazy_fault = run(k)
         if lazy is not None and oracle is not None:
             # Both survived: the lazy path saw a subset of the pages
             # the oracle fetched, and must agree bit-for-bit.
@@ -301,11 +292,6 @@ class TestPageFailures:
     def test_poisoned_first_page_raises_on_every_path(self):
         registry, head, plan = _pair_plan()
         wrap_registry_flaky(registry, FaultSchedule(seed=5, fail_rate=1.0))
-        for kwargs in (
-            {"mode": ExecutionMode.PARALLEL},
-            {"mode": ExecutionMode.STREAMED},
-        ):
+        for k in (None, 1):
             with pytest.raises(InjectedFault):
-                ExecutionEngine(registry, **kwargs).execute(
-                    plan, head=head, k=1
-                )
+                ExecutionEngine(registry).execute(plan, head=head, k=k)

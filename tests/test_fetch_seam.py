@@ -23,12 +23,12 @@ import copy
 import pytest
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.program import SERVICE
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import ResilienceConfig
-from repro.execution.results import compose_ranking
 from repro.execution.stats import ExecutionStats
+from repro.experiments.figure11 import ThreadedEngine
 from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
@@ -45,7 +45,15 @@ from repro.sources.travel import (
     running_example_query,
     travel_registry,
 )
-from repro.testing import FaultSchedule, chain_poset, mask_unit, wrap_registry_flaky
+from repro.testing import (
+    FaultSchedule,
+    chain_poset,
+    compose_ranking,
+    eager_streamed_engine,
+    mask_unit,
+    reference_execute,
+    wrap_registry_flaky,
+)
 
 from tests.test_adaptive import build_world, make_flaky, row_view
 from tests.test_domains_matrix import _domain, _optimized_plan_and_reference
@@ -75,11 +83,11 @@ def test_eager_and_lazy_agree_to_the_last_counter(domain, cache_setting):
     head = tuple(query.head)
     plan, _ = _optimized_plan_and_reference(domain)
     eager = ExecutionEngine(
-        registry, cache_setting=cache_setting, mode=ExecutionMode.PARALLEL
+        registry, cache_setting=cache_setting
     ).execute(plan, head=head)
     # A k beyond the plane drains every lazy cursor to its budget.
     lazy = ExecutionEngine(
-        registry, cache_setting=cache_setting, mode=ExecutionMode.STREAMED
+        registry, cache_setting=cache_setting
     ).execute(plan, head=head, k=10**9)
     assert eager.rows
     assert [(row.project(head), row.ranks) for row in lazy.rows] == [
@@ -116,15 +124,12 @@ def _self_join():
     return registry, query, plan
 
 
-@pytest.mark.parametrize(
-    "mode, k", ((ExecutionMode.PARALLEL, None), (ExecutionMode.STREAMED, 10**9)),
-    ids=("eager", "lazy"),
-)
-def test_a_service_at_two_steps_is_counted_per_step(mode, k):
+@pytest.mark.parametrize("k", (None, 10**9), ids=("eager", "lazy"))
+def test_a_service_at_two_steps_is_counted_per_step(k):
     registry, query, plan = _self_join()
-    result = ExecutionEngine(
-        registry, cache_setting=CacheSetting.OPTIMAL, mode=mode
-    ).execute(plan, head=tuple(query.head), k=k)
+    result = ExecutionEngine(registry, cache_setting=CacheSetting.OPTIMAL).execute(
+        plan, head=tuple(query.head), k=k
+    )
     assert len(result.rows) == 6
     stats = result.stats
     first, second = (
@@ -146,7 +151,7 @@ def test_a_service_at_two_steps_is_counted_per_step(mode, k):
 
 #: Plan S of the running example under seeded faults, each page retried
 #: once before its unit is demoted: six units are, so the walk restarts
-#: six times.  Per mode, the elapsed time and per-service ``(busy_time,
+#: six times.  Per run, the elapsed time and per-service ``(busy_time,
 #: fetches, calls)`` the engine reported before its counters moved into
 #: one ledger, by hex: aborted walks stay counted, the clock reads the
 #: last walk only.
@@ -159,18 +164,18 @@ _RESTARTED = {
 
 
 @pytest.mark.parametrize(
-    "mode, k, elapsed, changed",
+    "engine, k, elapsed, changed",
     (
-        (ExecutionMode.PARALLEL, None, "0x1.5240b8393dca7p+7", {}),
+        (ExecutionEngine, None, "0x1.5240b8393dca7p+7", {}),
         (
-            ExecutionMode.MULTITHREADED, None, "0x1.2869a5bcb0931p+4",
+            ThreadedEngine, None, "0x1.2869a5bcb0931p+4",
             {"weather": ("0x1.2df6e65412abap+6", 48, 48)},
         ),
-        (ExecutionMode.STREAMED, 10, "0x1.c1cc177bd5878p+5", {}),
+        (ExecutionEngine, 10, "0x1.c1cc177bd5878p+5", {}),
     ),
-    ids=("parallel", "multithreaded", "streamed"),
+    ids=("full-scan", "threaded", "top-k"),
 )
-def test_a_restarted_run_reports_what_it_always_did(mode, k, elapsed, changed):
+def test_a_restarted_run_reports_what_it_always_did(engine, k, elapsed, changed):
     registry, query = travel_registry(), running_example_query()
     plan = PlanBuilder(query, registry).build(
         alpha1_patterns(), poset_serial(),
@@ -179,8 +184,8 @@ def test_a_restarted_run_reports_what_it_always_did(mode, k, elapsed, changed):
     wrap_registry_flaky(
         registry, FaultSchedule(seed=2, fail_rate=0.2), attempt_aware=True
     )
-    result = ExecutionEngine(
-        registry, cache_setting=CacheSetting.OPTIMAL, mode=mode,
+    result = engine(
+        registry, cache_setting=CacheSetting.OPTIMAL,
         resilience=ResilienceConfig(attempts=2, partial_results=True),
     ).execute(plan, head=query.head, k=k)
     stats = result.stats
@@ -198,15 +203,12 @@ class TestResumedRoundAccounting:
             JoinMethod.MERGE_SCAN, side=20, chunk=2, fetches=10
         )
         head = tuple(query.head)
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
+        expected = compose_ranking(reference_execute(plan, registry).rows, 12)
         wrappers = wrap_registry_flaky(
             registry, FaultSchedule(seed=3, fail_rate=0.4), attempt_aware=True
         )
         engine = ExecutionEngine(
             registry,
-            mode=ExecutionMode.STREAMED,
             resilience=ResilienceConfig(attempts=40),
         )
         first = engine.execute(plan, head=head, k=1)
@@ -230,7 +232,7 @@ class TestResumedRoundAccounting:
         # The creating round's object is not mutated.
         assert first.stats == created
         assert [(r.bindings, r.rank_key()) for r in rows] == [
-            (r.bindings, r.rank_key()) for r in compose_ranking(oracle.rows, 12)
+            (r.bindings, r.rank_key()) for r in expected
         ]
 
 
@@ -238,11 +240,18 @@ class TestReplanSharesRouting:
     PARTIAL = ResilienceConfig(partial_results=True)
 
     def _executor(self, registry, query, plan):
-        return ProgressiveExecutor(
+        """A drift-armed session whose walks fetch the join's inputs up
+        front, one service after the other as a full scan does, so each
+        slow service trips at its own third page."""
+        executor = ProgressiveExecutor(
             registry=registry, plan=plan, head=tuple(query.head),
-            mode=ExecutionMode.PARALLEL, resilience=self.PARTIAL,
-            replan=lambda observed: None,
+            resilience=self.PARTIAL, replan=lambda observed: None,
         )
+        executor._engine = eager_streamed_engine(
+            registry, resilience=self.PARTIAL,
+            drift_monitor=executor.engine.drift_monitor,
+        )
+        return executor
 
     def test_substitution_survives_a_second_splice(self):
         registry, query, plan = build_world(sibling=True, fetches=3)
@@ -293,15 +302,11 @@ class TestReplanSharesRouting:
 
 
 class TestMaskedBeforeRouted:
-    @pytest.mark.parametrize(
-        "mode", (ExecutionMode.PARALLEL, ExecutionMode.STREAMED),
-        ids=("eager", "lazy"),
-    )
-    def test_a_demoted_unit_is_never_routed(self, mode):
+    @pytest.mark.parametrize("k", (None, 2), ids=("eager", "lazy"))
+    def test_a_demoted_unit_is_never_routed(self, k):
         registry, query, plan = build_world(sibling=True)
         engine = ExecutionEngine(
-            registry, mode=mode,
-            resilience=ResilienceConfig(partial_results=True),
+            registry, resilience=ResilienceConfig(partial_results=True)
         )
         engine.routing.substitute_service("lefts", "lefts_backup")
         mask_unit(engine, "lefts", UNIT_KEY)
@@ -313,7 +318,7 @@ class TestMaskedBeforeRouted:
             return route(service, input_key)
 
         engine.routing.route = spy
-        result = engine.execute(plan, head=tuple(query.head), k=2)
+        result = engine.execute(plan, head=tuple(query.head), k=k)
         # Routing is live (the healthy unit went through it) ...
         assert routed == [("rights", UNIT_KEY)]
         # ... and the demoted unit was neither resurrected nor served.

@@ -9,7 +9,7 @@ orderings (shape), not its absolute values.
 import pytest
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.experiments import figure11_plans
 from repro.sources.travel import running_example_query, travel_registry
 
@@ -32,12 +32,8 @@ def figure11():
     outcomes = {}
     for setting in CacheSetting:
         for name, plan in plans.items():
-            engine = ExecutionEngine(
-                registry, cache_setting=setting, mode=ExecutionMode.PARALLEL
-            )
-            outcomes[(setting, name)] = engine.execute(
-                plan, head=query.head, k=10
-            )
+            engine = ExecutionEngine(registry, cache_setting=setting)
+            outcomes[(setting, name)] = engine.execute(plan, head=query.head)
     return outcomes
 
 

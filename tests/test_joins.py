@@ -9,7 +9,7 @@ from repro.execution.joins import (
     merge_scan_order,
     nested_loop_order,
 )
-from repro.execution.results import Row, compose_ranking
+from repro.execution.results import Row
 from repro.model.predicates import (
     BinaryExpression,
     Comparison,
@@ -20,6 +20,7 @@ from repro.model.terms import Constant, Variable
 from repro.services.registry import JoinMethod
 from repro.testing import (
     compiled_join,
+    compose_ranking,
     execute_join,
     is_order_rank_consistent,
     join_stream,
@@ -319,9 +320,15 @@ class TestJoinKernel:
             expected = execute_join(method, left, right)
             assert len(expected) == 3
             assert joined(join, left, right) == expected
+            # The staged walk: its first stage meets the key and scans
+            # every cell from then on.
             stream = join_stream(join, left, right)
+            assert stream.top(1) == compose_ranking(expected, 1)
+            assert stream._index is None
             assert stream.top(None) == compose_ranking(expected)
-            assert stream._index is None  # scanned every cell of the plane
+            # The one-pass drain of a full scan.
+            drained = join_stream(join, left, right).top(None)
+            assert drained == compose_ranking(expected)
 
     def test_two_joins_of_one_shape_share_one_code_object(self):
         X, Y, P, Q, U, V = (Variable(name) for name in "XYPQUV")

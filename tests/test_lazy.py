@@ -12,8 +12,9 @@ Three layers:
   random chunk sizes, and both monotone and non-monotone rank
   sequences (the latter exercising the fallback);
 * the engine — lazy streamed executions are bit-identical to both the
-  eager streamed path and the full-scan oracle while issuing strictly
-  fewer fetches on rank-monotone workloads; service-terminal plans
+  eager streamed path and the reference interpreter
+  (``compose_ranking(reference_execute(...), k)``) while issuing
+  strictly fewer fetches than a full scan on rank-monotone workloads; service-terminal plans
   stream their pipe chain (``tests/test_lazy_chain.py`` is their
   oracle suite); resumed streams record their fetches on rebound
   statistics, never on the round that created them.  What a walk
@@ -28,13 +29,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.engine import ChainStream, ExecutionEngine, ExecutionMode
+from repro.execution.engine import ChainStream, ExecutionEngine
 from repro.execution.joins import JoinStream
 from repro.execution.lazy import (
     LazyServiceCursor,
     MaterializedCursor,
 )
-from repro.execution.results import Row, SlotLayout, compose_ranking
+from repro.execution.results import Row, SlotLayout
 from repro.execution.stats import ExecutionStats
 from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
@@ -49,9 +50,11 @@ from repro.testing import (
     as_records,
     chain_poset,
     compiled_join,
+    compose_ranking,
     demand_blocks,
     emitted,
     execute_join,
+    reference_execute,
     step_cells,
 )
 
@@ -262,7 +265,7 @@ def _single_feed_plan(method, side=20, chunk=4, fetches=5):
 
     Both services are keyed by the constant ``q`` and fed straight from
     the input node (one tuple), so the engine wraps them in lazy
-    cursors under STREAMED execution.
+    cursors in a top-k walk.
     """
     registry = ServiceRegistry()
     for name, var in (("lefts", "L"), ("rights", "R")):
@@ -300,19 +303,17 @@ class TestLazyStreamedEngine:
     def test_lazy_saves_fetches_and_stays_exact(self):
         registry, query, plan = _single_feed_plan(JoinMethod.MERGE_SCAN)
         head = tuple(query.head)
-        engine = ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
+        engine = ExecutionEngine(registry)
         lazy = engine.execute(plan, head=head, k=1)
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
-        expected = compose_ranking(oracle.rows, 1)
+        full = ExecutionEngine(registry).execute(plan, head=head)
+        expected = compose_ranking(reference_execute(plan, registry).rows, 1)
         assert _signature(lazy.rows) == _signature(expected)
         # One page per side instead of the full budget.
         assert lazy.stats.total_fetches == 2
-        assert oracle.stats.total_fetches == 10
+        assert full.stats.total_fetches == 10
         assert lazy.stats.total_tuples_fetched == 8
         # Eight budgeted pages never pulled: eager's less lazy's.
-        assert oracle.stats.total_fetches - lazy.stats.total_fetches == 8
+        assert full.stats.total_fetches - lazy.stats.total_fetches == 8
         # The ledger's rows out trace what was actually materialized.
         lazy_steps = [
             step.index for step in lazy.program.steps
@@ -328,8 +329,8 @@ class TestLazyStreamedEngine:
         weather tuples: each feed tuple becomes a budgeted block of a
         :class:`MultiFeedCursor`, so the streamed walk fetches fewer
         raw tuples than eager materialization while staying
-        bit-identical to the full-scan oracle — serial-shaped plans
-        now save remote work too."""
+        bit-identical to the reference interpreter — serial-shaped
+        plans now save remote work too."""
         from repro.sources.travel import (
             FLIGHT_ATOM,
             HOTEL_ATOM,
@@ -342,28 +343,24 @@ class TestLazyStreamedEngine:
             fetches={FLIGHT_ATOM: 2, HOTEL_ATOM: 2},
         )
         head = tuple(travel_query.head)
-        streamed = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=head, k=2
-        )
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
-        expected = compose_ranking(oracle.rows, 2)
+        streamed = ExecutionEngine(registry).execute(plan, head=head, k=2)
+        full = ExecutionEngine(registry).execute(plan, head=head)
+        expected = compose_ranking(reference_execute(plan, registry).rows, 2)
         assert _signature(streamed.rows) == _signature(expected)
         # One block per weather tuple, on both the flight and hotel
         # side, and some of them never fetched.
         blocks = demand_blocks(streamed)
         assert sum(known for known, _ in blocks.values()) > 2
         assert any(touched < known for known, touched in blocks.values())
-        assert oracle.stats.total_fetches - streamed.stats.total_fetches > 0
+        assert full.stats.total_fetches - streamed.stats.total_fetches > 0
         assert 0 < sum(
             step_cells(streamed.stats, index).tuples_fetched for index in blocks
         )
         assert (
             streamed.stats.total_tuples_fetched
-            <= oracle.stats.total_tuples_fetched
+            <= full.stats.total_tuples_fetched
         )
-        assert streamed.stats.total_fetches <= oracle.stats.total_fetches
+        assert streamed.stats.total_fetches <= full.stats.total_fetches
 
     def test_service_terminal_plan_streams_its_chain(
         self, tiny_registry, tiny_query
@@ -379,9 +376,7 @@ class TestLazyStreamedEngine:
             chain_poset(2, [0, 1]),
         )
         head = tuple(tiny_query.head)
-        streamed = ExecutionEngine(
-            tiny_registry, mode=ExecutionMode.STREAMED
-        ).execute(plan, head=head, k=2)
+        streamed = ExecutionEngine(tiny_registry).execute(plan, head=head, k=2)
         assert isinstance(streamed.stream, ChainStream)
         assert streamed.stats.rows_out[-1] == len(streamed.rows) > 0
         blocks = demand_blocks(streamed)
@@ -390,16 +385,15 @@ class TestLazyStreamedEngine:
         ) > 0
         # cities, then a spots block
         assert sum(known for known, _ in blocks.values()) >= 2
-        oracle = ExecutionEngine(
-            tiny_registry, mode=ExecutionMode.PARALLEL
-        ).execute(plan, head=head)
+        full = ExecutionEngine(tiny_registry).execute(plan, head=head)
+        reference = reference_execute(plan, tiny_registry)
         assert _signature(streamed.rows) == _signature(
-            compose_ranking(oracle.rows, 2)
+            compose_ranking(reference.rows, 2)
         )
-        assert streamed.stats.total_fetches <= oracle.stats.total_fetches
+        assert streamed.stats.total_fetches <= full.stats.total_fetches
         # Resuming walks on, and draining it yields everything.
         assert _signature(streamed.stream.top(None)) == _signature(
-            compose_ranking(oracle.rows)
+            reference.rows
         )
 
     def test_a_resumed_chain_hands_back_the_rows_it_delivered(
@@ -414,9 +408,9 @@ class TestLazyStreamedEngine:
             ),
             chain_poset(2, [0, 1]),
         )
-        streamed = ExecutionEngine(
-            tiny_registry, mode=ExecutionMode.STREAMED
-        ).execute(plan, head=tuple(tiny_query.head), k=2)
+        streamed = ExecutionEngine(tiny_registry).execute(
+            plan, head=tuple(tiny_query.head), k=2
+        )
         delivered = streamed.rows
         more = streamed.stream.top(4)
         assert len(more) > len(delivered) == 2
@@ -431,7 +425,7 @@ class TestLazyStreamedEngine:
             JoinMethod.MERGE_SCAN, side=20, chunk=2, fetches=10
         )
         head = tuple(query.head)
-        engine = ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
+        engine = ExecutionEngine(registry)
         first = engine.execute(plan, head=head, k=1)
         assert first.stream is not None
         fetches_before = first.stats.total_fetches
@@ -439,10 +433,9 @@ class TestLazyStreamedEngine:
         resume_stats = ExecutionStats()
         first.accounting.rebind(resume_stats)
         rows = first.stream.top(8)
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
+        assert _signature(rows) == _signature(
+            compose_ranking(reference_execute(plan, registry).rows, 8)
         )
-        assert _signature(rows) == _signature(compose_ranking(oracle.rows, 8))
         assert resume_stats.total_fetches > 0
         assert first.stats.total_fetches == fetches_before
 
@@ -451,7 +444,7 @@ class TestLazyStreamedEngine:
         st.lists(st.integers(0, 2), min_size=1, max_size=6),
         st.integers(1, 3),
         st.integers(1, 3),
-        st.integers(0, 12),
+        st.integers(1, 12),
         st.sampled_from(METHODS),
     )
     @settings(max_examples=25, deadline=None)
@@ -459,9 +452,9 @@ class TestLazyStreamedEngine:
         self, lk, rk, cl, cr, k, method
     ):
         """Engine-level differential with random chunk sizes: the lazy
-        path and the full-scan oracle agree bit-for-bit while lazy
+        path and the reference interpreter agree bit-for-bit while lazy
         never fetches more than eager materialization (which fetches
-        exactly what the ``PARALLEL`` oracle does)."""
+        exactly what the full scan does)."""
         registry = ServiceRegistry()
         registry.register(
             TableSearchService(
@@ -499,15 +492,11 @@ class TestLazyStreamedEngine:
             fetches={0: 2, 1: 2},
         )
         head = tuple(query.head)
-        lazy = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=head, k=k
-        )
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
-        expected = compose_ranking(oracle.rows, k)
+        lazy = ExecutionEngine(registry).execute(plan, head=head, k=k)
+        full = ExecutionEngine(registry).execute(plan, head=head)
+        expected = compose_ranking(reference_execute(plan, registry).rows, k)
         assert _signature(lazy.rows) == _signature(expected)
-        assert lazy.stats.total_fetches <= oracle.stats.total_fetches
+        assert lazy.stats.total_fetches <= full.stats.total_fetches
         assert (
-            lazy.stats.total_tuples_fetched <= oracle.stats.total_tuples_fetched
+            lazy.stats.total_tuples_fetched <= full.stats.total_tuples_fetched
         )

@@ -36,7 +36,7 @@ from test_lazy_multifeed import _LinearScanReference, _cursor_over, _paged
 from test_resilience import _count_invocations
 
 from repro.execution.cache import CacheSetting, OptimalCache
-from repro.execution.engine import ChainStream, ExecutionEngine, ExecutionMode
+from repro.execution.engine import ChainStream, ExecutionEngine
 from repro.execution.lazy import (
     LazyServiceCursor,
     MaterializedCursor,
@@ -45,7 +45,7 @@ from repro.execution.lazy import (
 from repro.execution.program import ExecutionProgram
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import ResilienceConfig
-from repro.execution.results import Row, SlotLayout, compose_ranking
+from repro.execution.results import Row, SlotLayout
 from repro.model.atoms import Atom
 from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
@@ -62,6 +62,7 @@ from repro.testing import (
     ReexecutingExecutor,
     as_records,
     chain_poset,
+    compose_ranking,
     demand_blocks,
     eager_streamed_engine,
     emitted,
@@ -174,7 +175,7 @@ def _run(engine, plan, head, k, capacity):
 
 
 class TestChainsMatchTheReference:
-    @given(_chains(), st.integers(0, 12))
+    @given(_chains(), st.integers(1, 12))
     @settings(max_examples=70, deadline=None)
     def test_rows_ranks_and_order_equal_the_interpreter(self, chain, k):
         levels, seed, residual = chain
@@ -184,9 +185,7 @@ class TestChainsMatchTheReference:
         assert program.lazy == frozenset(range(1, len(levels) + 1))
         for setting, capacity in _SETTINGS:
             lazy = _run(
-                ExecutionEngine(
-                    registry, cache_setting=setting, mode=ExecutionMode.STREAMED
-                ),
+                ExecutionEngine(registry, cache_setting=setting),
                 program, head, k, capacity,
             )
             eager = _run(
@@ -224,15 +223,14 @@ class TestChainsMatchTheReference:
         remote fetch).  Per step of the chain and at every k, the lazy
         walk fetches no more than the eager walk, and its feeder's rows
         — one block each — never number fewer than the blocks answered
-        by a call or a hit; the difference, blocks that never fetched,
-        is positive at some small k."""
+        by a call or a hit; the difference is the blocks that never
+        fetched (:meth:`test_the_first_answer_leaves_a_block_unfetched`)."""
         levels, seed, residual = chain
         registry, head, plan = _chain_world(levels, seed, residual)
         program = ExecutionProgram.compile(plan, head)
-        lazy_engine = ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
+        lazy_engine = ExecutionEngine(registry)
         eager_engine = eager_streamed_engine(registry)
-        untouched_at = []
-        for k in range(13):
+        for k in range(1, 13):
             lazy = lazy_engine.execute(program, k=k)
             eager = eager_engine.execute(program, k=k)
             assert _signature(lazy.rows) == _signature(eager.rows)
@@ -244,17 +242,21 @@ class TestChainsMatchTheReference:
                     <= step_cells(eager.stats, index).fetches
                 )
                 assert known - touched >= 0
-            if any(known > touched for known, touched in blocks.values()):
-                untouched_at.append(k)
-        assert untouched_at and untouched_at[0] <= 1
 
-    @given(_chains(), st.integers(0, 6), st.integers(0, 12))
+    def test_the_first_answer_leaves_a_block_unfetched(self):
+        """Two ranked levels, the second fed two blocks: the first
+        answer is certified from one of them."""
+        registry, head, plan = _chain_world([(True, 2, 2), (True, 2, 2)], 1)
+        lazy = ExecutionEngine(registry).execute(plan, head=head, k=1)
+        assert demand_blocks(lazy) == {1: (1, 1), 2: (2, 1)}
+
+    @given(_chains(), st.integers(1, 6), st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
     def test_resumed_chain_stays_exact_and_never_repulls(self, chain, k1, extra):
         levels, seed, residual = chain
         registry, head, plan = _chain_world(levels, seed, residual)
         everything = reference_execute(plan, registry).rows
-        engine = ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
+        engine = ExecutionEngine(registry)
         first = engine.execute(plan, head=head, k=k1)
         assert _signature(first.rows) == _signature(
             compose_ranking(everything, k1)
@@ -275,12 +277,12 @@ class TestChainsMatchTheReference:
             <= eager.stats.total_fetches
         )
 
-    @given(_chains(), st.integers(0, 10**6), st.integers(0, 12))
+    @given(_chains(), st.integers(0, 10**6), st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
     def test_corrupted_pages_never_change_the_answer(self, chain, fault_seed, k):
         """Truncated, duplicated and reordered pages: a block whose
         ranks regress drains itself, and the chain still agrees with a
-        full scan of the same faulted world."""
+        reference run of the same faulted world."""
         levels, seed, residual = chain
         registry, head, plan = _chain_world(levels, seed, residual)
         schedule = FaultSchedule(
@@ -291,20 +293,18 @@ class TestChainsMatchTheReference:
             registry._services[name] = FlakyService(
                 registry.service(name), schedule
             )
-        lazy = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=head, k=k
+        lazy = ExecutionEngine(registry).execute(plan, head=head, k=k)
+        full = ExecutionEngine(registry).execute(plan, head=head)
+        assert _signature(lazy.rows) == _signature(
+            compose_ranking(reference_execute(plan, registry).rows, k)
         )
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
-        assert _signature(lazy.rows) == _signature(compose_ranking(oracle.rows, k))
-        assert lazy.stats.total_fetches <= oracle.stats.total_fetches
+        assert lazy.stats.total_fetches <= full.stats.total_fetches
 
 
 # -- growth in place vs. growth by re-execution ------------------------------
 
 _script = st.lists(
-    st.tuples(st.sampled_from(("run", "more")), st.integers(0, 9)),
+    st.tuples(st.sampled_from(("run", "more")), st.integers(1, 9)),
     min_size=1, max_size=5,
 )
 
@@ -333,7 +333,6 @@ class TestGrowthInPlace:
             registry, head, plan = _chain_world(levels, seed, residual)
             executors.append(cls(
                 registry=registry, plan=plan, head=head,
-                mode=ExecutionMode.STREAMED,
             ))
         in_place, re_executing = executors
         assert in_place._program.grows_in_place
@@ -389,7 +388,6 @@ class TestGrowthInPlace:
             )
             executor = cls(
                 registry=registry, plan=plan, head=tuple(query.head),
-                mode=ExecutionMode.STREAMED,
             )
             result = executor.run(6)
             assert len(result.rows) == 6
@@ -781,7 +779,7 @@ class TestFaultsMidChain:
         outcomes = {}
         for name, make_engine in (
             ("lazy", lambda registry: ExecutionEngine(
-                registry, mode=ExecutionMode.STREAMED, resilience=_PARTIAL)),
+                registry, resilience=_PARTIAL)),
             ("eager", lambda registry: eager_streamed_engine(
                 registry, resilience=_PARTIAL)),
         ):
@@ -811,13 +809,13 @@ class TestFaultsMidChain:
                 result.certificate.answer_units
             )
 
-    @given(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 8))
+    @given(st.integers(0, 10**6), st.integers(0, 2), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_a_demoted_unit_is_a_block_exhausted_from_birth(self, seed, key, k):
         results = []
         for make_engine in (
             lambda registry: ExecutionEngine(
-                registry, mode=ExecutionMode.STREAMED,
+                registry,
                 resilience=ResilienceConfig(partial_results=True)),
             lambda registry: eager_streamed_engine(
                 registry, resilience=ResilienceConfig(partial_results=True)),
@@ -852,8 +850,7 @@ class TestFaultsMidChain:
         )
         proxies = _count_invocations(registry)
         executor = ProgressiveExecutor(
-            registry=registry, plan=plan, head=head,
-            mode=ExecutionMode.STREAMED, replan=lambda observed: None,
+            registry=registry, plan=plan, head=head, replan=lambda observed: None,
         )
         result = executor.run(4)
         more = executor.more(3)
@@ -867,7 +864,6 @@ class TestFaultsMidChain:
         static_registry, head, static_plan = _chain_world(_FAULT_CHAIN, seed=3)
         static = ProgressiveExecutor(
             registry=static_registry, plan=static_plan, head=head,
-            mode=ExecutionMode.STREAMED,
         )
         assert _signature(result.rows) == _signature(static.run(4).rows)
         assert _signature(more.rows) == _signature(static.more(3).rows)

@@ -13,10 +13,10 @@ single-feed suite uses:
   over the eager feed-order concatenation, and must never fetch more
   pages than the eager universe holds;
 * engine level — a serial-shaped plan (feeder → multi-feed service,
-  joined with a single-feed service) under ``ExecutionMode.STREAMED``
-  must agree bit-for-bit with the eager streamed path and the
-  full-scan ``PARALLEL`` oracle while fetching **at most** as many raw
-  tuples as eager materialization (mirroring the random-chunk engine
+  joined with a single-feed service) walked to a top-k must agree
+  bit-for-bit with the eager streamed path and the reference
+  interpreter (``compose_ranking(reference_execute(...), k)``) while
+  fetching **at most** as many raw tuples as eager materialization (mirroring the random-chunk engine
   differential of ``tests/test_property_streaming.py``);
 * resumes — growing ``k`` on a suspended multi-feed stream stays exact
   and only ever advances the walk;
@@ -33,14 +33,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.joins import JoinStream
 from repro.execution.lazy import (
     LazyServiceCursor,
     MaterializedCursor,
     MultiFeedCursor,
 )
-from repro.execution.results import Row, SlotLayout, compose_ranking
+from repro.execution.results import Row, SlotLayout
 from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
@@ -53,10 +53,12 @@ from repro.testing import (
     ListPageSource,
     as_records,
     compiled_join,
+    compose_ranking,
     demand_blocks,
     eager_streamed_engine,
     emitted,
     execute_join,
+    reference_execute,
     step_cells,
 )
 
@@ -359,7 +361,7 @@ class TestSerialPlanEngineDifferential:
         st.lists(st.integers(0, 2), min_size=1, max_size=5),
         st.integers(1, 3),
         st.integers(1, 3),
-        st.integers(0, 12),
+        st.integers(1, 12),
         st.sampled_from(METHODS),
     )
     @settings(max_examples=25, deadline=None)
@@ -368,13 +370,9 @@ class TestSerialPlanEngineDifferential:
     ):
         registry, head, plan = _serial_plan(range(feeds), bk, rk, cl, cr)
         registry.register_join_method("lefts", "rights", method)
-        lazy = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=head, k=k
-        )
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
-        expected = compose_ranking(oracle.rows, k)
+        lazy = ExecutionEngine(registry).execute(plan, head=head, k=k)
+        full = ExecutionEngine(registry).execute(plan, head=head)
+        expected = compose_ranking(reference_execute(plan, registry).rows, k)
         assert _signature(lazy.rows) == _signature(expected)
         # The multi-feed node opens at most one block per feeder tuple,
         # as the walk's demand reaches it: the ledger's feed rows.
@@ -382,9 +380,9 @@ class TestSerialPlanEngineDifferential:
         known = sum(known for known, _ in blocks.values())
         assert 2 <= known <= feeds + 2  # + feeder, rights
         # Fetching is demand-driven: never more remote work than eager.
-        assert lazy.stats.total_fetches <= oracle.stats.total_fetches
+        assert lazy.stats.total_fetches <= full.stats.total_fetches
         assert (
-            lazy.stats.total_tuples_fetched <= oracle.stats.total_tuples_fetched
+            lazy.stats.total_tuples_fetched <= full.stats.total_tuples_fetched
         )
 
     def test_small_k_saves_remote_work_on_serial_plans(self):
@@ -392,18 +390,16 @@ class TestSerialPlanEngineDifferential:
             range(4), list(range(8)), list(range(8)), 2, 2
         )
         registry.register_join_method("lefts", "rights", JoinMethod.MERGE_SCAN)
-        lazy = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=head, k=1
+        lazy = ExecutionEngine(registry).execute(plan, head=head, k=1)
+        full = ExecutionEngine(registry).execute(plan, head=head)
+        assert _signature(lazy.rows) == _signature(
+            compose_ranking(reference_execute(plan, registry).rows, 1)
         )
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
-        assert _signature(lazy.rows) == _signature(compose_ranking(oracle.rows, 1))
         assert (
-            lazy.stats.total_tuples_fetched < oracle.stats.total_tuples_fetched
+            lazy.stats.total_tuples_fetched < full.stats.total_tuples_fetched
         )
         # Budgeted pages never pulled, and blocks that never fetched.
-        assert oracle.stats.total_fetches - lazy.stats.total_fetches > 0
+        assert full.stats.total_fetches - lazy.stats.total_fetches > 0
         assert any(
             touched < known for known, touched in demand_blocks(lazy).values()
         )
@@ -424,14 +420,13 @@ class TestSerialPlanEngineDifferential:
         remote fetch).  Per demand-driven step and at every k, a lazy
         walk fetches no more than the eager walk, and its feeder's rows
         — one block each — never number fewer than the blocks answered
-        by a call or a hit; the difference, blocks that never fetched,
-        is positive at some small k."""
+        by a call or a hit; the difference is the blocks that never
+        fetched (:meth:`test_small_k_saves_remote_work_on_serial_plans`)."""
         registry, head, plan = _serial_plan(range(feeds), bk, rk, cl, cr)
         registry.register_join_method("lefts", "rights", method)
-        lazy_engine = ExecutionEngine(registry, mode=ExecutionMode.STREAMED)
+        lazy_engine = ExecutionEngine(registry)
         eager_engine = eager_streamed_engine(registry)
-        untouched_at = []
-        for k in range(13):
+        for k in range(1, 13):
             lazy = lazy_engine.execute(plan, head=head, k=k)
             eager = eager_engine.execute(plan, head=head, k=k)
             assert _signature(lazy.rows) == _signature(eager.rows)
@@ -443,9 +438,6 @@ class TestSerialPlanEngineDifferential:
                     <= step_cells(eager.stats, index).fetches
                 )
                 assert known - touched >= 0
-            if any(known > touched for known, touched in blocks.values()):
-                untouched_at.append(k)
-        assert untouched_at and untouched_at[0] <= 1
 
     @given(st.integers(0, 10**4), st.sampled_from(list(CacheSetting)))
     @settings(max_examples=20, deadline=None)
@@ -466,15 +458,12 @@ class TestSerialPlanEngineDifferential:
         registry.register_join_method(
             "lefts", "rights", JoinMethod.MERGE_SCAN
         )
-        k = rng.randint(0, 10)
+        k = rng.randint(1, 10)
         lazy = ExecutionEngine(
-            registry, mode=ExecutionMode.STREAMED, cache_setting=setting
+            registry, cache_setting=setting
         ).execute(plan, head=head, k=k)
-        oracle = ExecutionEngine(
-            registry, mode=ExecutionMode.PARALLEL, cache_setting=setting
-        ).execute(plan, head=head)
         assert _signature(lazy.rows) == _signature(
-            compose_ranking(oracle.rows, k)
+            compose_ranking(reference_execute(plan, registry).rows, k)
         )
 
     def test_progressive_resume_grows_multi_feed_demand(self):
@@ -486,7 +475,6 @@ class TestSerialPlanEngineDifferential:
         registry.register_join_method("lefts", "rights", JoinMethod.MERGE_SCAN)
         executor = ProgressiveExecutor(
             registry=registry, plan=plan, head=head,
-            mode=ExecutionMode.STREAMED,
         )
         first = executor.run(k=1)
         assert first.stream is not None
@@ -497,10 +485,7 @@ class TestSerialPlanEngineDifferential:
         # The grown demand pulled further budgeted pages, recorded on
         # the resumed round's stats; round 1 stays frozen.
         assert first.stats.total_fetches == first_fetches
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
-        expected = compose_ranking(oracle.rows, 8)
+        expected = compose_ranking(reference_execute(plan, registry).rows, 8)
         assert _signature(more.rows) == _signature(expected)
 
 

@@ -77,11 +77,17 @@ class TestEngineModes:
         assert warm_hotel.remote_cache_hits > first_hotel.remote_cache_hits
         assert warm_hotel.busy_time < first_hotel.busy_time
 
-    def test_k_is_advisory_answers_trim(self, registry, travel_query, plan):
+    def test_k_decides_between_top_k_and_full_scan(
+        self, registry, travel_query, plan
+    ):
         engine = ExecutionEngine(registry, CacheSetting.ONE_CALL)
-        result = engine.execute(plan, head=travel_query.head, k=3)
-        assert len(result.answers()) == 3
-        assert len(result.rows) > 3
+        top = engine.execute(plan, head=travel_query.head, k=3)
+        full = engine.execute(plan, head=travel_query.head)
+        assert len(top.rows) == len(top.answers()) == 3
+        assert not top.complete
+        assert len(full.rows) > 3 and full.complete
+        # A full scan trims where it is read.
+        assert top.answers() == full.answers(3)
 
     def test_empty_head_projects_empty_tuples(self, registry, plan):
         engine = ExecutionEngine(registry, CacheSetting.ONE_CALL)

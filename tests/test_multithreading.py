@@ -9,8 +9,9 @@ up to 212 of the 284)."""
 import pytest
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.experiments import figure11_plans
+from repro.experiments.figure11 import ThreadedEngine
 from repro.sources.travel import running_example_query, travel_registry
 
 
@@ -25,10 +26,10 @@ class TestSpeedup:
     def test_threads_collapse_serial_plan_time(self, serial_plan_setup):
         registry, query, plan = serial_plan_setup
         sequential = ExecutionEngine(
-            registry, CacheSetting.NO_CACHE, mode=ExecutionMode.PARALLEL
+            registry, CacheSetting.NO_CACHE
         ).execute(plan, head=query.head)
-        threaded = ExecutionEngine(
-            registry, CacheSetting.NO_CACHE, mode=ExecutionMode.MULTITHREADED
+        threaded = ThreadedEngine(
+            registry, CacheSetting.NO_CACHE
         ).execute(plan, head=query.head)
         # The paper measures 76 s vs 374 s: about a 5x speedup.  Our
         # virtual clock must show at least 3x.
@@ -36,8 +37,8 @@ class TestSpeedup:
 
     def test_threaded_time_is_sum_of_slowest_calls(self, serial_plan_setup):
         registry, query, plan = serial_plan_setup
-        threaded = ExecutionEngine(
-            registry, CacheSetting.NO_CACHE, mode=ExecutionMode.MULTITHREADED
+        threaded = ThreadedEngine(
+            registry, CacheSetting.NO_CACHE
         ).execute(plan, head=query.head)
         # Lower bound: one call per service on the critical path.
         assert threaded.elapsed >= 1.2 + 1.5 + 9.7 + 4.9
@@ -49,10 +50,10 @@ class TestCacheDegradation:
         hotel calls land between the cached 15 and the raw 284."""
         registry, query, plan = serial_plan_setup
         ordered = ExecutionEngine(
-            registry, CacheSetting.ONE_CALL, mode=ExecutionMode.PARALLEL
+            registry, CacheSetting.ONE_CALL
         ).execute(plan, head=query.head)
-        threaded = ExecutionEngine(
-            registry, CacheSetting.ONE_CALL, mode=ExecutionMode.MULTITHREADED
+        threaded = ThreadedEngine(
+            registry, CacheSetting.ONE_CALL
         ).execute(plan, head=query.head)
         assert ordered.stats.calls("hotel") == 15
         degraded = threaded.stats.calls("hotel")
@@ -62,20 +63,20 @@ class TestCacheDegradation:
         """'Of course, the optimal cache suffers no such drawbacks.'"""
         registry, query, plan = serial_plan_setup
         ordered = ExecutionEngine(
-            registry, CacheSetting.OPTIMAL, mode=ExecutionMode.PARALLEL
+            registry, CacheSetting.OPTIMAL
         ).execute(plan, head=query.head)
-        threaded = ExecutionEngine(
-            registry, CacheSetting.OPTIMAL, mode=ExecutionMode.MULTITHREADED
+        threaded = ThreadedEngine(
+            registry, CacheSetting.OPTIMAL
         ).execute(plan, head=query.head)
         assert threaded.stats.calls("hotel") == ordered.stats.calls("hotel")
 
     def test_answers_unchanged_by_threading(self, serial_plan_setup):
         registry, query, plan = serial_plan_setup
         ordered = ExecutionEngine(
-            registry, CacheSetting.ONE_CALL, mode=ExecutionMode.PARALLEL
+            registry, CacheSetting.ONE_CALL
         ).execute(plan, head=query.head)
-        threaded = ExecutionEngine(
-            registry, CacheSetting.ONE_CALL, mode=ExecutionMode.MULTITHREADED
+        threaded = ThreadedEngine(
+            registry, CacheSetting.ONE_CALL
         ).execute(plan, head=query.head)
         assert frozenset(ordered.answers(None)) == frozenset(
             threaded.answers(None)

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.progressive import MAX_ROUNDS, ProgressiveExecutor
-from repro.execution.results import compose_ranking
 from repro.plans.builder import PlanBuilder
 from repro.sources.travel import (
     FLIGHT_ATOM,
@@ -17,7 +16,9 @@ from repro.testing import (
     FaultSchedule,
     FlakyService,
     chain_poset,
+    compose_ranking,
     eager_streamed_engine,
+    reference_execute,
 )
 
 
@@ -70,6 +71,22 @@ class TestRun:
         extended = executor.more(10)
         assert len(extended.rows) >= min(13, len(first.rows) + 1)
 
+    @pytest.mark.parametrize(
+        "count, problem",
+        ((0, ">= 1, got 0"), (-1, ">= 1, got -1"),
+         (2.5, "an int, got 2.5"), (True, "an int, got True")),
+    )
+    def test_a_count_of_answers_is_checked(self, executor, count, problem):
+        """``run`` and ``more`` check their count where they read it:
+        unchecked, ``more(-2)`` after ``run(3)`` would shrink the
+        answer to one row."""
+        with pytest.raises(ValueError, match=f"^k must be {problem}$"):
+            executor.run(count)
+        executor.run(3)
+        with pytest.raises(ValueError, match=f"^additional must be {problem}$"):
+            executor.more(count)
+        assert len(executor.rounds) == 1
+
     def test_round_history_is_an_output_of_each_executor(
         self, registry, travel_query, executor
     ):
@@ -91,7 +108,7 @@ class TestRun:
 
 
 class TestStreamedResume:
-    """STREAMED continuations resume the suspended JoinStream: asking
+    """Continuations resume the suspended JoinStream: asking
     for more walks further into the already-materialized candidate
     plane, so no service call issued in an earlier round is ever
     repeated — under *any* logical-cache setting."""
@@ -105,7 +122,6 @@ class TestStreamedResume:
             registry=registry,
             plan=plan,
             head=tuple(travel_query.head),
-            mode=ExecutionMode.STREAMED,
             cache_setting=setting,
         )
         if not lazy:
@@ -151,10 +167,9 @@ class TestStreamedResume:
             alpha1_patterns(), poset_optimal(),
             fetches={FLIGHT_ATOM: 2, HOTEL_ATOM: 2},
         )
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            oracle_plan, head=tuple(travel_query.head)
+        expected = compose_ranking(
+            reference_execute(oracle_plan, registry).rows, 5
         )
-        expected = compose_ranking(oracle.rows, 5)
         assert [dict(r.bindings) for r in more.rows] == [
             dict(r.bindings) for r in expected
         ]
@@ -246,7 +261,6 @@ class TestLazyStreamedResume:
             registry=registry,
             plan=plan,
             head=tuple(query.head),
-            mode=ExecutionMode.STREAMED,
             cache_setting=setting,
         )
         return registry, query, plan, executor
@@ -271,10 +285,7 @@ class TestLazyStreamedResume:
         assert more.stats.total_cache_hits == 0
         assert more.stats.total_tuples_fetched == 0
         assert len(more.rows) == 4
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=tuple(query.head)
-        )
-        expected = compose_ranking(oracle.rows, 4)
+        expected = compose_ranking(reference_execute(plan, registry).rows, 4)
         assert [dict(r.bindings) for r in more.rows] == [
             dict(r.bindings) for r in expected
         ]
@@ -309,14 +320,12 @@ class TestLazyStreamedResume:
         # The stale-counter regression: round 1's stats stay frozen.
         assert first.stats.total_fetches == first_fetches
         assert len(more.rows) == 8
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=tuple(query.head)
-        )
+        full = ExecutionEngine(registry).execute(plan, head=tuple(query.head))
         # What is still unissued — eager's pages less every round's —
         # shrinks.
-        unissued = oracle.stats.total_fetches - first_fetches
+        unissued = full.stats.total_fetches - first_fetches
         assert unissued - more.stats.total_fetches < unissued
-        expected = compose_ranking(oracle.rows, 8)
+        expected = compose_ranking(reference_execute(plan, registry).rows, 8)
         assert [r.rank_key() for r in more.rows] == [
             r.rank_key() for r in expected
         ]
@@ -419,8 +428,7 @@ class TestResumedChainVirtualTime:
             fetches={0: 6},
         )
         return ProgressiveExecutor(
-            registry=registry, plan=plan, head=tuple(query.head),
-            mode=ExecutionMode.STREAMED, replan=replan,
+            registry=registry, plan=plan, head=tuple(query.head), replan=replan,
         )
 
     def test_execute_then_resume_lasts_as_long_as_one_execution(self):

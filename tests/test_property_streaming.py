@@ -1,8 +1,8 @@
 """Differential suite for the streaming early-exit top-k pipeline.
 
 The streamed execution path must be **bit-identical** — same rows,
-same ranks, same emission order — to ``compose_ranking`` over the
-full-scan oracle:
+same ranks, same emission order — to ``compose_ranking`` over an
+independent oracle:
 
 * at the join level, :class:`JoinStream` (``.top(k)``)
   against ``compose_ranking(execute_join(...), k)`` (and the
@@ -14,11 +14,13 @@ full-scan oracle:
   merges every cell, on what an index can get wrong: sparse and
   duplicate keys, ``1`` / ``1.0``, ``nan``, an unhashable key met
   mid-walk, resumes, and lazy inputs that deliver whole pages;
-* at the engine level, ``ExecutionMode.STREAMED`` against
-  ``ExecutionMode.PARALLEL`` on plans built over random service
-  tables, for both join methods — including the demand-driven lazy
-  fetch path under *random chunk sizes* (both against the oracle and
-  against the eager streamed path, which must never fetch less).
+* at the engine level, a top-k walk (``execute(k=...)``) against the
+  dict-row reference interpreter
+  (``compose_ranking(reference_execute(...), k)``) on plans built
+  over random service tables, for both join methods — including the
+  demand-driven lazy fetch path under *random chunk sizes* (its rows
+  against the interpreter, its fetches against the full scan's, which
+  must never be fewer).
 
 The suite also pins the early exit itself, from the walk's position
 (the stages it passed): proving a top-k complete for ``k >= n*m``
@@ -31,7 +33,7 @@ that needs merges or join rows counts them with a wrapper of its own.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.joins import (
     JoinStream,
     stage_cells,
@@ -42,7 +44,7 @@ from repro.execution.lazy import (
     MaterializedCursor,
     MultiFeedCursor,
 )
-from repro.execution.results import Row, compose_ranking
+from repro.execution.results import Row
 from repro.model.atoms import Atom
 from repro.model.predicates import BinaryExpression, Comparison
 from repro.model.query import ConjunctiveQuery
@@ -56,10 +58,14 @@ from repro.testing import (
     ListPageSource,
     as_records,
     compiled_join,
+    compose_ranking,
     execute_join,
     join_stream,
     joined,
+    reference_execute,
 )
+
+from tests.test_domains_matrix import engine_rows_out
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 
@@ -451,7 +457,7 @@ def _random_table_plan(left_keys, right_keys, method, chunks=(4, 4)):
     """A two-branch plan over random search tables, merged by *method*.
 
     Both services are fed from the input node (single feed tuple), so
-    a STREAMED engine fetches them through lazy cursors; *chunks*
+    a top-k walk fetches them through lazy cursors; *chunks*
     randomizes their page sizes for the lazy differential tests.
     """
     registry = ServiceRegistry()
@@ -497,40 +503,34 @@ _table_keys = st.lists(st.integers(0, 2), min_size=1, max_size=6)
 
 
 class TestStreamedEngineMatchesOracle:
-    """``ExecutionMode.STREAMED`` vs. the full-scan engine on plans
-    built over random service tables."""
+    """A top-k walk vs. the reference interpreter, and vs. the full
+    scan's fetches, on plans built over random service tables."""
 
-    @given(_table_keys, _table_keys, st.integers(0, 12), st.sampled_from(METHODS))
+    @given(_table_keys, _table_keys, st.integers(1, 12), st.sampled_from(METHODS))
     @settings(max_examples=25, deadline=None)
     def test_streamed_execution_bit_identical(self, lk, rk, k, method):
         registry, query, plan = _random_table_plan(lk, rk, method)
         head = tuple(query.head)
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
-        streamed = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=head, k=k
-        )
-        expected = compose_ranking(oracle.rows, k)
+        reference = reference_execute(plan, registry)
+        streamed = ExecutionEngine(registry).execute(plan, head=head, k=k)
+        expected = compose_ranking(reference.rows, k)
         assert _signature(streamed.rows) == _signature(expected)
         assert streamed.stream is not None
         # Proving a top-k of the whole plane complete visits all of it.
         program = streamed.program
         left, right = program.steps[program.terminal].feeds
-        plane = oracle.stats.rows_out[left] * oracle.stats.rows_out[right]
-        if k >= plane:
+        rows_out = engine_rows_out(reference, program)
+        if k >= rows_out[left] * rows_out[right]:
             assert streamed.stream.exhausted
         if streamed.complete:
-            assert _signature(streamed.rows) == _signature(
-                compose_ranking(oracle.rows, k)
-            )
+            assert len(streamed.rows) == len(reference.rows)
         else:
             assert len(streamed.rows) == k
 
     @given(
         _table_keys,
         _table_keys,
-        st.integers(0, 12),
+        st.integers(1, 12),
         st.sampled_from(METHODS),
         st.integers(1, 5),
         st.integers(1, 5),
@@ -540,35 +540,29 @@ class TestStreamedEngineMatchesOracle:
         self, lk, rk, k, method, chunk_left, chunk_right
     ):
         """The demand-driven fetch path (random page sizes) against the
-        full-scan oracle, whose fetches are eager materialization's:
-        identical rows, never more remote work."""
+        reference interpreter's rows and the full scan's fetches, which
+        are eager materialization's: identical rows, never more remote
+        work."""
         registry, query, plan = _random_table_plan(
             lk, rk, method, chunks=(chunk_left, chunk_right)
         )
         head = tuple(query.head)
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
-        lazy = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=head, k=k
-        )
-        expected = compose_ranking(oracle.rows, k)
+        full = ExecutionEngine(registry).execute(plan, head=head)
+        lazy = ExecutionEngine(registry).execute(plan, head=head, k=k)
+        expected = compose_ranking(reference_execute(plan, registry).rows, k)
         assert _signature(lazy.rows) == _signature(expected)
-        assert lazy.stats.total_fetches <= oracle.stats.total_fetches
-        assert lazy.stats.total_tuples_fetched <= oracle.stats.total_tuples_fetched
+        assert lazy.stats.total_fetches <= full.stats.total_fetches
+        assert lazy.stats.total_tuples_fetched <= full.stats.total_tuples_fetched
 
     @given(_table_keys, _table_keys, st.sampled_from(METHODS))
     @settings(max_examples=15, deadline=None)
-    def test_streamed_without_k_is_plain_execution(self, lk, rk, method):
+    def test_without_k_the_same_stream_is_drained(self, lk, rk, method):
         registry, query, plan = _random_table_plan(lk, rk, method)
         head = tuple(query.head)
-        oracle = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head
-        )
-        streamed = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=head
-        )
-        assert _signature(streamed.rows) == _signature(oracle.rows)
-        assert streamed.stream is None
-        assert streamed.complete
-        assert streamed.stats.rows_out == oracle.stats.rows_out
+        reference = reference_execute(plan, registry)
+        full = ExecutionEngine(registry).execute(plan, head=head)
+        assert _signature(full.rows) == _signature(reference.rows)
+        assert full.stream.exhausted
+        assert full.complete
+        assert full.stream.top(None) == full.rows  # nothing more to walk
+        assert full.stats.rows_out == engine_rows_out(reference, full.program)

@@ -14,8 +14,8 @@ the serving layer.  The contracts pinned here:
   service, pattern, inputs, page) returns a page actually containing
   the row's contribution — provenance is an audit trail, not an
   annotation.
-* **Complete**: under every execution mode (sequential, parallel,
-  streamed lazy/eager) and through continuations, every answer row
+* **Complete**: in every run (a full scan, a top-k walk over lazily or
+  eagerly fetched inputs) and through continuations, every answer row
   carries one record per service atom it was joined from.
 """
 
@@ -25,7 +25,7 @@ import json
 
 import pytest
 
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.results import Row
 from repro.model.parser import parse_query
 from repro.serving import QueryService
@@ -87,11 +87,13 @@ class TestRowMechanics:
         assert [row.ranks for row in tagged] == [row.ranks for row in plain]
 
 
-def _rows(registry, query, *, enabled, mode=ExecutionMode.PARALLEL,
-          lazy=True, k=8):
-    plan = _optimize(registry, query, k)
+def _rows(registry, query, *, enabled, lazy=True, k=8):
+    """The answers of the plan optimized for 8 answers: its top *k*
+    (a full scan for ``None``), the terminal's inputs fetched lazily
+    or up front."""
+    plan = _optimize(registry, query)
     engine = (
-        ExecutionEngine(registry, mode=mode, row_provenance=enabled)
+        ExecutionEngine(registry, row_provenance=enabled)
         if lazy
         else eager_streamed_engine(registry, row_provenance=enabled)
     )
@@ -100,9 +102,9 @@ def _rows(registry, query, *, enabled, mode=ExecutionMode.PARALLEL,
 
 class TestEngineProvenance:
     MODES = [
-        ("parallel", dict(mode=ExecutionMode.PARALLEL)),
-        ("streamed-lazy", dict(mode=ExecutionMode.STREAMED, lazy=True)),
-        ("streamed-eager", dict(mode=ExecutionMode.STREAMED, lazy=False)),
+        ("full-scan", dict(k=None)),
+        ("top-k-lazy", dict(lazy=True)),
+        ("top-k-eager", dict(lazy=False)),
     ]
 
     @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import threading
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +31,7 @@ from hypothesis import strategies as st
 
 import repro.testing.faults as faults
 from repro.execution.cache import CacheSetting
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.execution.resilience import (
     ResilienceConfig,
     UnresponsiveService,
@@ -268,16 +267,15 @@ class TestZeroFaultBitIdentity:
 
     @pytest.mark.parametrize("shape", sorted(PLAN_SHAPES))
     @pytest.mark.parametrize(
-        "engine",
+        "engine, k",
         [
-            partial(ExecutionEngine, mode=ExecutionMode.PARALLEL),
-            partial(ExecutionEngine, mode=ExecutionMode.STREAMED),
-            eager_streamed_engine,
+            (ExecutionEngine, None),
+            (ExecutionEngine, 5),
+            (eager_streamed_engine, 5),
         ],
         ids=("full", "lazy", "eager"),
     )
-    def test_resilient_engine_is_bit_identical(self, shape, engine):
-        k = 5
+    def test_resilient_engine_is_bit_identical(self, shape, engine, k):
         registry, head, plan = PLAN_SHAPES[shape]()
         plain = engine(registry).execute(plan, head=head, k=k)
         registry2, head2, plan2 = PLAN_SHAPES[shape]()
@@ -312,13 +310,10 @@ class TestRetryDifferential:
     )
     @settings(max_examples=25, deadline=None)
     def test_retries_recover_the_oracle(self, seed, shape, rate, k, lazy):
-        mode_kwargs = (
-            {"mode": ExecutionMode.STREAMED}
-            if lazy
-            else {"mode": ExecutionMode.PARALLEL}
-        )
+        if not lazy:
+            k = None  # a full scan
         oracle_registry, head, oracle_plan = PLAN_SHAPES[shape]()
-        oracle = ExecutionEngine(oracle_registry, **mode_kwargs).execute(
+        oracle = ExecutionEngine(oracle_registry).execute(
             oracle_plan, head=head, k=k
         )
         registry, head, plan = PLAN_SHAPES[shape]()
@@ -326,9 +321,9 @@ class TestRetryDifferential:
             registry, FaultSchedule(seed=seed, fail_rate=rate),
             attempt_aware=True,
         )
-        resilient = ExecutionEngine(
-            registry, resilience=RETRY_ALWAYS, **mode_kwargs
-        ).execute(plan, head=head, k=k)
+        resilient = ExecutionEngine(registry, resilience=RETRY_ALWAYS).execute(
+            plan, head=head, k=k
+        )
         assert _sig(resilient.rows) == _sig(oracle.rows)
         # Failed attempts are wasted work, never per-service accounting
         # (busy/remote excluded: backoff is charged to virtual time).
@@ -353,7 +348,7 @@ class TestPartialResults:
             attempt_aware=True,
         )
         result = ExecutionEngine(
-            registry, mode=ExecutionMode.STREAMED,
+            registry,
             resilience=self.PARTIAL,
         ).execute(plan, head=head, k=4)
         assert result.rows == []
@@ -383,7 +378,7 @@ class TestPartialResults:
             attempt_aware=True,
         )
         partial = ExecutionEngine(
-            registry, mode=ExecutionMode.STREAMED, resilience=self.PARTIAL,
+            registry, resilience=self.PARTIAL,
         ).execute(plan, head=head, k=k)
         certificate = partial.certificate
         assert certificate is not None
@@ -392,7 +387,7 @@ class TestPartialResults:
         # front must reproduce the partial answer bit-for-bit.
         oracle_registry, head, oracle_plan = PLAN_SHAPES[shape]()
         oracle_engine = ExecutionEngine(
-            oracle_registry, mode=ExecutionMode.STREAMED,
+            oracle_registry,
             resilience=ResilienceConfig(partial_results=True),
         )
         for unit in certificate.dropped:
@@ -430,7 +425,7 @@ class TestPartialResults:
         )
         proxies = _count_invocations(registry)
         result = ExecutionEngine(
-            registry, cache_setting=setting, mode=ExecutionMode.PARALLEL,
+            registry, cache_setting=setting,
             resilience=self.PARTIAL,
         ).execute(plan, head=head)
         stats = result.stats
@@ -448,7 +443,7 @@ class TestPartialResults:
         )
         proxies = _count_invocations(registry)
         result = ExecutionEngine(
-            registry, mode=ExecutionMode.PARALLEL, resilience=self.PARTIAL
+            registry, resilience=self.PARTIAL
         ).execute(plan, head=head)
         assert len(result.certificate.dropped) == 3
         assert result.stats.demoted_blocks == 3
@@ -460,12 +455,12 @@ class TestPartialResults:
         (dropped_services names it, yet answers cite its live units)."""
         registry, head, plan = _serial_plan()
         engine = ExecutionEngine(
-            registry, mode=ExecutionMode.STREAMED,
+            registry,
             resilience=ResilienceConfig(partial_results=True),
         )
         dead_key = ("ioo", ((0, 0),))  # the lefts block fed by X=0
         mask_unit(engine, "lefts", dead_key)
-        result = engine.execute(plan, head=head, k=6)
+        result = engine.execute(plan, head=head)
         certificate = result.certificate
         assert certificate is not None and certificate.is_partial
         assert certificate.dropped_services == ("lefts",)

@@ -8,11 +8,10 @@ from repro.execution.results import (
     ResultTable,
     Row,
     SlotLayout,
-    compose_ranking,
     emit,
 )
 from repro.model.terms import Variable
-from repro.testing import as_record, merged_with
+from repro.testing import as_record, compose_ranking, merged_with
 
 
 def _row(ranks=(), **bindings):

@@ -490,10 +490,9 @@ class TestQueryService:
         assert _answer_signature(repeat) == _answer_signature(first)
 
     def test_requests_run_streamed_over_an_optimal_cache(self):
-        """Every session suspends a streamed execution over an optimal
-        logical cache, whatever the service was built with."""
+        """Every session suspends a top-k walk over an optimal logical
+        cache, whatever the service was built with."""
         from repro.execution.cache import CacheSetting
-        from repro.execution.engine import ExecutionMode
 
         for share in (True, False):
             service = QueryService(
@@ -502,7 +501,8 @@ class TestQueryService:
             )
             response = service.submit(mahler_weekend_query())
             executor = service.sessions.get(response.session_id).executor
-            assert executor.mode is ExecutionMode.STREAMED
+            # The round walked to the third answer, not to the last.
+            assert [r.answers for r in executor.rounds] == [3]
             assert executor.cache_setting is CacheSetting.OPTIMAL
 
     def test_sessions_and_stats_are_outputs_of_each_service(self):

@@ -26,9 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.engine import ExecutionEngine, ExecutionError, ExecutionMode
+from repro.execution.engine import ExecutionEngine, ExecutionError
 from repro.execution.lazy import LazyServiceCursor
-from repro.execution.results import Row, SlotLayout, compose_ranking
+from repro.execution.results import Row, SlotLayout
 from repro.execution.slots import (
     ServiceBinding,
     SlotJoinPlan,
@@ -47,7 +47,7 @@ from repro.plans.nodes import ServiceNode
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
-from repro.testing import chain_poset
+from repro.testing import chain_poset, compose_ranking
 from repro.testing.fixtures import (
     ListPageSource,
     as_record,
@@ -304,22 +304,18 @@ class TestEngineSlotPath:
     @given(
         st.lists(st.integers(0, 2), min_size=1, max_size=6),
         st.lists(st.integers(0, 2), min_size=1, max_size=6),
-        st.one_of(st.none(), st.integers(0, 12)),
+        st.one_of(st.none(), st.integers(1, 12)),
         st.sampled_from(METHODS),
     )
     @settings(max_examples=25, deadline=None)
-    def test_engine_bit_identical_across_modes(self, lk, rk, k, method):
+    def test_engine_bit_identical_for_every_k(self, lk, rk, k, method):
         registry, query, plan = _random_table_plan(lk, rk, method)
         head = tuple(query.head)
         reference = reference_execute(plan, registry)
-        full = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=head, k=k
-        )
+        full = ExecutionEngine(registry).execute(plan, head=head)
         assert _signature(full.rows) == _signature(reference.rows)
         assert full.stats.rows_out == reference.rows_out
-        streamed = ExecutionEngine(registry, mode=ExecutionMode.STREAMED).execute(
-            plan, head=head, k=k
-        )
+        streamed = ExecutionEngine(registry).execute(plan, head=head, k=k)
         assert _signature(streamed.rows) == _signature(
             compose_ranking(reference.rows, k)
         )
@@ -333,9 +329,7 @@ class TestEngineSlotPath:
         registry, query, plan = _random_table_plan(
             [0, 1, 2, 0], [2, 1, 0, 0], JoinMethod.MERGE_SCAN
         )
-        result = ExecutionEngine(registry, mode=ExecutionMode.PARALLEL).execute(
-            plan, head=tuple(query.head)
-        )
+        result = ExecutionEngine(registry).execute(plan, head=tuple(query.head))
         assert result.rows and _signature(result.rows) == _signature(
             reference_execute(plan, registry).rows
         )
@@ -622,11 +616,8 @@ class TestExecutionErrorsMatchTheReference:
 
     def _assert_same_error_everywhere(self, plan, registry, head):
         expected = self._error_of(lambda: reference_execute(plan, registry))
-        for mode, k in (
-            (ExecutionMode.PARALLEL, None),
-            (ExecutionMode.STREAMED, 2),  # the lazy page source
-        ):
-            engine = ExecutionEngine(registry, mode=mode)
+        for k in (None, 2):  # a full scan; the lazy page source
+            engine = ExecutionEngine(registry)
             assert self._error_of(
                 lambda: engine.execute(plan, head=head, k=k)
             ) == expected

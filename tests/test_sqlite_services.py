@@ -12,8 +12,8 @@ Pinned here:
   past the end.
 * **Plan-level differentials**: the bibliographic domain served from
   the ``sqlite`` backend is bit-identical to the ``memory`` backend
-  through full plan executions under PARALLEL and STREAMED (lazy and
-  eager).
+  through full plan executions: a full scan and a top-k walk (lazy
+  and eager).
 * **FTS5 internal consistency**: no Python BM25 oracle exists, so the
   full-text service is held to rank-monotone paging — paged output
   equals an eager drain, rank indexes are the gap-free global
@@ -47,7 +47,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.engine import ExecutionEngine, ExecutionMode
+from repro.execution.engine import ExecutionEngine
 from repro.model.schema import signature
 from repro.serving import QueryService
 from repro.services.base import InvocationError
@@ -379,16 +379,16 @@ class TestContinuation:
             backend.close()
 
 
-def _plan_rows(registry, mode, lazy=True, k=12):
+def _plan_rows(registry, k, lazy=True):
     from repro.costs.time_cost import ExecutionTimeMetric
     from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 
     query = experts_query()
     best = Optimizer(
-        registry, ExecutionTimeMetric(), OptimizerConfig(k=k)
+        registry, ExecutionTimeMetric(), OptimizerConfig(k=12)
     ).optimize(query)
     engine = (
-        ExecutionEngine(registry, mode=mode)
+        ExecutionEngine(registry)
         if lazy
         else eager_streamed_engine(registry)
     )
@@ -411,21 +411,17 @@ class TestPlanLevelBitIdentity:
         return cls.CORPUS
 
     @pytest.mark.parametrize(
-        "mode,lazy",
-        [
-            (ExecutionMode.PARALLEL, True),
-            (ExecutionMode.STREAMED, True),
-            (ExecutionMode.STREAMED, False),
-        ],
-        ids=["parallel", "streamed-lazy", "streamed-eager"],
+        "k,lazy",
+        [(None, True), (12, True), (12, False)],
+        ids=["full-scan", "top-k-lazy", "top-k-eager"],
     )
-    def test_backends_agree(self, mode, lazy):
+    def test_backends_agree(self, k, lazy):
         corpus = self.corpus()
         memory = _plan_rows(
-            biblio_registry(backend="memory", corpus=corpus), mode, lazy
+            biblio_registry(backend="memory", corpus=corpus), k, lazy
         )
         sqlite_ = _plan_rows(
-            biblio_registry(backend="sqlite", corpus=corpus), mode, lazy
+            biblio_registry(backend="sqlite", corpus=corpus), k, lazy
         )
         assert memory == sqlite_
         assert memory  # the planted ground truth produces answers
