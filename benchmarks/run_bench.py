@@ -7,27 +7,24 @@ run the benches explicitly through this entry point::
 
     python benchmarks/run_bench.py                 # all benchmarks
     python benchmarks/run_bench.py -k hotpaths     # one bench module
-    python benchmarks/run_bench.py --benchmark-only
-    python benchmarks/run_bench.py -k hotpaths --quick   # CI smoke
+    python benchmarks/run_bench.py --benchmark-disable  # what CI runs
     python benchmarks/run_bench.py -k hotpaths --profile # + cProfile
     python benchmarks/run_bench.py --list          # enumerate suites
 
-``--quick`` shrinks the workload sizes (via the ``BENCH_QUICK``
-environment variable, read by ``benchmarks/conftest.py``'s
-``bench_scale``) so CI can smoke-test that the bench code still runs
-without paying the full measurement cost; quick runs exercise the same
-assertions but their timings are not comparable to full runs.
+Every module but ``test_bench_timings.py`` (which prints its
+wall-clock probes) writes its artifacts under ``benchmarks/out/`` with
+``write_artifact``: a paper table or figure, an ablation, or the exact
+counts of one subsystem (``counts_<suite>.txt``).  Each is a function
+of the tree, so CI regenerates them all and fails on ``git diff``.
 
 ``--profile`` wraps the selected scenario in :mod:`cProfile` (pytest
 runs in-process instead of a subprocess so the profiler sees the bench
 code) and writes the top 25 functions by cumulative time to
 ``benchmarks/out/profile_<scenario>.txt``, where ``<scenario>`` is the
 ``-k`` selection (``all`` when none is given).  Profiled timings carry
-instrumentation overhead — use them to find hot functions, not as the
-recorded trajectory numbers.
+instrumentation overhead — use them to find hot functions, not as
+measurements.
 
-Regenerated artifacts (paper tables/figures and the
-``BENCH_*.json`` perf trajectories) land in ``benchmarks/out/``.
 Extra arguments are forwarded to pytest verbatim.
 """
 
@@ -41,24 +38,23 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-_ARTIFACT = re.compile(r"BENCH_[A-Za-z0-9_]+\.json")
+_ARTIFACT = re.compile(r'write_artifact\(\s*out_dir,\s*"([^"]+)"')
 
 
 def list_suites() -> int:
     """Print every bench suite with the artifacts it writes."""
     bench_dir = REPO_ROOT / "benchmarks"
-    print(f"{'suite':<18} {'module':<34} writes")
+    print(f"{'suite':<18} {'module':<42} writes")
     for module in sorted(bench_dir.glob("test_bench_*.py")):
         suite = module.stem.removeprefix("test_bench_")
         artifacts = sorted(set(_ARTIFACT.findall(module.read_text())))
         print(
-            f"{suite:<18} {module.relative_to(REPO_ROOT)!s:<34} "
+            f"{suite:<18} {module.relative_to(REPO_ROOT)!s:<42} "
             f"{', '.join(artifacts) if artifacts else '-'}"
         )
     print(
-        f"\nartifacts land in benchmarks/out/; run one suite with "
-        f"`python benchmarks/run_bench.py -k <suite>` "
-        f"(add --quick for the CI smoke workload)"
+        "\nartifacts land in benchmarks/out/; run one suite with "
+        "`python benchmarks/run_bench.py -k <suite>`"
     )
     return 0
 
@@ -110,10 +106,6 @@ def main(argv: list[str]) -> int:
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src if not existing else f"{src}{os.pathsep}{existing}"
     argv = list(argv)
-    if "--quick" in argv:
-        argv = [a for a in argv if a != "--quick"]
-        env["BENCH_QUICK"] = "1"
-        os.environ["BENCH_QUICK"] = "1"  # for the in-process --profile path
     profile = "--profile" in argv
     if profile:
         argv = [a for a in argv if a != "--profile"]

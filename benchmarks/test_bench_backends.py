@@ -1,24 +1,18 @@
-"""Persistent indexed backends trajectory (``BENCH_backends.json``).
+"""Persistent indexed backends exact counts (``counts_backends.txt``).
 
 Runs the bibliographic experts query over the same generated corpus
 served from three service backends — ``memory`` (Python list scan +
 sort per invocation), ``sqlite`` (B-tree index scans,
-:mod:`repro.services.sqlite`), ``fts5`` (BM25 full-text index) — at
-1k / 10k / 100k papers, and measures what the indexed backends were
-built to change:
+:mod:`repro.services.sqlite`), ``fts5`` (BM25 full-text index, where
+the host's SQLite has it) — at 300 and 1 000 papers, and counts what
+the indexed backends were built to keep or change:
 
-* **first-page latency** — wall time of one cold
-  ``pubsearch(keyword)`` page-0 invocation.  The in-memory search
-  service re-scans and re-sorts every matching row per invocation
-  (O(n log n) in the match count); the indexed backends answer from
-  one forward index scan (O(chunk)), so their latency stays flat as
-  the corpus grows;
-* **load time** — building the backend from the corpus (the indexed
-  backends pay an indexing cost up front, amortized over every later
-  invocation);
-* **end-to-end plan cost** — wall time and service-call accounting of
-  a full top-k execution, with the memory and sqlite backends checked
-  **bit-identical** (bindings + rank values) at every scale;
+* **end-to-end plan** — answers, service calls, page fetches and
+  tuples of a full execution, the memory and sqlite backends checked
+  **bit-identical** (bindings + rank values) at every scale.  FTS5
+  ranks differently (BM25); it must answer from the same corpus, and
+  is asserted on but not recorded, since whether it runs depends on
+  the host;
 * **fetches ∝ k, not table size** — on the sqlite backend, a
   demand-bounded streamed run (the optimizer's own fetch factors,
   early exit once top-k is proven) is compared against a full-drain
@@ -26,28 +20,17 @@ built to change:
   (capped): demand-side tuple counts must stay flat from the smallest
   to the largest corpus while the drain counts grow with it — the
   indexed store serves ``O(k)`` pages either way, so only the access
-  *policy* scales the bill;
-* **per-page cost against depth** — wall µs of pages 0 / 50 / 200 of
-  one ``pubsearch`` unit on the 50k corpus, each page reached two
-  ways: invoked cold, so it skips ``page * chunk`` index entries with
-  ``OFFSET`` (what every page cost before continuation), and invoked
-  right after its predecessor, so it continues from the recorded last
-  key.  Both ways must return the same page.
+  *policy* scales the bill.
+
+What a page costs by depth (``OFFSET`` vs. continued) is a timing:
+``test_bench_timings.py`` measures it.
 """
 
 from __future__ import annotations
 
-import statistics
-import time
-
 import pytest
-from _bench_env import (
-    QUICK,
-    append_history,
-    bench_out_name,
-    env_stamp,
-)
 
+from benchmarks.conftest import table, write_artifact
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.engine import ExecutionEngine
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
@@ -57,28 +40,17 @@ from repro.testing import eager_streamed_engine
 
 pytestmark = pytest.mark.bench
 
-SCALES = (300, 1_000) if QUICK else (1_000, 10_000, 100_000)
+SCALES = (300, 1_000)
 K = 10
 SEED = 20080824
 KEYWORD = "service computing"
 #: Cap on the raised pubsearch drain budget (pages); keeps the eager
-#: baseline tractable at 100k while still growing with the corpus.
-BUDGET_CAP = 30 if QUICK else 300
+#: baseline tractable while still growing with the corpus.
+BUDGET_CAP = 30
 
 BACKENDS = ("memory", "sqlite", "fts5") if fts5_available() else (
     "memory", "sqlite"
 )
-
-#: Corpus, pages and repetitions of the page-depth measurement.
-DEPTH_PAPERS = 5_000 if QUICK else 50_000
-DEPTHS = (0, 5, 20) if QUICK else (0, 50, 200)
-DEPTH_REPEATS = 3 if QUICK else 15
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return value, max(time.perf_counter() - start, 1e-9)
 
 
 def _optimized(registry, query):
@@ -97,28 +69,14 @@ def _signature_of(rows):
     ]
 
 
-def _first_page_ms(registry) -> float:
-    service = registry.service("pubsearch")
-    pattern = service.signature.pattern("iooo")
-    _, elapsed = _timed(lambda: service.invoke(pattern, {0: KEYWORD}, 0))
-    return round(elapsed * 1000, 4)
-
-
 def _run_backend(backend: str, corpus) -> tuple[dict, list]:
-    registry, load_s = _timed(
-        lambda: biblio_registry(backend=backend, corpus=corpus)
-    )
-    first_page_ms = _first_page_ms(registry)
+    registry = biblio_registry(backend=backend, corpus=corpus)
     query = experts_query()
     plan = _optimized(registry, query)
-    engine = ExecutionEngine(registry)
-    result, run_s = _timed(lambda: engine.execute(plan, head=query.head))
+    result = ExecutionEngine(registry).execute(plan, head=query.head)
     stats = result.stats
     return (
         {
-            "load_s": round(load_s, 4),
-            "first_page_ms": first_page_ms,
-            "plan_wall_s": round(run_s, 4),
             "answers": len(result.rows),
             "service_calls": stats.total_calls,
             "page_fetches": stats.total_fetches,
@@ -141,7 +99,7 @@ def _demand_vs_drain(corpus, n_papers: int) -> dict:
     """
     matches = sum(1 for row in corpus[0] if row[0] == KEYWORD)
     budget = min(-(-matches // PUBSEARCH_CHUNK), BUDGET_CAP)
-    measurements = {}
+    runs, rows = {}, {}
     for label, drain in (("full_drain", True), ("demand_streamed", False)):
         registry = biblio_registry(backend="sqlite", corpus=corpus)
         query = experts_query()
@@ -155,135 +113,74 @@ def _demand_vs_drain(corpus, n_papers: int) -> dict:
             if drain
             else ExecutionEngine(registry)
         )
-        result, wall_s = _timed(
-            lambda: engine.execute(plan, head=query.head, k=K)
-        )
+        result = engine.execute(plan, head=query.head, k=K)
         stats = result.stats
-        measurements[label] = {
-            "rows": _signature_of(result.rows),
+        rows[label] = _signature_of(result.rows)
+        runs[label] = {
+            "papers": n_papers,
+            "pubsearch_matches": matches,
+            "drain_budget_pages": budget,
+            "run": label,
             "page_fetches": stats.total_fetches,
             "tuples_fetched": stats.total_tuples_fetched,
             "service_calls": stats.total_calls,
-            "wall_s": round(wall_s, 4),
         }
-    drain_run = measurements["full_drain"]
-    demand_run = measurements["demand_streamed"]
     # Same top-k either way: draining the budget adds no answers.
-    assert demand_run.pop("rows") == drain_run.pop("rows")
-    assert demand_run["tuples_fetched"] <= drain_run["tuples_fetched"]
-    return {
-        "papers": n_papers,
-        "pubsearch_matches": matches,
-        "drain_budget_pages": budget,
-        "full_drain": drain_run,
-        "demand_streamed": demand_run,
-    }
-
-
-def _page_depth_us() -> dict:
-    """Median µs of one pubsearch page per depth, by OFFSET and continued.
-
-    Every OFFSET repetition runs before the first in-order walk: a page
-    continues only after its predecessor was fetched, and invoking
-    pages 0 / 50 / 200 cold records where 1 / 51 / 201 start, not them.
-    """
-    corpus = generate_corpus(DEPTH_PAPERS, seed=SEED)
-    service = biblio_registry(backend="sqlite", corpus=corpus).service(
-        "pubsearch"
+    assert rows["demand_streamed"] == rows["full_drain"]
+    assert (
+        runs["demand_streamed"]["tuples_fetched"]
+        <= runs["full_drain"]["tuples_fetched"]
     )
-    pattern = service.signature.pattern("iooo")
-    timings = {way: {d: [] for d in DEPTHS} for way in ("offset", "continued")}
-    pages = {}
-    try:
-        for _ in range(DEPTH_REPEATS):
-            for depth in DEPTHS:
-                result, elapsed = _timed(
-                    lambda: service.invoke(pattern, {0: KEYWORD}, depth)
-                )
-                pages[depth] = result.tuples
-                timings["offset"][depth].append(elapsed)
-        for _ in range(DEPTH_REPEATS):
-            for page in range(max(DEPTHS) + 1):
-                result, elapsed = _timed(
-                    lambda: service.invoke(pattern, {0: KEYWORD}, page)
-                )
-                if page in pages:
-                    assert result.tuples == pages[page]
-                    timings["continued"][page].append(elapsed)
-    finally:
-        service.close()
-    assert all(pages.values())  # every depth lies inside the unit
-    return {
-        way: {
-            f"page={depth}": round(statistics.median(samples) * 1e6, 2)
-            for depth, samples in per_depth.items()
-        }
-        for way, per_depth in timings.items()
-    }
+    return runs
 
 
-class TestBackendTrajectory:
-    def test_write_bench_backends(self, out_dir):
-        per_scale: dict[str, dict] = {}
-        lazy_rows: list[dict] = []
-        for n_papers in SCALES:
-            corpus = generate_corpus(n_papers, seed=SEED)
-            by_backend: dict[str, dict] = {}
-            signatures: dict[str, list] = {}
-            for backend in BACKENDS:
-                by_backend[backend], signatures[backend] = _run_backend(
-                    backend, corpus
-                )
-            # The indexed relational backend is bit-identical to the
-            # in-memory oracle at every scale; FTS5 ranks differently
-            # (BM25) but must produce answers from the same corpus.
-            assert signatures["memory"] == signatures["sqlite"]
-            assert by_backend["memory"]["answers"] > 0
-            if "fts5" in by_backend:
-                assert by_backend["fts5"]["answers"] > 0
-            lazy_rows.append(_demand_vs_drain(corpus, n_papers))
-            per_scale[f"papers={n_papers}"] = by_backend
-
-        # The acceptance property: demand-bounded fetching scales with
-        # k, not with the corpus — flat demand counts while the full
-        # drain grows with the table.
-        smallest, largest = lazy_rows[0], lazy_rows[-1]
-        assert largest["demand_streamed"]["tuples_fetched"] <= (
-            2 * smallest["demand_streamed"]["tuples_fetched"] + PUBSEARCH_CHUNK
-        )
-        if largest["drain_budget_pages"] > smallest["drain_budget_pages"]:
-            assert largest["full_drain"]["tuples_fetched"] > (
-                smallest["full_drain"]["tuples_fetched"]
+def test_write_counts_backends(out_dir):
+    per_scale = []
+    lazy_runs = []
+    for n_papers in SCALES:
+        corpus = generate_corpus(n_papers, seed=SEED)
+        by_backend: dict[str, dict] = {}
+        signatures: dict[str, list] = {}
+        for backend in BACKENDS:
+            by_backend[backend], signatures[backend] = _run_backend(
+                backend, corpus
             )
-        assert largest["demand_streamed"]["tuples_fetched"] < (
-            largest["full_drain"]["tuples_fetched"]
-        )
+        # The indexed relational backend is bit-identical to the
+        # in-memory oracle at every scale; FTS5 ranks differently (BM25)
+        # but must produce answers from the same corpus.
+        assert signatures["memory"] == signatures["sqlite"]
+        assert by_backend["memory"]["answers"] > 0
+        if "fts5" in by_backend:
+            assert by_backend.pop("fts5")["answers"] > 0
+        lazy_runs.append(_demand_vs_drain(corpus, n_papers))
+        per_scale += [
+            {"papers": n_papers, "backend": backend, **counts}
+            for backend, counts in by_backend.items()
+        ]
 
-        payload = {
-            "bench": "backends",
-            "quick": QUICK,
-            "workload": {
-                "query": "biblio experts (pubsearch ⋈ authors ⋈ projects)",
-                "keyword": KEYWORD,
-                "k": K,
-                "scales_papers": list(SCALES),
-                "backends": list(BACKENDS),
-                "corpus_seed": SEED,
-                "notes": "memory re-sorts matches per invocation; sqlite "
-                "pages via (inputs, score DESC, pos) index scans, a later "
-                "page continuing from its predecessor's last key; fts5 "
-                "ranks via BM25 (ORDER BY rank, rowid)",
-            },
-            "per_scale": per_scale,
-            "demand_vs_drain_sqlite": lazy_rows,
-            "page_depth_us": {
-                "papers": DEPTH_PAPERS,
-                "keyword": KEYWORD,
-                "repeats": DEPTH_REPEATS,
-                **_page_depth_us(),
-            },
-        }
-        append_history(
-            out_dir / bench_out_name("BENCH_backends.json"),
-            {**payload, "env": env_stamp()},
+    # The acceptance property: demand-bounded fetching scales with k,
+    # not with the corpus — flat demand counts while the full drain
+    # grows with the table.
+    smallest, largest = lazy_runs[0], lazy_runs[-1]
+    assert largest["demand_streamed"]["tuples_fetched"] <= (
+        2 * smallest["demand_streamed"]["tuples_fetched"] + PUBSEARCH_CHUNK
+    )
+    if largest["full_drain"]["drain_budget_pages"] > (
+        smallest["full_drain"]["drain_budget_pages"]
+    ):
+        assert largest["full_drain"]["tuples_fetched"] > (
+            smallest["full_drain"]["tuples_fetched"]
         )
+    assert largest["demand_streamed"]["tuples_fetched"] < (
+        largest["full_drain"]["tuples_fetched"]
+    )
+
+    write_artifact(out_dir, "counts_backends.txt", "\n\n".join([
+        table(f"Biblio experts (pubsearch ⋈ authors ⋈ projects), keyword "
+              f"'{KEYWORD}', corpus seed {SEED}: full execution per backend, "
+              "memory and sqlite bit-identical",
+              per_scale),
+        table(f"sqlite, k={K}: demand-bounded streaming vs. a full drain "
+              f"(pubsearch budget raised to the matches, at most {BUDGET_CAP} "
+              "pages)", [run for runs in lazy_runs for run in runs.values()]),
+    ]))

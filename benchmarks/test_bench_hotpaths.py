@@ -1,63 +1,38 @@
-"""Hot-path before/after throughput trajectory (``BENCH_hotpaths.json``).
+"""Hot-path exact counts (``counts_hotpaths.txt``).
 
-Measures the two hot paths overhauled by the search-memoization +
-execution fast-path subsystem and records a machine-readable
-before/after trajectory so future PRs can track the perf curve:
+Pins what the search-memoization and execution fast-path subsystems do
+on five scenarios, every value a count:
 
-* **optimizer states/sec** — branch-and-bound search over the Figure 7
-  plan space (the running example), unmemoized ("before") vs. with the
-  persistent :class:`~repro.optimizer.memo.PlanMemo` under a
-  repeated-traffic workload ("after").  The memoized workload must
-  also make at least 3x fewer ``annotate`` calls, witnessed by the
-  ``SearchStats`` memo counters;
-* **join tuples/sec** — candidate cells consumed per second by the
-  reference full-plane :func:`~repro.testing.reference.execute_join`
-  ("before") vs. the key-bucketed :func:`~repro.execution.joins.join_rows`
-  ("after", compiling its ``CompiledJoin`` from the inputs' variables
-  inside the timing, as it always has) on a randomized plane, with
-  identical output required;
-* **slot-row plane sweep** — candidate cells per second of the hashed
-  join (slot-tuple rows, the only production path since PR 12) on
-  growing wide-row selective planes, bit-identical to the reference
-  full-plane :func:`~repro.testing.reference.execute_join` at every
-  size.  The dict-row ``before`` column this sweep used to carry left
-  with the dict-row path in PR 12; its numbers live in git history
-  (``BENCH_hotpaths.json`` before PR 12);
+* **optimizer memo** — branch-and-bound over the Figure 7 plan space
+  (the running example), unmemoized vs. with the persistent
+  :class:`~repro.optimizer.memo.PlanMemo` under a repeated-traffic
+  workload: the same states and optimum, and at least 3x fewer
+  ``annotate`` calls, witnessed by the ``SearchStats`` memo counters;
+* **join** — the key-bucketed :func:`~repro.execution.joins.join_rows`
+  on a randomized plane, row for row the reference full-plane
+  :func:`~repro.testing.reference.execute_join`'s;
+* **slot-row plane sweep** — the hashed join on growing wide-row
+  selective planes, bit-identical to the reference full-plane scan at
+  every size;
 * **multi-feed block sweep** — a heap-driven
   :class:`~repro.execution.lazy.MultiFeedCursor` over growing block
-  counts (up to 1000 in full runs): a small demand must touch only a
-  bounded prefix of blocks, fetch no more pages or tuples than eager
-  materialization at every point, and stay bit-identical to the eager
-  feed-order concatenation;
-* **execution program** — per built-in domain, what compiling the
-  optimized plan once buys a warm request: µs to compile an
-  :class:`~repro.execution.program.ExecutionProgram`, µs to run it
-  against a warm logical cache, and µs of the build-per-request style
-  it replaced (``PlanSpec.build`` + an execution that compiles on
-  entry), answers identical.
-
-The file is a trajectory: every full run appends an entry with its
-environment stamp (``_bench_env.append_history``).
+  counts: a small demand touches only a bounded prefix of blocks,
+  fetches no more pages or tuples than eager materialization at every
+  point, and stays bit-identical to the eager feed-order concatenation;
+* **execution program** — per built-in domain, the compiled
+  :class:`~repro.execution.program.ExecutionProgram` of the optimized
+  plan answers a warm request exactly as the build-per-request style it
+  replaced (``PlanSpec.build`` + an execution that compiles on entry).
 """
 
 from __future__ import annotations
 
-import statistics
-import time
-
 import pytest
-from _bench_env import (
-    QUICK,
-    append_history,
-    bench_out_name,
-    bench_scale,
-    env_stamp,
-)
 
+from benchmarks.conftest import table, write_artifact
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting, make_cache
 from repro.execution.engine import ExecutionEngine
-from repro.execution.joins import join_rows
 from repro.execution.lazy import (
     LazyServiceCursor,
     MaterializedCursor,
@@ -91,26 +66,24 @@ pytestmark = pytest.mark.bench
 #: scenario the memo targets (profiles stay put, queries repeat).
 WORKLOAD_RUNS = 3
 
-JOIN_SIDE = bench_scale(400, 80)
+JOIN_SIDE = 80
 JOIN_KEYS = 40
 
 #: Slot-row plane sweep: wide rows (6 payload variables a side) and a
 #: selective residual predicate — the shape where per-candidate merge
 #: cost dominates.
-PLANE_SIDES = (60, 120) if QUICK else (200, 400, 800)
+PLANE_SIDES = (60, 120)
 PLANE_KEYS = 10
 PLANE_WIDTH = 6
 
 #: Multi-feed block sweep (heap-driven MultiFeedCursor).
-BLOCK_COUNTS = (40, 120) if QUICK else (100, 400, 1000)
+BLOCK_COUNTS = (40, 120)
 BLOCK_CHUNK = 2
 BLOCK_ROWS = 3
 BLOCK_DEMAND = 10
 
-#: Execution-program entry: the serving layer's k and cache setting,
-#: repetitions per timing (the median is reported).
+#: Execution-program entry: the serving layer's k and cache setting.
 PROGRAM_K = 5
-PROGRAM_RUNS = bench_scale(200, 20)
 PROGRAM_DOMAINS = {
     "travel": (travel_registry, running_example_query),
     "biblio": (biblio_registry, experts_query),
@@ -118,15 +91,6 @@ PROGRAM_DOMAINS = {
     "news": (news_registry, market_moving_news_query),
     "weekend": (weekend_registry, mahler_weekend_query),
 }
-
-
-def _median_us(work) -> float:
-    times = []
-    for _ in range(PROGRAM_RUNS):
-        begun = time.perf_counter()
-        work()
-        times.append(time.perf_counter() - begun)
-    return round(statistics.median(times) * 1e6, 1)
 
 
 def _program_point(domain: str) -> dict:
@@ -138,11 +102,8 @@ def _program_point(domain: str) -> dict:
         ExecutionTimeMetric(),
         OptimizerConfig(k=PROGRAM_K, cache_setting=CacheSetting.OPTIMAL),
     ).optimize(query)
-    spec = PlanSpec.from_optimized(optimized)
     program = ExecutionProgram.compile(optimized.plan, head)
-    engine = ExecutionEngine(
-        registry, cache_setting=CacheSetting.OPTIMAL
-    )
+    engine = ExecutionEngine(registry, cache_setting=CacheSetting.OPTIMAL)
     cache = make_cache(CacheSetting.OPTIMAL)
 
     def run(plan):
@@ -153,54 +114,25 @@ def _program_point(domain: str) -> dict:
         return result.answers(), [row.rank_key() for row in result.rows]
 
     expected = run(program)  # also warms the cache
-    assert expected[0] and expected == run(spec.build(query, registry))
-    return {
-        "domain": domain,
-        "plan_nodes": len(program.steps),
-        "compile_us": _median_us(lambda: ExecutionProgram.compile(optimized.plan, head)),
-        "run_us": _median_us(lambda: run(program)),
-        "build_and_run_us": _median_us(lambda: run(spec.build(query, registry))),
-    }
+    built = PlanSpec.from_optimized(optimized).build(query, registry)
+    assert expected[0] and expected == run(built)
+    return {"domain": domain, "plan_nodes": len(program.steps),
+            "answers": len(expected[0])}
 
 
 def _optimizer_workload(registry, query, memoize: bool) -> dict:
     optimizer = Optimizer(
         registry, ExecutionTimeMetric(), OptimizerConfig(memoize=memoize)
     )
-    states = 0
-    annotate_calls = 0
-    memo_hits = 0
-    cost = None
-    start = time.perf_counter()
-    for _ in range(WORKLOAD_RUNS):
-        result = optimizer.optimize(query)
-        states += result.stats.topology_states_explored
-        annotate_calls += result.stats.annotate_calls
-        memo_hits += result.stats.memo_hits
-        cost = result.cost
-    elapsed = time.perf_counter() - start
+    results = [optimizer.optimize(query) for _ in range(WORKLOAD_RUNS)]
     return {
+        "memoize": memoize,
         "runs": WORKLOAD_RUNS,
-        "topology_states": states,
-        "annotate_calls": annotate_calls,
-        "memo_hits": memo_hits,
-        "cost": cost,
-        "elapsed_s": round(elapsed, 6),
-        "states_per_s": round(states / elapsed, 1),
+        "topology_states": sum(r.stats.topology_states_explored for r in results),
+        "annotate_calls": sum(r.stats.annotate_calls for r in results),
+        "memo_hits": sum(r.stats.memo_hits for r in results),
+        "cost": results[-1].cost,
     }
-
-
-def _hashed(left_variables, right_variables, predicates=()):
-    """``join_rows`` as a ``(method, left, right)`` join over the records
-    of rows built on *left_variables* / *right_variables*."""
-
-    def join(method, left, right):
-        compiled = compiled_join(
-            method, left_variables, right_variables, predicates
-        )
-        return join_rows(compiled, left, right)
-
-    return join
 
 
 _KLR = ((Variable("K"), Variable("L")), (Variable("K"), Variable("R")))
@@ -216,19 +148,6 @@ def _join_inputs() -> tuple[list[Row], list[Row]]:
         for j in range(JOIN_SIDE)
     ]
     return left, right
-
-
-def _join_throughput(join, method, left, right) -> dict:
-    start = time.perf_counter()
-    rows = join(method, left, right)
-    elapsed = time.perf_counter() - start
-    cells = len(left) * len(right)
-    return {
-        "plane_cells": cells,
-        "rows_out": len(rows),
-        "elapsed_s": round(elapsed, 6),
-        "tuples_per_s": round(cells / elapsed, 1),
-    }
 
 
 def _row_signature(rows):
@@ -266,33 +185,16 @@ def _plane_inputs(side: int) -> tuple[list[Row], list[Row], Comparison]:
 
 def _slot_plane_point(side: int) -> dict:
     left, right, predicate = _plane_inputs(side)
-    hashed = _hashed(
-        (Variable("K"), *(Variable(f"L{i}") for i in range(PLANE_WIDTH))),
-        (Variable("K"), *(Variable(f"R{i}") for i in range(PLANE_WIDTH))),
-        (predicate,),
-    )
-    cells = side * side
-    best = float("inf")
-    records = as_records(left), as_records(right)
-    for _ in range(3):
-        start = time.perf_counter()
-        rows = hashed(JoinMethod.MERGE_SCAN, *records)
-        best = min(best, time.perf_counter() - start)
-    # Bit-identity with the reference full-plane scan, at every point.
     compiled = compiled_join(
         JoinMethod.MERGE_SCAN,
         left[0].layout.variables, right[0].layout.variables, (predicate,),
     )
-    assert _row_signature(joined(compiled, left, right)) == _row_signature(
+    rows = joined(compiled, left, right)
+    # Bit-identity with the reference full-plane scan, at every point.
+    assert _row_signature(rows) == _row_signature(
         execute_join(JoinMethod.MERGE_SCAN, left, right, (predicate,))
     )
-    return {
-        "side": side,
-        "plane_cells": cells,
-        "rows_out": len(rows),
-        "elapsed_s": round(best, 6),
-        "tuples_per_s": round(cells / best, 1),
-    }
+    return {"side": side, "plane_cells": side * side, "rows_out": len(rows)}
 
 
 # -- multi-feed block sweep ----------------------------------------------
@@ -345,14 +247,12 @@ def _block_cursor(
 
 def _block_sweep_point(count: int) -> dict:
     cursor, blocks, eager, eager_pages = _block_cursor(count)
-    start = time.perf_counter()
     cursor.ensure(BLOCK_DEMAND)
-    elapsed = time.perf_counter() - start
     # What the demand pulled, read off the blocks and their sources.
     lazy_pages = sum(b.pages_fetched for b in blocks)
     tuples = sum(b._source.rows_pulled for b in blocks)
-    # Laziness bounds, asserted at every point (quick runs included):
-    # the demand-driven pulls never exceed the eager universe.
+    # Laziness bounds, asserted at every point: the demand-driven pulls
+    # never exceed the eager universe.
     assert lazy_pages <= eager_pages
     assert tuples <= len(eager)
     # ... and the placed prefix is bit-identical to eager order.
@@ -363,7 +263,6 @@ def _block_sweep_point(count: int) -> dict:
     point = {
         "blocks": count,
         "demand": BLOCK_DEMAND,
-        "ensure_elapsed_s": round(elapsed, 6),
         "pages_fetched": lazy_pages,
         "eager_pages": eager_pages,
         "tuples_fetched": tuples,
@@ -375,68 +274,35 @@ def _block_sweep_point(count: int) -> dict:
     return point
 
 
-class TestHotpathTrajectory:
-    def test_write_bench_hotpaths(self, registry, travel_query, out_dir):
-        before_opt = _optimizer_workload(registry, travel_query, memoize=False)
-        after_opt = _optimizer_workload(registry, travel_query, memoize=True)
-        assert after_opt["cost"] == before_opt["cost"]
-        # Acceptance: >= 3x fewer annotate calls on the Figure 7 space.
-        assert after_opt["annotate_calls"] * 3 <= before_opt["annotate_calls"]
+def test_write_counts_hotpaths(registry, travel_query, out_dir):
+    before, after = (
+        _optimizer_workload(registry, travel_query, memoize=memoize)
+        for memoize in (False, True)
+    )
+    assert after["cost"] == before["cost"]
+    assert after["topology_states"] == before["topology_states"]
+    # Acceptance: >= 3x fewer annotate calls on the Figure 7 space.
+    assert after["annotate_calls"] * 3 <= before["annotate_calls"]
 
-        left, right = _join_inputs()
-        joins = {}
-        for method in (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN):
-            before_join = _join_throughput(execute_join, method, left, right)
-            after_join = _join_throughput(
-                _hashed(*_KLR), method, as_records(left), as_records(right)
-            )
-            assert after_join["rows_out"] == before_join["rows_out"]
-            joins[method.value] = {"before": before_join, "after": after_join}
+    left, right = _join_inputs()
+    joins = []
+    for method in (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN):
+        rows = joined(compiled_join(method, *_KLR), left, right)
+        assert rows == execute_join(method, left, right)
+        joins.append({"method": method.value, "plane_cells": JOIN_SIDE ** 2,
+                      "join_keys": JOIN_KEYS, "rows_out": len(rows)})
 
-        plane_points = [_slot_plane_point(side) for side in PLANE_SIDES]
-
-        block_points = [_block_sweep_point(count) for count in BLOCK_COUNTS]
-
-        payload = {
-            "env": env_stamp(),
-            "workload": {
-                "optimizer": "Figure 7 plan space (running example), "
-                f"{WORKLOAD_RUNS} repeated optimizations",
-                "join": f"{JOIN_SIDE}x{JOIN_SIDE} plane, {JOIN_KEYS} join keys",
-                "slot_plane": f"wide-row selective planes {PLANE_SIDES}, "
-                f"{PLANE_KEYS} keys, {PLANE_WIDTH} payload vars/side; single "
-                "production path (the dict-row 'before' column was removed "
-                "with the dict-row path in PR 12 — its numbers are in git history)",
-                "multi_feed": f"block counts {BLOCK_COUNTS}, "
-                f"{BLOCK_ROWS} rows/block, chunk {BLOCK_CHUNK}, "
-                f"demand {BLOCK_DEMAND}",
-                "execution_program": f"optimized plan per domain, k={PROGRAM_K}, "
-                f"streamed over a warm optimal cache, median of {PROGRAM_RUNS}",
-            },
-            "optimizer_states_per_s": {"before": before_opt, "after": after_opt},
-            "join_tuples_per_s": joins,
-            "slot_join_plane_sweep": plane_points,
-            "multi_feed_block_sweep": block_points,
-            "execution_program": [
-                _program_point(domain) for domain in PROGRAM_DOMAINS
-            ],
-        }
-        append_history(out_dir / bench_out_name("BENCH_hotpaths.json"), payload)
-
-    def test_memoized_workload_matches_unmemoized(self, registry, travel_query):
-        before = _optimizer_workload(registry, travel_query, memoize=False)
-        after = _optimizer_workload(registry, travel_query, memoize=True)
-        assert before["cost"] == after["cost"]
-        assert before["topology_states"] == after["topology_states"]
-
-    def test_bench_optimizer_memoized(self, benchmark, registry, travel_query):
-        benchmark(_optimizer_workload, registry, travel_query, True)
-
-    def test_bench_join_hashed(self, benchmark):
-        left, right = _join_inputs()
-        records = as_records(left), as_records(right)
-        benchmark(_hashed(*_KLR), JoinMethod.MERGE_SCAN, *records)
-        result = joined(
-            compiled_join(JoinMethod.MERGE_SCAN, *_KLR), left, right
-        )
-        assert result == execute_join(JoinMethod.MERGE_SCAN, left, right)
+    write_artifact(out_dir, "counts_hotpaths.txt", "\n\n".join([
+        table(f"Optimizer memo: Figure 7 plan space, {WORKLOAD_RUNS} "
+              "repeated optimizations", [before, after]),
+        table("Hashed join vs. reference full-plane scan", joins),
+        table(f"Slot-row plane sweep: {PLANE_KEYS} keys, {PLANE_WIDTH} "
+              "payload variables a side, selective residual predicate",
+              [_slot_plane_point(side) for side in PLANE_SIDES]),
+        table(f"Multi-feed block sweep: {BLOCK_ROWS} rows a block, "
+              f"chunk {BLOCK_CHUNK}",
+              [_block_sweep_point(count) for count in BLOCK_COUNTS]),
+        table(f"Execution program vs. build per request: k={PROGRAM_K}, "
+              "warm optimal cache",
+              [_program_point(domain) for domain in PROGRAM_DOMAINS]),
+    ]))

@@ -1,6 +1,6 @@
-"""Demand-driven lazy fetching trajectory (``BENCH_lazy.json``).
+"""Demand-driven lazy fetching exact counts (``counts_lazy.txt``).
 
-Measures what the lazy fetch subsystem was built to save: **remote
+Counts what the lazy fetch subsystem was built to save: **remote
 service work** — calls, page fetches, and raw tuples pulled — for
 top-k executions at k ∈ {1, 10, 100}, against the eager streamed
 baseline (PR 2: early exit saves join work, but every service is still
@@ -54,17 +54,9 @@ page total less the lazy run's.
 
 from __future__ import annotations
 
-import time
-
 import pytest
-from _bench_env import (
-    QUICK,
-    append_history,
-    bench_out_name,
-    bench_scale,
-    env_stamp,
-)
 
+from benchmarks.conftest import table, write_artifact
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine
 from repro.execution.progressive import ProgressiveExecutor
@@ -88,15 +80,15 @@ from repro.testing import (
 
 pytestmark = pytest.mark.bench
 
-SIDE = bench_scale(400, 60)
+SIDE = 60
 CHUNK = 10
 FETCHES = -(-SIDE // CHUNK)  # enough budget to drain either service
 KS = (1, 10, 100)
 
 #: Serial-plan workload: FEEDS feeder tuples, each opening one block
 #: of PER ranked tuples on the multi-feed node.
-FEEDS = bench_scale(20, 6)
-PER = bench_scale(40, 10)
+FEEDS = 6
+PER = 10
 SERIAL_CHUNK = 5
 SERIAL_FETCHES = -(-PER // SERIAL_CHUNK)
 
@@ -104,9 +96,9 @@ SERIAL_FETCHES = -(-PER // SERIAL_CHUNK)
 #: Deep-chain workload: table sizes, lookup levels under the head, and
 #: the head's page budget (what an optimizer sized for k = 100 at a
 #: selectivity below 1 would allow).
-CHAIN_TABLES = (bench_scale(1_000, 200), bench_scale(10_000, 2_000))
+CHAIN_TABLES = (200, 2_000)
 CHAIN_DEPTHS = (1, 2, 3)
-CHAIN_FETCHES = bench_scale(40, 20)
+CHAIN_FETCHES = 20
 
 
 def _chain_plan(depth: int, rows: int, fetches: int = CHAIN_FETCHES):
@@ -238,18 +230,12 @@ def _serial_plan(method: JoinMethod):
     return registry, tuple(query.head), plan
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return value, max(time.perf_counter() - start, 1e-9)
-
-
-def _measure(engine: ExecutionEngine, plan, head, k) -> dict:
-    result, elapsed = _timed(lambda: engine.execute(plan, head=head, k=k))
+def _measure(engine: ExecutionEngine, plan, head, k) -> tuple[list, dict]:
+    """The rows of a top-k run of *plan* and its ledger's counts."""
+    result = engine.execute(plan, head=head, k=k)
     stats = result.stats
     blocks = demand_blocks(result)
-    return {
-        "result": result,
+    return [(r.bindings, r.ranks) for r in result.rows], {
         "service_calls": stats.total_calls,
         "page_fetches": stats.total_fetches,
         "tuples_fetched": stats.total_tuples_fetched,
@@ -260,228 +246,135 @@ def _measure(engine: ExecutionEngine, plan, head, k) -> dict:
         "lazy_blocks_untouched": sum(
             known - touched for known, touched in blocks.values()
         ),
-        "wall_s": round(elapsed, 6),
     }
 
 
-def _measure_pair(registry, plan, head, k) -> tuple[dict, dict]:
+def _measure_pair(registry, plan, head, k) -> tuple[list, dict, list, dict]:
     """The eager and the lazy streamed run of *plan*, the lazy one with
     the pages it saved: the eager run's total less its own."""
-    eager = _measure(eager_streamed_engine(registry), plan, head, k)
-    lazy = _measure(
-        ExecutionEngine(registry), plan, head, k
-    )
+    eager_rows, eager = _measure(eager_streamed_engine(registry), plan, head, k)
+    lazy_rows, lazy = _measure(ExecutionEngine(registry), plan, head, k)
     lazy["pages_saved"] = eager["page_fetches"] - lazy["page_fetches"]
-    return eager, lazy
+    return eager_rows, eager, lazy_rows, lazy
 
 
-def _strip(measurement: dict) -> dict:
-    return {key: value for key, value in measurement.items() if key != "result"}
-
-
-class TestLazyFetchTrajectory:
-    def test_write_bench_lazy(self, out_dir):
-        per_method: dict[str, dict] = {}
-        for method in (JoinMethod.MERGE_SCAN, JoinMethod.NESTED_LOOP):
-            by_k: dict[str, dict] = {}
-            for k in KS:
-                registry, head, plan = _plan(method)
-                expected = compose_ranking(
-                    reference_execute(plan, registry).rows, k
-                )
-                eager, lazy = _measure_pair(registry, plan, head, k)
-                # Oracle equivalence: identical rows, ranks, and order.
-                for measured in (eager, lazy):
-                    assert [
-                        (r.bindings, r.ranks) for r in measured["result"].rows
-                    ] == [(r.bindings, r.ranks) for r in expected]
-                # The acceptance property: early exit now saves remote
-                # work, strictly at small k, never costing extra.
-                assert lazy["tuples_fetched"] <= eager["tuples_fetched"]
-                assert lazy["page_fetches"] <= eager["page_fetches"]
-                if k < SIDE:
-                    assert lazy["tuples_fetched"] < eager["tuples_fetched"], (
-                        method, k,
-                    )
-                by_k[f"k={k}"] = {
-                    "eager_streamed": _strip(eager),
-                    "lazy_streamed": _strip(lazy),
-                }
-            per_method[method.value] = by_k
-
-        serial_per_method: dict[str, dict] = {}
-        for method in (JoinMethod.MERGE_SCAN, JoinMethod.NESTED_LOOP):
-            by_k = {}
-            for k in KS:
-                registry, head, plan = _serial_plan(method)
-                expected = compose_ranking(
-                    reference_execute(plan, registry).rows, k
-                )
-                eager, lazy = _measure_pair(registry, plan, head, k)
-                for measured in (eager, lazy):
-                    assert [
-                        (r.bindings, r.ranks) for r in measured["result"].rows
-                    ] == [(r.bindings, r.ranks) for r in expected]
-                # The PR 5 acceptance property: the multi-feed node of
-                # a serial plan now saves remote work too, strictly at
-                # small k, never costing extra.
-                assert lazy["tuples_fetched"] <= eager["tuples_fetched"]
-                assert lazy["page_fetches"] <= eager["page_fetches"]
-                if k < FEEDS * PER:
-                    assert lazy["tuples_fetched"] < eager["tuples_fetched"], (
-                        method, k,
-                    )
-                # the feeder is demand-driven too (its only consumer is
-                # lazy): its block, FEEDS on lefts, the rights cursor
-                assert lazy["lazy_blocks"] == FEEDS + 2
-                if k == 1:
-                    assert lazy["lazy_blocks_untouched"] > 0
-                by_k[f"k={k}"] = {
-                    "eager_streamed": _strip(eager),
-                    "lazy_streamed": _strip(lazy),
-                }
-            serial_per_method[method.value] = by_k
-
-        chain_points = []
-        fetches: dict[tuple[int, int, int], int] = {}
-        for rows in CHAIN_TABLES:
-            for depth in CHAIN_DEPTHS:
-                for k in KS:
-                    registry, head, plan = _chain_plan(depth, rows)
-                    eager, lazy = _measure_pair(registry, plan, head, k)
-                    assert len(lazy["result"].rows) == k
-                    assert [
-                        (r.bindings, r.ranks) for r in lazy["result"].rows
-                    ] == [(r.bindings, r.ranks) for r in eager["result"].rows]
-                    # Traffic grows with k: the head pages that hold k
-                    # keys, and one lookup per key and level.
-                    assert lazy["page_fetches"] == -(-k // CHUNK) + depth * k
-                    fetches[rows, depth, k] = lazy["page_fetches"]
-                    chain_points.append({
-                        "table_rows": rows, "lookup_levels": depth, "k": k,
-                        "eager_streamed": _strip(eager),
-                        "lazy_streamed": _strip(lazy),
-                    })
-        small, large = CHAIN_TABLES
-        for depth in CHAIN_DEPTHS:
-            by_k = [fetches[small, depth, k] for k in KS]
-            assert by_k == sorted(by_k)  # non-decreasing in k
-            for k in KS:
-                # flat in table size, and in depth x fan-out: a level
-                # more costs its own lookups, never a multiple
-                assert fetches[small, depth, k] == fetches[large, depth, k]
-                assert fetches[small, depth, k] <= depth * fetches[small, 1, k]
-        for point in chain_points:
-            if point["k"] == KS[-1]:
-                assert 2 * point["lazy_streamed"]["page_fetches"] <= (
-                    point["eager_streamed"]["page_fetches"]
-                )
-
-        # One multi-round session: F = 1 page holds 10 keys, k = 100
-        # needs the ladder 1, 2, 4, 8, 16.  No cache, so every pull is a
-        # remote fetch: in place pays each page once — what one walk
-        # with a large enough F pays — re-execution pays every earlier
-        # round again.
-        multi_round = {}
-        depth, k = CHAIN_DEPTHS[-1], KS[-1]
-        for name, cls in (
-            ("in_place", ProgressiveExecutor),
-            ("re_executing", ReexecutingExecutor),
-        ):
-            registry, head, plan = _chain_plan(depth, small, fetches=1)
-            executor = cls(
-                registry=registry, plan=plan, head=head,
-                cache_setting=CacheSetting.NO_CACHE,
+def _joined_points(make_plan, universe: int) -> list[dict]:
+    """Eager vs. lazy streaming of *make_plan*'s plan per method and k,
+    both checked against the oracle; *universe* is the join's plane."""
+    points = []
+    for method in (JoinMethod.MERGE_SCAN, JoinMethod.NESTED_LOOP):
+        for k in KS:
+            registry, head, plan = make_plan(method)
+            expected = [
+                (r.bindings, r.ranks) for r in
+                compose_ranking(reference_execute(plan, registry).rows, k)
+            ]
+            eager_rows, eager, lazy_rows, lazy = _measure_pair(
+                registry, plan, head, k
             )
-            result, elapsed = _timed(lambda: executor.run(k))
-            assert len(result.rows) == k
-            multi_round[name] = {
-                "rounds": len(executor.rounds),
-                "ladder": [r.fetches[0] for r in executor.rounds],
-                "page_fetches_per_round": [
-                    r.stats.total_fetches for r in executor.rounds
-                ],
-                "page_fetches": sum(
-                    r.stats.total_fetches for r in executor.rounds
-                ),
-                "tuples_processed": sum(
-                    r.stats.tuples_processed for r in executor.rounds
-                ),
-                "virtual_s": round(sum(r.elapsed for r in executor.rounds), 6),
-                "wall_s": round(elapsed, 6),
-            }
-        in_place, re_executing = (
-            multi_round["in_place"], multi_round["re_executing"]
-        )
-        assert in_place["ladder"] == re_executing["ladder"]
-        assert in_place["page_fetches"] == fetches[small, depth, k]
-        assert in_place["page_fetches"] < re_executing["page_fetches"]
-        assert re_executing["page_fetches"] == sum(
-            # round r re-walks from page 0 to where it stops
-            min(pages * CHUNK, k) * depth + -(-min(pages * CHUNK, k) // CHUNK)
-            for pages in re_executing["ladder"]
-        )
+            # Oracle equivalence: identical rows, ranks, and order.
+            assert eager_rows == expected and lazy_rows == expected
+            # The acceptance property: early exit saves remote work,
+            # strictly at small k, never costing extra.
+            assert lazy["tuples_fetched"] <= eager["tuples_fetched"]
+            assert lazy["page_fetches"] <= eager["page_fetches"]
+            if k < universe:
+                assert lazy["tuples_fetched"] < eager["tuples_fetched"], (
+                    method, k,
+                )
+            if method is JoinMethod.MERGE_SCAN and k == 10:
+                assert len(lazy_rows) == 10 and lazy["pages_saved"] > 0
+            for run, counts in (("eager", eager), ("lazy", lazy)):
+                points.append({"method": method.value, "k": k, "run": run,
+                               **counts})
+    return points
 
-        payload = {
-            "bench": "lazy",
-            "quick": QUICK,
-            "workload": {
-                "plane": f"{SIDE}x{SIDE} all-candidate plane, rank-monotone "
-                "single-feed search services (rank = position)",
-                "chunk_size": CHUNK,
-                "fetch_budget_pages": FETCHES,
-                "k_values": list(KS),
-                "baselines": "eager_streamed = repro.testing.eager_streamed_engine "
-                "(PR 2 behavior); both paths checked "
-                "bit-identical to compose_ranking over the full scan",
-            },
-            "per_method": per_method,
-            "serial_workload": {
-                "plan": "feeder -> multi-feed lefts (one budgeted block "
-                "per feeder tuple), joined with single-feed rights",
-                "feeds": FEEDS,
-                "tuples_per_block": PER,
-                "chunk_size": SERIAL_CHUNK,
-                "fetch_budget_pages": SERIAL_FETCHES,
-                "k_values": list(KS),
-            },
-            "serial_per_method": serial_per_method,
-            "deep_chain_workload": {
-                "plan": "search head -> 1/2/3 levels of exact bulk lookups "
-                "-> output (service-terminal: the chain is the stream)",
-                "table_rows": list(CHAIN_TABLES),
-                "lookup_levels": list(CHAIN_DEPTHS),
-                "chunk_size": CHUNK,
-                "fetch_budget_pages": CHAIN_FETCHES,
-                "k_values": list(KS),
-                "expected_page_fetches": "ceil(k / chunk) + levels * k",
-            },
-            "deep_chain": chain_points,
-            "deep_chain_multi_round": {
-                "session": f"F=1, k={k}, {depth} lookup levels, "
-                f"{small}-row tables, no cache",
-                **multi_round,
-            },
-        }
-        append_history(
-            out_dir / bench_out_name("BENCH_lazy.json"),
-            {**payload, "env": env_stamp()},
+
+def test_write_counts_lazy(out_dir):
+    pair = _joined_points(_plan, SIDE)
+    serial = _joined_points(_serial_plan, FEEDS * PER)
+    for point in serial:
+        if point["run"] == "lazy":
+            # the feeder is demand-driven too (its only consumer is
+            # lazy): its block, FEEDS on lefts, the rights cursor
+            assert point["lazy_blocks"] == FEEDS + 2
+            if point["k"] == 1:
+                assert point["lazy_blocks_untouched"] > 0
+
+    chain_points = []
+    fetches: dict[tuple[int, int, int], int] = {}
+    for rows in CHAIN_TABLES:
+        for depth in CHAIN_DEPTHS:
+            for k in KS:
+                registry, head, plan = _chain_plan(depth, rows)
+                eager_rows, eager, lazy_rows, lazy = _measure_pair(
+                    registry, plan, head, k
+                )
+                assert len(lazy_rows) == k and lazy_rows == eager_rows
+                # Traffic grows with k: the head pages that hold k keys,
+                # and one lookup per key and level.
+                assert lazy["page_fetches"] == -(-k // CHUNK) + depth * k
+                if k == KS[-1]:
+                    assert 2 * lazy["page_fetches"] <= eager["page_fetches"]
+                fetches[rows, depth, k] = lazy["page_fetches"]
+                for run, counts in (("eager", eager), ("lazy", lazy)):
+                    chain_points.append({"table_rows": rows, "levels": depth,
+                                         "k": k, "run": run, **counts})
+    small, large = CHAIN_TABLES
+    for depth in CHAIN_DEPTHS:
+        by_k = [fetches[small, depth, k] for k in KS]
+        assert by_k == sorted(by_k)  # non-decreasing in k
+        for k in KS:
+            # flat in table size, and in depth x fan-out: a level more
+            # costs its own lookups, never a multiple
+            assert fetches[small, depth, k] == fetches[large, depth, k]
+            assert fetches[small, depth, k] <= depth * fetches[small, 1, k]
+
+    # One multi-round session: F = 1 page holds 10 keys, k = 100 needs
+    # the ladder 1, 2, 4, 8, 16.  No cache, so every pull is a remote
+    # fetch: in place pays each page once — what one walk with a large
+    # enough F pays — re-execution pays every earlier round again.
+    multi_round = []
+    depth, k = CHAIN_DEPTHS[-1], KS[-1]
+    for name, cls in (
+        ("in_place", ProgressiveExecutor),
+        ("re_executing", ReexecutingExecutor),
+    ):
+        registry, head, plan = _chain_plan(depth, small, fetches=1)
+        executor = cls(
+            registry=registry, plan=plan, head=head,
+            cache_setting=CacheSetting.NO_CACHE,
         )
+        assert len(executor.run(k).rows) == k
+        rounds = executor.rounds
+        multi_round.append({
+            "session": name,
+            "rounds": len(rounds),
+            "ladder": [r.fetches[0] for r in rounds],
+            "page_fetches_per_round": [r.stats.total_fetches for r in rounds],
+            "page_fetches": sum(r.stats.total_fetches for r in rounds),
+            "tuples_processed": sum(r.stats.tuples_processed for r in rounds),
+            "virtual_s": round(sum(r.elapsed for r in rounds), 6),
+        })
+    in_place, re_executing = multi_round
+    assert in_place["ladder"] == re_executing["ladder"]
+    assert in_place["page_fetches"] == fetches[small, depth, k]
+    assert in_place["page_fetches"] < re_executing["page_fetches"]
+    assert re_executing["page_fetches"] == sum(
+        # round r re-walks from page 0 to where it stops
+        min(pages * CHUNK, k) * depth + -(-min(pages * CHUNK, k) // CHUNK)
+        for pages in re_executing["ladder"]
+    )
 
-    def test_bench_lazy_streamed_top_10(self, benchmark):
-        registry, head, plan = _plan(JoinMethod.MERGE_SCAN)
-        engine = ExecutionEngine(registry)
-        result = benchmark(lambda: engine.execute(plan, head=head, k=10))
-        assert len(result.rows) == 10
-        eager = eager_streamed_engine(registry).execute(plan, head=head, k=10)
-        assert eager.stats.total_fetches - result.stats.total_fetches > 0
-
-    def test_bench_lazy_serial_multifeed_top_10(self, benchmark):
-        registry, head, plan = _serial_plan(JoinMethod.MERGE_SCAN)
-        engine = ExecutionEngine(registry)
-        result = benchmark(lambda: engine.execute(plan, head=head, k=10))
-        assert len(result.rows) == 10
-        eager = eager_streamed_engine(registry).execute(plan, head=head, k=10)
-        assert eager.stats.total_fetches - result.stats.total_fetches > 0
-        blocks = demand_blocks(result)
-        assert sum(known for known, _ in blocks.values()) == FEEDS + 2
+    write_artifact(out_dir, "counts_lazy.txt", "\n\n".join([
+        table(f"Pair: two single-feed search services, {SIDE}x{SIDE} "
+              f"rank-monotone plane, chunk {CHUNK}, {FETCHES}-page budget; "
+              "eager vs. lazy streaming, rows equal to the oracle's", pair),
+        table(f"Serial: feeder -> multi-feed lefts ({FEEDS} blocks of {PER}), "
+              f"joined with rights, chunk {SERIAL_CHUNK}", serial),
+        table(f"Deep chain: search head -> 1/2/3 levels of exact lookups, "
+              f"chunk {CHUNK}, {CHAIN_FETCHES}-page head budget; lazy pages "
+              "= ceil(k / chunk) + levels * k", chain_points),
+        table(f"Multi-round session: F=1, k={k}, {depth} lookup levels, "
+              f"{small}-row tables, no cache", multi_round),
+    ]))

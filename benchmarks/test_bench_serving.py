@@ -1,4 +1,4 @@
-"""Multi-tenant serving trajectory (``BENCH_serving.json``).
+"""Multi-tenant serving exact counts (``counts_serving.txt``).
 
 Replays a Zipf-distributed stream of query-template instances from the
 four built-in domains (travel, news, bio, weekend) against the serving
@@ -33,10 +33,8 @@ the shared cache) must be bit-identical — rows, composed ranks,
 per-service rank values, completeness — to a cold submit on a fresh
 service with empty caches.
 
-The file is a trajectory: every full run appends an entry with its
-environment stamp (``_bench_env.append_history``).  Plan caches live
-under pytest's ``tmp_path``; nothing but the trajectory is written to
-``benchmarks/out/``.
+Plan caches live under pytest's ``tmp_path``; nothing but the counts
+artifact is written to ``benchmarks/out/``.
 """
 
 from __future__ import annotations
@@ -45,14 +43,8 @@ import random
 import threading
 
 import pytest
-from _bench_env import (
-    QUICK,
-    append_history,
-    bench_out_name,
-    bench_scale,
-    env_stamp,
-)
 
+from benchmarks.conftest import table, write_artifact
 from repro.serving import PlanCache, QueryService
 from repro.sources.bio import bio_registry, glycolysis_homolog_query
 from repro.sources.news import news_registry
@@ -62,11 +54,11 @@ from repro.testing import market_moving_news_query
 
 pytestmark = pytest.mark.bench
 
-REQUESTS = bench_scale(300, 80)
+REQUESTS = 80
 K = 5
 ZIPF_EXPONENT = 1.1
 SEED = 20080824
-WORKER_COUNTS = bench_scale((1, 2, 4, 8), (1, 4))
+WORKER_COUNTS = (1, 4)
 
 _REGISTRIES = {
     "travel": travel_registry,
@@ -194,148 +186,100 @@ def _threaded_replay(fleet, population, stream, workers) -> list:
     return signatures
 
 
-class TestServingTrajectory:
-    def test_write_bench_serving(self, out_dir, tmp_path):
-        population = _templates()
-        stream = _zipf_stream(len(population), REQUESTS)
-        touched = sorted({index for index in stream})
+def test_write_counts_serving(out_dir, tmp_path):
+    population = _templates()
+    stream = _zipf_stream(len(population), REQUESTS)
+    touched = sorted({index for index in stream})
 
-        # Cold baseline: every submission optimizes and fetches afresh.
-        cold = _replay(_baseline_fleet(), population, stream)
+    # Cold baseline: every submission optimizes and fetches afresh.
+    cold = {"fleet": "cold", **_replay(_baseline_fleet(), population, stream)}
 
-        # Warm fleet: shared persistent plan cache + shared service
-        # caches.
-        cache_path = tmp_path / "plans.sqlite"
-        plan_cache = PlanCache(path=cache_path)
-        fleet = _fleet(plan_cache)
-        warm = _replay(fleet, population, stream)
-        warm["plan_cache"] = plan_cache.stats.to_dict()
-        hit_rate = plan_cache.stats.hit_rate
+    # Warm fleet: shared persistent plan cache + shared service caches.
+    cache_path = tmp_path / "plans.sqlite"
+    plan_cache = PlanCache(path=cache_path)
+    fleet = _fleet(plan_cache)
+    warm = {"fleet": "warm", **_replay(fleet, population, stream),
+            **plan_cache.stats.to_dict()}
 
-        # Restarted fleet: fresh processes, same plan-cache file.
-        restarted_cache = PlanCache(path=cache_path)
-        restarted = _replay(_fleet(restarted_cache), population, stream)
-        restarted["plan_cache"] = restarted_cache.stats.to_dict()
+    # Restarted fleet: fresh processes, same plan-cache file.
+    restarted_cache = PlanCache(path=cache_path)
+    restarted = {"fleet": "restarted",
+                 **_replay(_fleet(restarted_cache), population, stream),
+                 **restarted_cache.stats.to_dict()}
 
-        # Differential: warm answers are bit-identical to cold ones.
-        # The cold signatures double as the sequential oracle for the
-        # concurrency sweep below (answers are a pure function of
-        # registry content, query, and k).
-        fresh = _baseline_fleet()
-        oracle: dict[int, tuple] = {}
-        for index in touched:
-            domain, label, query = population[index]
-            warm_answer = fleet[domain].submit(query, k=K)
-            assert warm_answer.provenance == "memory", label
-            cold_answer = fresh[domain].submit(query, k=K)
-            oracle[index] = _answer_signature(cold_answer)
-            assert _answer_signature(warm_answer) == oracle[
-                index
-            ], f"warm answer diverged from cold for {label}"
+    # Differential: warm answers are bit-identical to cold ones.  The
+    # cold signatures double as the sequential oracle for the
+    # concurrency sweep below (answers are a pure function of registry
+    # content, query, and k).
+    fresh = _baseline_fleet()
+    oracle: dict[int, tuple] = {}
+    for index in touched:
+        domain, label, query = population[index]
+        warm_answer = fleet[domain].submit(query, k=K)
+        assert warm_answer.provenance == "memory", label
+        assert warm_answer.stats["service_calls"] == 0, label
+        oracle[index] = _answer_signature(fresh[domain].submit(query, k=K))
+        assert _answer_signature(warm_answer) == oracle[
+            index
+        ], f"warm answer diverged from cold for {label}"
 
-        # The acceptance criteria of the subsystem.
-        assert hit_rate >= 0.8, f"warm hit rate {hit_rate:.2%} below 80%"
-        assert (
-            warm["optimizer_annotate_calls"]
-            < cold["optimizer_annotate_calls"]
-        )
-        assert warm["service_calls"] < cold["service_calls"]
-        assert restarted_cache.stats.misses == 0, "disk tier must start warm"
+    # The acceptance criteria of the subsystem.
+    hit_rate = plan_cache.stats.hit_rate
+    assert hit_rate >= 0.8, f"warm hit rate {hit_rate:.2%} below 80%"
+    assert warm["optimizer_annotate_calls"] < cold["optimizer_annotate_calls"]
+    assert warm["service_calls"] < cold["service_calls"]
+    assert restarted_cache.stats.misses == 0, "disk tier must start warm"
 
-        # Concurrency sweep: N threads share one fleet.  Bit-identity
-        # and sequential accounting must hold for every worker count.
-        sweep = []
-        sqlite_path = None
-        for workers in WORKER_COUNTS:
-            sqlite_path = tmp_path / f"plans_w{workers}.sqlite"
-            swept_cache = PlanCache(path=sqlite_path)
-            swept_fleet = _fleet(swept_cache)
-            signatures = _threaded_replay(
-                swept_fleet, population, stream, workers
+    # Concurrency sweep: N threads share one fleet.  Bit-identity and
+    # sequential accounting must hold for every worker count.
+    sweep = []
+    sqlite_path = None
+    for workers in WORKER_COUNTS:
+        sqlite_path = tmp_path / f"plans_w{workers}.sqlite"
+        swept_cache = PlanCache(path=sqlite_path)
+        swept_fleet = _fleet(swept_cache)
+        signatures = _threaded_replay(swept_fleet, population, stream, workers)
+        for position, signature in enumerate(signatures):
+            assert signature == oracle[stream[position]], (
+                f"answer diverged from sequential oracle at request "
+                f"{position} with {workers} workers"
             )
-            for position, signature in enumerate(signatures):
-                assert signature == oracle[stream[position]], (
-                    f"answer diverged from sequential oracle at request "
-                    f"{position} with {workers} workers"
-                )
-            # Single-flight pins the accounting to the sequential
-            # schedule: one miss (and one optimize) per touched
-            # template, independent of the thread count.
-            assert swept_cache.stats.lookups == REQUESTS
-            assert swept_cache.stats.misses == len(touched)
-            assert sum(
-                s.stats.optimizer_runs for s in swept_fleet.values()
-            ) == len(touched)
-            if not QUICK:
-                assert swept_cache.stats.hit_rate >= 0.95, (
-                    f"hit rate regressed: {swept_cache.stats.hit_rate:.2%}"
-                )
-            sweep.append(
-                {
-                    "workers": workers,
-                    "requests": len(stream),
-                    "plan_cache": swept_cache.stats.to_dict(),
-                    "hit_rate": round(swept_cache.stats.hit_rate, 4),
-                }
-            )
-            swept_cache.close()
+        # Single-flight pins the accounting to the sequential schedule:
+        # one miss (and one optimize) per touched template, independent
+        # of the thread count.
+        stats = swept_cache.stats
+        assert stats.lookups == REQUESTS
+        assert stats.misses == len(touched)
+        assert sum(
+            s.stats.optimizer_runs for s in swept_fleet.values()
+        ) == len(touched)
+        sweep.append({"workers": workers, "lookups": stats.lookups,
+                      "misses": stats.misses, "stores": stats.stores})
+        swept_cache.close()
 
-        # Restart warm start: a fresh fleet over the last
-        # sweep's database replays every touched template with zero
-        # misses and zero optimizer runs.
-        warm_start_cache = PlanCache(path=sqlite_path)
-        warm_start_fleet = _fleet(warm_start_cache)
-        for index in touched:
-            domain, label, query = population[index]
-            response = warm_start_fleet[domain].submit(query, k=K)
-            assert response.provenance == "disk", label
-            assert _answer_signature(response) == oracle[index], label
-        assert warm_start_cache.stats.misses == 0, (
-            "disk tier must start warm after restart"
-        )
-        warm_start = {
-            "requests": len(touched),
-            "plan_cache": warm_start_cache.stats.to_dict(),
-        }
-        warm_start_cache.close()
+    # Restart warm start: a fresh fleet over the last sweep's database
+    # replays every touched template with zero misses and zero
+    # optimizer runs.
+    warm_start_cache = PlanCache(path=sqlite_path)
+    warm_start_fleet = _fleet(warm_start_cache)
+    for index in touched:
+        domain, label, query = population[index]
+        response = warm_start_fleet[domain].submit(query, k=K)
+        assert response.provenance == "disk", label
+        assert _answer_signature(response) == oracle[index], label
+    assert warm_start_cache.stats.misses == 0, (
+        "disk tier must start warm after restart"
+    )
+    warm_start = {"fleet": "restart_from_sqlite", "requests": len(touched),
+                  **warm_start_cache.stats.to_dict()}
+    warm_start_cache.close()
 
-        payload = {
-            "env": env_stamp(),
-            "workload": {
-                "requests": REQUESTS,
-                "k": K,
-                "distinct_templates": len(population),
-                "templates_touched": len(touched),
-                "zipf_exponent": ZIPF_EXPONENT,
-                "domains": sorted(_REGISTRIES),
-                "baseline": "per-request optimization, no plan cache, "
-                "private service caches",
-            },
-            "cold_baseline": cold,
-            "warm_fleet": warm,
-            "restarted_fleet": restarted,
-            "concurrency": {
-                "worker_counts": list(WORKER_COUNTS),
-                "sweep": sweep,
-                "restart_from_sqlite": warm_start,
-            },
-            "savings": {
-                "plan_cache_hit_rate": round(hit_rate, 4),
-                "optimizer_annotate_calls_saved": (
-                    cold["optimizer_annotate_calls"]
-                    - warm["optimizer_annotate_calls"]
-                ),
-                "service_calls_saved": (
-                    cold["service_calls"] - warm["service_calls"]
-                ),
-            },
-        }
-        append_history(out_dir / bench_out_name("BENCH_serving.json"), payload)
-
-    def test_bench_serving_warm_submit(self, benchmark):
-        service = QueryService(registry=news_registry(), k_default=K)
-        query = market_moving_news_query()
-        service.submit(query, k=K)  # prime plan + service caches
-        response = benchmark(lambda: service.submit(query, k=K))
-        assert response.provenance == "memory"
-        assert response.stats["service_calls"] == 0
+    write_artifact(out_dir, "counts_serving.txt", "\n\n".join([
+        table(f"Zipf({ZIPF_EXPONENT}) replay of {REQUESTS} requests, k={K}, "
+              f"{len(touched)} of {len(population)} templates touched, "
+              f"domains {', '.join(sorted(_REGISTRIES))}; cold = per-request "
+              "optimization, no plan cache, private service caches",
+              [cold, warm, restarted, warm_start]),
+        table("Threads sharing one fleet: single-flight plan-cache accounting",
+              sweep),
+    ]))

@@ -1,0 +1,308 @@
+"""Wall-clock probes the exact-count modules do not record.
+
+Three timings, each printed as a table and written nowhere (a
+wall-clock number counts only if ``bench/run.py`` produced it; these
+are probes until they become bounded micro-workloads there):
+
+* **phase-3 fetch vectors per second** on one fixed plan — the compiled
+  annotation program (``AnnotationProgram``: compile once, run per
+  vector), and the program obtained the way the search does, by
+  *extending* the open plan's with the nodes ``close`` adds, against
+  the per-definition ``reference_annotate``, which re-derives
+  everything per vector; bit-identity at every point, and the program
+  faster than the reference once a sweep amortizes its compile;
+* **µs per search bound** — per domain and metric, one bound read off
+  the open plan of a shared prefix against the from-scratch build every
+  bound used to be (sub-query, build, compile, run, cost), measured in
+  alternating passes over the states a search bounded, the two bounds
+  hex-identical;
+* **pubsearch page cost by depth** on the 50k-paper SQLite corpus —
+  pages 0 / 50 / 200 of one unit invoked cold, so each skips
+  ``page * chunk`` index entries with ``OFFSET``, and right after its
+  predecessor, so it continues from the recorded last key; both ways
+  return the same page.
+"""
+
+from __future__ import annotations
+
+import statistics
+import time
+
+import pytest
+
+from benchmarks.conftest import table
+from benchmarks.test_bench_optimizer_phases import SEARCH_CONFIG, search_problems
+from repro.costs.sum_cost import SumCostMetric
+from repro.costs.time_cost import ExecutionTimeMetric
+from repro.execution.cache import CacheSetting
+from repro.optimizer.optimizer import Optimizer, OptimizerConfig
+from repro.plans.annotate import AnnotationProgram, annotate
+from repro.plans.builder import PlanBuilder
+from repro.sources.biblio import biblio_registry, generate_corpus
+from repro.testing.reference import (
+    memo_bounds,
+    reference_annotate,
+    reference_partial_plan,
+    search_states,
+)
+
+pytestmark = pytest.mark.bench
+
+#: Fetch vectors per phase-3 sweep point.
+VECTOR_COUNTS = (1, 16, 256)
+#: Alternating passes per search-bound timing (the minimum is kept).
+BOUND_REPEATS = 5
+#: Corpus, pages and repetitions of the page-depth probe.
+DEPTH_PAPERS = 50_000
+DEPTHS = (0, 50, 200)
+DEPTH_REPEATS = 15
+KEYWORD = "service computing"
+
+
+def _print(capsys, title: str, rows: list[dict]) -> None:
+    with capsys.disabled():
+        print("\n" + table(title, rows))
+
+
+def _timed(fn):
+    begun = time.perf_counter()
+    value = fn()
+    return value, max(time.perf_counter() - begun, 1e-9)
+
+
+# -- phase 3 -------------------------------------------------------------
+
+
+def _vectors(arity: int, count: int) -> list[tuple[int, ...]]:
+    """*count* distinct fetch vectors, the low corner of the box first
+    (what greedy and the exhaustive sweep walk through)."""
+    vectors, bound = [], 1
+    while len(vectors) < count:
+        bound += 1
+        vectors = [()]
+        for _ in range(arity):
+            vectors = [v + (f,) for v in vectors for f in range(1, bound + 1)]
+    return vectors[:count]
+
+
+def _hexes(plan, annotation):
+    """Every node estimate in the order the nodes were added to *plan*
+    (two builds of one topology differ in node ids only)."""
+    return [
+        (e.tuples_in.hex(), e.tuples_out.hex(), e.calls.hex())
+        for e in map(annotation.of, plan.nodes)
+    ]
+
+
+def _open_fold(builder, patterns, poset, cache_setting):
+    """The open plan of a complete topology with its program, folded
+    the way ``PlanBuilder.build`` folds: what the search holds when the
+    topology is reached."""
+    state = builder.start()
+    program = AnnotationProgram(state.plan, cache_setting)
+    order = sorted(
+        range(poset.n), key=lambda i: (len(poset.predecessors_of(i)), i)
+    )
+    for index in order:
+        state = builder.place(
+            state, index, patterns[index], poset.direct_predecessors_of(index)
+        )
+        program = program.extended(state.plan)
+    return state, program
+
+
+def _sweep(name, builder, patterns, poset, cache_setting):
+    metric = ExecutionTimeMetric()
+    plan = builder.build(patterns, poset)
+    state, open_program = _open_fold(builder, patterns, poset, cache_setting)
+    closed = builder.close(state)
+    atoms = AnnotationProgram(plan, cache_setting).chunked_atoms
+    nodes = [plan.service_node_for_atom(atom) for atom in atoms]
+    points = []
+    for size in VECTOR_COUNTS:
+        vectors = _vectors(len(atoms), size)
+
+        def compiled():
+            program = AnnotationProgram(plan, cache_setting)
+            views = [program.run(vector) for vector in vectors]
+            return views, [metric.cost(plan, view) for view in views]
+
+        def extended():
+            # The search's route: the open plan's program is there
+            # already, the program of the closed plan compiles the
+            # nodes ``close`` added.
+            program = open_program.extended(closed)
+            views = [program.run(vector) for vector in vectors]
+            return views, [metric.cost(closed, view) for view in views]
+
+        def reference():
+            annotations, reference_costs = [], []
+            for vector in vectors:
+                for node, factor in zip(nodes, vector):
+                    node.fetches = factor
+                annotations.append(reference_annotate(plan, cache_setting))
+                reference_costs.append(metric.cost(plan, annotations[-1]))
+            for node in nodes:
+                node.fetches = 1
+            return annotations, reference_costs
+
+        (views, costs), program_s = _timed(compiled)
+        (extended_views, extended_costs), extended_s = _timed(extended)
+        (references, reference_costs), reference_s = _timed(reference)
+        # Bit-identity at every point of the sweep.
+        for view, extension, annotation in zip(views, extended_views, references):
+            assert (
+                _hexes(plan, view) == _hexes(closed, extension)
+                == _hexes(plan, annotation)
+            )
+        assert (
+            [c.hex() for c in costs] == [c.hex() for c in extended_costs]
+            == [c.hex() for c in reference_costs]
+        )
+        points.append({
+            "plan": name,
+            "cache_setting": cache_setting.value,
+            "chunked_services": len(atoms),
+            "vectors": size,
+            "program_per_s": round(size / program_s, 1),
+            "extended_per_s": round(size / extended_s, 1),
+            "reference_per_s": round(size / reference_s, 1),
+            "speedup": round(reference_s / program_s, 2),
+            "extended_speedup": round(reference_s / extended_s, 2),
+        })
+    return points
+
+
+def test_phase3_vectors_per_second(registry, travel_query, capsys):
+    from repro.sources.bio import bio_registry, glycolysis_homolog_query
+    from repro.sources.travel import alpha1_patterns, poset_optimal
+
+    bio, bio_query = bio_registry(), glycolysis_homolog_query()
+    bio_best = Optimizer(
+        bio, ExecutionTimeMetric(), OptimizerConfig(k=5)
+    ).optimize(bio_query)
+    points = []
+    for name, builder, patterns, poset in (
+        ("travel-O", PlanBuilder(travel_query, registry),
+         alpha1_patterns(), poset_optimal()),
+        ("bio-best", PlanBuilder(bio_query, bio),
+         bio_best.patterns, bio_best.poset),
+    ):
+        for cache_setting in (CacheSetting.ONE_CALL, CacheSetting.NO_CACHE):
+            points += _sweep(name, builder, patterns, poset, cache_setting)
+    _print(capsys, "Phase 3: fetch vectors per second, program vs. reference",
+           points)
+    # One vector pays the compile; a sweep amortizes it.  The extension
+    # has next to nothing to compile, which shows in the one-vector rows
+    # (printed, not asserted: one evaluation is too short to time).
+    for point in points:
+        if point["vectors"] >= 16:
+            assert point["speedup"] > 1.0, point
+            assert point["extended_speedup"] > 1.0, point
+
+
+# -- search bounds -------------------------------------------------------
+
+
+def _bound_us(name, registry, query, metric) -> dict:
+    """µs per bound over the states one search bounded, both ways."""
+    setting = SEARCH_CONFIG.cache_setting
+    optimizer = Optimizer(registry, metric, SEARCH_CONFIG)
+    optimizer.optimize(query)
+    states = []
+    for codes, closure in memo_bounds(optimizer._memo):
+        patterns = tuple(
+            registry.signature(body_atom.service).pattern(code) if code else None
+            for body_atom, code in zip(query.atoms, codes)
+        )
+        placed = frozenset(i for i, code in enumerate(codes) if code)
+        states.append((patterns, placed, closure))
+
+    def from_scratch():
+        bounds = []
+        for state in states:
+            plan = reference_partial_plan(query, registry, *state)
+            bounds.append(metric.cost(plan, annotate(plan, setting)))
+        return bounds
+
+    # One bound, two ways, in alternating passes: on the open plans of
+    # a fresh optimizer (the canonical parent is in its table, or is
+    # folded into it, exactly as during the search; nothing is closed),
+    # and from scratch.
+    shared_s = scratch_s = float("inf")
+    for _ in range(BOUND_REPEATS):
+        fresh = Optimizer(registry, metric, SEARCH_CONFIG)
+        shared, elapsed = _timed(
+            lambda: [bound for bound, _ in search_states(fresh, query, states)]
+        )
+        shared_s = min(shared_s, elapsed)
+        scratch, elapsed = _timed(from_scratch)
+        scratch_s = min(scratch_s, elapsed)
+        assert [b.hex() for b in shared] == [b.hex() for b in scratch], name
+    return {
+        "domain": name,
+        "metric": metric.name,
+        "bounds": len(states),
+        "us_per_bound": round(shared_s / len(states) * 1e6, 1),
+        "us_per_bound_from_scratch": round(scratch_s / len(states) * 1e6, 1),
+    }
+
+
+def test_search_bound_us(capsys):
+    rows = [
+        _bound_us(name, registry, query, metric)
+        for name, registry, query in search_problems()
+        for metric in (ExecutionTimeMetric(), SumCostMetric())
+    ]
+    _print(capsys, "Search: µs per bound, open plan vs. from scratch", rows)
+    # Measured side by side so the host's speed cancels out: about 2.9x
+    # cheaper on bio under ETM, 3.2x under SCM (four passes read
+    # 2.5-3.1x and 2.9-3.3x; closing every bounded plan, it was 2.0x).
+    # What is left per bound is mostly the fold (``place`` +
+    # ``extended``), not the evaluation.
+    bio = next(r for r in rows if (r["domain"], r["metric"]) == ("bio", "execution-time"))
+    assert 2 * bio["us_per_bound"] <= bio["us_per_bound_from_scratch"], bio
+
+
+# -- page depth ----------------------------------------------------------
+
+
+def test_page_depth_us(capsys):
+    """Median µs of one pubsearch page per depth, by OFFSET and continued.
+
+    Every OFFSET repetition runs before the first in-order walk: a page
+    continues only after its predecessor was fetched, and invoking
+    pages 0 / 50 / 200 cold records where 1 / 51 / 201 start, not them.
+    """
+    corpus = generate_corpus(DEPTH_PAPERS, seed=20080824)
+    service = biblio_registry(backend="sqlite", corpus=corpus).service(
+        "pubsearch"
+    )
+    pattern = service.signature.pattern("iooo")
+    timings = {way: {d: [] for d in DEPTHS} for way in ("offset", "continued")}
+    pages = {}
+    try:
+        for _ in range(DEPTH_REPEATS):
+            for depth in DEPTHS:
+                result, elapsed = _timed(
+                    lambda: service.invoke(pattern, {0: KEYWORD}, depth)
+                )
+                pages[depth] = result.tuples
+                timings["offset"][depth].append(elapsed)
+        for _ in range(DEPTH_REPEATS):
+            for page in range(max(DEPTHS) + 1):
+                result, elapsed = _timed(
+                    lambda: service.invoke(pattern, {0: KEYWORD}, page)
+                )
+                if page in pages:
+                    assert result.tuples == pages[page]
+                    timings["continued"][page].append(elapsed)
+    finally:
+        service.close()
+    assert all(pages.values())  # every depth lies inside the unit
+    _print(capsys, f"pubsearch page cost (median µs), {DEPTH_PAPERS} papers", [
+        {"page": depth,
+         **{way: round(statistics.median(per[depth]) * 1e6, 2)
+            for way, per in timings.items()}}
+        for depth in DEPTHS
+    ])
