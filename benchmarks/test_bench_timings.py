@@ -255,13 +255,15 @@ def test_search_bound_us(capsys):
         for metric in (ExecutionTimeMetric(), SumCostMetric())
     ]
     _print(capsys, "Search: µs per bound, open plan vs. from scratch", rows)
-    # Measured side by side so the host's speed cancels out: about 2.9x
-    # cheaper on bio under ETM, 3.2x under SCM (four passes read
-    # 2.5-3.1x and 2.9-3.3x; closing every bounded plan, it was 2.0x).
-    # What is left per bound is mostly the fold (``place`` +
-    # ``extended``), not the evaluation.
+    # Measured side by side so the host's speed cancels out: on bio
+    # under ETM four passes on a 2-core host read 3.5-3.9x cheaper
+    # (62.5-64.4 µs against 223-244 µs); while the fold re-derived each
+    # atom's facts per state it read 2.8-2.9x there, and while every
+    # bounded plan was closed, 2.0x.  What is
+    # left per bound is mostly the fold (``place`` + ``extended``), not
+    # the evaluation.
     bio = next(r for r in rows if (r["domain"], r["metric"]) == ("bio", "execution-time"))
-    assert 2 * bio["us_per_bound"] <= bio["us_per_bound_from_scratch"], bio
+    assert 3 * bio["us_per_bound"] <= bio["us_per_bound_from_scratch"], bio
 
 
 # -- page depth ----------------------------------------------------------

@@ -7,13 +7,14 @@ partially constructed plan yields a lower bound for every completion,
 which is what makes branch-and-bound sound (Section 2.4).
 
 Every metric reads a plan through one seam, :meth:`CostMetric.evaluate`:
-per-node response times and work (from the nodes and the annotation's
-estimates) and the paths from the input node to the plan's sinks.  A
-closed plan's sink is OUT (:meth:`~CostMetric.cost`); an *open* plan —
-a search state, IN and the atoms placed so far — has the frontiers of
-its maximal branches as sinks (``OpenPlan.paths``) and its estimates
-at all fetching factors 1 in its annotation program
-(``AnnotationProgram.ones``).  That is the optimizer's lower bound,
+per-node response times and work (the annotation's estimates, and the
+τ and busy-time columns of :meth:`PlanAnnotation.timing`, which an
+annotation program fills as it runs) and the paths from the input node
+to the plan's sinks.  A closed plan's sink is OUT
+(:meth:`~CostMetric.cost`); an *open* plan — a search state, IN and
+the atoms placed so far — has the frontiers of its maximal branches as
+sinks (``OpenPlan.paths``) and its estimates at all fetching factors 1
+in its annotation program (``AnnotationProgram.ones``).  That is the optimizer's lower bound,
 with no close.  Closing would only append parallel joins, which the
 plan builder gives neither a response time nor a per-tuple cost, and
 OUT: every metric reads such nodes as zero at the end of a path or a

@@ -15,6 +15,11 @@ The *bottleneck metric* of Srivastava et al. [16] keeps only the first
 term; it suits pipelined execution of continuous queries.  The
 *time-to-screen* metric measures the time to present the first output
 tuple: one invocation per node along the slowest root-to-output path.
+
+All three read τ and ``F · t_in · τ`` per node off the annotation
+(:meth:`~repro.plans.annotate.PlanAnnotation.timing`): an annotation
+program reads τ once per node when it compiles it and computes the
+busy time as it runs, so a metric derives nothing per plan.
 """
 
 from __future__ import annotations
@@ -22,45 +27,6 @@ from __future__ import annotations
 from repro.costs.base import CostMetric, Paths
 from repro.plans.annotate import PlanAnnotation
 from repro.plans.dag import QueryPlan
-from repro.plans.nodes import JoinNode, ServiceNode
-
-
-def _timing(plan: QueryPlan):
-    """What the time metrics need of *plan*, derived once per plan.
-
-    ``(taus, idle, services)``: τ of every node by position (in
-    ``plan.nodes`` order) — a service's response time, a join's, 0 for
-    IN/OUT; the busy time of every node whose busy time does not
-    depend on the annotation (a join's τ, 0 for IN/OUT and, as a
-    placeholder, for services); and the service nodes with their
-    positions.
-    """
-    return plan.derived(_timing, _derive_timing)
-
-
-def _derive_timing(plan: QueryPlan):
-    taus, idle, services = [], [], []
-    for index, node in enumerate(plan.nodes):
-        if isinstance(node, ServiceNode):
-            assert node.profile is not None
-            taus.append(node.profile.response_time)
-            idle.append(0.0)
-            services.append((index, node))
-        else:
-            tau = node.response_time if isinstance(node, JoinNode) else 0.0
-            taus.append(tau)
-            idle.append(tau)
-    return taus, idle, services
-
-
-def _works(timing: tuple, annotation: PlanAnnotation) -> list[float]:
-    """Total busy time of every node, by position: F · t_in · τ for a
-    service, τ for a join, 0 for IN/OUT."""
-    taus, idle, services = timing
-    works = list(idle)
-    for index, node in services:
-        works[index] = annotation.fetches(node) * annotation.calls(node) * taus[index]
-    return works
 
 
 class ExecutionTimeMetric(CostMetric):
@@ -71,8 +37,7 @@ class ExecutionTimeMetric(CostMetric):
     def evaluate(
         self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
     ) -> float:
-        timing = taus, _, _ = _timing(plan)
-        works = _works(timing, annotation)
+        taus, works = annotation.timing(plan)
         worst = 0.0
         for path in paths:
             bottleneck = max(path, key=works.__getitem__)
@@ -94,7 +59,8 @@ class BottleneckMetric(CostMetric):
     def evaluate(
         self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
     ) -> float:
-        return max(_works(_timing(plan), annotation), default=0.0)
+        _, works = annotation.timing(plan)
+        return max(works, default=0.0)
 
 
 class TimeToScreenMetric(CostMetric):
@@ -109,8 +75,7 @@ class TimeToScreenMetric(CostMetric):
     def evaluate(
         self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
     ) -> float:
-        del annotation
-        taus, _, _ = _timing(plan)
+        taus, _ = annotation.timing(plan)
         worst = 0.0
         for path in paths:
             worst = max(worst, sum(taus[index] for index in path))

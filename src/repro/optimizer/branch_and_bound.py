@@ -33,8 +33,9 @@ class SearchStats:
     function of the query, the profiles and the configuration alone
     (memoization, and how a bound is computed, never move them):
     ``pattern_sequences_considered`` / ``pattern_sequences_pruned``
-    (phase 1 sequences tried, and discarded by their single-call
-    bound), ``topology_states_explored`` (states popped by phase 2,
+    (phase 1 sequences tried, and discarded whole — which no sequence
+    is: no single-call cost bounds a sequence, its one-atom states
+    do, so the second stays 0), ``topology_states_explored`` (states popped by phase 2,
     complete ones included), ``incumbent_updates`` (the incumbent's
     costs are its ``history``).
 

@@ -366,22 +366,31 @@ def exhaustive_assignment(
         if candidate.feasible:
             best = candidate
             feasible_minimals.append(tuple(candidate.fetches[i] for i in atoms))
-    # A flat loop, first atom outermost (no recursive closure: a closure
-    # that calls itself is a reference cycle, which would keep the
-    # context and every annotation it memoized alive until the next
-    # collection).
-    for factors in itertools.product(*(range(1, bounds[i] + 1) for i in atoms)):
-        if any(
-            factors != other and all(f >= o for f, o in zip(factors, other))
-            for other in feasible_minimals
-        ):
-            continue  # dominated: can only cost more
-        vector = dict(zip(atoms, factors))
-        if context.annotate(vector).output_size < k:
-            continue
-        feasible_minimals.append(factors)
-        if best is None or context.cost(vector) < best.cost:
-            best = context.evaluate(vector, k)
+    # The box in lexicographic order, first atom outermost, by prefix
+    # (every factor but the last).  A vector is skipped when it
+    # dominates a feasible minimal other than itself: the minimals whose
+    # prefix lies componentwise below this one dominate each vector of
+    # the prefix from their last factor on (one past it for a minimal
+    # with this very prefix), so the prefix's sweep stops at the least
+    # such factor, or right after its first feasible vector, which
+    # dominates the rest.  (A flat loop: a closure that calls itself is
+    # a reference cycle, which would keep the context and every
+    # annotation it memoized alive until the next collection.)
+    last_bound = bounds[atoms[-1]]
+    for prefix in itertools.product(*(range(1, bounds[i] + 1) for i in atoms[:-1])):
+        limit = last_bound + 1
+        for other in feasible_minimals:
+            if other[-1] < limit and all(o <= f for o, f in zip(other, prefix)):
+                limit = other[-1] + (other[:-1] == prefix)
+        for last in range(1, limit):
+            factors = prefix + (last,)
+            if context._annotation(factors).output_size < k:
+                continue
+            feasible_minimals.append(factors)
+            vector = dict(zip(atoms, factors))
+            if best is None or context.cost(vector) < best.cost:
+                best = context.evaluate(vector, k)
+            break
     if best is not None:
         return best
     # k unreachable: report the maximal-output assignment (the paper

@@ -14,12 +14,15 @@ first ``k`` answers under a chosen metric:
   greedy or square heuristic, refined by dominance-pruned exhaustive
   exploration.
 
-The phases are nested classes of plans and each is bounded before it
-is entered: a pattern sequence by its services' single-call costs, a
-partial topology by the cost of its plan so far, and a *complete*
-topology — a class too, its fetching factors still open — by its cost
-at all factors 1, so phase 3 only sizes topologies that can still beat
-the incumbent.  A search state is an *open plan*
+The phases are nested classes of plans, and each topology is bounded
+before it is entered: a partial topology by the cost of its plan so
+far, and a *complete* topology — a class too, its fetching factors
+still open — by its cost at all factors 1, so phase 3 only sizes
+topologies that can still beat the incumbent.  A pattern sequence has
+no bound of its own: a node's work is ``F · calls · τ``, and ``calls``
+falls below 1 downstream of a selective node, so no single-call cost
+bounds a plan, while the open plans of a sequence's one-atom states
+bound every plan it has.  A search state is an *open plan*
 (:class:`~repro.plans.builder.OpenPlan` plus its annotation program):
 the plan of the state it extends with one more atom placed, never a
 plan rebuilt from scratch (docs/ARCHITECTURE.md, "Search states are
@@ -29,13 +32,17 @@ open plans").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.costs.base import CostMetric
 from repro.execution.cache import CacheSetting
+from repro.execution.engine import check_count
 from repro.model.query import ConjunctiveQuery
 from repro.optimizer.branch_and_bound import Incumbent, SearchStats
 from repro.optimizer.fetches import FetchContext, FetchResult, assign_fetches
-from repro.optimizer.memo import OpenState, PlanEntry, PlanMemo, bound_key, plan_key
+from repro.optimizer.memo import (
+    BoundKey, OpenState, PlanEntry, PlanMemo, bound_key, plan_key,
+)
 from repro.optimizer.patterns import PatternSequence, select_patterns
 from repro.optimizer.topology import TopologyEnumerator, TopologyState, heuristic_posets
 from repro.plans.annotate import AnnotationProgram, PlanAnnotation, annotate
@@ -56,8 +63,7 @@ class OptimizerConfig:
     memoize: bool = True
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_count("k", self.k)
         if self.fetch_heuristic not in {"greedy", "square"}:
             raise ValueError(f"unknown fetch heuristic {self.fetch_heuristic!r}")
 
@@ -154,11 +160,6 @@ class Optimizer:
 
         for patterns in sequences:
             stats.pattern_sequences_considered += 1
-            if config.prune and run.incumbent.is_set:
-                bound = self._pattern_lower_bound(query, patterns)
-                if run.incumbent.prunes(bound):
-                    stats.pattern_sequences_pruned += 1
-                    continue
             self._seed_with_heuristics(run, patterns)
             self._search_topologies(run, patterns)
 
@@ -235,15 +236,16 @@ class Optimizer:
                 continue
             visited.add(state)
             stats.topology_states_explored += 1
+            placed, closure = state
             if enumerator.is_complete(state):
-                _, closure = state
                 if closure in completed:
                     continue
                 completed.add(closure)
                 self._complete_and_offer(run, patterns, enumerator.poset_of(state))
                 continue
-            if self._config.prune and run.incumbent.is_set and state[0]:
-                bound, _ = self._lower_bound(run, patterns, *state)
+            if self._config.prune and run.incumbent.is_set and placed:
+                key = bound_key(patterns, placed, closure)
+                bound, _ = self._lower_bound(run, patterns, key)
                 if run.incumbent.prunes(bound):
                     stats.topology_states_pruned += 1
                     continue
@@ -256,8 +258,8 @@ class Optimizer:
         unless it cannot beat the incumbent, or was sized before."""
         config = self._config
         stats = run.stats
-        closure = poset.closure()
-        placed = frozenset(range(poset.n))
+        # With every atom placed, the state's key is the topology's.
+        key = plan_key(patterns, poset.closure())
         state = None
         if config.prune and run.incumbent.is_set:
             # A topology with its fetching factors open is a class of
@@ -266,13 +268,11 @@ class Optimizer:
             # there is discarded unsized — and never closed.  (A
             # feasible member would be refused by the incumbent, an
             # infeasible one only matters while there is no incumbent.)
-            bound, state = self._lower_bound(run, patterns, placed, closure)
+            bound, state = self._lower_bound(run, patterns, key)
             if run.incumbent.prunes(bound):
                 stats.topology_states_pruned += 1
                 return
-        key = None
         if run.memo is not None:
-            key = plan_key(patterns, closure)
             entry = run.memo.lookup_plan(key)
             if entry is not None:
                 stats.memo_plan_hits += 1
@@ -281,7 +281,7 @@ class Optimizer:
                 return
             stats.memo_plan_misses += 1
         if state is None:
-            state = self._state(run, patterns, placed, closure)
+            state = self._state(run, patterns, key)
         context = self._close(run, state)
         fetch_result = assign_fetches(
             context, config.k, heuristic=config.fetch_heuristic
@@ -294,7 +294,7 @@ class Optimizer:
             feasible=fetch_result.feasible,
             payload=_Candidate(patterns, poset, fetch_result),
         )
-        if key is not None:
+        if run.memo is not None:
             run.memo.store_plan(key, entry)
         self._offer_entry(run, entry)
 
@@ -306,13 +306,10 @@ class Optimizer:
             run.stats.incumbent_updates += 1
 
     def _lower_bound(
-        self,
-        run: _Run,
-        patterns: PatternSequence,
-        placed: frozenset[int],
-        closure: frozenset[tuple[int, int]],
+        self, run: _Run, patterns: PatternSequence, key: BoundKey
     ) -> tuple[float, OpenState | None]:
-        """The metric on the state's open plan at fetches 1.
+        """The metric on the open plan of the state *key* names
+        (:func:`~repro.optimizer.memo.bound_key`) at fetches 1.
 
         New atoms are only ever appended after the placed ones, so the
         estimates of the placed nodes never change in any completion,
@@ -334,13 +331,13 @@ class Optimizer:
         """
         state = None
         if run.memo is not None:
-            state = run.memo.lookup_state(bound_key(patterns, placed, closure))
+            state = run.memo.lookup_state(key)
             if state is not None and state.bound is not None:
                 run.stats.memo_bound_hits += 1
                 return state.bound, None
             run.stats.memo_bound_misses += 1
         if state is None or state.plan is None:
-            state = self._state(run, patterns, placed, closure)
+            state = self._state(run, patterns, key)
         state.bound = self._metric.evaluate(
             state.plan.plan, state.program.ones(), state.plan.paths
         )
@@ -363,14 +360,11 @@ class Optimizer:
         )
 
     def _state(
-        self,
-        run: _Run,
-        patterns: PatternSequence,
-        placed: frozenset[int],
-        closure: frozenset[tuple[int, int]],
+        self, run: _Run, patterns: PatternSequence, key: BoundKey
     ) -> OpenState:
-        """The open plan of a search state, from the memo or by placing
-        one atom on the open plan of its *canonical parent*.
+        """The open plan of the search state *key* names, from the memo
+        or by placing one atom on the open plan of its *canonical
+        parent*.
 
         ``PlanBuilder.build`` visits atoms by (strict-predecessor
         count, index), and what a plan looks like depends on that
@@ -380,29 +374,30 @@ class Optimizer:
         the rest is a state the enumerator could have reached — and
         not the state the search happened to come from: placing atoms
         in the search's order would build a different plan whenever
-        the new atom is not the last one in build order.
+        the new atom is not the last one in build order.  The parent's
+        key is the state's with that atom unplaced and its arcs gone.
         """
-        if not placed:
-            return run.root
-        key = state = None
+        state = None
         if run.memo is not None:
-            key = bound_key(patterns, placed, closure)
             state = run.memo.lookup_state(key)
             if state is not None and state.plan is not None:
                 return state
+        codes, closure = key
+        placed = [i for i, code in enumerate(codes) if code is not None]
+        if not placed:
+            return run.root
         below = dict.fromkeys(placed, 0)
         for _, j in closure:
             below[j] += 1
-        last = max(placed, key=lambda i: (below[i], i))
-        ancestors = [i for i, j in closure if j == last]
-        parent = self._state(
-            run, patterns, placed - {last},
-            closure.difference([(i, last) for i in ancestors]),
-        )
-        direct = [
-            p for p in ancestors
-            if not any((p, q) in closure for q in ancestors)
-        ]
+        # The most strict predecessors, the highest index among equals.
+        last = max(reversed(placed), key=below.__getitem__)
+        ancestors = {i for i, j in closure if j == last}
+        parent = self._state(run, patterns, (
+            codes[:last] + (None,) + codes[last + 1:],
+            closure.difference(zip(ancestors, repeat(last))),
+        ))
+        # The ancestors no other ancestor comes after.
+        direct = ancestors.difference([i for i, j in closure if j in ancestors])
         plan = run.builder.place(parent.plan, last, patterns[last], direct)
         run.stats.atoms_placed += 1
         program = parent.program.extended(plan.plan)
@@ -410,26 +405,6 @@ class Optimizer:
             state.plan, state.program = plan, program  # dropped when pruned
         else:
             state = OpenState(plan, program)
-            if key is not None:
+            if run.memo is not None:
                 run.memo.store_state(key, state)
         return state
-
-    def _pattern_lower_bound(
-        self, query: ConjunctiveQuery, patterns: PatternSequence
-    ) -> float:
-        """A cheap, optimistic bound for a whole pattern sequence.
-
-        Every service must be invoked at least once; under the most
-        favorable assumptions the plan costs at least the largest
-        single response time (time metrics) or the sum of single-call
-        costs (sum metrics) — of the profiles the sequence's patterns
-        select, which are the ones its plans are costed with.
-        """
-        profiles = [
-            self._registry.profile(atom.service, pattern.code)
-            for atom, pattern in zip(query.atoms, patterns)
-        ]
-        name = self._metric.name
-        if name in {"execution-time", "bottleneck", "time-to-screen"}:
-            return max((p.response_time for p in profiles), default=0.0)
-        return sum(p.cost_per_call for p in profiles)

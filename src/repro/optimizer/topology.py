@@ -24,9 +24,9 @@ Two heuristics provide good initial upper bounds (Section 4.2.1):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import AccessPattern
@@ -53,30 +53,6 @@ def atom_callable_after(
     )
 
 
-def _antichains(
-    placed: frozenset[int], closure: frozenset[tuple[int, int]]
-) -> Iterator[frozenset[int]]:
-    """All antichains (including the empty one) of the placed atoms."""
-    members = sorted(placed)
-    for size in range(len(members) + 1):
-        for subset in itertools.combinations(members, size):
-            if any(
-                (a, b) in closure or (b, a) in closure
-                for a, b in itertools.combinations(subset, 2)
-            ):
-                continue
-            yield frozenset(subset)
-
-
-def _ancestors_of_set(
-    direct: frozenset[int], closure: frozenset[tuple[int, int]]
-) -> frozenset[int]:
-    result = set(direct)
-    for member in direct:
-        result.update(i for i, j in closure if j == member)
-    return frozenset(result)
-
-
 class TopologyEnumerator:
     """Incremental, deduplicated enumeration of callable posets."""
 
@@ -88,10 +64,20 @@ class TopologyEnumerator:
         self._query = query
         self._patterns = tuple(patterns)
         self._n = len(query.atoms)
-        # Definition 3.1 per atom: the variables that must be bound
-        # before it can be called (constants fill the other inputs).
+        # Per atom, as bit masks of the query's variables: what it binds
+        # once it ran, and (Definition 3.1) what must be bound before it
+        # can be called (constants fill the other inputs).
+        numbers: dict[Variable, int] = {}
+
+        def mask(variables: frozenset[Variable]) -> int:
+            result = 0
+            for variable in variables:
+                result |= 1 << numbers.setdefault(variable, len(numbers))
+            return result
+
+        self._binds = [mask(body_atom.variable_set) for body_atom in query.atoms]
         self._needs = [
-            body_atom.input_variables(pattern)
+            mask(body_atom.input_variables(pattern))
             for body_atom, pattern in zip(query.atoms, self._patterns)
         ]
 
@@ -114,7 +100,7 @@ class TopologyEnumerator:
         """
         placed, closure = state
         if self.is_complete(state):
-            return Poset(n=self._n, pairs=closure)
+            return Poset.closed(self._n, closure)
         mapping = {atom: k for k, atom in enumerate(sorted(placed))}
         pairs = frozenset(
             (mapping[i], mapping[j]) for i, j in closure
@@ -126,35 +112,55 @@ class TopologyEnumerator:
 
         The new atom becomes a maximal element whose direct
         predecessors are an antichain of placed atoms; the atom must be
-        callable after the ancestors this induces.  Duplicate states
-        (same placed set and same closure) are suppressed per call via
-        an internal seen-set, and globally deduplicated by the search
-        driver.
+        callable after the ancestors this induces.  An antichain is the
+        set of maximal elements of the ancestors it induces, so no two
+        antichains give one atom the same state; the search loop
+        deduplicates states reached along different routes.  States
+        come atom by atom in index order, each atom's by antichain:
+        smaller antichains first, equal sizes in ``combinations``
+        order of the sorted placed atoms.
         """
         placed, closure = state
-        seen: set[TopologyState] = set()
-        # The ancestors each antichain induces, and the variables they
-        # bind, depend on the state alone, not on the atom placed
-        # after them.
-        atoms = self._query.atoms
+        members = sorted(placed)
+        # Per placed atom: the placed atoms it is comparable with (a bit
+        # mask of atom indices), itself with its ancestors, and the
+        # variables those bind.
+        binds = self._binds
+        comparable = dict.fromkeys(members, 0)
+        down = {member: {member} for member in members}
+        bound_by = {member: binds[member] for member in members}
+        for i, j in closure:
+            comparable[i] |= 1 << j
+            comparable[j] |= 1 << i
+            down[j].add(i)
+            bound_by[j] |= binds[i]
+        # Every antichain with the ancestors it induces and the variables
+        # they bind: those of size s + 1 extend those of size s by a
+        # later member, which keeps ``combinations`` order.
+        level = [(-1, 0, frozenset(), 0)]
         choices = []
-        for direct in _antichains(placed, closure):
-            ancestors = _ancestors_of_set(direct, closure)
-            bound = frozenset().union(*(atoms[a].variable_set for a in ancestors))
-            choices.append((ancestors, bound))
+        while level:
+            choices += [(ancestors, bound) for _, _, ancestors, bound in level]
+            grown = []
+            for last, within, ancestors, bound in level:
+                for at in range(last + 1, len(members)):
+                    member = members[at]
+                    if not comparable[member] & within:
+                        grown.append((
+                            at, within | 1 << member,
+                            ancestors.union(down[member]),
+                            bound | bound_by[member],
+                        ))
+            level = grown
         for index in range(self._n):
             if index in placed:
                 continue
             needs = self._needs[index]
+            extended = placed | {index}
             for ancestors, bound in choices:
-                if not needs <= bound:
+                if needs & ~bound:
                     continue  # not callable after these ancestors
-                new_pairs = frozenset((a, index) for a in ancestors)
-                new_state = (placed | {index}, closure | new_pairs)
-                if new_state in seen:
-                    continue
-                seen.add(new_state)
-                yield new_state
+                yield extended, closure.union(zip(ancestors, repeat(index)))
 
     def all_posets(self) -> tuple[Poset, ...]:
         """Every complete callable poset (exhaustive, deduplicated)."""
@@ -285,5 +291,3 @@ def heuristic_posets(
         parallel=maximal_parallel(query, patterns),
     )
 
-
-ExtensionOrderKey = Callable[[TopologyState], tuple]

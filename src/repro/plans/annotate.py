@@ -67,16 +67,20 @@ class PlanAnnotation:
     A thin view over three parallel float lists (``tuples_in``,
     ``tuples_out``, ``calls``, one entry per node) and the fetching
     factors the estimates were computed under.  The program hands its
-    lists over as they are; :class:`NodeEstimate` objects exist only
-    for the nodes somebody asks about (:meth:`of`, :attr:`estimates`).
+    lists over as they are, laid out by the nodes' positions in
+    ``plan.nodes``, with the τ and busy time of every node beside them
+    (:meth:`timing`); :class:`NodeEstimate` objects exist only for the
+    nodes somebody asks about (:meth:`of`, :attr:`estimates`).
     Constructing one directly, from a dict of estimates, is for tests
-    and hand-built examples: it carries no factors, so
-    :meth:`fetches` reads them off the plan nodes.
+    and hand-built examples: it carries no factors, so :meth:`fetches`
+    reads them off the plan nodes, and :meth:`timing` derives its
+    columns off the plan.
     """
 
     __slots__ = (
         "cache_setting", "output_size", "_position", "_tuples_in",
         "_tuples_out", "_calls", "_slots", "_fetches", "_estimates",
+        "_taus", "_works",
     )
 
     def __init__(
@@ -94,6 +98,8 @@ class PlanAnnotation:
         self._slots: Mapping[str, int] = {}
         self._fetches: Sequence[int] = ()
         self._estimates: dict[str, NodeEstimate] | None = dict(estimates)
+        self._taus: Sequence[float] | None = None
+        self._works: Sequence[float] = ()
 
     @classmethod
     def _over(
@@ -101,9 +107,8 @@ class PlanAnnotation:
         cache_setting: CacheSetting,
         output_size: float,
         position: Mapping[str, int],
-        tuples_in: list[float],
-        tuples_out: list[float],
-        calls: list[float],
+        columns: tuple[list[float], list[float], list[float], list[float]],
+        taus: Sequence[float],
         slots: Mapping[str, int],
         fetches: Sequence[int],
     ) -> "PlanAnnotation":
@@ -112,9 +117,8 @@ class PlanAnnotation:
         view.cache_setting = cache_setting
         view.output_size = output_size
         view._position = position
-        view._tuples_in = tuples_in
-        view._tuples_out = tuples_out
-        view._calls = calls
+        view._tuples_in, view._tuples_out, view._calls, view._works = columns
+        view._taus = taus
         view._slots = slots
         view._fetches = fetches
         view._estimates = None
@@ -154,6 +158,25 @@ class PlanAnnotation:
         slot = self._slots.get(node.node_id)
         return node.fetches if slot is None else self._fetches[slot]
 
+    def timing(self, plan: QueryPlan) -> tuple[Sequence[float], Sequence[float]]:
+        """What the time metrics read, by position in ``plan.nodes``:
+        τ of every node (a service's response time, a join's, 0 for
+        IN/OUT) and its busy time under these estimates (``F · t_in ·
+        τ`` for a service, τ for a join, 0 for IN/OUT)."""
+        if self._taus is not None:
+            return self._taus, self._works
+        taus, works = [], []
+        for node in plan.nodes:
+            if isinstance(node, ServiceNode):
+                assert node.profile is not None
+                tau = node.profile.response_time
+                works.append(self.fetches(node) * self.calls(node) * tau)
+            else:
+                tau = node.response_time if isinstance(node, JoinNode) else 0.0
+                works.append(tau)
+            taus.append(tau)
+        return taus, works
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlanAnnotation):
             return NotImplemented
@@ -182,26 +205,54 @@ class PlanAnnotation:
 EQUALITY_OUTPUT_SELECTIVITY = 0.1
 
 
-def _selectivity_of(
-    node: ServiceNode | JoinNode | OutputNode,
-    bound_upstream: frozenset[Variable] = frozenset(),
-) -> float:
-    predicates = getattr(node, "predicates", None)
-    if predicates is None:
-        predicates = getattr(node, "residual_predicates", ())
-    result = 1.0
-    for predicate in predicates:
-        result *= predicate.estimated_selectivity()
-    if isinstance(node, ServiceNode):
-        assert node.atom is not None and node.pattern is not None
-        for position in node.pattern.output_positions:
-            term = node.atom.term_at(position)
-            if not isinstance(term, Variable) or term in bound_upstream:
-                result *= EQUALITY_OUTPUT_SELECTIVITY
-    return result
+class _AtomFacts:
+    """What compiling a service node needs of its atom under its
+    pattern, which the atom's index and the pattern's code fix:
+    derived the first time a program meets the pair, then read.
+
+    Per pair: the input variables in name order, the output variables
+    by position, the number of constant output positions and all the
+    atom's variables.  A variable is a bit mask, numbered in the order
+    the table meets it, so compiling hashes no :class:`Variable`.
+
+    One table per root program, shared by every program extended from
+    it: the optimizer's holds the atoms of one ``optimize()`` run.
+    """
+
+    __slots__ = ("_masks", "_entries")
+
+    def __init__(self) -> None:
+        self._masks: dict[Variable, int] = {}
+        self._entries: dict[tuple[int, str], tuple] = {}
+
+    def of(self, node: ServiceNode) -> tuple:
+        """``(atom, input masks, output masks, constant outputs,
+        variables mask)`` of *node*."""
+        atom, pattern = node.atom, node.pattern
+        assert atom is not None and pattern is not None
+        key = (node.atom_index, pattern.code)
+        entry = self._entries.get(key)
+        # A hand-built plan may give two atoms one index.
+        if entry is None or entry[0] is not atom:
+            masks = self._masks
+            for variable in atom.variable_set:
+                masks.setdefault(variable, 1 << len(masks))
+            outputs = [atom.term_at(position) for position in pattern.output_positions]
+            entry = self._entries[key] = (
+                atom,
+                tuple([
+                    masks[variable] for variable in
+                    sorted(atom.input_variables(pattern), key=lambda v: v.name)
+                ]),
+                tuple([masks[term] for term in outputs if isinstance(term, Variable)]),
+                sum(not isinstance(term, Variable) for term in outputs),
+                sum(masks[variable] for variable in atom.variable_set),
+            )
+        return entry
 
 
-# Op kinds of a compiled program; an op is a tuple led by its kind.
+# Op kinds of a compiled program; an op is a tuple led by its kind and
+# the position it writes.
 _INPUT, _EXACT, _CHUNKED, _JOIN, _OUTPUT = range(5)
 
 
@@ -212,28 +263,34 @@ class AnnotationProgram:
     factors: one op per node, holding the positions it reads (its
     feed, or a join's two sides), its selectivity with predicates and
     constrained output positions folded in, ``erspi`` or
-    ``chunk_size``, and — under a cache — the Eq. 2 *candidate
+    ``chunk_size``, τ, and — under a cache — the Eq. 2 *candidate
     groups*: per input variable, the positions of the nodes that can
     bound its distinct values (providers and everything between a
-    provider and the node), in the order ties are broken.
+    provider and the node), in the order ties are broken.  A node's
+    position is its place in ``plan.nodes``; the ops run in
+    topological order, which need not be that one.
 
-    :meth:`run` is then a single loop over the ops that appends to
-    three float lists.  It performs the float operations of the
-    definition in the definition's order, so its results are
-    bit-identical to ``reference_annotate`` — which is also why the
-    Eq. 2 product has a *defined* order (the one that breaks ties
-    among candidates: joins before services, then the order the nodes
-    were added to the plan), not the iteration order of a set.
+    :meth:`run` is then a single loop over the ops that fills four
+    float columns: the three estimates and the busy time the time
+    metrics read (:meth:`PlanAnnotation.timing`).  It performs the
+    float operations of the definition in the definition's order, so
+    its results are bit-identical to ``reference_annotate`` — which is
+    also why the Eq. 2 product has a *defined* order (the one that
+    breaks ties among candidates: joins before services, then the
+    order the nodes were added to the plan), not the iteration order
+    of a set.
 
     Ops only ever read earlier ops, so a program can be *extended*:
     :meth:`extended` returns the program of a plan that appended nodes
     to this program's plan, compiling the new nodes only and sharing
     the rest — how the optimizer gets the program of a search state
-    from the state it extends.  Every program also holds its estimates
-    at all factors 1 (the new ops are evaluated when they are
-    compiled), which is what the first vector of phase 3 asks for and
-    what a search state's lower bound reads off its open plan, with no
-    output node yet (:meth:`ones`).
+    from the state it extends.  What a node's atom contributes is
+    derived once per atom and pattern for the root program and every
+    extension of it (:class:`_AtomFacts`).  Every program also holds
+    its estimates at all factors 1 (the new ops are evaluated when
+    they are compiled), which is what the first vector of phase 3 asks
+    for and what a search state's lower bound reads off its open plan,
+    with no output node yet (:meth:`ones`).
 
     A program is bound to the structure its plan had when compiled:
     after an ``add_node``/``add_arc`` on the plan, :meth:`run` raises
@@ -245,24 +302,26 @@ class AnnotationProgram:
         self.cache_setting = cache_setting
         self._ops: list[tuple] = []
         self._position: dict[str, int] = {}
-        # What later ops are compiled from, per op: the bit set of its
-        # strict ancestors (bit j: the node at position j), every
-        # variable a service node at or above it binds, and its place
-        # in the order that breaks ties and fixes Eq. 2's product —
-        # joins before services, then build position (where the node
-        # sits in ``plan.nodes``; ops are in topological order, which
-        # need not be the order the nodes were added in).
-        self._facts: list[tuple[int, frozenset[Variable], tuple[bool, int]]] = []
-        # providers[X]: the bit set of the service nodes with X among
-        # their outputs.
-        self._providers: dict[Variable, int] = {}
+        # What later ops are compiled from, per position: the bit set
+        # of its strict ancestors (bit j: the node at position j) and
+        # the mask of every variable a service node at or above it
+        # binds.  Beside them, its place in the order that breaks ties
+        # and fixes Eq. 2's product: joins before services, then
+        # position.
+        self._facts: list[tuple[int, int] | None] = []
+        self._order: list[tuple[bool, int] | None] = []
+        # providers[X]: the bit set of the service nodes with the
+        # variable of mask X among their outputs.
+        self._providers: dict[int, int] = {}
+        self._atom_facts = _AtomFacts()
         # A fetch vector is laid out by atom index, whatever order the
         # chunked services were added in.
         self._chunked: tuple[ServiceNode, ...] = ()
         self._atoms: tuple[int, ...] = ()
         self._slots: dict[str, int] = {}
         self._output: int | None = None
-        self._ones: tuple[list[float], list[float], list[float]] = ([], [], [])
+        self._taus: list[float] = []
+        self._ones: tuple[list[float], ...] = ([], [], [], [])
         nodes = plan.nodes
         built = {node.node_id: rank for rank, node in enumerate(nodes)}
         order = plan.topological_order()
@@ -281,7 +340,7 @@ class AnnotationProgram:
         nodes are compiled and evaluated; this program is unaffected.
         """
         nodes = plan.nodes
-        covered = len(self._ops)
+        covered = len(self._facts)
         if len(nodes) < covered or nodes[covered - 1] is not self._tail:
             raise PlanError("plan does not continue the plan of this program")
         twin = object.__new__(AnnotationProgram)
@@ -289,76 +348,101 @@ class AnnotationProgram:
         twin._ops = self._ops.copy()
         twin._position = self._position.copy()
         twin._facts = self._facts.copy()
+        twin._order = self._order.copy()
         twin._providers = self._providers.copy()
+        twin._atom_facts = self._atom_facts
         twin._chunked = self._chunked
         twin._atoms = self._atoms
         twin._slots = self._slots
         twin._output = self._output
-        twin._ones = tuple(column.copy() for column in self._ones)
+        twin._taus = self._taus.copy()
+        twin._ones = tuple([column.copy() for column in self._ones])
         twin._compile(plan, nodes[covered:], range(covered, len(nodes)))
         twin._tail = nodes[-1]
         return twin
 
-    def _compile(self, plan: QueryPlan, nodes, ranks) -> None:
+    def _compile(self, plan: QueryPlan, nodes, positions) -> None:
         """Append the ops of *nodes* (every predecessor already has
-        one), evaluate them at all factors 1, bind to *plan*."""
+        one), which sit at *positions* of the plan; evaluate them at
+        all factors 1, bind to *plan*."""
         cached = self.cache_setting is not CacheSetting.NO_CACHE
-        ops, position, facts, providers = (
-            self._ops, self._position, self._facts, self._providers
+        ops, position, facts, order, providers, taus = (
+            self._ops, self._position, self._facts, self._order,
+            self._providers, self._taus,
         )
         first = len(ops)
+        new = [None] * len(nodes)
+        facts += new
+        order += new
+        taus += [0.0] * len(nodes)
+        for column in self._ones:
+            column += new
         chunked = []
-        for node, rank in zip(nodes, ranks):
-            feeds = [position[feed] for feed in plan.predecessor_ids(node)]
-            above = 0
-            upstream: frozenset[Variable] = frozenset()
+        for node, at in zip(nodes, positions):
+            feeds = list(map(position.__getitem__, plan.predecessor_ids(node)))
+            above = upstream = 0
             for feed in feeds:
                 fact = facts[feed]
                 above |= fact[0] | (1 << feed)
                 upstream |= fact[1]
             if isinstance(node, ServiceNode):
-                assert node.atom is not None and node.profile is not None
+                profile = node.profile
+                assert profile is not None
                 feed = self._single_feed(node, feeds)
-                selectivity = _selectivity_of(node, upstream)
-                groups = self._candidate_groups(node, above) if cached else None
-                if node.profile.is_chunked:
+                _, inputs, outputs, constants, variables = self._atom_facts.of(node)
+                selectivity = 1.0
+                for predicate in node.predicates:
+                    selectivity *= predicate.estimated_selectivity()
+                for output in outputs:
+                    if output & upstream:
+                        constants += 1
+                for _ in range(constants):
+                    selectivity *= EQUALITY_OUTPUT_SELECTIVITY
+                groups = self._candidate_groups(inputs, above) if cached else None
+                tau = taus[at] = profile.response_time
+                if profile.chunk_size is not None:
                     chunked.append(node)
                     ops.append((
-                        _CHUNKED, feed, node.profile.chunk_size, selectivity,
-                        groups, node.atom_index,
+                        _CHUNKED, at, feed, profile.chunk_size, selectivity,
+                        groups, tau, node.atom_index,
                     ))
                 else:
                     ops.append(
-                        (_EXACT, feed, node.profile.erspi, selectivity, groups)
+                        (_EXACT, at, feed, profile.erspi, selectivity, groups, tau)
                     )
-                bit = 1 << len(facts)
-                for variable in node.output_variables:
-                    providers[variable] = providers.get(variable, 0) | bit
-                upstream |= node.atom.variable_set
+                bit = 1 << at
+                for output in outputs:
+                    providers[output] = providers.get(output, 0) | bit
+                upstream |= variables
             elif isinstance(node, JoinNode):
                 if len(feeds) != 2:
                     raise PlanError(
                         f"join {node.node_id!r} must have two predecessors"
                     )
-                ops.append((_JOIN, feeds[0], feeds[1], node.selectivity))
+                tau = taus[at] = node.response_time
+                ops.append((_JOIN, at, feeds[0], feeds[1], node.selectivity, tau))
             elif isinstance(node, OutputNode):
+                selectivity = 1.0
+                for predicate in node.residual_predicates:
+                    selectivity *= predicate.estimated_selectivity()
                 ops.append(
-                    (_OUTPUT, self._single_feed(node, feeds), _selectivity_of(node))
+                    (_OUTPUT, at, self._single_feed(node, feeds), selectivity)
                 )
-                self._output = len(facts)
+                self._output = at
             elif isinstance(node, InputNode):
-                ops.append((_INPUT,))
+                ops.append((_INPUT, at))
             else:
                 raise PlanError(f"unknown node type: {type(node).__name__}")
-            position[node.node_id] = len(facts)
-            facts.append((above, upstream, (ops[-1][0] != _JOIN, rank)))
+            position[node.node_id] = at
+            facts[at] = (above, upstream)
+            order[at] = (ops[-1][0] != _JOIN, at)
         if chunked:
             self._chunked = tuple(
                 sorted([*self._chunked, *chunked], key=lambda n: n.atom_index)
             )
             self._atoms = tuple(node.atom_index for node in self._chunked)
             self._slots = {n.node_id: slot for slot, n in enumerate(self._chunked)}
-        self._evaluate(ops[first:], dict.fromkeys(self._atoms, 1), *self._ones)
+        self._evaluate(ops[first:], None, *self._ones)
         self._plan = plan
         self._version = plan.structure_version
 
@@ -372,12 +456,13 @@ class AnnotationProgram:
         return feeds[0]
 
     def _candidate_groups(
-        self, node: ServiceNode, above: int
+        self, inputs: tuple[int, ...], above: int
     ) -> tuple[tuple[int, ...], ...]:
-        """Eq. 2: per input variable of *node*, who may bound it.
+        """Eq. 2: per input variable (*inputs*, masks in name order) of
+        a node with the ancestors *above*, who may bound it.
 
-        The candidates for ``X`` are the ancestors of *node* (the bits
-        of *above*) that provide ``X`` or have a provider of ``X``
+        The candidates for ``X`` are the ancestors of the node (the
+        bits of *above*) that provide ``X`` or have a provider of ``X``
         above them (the input node has neither, the output node is
         nobody's ancestor).  A variable without candidates is bound by
         constants or the user input and drops out; variables sharing a
@@ -388,13 +473,13 @@ class AnnotationProgram:
         facts = self._facts
         members: list[int] | None = None
         groups: dict[tuple[int, ...], None] = {}
-        for variable in sorted(node.input_variables, key=lambda v: v.name):
+        for variable in inputs:
             provided = self._providers.get(variable, 0) & above
             if not provided:
                 continue
             if members is None:
-                members = [j for j in range(len(facts)) if above >> j & 1]
-                members.sort(key=lambda j: facts[j][2])
+                members = [j for j in range(above.bit_length()) if above >> j & 1]
+                members.sort(key=self._order.__getitem__)
             groups[tuple([
                 j for j in members if provided >> j & 1 or facts[j][0] & provided
             ])] = None
@@ -425,7 +510,8 @@ class AnnotationProgram:
             )
         if fetches.count(1) == len(fetches):
             return self.ones()
-        columns = ([], [], [])
+        width = len(self._facts)
+        columns = ([0.0] * width, [0.0] * width, [0.0] * width, [0.0] * width)
         self._evaluate(self._ops, dict(zip(self._atoms, fetches)), *columns)
         return self._view(columns, fetches)
 
@@ -441,33 +527,36 @@ class AnnotationProgram:
             raise PlanError(
                 "plan structure changed after its annotation program was compiled"
             )
-        tuples_in, tuples_out, calls = columns
-        output = math.nan if self._output is None else tuples_out[self._output]
+        output = math.nan if self._output is None else columns[1][self._output]
         return PlanAnnotation._over(
-            self.cache_setting, output, self._position,
-            tuples_in, tuples_out, calls, self._slots, fetches,
+            self.cache_setting, output, self._position, columns, self._taus,
+            self._slots, fetches,
         )
 
     def _evaluate(
         self,
         ops: Sequence[tuple],
-        factor: Mapping[int, int],
+        factor: Mapping[int, int] | None,
         tuples_in: list[float],
         tuples_out: list[float],
         calls: list[float],
+        works: list[float],
     ) -> None:
-        """Append the estimates of *ops* to the three columns, which hold
-        those of every earlier op; *factor* maps atom index to ``F``."""
-        facts = self._facts
+        """Write the estimates and busy time of *ops* into the four
+        columns, which hold those of every earlier op; *factor* maps
+        atom index to ``F`` (``None``: 1 everywhere)."""
+        order = self._order
         for op in ops:
-            kind = op[0]
+            kind, at = op[0], op[1]
             if kind == _EXACT or kind == _CHUNKED:
-                arriving = tuples_out[op[1]]
-                if kind == _EXACT:
-                    produced = arriving * op[2] * op[3]
+                arriving = tuples_out[op[2]]
+                if kind == _EXACT or factor is None:
+                    fetches = 1
+                    produced = arriving * op[3] * op[4]
                 else:
-                    produced = arriving * (op[2] * factor[op[5]]) * op[3]
-                groups = op[4]
+                    fetches = factor[op[7]]
+                    produced = arriving * (op[3] * fetches) * op[4]
+                groups = op[5]
                 if groups is None:
                     needed = arriving
                 else:
@@ -485,28 +574,29 @@ class AnnotationProgram:
                         minimizers.add(best)
                     distinct = 1.0
                     if len(minimizers) > 1:
-                        minimizers = sorted(minimizers, key=lambda j: facts[j][2])
+                        minimizers = sorted(minimizers, key=order.__getitem__)
                     for minimizer in minimizers:
                         distinct *= tuples_out[minimizer]
                     needed = min(arriving, distinct)
-                tuples_in.append(arriving)
-                tuples_out.append(produced)
-                calls.append(needed)
+                tuples_in[at] = arriving
+                tuples_out[at] = produced
+                calls[at] = needed
+                works[at] = fetches * needed * op[6]
             elif kind == _JOIN:
-                pairs = tuples_out[op[1]] * tuples_out[op[2]]
-                tuples_in.append(pairs)
-                tuples_out.append(pairs * op[3])
-                calls.append(0.0)
+                pairs = tuples_out[op[2]] * tuples_out[op[3]]
+                tuples_in[at] = pairs
+                tuples_out[at] = pairs * op[4]
+                calls[at] = 0.0
+                works[at] = op[5]
             elif kind == _OUTPUT:
-                arriving = tuples_out[op[1]]
-                tuples_in.append(arriving)
-                tuples_out.append(arriving * op[2])
-                calls.append(0.0)
+                arriving = tuples_out[op[2]]
+                tuples_in[at] = arriving
+                tuples_out[at] = arriving * op[3]
+                calls[at] = works[at] = 0.0
             else:
                 # The user always injects one single input tuple (Sec. 3.4).
-                tuples_in.append(1.0)
-                tuples_out.append(1.0)
-                calls.append(0.0)
+                tuples_in[at] = tuples_out[at] = 1.0
+                calls[at] = works[at] = 0.0
 
 
 def annotate(plan: QueryPlan, cache_setting: CacheSetting) -> PlanAnnotation:

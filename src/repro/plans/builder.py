@@ -44,6 +44,7 @@ from repro.model.schema import AccessPattern
 from repro.model.terms import Variable
 from repro.plans.dag import PlanError, QueryPlan
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, PlanNode, ServiceNode
+from repro.services.profile import ServiceProfile
 from repro.services.registry import ServiceRegistry
 
 
@@ -64,6 +65,15 @@ class Poset:
                 raise PlanError(f"pair ({i}, {j}) out of range for n={self.n}")
             if i == j:
                 raise PlanError(f"reflexive pair ({i}, {j}) in poset")
+
+    @classmethod
+    def closed(cls, n: int, closure: frozenset[tuple[int, int]]) -> "Poset":
+        """The poset over ``0..n-1`` whose pairs are *closure*, which is
+        already transitively closed and acyclic (an enumerated
+        topology's): :meth:`closure` returns it as it is."""
+        poset = cls(n, closure)
+        poset.__dict__["_closure"] = closure  # what cached_property keeps
+        return poset
 
     def closure(self) -> frozenset[tuple[int, int]]:
         """The transitive closure (computed once); raises on cycles."""
@@ -133,8 +143,9 @@ class OpenPlan(NamedTuple):
     streams: Mapping[int, _Stream]
     #: The maximal atoms: those no placed atom comes after.
     ends: frozenset[int]
-    #: The predicates some node already evaluates, by their number.
-    assigned: frozenset[int]
+    #: The predicates some node already evaluates: bit ``n`` stands for
+    #: predicate number ``n``.
+    assigned: int
     #: Pairs of frontier node ids already merged, with the merged branch.
     joins: Mapping[frozenset[str], _Stream]
 
@@ -160,6 +171,11 @@ class PlanBuilder:
         self._predicates = tuple(
             (p, p.variables) for p in dict.fromkeys(query.predicates)
         )
+        self._everything = (1 << len(self._predicates)) - 1
+        # The profile each (atom index, pattern code) selects, looked up
+        # once per builder: an optimize() run places the same few pairs
+        # hundreds of times.
+        self._profiles: dict[tuple[int, str], ServiceProfile] = {}
 
     def build(
         self,
@@ -205,7 +221,7 @@ class PlanBuilder:
         plan = QueryPlan()
         input_node = plan.add_node(InputNode())
         root = _Stream(input_node, frozenset(), "", frozenset(), ((0,),))
-        return OpenPlan(plan, root, {}, frozenset(), frozenset(), {})
+        return OpenPlan(plan, root, {}, frozenset(), 0, {})
 
     def place(
         self,
@@ -227,24 +243,26 @@ class PlanBuilder:
         to a plan must place in :meth:`build`'s order.
         """
         plan = state.plan.copy()
-        assigned = set(state.assigned)
         joins = dict(state.joins)
-        if direct:
-            feed = self._merge_streams(
-                plan, [state.streams[d] for d in sorted(direct)], assigned, joins
-            )
-        else:
-            feed = state.root
+        feed, assigned = self._merge_streams(
+            plan, [state.streams[d] for d in sorted(direct)] or [state.root],
+            state.assigned, joins,
+        )
         body_atom = self._query.atoms[index]
-        profile = self._registry.profile(body_atom.service, pattern.code)
+        profile = self._profiles.get((index, pattern.code))
+        if profile is None:
+            profile = self._profiles[index, pattern.code] = self._registry.profile(
+                body_atom.service, pattern.code
+            )
         bound = feed.bound | body_atom.variable_set
+        predicates, assigned = self._take_predicates(bound, assigned)
         node = ServiceNode(
             atom_index=index,
             atom=body_atom,
             pattern=pattern,
             profile=profile,
             fetches=fetches if profile.is_chunked else 1,
-            predicates=self._take_predicates(bound, assigned),
+            predicates=predicates,
         )
         at = len(plan)
         plan.add_node(node)
@@ -255,7 +273,7 @@ class PlanBuilder:
         )
         return OpenPlan(
             plan, state.root, {**state.streams, index: stream},
-            (state.ends - feed.atoms) | {index}, frozenset(assigned), joins,
+            (state.ends - feed.atoms) | {index}, assigned, joins,
         )
 
     def close(self, state: OpenPlan) -> QueryPlan:
@@ -267,15 +285,10 @@ class PlanBuilder:
             raise PlanError("plan has no atoms")
         plan = state.plan.copy()
         final_streams = [state.streams[index] for index in sorted(state.ends)]
-        assigned = set(state.assigned)
-        merged = self._merge_streams(
-            plan, final_streams, assigned, dict(state.joins)
+        merged, assigned = self._merge_streams(
+            plan, final_streams, state.assigned, dict(state.joins)
         )
-        residual = tuple(
-            predicate
-            for number, (predicate, variables) in enumerate(self._predicates)
-            if number not in assigned and variables <= merged.bound
-        )
+        residual, _ = self._take_predicates(merged.bound, assigned)
         at = len(plan)
         output_node = plan.add_node(OutputNode(residual_predicates=residual))
         plan.add_arc(merged.frontier, output_node)
@@ -290,10 +303,12 @@ class PlanBuilder:
         self,
         plan: QueryPlan,
         streams: list[_Stream],
-        assigned: set[int],
+        assigned: int,
         join_memo: dict[frozenset[str], _Stream],
-    ) -> _Stream:
-        """Left-fold parallel joins over *streams* (no-op for one stream)."""
+    ) -> tuple[_Stream, int]:
+        """Left-fold parallel joins over *streams* (no-op for one
+        stream); also returns *assigned* with the predicates the joins
+        took."""
         current = streams[0]
         for other in streams[1:]:
             key = frozenset({current.frontier.node_id, other.frontier.node_id})
@@ -302,7 +317,7 @@ class PlanBuilder:
                 continue
             shared = current.bound & other.bound
             union_bound = current.bound | other.bound
-            predicates = self._take_predicates(union_bound, assigned)
+            predicates, assigned = self._take_predicates(union_bound, assigned)
             method = self._registry.join_method(
                 current.representative or other.representative,
                 other.representative or current.representative,
@@ -329,7 +344,7 @@ class PlanBuilder:
             )
             join_memo[key] = merged
             current = merged
-        return current
+        return current, assigned
 
     def _join_selectivity(
         self,
@@ -365,17 +380,18 @@ class PlanBuilder:
         return max(0.0, min(1.0, selectivity))
 
     def _take_predicates(
-        self, bound: frozenset[Variable], assigned: set[int]
-    ) -> tuple[Comparison, ...]:
-        """Predicates newly evaluable with *bound*; marks them assigned."""
-        if len(assigned) == len(self._predicates):
-            return ()
+        self, bound: frozenset[Variable], assigned: int
+    ) -> tuple[tuple[Comparison, ...], int]:
+        """Predicates newly evaluable with *bound*, and *assigned* with
+        them marked."""
+        if assigned == self._everything:
+            return (), assigned
         ready = []
         for number, (predicate, variables) in enumerate(self._predicates):
-            if number not in assigned and variables <= bound:
+            if not assigned >> number & 1 and variables <= bound:
                 ready.append(predicate)
-                assigned.add(number)
-        return tuple(ready)
+                assigned |= 1 << number
+        return tuple(ready), assigned
 
     def _topological_atoms(self, poset: Poset) -> list[int]:
         closure = poset.closure()

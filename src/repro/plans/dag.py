@@ -101,10 +101,10 @@ class QueryPlan:
     def derived(self, key: object, derive: Callable[[QueryPlan], T]) -> T:
         """``derive(self)``, computed once until the structure next changes.
 
-        For read-only summaries of the plan's structure that a caller
-        needs again and again — the cost metrics keep their paths with
-        per-node response times here (*key*: any hashable the caller
-        owns).  ``add_node``/``add_arc`` drop every remembered value.
+        For read-only summaries of the plan's structure that callers
+        need again and again — its topological order, its paths, its
+        service nodes (*key*: any hashable the caller owns).
+        ``add_node``/``add_arc`` drop every remembered value.
         """
         try:
             return self._memo[key]  # type: ignore[return-value]

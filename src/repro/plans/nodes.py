@@ -117,18 +117,6 @@ class ServiceNode(PlanNode):
         return self.profile.is_chunked
 
     @property
-    def input_variables(self) -> frozenset[Variable]:
-        """Variables the node consumes (input positions of the pattern)."""
-        assert self.atom is not None and self.pattern is not None
-        return self.atom.input_variables(self.pattern)
-
-    @property
-    def output_variables(self) -> frozenset[Variable]:
-        """Variables the node produces (output positions of the pattern)."""
-        assert self.atom is not None and self.pattern is not None
-        return self.atom.output_variables(self.pattern)
-
-    @property
     def label(self) -> str:
         assert self.pattern is not None
         marker = ""

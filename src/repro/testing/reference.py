@@ -54,7 +54,7 @@ from repro.model.query import ConjunctiveQuery
 from repro.model.schema import AccessPattern
 from repro.model.terms import Constant, Variable
 from repro.optimizer.fetches import FetchContext
-from repro.optimizer.memo import PlanMemo
+from repro.optimizer.memo import PlanMemo, bound_key
 from repro.optimizer.optimizer import Optimizer
 from repro.plans.annotate import (
     EQUALITY_OUTPUT_SELECTIVITY,
@@ -402,9 +402,10 @@ def search_states(
     """
     run = optimizer._begin(query)
     for patterns, placed, closure in states:
-        bound, state = optimizer._lower_bound(run, patterns, placed, closure)
+        key = bound_key(patterns, placed, closure)
+        bound, state = optimizer._lower_bound(run, patterns, key)
         if state is None:
-            state = optimizer._state(run, patterns, placed, closure)
+            state = optimizer._state(run, patterns, key)
         yield bound, functools.partial(optimizer._close, run, state)
 
 
@@ -495,7 +496,7 @@ def _cached_calls(
 
     ancestors = plan.ancestors(node)
     minimizers: set[str] = set()
-    for variable in node.input_variables:
+    for variable in node.atom.input_variables(node.pattern):
         candidates = _bounding_nodes(plan, variable, ancestors)
         if not candidates:
             # No upstream provider: the variable is bound by the atom's
@@ -521,7 +522,9 @@ def _bounding_nodes(
     for candidate in plan.nodes:
         if candidate.node_id not in ancestors:
             continue
-        if isinstance(candidate, ServiceNode) and variable in candidate.output_variables:
+        if isinstance(candidate, ServiceNode) and variable in (
+            candidate.atom.output_variables(candidate.pattern)
+        ):
             bounding.add(candidate.node_id)  # a provider of the variable
             continue
         # Intermediaries: a node m lies strictly between some provider
@@ -532,7 +535,7 @@ def _bounding_nodes(
             if any(
                 isinstance(provider, ServiceNode)
                 and provider.node_id in candidate_ancestors
-                and variable in provider.output_variables
+                and variable in provider.atom.output_variables(provider.pattern)
                 for provider in plan.nodes
             ):
                 bounding.add(candidate.node_id)

@@ -18,7 +18,7 @@ the engine never reads rows back as dicts (``Row.bindings``) outside
 ``Row`` itself, a plan is walked — and a failed unit demoted — in one
 place, it is compiled in one place (a plan-cache hit builds nothing),
 the optimizer folds its search states and builds only the plan that
-leaves, there is one join, one plan-cache disk tier and one SQLite connection
+leaves, and decides without reading a constant's value, there is one join, one plan-cache disk tier and one SQLite connection
 pool, the constructors, configs and serving commands take exactly the
 parameters recorded here, the paper is reproduced in one place and
 every bench artifact has one producer, every production module is
@@ -612,6 +612,28 @@ def test_the_search_folds_its_plans_and_builds_only_the_one_that_leaves():
     }
 
 
+def test_plans_are_decided_without_reading_a_constant():
+    """What the optimizer decides is a function of where a query holds
+    constants, never of their values: ``optimizer/``, ``plans/`` and
+    ``costs/`` read ``.value`` only off a ``JoinMethod`` (the first
+    slice of template-level plan reuse, ROADMAP item 9;
+    ``tests/test_constant_free_plans.py`` checks the decisions)."""
+    reads = set()
+    for package in ("optimizer", "plans", "costs"):
+        for path in (SRC / package).glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr == "value" or (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", "") == "getattr"
+                    and "value" in [getattr(a, "value", None) for a in node.args]
+                ):
+                    reads.add((path.relative_to(SRC).as_posix(), ast.unparse(node)))
+    assert reads == {
+        ("plans/nodes.py", "self.method.value"),
+        ("plans/render.py", "node.method.value"),
+    }
+
+
 def test_retired_seam_plumbing_stays_retired():
     retired = (
         "swap_stats", "rebind_stats", "adopt_adaptive_state",
@@ -955,8 +977,8 @@ def test_code_line_ratchet():
 
     ceilings = {
         "src/repro/execution + serving": 3200,
-        "src/repro/optimizer + plans + costs": 2075,
-        "src/repro outside testing": 8771,
+        "src/repro/optimizer + plans + costs": 2083,
+        "src/repro outside testing": 8779,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

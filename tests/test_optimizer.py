@@ -12,9 +12,11 @@ from repro.sources.travel import poset_optimal, running_example_query
 
 
 class TestConfig:
-    def test_invalid_k_rejected(self):
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, "3", None])
+    def test_invalid_k_rejected(self, k):
+        """k is a count, checked as every other entry point checks one."""
         with pytest.raises(ValueError):
-            OptimizerConfig(k=0)
+            OptimizerConfig(k=k)
 
     def test_invalid_heuristic_rejected(self):
         with pytest.raises(ValueError):
@@ -90,13 +92,47 @@ class TestPruning:
         assert pruned.stats.plans_completed <= unpruned.stats.plans_completed
         assert pruned.stats.topology_states_pruned > 0
 
+    @pytest.mark.parametrize("cache_setting", list(CacheSetting))
+    def test_no_sequence_is_discarded_by_its_slowest_single_call(
+        self, registry, cache_setting
+    ):
+        """Under the bottleneck metric a node's work is F · calls · τ,
+        and calls falls below 1 downstream of a selective node, so the
+        slowest single call (9.7) bounds no pattern sequence: taken for
+        one, it discarded the two sequences holding the optimum (3.63
+        at k = 1) and the search returned a plan costing 7.19."""
+        from repro.model.parser import parse_query
+        from repro.testing.exhaustive import exhaustive_optimize
+
+        query = parse_query(
+            "q(Conf, City, Hotel, FPrice, HPrice, Start, End, OutTime, RetTime) :- "
+            "flight('Milano', City, Start, End, OutTime, RetTime, FPrice), "
+            "hotel(Hotel, City, 'luxury', Start, End, HPrice), "
+            "conf('DB', Conf, Start, End, City), weather(City, Temperature, Start), "
+            "Start >= '2008-04-01', End <= '2008-09-28', "
+            "Temperature >= 28, FPrice + HPrice < 2000."
+        )
+        pruned, unpruned = (
+            Optimizer(registry, BottleneckMetric(), OptimizerConfig(
+                k=1, cache_setting=cache_setting, prune=prune
+            )).optimize(query)
+            for prune in (True, False)
+        )
+        oracle = exhaustive_optimize(
+            query, registry, BottleneckMetric(), k=1, cache_setting=cache_setting
+        )
+        assert pruned.cost.hex() == unpruned.cost.hex() == oracle.cost.hex()
+        assert pruned.cost == pytest.approx(3.6296296296296298)
+
     @pytest.mark.parametrize("metric", [SumCostMetric(), BottleneckMetric()])
     def test_a_sequence_is_bounded_with_its_own_patterns_profiles(self, metric):
         """Both services answer fast and cheap when called with a bound
         input and slow and dear otherwise; the optimum (``a`` free,
         feeding ``b``) lies in the second pattern sequence tried.
         Bounded with the services' *default* profiles that sequence
-        looks dearer than the incumbent and is discarded unexplored."""
+        would look dearer than the incumbent and be discarded
+        unexplored; its states are bounded with the profiles its own
+        patterns select."""
         from repro.model.atoms import atom
         from repro.model.query import query
         from repro.model.schema import signature
