@@ -49,6 +49,13 @@ row, named by its shape (``<binding kernel C2 K0 F2 p0>``);
 ``throughput_rps`` moved ×1.23 over 10 alternating ``bench/run.py``
 pairs.
 
+A workload with a session script also gets, before the profile, the
+mean time and the share of all operation time of each (operation,
+domain), with a ``more`` split by how its session served it: resumed
+(the suspended walk went on), grown (it went on under grown fetch
+factors) or re-executed (the plan ran again).  The split is read from
+the session executor's rounds, which the timed ``more`` looks up.
+
 This is the one-off profile ROADMAP item 1 asks a PR to record until
 that item's spans exist inside the program; the outputs committed next
 to it are ``benchmarks/out/profile_<workload>_{before,after}.txt``.
@@ -125,6 +132,54 @@ class Sampler:
         return "\n".join(lines)
 
 
+def classify_continuations(fleet) -> list[str]:
+    """Have *fleet* note, for each ``more`` it serves, how its session
+    executor served it — ``re-executed`` when a new round ran the plan
+    again, else ``grown`` when one continued under grown factors, else
+    ``resumed`` — in the order the continuations were played."""
+    kinds: list[str] = []
+    serve = fleet.more
+
+    def more(request, session_id, additional):
+        service = fleet.services[request.domain]
+        executor = service.sessions.get(session_id).executor
+        before = len(executor.rounds)
+        out = serve(request, session_id, additional)
+        rounds = executor.rounds[before:]
+        kinds.append(
+            "re-executed" if not all(r.resumed for r in rounds)
+            else "grown" if any(r.grown for r in rounds)
+            else "resumed"
+        )
+        return out
+
+    fleet.more = more
+    return kinds
+
+
+def breakdown(script, log, kinds: list[str]) -> str:
+    """Mean time and share of all operation time per (operation,
+    domain), a ``more`` split by how it was served (*kinds*)."""
+    continuations = iter(kinds)
+    seconds: dict[tuple[str, str], list[float]] = {}
+    for request, step, spent in zip(log.requests, log.steps, log.seconds):
+        operation = script[step]
+        if operation == "more":
+            operation = f"more ({next(continuations)})"
+        seconds.setdefault((operation, request.domain), []).append(spent)
+    total = sum(log.seconds)
+    lines = [
+        f"{'operation':<18s} {'domain':<8s} {'ops':>6s} {'mean ms':>8s} "
+        f"{'share %':>8s}"
+    ]
+    for (operation, domain), spent in sorted(seconds.items()):
+        lines.append(
+            f"{operation:<18s} {domain:<8s} {len(spent):6d} "
+            f"{1e3 * sum(spent) / len(spent):8.3f} {100 * sum(spent) / total:8.2f}"
+        )
+    return "\n".join(lines)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="zipf_warm")
@@ -144,6 +199,7 @@ def main() -> int:
         for request in islice(stream, workload.warmup_requests):
             play(fleet, request, workload.script, log)
         requests = list(islice(stream, args.requests))
+        kinds = classify_continuations(fleet)
         # As the bench's measured pass: set-up data is not re-scanned
         # by the collections the requests themselves bring on.
         gc.collect()
@@ -174,6 +230,8 @@ def main() -> int:
         f"ms of CPU; the kernel's tick bounds the real rate); garbage "
         f"collections gen0/gen1/gen2: {'/'.join(map(str, collections))}"
     )
+    if len(workload.script) > 1:
+        print(breakdown(workload.script, log, kinds))
     print(sampler.report(args.top))
     return 1 if failed else 0
 

@@ -6,7 +6,7 @@ top-k executions at k ∈ {1, 10, 100}, against the eager streamed
 baseline (PR 2: early exit saves join work, but every service is still
 fully materialized up front) and the full-scan oracle.
 
-Three workloads:
+Four workloads:
 
 * **pair** — the paper's two-search-services shape on the
   rank-monotone plane: both services return their tuples in rank
@@ -27,7 +27,12 @@ Three workloads:
   cursor), so page fetches must grow with k — exactly ``ceil(k / chunk)
   + depth * k`` — and be flat in table size and in depth × fan-out;
   plus one multi-round session (F too small for k) where growth in
-  place must pay the new pages of each round, not every round again.
+  place must pay the new pages of each round, not every round again;
+* **joined session** — the same ladder on the news domain's shape: a
+  search head shared by two multi-feed exact lookups that the terminal
+  join merges, NL and MS.  Growth continues under the join, so in place
+  pulls every page once, and re-execution pulls the earlier rounds'
+  pages again.
 
 Three engines run each plan:
 
@@ -53,6 +58,8 @@ page total less the lazy run's.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -230,6 +237,97 @@ def _serial_plan(method: JoinMethod):
     return registry, tuple(query.head), plan
 
 
+#: Joined multi-round session: HEAD_KEYS head rows, HEAD_CHUNK a page,
+#: each key looked up on both sides (LOOKUP_ROWS rows per key and side,
+#: every pair matching), JOINED_K answers: the F = 1 ladder is 1, 2, 4, 8.
+HEAD_KEYS = 40
+HEAD_CHUNK = 4
+LOOKUP_ROWS = 2
+JOINED_K = 100
+
+
+def _teed_plan(method: JoinMethod):
+    """``head('q', X) -> {lefts(X, K, L), rights(X, K, R)} -> join``:
+    the head is shared by two multi-feed exact lookups the terminal
+    join merges (the shape of the news domain), F = 1."""
+    registry = ServiceRegistry()
+    registry.register(
+        TableSearchService(
+            signature("head", ["Q", "X"], ["io"]),
+            search_profile(chunk_size=HEAD_CHUNK, response_time=1.0),
+            [("q", x) for x in range(HEAD_KEYS)],
+            score=lambda row: float(-row[1]),
+        )
+    )
+    for name in ("lefts", "rights"):
+        registry.register(
+            TableExactService(
+                signature(name, ["X", "K", "V"], ["ioo"]),
+                exact_profile(erspi=LOOKUP_ROWS, response_time=1.0),
+                [(x, 0, v) for x in range(HEAD_KEYS) for v in range(LOOKUP_ROWS)],
+            )
+        )
+    registry.register_join_method("lefts", "rights", method)
+    x, key, left_var, right_var = (Variable(n) for n in ("X", "K", "L", "R"))
+    query = ConjunctiveQuery(
+        name="lazyteed",
+        head=(x, key, left_var, right_var),
+        atoms=(
+            Atom("head", (Constant("q"), x)),
+            Atom("lefts", (x, key, left_var)),
+            Atom("rights", (x, key, right_var)),
+        ),
+        predicates=(),
+    )
+    plan = PlanBuilder(query, registry).build(
+        (
+            registry.signature("head").pattern("io"),
+            registry.signature("lefts").pattern("ioo"),
+            registry.signature("rights").pattern("ioo"),
+        ),
+        Poset(n=3, pairs=frozenset({(0, 1), (0, 2)})),
+        fetches={0: 1},
+    )
+    return registry, tuple(query.head), plan
+
+
+class _PageLog:
+    """Counts every ``(service, inputs, page)`` that reaches the service
+    it wraps."""
+
+    def __init__(self, inner, name: str, log: Counter) -> None:
+        self._inner, self._name, self._log = inner, name, log
+
+    def invoke(self, pattern, inputs, page=0):
+        self._log[self._name, tuple(sorted(inputs.items())), page] += 1
+        return self._inner.invoke(pattern, inputs, page=page)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _session_rounds(cls, registry, head, plan, k) -> tuple[dict, Counter]:
+    """One no-cache session of *cls* asked for *k* answers: its rounds'
+    counts and how often each page reached a service."""
+    log: Counter = Counter()
+    for name in registry.names:
+        registry._services[name] = _PageLog(registry.service(name), name, log)
+    executor = cls(
+        registry=registry, plan=plan, head=head,
+        cache_setting=CacheSetting.NO_CACHE,
+    )
+    assert len(executor.run(k).rows) == k
+    rounds = executor.rounds
+    return {
+        "rounds": len(rounds),
+        "ladder": [r.fetches[0] for r in rounds],
+        "page_fetches_per_round": [r.stats.total_fetches for r in rounds],
+        "tuples_processed_per_round": [r.stats.tuples_processed for r in rounds],
+        "page_fetches": sum(r.stats.total_fetches for r in rounds),
+        "tuples_processed": sum(r.stats.tuples_processed for r in rounds),
+    }, log
+
+
 def _measure(engine: ExecutionEngine, plan, head, k) -> tuple[list, dict]:
     """The rows of a top-k run of *plan* and its ledger's counts."""
     result = engine.execute(plan, head=head, k=k)
@@ -366,6 +464,29 @@ def test_write_counts_lazy(out_dir):
         for pages in re_executing["ladder"]
     )
 
+    # The same session under the terminal join: the head, shared by two
+    # multi-feed lookups, grows in place too, and each page is pulled
+    # once; re-execution pulls every earlier round's pages again.
+    joined_rounds = []
+    for method in (JoinMethod.MERGE_SCAN, JoinMethod.NESTED_LOOP):
+        sessions = {}
+        for name, cls in (
+            ("in_place", ProgressiveExecutor),
+            ("re_executing", ReexecutingExecutor),
+        ):
+            registry, head, plan = _teed_plan(method)
+            counts, log = _session_rounds(cls, registry, head, plan, JOINED_K)
+            sessions[name] = counts
+            joined_rounds.append(
+                {"method": method.value, "session": name, **counts}
+            )
+            if name == "in_place":
+                assert max(log.values()) == 1
+        in_place, re_executing = sessions["in_place"], sessions["re_executing"]
+        assert in_place["ladder"] == re_executing["ladder"] == [1, 2, 4, 8]
+        assert in_place["page_fetches"] < re_executing["page_fetches"]
+        assert in_place["tuples_processed"] < re_executing["tuples_processed"]
+
     write_artifact(out_dir, "counts_lazy.txt", "\n\n".join([
         table(f"Pair: two single-feed search services, {SIDE}x{SIDE} "
               f"rank-monotone plane, chunk {CHUNK}, {FETCHES}-page budget; "
@@ -377,4 +498,8 @@ def test_write_counts_lazy(out_dir):
               "= ceil(k / chunk) + levels * k", chain_points),
         table(f"Multi-round session: F=1, k={k}, {depth} lookup levels, "
               f"{small}-row tables, no cache", multi_round),
+        table(f"Multi-round session under the terminal join: search head "
+              f"(chunk {HEAD_CHUNK}) -> two multi-feed exact lookups "
+              f"({LOOKUP_ROWS} rows a key) -> join, F=1, k={JOINED_K}, "
+              "no cache", joined_rounds),
     ]))

@@ -59,6 +59,7 @@ from repro.execution.cache import CacheSetting, LogicalCache, make_cache
 from repro.execution.fetch import Accounting, RunContext, UnitRouting, UnitSource
 from repro.execution.joins import JoinStream, TopKStream, join_rows
 from repro.execution.lazy import (
+    HeadTee,
     LazyServiceCursor,
     MaterializedCursor,
     MultiFeedCursor,
@@ -113,6 +114,10 @@ class ExecutionResult:
     behind the stream charges to, rebound by the resume so those
     fetches are accounted to the resuming round.
 
+    ``tee`` is the shared eager head of a program that grows in place
+    (``ExecutionProgram.grows_in_place``), which a grown resume extends
+    before it continues the stream; None for every other walk.
+
     ``certificate`` is the partial-result certificate of a
     partial-results execution (:mod:`repro.execution.resilience`):
     which units were dropped and which service blocks produced each
@@ -128,6 +133,7 @@ class ExecutionResult:
     stream: TopKStream | None = None
     certificate: PartialResultCertificate | None = None
     accounting: Accounting | None = None
+    tee: HeadTee | None = None
 
     @property
     def complete(self) -> bool:
@@ -250,6 +256,16 @@ class ExecutionEngine:
             )
             stream: TopKStream | None = None
             lazy_cursors: dict[int, LazyServiceCursor | MultiFeedCursor] = {}
+            tee: HeadTee | None = None
+
+            def feed(feeder: int) -> Sequence[Record] | RowCursor:
+                """What a lazy step or the terminal join reads from
+                *feeder*: its cursor when it is lazy, a copy of a
+                teed head, else its records."""
+                if tee is not None and feeder == 1:
+                    return tee.copy()
+                return lazy_cursors.get(feeder, outputs[feeder])
+
             stats.clock.clear()
             #: Records produced per step index; step 0 is the input
             #: node, the terminal and the output hold answer rows.
@@ -265,9 +281,7 @@ class ExecutionEngine:
                             # A lazy feeder hands over its cursor: the
                             # walk's demand travels up the pipe chain.
                             cursor = self._open_lazy_cursor(
-                                context, step,
-                                lazy_cursors.get(feeder, outputs[feeder]),
-                                accounting,
+                                context, step, feed(feeder), accounting
                             )
                             lazy_cursors[index] = cursor
                             # The cursor's row list is live: it grows
@@ -280,6 +294,15 @@ class ExecutionEngine:
                         # when it fetched nothing (empty feed, every
                         # unit demoted or rerouted).
                         stats.cell(index, step.binding.service_name)
+                        if index == 1 and lazy and program.grows_in_place:
+                            # A shared head that growth will extend:
+                            # drained as eagerly, through one cursor.
+                            tee = HeadTee(
+                                UnitSource(context, step, ROOT, accounting),
+                                ROOT[1],
+                            )
+                            outputs[index] = tee.rows
+                            continue
                         outputs[index] = self._drain_units(
                             context, step, outputs[feeder], accounting
                         )
@@ -290,9 +313,7 @@ class ExecutionEngine:
                             # pulled page by page by the walk; the rest
                             # are the eagerly materialized row lists.
                             stream = JoinStream(
-                                step.join,
-                                lazy_cursors.get(left, outputs[left]),
-                                lazy_cursors.get(right, outputs[right]),
+                                step.join, feed(left), feed(right)
                             )
                             outputs[index] = stream.top(k)
                         else:
@@ -325,12 +346,24 @@ class ExecutionEngine:
 
         stats.rows_out = [len(rows) for rows in outputs]
         stats.elapsed = elapsed(program, stats)
-        return self._result(program, k, stats, outputs[-1], stream, accounting)
+        return self._result(
+            program, k, stats, outputs[-1], stream, accounting, tee
+        )
 
     def resume(
-        self, program: ExecutionProgram, suspended: ExecutionResult, k: int
+        self,
+        program: ExecutionProgram,
+        suspended: ExecutionResult,
+        k: int,
+        grown: bool = False,
     ) -> ExecutionResult:
         """Serve *k* by continuing *suspended*'s stream: one more round.
+
+        *grown* says the session has grown its fetch factors since, on a
+        program that grows in place: the teed head (if any) pulls its
+        new pages and the stream takes in what its visited stages now
+        reach (:meth:`~repro.execution.joins.TopKStream.grow`) before
+        it walks on.
 
         The stream's accounting cell is rebound to fresh statistics
         first, so every page the grown demand pulls — and a drift
@@ -345,9 +378,13 @@ class ExecutionEngine:
         stream, accounting = suspended.stream, suspended.accounting
         stats = ExecutionStats()
         accounting.rebind(stats)
+        if grown:
+            stream.grow(suspended.tee)
         rows = stream.top(k)
         stats.elapsed = elapsed(program, stats)
-        return self._result(program, k, stats, rows, stream, accounting)
+        return self._result(
+            program, k, stats, rows, stream, accounting, suspended.tee
+        )
 
     def _result(
         self,
@@ -357,6 +394,7 @@ class ExecutionEngine:
         final_rows: list[Row],
         stream: TopKStream,
         accounting: Accounting,
+        tee: HeadTee | None,
     ) -> ExecutionResult:
         """Wrap up one finished walk or stream resume."""
         certificate = self.routing.certificate_for(program, final_rows)
@@ -374,6 +412,7 @@ class ExecutionEngine:
             stream=stream,
             certificate=certificate,
             accounting=accounting,
+            tee=tee,
         )
 
     # -- node execution -----------------------------------------------------

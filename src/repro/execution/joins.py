@@ -49,7 +49,7 @@ import heapq
 from collections import defaultdict
 from typing import Iterator, Sequence
 
-from repro.execution.lazy import MaterializedCursor, RowCursor
+from repro.execution.lazy import HeadTee, MaterializedCursor, RowCursor
 from repro.execution.results import Record, Row, SlotLayout, emit
 from repro.execution.slots import CompiledJoin, SlotJoinPlan
 from repro.services.registry import JoinMethod
@@ -285,6 +285,16 @@ class TopKStream:
         while not self.exhausted:
             self._advance_stage()
 
+    def grow(self, tee: HeadTee | None) -> None:
+        """Take in the rows a grown fetch budget appends to the inputs
+        (``ExecutionProgram.grows_in_place``), after *tee* appended the
+        teed head's new pages: the stream is then the walk of the grown
+        plane suspended after the same stages.  Rows appended to a
+        chain's cursor come after every placed one, so a chain walks on
+        as it is."""
+        if tee is not None:
+            tee.grow()
+
     def _row(self, arrival: int) -> Row:
         """The answer row of the candidate that arrived *arrival*-th."""
         row = self._emitted.get(arrival)
@@ -504,6 +514,106 @@ class JoinStream(TopKStream):
             cells, left.rows, right.rows, left.ranks, right.ranks, self._candidates
         )
         self._stage = stage_count(self._method, len(left.rows), len(right.rows))
+
+    def grow(self, tee: HeadTee | None) -> None:
+        """Take in the cells appended rows form on visited stages.
+
+        Growth only appends: new rows come after every old one on both
+        inputs, so no old cell moves and the unvisited stages are still
+        visited in emission order.  But an appended row on one side
+        pairs with old rows of the other on stages already walked:
+        those *late cells* are demanded and indexed now (every row the
+        visited stages reach), run through the join's kernel, and the
+        arrival indexes re-based once to the grown plane's emission
+        order (:meth:`_rebase`).  The certificate needs nothing: it
+        bounds stages from the current one on, over the grown cursors.
+        """
+        left, right = self._left, self._right
+        known = len(left.rows), len(right.rows)
+        super().grow(tee)
+        stage = self._stage
+        if not stage:
+            return
+        left.ensure(stage)
+        if self._method is JoinMethod.NESTED_LOOP:
+            right.ensure_all()
+        else:
+            right.ensure(stage)
+        candidates = self._candidates
+        seen = len(candidates)
+        self._kernel(
+            self._late_cells(stage, *known),
+            left.rows, right.rows, left.ranks, right.ranks, candidates,
+        )
+        if len(candidates) > seen:
+            self._rebase()
+
+    def _late_cells(
+        self, stage: int, n_known: int, m_known: int
+    ) -> list[tuple[int, int]]:
+        """The cells of stages before *stage* that hold a row past the
+        *n_known* left and *m_known* right rows known before growth:
+        the matching ones, through the key index, which then holds
+        every row the visited stages reach (a merge-scan pair on a later
+        diagonal is filed for it) — or, once a key is unhashable, all of
+        them, for the kernel to refuse the ones that do not merge."""
+        left_rows, right_rows = self._left.rows, self._right.rows
+        nested = self._method is JoinMethod.NESTED_LOOP
+        m = len(right_rows)
+        if self._index is not None:
+            try:
+                add = self._index.add
+                pairs = [
+                    (i, j)
+                    for j, found in add(1, right_rows, m if nested else stage)
+                    for i in found
+                ]
+                pairs += [
+                    (i, j) for i, found in add(0, left_rows, stage) for j in found
+                ]
+            except TypeError:  # unhashable key value: cannot bucket
+                self._index = None
+                self._filed.clear()
+            else:
+                if nested:
+                    return pairs
+                for i, j in pairs:
+                    if i + j >= stage:
+                        self._filed[i + j].append(i)
+                return [(i, j) for i, j in pairs if i + j < stage]
+        return [
+            (i, j)
+            for i in range(min(stage, len(left_rows)))
+            for j in range(
+                m_known if i < n_known else 0, m if nested else min(m, stage - i)
+            )
+        ]
+
+    def _rebase(self) -> None:
+        """Number the candidates by the grown plane's emission order —
+        merge-scan ``(i + j, i)``, nested loop ``(i, j)`` — carrying the
+        rows already emitted to their new arrival indexes."""
+        at_left, at_right = (
+            {id(row): index for index, row in enumerate(side.rows)}
+            for side in (self._left, self._right)
+        )
+        nested = self._method is JoinMethod.NESTED_LOOP
+
+        def cell(candidate: tuple) -> tuple[int, int]:
+            i, j = at_left[id(candidate[2])], at_right[id(candidate[3])]
+            return (i, j) if nested else (i + j, i)
+
+        order = sorted(self._candidates, key=cell)
+        emitted = self._emitted
+        self._emitted = {
+            arrival: emitted[candidate[1]]
+            for arrival, candidate in enumerate(order)
+            if candidate[1] in emitted
+        }
+        self._candidates[:] = [
+            (rank, arrival, left_row, right_row)
+            for arrival, (rank, _, left_row, right_row) in enumerate(order)
+        ]
 
     def _matching_cells(
         self, stage: int, left_rows: list[Record], right_rows: list[Record]

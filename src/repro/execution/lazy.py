@@ -117,7 +117,10 @@ bit-identical (rows, ranks, emission order) to the full-scan oracle.
 The budget is read from the source on every use: a session that grows
 its fetch factors under a suspended walk (growth in place,
 :mod:`repro.execution.progressive`) enlarges the universe, and the
-cursors simply are no longer exhausted.
+cursors simply are no longer exhausted.  A head two steps read is
+drained eagerly through a :class:`HeadTee`, which hands each consumer
+its own :class:`TeedCursor` copy and appends the grown pages to every
+copy.
 """
 
 from __future__ import annotations
@@ -278,6 +281,12 @@ class MaterializedCursor(RowCursor):
         return self._known_min(start)
 
 
+class TeedCursor(MaterializedCursor):
+    """One consumer's copy of the records of a :class:`HeadTee`, which
+    growth extends: records are only ever appended after every known
+    one."""
+
+
 class LazyServiceCursor(RowCursor):
     """Demand-driven cursor over one service node's paged results.
 
@@ -387,6 +396,41 @@ class LazyServiceCursor(RowCursor):
             self._rank_floor = page.rank_floor
 
 
+class HeadTee(LazyServiceCursor):
+    """The shared head of a program that grows in place
+    (``ExecutionProgram.grows_in_place``), fetched eagerly, with one
+    :class:`TeedCursor` per consumer.
+
+    The head is drained at once — the pages, in the order, of an eager
+    step — and each consumer reads its own copy (a consumer *takes* the
+    records it reads, see :meth:`RowCursor.take`).  Once the session
+    has grown the head's factor, :meth:`grow` pulls the new pages
+    through the same unit and appends their records to every copy:
+    after every old record, where the larger factor's eager run places
+    them.
+    """
+
+    def __init__(self, source: PageSource, base_rank: int) -> None:
+        super().__init__(source, base_rank)
+        self.ensure_all()
+        self._copies: list[TeedCursor] = []
+
+    def copy(self) -> TeedCursor:
+        """A new consumer's cursor over the head's records."""
+        copy = TeedCursor(self.rows)
+        self._copies.append(copy)
+        return copy
+
+    def grow(self) -> None:
+        """Pull the pages the grown budget allows; append their records
+        to every copy."""
+        known = len(self.rows)
+        self.ensure_all()
+        for copy in self._copies:
+            copy.rows.extend(self.rows[known:])
+            copy.ranks.extend(self.ranks[known:])
+
+
 class MultiFeedCursor(RowCursor):
     """Demand-driven cursor over a multi-feed service node's blocks.
 
@@ -479,10 +523,10 @@ class MultiFeedCursor(RowCursor):
         #: The bound on the unplaced rows of the open blocks, until the
         #: next pull or open.  Over a materialized feed — whose frontier
         #: moves only when this cursor opens a block — it holds the
-        #: frontier too; a lazy feed's is read afresh every time (its
-        #: budget may grow under a suspended walk).
+        #: frontier too; a lazy or teed feed's is read afresh every time
+        #: (its budget may grow under a suspended walk).
         self._open_bound: float | None = None
-        self._feed_is_known = isinstance(feed, MaterializedCursor)
+        self._feed_is_known = type(feed) is MaterializedCursor
         self._floor_heap: list[tuple[float, int]] = []
         self._bound_heap: list[tuple[float, int]] = []
 

@@ -95,9 +95,10 @@ class ExecutionProgram:
     lazy: frozenset[int]
     #: Whether a suspended streamed walk may *continue* under grown
     #: fetch factors instead of re-executing: the only growable step is
-    #: the input-fed head of a pure pipe chain to the output, so a
-    #: larger factor only appends rows, in order, to every cursor of
-    #: the chain.
+    #: the input-fed head, the only join is the terminal one, and every
+    #: other service step is fetched on demand — so a larger factor
+    #: only appends feed rows after every old one, and blocks after
+    #: every old block on each cursor and on both join inputs.
     grows_in_place: bool
     #: ``(service, pattern code, input spec against the answer layout)``
     #: per service node: how a certificate recovers, from an answer's
@@ -188,8 +189,9 @@ class ExecutionProgram:
             grows_in_place=(
                 [index for index, _, _ in chunked] == [1]
                 and all(
-                    step.kind != JOIN and step.feeds == (step.index - 1,)
-                    for step in steps[1:]
+                    step.index == terminal if step.kind == JOIN
+                    else step.kind != SERVICE or step.index in lazy
+                    for step in steps[2:]
                 )
             ),
             answer_specs=tuple(

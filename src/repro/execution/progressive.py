@@ -32,16 +32,19 @@ When the suspended stream exhausts its budgeted universe without
 reaching the requested k, the fetch factors grow, and what happens next
 is compiled into the program (``ExecutionProgram.grows_in_place``):
 
-* **growth in place** — the only growable step is the input-fed head
-  of a pure pipe chain to the output, so a larger factor only *appends*
-  rows, in order, to every cursor of the chain: the same stream is
-  resumed again and the round pays the new pages, nothing else.  The
-  units read their budget from this executor's own vector, which is all
-  that had to change;
+* **growth in place** — the only growable step is the input-fed head,
+  the only join is the terminal one and every other service step is
+  lazy, so a larger factor only *appends* rows, after every old one, to
+  every cursor and to both join inputs: the same stream takes in the
+  cells the new rows form on stages it already walked, re-bases its
+  arrival indexes once, and walks on; the round pays the new pages,
+  nothing else.  The units read their budget from this executor's own
+  vector, and a shared head appends its new pages to each consumer's
+  copy (:class:`~repro.execution.lazy.HeadTee`);
 * **re-execution** — every other shape (a multi-feed growable step
-  would insert rows mid-stream, a joined one add cells between stages
-  already walked) runs the plan again, where the shared logical cache
-  absorbs every already-fetched page.
+  *inserts* rows mid-stream, which no single re-base repairs) runs the
+  plan again, where the shared logical cache absorbs every
+  already-fetched page.
 
 The ladder of factors, ``MAX_ROUNDS`` and the exhaustion rule are the
 same either way, and so are the answers
@@ -369,7 +372,7 @@ class ProgressiveExecutor:
         if last is None or last.stream is None:
             return None
         try:
-            result = self._engine.resume(self._program, last, k)
+            result = self._engine.resume(self._program, last, k, grown)
         except UnresponsiveService as failure:
             # A lazily fetched block died mid-resume (partial mode).
             # The suspended stream cannot retract what it already

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import sys
 import threading
 import weakref
 
@@ -173,6 +174,34 @@ class TestFetchVectorIsRunOwned:
         assert executor.fetch_vector()[0] != program.fetches[program.chunked[0][0]]
 
 
+def _identities(program):
+    """The identity of every attribute of *program* and of its steps'."""
+    return (
+        {name: id(getattr(program, name)) for name in program.__dataclass_fields__},
+        [tuple(map(id, step)) for step in program.steps],
+    )
+
+
+def test_a_news_session_grown_in_place_leaves_the_program_as_compiled():
+    service = QueryService(registry=news_registry(), plan_cache=PlanCache())
+    response = service.submit(market_moving_news_query(), k=3)
+    executor = service.sessions.get(response.session_id).executor
+    program = executor.plan
+    assert program.grows_in_place
+    before, compiled = _identities(program), dataclasses.replace(program)
+    for _ in range(4):
+        service.ask_for_more(response.session_id, 5)
+    assert any(round_.grown for round_ in executor.rounds)
+    assert executor.fetch_vector() != {
+        atom: program.fetches[step] for step, atom, _ in program.chunked
+    }
+    assert _identities(program) == before
+    assert all(
+        getattr(program, name) == getattr(compiled, name)
+        for name in program.__dataclass_fields__
+    )
+
+
 class TestNoCapturedRegistry:
     def test_services_over_equal_registries_share_plans_not_handles(self):
         def counted_service(plan_cache):
@@ -241,6 +270,64 @@ def test_threads_share_one_program_without_writing_it():
         name: id(getattr(program, name)) for name in program.__dataclass_fields__
     }
     assert steps == [tuple(map(id, step)) for step in program.steps]
+
+
+def _news_session(service, query, script):
+    """Play *script* (answers per ``more``) on a news session of
+    *service*: what each round answered and recorded."""
+    response = service.submit(query, k=3)
+    executor = service.sessions.get(response.session_id).executor
+    answers = [response.rows]
+    for additional in script:
+        answers.append(service.ask_for_more(response.session_id, additional).rows)
+    rounds = [
+        (r.fetches, r.answers, r.resumed, r.grown, dataclasses.asdict(r.stats))
+        for r in executor.rounds
+    ]
+    service.release(response.session_id)
+    return answers, rounds
+
+
+@pytest.mark.concurrency
+def test_threads_grow_news_sessions_in_place_on_one_service():
+    """Two threads drive news sessions through growth on one service —
+    one program per template, one logical cache — and every session
+    answers and records what a sequential replay of it does.  A first
+    pass warms the cache, so every later page is a hit whoever asks."""
+    service = QueryService(registry=news_registry(), plan_cache=PlanCache())
+    sessions = [
+        (market_moving_news_query("merger"), (3, 10, 10)),
+        (market_moving_news_query("earnings"), (5, 20)),
+    ]
+    for query, script in sessions:
+        _news_session(service, query, script)
+    expected = [_news_session(service, query, script) for query, script in sessions]
+    assert all(
+        any(grown for _, _, _, grown, _ in rounds) for _, rounds in expected
+    )
+    outcomes: list = [[], []]
+    barrier = threading.Barrier(2)
+
+    def worker(which):
+        barrier.wait()
+        query, script = sessions[which]
+        for _ in range(30):
+            outcomes[which].append(_news_session(service, query, script))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for which in range(2):
+        assert len(outcomes[which]) == 30
+        assert all(outcome == expected[which] for outcome in outcomes[which])
 
 
 def _golden_plans():

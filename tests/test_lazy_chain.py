@@ -13,7 +13,10 @@ with the path it checks:
   setting, pulling a subset of what the eager-streamed fixture pulls;
 * **growth in place vs. growth by re-execution** — the same random
   session script against :class:`~repro.testing.ReexecutingExecutor`:
-  same ladder, same answers, fewer tuples processed;
+  same ladder, same answers, fewer tuples processed — on chains, and
+  on a head shared by two lookups under the terminal join (NL and MS,
+  repeated head rows so late cells occur, rank ties, unhashable keys),
+  where every step also equals the reference at the grown vector;
 * **the cursor over a growing feed** — step by step against the
   linear-scan reference of ``tests/test_lazy_multifeed.py``, and over
   a materialized feed pull for pull against the policy that opened
@@ -51,9 +54,9 @@ from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
-from repro.plans.builder import PlanBuilder
+from repro.plans.builder import PlanBuilder, Poset
 from repro.services.profile import exact_profile, search_profile
-from repro.services.registry import ServiceRegistry
+from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
 from repro.testing import (
     FaultSchedule,
@@ -409,18 +412,30 @@ class TestGrowthInPlace:
 
     def test_multi_feed_or_joined_growable_steps_still_re_execute(self):
         from repro.serving import QueryService
-        from repro.sources.weekend import mahler_weekend_query, weekend_registry
+        from repro.sources.news import news_registry
+        from repro.sources.weekend import weekend_registry
+
+        # News: the head is shared by the two lookups the terminal join
+        # merges; growth appends to both inputs, so it continues.
+        news = QueryService(registry=news_registry())
+        response = news.submit(_NEWS_TEMPLATE, k=3)
+        executor = news.sessions.get(response.session_id).executor
+        assert executor._program.grows_in_place
+        executor.run(10_000)
+        assert any(r.grown for r in executor.rounds)
+        assert all(r.resumed for r in executor.rounds[1:])
 
         # Weekend: concerts -> lowcost, the growable step is multi-feed.
         service = QueryService(registry=weekend_registry())
-        response = service.submit(mahler_weekend_query(), k=3)
+        response = service.submit(_WEEKEND_TEMPLATE, k=3)
         executor = service.sessions.get(response.session_id).executor
         program = executor._program
         assert program.lazy and not program.grows_in_place
+        assert [index for index, _, _ in program.chunked] == [2]
         executor.run(10_000)
         growth = [r for r in executor.rounds[1:] if not r.resumed]
         assert growth and not any(r.grown for r in executor.rounds)
-        # A growable step under a join: the travel plan.
+        # Growable steps under a join: the travel plan.
         from repro.sources.travel import (
             alpha1_patterns, poset_optimal, running_example_query, travel_registry,
         )
@@ -433,6 +448,182 @@ class TestGrowthInPlace:
         # rows mid-stream, not append them.
         _, head, plan = _chain_world([(True, 2, 1), (True, 2, 1)], seed=1)
         assert not ExecutionProgram.compile(plan, head).grows_in_place
+
+
+#: A news and a weekend template of the ``sessions_more`` bench mix.
+_NEWS_TEMPLATE = (
+    "marketnews(Company, Headline, Date, Change) :- "
+    "newssearch('merger', Article, Headline, Company, Date), "
+    "quotes(Company, Date, Change), profile(Company, 'tech', Country), "
+    "Change >= 5, Date >= '2008-03-01'."
+)
+_WEEKEND_TEMPLATE = (
+    "weekend(City, Date, Price, Venue) :- "
+    "lowcost('Milano', City, Date, Price), "
+    "concerts(City, Date, 'Mahler', Venue), "
+    "Date >= '2008-04-01', Date <= '2008-04-30', Price <= 120."
+)
+
+
+# -- growth in place under the terminal join ---------------------------------
+
+
+def _joined_world(method, chunk, head_rows, lookups, residual=None):
+    """``h('q', X), a(X, K, A), b(X, K, B)``: a ranked head over
+    *head_rows* (chunk *chunk*) feeding two exact bulk lookups over the
+    two row lists of *lookups*, joined by *method*; ``plan_at(F)`` is
+    the plan at head factor F.  The lookups are unranked, so cells tie
+    on the head's ranks.  With *residual* an ``A <= t`` predicate is the
+    output's residual.
+    """
+    registry = ServiceRegistry()
+    registry.register(TableSearchService(
+        signature("h", ["Q", "X"], ["io"]),
+        search_profile(chunk_size=chunk, response_time=1.0),
+        head_rows,
+        score=lambda row: 0.0,
+    ))
+    for name, rows in zip(("a", "b"), lookups):
+        registry.register(TableExactService(
+            signature(name, ["X", "K", "V"], ["ioo"]),
+            exact_profile(erspi=2.0, response_time=1.0),
+            rows,
+        ))
+    registry.register_join_method("a", "b", method)
+    x, key, a, b = (Variable(name) for name in ("X", "K", "A", "B"))
+    query = ConjunctiveQuery(
+        name="joined",
+        head=(x, key, a, b),
+        atoms=(
+            Atom("h", (Constant("q"), x)),
+            Atom("a", (x, key, a)),
+            Atom("b", (x, key, b)),
+        ),
+        predicates=(),
+    )
+
+    def plan_at(factor):
+        plan = PlanBuilder(query, registry).build(
+            (
+                registry.signature("h").pattern("io"),
+                registry.signature("a").pattern("ioo"),
+                registry.signature("b").pattern("ioo"),
+            ),
+            Poset(n=3, pairs=frozenset({(0, 1), (0, 2)})),
+            fetches={0: factor},
+        )
+        if residual is not None:
+            plan.output_node.residual_predicates = (
+                Comparison(a, "<=", Constant(residual)),
+            )
+        return plan
+
+    return registry, tuple(query.head), plan_at
+
+
+def _random_rows(seed, listed):
+    """Head rows over three repeating keys — so a grown head's new block
+    pairs with old blocks of the other side on stages already walked
+    (late cells) — and two lookup tables; *listed* makes ``K`` a list,
+    a join key no index can bucket."""
+    rng = random.Random(seed)
+    head = [("q", rng.randrange(3)) for _ in range(rng.randrange(12))]
+    lookups = [
+        [(x, [rng.randrange(2)] if listed else rng.randrange(2), rng.randrange(10))
+         for x in range(3) for _ in range(rng.randrange(4))]
+        for _ in range(2)
+    ]
+    return head, lookups
+
+
+_METHODS = st.sampled_from((JoinMethod.MERGE_SCAN, JoinMethod.NESTED_LOOP))
+
+
+class TestGrowthUnderTheTerminalJoin:
+    @given(
+        _METHODS, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 2),
+        st.one_of(st.none(), st.integers(0, 9)), st.booleans(), _script,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_rounds_as_re_execution_and_the_reference(
+        self, method, seed, chunk, fetches, residual, listed, script
+    ):
+        executors = []
+        for cls in (ProgressiveExecutor, ReexecutingExecutor):
+            registry, head, plan_at = _joined_world(
+                method, chunk, *_random_rows(seed, listed), residual
+            )
+            executors.append(cls(registry=registry, plan=plan_at(fetches), head=head))
+        in_place, re_executing = executors
+        assert in_place._program.grows_in_place
+        trace = _play(in_place, script)
+        assert trace == _play(re_executing, script)
+        assert [r.fetches for r in in_place.rounds] == [
+            r.fetches for r in re_executing.rounds
+        ]
+        assert [r.grown or not r.resumed for r in in_place.rounds] == [
+            not r.resumed for r in re_executing.rounds
+        ]
+        # Every step equals the reference at the vector it grew to.
+        produced = 0
+        for (verb, n), (rows, _, _, vector) in zip(script, trace):
+            k = n if verb == "run" else produced + n
+            expected = compose_ranking(
+                reference_execute(plan_at(vector[0]), registry).rows, k
+            )
+            assert rows == _signature(expected)
+            produced = len(rows)
+
+    def test_a_lazy_head_under_the_join_continues_too(self):
+        """The optimizer's plan for the Mahler weekend joins ``lowcost``,
+        the growable head, with ``concerts``: the head is a lazy input
+        of the terminal join, and its grown pages append to it."""
+        from repro.serving import QueryService
+        from repro.sources.weekend import mahler_weekend_query, weekend_registry
+
+        service = QueryService(registry=weekend_registry())
+        response = service.submit(mahler_weekend_query(), k=3)
+        program = service.sessions.get(response.session_id).executor._program
+        assert program.grows_in_place and 1 in program.lazy
+        script = [("run", 10), ("more", 20)]
+        in_place, re_executing = (
+            cls(registry=weekend_registry(), plan=program)
+            for cls in (ProgressiveExecutor, ReexecutingExecutor)
+        )
+        assert _play(in_place, script) == _play(re_executing, script)
+        assert [r.fetches for r in in_place.rounds] == [
+            r.fetches for r in re_executing.rounds
+        ]
+        assert sum(r.grown for r in in_place.rounds) >= 3
+
+    def test_late_cells_are_rebased_into_the_grown_order(self):
+        """One head key on every page, F = 1: each growth appends a
+        block on both sides that pairs with every old block on
+        diagonals already walked, and the answers still come in the
+        reference's order at every k."""
+        for method in (JoinMethod.MERGE_SCAN, JoinMethod.NESTED_LOOP):
+            registry, head, plan_at = _joined_world(
+                method, 1, [("q", 0)] * 6, [[(0, 0, 1), (0, 0, 2)]] * 2
+            )
+            executor = ProgressiveExecutor(
+                registry=registry, plan=plan_at(1), head=head
+            )
+            first = executor.run(4)
+            assert executor.fetch_vector() == {0: 1} and len(first.rows) == 4
+            grown = executor.more(20)
+            # The resume drains the plane of F = 1 (four cells); the
+            # plane of F = 4 holds 64.
+            assert [(r.resumed, r.grown) for r in executor.rounds] == [
+                (False, False), (True, False), (True, True), (True, True),
+            ]
+            assert executor.fetch_vector() == {0: 4}
+            assert _signature(grown.rows) == _signature(compose_ranking(
+                reference_execute(plan_at(4), registry).rows, 24
+            ))
+            # The grown rounds pulled only the head's new pages.
+            assert [
+                step_cells(r.stats, 1).fetches for r in executor.rounds
+            ] == [1, 0, 1, 2]
 
 
 # -- the cursor over a growing feed ------------------------------------------
