@@ -435,22 +435,25 @@ class TestGrowthInPlace:
         executor.run(10_000)
         growth = [r for r in executor.rounds[1:] if not r.resumed]
         assert growth and not any(r.grown for r in executor.rounds)
-        # Growable steps under a join: the travel plan.
-        from repro.sources.travel import (
-            alpha1_patterns, poset_optimal, running_example_query, travel_registry,
-        )
+        # Travel: growable steps under the join.  Bio: a growable step
+        # below a non-final join.
+        from repro.sources.bio import bio_registry
+        from repro.sources.travel import travel_registry
 
-        registry = travel_registry()
-        query = running_example_query()
-        plan = PlanBuilder(query, registry).build(alpha1_patterns(), poset_optimal())
-        assert not ExecutionProgram.compile(plan, query.head).grows_in_place
+        for registry, text in (
+            (travel_registry(), _TRAVEL_TEMPLATE), (bio_registry(), _BIO_TEMPLATE),
+        ):
+            service = QueryService(registry=registry)
+            response = service.submit(text, k=3)
+            executor = service.sessions.get(response.session_id).executor
+            assert not executor._program.grows_in_place
         # Two growable steps on one chain: a middle factor would insert
         # rows mid-stream, not append them.
         _, head, plan = _chain_world([(True, 2, 1), (True, 2, 1)], seed=1)
         assert not ExecutionProgram.compile(plan, head).grows_in_place
 
 
-#: A news and a weekend template of the ``sessions_more`` bench mix.
+#: Templates of the ``sessions_more`` bench mix.
 _NEWS_TEMPLATE = (
     "marketnews(Company, Headline, Date, Change) :- "
     "newssearch('merger', Article, Headline, Company, Date), "
@@ -462,6 +465,20 @@ _WEEKEND_TEMPLATE = (
     "lowcost('Milano', City, Date, Price), "
     "concerts(City, Date, 'Mahler', Venue), "
     "Date >= '2008-04-01', Date <= '2008-04-30', Price <= 120."
+)
+_TRAVEL_TEMPLATE = (
+    "q(Conf, City, Hotel, FPrice, HPrice, Start, End, OutTime, RetTime) :- "
+    "flight('Milano', City, Start, End, OutTime, RetTime, FPrice), "
+    "hotel(Hotel, City, 'luxury', Start, End, HPrice), "
+    "conf('DB', Conf, Start, End, City), weather(City, Temperature, Start), "
+    "Start >= '2008-04-01', End <= '2008-09-28', "
+    "Temperature >= 28, FPrice + HPrice < 2000."
+)
+_BIO_TEMPLATE = (
+    "homologs(Human, Mouse, Domain, Score) :- kegg('glycolysis', Human), "
+    "uniprot(Human, 'human', Gene), blast(Human, Mouse, Score), "
+    "uniprot(Mouse, 'mouse', MouseGene), interpro(Mouse, Domain, Repeats), "
+    "Score >= 500, Repeats >= 2."
 )
 
 
