@@ -6,7 +6,7 @@ top-k executions at k ∈ {1, 10, 100}, against the eager streamed
 baseline (PR 2: early exit saves join work, but every service is still
 fully materialized up front) and the full-scan oracle.
 
-Four workloads:
+Five workloads:
 
 * **pair** — the paper's two-search-services shape on the
   rank-monotone plane: both services return their tuples in rank
@@ -32,7 +32,13 @@ Four workloads:
   search head shared by two multi-feed exact lookups that the terminal
   join merges, NL and MS.  Growth continues under the join, so in place
   pulls every page once, and re-execution pulls the earlier rounds'
-  pages again.
+  pages again;
+* **template sessions** — the session script of the frozen bench's
+  ``sessions_more`` workload (submit k = 3, then three ``more 3``) on
+  each of its templates, each on a fresh service: per round, the cells
+  the join walks ran through their kernel, the candidates they kept
+  and the pages pulled.  The kernels are wrapped to count
+  (``_counting_kernels``); a service-terminal plan runs none.
 
 Three engines run each plan:
 
@@ -59,7 +65,10 @@ page total less the lazy run's.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -67,11 +76,13 @@ from benchmarks.conftest import table, write_artifact
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine
 from repro.execution.progressive import ProgressiveExecutor
+from repro.execution.slots import SlotJoinPlan
 from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
 from repro.model.terms import Constant, Variable
 from repro.plans.builder import PlanBuilder, Poset
+from repro.serving import QueryService
 from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import JoinMethod, ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
@@ -388,6 +399,71 @@ def _joined_points(make_plan, universe: int) -> list[dict]:
     return points
 
 
+@contextmanager
+def _counting_kernels(counts: Counter):
+    """Every join kernel built inside adds the cells it is handed to
+    ``counts["kernel_cells"]`` and the candidates it keeps to
+    ``counts["candidates"]``."""
+    build = SlotJoinPlan.kernel
+
+    def counting(plan, predicates):
+        kernel = build(plan, predicates)
+
+        def counted(cells, *args):
+            candidates = args[-1]
+            kept = len(candidates)
+            counts["kernel_cells"] += len(cells)
+            kernel(cells, *args)
+            counts["candidates"] += len(candidates) - kept
+
+        return counted
+
+    SlotJoinPlan.kernel = counting
+    try:
+        yield
+    finally:
+        SlotJoinPlan.kernel = build
+
+
+def _template_sessions() -> list[dict]:
+    """Per round of ``sessions_more``'s script on each bench template
+    (popularity order, each on a fresh service): the join walks'
+    kernel cells and kept candidates, and the pages pulled."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        from workloads import IN_MEMORY, MORE, SESSION, zipf_population
+    finally:
+        sys.path.pop(0)
+    assert SESSION.count("more") == 3
+    points = []
+    for number, request in enumerate(zipf_population(k=3), 1):
+        service = QueryService(IN_MEMORY[request.domain]())
+        counts: Counter = Counter()
+        session = None
+        for round_ in ("submit", "more", "more", "more"):
+            counts.clear()
+            with _counting_kernels(counts):
+                if session is None:
+                    response = service.submit(request.text, request.k)
+                    session = response.session_id
+                    executor = service.sessions.get(session).executor
+                    before = 0
+                else:
+                    before = len(executor.rounds)
+                    response = service.ask_for_more(session, MORE)
+            points.append({
+                "template": f"{number}:{request.domain}",
+                "round": round_,
+                "answers": len(response.rows),
+                "kernel_cells": counts["kernel_cells"],
+                "candidates": counts["candidates"],
+                "pages": sum(
+                    r.stats.total_fetches for r in executor.rounds[before:]
+                ),
+            })
+    return points
+
+
 def test_write_counts_lazy(out_dir):
     pair = _joined_points(_plan, SIDE)
     serial = _joined_points(_serial_plan, FEEDS * PER)
@@ -502,4 +578,8 @@ def test_write_counts_lazy(out_dir):
               f"(chunk {HEAD_CHUNK}) -> two multi-feed exact lookups "
               f"({LOOKUP_ROWS} rows a key) -> join, F=1, k={JOINED_K}, "
               "no cache", joined_rounds),
+        table("Template sessions: sessions_more's script (submit k=3, then "
+              "three more 3) on each bench template, a fresh service each; "
+              "per round, the join kernels' cells and kept candidates, and "
+              "the pages pulled", _template_sessions()),
     ]))
