@@ -1,7 +1,8 @@
 """Streaming early-exit top-k exact counts (``counts_streaming.txt``).
 
-Counts the cells the streamed top-k pipeline visits against the two
-full-scan executions on the same candidate plane, for k ∈ {1, 10, 100}:
+Counts the rows the streamed top-k pipeline indexes and the cells it
+merges against the two full-scan executions on the same candidate
+plane, for k ∈ {1, 10, 100}:
 
 * **full** — the reference full-plane :func:`execute_join` followed by
   ``compose_ranking(..., k)`` (the oracle of the hypothesis suite);
@@ -17,19 +18,21 @@ The workload is the paper's two-search-services shape: both inputs
 emit tuples in their service rank order (rank = position), every cell
 of the plane is a candidate combination, and the composed rank of cell
 ``(i, j)`` is ``i + j``.  The acceptance assertion is the whole point
-of the subsystem: cells visited must scale with k, not with ``n × m``
-— while the emitted rows stay bit-identical to the oracle.
+of the subsystem: cells merged must scale with k, not with ``n × m``
+— while the emitted rows stay bit-identical to the oracle.  A
+merge-scan walk visits the matching cells in rank order, so it merges
+exactly k; a nested-loop walk merges whole outer rows.
 
 A **key-selectivity sweep** rides in the same artifact: the same
 plane with one row in 1, 5 and 50 sharing a key (``key = position mod
-s``).  A stage pays for the cells its key index holds, so *merges
-attempted* falls with the selectivity while ``cells_visited`` — the
-cells of the stages the certificate needed — rises (matches are rarer,
-so the k-th one lies deeper).
+s``).  A walk merges only the cells its key index holds, so *merges
+attempted* stays k while ``rows_indexed`` — the corner of the plane
+the certificate needed — grows (matches are rarer, so the k-th one
+lies deeper).
 
-The streams keep no counters: ``cells_visited`` is the cells of the
-stages a walk passed, and merges are counted by a subclass that wraps
-the stage's cell lookup (``_CountingStream``).
+The streams keep no counters: a subclass counts the cells handed to
+its kernel (``_CountingStream``), and ``rows_indexed`` reads how many
+rows of each side its key index holds.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import table, write_artifact
-from repro.execution.joins import JoinStream, stage_cells, stage_count
+from repro.execution.joins import JoinStream
 from repro.execution.results import Row
 from repro.model.terms import Variable
 from repro.services.registry import JoinMethod
@@ -77,23 +80,18 @@ def _join(method):
 
 
 class _CountingStream(JoinStream):
-    """A streamed walk counting the cells its stages hand to merge."""
+    """A streamed walk counting the cells it hands to its kernel."""
 
-    merges = 0
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.merges = 0
+        kernel = self._kernel
 
-    def _matching_cells(self, stage, left_rows, right_rows):
-        cells = super()._matching_cells(stage, left_rows, right_rows)
-        self.merges += len(cells)
-        return cells
+        def counted(cells, *rest):
+            self.merges += len(cells)
+            kernel(cells, *rest)
 
-
-def _cells_visited(stream: JoinStream, n: int, m: int) -> int:
-    """Cells of the stages *stream* passed over an n x m plane."""
-    method = stream.method
-    return sum(
-        len(list(stage_cells(method, n, m, stage)))
-        for stage in range(min(stream._stage, stage_count(method, n, m)))
-    )
+        self._kernel = counted
 
 
 def _full_scan(method, left, right, k) -> list[Row]:
@@ -103,12 +101,11 @@ def _full_scan(method, left, right, k) -> list[Row]:
 def _streamed(method, left, right, k) -> tuple[list[Row], dict]:
     stream = _CountingStream(_join(method), as_records(left), as_records(right))
     rows = stream.top(k)
-    visited = _cells_visited(stream, len(left), len(right))
     return rows, {
         "k": k,
-        "cells_visited": visited,
+        "rows_indexed": sum(stream._index.added),
         "merges_attempted": stream.merges,
-        "cells_skipped": len(left) * len(right) - visited,
+        "cells_skipped": len(left) * len(right) - stream.merges,
     }
 
 
@@ -129,19 +126,19 @@ def test_write_counts_streaming(out_dir):
             assert _signature(rows) == expected
             hashed = compose_ranking(joined(_join(method), left, right), k)
             assert _signature(hashed) == expected
-            visited_by_k.append(counts["cells_visited"])
+            visited_by_k.append(counts["merges_attempted"])
             per_method.append({"method": method.value, **counts})
-        # The acceptance property: cells visited grow with k and stay
+        # The acceptance property: cells merged grow with k and stay
         # far below the n*m plane for small k.
         assert visited_by_k == sorted(visited_by_k)
         for k, visited in zip(KS, visited_by_k):
             if k < SIDE:
                 assert visited < plane // 4, (method, k, visited, plane)
         if method is JoinMethod.MERGE_SCAN:
-            # Diagonal stages: k=1 closes after a single cell.  (NL
-            # stages are whole rows, so its floor is one row of m cells
-            # — still independent of n.)
-            assert visited_by_k[0] <= KS[0] * (KS[0] + 1)
+            # Rank order: exactly the k answers.  (NL steps are whole
+            # rows, so its floor is one row of m cells — still
+            # independent of n.)
+            assert visited_by_k == list(KS)
 
     sweep = []
     for one_in in SELECTIVITIES:
@@ -151,9 +148,9 @@ def test_write_counts_streaming(out_dir):
             assert _signature(rows) == _signature(
                 _full_scan(JoinMethod.MERGE_SCAN, left, right, k)
             )
-            # A stage merges its matching cells, about one in ``one_in``
-            # of those it visits — not all of them.
-            assert counts["merges_attempted"] <= counts["cells_visited"] // one_in + k
+            # The walk merges matching cells only, in rank order: the
+            # k answers, however deep the k-th one lies.
+            assert counts["merges_attempted"] == k
             sweep.append({"key_shared_by": f"1-in-{one_in}", **counts})
 
     write_artifact(out_dir, "counts_streaming.txt", "\n\n".join([

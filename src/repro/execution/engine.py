@@ -495,8 +495,8 @@ class ChainStream(TopKStream):
     out as *layout*, in the full scan's emission order (the cursor's
     placement invariant), so a stage is "the records placed since the
     last look, or one more": each record passing the output's residual
-    predicates becomes a candidate under its own rank sum and arrival
-    index, and everything not
+    predicates becomes a candidate under its own rank sum, arriving
+    at its index in the cursor, and everything not
     yet looked at is bounded by the cursor's ``suffix_min`` — over a
     chain of lazy cursors that is the frontier of the whole pipe chain.
     Looking at every placed row before demanding another costs no
@@ -520,7 +520,7 @@ class ChainStream(TopKStream):
         cursor = self._cursor
         return self._stage >= len(cursor.ranks) and cursor.exhausted
 
-    def _advance_stage(self) -> None:
+    def _advance_stage(self, threshold: tuple | None, missing: int) -> None:
         cursor = self._cursor
         start = self._stage
         if start >= len(cursor.ranks):
@@ -533,11 +533,12 @@ class ChainStream(TopKStream):
             row = rows[index]
             if residual and not all(holds(row[0]) for holds in residual):
                 continue
-            candidates.append((ranks[index], len(candidates), row))
+            candidates.append((ranks[index], index, row))
         self._stage = stop
 
-    def _refuted(self, threshold: int) -> bool:
-        return self._cursor.suffix_min(self._stage) < threshold
+    def _refuted(self, threshold: tuple) -> bool:
+        stage = self._stage
+        return (self._cursor.suffix_min(stage), stage) < threshold
 
     def _record(self, candidate: tuple) -> Record:
         return candidate[2]

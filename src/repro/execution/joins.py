@@ -21,13 +21,13 @@ suite.
 
 There is one join: a :class:`~repro.execution.slots.CompiledJoin`
 (merge plan + predicates, compiled against the one layout of each side)
-run in one of the two visit orders.  Only cells whose two rows agree on
-the shared-variable key can join, and both forms find them through one
+run in one of the two orders.  Only cells whose two rows agree on the
+shared-variable key can join, and both forms find them through one
 :class:`KeyIndex`, so the engine pays per *matching* pair instead of
 per cell: :func:`join_rows` materializes the join — it indexes both
-sides and visits the matching cells in the global rank order — and
-:class:`JoinStream` walks it lazily, indexing a row when a stage first
-can touch it.  Both hand their cells to one loop, the kernel generated
+sides and visits the matching cells in the full scan's emission order
+— and :class:`JoinStream` walks it lazily, indexing a row when the walk
+first needs it.  Both hand their cells to one loop, the kernel generated
 for the join's shape (:meth:`~repro.execution.slots.SlotJoinPlan.kernel`),
 and both take the join its program compiled, over rows the program's
 steps laid out as it was compiled for, and check no layout.
@@ -35,24 +35,29 @@ The full-plane dict-row scan they are tested against is
 ``execute_join`` in :mod:`repro.testing.reference`.
 
 :class:`JoinStream` is the streaming early-exit pipeline on top of the
-same visit orders: it walks the plane lazily, stage by stage, and
-suspends as soon as a certificate proves that no unvisited cell can
-still enter the requested top-k — making the cost of a top-k answer
-proportional to ``k`` rather than to ``n × m``.  Its output is
-bit-identical (rows, ranks, and order) to ``compose_ranking`` over the
-reference scan.
+same plane: it walks it lazily — a merge-scan walk visits the matching
+cells in rank order, a nested-loop walk row by row — and suspends as
+soon as a certificate proves that no unvisited cell can still enter
+the requested top-k, making the cost of a top-k answer proportional to
+``k`` rather than to ``n × m``.  Its output is bit-identical (rows,
+ranks, and order) to ``compose_ranking`` over the reference scan.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+import math
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.execution.lazy import HeadTee, MaterializedCursor, RowCursor
 from repro.execution.results import Record, Row, SlotLayout, emit
 from repro.execution.slots import CompiledJoin, SlotJoinPlan
 from repro.services.registry import JoinMethod
+
+#: A cell's arrival packs two row indexes into one int, the first one
+#: shifted this far (no side holds ``2 ** 32`` rows).
+SHIFT = 32
 
 
 def stage_count(method: JoinMethod, n_left: int, n_right: int) -> int:
@@ -70,11 +75,9 @@ def stage_cells(
     """Cells of one stage of *method*'s visit order, in emission order.
 
     A stage is a row of the NL plane or a diagonal (constant ``i + j``)
-    of the MS plane.  This is the single source of truth for the cell
-    order: the full-plane generators below and the streamed
-    :class:`JoinStream` (one call per stage, over the lengths fetched
-    so far) both walk stages through it, which is what keeps their
-    emission orders identical by construction.
+    of the MS plane.  The full-plane generators below walk stages
+    through it: their order is the full scan's emission order, which
+    a cell's arrival (:class:`KeyIndex`) encodes.
     """
     if method is JoinMethod.NESTED_LOOP:
         return ((stage, j) for j in range(n_right))
@@ -106,24 +109,48 @@ def join_order(
     return merge_scan_order(n_left, n_right)
 
 
+def _one_key(values: tuple) -> tuple:
+    """The key of every row once a join's rows share one bucket."""
+    return ()
+
+
 class KeyIndex:
     """The rows of a join's two sides, by the values of the slots their
-    layouts share (side 0 is the left one).
+    layouts share (side 0 is the left one), and the matching cells they
+    form.
 
     Two rows can merge only when their keys are equal, so a join that
     indexes its rows here pays per *matching* pair instead of per cell
     of the plane: :meth:`add` files each new row under its key and
-    hands back the rows of the other side already filed under the same
-    one.  Every matching pair is thereby reported exactly once — when
-    the later of its two rows is added.  Row *indexes* are kept, never
-    rows.  This is the one place a join's key buckets are built:
-    :func:`join_rows` adds a whole side per call, :class:`JoinStream`
-    a row per stage.
+    returns the cells it forms with the rows of the other side already
+    filed under the same one.  Every matching pair is thereby reported
+    exactly once — when the later of its two rows is added.  Row
+    *indexes* are kept, never rows.  This is the one place a join's key
+    buckets are built: :func:`matching_cells` adds both sides at once,
+    :class:`JoinStream` a row at a time.
+
+    A cell is ``(rank, arrival, i, j)``: the composed rank of rows
+    ``i`` and ``j`` (the sum of their records' rank sums), the cell's
+    **arrival** — its coordinate in the full scan's emission order,
+    merge-scan ``(i + j, i)``, nested loop ``(i, j)``, packed in one int
+    (:data:`SHIFT`) — and the two indexes; the join's kernel takes cells
+    as they are.  Appending rows never moves a coordinate, so ``(rank,
+    arrival)`` is the documented ``(rank, emission order)`` tie order of
+    :func:`~repro.testing.reference.compose_ranking` over any plane the
+    rows grow into.  A merge-scan walk keeps the cells it cannot visit
+    yet in a heap (:meth:`file`) and takes them in that order
+    (:meth:`take`).
+
+    A key value that is unhashable (a service may return lists) puts
+    every row, from the one that has it on, in one bucket: each later
+    row pairs with every row of the other side, and the kernel refuses
+    the cells that do not merge.  Pairs of earlier rows under different
+    keys were never reported, and never merge.
     """
 
-    __slots__ = ("_sides", "_added")
+    __slots__ = ("_sides", "_added", "_nested", "_filed")
 
-    def __init__(self, plan: SlotJoinPlan) -> None:
+    def __init__(self, plan: SlotJoinPlan, method: JoinMethod) -> None:
         lefts, rights = {}, {}
         #: Per side: its key reader, its buckets — key → the ascending
         #: indexes of the rows added so far, the bare index while there
@@ -134,54 +161,119 @@ class KeyIndex:
             (plan.left_key, lefts, rights), (plan.right_key, rights, lefts)
         )
         self._added = [0, 0]
+        self._nested = method is JoinMethod.NESTED_LOOP
+        #: The cells filed and not taken yet, as a heap.
+        self._filed: list[tuple] = []
+
+    @property
+    def added(self) -> tuple[int, int]:
+        """How many rows of each side were added."""
+        return self._added[0], self._added[1]
+
+    @property
+    def least(self) -> tuple | None:
+        """The filed cell of least ``(rank, arrival)``, or None."""
+        filed = self._filed
+        return filed[0] if filed else None
 
     def add(
-        self, side: int, rows: Sequence[Record], stop: int
-    ) -> Sequence[tuple[int, Sequence[int]]]:
+        self, side: int, rows: Sequence[Record], other: Sequence[Record], stop: int
+    ) -> list[tuple]:
         """Add the rows of *side* not added yet, up to index *stop*
-        (exclusive; at most ``len(rows)``), and return ``(index, the
-        other side's indexes under the same key)`` for each that has
-        any.  Raises ``TypeError`` on an unhashable key value."""
+        (exclusive; at most ``len(rows)``), and return the cells each
+        forms with the rows of the *other* side already added under its
+        key, row by row, each row's in ascending index order."""
         start = self._added[side]
         if stop > len(rows):
             stop = len(rows)
+        cells: list[tuple] = []
         if start >= stop:
-            return ()
+            return cells
         self._added[side] = stop
-        key_of, own, other = self._sides[side]
-        matches = []
+        key_of, own, other_buckets = self._sides[side]
+        nested = self._nested
         for index in range(start, stop):
-            key = key_of(rows[index][0])
-            bucket = own.setdefault(key, index)
+            values, rank = rows[index][0], rows[index][1]
+            try:
+                key = key_of(values)
+                bucket = own.setdefault(key, index)
+            except TypeError:  # unhashable binding value: one bucket
+                self._pool(side, index)
+                key_of, own, other_buckets = self._sides[side]
+                key = ()
+                bucket = own.setdefault(key, index)
             if bucket is not index:  # not the first row under this key
                 if type(bucket) is list:
                     bucket.append(index)
                 else:
                     own[key] = [bucket, index]
-            partners = other.get(key)
-            if partners is not None:
-                if type(partners) is not list:
-                    partners = (partners,)
-                matches.append((index, partners))
-        return matches
+            partners = other_buckets.get(key)
+            if partners is None:
+                continue
+            if type(partners) is not list:
+                partners = (partners,)
+            if side:  # index is a right row j, the partners left rows i
+                cells += [
+                    (other[i][1] + rank,
+                     i << SHIFT | index if nested else (i + index) << SHIFT | i,
+                     i, index)
+                    for i in partners
+                ]
+            else:
+                cells += [
+                    (rank + other[j][1],
+                     index << SHIFT | j if nested else (index + j) << SHIFT | index,
+                     index, j)
+                    for j in partners
+                ]
+        return cells
+
+    def _pool(self, side: int, index: int) -> None:
+        """Put every row added so far in one bucket, and every later one
+        (*index* is the first row of *side* not added yet)."""
+        counts = list(self._added)
+        counts[side] = index
+        lefts, rights = (
+            {(): list(range(count))} if count else {} for count in counts
+        )
+        self._sides = ((_one_key, lefts, rights), (_one_key, rights, lefts))
+
+    def file(
+        self, side: int, rows: Sequence[Record], other: Sequence[Record], stop: int
+    ) -> None:
+        """:meth:`add`, keeping the cells in the heap instead."""
+        filed = self._filed
+        for cell in self.add(side, rows, other, stop):
+            heapq.heappush(filed, cell)
+
+    def take(self, limit: tuple, most: int | None = None) -> list[tuple]:
+        """The filed cells that precede *limit*, a ``(rank, arrival)``
+        key no filed cell has, in ``(rank, arrival)`` order: the first
+        *most* of them, or all."""
+        filed = self._filed
+        cells = []
+        while filed and filed[0] < limit and len(cells) != most:
+            cells.append(heapq.heappop(filed))
+        return cells
+
+    def drain(self, left: Sequence[Record], right: Sequence[Record]) -> list[tuple]:
+        """Every cell of the ``left × right`` plane not taken yet — the
+        filed ones and those of the rows not added yet — in emission
+        order."""
+        cells = self._filed
+        self._filed = []
+        cells += self.add(0, left, right, len(left))
+        cells += self.add(1, right, left, len(right))
+        cells.sort(key=itemgetter(1))
+        return cells
 
 
 def matching_cells(
     join: CompiledJoin, left: Sequence[Record], right: Sequence[Record]
-) -> list[tuple[int, int]]:
+) -> list[tuple]:
     """The cells of the whole ``left × right`` plane whose two rows
-    share their key, in the join's emission order — every cell when a
-    key value is unhashable and the sides cannot be bucketed."""
-    method = join.method
-    try:
-        index = KeyIndex(join.merge)
-        index.add(1, right, len(right))
-        cells = [(i, j) for i, js in index.add(0, left, len(left)) for j in js]
-    except TypeError:  # unhashable binding value: cannot bucket
-        return list(join_order(method, len(left), len(right)))
-    if method is not JoinMethod.NESTED_LOOP:
-        cells.sort(key=lambda cell: (cell[0] + cell[1], cell[0]))
-    return cells
+    share their key, in the join's emission order (:class:`KeyIndex`)."""
+    return KeyIndex(join.merge, join.method).drain(left, right)
 
 
 def join_rows(
@@ -205,58 +297,52 @@ def join_rows(
     :class:`JoinStream` runs too).  Output order is therefore consistent
     with both input orders, and every join record is laid out as
     ``merged``.  A key value that is unhashable (a service may return
-    lists) visits the whole plane instead.
+    lists) visits the whole plane from its row on.
     """
     _, plan, predicates, _ = join
     candidates: list[tuple] = []
-    # The output keeps cell order and never ranks a candidate, so the
-    # rows' positions stand in for the rank lists a stream passes.
-    plan.kernel(predicates)(
-        matching_cells(join, left, right), left, right,
-        range(len(left)), range(len(right)), candidates,
-    )
+    plan.kernel(predicates)(matching_cells(join, left, right), left, right, candidates)
     record = plan.record
     return [
-        record(left_record, right_record, left_record[1] + right_record[1])
-        for _, _, left_record, right_record in candidates
+        record(left_record, right_record, rank)
+        for rank, _, left_record, right_record in candidates
     ]
 
 
 class TopKStream:
     """The resumable top-k certificate loop of a streamed walk.
 
-    A walk visits *stages* in the full scan's emission order, keeping
-    every surviving row as a candidate ``(composed rank, arrival index,
-    ...)`` — arrival indexes are the candidate's position in the
-    full-scan emission order, making tuple comparison the documented
+    A walk keeps every surviving row as a candidate ``(composed rank,
+    arrival, ...)``, where arrivals are distinct and ordered as the full
+    scan emits the rows, making tuple comparison the documented
     ``(rank, arrival)`` tie order of
     :func:`~repro.testing.reference.compose_ranking`.  :meth:`top`
-    advances it until a lower bound on the composed rank of everything
-    *unvisited* reaches the k-th best candidate's: an unvisited row can
-    at best tie, and ties are broken by emission order, which every
-    unvisited row loses against every collected candidate.  The walk
-    then suspends; a later, larger ``k`` resumes it where it stopped.
+    advances it until a lower bound on the ``(rank, arrival)`` key of
+    everything *unvisited* reaches the k-th best candidate's: keys are
+    distinct, so nothing unvisited can enter the top-k.  The walk then
+    suspends; a later, larger ``k`` resumes it where it stopped.
 
-    Subclasses say what a stage is (:meth:`_advance_stage`), bound the
-    unvisited rest through their input cursors' ``suffix_min``
-    (:meth:`_refuted`), tell when nothing is left
+    Subclasses say what a step of the walk is (:meth:`_advance_stage`),
+    bound the unvisited rest through their input cursors'
+    ``suffix_min`` (:meth:`_refuted`), tell when nothing is left
     (:attr:`exhausted`) and give an emitted candidate's record
     (:meth:`_record`): :class:`JoinStream` walks the candidate plane of
     a join, :class:`~repro.execution.engine.ChainStream` the records of
     a service-terminal plan.  Candidates hold records; the answer
     :class:`~repro.execution.results.Row` of a candidate is built when
     :meth:`top` first emits it (:func:`~repro.execution.results.emit`,
-    over the stream's ``layout``) and kept by arrival index, so a
-    resumed stream hands back the rows it delivered before instead of
-    building them again.  What a walk pulled is on the ledger its
-    cursors' units charge; the stream itself keeps no books.
+    over the stream's ``layout``) and kept by arrival, so a resumed
+    stream hands back the rows it delivered before instead of building
+    them again.  What a walk pulled is on the ledger its cursors' units
+    charge; the stream itself keeps no books.
     """
 
     def _begin(self, layout: SlotLayout) -> None:
+        #: The steps the walk took (a nested-loop walk: the rows it visited).
         self._stage = 0
         self._candidates: list[tuple] = []
         self._layout = layout
-        #: The rows emitted so far, by arrival index.
+        #: The rows emitted so far, by arrival.
         self._emitted: dict[int, Row] = {}
 
     # -- what a walk is (subclasses) ------------------------------------------
@@ -266,14 +352,18 @@ class TopKStream:
         """True when every cell of the fully fetched plane was visited."""
         raise NotImplementedError
 
-    def _advance_stage(self) -> None:
-        """Visit the next stage, appending its candidates."""
+    def _advance_stage(self, threshold: tuple | None, missing: int) -> None:
+        """Take the next step of the walk, appending the candidates it
+        visits: *threshold* is the key of the k-th best candidate, and
+        a step need visit nothing past it; while fewer are known it is
+        None, and *missing* candidates are lacking (0 in a drain)."""
         raise NotImplementedError
 
-    def _refuted(self, threshold: int) -> bool:
-        """True when something unvisited may still rank below
-        *threshold*: some lower bound on a part of the unvisited rest
-        is smaller.  Asked while something is left to visit."""
+    def _refuted(self, threshold: tuple) -> bool:
+        """True when something unvisited may still precede
+        *threshold*, a ``(rank, arrival)`` key: some lower bound on a
+        part of the unvisited rest is smaller.  Asked while something
+        is left to visit."""
         raise NotImplementedError
 
     def _record(self, candidate: tuple) -> Record:
@@ -281,27 +371,26 @@ class TopKStream:
         raise NotImplementedError
 
     def _drain(self) -> None:
-        """Visit every stage left."""
+        """Visit everything left."""
         while not self.exhausted:
-            self._advance_stage()
+            self._advance_stage(None, 0)
 
     def grow(self, tee: HeadTee | None) -> None:
         """Take in the rows a grown fetch budget appends to the inputs
         (``ExecutionProgram.grows_in_place``), after *tee* appended the
         teed head's new pages: the stream is then the walk of the grown
-        plane suspended after the same stages.  Rows appended to a
+        plane suspended after the same steps.  Rows appended to a
         chain's cursor come after every placed one, so a chain walks on
         as it is."""
         if tee is not None:
             tee.grow()
 
-    def _row(self, arrival: int) -> Row:
-        """The answer row of the candidate that arrived *arrival*-th."""
+    def _row(self, candidate: tuple) -> Row:
+        """The answer row of *candidate*."""
+        arrival = candidate[1]
         row = self._emitted.get(arrival)
         if row is None:
-            row = self._emitted[arrival] = emit(
-                self._record(self._candidates[arrival]), self._layout
-            )
+            row = self._emitted[arrival] = emit(self._record(candidate), self._layout)
         return row
 
     def is_complete(self, rows: Sequence[Row]) -> bool:
@@ -324,82 +413,93 @@ class TopKStream:
         ``None`` drains everything and returns every row in composed
         order.
 
-        **Cost**: visits ``O(k)`` stages on rank-monotone inputs
-        instead of the whole plane, and over lazy cursors pulls only
-        the pages those stages demand — so a small ``k`` costs a
-        handful of remote fetches.  The certificate check keeps an
-        incremental bounded max-heap of the current k best ``(rank,
-        arrival)`` keys (rebuilt once per call, O(log k) per new
-        candidate), so a late-firing exit costs one heap update per
-        candidate rather than a rescan of the whole candidate list
-        after every stage.
+        **Cost**: a merge-scan walk visits the matching cells in rank
+        order, so it runs through its kernel only the cells that rank
+        at or before the k-th answer and the ones a tie at the bound
+        lets through — ``O(k)`` cells on any ranks; a nested-loop or
+        chain walk visits ``O(k)`` rows on rank-monotone inputs.  Over
+        lazy cursors a walk pulls only the pages its bounds demand — so
+        a small ``k`` costs a handful of remote fetches.  The
+        certificate check keeps an incremental bounded max-heap of the
+        current k best ``(rank, arrival)`` keys (rebuilt once per call,
+        O(log k) per new candidate), so a late-firing exit costs one
+        heap update per candidate rather than a rescan of the whole
+        candidate list after every step.
         """
         candidates = self._candidates
         if k is None:
             self._drain()
-            return [self._row(candidate[1]) for candidate in sorted(candidates)]
+            return [self._row(candidate) for candidate in sorted(candidates)]
+        if k == 0:
+            return []
         # Max-heap (negated keys) of the k smallest (rank, arrival).
         worst_first = [
-            (-candidate[0], -candidate[1])
+            (-candidate[0], -candidate[1], candidate)
             for candidate in heapq.nsmallest(k, candidates)
         ]
         heapq.heapify(worst_first)
-        while not self.exhausted and not self._certified(worst_first, k):
+        while not self.exhausted:
+            threshold, missing = None, k - len(worst_first)
+            if not missing:
+                threshold = (-worst_first[0][0], -worst_first[0][1])
+                if not self._refuted(threshold):
+                    break
             seen = len(candidates)
-            self._advance_stage()
+            self._advance_stage(threshold, missing)
             for candidate in candidates[seen:]:
-                key = (-candidate[0], -candidate[1])
+                key = (-candidate[0], -candidate[1], candidate)
                 if len(worst_first) < k:
                     heapq.heappush(worst_first, key)
                 elif key > worst_first[0]:
                     heapq.heappushpop(worst_first, key)
-        selected = sorted((-rank, -arrival) for rank, arrival in worst_first)
-        return [self._row(arrival) for _, arrival in selected]
-
-    def _certified(self, worst_first: list[tuple[int, int]], k: int) -> bool:
-        """True when nothing unvisited can still enter the top-*k*.
-
-        *worst_first* is the bounded max-heap of the current k best
-        candidate keys; its root carries the k-th smallest rank.
-        """
-        if k == 0:
-            return True
-        if len(worst_first) < k:
-            return False
-        return not self._refuted(-worst_first[0][0])
+        return [self._row(candidate) for *_, candidate in sorted(worst_first, reverse=True)]
 
 
 class JoinStream(TopKStream):
     """Streaming early-exit top-k execution of a rank-preserving join.
 
-    The stream walks the strategy's candidate plane lazily, one *stage*
-    at a time — a row of the NL plane, a diagonal of the MS plane — in
-    exactly the order :func:`join_order` would visit the cells, keeping
-    every surviving cell as a candidate.  A stage costs its
-    *matching* cells: rows are indexed by key as the stages reach them
-    (:meth:`_matching_cells`), and a cell whose rows differ in their
-    key is counted, not merged.  After each stage the
-    :class:`TopKStream` loop compares the composed rank of the current
-    k-th best candidate with the **certificate**: a lower bound on the
-    composed rank of every cell not yet visited, derived from suffix
-    minima of the two inputs' aggregated rank keys (a cell ``(i, j)``
-    merges ``left[i]`` and ``right[j]``, so its composed rank is
-    exactly the sum of their records' rank sums).
+    The stream walks the strategy's candidate plane lazily, keeping
+    every surviving cell as a candidate ``(composed rank, arrival, left
+    record, right record)`` (:class:`KeyIndex` gives both).  Only
+    *matching* cells are visited: rows enter the key index as the walk
+    first needs them, and a cell whose rows differ in their key is
+    never looked at.
+
+    * **Merge scan** visits the matching cells in ``(rank, arrival)``
+      order, the order it emits them in.  Cells of two indexed rows are
+      filed in the index's heap, so the smallest one is known exactly;
+      every other unvisited cell holds a row not indexed yet, and one
+      lower bound per side covers them: cells over left rows ``i >=
+      n`` (``n`` left rows indexed) rank at least ``left.suffix_min(n)
+      + right.suffix_min(0)`` and sit on diagonals ``i + j >= n`` with
+      ``i >= n``; cells over right rows ``j >= m`` rank at least
+      ``left.suffix_min(0) + right.suffix_min(m)`` on diagonals ``>=
+      m``.  A step visits the filed cells that precede both bounds and
+      the k-th candidate, or, when none does, indexes one more row of
+      the side whose bound is lowest (demanding it from its cursor).
+    * **Nested loop** visits one outer row per step — its matching
+      cells with the whole inner side — and bounds the rows not visited
+      by ``left.suffix_min(stage) + right.suffix_min(0)``.
+
+    After each step the :class:`TopKStream` loop compares the k-th best
+    candidate's ``(rank, arrival)`` with the **certificate**, the least
+    of those bounds (a cell ``(i, j)`` merges ``left[i]`` and
+    ``right[j]``, so its composed rank is exactly the sum of their
+    records' rank sums).
 
     **Lazy inputs.**  Either input may be a
     :class:`~repro.execution.lazy.RowCursor` instead of a materialized
     sequence; plain sequences are wrapped in a
     :class:`~repro.execution.lazy.MaterializedCursor`.  The walk then
-    *pulls* records on demand — an MS diagonal ``s`` needs only the first
-    ``s + 1`` rows of each side, an NL row stage needs one more outer
-    row (plus the full inner side) — and the certificate bounds the
-    cells over never-fetched rows through the cursors'
-    :meth:`~repro.execution.lazy.RowCursor.suffix_min`: a single-feed
-    service input is bounded by its rank floor, a multi-feed input
-    (:class:`~repro.execution.lazy.MultiFeedCursor`) by the min over
-    its per-feed blocks' floors and buffered ranks; cursors that
-    observe a rank regression fall back to a full fetch of the
-    offending block.  Early exit therefore saves *remote page
+    *pulls* records on demand — a merge-scan step one row of the side
+    it indexes, a nested-loop step one more outer row (plus the full
+    inner side) — and the bounds cover never-fetched rows through the
+    cursors' :meth:`~repro.execution.lazy.RowCursor.suffix_min`: a
+    single-feed service input is bounded by its rank floor, a
+    multi-feed input (:class:`~repro.execution.lazy.MultiFeedCursor`)
+    by the min over its per-feed blocks' floors and buffered ranks;
+    cursors that observe a rank regression fall back to a full fetch of
+    the offending block.  Early exit therefore saves *remote page
     fetches*, not just join work, while the emitted rows stay exactly
     the oracle's.
 
@@ -409,7 +509,7 @@ class JoinStream(TopKStream):
     the join's ``residual`` predicates and then applying
     ``compose_ranking(..., k)``
     (filter first, then compose: the same order the engine's output
-    node applies them in), while visiting only a prefix of the plane.
+    node applies them in), while visiting only a part of the plane.
     Resuming re-uses every candidate already collected — no cell is
     ever visited twice (over lazy inputs it may pull further budgeted
     pages).
@@ -431,20 +531,13 @@ class JoinStream(TopKStream):
         self._right = (
             right if isinstance(right, RowCursor) else MaterializedCursor(right)
         )
-        #: Candidates are (composed rank, arrival index, left record,
-        #: right record) — arrivals are distinct, so the records are
-        #: never compared.  The join record is built when a candidate is
-        #: emitted (:meth:`_record`): a suspended stream keeps every
-        #: candidate for its session's lifetime but emits k.
+        #: The join record of a candidate is built when it is emitted
+        #: (:meth:`_record`): a suspended stream keeps every candidate
+        #: for its session's lifetime but emits k.
         self._begin(join.merge.merged)
-        #: The rows a stage could touch so far, by key (``None`` once a
-        #: key turned out unhashable: every later stage scans its
-        #: cells), and — merge-scan — the matching cells found for
-        #: diagonals not visited yet, as diagonal → left indexes.
-        self._index = KeyIndex(join.merge)
-        self._filed: defaultdict[int, list[int]] = defaultdict(list)
-        #: The left row whose term refuted the last certificate check.
-        self._refuter = 0
+        #: The rows the walk indexed so far, by key, and — merge scan —
+        #: the matching cells they form that it has not visited yet.
+        self._index = KeyIndex(join.merge, join.method)
 
     # -- state ---------------------------------------------------------------
 
@@ -463,260 +556,135 @@ class JoinStream(TopKStream):
             return True
         if not (left.exhausted and right.exhausted):
             return False
-        return self._stage >= stage_count(
-            self._method, len(left.rows), len(right.rows)
+        index = self._index
+        return index.least is None and index.added == (
+            len(left.rows), len(right.rows)
         )
 
     # -- the walk ------------------------------------------------------------
 
-    def _advance_stage(self) -> None:
-        """Visit the next stage, collecting candidates.
+    def _advance_stage(self, threshold: tuple | None, missing: int) -> None:
+        """Take one step: visit the cells that come next.
 
-        Demands exactly the rows the stage can touch: one more outer
-        row for NL (plus the whole inner side, which every NL stage
-        scans), one more row *per side* for an MS diagonal.  After the
-        demand, the known lengths determine the stage's exact cell set:
-        an unexhausted cursor holds at least ``stage + 1`` rows, so the
-        boundary formulas of :func:`stage_cells` apply unchanged (a
-        stage past the last one — the demand found a side exhausted —
-        has no cells).  Of those cells only the ones whose rows share
-        their key (:meth:`_matching_cells`) go through the join's
-        kernel; the others cost nothing.
+        Nested loop: demand one more outer row and the whole inner side,
+        and visit the outer row's matching cells (the inner side is
+        indexed by the first step, and by :meth:`grow`).  Merge scan:
+        visit the filed cells that precede both sides' bounds
+        (:meth:`_bounds`) and *threshold* (at most the *missing* ones
+        while there is no threshold); while there are none, index more
+        rows of the side whose bound is lowest — the only way to raise
+        it — filing the cells they form, until some precede, or nothing
+        unvisited can (the walk is then certified or exhausted).  The
+        cells of a step come from the key index alone and go through
+        the join's kernel in ``(rank, arrival)`` order.
         """
-        stage = self._stage
-        method = self._method
         left, right = self._left, self._right
-        left.ensure(stage + 1)
-        if method is JoinMethod.NESTED_LOOP:
-            right.ensure_all()
-        else:
-            right.ensure(stage + 1)
-        left_rows, right_rows = left.rows, right.rows
-        n, m = len(left_rows), len(right_rows)
-        if stage < stage_count(method, n, m):
-            cells = self._matching_cells(stage, left_rows, right_rows)
-            if cells:
-                self._kernel(
-                    cells, left_rows, right_rows, left.ranks, right.ranks,
-                    self._candidates,
-                )
+        index = self._index
         self._stage += 1
+        if self._method is JoinMethod.NESTED_LOOP:
+            stage = self._stage
+            left.ensure(stage)
+            right.ensure_all()
+            index.add(1, right.rows, left.rows, len(right.rows))
+            cells = index.add(0, left.rows, right.rows, stage)
+        else:
+            while True:
+                n, m = index.added
+                left_bound, right_bound = self._bounds(n, m)
+                limit = min(left_bound, right_bound)
+                if threshold is not None and threshold < limit:
+                    limit = threshold
+                cells = index.take(limit, missing or None)
+                if cells or limit is threshold or limit[0] == math.inf:
+                    break
+                if left_bound <= right_bound:
+                    self._index_rows(0, left, right.rows, n)
+                else:
+                    self._index_rows(1, right, left.rows, m)
+        if cells:
+            self._kernel(cells, left.rows, right.rows, self._candidates)
+
+    def _index_rows(
+        self, side: int, cursor: RowCursor, other: Sequence[Record], added: int
+    ) -> None:
+        """Merge scan: index rows of *side* past the *added* ones —
+        demanding one from its *cursor*, and taking the rows it placed
+        up to twice *added* — and file the cells they form."""
+        cursor.ensure(added + 1)
+        self._index.file(side, cursor.rows, other, max(added + 1, 2 * added))
+
+    def _bounds(self, n: int, m: int) -> tuple[tuple, tuple]:
+        """Merge scan: lower ``(rank, arrival)`` bounds on the cells over
+        left rows from *n* on and on those over right rows from *m* on
+        (``+inf`` ranks once a side is fetched and indexed)."""
+        left, right = self._left, self._right
+        return (
+            (left.suffix_min(n) + right.suffix_min(0), n << SHIFT | n),
+            (left.suffix_min(0) + right.suffix_min(m), m << SHIFT),
+        )
 
     def _drain(self) -> None:
-        """Visit every stage left; a walk not begun over two fully
-        fetched inputs visits the whole plane's matching cells in one
-        kernel call — the cells, in the order, the stages would visit."""
+        """Fetch both inputs and visit every matching cell left in one
+        kernel call, in emission order."""
         left, right = self._left, self._right
-        if self._stage or not (left.exhausted and right.exhausted):
-            return super()._drain()
-        cells = matching_cells(self._join, left.rows, right.rows)
-        self._kernel(
-            cells, left.rows, right.rows, left.ranks, right.ranks, self._candidates
-        )
-        self._stage = stage_count(self._method, len(left.rows), len(right.rows))
+        left.ensure_all()
+        right.ensure_all()
+        cells = self._index.drain(left.rows, right.rows)
+        if cells:
+            self._kernel(cells, left.rows, right.rows, self._candidates)
+        self._stage = max(self._stage, len(left.rows))
 
     def grow(self, tee: HeadTee | None) -> None:
-        """Take in the cells appended rows form on visited stages.
+        """Take in the cells appended rows form.
 
         Growth only appends: new rows come after every old one on both
-        inputs, so no old cell moves and the unvisited stages are still
-        visited in emission order.  But an appended row on one side
-        pairs with old rows of the other on stages already walked:
-        those *late cells* are demanded and indexed now (every row the
-        visited stages reach), run through the join's kernel, and the
-        arrival indexes re-based once to the grown plane's emission
-        order (:meth:`_rebase`).  The certificate needs nothing: it
-        bounds stages from the current one on, over the grown cursors.
+        inputs, so no arrival moves.  A merge-scan walk needs nothing
+        more: the appended rows are not indexed, so its bounds cover
+        them, and the cells they form with old rows are filed when they
+        are indexed.  A nested-loop walk has visited its first
+        ``stage`` outer rows: the cells appended rows form with them —
+        the *late cells* — are indexed and visited now, and the
+        certificate bounds the rows from ``stage`` on, over the grown
+        cursors.
         """
-        left, right = self._left, self._right
-        known = len(left.rows), len(right.rows)
         super().grow(tee)
         stage = self._stage
-        if not stage:
+        if not stage or self._method is not JoinMethod.NESTED_LOOP:
             return
+        left, right = self._left, self._right
         left.ensure(stage)
-        if self._method is JoinMethod.NESTED_LOOP:
-            right.ensure_all()
-        else:
-            right.ensure(stage)
-        candidates = self._candidates
-        seen = len(candidates)
-        self._kernel(
-            self._late_cells(stage, *known),
-            left.rows, right.rows, left.ranks, right.ranks, candidates,
-        )
-        if len(candidates) > seen:
-            self._rebase()
-
-    def _late_cells(
-        self, stage: int, n_known: int, m_known: int
-    ) -> list[tuple[int, int]]:
-        """The cells of stages before *stage* that hold a row past the
-        *n_known* left and *m_known* right rows known before growth:
-        the matching ones, through the key index, which then holds
-        every row the visited stages reach (a merge-scan pair on a later
-        diagonal is filed for it) — or, once a key is unhashable, all of
-        them, for the kernel to refuse the ones that do not merge."""
-        left_rows, right_rows = self._left.rows, self._right.rows
-        nested = self._method is JoinMethod.NESTED_LOOP
-        m = len(right_rows)
-        if self._index is not None:
-            try:
-                add = self._index.add
-                pairs = [
-                    (i, j)
-                    for j, found in add(1, right_rows, m if nested else stage)
-                    for i in found
-                ]
-                pairs += [
-                    (i, j) for i, found in add(0, left_rows, stage) for j in found
-                ]
-            except TypeError:  # unhashable key value: cannot bucket
-                self._index = None
-                self._filed.clear()
-            else:
-                if nested:
-                    return pairs
-                for i, j in pairs:
-                    if i + j >= stage:
-                        self._filed[i + j].append(i)
-                return [(i, j) for i, j in pairs if i + j < stage]
-        return [
-            (i, j)
-            for i in range(min(stage, len(left_rows)))
-            for j in range(
-                m_known if i < n_known else 0, m if nested else min(m, stage - i)
-            )
-        ]
-
-    def _rebase(self) -> None:
-        """Number the candidates by the grown plane's emission order —
-        merge-scan ``(i + j, i)``, nested loop ``(i, j)`` — carrying the
-        rows already emitted to their new arrival indexes."""
-        at_left, at_right = (
-            {id(row): index for index, row in enumerate(side.rows)}
-            for side in (self._left, self._right)
-        )
-        nested = self._method is JoinMethod.NESTED_LOOP
-
-        def cell(candidate: tuple) -> tuple[int, int]:
-            i, j = at_left[id(candidate[2])], at_right[id(candidate[3])]
-            return (i, j) if nested else (i + j, i)
-
-        order = sorted(self._candidates, key=cell)
-        emitted = self._emitted
-        self._emitted = {
-            arrival: emitted[candidate[1]]
-            for arrival, candidate in enumerate(order)
-            if candidate[1] in emitted
-        }
-        self._candidates[:] = [
-            (rank, arrival, left_row, right_row)
-            for arrival, (rank, _, left_row, right_row) in enumerate(order)
-        ]
-
-    def _matching_cells(
-        self, stage: int, left_rows: list[Record], right_rows: list[Record]
-    ) -> Sequence[tuple[int, int]]:
-        """The cells of *stage* whose two rows share their key, in the
-        emission order of :func:`stage_cells`.
-
-        Rows enter the key index when a stage first can touch them —
-        an MS diagonal ``s`` indexes row ``s`` of each side, the first
-        NL stage the whole inner side — and a matching pair is found
-        exactly once, when the later of its two rows is indexed.  An MS
-        pair ``(i, j)`` is then filed under its diagonal ``i + j``,
-        which is never one already passed (the later row's index is at
-        least the current stage), and a diagonal's cells leave the index
-        when it is visited.  A cell absent from the index has two
-        different keys, so ``merge`` would have refused it: skipping it
-        changes no candidate or arrival index.
-
-        An unhashable key value ends the indexing for good: this stage
-        and every later one scan all their cells, as the stream did
-        before it had an index.
-        """
+        right.ensure_all()
         index = self._index
-        if index is not None:
-            try:
-                if self._method is JoinMethod.NESTED_LOOP:
-                    index.add(1, right_rows, len(right_rows))
-                    return [
-                        (i, j)
-                        for i, matches in index.add(0, left_rows, stage + 1)
-                        for j in matches
-                    ]
-                filed = self._filed
-                for i, matches in index.add(0, left_rows, stage + 1):
-                    for j in matches:
-                        filed[i + j].append(i)
-                for j, matches in index.add(1, right_rows, stage + 1):
-                    for i in matches:
-                        filed[i + j].append(i)
-                found = filed.pop(stage, None)
-                if not found:
-                    return ()
-                found.sort()
-                return [(i, stage - i) for i in found]
-            except TypeError:  # unhashable key value: cannot bucket
-                self._index = None
-                self._filed.clear()
-        return list(
-            stage_cells(self._method, len(left_rows), len(right_rows), stage)
+        cells = index.add(1, right.rows, left.rows, len(right.rows)) + index.add(
+            0, left.rows, right.rows, stage
         )
+        if cells:
+            self._kernel(cells, left.rows, right.rows, self._candidates)
 
     def _record(self, candidate: tuple) -> Record:
         """The join record of a candidate, built when it is emitted."""
         rank_sum, _, left_record, right_record = candidate
         return self._join.merge.record(left_record, right_record, rank_sum)
 
-    def _refuted(self, threshold: int) -> bool:
-        """True when an unvisited cell may still rank below *threshold*.
+    def _refuted(self, threshold: tuple) -> bool:
+        """True when an unvisited cell may still precede *threshold*.
 
-        The unvisited cells are covered by lower bounds, one **term**
-        per part.  NL (row stages): all cells of rows ``>= stage`` are
-        unvisited, one term ``min(left ranks from stage) + min(right
-        ranks)``.  MS (diagonal stages): the unvisited region is
-        ``i + j >= stage``; rows ``i >= stage`` may pair with any
-        column (one term), rows ``i < stage`` only with columns
-        ``j >= stage - i`` (one term each).  Cursor ``suffix_min``
-        bounds never-fetched rows through their rank floor, so the
-        terms stay sound for partially fetched lazy inputs: every
-        fetched index below ``stage`` has its own term (the previous
-        stage's demand guarantees the fetched prefix reaches
-        ``min(stage, n)``), and everything beyond the fetched prefix is
-        covered by a floor term.
-
-        The walk goes on while *any* term is below the threshold — the
-        same predicate as "the smallest term is" — so the check stops at
-        the first such term and tries first the row that refuted the
-        last check: a row's term only rises as the stages pass, and it
-        usually refutes until the walk is nearly done.  Reading a bound
-        pulls nothing (a cursor whose ranks regressed has drained by the
-        time it is asked), so the order the terms are read in is free.
+        Nested loop: the unvisited rows ``>= stage`` pair with any
+        column, ranking at least ``left.suffix_min(stage) +
+        right.suffix_min(0)``, and arrive after every visited cell.
+        Merge scan: the least filed cell, and the two sides' bounds
+        (:meth:`_bounds`).  Reading a bound pulls nothing (a cursor
+        whose ranks regressed has drained by the time it is asked).
         """
         left, right = self._left, self._right
-        stage = self._stage
         if self._method is JoinMethod.NESTED_LOOP:
-            return left.suffix_min(stage) + right.suffix_min(0) < threshold
-        n_known, m_known = len(left.rows), len(right.rows)
-        start = max(0, stage - m_known + 1) if right.exhausted else 0
-        stop = min(stage, n_known)
-        left_ranks = left.ranks
-        suffix_min = right.suffix_min
-        last = self._refuter
-        if (
-            start <= last < stop
-            and left_ranks[last] + suffix_min(stage - last) < threshold
-        ):
+            stage = self._stage
+            return (
+                left.suffix_min(stage) + right.suffix_min(0), stage << SHIFT
+            ) < threshold
+        index = self._index
+        least = index.least
+        if least is not None and least < threshold:
             return True
-        if (
-            (not left.exhausted or stage < n_known)
-            and left.suffix_min(stage) + suffix_min(0) < threshold
-        ):
-            return True
-        for i in range(start, stop):
-            if left_ranks[i] + suffix_min(stage - i) < threshold:
-                self._refuter = i
-                return True
-        return False
+        left_bound, right_bound = self._bounds(*index.added)
+        return left_bound < threshold or right_bound < threshold

@@ -1,13 +1,16 @@
 """Demand-driven lazy service fetching for the streamed pipeline.
 
 The streamed top-k pipeline of :mod:`repro.execution.joins` saves
-*join work*: it early-exits the candidate-plane walk once a certificate
-proves the top-k complete.  The paper's cost model, however, is
-dominated by **remote service invocations and page fetches** — to save
-those, the inputs of the streamed walk must themselves be fetched on
-demand, pulled page by page as its stages require them (the pull-based
-discipline of rank-join/HRJN-style operators) — and so must *their*
-inputs, up every pipe chain only the walk consumes.
+*join work*: a merge-scan walk visits the matching cells in rank
+order, on any ranks — a multi-feed input's restart at every block
+included — and early-exits once a certificate proves the top-k
+complete.  The paper's cost model, however, is dominated by **remote
+service invocations and page fetches** — to save those, the inputs of
+the streamed walk must themselves be fetched on demand, one more row
+of the side whose bound is lowest (the pull-based discipline of
+rank-join/HRJN-style operators), page by page — and so must *their*
+inputs, up every pipe chain only the walk consumes.  What the walk
+demands is decided by :meth:`RowCursor.suffix_min`, the bound below.
 
 This module provides the cursor abstraction that makes that sound:
 

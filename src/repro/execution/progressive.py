@@ -35,14 +35,14 @@ is compiled into the program (``ExecutionProgram.grows_in_place``):
 * **growth in place** — the only growable step is the input-fed head,
   the only join is the terminal one and every other service step is
   lazy, so a larger factor only *appends* rows, after every old one, to
-  every cursor and to both join inputs: the same stream takes in the
-  cells the new rows form on stages it already walked, re-bases its
-  arrival indexes once, and walks on; the round pays the new pages,
+  every cursor and to both join inputs: arrivals are cell coordinates,
+  which appending moves none of, so the same stream takes in the cells
+  the new rows form and walks on; the round pays the new pages,
   nothing else.  The units read their budget from this executor's own
   vector, and a shared head appends its new pages to each consumer's
   copy (:class:`~repro.execution.lazy.HeadTee`);
 * **re-execution** — every other shape (a multi-feed growable step
-  *inserts* rows mid-stream, which no single re-base repairs) runs the
+  *inserts* rows mid-stream, which moves coordinates) runs the
   plan again, where the shared logical cache absorbs every
   already-fetched page.
 

@@ -74,10 +74,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SlotExpression = Callable[[tuple], object]
 SlotPredicate = Callable[[tuple], bool]
 
-#: ``kernel(cells, left_rows, right_rows, left_ranks, right_ranks,
-#: candidates)`` appends ``(composed rank, arrival index, left record,
-#: right record)`` to *candidates* for each cell that merges and passes
-#: every predicate, in cell order (see :meth:`SlotJoinPlan.kernel`).
+#: ``kernel(cells, left_rows, right_rows, candidates)`` appends
+#: ``(composed rank, arrival, left record, right record)`` to
+#: *candidates* for each ``(rank, arrival, i, j)`` cell that merges and
+#: passes every predicate, in cell order (see :meth:`SlotJoinPlan.kernel`
+#: and ``repro.execution.joins.KeyIndex``).
 JoinKernel = Callable[..., None]
 
 #: ``(position, constant value, None)`` for a constant input,
@@ -465,15 +466,13 @@ def _kernel_factory(shape: tuple[tuple[int, int], ...], predicate_count: int):
 #: built only when a predicate reads it.
 _JOIN_KERNEL_SOURCE = """\
 def factory({params}):
-    def kernel(cells, left_rows, right_rows, left_ranks, right_ranks, candidates):
+    def kernel(cells, left_rows, right_rows, candidates):
         append = candidates.append
-        arrival = len(candidates)
-        for i, j in cells:
+        for rank, arrival, i, j in cells:
             left_row = left_rows[i]
             right_row = right_rows[j]
             {body}
-            append((left_ranks[i] + right_ranks[j], arrival, left_row, right_row))
-            arrival += 1
+            append((rank, arrival, left_row, right_row))
     return kernel
 """
 

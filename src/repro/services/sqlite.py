@@ -79,15 +79,17 @@ under one (two threads storing one key store the same value).
 from __future__ import annotations
 
 import itertools
-import sqlite3
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.model.schema import AccessPattern, ServiceSignature
 from repro.services.base import InvocationError, Service
 from repro.services.profile import ServiceProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import sqlite3
 
 #: Scores rows for search services (same contract as
 #: :data:`repro.services.table.ScoreFunction`): maps a full-arity
@@ -112,6 +114,8 @@ CONTINUATION_CAPACITY = 4096
 
 def fts5_available() -> bool:
     """Whether this build of sqlite3 can create FTS5 virtual tables."""
+    import sqlite3
+
     try:
         with sqlite3.connect(":memory:") as connection:
             connection.execute(
@@ -164,6 +168,8 @@ class ConnectionPool:
         connection = getattr(self._local, "connection", None)
         if connection is not None:
             return connection
+        import sqlite3
+
         if self._is_memory:
             connection = sqlite3.connect(
                 self._uri, uri=True, isolation_level=None,
@@ -190,6 +196,8 @@ class ConnectionPool:
 
     def close(self) -> None:
         """Close every connection ever opened (checkpointing WAL files)."""
+        import sqlite3
+
         if not self._is_memory:
             try:
                 self.connection().execute("PRAGMA wal_checkpoint(TRUNCATE)")
@@ -359,6 +367,8 @@ class SQLiteTableService(Service):
             raise
 
     def _check_attached(self, connection: sqlite3.Connection) -> None:
+        import sqlite3
+
         try:
             version = connection.execute("PRAGMA user_version").fetchone()[0]
             connection.execute("SELECT pos FROM rows LIMIT 1").fetchone()

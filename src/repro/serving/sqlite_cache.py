@@ -24,7 +24,6 @@ database raises :class:`PlanCacheFormatError` instead of discarding it.
 from __future__ import annotations
 
 import json
-import sqlite3
 from pathlib import Path
 
 from repro.services.sqlite import ConnectionPool
@@ -92,6 +91,8 @@ class SQLiteDiskTier:
     """
 
     def __init__(self, path: Path | str) -> None:
+        import sqlite3
+
         self.path = Path(path)
         try:
             self._pool = self._open()
@@ -111,6 +112,8 @@ class SQLiteDiskTier:
 
     def _open(self) -> ConnectionPool:
         """A pool over ``path``, its schema checked (created when new)."""
+        import sqlite3
+
         pool = ConnectionPool(self.path)
         try:
             connection = pool.connection()

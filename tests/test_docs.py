@@ -313,6 +313,10 @@ _KEPT_WITHOUT_A_CALLER = {
     "BottleneckMetric": "paper §2.3: the bottleneck metric",
     "TimeToScreenMetric": "paper §2.3: the time-to-screen metric",
     "closed_form_single": "paper Eq. 5: the closed-form factor of one chunked service",
+    "join_order": (
+        "paper §3.3, Figure 5: the two visit orders of the candidate plane, "
+        "the full scan's emission order the reference join walks"
+    ),
     "register_join_method": (
         "paper §5: the per-pair join method fixed at registration, which "
         "join_method and content_epoch read"
@@ -766,7 +770,8 @@ def test_one_join_one_plan_cache_tier_one_sqlite_pool():
     """The reference join, the oracles, the workload generator and the
     suites' fixtures are defined under ``testing/`` only; both join
     forms run one cell loop, the kernel generated for their shape, and
-    the streamed walk hands it only the *matching* cells of a stage;
+    the streamed walk hands it only cells its key index gives it — the
+    *matching* cells — and loops over none itself;
     that loop compares no layouts and looks nothing up — a key is read
     and looked up once per indexed row, in the one class that builds
     key buckets, which the materializing join and the stream share; the
@@ -787,33 +792,67 @@ def test_one_join_one_plan_cache_tier_one_sqlite_pool():
     }
     assert definers == {(name, "testing") for name in references}
     joins = ast.parse((SRC / "execution" / "joins.py").read_text())
-    advance = next(
-        node
-        for node, scopes in _enclosing_scopes(joins)
-        if isinstance(node, ast.FunctionDef)
-        and node.name == "_advance_stage"
-        and scopes == ("JoinStream",)
+    walk = next(
+        node for node in joins.body
+        if isinstance(node, ast.ClassDef) and node.name == "JoinStream"
     )
     materialize = next(
         node for node in joins.body
         if isinstance(node, ast.FunctionDef) and node.name == "join_rows"
     )
-    # The walk's cells come from the key index alone, and neither join
-    # form loops over cells itself: both call the kernel.
+    key_index = next(
+        node for node in joins.body
+        if isinstance(node, ast.ClassDef) and node.name == "KeyIndex"
+    )
+    index_methods = {
+        node.name for node in key_index.body if isinstance(node, ast.FunctionDef)
+    }
+    # The walk's cells come from the key index alone: every ``cells``
+    # of the walk is what index calls return, ``index`` is the walk's
+    # own, and every kernel call of the walk is handed ``cells``.
     assigned = [
-        ast.unparse(node.value)
-        for node in ast.walk(advance)
+        node.value
+        for node in ast.walk(walk)
         if isinstance(node, ast.Assign)
         and [ast.unparse(target) for target in node.targets] == ["cells"]
     ]
-    assert assigned == ["self._matching_cells(stage, left_rows, right_rows)"]
-    assert [
-        ast.unparse(node.args[0])
-        for node in ast.walk(advance)
+    assert len(assigned) >= 3  # a nested-loop and a merge-scan step, a drain
+
+    def summands(node: ast.expr) -> list[ast.expr]:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return summands(node.left) + summands(node.right)
+        return [node]
+
+    for value in assigned:
+        for summand in summands(value):
+            assert (
+                isinstance(summand, ast.Call)
+                and isinstance(summand.func, ast.Attribute)
+                and ast.unparse(summand.func.value) in ("index", "self._index")
+                and summand.func.attr in index_methods
+            ), ast.unparse(value)
+    assert {
+        ast.unparse(node.value)
+        for node in ast.walk(walk)
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(target) for target in node.targets] == ["index"]
+    } == {"self._index"}
+    kernel_calls = [
+        node for node in ast.walk(walk)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "self._kernel"
-    ] == ["cells"]
-    for function in (advance, materialize):
-        assert not [node for node in ast.walk(function) if isinstance(node, ast.For)]
+    ]
+    assert kernel_calls and {ast.unparse(call.args[0]) for call in kernel_calls} == {
+        "cells"
+    }
+    # Neither join form loops over cells itself — the walk runs no
+    # ``for`` at all — both call the kernel.
+    for function in (walk, materialize):
+        assert not [
+            node for node in ast.walk(function)
+            if isinstance(node, (ast.For, ast.comprehension))
+            and "cells" in ast.unparse(node.iter)
+        ]
+    assert not [node for node in ast.walk(walk) if isinstance(node, ast.For)]
     kernel_callers = {scopes for name, scopes in _calls(joins) if name == "kernel"}
     assert kernel_callers == {("join_rows",), ("JoinStream", "__init__")}
     # The kernel's source, for shapes with and without shared slots,
@@ -845,10 +884,9 @@ def test_one_join_one_plan_cache_tier_one_sqlite_pool():
     assert key_readers == {("joins.py", ("KeyIndex", "__init__"))}
     users = {scopes for name, scopes in _calls(joins) if name == "KeyIndex"}
     assert users == {("matching_cells",), ("JoinStream", "__init__")}
-    # The whole plane's matching cells: the materialized join's, and a
-    # full scan's one-pass drain of the stream.
+    # The whole plane's matching cells: the materialized join's.
     plane = {scopes for name, scopes in _calls(joins) if name == "matching_cells"}
-    assert plane == {("join_rows",), ("JoinStream", "_drain")}
+    assert plane == {("join_rows",)}
     plan_cache = ast.parse((SRC / "serving" / "plan_cache.py").read_text())
     imported = {
         name.split(".")[0]
@@ -976,9 +1014,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3316,
+        "src/repro/execution + serving": 3276,
         "src/repro/optimizer + plans + costs": 2083,
-        "src/repro outside testing": 8895,
+        "src/repro outside testing": 8860,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

@@ -203,7 +203,7 @@ class TestResumedRoundAccounting:
             JoinMethod.MERGE_SCAN, side=20, chunk=2, fetches=10
         )
         head = tuple(query.head)
-        expected = compose_ranking(reference_execute(plan, registry).rows, 12)
+        expected = compose_ranking(reference_execute(plan, registry).rows, 16)
         wrappers = wrap_registry_flaky(
             registry, FaultSchedule(seed=3, fail_rate=0.4), attempt_aware=True
         )
@@ -219,7 +219,7 @@ class TestResumedRoundAccounting:
 
         resumed = ExecutionStats()
         first.accounting.rebind(resumed)
-        rows = first.stream.top(12)
+        rows = first.stream.top(16)
 
         injected = sum(w.injected["fail"] for w in wrappers.values())
         assert injected > injected_before  # the resume really retried

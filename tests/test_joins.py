@@ -320,11 +320,13 @@ class TestJoinKernel:
             expected = execute_join(method, left, right)
             assert len(expected) == 3
             assert joined(join, left, right) == expected
-            # The staged walk: its first stage meets the key and scans
-            # every cell from then on.
+            # The walk: the first row it indexes meets the key, and the
+            # index keeps every row in one bucket from then on.
             stream = join_stream(join, left, right)
             assert stream.top(1) == compose_ranking(expected, 1)
-            assert stream._index is None
+            assert all(
+                buckets.keys() <= {()} for _, buckets, _ in stream._index._sides
+            )
             assert stream.top(None) == compose_ranking(expected)
             # The one-pass drain of a full scan.
             drained = join_stream(join, left, right).top(None)

@@ -9,11 +9,12 @@ independent oracle:
   materializing ``join_rows`` of the same compiled join), for random
   inputs, random *non-monotone* rank annotations, both strategies and
   arbitrary k — including k = 0 and k beyond the plane;
-* the walk's key index (a stage merges only the cells whose rows
-  share their key) against the same oracle and against the walk that
-  merges every cell, on what an index can get wrong: sparse and
-  duplicate keys, ``1`` / ``1.0``, ``nan``, an unhashable key met
-  mid-walk, resumes, and lazy inputs that deliver whole pages;
+* the walk's key index (a walk merges only the cells whose rows
+  share their key) against the same oracle and against the walk whose
+  index keeps every row in one bucket, on what an index can get
+  wrong: sparse and duplicate keys, ``1`` / ``1.0``, ``nan``, an
+  unhashable key met mid-walk, resumes, and lazy inputs that deliver
+  whole pages;
 * at the engine level, a top-k walk (``execute(k=...)``) against the
   dict-row reference interpreter
   (``compose_ranking(reference_execute(...), k)``) on plans built
@@ -22,23 +23,19 @@ independent oracle:
   against the interpreter, its fetches against the full scan's, which
   must never be fewer).
 
-The suite also pins the early exit itself, from the walk's position
-(the stages it passed): proving a top-k complete for ``k >= n*m``
-requires visiting the whole plane, and a small k on rank-monotone
-inputs visits O(k^2) cells of it.  The streams keep no counters; the
-cells a walk visited are the cells of the stages it passed, and a test
-that needs merges or join rows counts them with a wrapper of its own.
+The suite also pins the early exit itself, from the cells a walk ran
+through its kernel: proving a top-k complete for ``k >= n*m``
+requires visiting every matching cell, and a merge-scan top-k visits
+exactly k cells of an all-matching plane.  The streams keep no
+counters; a test that needs cells or join rows counts them with a
+wrapper of its own (:func:`_counting_cells`, :func:`_counted`).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.engine import ExecutionEngine
-from repro.execution.joins import (
-    JoinStream,
-    stage_cells,
-    stage_count,
-)
+from repro.execution.joins import JoinStream
 from repro.execution.lazy import (
     LazyServiceCursor,
     MaterializedCursor,
@@ -74,9 +71,18 @@ def _signature(rows):
     return [(dict(r.bindings), r.ranks) for r in rows]
 
 
-def _visited(stream, n, m):
-    """Cells of the stages *stream* passed, over an n x m plane."""
-    return _stages_cells(stream.method, n, m, stream._stage)
+def _counting_cells(stream):
+    """*stream*, counting in ``stream.merges`` the cells its kernel is
+    handed."""
+    kernel = stream._kernel
+    stream.merges = 0
+
+    def counted(cells, *args):
+        stream.merges += len(cells)
+        kernel(cells, *args)
+
+    stream._kernel = counted
+    return stream
 
 
 class _JoinRowCounter:
@@ -162,12 +168,15 @@ class TestStreamedJoinMatchesOracle:
         left = _ranked_side(lk, lr, "L")
         right = _ranked_side(rk, rr, "R")
         plane = len(left) * len(right)
+        matching = sum(a == b for a in lk for b in rk)
         for method in METHODS:
             for k in (plane, plane + 3):
-                stream = join_stream(_ranked_join(method), left, right)
+                stream = _counting_cells(
+                    join_stream(_ranked_join(method), left, right)
+                )
                 stream.top(k)
                 assert stream.exhausted
-                assert _visited(stream, len(left), len(right)) == plane
+                assert stream.merges == matching
 
     @given(_keys, _keys, _ranks, _ranks, st.integers(0, 8), st.integers(0, 40))
     @settings(max_examples=80, deadline=None)
@@ -198,17 +207,18 @@ class TestStreamedJoinMatchesOracle:
     @settings(max_examples=40, deadline=None)
     def test_early_exit_scales_with_k_on_monotone_ranks(self, n, m, k):
         """On rank-monotone inputs (what search services emit for one
-        input tuple) the MS certificate closes the top-k after ~k
-        cells, not n*m."""
+        input tuple) the MS certificate closes the top-k after k cells,
+        not n*m: the walk visits cells in rank order, and every cell of
+        this plane is an answer."""
         left = _ranked_side([0] * n, list(range(n)), "L")
         right = _ranked_side([0] * m, list(range(m)), "R")
-        stream = join_stream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
+        stream = _counting_cells(
+            join_stream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
+        )
         rows = stream.top(k)
         oracle = compose_ranking(execute_join(JoinMethod.MERGE_SCAN, left, right), k)
         assert _signature(rows) == _signature(oracle)
-        if k < min(n, m):
-            # at most the first k diagonals — O(k^2) cells, not n*m
-            assert k <= _visited(stream, n, m) <= k * (k + 1) // 2
+        assert stream.merges == min(k, n * m)
 
 
 class TestTieBreaking:
@@ -233,25 +243,20 @@ class TestTieBreaking:
 
 
 class _CountingStream(JoinStream):
-    """The walk counting the cells its stages hand to ``merge``."""
+    """The walk counting the cells it hands to its kernel."""
 
-    merges = 0
-
-    def _matching_cells(self, stage, left_rows, right_rows):
-        cells = super()._matching_cells(stage, left_rows, right_rows)
-        self.merges += len(cells)
-        return cells
+    def __init__(self, *args):
+        super().__init__(*args)
+        _counting_cells(self)
 
 
 class _ScanningStream(_CountingStream):
-    """The walk without its index: every cell of a stage is merged."""
+    """The walk whose index keeps every row in one bucket: every cell
+    of the rows it indexed is merged."""
 
-    def _matching_cells(self, stage, left_rows, right_rows):
-        cells = list(
-            stage_cells(self.method, len(left_rows), len(right_rows), stage)
-        )
-        self.merges += len(cells)
-        return cells
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._index._pool(0, 0)
 
 
 _NAN = float("nan")
@@ -270,13 +275,6 @@ _hashable_key = st.one_of(
 )
 _side_ranks = st.lists(st.integers(0, 9), min_size=8, max_size=8)
 _ks = st.lists(st.integers(0, 30), min_size=1, max_size=3).map(sorted)
-
-
-def _stages_cells(method, n, m, stages):
-    return sum(
-        len(list(stage_cells(method, n, m, stage)))
-        for stage in range(min(stages, stage_count(method, n, m)))
-    )
 
 
 def _block_cursor(blocks, side_name, chunk):
@@ -317,8 +315,9 @@ _blocks = st.lists(
 
 
 class TestKeyIndexedStagesMatchOracle:
-    """A stage merges only the cells its index holds: same answers, same
-    stages and same join rows as merging every cell, and fewer merges."""
+    """A walk merges only the cells its index holds: same answers, same
+    rows indexed and same join rows as merging every cell of them, and
+    fewer merges."""
 
     @given(
         st.lists(_any_key, max_size=8), st.lists(_any_key, max_size=8),
@@ -327,9 +326,9 @@ class TestKeyIndexedStagesMatchOracle:
     @settings(max_examples=150, deadline=None)
     def test_any_keys_resumed_and_drained(self, lk, rk, lr, rr, ks):
         """``top(k1)`` → ``top(k2)`` → ``top(None)`` over keys of every
-        kind (a list key switches the walk to scanning wherever it is
-        first met): rows, ranks and order are the oracle's, the stages
-        passed and the join rows counted the scanning walk's, and the
+        kind (a list key puts every later row in one bucket wherever it
+        is first met): rows, ranks and order are the oracle's, the rows
+        indexed and the join rows counted the scanning walk's, and the
         merges attempted no more than it."""
         left = _ranked_side(lk, lr, "L")
         right = _ranked_side(rk, rr, "R")
@@ -343,7 +342,7 @@ class TestKeyIndexedStagesMatchOracle:
                 rows = indexed.top(k)
                 assert _signature(rows) == _signature(compose_ranking(full, k))
                 assert _signature(rows) == _signature(scanning.top(k))
-                assert indexed._stage == scanning._stage
+                assert indexed._index.added == scanning._index.added
                 assert indexed_rows.count == scanning_rows.count
                 assert indexed.merges <= scanning.merges
             assert indexed_rows.count == len(full)
@@ -354,10 +353,10 @@ class TestKeyIndexedStagesMatchOracle:
         self, left_blocks, right_blocks, left_chunk, right_chunk, ks
     ):
         """Over multi-feed cursors a pulled page places rows beyond the
-        current stage; they are indexed when their stage comes.  Same
-        answers as the oracle over the eager concatenation, and the
-        same pages pulled, in the same order, as the scanning walk — so
-        the same pages left unpulled."""
+        ones the walk indexed; they are indexed when its bounds ask for
+        them.  Same answers as the oracle over the eager concatenation,
+        and the same pages pulled, in the same order, as the scanning
+        walk — so the same pages left unpulled."""
         for method in METHODS:
             walks = []
             for stream_type in (JoinStream, _ScanningStream):
@@ -387,7 +386,7 @@ class TestKeyIndexedStagesMatchOracle:
                 assert [source.fetch_log for source in indexed_sources] == [
                     source.fetch_log for source in scanning_sources
                 ]
-                assert indexed._stage == scanning._stage
+                assert indexed._index.added == scanning._index.added
                 assert indexed_rows.count == scanning_rows.count
 
     def test_nan_never_joins_and_one_joins_one_point_zero(self):
@@ -402,8 +401,8 @@ class TestKeyIndexedStagesMatchOracle:
             assert len(rows) == 4
 
     def test_unhashable_key_first_seen_mid_walk(self):
-        """Stages before the list key are served from the index, the
-        stage that meets it and all later ones scan — one answer."""
+        """Rows before the list key are bucketed by key, the row that
+        has it and every later one pair with the whole other side."""
         keys = [0, 1, 0, 1, [1], 0, [1], 1]
         left = _ranked_side(keys, list(range(8)), "L")
         right = _ranked_side(keys[::-1], list(range(8)), "R")
@@ -411,22 +410,22 @@ class TestKeyIndexedStagesMatchOracle:
         join, join_rows_counted = _counted(_ranked_join(JoinMethod.MERGE_SCAN))
         stream = _CountingStream(join, as_records(left), as_records(right))
         assert _signature(stream.top(2)) == _signature(compose_ranking(full, 2))
-        assert stream._stage <= 4  # the list keys are rows 4 and 6 / 1 and 3
-        assert stream.merges < _visited(stream, 8, 8)
-        served_from_index = stream.merges
+        # the list keys are rows 4 and 6 / 1 and 3: met, and a top-2
+        # indexes a corner of the plane only
+        assert sum(stream._index.added) < 8 and stream.merges < 8
+        assert all(buckets.keys() <= {()} for _, buckets, _ in stream._index._sides)
         assert _signature(stream.top(None)) == _signature(compose_ranking(full))
-        assert _visited(stream, 8, 8) == 64
         assert join_rows_counted.count == len(full)
-        # from the fallback on every cell is merged: 64 less the cells
-        # of the stages the index served
-        assert stream.merges > served_from_index + 32
+        # every later row pairs with every row of the other side: more
+        # cells than the ones that join, never the same cell twice
+        assert len(full) < stream.merges <= 64
 
     @given(st.integers(1, 5))
     @settings(max_examples=5, deadline=None)
-    def test_rows_indexed_scale_with_the_stages_visited(self, k):
-        """The indexing twin of the early exit below: over a 400 x 400
+    def test_rows_indexed_scale_with_k(self, k):
+        """The indexing twin of the early exit above: over a 400 x 400
         materialized plane a top-k walk reads the key of the rows its
-        stages could touch — at most 2 (stages + 1) — not of 800."""
+        bounds asked for — at most k + 1 a side — not of 800."""
         hashed = set()
 
         class Key:
@@ -445,9 +444,9 @@ class TestKeyIndexedStagesMatchOracle:
         right = _ranked_side([Key(("R", j)) for j in range(n)], list(range(n)), "R")
         stream = join_stream(_ranked_join(JoinMethod.MERGE_SCAN), left, right)
         assert len(stream.top(k)) == k
-        # the first few diagonals, a triangle of the plane's corner
-        assert stream._stage <= k + 1
-        assert 2 <= len(hashed) <= 2 * (stream._stage + 1)
+        # a corner of the plane: each indexed row is hashed once
+        assert max(stream._index.added) <= k + 1
+        assert 2 <= len(hashed) == sum(stream._index.added)
 
 
 # -- engine level -----------------------------------------------------------

@@ -129,8 +129,7 @@ class TestSlotLayout:
         records = as_records([left, right_match, right_clash])
         candidates = []
         plan.kernel(())(
-            [(0, 0), (0, 1)], records[:1], records[1:], [0], [0, 0],
-            candidates,
+            [(0, 0, 0, 0), (0, 1, 0, 1)], records[:1], records[1:], candidates
         )
         assert candidates == [(0, 0, records[0], records[1])]
         merged = plan.record(records[0], records[1], 0)

@@ -669,3 +669,31 @@ class TestThreadSafety:
             sys.setswitchinterval(interval)
             backend.close()
         assert not errors
+
+
+def test_an_in_memory_fleet_does_not_load_sqlite(tmp_path):
+    """``sqlite3`` is imported where a connection is opened or its error
+    caught: a service over in-memory registries with a memory-only plan
+    cache never maps the library, and the SQLite plan-cache tier and a
+    SQLite-backed registry still load it when they run."""
+    import os
+    import subprocess
+
+    script = f"""
+import sys
+from repro.serving import PlanCache, QueryService
+from repro.sources.biblio import biblio_registry, experts_query, generate_corpus
+from repro.sources.travel import running_example_query, travel_registry
+
+service = QueryService(registry=travel_registry(), plan_cache=PlanCache(capacity=8))
+assert len(service.submit(running_example_query(), k=3).rows) == 3
+assert "sqlite3" not in sys.modules, "an in-memory fleet loaded sqlite3"
+tier = PlanCache(capacity=8, path={str(tmp_path / "plans.sqlite")!r})
+service = QueryService(registry=travel_registry(), plan_cache=tier)
+assert len(service.submit(running_example_query(), k=3).rows) == 3
+assert tier.stats.stores == 1 and "sqlite3" in sys.modules
+backend = biblio_registry(backend="sqlite", corpus=generate_corpus(200))
+assert QueryService(registry=backend).submit(experts_query(), k=2).rows
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
