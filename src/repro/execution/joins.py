@@ -114,6 +114,25 @@ def _one_key(values: tuple) -> tuple:
     return ()
 
 
+def _bounds(
+    n: int, m: int, left_floor: float, right_floor: float,
+    left_least: float, right_least: float,
+) -> tuple[tuple, tuple]:
+    """Merge scan: lower ``(rank, arrival)`` bounds on the cells over
+    left rows from *n* on and on those over right rows from *m* on.
+
+    A side's *floor* bounds the rank of its rows past the indexed ones
+    (its cursor's ``suffix_min``; ``+inf`` once it is fetched and
+    indexed), its *least* is the least rank of its indexed rows, and
+    the lesser of the two bounds every row of it."""
+    left_all = left_floor if left_floor < left_least else left_least
+    right_all = right_floor if right_floor < right_least else right_least
+    return (
+        (left_floor + right_all, n << SHIFT | n),
+        (left_all + right_floor, m << SHIFT),
+    )
+
+
 class KeyIndex:
     """The rows of a join's two sides, by the values of the slots their
     layouts share (side 0 is the left one), and the matching cells they
@@ -138,7 +157,7 @@ class KeyIndex:
     arrival)`` is the documented ``(rank, emission order)`` tie order of
     :func:`~repro.testing.reference.compose_ranking` over any plane the
     rows grow into.  A merge-scan walk keeps the cells it cannot visit
-    yet in a heap (:meth:`file`) and takes them in that order
+    yet in a heap (:meth:`add` with ``file``) and takes them in that order
     (:meth:`take`).
 
     A key value that is unhashable (a service may return lists) puts
@@ -148,7 +167,7 @@ class KeyIndex:
     keys were never reported, and never merge.
     """
 
-    __slots__ = ("_sides", "_added", "_nested", "_filed")
+    __slots__ = ("_sides", "_added", "_least", "_nested", "_filed")
 
     def __init__(self, plan: SlotJoinPlan, method: JoinMethod) -> None:
         lefts, rights = {}, {}
@@ -161,6 +180,8 @@ class KeyIndex:
             (plan.left_key, lefts, rights), (plan.right_key, rights, lefts)
         )
         self._added = [0, 0]
+        #: Per side, the least rank of a row added so far.
+        self._least = [math.inf, math.inf]
         self._nested = method is JoinMethod.NESTED_LOOP
         #: The cells filed and not taken yet, as a heap.
         self._filed: list[tuple] = []
@@ -171,18 +192,30 @@ class KeyIndex:
         return self._added[0], self._added[1]
 
     @property
+    def least_ranks(self) -> tuple[float, float]:
+        """Per side, the least rank of a row added so far (``+inf``
+        while there is none)."""
+        return self._least[0], self._least[1]
+
+    @property
     def least(self) -> tuple | None:
         """The filed cell of least ``(rank, arrival)``, or None."""
         filed = self._filed
         return filed[0] if filed else None
 
     def add(
-        self, side: int, rows: Sequence[Record], other: Sequence[Record], stop: int
+        self,
+        side: int,
+        rows: Sequence[Record],
+        other: Sequence[Record],
+        stop: int,
+        file: bool = False,
     ) -> list[tuple]:
         """Add the rows of *side* not added yet, up to index *stop*
         (exclusive; at most ``len(rows)``), and return the cells each
         forms with the rows of the *other* side already added under its
-        key, row by row, each row's in ascending index order."""
+        key, row by row, each row's in ascending index order — or, with
+        *file*, keep them in the heap and return none."""
         start = self._added[side]
         if stop > len(rows):
             stop = len(rows)
@@ -192,8 +225,11 @@ class KeyIndex:
         self._added[side] = stop
         key_of, own, other_buckets = self._sides[side]
         nested = self._nested
+        least = self._least[side]
         for index in range(start, stop):
             values, rank = rows[index][0], rows[index][1]
+            if rank < least:
+                least = self._least[side] = rank
             try:
                 key = key_of(values)
                 bucket = own.setdefault(key, index)
@@ -226,6 +262,11 @@ class KeyIndex:
                      index, j)
                     for j in partners
                 ]
+        if file and cells:
+            filed = self._filed
+            for cell in cells:
+                heapq.heappush(filed, cell)
+            return []
         return cells
 
     def _pool(self, side: int, index: int) -> None:
@@ -237,14 +278,6 @@ class KeyIndex:
             {(): list(range(count))} if count else {} for count in counts
         )
         self._sides = ((_one_key, lefts, rights), (_one_key, rights, lefts))
-
-    def file(
-        self, side: int, rows: Sequence[Record], other: Sequence[Record], stop: int
-    ) -> None:
-        """:meth:`add`, keeping the cells in the heap instead."""
-        filed = self._filed
-        for cell in self.add(side, rows, other, stop):
-            heapq.heappush(filed, cell)
 
     def take(self, limit: tuple, most: int | None = None) -> list[tuple]:
         """The filed cells that precede *limit*, a ``(rank, arrival)``
@@ -570,13 +603,15 @@ class JoinStream(TopKStream):
         and visit the outer row's matching cells (the inner side is
         indexed by the first step, and by :meth:`grow`).  Merge scan:
         visit the filed cells that precede both sides' bounds
-        (:meth:`_bounds`) and *threshold* (at most the *missing* ones
+        (:func:`_bounds`) and *threshold* (at most the *missing* ones
         while there is no threshold); while there are none, index more
         rows of the side whose bound is lowest — the only way to raise
         it — filing the cells they form, until some precede, or nothing
-        unvisited can (the walk is then certified or exhausted).  The
-        cells of a step come from the key index alone and go through
-        the join's kernel in ``(rank, arrival)`` order.
+        unvisited can (the walk is then certified or exhausted).  While
+        nothing is filed and there is no threshold, no bound is read:
+        the sides are indexed in turn.  The cells of a step come from
+        the key index alone and go through the join's kernel in
+        ``(rank, arrival)`` order.
         """
         left, right = self._left, self._right
         index = self._index
@@ -588,40 +623,61 @@ class JoinStream(TopKStream):
             index.add(1, right.rows, left.rows, len(right.rows))
             cells = index.add(0, left.rows, right.rows, stage)
         else:
+            # A side's floor — the least rank its rows past the indexed
+            # ones can have — is read when a bound needs it; a demand
+            # moves only its own cursor's (a lazy input has no other
+            # consumer).
+            n, m = index.added
+            left_floor = right_floor = None
             while True:
-                n, m = index.added
-                left_bound, right_bound = self._bounds(n, m)
-                limit = min(left_bound, right_bound)
-                if threshold is not None and threshold < limit:
-                    limit = threshold
-                cells = index.take(limit, missing or None)
-                if cells or limit is threshold or limit[0] == math.inf:
-                    break
-                if left_bound <= right_bound:
-                    self._index_rows(0, left, right.rows, n)
+                least = index.least
+                if threshold is None and least is None:
+                    # Nothing filed, no k-th candidate to beat: index
+                    # the sides in turn, as a diagonal walk does.
+                    left_done = n == len(left.rows) and left.exhausted
+                    right_done = m == len(right.rows) and right.exhausted
+                    if left_done and right_done:
+                        return
+                    demand_left = right_done or (not left_done and n <= m)
                 else:
-                    self._index_rows(1, right, left.rows, m)
+                    if left_floor is None:
+                        left_floor = left.suffix_min(n)
+                    if right_floor is None:
+                        right_floor = right.suffix_min(m)
+                    left_bound, right_bound = _bounds(
+                        n, m, left_floor, right_floor, *index.least_ranks
+                    )
+                    limit = min(left_bound, right_bound)
+                    if threshold is not None and threshold < limit:
+                        limit = threshold
+                    if least is not None and least < limit:
+                        cells = index.take(limit, missing or None)
+                        break
+                    if limit is threshold:  # nothing unvisited precedes it
+                        return
+                    demand_left = left_bound <= right_bound
+                if demand_left:
+                    n = self._index_rows(0, left, right.rows, n)
+                    left_floor = None
+                else:
+                    m = self._index_rows(1, right, left.rows, m)
+                    right_floor = None
         if cells:
             self._kernel(cells, left.rows, right.rows, self._candidates)
 
     def _index_rows(
         self, side: int, cursor: RowCursor, other: Sequence[Record], added: int
-    ) -> None:
+    ) -> int:
         """Merge scan: index rows of *side* past the *added* ones —
         demanding one from its *cursor*, and taking the rows it placed
-        up to twice *added* — and file the cells they form."""
-        cursor.ensure(added + 1)
-        self._index.file(side, cursor.rows, other, max(added + 1, 2 * added))
-
-    def _bounds(self, n: int, m: int) -> tuple[tuple, tuple]:
-        """Merge scan: lower ``(rank, arrival)`` bounds on the cells over
-        left rows from *n* on and on those over right rows from *m* on
-        (``+inf`` ranks once a side is fetched and indexed)."""
-        left, right = self._left, self._right
-        return (
-            (left.suffix_min(n) + right.suffix_min(0), n << SHIFT | n),
-            (left.suffix_min(0) + right.suffix_min(m), m << SHIFT),
-        )
+        up to twice *added* — file the cells they form, and return how
+        many rows of *side* are indexed."""
+        if added >= len(cursor.rows):
+            cursor.ensure(added + 1)
+        rows = cursor.rows
+        stop = min(2 * added or 1, len(rows))
+        self._index.add(side, rows, other, stop, file=True)
+        return stop
 
     def _drain(self) -> None:
         """Fetch both inputs and visit every matching cell left in one
@@ -673,7 +729,7 @@ class JoinStream(TopKStream):
         column, ranking at least ``left.suffix_min(stage) +
         right.suffix_min(0)``, and arrive after every visited cell.
         Merge scan: the least filed cell, and the two sides' bounds
-        (:meth:`_bounds`).  Reading a bound pulls nothing (a cursor
+        (:func:`_bounds`).  Reading a bound pulls nothing (a cursor
         whose ranks regressed has drained by the time it is asked).
         """
         left, right = self._left, self._right
@@ -686,5 +742,8 @@ class JoinStream(TopKStream):
         least = index.least
         if least is not None and least < threshold:
             return True
-        left_bound, right_bound = self._bounds(*index.added)
+        n, m = index.added
+        left_bound, right_bound = _bounds(
+            n, m, left.suffix_min(n), right.suffix_min(m), *index.least_ranks
+        )
         return left_bound < threshold or right_bound < threshold

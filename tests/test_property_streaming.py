@@ -315,9 +315,12 @@ _blocks = st.lists(
 
 
 class TestKeyIndexedStagesMatchOracle:
-    """A walk merges only the cells its index holds: same answers, same
-    rows indexed and same join rows as merging every cell of them, and
-    fewer merges."""
+    """A walk merges only the cells its index holds: same answers and
+    same join rows as the walk that merges every cell of the rows it
+    indexed, and fewer merges.  A nested-loop walk indexes the same rows
+    as that walk; a merge-scan walk reads its bounds whenever a filed
+    cell waits, and the pooled index files cells the keyed one does not,
+    so the two may index rows in another order."""
 
     @given(
         st.lists(_any_key, max_size=8), st.lists(_any_key, max_size=8),
@@ -327,9 +330,10 @@ class TestKeyIndexedStagesMatchOracle:
     def test_any_keys_resumed_and_drained(self, lk, rk, lr, rr, ks):
         """``top(k1)`` → ``top(k2)`` → ``top(None)`` over keys of every
         kind (a list key puts every later row in one bucket wherever it
-        is first met): rows, ranks and order are the oracle's, the rows
-        indexed and the join rows counted the scanning walk's, and the
-        merges attempted no more than it."""
+        is first met): rows, ranks and order are the oracle's, the join
+        rows counted (and, nested loop, the rows indexed) the scanning
+        walk's, and the merges attempted, once drained, no more than
+        it."""
         left = _ranked_side(lk, lr, "L")
         right = _ranked_side(rk, rr, "R")
         for method in METHODS:
@@ -342,9 +346,10 @@ class TestKeyIndexedStagesMatchOracle:
                 rows = indexed.top(k)
                 assert _signature(rows) == _signature(compose_ranking(full, k))
                 assert _signature(rows) == _signature(scanning.top(k))
-                assert indexed._index.added == scanning._index.added
+                if method is JoinMethod.NESTED_LOOP:
+                    assert indexed._index.added == scanning._index.added
                 assert indexed_rows.count == scanning_rows.count
-                assert indexed.merges <= scanning.merges
+            assert indexed.merges <= scanning.merges
             assert indexed_rows.count == len(full)
 
     @given(_blocks, _blocks, st.integers(1, 4), st.integers(1, 4), _ks)
@@ -354,9 +359,10 @@ class TestKeyIndexedStagesMatchOracle:
     ):
         """Over multi-feed cursors a pulled page places rows beyond the
         ones the walk indexed; they are indexed when its bounds ask for
-        them.  Same answers as the oracle over the eager concatenation,
-        and the same pages pulled, in the same order, as the scanning
-        walk — so the same pages left unpulled."""
+        them.  Same answers as the oracle over the eager concatenation
+        and the same join rows as the scanning walk at every k; nested
+        loop pulls the same pages, in the same order — so it leaves the
+        same pages unpulled."""
         for method in METHODS:
             walks = []
             for stream_type in (JoinStream, _ScanningStream):
@@ -383,10 +389,11 @@ class TestKeyIndexedStagesMatchOracle:
                 rows = indexed.top(k)
                 assert _signature(rows) == _signature(compose_ranking(full, k))
                 assert _signature(rows) == _signature(scanning.top(k))
-                assert [source.fetch_log for source in indexed_sources] == [
-                    source.fetch_log for source in scanning_sources
-                ]
-                assert indexed._index.added == scanning._index.added
+                if method is JoinMethod.NESTED_LOOP:
+                    assert [source.fetch_log for source in indexed_sources] == [
+                        source.fetch_log for source in scanning_sources
+                    ]
+                    assert indexed._index.added == scanning._index.added
                 assert indexed_rows.count == scanning_rows.count
 
     def test_nan_never_joins_and_one_joins_one_point_zero(self):
