@@ -371,7 +371,8 @@ class TopKStream:
     """
 
     def _begin(self, layout: SlotLayout) -> None:
-        #: The steps the walk took (a nested-loop walk: the rows it visited).
+        #: The rows the walk visited: a chain's records, a nested-loop
+        #: join's outer rows (a merge-scan walk has no stages).
         self._stage = 0
         self._candidates: list[tuple] = []
         self._layout = layout
@@ -606,78 +607,60 @@ class JoinStream(TopKStream):
         (:func:`_bounds`) and *threshold* (at most the *missing* ones
         while there is no threshold); while there are none, index more
         rows of the side whose bound is lowest — the only way to raise
-        it — filing the cells they form, until some precede, or nothing
-        unvisited can (the walk is then certified or exhausted).  While
-        nothing is filed and there is no threshold, no bound is read:
-        the sides are indexed in turn.  The cells of a step come from
-        the key index alone and go through the join's kernel in
-        ``(rank, arrival)`` order.
+        it — filing the cells they form (:meth:`_index_rows`), until
+        some precede, or nothing unvisited can (the walk is then
+        certified or exhausted).  The cells of a step come from the key
+        index alone and go through the join's kernel in ``(rank,
+        arrival)`` order.
         """
         left, right = self._left, self._right
         index = self._index
-        self._stage += 1
         if self._method is JoinMethod.NESTED_LOOP:
+            self._stage += 1
             stage = self._stage
             left.ensure(stage)
             right.ensure_all()
             index.add(1, right.rows, left.rows, len(right.rows))
             cells = index.add(0, left.rows, right.rows, stage)
         else:
-            # A side's floor — the least rank its rows past the indexed
-            # ones can have — is read when a bound needs it; a demand
-            # moves only its own cursor's (a lazy input has no other
-            # consumer).
             n, m = index.added
-            left_floor = right_floor = None
+            left_floor, right_floor = left.suffix_min(n), right.suffix_min(m)
             while True:
+                left_bound, right_bound = _bounds(
+                    n, m, left_floor, right_floor, *index.least_ranks
+                )
+                limit = min(left_bound, right_bound)
+                if threshold is not None and threshold <= limit:
+                    limit = threshold
                 least = index.least
-                if threshold is None and least is None:
-                    # Nothing filed, no k-th candidate to beat: index
-                    # the sides in turn, as a diagonal walk does.
-                    left_done = n == len(left.rows) and left.exhausted
-                    right_done = m == len(right.rows) and right.exhausted
-                    if left_done and right_done:
-                        return
-                    demand_left = right_done or (not left_done and n <= m)
-                else:
-                    if left_floor is None:
-                        left_floor = left.suffix_min(n)
-                    if right_floor is None:
-                        right_floor = right.suffix_min(m)
-                    left_bound, right_bound = _bounds(
-                        n, m, left_floor, right_floor, *index.least_ranks
-                    )
-                    limit = min(left_bound, right_bound)
-                    if threshold is not None and threshold < limit:
-                        limit = threshold
-                    if least is not None and least < limit:
-                        cells = index.take(limit, missing or None)
-                        break
-                    if limit is threshold:  # nothing unvisited precedes it
-                        return
-                    demand_left = left_bound <= right_bound
-                if demand_left:
+                if least is not None and least < limit:
+                    cells = index.take(limit, missing or None)
+                    break
+                if limit is threshold or limit[0] == math.inf:
+                    return  # certified, or nothing is left to index
+                # A demand moves only its own cursor's floor (a lazy
+                # input has no other consumer).
+                if left_bound <= right_bound:
                     n = self._index_rows(0, left, right.rows, n)
-                    left_floor = None
+                    left_floor = left.suffix_min(n)
                 else:
                     m = self._index_rows(1, right, left.rows, m)
-                    right_floor = None
+                    right_floor = right.suffix_min(m)
         if cells:
             self._kernel(cells, left.rows, right.rows, self._candidates)
 
     def _index_rows(
         self, side: int, cursor: RowCursor, other: Sequence[Record], added: int
     ) -> int:
-        """Merge scan: index rows of *side* past the *added* ones —
-        demanding one from its *cursor*, and taking the rows it placed
-        up to twice *added* — file the cells they form, and return how
-        many rows of *side* are indexed."""
-        if added >= len(cursor.rows):
-            cursor.ensure(added + 1)
-        rows = cursor.rows
-        stop = min(2 * added or 1, len(rows))
-        self._index.add(side, rows, other, stop, file=True)
-        return stop
+        """Merge scan: index row *added* of *side*, demanding it from
+        its *cursor*, and the rows the cursor placed after it up to
+        twice *added*; file the cells they form, and return how many
+        rows of *side* are indexed.  Taking placed rows pulls no page,
+        and doubling keeps the bound reads per indexed row few while
+        indexing at most twice the rows a step needed."""
+        cursor.ensure(added + 1)
+        self._index.add(side, cursor.rows, other, 2 * added or 1, file=True)
+        return self._index.added[side]
 
     def _drain(self) -> None:
         """Fetch both inputs and visit every matching cell left in one
@@ -688,7 +671,8 @@ class JoinStream(TopKStream):
         cells = self._index.drain(left.rows, right.rows)
         if cells:
             self._kernel(cells, left.rows, right.rows, self._candidates)
-        self._stage = max(self._stage, len(left.rows))
+        if self._method is JoinMethod.NESTED_LOOP:
+            self._stage = len(left.rows)
 
     def grow(self, tee: HeadTee | None) -> None:
         """Take in the cells appended rows form.

@@ -525,11 +525,13 @@ class MultiFeedCursor(RowCursor):
         self._placed = 0
         #: The bound on the unplaced rows of the open blocks, until the
         #: next pull or open.  Over a materialized feed — whose frontier
-        #: moves only when this cursor opens a block — it holds the
-        #: frontier too; a lazy or teed feed's is read afresh every time
-        #: (its budget may grow under a suspended walk).
+        #: moves only when this cursor opens a block, or when growth
+        #: appends rows to a teed one — it holds the frontier too, over
+        #: the ``_bound_over`` feed rows known when it was read; a lazy
+        #: feed's frontier is read afresh every time.
         self._open_bound: float | None = None
-        self._feed_is_known = type(feed) is MaterializedCursor
+        self._bound_over = 0
+        self._feed_is_known = isinstance(feed, MaterializedCursor)
         self._floor_heap: list[tuple[float, int]] = []
         self._bound_heap: list[tuple[float, int]] = []
 
@@ -562,15 +564,17 @@ class MultiFeedCursor(RowCursor):
         self._advance_placement()
 
     def suffix_min(self, start: int) -> float:
+        feed = self._feed
         bound = self._open_bound
         known = self._feed_is_known
-        if bound is None:
+        if bound is None or (known and self._bound_over != len(feed.ranks)):
             bound = self._open_blocks_bound()
             if known:
-                bound = min(bound, self._feed.suffix_min(self._opened))
+                bound = min(bound, feed.suffix_min(self._opened))
+                self._bound_over = len(feed.ranks)
             self._open_bound = bound
         if not known:
-            frontier = self._feed.suffix_min(self._opened)
+            frontier = feed.suffix_min(self._opened)
             if frontier < bound:
                 bound = frontier
         # Indexes >= start span placed rows (exact suffix minima) and

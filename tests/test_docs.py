@@ -1014,9 +1014,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3318,
+        "src/repro/execution + serving": 3307,
         "src/repro/optimizer + plans + costs": 2083,
-        "src/repro outside testing": 8902,
+        "src/repro outside testing": 8891,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

@@ -189,19 +189,22 @@ class TestStreamedJoinMatchesOracle:
         k2 = k1 + k2_extra
         for method in METHODS:
             full = execute_join(method, left, right)
-            stream = join_stream(_ranked_join(method), left, right)
+            stream = _counting_cells(
+                join_stream(_ranked_join(method), left, right)
+            )
             assert _signature(stream.top(k1)) == _signature(
                 compose_ranking(full, k1)
             )
-            stage_after_first = stream._stage
             assert _signature(stream.top(k2)) == _signature(
                 compose_ranking(full, k2)
             )
-            # resuming never revisits: the walk only ever advances.
-            assert stream._stage >= stage_after_first
             assert _signature(stream.top(None)) == _signature(
                 compose_ranking(full)
             )
+            # resuming never revisits: over the three calls every
+            # matching cell (each one an answer) went through the
+            # kernel once.
+            assert stream.merges == len(full)
 
     @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
@@ -314,6 +317,53 @@ _blocks = st.lists(
 )
 
 
+def _cells_to_answer(left, right, k):
+    """How many cells a keyed merge-scan walk over *left* and *right*
+    (hashable keys) runs through its kernel for ``top(k)``: its
+    index's cells — the pairs whose keys are equal as dict keys — in
+    ``(rank, i + j, i)`` order, up to and including the k-th that
+    joins (``nan`` is filed with itself and joins nothing), or all."""
+    key = Variable("K")
+    cells = sorted(
+        (
+            sum(rank for _, rank in lrow.ranks) + sum(rank for _, rank in rrow.ranks),
+            i + j,
+            i,
+            lrow.bindings[key] == rrow.bindings[key],
+        )
+        for i, lrow in enumerate(left)
+        for j, rrow in enumerate(right)
+        if lrow.bindings[key] is rrow.bindings[key]
+        or lrow.bindings[key] == rrow.bindings[key]
+    )
+    answers = 0
+    for count, (*_, joins) in enumerate(cells):
+        if answers == k:
+            return count
+        answers += joins
+    return len(cells)
+
+
+def _pages_between(blocks, chunks, added, pulled):
+    """True when the page logs *pulled* lie, source by source, between
+    those of fresh cursors over *blocks* that placed ``added`` rows a
+    side and those that placed one more: a walk pulls a page only to
+    place the row it demands, and a cursor pulls the same pages
+    however its rows are asked for."""
+    bounds = []
+    for extra in (0, 1):
+        logs = []
+        for side_blocks, name, chunk, rows in zip(blocks, "LR", chunks, added):
+            cursor, _, sources = _block_cursor(side_blocks, name, chunk)
+            cursor.ensure(rows + extra)
+            logs += [source.fetch_log for source in sources]
+        bounds.append(logs)
+    return all(
+        log[: len(low)] == low and high[: len(log)] == log
+        for low, log, high in zip(bounds[0], pulled, bounds[1])
+    )
+
+
 class TestKeyIndexedStagesMatchOracle:
     """A walk merges only the cells its index holds: same answers and
     same join rows as the walk that merges every cell of the rows it
@@ -332,8 +382,10 @@ class TestKeyIndexedStagesMatchOracle:
         kind (a list key puts every later row in one bucket wherever it
         is first met): rows, ranks and order are the oracle's, the join
         rows counted (and, nested loop, the rows indexed) the scanning
-        walk's, and the merges attempted, once drained, no more than
-        it."""
+        walk's, and the merges attempted no more than it at every k: both
+        visit their cells in ``(rank, arrival)`` order (merge scan) or
+        row by row (nested loop) up to the same k-th answer, and the
+        keyed walk's cells are some of the pooled walk's."""
         left = _ranked_side(lk, lr, "L")
         right = _ranked_side(rk, rr, "R")
         for method in METHODS:
@@ -349,7 +401,7 @@ class TestKeyIndexedStagesMatchOracle:
                 if method is JoinMethod.NESTED_LOOP:
                     assert indexed._index.added == scanning._index.added
                 assert indexed_rows.count == scanning_rows.count
-            assert indexed.merges <= scanning.merges
+                assert indexed.merges <= scanning.merges
             assert indexed_rows.count == len(full)
 
     @given(_blocks, _blocks, st.integers(1, 4), st.integers(1, 4), _ks)
@@ -360,9 +412,12 @@ class TestKeyIndexedStagesMatchOracle:
         """Over multi-feed cursors a pulled page places rows beyond the
         ones the walk indexed; they are indexed when its bounds ask for
         them.  Same answers as the oracle over the eager concatenation
-        and the same join rows as the scanning walk at every k; nested
+        and the same join rows as the scanning walk at every k.  Nested
         loop pulls the same pages, in the same order — so it leaves the
-        same pages unpulled."""
+        same pages unpulled.  Merge scan runs exactly the cells of its
+        index up to the k-th answer through its kernel, and pulls only
+        the pages that place the rows it indexed and the one it
+        demanded last."""
         for method in METHODS:
             walks = []
             for stream_type in (JoinStream, _ScanningStream):
@@ -375,7 +430,7 @@ class TestKeyIndexedStagesMatchOracle:
                 join, counter = _counted(_ranked_join(method))
                 walks.append(
                     (
-                        stream_type(join, left, right),
+                        _counting_cells(stream_type(join, left, right)),
                         left_sources + right_sources,
                         counter,
                     )
@@ -394,6 +449,16 @@ class TestKeyIndexedStagesMatchOracle:
                         source.fetch_log for source in scanning_sources
                     ]
                     assert indexed._index.added == scanning._index.added
+                else:
+                    assert indexed.merges == _cells_to_answer(
+                        eager_left, eager_right, k
+                    )
+                    if k is not None:
+                        assert _pages_between(
+                            (left_blocks, right_blocks), (left_chunk, right_chunk),
+                            indexed._index.added,
+                            [source.fetch_log for source in indexed_sources],
+                        )
                 assert indexed_rows.count == scanning_rows.count
 
     def test_nan_never_joins_and_one_joins_one_point_zero(self):
