@@ -34,6 +34,8 @@ from repro.execution.joins import JoinStream
 from repro.execution.lazy import (
     LazyServiceCursor,
     MaterializedCursor,
+    MultiFeedCursor,
+    TeedCursor,
 )
 from repro.execution.results import Row, SlotLayout
 from repro.execution.stats import ExecutionStats
@@ -187,6 +189,32 @@ class TestLazyServiceCursor:
 _ranks = st.lists(st.integers(0, 9), min_size=0, max_size=8)
 _chunks = st.integers(1, 4)
 _k = st.one_of(st.none(), st.integers(0, 40))
+
+
+class TestMultiFeedOverATee:
+    def test_rows_a_grown_tee_appends_lower_the_bound(self):
+        """Over a teed feed a multi-feed cursor keeps its bound on the
+        rows it has not placed until something moves it: growth
+        appending feed rows does, and the cursor places their blocks."""
+
+        def open_block(row, rank):
+            block = Row(
+                bindings={Variable("K"): 0, Variable("L"): rank}, ranks=(("L", rank),)
+            )
+            return LazyServiceCursor(ListPageSource(pages=[[block]]), base_rank=rank)
+
+        feed = TeedCursor(as_records(_rows([0, 1], "F")))
+        cursor = MultiFeedCursor(feed, open_block)
+        cursor.ensure(2)
+        assert cursor.ranks == [0, 1]
+        assert cursor.exhausted and cursor.suffix_min(2) == math.inf
+        grown = as_records(_rows([0, 1, 0], "F"))[2:]
+        feed.rows.extend(grown)
+        feed.ranks.extend(record[1] for record in grown)
+        assert not cursor.exhausted
+        assert cursor.suffix_min(2) == 0
+        cursor.ensure(3)
+        assert cursor.ranks == [0, 1, 0]
 
 
 class TestLazyJoinStreamMatchesOracle:
