@@ -164,7 +164,6 @@ class ExecutionEngine:
         registry: ServiceRegistry,
         cache_setting: CacheSetting = CacheSetting.NO_CACHE,
         resilience: ResilienceConfig | None = None,
-        row_provenance: bool = False,
         drift_monitor: DriftMonitor | None = None,
     ) -> None:
         self._registry = registry
@@ -184,15 +183,6 @@ class ExecutionEngine:
         #: the zero-drift bit-identity is structural, not thresholded.
         #: A drifting session installs a fresh one per splice.
         self.drift_monitor = drift_monitor
-        #: Opt-in per-row audit trail: every row produced by a service
-        #: node carries a ``(service, input key, page)`` record
-        #: (:data:`~repro.execution.results.ProvenanceRecord`), and
-        #: joins concatenate their inputs' records.  Off by default —
-        #: disabled executions build rows with the empty tuple
-        #: everywhere, bit-identical to the historical engine.
-        #: Provenance never influences ranks, ordering, or join
-        #: decisions, so enabling it changes no answer row either.
-        self._row_provenance = row_provenance
 
     def execute(
         self,
@@ -252,7 +242,6 @@ class ExecutionEngine:
             context = RunContext(
                 fetches, self._registry, cache, self.routing,
                 self.routing.active, self._resilience, self.drift_monitor,
-                self._row_provenance,
             )
             stream: TopKStream | None = None
             lazy_cursors: dict[int, LazyServiceCursor | MultiFeedCursor] = {}

@@ -13,15 +13,14 @@ Three objects own the seam's state:
 
 * :class:`RunContext` — what is constant for one walk of a compiled
   program (:mod:`repro.execution.program`): the run's fetch vector and
-  registry, the logical cache, resilience config, drift monitor and
-  provenance flag;
+  registry, the logical cache, resilience config and drift monitor;
 * :class:`UnitSource` — the ``(service, input setting)`` unit one
   feed record addresses; opening it **masks**, then **routes**, and its
   ``fetch(page)`` does, in this order, **lookup** → **resilient
   fetch** → **store** → **charge** → **observe** → **call/hit
-  accounting** → **bind** (one record per surviving tuple), the
-  counters going to its cell of the execution's ledger
-  (:class:`~repro.execution.stats.ExecutionStats`).
+  accounting** → **bind** (one record per surviving tuple, its page
+  slot the page index), the counters going to its cell of the
+  execution's ledger (:class:`~repro.execution.stats.ExecutionStats`).
   Retries sit *below* the store: only the response that arrived is
   ever stored or counted, so a retried pull can neither double-store a
   page nor double-count a call;
@@ -35,11 +34,15 @@ Three objects own the seam's state:
 units are demoted (masked) and which are served by a sibling service.
 An engine keeps one for its lifetime, and a session keeps its engine
 across drift splices, so a re-plan carries nothing over by hand.
+
+:func:`page_records` reads an answer's page pulls back off its record
+chain, only when a response renders them: the feed record, the page
+slot and the step's binding are all a pull left behind.
 """
 
 from __future__ import annotations
 
-from typing import Collection, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from repro.execution.cache import LogicalCache
 from repro.execution.lazy import FetchedPage
@@ -54,11 +57,20 @@ from repro.execution.resilience import (
 )
 from repro.execution.program import ExecutionProgram, Step
 from repro.execution.results import Record, Row
-from repro.execution.slots import unit_input_key
+from repro.execution.slots import ServiceBinding, unit_input_key
 from repro.execution.stats import ExecutionStats
 from repro.services.registry import ServiceRegistry
 
 Unit = tuple[str, tuple]
+
+#: One page pull behind an answer: ``(service name, input key, page)``
+#: — which service invocation (with which bound inputs) and which page
+#: of its chunked output contributed a tuple to the row.  The input
+#: key is the ``(pattern code, ((position, value), ...))`` key
+#: :class:`UnitSource` caches and accounts the unit under, so a record
+#: names exactly one logical-cache unit and one
+#: :class:`PartialResultCertificate` block.
+ProvenanceRecord = tuple[str, tuple, int]
 
 #: What a unit has charged in its current accounting epoch.
 _NOTHING, _HIT, _CALL = 0, 1, 2
@@ -251,7 +263,6 @@ class RunContext(NamedTuple):
     routed: bool
     resilience: ResilienceConfig | None
     monitor: DriftMonitor | None
-    provenance: bool
 
 
 class UnitSource:
@@ -387,8 +398,41 @@ class UnitSource:
         stats.tuples_processed += raw_tuples
         rows = binding.bind_page(
             self._feed, result,
-            (name, input_key, page) if context.provenance else None,
+            # A rerouted unit's records also name the sibling serving it.
+            page if name == binding.service_name else (name, page),
         )
         if result.ranks and result.ranks[-1] >= self._rank_floor:
             self._rank_floor = result.ranks[-1] + 1
         return FetchedPage(rows, result.has_more, self._rank_floor)
+
+
+def page_records(
+    record: Record, bindings: Iterable[ServiceBinding]
+) -> tuple[ProvenanceRecord, ...]:
+    """The page pulls behind *record*, root first (a join's left chain
+    before its right one), one per service record on its chain.
+
+    *bindings* are the service bindings of the program that built the
+    chain.  Of each service record, the binding of its node names the
+    service, its feed record's values give the input key (through
+    :func:`~repro.execution.slots.unit_input_key`, the key the unit was
+    fetched under) and its page slot the page — with the sibling's
+    name when a sibling served the unit.
+    """
+    by_node = {binding.node_id: binding for binding in bindings}
+    pulls: list[ProvenanceRecord] = []
+
+    def walk(record: Record) -> None:
+        if len(record) == 4:
+            walk(record[2])
+            walk(record[3])
+        elif len(record) == 6:
+            _, _, feed, node_id, _, page = record
+            walk(feed)
+            binding = by_node[node_id]
+            name, page = page if type(page) is tuple else (binding.service_name, page)
+            _, key = unit_input_key(binding.pattern_code, binding.input_spec, feed[0])
+            pulls.append((name, key, page))
+
+    walk(record)
+    return tuple(pulls)

@@ -205,11 +205,6 @@ class ProgressiveExecutor:
     #: rounds on the engine's mask, so a continuation never re-awaits
     #: a block already proven unresponsive.
     resilience: ResilienceConfig | None = None
-    #: Opt-in per-row ``(service, input key, page)`` audit records
-    #: (:data:`~repro.execution.results.ProvenanceRecord`); provenance
-    #: rides inside :class:`~repro.execution.results.Row`, so resumed
-    #: stream rounds carry it automatically.
-    row_provenance: bool = False
     #: Maps the observed mean response times (service name -> virtual
     #: seconds, cumulative across all drifts so far) to a replacement
     #: plan, or to None to keep the current one (the splice then only
@@ -234,7 +229,6 @@ class ProgressiveExecutor:
             self.registry,
             cache_setting=self.cache_setting,
             resilience=self.resilience,
-            row_provenance=self.row_provenance,
             drift_monitor=self._fresh_monitor(),
         )
         # One shared cache across all rounds: continuations are free

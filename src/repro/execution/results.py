@@ -8,22 +8,24 @@ leads back to where it came from —
 * ``(values, rank_sum, parent, node_id, rank, page)`` — a service step
   bound a result tuple against the feed record *parent*; ``rank`` is the
   tuple's 0-based rank index in the service's result list (``None`` for
-  an unranked service) and ``page`` its
-  :data:`ProvenanceRecord` (``None`` unless row provenance is on);
+  an unranked service) and ``page`` the index of the page it came from,
+  or ``(sibling, page index)`` when a sibling service served the unit
+  (:func:`~repro.execution.fetch.page_records` reads it back);
 * ``(values, rank_sum, left, right)`` — a join merged two records.
 
 ``values`` is aligned with the one :class:`SlotLayout` of the step that
 built the record, and ``rank_sum`` is the sum of the rank indexes along
 the chain — everything a binding check, a predicate, a join key, a
-certificate or a candidate order reads.  The per-service ``ranks`` and
-the provenance are read only for tuples that reach the answer, so they
-are derived then, by walking the chain (:func:`emit`): the one place a
-:class:`Row` is built from a record.
+certificate or a candidate order reads.  The per-service ``ranks`` are
+read only for tuples that reach the answer, so they are derived then,
+by walking the chain (:func:`emit`): the one place a :class:`Row` is
+built from a record.
 
 A :class:`Row` is the answer and test surface: a layout plus the value
 tuple aligned with it, ``ranks`` — for every search-service node
 traversed, the rank index the contributing tuple had in that service's
-result list — and ``provenance``, the opt-in audit trail.
+result list — and ``record``, the chain it was emitted from, from which
+a response that asks for them derives the answer's page records.
 
 Layouts are created in exactly three places: by a service node
 compiled against its feed layout
@@ -59,14 +61,6 @@ Record = tuple
 
 #: The record every execution starts from: the empty input tuple.
 ROOT: Record = ((), 0)
-
-#: One per-row provenance record: ``(service name, input key, page)``
-#: — which service invocation (with which bound inputs) and which page
-#: of its chunked output contributed a tuple to the row.  The input
-#: key is the engine's ``(pattern code, ((position, value), ...))``
-#: cache/accounting key, so a record names exactly one logical-cache
-#: unit and one :class:`PartialResultCertificate` block.
-ProvenanceRecord = tuple[str, tuple, int]
 
 
 class SlotLayout:
@@ -106,33 +100,32 @@ class Row:
     """One tuple of bound values with ranking provenance.
 
     ``values`` is aligned with ``layout.variables``.  The engine builds
-    rows with ``Row(layout=..., values=...)``; ``Row(bindings=...)``
-    derives a private layout from the mapping's key order and is what
-    hand-built rows use.  Rows are immutable by convention: a changed
-    row is a new ``Row``.
+    rows with ``Row(layout=..., values=..., record=...)``;
+    ``Row(bindings=...)`` derives a private layout from the mapping's
+    key order and is what hand-built rows use (their ``record`` is
+    None).  Rows are immutable by convention: a changed row is a new
+    ``Row``.
 
-    ``provenance`` holds one :data:`ProvenanceRecord` per contributing
-    service page pull, in contribution order.  It is populated only
-    when the engine runs with ``row_provenance=True``; the default
-    stays the empty tuple everywhere.  The engine builds a row only
-    when it emits an answer (:func:`emit`).  Provenance never
-    participates in :meth:`rank_key` or any join/ordering decision — it
-    is an audit trail riding along.
+    ``record`` is the record chain an engine row was emitted from
+    (:func:`emit`): the page records of the answer are derived from it
+    when a response renders them
+    (:func:`~repro.execution.fetch.page_records`), and it takes part in
+    no comparison, rank or join decision.
 
     Equality is by content: the same variable → value mapping (slot
-    order is irrelevant), the same ranks, the same provenance.
+    order is irrelevant) and the same ranks.
     """
 
-    __slots__ = ("layout", "values", "ranks", "provenance")
+    __slots__ = ("layout", "values", "ranks", "record")
 
     def __init__(
         self,
         bindings: Mapping[Hashable, object] | None = None,
         ranks: tuple[tuple[str, int], ...] = (),
-        provenance: tuple[ProvenanceRecord, ...] = (),
         *,
         layout: SlotLayout | None = None,
         values: tuple = (),
+        record: Record | None = None,
     ) -> None:
         if layout is None:
             bindings = bindings or {}
@@ -141,7 +134,7 @@ class Row:
         self.layout = layout
         self.values = values
         self.ranks = ranks
-        self.provenance = provenance
+        self.record = record
 
     @property
     def bindings(self) -> Mapping[Hashable, object]:
@@ -155,7 +148,7 @@ class Row:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Row):
             return NotImplemented
-        if self.ranks != other.ranks or self.provenance != other.provenance:
+        if self.ranks != other.ranks:
             return False
         if self.layout == other.layout:
             return self.values == other.values
@@ -164,10 +157,7 @@ class Row:
     __hash__ = None  # type: ignore[assignment]  # values may be unhashable
 
     def __repr__(self) -> str:
-        return (
-            f"Row(bindings={dict(self.bindings)!r}, ranks={self.ranks!r}, "
-            f"provenance={self.provenance!r})"
-        )
+        return f"Row(bindings={dict(self.bindings)!r}, ranks={self.ranks!r})"
 
     def value(self, variable: Hashable) -> object:
         """The value bound to *variable*."""
@@ -186,24 +176,20 @@ class Row:
 
 def emit(record: Record, layout: SlotLayout) -> Row:
     """The answer row of *record*, whose values are laid out as *layout*:
-    its ``ranks`` and provenance are read off the record's chain."""
-    ranks, provenance = _trail(record)
-    return Row(layout=layout, values=record[0], ranks=ranks, provenance=provenance)
+    its ``ranks`` are read off the record's chain."""
+    return Row(layout=layout, values=record[0], ranks=_ranks(record), record=record)
 
 
-def _trail(record: Record) -> tuple[tuple, tuple]:
-    """``(ranks, provenance)`` along *record*'s chain, root first (a
-    join's left chain before its right one)."""
+def _ranks(record: Record) -> tuple[tuple[str, int], ...]:
+    """The ``(node id, rank)`` pairs along *record*'s chain, root first
+    (a join's left chain before its right one)."""
     if len(record) == 2:
-        return (), ()
-    ranks, provenance = _trail(record[2])
+        return ()
+    ranks = _ranks(record[2])
     if len(record) == 4:
-        right_ranks, right_provenance = _trail(record[3])
-        return ranks + right_ranks, provenance + right_provenance
-    _, _, _, node_id, rank, page = record
-    if rank is not None:
-        ranks += ((node_id, rank),)
-    return ranks, provenance if page is None else provenance + (page,)
+        return ranks + _ranks(record[3])
+    rank = record[4]
+    return ranks if rank is None else ranks + ((record[3], rank),)
 
 
 @dataclass

@@ -54,7 +54,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from repro.execution.results import ProvenanceRecord, Record, SlotLayout
+from repro.execution.results import Record, SlotLayout
 from repro.model.predicates import (
     ARITHMETIC_OPERATORS,
     COMPARISON_OPERATORS,
@@ -366,23 +366,19 @@ class ServiceBinding:
             self.node_id, *constants, *predicates
         )
 
-    def unit(self, feed_values: tuple) -> tuple[dict[int, object], tuple]:
-        """``(inputs, input key)`` of the unit one feed row addresses."""
-        return unit_input_key(self.pattern_code, self.input_spec, feed_values)
-
     def bind_page(
         self,
         feed: Record,
         result: "InvocationResult",
-        page: ProvenanceRecord | None = None,
+        page: int | tuple[str, int],
     ) -> list[Record]:
         """The records one fetched page contributes for the record *feed*.
 
         Binds every result tuple against the feed values and filters by
         the node predicates; each surviving tuple becomes the record
         ``(values, rank sum, feed, node id, service rank, page)``, where
-        *page* is the page's provenance record when row provenance is
-        on (``None`` otherwise).
+        *page* is the page slot the fetch seam fills in: the page index,
+        or ``(sibling, page index)`` for a rerouted unit.
         """
         return self._kernel(feed, result, page)
 

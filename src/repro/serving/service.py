@@ -67,7 +67,7 @@ from repro.execution.cache import (
     make_cache,
 )
 from repro.execution.engine import ExecutionResult, check_count
-from repro.execution.fetch import UnitRouting
+from repro.execution.fetch import UnitRouting, page_records
 from repro.execution.program import ExecutionProgram
 from repro.execution.progressive import ProgressiveExecutor, ProgressiveRound
 from repro.execution.resilience import ResilienceConfig
@@ -107,13 +107,19 @@ def _parse(text: str) -> tuple[ConjunctiveQuery, str]:
 class QueryResponse:
     """One JSON-serializable answer to ``submit``/``ask_for_more``.
 
-    ``rows`` are the projected head tuples in composed rank order;
-    ``rank_keys`` the aggregated rank of each row; ``ranks`` the
-    per-row provenance (``(node_id, service rank index)`` pairs).
-    ``provenance`` records where the plan came from: ``"optimized"``
-    (cache miss, branch-and-bound ran), ``"memory"`` / ``"disk"``
-    (plan-cache tiers), or ``"session"`` (a resumed continuation —
-    no plan lookup at all).
+    ``rows`` are the projected head tuples in composed rank order and
+    ``rank_keys`` the aggregated rank of each row.  Three fields say
+    where something came from, and they answer three questions:
+
+    * ``ranks`` — which rank each answer had in each ranked service it
+      was joined from: per row, ``(node_id, service rank index)``
+      pairs;
+    * ``provenance`` — where the *plan* came from: ``"optimized"``
+      (cache miss, branch-and-bound ran), ``"memory"`` / ``"disk"``
+      (plan-cache tiers), or ``"session"`` (a resumed continuation —
+      no plan lookup at all);
+    * ``row_provenance`` — which *pages* each answer was read from,
+      the opt-in audit trail below.
 
     ``partial`` is the partial-result certificate of a service running
     with ``ResilienceConfig(partial_results=True)``: which service
@@ -125,13 +131,15 @@ class QueryResponse:
 
     ``row_provenance`` is the opt-in per-row audit trail
     (``QueryService(row_provenance=True)``): one record list per
-    answer row, each record a dict with ``service`` (service name),
-    ``input`` (the ``[pattern code, [[position, value], ...]]`` cache
-    key the call was made under), ``page`` (the 0-based page index the
-    tuple came from), and ``epoch`` (the registry content epoch the
-    answer was computed against).  ``None`` when disabled — and the
-    key is then omitted from :meth:`to_dict`/:meth:`to_json` entirely,
-    so disabled responses are byte-identical to pre-provenance ones.
+    answer row, one record per page pull on the row's path, each a
+    dict with ``service`` (the service that served the page — a
+    sibling when the unit was rerouted), ``input`` (the
+    ``[pattern code, [[position, value], ...]]`` cache key the call
+    was made under), ``page`` (the 0-based page index the tuple came
+    from), and ``epoch`` (the registry content epoch the answer was
+    computed against).  ``None`` when disabled — and the key is then
+    omitted from :meth:`to_dict`/:meth:`to_json` entirely, so disabled
+    responses are byte-identical to pre-provenance ones.
     """
 
     session_id: str
@@ -176,9 +184,7 @@ class QueryResponse:
         # Omitted (not null) when disabled: the rendering of a
         # provenance-off response must not change by a byte.
         if self.row_provenance is not None:
-            rendered["row_provenance"] = [
-                list(row_records) for row_records in self.row_provenance
-            ]
+            rendered["row_provenance"] = [list(row) for row in self.row_provenance]
         return rendered
 
     def to_json(self) -> str:
@@ -257,10 +263,11 @@ class QueryService:
     resilience: ResilienceConfig | None = None
     #: Opt-in per-row provenance: responses carry, for every answer
     #: row, the ``(service, input key, page, epoch)`` records of the
-    #: service pulls that produced it.  Answer rows, ranks, and order
-    #: are unchanged either way (provenance is an audit trail the
-    #: engine threads through :class:`~repro.execution.results.Row`);
-    #: disabled responses render byte-identically to before.
+    #: service pulls that produced it, derived from the row's record
+    #: chain when the response is built
+    #: (:func:`~repro.execution.fetch.page_records`).  The execution
+    #: is the same either way; disabled responses render
+    #: byte-identically to before.
     row_provenance: bool = False
     #: Opt-in mid-flight adaptivity (:mod:`repro.serving.breaker`):
     #: the per-service circuit breakers accumulate observed health
@@ -534,7 +541,6 @@ class QueryService:
             shared_cache=self._service_cache,
             reset_remote=False,
             resilience=self._exec_resilience,
-            row_provenance=self.row_provenance,
             replan=replan if self.breaker is not None else None,
         )
         self._apply_breaker_routing(executor.engine.routing, plan)
@@ -648,11 +654,18 @@ class QueryService:
             ),
         }
         certificate = result.certificate
-        row_provenance = (
-            tuple(self._provenance_records(row, epoch) for row in top)
-            if self.row_provenance
-            else None
-        )
+        row_provenance = None
+        if self.row_provenance:
+            # Derived from each answer's record chain, stamped with the
+            # registry content epoch the answer was computed against.
+            bindings = [step.binding for step in result.program.steps if step.binding]
+            row_provenance = tuple(
+                tuple(
+                    {"epoch": epoch, "input": key, "page": page, "service": name}
+                    for name, key, page in page_records(row.record, bindings)
+                )
+                for row in top
+            )
         return QueryResponse(
             session_id=session_id,
             k=k,
@@ -671,18 +684,4 @@ class QueryService:
             stats=stats,
             partial=certificate.to_dict() if certificate else None,
             row_provenance=row_provenance,
-        )
-
-    @staticmethod
-    def _provenance_records(row, epoch: str) -> tuple[dict, ...]:
-        """One answer row's provenance, JSON-ready and epoch-stamped.
-
-        Each engine record is ``(service, (pattern, ((pos, value),
-        ...)), page)``; the rendering stamps the registry content epoch
-        the answer was computed against, giving the
-        ``(service, input key, page index, epoch)`` record format.
-        """
-        return tuple(
-            {"epoch": epoch, "input": input_key, "page": page, "service": service}
-            for service, input_key, page in row.provenance
         )

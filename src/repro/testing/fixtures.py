@@ -46,20 +46,15 @@ def as_record(row: Row) -> Record:
     """The record chain *row* stands for: ``emit(as_record(row),
     row.layout) == row``.
 
-    One service record per entry of the row's ``ranks`` and provenance
-    (paired by position, ``None`` where one runs out) over a root that
-    holds the row's values, each carrying the row's values and the rank
-    sum so far — so the last one carries ``row.rank_key()``.
+    One service record per entry of the row's ``ranks`` over a root
+    that holds the row's values, each carrying the row's values and the
+    rank sum so far — so the last one carries ``row.rank_key()``.
     """
-    ranks, provenance = row.ranks, row.provenance
     record = (row.values, 0)
     total = 0
-    for index in range(max(len(ranks), len(provenance))):
-        node_id, rank = ranks[index] if index < len(ranks) else (None, None)
-        if rank is not None:
-            total += rank
-        page = provenance[index] if index < len(provenance) else None
-        record = (row.values, total, record, node_id, rank, page)
+    for node_id, rank in row.ranks:
+        total += rank
+        record = (row.values, total, record, node_id, rank, None)
     return record
 
 

@@ -107,11 +107,7 @@ def merged_with(row: Row, other: Row) -> Row | None:
             merged[variable] = value
         elif merged[variable] != value:
             return None
-    return Row(
-        bindings=merged,
-        ranks=row.ranks + other.ranks,
-        provenance=row.provenance + other.provenance,
-    )
+    return Row(bindings=merged, ranks=row.ranks + other.ranks)
 
 
 def execute_join(
@@ -195,7 +191,7 @@ def bind_outputs(row: Row, values: tuple, terms: list) -> Row | None:
                 return None
         else:
             bindings[term] = value
-    return Row(bindings=bindings, ranks=row.ranks, provenance=row.provenance)
+    return Row(bindings=bindings, ranks=row.ranks)
 
 
 def _run_service_node(
@@ -225,17 +221,11 @@ def _run_service_node(
     return produced
 
 
-def bind_page(
-    node: ServiceNode, row: Row, result: InvocationResult, record=None
-) -> list[Row]:
+def bind_page(node: ServiceNode, row: Row, result: InvocationResult) -> list[Row]:
     """The rows one fetched page of *node* contributes for *row*, in
-    dict rows: what ``ServiceBinding.bind_page`` must produce.  *record*
-    (row provenance on) is appended to the row's provenance trail."""
+    dict rows: what ``ServiceBinding.bind_page`` must produce."""
     assert node.atom is not None
     terms = [node.atom.term_at(position) for position in range(node.atom.arity)]
-    if record is not None:
-        row = Row(bindings=row.bindings, ranks=row.ranks,
-                  provenance=row.provenance + (record,))
     produced: list[Row] = []
     ranks = result.ranks or (None,) * len(result.tuples)
     for values, rank in zip(result.tuples, ranks):
@@ -246,7 +236,6 @@ def bind_page(
             merged = Row(
                 layout=merged.layout, values=merged.values,
                 ranks=merged.ranks + ((node.node_id, rank),),
-                provenance=merged.provenance,
             )
         if all(p.holds(merged.bindings) for p in node.predicates):
             produced.append(merged)

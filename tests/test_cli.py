@@ -72,6 +72,27 @@ class TestQueryCommand:
         assert second["stats"]["service_calls"] == 0  # shared service cache
         assert snapshot["plan_cache"]["memory_hits"] == 1
 
+    def test_readme_provenance_query_stamps_every_answer(self, capsys):
+        """README's ``query --domain biblio-sqlite -k 4 --provenance``:
+        every answer carries the page records it was read from, each
+        stamped with the registry epoch the response was computed at."""
+        import json
+
+        assert main(
+            ["query", "--domain", "biblio-sqlite", "-k", "4", "--provenance"]
+        ) == 0
+        response = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert len(response["rows"]) == 4
+        assert len(response["row_provenance"]) == 4
+        for records in response["row_provenance"]:
+            assert {record["service"] for record in records} == {
+                "pubsearch", "authors", "projects",
+            }
+            for record in records:
+                assert set(record) == {"service", "input", "page", "epoch"}
+                assert record["epoch"] == response["epoch"]
+                assert record["page"] >= 0
+
     def test_adhoc_query_and_disk_persistence(self, capsys, tmp_path):
         cache_path = str(tmp_path / "plans.json")
         query = (

@@ -962,13 +962,11 @@ def test_parameter_budget(capsys):
 
     budget = {
         ExecutionEngine: (
-            "registry", "cache_setting", "resilience", "row_provenance",
-            "drift_monitor",
+            "registry", "cache_setting", "resilience", "drift_monitor",
         ),
         ProgressiveExecutor: (
             "registry", "plan", "head", "mode", "cache_setting",
-            "shared_cache", "reset_remote", "resilience", "row_provenance",
-            "replan",
+            "shared_cache", "reset_remote", "resilience", "replan",
         ),
         PlanCache: ("path", "capacity", "tenant_quota"),
         SQLiteDiskTier: ("path",),
@@ -1014,9 +1012,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3307,
+        "src/repro/execution + serving": 3306,
         "src/repro/optimizer + plans + costs": 2083,
-        "src/repro outside testing": 8891,
+        "src/repro outside testing": 8890,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

@@ -10,8 +10,11 @@ from repro.execution.results import (
     SlotLayout,
     emit,
 )
-from repro.model.terms import Variable
+from repro.execution.fetch import page_records
+from repro.model.terms import Constant, Variable
 from repro.testing import as_record, compose_ranking, merged_with
+
+from tests.test_provenance import _binding
 
 
 def _row(ranks=(), **bindings):
@@ -153,41 +156,52 @@ class TestResultTable:
 
 class TestRecords:
     """Until it is emitted a bound tuple is a record; ``emit`` reads an
-    answer's ranks and provenance off the record's chain."""
+    answer's ranks off the record's chain and keeps the chain, from
+    which ``page_records`` derives its page pulls."""
 
     def test_emit_walks_service_records_and_joins(self):
-        layout = SlotLayout((Variable("A"), Variable("B")))
-        page = ("svc", ("io", ((0, "q"),)), 1)
-        first = ((1,), 2, ROOT, "s1", 2, page)
-        unranked = ((1, 5), 2, first, "s2", None, None)
-        other = ((7,), 3, ROOT, "s3", 3, None)
+        a, b, c = Variable("A"), Variable("B"), Variable("C")
+        layout = SlotLayout((a, b))
+        first = ((1,), 2, ROOT, "s1", 2, 1)
+        # s2's unit was served by the sibling "sib".
+        unranked = ((1, 5), 2, first, "s2", None, ("sib", 0))
+        other = ((7,), 3, ROOT, "s3", 3, 4)
         joined = ((1, 5, 7), 5, unranked, other)
         assert emit(unranked, layout) == Row(
-            layout=layout, values=(1, 5), ranks=(("s1", 2),), provenance=(page,)
+            layout=layout, values=(1, 5), ranks=(("s1", 2),)
         )
-        row = emit(joined, SlotLayout((*layout.variables, Variable("C"))))
+        row = emit(joined, SlotLayout((*layout.variables, c)))
         assert row.ranks == (("s1", 2), ("s3", 3))
-        assert row.provenance == (page,)
         assert row.rank_key() == joined[1]
+        assert row.record is joined
+        bindings = [
+            _binding("s1", "svc", (Constant("q"), a), "io"),
+            _binding("s2", "ex", (a, b), "io", SlotLayout((a,))),
+            _binding("s3", "other", (Constant("q"), c), "io"),
+        ]
+        assert page_records(row.record, bindings) == (
+            ("svc", ("io", ((0, "q"),)), 1),
+            ("sib", ("io", ((0, 1),)), 0),
+            ("other", ("io", ((0, "q"),)), 4),
+        )
         assert emit(ROOT, SlotLayout(())) == Row()
+        assert page_records(ROOT, bindings) == ()
 
     @given(
         st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 9)), max_size=4),
-        st.lists(st.tuples(st.sampled_from("xy"), st.just(()), st.integers(0, 3)),
-                 max_size=4),
         st.lists(st.integers(0, 3), min_size=1, max_size=3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_a_hand_built_row_round_trips_through_its_record(
-        self, ranks, provenance, values
-    ):
+    def test_a_hand_built_row_round_trips_through_its_record(self, ranks, values):
         row = Row(
             bindings={Variable(f"V{i}"): value for i, value in enumerate(values)},
-            ranks=tuple(ranks), provenance=tuple(provenance),
+            ranks=tuple(ranks),
         )
         record = as_record(row)
         assert record[1] == row.rank_key()
-        assert emit(record, row.layout) == row
+        emitted = emit(record, row.layout)
+        assert emitted == row
+        assert emitted.record is record
 
 
 class TestRowsBuiltPerAnswer:

@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.engine import ExecutionEngine, ExecutionError
+from repro.execution.fetch import page_records
 from repro.execution.lazy import LazyServiceCursor
 from repro.execution.results import Row, SlotLayout
 from repro.execution.slots import (
@@ -82,10 +83,11 @@ def _share_one_layout(rows):
     return all(row.layout is rows[0].layout for row in rows)
 
 
-def _bound(binding, feed, page, record=None):
-    """``binding.bind_page`` of a hand-built feed row: its record in,
-    the rows the bound records emit out."""
-    return emitted(binding.bind_page(as_record(feed), page, record), binding.layout)
+def _bound(binding, feed, page, slot=0):
+    """``binding.bind_page`` of a hand-built feed row, *slot* in every
+    record's page slot: its record in, the rows the bound records emit
+    out."""
+    return emitted(binding.bind_page(as_record(feed), page, slot), binding.layout)
 
 
 class TestSlotLayout:
@@ -111,7 +113,7 @@ class TestSlotLayout:
         row = Row(bindings={K: 1}, ranks=(("s", 0),))
         assert repr(row.layout) == "<SlotLayout [K]>"
         assert repr(row) == (
-            "Row(bindings={Variable('K'): 1}, ranks=(('s', 0),), provenance=())"
+            "Row(bindings={Variable('K'): 1}, ranks=(('s', 0),))"
         )
         assert row != "not a row" and row.layout != (K,)
 
@@ -411,17 +413,17 @@ class TestOutputBindingProgram:
         )
 
     def _assert_binds_like_the_reference(self, terms, tuples, predicates=(),
-                                         feed=None, ranked=True, record=None):
+                                         feed=None, ranked=True, slot=0):
         binding, node, feed = self._binding(terms, predicates, feed)
         page = self._page(tuples, ranked)
-        rows = _bound(binding, feed, page, record)
-        assert rows == reference_bind_page(node, feed, page, record)
+        rows = _bound(binding, feed, page, slot)
+        assert rows == reference_bind_page(node, feed, page)
         assert all(row.layout is binding.layout for row in rows)
         return rows
 
     @pytest.mark.parametrize("ranked", [False, True])
-    @pytest.mark.parametrize("record", [None, ("svc", ("o", ()), 0)])
-    def test_every_opcode_on_ranked_and_unranked_pages(self, ranked, record):
+    @pytest.mark.parametrize("slot", [0, ("svc_backup", 3)])
+    def test_every_opcode_on_ranked_and_unranked_pages(self, ranked, slot):
         # X is fed (CHECK), "c" a selection (CONST), Y fresh then
         # repeated (FRESH, DUP), R fresh and filtered by a predicate.
         terms = (X, Constant("c"), Y, Y, R)
@@ -435,14 +437,18 @@ class TestOutputBindingProgram:
         ]
         rows = self._assert_binds_like_the_reference(
             terms, tuples, [Comparison(R, "<", Constant(5))],
-            ranked=ranked, record=record,
+            ranked=ranked, slot=slot,
         )
         assert [row.values for row in rows] == [(1, 2, 5, 0), (1, 2, 8, 1)]
         assert [row.ranks for row in rows] == (
             [(("s1", 10),), (("s1", 15),)] if ranked else [(), ()]
         )
-        assert {row.provenance for row in rows} == {
-            () if record is None else (record,)
+        # Each record's pull: the binding's service (or the sibling the
+        # slot names), the unit key of its all-output pattern, the page.
+        binding, _, _ = self._binding(terms)
+        service, index = ("svc", slot) if slot == 0 else slot
+        assert {page_records(row.record, [binding]) for row in rows} == {
+            ((service, ("ooooo", ()), index),)
         }
 
     @given(
@@ -559,7 +565,7 @@ class TestKernelsInTracebacks:
         )
         page = TestOutputBindingProgram._page([(1, "text")], ranked=True)
         with pytest.raises(PredicateError) as error:
-            binding.bind_page(as_record(feed), page)
+            binding.bind_page(as_record(feed), page, 0)
         frames = traceback.extract_tb(error.value.__traceback__)
         kernel = [frame for frame in frames if "kernel" in frame.filename]
         assert [frame.filename for frame in kernel] == ["<binding kernel C0 F1 p1>"]
