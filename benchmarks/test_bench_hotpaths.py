@@ -33,11 +33,7 @@ from benchmarks.conftest import table, write_artifact
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting, make_cache
 from repro.execution.engine import ExecutionEngine
-from repro.execution.lazy import (
-    LazyServiceCursor,
-    MaterializedCursor,
-    MultiFeedCursor,
-)
+from repro.execution.lazy import MaterializedCursor, MultiFeedCursor
 from repro.execution.program import ExecutionProgram
 from repro.execution.results import Row, SlotLayout
 from repro.model.predicates import BinaryExpression, Comparison
@@ -202,13 +198,13 @@ def _slot_plane_point(side: int) -> dict:
 
 def _block_cursor(
     count: int,
-) -> tuple[MultiFeedCursor, list[LazyServiceCursor], list[Row], int]:
+) -> tuple[MultiFeedCursor, list[ListPageSource], list[Row], int]:
     """A cursor over *count* blocks with rising base ranks (opened on
-    demand from a materialized feed of *count* rows), the blocks
-    themselves, the eager feed-order concatenation and its page-fetch
+    demand from a materialized feed of *count* rows), the blocks'
+    units, the eager feed-order concatenation and its page-fetch
     total."""
     key, value = Variable("K"), Variable("V")
-    cursors: list[LazyServiceCursor] = []
+    sources: list[ListPageSource] = []
     eager: list[Row] = []
     eager_pages = 0
     for block in range(count):
@@ -231,26 +227,22 @@ def _block_cursor(
         for page in pages:
             seen += len(page)
             floors.append(ranks[seen] if seen < len(ranks) else 10**9)
-        cursors.append(
-            LazyServiceCursor(
-                ListPageSource(pages=pages, rank_floors=floors), base_rank=base
-            )
-        )
+        sources.append(ListPageSource(pages=pages, rank_floors=floors))
     feed = MaterializedCursor(as_records([
         Row(bindings={key: block}, ranks=((f"feed{block}", block),))
         for block in range(count)
     ]))
-    opening = iter(cursors)
-    cursor = MultiFeedCursor(feed, lambda row, rank: next(opening))
-    return cursor, cursors, eager, eager_pages
+    opening = iter(sources)
+    cursor = MultiFeedCursor(feed, lambda record: next(opening))
+    return cursor, sources, eager, eager_pages
 
 
 def _block_sweep_point(count: int) -> dict:
-    cursor, blocks, eager, eager_pages = _block_cursor(count)
+    cursor, sources, eager, eager_pages = _block_cursor(count)
     cursor.ensure(BLOCK_DEMAND)
-    # What the demand pulled, read off the blocks and their sources.
-    lazy_pages = sum(b.pages_fetched for b in blocks)
-    tuples = sum(b._source.rows_pulled for b in blocks)
+    # What the demand pulled, read off the blocks' units.
+    lazy_pages = sum(len(source.fetch_log) for source in sources)
+    tuples = sum(source.rows_pulled for source in sources)
     # Laziness bounds, asserted at every point: the demand-driven pulls
     # never exceed the eager universe.
     assert lazy_pages <= eager_pages
@@ -267,7 +259,7 @@ def _block_sweep_point(count: int) -> dict:
         "eager_pages": eager_pages,
         "tuples_fetched": tuples,
         "eager_tuples": len(eager),
-        "blocks_untouched": sum(not b.pages_fetched for b in blocks),
+        "blocks_untouched": sum(not source.fetch_log for source in sources),
     }
     cursor.ensure_all()
     assert _row_signature(emitted(cursor.rows, layout)) == _row_signature(eager)

@@ -38,7 +38,12 @@ Five workloads:
   each of its templates, each on a fresh service: per round, the cells
   the join walks ran through their kernel, the candidates they kept
   and the pages pulled.  The kernels are wrapped to count
-  (``_counting_kernels``); a service-terminal plan runs none.
+  (``_counting_kernels``); a service-terminal plan runs none;
+* **template cursors** — one submit of each bench template at k = 3
+  and k = 5, each on a fresh service: the remote calls it made and the
+  block cursors its multi-feed cursors built.  A one-page block the
+  fetch policy takes at once is placed as a page, with no cursor; the
+  cursor class is wrapped to count (``_counting_block_cursors``).
 
 Three engines run each plan:
 
@@ -74,6 +79,7 @@ import pytest
 
 from benchmarks.conftest import table, write_artifact
 from repro.execution.cache import CacheSetting
+from repro.execution import lazy
 from repro.execution.engine import ExecutionEngine
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.slots import SlotJoinPlan
@@ -425,15 +431,65 @@ def _counting_kernels(counts: Counter):
         SlotJoinPlan.kernel = build
 
 
+@contextmanager
+def _counting_block_cursors(counts: Counter):
+    """Every block cursor a multi-feed cursor builds inside adds one to
+    ``counts["block_cursors"]`` (a single-feed step's cursor is built
+    by the engine, and a teed head is its own class: neither counts)."""
+    build = lazy.LazyServiceCursor
+
+    class Counted(build):
+        def __init__(self, *args) -> None:
+            counts["block_cursors"] += 1
+            super().__init__(*args)
+
+    lazy.LazyServiceCursor = Counted
+    try:
+        yield
+    finally:
+        lazy.LazyServiceCursor = build
+
+
+def _bench_workloads():
+    """The frozen bench's ``workloads`` module."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
+def _template_cursors() -> list[dict]:
+    """One submit of each bench template (popularity order, each on a
+    fresh service) at k = 3 and k = 5: its answers, its remote calls
+    and the block cursors built."""
+    workloads = _bench_workloads()
+    points = []
+    for k in (3, 5):
+        for number, request in enumerate(workloads.zipf_population(k=k), 1):
+            service = QueryService(workloads.IN_MEMORY[request.domain]())
+            counts: Counter = Counter()
+            with _counting_block_cursors(counts):
+                response = service.submit(request.text, request.k)
+            executor = service.sessions.get(response.session_id).executor
+            points.append({
+                "template": f"{number}:{request.domain}",
+                "k": k,
+                "answers": len(response.rows),
+                "calls": sum(r.stats.total_calls for r in executor.rounds),
+                "block_cursors": counts["block_cursors"],
+            })
+    return points
+
+
 def _template_sessions() -> list[dict]:
     """Per round of ``sessions_more``'s script on each bench template
     (popularity order, each on a fresh service): the join walks'
     kernel cells and kept candidates, and the pages pulled."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-    try:
-        from workloads import IN_MEMORY, MORE, SESSION, zipf_population
-    finally:
-        sys.path.pop(0)
+    workloads = _bench_workloads()
+    IN_MEMORY, MORE, SESSION = workloads.IN_MEMORY, workloads.MORE, workloads.SESSION
+    zipf_population = workloads.zipf_population
     assert SESSION.count("more") == 3
     points = []
     for number, request in enumerate(zipf_population(k=3), 1):
@@ -582,4 +638,8 @@ def test_write_counts_lazy(out_dir):
               "three more 3) on each bench template, a fresh service each; "
               "per round, the join kernels' cells and kept candidates, and "
               "the pages pulled", _template_sessions()),
+        table("Template cursors: one submit of each bench template at k=3 "
+              "and k=5, a fresh service each; its answers, remote calls and "
+              "the block cursors built (a one-page block taken at once is a "
+              "page, not a cursor)", _template_cursors()),
     ]))

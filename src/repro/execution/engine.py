@@ -287,7 +287,7 @@ class ExecutionEngine:
                             # A shared head that growth will extend:
                             # drained as eagerly, through one cursor.
                             tee = HeadTee(
-                                UnitSource(context, step, ROOT, accounting),
+                                UnitSource(context, step, accounting, ROOT),
                                 ROOT[1],
                             )
                             outputs[index] = tee.rows
@@ -419,7 +419,7 @@ class ExecutionEngine:
         """
         produced: list[Record] = []
         for row in feed:
-            UnitSource(context, step, row, accounting).drain(produced)
+            UnitSource(context, step, accounting, row).drain(produced)
         return produced
 
     @staticmethod
@@ -435,20 +435,22 @@ class ExecutionEngine:
         feed rank is constant and service ranks only grow): a plain
         :class:`LazyServiceCursor`.  A multi-tuple feed — materialized
         rows, or the cursor of a lazy feeder — produces one such
-        *block* per feed row; each becomes its own budgeted cursor over
-        its own unit of the fetch seam (hence the per-input-tuple cache
-        and call accounting of eager execution), opened on demand
-        inside a :class:`MultiFeedCursor`, whose block-interleaving
-        certificate keeps the streamed walk sound.  Non-rank-monotone
+        *block* per feed row, each over its own unit of the fetch seam
+        (hence the per-input-tuple cache and call accounting of eager
+        execution): the :class:`MultiFeedCursor` is handed the opener
+        of units and opens them on demand, a block that waits or may
+        pull a second page as its own budgeted cursor, under the
+        block-interleaving certificate that keeps the streamed walk
+        sound.  Non-rank-monotone
         behavior is handled inside the cursors (a full drain of the
         offending block).
         """
-        open_block = partial(_open_block, context, step, accounting)
+        open_unit = partial(UnitSource, context, step, accounting)
         if not isinstance(feed, RowCursor):
             if len(feed) == 1:
-                return open_block(feed[0], feed[0][1])
+                return LazyServiceCursor(open_unit(feed[0]), feed[0][1])
             feed = MaterializedCursor(feed)
-        return MultiFeedCursor(feed, open_block)
+        return MultiFeedCursor(feed, open_unit)
 
 
 def elapsed(program: ExecutionProgram, stats: ExecutionStats) -> float:
@@ -465,16 +467,6 @@ def elapsed(program: ExecutionProgram, stats: ExecutionStats) -> float:
         start = max((finish[feed] for feed in step.feeds), default=0.0)
         finish.append(start + busy)
     return finish[-1]
-
-
-def _open_block(
-    context: RunContext, step: Step, accounting: Accounting,
-    feed: Record, base_rank: int,
-) -> LazyServiceCursor:
-    """The budgeted block of one feed record: a cursor over its unit."""
-    return LazyServiceCursor(
-        UnitSource(context, step, feed, accounting), base_rank
-    )
 
 
 class ChainStream(TopKStream):

@@ -297,8 +297,8 @@ class UnitSource:
         self,
         context: RunContext,
         step: Step,
-        feed: Record,
         accounting: Accounting,
+        feed: Record,
     ) -> None:
         binding = step.binding
         name = binding.service_name
@@ -410,7 +410,9 @@ def page_records(
     record: Record, bindings: Iterable[ServiceBinding]
 ) -> tuple[ProvenanceRecord, ...]:
     """The page pulls behind *record*, root first (a join's left chain
-    before its right one), one per service record on its chain.
+    before its right one), one per service record on its chain: a
+    record both sides of a join share (a head two lookups read) is
+    walked, and its pull listed, once.
 
     *bindings* are the service bindings of the program that built the
     chain.  Of each service record, the binding of its node names the
@@ -421,8 +423,14 @@ def page_records(
     """
     by_node = {binding.node_id: binding for binding in bindings}
     pulls: list[ProvenanceRecord] = []
+    # Records by identity: every record of the chain stays alive while
+    # it is walked.
+    walked: set[int] = set()
 
     def walk(record: Record) -> None:
+        if id(record) in walked:
+            return
+        walked.add(id(record))
         if len(record) == 4:
             walk(record[2])
             walk(record[3])

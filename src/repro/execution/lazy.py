@@ -28,8 +28,9 @@ This module provides the cursor abstraction that makes that sound:
 * :class:`LazyServiceCursor` — wraps a service invocation (through a
   :class:`PageSource`: a unit of the engine's fetch seam) and fetches
   pages only when the walk demands deeper rows;
-* :class:`MultiFeedCursor` — one such cursor per row of a *feed
-  cursor*, opened as the demand reaches them.
+* :class:`MultiFeedCursor` — one such block per row of a *feed
+  cursor*, opened as the demand reaches them (a one-page block the
+  policy takes at once is placed as a page, with no cursor).
 
 **Soundness of the certificate with partially fetched inputs.**  The
 streamed join suspends when a lower bound on the composed rank of every
@@ -57,9 +58,10 @@ input tuples produces one rank-monotone run of rows — a **block** —
 per feed tuple, concatenated in feed order; the concatenation as a
 whole is not monotone (each block restarts the service's rank sequence
 at the feed row's base rank).  :class:`MultiFeedCursor` lifts the
-single-feed argument to this shape: it owns one budgeted
-:class:`LazyServiceCursor` per block — opened in feed order, when the
-fetch policy first needs it — and keeps two invariants —
+single-feed argument to this shape: it owns one budgeted block per
+feed tuple — opened in feed order, when the fetch policy first needs
+it, as a :class:`LazyServiceCursor` unless it is one page placed at
+once — and keeps two invariants —
 
 * **placement** — the exposed ``rows`` list is always a *prefix of
   the eager concatenation*: a block's rows are appended (globally
@@ -437,11 +439,15 @@ class HeadTee(LazyServiceCursor):
 class MultiFeedCursor(RowCursor):
     """Demand-driven cursor over a multi-feed service node's blocks.
 
-    One budgeted :class:`LazyServiceCursor` per feed tuple ("block"),
-    *opened* — ``open_block(feed row, its rank)`` — in feed order as
-    the feed cursor places rows and the fetch policy asks for them; a
-    materialized feed (:class:`MaterializedCursor`) is the case where
-    every feed row is known up front.  The exposed ``rows`` list is
+    One budgeted block per feed tuple, *opened* — ``open_unit(feed
+    row)`` hands back its unit, a :class:`PageSource` — in feed order
+    as the feed cursor places rows and the fetch policy asks for them;
+    a materialized feed (:class:`MaterializedCursor`) is the case where
+    every feed row is known up front.  A block that waits in the heaps
+    or may pull a second page is a :class:`LazyServiceCursor` over its
+    unit; a **one-page block** (budget at most 1: every non-chunked
+    lookup, and a demoted unit's 0) that is the policy's next choice
+    is just a page — see :meth:`_open_next`.  The exposed ``rows`` list is
     always a prefix of the eager feed-order concatenation: a block's
     fetched rows are *placed* (appended globally) only once every
     earlier block is exhausted, which preserves the oracle's emission
@@ -467,7 +473,8 @@ class MultiFeedCursor(RowCursor):
     from the unexhausted open block with the lowest floor (ties toward
     the earliest feed), or, when the frontier is lower than every open
     floor, the next block is opened (demanding one more feed row, which
-    is how the walk's demand travels up a pipe chain).  Raising the
+    is how the walk's demand travels up a pipe chain); with nothing
+    open, one step opens a whole run of blocks.  Raising the
     smallest term is the only way the bound can improve, and the
     earliest-feed tie-break keeps the placement front moving; over a
     materialized feed the pages pulled, and their order, are exactly
@@ -508,10 +515,10 @@ class MultiFeedCursor(RowCursor):
     def __init__(
         self,
         feed: RowCursor,
-        open_block: Callable[[Record, int], LazyServiceCursor],
+        open_unit: Callable[[Record], PageSource],
     ) -> None:
         self._feed = feed
-        self._open_block = open_block
+        self._open_unit = open_unit
         self.rows = []
         self.ranks = []
         self._suffix: list[float] = [math.inf]
@@ -547,7 +554,10 @@ class MultiFeedCursor(RowCursor):
     def ensure(self, count: int) -> None:
         rows = self.rows
         while len(rows) < count and not self.exhausted:
-            self._step()
+            if self._blocks:
+                self._step()
+            else:
+                self._open_next(count)
 
     def ensure_all(self) -> None:
         feed = self._feed
@@ -619,7 +629,8 @@ class MultiFeedCursor(RowCursor):
         return math.inf
 
     def _step(self) -> None:
-        """One step of the fetch policy.
+        """One step of the fetch policy while blocks are open (with
+        none open, :meth:`_open_next` is the step).
 
         Fetches one page from the unexhausted open block with the
         lowest floor, unless the frontier undercuts it — then the next
@@ -648,37 +659,54 @@ class MultiFeedCursor(RowCursor):
                 return
             else:
                 break
-        self._open_next(pull=True)
+        self._open_next()
 
-    def _open_next(self, pull: bool = False) -> None:
-        """Open the block of the next feed row, demanding it from the
-        feed (a no-op when the feed runs dry instead).
+    def _open_next(self, count: int = 0) -> None:
+        """Open the block of the next feed row, demanding the row from
+        the feed (a no-op when the feed runs dry instead); with nothing
+        else open, go on to the rows after it until *count* rows are
+        placed or a block becomes a cursor.
 
-        With *pull* (the fetch policy asking) a block that would be the
-        policy's very next choice — nothing else is open and nothing
-        unseen is lower — has its first page fetched right away, and
-        when that page exhausts it (every block of a bulk service) its
-        rows are placed and the block is done: the front moves past it
-        without a heap or table entry ever existing for it.
+        With nothing else open, a block whose feed rank is no higher
+        than the frontier is the policy's very next choice, and its
+        first page is fetched at once.  A **one-page block** (its unit's
+        budget is at most 1: every non-chunked lookup, and a demoted
+        unit's 0) is then done: the page's rows are placed and the
+        front moves past it, without a cursor, a heap or a table entry
+        ever existing for it.  Any other block becomes a cursor: one
+        that may pull a second page is pulled at once (and placed and
+        passed if that page exhausts it); one that is not the next
+        choice, or opens beside open blocks, waits in the heaps.
         """
         feed = self._feed
-        index = self._opened
-        feed.ensure(index + 1)
-        if index >= len(feed.ranks):
-            return
-        rank = feed.ranks[index]
-        block = self._open_block(feed.take(index), rank)
-        self._opened = index + 1
+        feed_ranks = feed.ranks
+        rows, ranks = self.rows, self.ranks
         self._open_bound = None
-        if pull and not self._blocks and rank <= feed.suffix_min(index + 1):
-            block.pull_page()
-            if block.exhausted:
-                self.rows.extend(block.rows)
-                self.ranks.extend(block.ranks)
-                self._front = index + 1
+        while True:
+            index = self._opened
+            if index >= len(feed_ranks):
+                feed.ensure(index + 1)
+                if index >= len(feed_ranks):
+                    return
+            rank = feed_ranks[index]
+            source = self._open_unit(feed.take(index))
+            self._opened = index + 1
+            taken = not self._blocks and rank <= feed.suffix_min(index + 1)
+            budget = source.budget
+            if not taken or budget > 1:
+                block = LazyServiceCursor(source, rank)
+                if taken:
+                    block.pull_page()
+                self._blocks[index] = block
+                self._file(index, block)
                 return
-        self._blocks[index] = block
-        self._file(index, block)
+            if budget:
+                page = source.fetch(0).rows
+                rows.extend(page)
+                ranks.extend([row[1] for row in page])
+            self._front = index + 1
+            if len(rows) >= count:
+                return
 
     def _file(self, index: int, block: LazyServiceCursor) -> None:
         """Place what *block* has that can be placed and (re-)enter it

@@ -160,17 +160,18 @@ class ListPageSource:
     as records (:func:`as_record`); ``rank_floors``
     optionally gives the per-page floor for later tuples (defaults to
     the count of rows seen so far, the search-service convention).
+    ``budget`` defaults to every page (0 is a demoted unit's).
     ``fetch_log`` records every page requested, in order: what a test
     reads the pulled work from.
     """
 
     pages: list[list[Row]]
-    budget: int = 0
+    budget: int | None = None
     rank_floors: list[int] | None = None
     fetch_log: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.budget <= 0:
+        if self.budget is None:
             self.budget = len(self.pages)
 
     @property

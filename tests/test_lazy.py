@@ -197,14 +197,15 @@ class TestMultiFeedOverATee:
         rows it has not placed until something moves it: growth
         appending feed rows does, and the cursor places their blocks."""
 
-        def open_block(row, rank):
+        def open_unit(record):
+            rank = record[1]
             block = Row(
                 bindings={Variable("K"): 0, Variable("L"): rank}, ranks=(("L", rank),)
             )
-            return LazyServiceCursor(ListPageSource(pages=[[block]]), base_rank=rank)
+            return ListPageSource(pages=[[block]])
 
         feed = TeedCursor(as_records(_rows([0, 1], "F")))
-        cursor = MultiFeedCursor(feed, open_block)
+        cursor = MultiFeedCursor(feed, open_unit)
         cursor.ensure(2)
         assert cursor.ranks == [0, 1]
         assert cursor.exhausted and cursor.suffix_min(2) == math.inf

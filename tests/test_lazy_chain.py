@@ -667,13 +667,13 @@ def _floors(ranks, pages):
     return floors
 
 
-#: The layout of a block row of :func:`_block_cursors`.
+#: The layout of a block row of :func:`_block_sources`.
 _BLOCK = SlotLayout((Variable("B"), Variable("I")))
 
 
-def _block_cursors(spec, chunk, log):
-    """One logged block per ``(base rank, service ranks)`` + eager rows."""
-    blocks, eager = [], []
+def _block_sources(spec, chunk, log):
+    """One logged unit per ``(base rank, service ranks)`` + eager rows."""
+    sources, eager = [], []
     for index, (base, service_ranks) in enumerate(spec):
         ordered = sorted(service_ranks)
         rows = [
@@ -683,12 +683,19 @@ def _block_cursors(spec, chunk, log):
         ]
         eager += rows
         pages = _paged(rows, chunk)
-        blocks.append(LazyServiceCursor(
-            _LoggedSource(log, index, pages=pages,
-                          rank_floors=_floors(ordered, pages)),
-            base_rank=base,
+        sources.append(_LoggedSource(
+            log, index, pages=pages, rank_floors=_floors(ordered, pages)
         ))
-    return blocks, eager
+    return sources, eager
+
+
+def _block_cursors(spec, chunk, log):
+    """One logged block cursor per ``(base rank, service ranks)``."""
+    sources, _ = _block_sources(spec, chunk, log)
+    return [
+        LazyServiceCursor(source, base_rank=base)
+        for source, (base, _) in zip(sources, spec)
+    ]
 
 
 _spec = st.lists(
@@ -722,7 +729,7 @@ class _ScanningPolicy:
     """
 
     def __init__(self, spec, chunk, feed_chunk, log):
-        self.blocks, _ = _block_cursors(spec, chunk, log)
+        self.blocks = _block_cursors(spec, chunk, log)
         self.feed = _lazy_feed(spec, feed_chunk, log)
 
     def _known(self):
@@ -748,7 +755,7 @@ class _ScanningPolicy:
 
 
 class TestCursorOverAGrowingFeed:
-    @given(_spec, st.integers(1, 3), st.integers(1, 3), st.booleans(),
+    @given(_spec, st.integers(1, 6), st.integers(1, 3), st.booleans(),
            st.lists(st.integers(1, 4), max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_pulls_bound_and_counters_match_the_linear_scans(
@@ -757,15 +764,17 @@ class TestCursorOverAGrowingFeed:
         """The feed is itself a lazy cursor: blocks exist only for the
         feed rows pulled so far, and the feed's own bound competes.
         The work pulled — per block, and the blocks never fetched — is
-        read off the blocks' own positions: the scanning policy's."""
+        read off the units' page logs: the scanning policy's.  A chunk
+        that holds a whole block makes it one page, placed without a
+        cursor."""
         if sort_feed:  # a monotone feed is the common case; cover both
             spec = sorted(spec, key=lambda block: block[0])
         log, policy_log = [], []
-        blocks, eager = _block_cursors(spec, chunk, log)
+        sources, eager = _block_sources(spec, chunk, log)
         feed = _lazy_feed(spec, feed_chunk, log)
-        opening = iter(blocks)
-        cursor = MultiFeedCursor(feed, lambda row, rank: next(opening))
-        cursor.all_blocks = blocks
+        opening = iter(sources)
+        cursor = MultiFeedCursor(feed, lambda record: next(opening))
+        cursor.all_sources = sources
         policy = _ScanningPolicy(spec, chunk, feed_chunk, policy_log)
         reference = _LinearScanReference
         for demand in demands:
@@ -784,7 +793,7 @@ class TestCursorOverAGrowingFeed:
                     [r.rank_key() for r in emitted(cursor.rows[start:], _BLOCK)]
                     + [reference.unplaced_bound(cursor)]
                 )
-            pulled = [block.pages_fetched for block in blocks]
+            pulled = [len(source.fetch_log) for source in sources]
             assert pulled == [block.pages_fetched for block in policy.blocks]
             assert not any(pulled[cursor._opened :])
         cursor.ensure_all()
@@ -803,9 +812,9 @@ class TestCursorOverAGrowingFeed:
         """Pull for pull: the policy that opened every block up front
         and scanned them all for the lowest ``(floor, index)``."""
         log, parent_log = [], []
-        blocks, eager = _block_cursors(spec, chunk, log)
-        cursor = _cursor_over(blocks)
-        parents, _ = _block_cursors(spec, chunk, parent_log)
+        sources, eager = _block_sources(spec, chunk, log)
+        cursor = _cursor_over(sources, [base for base, _ in spec])
+        parents = _block_cursors(spec, chunk, parent_log)
 
         def parent_placed():
             front = next(
@@ -832,16 +841,16 @@ class TestCursorOverAGrowingFeed:
         full fetch the moment it is observed, its neighbours stay lazy
         and the feed is not pulled any further for it."""
         log = []
-        (clean, late), _ = _block_cursors(
+        (clean, late), _ = _block_sources(
             [(3, [0, 1, 2, 3]), (9, [0, 1, 2, 3])], 2, log
         )
         rows = [
             Row(bindings={Variable("I"): i}, ranks=(("feed", 0), ("svc", rank)))
             for i, rank in enumerate([5, 1, 2, 3])
         ]
-        regressing = LazyServiceCursor(_LoggedSource(
+        regressing = _LoggedSource(
             log, "bad", pages=_paged(rows, 2), rank_floors=[1, 10**9]
-        ))
+        )
         feed_rows = [
             Row(bindings={Variable("F"): i}, ranks=(("feed", base),))
             for i, base in enumerate([0, 3, 9])
@@ -850,10 +859,10 @@ class TestCursorOverAGrowingFeed:
             log, "feed", pages=_paged(feed_rows, 1), rank_floors=[3, 9, 10**9]
         ))
         opening = iter([regressing, clean, late])
-        cursor = MultiFeedCursor(feed, lambda row, rank: next(opening))
+        cursor = MultiFeedCursor(feed, lambda record: next(opening))
         cursor.ensure(1)
-        assert regressing.exhausted and regressing.pages_fetched == 2
-        assert clean.pages_fetched == 0 and late.pages_fetched == 0
+        assert regressing.fetch_log == [0, 1]
+        assert clean.fetch_log == [] and late.fetch_log == []
         assert feed.pages_fetched == 1
         assert cursor.suffix_min(0) == 1  # exact minima over the drained block
 
@@ -862,14 +871,14 @@ class TestCursorOverAGrowingFeed:
         what they pulled is on the page log, not on the cursor."""
         log = []
         spec = [(base, [0, 1]) for base in range(50)]
-        blocks, eager = _block_cursors(spec, 2, log)
+        sources, eager = _block_sources(spec, 2, log)
         feed_rows = [
             Row(bindings={Variable("F"): i}, ranks=(("feed", base),))
             for i, (base, _) in enumerate(spec)
         ]
         feed = MaterializedCursor(as_records(feed_rows))
-        opening = iter(blocks)
-        cursor = MultiFeedCursor(feed, lambda row, rank: next(opening))
+        opening = iter(sources)
+        cursor = MultiFeedCursor(feed, lambda record: next(opening))
         cursor.ensure(60)
         assert len(cursor.rows) == 60
         assert len(cursor._blocks) <= 1  # the front, at most
@@ -877,7 +886,7 @@ class TestCursorOverAGrowingFeed:
         # 30 blocks pulled one page of two rows each, 20 never fetched
         assert len(log) == len({owner for owner, _ in log}) == 30
         assert len(feed.ranks) == 50
-        assert sum(not block.pages_fetched for block in blocks) == 20
+        assert sum(not source.fetch_log for source in sources) == 20
 
 
 # -- serving: ask_for_more on service-terminal templates ----------------------

@@ -28,12 +28,14 @@ single-feed suite uses:
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine
+from repro.execution import lazy as lazy_module
 from repro.execution.joins import JoinStream
 from repro.execution.lazy import (
     LazyServiceCursor,
@@ -91,54 +93,111 @@ def _paged(rows: list[Row], chunk: int) -> list[list[Row]]:
     return [rows[i : i + chunk] for i in range(0, len(rows), chunk)] or [[]]
 
 
-def _cursor_over(blocks: list[LazyServiceCursor]) -> MultiFeedCursor:
-    """A cursor whose materialized feed opens *blocks*, in order.
+class _WatchedSource(ListPageSource):
+    """A page source that calls ``watch(page)`` before it serves a
+    page, once a test has set one."""
 
-    The feed rows carry each block's base rank (what the cursor's
-    frontier reads before a block is opened).  ``all_blocks`` keeps
-    every block for the assertions: the cursor itself drops the ones
-    placement has passed.
-    """
-    feed = [
-        Row(bindings={Variable("F"): index}, ranks=(("feed", block._base_rank),))
-        for index, block in enumerate(blocks)
+    watch = None
+
+    def fetch(self, page):
+        if self.watch is not None:
+            self.watch(page)
+        return super().fetch(page)
+
+
+def _floors_after(ranks: list[int], pages: list[list]) -> list[int]:
+    """The tightest sound floor after each page: the lowest rank any
+    later page holds (``10**9`` past the last)."""
+    floors, seen = [], 0
+    for page in pages:
+        seen += len(page)
+        floors.append(min(ranks[seen:], default=10**9))
+    return floors
+
+
+def _feed_cursor(bases: list[int], feed_chunk: int | None):
+    """The feed of blocks with base ranks *bases*: one row each,
+    materialized, or a lazy cursor paged by *feed_chunk*."""
+    rows = [
+        Row(bindings={Variable("F"): index}, ranks=(("feed", base),))
+        for index, base in enumerate(bases)
     ]
-    opening = iter(blocks)
-    cursor = MultiFeedCursor(
-        MaterializedCursor(as_records(feed)), lambda row, rank: next(opening)
+    if feed_chunk is None:
+        return MaterializedCursor(as_records(rows))
+    pages = _paged(rows, feed_chunk)
+    return LazyServiceCursor(
+        ListPageSource(pages=pages, rank_floors=_floors_after(bases, pages))
     )
-    cursor.all_blocks = list(blocks)
+
+
+def _cursor_over(
+    sources: list[ListPageSource], bases: list[int], feed_chunk: int | None = None
+) -> MultiFeedCursor:
+    """A cursor whose feed opens the units *sources*, in order.
+
+    The feed rows carry each block's base rank *bases* (what the
+    cursor's frontier reads before a block is opened).  ``all_sources``
+    keeps every unit for the assertions: what a block pulled is its
+    unit's ``fetch_log``, whether or not the cursor built it a cursor.
+    """
+    opening = iter(sources)
+    cursor = MultiFeedCursor(
+        _feed_cursor(bases, feed_chunk), lambda record: next(opening)
+    )
+    cursor.all_sources = list(sources)
     return cursor
 
 
+def _as_pulled(source: ListPageSource, base: int) -> LazyServiceCursor:
+    """The block of *source* as the cursor that pulled the pages the
+    source has served: one over a fresh copy, fetched as far."""
+    block = LazyServiceCursor(
+        ListPageSource(
+            pages=source.pages, budget=source.budget,
+            rank_floors=source.rank_floors,
+        ),
+        base_rank=base,
+    )
+    for _ in source.fetch_log:
+        block._fetch_next()
+    return block
+
+
 def _multi_feed_cursor(
-    blocks: list[tuple[int, list[int]]], side: str, chunk: int
+    blocks: list[tuple], side: str, chunk: int, feed_chunk: int | None = None
 ) -> tuple[MultiFeedCursor, list[Row]]:
     """Cursor over per-feed blocks plus the eager concatenation oracle.
 
-    Each block is ``(base_rank, sorted service ranks)``; since the
-    rank *values* are arbitrary (not positions), each page's reported
-    floor is the smallest service rank any later page holds — the
-    tightest sound floor, unlike the tuples-seen convention real
-    search services use (sound there because rank == position).
+    Each block is ``(base_rank, service ranks)``, optionally followed
+    by its unit's page budget (None: every page; 0 is a demoted unit's,
+    1 the one page a non-chunked lookup may pull) and whether the
+    node's predicates filter out all of its rows (its pages arrive
+    empty, floors and all).  Since the rank *values* are arbitrary (not
+    positions), each page's reported floor is the smallest service
+    rank any later page holds — the tightest sound floor, unlike the
+    tuples-seen convention real search services use (sound there
+    because rank == position).
     """
-    cursors: list[LazyServiceCursor] = []
+    sources: list[ListPageSource] = []
     eager: list[Row] = []
-    for index, (base, service_ranks) in enumerate(blocks):
+    for index, (base, service_ranks, *rest) in enumerate(blocks):
+        budget, filtered = rest or (None, False)
         ordered = sorted(service_ranks)
-        rows = _block_rows(base, ordered, side, index)
-        eager.extend(rows)
-        pages = _paged(rows, chunk)
-        floors: list[int] = []
-        seen = 0
-        for page in pages:
-            seen += len(page)
-            floors.append(ordered[seen] if seen < len(ordered) else 10**9)
-        source = ListPageSource(pages=pages, rank_floors=floors)
-        cursors.append(LazyServiceCursor(source, base_rank=base))
-    cursor = _cursor_over(cursors)
+        pages = _paged(_block_rows(base, ordered, side, index), chunk)
+        floors = _floors_after(ordered, pages)
+        if filtered:
+            pages = [[] for _ in pages]
+        source = _WatchedSource(pages=pages, budget=budget, rank_floors=floors)
+        eager.extend(row for page in pages[: source.budget] for row in page)
+        sources.append(source)
+    cursor = _cursor_over(sources, [base for base, *_ in blocks], feed_chunk)
     cursor.layout = SlotLayout((Variable("K"), Variable(side)))
     return cursor, eager
+
+
+def _pages(cursor: MultiFeedCursor) -> list[int]:
+    """The pages each block of *cursor* has pulled."""
+    return [len(source.fetch_log) for source in cursor.all_sources]
 
 
 def _rows_of(cursor: MultiFeedCursor) -> list[Row]:
@@ -179,7 +238,7 @@ class TestMultiFeedCursorUnits:
         ]
         assert _signature(_rows_of(cursor)) == _signature(eager)
         assert cursor._opened == 3
-        assert all(block.pages_fetched for block in cursor.all_blocks)
+        assert all(_pages(cursor))
 
     def test_untouched_blocks_bound_the_certificate(self):
         # Block 0 is cheap, block 1 starts at base rank 5: demanding
@@ -187,7 +246,7 @@ class TestMultiFeedCursorUnits:
         # the certificate bounded by its feed row's rank (5), not +inf.
         cursor, _ = _multi_feed_cursor([(0, [0, 1]), (5, [0, 1])], "L", 2)
         cursor.ensure(1)
-        assert cursor.all_blocks[1].pages_fetched == 0
+        assert _pages(cursor)[1] == 0
         assert cursor._opened == 1
         assert cursor.suffix_min(len(cursor.rows)) == 5
         # The floor of every unexhausted block keeps participating:
@@ -200,8 +259,7 @@ class TestMultiFeedCursorUnits:
         # can even begin, buffering its rows until block 0 drains.
         cursor, eager = _multi_feed_cursor([(2, [0, 1]), (0, [0, 1])], "L", 1)
         cursor.ensure(1)
-        blocks = cursor.all_blocks
-        assert blocks[1].pages_fetched > 0
+        assert _pages(cursor)[1] > 0
         assert len(cursor.rows) >= 1
         cursor.ensure_all()
         assert _signature(_rows_of(cursor)) == _signature(eager)
@@ -212,8 +270,7 @@ class TestMultiFeedCursorUnits:
         )
         cursor.ensure_all()
         cursor.ensure_all()
-        total_pages = sum(b.pages_fetched for b in cursor.all_blocks)
-        assert total_pages == 3 + 3  # ceil(5/2) pages per block, once
+        assert _pages(cursor) == [3, 3]  # ceil(5/2) pages per block, once
 
     def test_non_monotone_block_drains_itself_only(self):
         # Block 0's service ranks regress within its first page: that
@@ -224,15 +281,11 @@ class TestMultiFeedCursorUnits:
             + _block_rows(0, [1], "L", 0)
             + _block_rows(0, [2, 3], "L", 0)
         )
-        pages0 = _paged(rows0, 2)
-        source0 = ListPageSource(pages=pages0, rank_floors=[1, 10**9])
-        block0 = LazyServiceCursor(source0, base_rank=0)
+        source0 = ListPageSource(pages=_paged(rows0, 2), rank_floors=[1, 10**9])
         cursor1, _ = _multi_feed_cursor([(3, [0, 1, 2, 3])], "L", 2)
-        block1 = cursor1.all_blocks[0]
-        cursor = _cursor_over([block0, block1])
+        cursor = _cursor_over([source0, cursor1.all_sources[0]], [0, 3])
         cursor.ensure(1)  # first page of block 0 observes the regression
-        assert block0.exhausted  # drained defensively
-        assert not block1.exhausted
+        assert _pages(cursor) == [2, 0]  # drained defensively, only it
         assert cursor.suffix_min(0) == 1  # exact minima over block 0
 
 
@@ -284,7 +337,7 @@ class TestMultiFeedJoinStreamMatchesOracle:
             execute_join(JoinMethod.MERGE_SCAN, left_eager, right_eager), k
         )
         assert _signature(rows) == _signature(oracle)
-        pulled = sum(b.pages_fetched for b in left_cursor.all_blocks)
+        pulled = sum(_pages(left_cursor))
         universe = sum(-(-max(len(r), 1) // chunk) for _, r in spec)
         assert pulled <= universe
 
@@ -292,13 +345,16 @@ class TestMultiFeedJoinStreamMatchesOracle:
 # -- engine level: serial-shaped plans --------------------------------------
 
 
-def _serial_plan(feed_keys, block_keys, right_keys, chunk_left, chunk_right):
+def _serial_plan(
+    feed_keys, block_keys, right_keys, chunk_left, chunk_right, left_fetches=4
+):
     """feeder → lefts (multi-feed) joined with single-feed rights.
 
     ``feeder`` is a ranked search service producing one tuple per feed
     key; every feeder tuple feeds ``lefts`` (so the final join's left
     input is a multi-feed node with one block per feeder tuple), while
-    ``rights`` is fed straight from the input node.
+    ``rights`` is fed straight from the input node.  *left_fetches* is
+    the factor of ``lefts``: at 1 every block is one page.
     """
     feed_keys = list(feed_keys)
     registry = ServiceRegistry()
@@ -349,7 +405,7 @@ def _serial_plan(feed_keys, block_keys, right_keys, chunk_left, chunk_right):
             registry.signature("rights").pattern("ioo"),
         ),
         Poset(n=3, pairs=frozenset({(0, 1)})),
-        fetches={0: 4, 1: 4, 2: 4},
+        fetches={0: 4, 1: left_fetches, 2: 4},
     )
     return registry, tuple(query.head), plan
 
@@ -466,6 +522,48 @@ class TestSerialPlanEngineDifferential:
             compose_ranking(reference_execute(plan, registry).rows, k)
         )
 
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=5),
+        st.lists(st.integers(0, 2), min_size=1, max_size=5),
+        st.lists(st.integers(0, 2), min_size=1, max_size=5),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(1, 12),
+        st.sampled_from(METHODS),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_one_page_blocks_under_every_cache_setting(
+        self, feed_keys, bk, rk, cl, cr, k, method
+    ):
+        """``lefts`` at factor 1: every block is one page (a chunk that
+        holds the block, or the first of several), placed without a
+        cursor.  Under each cache setting the walk's answers are the
+        oracle's and the eager walk's, a walk past the plane agrees with
+        the full scan to the last counter, and a top-k walk never makes
+        more calls or fetches than the full scan."""
+        registry, head, plan = _serial_plan(feed_keys, bk, rk, cl, cr, 1)
+        registry.register_join_method("lefts", "rights", method)
+        expected = _signature(
+            compose_ranking(reference_execute(plan, registry).rows, k)
+        )
+        for setting in CacheSetting:
+            engine = ExecutionEngine(registry, cache_setting=setting)
+            full = engine.execute(plan, head=head)
+            lazy = engine.execute(plan, head=head, k=k)
+            eager = eager_streamed_engine(
+                registry, cache_setting=setting
+            ).execute(plan, head=head, k=k)
+            assert _signature(lazy.rows) == _signature(eager.rows) == expected
+            assert lazy.table.complete == eager.table.complete
+            drained = engine.execute(plan, head=head, k=10**9)
+            assert drained.table.complete
+            assert _signature(drained.rows) == _signature(full.rows)
+            for name, cells in full.stats.per_service.items():
+                assert drained.stats.per_service[name] == cells
+            if setting is not CacheSetting.ONE_CALL:
+                assert lazy.stats.total_calls <= full.stats.total_calls
+                assert lazy.stats.total_fetches <= full.stats.total_fetches
+
     def test_progressive_resume_grows_multi_feed_demand(self):
         from repro.execution.progressive import ProgressiveExecutor
 
@@ -500,29 +598,43 @@ class _LinearScanReference:
     linear scans over the blocks of all the feed rows known so far,
     opened or not (an unopened block's floor is its feed row's rank) —
     exactly what the cursor did when it opened every block up front and
-    before the floor/bound heaps replaced the scans.  Over a
-    materialized feed every row is known from the start; over a growing
-    feed (``tests/test_lazy_chain.py``, which drives a whole policy of
-    scans beside the cursor) the rows the feed has not placed yet are
-    covered by the feed's own bound.  The differential here drives a
-    cursor step by step and checks the heap- and frontier-served
-    answers against these scans at every step.
+    before the floor/bound heaps replaced the scans.  The rows the feed
+    has not placed yet are covered by the feed's own bound (every row
+    is known up front over a materialized feed).  A block is read as
+    the cursor that pulled what its unit served (:func:`_as_pulled`),
+    so the scans see one-page blocks the cursor placed without ever
+    building a cursor for them.  :meth:`watch` checks every page the
+    cursor pulls against these scans, and the tests check the bound
+    after every demand.
     """
 
     @staticmethod
     def known_blocks(cursor: MultiFeedCursor) -> list[LazyServiceCursor]:
-        return cursor.all_blocks[: len(cursor._feed.ranks)]
+        return [
+            _as_pulled(source, rank)
+            for source, rank in zip(cursor.all_sources, cursor._feed.ranks)
+        ]
+
+    @staticmethod
+    def _floor(cursor: MultiFeedCursor, index: int, block) -> float:
+        """A known block's floor: its feed row's rank until it is
+        opened (only then does the cursor learn its unit's budget)."""
+        if index >= cursor._opened:
+            return cursor._feed.ranks[index]
+        return block.floor
 
     @classmethod
     def lowest_floor_index(cls, cursor: MultiFeedCursor) -> int | None:
+        """The block the policy pulls next, or None when the rows the
+        feed has not produced yet are lower (the feed is demanded)."""
         best_index, best_floor = None, math.inf
         blocks = cls.known_blocks(cursor)
         for index in range(cursor._front, len(blocks)):
-            block = blocks[index]
-            if block.exhausted:
-                continue
-            if block.floor < best_floor:
-                best_index, best_floor = index, block.floor
+            floor = cls._floor(cursor, index, blocks[index])
+            if floor < best_floor:
+                best_index, best_floor = index, floor
+        if cursor._feed.suffix_min(len(blocks)) < best_floor:
+            return None
         return best_index
 
     @classmethod
@@ -530,70 +642,134 @@ class _LinearScanReference:
         blocks = cls.known_blocks(cursor)
         bound = cursor._feed.suffix_min(len(blocks))
         for index in range(cursor._front, len(blocks)):
-            candidate = blocks[index].suffix_min(
-                cursor._placed if index == cursor._front else 0
-            )
+            if index >= cursor._opened:  # unopened: its feed row's rank
+                candidate = cursor._feed.ranks[index]
+            else:
+                candidate = blocks[index].suffix_min(
+                    cursor._placed if index == cursor._front else 0
+                )
             if candidate < bound:
                 bound = candidate
         return bound
 
-    @staticmethod
-    def pull_one_page(cursor: MultiFeedCursor) -> None:
-        """Step the fetch policy until it has fetched (not just opened)."""
+    @classmethod
+    def watch(cls, cursor: MultiFeedCursor) -> None:
+        """Check, as each page is served, that the scans choose its
+        block and that it is the block's next page within budget.  A
+        page pulled after its block saw a rank regression is the
+        defensive drain of that one block, not a choice."""
 
-        def pages() -> int:
-            return sum(b.pages_fetched for b in cursor.all_blocks)
+        def check(index: int, page: int) -> None:
+            block = cls.known_blocks(cursor)[index]
+            assert page == block.pages_fetched < block._source.budget
+            if block._monotone:
+                assert cls.lowest_floor_index(cursor) == index
 
-        before = pages()
-        while not cursor.exhausted and pages() == before:
-            cursor._step()
+        for index, source in enumerate(cursor.all_sources):
+            source.watch = partial(check, index)
+
+
+#: Blocks whose units may pull at most one page — a chunk that holds
+#: every row, a budget of 1 over more pages, a demoted unit's 0 — among
+#: chunked ones: ``(base rank, service ranks, budget, all filtered)``.
+_one_page_blocks = st.lists(
+    st.tuples(
+        st.integers(0, 6),
+        st.lists(st.integers(0, 6), max_size=5),
+        st.sampled_from([0, 1, 1, None]),
+        st.booleans(),
+    ),
+    max_size=5,
+)
 
 
 class TestHeapMatchesLinearScan:
-    """The floor/bound heaps vs full recomputation, step by step."""
+    """The floor/bound heaps vs full recomputation, pull by pull."""
+
+    @staticmethod
+    def _check_demands(cursor, eager, demands) -> None:
+        """Serve *demands* (rows beyond those placed) one at a time:
+        every pull the scans' choice, every placed row the eager one,
+        and the bound the scans' after each."""
+        _LinearScanReference.watch(cursor)
+        for demand in demands:
+            target = len(cursor.rows) + demand
+            cursor.ensure(target)
+            assert len(cursor.rows) >= target or cursor.exhausted
+            assert _signature(_rows_of(cursor)) == _signature(
+                eager[: len(cursor.rows)]
+            )
+            bound = _LinearScanReference.unplaced_bound(cursor)
+            for start in range(len(cursor.rows) + 2):
+                assert cursor.suffix_min(start) == min(
+                    cursor.ranks[start:] + [bound]
+                )
 
     @given(_blocks, _chunks, st.lists(st.integers(1, 4), max_size=8))
     @settings(max_examples=120, deadline=None)
     def test_stepwise_pulls_match_linear_scans(self, blocks, chunk, demands):
         cursor, eager = _multi_feed_cursor(blocks, "L", chunk)
-        reference, _ = _multi_feed_cursor(blocks, "L", chunk)
-        for demand in demands:
-            target = len(cursor.rows) + demand
-            while len(cursor.rows) < target and not cursor.exhausted:
-                expected_index = _LinearScanReference.lowest_floor_index(
-                    cursor
-                )
-                expected_pages = [
-                    b.pages_fetched for b in cursor.all_blocks
-                ]
-                expected_pages[expected_index] += 1
-                _LinearScanReference.pull_one_page(cursor)
-                # the heap pulled exactly the linear scan's block (one
-                # pull may drain extra pages on a monotonicity
-                # violation, always within the selected block)
-                pulled = [
-                    i
-                    for i, b in enumerate(cursor.all_blocks)
-                    if b.pages_fetched
-                    > expected_pages[i] - (1 if i == expected_index else 0)
-                    and i != expected_index
-                ]
-                assert pulled == []
-                assert (
-                    cursor.all_blocks[expected_index].pages_fetched
-                    >= expected_pages[expected_index]
-                )
-            reference.ensure(target)
-            # same rows, same per-block fetch state, same certificate
-            assert _signature(_rows_of(cursor)) == _signature(_rows_of(reference))
-            assert [b.pages_fetched for b in cursor.all_blocks] == [
-                b.pages_fetched for b in reference.all_blocks
-            ]
-            for start in range(len(cursor.rows) + 2):
-                assert cursor.suffix_min(start) == reference.suffix_min(start)
-            assert cursor.suffix_min(len(cursor.rows)) == (
-                _LinearScanReference.unplaced_bound(cursor)
+        self._check_demands(cursor, eager, demands)
+
+    @given(
+        _one_page_blocks,
+        st.integers(1, 6),
+        st.sampled_from([None, 1, 2]),
+        st.booleans(),
+        st.lists(st.integers(1, 4), max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_page_blocks_pull_what_the_scans_pull(
+        self, blocks, chunk, feed_chunk, sort_feed, demands
+    ):
+        """One-page blocks the policy takes at once are placed as pages:
+        over a materialized or a lazy feed, monotone or not (a block
+        whose feed rank the frontier undercuts waits in the heaps), the
+        pulls, the placed rows and the bound stay the scans'."""
+        if sort_feed:
+            blocks = sorted(blocks, key=lambda block: block[0])
+        cursor, eager = _multi_feed_cursor(blocks, "L", chunk, feed_chunk)
+        self._check_demands(cursor, eager, demands)
+        for source in cursor.all_sources:  # a drain pulls in feed order
+            source.watch = None
+        cursor.ensure_all()
+        assert _signature(_rows_of(cursor)) == _signature(eager)
+        for source in cursor.all_sources:
+            assert source.fetch_log == list(
+                range(min(source.budget, len(source.pages)))
             )
+
+    def test_only_a_block_that_waits_or_pages_on_is_a_cursor(self, monkeypatch):
+        built: list[LazyServiceCursor] = []
+
+        class Counted(LazyServiceCursor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(lazy_module, "LazyServiceCursor", Counted)
+        # A monotone feed (ties included) of one-page blocks: a chunk
+        # holding every row, a budget of 1 over two pages, a demoted
+        # unit, every row filtered out: all placed as pages.
+        one_page = [
+            (0, [0, 1], None, False), (0, [0, 1, 2], 1, False),
+            (1, [0], 0, False), (1, [0, 1], None, True), (4, [0, 4]),
+        ]
+        cursor, eager = _multi_feed_cursor(one_page, "L", 2)
+        cursor.ensure(100)
+        assert _signature(_rows_of(cursor)) == _signature(eager)
+        assert _pages(cursor) == [1, 1, 0, 1, 1]
+        assert built == [] and cursor._blocks == {}
+        # A block the frontier undercuts waits; so does the next one,
+        # opened while it is open.
+        cursor, eager = _multi_feed_cursor([(2, [0]), (0, [0])], "L", 2)
+        cursor.ensure(100)
+        assert _signature(_rows_of(cursor)) == _signature(eager)
+        assert len(built) == 2
+        # A block that may pull a second page.
+        cursor, eager = _multi_feed_cursor([(0, [0, 1, 2])], "L", 2)
+        cursor.ensure(1)
+        assert len(built) == 3 and _pages(cursor) == [1]
 
     @given(_blocks, _chunks, st.integers(0, 30))
     @settings(max_examples=100, deadline=None)
@@ -602,7 +778,7 @@ class TestHeapMatchesLinearScan:
         (the cursor keeps no counters): only opened blocks fetched, no
         page twice, and a full drain pulls every page exactly once."""
         cursor, eager = _multi_feed_cursor(blocks, "L", chunk)
-        sources = [block._source for block in cursor.all_blocks]
+        sources = cursor.all_sources
         cursor.ensure(demand)
         assert not any(source.fetch_log for source in sources[cursor._opened :])
         for source in sources:
@@ -622,7 +798,7 @@ class TestHeapMatchesLinearScan:
         cursor, eager = _multi_feed_cursor(blocks, "L", 2)
         cursor.ensure(10)
         assert _signature(_rows_of(cursor)[:10]) == _signature(eager[:10])
-        untouched = sum(1 for block in cursor.all_blocks if not block.pages_fetched)
+        untouched = _pages(cursor).count(0)
         assert untouched > 900  # the point of being lazy
         assert cursor._opened < 100  # ... and most were never even opened
         assert cursor.suffix_min(len(cursor.rows)) == (

@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.execution.joins import JoinStream
-from repro.execution.lazy import HeadTee, LazyServiceCursor, MultiFeedCursor
+from repro.execution.lazy import HeadTee, MultiFeedCursor
 from repro.execution.results import Row
 from repro.model.predicates import BinaryExpression, Comparison
 from repro.model.terms import Constant, Variable
@@ -98,14 +98,11 @@ class _Plane:
         ]
         tee = self._teed([[row] for row in feed])
 
-        def open_block(record, rank):
+        def open_unit(record):
             number = record[0][0]
-            return LazyServiceCursor(
-                ListPageSource(pages=_paged(self._block(side, number), chunk)),
-                base_rank=rank,
-            )
+            return ListPageSource(pages=_paged(self._block(side, number), chunk))
 
-        return MultiFeedCursor(tee.copy(), open_block)
+        return MultiFeedCursor(tee.copy(), open_unit)
 
     def _teed(self, pages):
         source = ListPageSource(pages=pages, budget=self.known, rank_floors=[0] * len(pages))

@@ -36,11 +36,7 @@ from hypothesis import strategies as st
 
 from repro.execution.engine import ExecutionEngine
 from repro.execution.joins import JoinStream
-from repro.execution.lazy import (
-    LazyServiceCursor,
-    MaterializedCursor,
-    MultiFeedCursor,
-)
+from repro.execution.lazy import MaterializedCursor, MultiFeedCursor
 from repro.execution.results import Row
 from repro.model.atoms import Atom
 from repro.model.predicates import BinaryExpression, Comparison
@@ -287,7 +283,7 @@ def _block_cursor(blocks, side_name, chunk):
     for one row usually delivers several; with the eager concatenation
     and the page sources."""
     variable = Variable(side_name)
-    eager, cursors, sources = [], [], []
+    eager, sources = [], []
     for number, (base, keys) in enumerate(blocks):
         rows = [
             Row(
@@ -299,14 +295,13 @@ def _block_cursor(blocks, side_name, chunk):
         eager.extend(rows)
         pages = [rows[i : i + chunk] for i in range(0, len(rows), chunk)] or [[]]
         sources.append(ListPageSource(pages=pages, budget=6))
-        cursors.append(LazyServiceCursor(sources[-1], base_rank=base))
     feed = [
         Row(bindings={Variable("F"): number}, ranks=((f"feed-{side_name}", base),))
         for number, (base, _) in enumerate(blocks)
     ]
-    opening = iter(cursors)
+    opening = iter(sources)
     cursor = MultiFeedCursor(
-        MaterializedCursor(as_records(feed)), lambda row, rank: next(opening)
+        MaterializedCursor(as_records(feed)), lambda record: next(opening)
     )
     return cursor, eager, sources
 

@@ -290,6 +290,8 @@ class TestReplayedPaths:
         assert len(more.rows) > len(first.rows)
         query = parse_query(_NEWS_TEMPLATE)
         for answer, pulls in _rendered_pulls(more):
+            # Both lookups read the one shared head record: one pull.
+            assert [pull[0] for pull in pulls].count("newssearch") == 1
             _assert_replayable(registry, query, answer, pulls)
 
     def test_a_resumed_travel_round_carries_every_record(self):
