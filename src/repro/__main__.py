@@ -134,16 +134,16 @@ def _optimize_and_run(registry, query, metric_name: str, k: int,
 
 
 def _resilience_config(args):
-    """A ResilienceConfig from the CLI flags; None when all are off."""
+    """The ResilienceConfig the CLI flags ask for."""
     retries = getattr(args, "retries", 0)
     if retries < 0:
         raise ValueError(f"--retries must be >= 0, got {retries}")
-    partial = getattr(args, "partial_results", False)
-    if not retries and not partial:
-        return None
     from repro.execution.resilience import ResilienceConfig
 
-    return ResilienceConfig(attempts=retries + 1, partial_results=partial)
+    return ResilienceConfig(
+        attempts=retries + 1,
+        partial_results=getattr(args, "partial_results", False),
+    )
 
 
 @contextlib.contextmanager

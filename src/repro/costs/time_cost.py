@@ -19,14 +19,17 @@ tuple: one invocation per node along the slowest root-to-output path.
 All three read τ and ``F · t_in · τ`` per node off the annotation
 (:meth:`~repro.plans.annotate.PlanAnnotation.timing`): an annotation
 program reads τ once per node when it compiles it and computes the
-busy time as it runs, so a metric derives nothing per plan.
+busy time as it runs, so a metric derives nothing per plan.  Eq. 4 and
+time-to-screen fold those columns over the paths with
+:func:`~repro.plans.dag.slowest_path`, the fold the engine's clock
+uses too.
 """
 
 from __future__ import annotations
 
 from repro.costs.base import CostMetric, Paths
 from repro.plans.annotate import PlanAnnotation
-from repro.plans.dag import QueryPlan
+from repro.plans.dag import QueryPlan, slowest_path
 
 
 class ExecutionTimeMetric(CostMetric):
@@ -37,13 +40,7 @@ class ExecutionTimeMetric(CostMetric):
     def evaluate(
         self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
     ) -> float:
-        taus, works = annotation.timing(plan)
-        worst = 0.0
-        for path in paths:
-            bottleneck = max(path, key=works.__getitem__)
-            others = sum(taus[index] for index in path if index != bottleneck)
-            worst = max(worst, works[bottleneck] + others)
-        return worst
+        return slowest_path(paths, *annotation.timing(plan))
 
 
 class BottleneckMetric(CostMetric):
@@ -75,8 +72,4 @@ class TimeToScreenMetric(CostMetric):
     def evaluate(
         self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
     ) -> float:
-        taus, _ = annotation.timing(plan)
-        worst = 0.0
-        for path in paths:
-            worst = max(worst, sum(taus[index] for index in path))
-        return worst
+        return slowest_path(paths, annotation.timing(plan)[0])

@@ -63,10 +63,6 @@ class LogicalCache(ABC):
     ) -> None:
         """Record the result of an invocation."""
 
-    @abstractmethod
-    def clear(self) -> None:
-        """Drop all cached entries."""
-
 
 class NoCache(LogicalCache):
     """Every call is repeated: lookups always miss."""
@@ -77,9 +73,6 @@ class NoCache(LogicalCache):
     def store(
         self, service: str, input_key: InputKey, page: int, value: object
     ) -> None:
-        return None
-
-    def clear(self) -> None:
         return None
 
 
@@ -109,10 +102,6 @@ class OneCallCache(LogicalCache):
             self._last_key[service] = input_key
             self._pages[service] = {}
         self._pages[service][page] = value
-
-    def clear(self) -> None:
-        self._last_key.clear()
-        self._pages.clear()
 
 
 class OptimalCache(LogicalCache):
@@ -162,9 +151,6 @@ class OptimalCache(LogicalCache):
             self._memo.popitem(last=False)
             self.evictions += 1
 
-    def clear(self) -> None:
-        self._memo.clear()
-
 
 class KeyedMutex:
     """One mutex per key, for as long as someone holds or awaits it.
@@ -205,7 +191,7 @@ class KeyedMutex:
 class ThreadSafeCache(LogicalCache):
     """Lock-guarded view over another :class:`LogicalCache`.
 
-    Wraps every ``lookup``/``store``/``clear`` in one re-entrant lock,
+    Wraps every ``lookup`` and ``store`` in one re-entrant lock,
     making the inner cache's bookkeeping (LRU reordering, eviction
     counters, one-call key swaps) safe for the client threads of a
     :class:`~repro.serving.service.QueryService`, which share one
@@ -233,10 +219,6 @@ class ThreadSafeCache(LogicalCache):
     ) -> None:
         with self._lock:
             self._inner.store(service, input_key, page, value)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._inner.clear()
 
 
 def make_cache(

@@ -83,7 +83,7 @@ from repro.execution.results import ROOT, Record, ResultTable, Row, SlotLayout
 from repro.execution.slots import ExecutionError, SlotPredicate
 from repro.execution.stats import IDLE, ExecutionStats
 from repro.model.terms import Variable
-from repro.plans.dag import QueryPlan
+from repro.plans.dag import QueryPlan, slowest_path
 from repro.services.registry import ServiceRegistry
 
 
@@ -163,14 +163,14 @@ class ExecutionEngine:
         self,
         registry: ServiceRegistry,
         cache_setting: CacheSetting = CacheSetting.NO_CACHE,
-        resilience: ResilienceConfig | None = None,
+        resilience: ResilienceConfig = ResilienceConfig(),
         drift_monitor: DriftMonitor | None = None,
     ) -> None:
         self._registry = registry
         self._cache_setting = cache_setting
         #: Retry/partial-results behavior of every page pull
-        #: (:mod:`repro.execution.resilience`); None runs the
-        #: historical fail-fast path bit-identically.
+        #: (:mod:`repro.execution.resilience`); the default is the
+        #: fail-fast path: one attempt, no partial results.
         self._resilience = resilience
         #: Demoted and rerouted units, persistent across this
         #: engine's executions (progressive rounds must not re-await a
@@ -358,7 +358,7 @@ class ExecutionEngine:
         first, so every page the grown demand pulls — and a drift
         signal's or a dead unit's partial accounting — is recorded on
         this round and never mutates the round that created the stream.
-        Virtual time is the critical path over the busy time this
+        Virtual time is the slowest path over the busy time this
         round added per step, the same clock an executed round reads
         (:func:`elapsed`): the services of a pipe chain add up, parallel
         branches overlap (0.0 for the common all-from-fetched-pages
@@ -454,19 +454,18 @@ class ExecutionEngine:
 
 
 def elapsed(program: ExecutionProgram, stats: ExecutionStats) -> float:
-    """The critical path over the plan DAG of each step's busy time on
-    *stats*' clock: a step is busy for the sum of its fetch latencies,
-    and a join adds its response time once a walk has run it (a resume
-    re-runs none)."""
+    """The slowest of the program's paths over each step's busy time on
+    *stats*' clock, folded as a barrier by
+    :func:`~repro.plans.dag.slowest_path`: a step is busy for the sum
+    of its fetch latencies, and a join adds its response time once a
+    walk has run it (a resume re-runs none)."""
     walked = bool(stats.rows_out)
-    finish: list[float] = []
-    for step in program.steps:
-        busy = stats.clock.get(step.index, IDLE)[0]
-        if walked and step.kind == JOIN:
-            busy = step.response_time
-        start = max((finish[feed] for feed in step.feeds), default=0.0)
-        finish.append(start + busy)
-    return finish[-1]
+    busy = [
+        step.response_time if walked and step.kind == JOIN
+        else stats.clock.get(step.index, IDLE)[0]
+        for step in program.steps
+    ]
+    return slowest_path(program.paths, busy)
 
 
 class ChainStream(TopKStream):

@@ -108,7 +108,7 @@ class UnitRouting:
     """
 
     def __init__(
-        self, registry: ServiceRegistry, resilience: ResilienceConfig | None
+        self, registry: ServiceRegistry, resilience: ResilienceConfig
     ) -> None:
         self._registry = registry
         self._resilience = resilience
@@ -237,7 +237,7 @@ class UnitRouting:
         self, program: ExecutionProgram, rows: list[Row]
     ) -> PartialResultCertificate | None:
         """The partial-result certificate; None unless partial mode."""
-        if self._resilience is None or not self._resilience.partial_results:
+        if not self._resilience.partial_results:
             return None
         return build_certificate(
             program.answer_specs, rows, self.demoted, self._substitution_used
@@ -261,7 +261,7 @@ class RunContext(NamedTuple):
     cache: LogicalCache
     routing: UnitRouting
     routed: bool
-    resilience: ResilienceConfig | None
+    resilience: ResilienceConfig
     monitor: DriftMonitor | None
 
 
@@ -359,16 +359,13 @@ class UnitSource:
             if service is None:
                 service = self._service = context.registry.service(name)
             inputs, pattern = self._inputs, binding.pattern
-            if context.resilience is None:
-                result = service.invoke(pattern, inputs, page=page)
-            else:
-                # Budgets and failures attach to *name*: the service
-                # actually invoked, which is a sibling when rerouted.
-                result = resilient_fetch(
-                    context.resilience, name, input_key, page,
-                    lambda: service.invoke(pattern, inputs, page=page),
-                    stats,
-                )
+            # Budgets and failures attach to *name*: the service
+            # actually invoked, which is a sibling when rerouted.
+            result = resilient_fetch(
+                context.resilience, name, input_key, page,
+                lambda: service.invoke(pattern, inputs, page=page),
+                stats,
+            )
             context.cache.store(name, input_key, page, result)
             raw_tuples = len(result.tuples)
             latency = result.latency

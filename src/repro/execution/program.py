@@ -104,6 +104,9 @@ class ExecutionProgram:
     #: per service node: how a certificate recovers, from an answer's
     #: own values, the unit of each service that produced it.
     answer_specs: tuple[tuple[str, str, InputSpec], ...]
+    #: Every input → output path of the plan, as step indices: what
+    #: the clock folds (:func:`~repro.plans.dag.slowest_path`).
+    paths: tuple[tuple[int, ...], ...]
 
     @classmethod
     def compile(
@@ -179,6 +182,8 @@ class ExecutionProgram:
                     or (consumer.kind == JOIN and consumer.index == terminal)
                 ):
                     lazy.add(step.index)
+        # A plan may hold its nodes out of the steps' order.
+        step_of = [position[node.node_id] for node in plan.nodes]
         return cls(
             head=tuple(head),
             steps=tuple(steps),
@@ -198,6 +203,10 @@ class ExecutionProgram:
                 (node.service_name, node.pattern.code,
                  tuple(compile_input_spec(node, steps[-1].layout)))
                 for node in plan.service_nodes
+            ),
+            paths=tuple(
+                tuple(step_of[node] for node in path)
+                for path in plan.path_positions()
             ),
         )
 

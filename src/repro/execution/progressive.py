@@ -204,7 +204,7 @@ class ProgressiveExecutor:
     #: (:mod:`repro.execution.resilience`); demotions persist across
     #: rounds on the engine's mask, so a continuation never re-awaits
     #: a block already proven unresponsive.
-    resilience: ResilienceConfig | None = None
+    resilience: ResilienceConfig = ResilienceConfig()
     #: Maps the observed mean response times (service name -> virtual
     #: seconds, cumulative across all drifts so far) to a replacement
     #: plan, or to None to keep the current one (the splice then only

@@ -118,9 +118,9 @@ class ResilienceConfig:
     instead of failing the query, or serves it from a registered
     sibling (:meth:`~repro.execution.fetch.UnitRouting.sibling`) when
     one exists — recorded in the certificate's ``substituted``
-    section, never silent.  The defaults are behaviorally identical to
-    running without a config (the bit-identity contract the
-    differential suite pins).
+    section, never silent.  The defaults — every engine's unless it is
+    given another config — are the fail-fast path: a failed page pull
+    is counted as wasted and its error propagates.
     """
 
     attempts: int = 1

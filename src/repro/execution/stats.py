@@ -11,7 +11,9 @@ performs up to ``F`` fetches.  Calls fully absorbed by the logical
 cache are counted as ``cache_hits`` and never reach the remote side.
 
 Every such fact is a column of one ledger, keyed by program step
-(``Step.index``, which is also the plan position a node id names): a
+(``Step.index``, the step's place in the program's topological order,
+which is not always the plan position its node id names — map the two
+by ``Step.node_id``): a
 cell per ``(step, serving service)`` for the counters, and per step the
 rows the walk emitted and the virtual clock.  Per-service totals are
 sums over the cells, so a service called at two steps shows each step
@@ -92,8 +94,8 @@ class ExecutionStats:
     #: without misreading cache-absorbed rounds as "no more data".
     tuples_processed: int = 0
     #: Resilience-layer counters (:mod:`repro.execution.resilience`);
-    #: all stay 0 when no resilience config is active — the bit-
-    #: identity contract.  ``retries`` counts re-attempts taken after
+    #: all stay 0 while every page pull succeeds — the bit-identity
+    #: contract.  ``retries`` counts re-attempts taken after
     #: a transient page failure, ``retry_backoff`` the virtual seconds
     #: of backoff those re-attempts charged, ``wasted_fetches`` every
     #: remote round trip that failed — deliberately *not* part of the

@@ -9,7 +9,7 @@ by any directed path are invoked in parallel.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, PlanNode, ServiceNode
 
@@ -19,6 +19,34 @@ T = TypeVar("T")
 
 class PlanError(ValueError):
     """Raised for malformed plans (cycles, missing IN/OUT, etc.)."""
+
+
+def slowest_path(
+    paths: Sequence[Sequence[int]], column: Sequence[float],
+    works: Sequence[float] | None = None,
+) -> float:
+    """The one fold of per-node times into a plan's time: the slowest
+    of *paths* (each node given as its index into the columns), 0.0
+    when there are none.
+
+    Without *works* a path costs the sum of *column* along it — a
+    *barrier*, where a node starts once its feeds have finished:
+    time-to-screen over τ, the engine's clock over busy time.  With
+    *works* it is Eq. 4's *pipe*, where a consumer overlaps its
+    feeder's pages: the path's bottleneck (the first node of maximal
+    work) costs its work, and every other node one entry of *column*
+    (its τ), summed in path order.
+    """
+    worst = 0.0
+    if works is None:
+        for path in paths:
+            worst = max(worst, sum(column[index] for index in path))
+        return worst
+    for path in paths:
+        bottleneck = max(path, key=works.__getitem__)
+        others = sum(column[index] for index in path if index != bottleneck)
+        worst = max(worst, works[bottleneck] + others)
+    return worst
 
 
 class QueryPlan:
@@ -202,20 +230,9 @@ class QueryPlan:
             raise PlanError("plan graph contains a cycle")
         return tuple(self._nodes[i] for i in order)
 
-    def paths(self) -> tuple[tuple[PlanNode, ...], ...]:
-        """All simple paths from the input node to the output node (memoized)."""
-        return self.derived("paths", QueryPlan._paths)
-
-    def _paths(self) -> tuple[tuple[PlanNode, ...], ...]:
-        nodes = self.nodes
-        return tuple(
-            tuple(nodes[position] for position in path)
-            for path in self.path_positions()
-        )
-
     def path_positions(self) -> tuple[tuple[int, ...], ...]:
-        """:meth:`paths`, each node given as its position in :attr:`nodes`
-        (memoized)."""
+        """All simple paths from the input node to the output node, each
+        node given as its position in :attr:`nodes` (memoized)."""
         return self.derived("path_positions", QueryPlan._path_positions)
 
     def adopt_path_positions(self, paths: tuple[tuple[int, ...], ...]) -> None:

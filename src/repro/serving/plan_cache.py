@@ -16,8 +16,7 @@ Two tiers:
 * **memory** — an LRU dict of :class:`CachedPlan` (parsed spec,
   program) bounded by ``capacity``; hits refresh recency, stores beyond
   capacity evict the least recently used entry, and the program goes
-  with its entry (eviction, :meth:`PlanCache.prune`, :meth:`PlanCache.
-  clear`);
+  with its entry;
 * **disk** — an optional persistent store (``path``): a SQLite
   database (:mod:`repro.serving.sqlite_cache`; WAL mode, safe under
   many threads *and* many processes) holding every entry ever
@@ -25,11 +24,10 @@ Two tiers:
   miss memory fall through to disk and promote the entry back into the
   LRU tier, so a restarted server (or a sibling process pointed at the
   same path) starts warm; a promoted entry has no program until its
-  first user compiles one (:meth:`PlanCache.attach`).  Epoch pruning is
-  one SQL ``DELETE``.
+  first user compiles one (:meth:`PlanCache.attach`).
 
 All cache state (LRU order, stats counters, tenant quotas) is guarded
-by one internal lock, so ``lookup``/``store``/``prune`` are safe to
+by one internal lock, so ``lookup`` and ``store`` are safe to
 call from any number of serving threads; per-*key* single-flight (one
 optimizer run per concurrent miss) is layered above this lock by
 :meth:`repro.serving.service.QueryService._resolve_plan`.
@@ -46,8 +44,7 @@ from one runaway tenant flooding it within a serving lifetime).
 
 Invalidation is by *construction*: the registry epoch is part of the
 key, so entries recorded under drifted service profiles are simply
-never addressed again.  :meth:`PlanCache.prune` removes them from the
-disk tier when housekeeping is wanted.
+never addressed again.
 """
 
 from __future__ import annotations
@@ -221,38 +218,6 @@ class PlanCache:
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
             self.stats.evictions += 1
-
-    # -- housekeeping ----------------------------------------------------
-
-    def prune(self, epoch: str) -> int:
-        """Drop every entry not recorded under *epoch*; returns count.
-
-        Purely housekeeping: stale entries are unreachable anyway
-        because the epoch participates in the key.  On disk this is a
-        single indexed ``DELETE``.
-        """
-        with self._lock:
-            stale_memory = [
-                key
-                for key, entry in self._memory.items()
-                if entry.epoch != epoch
-            ]
-            for key in stale_memory:
-                del self._memory[key]
-            stale_disk: tuple[str, ...] = ()
-            if self._tier is not None:
-                stale_disk = self._tier.prune(epoch)
-            return len(stale_memory) + len(
-                set(stale_disk) - set(stale_memory)
-            )
-
-    def clear(self) -> None:
-        """Drop both tiers (and the persistent entries) and quotas."""
-        with self._lock:
-            self._memory.clear()
-            self._tenant_keys.clear()
-            if self._tier is not None:
-                self._tier.clear()
 
     def close(self) -> None:
         """Release disk-tier resources (SQLite connections)."""

@@ -258,9 +258,9 @@ class QueryService:
     #: only cost extra remote calls, never change answers.
     service_cache_capacity: int | None = None
     #: Retry/partial-results behavior for every execution this
-    #: service runs (:mod:`repro.execution.resilience`); None serves
-    #: with the historical fail-fast engine, bit-identically.
-    resilience: ResilienceConfig | None = None
+    #: service runs (:mod:`repro.execution.resilience`); the default
+    #: is the fail-fast engine: one attempt, no partial results.
+    resilience: ResilienceConfig = ResilienceConfig()
     #: Opt-in per-row provenance: responses carry, for every answer
     #: row, the ``(service, input key, page, epoch)`` records of the
     #: service pulls that produced it, derived from the row's record
@@ -289,7 +289,7 @@ class QueryService:
         self._exec_resilience = self.resilience
         if self.breaker is not None:
             self._exec_resilience = replace(
-                self.resilience or ResilienceConfig(), partial_results=True
+                self.resilience, partial_results=True
             )
         # The shared cache is hit by every client thread, so it is
         # always lock-wrapped.

@@ -11,8 +11,7 @@ that is not such a database.  ``synchronous=NORMAL`` is deliberate
 here: a lost plan costs one re-optimization, never correctness, so
 durability is traded for store latency.
 
-Epoch pruning is a single ``DELETE`` statement.  The tier speaks plain
-``(spec_json, cost, metric, epoch)`` row tuples.
+The tier speaks plain ``(spec_json, cost, metric, epoch)`` row tuples.
 
 Before SQLite the tier was one JSON file rewritten per store.
 :func:`read_json_tier` still reads that format — for
@@ -34,7 +33,7 @@ _SCHEMA_VERSION = 1
 #: One row per cached plan; the key embeds fingerprint + epoch +
 #: optimization context (see ``repro.serving.fingerprint``), so
 #: ``key`` alone is the primary key and ``epoch`` is denormalized
-#: purely to make pruning a single indexed DELETE.
+#: into the row a lookup returns.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS plans (
     key    TEXT PRIMARY KEY,
@@ -43,7 +42,6 @@ CREATE TABLE IF NOT EXISTS plans (
     metric TEXT NOT NULL,
     epoch  TEXT NOT NULL
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS plans_by_epoch ON plans(epoch);
 """
 
 #: A plan-cache disk row: (spec_json, cost, metric, epoch).
@@ -181,23 +179,6 @@ class SQLiteDiskTier:
             connection.execute("ROLLBACK")
             raise
         return len(self) - before
-
-    def prune(self, epoch: str) -> tuple[str, ...]:
-        """Delete every row not stored under *epoch*; returns their keys."""
-        connection = self._pool.connection()
-        stale = tuple(
-            row[0]
-            for row in connection.execute(
-                "SELECT key FROM plans WHERE epoch != ?", (epoch,)
-            )
-        )
-        if stale:
-            connection.execute("DELETE FROM plans WHERE epoch != ?", (epoch,))
-        return stale
-
-    def clear(self) -> None:
-        """Delete every row."""
-        self._pool.connection().execute("DELETE FROM plans")
 
     def __len__(self) -> int:
         return self._pool.connection().execute(

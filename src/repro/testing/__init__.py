@@ -7,8 +7,9 @@ against, the dict-row reference plan interpreter the engine is checked
 against, the per-definition plan estimates the annotation program
 is checked against, the from-scratch state bound the optimizer's open
 plans are checked against, the eager-streamed engine lazy fetching is
-measured against and the re-executing executor growth in place is
-measured against (:mod:`repro.testing.reference`); the brute-force
+measured against, the re-executing executor growth in place is
+measured against and the feed DP the engine's clock is checked against
+(:mod:`repro.testing.reference`); the brute-force
 optimality oracle of the branch-and-bound
 (:mod:`repro.testing.exhaustive`) and the WSMS predecessor the
 ablations compare it with (:mod:`repro.testing.wsms`); the seeded
@@ -58,6 +59,7 @@ from repro.testing.reference import (
     memo_bounds,
     merged_with,
     reference_annotate,
+    reference_elapsed,
     reference_execute,
     reference_partial_bound,
     reference_partial_plan,
@@ -106,6 +108,7 @@ __all__ = [
     "merged_with",
     "parallel_after",
     "reference_annotate",
+    "reference_elapsed",
     "reference_execute",
     "reference_partial_bound",
     "reference_partial_plan",

@@ -1,6 +1,6 @@
 """References the production paths are checked against (tests and benches).
 
-Seven small, obviously correct things: the composed *ranking*
+Eight small, obviously correct things: the composed *ranking*
 (:func:`compose_ranking`, a stable sort on the aggregated rank) for
 the engine's terminal top-k stream, the full-plane dict-row *join*
 (:func:`execute_join` over :func:`merged_with`) for the compiled join
@@ -16,7 +16,8 @@ route to a state's bound and closed plan), the eager-streamed engine
 up front" baseline lazy fetching is measured against — and the
 re-executing session executor (:class:`ReexecutingExecutor`), the
 "every growth round runs the plan again" baseline growth in place is
-measured against.
+measured against, and the engine's clock as a critical-path DP over
+feeds (:func:`reference_elapsed`) for ``elapsed``'s path fold.
 
 The engine carries rows as slot tuples through compiled loops
 (:mod:`repro.execution.slots`); the interpreter walks a plan node
@@ -45,10 +46,11 @@ from repro.costs.base import CostMetric
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine
 from repro.execution.joins import join_order
-from repro.execution.program import as_program
+from repro.execution.program import JOIN, ExecutionProgram, as_program
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.results import Row
 from repro.execution.slots import ExecutionError
+from repro.execution.stats import IDLE, ExecutionStats
 from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import AccessPattern
@@ -158,6 +160,20 @@ def eager_streamed_engine(registry: ServiceRegistry, **options) -> ExecutionEngi
     inputs up front: same walk and cells as the lazy engine, exactly
     the fetches of a full scan."""
     return _EagerStreamedEngine(registry, **options)
+
+
+def reference_elapsed(program: ExecutionProgram, stats: ExecutionStats) -> float:
+    """The engine's clock as a DP over feeds: a step finishes its busy
+    time after the last of its feeds, and ``elapsed`` must read the
+    output's finish bit for bit."""
+    finish: list[float] = []
+    for step in program.steps:
+        busy = stats.clock.get(step.index, IDLE)[0]
+        if stats.rows_out and step.kind == JOIN:
+            busy = step.response_time
+        start = max((finish[feed] for feed in step.feeds), default=0.0)
+        finish.append(start + busy)
+    return finish[-1]
 
 
 class ReexecutingExecutor(ProgressiveExecutor):

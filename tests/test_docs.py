@@ -499,6 +499,38 @@ def test_one_sibling_chooser():
     assert callers == {("execution/fetch.py", ("UnitRouting", "sibling"))}
 
 
+def test_one_time_fold():
+    """Eq. 4, time-to-screen and the engine's clock fold per-node times
+    into a plan's time through ``slowest_path`` (``plans/dag.py``)
+    alone: each is a call to it, with no loop and no ``max`` or
+    ``sum`` of its own, and nothing else under ``src/repro/`` calls
+    it."""
+    folders = {
+        ("costs/time_cost.py", ("ExecutionTimeMetric", "evaluate")),
+        ("costs/time_cost.py", ("TimeToScreenMetric", "evaluate")),
+        ("execution/engine.py", ("elapsed",)),
+    }
+    callers = set()
+    for path in SRC.rglob("*.py"):
+        relative = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text())
+        callers.update(
+            (relative, scopes)
+            for name, scopes in _calls(tree)
+            if name == "slowest_path"
+        )
+        for node, scopes in _enclosing_scopes(tree):
+            if (relative, scopes + (getattr(node, "name", ""),)) not in folders:
+                continue
+            for inner in ast.walk(node):
+                assert not isinstance(inner, (ast.For, ast.While)), (relative, scopes)
+                assert not (
+                    isinstance(inner, ast.Call)
+                    and getattr(inner.func, "id", "") in ("max", "sum")
+                ), (relative, scopes)
+    assert callers == folders
+
+
 def test_one_plan_walk_and_one_restart_loop():
     """Under ``execution/`` only ``program.py`` dispatches on plan node
     types (compiling them into the steps the engine's one walk runs),
@@ -1012,9 +1044,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3317,
-        "src/repro/optimizer + plans + costs": 2083,
-        "src/repro outside testing": 8901,
+        "src/repro/execution + serving": 3271,
+        "src/repro/optimizer + plans + costs": 2079,
+        "src/repro outside testing": 8851,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

@@ -73,7 +73,7 @@ class TestRunningExamplePlans:
     def test_serial_plan_is_pure_chain(self, builder):
         plan = builder.build(alpha1_patterns(), poset_serial())
         assert len(plan.join_nodes) == 0
-        assert len(plan.paths()) == 1
+        assert len(plan.path_positions()) == 1
 
     def test_optimal_plan_has_one_merge_scan(self, builder):
         plan = builder.build(alpha1_patterns(), poset_optimal())

@@ -122,16 +122,11 @@ class TestGraphAlgorithms:
             plan.topological_order()
 
     def test_paths_linear(self, linear_plan):
-        paths = linear_plan.paths()
-        assert len(paths) == 1
-        assert len(paths[0]) == 4
+        assert linear_plan.path_positions() == ((0, 1, 2, 3),)
 
     def test_paths_diamond(self, diamond_plan):
-        paths = diamond_plan.paths()
-        assert len(paths) == 2
-        for path in paths:
-            assert path[0] is diamond_plan.input_node
-            assert path[-1] is diamond_plan.output_node
+        paths = diamond_plan.path_positions()
+        assert sorted(paths) == [(0, 1, 2, 4, 5), (0, 1, 3, 4, 5)]
 
     def test_ancestors_descendants(self, diamond_plan):
         join = diamond_plan.join_nodes[0]

@@ -129,16 +129,6 @@ class TestPlanCache:
         cache.store("key", _spec(), 1.0, "time", "e")
         assert PlanCache(path=path).lookup("key") is not None
 
-    def test_prune_drops_stale_epochs(self, tmp_path):
-        path = tmp_path / "plans.sqlite"
-        cache = PlanCache(path=path)
-        cache.store("old", _spec(), 1.0, "time", "epoch1")
-        cache.store("new", _spec(), 2.0, "time", "epoch2")
-        assert cache.prune("epoch2") == 1
-        assert cache.lookup("old") is None
-        assert cache.lookup("new") is not None
-        assert len(SQLiteDiskTier(path)) == 1
-
 
 # -- SQLite disk tier -------------------------------------------------------
 
@@ -161,7 +151,7 @@ def _json_tier_payload(entries) -> str:
 class TestSQLiteTier:
     """The disk tier: sibling writers, the files it refuses or discards,
     and a seeded differential against a dict model (same CachedPlans,
-    same stats, same prune counts)."""
+    same stats)."""
 
     def test_sibling_instances_accumulate_without_clobbering(self, tmp_path):
         path = tmp_path / "plans.sqlite"
@@ -210,8 +200,8 @@ class TestSQLiteTier:
     def test_sqlite_tier_matches_a_dict_model(self, tmp_path):
         """Differential oracle: a seeded random op sequence driven
         against the cache and a dict produces identical CachedPlans,
-        stats, prune counts, and entry sets — in this process and
-        after a restart from the file."""
+        stats and entry sets — in this process and after a restart
+        from the file."""
         import random
 
         for seed in (1, 7, 20080824):
@@ -222,7 +212,7 @@ class TestSQLiteTier:
             keys = [f"key{i}" for i in range(6)]
             epochs = ["e1", "e2"]
             for _ in range(120):
-                op = rng.choice(("store", "lookup", "lookup", "prune"))
+                op = rng.choice(("store", "lookup", "lookup"))
                 key = rng.choice(keys)
                 if op == "store":
                     spec = _spec((rng.choice(("io", "oi")),))
@@ -231,7 +221,7 @@ class TestSQLiteTier:
                     assert cache.store(*args) is True
                     model[key] = args[1:]
                     counted["stores"] += 1
-                elif op == "lookup":
+                else:
                     hit = cache.lookup(key)
                     if key in model:
                         assert hit == CachedPlan(*model[key], tier="memory")
@@ -239,12 +229,6 @@ class TestSQLiteTier:
                     else:
                         assert hit is None
                         counted["misses"] += 1
-                else:
-                    epoch = rng.choice(epochs)
-                    stale = [k for k, row in model.items() if row[3] != epoch]
-                    assert cache.prune(epoch) == len(stale)
-                    for stale_key in stale:
-                        del model[stale_key]
                 # The disk row under the touched key, read back.
                 expected = model.get(key)
                 assert cache._tier.get(key) == (
