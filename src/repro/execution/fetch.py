@@ -36,8 +36,10 @@ An engine keeps one for its lifetime, and a session keeps its engine
 across drift splices, so a re-plan carries nothing over by hand.
 
 :func:`page_records` reads an answer's page pulls back off its record
-chain, only when a response renders them: the feed record, the page
-slot and the step's binding are all a pull left behind.
+chain, only when a response renders them or a partial-result
+certificate attributes the answer to its units: the feed record, the
+page slot and the step's binding are all a pull left behind.  It is the
+one way from a record to its unit.
 """
 
 from __future__ import annotations
@@ -236,11 +238,23 @@ class UnitRouting:
     def certificate_for(
         self, program: ExecutionProgram, rows: list[Row]
     ) -> PartialResultCertificate | None:
-        """The partial-result certificate; None unless partial mode."""
+        """The partial-result certificate; None unless partial mode.
+
+        Each answer is attributed to the units its record chain was
+        pulled from (:func:`page_records`): a unit a sibling served to
+        the sibling its page slot names.
+        """
         if not self._resilience.partial_results:
             return None
+        bindings = program.step_bindings
         return build_certificate(
-            program.answer_specs, rows, self.demoted, self._substitution_used
+            (binding.service_name for binding in bindings),
+            (
+                ((name, key) for name, key, _ in page_records(row.record, bindings))
+                for row in rows
+            ),
+            self.demoted,
+            self._substitution_used,
         )
 
 

@@ -6,7 +6,7 @@ compile` walks a :class:`~repro.plans.dag.QueryPlan` **once** and keeps
 what every run would otherwise re-derive: the node schedule as index
 arrays, one :class:`~repro.execution.slots.ServiceBinding` per service
 node, one :class:`~repro.execution.slots.CompiledJoin` per join, the
-output residual filter, the head and the certificate's input specs.
+output residual filter and the head.
 The engine *runs programs* (a ``QueryPlan`` handed to it is compiled on
 entry), and one program serves every session and thread of a
 plan-cache key, because
@@ -32,10 +32,8 @@ from repro.execution.results import SlotLayout
 from repro.execution.slots import (
     CompiledJoin,
     ExecutionError,
-    InputSpec,
     ServiceBinding,
     SlotPredicate,
-    compile_input_spec,
     compile_join,
     compile_predicates,
 )
@@ -100,10 +98,10 @@ class ExecutionProgram:
     #: only appends feed rows after every old one, and blocks after
     #: every old block on each cursor and on both join inputs.
     grows_in_place: bool
-    #: ``(service, pattern code, input spec against the answer layout)``
-    #: per service node: how a certificate recovers, from an answer's
-    #: own values, the unit of each service that produced it.
-    answer_specs: tuple[tuple[str, str, InputSpec], ...]
+    #: The service steps' bindings, in step order: what reads an
+    #: answer's record chain back into the units it was pulled from
+    #: (:func:`~repro.execution.fetch.page_records`).
+    step_bindings: tuple[ServiceBinding, ...]
     #: Every input → output path of the plan, as step indices: what
     #: the clock folds (:func:`~repro.plans.dag.slowest_path`).
     paths: tuple[tuple[int, ...], ...]
@@ -199,10 +197,8 @@ class ExecutionProgram:
                     for step in steps[2:]
                 )
             ),
-            answer_specs=tuple(
-                (node.service_name, node.pattern.code,
-                 tuple(compile_input_spec(node, steps[-1].layout)))
-                for node in plan.service_nodes
+            step_bindings=tuple(
+                step.binding for step in steps if step.kind == SERVICE
             ),
             paths=tuple(
                 tuple(step_of[node] for node in path)
@@ -212,9 +208,9 @@ class ExecutionProgram:
 
     def pattern_codes(self, service: str) -> tuple[str, ...]:
         """The access-pattern codes the plan invokes *service* with."""
-        return tuple(sorted(
-            {code for name, code, _ in self.answer_specs if name == service}
-        ))
+        return tuple(sorted({
+            b.pattern_code for b in self.step_bindings if b.service_name == service
+        }))
 
 
 def as_program(

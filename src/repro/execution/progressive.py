@@ -222,8 +222,19 @@ class ProgressiveExecutor:
         #: Services whose drift a splice already absorbed, with their
         #: observed mean response times (what ``replan`` re-costs at).
         self._overrides: dict[str, float] = {}
-        #: Where the current splice's rounds start in ``rounds``.
-        self._splice_start = 0
+        #: The exhaustion baseline after a resume-served round.  A fresh
+        #: execution's ``tuples_processed`` covers every page the walk
+        #: demands, cached or not; the equivalent figure once a stream
+        #: resume served the round is the *last executed* round's count
+        #: plus every later resume's incremental pulls (resumed rounds
+        #: record only the pages they newly demanded, so the sum never
+        #: double-counts).  None until a round executes the plan — then
+        #: there is nothing to compare a growth round against.
+        self._baseline: int | None = None
+        #: Rounds that ran the plan, or continued it under grown
+        #: factors, since the last splice (plain resumed rounds are
+        #: free).
+        self._executed = 0
         self._adopt(self.plan)
         self._engine = ExecutionEngine(
             self.registry,
@@ -312,8 +323,8 @@ class ProgressiveExecutor:
             # A resume-served round must still arm the exhaustion
             # break, or the first growth round after it always burns
             # one extra re-execution against exhausted services.
-            baseline_processed = self._resumed_baseline()
-        while len(result.rows) < k and self._executed_rounds() < MAX_ROUNDS:
+            baseline_processed = self._baseline
+        while len(result.rows) < k and self._executed < MAX_ROUNDS:
             if not self._grow_fetches():
                 break  # every factor capped by its decay bound
             previous_answers = len(result.rows)
@@ -398,6 +409,13 @@ class ProgressiveExecutor:
         self, stats: ExecutionStats, answers: int, resumed: bool = False,
         grown: bool = False,
     ) -> None:
+        """Append one round: the one place the round counters move."""
+        if not resumed:
+            self._baseline = stats.tuples_processed
+        elif self._baseline is not None:
+            self._baseline += stats.tuples_processed
+        if grown or not resumed:
+            self._executed += 1
         self.rounds.append(
             ProgressiveRound(
                 fetches=self.fetch_vector(),
@@ -453,31 +471,4 @@ class ProgressiveExecutor:
         # cache, which re-serves every fetched page locally, with the
         # executed-round budget restarted.
         self._last_result = None
-        self._splice_start = len(self.rounds)
-
-    def _resumed_baseline(self) -> int | None:
-        """The exhaustion baseline after a resume-served round.
-
-        A fresh execution's ``tuples_processed`` covers every page the
-        walk demands, cached or not; the equivalent figure once a
-        stream resume served the round is the *last executed* round's
-        count plus every later resume's incremental pulls (resumed
-        rounds record only the pages they newly demanded, so the sum
-        never double-counts).  None when no round ever executed the
-        plan — then there is nothing to compare a growth round against.
-        """
-        baseline: int | None = None
-        for r in self.rounds:
-            if not r.resumed:
-                baseline = r.stats.tuples_processed
-            elif baseline is not None:
-                baseline += r.stats.tuples_processed
-        return baseline
-
-    def _executed_rounds(self) -> int:
-        """Rounds that ran the plan, or continued it under grown
-        factors, since the last splice (plain resumed rounds are free)."""
-        return sum(
-            1 for r in self.rounds[self._splice_start:]
-            if r.grown or not r.resumed
-        )
+        self._executed = 0

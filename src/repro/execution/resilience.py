@@ -38,14 +38,12 @@ switchable layers wired into the one page-pull seam
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.digest import sha256
-from repro.execution.slots import InputSpec, unit_input_key
 from repro.services.base import InvocationResult, TransientServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.execution.results import Row
     from repro.execution.stats import ExecutionStats
     from repro.services.profile import ServiceProfile
 
@@ -285,10 +283,6 @@ class DroppedUnit:
     reason: str
 
     @property
-    def unit(self) -> tuple[str, tuple]:
-        return (self.service, self.input_key)
-
-    @property
     def token(self) -> str:
         return unit_token(self.service, self.input_key)
 
@@ -317,10 +311,6 @@ class SubstitutedUnit:
     service: str
     input_key: tuple
     replacement: str
-
-    @property
-    def unit(self) -> tuple[str, tuple]:
-        return (self.service, self.input_key)
 
     @property
     def token(self) -> str:
@@ -374,39 +364,21 @@ class PartialResultCertificate:
         }
 
 
-def _answer_units(
-    answer_specs: "Sequence[tuple[str, str, InputSpec]]",
-    row: "Row",
-    substituted: Mapping[tuple[str, tuple], str] = {},
-) -> tuple[str, ...]:
-    """The unit tokens of the blocks that produced one answer row.
-
-    Every answer satisfies every service atom of the plan, and the
-    input setting of each service node *for this answer* is recoverable
-    from the answer's own values through the node's input spec compiled
-    against the answer layout (*answer_specs*, part of the compiled
-    program) — so attribution needs no execution-time bookkeeping at
-    all.  A unit rerouted onto a sibling attributes to the
-    *replacement* service's token: the answer really came from it.
-    """
-    tokens = []
-    for serving, pattern_code, input_spec in answer_specs:
-        _, input_key = unit_input_key(pattern_code, input_spec, row.values)
-        if substituted:
-            serving = substituted.get((serving, input_key), serving)
-        tokens.append(unit_token(serving, input_key))
-    return tuple(sorted(tokens))
-
-
 def build_certificate(
-    answer_specs: "Sequence[tuple[str, str, InputSpec]]",
-    rows: "list[Row]",
+    plan_services: Iterable[str],
+    answer_units: Iterable[Iterable[tuple[str, tuple]]],
     demoted: Mapping[tuple[str, tuple], UnresponsiveService],
     substituted: Mapping[tuple[str, tuple], str] = {},
 ) -> PartialResultCertificate:
-    """The partial-result certificate for one finished execution of
-    the program whose ``answer_specs`` these are."""
-    plan_services = sorted({name for name, _, _ in answer_specs})
+    """The partial-result certificate for one finished execution.
+
+    *plan_services* name the services of the executed plan, and
+    *answer_units* hold, per answer in answer order, the ``(service,
+    input key)`` units its record chain was pulled from — the serving
+    service's name, so a unit rerouted onto a sibling attributes to
+    the *replacement*: the answer really came from it.
+    """
+    plan_services = sorted(set(plan_services))
     dropped = tuple(
         DroppedUnit(
             service=failure.service,
@@ -438,8 +410,8 @@ def build_certificate(
         responsive_services=responsive,
         dropped_services=tuple(dropped_services),
         answer_units=tuple(
-            _answer_units(answer_specs, row, substituted)
-            for row in rows
+            tuple(sorted(unit_token(*unit) for unit in units))
+            for units in answer_units
         ),
         substituted=substitutions,
     )

@@ -26,21 +26,11 @@ Two tiers:
   same path) starts warm; a promoted entry has no program until its
   first user compiles one (:meth:`PlanCache.attach`).
 
-All cache state (LRU order, stats counters, tenant quotas) is guarded
-by one internal lock, so ``lookup`` and ``store`` are safe to
-call from any number of serving threads; per-*key* single-flight (one
-optimizer run per concurrent miss) is layered above this lock by
+All cache state (LRU order, stats counters) is guarded by one
+internal lock, so ``lookup`` and ``store`` are safe to call from any
+number of serving threads; per-*key* single-flight (one optimizer run
+per concurrent miss) is layered above this lock by
 :meth:`repro.serving.service.QueryService._resolve_plan`.
-
-**Per-tenant admission quotas**: ``tenant_quota`` bounds how many
-distinct keys any one tenant may admit through :meth:`PlanCache.store`
-(callers tag stores with a tenant id — the serving layer uses the
-registry epoch, i.e. one quota per registry content version).  A
-rejected store is pure cost, never wrongness: the plan simply stays
-uncached and the next submission re-optimizes.  Rejections are counted
-in ``stats.quota_rejections``.  Quota accounting is per process — a
-restart starts fresh, matching its purpose (protecting a shared store
-from one runaway tenant flooding it within a serving lifetime).
 
 Invalidation is by *construction*: the registry epoch is part of the
 key, so entries recorded under drifted service profiles are simply
@@ -65,13 +55,12 @@ class CachedPlan:
 
     ``program`` is the compiled plan shared by every user of the key;
     None on an entry nobody has compiled yet (a disk hit, or a store
-    that brought none).
+    that brought none).  The metric and registry epoch the plan was
+    optimized under are not kept: the key embeds both.
     """
 
     spec: PlanSpec
     cost: float
-    metric: str
-    epoch: str
     tier: str  # "memory" | "disk"
     program: ExecutionProgram | None = None
 
@@ -85,7 +74,6 @@ class PlanCacheStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-    quota_rejections: int = 0
 
     @property
     def hits(self) -> int:
@@ -110,7 +98,6 @@ class PlanCacheStats:
             "misses": self.misses,
             "stores": self.stores,
             "evictions": self.evictions,
-            "quota_rejections": self.quota_rejections,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -122,26 +109,19 @@ class PlanCache:
     ``capacity=0`` disables the memory tier entirely (every lookup
     misses unless a disk path is given) — the serving bench uses this
     as its no-plan-cache baseline.  ``path=None`` means no disk tier.
-    See the module docstring for ``tenant_quota`` and the thread-safety
-    contract.
+    See the module docstring for the thread-safety contract.
     """
 
     path: Path | str | None = None
     capacity: int = 128
-    tenant_quota: int | None = None
     stats: PlanCacheStats = field(default_factory=PlanCacheStats, init=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {self.capacity}")
-        if self.tenant_quota is not None and self.tenant_quota < 0:
-            raise ValueError(
-                f"tenant_quota must be >= 0 or None, got {self.tenant_quota}"
-            )
         self.path = Path(self.path) if self.path is not None else None
         self._lock = threading.RLock()
         self._memory: OrderedDict[str, CachedPlan] = OrderedDict()
-        self._tenant_keys: dict[str, set[str]] = {}
         self._tier = SQLiteDiskTier(self.path) if self.path is not None else None
 
     # -- lookup/store ----------------------------------------------------
@@ -157,10 +137,9 @@ class PlanCache:
             if self._tier is not None:
                 row = self._tier.get(key)
                 if row is not None:
-                    spec_json, cost, metric, epoch = row
+                    spec_json, cost = row
                     entry = CachedPlan(
-                        PlanSpec.from_json(spec_json), cost, metric, epoch,
-                        tier="memory",
+                        PlanSpec.from_json(spec_json), cost, tier="memory"
                     )
                     self.stats.disk_hits += 1
                     self._admit(key, entry)
@@ -170,25 +149,18 @@ class PlanCache:
 
     def store(self, key: str, spec: PlanSpec, cost: float, metric: str,
               epoch: str, tenant: str | None = None,
-              program: ExecutionProgram | None = None) -> bool:
+              program: ExecutionProgram | None = None) -> None:
         """Record an optimized plan under *key* in both tiers.
 
-        *program* (the plan compiled) stays with the memory entry.
-        Returns False (and admits nothing, in either tier) when
-        *tenant* has exhausted its ``tenant_quota`` of distinct keys —
-        the caller's plan still executes, it just is not cached.
+        *program* (the plan compiled) stays with the memory entry;
+        *metric* and *epoch* fill the disk row's columns.  *tenant* is
+        unused: it stays for the frozen bench, which passes it.
         """
         with self._lock:
-            if not self._admit_tenant(tenant, key):
-                self.stats.quota_rejections += 1
-                return False
             self.stats.stores += 1
-            self._admit(
-                key, CachedPlan(spec, cost, metric, epoch, "memory", program)
-            )
+            self._admit(key, CachedPlan(spec, cost, "memory", program))
             if self._tier is not None:
                 self._tier.put(key, spec.to_json(), cost, metric, epoch)
-            return True
 
     def attach(self, key: str, program: ExecutionProgram) -> None:
         """Keep *program* with *key*'s memory entry, if it has one and
@@ -197,18 +169,6 @@ class PlanCache:
             entry = self._memory.get(key)
             if entry is not None and entry.program is None:
                 self._memory[key] = replace(entry, program=program)
-
-    def _admit_tenant(self, tenant: str | None, key: str) -> bool:
-        """Quota check: may *tenant* store (another) distinct key?"""
-        if tenant is None or self.tenant_quota is None:
-            return True
-        keys = self._tenant_keys.setdefault(tenant, set())
-        if key in keys:
-            return True  # refreshing an admitted key is free
-        if len(keys) >= self.tenant_quota:
-            return False
-        keys.add(key)
-        return True
 
     def _admit(self, key: str, entry: CachedPlan) -> None:
         if self.capacity == 0:

@@ -237,12 +237,9 @@ class QueryService:
 
     ``plan_cache`` may be shared between several services (a fleet of
     tenants over different registries): keys embed each registry's
-    content epoch, so entries never cross tenants, and per-tenant
-    store quotas (``PlanCache(tenant_quota=...)``) keep one tenant
-    from flooding the shared store — this service tags its stores
-    with the registry epoch (one quota bucket per registry content
-    version).  All public methods are thread-safe (see the module
-    docstring for the locking structure).
+    content epoch, so entries never cross tenants.  All public methods
+    are thread-safe (see the module docstring for the locking
+    structure).
     """
 
     registry: ServiceRegistry
@@ -494,8 +491,7 @@ class QueryService:
                     self.stats.optimizer_atoms_placed += search.atoms_placed
                 self.plan_cache.store(
                     key, PlanSpec.from_optimized(optimized), cost,
-                    self.metric.name, epoch,
-                    tenant=epoch, program=program,
+                    self.metric.name, epoch, program=program,
                 )
         return program, cost, provenance, epoch, annotate_calls
 
@@ -658,7 +654,7 @@ class QueryService:
         if self.row_provenance:
             # Derived from each answer's record chain, stamped with the
             # registry content epoch the answer was computed against.
-            bindings = [step.binding for step in result.program.steps if step.binding]
+            bindings = result.program.step_bindings
             row_provenance = tuple(
                 tuple(
                     {"epoch": epoch, "input": key, "page": page, "service": name}

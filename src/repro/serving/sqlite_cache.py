@@ -11,7 +11,8 @@ that is not such a database.  ``synchronous=NORMAL`` is deliberate
 here: a lost plan costs one re-optimization, never correctness, so
 durability is traded for store latency.
 
-The tier speaks plain ``(spec_json, cost, metric, epoch)`` row tuples.
+The tier stores plain ``(spec_json, cost, metric, epoch)`` row tuples
+and reads back ``(spec_json, cost)``: the key embeds the rest.
 
 Before SQLite the tier was one JSON file rewritten per store.
 :func:`read_json_tier` still reads that format — for
@@ -130,15 +131,15 @@ class SQLiteDiskTier:
 
     # -- the tier interface ----------------------------------------------
 
-    def get(self, key: str) -> PlanRow | None:
-        """The stored row under *key*, or None."""
+    def get(self, key: str) -> tuple[str, float] | None:
+        """The ``(spec_json, cost)`` stored under *key*, or None: the
+        key already embeds the row's metric and epoch."""
         row = self._pool.connection().execute(
-            "SELECT spec, cost, metric, epoch FROM plans WHERE key = ?",
-            (key,),
+            "SELECT spec, cost FROM plans WHERE key = ?", (key,)
         ).fetchone()
         if row is None:
             return None
-        return (row[0], float(row[1]), row[2], row[3])
+        return (row[0], float(row[1]))
 
     def put(self, key: str, spec_json: str, cost: float, metric: str,
             epoch: str) -> None:

@@ -8,7 +8,8 @@ against, the per-definition plan estimates the annotation program
 is checked against, the from-scratch state bound the optimizer's open
 plans are checked against, the eager-streamed engine lazy fetching is
 measured against, the re-executing executor growth in place is
-measured against and the feed DP the engine's clock is checked against
+measured against, the feed DP the engine's clock is checked against
+and the values-based attribution the certificate's is checked against
 (:mod:`repro.testing.reference`); the brute-force
 optimality oracle of the branch-and-bound
 (:mod:`repro.testing.exhaustive`) and the WSMS predecessor the
@@ -59,6 +60,7 @@ from repro.testing.reference import (
     memo_bounds,
     merged_with,
     reference_annotate,
+    reference_answer_units,
     reference_elapsed,
     reference_execute,
     reference_partial_bound,
@@ -108,6 +110,7 @@ __all__ = [
     "merged_with",
     "parallel_after",
     "reference_annotate",
+    "reference_answer_units",
     "reference_elapsed",
     "reference_execute",
     "reference_partial_bound",

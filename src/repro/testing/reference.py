@@ -1,6 +1,6 @@
 """References the production paths are checked against (tests and benches).
 
-Eight small, obviously correct things: the composed *ranking*
+Nine small, obviously correct things: the composed *ranking*
 (:func:`compose_ranking`, a stable sort on the aggregated rank) for
 the engine's terminal top-k stream, the full-plane dict-row *join*
 (:func:`execute_join` over :func:`merged_with`) for the compiled join
@@ -16,8 +16,11 @@ route to a state's bound and closed plan), the eager-streamed engine
 up front" baseline lazy fetching is measured against — and the
 re-executing session executor (:class:`ReexecutingExecutor`), the
 "every growth round runs the plan again" baseline growth in place is
-measured against, and the engine's clock as a critical-path DP over
-feeds (:func:`reference_elapsed`) for ``elapsed``'s path fold.
+measured against, the engine's clock as a critical-path DP over
+feeds (:func:`reference_elapsed`) for ``elapsed``'s path fold, and
+the attribution of each answer to its units read off the answer's own
+values (:func:`reference_answer_units`) for the certificate's
+record-chain one.
 
 The engine carries rows as slot tuples through compiled loops
 (:mod:`repro.execution.slots`); the interpreter walks a plan node
@@ -48,8 +51,9 @@ from repro.execution.engine import ExecutionEngine
 from repro.execution.joins import join_order
 from repro.execution.program import JOIN, ExecutionProgram, as_program
 from repro.execution.progressive import ProgressiveExecutor
+from repro.execution.resilience import unit_token
 from repro.execution.results import Row
-from repro.execution.slots import ExecutionError
+from repro.execution.slots import ExecutionError, unit_input_key
 from repro.execution.stats import IDLE, ExecutionStats
 from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
@@ -174,6 +178,27 @@ def reference_elapsed(program: ExecutionProgram, stats: ExecutionStats) -> float
         start = max((finish[feed] for feed in step.feeds), default=0.0)
         finish.append(start + busy)
     return finish[-1]
+
+
+def reference_answer_units(
+    program: ExecutionProgram, rows: Sequence[Row], substituted: Iterable = ()
+) -> tuple[tuple[str, ...], ...]:
+    """Each answer's unit tokens, read off the answer's own values: it
+    satisfies every service step, so the feed variables that open a
+    step's layout hold the inputs its unit was asked with.  A unit
+    among the *substituted* ones (a certificate's ``substituted``)
+    attributes to its sibling."""
+    sibling = {(u.service, u.input_key): u.replacement for u in substituted}
+    answers = []
+    for row in rows:
+        tokens = []
+        for binding in program.step_bindings:
+            values = tuple(map(row.value, binding.layout.variables))
+            _, key = unit_input_key(binding.pattern_code, binding.input_spec, values)
+            name = binding.service_name
+            tokens.append(unit_token(sibling.get((name, key), name), key))
+        answers.append(tuple(sorted(tokens)))
+    return tuple(answers)
 
 
 class ReexecutingExecutor(ProgressiveExecutor):

@@ -223,6 +223,8 @@ class TestQueryCommand:
 
 class TestMigratePlanCache:
     def test_round_trip_database_rows_win(self, capsys, tmp_path):
+        import sqlite3
+
         from repro.plans.spec import PlanSpec
         from repro.serving import PlanCache
         from tests.test_serving import _json_tier_payload
@@ -244,10 +246,16 @@ class TestMigratePlanCache:
         assert "imported 1 of 2 plans" in capsys.readouterr().out
         migrated = PlanCache(path=sqlite_path)
         hit = migrated.lookup("migrated")
-        assert hit is not None and hit.epoch == "e1" and hit.spec == old_spec
+        assert hit is not None and hit.spec == old_spec
         kept = migrated.lookup("shared")  # existing database row wins
-        assert kept.cost == 9.0 and kept.epoch == "e2" and kept.spec == new_spec
+        assert kept.cost == 9.0 and kept.spec == new_spec
         assert len(migrated._tier) == 2
+        # The migration fills the rows' metric and epoch columns.
+        connection = sqlite3.connect(sqlite_path)
+        assert connection.execute(
+            "SELECT key, metric, epoch FROM plans ORDER BY key"
+        ).fetchall() == [("migrated", "time", "e1"), ("shared", "time", "e2")]
+        connection.close()
 
     @pytest.mark.parametrize("content", [None, "not json", '{"version": 3}'])
     def test_unreadable_source_is_a_message_not_a_traceback(

@@ -499,6 +499,25 @@ def test_one_sibling_chooser():
     assert callers == {("execution/fetch.py", ("UnitRouting", "sibling"))}
 
 
+def test_one_way_from_a_record_to_its_unit():
+    """A unit key is built from a record's values when a unit opens
+    (``UnitSource.__init__``) and when an answer's record chain is read
+    back (``page_records``: row provenance and the certificate's
+    ``answer_units`` both read it) — outside ``testing/``, nothing else
+    calls ``unit_input_key``."""
+    callers = {
+        (relative, scopes)
+        for path in SRC.rglob("*.py")
+        if not (relative := path.relative_to(SRC).as_posix()).startswith("testing/")
+        for name, scopes in _calls(ast.parse(path.read_text()))
+        if name == "unit_input_key"
+    }
+    assert callers == {
+        ("execution/fetch.py", ("UnitSource", "__init__")),
+        ("execution/fetch.py", ("page_records", "walk")),
+    }
+
+
 def test_one_time_fold():
     """Eq. 4, time-to-screen and the engine's clock fold per-node times
     into a plan's time through ``slowest_path`` (``plans/dag.py``)
@@ -1000,7 +1019,7 @@ def test_parameter_budget(capsys):
             "registry", "plan", "head", "mode", "cache_setting",
             "shared_cache", "reset_remote", "resilience", "replan",
         ),
-        PlanCache: ("path", "capacity", "tenant_quota"),
+        PlanCache: ("path", "capacity"),
         SQLiteDiskTier: ("path",),
         QueryService: (
             "registry", "metric", "k_default", "plan_cache",
@@ -1044,9 +1063,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3271,
+        "src/repro/execution + serving": 3219,
         "src/repro/optimizer + plans + costs": 2079,
-        "src/repro outside testing": 8851,
+        "src/repro outside testing": 8799,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

@@ -293,7 +293,9 @@ class TestReplanSharesRouting:
         result = executor.run(4)
         assert executor.replans == 1
         assert executor.engine is first_engine
-        assert [unit.unit for unit in result.certificate.dropped] == [
+        assert [
+            (unit.service, unit.input_key) for unit in result.certificate.dropped
+        ] == [
             ("rights", UNIT_KEY)
         ]
         for round_ in executor.rounds:

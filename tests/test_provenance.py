@@ -76,7 +76,7 @@ def _tiny_plan(registry, query):
 def _pulls(result):
     """Every answer's page pulls, derived from its record chain against
     the program that ran it."""
-    bindings = [step.binding for step in result.program.steps if step.binding]
+    bindings = result.program.step_bindings
     return [page_records(row.record, bindings) for row in result.rows]
 
 

@@ -111,12 +111,15 @@ class TestPlanCache:
         hit = reader.lookup("key")
         assert hit is not None
         assert hit.tier == "disk"
-        assert hit.spec == spec
-        assert hit.metric == "requests"
+        assert (hit.spec, hit.cost) == (spec, 7.0)
         # Promotion: the second lookup is a memory hit.
         assert reader.lookup("key").tier == "memory"
-        # Whatever the name, a new path is a SQLite database in WAL mode.
+        # Whatever the name, a new path is a SQLite database in WAL mode,
+        # and the row keeps the metric and epoch the key embeds.
         connection = sqlite3.connect(path)
+        assert connection.execute(
+            "SELECT metric, epoch FROM plans WHERE key = 'key'"
+        ).fetchone() == ("requests", "epoch")
         assert connection.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
         assert connection.execute("PRAGMA user_version").fetchone()[0] == 1
         connection.close()
@@ -218,13 +221,13 @@ class TestSQLiteTier:
                     spec = _spec((rng.choice(("io", "oi")),))
                     args = (key, spec, rng.randint(1, 9) / 2.0, "time",
                             rng.choice(epochs))
-                    assert cache.store(*args) is True
+                    cache.store(*args)
                     model[key] = args[1:]
                     counted["stores"] += 1
                 else:
                     hit = cache.lookup(key)
                     if key in model:
-                        assert hit == CachedPlan(*model[key], tier="memory")
+                        assert hit == CachedPlan(*model[key][:2], tier="memory")
                         counted["memory_hits"] += 1
                     else:
                         assert hit is None
@@ -232,70 +235,58 @@ class TestSQLiteTier:
                 # The disk row under the touched key, read back.
                 expected = model.get(key)
                 assert cache._tier.get(key) == (
-                    expected and (expected[0].to_json(), *expected[1:])
+                    expected and (expected[0].to_json(), expected[1])
                 )
             assert cache.stats.to_dict() == PlanCacheStats(**counted).to_dict()
-            assert [k for k in keys if cache._tier.get(k)] == sorted(model)
+            # Every row, metric and epoch columns included.
+            connection = sqlite3.connect(cache.path)
+            assert connection.execute(
+                "SELECT key, spec, cost, metric, epoch FROM plans ORDER BY key"
+            ).fetchall() == [
+                (key, spec.to_json(), cost, metric, epoch)
+                for key, (spec, cost, metric, epoch) in sorted(model.items())
+            ]
+            connection.close()
             # And the same state is visible after a restart.
             restarted = PlanCache(path=cache.path)
             for key in keys:
                 hit = restarted.lookup(key)
                 if key in model:
-                    assert hit == CachedPlan(*model[key], tier="disk")
+                    assert hit == CachedPlan(*model[key][:2], tier="disk")
                 else:
                     assert hit is None
 
 
-# -- Per-tenant store quotas ------------------------------------------------
+# -- Uncached plans ----------------------------------------------------------
 
 
-class TestTenantQuota:
-    def test_quota_bounds_distinct_keys_per_tenant(self):
-        cache = PlanCache(tenant_quota=2)
-        assert cache.store("a", _spec(), 1.0, "time", "e", tenant="A")
-        assert cache.store("b", _spec(), 1.0, "time", "e", tenant="A")
-        assert not cache.store("c", _spec(), 1.0, "time", "e", tenant="A")
-        # Refreshing an admitted key is not a new admission.
-        assert cache.store("a", _spec(("oi",)), 2.0, "time", "e", tenant="A")
-        # Another tenant has its own budget.
-        assert cache.store("c", _spec(), 1.0, "time", "e", tenant="B")
-        assert cache.stats.quota_rejections == 1
-        assert cache.lookup("c") is not None  # B's store was admitted
-
-    def test_untenanted_stores_bypass_the_quota(self):
-        cache = PlanCache(tenant_quota=1)
-        assert cache.store("a", _spec(), 1.0, "time", "e")
-        assert cache.store("b", _spec(), 1.0, "time", "e")
-        assert cache.stats.quota_rejections == 0
-
-    def test_rejected_store_costs_reoptimization_not_correctness(self):
-        """A QueryService over a quota-0 shared plan cache keeps
-        answering correctly — every submit just re-optimizes."""
-        cache = PlanCache(tenant_quota=0)
-        service = QueryService(
-            registry=weekend_registry(), k_default=3, plan_cache=cache
-        )
-        query = mahler_weekend_query()
-        first = service.submit(query)
-        second = service.submit(query)
-        assert first.provenance == "optimized"
-        assert second.provenance == "optimized"  # nothing was cached
-        assert _answer_signature(first) == _answer_signature(second)
-        assert service.stats.optimizer_runs == 2
-        assert cache.stats.quota_rejections == 2
-        assert cache.stats.stores == 0
-        # The estimation work of both runs is in the snapshot, next to
-        # the search-level annotate count that does not see phase 3:
-        # one whole-plan program per run (the plan that leaves), the
-        # states' programs are extensions.  A run closes the plan that
-        # leaves and each topology phase 3 sizes, which runs at least
-        # its all-ones vector.
-        serving = service.snapshot()["serving"]
-        assert serving["optimizer_programs_compiled"] == 2
-        assert serving["optimizer_atoms_placed"] > 0
-        assert 2 < serving["optimizer_annotate_calls"] <= (
-            serving["optimizer_fetch_vectors_evaluated"] + 2
-        )
+def test_an_uncached_plan_costs_reoptimization_not_correctness():
+    """A QueryService over a plan cache with no memory tier keeps
+    answering correctly — every submit just re-optimizes."""
+    cache = PlanCache(capacity=0)
+    service = QueryService(
+        registry=weekend_registry(), k_default=3, plan_cache=cache
+    )
+    query = mahler_weekend_query()
+    first = service.submit(query)
+    second = service.submit(query)
+    assert first.provenance == "optimized"
+    assert second.provenance == "optimized"  # nothing was cached
+    assert _answer_signature(first) == _answer_signature(second)
+    assert service.stats.optimizer_runs == 2
+    assert cache.stats.misses == 2
+    # The estimation work of both runs is in the snapshot, next to
+    # the search-level annotate count that does not see phase 3:
+    # one whole-plan program per run (the plan that leaves), the
+    # states' programs are extensions.  A run closes the plan that
+    # leaves and each topology phase 3 sizes, which runs at least
+    # its all-ones vector.
+    serving = service.snapshot()["serving"]
+    assert serving["optimizer_programs_compiled"] == 2
+    assert serving["optimizer_atoms_placed"] > 0
+    assert 2 < serving["optimizer_annotate_calls"] <= (
+        serving["optimizer_fetch_vectors_evaluated"] + 2
+    )
 
 
 # -- SessionManager ---------------------------------------------------------
