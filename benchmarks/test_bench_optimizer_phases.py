@@ -8,9 +8,10 @@ Figure 1 (pattern sequences → topologies → fully instantiated plans).
 
 The *search counts* pin what a search does per domain, under the
 serving configuration with ETM and with SCM: the states it explored
-and pruned, the bounds it computed, the atoms it placed, how many
-topologies reached phase 3 and the fetch vectors they evaluated, each
-search's optimum equal to the exhaustive baseline's.  What a bound
+and pruned, the bounds it computed, the atoms it placed, the bounds it
+inherited from an immediate sub-state (a state pruned without being
+built), how many topologies reached phase 3 and the fetch vectors they
+evaluated, each search's optimum equal to the exhaustive baseline's.  What a bound
 costs in µs, and phase 3's fetch vectors per second, are timings:
 ``test_bench_timings.py`` measures them.
 """
@@ -129,7 +130,8 @@ def _search_counts(name, registry, query, metric) -> dict:
     )
     assert best.cost.hex() == oracle.cost.hex(), name
     # A state costs one placed atom (a pruned state drops its open plan;
-    # the few that are then extended after all are folded twice).
+    # the few that are then extended after all are folded twice), or
+    # none when its bound is inherited.
     assert stats.atoms_placed <= 1.1 * stats.topology_states_explored + 2, name
     return {
         "domain": name,
@@ -138,6 +140,7 @@ def _search_counts(name, registry, query, metric) -> dict:
         "states_pruned": stats.topology_states_pruned,
         "bounds_computed": stats.memo_bound_misses,
         "atoms_placed": stats.atoms_placed,
+        "bounds_inherited": stats.bounds_inherited,
         "topologies_in_phase3": stats.fetch_evaluations,
         "fetch_vectors_evaluated": stats.fetch_vectors_evaluated,
         "annotate_calls": stats.annotate_calls,

@@ -50,8 +50,15 @@ class SearchStats:
     *Estimation work* (:mod:`repro.plans.annotate`).  A state costs one
     ``place`` on top of the open plan it extends (``atoms_placed``: the
     fold steps the search executed — about one per state it holds, more
-    when memoization is off and every state is folded from the root);
-    its bound is read off that open plan, which is never closed for it.
+    when memoization is off and every state is folded from the root,
+    none for a state whose bound is inherited); its bound is read off
+    that open plan, which is never closed for it.  ``bounds_inherited``
+    counts the bound misses answered without building the state: an
+    immediate sub-state's bound, already held, pruned it, and is kept
+    as its bound (the decision the exact bound makes, since a
+    sub-state's bound is never higher).  It needs both the incumbent
+    and the memo, so it stays 0 under ``prune=False`` or
+    ``memoize=False``.
     ``annotate_calls`` counts the closed plans: one per complete
     topology phase 3 sizes, plus one for annotating the plan that
     leaves.  It does not see inside phase 3:
@@ -79,6 +86,7 @@ class SearchStats:
     fetch_vectors_evaluated: int = 0
     programs_compiled: int = 0
     atoms_placed: int = 0
+    bounds_inherited: int = 0
     memo_bound_hits: int = 0
     memo_bound_misses: int = 0
     memo_plan_hits: int = 0

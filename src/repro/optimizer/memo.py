@@ -91,7 +91,8 @@ class OpenState:
 
     ``plan`` and ``program`` are dropped (``None``) once the state's
     bound has pruned it: nothing is placed on a pruned state, so only
-    the number is worth keeping.
+    the number is worth keeping.  A state whose bound is inherited is
+    kept as that number alone.
     """
 
     #: IN and the placed atoms in build order: the plan the state's
@@ -100,10 +101,13 @@ class OpenState:
     #: The annotation program of ``plan.plan``, extended from the
     #: state this one was placed on.
     program: AnnotationProgram | None
-    #: The metric on ``plan`` at all fetching factors 1 (the cost of
-    #: the plan closed as it stands) — a lower bound for every
-    #: completion — once it has been asked for.
+    #: A lower bound for every completion, once it has been asked for:
+    #: exact — the metric on ``plan`` at all fetching factors 1 (the
+    #: cost of the plan closed as it stands) — or, when an immediate
+    #: sub-state's bound already pruned the state, that sub-state's
+    #: value (``inherited``; the state was then never built).
     bound: float | None = None
+    inherited: bool = False
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,10 @@ class PlanMemo(Generic[Payload]):
     _query: ConjunctiveQuery | None = None
     _bounds: dict[BoundKey, OpenState] = field(default_factory=dict)
     _plans: dict[PlanKey, PlanEntry[Payload]] = field(default_factory=dict)
+    #: The largest bound computed into the table: while the incumbent
+    #: does not prune it, no state's bound is inherited
+    #: (:meth:`~repro.optimizer.optimizer.Optimizer._lower_bound`).
+    top_bound: float = float("-inf")
 
     def reset_for(self, query: ConjunctiveQuery) -> None:
         """Keep entries only when re-optimizing the very same query."""
@@ -134,6 +142,7 @@ class PlanMemo(Generic[Payload]):
         self._bounds.clear()
         self._plans.clear()
         self._query = None
+        self.top_bound = float("-inf")
 
     # -- search states ---------------------------------------------------
 
@@ -144,6 +153,23 @@ class PlanMemo(Generic[Payload]):
     def store_state(self, key: BoundKey, state: OpenState) -> None:
         """Keep *state* (its bound may be filled in later)."""
         self._bounds[key] = state
+
+    def sub_state_bound(self, key: BoundKey) -> float:
+        """The largest bound held for an immediate sub-state of the
+        state *key* names — per placed atom no placed atom follows, the
+        state with that atom unplaced and the arcs into it gone — or
+        ``-inf`` when none is held."""
+        codes, closure = key
+        followed = {i for i, _ in closure}
+        largest = float("-inf")
+        for i, code in enumerate(codes):
+            if code is None or i in followed:
+                continue
+            arcs = frozenset([pair for pair in closure if pair[1] != i])
+            sub = self._bounds.get((codes[:i] + (None,) + codes[i + 1:], arcs))
+            if sub is not None and sub.bound is not None and sub.bound > largest:
+                largest = sub.bound
+        return largest
 
     # -- completed plan evaluations -------------------------------------
 

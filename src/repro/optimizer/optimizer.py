@@ -326,28 +326,53 @@ class Optimizer:
         so states shared between pattern sequences are bounded only
         once.
 
+        On a miss, a state that the bound of an *immediate sub-state*
+        (one maximal atom unplaced,
+        :meth:`~repro.optimizer.memo.PlanMemo.sub_state_bound`) already
+        prunes is not built at all: that bound is its bound.  Every
+        completion of the state completes the sub-state too, so the
+        number still bounds them all, and as it is no higher than the
+        state's own bound (cost is monotonic in plan construction), that
+        bound would have pruned the state as well — every decision is
+        the one the exact bound makes.  The incumbent only falls, so the
+        kept value prunes the state again wherever it is looked up.
+
         Also returns the state when the bound was computed on it
-        (``None`` on a memo hit); a pruned one has dropped its plan.
+        (``None`` on a memo hit or an inherited bound); a pruned one has
+        dropped its plan.
         """
         state = None
-        if run.memo is not None:
-            state = run.memo.lookup_state(key)
+        memo = run.memo
+        if memo is not None:
+            state = memo.lookup_state(key)
             if state is not None and state.bound is not None:
                 run.stats.memo_bound_hits += 1
                 return state.bound, None
             run.stats.memo_bound_misses += 1
+            # No sub-state can prune unless the largest bound held does
+            # (a search that prunes nothing pays this comparison alone).
+            if memo.top_bound >= run.incumbent.cost:
+                bound = memo.sub_state_bound(key)
+                if run.incumbent.prunes(bound):
+                    # Kept as the number alone, as a pruned state is;
+                    # any open plan a canonical parent left goes.
+                    run.stats.bounds_inherited += 1
+                    memo.store_state(key, OpenState(None, None, bound, True))
+                    return bound, None
         if state is None or state.plan is None:
             state = self._state(run, patterns, key)
-        state.bound = self._metric.evaluate(
+        state.bound = bound = self._metric.evaluate(
             state.plan.plan, state.program.ones(), state.plan.paths
         )
-        if run.incumbent.prunes(state.bound):
+        if memo is not None and bound > memo.top_bound:
+            memo.top_bound = bound
+        if run.incumbent.prunes(bound):
             # The search places nothing on a state it prunes, and a
             # search keeps hundreds of them: only the bound stays.
             # Should another state have this one as its canonical
             # parent, it is folded again.
             state.plan = state.program = None
-        return state.bound, state
+        return bound, state
 
     def _close(self, run: _Run, state: OpenState) -> FetchContext:
         """A context evaluating fetch vectors on the closed plan of

@@ -179,6 +179,37 @@ class TestPlanMemoUnit:
         state.bound = 3.5
         assert (len(memo._bounds), len(memo_bounds(memo))) == (1, 1)
 
+    def test_a_sub_state_bound_is_read_off_the_immediate_sub_states(self):
+        """Atoms 0 → 1, and 2 unordered, all placed: the immediate
+        sub-states unplace 1 (its arc goes) or 2; 0 is followed by 1,
+        so unplacing it names no state.  The largest bound held among
+        the two counts, a sub-state without a bound does not, and
+        ``clear`` forgets the largest bound computed."""
+        memo = PlanMemo()
+        key = (("o", "i", "o"), frozenset({(0, 1)}))
+        assert memo.sub_state_bound(key) == float("-inf")
+        without_1 = OpenState(None, None, bound=2.0)
+        memo.store_state((("o", None, "o"), frozenset()), without_1)
+        memo.store_state(
+            (("o", "i", None), frozenset({(0, 1)})), OpenState(None, None)
+        )
+        # Unplacing the followed atom 0 would name this key, which is
+        # no state; nor is one two atoms smaller an immediate sub-state.
+        memo.store_state(
+            ((None, "i", "o"), frozenset({(0, 1)})), OpenState(None, None, 9.0)
+        )
+        memo.store_state((("o", None, None), frozenset()), OpenState(None, None, 8.0))
+        assert memo.sub_state_bound(key) == 2.0
+        memo.store_state(
+            (("o", "i", None), frozenset({(0, 1)})), OpenState(None, None, 5.0)
+        )
+        assert memo.sub_state_bound(key) == 5.0
+        without_1.bound = 7.0
+        assert memo.sub_state_bound(key) == 7.0
+        memo.top_bound = 7.0
+        memo.clear()
+        assert memo.top_bound == float("-inf")
+
     def test_reset_for_keeps_entries_for_the_same_query(self):
         _, query = PROFILES["travel"]()
         memo = PlanMemo()
