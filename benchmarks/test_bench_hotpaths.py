@@ -4,8 +4,9 @@ Pins what the search-memoization and execution fast-path subsystems do
 on five scenarios, every value a count:
 
 * **optimizer memo** — branch-and-bound over the Figure 7 plan space
-  (the running example), unmemoized vs. with the persistent
-  :class:`~repro.optimizer.memo.PlanMemo` under a repeated-traffic
+  (the running example), unmemoized (a memo that keeps nothing,
+  :func:`~repro.testing.reference.unmemoized_optimizer`) vs. with the
+  persistent :class:`~repro.optimizer.memo.PlanMemo` under a repeated-traffic
   workload: the same states and optimum, and at least 3x fewer
   ``annotate`` calls, witnessed by the ``SearchStats`` memo counters;
 * **join** — the key-bucketed :func:`~repro.execution.joins.join_rows`
@@ -54,6 +55,7 @@ from repro.testing import (
     execute_join,
     joined,
     market_moving_news_query,
+    unmemoized_optimizer,
 )
 
 pytestmark = pytest.mark.bench
@@ -117,9 +119,8 @@ def _program_point(domain: str) -> dict:
 
 
 def _optimizer_workload(registry, query, memoize: bool) -> dict:
-    optimizer = Optimizer(
-        registry, ExecutionTimeMetric(), OptimizerConfig(memoize=memoize)
-    )
+    make = Optimizer if memoize else unmemoized_optimizer
+    optimizer = make(registry, ExecutionTimeMetric(), OptimizerConfig())
     results = [optimizer.optimize(query) for _ in range(WORKLOAD_RUNS)]
     return {
         "memoize": memoize,

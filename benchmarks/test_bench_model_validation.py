@@ -72,7 +72,7 @@ def _evaluate_all(registry, travel_query):
         # Both columns by step: τ off the annotation, busy off the
         # clock (a join at its response time, as the engine reads it).
         position = {node.node_id: i for i, node in enumerate(plan.nodes)}
-        taus = annotation.timing(plan)[0]
+        taus = annotation.timing()[0]
         clock = outcome.stats.clock
         busy = [
             step.response_time if step.kind == JOIN

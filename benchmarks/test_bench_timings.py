@@ -222,7 +222,9 @@ def _bound_us(name, registry, query, metric) -> dict:
         bounds = []
         for state in states:
             plan = reference_partial_plan(query, registry, *state)
-            bounds.append(metric.cost(plan, annotate(plan, setting)))
+            bounds.append(metric.bound(
+                plan, annotate(plan, setting), plan.path_positions()
+            ))
         return bounds
 
     # One bound, two ways, in alternating passes: on the open plans of

@@ -14,11 +14,14 @@ to the plan's sinks.  A closed plan's sink is OUT
 (:meth:`~CostMetric.cost`); an *open* plan — a search state, IN and
 the atoms placed so far — has the frontiers of its maximal branches as
 sinks (``OpenPlan.paths``) and its estimates at all fetching factors 1
-in its annotation program (``AnnotationProgram.ones``).  That is the optimizer's lower bound,
-with no close.  Closing would only append parallel joins, which the
-plan builder gives neither a response time nor a per-tuple cost, and
-OUT: every metric reads such nodes as zero at the end of a path or a
-sum, so the open value *is* the closed plan's cost, bit for bit.  Were
+in its annotation program (``AnnotationProgram.ones``).  The
+optimizer bounds a state with :meth:`CostMetric.bound` on it, with no
+close: the cost there, except under Eq. 4, which a growing fetching
+factor can lower (:mod:`repro.costs.time_cost`).  Closing would only
+append parallel joins, which the plan builder gives neither a
+response time nor a per-tuple cost, and OUT: every metric reads such
+nodes as zero at the end of a path or a sum, so the open value *is*
+the closed plan's cost, bit for bit.  Were
 a join ever given a cost, the open value would stay a lower bound —
 closing adds non-negative terms (``tests/test_open_plans.py`` pins
 both).
@@ -41,6 +44,10 @@ class CostMetric(ABC):
 
     #: Short identifier used in reports and benchmarks.
     name: str = "abstract"
+    #: Whether every plan costs at least the busy time ``F · calls · τ``
+    #: of each of its nodes — what bounds a plan phase 3 must fetch
+    #: more for (:meth:`~repro.optimizer.fetches.FetchContext.sized_bound`).
+    covers_work: bool = False
 
     def cost(self, plan: QueryPlan, annotation: PlanAnnotation) -> float:
         """The cost of a fully constructed, annotated plan."""
@@ -52,6 +59,15 @@ class CostMetric(ABC):
     ) -> float:
         """The cost of *plan*, closed or open, under *annotation*;
         *paths* are every path from its input node to a sink."""
+
+    def bound(
+        self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
+    ) -> float:
+        """A lower bound on the cost of every plan *plan* can become —
+        every completion, at every fetch vector — given its estimates
+        at all fetching factors 1.  A metric no factor can lower is its
+        own bound: the cost at factors 1."""
+        return self.evaluate(plan, annotation, paths)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

@@ -36,11 +36,35 @@ class ExecutionTimeMetric(CostMetric):
     """Eq. 4: slowest path with bottleneck plus pipe fill/drain."""
 
     name = "execution-time"
+    covers_work = True
 
     def evaluate(
         self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
     ) -> float:
-        return slowest_path(paths, *annotation.timing(plan))
+        return slowest_path(paths, *annotation.timing())
+
+    def bound(
+        self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
+    ) -> float:
+        """Eq. 4 can fall as a factor grows: a node's work is
+        ``F · t_in · τ``, below its τ when ``t_in < 1/F``, and raising a
+        factor can move a path's bottleneck onto such a node, whose τ
+        then leaves the sum.  Whatever the factors, a path's bottleneck
+        works at least the largest work at factors 1 (works only grow),
+        so the path costs at least that plus every τ on it but the
+        largest — the bottleneck's τ when it is the largest, which makes
+        the bound the cost.  A completion only appends nodes to a path:
+        a new bottleneck works at least as much, and a new τ adds to
+        the sum, so the number bounds every plan the open one becomes.
+        """
+        taus, works = annotation.timing()
+        worst = 0.0
+        for path in paths:
+            bottleneck = max(path, key=works.__getitem__)
+            slowest = max(path, key=lambda i: (taus[i], i == bottleneck))
+            others = sum(taus[i] for i in path if i != slowest)
+            worst = max(worst, works[bottleneck] + others)
+        return worst
 
 
 class BottleneckMetric(CostMetric):
@@ -52,11 +76,12 @@ class BottleneckMetric(CostMetric):
     """
 
     name = "bottleneck"
+    covers_work = True
 
     def evaluate(
         self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
     ) -> float:
-        _, works = annotation.timing(plan)
+        _, works = annotation.timing()
         return max(works, default=0.0)
 
 
@@ -72,4 +97,4 @@ class TimeToScreenMetric(CostMetric):
     def evaluate(
         self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
     ) -> float:
-        return slowest_path(paths, annotation.timing(plan)[0])
+        return slowest_path(paths, annotation.timing()[0])

@@ -48,7 +48,7 @@ from __future__ import annotations
 import heapq
 import math
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.execution.lazy import HeadTee, MaterializedCursor, RowCursor
 from repro.execution.results import Record, Row, SlotLayout, emit
@@ -58,55 +58,6 @@ from repro.services.registry import JoinMethod
 #: A cell's arrival packs two row indexes into one int, the first one
 #: shifted this far (no side holds ``2 ** 32`` rows).
 SHIFT = 32
-
-
-def stage_count(method: JoinMethod, n_left: int, n_right: int) -> int:
-    """Number of stages of *method*'s visit order (NL rows, MS diagonals)."""
-    if n_left == 0 or n_right == 0:
-        return 0
-    if method is JoinMethod.NESTED_LOOP:
-        return n_left
-    return n_left + n_right - 1
-
-
-def stage_cells(
-    method: JoinMethod, n_left: int, n_right: int, stage: int
-) -> Iterator[tuple[int, int]]:
-    """Cells of one stage of *method*'s visit order, in emission order.
-
-    A stage is a row of the NL plane or a diagonal (constant ``i + j``)
-    of the MS plane.  The full-plane generators below walk stages
-    through it: their order is the full scan's emission order, which
-    a cell's arrival (:class:`KeyIndex`) encodes.
-    """
-    if method is JoinMethod.NESTED_LOOP:
-        return ((stage, j) for j in range(n_right))
-    start = max(0, stage - n_right + 1)
-    stop = min(stage, n_left - 1)
-    return ((i, stage - i) for i in range(start, stop + 1))
-
-
-def nested_loop_order(n_left: int, n_right: int) -> Iterator[tuple[int, int]]:
-    """Cell visit order of the NL strategy (outer = left/selective side)."""
-    for stage in range(stage_count(JoinMethod.NESTED_LOOP, n_left, n_right)):
-        yield from stage_cells(JoinMethod.NESTED_LOOP, n_left, n_right, stage)
-
-
-def merge_scan_order(n_left: int, n_right: int) -> Iterator[tuple[int, int]]:
-    """Cell visit order of the MS strategy: diagonals of equal i + j."""
-    for stage in range(stage_count(JoinMethod.MERGE_SCAN, n_left, n_right)):
-        yield from stage_cells(JoinMethod.MERGE_SCAN, n_left, n_right, stage)
-
-
-def join_order(
-    method: JoinMethod, n_left: int, n_right: int
-) -> Iterator[tuple[int, int]]:
-    """Cell visit order for *method*."""
-    if n_left == 0 or n_right == 0:
-        return iter(())
-    if method is JoinMethod.NESTED_LOOP:
-        return nested_loop_order(n_left, n_right)
-    return merge_scan_order(n_left, n_right)
 
 
 def _one_key(values: tuple) -> tuple:
@@ -323,7 +274,8 @@ def join_rows(
     key's bucket — the full plane, as it must be).  The surviving cells
     are then traversed in the strategy's global rank order (NL:
     lexicographic ``(i, j)``; MS: diagonal ``(i + j, i)``) — the exact
-    relative order :func:`join_order` would visit them in — which
+    relative order the full-plane scan visits them in
+    (``repro.testing.reference.join_order``) — which
     preserves the documented domination property across buckets, not
     just inside each one, through the join's cell kernel
     (:meth:`~repro.execution.slots.SlotJoinPlan.kernel`, the loop

@@ -318,38 +318,23 @@ class ProgressiveExecutor:
         result = self._resume_stream(self._last_result, k)
         if result is None:
             result = self._execute_round(k)
-            baseline_processed = result.stats.tuples_processed
-        else:
-            # A resume-served round must still arm the exhaustion
-            # break, or the first growth round after it always burns
-            # one extra re-execution against exhausted services.
-            baseline_processed = self._baseline
+        # Either way ``_baseline`` is set: a stream resumes only after a
+        # round executed the plan.
         while len(result.rows) < k and self._executed < MAX_ROUNDS:
             if not self._grow_fetches():
                 break  # every factor capped by its decay bound
-            previous_answers = len(result.rows)
+            baseline, answers = self._baseline, len(result.rows)
             grown = None
             if self._program.grows_in_place:
                 # The larger factor only appends to the suspended
                 # chain: continue the walk instead of repeating it.
                 grown = self._resume_stream(result, k, grown=True)
             if grown is not None:
-                # A continued round reports only what it newly pulled.
                 result = grown
-                processed = (
-                    (baseline_processed or 0) + result.stats.tuples_processed
-                )
             else:
                 result = self._execute_round(k)
-                processed = result.stats.tuples_processed
-            latest = self.rounds[-1]
-            if (
-                baseline_processed is not None
-                and processed <= baseline_processed
-                and latest.answers == previous_answers
-            ):
+            if self._baseline <= baseline and len(result.rows) == answers:
                 break  # the services are exhausted: no more data exists
-            baseline_processed = processed
         return result
 
     def more(self, additional: int) -> ExecutionResult:

@@ -9,8 +9,9 @@ If the lower bound of class A exceeds the upper bound of class B,
 class A is discarded.  The classes are nested — a pattern sequence, a
 partial topology, a complete topology with its fetching factors still
 open — and each is bounded before it is entered; the bound of a
-topology, partial or complete, is the metric on its open plan at all
-factors 1, which is the cost of that plan closed as it stands
+topology, partial or complete, is the metric's bound on its open plan
+at all factors 1 — the cost of that plan closed as it stands, or less
+under Eq. 4, which a growing factor can lower
 (:mod:`repro.optimizer.optimizer`).
 
 This module holds the incumbent (best-so-far) solution and the search
@@ -19,7 +20,7 @@ statistics shared by the optimizer and the exhaustive baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generic, TypeVar
 
 Payload = TypeVar("Payload")
@@ -36,32 +37,37 @@ class SearchStats:
     (phase 1 sequences tried, and discarded whole — which no sequence
     is: no single-call cost bounds a sequence, its one-atom states
     do, so the second stays 0), ``topology_states_explored`` (states popped by phase 2,
-    complete ones included), ``incumbent_updates`` (the incumbent's
-    costs are its ``history``).
+    complete ones included), ``incumbent_updates`` (the times the
+    incumbent's cost fell).
 
     *How the classes fared.*  ``topology_states_pruned`` counts the
     states discarded by their lower bound — partial topologies, and
-    complete ones whose cost at all fetching factors 1 already reaches
-    the incumbent (a heuristic seed pruned that way counts too);
+    complete ones whose bound at all fetching factors 1 already reaches
+    the incumbent, or, closed, what phase 3 can size them at
+    (:meth:`~repro.optimizer.fetches.FetchContext.sized_bound`; a
+    heuristic seed pruned either way counts too);
+    ``closed_pruned`` the complete ones among them closed first and
+    then discarded at ``sized_bound`` (one found sized in the memo is
+    discarded at the bound its entry keeps, unclosed);
     ``plans_completed`` the complete topologies that were sized by
     phase 3 or whose sizing was found in the memo, ``fetch_evaluations``
     the phase-3 runs among them.
 
     *Estimation work* (:mod:`repro.plans.annotate`).  A state costs one
     ``place`` on top of the open plan it extends (``atoms_placed``: the
-    fold steps the search executed — about one per state it holds, more
-    when memoization is off and every state is folded from the root,
-    none for a state whose bound is inherited); its bound is read off
-    that open plan, which is never closed for it.  ``bounds_inherited``
-    counts the bound misses answered without building the state: an
-    immediate sub-state's bound, already held, pruned it, and is kept
-    as its bound (the decision the exact bound makes, since a
-    sub-state's bound is never higher).  It needs both the incumbent
-    and the memo, so it stays 0 under ``prune=False`` or
-    ``memoize=False``.
+    fold steps the search executed — about one per state it holds,
+    more under a memo that keeps nothing (every state is then folded
+    from the root), none for a state whose bound is inherited); its
+    bound is read off that open plan, which is never closed for it.
+    ``bounds_inherited`` counts the bound misses answered without
+    building the state: an immediate sub-state's bound, already held,
+    pruned it, and is kept as its bound (the decision the exact bound
+    makes, since a sub-state's bound is never higher).  It needs both
+    the incumbent and the memo, so it stays 0 under ``prune=False`` or
+    a memo that keeps nothing.
     ``annotate_calls`` counts the closed plans: one per complete
-    topology phase 3 sizes, plus one for annotating the plan that
-    leaves.  It does not see inside phase 3:
+    topology phase 3 sizes or ``closed_pruned`` counts, plus one for
+    annotating the plan that leaves.  It does not see inside phase 3:
     ``fetch_vectors_evaluated`` counts the distinct fetch vectors phase
     3 ran through a closed plan's annotation program, all-ones first.
     ``programs_compiled`` counts the programs compiled
@@ -87,6 +93,7 @@ class SearchStats:
     programs_compiled: int = 0
     atoms_placed: int = 0
     bounds_inherited: int = 0
+    closed_pruned: int = 0
     memo_bound_hits: int = 0
     memo_bound_misses: int = 0
     memo_plan_hits: int = 0
@@ -126,7 +133,6 @@ class Incumbent(Generic[Payload]):
 
     cost: float = float("inf")
     payload: Payload | None = None
-    history: list[float] = field(default_factory=list)
 
     @property
     def is_set(self) -> bool:
@@ -138,7 +144,6 @@ class Incumbent(Generic[Payload]):
         if cost < self.cost:
             self.cost = cost
             self.payload = payload
-            self.history.append(cost)
             return True
         return False
 

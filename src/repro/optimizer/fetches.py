@@ -55,10 +55,6 @@ class FetchResult:
     output_size: float
     cost: float
 
-    def factor(self, atom_index: int) -> int:
-        """The fetching factor assigned to the atom at *atom_index*."""
-        return self.fetches.get(atom_index, 1)
-
 
 class FetchContext:
     """Evaluates fetch assignments on a fixed plan.
@@ -128,17 +124,6 @@ class FetchContext:
         assert node.profile is not None
         return node.profile.response_time
 
-    def cost_per_call(self, atom_index: int) -> float:
-        """Per-call monetary cost of the chunked service."""
-        node = self._chunked[atom_index]
-        assert node.profile is not None
-        return node.profile.cost_per_call
-
-    def calls(self, atom_index: int, fetches: Mapping[int, int]) -> float:
-        """Invocation count of the node under *fetches* (t_in)."""
-        annotation = self.annotate(fetches)
-        return annotation.calls(self._chunked[atom_index])
-
     def apply(self, fetches: Mapping[int, int]) -> None:
         """Set the factors on the plan nodes (validating bounds)."""
         for atom_index, node in self._chunked.items():
@@ -182,6 +167,38 @@ class FetchContext:
                 self._plan, self._annotation(vector), self._paths
             )
         return cached
+
+    def sized_bound(self, k: int) -> float:
+        """A lower bound on the cost phase 3 sizes the plan at, when it
+        finds *k* answers (:func:`assign_fetches`).
+
+        A plan that reaches *k* at factors 1 is sized there: every
+        heuristic starts at all-ones and the exhaustive sweep returns
+        it.  Otherwise the factors must lift ``h`` by ``R = k / h(1)``.
+        Every estimate multiplies along the plan (a chunked node by
+        ``cs · F``, a join by the product of its feeds), so ``h`` is
+        ``h(1) · Π F_i ** p_i``, ``p_i`` the paths from chunked node ``i``
+        to the output — more than :meth:`output_size` assumes where
+        branches fed by one chunked node are joined.  Node ``i`` works
+        at least ``F_i`` times its work ``w_i`` at factors 1, so the
+        busiest of them works at least ``(R · Π w_i ** p_i) ** (1 /
+        Σ p_i)`` — a cost under a metric that covers every node's work,
+        nothing under the others.  (Taken a hair lower, for rounding.)
+        """
+        output = self.output_size({})
+        if output >= k:
+            return self.cost({})
+        if output <= 0 or not self._atoms or not self._metric.covers_work:
+            return 0.0
+        annotation = self.annotate({})
+        product, exponent = k / output, 0
+        for atom_index, node in self._chunked.items():
+            at = self._plan.nodes.index(node)
+            paths = len({path[path.index(at):] for path in self._paths if at in path})
+            work = annotation.calls(node) * self.response_time(atom_index)
+            product *= work ** paths
+            exponent += paths
+        return product ** (1 / exponent) * (1 - 1e-9)
 
     def evaluate(self, fetches: Mapping[int, int], k: int) -> FetchResult:
         """Package an assignment with feasibility, h, and cost.
@@ -395,8 +412,7 @@ def exhaustive_assignment(
         return best
     # k unreachable: report the maximal-output assignment (the paper
     # notes decay bounds may make k answers impossible).
-    maxed = {i: context.cap(i) for i in atoms}
-    return context.evaluate(maxed, k)
+    return context.evaluate(maxed_out(context), k)
 
 
 def closed_form_single(context: FetchContext, k: int) -> FetchResult:
@@ -412,18 +428,14 @@ def closed_form_single(context: FetchContext, k: int) -> FetchResult:
     return context.evaluate({atom_index: factor}, k)
 
 
-def closed_form_pair(
-    context: FetchContext,
-    k: int,
-    use_response_time: bool = True,
-) -> FetchResult:
+def closed_form_pair(context: FetchContext, k: int) -> FetchResult:
     """Eq. 6/7: two chunked services, parallel or on the same path.
 
     ``h`` is bilinear, so ``k`` fixes the product of the two factors:
     ``F_1 · F_2 = K' = ceil(k / h(1, 1))``.  If the two nodes are
     independent (not on a common path), the optimum splits the product
     by the square-root rule of Eq. 6, weighting each service by its
-    invocation count times its per-fetch cost; if one follows the
+    invocation count times its response time; if one follows the
     other on the same path, its input grows with the other's factor,
     and Eq. 7 pushes all fetching downstream.
     """
@@ -445,16 +457,11 @@ def closed_form_pair(
         fetches = {upstream: 1, downstream: min(context.cap(downstream), product)}
         return context.evaluate(fetches, k)
 
-    ones = all_ones(context)
-    annotation = context.annotate(ones)
-    t_first = annotation.calls(node_first)
-    t_second = annotation.calls(node_second)
-    if use_response_time:
-        c_first, c_second = context.response_time(first), context.response_time(second)
-    else:
-        c_first, c_second = context.cost_per_call(first), context.cost_per_call(second)
-    weight_first = max(t_first * c_first, 1e-12)
-    weight_second = max(t_second * c_second, 1e-12)
+    annotation = context.annotate(all_ones(context))
+    weight_first, weight_second = (
+        max(annotation.calls(node) * context.response_time(atom), 1e-12)
+        for node, atom in ((node_first, first), (node_second, second))
+    )
     factor_first = math.ceil(math.sqrt(product * weight_second / weight_first))
     factor_second = math.ceil(math.sqrt(product * weight_first / weight_second))
     fetches = {

@@ -33,8 +33,9 @@ Memoization never changes a search outcome: an open plan reached
 through the memo is the fold a from-scratch build performs, in the
 same order, and a hit returns the exact float/payload computed on the
 original miss, so costs, incumbent updates, and pruning decisions are
-bit-identical to the unmemoized search (tested over every benchmark
-query profile).
+bit-identical to the unmemoized search (``repro.testing.
+unmemoized_optimizer``, a memo that keeps nothing; tested over every
+golden case).
 """
 
 from __future__ import annotations
@@ -102,12 +103,11 @@ class OpenState:
     #: state this one was placed on.
     program: AnnotationProgram | None
     #: A lower bound for every completion, once it has been asked for:
-    #: exact — the metric on ``plan`` at all fetching factors 1 (the
-    #: cost of the plan closed as it stands) — or, when an immediate
+    #: exact — the metric's bound on ``plan`` at all fetching factors 1
+    #: (:meth:`~repro.costs.base.CostMetric.bound`) — or, when an immediate
     #: sub-state's bound already pruned the state, that sub-state's
-    #: value (``inherited``; the state was then never built).
+    #: value.
     bound: float | None = None
-    inherited: bool = False
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,10 @@ class PlanEntry(Generic[Payload]):
     cost: float
     feasible: bool
     payload: Payload
+    #: What phase 3 could size the topology at, at least
+    #: (:meth:`~repro.optimizer.fetches.FetchContext.sized_bound`): an
+    #: incumbent that reaches it prunes the entry.
+    bound: float = float("-inf")
 
 
 @dataclass

@@ -15,18 +15,20 @@ first ``k`` answers under a chosen metric:
   exploration.
 
 The phases are nested classes of plans, and each topology is bounded
-before it is entered: a partial topology by the cost of its plan so
-far, and a *complete* topology — a class too, its fetching factors
-still open — by its cost at all factors 1, so phase 3 only sizes
-topologies that can still beat the incumbent.  A pattern sequence has
-no bound of its own: a node's work is ``F · calls · τ``, and ``calls``
-falls below 1 downstream of a selective node, so no single-call cost
-bounds a plan, while the open plans of a sequence's one-atom states
-bound every plan it has.  A search state is an *open plan*
-(:class:`~repro.plans.builder.OpenPlan` plus its annotation program):
-the plan of the state it extends with one more atom placed, never a
-plan rebuilt from scratch (docs/ARCHITECTURE.md, "Search states are
-open plans").
+before it is entered, by the metric's bound on its plan so far at all
+factors 1 (:meth:`~repro.costs.base.CostMetric.bound`): a partial
+topology, and a *complete* one — a class too, its fetching factors
+still open — which, closed, is bounded once more by what phase 3 can
+size it at (:meth:`~repro.optimizer.fetches.FetchContext.sized_bound`),
+so phase 3 only sizes topologies that can still beat the incumbent.
+A pattern sequence has no bound of its own: a node's work is
+``F · calls · τ``, and ``calls`` falls below 1 downstream of a
+selective node, so no single-call cost bounds a plan, while the open
+plans of a sequence's one-atom states bound every plan it has.  A
+search state is an *open plan* (:class:`~repro.plans.builder.OpenPlan`
+plus its annotation program): the plan of the state it extends with
+one more atom placed, never a plan rebuilt from scratch
+(docs/ARCHITECTURE.md, "Search states are open plans").
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ class OptimizerConfig:
     fetch_heuristic: str = "greedy"
     most_cogent_only: bool = False
     prune: bool = True
-    memoize: bool = True
 
     def __post_init__(self) -> None:
         check_count("k", self.k)
@@ -114,10 +115,6 @@ class _Run:
     builder: PlanBuilder
     #: The empty search state, which every open plan is folded from.
     root: OpenState
-    #: Where search states and evaluated topologies are kept; ``None``
-    #: when memoization is off (every state is then folded from the
-    #: root, every topology evaluated again).
-    memo: PlanMemo[_Candidate] | None
     stats: SearchStats
     incumbent: Incumbent[_Candidate]
     #: Plans that cannot reach k answers are kept apart: a plan that
@@ -195,8 +192,7 @@ class Optimizer:
         """A run over *query*: nothing decided, the memo kept when it
         was filled for this very query."""
         config = self._config
-        if config.memoize:
-            self._memo.reset_for(query)
+        self._memo.reset_for(query)
         builder = PlanBuilder(query, self._registry)
         start = builder.start()
         return _Run(
@@ -205,7 +201,6 @@ class Optimizer:
             root=OpenState(
                 start, AnnotationProgram(start.plan, config.cache_setting)
             ),
-            memo=self._memo if config.memoize else None,
             stats=SearchStats(),
             incumbent=Incumbent(),
             fallback=Incumbent(),
@@ -261,10 +256,11 @@ class Optimizer:
         # With every atom placed, the state's key is the topology's.
         key = plan_key(patterns, poset.closure())
         state = None
-        if config.prune and run.incumbent.is_set:
+        pruning = config.prune and run.incumbent.is_set
+        if pruning:
             # A topology with its fetching factors open is a class of
-            # plans too, and no member costs less than the one with
-            # every factor at 1: a topology that reaches the incumbent
+            # plans too, and no member costs less than the metric's
+            # bound at factors 1: a topology that reaches the incumbent
             # there is discarded unsized — and never closed.  (A
             # feasible member would be refused by the incumbent, an
             # infeasible one only matters while there is no incumbent.)
@@ -272,17 +268,30 @@ class Optimizer:
             if run.incumbent.prunes(bound):
                 stats.topology_states_pruned += 1
                 return
-        if run.memo is not None:
-            entry = run.memo.lookup_plan(key)
-            if entry is not None:
-                stats.memo_plan_hits += 1
-                stats.plans_completed += 1
-                self._offer_entry(run, entry)
+        entry = self._memo.lookup_plan(key)
+        if entry is not None:
+            stats.memo_plan_hits += 1
+            if pruning and run.incumbent.prunes(entry.bound):
+                stats.topology_states_pruned += 1
                 return
-            stats.memo_plan_misses += 1
+            stats.plans_completed += 1
+            self._offer_entry(run, entry)
+            return
+        stats.memo_plan_misses += 1
         if state is None:
             state = self._state(run, patterns, key)
         context = self._close(run, state)
+        # Closed, the class is bounded by what phase 3 can size it at,
+        # which sees the factors k needs: under Eq. 4 the bound at
+        # factors 1 falls short of it.
+        sized = context.sized_bound(config.k)
+        if pruning and run.incumbent.prunes(sized):
+            # Kept as the state's bound, so the state is pruned unclosed
+            # wherever it is looked up again.
+            state.bound, state.plan, state.program = sized, None, None
+            stats.topology_states_pruned += 1
+            stats.closed_pruned += 1
+            return
         fetch_result = assign_fetches(
             context, config.k, heuristic=config.fetch_heuristic
         )
@@ -293,9 +302,9 @@ class Optimizer:
             cost=fetch_result.cost,
             feasible=fetch_result.feasible,
             payload=_Candidate(patterns, poset, fetch_result),
+            bound=sized,
         )
-        if run.memo is not None:
-            run.memo.store_plan(key, entry)
+        self._memo.store_plan(key, entry)
         self._offer_entry(run, entry)
 
     def _offer_entry(self, run: _Run, entry: PlanEntry[_Candidate]) -> None:
@@ -308,18 +317,19 @@ class Optimizer:
     def _lower_bound(
         self, run: _Run, patterns: PatternSequence, key: BoundKey
     ) -> tuple[float, OpenState | None]:
-        """The metric on the open plan of the state *key* names
+        """The metric's bound on the open plan of the state *key* names
         (:func:`~repro.optimizer.memo.bound_key`) at fetches 1.
 
         New atoms are only ever appended after the placed ones, so the
         estimates of the placed nodes never change in any completion,
-        and no metric decreases when a factor grows: the cost is a
-        valid lower bound for every plan the state can become —
-        every completion of a partial topology, every fetch vector of
-        a complete one.  It is read off the open plan (its nodes, the
+        and :meth:`~repro.costs.base.CostMetric.bound` is a lower bound
+        for every plan the state can become — every completion of a
+        partial topology, every fetch vector of a complete one: the
+        cost at factors 1 under every metric no growing factor lowers,
+        less under Eq. 4.  It is read off the open plan (its nodes, the
         paths to its maximal branches, the all-ones columns its
         program holds): closing it would add only zero-cost joins and
-        OUT, so the number is the closed plan's cost, with no
+        OUT, so the number is the closed plan's, with no
         ``close``, no closed program and no :class:`FetchContext`
         (:mod:`repro.costs.base`).  The bound is kept with the state,
         which is keyed on the placed atoms' patterns plus the closure,
@@ -332,8 +342,8 @@ class Optimizer:
         prunes is not built at all: that bound is its bound.  Every
         completion of the state completes the sub-state too, so the
         number still bounds them all, and as it is no higher than the
-        state's own bound (cost is monotonic in plan construction), that
-        bound would have pruned the state as well — every decision is
+        state's own bound (bounds are monotonic in plan construction),
+        that bound would have pruned the state as well — every decision is
         the one the exact bound makes.  The incumbent only falls, so the
         kept value prunes the state again wherever it is looked up.
 
@@ -341,30 +351,28 @@ class Optimizer:
         (``None`` on a memo hit or an inherited bound); a pruned one has
         dropped its plan.
         """
-        state = None
-        memo = run.memo
-        if memo is not None:
-            state = memo.lookup_state(key)
-            if state is not None and state.bound is not None:
-                run.stats.memo_bound_hits += 1
-                return state.bound, None
-            run.stats.memo_bound_misses += 1
-            # No sub-state can prune unless the largest bound held does
-            # (a search that prunes nothing pays this comparison alone).
-            if memo.top_bound >= run.incumbent.cost:
-                bound = memo.sub_state_bound(key)
-                if run.incumbent.prunes(bound):
-                    # Kept as the number alone, as a pruned state is;
-                    # any open plan a canonical parent left goes.
-                    run.stats.bounds_inherited += 1
-                    memo.store_state(key, OpenState(None, None, bound, True))
-                    return bound, None
+        memo = self._memo
+        state = memo.lookup_state(key)
+        if state is not None and state.bound is not None:
+            run.stats.memo_bound_hits += 1
+            return state.bound, None
+        run.stats.memo_bound_misses += 1
+        # No sub-state can prune unless the largest bound held does
+        # (a search that prunes nothing pays this comparison alone).
+        if memo.top_bound >= run.incumbent.cost:
+            bound = memo.sub_state_bound(key)
+            if run.incumbent.prunes(bound):
+                # Kept as the number alone, as a pruned state is; any
+                # open plan a canonical parent left goes.
+                run.stats.bounds_inherited += 1
+                memo.store_state(key, OpenState(None, None, bound))
+                return bound, None
         if state is None or state.plan is None:
             state = self._state(run, patterns, key)
-        state.bound = bound = self._metric.evaluate(
+        state.bound = bound = self._metric.bound(
             state.plan.plan, state.program.ones(), state.plan.paths
         )
-        if memo is not None and bound > memo.top_bound:
+        if bound > memo.top_bound:
             memo.top_bound = bound
         if run.incumbent.prunes(bound):
             # The search places nothing on a state it prunes, and a
@@ -402,11 +410,9 @@ class Optimizer:
         the new atom is not the last one in build order.  The parent's
         key is the state's with that atom unplaced and its arcs gone.
         """
-        state = None
-        if run.memo is not None:
-            state = run.memo.lookup_state(key)
-            if state is not None and state.plan is not None:
-                return state
+        state = self._memo.lookup_state(key)
+        if state is not None and state.plan is not None:
+            return state
         codes, closure = key
         placed = [i for i, code in enumerate(codes) if code is not None]
         if not placed:
@@ -430,6 +436,5 @@ class Optimizer:
             state.plan, state.program = plan, program  # dropped when pruned
         else:
             state = OpenState(plan, program)
-            if run.memo is not None:
-                run.memo.store_state(key, state)
+            self._memo.store_state(key, state)
         return state

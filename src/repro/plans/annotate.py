@@ -64,17 +64,16 @@ class NodeEstimate:
 class PlanAnnotation:
     """Estimates for every node of a plan, plus the overall output size.
 
-    A thin view over three parallel float lists (``tuples_in``,
-    ``tuples_out``, ``calls``, one entry per node) and the fetching
-    factors the estimates were computed under.  The program hands its
-    lists over as they are, laid out by the nodes' positions in
-    ``plan.nodes``, with the τ and busy time of every node beside them
-    (:meth:`timing`); :class:`NodeEstimate` objects exist only for the
-    nodes somebody asks about (:meth:`of`, :attr:`estimates`).
-    Constructing one directly, from a dict of estimates, is for tests
-    and hand-built examples: it carries no factors, so :meth:`fetches`
-    reads them off the plan nodes, and :meth:`timing` derives its
-    columns off the plan.
+    A thin view over four parallel float lists (``tuples_in``,
+    ``tuples_out``, ``calls`` and busy time, laid out by the nodes'
+    positions in ``plan.nodes``; *position* maps a node id to its
+    entry, in topological order), the τ of every node and the fetching
+    factors the estimates were computed under (*fetches*, one per
+    chunked node, whose entry *slots* maps its id to; a node without a
+    slot reads its own factor).  An :class:`AnnotationProgram` run
+    hands its lists over as they are; :class:`NodeEstimate` objects
+    exist only for the nodes somebody asks about (:meth:`of`,
+    :attr:`estimates`).
     """
 
     __slots__ = (
@@ -86,43 +85,21 @@ class PlanAnnotation:
     def __init__(
         self,
         cache_setting: CacheSetting,
-        estimates: Mapping[str, NodeEstimate],
-        output_size: float,
-    ) -> None:
-        self.cache_setting = cache_setting
-        self.output_size = output_size
-        self._position = {node_id: i for i, node_id in enumerate(estimates)}
-        self._tuples_in = [e.tuples_in for e in estimates.values()]
-        self._tuples_out = [e.tuples_out for e in estimates.values()]
-        self._calls = [e.calls for e in estimates.values()]
-        self._slots: Mapping[str, int] = {}
-        self._fetches: Sequence[int] = ()
-        self._estimates: dict[str, NodeEstimate] | None = dict(estimates)
-        self._taus: Sequence[float] | None = None
-        self._works: Sequence[float] = ()
-
-    @classmethod
-    def _over(
-        cls,
-        cache_setting: CacheSetting,
         output_size: float,
         position: Mapping[str, int],
         columns: tuple[list[float], list[float], list[float], list[float]],
         taus: Sequence[float],
         slots: Mapping[str, int],
         fetches: Sequence[int],
-    ) -> "PlanAnnotation":
-        """The view an :class:`AnnotationProgram` run returns."""
-        view = cls.__new__(cls)
-        view.cache_setting = cache_setting
-        view.output_size = output_size
-        view._position = position
-        view._tuples_in, view._tuples_out, view._calls, view._works = columns
-        view._taus = taus
-        view._slots = slots
-        view._fetches = fetches
-        view._estimates = None
-        return view
+    ) -> None:
+        self.cache_setting = cache_setting
+        self.output_size = output_size
+        self._position = position
+        self._tuples_in, self._tuples_out, self._calls, self._works = columns
+        self._taus = taus
+        self._slots = slots
+        self._fetches = fetches
+        self._estimates: dict[str, NodeEstimate] | None = None
 
     @property
     def estimates(self) -> dict[str, NodeEstimate]:
@@ -158,24 +135,12 @@ class PlanAnnotation:
         slot = self._slots.get(node.node_id)
         return node.fetches if slot is None else self._fetches[slot]
 
-    def timing(self, plan: QueryPlan) -> tuple[Sequence[float], Sequence[float]]:
+    def timing(self) -> tuple[Sequence[float], Sequence[float]]:
         """What the time metrics read, by position in ``plan.nodes``:
         τ of every node (a service's response time, a join's, 0 for
-        IN/OUT) and its busy time under these estimates (``F · t_in ·
+        IN/OUT) and its busy time under these estimates (``F · calls ·
         τ`` for a service, τ for a join, 0 for IN/OUT)."""
-        if self._taus is not None:
-            return self._taus, self._works
-        taus, works = [], []
-        for node in plan.nodes:
-            if isinstance(node, ServiceNode):
-                assert node.profile is not None
-                tau = node.profile.response_time
-                works.append(self.fetches(node) * self.calls(node) * tau)
-            else:
-                tau = node.response_time if isinstance(node, JoinNode) else 0.0
-                works.append(tau)
-            taus.append(tau)
-        return taus, works
+        return self._taus, self._works
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlanAnnotation):
@@ -528,7 +493,7 @@ class AnnotationProgram:
                 "plan structure changed after its annotation program was compiled"
             )
         output = math.nan if self._output is None else columns[1][self._output]
-        return PlanAnnotation._over(
+        return PlanAnnotation(
             self.cache_setting, output, self._position, columns, self._taus,
             self._slots, fetches,
         )

@@ -96,16 +96,14 @@ def optimizer_config_token(config: OptimizerConfig) -> str:
     """Stable token over every search-shaping knob of *config*.
 
     ``k`` and ``cache_setting`` are excluded — they are explicit key
-    components already.  ``memoize`` is excluded too: memoization is
-    bit-identical to the unmemoized search by contract, so it cannot
-    change which plan a key maps to.  The serving layer plans with one
+    components already.  The serving layer plans with one
     config, the default, so the token is a constant there; it stays in
     the key so that keys keep their bytes — plans persisted in a disk
     tier by earlier versions are still addressed — and so that a caller
     building keys by hand (``bench/tracing.py``) builds the same ones.
     """
     fields = dataclasses.asdict(config)
-    for keyed_elsewhere in ("k", "cache_setting", "memoize"):
+    for keyed_elsewhere in ("k", "cache_setting"):
         fields.pop(keyed_elsewhere)
     return content_digest({name: repr(value) for name, value in fields.items()})
 

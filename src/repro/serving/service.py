@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -217,18 +217,7 @@ class ServingStats:
 
     def to_dict(self) -> dict:
         """JSON-serializable snapshot."""
-        return {
-            "requests": self.requests,
-            "continuations": self.continuations,
-            "optimizer_runs": self.optimizer_runs,
-            "optimizer_annotate_calls": self.optimizer_annotate_calls,
-            "optimizer_fetch_vectors_evaluated": (
-                self.optimizer_fetch_vectors_evaluated
-            ),
-            "optimizer_programs_compiled": self.optimizer_programs_compiled,
-            "optimizer_atoms_placed": self.optimizer_atoms_placed,
-            "replans": self.replans,
-        }
+        return asdict(self)
 
 
 @dataclass

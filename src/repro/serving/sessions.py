@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from repro.execution.progressive import ProgressiveExecutor
@@ -65,12 +65,7 @@ class SessionStats:
 
     def to_dict(self) -> dict:
         """JSON-serializable snapshot."""
-        return {
-            "created": self.created,
-            "expired": self.expired,
-            "evicted": self.evicted,
-            "released": self.released,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -80,7 +75,6 @@ class Session:
     session_id: str
     query: ConjunctiveQuery
     executor: ProgressiveExecutor | None
-    created_at: float
     touched_at: float
     delivered: int = 0
     #: The registry content epoch the session's plan was resolved
@@ -136,13 +130,11 @@ class SessionManager:
                 self._sessions.popitem(last=False)[1].close()
                 self.stats.evicted += 1
             self._counter += 1
-            now = self.clock()
             session = Session(
                 session_id=f"s{self._counter:06d}",
                 query=query,
                 executor=executor,
-                created_at=now,
-                touched_at=now,
+                touched_at=self.clock(),
                 delivered=delivered,
                 epoch=epoch,
                 fingerprint=fingerprint,

@@ -6,7 +6,8 @@ checked against, the full-plane dict-row join the compiled join is checked
 against, the dict-row reference plan interpreter the engine is checked
 against, the per-definition plan estimates the annotation program
 is checked against, the from-scratch state bound the optimizer's open
-plans are checked against, the eager-streamed engine lazy fetching is
+plans are checked against, the unmemoized search the memo is checked
+against, the eager-streamed engine lazy fetching is
 measured against, the re-executing executor growth in place is
 measured against, the feed DP the engine's clock is checked against
 and the values-based attribution the certificate's is checked against
@@ -66,6 +67,7 @@ from repro.testing.reference import (
     reference_partial_bound,
     reference_partial_plan,
     search_states,
+    unmemoized_optimizer,
 )
 from repro.testing.synthetic import (
     SyntheticWorkload,
@@ -117,6 +119,7 @@ __all__ = [
     "reference_partial_plan",
     "search_states",
     "step_cells",
+    "unmemoized_optimizer",
     "workload_family",
     "wrap_registry_flaky",
     "wsms_optimize",

@@ -1,9 +1,11 @@
 """References the production paths are checked against (tests and benches).
 
-Nine small, obviously correct things: the composed *ranking*
+Ten small, obviously correct things: the composed *ranking*
 (:func:`compose_ranking`, a stable sort on the aggregated rank) for
 the engine's terminal top-k stream, the full-plane dict-row *join*
-(:func:`execute_join` over :func:`merged_with`) for the compiled join
+(:func:`execute_join` over :func:`merged_with`, visiting the cells in
+the order of the paper's two strategies, :func:`join_order`) for the
+compiled join
 of :mod:`repro.execution.joins`, a dict-row plan *interpreter*
 (:func:`reference_execute`) for the engine's compiled loops, the
 per-definition plan *estimates* (:func:`reference_annotate`) for the
@@ -11,7 +13,9 @@ compiled annotation program of :mod:`repro.plans.annotate`, the
 from-scratch *lower bound* of a topology state
 (:func:`reference_partial_bound`) for the open plans the
 branch-and-bound extends (:func:`search_states` is the search's own
-route to a state's bound and closed plan), the eager-streamed engine
+route to a state's bound and closed plan), the *unmemoized search*
+(:func:`unmemoized_optimizer`) for the memo of
+:mod:`repro.optimizer.memo`, the eager-streamed engine
 (:func:`eager_streamed_engine`) — the "same cells, every page fetched
 up front" baseline lazy fetching is measured against — and the
 re-executing session executor (:class:`ReexecutingExecutor`), the
@@ -48,7 +52,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.costs.base import CostMetric
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine
-from repro.execution.joins import join_order
 from repro.execution.program import JOIN, ExecutionProgram, as_program
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import unit_token
@@ -61,7 +64,7 @@ from repro.model.schema import AccessPattern
 from repro.model.terms import Constant, Variable
 from repro.optimizer.fetches import FetchContext
 from repro.optimizer.memo import PlanMemo, bound_key
-from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.plans.annotate import (
     EQUALITY_OUTPUT_SELECTIVITY,
     NodeEstimate,
@@ -97,6 +100,55 @@ def compose_ranking(rows: Sequence[Row], k: int | None = None) -> list[Row]:
     """
     return sorted(rows, key=Row.rank_key)[:k]
 
+
+def stage_count(method: JoinMethod, n_left: int, n_right: int) -> int:
+    """Number of stages of *method*'s visit order (NL rows, MS diagonals)."""
+    if n_left == 0 or n_right == 0:
+        return 0
+    if method is JoinMethod.NESTED_LOOP:
+        return n_left
+    return n_left + n_right - 1
+
+
+def stage_cells(
+    method: JoinMethod, n_left: int, n_right: int, stage: int
+) -> Iterator[tuple[int, int]]:
+    """Cells of one stage of *method*'s visit order, in emission order.
+
+    A stage is a row of the NL plane or a diagonal (constant ``i + j``)
+    of the MS plane.  The full-plane generators below walk stages
+    through it: their order is the full scan's emission order, which
+    a cell's arrival (:class:`~repro.execution.joins.KeyIndex`)
+    encodes.
+    """
+    if method is JoinMethod.NESTED_LOOP:
+        return ((stage, j) for j in range(n_right))
+    start = max(0, stage - n_right + 1)
+    stop = min(stage, n_left - 1)
+    return ((i, stage - i) for i in range(start, stop + 1))
+
+
+def nested_loop_order(n_left: int, n_right: int) -> Iterator[tuple[int, int]]:
+    """Cell visit order of the NL strategy (outer = left/selective side)."""
+    for stage in range(stage_count(JoinMethod.NESTED_LOOP, n_left, n_right)):
+        yield from stage_cells(JoinMethod.NESTED_LOOP, n_left, n_right, stage)
+
+
+def merge_scan_order(n_left: int, n_right: int) -> Iterator[tuple[int, int]]:
+    """Cell visit order of the MS strategy: diagonals of equal i + j."""
+    for stage in range(stage_count(JoinMethod.MERGE_SCAN, n_left, n_right)):
+        yield from stage_cells(JoinMethod.MERGE_SCAN, n_left, n_right, stage)
+
+
+def join_order(
+    method: JoinMethod, n_left: int, n_right: int
+) -> Iterator[tuple[int, int]]:
+    """Cell visit order for *method*."""
+    if n_left == 0 or n_right == 0:
+        return iter(())
+    if method is JoinMethod.NESTED_LOOP:
+        return nested_loop_order(n_left, n_right)
+    return merge_scan_order(n_left, n_right)
 
 
 def merged_with(row: Row, other: Row) -> Row | None:
@@ -323,19 +375,25 @@ def reference_annotate(plan: QueryPlan, cache_setting: CacheSetting) -> PlanAnno
 
     Walks the plan in topological order and, at every service node,
     re-derives the upstream-bound variables and the Eq. 2 bounding
-    sets from the graph by their definitions.  Every float operation
-    happens in the order the compiled
+    sets from the graph by their definitions; τ and the busy time the
+    time metrics read (``F · calls · τ`` for a service at its node's
+    factor, a join's τ, 0 at IN and OUT) come from the nodes.  Every
+    float operation happens in the order the compiled
     :class:`~repro.plans.annotate.AnnotationProgram` uses, so the two
     must agree bit for bit (``tests/test_annotate_program.py``).
     """
     built = {node.node_id: index for index, node in enumerate(plan.nodes)}
     estimates: dict[str, NodeEstimate] = {}
+    columns: tuple[list[float], ...] = tuple([0.0] * len(built) for _ in range(4))
+    taus = [0.0] * len(built)
     for node in plan.topological_order():
+        tau = 0.0
         if isinstance(node, InputNode):
             # The user always injects one single input tuple (Sec. 3.4).
             estimate = NodeEstimate(tuples_in=1.0, tuples_out=1.0, calls=0.0)
         elif isinstance(node, ServiceNode):
             estimate = _estimate_service(plan, node, estimates, cache_setting, built)
+            tau = node.profile.response_time
         elif isinstance(node, JoinNode):
             predecessors = plan.predecessors(node)
             if len(predecessors) != 2:
@@ -345,6 +403,7 @@ def reference_annotate(plan: QueryPlan, cache_setting: CacheSetting) -> PlanAnno
             estimate = NodeEstimate(
                 tuples_in=pairs, tuples_out=pairs * node.selectivity, calls=0.0
             )
+            tau = node.response_time
         elif isinstance(node, OutputNode):
             tuples_in = _feed_size(plan, node, estimates)
             selectivity = 1.0
@@ -356,10 +415,17 @@ def reference_annotate(plan: QueryPlan, cache_setting: CacheSetting) -> PlanAnno
         else:
             raise PlanError(f"unknown node type: {type(node).__name__}")
         estimates[node.node_id] = estimate
+        work = tau
+        if isinstance(node, ServiceNode):
+            work = node.fetches * estimate.calls * tau
+        at = built[node.node_id]
+        values = (estimate.tuples_in, estimate.tuples_out, estimate.calls, work)
+        for column, value in zip(columns, values):
+            column[at] = value
+        taus[at] = tau
     return PlanAnnotation(
-        cache_setting=cache_setting,
-        estimates=estimates,
-        output_size=estimates[plan.output_node.node_id].tuples_out,
+        cache_setting, estimates[plan.output_node.node_id].tuples_out,
+        {node_id: built[node_id] for node_id in estimates}, columns, taus, {}, (),
     )
 
 
@@ -408,13 +474,16 @@ def reference_partial_bound(
     closure: frozenset[tuple[int, int]],
 ) -> float:
     """The lower bound of a topology state, from its definition: the
-    cost of its plan (:func:`reference_partial_plan`) at all fetching
-    factors 1, which bounds every completion (Section 2.4).  What the
-    optimizer's shared-prefix route is checked against
+    metric's :meth:`~repro.costs.base.CostMetric.bound` on its plan
+    (:func:`reference_partial_plan`) at all fetching factors 1, which
+    bounds every completion (Section 2.4).  What the optimizer's
+    shared-prefix route is checked against
     (``tests/test_open_plans.py``).
     """
     plan = reference_partial_plan(query, registry, patterns, placed, closure)
-    return metric.cost(plan, reference_annotate(plan, cache_setting))
+    return metric.bound(
+        plan, reference_annotate(plan, cache_setting), plan.path_positions()
+    )
 
 
 def search_states(
@@ -437,6 +506,28 @@ def search_states(
         if state is None:
             state = optimizer._state(run, patterns, key)
         yield bound, functools.partial(optimizer._close, run, state)
+
+
+class _ForgetfulMemo(PlanMemo):
+    def store_state(self, key, state) -> None:
+        pass
+
+    def store_plan(self, key, entry) -> None:
+        pass
+
+
+def unmemoized_optimizer(
+    registry: ServiceRegistry,
+    metric: CostMetric,
+    config: OptimizerConfig | None = None,
+) -> Optimizer:
+    """An optimizer whose memo keeps nothing, so every lookup misses:
+    every search state is folded from the root and every topology sized
+    again.  The memoized search must decide what it decides, on the
+    same trajectory (``tests/test_memo.py``)."""
+    optimizer = Optimizer(registry, metric, config)
+    optimizer._memo = _ForgetfulMemo()
+    return optimizer
 
 
 def memo_bounds(memo: PlanMemo) -> dict:

@@ -27,12 +27,13 @@ class TestIncumbent:
         incumbent.offer(10.0, "a")
         assert not incumbent.offer(10.0, "b")
 
-    def test_history_records_improvements(self):
+    def test_offer_reports_each_improvement(self):
         incumbent: Incumbent[str] = Incumbent()
-        incumbent.offer(10.0, "a")
-        incumbent.offer(12.0, "b")
-        incumbent.offer(7.0, "c")
-        assert incumbent.history == [10.0, 7.0]
+        offers = [incumbent.offer(cost, payload) for cost, payload in (
+            (10.0, "a"), (12.0, "b"), (7.0, "c"),
+        )]
+        assert offers == [True, False, True]
+        assert (incumbent.cost, incumbent.payload) == (7.0, "c")
 
     def test_prunes_requires_incumbent(self):
         incumbent: Incumbent[str] = Incumbent()

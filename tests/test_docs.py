@@ -313,10 +313,6 @@ _KEPT_WITHOUT_A_CALLER = {
     "BottleneckMetric": "paper §2.3: the bottleneck metric",
     "TimeToScreenMetric": "paper §2.3: the time-to-screen metric",
     "closed_form_single": "paper Eq. 5: the closed-form factor of one chunked service",
-    "join_order": (
-        "paper §3.3, Figure 5: the two visit orders of the candidate plane, "
-        "the full scan's emission order the reference join walks"
-    ),
     "register_join_method": (
         "paper §5: the per-pair join method fixed at registration, which "
         "join_method and content_epoch read"
@@ -707,6 +703,7 @@ def test_retired_seam_plumbing_stays_retired():
         "sibling_fallback", "substitute_siblings", "_half_open", "SEQUENTIAL",
         "prefetch", "execute_join_hashed", "_require_layout", "_laid_out",
         "record_fetch", "busiest_service_time", "output_size_of",
+        "use_response_time", "created_at", "baseline_processed",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"
@@ -1029,7 +1026,7 @@ def test_parameter_budget(capsys):
         SessionManager: ("capacity", "ttl", "clock"),
         OptimizerConfig: (
             "k", "cache_setting", "fetch_heuristic", "most_cogent_only",
-            "prune", "memoize",
+            "prune",
         ),
         ResilienceConfig: ("attempts", "partial_results"),
         CircuitBreaker: ("clock",),
@@ -1063,9 +1060,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3219,
-        "src/repro/optimizer + plans + costs": 2104,
-        "src/repro outside testing": 8824,
+        "src/repro/execution + serving": 3159,
+        "src/repro/optimizer + plans + costs": 2085,
+        "src/repro outside testing": 8745,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

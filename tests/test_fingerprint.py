@@ -234,12 +234,7 @@ class TestOptimizerConfigToken:
 
         base = OptimizerConfig()
         token = optimizer_config_token(base)
-        # k and cache_setting are explicit plan-cache-key components,
-        # and memoize is bit-identical by contract.
-        for change in (
-            {"k": 25},
-            {"cache_setting": CacheSetting.NO_CACHE},
-            {"memoize": False},
-        ):
+        # k and cache_setting are explicit plan-cache-key components.
+        for change in ({"k": 25}, {"cache_setting": CacheSetting.NO_CACHE}):
             drifted = dataclasses.replace(base, **change)
             assert optimizer_config_token(drifted) == token, change

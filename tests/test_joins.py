@@ -4,11 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.joins import (
-    join_order,
-    merge_scan_order,
-    nested_loop_order,
-)
 from repro.execution.results import Row
 from repro.model.predicates import (
     BinaryExpression,
@@ -26,6 +21,7 @@ from repro.testing import (
     join_stream,
     joined,
 )
+from repro.testing.reference import join_order, merge_scan_order, nested_loop_order
 
 METHODS = (JoinMethod.NESTED_LOOP, JoinMethod.MERGE_SCAN)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.execution.cache import CacheSetting
@@ -532,15 +532,25 @@ class TestSerialPlanEngineDifferential:
         st.sampled_from(METHODS),
     )
     @settings(max_examples=20, deadline=None)
+    # The lazy walk certifies both answers without opening the second
+    # block, so it cannot prove there is no third; the eager walk can.
+    @example([0, 0], [2], [0, 2, 0, 0], 1, 1, 2, JoinMethod.NESTED_LOOP)
+    # The eager walk's exact floors certify all six answers early; the
+    # lazy walk's block floors let it run to the end of the plane.
+    @example([1, 1, 2], [1, 1, 2], [1], 6, 1, 6, JoinMethod.NESTED_LOOP)
     def test_one_page_blocks_under_every_cache_setting(
         self, feed_keys, bk, rk, cl, cr, k, method
     ):
         """``lefts`` at factor 1: every block is one page (a chunk that
         holds the block, or the first of several), placed without a
         cursor.  Under each cache setting the walk's answers are the
-        oracle's and the eager walk's, a walk past the plane agrees with
-        the full scan to the last counter, and a top-k walk never makes
-        more calls or fetches than the full scan."""
+        oracle's and the eager walk's, a walk that reports itself
+        complete holds every answer of the full scan, a walk past the
+        plane agrees with the full scan to the last counter, and a top-k
+        walk never makes more calls or fetches than the full scan.
+        ``complete`` is what a walk proved from what it visited, so the
+        two walks may differ on it (the pinned examples) in either
+        direction."""
         registry, head, plan = _serial_plan(feed_keys, bk, rk, cl, cr, 1)
         registry.register_join_method("lefts", "rights", method)
         expected = _signature(
@@ -554,7 +564,9 @@ class TestSerialPlanEngineDifferential:
                 registry, cache_setting=setting
             ).execute(plan, head=head, k=k)
             assert _signature(lazy.rows) == _signature(eager.rows) == expected
-            assert lazy.table.complete == eager.table.complete
+            for walk in (lazy, eager):
+                if walk.table.complete:
+                    assert _signature(walk.rows) == _signature(full.rows)
             drained = engine.execute(plan, head=head, k=10**9)
             assert drained.table.complete
             assert _signature(drained.rows) == _signature(full.rows)

@@ -30,6 +30,8 @@ from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import AccessPattern, signature
 from repro.model.terms import Constant, Variable
+from repro.optimizer.fetches import FetchContext
+from repro.optimizer.memo import PlanMemo
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.patterns import is_executable, permissible_sequences
 from repro.optimizer.topology import TopologyEnumerator
@@ -118,13 +120,25 @@ def _searched(profile, metric, config):
     optimizer = Optimizer(
         registry, golden_plans.METRICS[metric](), golden_plans.CONFIGS[config]
     )
+    optimizer._memo = memo = _InheritanceLog()
     cold = optimizer.optimize(query)
-    inherited = frozenset(
-        key for key, state in optimizer._memo._bounds.items() if state.inherited
-    )
     return (
-        memo_bounds(optimizer._memo), inherited, cold, optimizer.optimize(query)
+        memo_bounds(memo), frozenset(memo.inherited), cold, optimizer.optimize(query)
     )
+
+
+class _InheritanceLog(PlanMemo):
+    """A memo that notes the states kept with a bound and no plan: the
+    search stores a state so only when its bound is inherited."""
+
+    def __init__(self):
+        super().__init__()
+        self.inherited = set()
+
+    def store_state(self, key, state):
+        if state.plan is None:
+            self.inherited.add(key)
+        super().store_state(key, state)
 
 
 def _golden_cases(
@@ -151,11 +165,14 @@ class TestBoundsAgainstTheDefinition:
         computed bound is the definition bit for bit; one inherited from
         an immediate sub-state (the state was pruned without being
         built) is at most the definition, which is why the state's own
-        bound would have pruned it too."""
+        bound would have pruned it too.  A complete topology discarded
+        once closed keeps what phase 3 could size it at."""
         registry, query = _problem(profile)
         bounds, inherited, cold, _ = _searched(profile, metric, config)
         metric = golden_plans.METRICS[metric]()
-        setting = golden_plans.CONFIGS[config].cache_setting
+        config = golden_plans.CONFIGS[config]
+        setting = config.cache_setting
+        builder = PlanBuilder(query, registry)
         assert len(bounds) == cold.stats.memo_bound_misses
         assert len(inherited) == cold.stats.bounds_inherited
         for (codes, closure), bound in bounds.items():
@@ -169,6 +186,12 @@ class TestBoundsAgainstTheDefinition:
             )
             if (codes, closure) in inherited:
                 assert bound <= reference, (codes, sorted(closure))
+            elif bound != reference and len(placed) == len(codes):
+                plan = builder.build(patterns, Poset(n=len(codes), pairs=closure))
+                sized = FetchContext(plan, metric, setting).sized_bound(config.k)
+                assert bound.hex() == sized.hex() and sized > reference, (
+                    codes, sorted(closure)
+                )
             else:
                 assert bound.hex() == reference.hex(), (codes, sorted(closure))
 
@@ -334,6 +357,13 @@ def synthetic_cases(draw, atoms=6):
     return _Case(registry, query, patterns, closure, (tuple(walked), tuple(second)))
 
 
+def _closed_bound(metric, context) -> float:
+    """The metric's bound on the plan *context* closed, at all factors 1."""
+    return metric.bound(
+        context.plan, context.annotate({}), context.plan.path_positions()
+    )
+
+
 def _check_case(case: _Case, setting: CacheSetting) -> None:
     metric = METRICS[0]
     builder = PlanBuilder(case.query, case.registry)
@@ -351,9 +381,10 @@ def _check_case(case: _Case, setting: CacheSetting) -> None:
                 case.query, case.registry, metric, setting, *state
             )
             context = close()
-            assert bound.hex() == reference.hex() == context.cost({}).hex(), (
-                state[1:]
-            )
+            assert bound.hex() == reference.hex() == (
+                _closed_bound(metric, context).hex()
+            ), state[1:]
+            assert bound <= context.cost({}), state[1:]
         _assert_closes_to_the_direct_build(
             {setting: context}, builder.build(case.patterns, poset)
         )
@@ -404,7 +435,9 @@ class TestTheBoundOfAnOpenPlan:
     def test_is_the_closed_plans_cost_under_every_metric(self, case):
         """Six metrics × three cache settings, every state along the
         walked route: the bound the search reads off the open plan is,
-        bit for bit, the cost of that plan closed, at all factors 1."""
+        bit for bit, the metric's bound on that plan closed, at all
+        factors 1 — its cost, under every metric but Eq. 4, which a
+        growing factor can lower; under Eq. 4 at most its cost."""
         states = list(case.states(case.routes[0]))
         for setting in CacheSetting:
             for metric in METRICS:
@@ -414,9 +447,17 @@ class TestTheBoundOfAnOpenPlan:
                 for state, (bound, close) in zip(
                     states, search_states(optimizer, case.query, states)
                 ):
-                    assert bound.hex() == close().cost({}).hex(), (
+                    context = close()
+                    cost = context.cost({})
+                    assert bound.hex() == _closed_bound(metric, context).hex(), (
                         metric.name, setting, state[1:]
                     )
+                    if metric.name == "execution-time":
+                        assert bound <= cost, (setting, state[1:])
+                    else:
+                        assert bound.hex() == cost.hex(), (
+                            metric.name, setting, state[1:]
+                        )
 
     def test_stays_a_lower_bound_should_a_join_ever_cost_something(self):
         """The builder gives no join a response time or a per-tuple cost,
@@ -484,7 +525,10 @@ def _check_monotone(case: _Case) -> None:
                 case.query, case.registry, case.patterns, placed, closure
             )
             annotation = reference_annotate(plan, setting)
-            bounds[placed] = [metric.cost(plan, annotation) for metric in METRICS]
+            paths = plan.path_positions()
+            bounds[placed] = [
+                metric.bound(plan, annotation, paths) for metric in METRICS
+            ]
         for placed, closure in states:
             followed = {i for i, _ in closure}
             for last in placed - followed:
@@ -508,7 +552,7 @@ def _check_optimum(case: _Case, k: int) -> None:
 
 
 class TestSubStateBounds:
-    """What an inherited bound rests on: cost is monotonic in plan
+    """What an inherited bound rests on: the bound is monotonic in plan
     construction, so a state the bound of an immediate sub-state
     prunes is one its own bound prunes (``Optimizer._lower_bound``),
     and the search still finds the optimum.  Phase 3 of a synthetic

@@ -243,8 +243,11 @@ def test_estimation_work_is_accounted(registry, travel_query):
     assert cold.bounds_inherited > 0
     assert held - cold.bounds_inherited <= cold.atoms_placed < 1.1 * held
     # A bound closes nothing: one closed plan per topology phase 3
-    # sizes, and the plan that leaves.
-    assert cold.annotate_calls == cold.fetch_evaluations + 1
+    # sizes or discards at what it could size it at, and the plan that
+    # leaves.
+    assert cold.annotate_calls == (
+        cold.fetch_evaluations + cold.closed_pruned + 1
+    )
     assert cold.fetch_evaluations < cold.memo_bound_misses
     assert cold.fetch_vectors_evaluated > cold.fetch_evaluations > 0
     summary = cold.summary()

@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.joins import merge_scan_order, nested_loop_order
 from repro.model.predicates import BinaryExpression, Comparison
 from repro.model.terms import Constant
 from repro.execution.results import Row
@@ -15,6 +14,7 @@ from repro.testing import (
     is_order_rank_consistent,
     joined,
 )
+from repro.testing.reference import merge_scan_order, nested_loop_order
 
 _sizes = st.integers(min_value=0, max_value=8)
 
