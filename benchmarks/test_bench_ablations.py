@@ -26,7 +26,7 @@ from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.plans.builder import PlanBuilder
 from repro.services.registry import JoinMethod
 from repro.sources.travel import alpha1_patterns, poset_optimal
-from repro.testing import execute_join
+from repro.testing import MostCogentOptimizer, execute_join
 
 pytestmark = pytest.mark.bench
 
@@ -127,11 +127,9 @@ class TestPhase1Ablation:
             registry, ExecutionTimeMetric(),
             OptimizerConfig(k=K, cache_setting=CacheSetting.ONE_CALL),
         ).optimize(travel_query)
-        restricted = Optimizer(
+        restricted = MostCogentOptimizer(
             registry, ExecutionTimeMetric(),
-            OptimizerConfig(
-                k=K, cache_setting=CacheSetting.ONE_CALL, most_cogent_only=True
-            ),
+            OptimizerConfig(k=K, cache_setting=CacheSetting.ONE_CALL),
         ).optimize(travel_query)
         assert restricted.cost == pytest.approx(full.cost)
         assert (

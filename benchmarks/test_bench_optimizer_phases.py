@@ -19,7 +19,7 @@ costs in µs, and phase 3's fetch vectors per second, are timings:
 import pytest
 
 from benchmarks.conftest import table, write_artifact
-from repro.testing import market_moving_news_query
+from repro.testing import UnprunedOptimizer, market_moving_news_query
 from repro.testing.exhaustive import exhaustive_optimize
 from repro.costs.sum_cost import RequestResponseMetric, SumCostMetric
 from repro.costs.time_cost import ExecutionTimeMetric
@@ -32,11 +32,11 @@ pytestmark = pytest.mark.bench
 K = 10
 
 
-def _optimize(registry, travel_query, prune=True):
-    optimizer = Optimizer(
+def _optimize(registry, travel_query, search=Optimizer):
+    optimizer = search(
         registry,
         ExecutionTimeMetric(),
-        OptimizerConfig(k=K, cache_setting=CacheSetting.ONE_CALL, prune=prune),
+        OptimizerConfig(k=K, cache_setting=CacheSetting.ONE_CALL),
     )
     return optimizer.optimize(travel_query)
 
@@ -52,8 +52,8 @@ class TestBnbQuality:
         assert oracle.expected_answers >= K
 
     def test_funnel_statistics(self, registry, travel_query, out_dir):
-        pruned = _optimize(registry, travel_query, prune=True)
-        unpruned = _optimize(registry, travel_query, prune=False)
+        pruned = _optimize(registry, travel_query)
+        unpruned = _optimize(registry, travel_query, UnprunedOptimizer)
         oracle = exhaustive_optimize(
             travel_query, registry, ExecutionTimeMetric(), K,
             cache_setting=CacheSetting.ONE_CALL,

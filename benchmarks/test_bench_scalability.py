@@ -14,6 +14,7 @@ from benchmarks.conftest import write_artifact
 from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
+from repro.testing import UnprunedOptimizer
 from repro.testing.synthetic import generate_workload
 
 pytestmark = pytest.mark.bench
@@ -22,11 +23,11 @@ SIZES = (2, 3, 4)
 ENRICHMENTS = 2  # lookup services that open up the topology space
 
 
-def _optimize(workload, prune=True):
-    return Optimizer(
+def _optimize(workload, search=Optimizer):
+    return search(
         workload.registry,
         ExecutionTimeMetric(),
-        OptimizerConfig(k=3, cache_setting=CacheSetting.ONE_CALL, prune=prune),
+        OptimizerConfig(k=3, cache_setting=CacheSetting.ONE_CALL),
     ).optimize(workload.query)
 
 
@@ -41,7 +42,7 @@ class TestScalability:
 
     def test_bench_pruning_off(self, benchmark, out_dir):
         workload = generate_workload(n_services=4, seed=24, enrichments=ENRICHMENTS)
-        best = benchmark(_optimize, workload, False)
+        best = benchmark(_optimize, workload, UnprunedOptimizer)
         assert best.plan.service_nodes
         self.test_write_scalability_table(out_dir)
 
@@ -56,8 +57,8 @@ class TestScalability:
             workload = generate_workload(
                 n_services=size, seed=20 + size, enrichments=ENRICHMENTS
             )
-            pruned = _optimize(workload, prune=True)
-            unpruned = _optimize(workload, prune=False)
+            pruned = _optimize(workload)
+            unpruned = _optimize(workload, UnprunedOptimizer)
             assert pruned.cost == pytest.approx(unpruned.cost)
             assert (
                 pruned.stats.plans_completed <= unpruned.stats.plans_completed

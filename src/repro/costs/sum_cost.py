@@ -28,13 +28,12 @@ class SumCostMetric(CostMetric):
     ``include_join_cost`` adds, for each parallel join, its registered
     per-candidate-tuple cost multiplied by the number of candidate
     pairs; the paper mentions join computation as an example of an
-    operator cost contributing to the sum.
+    operator cost contributing to the sum.  :class:`MonetaryCostMetric`
+    leaves it out.
     """
 
     name = "sum-cost"
-
-    def __init__(self, include_join_cost: bool = True) -> None:
-        self._include_join_cost = include_join_cost
+    include_join_cost = True
 
     def evaluate(
         self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
@@ -44,7 +43,7 @@ class SumCostMetric(CostMetric):
             assert node.profile is not None
             per_call = node.profile.cost_per_call
             total += per_call * annotation.calls(node) * annotation.fetches(node)
-        if self._include_join_cost:
+        if self.include_join_cost:
             for join in plan.join_nodes:
                 total += join.cost_per_tuple * annotation.tuples_in(join)
         return total
@@ -55,19 +54,12 @@ class RequestResponseMetric(CostMetric):
 
     name = "request-response"
 
-    def __init__(self, count_fetches: bool = True) -> None:
-        """When *count_fetches* is False, count input settings instead
-        of individual page fetches (useful to compare against call
-        counters that treat one paged interaction as one call)."""
-        self._count_fetches = count_fetches
-
     def evaluate(
         self, plan: QueryPlan, annotation: PlanAnnotation, paths: Paths
     ) -> float:
         total = 0.0
         for node in plan.service_nodes:
-            fetches = annotation.fetches(node) if self._count_fetches else 1
-            total += annotation.calls(node) * fetches
+            total += annotation.calls(node) * annotation.fetches(node)
         return total
 
 
@@ -75,6 +67,4 @@ class MonetaryCostMetric(SumCostMetric):
     """Sum cost metric ignoring join computation: pure per-call charges."""
 
     name = "monetary"
-
-    def __init__(self) -> None:
-        super().__init__(include_join_cost=False)
+    include_join_cost = False

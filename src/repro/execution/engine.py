@@ -164,7 +164,6 @@ class ExecutionEngine:
         registry: ServiceRegistry,
         cache_setting: CacheSetting = CacheSetting.NO_CACHE,
         resilience: ResilienceConfig = ResilienceConfig(),
-        drift_monitor: DriftMonitor | None = None,
     ) -> None:
         self._registry = registry
         self._cache_setting = cache_setting
@@ -181,8 +180,8 @@ class ExecutionEngine:
         #: :class:`~repro.execution.resilience.PlanDrift` on
         #: divergence; None (the default) never observes anything —
         #: the zero-drift bit-identity is structural, not thresholded.
-        #: A drifting session installs a fresh one per splice.
-        self.drift_monitor = drift_monitor
+        #: A drifting session installs one, and a fresh one per splice.
+        self.drift_monitor: DriftMonitor | None = None
 
     def execute(
         self,

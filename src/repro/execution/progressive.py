@@ -240,8 +240,8 @@ class ProgressiveExecutor:
             self.registry,
             cache_setting=self.cache_setting,
             resilience=self.resilience,
-            drift_monitor=self._fresh_monitor(),
         )
+        self._engine.drift_monitor = self._fresh_monitor()
         # One shared cache across all rounds: continuations are free
         # where they overlap with what was already fetched.
         self._shared_cache = (

@@ -63,8 +63,8 @@ class SearchStats:
     building the state: an immediate sub-state's bound, already held,
     pruned it, and is kept as its bound (the decision the exact bound
     makes, since a sub-state's bound is never higher).  It needs both
-    the incumbent and the memo, so it stays 0 under ``prune=False`` or
-    a memo that keeps nothing.
+    the incumbent and the memo, so it stays 0 in a search that does
+    not prune or a memo that keeps nothing.
     ``annotate_calls`` counts the closed plans: one per complete
     topology phase 3 sizes or ``closed_pruned`` counts, plus one for
     annotating the plan that leaves.  It does not see inside phase 3:

@@ -17,6 +17,10 @@ Heuristics (Section 4.3.1):
   of explored tuples, which requires increments inversely proportional
   to the chunk size; we implement the equal-exploration semantics.
 
+Phase 3 (:func:`assign_fetches`) starts from greedy; the square
+heuristic is the paper's alternative, which the fetch-heuristic
+ablation compares it with.
+
 Exploration (Section 4.3.2) enumerates candidate n-tuples bounded by
 ``F_max_i`` (the minimal value reaching ``k`` with all other factors at
 1) and by decay caps, skipping tuples dominated by an already-feasible
@@ -143,13 +147,16 @@ class FetchContext:
         return cached
 
     def output_size(self, fetches: Mapping[int, int]) -> float:
-        """Expected number of answers h under *fetches*.
+        """Expected number of answers h under *fetches*, taken as
+        ``h(1, ..., 1) · Π F_i`` without re-annotating.
 
-        In the annotation model of Section 3.4, every chunked node
-        contributes ``cs · F`` multiplicatively to the plan output, so
-        ``h(F) = h(1, ..., 1) · Π F_i`` exactly; we exploit this to
-        avoid re-annotating (the identity is verified by the property
-        tests against the full annotation).
+        The identity is exact on the running example's plans, which
+        the property tests check against the full annotation, but not
+        in general: a chunked node feeding two branches joined later
+        raises the annotation's h by ``F²``, and on the golden cases
+        7 513 of 33 326 calls differ from the annotation (ROADMAP item
+        24).  The heuristics and the factor caps judge feasibility by
+        it; :meth:`evaluate` reads the annotation.
         """
         if self._base_output is None:
             self._base_output = self.annotate({}).output_size
@@ -471,16 +478,10 @@ def closed_form_pair(context: FetchContext, k: int) -> FetchResult:
     return context.evaluate(fetches, k)
 
 
-def assign_fetches(
-    context: FetchContext, k: int, heuristic: str = "greedy"
-) -> FetchResult:
-    """Run phase 3: heuristic first, then exhaustive refinement."""
-    if heuristic == "greedy":
-        initial = greedy_assignment(context, k)
-    elif heuristic == "square":
-        initial = square_assignment(context, k)
-    else:
-        raise ValueError(f"unknown fetch heuristic {heuristic!r}")
+def assign_fetches(context: FetchContext, k: int) -> FetchResult:
+    """Run phase 3: the greedy heuristic first, then exhaustive
+    refinement."""
+    initial = greedy_assignment(context, k)
     if not context.chunked_atoms:
         return initial
     refined = exhaustive_assignment(context, k, start=initial.fetches)

@@ -11,7 +11,7 @@ first ``k`` answers under a chosen metric:
   plans, and pruning partial constructions whose cost already exceeds
   the incumbent (cost metrics are monotonic in plan construction);
 * **phase 3** assigns fetching factors to chunked services via the
-  greedy or square heuristic, refined by dominance-pruned exhaustive
+  greedy heuristic, refined by dominance-pruned exhaustive
   exploration.
 
 The phases are nested classes of plans, and each topology is bounded
@@ -45,7 +45,9 @@ from repro.optimizer.fetches import FetchContext, FetchResult, assign_fetches
 from repro.optimizer.memo import (
     BoundKey, OpenState, PlanEntry, PlanMemo, bound_key, plan_key,
 )
-from repro.optimizer.patterns import PatternSequence, select_patterns
+from repro.optimizer.patterns import (
+    PatternPhaseResult, PatternSequence, select_patterns,
+)
 from repro.optimizer.topology import TopologyEnumerator, TopologyState, heuristic_posets
 from repro.plans.annotate import AnnotationProgram, PlanAnnotation, annotate
 from repro.plans.builder import PlanBuilder, Poset
@@ -55,18 +57,14 @@ from repro.services.registry import ServiceRegistry
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Tuning knobs for one optimization run."""
+    """What one optimization run is asked for: the first ``k`` answers
+    under a cache setting."""
 
     k: int = 10
     cache_setting: CacheSetting = CacheSetting.ONE_CALL
-    fetch_heuristic: str = "greedy"
-    most_cogent_only: bool = False
-    prune: bool = True
 
     def __post_init__(self) -> None:
         check_count("k", self.k)
-        if self.fetch_heuristic not in {"greedy", "square"}:
-            raise ValueError(f"unknown fetch heuristic {self.fetch_heuristic!r}")
 
 
 @dataclass(frozen=True)
@@ -151,11 +149,10 @@ class Optimizer:
                 "no permissible sequence of access patterns: "
                 "the query is not executable"
             )
-        sequences = phase1.most_cogent if config.most_cogent_only else phase1.ordered
         run = self._begin(query)
         stats = run.stats
 
-        for patterns in sequences:
+        for patterns in self._sequences(phase1):
             stats.pattern_sequences_considered += 1
             self._seed_with_heuristics(run, patterns)
             self._search_topologies(run, patterns)
@@ -187,6 +184,15 @@ class Optimizer:
         )
 
     # -- phase 2/3 machinery ----------------------------------------------
+
+    def _sequences(self, phase1: PatternPhaseResult) -> tuple[PatternSequence, ...]:
+        """The pattern sequences searched, most cogent first."""
+        return phase1.ordered
+
+    def _pruning(self, run: _Run) -> bool:
+        """Whether a class bound may discard a state: once an incumbent
+        is set."""
+        return run.incumbent.is_set
 
     def _begin(self, query: ConjunctiveQuery) -> _Run:
         """A run over *query*: nothing decided, the memo kept when it
@@ -238,7 +244,7 @@ class Optimizer:
                 completed.add(closure)
                 self._complete_and_offer(run, patterns, enumerator.poset_of(state))
                 continue
-            if self._config.prune and run.incumbent.is_set and placed:
+            if self._pruning(run) and placed:
                 key = bound_key(patterns, placed, closure)
                 bound, _ = self._lower_bound(run, patterns, key)
                 if run.incumbent.prunes(bound):
@@ -256,7 +262,7 @@ class Optimizer:
         # With every atom placed, the state's key is the topology's.
         key = plan_key(patterns, poset.closure())
         state = None
-        pruning = config.prune and run.incumbent.is_set
+        pruning = self._pruning(run)
         if pruning:
             # A topology with its fetching factors open is a class of
             # plans too, and no member costs less than the metric's
@@ -292,9 +298,7 @@ class Optimizer:
             stats.topology_states_pruned += 1
             stats.closed_pruned += 1
             return
-        fetch_result = assign_fetches(
-            context, config.k, heuristic=config.fetch_heuristic
-        )
+        fetch_result = assign_fetches(context, config.k)
         stats.fetch_evaluations += 1
         stats.plans_completed += 1
         stats.fetch_vectors_evaluated += context.vectors_evaluated

@@ -140,7 +140,6 @@ class PatternPhaseResult:
     """Outcome of phase 1: the ordered candidate sequences."""
 
     permissible: tuple[PatternSequence, ...]
-    most_cogent: tuple[PatternSequence, ...]
     ordered: tuple[PatternSequence, ...]
 
 
@@ -149,6 +148,5 @@ def select_patterns(query: ConjunctiveQuery, schema: Schema) -> PatternPhaseResu
     permissible = permissible_sequences(query, schema)
     return PatternPhaseResult(
         permissible=permissible,
-        most_cogent=most_cogent_sequences(permissible),
         ordered=cogency_sorted(permissible),
     )

@@ -93,14 +93,13 @@ def query_fingerprint(query: ConjunctiveQuery) -> str:
 
 
 def optimizer_config_token(config: OptimizerConfig) -> str:
-    """Stable token over every search-shaping knob of *config*.
+    """Stable token over the fields of *config* the key does not carry.
 
-    ``k`` and ``cache_setting`` are excluded — they are explicit key
-    components already.  The serving layer plans with one
-    config, the default, so the token is a constant there; it stays in
-    the key so that keys keep their bytes — plans persisted in a disk
-    tier by earlier versions are still addressed — and so that a caller
-    building keys by hand (``bench/tracing.py``) builds the same ones.
+    ``k`` and ``cache_setting`` are explicit key components, and they
+    are all an :class:`OptimizerConfig` holds, so the token digests no
+    field: it is a constant.  It stays because ``bench/tracing.py``
+    builds plan-cache keys by hand, calling this and
+    :func:`plan_cache_key`, and must build the serving layer's keys.
     """
     fields = dataclasses.asdict(config)
     for keyed_elsewhere in ("k", "cache_setting"):
@@ -120,9 +119,8 @@ def plan_cache_key(
 
     The registry epoch is baked into the key, so entries optimized
     under drifted profiles can never be returned — they simply stop
-    being addressed and age out of the LRU tier.  The config token
-    would do the same for optimizer settings; the serving layer's is a
-    constant (:func:`optimizer_config_token`).
+    being addressed and age out of the LRU tier.  The config token is
+    a constant (:func:`optimizer_config_token`).
     """
     return "|".join(
         (

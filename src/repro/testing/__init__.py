@@ -7,7 +7,9 @@ against, the dict-row reference plan interpreter the engine is checked
 against, the per-definition plan estimates the annotation program
 is checked against, the from-scratch state bound the optimizer's open
 plans are checked against, the unmemoized search the memo is checked
-against, the eager-streamed engine lazy fetching is
+against, the unpruned search the class bounds are checked against, the
+most-cogent-only search (§4.1) the full search is compared with, the
+eager-streamed engine lazy fetching is
 measured against, the re-executing executor growth in place is
 measured against, the feed DP the engine's clock is checked against
 and the values-based attribution the certificate's is checked against
@@ -53,8 +55,10 @@ from repro.testing.fixtures import (
     step_cells,
 )
 from repro.testing.reference import (
+    MostCogentOptimizer,
     ReexecutingExecutor,
     ReferenceResult,
+    UnprunedOptimizer,
     compose_ranking,
     eager_streamed_engine,
     execute_join,
@@ -87,9 +91,11 @@ __all__ = [
     "FlakyService",
     "InjectedFault",
     "ListPageSource",
+    "MostCogentOptimizer",
     "ReexecutingExecutor",
     "ReferenceResult",
     "SyntheticWorkload",
+    "UnprunedOptimizer",
     "WsmsPlan",
     "as_record",
     "as_records",

@@ -1,6 +1,6 @@
 """References the production paths are checked against (tests and benches).
 
-Ten small, obviously correct things: the composed *ranking*
+Twelve small, obviously correct things: the composed *ranking*
 (:func:`compose_ranking`, a stable sort on the aggregated rank) for
 the engine's terminal top-k stream, the full-plane dict-row *join*
 (:func:`execute_join` over :func:`merged_with`, visiting the cells in
@@ -15,7 +15,11 @@ from-scratch *lower bound* of a topology state
 branch-and-bound extends (:func:`search_states` is the search's own
 route to a state's bound and closed plan), the *unmemoized search*
 (:func:`unmemoized_optimizer`) for the memo of
-:mod:`repro.optimizer.memo`, the eager-streamed engine
+:mod:`repro.optimizer.memo`, the *unpruned search*
+(:class:`UnprunedOptimizer`) for the class bounds, the search of the
+most cogent pattern sequences only (:class:`MostCogentOptimizer`), the
+§4.1 restriction the full search is compared with, the eager-streamed
+engine
 (:func:`eager_streamed_engine`) — the "same cells, every page fetched
 up front" baseline lazy fetching is measured against — and the
 re-executing session executor (:class:`ReexecutingExecutor`), the
@@ -65,6 +69,9 @@ from repro.model.terms import Constant, Variable
 from repro.optimizer.fetches import FetchContext
 from repro.optimizer.memo import PlanMemo, bound_key
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
+from repro.optimizer.patterns import (
+    PatternPhaseResult, PatternSequence, most_cogent_sequences,
+)
 from repro.plans.annotate import (
     EQUALITY_OUTPUT_SELECTIVITY,
     NodeEstimate,
@@ -528,6 +535,26 @@ def unmemoized_optimizer(
     optimizer = Optimizer(registry, metric, config)
     optimizer._memo = _ForgetfulMemo()
     return optimizer
+
+
+class UnprunedOptimizer(Optimizer):
+    """An optimizer whose class bounds discard nothing: every topology
+    state is explored and every complete topology sized.  The
+    branch-and-bound must decide what it decides, while exploring no
+    more (``tests/test_search_oracles.py``)."""
+
+    def _pruning(self, run) -> bool:
+        return False
+
+
+class MostCogentOptimizer(Optimizer):
+    """An optimizer that searches only the most cogent pattern
+    sequences, in phase 1's order of the permissible ones: the paper's
+    "bound is better" restriction (§4.1), which the phase-1 ablation
+    compares the full search with."""
+
+    def _sequences(self, phase1: PatternPhaseResult) -> tuple[PatternSequence, ...]:
+        return most_cogent_sequences(phase1.permissible)
 
 
 def memo_bounds(memo: PlanMemo) -> dict:

@@ -86,14 +86,6 @@ class TestSumAndRequestResponse:
         )
         assert cost == pytest.approx(manual)
 
-    def test_request_response_without_fetches(self, builder):
-        with_f = RequestResponseMetric(count_fetches=True)
-        without_f = RequestResponseMetric(count_fetches=False)
-        cost_with, plan, annotation = _costed(
-            builder, poset_optimal(), {FLIGHT_ATOM: 3, HOTEL_ATOM: 4}, with_f
-        )
-        assert without_f.cost(plan, annotation) < cost_with
-
     def test_sum_cost_uses_per_call_prices(self, builder, registry):
         plan = builder.build(
             alpha1_patterns(), poset_optimal(),

@@ -313,6 +313,10 @@ _KEPT_WITHOUT_A_CALLER = {
     "BottleneckMetric": "paper §2.3: the bottleneck metric",
     "TimeToScreenMetric": "paper §2.3: the time-to-screen metric",
     "closed_form_single": "paper Eq. 5: the closed-form factor of one chunked service",
+    "square_assignment": (
+        "paper §4.3.1: the square heuristic, phase 3's alternative start, "
+        "which ablation_fetch_heuristics.txt compares with greedy"
+    ),
     "register_join_method": (
         "paper §5: the per-pair join method fixed at registration, which "
         "join_method and content_epoch read"
@@ -704,6 +708,7 @@ def test_retired_seam_plumbing_stays_retired():
         "prefetch", "execute_join_hashed", "_require_layout", "_laid_out",
         "record_fetch", "busiest_service_time", "output_size_of",
         "use_response_time", "created_at", "baseline_processed",
+        "most_cogent_only", "fetch_heuristic", "count_fetches",
     )
     offenders = [
         f"{path.relative_to(REPO)}: {name}"
@@ -994,8 +999,14 @@ def test_the_paper_is_reproduced_in_one_place():
 
 def test_parameter_budget(capsys):
     """Every settable value of the execution and serving entry points,
-    as a literal: adding a knob is an edit someone makes on purpose."""
+    the optimizer's config and the sum metrics, as a literal: adding a
+    knob is an edit someone makes on purpose."""
     from repro.__main__ import main
+    from repro.costs.sum_cost import (
+        MonetaryCostMetric,
+        RequestResponseMetric,
+        SumCostMetric,
+    )
     from repro.execution.engine import ExecutionEngine
     from repro.execution.progressive import ProgressiveExecutor
     from repro.execution.resilience import ResilienceConfig
@@ -1009,9 +1020,7 @@ def test_parameter_budget(capsys):
     )
 
     budget = {
-        ExecutionEngine: (
-            "registry", "cache_setting", "resilience", "drift_monitor",
-        ),
+        ExecutionEngine: ("registry", "cache_setting", "resilience"),
         ProgressiveExecutor: (
             "registry", "plan", "head", "mode", "cache_setting",
             "shared_cache", "reset_remote", "resilience", "replan",
@@ -1024,12 +1033,12 @@ def test_parameter_budget(capsys):
             "row_provenance", "breaker",
         ),
         SessionManager: ("capacity", "ttl", "clock"),
-        OptimizerConfig: (
-            "k", "cache_setting", "fetch_heuristic", "most_cogent_only",
-            "prune",
-        ),
+        OptimizerConfig: ("k", "cache_setting"),
         ResilienceConfig: ("attempts", "partial_results"),
         CircuitBreaker: ("clock",),
+        RequestResponseMetric: (),
+        SumCostMetric: (),
+        MonetaryCostMetric: (),
     }
     for cls, parameters in budget.items():
         assert tuple(inspect.signature(cls).parameters) == parameters, cls.__name__
@@ -1060,9 +1069,9 @@ def test_code_line_ratchet():
     from benchmarks.code_lines import count, ratchet_groups
 
     ceilings = {
-        "src/repro/execution + serving": 3159,
-        "src/repro/optimizer + plans + costs": 2085,
-        "src/repro outside testing": 8745,
+        "src/repro/execution + serving": 3158,
+        "src/repro/optimizer + plans + costs": 2069,
+        "src/repro outside testing": 8728,
     }
     actual = {
         name: sum(count(path)[1] for path in files)

@@ -247,10 +247,9 @@ class TestReplanSharesRouting:
             registry=registry, plan=plan, head=tuple(query.head),
             resilience=self.PARTIAL, replan=lambda observed: None,
         )
-        executor._engine = eager_streamed_engine(
-            registry, resilience=self.PARTIAL,
-            drift_monitor=executor.engine.drift_monitor,
-        )
+        monitor = executor.engine.drift_monitor
+        executor._engine = eager_streamed_engine(registry, resilience=self.PARTIAL)
+        executor._engine.drift_monitor = monitor
         return executor
 
     def test_substitution_survives_a_second_splice(self):

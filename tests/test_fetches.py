@@ -225,16 +225,13 @@ class TestDecayCaps:
 
 class TestAssignFetches:
     def test_greedy_then_explore(self, context_o):
-        result = assign_fetches(context_o, k=10, heuristic="greedy")
+        result = assign_fetches(context_o, k=10)
         assert result.feasible
 
     def test_square_then_explore(self, context_o):
-        result = assign_fetches(context_o, k=10, heuristic="square")
+        start = square_assignment(context_o, k=10).fetches
+        result = exhaustive_assignment(context_o, k=10, start=start)
         assert result.feasible
-
-    def test_unknown_heuristic_rejected(self, context_o):
-        with pytest.raises(ValueError):
-            assign_fetches(context_o, k=10, heuristic="magic")
 
     def test_no_chunked_services(self, registry):
         from repro.model.atoms import Atom

@@ -209,22 +209,6 @@ class TestPlanCacheKey:
 
 
 class TestOptimizerConfigToken:
-    def test_search_shaping_knobs_participate(self):
-        import dataclasses
-
-        from repro.optimizer.optimizer import OptimizerConfig
-        from repro.serving.fingerprint import optimizer_config_token
-
-        base = OptimizerConfig()
-        token = optimizer_config_token(base)
-        for change in (
-            {"fetch_heuristic": "square"},
-            {"most_cogent_only": True},
-            {"prune": False},
-        ):
-            drifted = dataclasses.replace(base, **change)
-            assert optimizer_config_token(drifted) != token, change
-
     def test_keyed_elsewhere_knobs_do_not(self):
         import dataclasses
 

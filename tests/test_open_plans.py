@@ -9,13 +9,14 @@ scratch: ``reference_partial_bound`` for a state's lower bound,
 A bound is read off the open plan, never closed for it, and must be
 the closed plan's cost under every metric.  The *class bound* (a
 complete topology is discarded at its all-ones cost) must leave every
-decision where ``prune=False`` and the exhaustive baseline put it.
+decision where the unpruned search (``UnprunedOptimizer``) and the
+exhaustive baseline put it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,7 @@ from repro.services.profile import exact_profile, search_profile
 from repro.services.registry import ServiceRegistry
 from repro.services.table import TableExactService, TableSearchService
 from repro.testing.reference import (
+    UnprunedOptimizer,
     memo_bounds,
     reference_annotate,
     reference_partial_bound,
@@ -605,7 +607,7 @@ def _agree(registry, query, metric, config, searched=None, exhaustive=True):
         optimizer = Optimizer(registry, metric, config)
         searched = optimizer.optimize(query), optimizer.optimize(query)
     cold, warm = searched
-    unpruned = Optimizer(registry, metric, replace(config, prune=False)).optimize(query)
+    unpruned = UnprunedOptimizer(registry, metric, config).optimize(query)
     assert _decision(cold) == _decision(warm) == _decision(unpruned)
     if exhaustive:
         oracle = exhaustive_optimize(
@@ -697,8 +699,8 @@ class TestClassBound:
         config = OptimizerConfig(k=5, cache_setting=CacheSetting.OPTIMAL)
         optimizer = Optimizer(registry, METRICS[0], config)
         stats = optimizer.optimize(travel_query).stats
-        unpruned = Optimizer(
-            registry, METRICS[0], replace(config, prune=False)
+        unpruned = UnprunedOptimizer(
+            registry, METRICS[0], config
         ).optimize(travel_query).stats
         assert stats.fetch_evaluations == len(optimizer._memo._plans)
         assert stats.fetch_evaluations <= 10 < unpruned.fetch_evaluations

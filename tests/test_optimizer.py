@@ -9,6 +9,7 @@ from repro.execution.cache import CacheSetting
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.plans.dag import PlanError
 from repro.sources.travel import poset_optimal, running_example_query
+from repro.testing import MostCogentOptimizer, UnprunedOptimizer
 
 
 class TestConfig:
@@ -17,10 +18,6 @@ class TestConfig:
         """k is a count, checked as every other entry point checks one."""
         with pytest.raises(ValueError):
             OptimizerConfig(k=k)
-
-    def test_invalid_heuristic_rejected(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(fetch_heuristic="magic")
 
 
 class TestRunningExampleOptimum:
@@ -64,31 +61,27 @@ class TestRunningExampleOptimum:
         full = Optimizer(
             registry, ExecutionTimeMetric(), OptimizerConfig(k=10)
         ).optimize(travel_query)
-        cogent = Optimizer(
-            registry,
-            ExecutionTimeMetric(),
-            OptimizerConfig(k=10, most_cogent_only=True),
+        cogent = MostCogentOptimizer(
+            registry, ExecutionTimeMetric(), OptimizerConfig(k=10)
         ).optimize(travel_query)
         assert cogent.cost == pytest.approx(full.cost)
 
 
 class TestPruning:
     def test_pruning_preserves_optimum(self, registry, travel_query):
-        pruned = Optimizer(
-            registry, ExecutionTimeMetric(), OptimizerConfig(k=10, prune=True)
-        ).optimize(travel_query)
-        unpruned = Optimizer(
-            registry, ExecutionTimeMetric(), OptimizerConfig(k=10, prune=False)
-        ).optimize(travel_query)
+        pruned, unpruned = (
+            search(registry, ExecutionTimeMetric(), OptimizerConfig(k=10))
+            .optimize(travel_query)
+            for search in (Optimizer, UnprunedOptimizer)
+        )
         assert pruned.cost == pytest.approx(unpruned.cost)
 
     def test_pruning_reduces_work(self, registry, travel_query):
-        pruned = Optimizer(
-            registry, ExecutionTimeMetric(), OptimizerConfig(k=10, prune=True)
-        ).optimize(travel_query)
-        unpruned = Optimizer(
-            registry, ExecutionTimeMetric(), OptimizerConfig(k=10, prune=False)
-        ).optimize(travel_query)
+        pruned, unpruned = (
+            search(registry, ExecutionTimeMetric(), OptimizerConfig(k=10))
+            .optimize(travel_query)
+            for search in (Optimizer, UnprunedOptimizer)
+        )
         assert pruned.stats.plans_completed <= unpruned.stats.plans_completed
         assert pruned.stats.topology_states_pruned > 0
 
@@ -113,10 +106,10 @@ class TestPruning:
             "Temperature >= 28, FPrice + HPrice < 2000."
         )
         pruned, unpruned = (
-            Optimizer(registry, BottleneckMetric(), OptimizerConfig(
-                k=1, cache_setting=cache_setting, prune=prune
+            search(registry, BottleneckMetric(), OptimizerConfig(
+                k=1, cache_setting=cache_setting
             )).optimize(query)
-            for prune in (True, False)
+            for search in (Optimizer, UnprunedOptimizer)
         )
         oracle = exhaustive_optimize(
             query, registry, BottleneckMetric(), k=1, cache_setting=cache_setting
@@ -156,10 +149,8 @@ class TestPruning:
             [atom("a", "X", "Y"), atom("b", "X", "Z")],
         )
         results = [
-            Optimizer(
-                registry, metric, OptimizerConfig(k=1, prune=prune)
-            ).optimize(two_atoms)
-            for prune in (True, False)
+            search(registry, metric, OptimizerConfig(k=1)).optimize(two_atoms)
+            for search in (Optimizer, UnprunedOptimizer)
         ]
         pruned, unpruned = map(golden_plans.observe, results)
         assert [p.code for p in results[0].patterns] == ["oo", "io"]

@@ -11,7 +11,7 @@ from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import CacheSetting
 from repro.optimizer.fetches import FetchContext, closed_form_pair
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
-from repro.optimizer.patterns import select_patterns
+from repro.optimizer.patterns import most_cogent_sequences, select_patterns
 
 from repro.optimizer.topology import TopologyEnumerator
 from repro.plans.annotate import annotate
@@ -54,8 +54,9 @@ class TestExample41:
     def test_pattern_phase(self, travel_query):
         phase = select_patterns(travel_query, travel_registry().schema())
         assert len(phase.permissible) == 3  # of the 4 combinations
-        assert len(phase.most_cogent) == 2
-        assert phase.ordered[0] in phase.most_cogent
+        most_cogent = most_cogent_sequences(phase.permissible)
+        assert len(most_cogent) == 2
+        assert phase.ordered[0] in most_cogent
 
 
 class TestExample51:
