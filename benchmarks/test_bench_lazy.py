@@ -6,7 +6,7 @@ top-k executions at k ∈ {1, 10, 100}, against the eager streamed
 baseline (PR 2: early exit saves join work, but every service is still
 fully materialized up front) and the full-scan oracle.
 
-Five workloads:
+The workloads:
 
 * **pair** — the paper's two-search-services shape on the
   rank-monotone plane: both services return their tuples in rank
@@ -39,6 +39,12 @@ Five workloads:
   the join walks ran through their kernel, the candidates they kept
   and the pages pulled.  The kernels are wrapped to count
   (``_counting_kernels``); a service-terminal plan runs none;
+* **nested-loop template sessions** — the same script on the news and
+  weekend templates with every service pair registered nested loop
+  (``register_join_method``): per round, the answers, pages, remote
+  calls, kernel cells and ``complete``.  The frozen bench streams no
+  nested-loop join, so this table is what pins a nested-loop walk
+  that grows in place (news);
 * **template cursors** — one submit of each bench template at k = 3
   and k = 5, each on a fresh service: the remote calls it made and the
   block cursors its multi-feed cursors built.  A one-page block the
@@ -73,6 +79,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -483,39 +490,75 @@ def _template_cursors() -> list[dict]:
     return points
 
 
+def _session_script(service: QueryService, request, more: int):
+    """``sessions_more``'s script (submit, then three ``more``) on
+    *service*: per round, its name, the response, the join kernels'
+    counts (``_counting_kernels``) and the executor rounds it ran."""
+    counts: Counter = Counter()
+    session = None
+    for round_ in ("submit", "more", "more", "more"):
+        counts.clear()
+        with _counting_kernels(counts):
+            if session is None:
+                response = service.submit(request.text, request.k)
+                session = response.session_id
+                executor = service.sessions.get(session).executor
+                before = 0
+            else:
+                before = len(executor.rounds)
+                response = service.ask_for_more(session, more)
+        yield round_, response, counts, executor.rounds[before:]
+
+
 def _template_sessions() -> list[dict]:
     """Per round of ``sessions_more``'s script on each bench template
     (popularity order, each on a fresh service): the join walks'
     kernel cells and kept candidates, and the pages pulled."""
     workloads = _bench_workloads()
-    IN_MEMORY, MORE, SESSION = workloads.IN_MEMORY, workloads.MORE, workloads.SESSION
-    zipf_population = workloads.zipf_population
-    assert SESSION.count("more") == 3
+    assert workloads.SESSION.count("more") == 3
     points = []
-    for number, request in enumerate(zipf_population(k=3), 1):
-        service = QueryService(IN_MEMORY[request.domain]())
-        counts: Counter = Counter()
-        session = None
-        for round_ in ("submit", "more", "more", "more"):
-            counts.clear()
-            with _counting_kernels(counts):
-                if session is None:
-                    response = service.submit(request.text, request.k)
-                    session = response.session_id
-                    executor = service.sessions.get(session).executor
-                    before = 0
-                else:
-                    before = len(executor.rounds)
-                    response = service.ask_for_more(session, MORE)
+    for number, request in enumerate(workloads.zipf_population(k=3), 1):
+        service = QueryService(workloads.IN_MEMORY[request.domain]())
+        for round_, response, counts, rounds in _session_script(
+            service, request, workloads.MORE
+        ):
             points.append({
                 "template": f"{number}:{request.domain}",
                 "round": round_,
                 "answers": len(response.rows),
                 "kernel_cells": counts["kernel_cells"],
                 "candidates": counts["candidates"],
-                "pages": sum(
-                    r.stats.total_fetches for r in executor.rounds[before:]
-                ),
+                "pages": sum(r.stats.total_fetches for r in rounds),
+            })
+    return points
+
+
+def _nested_loop_sessions() -> list[dict]:
+    """Per round of ``sessions_more``'s script on each news and weekend
+    bench template, with every pair of the domain's services registered
+    nested loop (a fresh service each): its answers, pages, remote
+    calls, join kernel cells, and whether the answers are complete.
+    The news plan's terminal join grows in place; the weekend plan is
+    service-terminal, so it runs no join under either method."""
+    workloads = _bench_workloads()
+    points = []
+    for number, request in enumerate(workloads.zipf_population(k=3), 1):
+        if request.domain not in ("news", "weekend"):
+            continue
+        registry = workloads.IN_MEMORY[request.domain]()
+        for first, second in combinations(registry.names, 2):
+            registry.register_join_method(first, second, JoinMethod.NESTED_LOOP)
+        for round_, response, counts, rounds in _session_script(
+            QueryService(registry), request, workloads.MORE
+        ):
+            points.append({
+                "template": f"{number}:{request.domain}",
+                "round": round_,
+                "rows": len(response.rows),
+                "pages": sum(r.stats.total_fetches for r in rounds),
+                "calls": sum(r.stats.total_calls for r in rounds),
+                "kernel_cells": counts["kernel_cells"],
+                "complete": response.complete,
             })
     return points
 
@@ -638,6 +681,12 @@ def test_write_counts_lazy(out_dir):
               "three more 3) on each bench template, a fresh service each; "
               "per round, the join kernels' cells and kept candidates, and "
               "the pages pulled", _template_sessions()),
+        table("Nested-loop template sessions: sessions_more's script on "
+              "each news and weekend bench template, every service pair "
+              "registered nested loop, a fresh service each; per round, the "
+              "answers, pages, remote calls, join kernels' cells and "
+              "whether the answers are complete (weekend runs no join)",
+              _nested_loop_sessions()),
         table("Template cursors: one submit of each bench template at k=3 "
               "and k=5, a fresh service each; its answers, remote calls and "
               "the block cursors built (a one-page block taken at once is a "

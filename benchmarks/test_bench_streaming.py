@@ -19,9 +19,8 @@ emit tuples in their service rank order (rank = position), every cell
 of the plane is a candidate combination, and the composed rank of cell
 ``(i, j)`` is ``i + j``.  The acceptance assertion is the whole point
 of the subsystem: cells merged must scale with k, not with ``n × m``
-— while the emitted rows stay bit-identical to the oracle.  A
-merge-scan walk visits the matching cells in rank order, so it merges
-exactly k; a nested-loop walk merges whole outer rows.
+— while the emitted rows stay bit-identical to the oracle.  Either
+walk visits the matching cells in rank order, so it merges exactly k.
 
 A **key-selectivity sweep** rides in the same artifact: the same
 plane with one row in 1, 5 and 50 sharing a key (``key = position mod
@@ -134,11 +133,8 @@ def test_write_counts_streaming(out_dir):
         for k, visited in zip(KS, visited_by_k):
             if k < SIDE:
                 assert visited < plane // 4, (method, k, visited, plane)
-        if method is JoinMethod.MERGE_SCAN:
-            # Rank order: exactly the k answers.  (NL steps are whole
-            # rows, so its floor is one row of m cells — still
-            # independent of n.)
-            assert visited_by_k == list(KS)
+        # Rank order: exactly the k answers, under either method.
+        assert visited_by_k == list(KS)
 
     sweep = []
     for one_in in SELECTIVITIES:

@@ -29,11 +29,6 @@ Commands
     datalog query, ``more <session_id> [n]``, ``stats``, or ``quit``;
     one JSON response is printed per line.
 
-``migrate-plan-cache OLD.json NEW.sqlite``
-    Import the plans of a JSON plan-cache file (the format older
-    versions wrote) into a SQLite plan cache; rows already in the
-    database win.
-
 Both serving commands persist plans with ``--plan-cache PATH``: a
 WAL-mode SQLite database (created when missing, whatever the suffix)
 that any number of threads and processes may share.
@@ -44,8 +39,7 @@ expanded one), a ``k`` below 1 — ends a one-shot
 command with ``error: <Type>: <message>`` on stderr and exit status 2;
 ``serve`` answers the same inputs with ``{"error": ...}`` and goes on.
 A ``--plan-cache`` path SQLite cannot open ends either serving command
-the same way, before it answers anything, and so does a
-``migrate-plan-cache`` target.
+the same way, before it answers anything.
 """
 
 from __future__ import annotations
@@ -160,19 +154,11 @@ def _exit_if_unopenable():
 
 
 def _make_query_service(args):
-    from repro.serving import (
-        CircuitBreaker,
-        PlanCache,
-        PlanCacheFormatError,
-        QueryService,
-    )
+    from repro.serving import CircuitBreaker, PlanCache, QueryService
 
     registry, showcase = _load_domain(args.domain)
-    try:
-        with _exit_if_unopenable():
-            plan_cache = PlanCache(path=args.plan_cache)
-    except PlanCacheFormatError as error:
-        sys.exit(f"error: {error}")
+    with _exit_if_unopenable():
+        plan_cache = PlanCache(path=args.plan_cache)
     service = QueryService(
         registry=registry,
         metric=_METRICS[args.metric](),
@@ -226,24 +212,6 @@ def _run_serve(args) -> int:
             print(json.dumps({"error": f"{type(error).__name__}: {error}"}))
         sys.stdout.flush()
     print(json.dumps(service.snapshot(), sort_keys=True))
-    return 0
-
-
-def _run_migrate(args) -> int:
-    from repro.serving.sqlite_cache import SQLiteDiskTier, read_json_tier
-
-    rows = read_json_tier(args.source)
-    if rows is None:
-        print(f"error: {args.source} is not a readable JSON plan-cache file",
-              file=sys.stderr)
-        return 1
-    with _exit_if_unopenable():
-        tier = SQLiteDiskTier(args.target)
-    try:
-        imported = tier.seed(rows)
-    finally:
-        tier.close()
-    print(f"imported {imported} of {len(rows)} plans into {args.target}")
     return 0
 
 
@@ -327,13 +295,6 @@ def main(argv: list[str] | None = None) -> int:
     srv.add_argument("-k", type=int, default=10, help="default answers per query")
     _add_serving_flags(srv)
 
-    migrate = sub.add_parser(
-        "migrate-plan-cache",
-        help="import a JSON plan-cache file into a SQLite plan cache",
-    )
-    migrate.add_argument("source", metavar="OLD.json")
-    migrate.add_argument("target", metavar="NEW.sqlite")
-
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
@@ -372,9 +333,6 @@ def _dispatch(args) -> int:
 
     if args.command == "serve":
         return _run_serve(args)
-
-    if args.command == "migrate-plan-cache":
-        return _run_migrate(args)
 
     return 2
 

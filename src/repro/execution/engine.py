@@ -349,9 +349,9 @@ class ExecutionEngine:
 
         *grown* says the session has grown its fetch factors since, on a
         program that grows in place: the teed head (if any) pulls its
-        new pages and the stream takes in what its visited stages now
-        reach (:meth:`~repro.execution.joins.TopKStream.grow`) before
-        it walks on.
+        new pages before the stream walks on.  Growth only appends rows,
+        after every old one, and the stream's bounds already cover rows
+        it has not looked at.
 
         The stream's accounting cell is rebound to fresh statistics
         first, so every page the grown demand pulls — and a drift
@@ -366,8 +366,8 @@ class ExecutionEngine:
         stream, accounting = suspended.stream, suspended.accounting
         stats = ExecutionStats()
         accounting.rebind(stats)
-        if grown:
-            stream.grow(suspended.tee)
+        if grown and suspended.tee is not None:
+            suspended.tee.grow()
         rows = stream.top(k)
         stats.elapsed = elapsed(program, stats)
         return self._result(
@@ -492,6 +492,8 @@ class ChainStream(TopKStream):
             rows if isinstance(rows, RowCursor) else MaterializedCursor(rows)
         )
         self._residual = tuple(residual)
+        #: The records looked at so far.
+        self._stage = 0
         self._begin(layout)
 
     @property

@@ -35,11 +35,11 @@ The full-plane dict-row scan they are tested against is
 ``execute_join`` in :mod:`repro.testing.reference`.
 
 :class:`JoinStream` is the streaming early-exit pipeline on top of the
-same plane: it walks it lazily — a merge-scan walk visits the matching
-cells in rank order, a nested-loop walk row by row — and suspends as
-soon as a certificate proves that no unvisited cell can still enter
-the requested top-k, making the cost of a top-k answer proportional to
-``k`` rather than to ``n × m``.  Its output is bit-identical (rows,
+same plane: it walks it lazily — either order visits the matching cells
+in rank order, ties broken by arrival — and suspends as soon as a
+certificate proves that no unvisited cell can still enter the requested
+top-k, making the cost of a top-k answer proportional to ``k`` rather
+than to ``n × m``.  Its output is bit-identical (rows,
 ranks, and order) to ``compose_ranking`` over the reference scan.
 """
 
@@ -50,7 +50,7 @@ import math
 from operator import itemgetter
 from typing import Sequence
 
-from repro.execution.lazy import HeadTee, MaterializedCursor, RowCursor
+from repro.execution.lazy import MaterializedCursor, RowCursor
 from repro.execution.results import Record, Row, SlotLayout, emit
 from repro.execution.slots import CompiledJoin, SlotJoinPlan
 from repro.services.registry import JoinMethod
@@ -66,18 +66,23 @@ def _one_key(values: tuple) -> tuple:
 
 
 def _bounds(
-    n: int, m: int, left_floor: float, right_floor: float,
+    nested: bool, n: int, m: int, left_floor: float, right_floor: float,
     left_least: float, right_least: float,
 ) -> tuple[tuple, tuple]:
-    """Merge scan: lower ``(rank, arrival)`` bounds on the cells over
-    left rows from *n* on and on those over right rows from *m* on.
+    """Lower ``(rank, arrival)`` bounds on the cells over left rows from
+    *n* on and on those over right rows from *m* on.
 
     A side's *floor* bounds the rank of its rows past the indexed ones
     (its cursor's ``suffix_min``; ``+inf`` once it is fetched and
     indexed), its *least* is the least rank of its indexed rows, and
-    the lesser of the two bounds every row of it."""
+    the lesser of the two bounds every row of it.  A cell ``(i, j)``
+    arrives at ``(i + j, i)`` in a merge scan, so at or after ``(n,
+    n)`` when ``i >= n`` and ``(m, 0)`` when ``j >= m``; at ``(i, j)``
+    in a *nested* loop, so at or after ``(n, 0)`` and ``(0, m)``."""
     left_all = left_floor if left_floor < left_least else left_least
     right_all = right_floor if right_floor < right_least else right_least
+    if nested:
+        return (left_floor + right_all, n << SHIFT), (left_all + right_floor, m)
     return (
         (left_floor + right_all, n << SHIFT | n),
         (left_all + right_floor, m << SHIFT),
@@ -107,7 +112,7 @@ class KeyIndex:
     as they are.  Appending rows never moves a coordinate, so ``(rank,
     arrival)`` is the documented ``(rank, emission order)`` tie order of
     :func:`~repro.testing.reference.compose_ranking` over any plane the
-    rows grow into.  A merge-scan walk keeps the cells it cannot visit
+    rows grow into.  A streamed walk keeps the cells it cannot visit
     yet in a heap (:meth:`add` with ``file``) and takes them in that order
     (:meth:`take`).
 
@@ -323,9 +328,6 @@ class TopKStream:
     """
 
     def _begin(self, layout: SlotLayout) -> None:
-        #: The rows the walk visited: a chain's records, a nested-loop
-        #: join's outer rows (a merge-scan walk has no stages).
-        self._stage = 0
         self._candidates: list[tuple] = []
         self._layout = layout
         #: The rows emitted so far, by arrival.
@@ -361,16 +363,6 @@ class TopKStream:
         while not self.exhausted:
             self._advance_stage(None, 0)
 
-    def grow(self, tee: HeadTee | None) -> None:
-        """Take in the rows a grown fetch budget appends to the inputs
-        (``ExecutionProgram.grows_in_place``), after *tee* appended the
-        teed head's new pages: the stream is then the walk of the grown
-        plane suspended after the same steps.  Rows appended to a
-        chain's cursor come after every placed one, so a chain walks on
-        as it is."""
-        if tee is not None:
-            tee.grow()
-
     def _row(self, candidate: tuple) -> Row:
         """The answer row of *candidate*."""
         arrival = candidate[1]
@@ -399,13 +391,13 @@ class TopKStream:
         ``None`` drains everything and returns every row in composed
         order.
 
-        **Cost**: a merge-scan walk visits the matching cells in rank
-        order, so it runs through its kernel only the cells that rank
-        at or before the k-th answer and the ones a tie at the bound
-        lets through — ``O(k)`` cells on any ranks; a nested-loop or
-        chain walk visits ``O(k)`` rows on rank-monotone inputs.  Over
-        lazy cursors a walk pulls only the pages its bounds demand — so
-        a small ``k`` costs a handful of remote fetches.  The
+        **Cost**: a join walk visits the matching cells in rank order,
+        so it runs through its kernel only the cells that rank at or
+        before the k-th answer and the ones a tie at the bound lets
+        through — ``O(k)`` cells on any ranks; a chain walk visits
+        ``O(k)`` rows on rank-monotone inputs.  Over lazy cursors a
+        walk pulls only the pages its bounds demand — so a small ``k``
+        costs a handful of remote fetches.  The
         certificate check keeps an incremental bounded max-heap of the
         current k best ``(rank, arrival)`` keys (rebuilt once per call,
         O(log k) per new candidate), so a late-firing exit costs one
@@ -451,21 +443,22 @@ class JoinStream(TopKStream):
     first needs them, and a cell whose rows differ in their key is
     never looked at.
 
-    * **Merge scan** visits the matching cells in ``(rank, arrival)``
-      order, the order it emits them in.  Cells of two indexed rows are
-      filed in the index's heap, so the smallest one is known exactly;
-      every other unvisited cell holds a row not indexed yet, and one
-      lower bound per side covers them: cells over left rows ``i >=
-      n`` (``n`` left rows indexed) rank at least ``left.suffix_min(n)
-      + right.suffix_min(0)`` and sit on diagonals ``i + j >= n`` with
-      ``i >= n``; cells over right rows ``j >= m`` rank at least
-      ``left.suffix_min(0) + right.suffix_min(m)`` on diagonals ``>=
-      m``.  A step visits the filed cells that precede both bounds and
-      the k-th candidate, or, when none does, indexes one more row of
-      the side whose bound is lowest (demanding it from its cursor).
-    * **Nested loop** visits one outer row per step — its matching
-      cells with the whole inner side — and bounds the rows not visited
-      by ``left.suffix_min(stage) + right.suffix_min(0)``.
+    Both orders visit the matching cells in ``(rank, arrival)`` order,
+    the order they emit them in.  Cells of two indexed rows are filed
+    in the index's heap, so the smallest one is known exactly; every
+    other unvisited cell holds a row not indexed yet, and one lower
+    bound per side covers them: cells over left rows ``i >= n`` (``n``
+    left rows indexed) rank at least ``left.suffix_min(n) +
+    right.suffix_min(0)``, cells over right rows ``j >= m`` at least
+    ``left.suffix_min(0) + right.suffix_min(m)``, each arriving no
+    earlier than its region's first coordinate (:func:`_bounds`).  A
+    step visits the filed cells that precede both bounds and the k-th
+    candidate, or, when none does, indexes one more row of the side
+    whose bound is lowest (demanding it from its cursor).  The two
+    orders differ only in their arrival coordinates — merge scan ``(i
+    + j, i)``, nested loop ``(i, j)`` — and in that a nested-loop step
+    first fetches its whole inner (right) side, the one the strategy
+    retrieves before it scans.
 
     After each step the :class:`TopKStream` loop compares the k-th best
     candidate's ``(rank, arrival)`` with the **certificate**, the least
@@ -477,9 +470,8 @@ class JoinStream(TopKStream):
     :class:`~repro.execution.lazy.RowCursor` instead of a materialized
     sequence; plain sequences are wrapped in a
     :class:`~repro.execution.lazy.MaterializedCursor`.  The walk then
-    *pulls* records on demand — a merge-scan step one row of the side
-    it indexes, a nested-loop step one more outer row (plus the full
-    inner side) — and the bounds cover never-fetched rows through the
+    *pulls* records on demand — a step one row of the side it indexes
+    (a nested-loop step the full inner side first) — and the bounds cover never-fetched rows through the
     cursors' :meth:`~repro.execution.lazy.RowCursor.suffix_min`: a
     single-feed service input is bounded by its rank floor, a
     multi-feed input (:class:`~repro.execution.lazy.MultiFeedCursor`)
@@ -510,7 +502,7 @@ class JoinStream(TopKStream):
         """A stream over input records laid out as *join* was compiled
         for: nothing is compiled, and no layout checked, per stream."""
         self._join = join
-        self._method = join.method
+        self._nested = join.method is JoinMethod.NESTED_LOOP
         #: The cell loop, over the join's predicates as this stream runs it.
         self._kernel = join.merge.kernel(join.predicates + join.residual)
         self._left = left if isinstance(left, RowCursor) else MaterializedCursor(left)
@@ -521,16 +513,11 @@ class JoinStream(TopKStream):
         #: (:meth:`_record`): a suspended stream keeps every candidate
         #: for its session's lifetime but emits k.
         self._begin(join.merge.merged)
-        #: The rows the walk indexed so far, by key, and — merge scan —
-        #: the matching cells they form that it has not visited yet.
+        #: The rows the walk indexed so far, by key, and the matching
+        #: cells they form that it has not visited yet.
         self._index = KeyIndex(join.merge, join.method)
 
     # -- state ---------------------------------------------------------------
-
-    @property
-    def method(self) -> JoinMethod:
-        """The join strategy whose visit order is being streamed."""
-        return self._method
 
     @property
     def exhausted(self) -> bool:
@@ -552,59 +539,50 @@ class JoinStream(TopKStream):
     def _advance_stage(self, threshold: tuple | None, missing: int) -> None:
         """Take one step: visit the cells that come next.
 
-        Nested loop: demand one more outer row and the whole inner side,
-        and visit the outer row's matching cells (the inner side is
-        indexed by the first step, and by :meth:`grow`).  Merge scan:
-        visit the filed cells that precede both sides' bounds
+        Visit the filed cells that precede both sides' bounds
         (:func:`_bounds`) and *threshold* (at most the *missing* ones
         while there is no threshold); while there are none, index more
         rows of the side whose bound is lowest — the only way to raise
         it — filing the cells they form (:meth:`_index_rows`), until
         some precede, or nothing unvisited can (the walk is then
-        certified or exhausted).  The cells of a step come from the key
-        index alone and go through the join's kernel in ``(rank,
-        arrival)`` order.
+        certified or exhausted).  A nested-loop step first fetches the
+        whole inner side.  The cells of a step come from the key index
+        alone and go through the join's kernel in ``(rank, arrival)``
+        order.
         """
         left, right = self._left, self._right
-        index = self._index
-        if self._method is JoinMethod.NESTED_LOOP:
-            self._stage += 1
-            stage = self._stage
-            left.ensure(stage)
+        nested, index = self._nested, self._index
+        if nested:
             right.ensure_all()
-            index.add(1, right.rows, left.rows, len(right.rows))
-            cells = index.add(0, left.rows, right.rows, stage)
-        else:
-            n, m = index.added
-            left_floor, right_floor = left.suffix_min(n), right.suffix_min(m)
-            while True:
-                left_bound, right_bound = _bounds(
-                    n, m, left_floor, right_floor, *index.least_ranks
-                )
-                limit = min(left_bound, right_bound)
-                if threshold is not None and threshold <= limit:
-                    limit = threshold
-                least = index.least
-                if least is not None and least < limit:
-                    cells = index.take(limit, missing or None)
-                    break
-                if limit is threshold or limit[0] == math.inf:
-                    return  # certified, or nothing is left to index
-                # A demand moves only its own cursor's floor (a lazy
-                # input has no other consumer).
-                if left_bound <= right_bound:
-                    n = self._index_rows(0, left, right.rows, n)
-                    left_floor = left.suffix_min(n)
-                else:
-                    m = self._index_rows(1, right, left.rows, m)
-                    right_floor = right.suffix_min(m)
-        if cells:
-            self._kernel(cells, left.rows, right.rows, self._candidates)
+        n, m = index.added
+        left_floor, right_floor = left.suffix_min(n), right.suffix_min(m)
+        while True:
+            left_bound, right_bound = _bounds(
+                nested, n, m, left_floor, right_floor, *index.least_ranks
+            )
+            limit = min(left_bound, right_bound)
+            if threshold is not None and threshold <= limit:
+                limit = threshold
+            least = index.least
+            if least is not None and least < limit:
+                cells = index.take(limit, missing or None)
+                break
+            if limit is threshold or limit[0] == math.inf:
+                return  # certified, or nothing is left to index
+            # A demand moves only its own cursor's floor (a lazy
+            # input has no other consumer).
+            if left_bound <= right_bound:
+                n = self._index_rows(0, left, right.rows, n)
+                left_floor = left.suffix_min(n)
+            else:
+                m = self._index_rows(1, right, left.rows, m)
+                right_floor = right.suffix_min(m)
+        self._kernel(cells, left.rows, right.rows, self._candidates)
 
     def _index_rows(
         self, side: int, cursor: RowCursor, other: Sequence[Record], added: int
     ) -> int:
-        """Merge scan: index row *added* of *side*, demanding it from
+        """Index row *added* of *side*, demanding it from
         its *cursor*, and the rows the cursor placed after it up to
         twice *added*; file the cells they form, and return how many
         rows of *side* are indexed.  Taking placed rows pulls no page,
@@ -623,35 +601,6 @@ class JoinStream(TopKStream):
         cells = self._index.drain(left.rows, right.rows)
         if cells:
             self._kernel(cells, left.rows, right.rows, self._candidates)
-        if self._method is JoinMethod.NESTED_LOOP:
-            self._stage = len(left.rows)
-
-    def grow(self, tee: HeadTee | None) -> None:
-        """Take in the cells appended rows form.
-
-        Growth only appends: new rows come after every old one on both
-        inputs, so no arrival moves.  A merge-scan walk needs nothing
-        more: the appended rows are not indexed, so its bounds cover
-        them, and the cells they form with old rows are filed when they
-        are indexed.  A nested-loop walk has visited its first
-        ``stage`` outer rows: the cells appended rows form with them —
-        the *late cells* — are indexed and visited now, and the
-        certificate bounds the rows from ``stage`` on, over the grown
-        cursors.
-        """
-        super().grow(tee)
-        stage = self._stage
-        if not stage or self._method is not JoinMethod.NESTED_LOOP:
-            return
-        left, right = self._left, self._right
-        left.ensure(stage)
-        right.ensure_all()
-        index = self._index
-        cells = index.add(1, right.rows, left.rows, len(right.rows)) + index.add(
-            0, left.rows, right.rows, stage
-        )
-        if cells:
-            self._kernel(cells, left.rows, right.rows, self._candidates)
 
     def _record(self, candidate: tuple) -> Record:
         """The join record of a candidate, built when it is emitted."""
@@ -659,27 +608,19 @@ class JoinStream(TopKStream):
         return self._join.merge.record(left_record, right_record, rank_sum)
 
     def _refuted(self, threshold: tuple) -> bool:
-        """True when an unvisited cell may still precede *threshold*.
-
-        Nested loop: the unvisited rows ``>= stage`` pair with any
-        column, ranking at least ``left.suffix_min(stage) +
-        right.suffix_min(0)``, and arrive after every visited cell.
-        Merge scan: the least filed cell, and the two sides' bounds
+        """True when an unvisited cell may still precede *threshold*:
+        the least filed cell, or one of the two sides' bounds
         (:func:`_bounds`).  Reading a bound pulls nothing (a cursor
         whose ranks regressed has drained by the time it is asked).
         """
         left, right = self._left, self._right
-        if self._method is JoinMethod.NESTED_LOOP:
-            stage = self._stage
-            return (
-                left.suffix_min(stage) + right.suffix_min(0), stage << SHIFT
-            ) < threshold
         index = self._index
         least = index.least
         if least is not None and least < threshold:
             return True
         n, m = index.added
         left_bound, right_bound = _bounds(
-            n, m, left.suffix_min(n), right.suffix_min(m), *index.least_ranks
+            self._nested, n, m, left.suffix_min(n), right.suffix_min(m),
+            *index.least_ranks,
         )
         return left_bound < threshold or right_bound < threshold

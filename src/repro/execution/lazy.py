@@ -1,9 +1,9 @@
 """Demand-driven lazy service fetching for the streamed pipeline.
 
 The streamed top-k pipeline of :mod:`repro.execution.joins` saves
-*join work*: a merge-scan walk visits the matching cells in rank
-order, on any ranks — a multi-feed input's restart at every block
-included — and early-exits once a certificate proves the top-k
+*join work*: a join walk visits the matching cells in rank order, on
+any ranks — a multi-feed input's restart at every block included — and
+early-exits once a certificate proves the top-k
 complete.  The paper's cost model, however, is dominated by **remote
 service invocations and page fetches** — to save those, the inputs of
 the streamed walk must themselves be fetched on demand, one more row

@@ -354,13 +354,18 @@ def _max_factor(context: FetchContext, atom_index: int, k: int) -> int:
 def exhaustive_assignment(
     context: FetchContext, k: int, start: Mapping[int, int] | None = None
 ) -> FetchResult:
-    """Dominance-pruned exhaustive exploration (Section 4.3.2).
+    """Dominance-pruned exhaustive exploration (Section 4.3.2), up to a
+    cap.
 
     Enumerates the box ``[1, F_max_i]`` per chunked service, skipping
     tuples that componentwise dominate an already-found feasible tuple
     (they can only cost more), and returns the cheapest feasible
-    assignment.  Falls back to the best-effort assignment with maximal
-    output when ``k`` is unreachable.
+    assignment — never one costlier than a feasible *start*.  A box of
+    more than :data:`MAX_EXPLORATION_CELLS` vectors is not enumerated:
+    the start (when feasible) or else the greedy assignment is returned
+    unrefined, so on such a box the start decides the sizing.  Falls
+    back to the best-effort assignment with maximal output when ``k``
+    is unreachable.
     """
     atoms = context.chunked_atoms
     if not atoms:

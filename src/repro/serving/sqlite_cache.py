@@ -14,16 +14,15 @@ durability is traded for store latency.
 The tier stores plain ``(spec_json, cost, metric, epoch)`` row tuples
 and reads back ``(spec_json, cost)``: the key embeds the rest.
 
-Before SQLite the tier was one JSON file rewritten per store.
-:func:`read_json_tier` still reads that format — for
-``python -m repro migrate-plan-cache`` (which feeds
-:meth:`SQLiteDiskTier.seed`), and so that opening such a file as a
-database raises :class:`PlanCacheFormatError` instead of discarding it.
+Before SQLite the tier was one JSON file rewritten per store.  Its keys
+are not today's (every plan-cache key embeds the optimizer's config
+token, whose bytes have changed since), so no row of such a file could
+be looked up: a JSON file at the plan-cache path is a foreign file like
+any other, discarded and recreated.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.services.sqlite import ConnectionPool
@@ -45,38 +44,6 @@ CREATE TABLE IF NOT EXISTS plans (
 ) WITHOUT ROWID;
 """
 
-#: A plan-cache disk row: (spec_json, cost, metric, epoch).
-PlanRow = tuple[str, float, str, str]
-
-
-class PlanCacheFormatError(ValueError):
-    """The plan-cache path holds a JSON-tier file, not a database."""
-
-
-def read_json_tier(path: Path | str) -> dict[str, PlanRow] | None:
-    """The rows of a JSON-tier file (``{"version": 1, "entries": {key:
-    {"spec", "cost", "metric", "epoch"}}}``); None when *path* cannot
-    be read as one.  Individually malformed entries are skipped."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or payload.get("version") != 1:
-        return None
-    entries = payload.get("entries")
-    if not isinstance(entries, dict):
-        return None
-    rows: dict[str, PlanRow] = {}
-    for key, data in entries.items():
-        try:
-            rows[key] = (
-                data["spec"], float(data["cost"]), data["metric"], data["epoch"]
-            )
-        except (KeyError, TypeError, ValueError):
-            continue
-    return rows
-
-
 class SQLiteDiskTier:
     """WAL-mode SQLite store of plan-cache entries, one row per key.
 
@@ -85,8 +52,7 @@ class SQLiteDiskTier:
     per-thread connections, and cross-connection contention is absorbed
     by the busy timeout.  A corrupt or foreign file (or one stamped
     with an unknown schema version) is discarded and recreated empty —
-    never let a bad cache file take the server down — except a JSON-tier
-    file, which holds plans worth migrating.
+    never let a bad cache file take the server down.
     """
 
     def __init__(self, path: Path | str) -> None:
@@ -96,12 +62,6 @@ class SQLiteDiskTier:
         try:
             self._pool = self._open()
         except sqlite3.DatabaseError:
-            if read_json_tier(self.path) is not None:
-                raise PlanCacheFormatError(
-                    f"{self.path} is a JSON plan-cache file; import it with "
-                    f"`python -m repro migrate-plan-cache {self.path} "
-                    "NEW.sqlite` and point the plan cache at the new file"
-                ) from None
             for suffix in ("", "-wal", "-shm"):
                 try:
                     Path(f"{self.path}{suffix}").unlink()
@@ -152,34 +112,6 @@ class SQLiteDiskTier:
             " metric=excluded.metric, epoch=excluded.epoch",
             (key, spec_json, cost, metric, epoch),
         )
-
-    def seed(self, rows: dict[str, PlanRow]) -> int:
-        """Import *rows* without overwriting existing keys; returns count.
-
-        The migration path from a JSON-tier file: entries already in
-        the database win (they may be newer than the file being
-        imported), everything else is folded in within one
-        transaction.
-        """
-        if not rows:
-            return 0
-        connection = self._pool.connection()
-        before = len(self)
-        connection.execute("BEGIN IMMEDIATE")
-        try:
-            connection.executemany(
-                "INSERT OR IGNORE INTO plans(key, spec, cost, metric, epoch)"
-                " VALUES (?, ?, ?, ?, ?)",
-                [
-                    (key, spec, cost, metric, epoch)
-                    for key, (spec, cost, metric, epoch) in rows.items()
-                ],
-            )
-            connection.execute("COMMIT")
-        except BaseException:
-            connection.execute("ROLLBACK")
-            raise
-        return len(self) - before
 
     def __len__(self) -> int:
         return self._pool.connection().execute(

@@ -210,66 +210,6 @@ class TestQueryCommand:
         assert snapshot.pop("breaker", {}) == {}
         assert snapshot == plain_snapshot
 
-    def test_json_plan_cache_file_is_refused_with_a_message(
-        self, capsys, tmp_path
-    ):
-        cache_path = tmp_path / "plans.db"
-        cache_path.write_text('{"version": 1, "entries": {}}')
-        with pytest.raises(SystemExit) as exit_info:
-            main(["query", "--domain", "weekend", "--plan-cache", str(cache_path)])
-        assert "migrate-plan-cache" in str(exit_info.value)
-        assert cache_path.read_text() == '{"version": 1, "entries": {}}'
-
-
-class TestMigratePlanCache:
-    def test_round_trip_database_rows_win(self, capsys, tmp_path):
-        import sqlite3
-
-        from repro.plans.spec import PlanSpec
-        from repro.serving import PlanCache
-        from tests.test_serving import _json_tier_payload
-
-        old_spec = PlanSpec(("io",), (), ())
-        new_spec = PlanSpec(("oi",), (), ())
-        json_path = tmp_path / "plans.json"
-        json_path.write_text(_json_tier_payload({
-            "migrated": (old_spec, 1.0, "time", "e1"),
-            "shared": (old_spec, 1.0, "time", "e1"),
-        }))
-        sqlite_path = tmp_path / "plans.sqlite"
-        newer = PlanCache(path=sqlite_path)
-        newer.store("shared", new_spec, 9.0, "time", "e2")
-        newer.close()
-        assert main(
-            ["migrate-plan-cache", str(json_path), str(sqlite_path)]
-        ) == 0
-        assert "imported 1 of 2 plans" in capsys.readouterr().out
-        migrated = PlanCache(path=sqlite_path)
-        hit = migrated.lookup("migrated")
-        assert hit is not None and hit.spec == old_spec
-        kept = migrated.lookup("shared")  # existing database row wins
-        assert kept.cost == 9.0 and kept.spec == new_spec
-        assert len(migrated._tier) == 2
-        # The migration fills the rows' metric and epoch columns.
-        connection = sqlite3.connect(sqlite_path)
-        assert connection.execute(
-            "SELECT key, metric, epoch FROM plans ORDER BY key"
-        ).fetchall() == [("migrated", "time", "e1"), ("shared", "time", "e2")]
-        connection.close()
-
-    @pytest.mark.parametrize("content", [None, "not json", '{"version": 3}'])
-    def test_unreadable_source_is_a_message_not_a_traceback(
-        self, capsys, tmp_path, content
-    ):
-        source = tmp_path / "absent.json"
-        if content is not None:
-            source.write_text(content)
-        target = tmp_path / "plans.sqlite"
-        assert main(["migrate-plan-cache", str(source), str(target)]) == 1
-        captured = capsys.readouterr()
-        assert "not a readable JSON plan-cache file" in captured.err
-        assert captured.out == "" and not target.exists()
-
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -307,7 +247,7 @@ class TestBadInput:
         assert captured.err.startswith(f"error: {error}")
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("command", ["query", "serve", "migrate-plan-cache"])
+    @pytest.mark.parametrize("command", ["query", "serve"])
     @pytest.mark.parametrize(
         "where, error",
         [
@@ -320,19 +260,9 @@ class TestBadInput:
     ):
         import io
 
-        from repro.plans.spec import PlanSpec
-        from tests.test_serving import _json_tier_payload
-
         (tmp_path / "FILE").write_text("")
         path = tmp_path if where == "directory" else tmp_path / "FILE" / "plans.sqlite"
-        if command == "migrate-plan-cache":
-            source = tmp_path / "plans.json"
-            source.write_text(_json_tier_payload({
-                "key": (PlanSpec(("io",), (), ()), 1.0, "time", "e1"),
-            }))
-            argv = [command, str(source), str(path)]
-        else:
-            argv = [command, "--domain", "weekend", "--plan-cache", str(path)]
+        argv = [command, "--domain", "weekend", "--plan-cache", str(path)]
         monkeypatch.setattr("sys.stdin", io.StringIO("demo\n"))
         before = sorted(tmp_path.rglob("*"))
         with pytest.raises(SystemExit) as exit_info:

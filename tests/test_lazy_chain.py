@@ -15,7 +15,8 @@ with the path it checks:
   session script against :class:`~repro.testing.ReexecutingExecutor`:
   same ladder, same answers, fewer tuples processed — on chains, and
   on a head shared by two lookups under the terminal join (NL and MS,
-  repeated head rows so late cells occur, rank ties, unhashable keys),
+  repeated head rows so appended rows match old ones, rank ties,
+  unhashable keys),
   where every step also equals the reference at the grown vector;
 * **the cursor over a growing feed** — step by step against the
   linear-scan reference of ``tests/test_lazy_multifeed.py``, and over
@@ -540,8 +541,8 @@ def _joined_world(method, chunk, head_rows, lookups, residual=None):
 
 def _random_rows(seed, listed):
     """Head rows over three repeating keys — so a grown head's new block
-    pairs with old blocks of the other side on stages already walked
-    (late cells) — and two lookup tables; *listed* makes ``K`` a list,
+    pairs with old blocks of the other side, in cells that may precede
+    cells already visited — and two lookup tables; *listed* makes ``K`` a list,
     a join key no index can bucket."""
     rng = random.Random(seed)
     head = [("q", rng.randrange(3)) for _ in range(rng.randrange(12))]

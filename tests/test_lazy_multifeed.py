@@ -310,10 +310,10 @@ class TestMultiFeedJoinStreamMatchesOracle:
         full = execute_join(JoinMethod.MERGE_SCAN, left_eager, right_eager)
         stream = JoinStream(_join(JoinMethod.MERGE_SCAN), left_cursor, right_cursor)
         assert _signature(stream.top(k1)) == _signature(compose_ranking(full, k1))
-        visited = stream._stage
+        indexed = stream._index.added
         k2 = k1 + extra
         assert _signature(stream.top(k2)) == _signature(compose_ranking(full, k2))
-        assert stream._stage >= visited
+        assert all(now >= then for now, then in zip(stream._index.added, indexed))
         assert _signature(stream.top(None)) == _signature(compose_ranking(full))
 
     @given(

@@ -13,6 +13,7 @@ from repro.optimizer.fetches import (
     _max_factor,
     assign_fetches,
     exhaustive_assignment,
+    greedy_assignment,
     square_assignment,
 )
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
@@ -59,6 +60,32 @@ class TestFetchHeuristicConfig:
                 square_costs.append(square.cost)
         assert swept > 1
         assert min(square_costs) == pytest.approx(min(greedy_costs))
+
+
+class TestExplorationCap:
+    def test_refinement_never_costs_more_and_keeps_its_start_above_the_cap(
+        self, registry, travel_query
+    ):
+        """Phase 3 over every closed topology of the running example
+        (execution time, k = 10, one-call): refining greedy's start never
+        costs more than the start, and on a box of more than
+        ``MAX_EXPLORATION_CELLS`` vectors it returns the start as it is."""
+        k = 10
+        capped = swept = 0
+        for plan in _closed_topologies(registry, travel_query):
+            context = FetchContext(plan, ExecutionTimeMetric(), CacheSetting.ONE_CALL)
+            start = greedy_assignment(context, k)
+            refined = exhaustive_assignment(context, k, start=start.fetches)
+            if start.feasible:
+                assert refined.feasible and refined.cost <= start.cost
+            box = math.prod(_max_factor(context, i, k) for i in context.chunked_atoms)
+            if box > MAX_EXPLORATION_CELLS:
+                capped += 1
+                assert refined.fetches == start.fetches
+                assert refined.cost == start.cost
+            else:
+                swept += 1
+        assert capped and swept
 
 
 class TestCacheSettingConfig:

@@ -198,7 +198,6 @@ class TestBlockPlanes:
             if diagonal:
                 assert stream.merges == len(rows)
         plane.grow()
-        stream.grow(None)
         assert _signature(stream.top(None)) == reference(None)
         assert stream.exhausted
 

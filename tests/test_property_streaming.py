@@ -312,18 +312,20 @@ _blocks = st.lists(
 )
 
 
-def _cells_to_answer(left, right, k):
-    """How many cells a keyed merge-scan walk over *left* and *right*
-    (hashable keys) runs through its kernel for ``top(k)``: its
-    index's cells — the pairs whose keys are equal as dict keys — in
-    ``(rank, i + j, i)`` order, up to and including the k-th that
-    joins (``nan`` is filed with itself and joins nothing), or all."""
+def _cells_to_answer(left, right, k, method):
+    """How many cells a keyed walk over *left* and *right* (hashable
+    keys) runs through its kernel for ``top(k)``: its index's cells —
+    the pairs whose keys are equal as dict keys — in ``(rank,
+    arrival)`` order (merge scan ``(i + j, i)``, nested loop ``(i,
+    j)``), up to and including the k-th that joins (``nan`` is filed
+    with itself and joins nothing), or all."""
     key = Variable("K")
+    nested = method is JoinMethod.NESTED_LOOP
     cells = sorted(
         (
             sum(rank for _, rank in lrow.ranks) + sum(rank for _, rank in rrow.ranks),
-            i + j,
-            i,
+            i if nested else i + j,
+            j if nested else i,
             lrow.bindings[key] == rrow.bindings[key],
         )
         for i, lrow in enumerate(left)
@@ -362,10 +364,9 @@ def _pages_between(blocks, chunks, added, pulled):
 class TestKeyIndexedStagesMatchOracle:
     """A walk merges only the cells its index holds: same answers and
     same join rows as the walk that merges every cell of the rows it
-    indexed, and fewer merges.  A nested-loop walk indexes the same rows
-    as that walk; a merge-scan walk reads its bounds whenever a filed
-    cell waits, and the pooled index files cells the keyed one does not,
-    so the two may index rows in another order."""
+    indexed, and fewer merges.  The pooled index files cells the keyed
+    one does not, and the kernel refuses them; a nested-loop walk still
+    indexes the same rows as that walk."""
 
     @given(
         st.lists(_any_key, max_size=8), st.lists(_any_key, max_size=8),
@@ -378,9 +379,9 @@ class TestKeyIndexedStagesMatchOracle:
         is first met): rows, ranks and order are the oracle's, the join
         rows counted (and, nested loop, the rows indexed) the scanning
         walk's, and the merges attempted no more than it at every k: both
-        visit their cells in ``(rank, arrival)`` order (merge scan) or
-        row by row (nested loop) up to the same k-th answer, and the
-        keyed walk's cells are some of the pooled walk's."""
+        visit their cells in ``(rank, arrival)`` order up to the same
+        k-th answer, and the keyed walk's cells are some of the pooled
+        walk's."""
         left = _ranked_side(lk, lr, "L")
         right = _ranked_side(rk, rr, "R")
         for method in METHODS:
@@ -407,12 +408,13 @@ class TestKeyIndexedStagesMatchOracle:
         """Over multi-feed cursors a pulled page places rows beyond the
         ones the walk indexed; they are indexed when its bounds ask for
         them.  Same answers as the oracle over the eager concatenation
-        and the same join rows as the scanning walk at every k.  Nested
-        loop pulls the same pages, in the same order — so it leaves the
-        same pages unpulled.  Merge scan runs exactly the cells of its
-        index up to the k-th answer through its kernel, and pulls only
-        the pages that place the rows it indexed and the one it
-        demanded last."""
+        and the same join rows as the scanning walk at every k.  Either
+        order runs exactly the cells of its index up to the k-th answer
+        through its kernel.  Merge scan pulls only the pages that place
+        the rows it indexed and the one it demanded last; nested loop
+        pulls the whole inner side once it takes a step, and of the
+        outer side only the pages that place the rows it indexed and
+        the one it demanded last."""
         for method in METHODS:
             walks = []
             for stream_type in (JoinStream, _ScanningStream):
@@ -435,25 +437,31 @@ class TestKeyIndexedStagesMatchOracle:
                 (indexed, indexed_sources, indexed_rows),
                 (scanning, scanning_sources, scanning_rows),
             ) = walks
+            nested = method is JoinMethod.NESTED_LOOP
+            inner, _, inner_sources = _block_cursor(right_blocks, "R", right_chunk)
+            inner.ensure_all()
+            drained = [source.fetch_log for source in inner_sources]
+            stepped = False
             for k in [*ks, None]:
                 rows = indexed.top(k)
                 assert _signature(rows) == _signature(compose_ranking(full, k))
                 assert _signature(rows) == _signature(scanning.top(k))
-                if method is JoinMethod.NESTED_LOOP:
-                    assert [source.fetch_log for source in indexed_sources] == [
-                        source.fetch_log for source in scanning_sources
-                    ]
-                    assert indexed._index.added == scanning._index.added
-                else:
-                    assert indexed.merges == _cells_to_answer(
-                        eager_left, eager_right, k
+                assert indexed.merges == _cells_to_answer(
+                    eager_left, eager_right, k, method
+                )
+                logs = [source.fetch_log for source in indexed_sources]
+                outer = len(left_blocks)
+                # A step runs unless k is 0 or the outer side has no feed.
+                stepped = stepped or (k != 0 and bool(left_blocks))
+                if nested and stepped:
+                    assert logs[outer:] == drained
+                if k is not None:
+                    n, m = indexed._index.added
+                    assert _pages_between(
+                        (left_blocks, right_blocks), (left_chunk, right_chunk),
+                        (n, len(eager_right) if nested and stepped else m),
+                        logs,
                     )
-                    if k is not None:
-                        assert _pages_between(
-                            (left_blocks, right_blocks), (left_chunk, right_chunk),
-                            indexed._index.added,
-                            [source.fetch_log for source in indexed_sources],
-                        )
                 assert indexed_rows.count == scanning_rows.count
 
     def test_nan_never_joins_and_one_joins_one_point_zero(self):

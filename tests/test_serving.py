@@ -29,7 +29,6 @@ from repro.serving import service as service_module
 from repro.serving import (
     CachedPlan,
     PlanCache,
-    PlanCacheFormatError,
     PlanCacheStats,
     QueryService,
     SessionError,
@@ -37,7 +36,6 @@ from repro.serving import (
     SQLiteDiskTier,
 )
 from repro.serving.fingerprint import plan_cache_key, query_fingerprint
-from repro.serving.sqlite_cache import read_json_tier
 from repro.sources.news import news_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
 from repro.testing import market_moving_news_query
@@ -169,16 +167,17 @@ class TestSQLiteTier:
         assert len(fresh._tier) == 2
 
     @pytest.mark.parametrize("name", ["plans.json", "plans.db"])
-    def test_json_tier_file_is_refused_not_deleted(self, tmp_path, name):
+    def test_json_tier_file_is_discarded_and_recreated(self, tmp_path, name):
+        """No key of the retired JSON format is a key today: the file is
+        foreign content, discarded, and the new database serves."""
         path = tmp_path / name
-        payload = _json_tier_payload({"old": (_spec(), 1.0, "time", "e1")})
-        path.write_text(payload)
-        with pytest.raises(PlanCacheFormatError, match="migrate-plan-cache"):
-            PlanCache(path=path)
-        assert path.read_text() == payload  # plans worth migrating: kept
-        assert read_json_tier(path) == {
-            "old": (_spec().to_json(), 1.0, "time", "e1")
-        }
+        path.write_text(_json_tier_payload({"old": (_spec(), 1.0, "time", "e1")}))
+        cache = PlanCache(path=path)
+        assert len(cache._tier) == 0
+        cache.store("key", _spec(("oi",)), 2.0, "time", "e2")
+        cache.close()
+        hit = PlanCache(path=path).lookup("key")
+        assert hit is not None and hit.spec == _spec(("oi",)) and hit.cost == 2.0
 
     @pytest.mark.parametrize(
         "content",
@@ -189,7 +188,6 @@ class TestSQLiteTier:
     ):
         path = tmp_path / "plans.db"
         path.write_text(content)
-        assert read_json_tier(path) is None
         assert len(SQLiteDiskTier(path)) == 0  # discarded, recreated
 
     def test_unknown_schema_version_is_discarded(self, tmp_path):
