@@ -211,6 +211,30 @@ class TestQueryCommand:
         assert snapshot == plain_snapshot
 
 
+    @pytest.mark.parametrize("command", ["query", "serve"])
+    def test_a_json_plan_cache_file_is_discarded_and_recreated(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        """A file of the retired JSON plan-cache format is foreign
+        content: the command runs, and the path then holds a SQLite
+        database with the plan it optimized."""
+        import io
+        import json
+        import sqlite3
+
+        cache_path = tmp_path / "plans.db"
+        cache_path.write_text('{"version": 1, "entries": {}}')
+        monkeypatch.setattr("sys.stdin", io.StringIO("demo\nquit\n"))
+        assert main(
+            [command, "--domain", "weekend", "-k", "2",
+             "--plan-cache", str(cache_path)]
+        ) == 0
+        first = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert first["provenance"] == "optimized"
+        with sqlite3.connect(cache_path) as db:
+            assert db.execute("SELECT COUNT(*) FROM plans").fetchone()[0] == 1
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv, error",

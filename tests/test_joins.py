@@ -1,9 +1,12 @@
 """Unit tests for the rank-preserving NL and MS join strategies."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.execution.joins import KeyIndex, _bounds
 from repro.execution.results import Row
 from repro.model.predicates import (
     BinaryExpression,
@@ -14,6 +17,7 @@ from repro.model.predicates import (
 from repro.model.terms import Constant, Variable
 from repro.services.registry import JoinMethod
 from repro.testing import (
+    as_records,
     compiled_join,
     compose_ranking,
     execute_join,
@@ -124,6 +128,53 @@ class TestExecuteJoin:
         predicate = comparison("S", ">=", 7)
         result = execute_join(JoinMethod.MERGE_SCAN, left, right, [predicate])
         assert len(result) == 1
+
+
+# -- the streamed walk's region bounds ----------------------------------------
+
+
+class TestRegionBounds:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_region_bound_precedes_its_cells_and_meets_the_first(self, method):
+        """For every count of indexed rows ``(n, m)`` of a plane whose
+        rows all match, the ``(rank, arrival)`` bound of the cells over
+        left rows ``>= n`` precedes each of them, and so does the one
+        over right rows ``>= m``; each bound's arrival is its region's
+        first (nested loop ``(n, 0)`` and ``(0, m)``, merge scan ``(n,
+        n)`` and ``(m, 0)``), as the key index packs it."""
+        left_ranks, right_ranks = [3, 0, 2, 5], [1, 4, 0, 2, 6]
+        left = as_records([
+            Row(bindings={Variable("K"): 0, Variable("A"): i}, ranks=(("l", rank),))
+            for i, rank in enumerate(left_ranks)
+        ])
+        right = as_records([
+            Row(bindings={Variable("K"): 0, Variable("B"): j}, ranks=(("r", rank),))
+            for j, rank in enumerate(right_ranks)
+        ])
+        join = compiled_join(method, (Variable("K"), Variable("A")),
+                             (Variable("K"), Variable("B")))
+        index = KeyIndex(join.merge, method)
+        cells = index.add(0, left, right, len(left)) + index.add(1, right, left, len(right))
+        assert len(cells) == len(left) * len(right)
+
+        def least(ranks):
+            return min(ranks, default=math.inf)
+
+        nested = method is JoinMethod.NESTED_LOOP
+        for n in range(len(left) + 1):
+            for m in range(len(right) + 1):
+                left_bound, right_bound = _bounds(
+                    nested, n, m, least(left_ranks[n:]), least(right_ranks[m:]),
+                    least(left_ranks[:n]), least(right_ranks[:m]),
+                )
+                over_left = [cell[:2] for cell in cells if cell[2] >= n]
+                over_right = [cell[:2] for cell in cells if cell[3] >= m]
+                assert all(left_bound <= cell for cell in over_left)
+                assert all(right_bound <= cell for cell in over_right)
+                if over_left:
+                    assert left_bound[1] == min(arrival for _, arrival in over_left)
+                if over_right:
+                    assert right_bound[1] == min(arrival for _, arrival in over_right)
 
 
 # -- the cell kernel ----------------------------------------------------------

@@ -235,6 +235,23 @@ class TestLazyJoinStreamMatchesOracle:
             )
             assert _signature(stream.top(k)) == _signature(oracle)
 
+    def test_only_a_nested_loop_step_fetches_its_whole_inner_side(self):
+        """Both walks visit the same cells in rank order; a nested-loop
+        step first fetches its inner (right) side, which the strategy
+        retrieves before it scans, while a merge scan pulls only the
+        pages its bounds demand.  Neither pulls a second outer page."""
+        ranks = list(range(12))  # six pages of two rows a side
+        for method, inner_pages in (
+            (JoinMethod.NESTED_LOOP, 6), (JoinMethod.MERGE_SCAN, 1),
+        ):
+            left, right = _lazy_cursor(ranks, "L", 2), _lazy_cursor(ranks, "R", 2)
+            stream = JoinStream(_join(method), left, right)
+            oracle = compose_ranking(
+                execute_join(method, _rows(ranks, "L"), _rows(ranks, "R")), 3
+            )
+            assert _signature(stream.top(3)) == _signature(oracle)
+            assert (left.pages_fetched, right.pages_fetched) == (1, inner_pages)
+
     @given(_ranks, _ranks, _chunks, _chunks, _k)
     @settings(max_examples=80, deadline=None)
     def test_non_monotone_lazy_inputs_bit_identical(self, lr, rr, cl, cr, k):

@@ -289,6 +289,22 @@ class TestMultiFeedCursorUnits:
         assert cursor.suffix_min(0) == 1  # exact minima over block 0
 
 
+def _resumed_stays_exact(method, lb, rb, cl, cr, k1, extra):
+    """``top(k1)``, ``top(k1 + extra)`` and a drain of one stream over
+    multi-feed sides each equal the full scan, and a resumed walk never
+    un-indexes a row."""
+    left_cursor, left_eager = _multi_feed_cursor(lb, "L", cl)
+    right_cursor, right_eager = _multi_feed_cursor(rb, "R", cr)
+    full = execute_join(method, left_eager, right_eager)
+    stream = JoinStream(_join(method), left_cursor, right_cursor)
+    assert _signature(stream.top(k1)) == _signature(compose_ranking(full, k1))
+    indexed = stream._index.added
+    k2 = k1 + extra
+    assert _signature(stream.top(k2)) == _signature(compose_ranking(full, k2))
+    assert all(now >= then for now, then in zip(stream._index.added, indexed))
+    assert _signature(stream.top(None)) == _signature(compose_ranking(full))
+
+
 class TestMultiFeedJoinStreamMatchesOracle:
     @given(_blocks, _blocks, _chunks, _chunks, _k)
     @settings(max_examples=120, deadline=None)
@@ -305,16 +321,14 @@ class TestMultiFeedJoinStreamMatchesOracle:
     @given(_blocks, _blocks, _chunks, _chunks, st.integers(0, 5), st.integers(0, 30))
     @settings(max_examples=80, deadline=None)
     def test_resumed_multi_feed_stream_stays_exact(self, lb, rb, cl, cr, k1, extra):
-        left_cursor, left_eager = _multi_feed_cursor(lb, "L", cl)
-        right_cursor, right_eager = _multi_feed_cursor(rb, "R", cr)
-        full = execute_join(JoinMethod.MERGE_SCAN, left_eager, right_eager)
-        stream = JoinStream(_join(JoinMethod.MERGE_SCAN), left_cursor, right_cursor)
-        assert _signature(stream.top(k1)) == _signature(compose_ranking(full, k1))
-        indexed = stream._index.added
-        k2 = k1 + extra
-        assert _signature(stream.top(k2)) == _signature(compose_ranking(full, k2))
-        assert all(now >= then for now, then in zip(stream._index.added, indexed))
-        assert _signature(stream.top(None)) == _signature(compose_ranking(full))
+        _resumed_stays_exact(JoinMethod.MERGE_SCAN, lb, rb, cl, cr, k1, extra)
+
+    @given(_blocks, _blocks, _chunks, _chunks, st.integers(0, 5), st.integers(0, 30))
+    @settings(max_examples=80, deadline=None)
+    def test_resumed_nested_loop_multi_feed_stream_stays_exact(
+        self, lb, rb, cl, cr, k1, extra
+    ):
+        _resumed_stays_exact(JoinMethod.NESTED_LOOP, lb, rb, cl, cr, k1, extra)
 
     @given(
         st.integers(1, 6),

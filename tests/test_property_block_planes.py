@@ -16,7 +16,8 @@ that shape, drawn at random:
   blocks share one), and it may be an unhashable list;
 * each plane runs ``top(k1)`` → ``top(k2)`` → growth in place (the
   feed, or the materialized blocks, gain pages: rows are appended) →
-  ``top(None)``.
+  ``top(None)``, under either join method (a nested-loop plane runs a
+  ``top(k)`` between growth and the drain).
 
 Every step equals ``compose_ranking`` over the reference join of the
 plane as fetched so far (``execute_join``, then the residual: what
@@ -159,6 +160,38 @@ def _counting(stream):
     return stream
 
 
+def _top_top_grow(method, plane, filtered, before, after):
+    """Run *plane*'s stream at each k of *before*, grow the plane in
+    place, and run it at each k of *after* (ending with a drain): every
+    step equals the reference over the plane as fetched so far."""
+    residual = [RESIDUAL] if filtered else []
+    join = compiled_join(method, (K, A), (K, B), (), residual)
+    stream = _counting(JoinStream(join, *plane.sides))
+
+    def reference(k):
+        full = [
+            row for row in execute_join(method, *plane.eager())
+            if all(p.holds(row.bindings) for p in residual)
+        ]
+        return _signature(compose_ranking(full, k))
+
+    diagonal = (
+        not plane.listed and not filtered
+        and len({key for _, key, _, _ in plane.feeds}) == len(plane.feeds)
+    )
+    for k in before:
+        rows = stream.top(k)
+        assert _signature(rows) == reference(k)
+        # One candidate per answer: the walk goes in emission order.
+        assert len(stream._candidates) == len(rows)
+        if diagonal:
+            assert stream.merges == len(rows)
+    plane.grow()
+    for k in after:
+        assert _signature(stream.top(k)) == reference(k)
+    assert stream.exhausted
+
+
 class TestBlockPlanes:
     @given(
         _feeds,
@@ -174,32 +207,32 @@ class TestBlockPlanes:
     def test_top_top_grow_drain_equals_the_reference(
         self, feeds, known, lazy, chunks, listed, filtered, k1, extra
     ):
-        plane = _plane(feeds, known, lazy, chunks, listed)
-        residual = [RESIDUAL] if filtered else []
-        join = compiled_join(JoinMethod.MERGE_SCAN, (K, A), (K, B), (), residual)
-        stream = _counting(JoinStream(join, *plane.sides))
-
-        def reference(k):
-            full = [
-                row for row in execute_join(JoinMethod.MERGE_SCAN, *plane.eager())
-                if all(p.holds(row.bindings) for p in residual)
-            ]
-            return _signature(compose_ranking(full, k))
-
-        diagonal = (
-            not listed and not filtered
-            and len({key for _, key, _, _ in plane.feeds}) == len(plane.feeds)
+        _top_top_grow(
+            JoinMethod.MERGE_SCAN, _plane(feeds, known, lazy, chunks, listed),
+            filtered, (k1, k1 + extra), (None,),
         )
-        for k in (k1, k1 + extra):
-            rows = stream.top(k)
-            assert _signature(rows) == reference(k)
-            # One candidate per answer: the walk goes in emission order.
-            assert len(stream._candidates) == len(rows)
-            if diagonal:
-                assert stream.merges == len(rows)
-        plane.grow()
-        assert _signature(stream.top(None)) == reference(None)
-        assert stream.exhausted
+
+    @given(
+        _feeds,
+        st.integers(1, 6),
+        st.tuples(st.booleans(), st.booleans()),
+        st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 6),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_nested_loop_top_top_grow_top_drain_equals_the_reference(
+        self, feeds, known, lazy, chunks, listed, filtered, k1, extra
+    ):
+        """A nested-loop walk keeps no late cells: the rows growth
+        appends are not indexed, and the region bounds cover their
+        cells, as they do for a merge scan."""
+        _top_top_grow(
+            JoinMethod.NESTED_LOOP, _plane(feeds, known, lazy, chunks, listed),
+            filtered, (k1, k1 + extra), (k1 + extra + 1, None),
+        )
 
     @given(st.integers(2, 8), st.integers(2, 6), st.integers(1, 4), st.integers(1, 9))
     @settings(max_examples=40, deadline=None)
