@@ -49,7 +49,16 @@ The workloads:
   and k = 5, each on a fresh service: the remote calls it made and the
   block cursors its multi-feed cursors built.  A one-page block the
   fetch policy takes at once is placed as a page, with no cursor; the
-  cursor class is wrapped to count (``_counting_block_cursors``).
+  cursor class is wrapped to count (``_counting_block_cursors``);
+* **template demands** — the same submits, counted along the demand
+  path (``_counting_demands``): the rows the terminal join walk files
+  in its key index, the walk's demands (``MultiFeedCursor.ensure``
+  entries) and the opening runs they start (``_open_next`` entries),
+  the blocks opened, the bound reads (``suffix_min`` entries of every
+  cursor class) and the pages pulled through the fetch seam, cache hits
+  included; and why each block cursor was
+  built: its block opened above the frontier, opened beside a block
+  that waits, or may pull a second page.
 
 Three engines run each plan:
 
@@ -86,8 +95,9 @@ import pytest
 
 from benchmarks.conftest import table, write_artifact
 from repro.execution.cache import CacheSetting
-from repro.execution import lazy
+from repro.execution import joins, lazy
 from repro.execution.engine import ExecutionEngine
+from repro.execution.fetch import UnitSource
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.slots import SlotJoinPlan
 from repro.model.atoms import Atom
@@ -457,6 +467,87 @@ def _counting_block_cursors(counts: Counter):
         lazy.LazyServiceCursor = build
 
 
+@contextmanager
+def _counting_demands(counts: Counter):
+    """The demand path of every walk inside, counted in *counts*: rows
+    filed by a join walk, ``MultiFeedCursor.ensure`` and ``_open_next``
+    entries, blocks opened, ``suffix_min`` entries, pages pulled through
+    the fetch seam (cache hits too), and the block cursors built, by
+    why (``cursors_above``: opened above the frontier with nothing
+    open; ``cursors_beside``: opened beside an open block;
+    ``cursors_paging``: its unit may pull a second page)."""
+    build = lazy.LazyServiceCursor
+    add = joins.KeyIndex.add
+    init = lazy.MultiFeedCursor.__init__
+    open_next = lazy.MultiFeedCursor._open_next
+    cursors: list = []
+    beside: list[bool] = []
+
+    def counting(method, key):
+        def call(self, *args):
+            counts[key] += 1
+            return method(self, *args)
+
+        return call
+
+    def filing(index, side, rows, other, stop, file=False):
+        before = index.added[side]
+        cells = add(index, side, rows, other, stop, file)
+        if file:
+            counts["rows_filed"] += index.added[side] - before
+        return cells
+
+    def registering(cursor, *args):
+        cursors.append(cursor)
+        init(cursor, *args)
+
+    def opening(cursor, *args):
+        counts["opens"] += 1
+        beside.append(bool(cursor._blocks))
+        try:
+            return open_next(cursor, *args)
+        finally:
+            beside.pop()
+
+    class Counted(build):
+        def __init__(self, source, base_rank=0) -> None:
+            if beside[-1]:
+                counts["cursors_beside"] += 1
+            elif source.budget > 1:
+                counts["cursors_paging"] += 1
+            else:
+                counts["cursors_above"] += 1
+            super().__init__(source, base_rank)
+
+    replacements = {
+        (joins.KeyIndex, "add"): filing,
+        (lazy.MultiFeedCursor, "__init__"): registering,
+        (lazy.MultiFeedCursor, "ensure"): counting(
+            lazy.MultiFeedCursor.ensure, "demands"
+        ),
+        (lazy.MultiFeedCursor, "_open_next"): opening,
+        (UnitSource, "fetch"): counting(UnitSource.fetch, "pages_pulled"),
+        **{
+            (cls, "suffix_min"): counting(cls.suffix_min, "bound_reads")
+            for cls in (
+                lazy.MaterializedCursor, lazy.LazyServiceCursor,
+                lazy.MultiFeedCursor,
+            )
+        },
+    }
+    saved = {(cls, name): cls.__dict__[name] for cls, name in replacements}
+    for (cls, name), replacement in replacements.items():
+        setattr(cls, name, replacement)
+    lazy.LazyServiceCursor = Counted
+    try:
+        yield
+    finally:
+        lazy.LazyServiceCursor = build
+        for (cls, name), method in saved.items():
+            setattr(cls, name, method)
+        counts["blocks_opened"] += sum(cursor._opened for cursor in cursors)
+
+
 def _bench_workloads():
     """The frozen bench's ``workloads`` module."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -486,6 +577,34 @@ def _template_cursors() -> list[dict]:
                 "answers": len(response.rows),
                 "calls": sum(r.stats.total_calls for r in executor.rounds),
                 "block_cursors": counts["block_cursors"],
+            })
+    return points
+
+
+def _template_demands() -> list[dict]:
+    """One submit of each bench template (popularity order, each on a
+    fresh service) at k = 3 and k = 5: the demand path of its walk
+    (``_counting_demands``)."""
+    workloads = _bench_workloads()
+    points = []
+    for k in (3, 5):
+        for number, request in enumerate(workloads.zipf_population(k=k), 1):
+            service = QueryService(workloads.IN_MEMORY[request.domain]())
+            counts: Counter = Counter()
+            with _counting_demands(counts):
+                service.submit(request.text, request.k)
+            points.append({
+                "template": f"{number}:{request.domain}",
+                "k": k,
+                "rows_filed": counts["rows_filed"],
+                "demands": counts["demands"],
+                "opens": counts["opens"],
+                "blocks_opened": counts["blocks_opened"],
+                "bound_reads": counts["bound_reads"],
+                "pages_pulled": counts["pages_pulled"],
+                "cursors_above": counts["cursors_above"],
+                "cursors_beside": counts["cursors_beside"],
+                "cursors_paging": counts["cursors_paging"],
             })
     return points
 
@@ -691,4 +810,13 @@ def test_write_counts_lazy(out_dir):
               "and k=5, a fresh service each; its answers, remote calls and "
               "the block cursors built (a one-page block taken at once is a "
               "page, not a cursor)", _template_cursors()),
+        table("Template demands: one submit of each bench template at k=3 "
+              "and k=5, a fresh service each; the rows the terminal join "
+              "walk filed, its demands (MultiFeedCursor.ensure entries) and "
+              "the opening runs they started (_open_next entries), the "
+              "blocks opened, the bound reads (suffix_min entries), the "
+              "pages pulled (cache hits too), and the block cursors built "
+              "by why: opened above the frontier, beside a block that "
+              "waits, or paging on",
+              _template_demands()),
     ]))

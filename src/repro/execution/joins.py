@@ -123,7 +123,7 @@ class KeyIndex:
     keys were never reported, and never merge.
     """
 
-    __slots__ = ("_sides", "_added", "_least", "_nested", "_filed")
+    __slots__ = ("_sides", "added", "least_ranks", "_nested", "filed")
 
     def __init__(self, plan: SlotJoinPlan, method: JoinMethod) -> None:
         lefts, rights = {}, {}
@@ -135,29 +135,17 @@ class KeyIndex:
         self._sides = (
             (plan.left_key, lefts, rights), (plan.right_key, rights, lefts)
         )
-        self._added = [0, 0]
-        #: Per side, the least rank of a row added so far.
-        self._least = [math.inf, math.inf]
+        #: Per side, how many rows were added.  This and the two lists
+        #: below are the index's own, updated in place, which a walk
+        #: reads as they change and never writes.
+        self.added = [0, 0]
+        #: Per side, the least rank of a row added so far (``+inf``
+        #: while there is none).
+        self.least_ranks = [math.inf, math.inf]
         self._nested = method is JoinMethod.NESTED_LOOP
-        #: The cells filed and not taken yet, as a heap.
-        self._filed: list[tuple] = []
-
-    @property
-    def added(self) -> tuple[int, int]:
-        """How many rows of each side were added."""
-        return self._added[0], self._added[1]
-
-    @property
-    def least_ranks(self) -> tuple[float, float]:
-        """Per side, the least rank of a row added so far (``+inf``
-        while there is none)."""
-        return self._least[0], self._least[1]
-
-    @property
-    def least(self) -> tuple | None:
-        """The filed cell of least ``(rank, arrival)``, or None."""
-        filed = self._filed
-        return filed[0] if filed else None
+        #: The cells filed and not taken yet, as a heap: the first is
+        #: the one of least ``(rank, arrival)``.
+        self.filed: list[tuple] = []
 
     def add(
         self,
@@ -172,20 +160,20 @@ class KeyIndex:
         forms with the rows of the *other* side already added under its
         key, row by row, each row's in ascending index order — or, with
         *file*, keep them in the heap and return none."""
-        start = self._added[side]
+        start = self.added[side]
         if stop > len(rows):
             stop = len(rows)
         cells: list[tuple] = []
         if start >= stop:
             return cells
-        self._added[side] = stop
+        self.added[side] = stop
         key_of, own, other_buckets = self._sides[side]
         nested = self._nested
-        least = self._least[side]
+        least = self.least_ranks[side]
         for index in range(start, stop):
             values, rank = rows[index][0], rows[index][1]
             if rank < least:
-                least = self._least[side] = rank
+                least = self.least_ranks[side] = rank
             try:
                 key = key_of(values)
                 bucket = own.setdefault(key, index)
@@ -219,7 +207,7 @@ class KeyIndex:
                     for j in partners
                 ]
         if file and cells:
-            filed = self._filed
+            filed = self.filed
             for cell in cells:
                 heapq.heappush(filed, cell)
             return []
@@ -228,7 +216,7 @@ class KeyIndex:
     def _pool(self, side: int, index: int) -> None:
         """Put every row added so far in one bucket, and every later one
         (*index* is the first row of *side* not added yet)."""
-        counts = list(self._added)
+        counts = list(self.added)
         counts[side] = index
         lefts, rights = (
             {(): list(range(count))} if count else {} for count in counts
@@ -239,7 +227,7 @@ class KeyIndex:
         """The filed cells that precede *limit*, a ``(rank, arrival)``
         key no filed cell has, in ``(rank, arrival)`` order: the first
         *most* of them, or all."""
-        filed = self._filed
+        filed = self.filed
         cells = []
         while filed and filed[0] < limit and len(cells) != most:
             cells.append(heapq.heappop(filed))
@@ -249,8 +237,8 @@ class KeyIndex:
         """Every cell of the ``left × right`` plane not taken yet — the
         filed ones and those of the rows not added yet — in emission
         order."""
-        cells = self._filed
-        self._filed = []
+        cells = self.filed[:]
+        self.filed.clear()
         cells += self.add(0, left, right, len(left))
         cells += self.add(1, right, left, len(right))
         cells.sort(key=itemgetter(1))
@@ -453,8 +441,9 @@ class JoinStream(TopKStream):
     ``left.suffix_min(0) + right.suffix_min(m)``, each arriving no
     earlier than its region's first coordinate (:func:`_bounds`).  A
     step visits the filed cells that precede both bounds and the k-th
-    candidate, or, when none does, indexes one more row of the side
-    whose bound is lowest (demanding it from its cursor).  The two
+    candidate, or, when none does, indexes more rows of the side whose
+    bound is lowest (demanding the next one from its cursor, and taking
+    the rows it placed up to twice the indexed count).  The two
     orders differ only in their arrival coordinates — merge scan ``(i
     + j, i)``, nested loop ``(i, j)`` — and in that a nested-loop step
     first fetches its whole inner (right) side, the one the strategy
@@ -470,8 +459,11 @@ class JoinStream(TopKStream):
     :class:`~repro.execution.lazy.RowCursor` instead of a materialized
     sequence; plain sequences are wrapped in a
     :class:`~repro.execution.lazy.MaterializedCursor`.  The walk then
-    *pulls* records on demand — a step one row of the side it indexes
-    (a nested-loop step the full inner side first) — and the bounds cover never-fetched rows through the
+    *pulls* records on demand — a demand the next row of the side it
+    indexes, which may pull pages, and the rows already placed up to
+    twice the indexed count, which pull none (a nested-loop step the
+    full inner side first) — and reads back only that side's bound.
+    The bounds cover never-fetched rows through the
     cursors' :meth:`~repro.execution.lazy.RowCursor.suffix_min`: a
     single-feed service input is bounded by its rank floor, a
     multi-feed input (:class:`~repro.execution.lazy.MultiFeedCursor`)
@@ -530,9 +522,7 @@ class JoinStream(TopKStream):
         if not (left.exhausted and right.exhausted):
             return False
         index = self._index
-        return index.least is None and index.added == (
-            len(left.rows), len(right.rows)
-        )
+        return not index.filed and index.added == [len(left.rows), len(right.rows)]
 
     # -- the walk ------------------------------------------------------------
 
@@ -543,54 +533,53 @@ class JoinStream(TopKStream):
         (:func:`_bounds`) and *threshold* (at most the *missing* ones
         while there is no threshold); while there are none, index more
         rows of the side whose bound is lowest — the only way to raise
-        it — filing the cells they form (:meth:`_index_rows`), until
-        some precede, or nothing unvisited can (the walk is then
-        certified or exhausted).  A nested-loop step first fetches the
-        whole inner side.  The cells of a step come from the key index
-        alone and go through the join's kernel in ``(rank, arrival)``
-        order.
+        it — until some precede, or nothing unvisited can (the walk is
+        then certified or exhausted).  A demand asks the side's cursor
+        for row ``n`` (``n`` rows indexed) and indexes the rows it
+        placed up to twice ``n``, filing the cells they form: taking
+        placed rows pulls no page, and doubling keeps the bound reads
+        per indexed row few while indexing at most twice the rows a
+        step needed.  A nested-loop step first fetches the whole inner
+        side.  The cells of a step come from the key index alone and go
+        through the join's kernel in ``(rank, arrival)`` order.
+
+        The loop holds what it reads in locals: the index's counts,
+        least ranks and filed heap change in place, and a side's floor
+        changes only through its own demands (a lazy input has no other
+        consumer), so each demand reads one bound, its own side's.
         """
         left, right = self._left, self._right
         nested, index = self._nested, self._index
         if nested:
             right.ensure_all()
-        n, m = index.added
+        added, least_ranks, filed = index.added, index.least_ranks, index.filed
+        left_rows, right_rows = left.rows, right.rows
+        inf = math.inf
+        n, m = added
         left_floor, right_floor = left.suffix_min(n), right.suffix_min(m)
         while True:
             left_bound, right_bound = _bounds(
-                nested, n, m, left_floor, right_floor, *index.least_ranks
+                nested, n, m, left_floor, right_floor, *least_ranks
             )
-            limit = min(left_bound, right_bound)
+            limit = left_bound if left_bound < right_bound else right_bound
             if threshold is not None and threshold <= limit:
                 limit = threshold
-            least = index.least
-            if least is not None and least < limit:
+            if filed and filed[0] < limit:
                 cells = index.take(limit, missing or None)
                 break
-            if limit is threshold or limit[0] == math.inf:
+            if limit is threshold or limit[0] == inf:
                 return  # certified, or nothing is left to index
-            # A demand moves only its own cursor's floor (a lazy
-            # input has no other consumer).
             if left_bound <= right_bound:
-                n = self._index_rows(0, left, right.rows, n)
+                left.ensure(n + 1)
+                index.add(0, left_rows, right_rows, 2 * n or 1, file=True)
+                n = added[0]
                 left_floor = left.suffix_min(n)
             else:
-                m = self._index_rows(1, right, left.rows, m)
+                right.ensure(m + 1)
+                index.add(1, right_rows, left_rows, 2 * m or 1, file=True)
+                m = added[1]
                 right_floor = right.suffix_min(m)
-        self._kernel(cells, left.rows, right.rows, self._candidates)
-
-    def _index_rows(
-        self, side: int, cursor: RowCursor, other: Sequence[Record], added: int
-    ) -> int:
-        """Index row *added* of *side*, demanding it from
-        its *cursor*, and the rows the cursor placed after it up to
-        twice *added*; file the cells they form, and return how many
-        rows of *side* are indexed.  Taking placed rows pulls no page,
-        and doubling keeps the bound reads per indexed row few while
-        indexing at most twice the rows a step needed."""
-        cursor.ensure(added + 1)
-        self._index.add(side, cursor.rows, other, 2 * added or 1, file=True)
-        return self._index.added[side]
+        self._kernel(cells, left_rows, right_rows, self._candidates)
 
     def _drain(self) -> None:
         """Fetch both inputs and visit every matching cell left in one
@@ -615,8 +604,8 @@ class JoinStream(TopKStream):
         """
         left, right = self._left, self._right
         index = self._index
-        least = index.least
-        if least is not None and least < threshold:
+        filed = index.filed
+        if filed and filed[0] < threshold:
             return True
         n, m = index.added
         left_bound, right_bound = _bounds(

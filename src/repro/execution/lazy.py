@@ -6,11 +6,13 @@ any ranks — a multi-feed input's restart at every block included — and
 early-exits once a certificate proves the top-k
 complete.  The paper's cost model, however, is dominated by **remote
 service invocations and page fetches** — to save those, the inputs of
-the streamed walk must themselves be fetched on demand, one more row
-of the side whose bound is lowest (the pull-based discipline of
-rank-join/HRJN-style operators), page by page — and so must *their*
-inputs, up every pipe chain only the walk consumes.  What the walk
-demands is decided by :meth:`RowCursor.suffix_min`, the bound below.
+the streamed walk must themselves be fetched on demand, from the side
+whose bound is lowest (the pull-based discipline of rank-join/HRJN-style
+operators), page by page — and so must *their* inputs, up every pipe
+chain only the walk consumes.  What the walk demands is decided by
+:meth:`RowCursor.suffix_min`, the bound below; a demand that placed
+rows leaves that bound ready, so reading it back costs a comparison,
+not a walk over the blocks.
 
 This module provides the cursor abstraction that makes that sound:
 
@@ -105,13 +107,14 @@ frontier is sound because the feed's ``suffix_min`` is, and placement
 is the eager order because blocks are opened in the feed's placed
 order, which is.  A suspended chain holds its open blocks, its integer
 rank arrays and its placed records: a passed block is dropped and a
-feed record is *taken* (:meth:`RowCursor.take`) when its block opens,
-so no cursor holds it any more — but every record bound from it points
-back to it (that is how an answer's ranks and provenance are read), so
-a feed record stays reachable for as long as a placed record of its
-block is held.  A suspended chain therefore retains the feed records
-of the rows it placed, not just the rows in flight; a feed record none
-of whose block's records is held is freed when it is taken.
+feed record is *taken* when its block opens (the feed's slot is set to
+``None``, its rank stays), so no cursor holds it any more — but every
+record bound from it points back to it (that is how an answer's ranks
+and provenance are read), so a feed record stays reachable for as long
+as a placed record of its block is held.  A suspended chain therefore
+retains the feed records of the rows it placed, not just the rows in
+flight; a feed record none of whose block's records is held is freed
+when it is taken.
 
 The **fetch universe** of a lazy cursor is identical to what eager
 execution would materialize: at most the node's fetch budget ``F``
@@ -133,9 +136,13 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import accumulate
+from operator import gt, itemgetter
 from typing import Callable, NamedTuple, Protocol, Sequence
 
 from repro.execution.results import Record
+
+#: A record's rank sum.
+_RANK = itemgetter(1)
 
 
 class FetchedPage(NamedTuple):
@@ -210,28 +217,22 @@ class RowCursor:
         """
         raise NotImplementedError
 
+    def suffix_minima(self) -> list[float]:
+        """``min(ranks[i:])`` for every index of the rows known so far,
+        ``+inf`` last.  Over a cursor that knows every row (a
+        :class:`MaterializedCursor`) entry ``i`` *is* ``suffix_min(i)``,
+        so a consumer reads its bounds off this array."""
+        suffix = self._suffix
+        if len(suffix) <= len(self.ranks):
+            _extend_suffix_minima(self.ranks, suffix)
+        return suffix
+
     def _known_min(self, start: int) -> float:
         """The exact ``min(ranks[start:])`` over the rows known so far
         (``+inf`` past them)."""
-        ranks = self.ranks
-        if start >= len(ranks):
+        if start >= len(self.ranks):
             return math.inf
-        suffix = self._suffix
-        if len(suffix) <= len(ranks):
-            _extend_suffix_minima(ranks, suffix)
-        return suffix[start]
-
-    def take(self, index: int) -> Record:
-        """Hand record *index* to a consumer that reads each record
-        once, in order (a cursor fed by this one), and stop holding it.
-
-        The slot stays, so lengths, indexes and ``ranks`` are unchanged.
-        The cursor no longer keeps the record alive; the records bound
-        from it do (see the module docstring).
-        """
-        row = self.rows[index]
-        self.rows[index] = None
-        return row
+        return self.suffix_minima()[start]
 
 
 def _extend_suffix_minima(ranks: list[int], suffix: list[float]) -> None:
@@ -269,7 +270,7 @@ class MaterializedCursor(RowCursor):
 
     def __init__(self, rows: Sequence[Record]) -> None:
         self.rows = list(rows)
-        self.ranks = [row[1] for row in self.rows]
+        self.ranks = list(map(_RANK, self.rows))
         self._suffix = [math.inf]
 
     @property
@@ -388,15 +389,14 @@ class LazyServiceCursor(RowCursor):
         if not page.has_more:
             self._saw_end = True
         ranks = self.ranks
-        highest = ranks[-1] if ranks else -math.inf
-        for row in page.rows:
-            rank = row[1]
-            if rank < highest:
-                self._monotone = False
-            else:
-                highest = rank
-            ranks.append(rank)
-        self.rows.extend(page.rows)
+        new = list(map(_RANK, page.rows))
+        # Each new rank is compared with the one before it, the first
+        # with the last one known.
+        tail = ranks[-1:] + new
+        if any(map(gt, tail, tail[1:])):
+            self._monotone = False
+        ranks += new
+        self.rows += page.rows
         if page.rank_floor > self._rank_floor:
             self._rank_floor = page.rank_floor
 
@@ -408,7 +408,7 @@ class HeadTee(LazyServiceCursor):
 
     The head is drained at once — the pages, in the order, of an eager
     step — and each consumer reads its own copy (a consumer *takes* the
-    records it reads, see :meth:`RowCursor.take`).  Once the session
+    records it reads, see :class:`MultiFeedCursor`).  Once the session
     has grown the head's factor, :meth:`grow` pulls the new pages
     through the same unit and appends their records to every copy:
     after every old record, where the larger factor's eager run places
@@ -423,17 +423,19 @@ class HeadTee(LazyServiceCursor):
     def copy(self) -> TeedCursor:
         """A new consumer's cursor over the head's records."""
         copy = TeedCursor(self.rows)
+        # A consumer takes records, never ranks: every copy shares the
+        # tee's rank sums and their suffix minima, which growth extends.
+        copy.ranks, copy._suffix = self.ranks, self._suffix
         self._copies.append(copy)
         return copy
 
     def grow(self) -> None:
         """Pull the pages the grown budget allows; append their records
-        to every copy."""
+        to every copy (their ranks are the tee's)."""
         known = len(self.rows)
         self.ensure_all()
         for copy in self._copies:
             copy.rows.extend(self.rows[known:])
-            copy.ranks.extend(self.ranks[known:])
 
 
 class MultiFeedCursor(RowCursor):
@@ -487,7 +489,7 @@ class MultiFeedCursor(RowCursor):
     **Retention**: a suspended cursor holds its open blocks, the integer
     rank arrays and its placed records: a block the placement front has
     passed is dropped and each feed record is *taken* from the feed
-    cursor (:meth:`RowCursor.take`) when its block opens — after which
+    cursor (its slot set to ``None``) when its block opens — after which
     only the records bound from it keep it alive (their parent
     pointer), so the feed records of placed rows stay reachable.
 
@@ -535,7 +537,9 @@ class MultiFeedCursor(RowCursor):
         #: moves only when this cursor opens a block, or when growth
         #: appends rows to a teed one — it holds the frontier too, over
         #: the ``_bound_over`` feed rows known when it was read; a lazy
-        #: feed's frontier is read afresh every time.
+        #: feed's frontier is read afresh every time.  A run of blocks
+        #: that ends with none open sets it from the frontier it read
+        #: last (``+inf`` over a lazy feed: no block is open).
         self._open_bound: float | None = None
         self._bound_over = 0
         self._feed_is_known = isinstance(feed, MaterializedCursor)
@@ -553,11 +557,13 @@ class MultiFeedCursor(RowCursor):
 
     def ensure(self, count: int) -> None:
         rows = self.rows
-        while len(rows) < count and not self.exhausted:
+        # An open block is never passed, so the cursor is not exhausted
+        # while one is; with none open, opening finds out.
+        while len(rows) < count:
             if self._blocks:
                 self._step()
-            else:
-                self._open_next(count)
+            elif not self._open_next(count):
+                return
 
     def ensure_all(self) -> None:
         feed = self._feed
@@ -576,20 +582,24 @@ class MultiFeedCursor(RowCursor):
     def suffix_min(self, start: int) -> float:
         feed = self._feed
         bound = self._open_bound
-        known = self._feed_is_known
-        if bound is None or (known and self._bound_over != len(feed.ranks)):
-            bound = self._open_blocks_bound()
-            if known:
-                bound = min(bound, feed.suffix_min(self._opened))
-                self._bound_over = len(feed.ranks)
-            self._open_bound = bound
-        if not known:
+        if not self._feed_is_known:
+            if bound is None:
+                bound = self._open_bound = self._open_blocks_bound()
             frontier = feed.suffix_min(self._opened)
             if frontier < bound:
                 bound = frontier
+        elif bound is None or self._bound_over != len(feed.ranks):
+            bound = self._open_blocks_bound()
+            frontier = feed.suffix_minima()[self._opened]
+            if frontier < bound:
+                bound = frontier
+            self._open_bound = bound
+            self._bound_over = len(feed.ranks)
         # Indexes >= start span placed rows (exact suffix minima) and
         # every unplaced row (covered by the bound, which must always
         # participate while rows may still arrive).
+        if start >= len(self.ranks):
+            return bound
         exact = self._known_min(start)
         return exact if exact < bound else bound
 
@@ -661,11 +671,11 @@ class MultiFeedCursor(RowCursor):
                 break
         self._open_next()
 
-    def _open_next(self, count: int = 0) -> None:
+    def _open_next(self, count: int = 0) -> bool:
         """Open the block of the next feed row, demanding the row from
-        the feed (a no-op when the feed runs dry instead); with nothing
-        else open, go on to the rows after it until *count* rows are
-        placed or a block becomes a cursor.
+        the feed; with nothing else open, go on to the rows after it
+        until *count* rows are placed or a block becomes a cursor.
+        False when the feed runs dry before a block opens.
 
         With nothing else open, a block whose feed rank is no higher
         than the frontier is the policy's very next choice, and its
@@ -677,36 +687,54 @@ class MultiFeedCursor(RowCursor):
         that may pull a second page is pulled at once (and placed and
         passed if that page exhausts it); one that is not the next
         choice, or opens beside open blocks, waits in the heaps.
+
+        A known feed's frontiers are read off its suffix minima, and a
+        run that ends with nothing open leaves the bound it last read
+        as the cursor's (:meth:`suffix_min`), so the demand that placed
+        the rows also bounds the rest.
         """
         feed = self._feed
-        feed_ranks = feed.ranks
+        feed_rows, feed_ranks = feed.rows, feed.ranks
+        known = self._feed_is_known
+        # The frontier once feed row i is open (a known feed's are all
+        # computed: its suffix minima).
+        frontier = feed.suffix_minima().__getitem__ if known else feed.suffix_min
         rows, ranks = self.rows, self.ranks
         self._open_bound = None
+        index = self._opened
+        size = len(feed_ranks)
         while True:
-            index = self._opened
-            if index >= len(feed_ranks):
+            if index >= size:
                 feed.ensure(index + 1)
-                if index >= len(feed_ranks):
-                    return
+                size = len(feed_ranks)
+                if index >= size:
+                    return False
+            # The feed row is taken: the feed stops holding it (its
+            # slot stays), and so does this cursor once it is bound.
+            record, feed_rows[index] = feed_rows[index], None
             rank = feed_ranks[index]
-            source = self._open_unit(feed.take(index))
-            self._opened = index + 1
-            taken = not self._blocks and rank <= feed.suffix_min(index + 1)
+            source = self._open_unit(record)
+            self._opened = index = index + 1
+            taken = not self._blocks and rank <= frontier(index)
             budget = source.budget
             if not taken or budget > 1:
                 block = LazyServiceCursor(source, rank)
                 if taken:
                     block.pull_page()
-                self._blocks[index] = block
-                self._file(index, block)
-                return
+                self._blocks[index - 1] = block
+                self._file(index - 1, block)
+                return True
             if budget:
                 page = source.fetch(0).rows
-                rows.extend(page)
-                ranks.extend([row[1] for row in page])
-            self._front = index + 1
+                if page:
+                    rows += page
+                    ranks += map(_RANK, page)
+            self._front = index
             if len(rows) >= count:
-                return
+                # Nothing is open: the frontier bounds every unplaced row.
+                self._open_bound = frontier(index) if known else math.inf
+                self._bound_over = size
+                return True
 
     def _file(self, index: int, block: LazyServiceCursor) -> None:
         """Place what *block* has that can be placed and (re-)enter it

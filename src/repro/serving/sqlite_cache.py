@@ -113,11 +113,6 @@ class SQLiteDiskTier:
             (key, spec_json, cost, metric, epoch),
         )
 
-    def __len__(self) -> int:
-        return self._pool.connection().execute(
-            "SELECT COUNT(*) FROM plans"
-        ).fetchone()[0]
-
     def close(self) -> None:
         """Checkpoint the WAL and close every connection ever opened."""
         self._pool.close()

@@ -11,7 +11,8 @@ against, the unpruned search the class bounds are checked against, the
 most-cogent-only search (§4.1) the full search is compared with, the
 eager-streamed engine lazy fetching is
 measured against, the re-executing executor growth in place is
-measured against, the feed DP the engine's clock is checked against
+measured against, the row-at-a-time join walk the streamed one is
+checked against pull for pull, the feed DP the engine's clock is checked against
 and the values-based attribution the certificate's is checked against
 (:mod:`repro.testing.reference`); the brute-force
 optimality oracle of the branch-and-bound
@@ -23,8 +24,8 @@ compiled join of hand-built rows, the row → record → row adapter and
 the pre-built page source the join and cursor suites drive the engine's
 internals through, the ledger reads of a demand-driven walk, the
 precedence shapes of hand-built plans,
-the news domain's query and the up-front unit mask
-(:mod:`repro.testing.fixtures`); and the deterministic fault-injection
+the news domain's query, the up-front unit mask and the plan count of
+a plan-cache file (:mod:`repro.testing.fixtures`); and the deterministic fault-injection
 kit (:mod:`repro.testing.faults`).  Production modules under
 ``src/repro/`` never import this package, and every production module
 is reachable from an entry point (``tests/test_docs.py`` guards both).
@@ -53,11 +54,13 @@ from repro.testing.fixtures import (
     mask_unit,
     parallel_after,
     step_cells,
+    stored_plans,
 )
 from repro.testing.reference import (
     MostCogentOptimizer,
     ReexecutingExecutor,
     ReferenceResult,
+    RowAtATimeJoinStream,
     UnprunedOptimizer,
     compose_ranking,
     eager_streamed_engine,
@@ -94,6 +97,7 @@ __all__ = [
     "MostCogentOptimizer",
     "ReexecutingExecutor",
     "ReferenceResult",
+    "RowAtATimeJoinStream",
     "SyntheticWorkload",
     "UnprunedOptimizer",
     "WsmsPlan",
@@ -125,6 +129,7 @@ __all__ = [
     "reference_partial_plan",
     "search_states",
     "step_cells",
+    "stored_plans",
     "unmemoized_optimizer",
     "workload_family",
     "wrap_registry_flaky",

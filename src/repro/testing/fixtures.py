@@ -16,14 +16,16 @@ of :mod:`repro.execution.lazy` with, and :func:`step_cells` /
 :func:`chain_poset` and
 :func:`parallel_after` are the two precedence shapes hand-built plans
 use, :func:`market_moving_news_query` the query the news domain is
-tested and benched with, and :func:`mask_unit` the oracle side of the
-partial-results differential.  Nothing the engine runs calls any of
-them.
+tested and benched with, :func:`mask_unit` the oracle side of the
+partial-results differential, and :func:`stored_plans` counts the plans
+a plan cache's SQLite file holds.  Nothing the engine runs calls any
+of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
+from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
 from repro.execution.engine import ExecutionEngine, ExecutionResult
@@ -274,3 +276,15 @@ def mask_unit(engine: ExecutionEngine, service: str, input_key: tuple) -> None:
         service, input_key, 0, 0, RuntimeError("masked up front")
     )
     engine.routing.demoted.setdefault((service, input_key), failure)
+
+
+def stored_plans(path: Path | str) -> int:
+    """How many plans the SQLite plan-cache file at *path* holds, read
+    through a connection of its own (the tier keeps no count)."""
+    import sqlite3  # only where a connection is opened
+
+    connection = sqlite3.connect(path)
+    try:
+        return connection.execute("SELECT COUNT(*) FROM plans").fetchone()[0]
+    finally:
+        connection.close()

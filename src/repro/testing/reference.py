@@ -1,6 +1,6 @@
 """References the production paths are checked against (tests and benches).
 
-Twelve small, obviously correct things: the composed *ranking*
+Thirteen small, obviously correct things: the composed *ranking*
 (:func:`compose_ranking`, a stable sort on the aggregated rank) for
 the engine's terminal top-k stream, the full-plane dict-row *join*
 (:func:`execute_join` over :func:`merged_with`, visiting the cells in
@@ -24,7 +24,9 @@ engine
 up front" baseline lazy fetching is measured against — and the
 re-executing session executor (:class:`ReexecutingExecutor`), the
 "every growth round runs the plan again" baseline growth in place is
-measured against, the engine's clock as a critical-path DP over
+measured against, the row-at-a-time join walk
+(:class:`RowAtATimeJoinStream`) the streamed walk is checked against
+pull for pull, the engine's clock as a critical-path DP over
 feeds (:func:`reference_elapsed`) for ``elapsed``'s path fold, and
 the attribution of each answer to its units read off the answer's own
 values (:func:`reference_answer_units`) for the certificate's
@@ -50,12 +52,15 @@ guards that); nothing under ``src/repro/`` outside this package may.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.costs.base import CostMetric
 from repro.execution.cache import CacheSetting
 from repro.execution.engine import ExecutionEngine
+from repro.execution.joins import JoinStream, _bounds
+from repro.execution.lazy import RowCursor
 from repro.execution.program import JOIN, ExecutionProgram, as_program
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import unit_token
@@ -267,6 +272,59 @@ class ReexecutingExecutor(ProgressiveExecutor):
 
     def _resume_stream(self, last, k, grown=False):
         return None if grown else super()._resume_stream(last, k)
+
+
+class RowAtATimeJoinStream(JoinStream):
+    """The streamed join walk as its loop ran before it held its bounds
+    in locals: each demand goes through :meth:`_index_rows`, and every
+    bound is read again through the index and the cursors.
+
+    The demand rule is the walk's own — row ``n`` of the side whose
+    bound is lowest, then the placed rows up to twice ``n`` — so it
+    pulls the same pages in the same order, visits the same cells and
+    keeps the same candidates: the pull-for-pull oracle of
+    :class:`~repro.execution.joins.JoinStream`
+    (``tests/test_property_walk_oracle.py``).
+    """
+
+    def _advance_stage(self, threshold, missing):
+        left, right = self._left, self._right
+        nested, index = self._nested, self._index
+        if nested:
+            right.ensure_all()
+        n, m = index.added
+        left_floor, right_floor = left.suffix_min(n), right.suffix_min(m)
+        while True:
+            left_bound, right_bound = _bounds(
+                nested, n, m, left_floor, right_floor, *index.least_ranks
+            )
+            limit = min(left_bound, right_bound)
+            if threshold is not None and threshold <= limit:
+                limit = threshold
+            least = index.filed[0] if index.filed else None
+            if least is not None and least < limit:
+                cells = index.take(limit, missing or None)
+                break
+            if limit is threshold or limit[0] == math.inf:
+                return
+            if left_bound <= right_bound:
+                n = self._index_rows(0, left, right.rows, n)
+                left_floor = left.suffix_min(n)
+            else:
+                m = self._index_rows(1, right, left.rows, m)
+                right_floor = right.suffix_min(m)
+        self._kernel(cells, left.rows, right.rows, self._candidates)
+
+    def _index_rows(
+        self, side: int, cursor: RowCursor, other: Sequence, added: int
+    ) -> int:
+        """Index row *added* of *side*, demanding it from its *cursor*,
+        and the rows the cursor placed after it up to twice *added*;
+        file the cells they form, and return how many rows of *side*
+        are indexed."""
+        cursor.ensure(added + 1)
+        self._index.add(side, cursor.rows, other, 2 * added or 1, file=True)
+        return self._index.added[side]
 
 
 def bind_outputs(row: Row, values: tuple, terms: list) -> Row | None:

@@ -38,7 +38,7 @@ from repro.serving import (
 from repro.serving.fingerprint import plan_cache_key, query_fingerprint
 from repro.sources.news import news_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
-from repro.testing import market_moving_news_query
+from repro.testing import market_moving_news_query, stored_plans
 
 
 def _answer_signature(response):
@@ -126,7 +126,7 @@ class TestPlanCache:
         path = tmp_path / "plans.sqlite"
         path.write_text("{not json, and certainly not a database")
         cache = PlanCache(path=path)
-        assert len(cache._tier) == 0
+        assert stored_plans(cache.path) == 0
         cache.store("key", _spec(), 1.0, "time", "e")
         assert PlanCache(path=path).lookup("key") is not None
 
@@ -164,7 +164,7 @@ class TestSQLiteTier:
         fresh = PlanCache(path=path)
         assert fresh.lookup("k1") is not None
         assert fresh.lookup("k2") is not None
-        assert len(fresh._tier) == 2
+        assert stored_plans(fresh.path) == 2
 
     @pytest.mark.parametrize("name", ["plans.json", "plans.db"])
     def test_json_tier_file_is_discarded_and_recreated(self, tmp_path, name):
@@ -173,7 +173,7 @@ class TestSQLiteTier:
         path = tmp_path / name
         path.write_text(_json_tier_payload({"old": (_spec(), 1.0, "time", "e1")}))
         cache = PlanCache(path=path)
-        assert len(cache._tier) == 0
+        assert stored_plans(cache.path) == 0
         cache.store("key", _spec(("oi",)), 2.0, "time", "e2")
         cache.close()
         hit = PlanCache(path=path).lookup("key")
@@ -188,7 +188,8 @@ class TestSQLiteTier:
     ):
         path = tmp_path / "plans.db"
         path.write_text(content)
-        assert len(SQLiteDiskTier(path)) == 0  # discarded, recreated
+        SQLiteDiskTier(path)  # discarded, recreated
+        assert stored_plans(path) == 0
 
     def test_unknown_schema_version_is_discarded(self, tmp_path):
         path = tmp_path / "plans.sqlite"
@@ -196,7 +197,8 @@ class TestSQLiteTier:
         connection = sqlite3.connect(path)
         connection.execute("PRAGMA user_version=99")
         connection.close()
-        assert len(SQLiteDiskTier(path)) == 0
+        SQLiteDiskTier(path)
+        assert stored_plans(path) == 0
 
     def test_sqlite_tier_matches_a_dict_model(self, tmp_path):
         """Differential oracle: a seeded random op sequence driven

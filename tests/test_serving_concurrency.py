@@ -29,7 +29,7 @@ from repro.serving import PlanCache, QueryService, SessionManager
 from repro.serving import service as service_module
 from repro.sources.news import news_registry
 from repro.sources.weekend import mahler_weekend_query, weekend_registry
-from repro.testing import market_moving_news_query
+from repro.testing import market_moving_news_query, stored_plans
 
 pytestmark = pytest.mark.concurrency
 
@@ -323,7 +323,7 @@ class TestSQLiteTierConcurrency:
         _run_workers(workers, work)
         assert cache.stats.stores == workers * per_worker
         fresh = PlanCache(path=tmp_path / "plans.sqlite")
-        assert len(fresh._tier) == workers * per_worker
+        assert stored_plans(fresh.path) == workers * per_worker
         for index in range(workers):
             assert fresh.lookup(f"w{index}-k{per_worker - 1}") is not None
 
@@ -344,7 +344,7 @@ class TestSQLiteTierConcurrency:
 
         _run_workers(4, work)
         fresh = PlanCache(path=path)
-        assert len(fresh._tier) == 60
+        assert stored_plans(fresh.path) == 60
 
     def test_threaded_service_restarts_warm_from_sqlite(self, tmp_path):
         path = tmp_path / "plans.sqlite"
