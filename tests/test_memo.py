@@ -72,7 +72,6 @@ _GOLDEN_CASES = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.slow  # 5 s over the 90 cases: CI's slow step runs it
 @_GOLDEN_CASES
 def test_the_unmemoized_search_decides_the_same(case, profile, metric, config):
     """Every golden case searched with a memo that keeps nothing: the

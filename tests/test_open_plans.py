@@ -160,8 +160,7 @@ def _golden_cases(
 
 
 class TestBoundsAgainstTheDefinition:
-    # bio's 18 cases hold 3.4 s of the 4.9 s: CI's slow step runs them.
-    @_golden_cases(slow=lambda profile, metric, config: profile == "bio")
+    @_golden_cases()
     def test_every_bound_the_search_computed(self, profile, metric, config):
         """5 domains × 6 metrics × the three cache settings: whatever
         state the search asked a bound for, partial or complete.  A
@@ -568,8 +567,6 @@ class TestSubStateBounds:
     def test_no_sub_state_bounds_higher(self, case):
         _check_monotone(case)
 
-    # 1.5 s to 37 s, by the draws: CI's slow step runs it.
-    @pytest.mark.slow
     @given(synthetic_cases(atoms=3), st.sampled_from([1, 3]))
     @settings(max_examples=8, deadline=None)
     def test_the_search_finds_the_exhaustive_optimum(self, case, k):

@@ -69,7 +69,6 @@ def _searched(profile: str, metric: str, config: str) -> dict:
     }
 
 
-@pytest.mark.slow  # 11 s over the 90 cases: CI's slow step runs it
 @_GOLDEN_CASES
 def test_the_unpruned_search_decides_the_same(case, profile, metric, config):
     result, *_, observed = _search("unpruned", profile, metric, config)
