@@ -20,7 +20,12 @@ layer and measures what the subsystem was built to amortize:
   round-robin against one shared fleet; every answer must be
   bit-identical to the sequential cold oracle and the plan-cache
   accounting must match the sequential schedule exactly
-  (single-flight: misses == distinct templates touched, for any N).
+  (single-flight: misses == distinct templates touched, for any N);
+* **the warm fetch seam** — per frozen-bench ``zipf_warm`` template at
+  k = 5, a submit over a shared service cache its first submit warmed:
+  the units opened, the pages they served, the cache probes, the
+  probes that took the cache's lock, and the remote calls (a capped
+  cache of 64 pages, which keeps its lock, on a last row).
 
 Every column is an exact count.  Wall-clock throughput and latency of
 these same fleets are measured by the frozen bench (``bench/run.py``:
@@ -40,11 +45,15 @@ artifact is written to ``benchmarks/out/``.
 from __future__ import annotations
 
 import random
+import sys
 import threading
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from benchmarks.conftest import table, write_artifact
+from repro.execution.fetch import UnitSource
 from repro.serving import PlanCache, QueryService
 from repro.sources.bio import bio_registry, glycolysis_homolog_query
 from repro.sources.news import news_registry
@@ -186,6 +195,98 @@ def _threaded_replay(fleet, population, stream, workers) -> list:
     return signatures
 
 
+#: The service-cache bound of the capped row (``biblio_indexed``'s).
+CAPPED = 64
+
+
+class _CountingLock:
+    """The cache's re-entrant lock, counting how often it is taken."""
+
+    def __init__(self, lock, counts: Counter) -> None:
+        self._lock = lock
+        self._counts = counts
+
+    def __enter__(self):
+        self._lock.acquire()
+        self._counts["acquired"] += 1
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+def _seam_counts(request, workloads, capacity) -> Counter:
+    """The second submit of *request* on a fresh service whose shared
+    cache (of *capacity* pages) its first submit warmed: units opened,
+    pages served through ``UnitSource.fetch``, cache probes, probes
+    that took the lock, remote calls."""
+    registry = workloads.IN_MEMORY[request.domain]()
+    service = QueryService(registry, service_cache_capacity=capacity)
+    service.submit(request.text, request.k)
+    counts: Counter = Counter()
+    cache = service._service_cache
+    cache._lock = _CountingLock(cache._lock, counts)
+    lookup = cache.lookup
+
+    def probing(*args):
+        before = counts["acquired"]
+        counts["probes"] += 1
+        try:
+            return lookup(*args)
+        finally:
+            counts["locked_probes"] += counts["acquired"] > before
+
+    cache.lookup = probing
+    for remote in registry:
+        remote.invoke = _counted(remote.invoke, counts, "remote_calls")
+    init, fetch = UnitSource.__init__, UnitSource.fetch
+    UnitSource.__init__ = _counted(init, counts, "units_opened")
+    UnitSource.fetch = _counted(fetch, counts, "pages_served")
+    try:
+        service.submit(request.text, request.k)
+    finally:
+        UnitSource.__init__, UnitSource.fetch = init, fetch
+    return counts
+
+
+def _counted(function, counts: Counter, key: str):
+    def call(*args, **kwargs):
+        counts[key] += 1
+        return function(*args, **kwargs)
+
+    return call
+
+
+def _warm_fetch_seam() -> list[dict]:
+    """One row per frozen-bench ``zipf_warm`` template (popularity
+    order, k = 5) over an unbounded shared cache, then the sums over
+    all of them, unbounded and capped at :data:`CAPPED` pages."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    columns = (
+        "units_opened", "pages_served", "probes", "locked_probes", "remote_calls",
+    )
+    rows = []
+    totals = {None: Counter(), CAPPED: Counter()}
+    for number, request in enumerate(workloads.zipf_population(k=5), 1):
+        for capacity, total in totals.items():
+            counts = _seam_counts(request, workloads, capacity)
+            total.update(counts)
+            if capacity is None:
+                rows.append({
+                    "template": f"{number}:{request.domain}",
+                    **{column: counts[column] for column in columns},
+                })
+    for capacity, total in totals.items():
+        rows.append({
+            "template": f"all, {'unbounded' if capacity is None else f'{capacity} pages'}",
+            **{column: total[column] for column in columns},
+        })
+    return rows
+
+
 def test_write_counts_serving(out_dir, tmp_path):
     population = _templates()
     stream = _zipf_stream(len(population), REQUESTS)
@@ -282,4 +383,7 @@ def test_write_counts_serving(out_dir, tmp_path):
               [cold, warm, restarted, warm_start]),
         table("Threads sharing one fleet: single-flight plan-cache accounting",
               sweep),
+        table("Warm fetch seam: a zipf_warm template's second submit (k=5, "
+              "fresh service, the first warmed its shared service cache)",
+              _warm_fetch_seam()),
     ]))

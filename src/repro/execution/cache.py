@@ -26,6 +26,14 @@ cost*: a logical cache can only ever change how often the remote side
 is called, never which tuples flow (the remote services are
 deterministic per ``(input, page)``), so answers are identical under
 any capacity — the regression suite pins this.
+
+**Sharing across threads.**  A serving process shares one cache
+between its client threads behind :class:`ThreadSafeCache`.  An
+unbounded :class:`OptimalCache` is probed there without the lock: its
+lookup and its store are each one operation on a plain ``dict``, which
+is atomic under CPython's GIL, so a warm page costs one probe.  A
+bounded one reorders its LRU on every lookup and a one-call cache
+swaps two tables on a store, so both keep the lock.
 """
 
 from __future__ import annotations
@@ -109,18 +117,20 @@ class OptimalCache(LogicalCache):
 
     ``capacity`` bounds the number of cached *pages* (the admission
     control a long-lived serving process needs); ``None`` keeps the
-    paper's unbounded behavior.  Eviction is least-recently-used:
-    lookups refresh recency, stores evict the coldest entries once the
-    bound is exceeded.  ``evictions`` counts entries dropped — a
-    monitoring hook, not part of any equivalence contract.
+    paper's unbounded behavior, on a plain ``dict`` whose lookup and
+    store are one dict operation each.  Eviction is
+    least-recently-used: lookups refresh recency, stores evict the
+    coldest entries once the bound is exceeded.  ``evictions`` counts
+    entries dropped — a monitoring hook, not part of any equivalence
+    contract.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self._capacity = capacity
-        self._memo: OrderedDict[tuple[str, InputKey, int], object] = (
-            OrderedDict()
+        self._memo: dict[tuple[str, InputKey, int], object] = (
+            {} if capacity is None else OrderedDict()
         )
         self.evictions = 0
 
@@ -189,21 +199,28 @@ class KeyedMutex:
 
 
 class ThreadSafeCache(LogicalCache):
-    """Lock-guarded view over another :class:`LogicalCache`.
+    """Thread-safe view over another :class:`LogicalCache`.
 
     Wraps every ``lookup`` and ``store`` in one re-entrant lock,
     making the inner cache's bookkeeping (LRU reordering, eviction
     counters, one-call key swaps) safe for the client threads of a
     :class:`~repro.serving.service.QueryService`, which share one
-    service cache across every request and session.  Each operation is
-    atomic; two threads that miss on the same page may both fetch it
-    (answers cannot differ — services are deterministic per ``(input,
-    page)`` — only the remote call is paid twice).
+    service cache across every request and session.  An unbounded
+    :class:`OptimalCache` has no such bookkeeping: each of its
+    operations is one dict operation, atomic under the GIL, so its own
+    ``lookup`` and ``store`` are the view's, with no lock and no second
+    call.  Each operation is atomic; two threads that miss on the same
+    page may both fetch it (answers cannot differ — services are
+    deterministic per ``(input, page)`` — only the remote call is paid
+    twice).
     """
 
     def __init__(self, inner: LogicalCache) -> None:
         self._inner = inner
         self._lock = threading.RLock()
+        if isinstance(inner, OptimalCache) and inner.capacity is None:
+            self.lookup = inner.lookup
+            self.store = inner.store
 
     @property
     def inner(self) -> LogicalCache:

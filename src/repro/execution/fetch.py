@@ -303,7 +303,7 @@ class UnitSource:
 
     __slots__ = (
         "input_key", "_context", "_accounting", "_feed", "_step",
-        "_demoted", "_binding", "_inputs", "_name", "_service",
+        "_demoted", "_binding", "_name", "_service",
         "_rank_floor", "_epoch", "_counted", "_cell",
     )
 
@@ -316,9 +316,7 @@ class UnitSource:
     ) -> None:
         binding = step.binding
         name = binding.service_name
-        inputs, input_key = unit_input_key(
-            binding.pattern_code, binding.input_spec, feed[0]
-        )
+        input_key = unit_input_key(binding, feed[0])
         demoted = context.routing.demoted
         self._demoted = bool(demoted) and (name, input_key) in demoted
         if context.routed and not self._demoted:
@@ -329,7 +327,6 @@ class UnitSource:
         self._accounting = accounting
         self._feed = feed
         self._binding = binding
-        self._inputs = inputs
         self._name = name
         #: The serving service's handle in the run's registry, resolved
         #: at the first page the logical cache cannot answer.
@@ -372,7 +369,8 @@ class UnitSource:
             service = self._service
             if service is None:
                 service = self._service = context.registry.service(name)
-            inputs, pattern = self._inputs, binding.pattern
+            # The invoke mapping is built only for a page the cache misses.
+            inputs, pattern = dict(input_key[1]), binding.pattern
             # Budgets and failures attach to *name*: the service
             # actually invoked, which is a sibling when rerouted.
             result = resilient_fetch(
@@ -450,8 +448,7 @@ def page_records(
             walk(feed)
             binding = by_node[node_id]
             name, page = page if type(page) is tuple else (binding.service_name, page)
-            _, key = unit_input_key(binding.pattern_code, binding.input_spec, feed[0])
-            pulls.append((name, key, page))
+            pulls.append((name, unit_input_key(binding, feed[0]), page))
 
     walk(record)
     return tuple(pulls)

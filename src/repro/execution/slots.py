@@ -6,12 +6,13 @@ shared :class:`~repro.execution.results.SlotLayout` (see
 **slot indices once per node** so the inner loops — the per-cell merge
 of the join strategies, the per-tuple output binding of service nodes,
 every predicate — run on tuple indexing instead of hashing variable
-names per row.  The two inner loops are generated: one Python function
-per *shape*, ``exec``'d once per process under a file name that names
-the shape and with its source registered in :mod:`linecache` (so
-profiles tell shapes apart and tracebacks show kernel lines), with
-every query value (constants, compiled predicates) passed in as an
-argument and none rendered into the source.
+names per row.  The two inner loops and the unit-key reader are
+generated: one Python function per *shape*, ``exec``'d once per
+process under a file name that names the shape and with its source
+registered in :mod:`linecache` (so profiles tell shapes apart and
+tracebacks show kernel lines), with every query value (constants,
+compiled predicates) passed in as an argument and none rendered into
+the source.
 
 * :class:`SlotJoinPlan` — the natural-join merge between two layouts,
   precomputed into shared-slot conflict pairs and right-only slot
@@ -32,7 +33,9 @@ argument and none rendered into the source.
 * :func:`compile_input_spec` / :func:`unit_input_key` — a service
   node's input positions resolved against a layout, and the one place
   the ``(pattern code, ((position, value), ...))`` unit key (logical
-  cache, demotion mask, provenance, certificates) is built;
+  cache, demotion mask, provenance, certificates) is read off a feed
+  row, by the binding's reader generated per input shape (the input
+  positions and the slots they read; constants are arguments);
 * :class:`ServiceBinding` — one service node compiled against its feed
   layout: what to invoke, input spec, output layout, and a page-binding
   kernel (output-term checks, node predicates, one record per surviving
@@ -289,22 +292,17 @@ def compile_input_spec(node: "ServiceNode", layout: SlotLayout) -> InputSpec:
     return spec
 
 
-def unit_input_key(
-    pattern_code: str, input_spec: InputSpec, values: tuple
-) -> tuple[dict[int, object], tuple]:
-    """The service inputs of one row and the unit key they form.
+def unit_input_key(binding: "ServiceBinding", values: tuple) -> tuple:
+    """The unit key of the feed row with *values* at *binding*.
 
-    Returns ``(inputs, (pattern code, ((position, value), ...)))``: the
-    position → value mapping handed to ``service.invoke`` and the key
-    under which the logical cache, the demotion mask, provenance
-    records and partial-result certificates all name this
-    ``(service, input setting)`` unit.
+    ``(pattern code, ((position, value), ...))``, in input-position
+    order: the key under which the logical cache, the demotion mask,
+    provenance records and partial-result certificates all name this
+    ``(service, input setting)`` unit.  It is read by the binding's
+    per-shape reader (:func:`_unit_key_factory`); ``dict(key[1])`` is
+    the position → value mapping ``service.invoke`` takes.
     """
-    inputs = {
-        position: constant if slot is None else values[slot]
-        for position, constant, slot in input_spec
-    }
-    return inputs, (pattern_code, tuple(inputs.items()))
+    return binding._unit_key(values)
 
 
 class ServiceBinding:
@@ -325,11 +323,14 @@ class ServiceBinding:
     a kernel generated for the binding's *shape* (:func:`_kernel_factory`)
     and built here, at compile time; the binding's constants and
     predicates are arguments of the kernel, never part of its source.
+    The unit key is read by a reader built the same way from the input
+    spec's shape (:func:`_unit_key_factory`): bindings that differ only
+    in a constant share its code.
     """
 
     __slots__ = (
         "node_id", "atom_index", "service_name", "pattern", "pattern_code",
-        "profile", "input_spec", "layout", "_kernel",
+        "profile", "input_spec", "layout", "_kernel", "_unit_key",
     )
 
     def __init__(self, node: "ServiceNode", feed_layout: SlotLayout) -> None:
@@ -341,6 +342,10 @@ class ServiceBinding:
         self.pattern_code = node.pattern.code
         self.profile = node.profile
         self.input_spec = tuple(compile_input_spec(node, feed_layout))
+        spec = self.input_spec
+        self._unit_key = _unit_key_factory(tuple((p, s) for p, _, s in spec))(
+            self.pattern_code, *[(p, c) for p, c, s in spec if s is None]
+        )
         shape: list[tuple[int, int]] = []
         constants: list = []
         fresh: dict = {}  # variable -> position of its first occurrence
@@ -452,6 +457,29 @@ def _kernel_factory(shape: tuple[tuple[int, int], ...], predicate_count: int):
     return _compiled(
         f"<binding kernel {name} p{predicate_count}>", source,
         {"ExecutionError": ExecutionError},
+    )
+
+
+@lru_cache(maxsize=256)
+def _unit_key_factory(shape: tuple[tuple[int, "int | None"], ...]):
+    """The unit-key reader factory of one input shape, exec'd once per
+    process.
+
+    *shape* holds one ``(position, feed slot)`` pair per input position
+    (slot ``None``: a constant).  The factory takes ``(pattern code,
+    *constant items)``, each constant's ``(position, value)`` item
+    built once, and returns the reader: one tuple display over them and
+    the feed values it reads.
+    """
+    params = "".join(f", k{p}" for p, slot in shape if slot is None)
+    items = "".join(
+        f"k{p}, " if slot is None else f"({p}, values[{slot}]), " for p, slot in shape
+    )
+    name = "".join(f" {p}={'c' if slot is None else slot}" for p, slot in shape)
+    return _compiled(
+        f"<unit key{name}>",
+        f"def factory(code{params}):\n    return lambda values: (code, ({items}))\n",
+        {},
     )
 
 

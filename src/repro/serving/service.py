@@ -34,8 +34,11 @@ differentially).
 any number of client threads.  Shared state is guarded piecewise —
 the plan cache and its stats behind the cache's internal lock, the
 session registry behind the manager's lock, the shared service cache
-behind a :class:`~repro.execution.cache.ThreadSafeCache` wrapper, and
-the serving counters behind a stats lock — and plan resolution is
+behind a :class:`~repro.execution.cache.ThreadSafeCache` wrapper (an
+unbounded one is probed without its lock: each of its lookups and
+stores is one dict operation, atomic under the GIL; a capped one
+takes the lock to reorder its LRU), and the serving counters behind a
+stats lock — and plan resolution is
 **single-flight per key**: concurrent submissions of the same
 (query, context) serialize on a per-key mutex held across the whole
 lookup → optimize → store critical section, so the optimizer runs at
@@ -278,7 +281,7 @@ class QueryService:
                 self.resilience, partial_results=True
             )
         # The shared cache is hit by every client thread, so it is
-        # always lock-wrapped.
+        # always wrapped (the wrapper locks only what needs a lock).
         self._service_cache: ThreadSafeCache | None = (
             ThreadSafeCache(
                 make_cache(CACHE_SETTING, capacity=self.service_cache_capacity)

@@ -19,6 +19,10 @@ The registry is an ``OrderedDict`` kept in touch order (a touch moves
 the session to the end), so both bounds work from the head: eviction
 pops the first entry and expiry stops at the first live one — a submit
 costs O(1) under the manager lock however many sessions are alive.
+A session evicted, expired or released is dropped under the lock and
+closed once the lock is released, so freeing its suspended walk
+(cursors, candidates, records) holds up no other client's submit or
+``more``.
 
 Releases are deterministic: :meth:`Session.close` drops the executor
 reference immediately (no finalizer involvement), so the suspended
@@ -112,8 +116,7 @@ class SessionManager:
         #: Live sessions, least recently touched first.
         self._sessions: OrderedDict[str, Session] = OrderedDict()
         self._counter = 0
-        # Re-entrant: create/get call sweep internally.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
@@ -124,10 +127,11 @@ class SessionManager:
         delivered: int = 0, epoch: str = "", fingerprint: str = "",
     ) -> Session:
         """Register a new session, evicting to stay within capacity."""
+        self.sweep()
+        evicted = []
         with self._lock:
-            self.sweep()
             while len(self._sessions) >= self.capacity:
-                self._sessions.popitem(last=False)[1].close()
+                evicted.append(self._sessions.popitem(last=False)[1])
                 self.stats.evicted += 1
             self._counter += 1
             session = Session(
@@ -141,12 +145,14 @@ class SessionManager:
             )
             self._sessions[session.session_id] = session
             self.stats.created += 1
-            return session
+        for dropped in evicted:
+            dropped.close()
+        return session
 
     def get(self, session_id: str) -> Session:
         """The live session *session_id*, touched; raises when gone."""
+        self.sweep()
         with self._lock:
-            self.sweep()
             session = self._sessions.get(session_id)
             if session is None:
                 raise SessionError(
@@ -162,22 +168,24 @@ class SessionManager:
             session = self._sessions.pop(session_id, None)
             if session is None:
                 return False
-            session.close()
             self.stats.released += 1
-            return True
+        session.close()
+        return True
 
     def sweep(self) -> tuple[str, ...]:
         """Expire every session idle beyond the TTL; returns their ids."""
+        if self.ttl is None:
+            return ()
+        expired = []
         with self._lock:
-            if self.ttl is None:
-                return ()
             deadline = self.clock() - self.ttl
-            expired = []
-            for session_id, session in self._sessions.items():
+            for session in self._sessions.values():
                 if session.touched_at > deadline:
                     break  # touch order: everything behind is younger
-                expired.append(session_id)
-            for session_id in expired:
-                self._sessions.pop(session_id).close()
-                self.stats.expired += 1
-            return tuple(expired)
+                expired.append(session)
+            for session in expired:
+                del self._sessions[session.session_id]
+            self.stats.expired += len(expired)
+        for session in expired:
+            session.close()
+        return tuple(session.session_id for session in expired)

@@ -73,6 +73,7 @@ from repro.testing.reference import (
     reference_execute,
     reference_partial_bound,
     reference_partial_plan,
+    reference_unit_key,
     search_states,
     unmemoized_optimizer,
 )
@@ -127,6 +128,7 @@ __all__ = [
     "reference_execute",
     "reference_partial_bound",
     "reference_partial_plan",
+    "reference_unit_key",
     "search_states",
     "step_cells",
     "stored_plans",

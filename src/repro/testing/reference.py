@@ -1,6 +1,6 @@
 """References the production paths are checked against (tests and benches).
 
-Thirteen small, obviously correct things: the composed *ranking*
+Fourteen small, obviously correct things: the composed *ranking*
 (:func:`compose_ranking`, a stable sort on the aggregated rank) for
 the engine's terminal top-k stream, the full-plane dict-row *join*
 (:func:`execute_join` over :func:`merged_with`, visiting the cells in
@@ -30,7 +30,9 @@ pull for pull, the engine's clock as a critical-path DP over
 feeds (:func:`reference_elapsed`) for ``elapsed``'s path fold, and
 the attribution of each answer to its units read off the answer's own
 values (:func:`reference_answer_units`) for the certificate's
-record-chain one.
+record-chain one, and the unit key built through a position → value
+dict (:func:`reference_unit_key`) for the per-shape key reader of
+:mod:`repro.execution.slots`.
 
 The engine carries rows as slot tuples through compiled loops
 (:mod:`repro.execution.slots`); the interpreter walks a plan node
@@ -65,7 +67,7 @@ from repro.execution.program import JOIN, ExecutionProgram, as_program
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import unit_token
 from repro.execution.results import Row
-from repro.execution.slots import ExecutionError, unit_input_key
+from repro.execution.slots import ExecutionError, InputSpec
 from repro.execution.stats import IDLE, ExecutionStats
 from repro.model.predicates import Comparison
 from repro.model.query import ConjunctiveQuery
@@ -244,6 +246,19 @@ def reference_elapsed(program: ExecutionProgram, stats: ExecutionStats) -> float
     return finish[-1]
 
 
+def reference_unit_key(
+    pattern_code: str, input_spec: InputSpec, values: tuple
+) -> tuple[dict[int, object], tuple]:
+    """``(inputs, unit key)`` of a feed row with *values*: the position
+    → value mapping of the row's service inputs, and the ``(pattern
+    code, ((position, value), ...))`` key its items form."""
+    inputs = {
+        position: constant if slot is None else values[slot]
+        for position, constant, slot in input_spec
+    }
+    return inputs, (pattern_code, tuple(inputs.items()))
+
+
 def reference_answer_units(
     program: ExecutionProgram, rows: Sequence[Row], substituted: Iterable = ()
 ) -> tuple[tuple[str, ...], ...]:
@@ -258,7 +273,7 @@ def reference_answer_units(
         tokens = []
         for binding in program.step_bindings:
             values = tuple(map(row.value, binding.layout.variables))
-            _, key = unit_input_key(binding.pattern_code, binding.input_spec, values)
+            _, key = reference_unit_key(binding.pattern_code, binding.input_spec, values)
             name = binding.service_name
             tokens.append(unit_token(sibling.get((name, key), name), key))
         answers.append(tuple(sorted(tokens)))

@@ -2,6 +2,7 @@
 the lock-guarded wrapper the serving layer's client threads share."""
 
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -231,6 +232,21 @@ class TestHierarchy:
         assert opt_hits == 2  # the repeat and the later return to 'a'
 
 
+class _CountingLock:
+    """A re-entrant lock that counts how often it is taken."""
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquisitions += 1
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
 class TestThreadSafeCacheStress:
     """One ``ThreadSafeCache`` shared by many client threads, as a
     ``QueryService`` shares its service cache across requests."""
@@ -283,6 +299,71 @@ class TestThreadSafeCacheStress:
         self._hammer(write, 8)
         assert len(inner) == 32
         assert inner.evictions == 8 * stores - 32
+
+    def test_unbounded_probes_race_stores_without_the_lock(self):
+        """8 threads probe an unbounded shared cache while 4 store
+        distinct keys (the dict resizing under them): every probe reads
+        nothing or the value stored under that exact key, all without
+        taking the lock."""
+        cache = ThreadSafeCache(OptimalCache())
+        lock = cache._lock = _CountingLock()
+        stores, probers, writers = 400, 8, 4
+        start = threading.Barrier(probers + writers)
+        wrong: list = []
+
+        def write(writer):
+            start.wait(timeout=30)
+            for page in range(stores):
+                cache.store("svc", f"writer-{writer}", page, (writer, page))
+
+        def probe(prober):
+            start.wait(timeout=30)
+            for turn in range(stores):
+                writer, page = (prober + turn) % writers, (turn * 7) % stores
+                value = cache.lookup("svc", f"writer-{writer}", page)
+                if value not in (None, (writer, page)):
+                    wrong.append((writer, page, value))
+
+        threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+        threads += [threading.Thread(target=probe, args=(p,)) for p in range(probers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert len(cache.inner) == writers * stores
+        assert all(
+            cache.lookup("svc", f"writer-{w}", page) == (w, page)
+            for w in range(writers)
+            for page in range(stores)
+        )
+        assert lock.acquisitions == 0
+
+    @pytest.mark.parametrize(
+        "inner, locked",
+        [
+            (OptimalCache(), 0),
+            (OptimalCache(capacity=4), 3),
+            (OneCallCache(), 3),
+        ],
+        ids=["unbounded", "bounded", "one-call"],
+    )
+    def test_only_caches_with_bookkeeping_take_the_lock(self, inner, locked):
+        """A bounded lookup reorders its LRU and a one-call store swaps
+        its tables, so both take the lock on every operation; the
+        unbounded cache's dict operations take it on none."""
+        cache = ThreadSafeCache(inner)
+        lock = cache._lock = _CountingLock()
+        cache.store("svc", "k", 0, "v0")
+        assert cache.lookup("svc", "k", 0) == "v0"
+        assert cache.lookup("svc", "k", 1) is None
+        assert lock.acquisitions == locked
 
     def test_wrapper_delegates_and_exposes_inner(self):
         inner = OptimalCache(capacity=2)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -374,6 +376,44 @@ class TestSessionManager:
         assert session.executor is None
         assert manager.release(session.session_id) is False
         assert len(manager) == 0
+
+    @pytest.mark.parametrize("drop", ["evicted", "expired", "released"])
+    def test_a_dropped_session_is_freed_outside_the_lock(self, drop):
+        """Freeing a dropped session's suspended walk holds up no other
+        client: when its executor is finalized, a second thread can
+        take the manager's lock."""
+        clock = _FakeClock()
+        manager = SessionManager(capacity=1, ttl=10.0, clock=clock)
+        query = mahler_weekend_query()
+        session = manager.create(query, _executor())
+        lock_was_free = []
+
+        def take_the_lock_from_another_thread():
+            def take():
+                acquired = manager._lock.acquire(timeout=0.5)
+                if acquired:
+                    manager._lock.release()
+                lock_was_free.append(acquired)
+
+            taker = threading.Thread(target=take)
+            taker.start()
+            taker.join(timeout=5)
+            assert not taker.is_alive()
+
+        weakref.finalize(session.executor, take_the_lock_from_another_thread)
+        if drop == "evicted":
+            manager.create(query, _executor())
+        elif drop == "expired":
+            clock.now = 10.0
+            assert manager.sweep() == (session.session_id,)
+        else:
+            assert manager.release(session.session_id)
+        assert lock_was_free == [True]
+        assert session.executor is None
+        stats = manager.stats
+        assert (stats.evicted, stats.expired, stats.released) == (
+            (drop == "evicted"), (drop == "expired"), (drop == "released")
+        )
 
 
 # -- QueryService -----------------------------------------------------------
