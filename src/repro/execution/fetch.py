@@ -51,7 +51,6 @@ from repro.execution.lazy import FetchedPage
 from repro.execution.resilience import (
     DriftMonitor,
     PartialResultCertificate,
-    PlanDrift,
     ResilienceConfig,
     UnresponsiveService,
     build_certificate,
@@ -225,6 +224,27 @@ class UnitRouting:
                 return candidate
         return None
 
+    def reroute(
+        self,
+        service: str,
+        program: ExecutionProgram,
+        avoid: Collection[str] = (),
+    ) -> str | None:
+        """Serve every unit of *service* from a sibling from now on.
+
+        The one path that reroutes a whole service: a service whose
+        breaker is open (before the first fetch) and a service that
+        drifted (at a splice).  The sibling is :meth:`sibling`'s choice
+        for every access pattern *program* invokes *service* with;
+        returns it, or None — nothing rerouted — when there is none or
+        *program* never invokes *service*.
+        """
+        codes = program.pattern_codes(service)
+        replacement = self.sibling(service, codes, avoid) if codes else None
+        if replacement is not None:
+            self.substitute_service(service, replacement)
+        return replacement
+
     def substitute_service(self, service: str, replacement: str) -> None:
         """Reroute every unit of *service* onto *replacement*.
 
@@ -388,12 +408,7 @@ class UnitSource:
             # only fetches served by the profiled service feed the
             # monitor — sibling traffic is not the original's drift.
             if context.monitor is not None and name == binding.service_name:
-                try:
-                    context.monitor.observe(name, binding.profile, latency)
-                except PlanDrift as drift:
-                    # The aborted attempt's work stays accounted.
-                    drift.stats = stats
-                    raise
+                context.monitor.observe(name, binding.profile, latency, stats)
             if self._counted != _CALL:
                 cell.calls += 1
                 if self._counted == _HIT:

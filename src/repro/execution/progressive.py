@@ -64,8 +64,11 @@ reroutes the drifted service onto a registered sibling when one exists
 and splices: the program (with its fetch vector) and the monitor are
 replaced, everything else is kept.
 
-* **No lost work** — the aborted attempt's statistics ride on the
-  ``PlanDrift`` and become an explicit aborted pseudo-round;
+* **No lost work** — a walk the session gives up becomes a round with
+  no answers (:meth:`ProgressiveExecutor._abandon`): the aborted
+  attempt's ledger rides on the ``PlanDrift``, and a unit that dies
+  mid-resume (partial results) leaves its ledger on the suspended
+  stream's accounting, which the resume rebound;
 * **No lost state** — the engine, its
   :class:`~repro.execution.fetch.UnitRouting`, the shared logical cache
   and the recorded rounds all survive a splice because nothing is
@@ -133,7 +136,9 @@ class ProgressiveRound:
     ``stats`` is the round's full :class:`ExecutionStats` — kept so a
     caller that grew through several rounds can report the *total*
     work of a request (each round's statistics object is fresh; the
-    final result alone would undercount every earlier round).
+    final result alone would undercount every earlier round).  A walk
+    the session gave up is a round too, with no answers and the
+    ledger of what it paid (:meth:`ProgressiveExecutor._abandon`).
     """
 
     fetches: dict[int, int]
@@ -367,12 +372,12 @@ class ProgressiveExecutor:
             # A lazily fetched block died mid-resume (partial mode).
             # The suspended stream cannot retract what it already
             # placed, so reroute-or-demote the unit on the engine's
-            # persistent state, drop the poisoned stream, and let
-            # ``run`` fall back to a fresh execution — which serves the
-            # block from its sibling (or masks it) and re-serves
-            # everything else from the shared cache.
+            # persistent state and give the walk up: ``run`` falls back
+            # to a fresh execution, which serves the block from its
+            # sibling (or masks it) and re-serves everything else from
+            # the shared cache.
             self._engine.routing.handle_unresponsive(failure)
-            self._last_result = None
+            self._abandon(last.accounting.stats)
             return None
         self._record_round(
             result.stats, len(result.rows), resumed=True, grown=grown
@@ -411,6 +416,24 @@ class ProgressiveExecutor:
             )
         )
 
+    def _abandon(self, stats: ExecutionStats) -> None:
+        """Give the current walk up, keeping what it paid for.
+
+        The one path for a walk the session abandons (a drift splice,
+        a unit that died mid-resume).  Its pages were fetched, filled
+        the shared cache and stay counted: *stats*, the walk's ledger,
+        timed by the program's clock as any round's is, becomes a round
+        with no answers.  Neither the exhaustion baseline nor the
+        executed-round budget moves.  The suspended stream is dropped,
+        so the next round executes the plan afresh over the shared
+        cache, which re-serves every fetched page locally.
+        """
+        stats.elapsed = elapsed(self._program, stats)
+        self.rounds.append(
+            ProgressiveRound(fetches=self.fetch_vector(), answers=0, stats=stats)
+        )
+        self._last_result = None
+
     # -- drift splices -------------------------------------------------------
 
     def _fresh_monitor(self) -> DriftMonitor | None:
@@ -421,22 +444,16 @@ class ProgressiveExecutor:
         return DriftMonitor(adapted=frozenset(self._overrides))
 
     def _splice(self, drift: PlanDrift) -> None:
-        """Absorb one drift: record, re-cost, swap plan and monitor."""
-        # The aborted attempt never appended a round (the exception
-        # propagated first), but its fetches happened, filled the
-        # shared cache, and must stay counted — its time read off the
-        # ledger by the aborted program's clock, as any round's is.
-        stats = drift.stats
-        stats.elapsed = elapsed(self._program, stats)
-        self._record_round(stats, 0)
+        """Absorb one drift: give the walk up, re-cost, swap plan and
+        monitor."""
+        self._abandon(drift.stats)
         self._overrides[drift.service] = drift.observed
         replacement = self.replan(dict(self._overrides))
         if replacement is not None:
             self.plan = replacement
             self._adopt(replacement)
-        routing = self._engine.routing
-        substituted_with = routing.sibling(
-            drift.service, self._program.pattern_codes(drift.service)
+        substituted_with = self._engine.routing.reroute(
+            drift.service, self._program
         )
         self.drift_events.append(
             DriftEvent(
@@ -448,12 +465,6 @@ class ProgressiveExecutor:
                 substituted_with=substituted_with,
             )
         )
-        if substituted_with is not None:
-            routing.substitute_service(drift.service, substituted_with)
         self._engine.drift_monitor = self._fresh_monitor()
-        # The suspended stream (if any) belongs to the aborted plan;
-        # the splice starts from a fresh execution over the shared
-        # cache, which re-serves every fetched page locally, with the
-        # executed-round budget restarted.
-        self._last_result = None
+        # The spliced plan starts with the whole executed-round budget.
         self._executed = 0

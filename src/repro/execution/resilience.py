@@ -156,14 +156,16 @@ class PlanDrift(RuntimeError):
     Control-flow exception raised by :class:`DriftMonitor` out of the
     engine's fetch seam; :meth:`~repro.execution.progressive.
     ProgressiveExecutor.run` catches it, re-optimizes against the
-    observed response times, and splices the replacement plan mid-run.  The
-    seam that raised it attaches the execution's partial
-    :class:`~repro.execution.stats.ExecutionStats` as ``stats`` so the
-    aborted attempt's work stays accounted.
+    observed response times, and splices the replacement plan mid-run.
+    ``stats`` is the aborted walk's ledger (the
+    :class:`~repro.execution.stats.ExecutionStats` the fetch seam
+    charged the tripping page to, handed to :meth:`DriftMonitor.observe`),
+    so the session keeps the aborted attempt's work accounted.
     """
 
     def __init__(
-        self, service: str, observed: float, expected: float, fetches: int
+        self, service: str, observed: float, expected: float, fetches: int,
+        stats: "ExecutionStats",
     ) -> None:
         super().__init__(
             f"{service} drifted: mean latency {observed:.2f}s over "
@@ -173,15 +175,16 @@ class PlanDrift(RuntimeError):
         self.observed = observed
         self.expected = expected
         self.fetches = fetches
-        self.stats: "ExecutionStats | None" = None
+        self.stats = stats
 
 
 class DriftMonitor:
     """Per-execution observer of remote fetch latency vs. plan cost.
 
     The engine calls :meth:`observe` after every *remote* page fetch
-    (cache hits tell nothing about the service).  The monitor never
-    touches the execution's statistics, so a run whose observations
+    (cache hits tell nothing about the service), with the ledger that
+    fetch was charged to; a :class:`PlanDrift` carries that ledger out.
+    The monitor never touches the ledger, so a run whose observations
     stay under the threshold is bit-identical to an unmonitored run —
     the zero-drift half of the adaptive differential contract.
 
@@ -199,9 +202,11 @@ class DriftMonitor:
         self._totals: dict[str, float] = {}
 
     def observe(
-        self, service: str, profile: "ServiceProfile | None", latency: float
+        self, service: str, profile: "ServiceProfile | None", latency: float,
+        stats: "ExecutionStats",
     ) -> None:
-        """Record one remote fetch; raise :class:`PlanDrift` on divergence."""
+        """Record one remote fetch; raise :class:`PlanDrift`, carrying
+        *stats* (the walk's ledger), on divergence."""
         if service in self.adapted or profile is None:
             return
         expected = profile.response_time
@@ -213,7 +218,7 @@ class DriftMonitor:
         self._totals[service] = total
         mean = total / count
         if is_slow(count, mean, expected):
-            raise PlanDrift(service, mean, expected, count)
+            raise PlanDrift(service, mean, expected, count, stats)
 
 
 def resilient_fetch(

@@ -43,7 +43,6 @@ class ServiceRegistry:
     _services: dict[str, Service] = field(default_factory=dict)
     _join_methods: dict[frozenset, JoinMethod] = field(default_factory=dict)
     _join_selectivities: dict[frozenset, float] = field(default_factory=dict)
-    default_join_selectivity: float = DEFAULT_JOIN_SELECTIVITY
     #: Bumped by every registration; lets :meth:`content_epoch` cache
     #: its digest instead of re-hashing per serving request.
     _revision: int = field(default=0, repr=False)
@@ -135,7 +134,7 @@ class ServiceRegistry:
     def join_selectivity(self, service_a: str, service_b: str) -> float:
         """Estimated selectivity of the equi-join between two services."""
         key = frozenset({service_a, service_b})
-        return self._join_selectivities.get(key, self.default_join_selectivity)
+        return self._join_selectivities.get(key, DEFAULT_JOIN_SELECTIVITY)
 
     def reset_all(self) -> None:
         """Reset per-experiment state (remote caches) of every service."""
@@ -197,12 +196,12 @@ class ServiceRegistry:
 
         The digest is cached per registration revision (profiles are
         frozen and content changes only enter through ``register*``
-        calls or ``default_join_selectivity``), so the serving hot
-        path pays a dict probe, not a re-hash, per request.
+        calls), so the serving hot path pays a dict probe, not a
+        re-hash, per request.
         """
-        cache_key = (self._revision, self.default_join_selectivity)
-        if self._epoch_cache is not None and self._epoch_cache[0] == cache_key:
-            return self._epoch_cache[1]
+        cached = self._epoch_cache
+        if cached is not None and cached[0] == self._revision:
+            return cached[1]
         services = []
         for name in sorted(self._services):
             service = self._services[name]
@@ -230,10 +229,10 @@ class ServiceRegistry:
                 (sorted(pair), selectivity)
                 for pair, selectivity in self._join_selectivities.items()
             ),
-            "default_join_selectivity": self.default_join_selectivity,
+            "default_join_selectivity": DEFAULT_JOIN_SELECTIVITY,
         }
         digest = content_digest(payload)
-        self._epoch_cache = (cache_key, digest)
+        self._epoch_cache = (self._revision, digest)
         return digest
 
     @staticmethod

@@ -152,15 +152,15 @@ class PlanCache:
               program: ExecutionProgram | None = None) -> None:
         """Record an optimized plan under *key* in both tiers.
 
-        *program* (the plan compiled) stays with the memory entry;
-        *metric* and *epoch* fill the disk row's columns.  *tenant* is
-        unused: it stays for the frozen bench, which passes it.
+        *program* (the plan compiled) stays with the memory entry.
+        *metric*, *epoch* and *tenant* are unused (the key embeds the
+        first two): they stay for the frozen bench, which passes them.
         """
         with self._lock:
             self.stats.stores += 1
             self._admit(key, CachedPlan(spec, cost, "memory", program))
             if self._tier is not None:
-                self._tier.put(key, spec.to_json(), cost, metric, epoch)
+                self._tier.put(key, spec.to_json(), cost)
 
     def attach(self, key: str, program: ExecutionProgram) -> None:
         """Keep *program* with *key*'s memory entry, if it has one and

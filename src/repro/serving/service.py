@@ -548,12 +548,7 @@ class QueryService:
             return
         down = self.breaker.open_services()
         for name in down:
-            codes = plan.pattern_codes(name)
-            if not codes:
-                continue
-            sibling = routing.sibling(name, codes, avoid=down)
-            if sibling is not None:
-                routing.substitute_service(name, sibling)
+            routing.reroute(name, plan, avoid=down)
 
     def _feed_breaker(
         self, rounds: Sequence[ProgressiveRound], result: ExecutionResult

@@ -11,8 +11,10 @@ that is not such a database.  ``synchronous=NORMAL`` is deliberate
 here: a lost plan costs one re-optimization, never correctness, so
 durability is traded for store latency.
 
-The tier stores plain ``(spec_json, cost, metric, epoch)`` row tuples
-and reads back ``(spec_json, cost)``: the key embeds the rest.
+The tier stores and reads back plain ``(spec_json, cost)`` rows: the
+key embeds the rest (fingerprint, epoch, metric, optimization context).
+A file of schema version 1, whose rows also held the metric and the
+epoch, is discarded and recreated like any file of another version.
 
 Before SQLite the tier was one JSON file rewritten per store.  Its keys
 are not today's (every plan-cache key embeds the optimizer's config
@@ -28,19 +30,16 @@ from pathlib import Path
 from repro.services.sqlite import ConnectionPool
 
 #: ``PRAGMA user_version`` stamped on databases this tier creates.
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 #: One row per cached plan; the key embeds fingerprint + epoch +
 #: optimization context (see ``repro.serving.fingerprint``), so
-#: ``key`` alone is the primary key and ``epoch`` is denormalized
-#: into the row a lookup returns.
+#: ``key`` alone is the primary key.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS plans (
     key    TEXT PRIMARY KEY,
     spec   TEXT NOT NULL,
-    cost   REAL NOT NULL,
-    metric TEXT NOT NULL,
-    epoch  TEXT NOT NULL
+    cost   REAL NOT NULL
 ) WITHOUT ROWID;
 """
 
@@ -93,7 +92,7 @@ class SQLiteDiskTier:
 
     def get(self, key: str) -> tuple[str, float] | None:
         """The ``(spec_json, cost)`` stored under *key*, or None: the
-        key already embeds the row's metric and epoch."""
+        key already embeds the metric and the epoch."""
         row = self._pool.connection().execute(
             "SELECT spec, cost FROM plans WHERE key = ?", (key,)
         ).fetchone()
@@ -101,16 +100,13 @@ class SQLiteDiskTier:
             return None
         return (row[0], float(row[1]))
 
-    def put(self, key: str, spec_json: str, cost: float, metric: str,
-            epoch: str) -> None:
+    def put(self, key: str, spec_json: str, cost: float) -> None:
         """Insert or overwrite the row under *key* (one atomic statement)."""
         self._pool.connection().execute(
-            "INSERT INTO plans(key, spec, cost, metric, epoch)"
-            " VALUES (?, ?, ?, ?, ?)"
+            "INSERT INTO plans(key, spec, cost) VALUES (?, ?, ?)"
             " ON CONFLICT(key) DO UPDATE SET"
-            " spec=excluded.spec, cost=excluded.cost,"
-            " metric=excluded.metric, epoch=excluded.epoch",
-            (key, spec_json, cost, metric, epoch),
+            " spec=excluded.spec, cost=excluded.cost",
+            (key, spec_json, cost),
         )
 
     def close(self) -> None:

@@ -36,6 +36,7 @@ from repro.execution.resilience import (
     PlanDrift,
     ResilienceConfig,
 )
+from repro.execution.stats import ExecutionStats
 from repro.model.atoms import Atom
 from repro.model.query import ConjunctiveQuery
 from repro.model.schema import signature
@@ -148,6 +149,10 @@ class InterleavingClock(FakeClock):
 # -- drift monitor ----------------------------------------------------------
 
 
+#: The ledger the direct observations below were charged to.
+LEDGER = ExecutionStats()
+
+
 class TestDriftMonitor:
     def _profile(self, response_time=1.0):
         return search_profile(chunk_size=2, response_time=response_time)
@@ -156,42 +161,44 @@ class TestDriftMonitor:
         monitor = DriftMonitor()
         profile = self._profile()
         for _ in range(10):
-            monitor.observe("svc", profile, 2.9)
+            monitor.observe("svc", profile, 2.9, LEDGER)
         # Silent, but recorded: the mean that finally trips carries
         # every earlier observation.
         with pytest.raises(PlanDrift) as excinfo:
-            monitor.observe("svc", profile, 10.0)
+            monitor.observe("svc", profile, 10.0, LEDGER)
         assert excinfo.value.fetches == 11
         assert excinfo.value.observed == pytest.approx(39.0 / 11)
 
     def test_raises_once_mean_crosses_threshold(self):
         monitor = DriftMonitor()
         profile = self._profile()
-        monitor.observe("svc", profile, 25.0)
-        monitor.observe("svc", profile, 25.0)  # below MIN_FETCHES: silent
+        monitor.observe("svc", profile, 25.0, LEDGER)
+        monitor.observe("svc", profile, 25.0, LEDGER)  # below MIN_FETCHES: silent
         with pytest.raises(PlanDrift) as excinfo:
-            monitor.observe("svc", profile, 25.0)
+            monitor.observe("svc", profile, 25.0, LEDGER)
         drift = excinfo.value
         assert drift.service == "svc"
         assert drift.observed == pytest.approx(25.0)
         assert drift.expected == pytest.approx(1.0)
         assert drift.fetches == 3
+        # The drift carries the ledger of the walk it aborts.
+        assert drift.stats is LEDGER
 
     def test_adapted_services_are_exempt(self):
         monitor = DriftMonitor(adapted=frozenset({"svc"}))
         for _ in range(5):
-            monitor.observe("svc", self._profile(), 1000.0)
+            monitor.observe("svc", self._profile(), 1000.0, LEDGER)
 
     def test_missing_or_zero_profile_is_ignored(self):
         monitor = DriftMonitor()
-        monitor.observe("svc", None, 1000.0)
+        monitor.observe("svc", None, 1000.0, LEDGER)
         zero = dataclasses.replace(self._profile(), response_time=0.0)
-        monitor.observe("svc", zero, 1000.0)
+        monitor.observe("svc", zero, 1000.0, LEDGER)
         # Neither was recorded: the third profiled fetch is the third.
-        monitor.observe("svc", self._profile(), 1000.0)
-        monitor.observe("svc", self._profile(), 1000.0)
+        monitor.observe("svc", self._profile(), 1000.0, LEDGER)
+        monitor.observe("svc", self._profile(), 1000.0, LEDGER)
         with pytest.raises(PlanDrift) as excinfo:
-            monitor.observe("svc", self._profile(), 1000.0)
+            monitor.observe("svc", self._profile(), 1000.0, LEDGER)
         assert excinfo.value.fetches == 3
 
 

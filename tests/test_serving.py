@@ -115,13 +115,14 @@ class TestPlanCache:
         # Promotion: the second lookup is a memory hit.
         assert reader.lookup("key").tier == "memory"
         # Whatever the name, a new path is a SQLite database in WAL mode,
-        # and the row keeps the metric and epoch the key embeds.
+        # and the row holds the spec and the cost alone: the key embeds
+        # the metric and the epoch.
         connection = sqlite3.connect(path)
         assert connection.execute(
-            "SELECT metric, epoch FROM plans WHERE key = 'key'"
-        ).fetchone() == ("requests", "epoch")
+            "SELECT * FROM plans WHERE key = 'key'"
+        ).fetchone() == ("key", spec.to_json(), 7.0)
         assert connection.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
-        assert connection.execute("PRAGMA user_version").fetchone()[0] == 1
+        assert connection.execute("PRAGMA user_version").fetchone()[0] == 2
         connection.close()
 
     def test_corrupt_disk_file_is_ignored(self, tmp_path):
@@ -202,6 +203,36 @@ class TestSQLiteTier:
         SQLiteDiskTier(path)
         assert stored_plans(path) == 0
 
+    def test_a_version_1_file_is_discarded_and_recreated_once(self, tmp_path):
+        """Version 1 rows also held the metric and the epoch: such a file
+        is discarded, and the version 2 database that replaces it is
+        kept by every later open."""
+        path = tmp_path / "plans.sqlite"
+        connection = sqlite3.connect(path)
+        connection.executescript(
+            "CREATE TABLE plans (key TEXT PRIMARY KEY, spec TEXT NOT NULL,"
+            " cost REAL NOT NULL, metric TEXT NOT NULL, epoch TEXT NOT NULL)"
+            " WITHOUT ROWID;"
+            "INSERT INTO plans VALUES ('old', '{}', 1.0, 'time', 'e1');"
+            "PRAGMA user_version=1;"
+        )
+        connection.close()
+        cache = PlanCache(path=path)
+        assert stored_plans(path) == 0
+        cache.store("key", _spec(("oi",)), 2.0, "time", "e2")
+        cache.close()
+        reopened = PlanCache(path=path)
+        assert stored_plans(path) == 1
+        hit = reopened.lookup("key")
+        assert hit is not None and (hit.spec, hit.cost) == (_spec(("oi",)), 2.0)
+        reopened.close()
+        connection = sqlite3.connect(path)
+        assert connection.execute("PRAGMA user_version").fetchone()[0] == 2
+        assert [row[1] for row in connection.execute("PRAGMA table_info(plans)")] == [
+            "key", "spec", "cost",
+        ]
+        connection.close()
+
     def test_sqlite_tier_matches_a_dict_model(self, tmp_path):
         """Differential oracle: a seeded random op sequence driven
         against the cache and a dict produces identical CachedPlans,
@@ -240,13 +271,14 @@ class TestSQLiteTier:
                     expected and (expected[0].to_json(), expected[1])
                 )
             assert cache.stats.to_dict() == PlanCacheStats(**counted).to_dict()
-            # Every row, metric and epoch columns included.
+            # Every row, every column: a store under another epoch
+            # overwrites the key's row (the key embeds the epoch).
             connection = sqlite3.connect(cache.path)
             assert connection.execute(
-                "SELECT key, spec, cost, metric, epoch FROM plans ORDER BY key"
+                "SELECT * FROM plans ORDER BY key"
             ).fetchall() == [
-                (key, spec.to_json(), cost, metric, epoch)
-                for key, (spec, cost, metric, epoch) in sorted(model.items())
+                (key, spec.to_json(), cost)
+                for key, (spec, cost, _, _) in sorted(model.items())
             ]
             connection.close()
             # And the same state is visible after a restart.
