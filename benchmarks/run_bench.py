@@ -13,8 +13,9 @@ run the benches explicitly through this entry point::
 
 Every module but ``test_bench_timings.py`` (which prints its
 wall-clock probes) writes its artifacts under ``benchmarks/out/`` with
-``write_artifact``: a paper table or figure, an ablation, or the exact
-counts of one subsystem (``counts_<suite>.txt``).  Each is a function
+``write_artifact``: a paper table or figure, an ablation, the exact
+counts of one subsystem (``counts_<suite>.txt``), or the transcript of
+every CLI surface and example (``shipping.txt``).  Each is a function
 of the tree, so CI regenerates them all and fails on ``git diff``.
 
 ``--profile`` wraps the selected scenario in :mod:`cProfile` (pytest

@@ -200,7 +200,7 @@ CAPPED = 64
 
 
 class _CountingLock:
-    """The cache's re-entrant lock, counting how often it is taken."""
+    """The cache's own lock, counting how often it is taken."""
 
     def __init__(self, lock, counts: Counter) -> None:
         self._lock = lock
@@ -224,7 +224,8 @@ def _seam_counts(request, workloads, capacity) -> Counter:
     service.submit(request.text, request.k)
     counts: Counter = Counter()
     cache = service._service_cache
-    cache._lock = _CountingLock(cache._lock, counts)
+    if cache._lock is not None:  # an unbounded cache holds none
+        cache._lock = _CountingLock(cache._lock, counts)
     lookup = cache.lookup
 
     def probing(*args):

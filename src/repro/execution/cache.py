@@ -27,13 +27,13 @@ is called, never which tuples flow (the remote services are
 deterministic per ``(input, page)``), so answers are identical under
 any capacity — the regression suite pins this.
 
-**Sharing across threads.**  A serving process shares one cache
-between its client threads behind :class:`ThreadSafeCache`.  An
-unbounded :class:`OptimalCache` is probed there without the lock: its
-lookup and its store are each one operation on a plain ``dict``, which
-is atomic under CPython's GIL, so a warm page costs one probe.  A
-bounded one reorders its LRU on every lookup and a one-call cache
-swaps two tables on a store, so both keep the lock.
+**Sharing across threads.**  A serving process shares one optimal
+cache between its client threads, and :class:`OptimalCache` guards
+itself: unbounded, each lookup and store is one operation on a plain
+``dict``, atomic under CPython's GIL, so a warm page costs one probe
+and no lock; bounded, it takes its own lock around the LRU reorder and
+the eviction loop.  The no-cache and one-call settings are
+per-execution: no client thread ever shares one.
 """
 
 from __future__ import annotations
@@ -117,12 +117,17 @@ class OptimalCache(LogicalCache):
 
     ``capacity`` bounds the number of cached *pages* (the admission
     control a long-lived serving process needs); ``None`` keeps the
-    paper's unbounded behavior, on a plain ``dict`` whose lookup and
-    store are one dict operation each.  Eviction is
-    least-recently-used: lookups refresh recency, stores evict the
-    coldest entries once the bound is exceeded.  ``evictions`` counts
-    entries dropped — a monitoring hook, not part of any equivalence
-    contract.
+    paper's unbounded behavior.  Eviction is least-recently-used:
+    lookups refresh recency, stores evict the coldest entries once the
+    bound is exceeded.  ``evictions`` counts entries dropped — a
+    monitoring hook, not part of any equivalence contract.
+
+    Client threads may share one: unbounded, it holds no lock (each
+    lookup and store is one dict operation, atomic under the GIL);
+    bounded, it takes its own lock once per lookup and once per store.
+    Two threads that miss on the same page may both fetch it (answers
+    cannot differ — services are deterministic per ``(input, page)`` —
+    only the remote call is paid twice).
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -132,6 +137,7 @@ class OptimalCache(LogicalCache):
         self._memo: dict[tuple[str, InputKey, int], object] = (
             {} if capacity is None else OrderedDict()
         )
+        self._lock = None if capacity is None else threading.Lock()
         self.evictions = 0
 
     @property
@@ -144,22 +150,27 @@ class OptimalCache(LogicalCache):
 
     def lookup(self, service: str, input_key: InputKey, page: int) -> object | None:
         key = (service, input_key, page)
-        value = self._memo.get(key)
-        if value is not None and self._capacity is not None:
-            self._memo.move_to_end(key)
-        return value
+        if self._lock is None:
+            return self._memo.get(key)
+        with self._lock:
+            value = self._memo.get(key)
+            if value is not None:
+                self._memo.move_to_end(key)
+            return value
 
     def store(
         self, service: str, input_key: InputKey, page: int, value: object
     ) -> None:
         key = (service, input_key, page)
-        self._memo[key] = value
-        if self._capacity is None:
+        if self._lock is None:
+            self._memo[key] = value
             return
-        self._memo.move_to_end(key)
-        while len(self._memo) > self._capacity:
-            self._memo.popitem(last=False)
-            self.evictions += 1
+        with self._lock:
+            self._memo[key] = value
+            self._memo.move_to_end(key)
+            while len(self._memo) > self._capacity:
+                self._memo.popitem(last=False)
+                self.evictions += 1
 
 
 class KeyedMutex:
@@ -198,44 +209,11 @@ class KeyedMutex:
                     del self._entries[key]
 
 
-class ThreadSafeCache(LogicalCache):
-    """Thread-safe view over another :class:`LogicalCache`.
-
-    Wraps every ``lookup`` and ``store`` in one re-entrant lock,
-    making the inner cache's bookkeeping (LRU reordering, eviction
-    counters, one-call key swaps) safe for the client threads of a
-    :class:`~repro.serving.service.QueryService`, which share one
-    service cache across every request and session.  An unbounded
-    :class:`OptimalCache` has no such bookkeeping: each of its
-    operations is one dict operation, atomic under the GIL, so its own
-    ``lookup`` and ``store`` are the view's, with no lock and no second
-    call.  Each operation is atomic; two threads that miss on the same
-    page may both fetch it (answers cannot differ — services are
-    deterministic per ``(input, page)`` — only the remote call is paid
-    twice).
-    """
-
-    def __init__(self, inner: LogicalCache) -> None:
-        self._inner = inner
-        self._lock = threading.RLock()
-        if isinstance(inner, OptimalCache) and inner.capacity is None:
-            self.lookup = inner.lookup
-            self.store = inner.store
-
-    @property
-    def inner(self) -> LogicalCache:
-        """The wrapped cache (for capacity/eviction introspection)."""
-        return self._inner
-
-    def lookup(self, service: str, input_key: InputKey, page: int) -> object | None:
-        with self._lock:
-            return self._inner.lookup(service, input_key, page)
-
-    def store(
-        self, service: str, input_key: InputKey, page: int, value: object
-    ) -> None:
-        with self._lock:
-            self._inner.store(service, input_key, page, value)
+def ThreadSafeCache(cache: LogicalCache) -> LogicalCache:
+    """*cache* itself.  Kept for the frozen ``bench/tracing.py``, which
+    wraps each shared cache of its fleet; each is an
+    :class:`OptimalCache`, which guards itself."""
+    return cache
 
 
 def make_cache(

@@ -49,7 +49,10 @@ is compiled into the program (``ExecutionProgram.grows_in_place``):
 The ladder of factors, ``MAX_ROUNDS`` and the exhaustion rule are the
 same either way, and so are the answers
 (:class:`repro.testing.ReexecutingExecutor` is the reference that
-always re-executes).
+always re-executes).  A growth round that uncovers no new raw tuple
+and no new answer finds the services dry: from then on the session
+only resumes its stream, and never grows again (until a drift splice
+puts a plan in that may read other services).
 
 **Drift re-planning** is armed by a ``replan`` callback.  With one, a
 :class:`~repro.execution.resilience.DriftMonitor` on the engine watches
@@ -240,6 +243,9 @@ class ProgressiveExecutor:
         #: factors, since the last splice (plain resumed rounds are
         #: free).
         self._executed = 0
+        #: Set when a growth round found the services exhausted: no
+        #: later round grows again until a splice.
+        self._exhausted = False
         self._adopt(self.plan)
         self._engine = ExecutionEngine(
             self.registry,
@@ -313,7 +319,8 @@ class ProgressiveExecutor:
         Stops early when every factor is capped (k may be unreachable,
         as the paper notes for services with small decay bounds), or
         when a growth round processes no new raw tuples while the
-        answer count stays put — the services are exhausted.  The
+        answer count stays put — the services are exhausted, and no
+        later call grows again until a splice.  The
         exhaustion signal is ``tuples_processed`` (cache-independent),
         *not* the remote-call count: an executor running against a
         pre-warmed shared cache (the serving layer) issues zero remote
@@ -326,8 +333,8 @@ class ProgressiveExecutor:
         # Either way ``_baseline`` is set: a stream resumes only after a
         # round executed the plan.
         while len(result.rows) < k and self._executed < MAX_ROUNDS:
-            if not self._grow_fetches():
-                break  # every factor capped by its decay bound
+            if self._exhausted or not self._grow_fetches():
+                break  # dry, or every factor capped by its decay bound
             baseline, answers = self._baseline, len(result.rows)
             grown = None
             if self._program.grows_in_place:
@@ -339,7 +346,7 @@ class ProgressiveExecutor:
             else:
                 result = self._execute_round(k)
             if self._baseline <= baseline and len(result.rows) == answers:
-                break  # the services are exhausted: no more data exists
+                self._exhausted = True  # no more data exists
         return result
 
     def more(self, additional: int) -> ExecutionResult:
@@ -466,5 +473,7 @@ class ProgressiveExecutor:
             )
         )
         self._engine.drift_monitor = self._fresh_monitor()
-        # The spliced plan starts with the whole executed-round budget.
+        # The spliced plan starts with the whole executed-round budget,
+        # and may grow again.
         self._executed = 0
+        self._exhausted = False

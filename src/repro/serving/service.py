@@ -34,11 +34,11 @@ differentially).
 any number of client threads.  Shared state is guarded piecewise —
 the plan cache and its stats behind the cache's internal lock, the
 session registry behind the manager's lock, the shared service cache
-behind a :class:`~repro.execution.cache.ThreadSafeCache` wrapper (an
-unbounded one is probed without its lock: each of its lookups and
-stores is one dict operation, atomic under the GIL; a capped one
-takes the lock to reorder its LRU), and the serving counters behind a
-stats lock — and plan resolution is
+behind its own guard (an unbounded
+:class:`~repro.execution.cache.OptimalCache` takes no lock: each of
+its lookups and stores is one dict operation, atomic under the GIL; a
+capped one takes its own lock to reorder its LRU and evict), and the
+serving counters behind a stats lock — and plan resolution is
 **single-flight per key**: concurrent submissions of the same
 (query, context) serialize on a per-key mutex held across the whole
 lookup → optimize → store critical section, so the optimizer runs at
@@ -66,7 +66,7 @@ from repro.costs.time_cost import ExecutionTimeMetric
 from repro.execution.cache import (
     CacheSetting,
     KeyedMutex,
-    ThreadSafeCache,
+    OptimalCache,
     make_cache,
 )
 from repro.execution.engine import ExecutionResult, check_count
@@ -280,12 +280,9 @@ class QueryService:
             self._exec_resilience = replace(
                 self.resilience, partial_results=True
             )
-        # The shared cache is hit by every client thread, so it is
-        # always wrapped (the wrapper locks only what needs a lock).
-        self._service_cache: ThreadSafeCache | None = (
-            ThreadSafeCache(
-                make_cache(CACHE_SETTING, capacity=self.service_cache_capacity)
-            )
+        # Hit by every client thread: an optimal cache guards itself.
+        self._service_cache: OptimalCache | None = (
+            make_cache(CACHE_SETTING, capacity=self.service_cache_capacity)
             if self.share_service_cache
             else None
         )
@@ -395,14 +392,13 @@ class QueryService:
                 **self.sessions.stats.to_dict(),
             },
         }
-        if self._service_cache is not None:
-            # The optimal cache inside the lock wrapper.
-            inner = self._service_cache.inner
+        cache = self._service_cache
+        if cache is not None:
             state["service_cache"] = {
-                "type": type(inner).__name__,
-                "entries": len(inner),
-                "capacity": inner.capacity,
-                "evictions": inner.evictions,
+                "type": type(cache).__name__,
+                "entries": len(cache),
+                "capacity": cache.capacity,
+                "evictions": cache.evictions,
             }
         if self.breaker is not None:
             with self._stats_lock:

@@ -1,5 +1,5 @@
 """Unit tests for the three logical-cache settings (Section 5.1) and
-the lock-guarded wrapper the serving layer's client threads share."""
+the optimal cache the serving layer's client threads share."""
 
 import sys
 import threading
@@ -233,10 +233,10 @@ class TestHierarchy:
 
 
 class _CountingLock:
-    """A re-entrant lock that counts how often it is taken."""
+    """A lock that counts how often it is taken."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self.acquisitions = 0
 
     def __enter__(self):
@@ -247,9 +247,10 @@ class _CountingLock:
         self._lock.release()
 
 
-class TestThreadSafeCacheStress:
-    """One ``ThreadSafeCache`` shared by many client threads, as a
-    ``QueryService`` shares its service cache across requests."""
+class TestSharedCacheStress:
+    """One ``OptimalCache`` shared by many client threads, as a
+    ``QueryService`` shares its service cache across requests: the
+    cache guards itself."""
 
     @staticmethod
     def _hammer(work, threads):
@@ -261,12 +262,8 @@ class TestThreadSafeCacheStress:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_concurrent_hits_never_change_answers_or_double_count(self):
-        """Concurrent hits all observe the stored value, and concurrent
-        stores into a bounded cache evict exactly the overflow: the
-        eviction counter and the LRU bound stay exact under any
-        interleaving."""
-        warm = ThreadSafeCache(OptimalCache())
+    def test_concurrent_hits_all_observe_the_stored_value(self):
+        warm = OptimalCache()
         expected = {
             (f"input-{i}", page): f"input-{i}/{page}"
             for i in range(8)
@@ -284,8 +281,10 @@ class TestThreadSafeCacheStress:
 
         assert all(seen == expected for seen in self._hammer(read, 16))
 
-        inner = OptimalCache(capacity=32)
-        bounded = ThreadSafeCache(inner)
+    def test_lru_bound_and_eviction_count_stay_exact_under_8_writers(self):
+        """Concurrent stores into a bounded cache evict exactly the
+        overflow, under any interleaving."""
+        bounded = OptimalCache(capacity=32)
         stores = 200
 
         def write(worker):
@@ -297,16 +296,16 @@ class TestThreadSafeCacheStress:
                 )
 
         self._hammer(write, 8)
-        assert len(inner) == 32
-        assert inner.evictions == 8 * stores - 32
+        assert len(bounded) == 32
+        assert bounded.evictions == 8 * stores - 32
 
-    def test_unbounded_probes_race_stores_without_the_lock(self):
+    def test_an_unbounded_cache_holds_no_lock_and_its_probes_race_stores(self):
         """8 threads probe an unbounded shared cache while 4 store
         distinct keys (the dict resizing under them): every probe reads
-        nothing or the value stored under that exact key, all without
-        taking the lock."""
-        cache = ThreadSafeCache(OptimalCache())
-        lock = cache._lock = _CountingLock()
+        nothing or the value stored under that exact key, and there is
+        no lock to take."""
+        cache = OptimalCache()
+        assert cache._lock is None
         stores, probers, writers = 400, 8, 4
         start = threading.Barrier(probers + writers)
         wrong: list = []
@@ -337,46 +336,31 @@ class TestThreadSafeCacheStress:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong
-        assert len(cache.inner) == writers * stores
+        assert len(cache) == writers * stores
         assert all(
             cache.lookup("svc", f"writer-{w}", page) == (w, page)
             for w in range(writers)
             for page in range(stores)
         )
-        assert lock.acquisitions == 0
 
-    @pytest.mark.parametrize(
-        "inner, locked",
-        [
-            (OptimalCache(), 0),
-            (OptimalCache(capacity=4), 3),
-            (OneCallCache(), 3),
-        ],
-        ids=["unbounded", "bounded", "one-call"],
-    )
-    def test_only_caches_with_bookkeeping_take_the_lock(self, inner, locked):
-        """A bounded lookup reorders its LRU and a one-call store swaps
-        its tables, so both take the lock on every operation; the
-        unbounded cache's dict operations take it on none."""
-        cache = ThreadSafeCache(inner)
+    def test_a_bounded_cache_takes_its_own_lock_per_lookup_and_store(self):
+        """A bounded lookup reorders its LRU and a store may evict, so
+        each takes the cache's own lock exactly once, hit or miss."""
+        cache = OptimalCache(capacity=2)
         lock = cache._lock = _CountingLock()
         cache.store("svc", "k", 0, "v0")
         assert cache.lookup("svc", "k", 0) == "v0"
         assert cache.lookup("svc", "k", 1) is None
-        assert lock.acquisitions == locked
-
-    def test_wrapper_delegates_and_exposes_inner(self):
-        inner = OptimalCache(capacity=2)
-        cache = ThreadSafeCache(inner)
-        cache.store("svc", "k", 0, "v0")
-        assert cache.lookup("svc", "k", 0) == "v0"
-        assert cache.inner is inner
+        assert lock.acquisitions == 3
         cache.store("svc", "k", 1, "v1")
-        cache.store("svc", "k", 2, "v2")  # capacity bound still enforced
-        assert len(inner) == 2
-        assert inner.evictions == 1
-        assert cache.lookup("svc", "k", 0) is None  # the evicted page
-        assert cache.lookup("svc", "k", 2) == "v2"
+        cache.store("svc", "k", 2, "v2")  # evicts page 0
+        assert (len(cache), cache.evictions) == (2, 1)
+        assert cache.lookup("svc", "k", 0) is None
+        assert lock.acquisitions == 6
+
+    def test_the_kept_wrapper_name_returns_its_argument(self):
+        cache = OptimalCache(capacity=4)
+        assert ThreadSafeCache(cache) is cache
 
     @staticmethod
     def _travel_run(shared):
@@ -405,7 +389,7 @@ class TestThreadSafeCacheStress:
     def test_shared_cache_across_executions(self):
         """A second run over the same warmed shared cache is all hits,
         and the answers do not change."""
-        shared = ThreadSafeCache(OptimalCache())
+        shared = OptimalCache()
         first_rows, first = self._travel_run(shared)
         second_rows, second = self._travel_run(shared)
         assert second_rows == first_rows
@@ -417,8 +401,8 @@ class TestThreadSafeCacheStress:
         """Client threads each running the plan over one shared cache
         all see a cold run's answers, and leave the cache warm enough
         that a further run makes no remote call."""
-        cold_rows, _ = self._travel_run(ThreadSafeCache(OptimalCache()))
-        shared = ThreadSafeCache(OptimalCache())
+        cold_rows, _ = self._travel_run(OptimalCache())
+        shared = OptimalCache()
         runs = self._hammer(lambda _client: self._travel_run(shared), 4)
         assert all(rows == cold_rows for rows, _ in runs)
         rows, stats = self._travel_run(shared)

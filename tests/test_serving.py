@@ -629,6 +629,25 @@ class TestQueryService:
         )
         assert response.stats["service_calls"] > 0
 
+    def test_a_dry_session_resumes_and_never_grows_again(self):
+        """submit (k = 3), more(3) and more(100) leave the weekend
+        session dry at factors {0: 32} with 25 answers.  A further
+        more(100) is one resumed round at those factors that fetches
+        nothing: the session never grows again."""
+        service = QueryService(registry=weekend_registry(), k_default=3)
+        session = service.submit(mahler_weekend_query()).session_id
+        service.ask_for_more(session, 3)
+        dry = service.ask_for_more(session, 100)
+        executor = service.sessions.get(session).executor
+        assert (len(dry.rows), executor.fetch_vector()) == (25, {0: 32})
+        before = len(executor.rounds)
+        again = service.ask_for_more(session, 100)
+        assert again.rows == dry.rows
+        assert again.stats["rounds"] == 1
+        (last,) = executor.rounds[before:]
+        assert (last.fetches, last.resumed, last.grown) == ({0: 32}, True, False)
+        assert last.stats.total_fetches == 0
+
     def test_service_cache_admission_control_never_changes_answers(self):
         """The ROADMAP follow-up: the shared service cache is size-
         bounded with LRU eviction.  A capacity-1 service must answer a
@@ -856,27 +875,28 @@ class TestQueryTextMemo:
 
 
 class TestSnapshotRegressions:
-    """The serving-layer bug batch: snapshot must survive cache
-    wrapping."""
+    """The serving-layer bug batch: the snapshot reports the shared
+    service cache."""
 
-    def test_snapshot_reports_the_wrapped_service_cache(self):
-        # The shared cache is ThreadSafeCache-wrapped since the
-        # thread-safety change; the snapshot used to gate on
-        # `isinstance(_service_cache, OptimalCache)` and silently
-        # dropped the section for any wrapper.
-        from repro.execution.cache import ThreadSafeCache
+    def test_snapshot_reads_a_capped_cache_directly(self):
+        # The service holds the cache make_cache built, unwrapped.
+        from repro.execution.cache import OptimalCache
 
         service = QueryService(
             registry=weekend_registry(), k_default=3,
             service_cache_capacity=8,
         )
-        assert isinstance(service._service_cache, ThreadSafeCache)
+        cache = service._service_cache
+        assert type(cache) is OptimalCache
         service.submit(mahler_weekend_query())
         section = service.snapshot()["service_cache"]
-        assert section["type"] == "OptimalCache"
-        assert section["entries"] > 0
-        assert section["capacity"] == 8
-        assert section["evictions"] >= 0
+        assert section == {
+            "type": "OptimalCache",
+            "entries": len(cache),
+            "capacity": 8,
+            "evictions": cache.evictions,
+        }
+        assert 0 < section["entries"] <= 8
 
     def test_snapshot_has_no_section_without_a_shared_cache(self):
         service = QueryService(

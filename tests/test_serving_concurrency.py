@@ -181,6 +181,40 @@ class TestThreadedReplayBitIdentity:
         assert shared.sessions.stats.created == total
 
 
+    def test_threaded_submits_over_a_capped_cache_match_sequential_replay(self):
+        """A capped shared cache takes its own lock to reorder and
+        evict: client threads get the sequential replay's answers, and
+        no store ever leaves more than its 8 pages behind."""
+        streams = self._streams()
+        sequential = _service(news_registry, service_cache_capacity=8)
+        expected = [
+            [_answer_signature(sequential.submit(query, k=k))
+             for query, k in stream]
+            for stream in streams
+        ]
+        shared = _service(news_registry, service_cache_capacity=8)
+        cache = shared._service_cache
+        store, sizes = cache.store, []
+
+        def watched_store(*args):
+            store(*args)
+            with cache._lock:
+                sizes.append(len(cache))
+
+        cache.store = watched_store
+        got = [[None] * len(stream) for stream in streams]
+
+        def work(index):
+            for position, (query, k) in enumerate(streams[index]):
+                got[index][position] = _answer_signature(
+                    shared.submit(query, k=k)
+                )
+
+        _run_workers(self.WORKERS, work)
+        assert got == expected
+        assert sizes and max(sizes) <= 8
+        assert len(cache) == 8 and cache.evictions > 0
+
 class TestSessionInterleavings:
     """Seeded submit/ask_for_more/release interleavings."""
 
@@ -446,7 +480,7 @@ class TestQueryTextMemoConcurrency:
 class TestResilientServingConcurrency:
     """Retried serving under threads (ISSUE 8 satellite).
 
-    Retried attempts run *below* the shared ``ThreadSafeCache``, so
+    Retried attempts run *below* the shared service cache, so
     threaded resilient submits must stay request-by-request
     bit-identical to a sequential replay without the resilience layer
     — and the shared cache must end up with exactly the entries the

@@ -84,3 +84,23 @@ def test_a_resume_that_dies_leaves_its_ledger_as_a_round():
     assert (aborted.stats.total_fetches, aborted.stats.wasted_fetches) == (1, 2)
     assert not fallback.resumed
     assert first.fetches == aborted.fetches == fallback.fetches
+
+
+def test_a_session_whose_services_ran_dry_stops_growing():
+    """The pinned script's second fallback round doubles the factors to
+    10 and finds nothing new: the services are dry.  Each later
+    ``more`` is one resumed round at those factors, with no fetch and
+    no further growth, and the rounds still hold every invocation."""
+    executor, proxies, _ = _script(
+        "pair", FaultSchedule(seed=1, fail_rate=0.4), CacheSetting.OPTIMAL
+    )
+    assert len(executor.rounds) == 7
+    dry = executor.rounds[3]
+    assert (dry.fetches, dry.resumed) == ({0: 10, 1: 10}, False)
+    for later in executor.rounds[4:]:
+        assert later.fetches == dry.fetches
+        assert (later.resumed, later.grown) == (True, False)
+        assert later.stats.total_fetches == later.stats.wasted_fetches == 0
+    assert sum(proxy.invocations for proxy in proxies.values()) == sum(
+        r.stats.total_fetches + r.stats.wasted_fetches for r in executor.rounds
+    )
